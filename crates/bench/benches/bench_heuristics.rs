@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dhp_core::fitting::scale_cluster_with_headroom;
 use dhp_core::prelude::*;
+use dhp_core::steps::{assign::biggest_assign, merge::merge_unassigned, partition::initial_blocks};
 use dhp_platform::configs;
 use dhp_wfgen::{Family, WorkflowInstance};
 use std::hint::black_box;
@@ -58,5 +59,48 @@ fn bench_slot_search(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_both, bench_slot_search);
+/// The two layers of DagHetPart that carry what they computed: Step 3
+/// on a chain-shaped 60-task workflow (the whole `k'` ladder's Step-2
+/// block sets, most of which Step 3 fails on after paying for it — the
+/// clone of the block sets is in the loop and is noise next to it) and
+/// Step 2 on a wide 4000-task one (every block leaves the queue with
+/// the requirement it entered with).
+fn bench_steps(c: &mut Criterion) {
+    let cfg = DagHetPartConfig::default();
+    let mut group = c.benchmark_group("steps");
+    group.sample_size(10);
+
+    let chain = WorkflowInstance::simulated(Family::Epigenomics, 60, 17).graph;
+    let cluster = scale_cluster_with_headroom(&chain, &configs::default_cluster(), 1.05);
+    let ladder: Vec<_> = (1..=cluster.len())
+        .map(|kp| initial_blocks(&chain, kp, &cfg.partition_cfg))
+        .map(|bs| biggest_assign(&chain, &cluster, bs, &cfg.partition_cfg))
+        .collect();
+    group.bench_function("merge_unassigned/chain60", |b| {
+        b.iter(|| {
+            ladder
+                .iter()
+                .cloned()
+                .filter_map(|mut bs| merge_unassigned(&chain, &cluster, &mut bs, true).ok())
+                .count()
+        })
+    });
+
+    let fanout = WorkflowInstance::simulated(Family::Blast, 4_000, 17).graph;
+    let cluster = scale_cluster_with_headroom(&fanout, &configs::default_cluster(), 1.05);
+    let blocks = initial_blocks(&fanout, cluster.len(), &cfg.partition_cfg);
+    group.bench_function("biggest_assign/fanout4000", |b| {
+        b.iter(|| {
+            biggest_assign(
+                black_box(&fanout),
+                &cluster,
+                blocks.clone(),
+                &cfg.partition_cfg,
+            )
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_both, bench_slot_search, bench_steps);
 criterion_main!(benches);

@@ -4,14 +4,26 @@
 //! traversal of its induced sub-DAG found by `dhp-memdag`, where files
 //! crossing the block boundary are charged while the incident task
 //! executes (matching the paper's `r_u` for singleton blocks).
+//!
+//! It is a pure function of the member *set*, and one solve asks for
+//! the same sets again and again (Step 3 re-evaluates a merge candidate
+//! every time its block is requeued, and neighbouring `k'` attempts
+//! split and merge their way to the same blocks), so `dag_het_part`
+//! answers through a [`ReqMemo`] that lives exactly as long as the
+//! solve.
 
 use dhp_dag::util::BitSet;
 use dhp_dag::{Dag, NodeId};
+use parking_lot::Mutex;
+use std::collections::HashMap;
 
 /// Computes `r` for the block consisting of `members` of `g`.
 ///
-/// Cost: one induced-subgraph construction over `g`'s edges plus the
-/// traversal search on the block (near-linear in the block size).
+/// Cost: a pass over **all** of `g`'s nodes and edges to cut out the
+/// induced sub-DAG (`Dag::induced_subgraph` scans the whole edge list,
+/// whatever the block's size), a pass over the members' incident edges
+/// for the boundary load, then the traversal search on the block. On a
+/// large workflow the first term dominates for every small block.
 pub fn block_requirement(g: &Dag, members: &[NodeId]) -> f64 {
     if members.is_empty() {
         return 0.0;
@@ -43,6 +55,85 @@ pub fn block_requirement(g: &Dag, members: &[NodeId]) -> f64 {
         ext[i] = boundary;
     }
     dhp_memdag::best_traversal(&sub, &ext).peak
+}
+
+/// A member set as a memo key: one bit per task while the workflow has
+/// at most 128 of them (16 bytes whatever the block), the ascending id
+/// list otherwise.
+#[derive(Debug, PartialEq, Eq, Hash)]
+enum SetKey {
+    Mask(u128),
+    Ids(Box<[u32]>),
+}
+
+#[derive(Debug, Default)]
+struct MemoStore {
+    reqs: HashMap<SetKey, f64>,
+    hits: u64,
+    misses: u64,
+}
+
+/// [`block_requirement`] remembered per member set, for one workflow
+/// and one solve: `dag_het_part` makes one, hands it to every `k'`
+/// worker, and drops it with the solve, so it never outlives the graph
+/// its keys index into and its memory is bounded by one solve's
+/// distinct blocks. Singletons and the empty set bypass it (they cost
+/// less than a lookup).
+///
+/// Two workers missing on the same set both compute it; the value is a
+/// function of the set, so whichever insert lands last changes nothing.
+#[derive(Debug)]
+pub struct ReqMemo<'g> {
+    g: &'g Dag,
+    store: Mutex<MemoStore>,
+}
+
+impl<'g> ReqMemo<'g> {
+    /// An empty memo for blocks of `g`.
+    pub fn new(g: &'g Dag) -> Self {
+        Self {
+            g,
+            store: Mutex::new(MemoStore::default()),
+        }
+    }
+
+    /// `block_requirement(g, members)`, computed at most once per
+    /// member set (`members` in any order, without duplicates).
+    pub fn requirement(&self, members: &[NodeId]) -> f64 {
+        if members.len() < 2 {
+            return block_requirement(self.g, members);
+        }
+        let key = self.key(members);
+        {
+            let mut store = self.store.lock();
+            if let Some(&req) = store.reqs.get(&key) {
+                store.hits += 1;
+                return req;
+            }
+            store.misses += 1;
+        }
+        // Computed outside the lock: this is the expensive part, and
+        // the other workers must stay free to look up their own sets.
+        let req = block_requirement(self.g, members);
+        self.store.lock().reqs.insert(key, req);
+        req
+    }
+
+    /// `(hits, misses)` over the multi-member questions asked so far.
+    pub fn stats(&self) -> (u64, u64) {
+        let store = self.store.lock();
+        (store.hits, store.misses)
+    }
+
+    fn key(&self, members: &[NodeId]) -> SetKey {
+        if self.g.node_count() <= u128::BITS as usize {
+            SetKey::Mask(members.iter().fold(0, |mask, u| mask | 1u128 << u.0))
+        } else {
+            let mut ids: Vec<u32> = members.iter().map(|u| u.0).collect();
+            ids.sort_unstable();
+            SetKey::Ids(ids.into_boxed_slice())
+        }
+    }
 }
 
 #[cfg(test)]
@@ -97,5 +188,72 @@ mod tests {
     fn empty_block_is_zero() {
         let g = builder::chain(3, 1.0, 1.0, 1.0);
         assert_eq!(block_requirement(&g, &[]), 0.0);
+    }
+
+    /// A pseudo-random subset of `g`'s nodes with at least two members,
+    /// in scrambled order.
+    fn scrambled_subset(g: &Dag, mut state: u64) -> Vec<NodeId> {
+        let mut step = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut picked: Vec<(u64, NodeId)> = Vec::new();
+        for u in g.node_ids() {
+            if step() % 3 == 0 {
+                picked.push((step(), u));
+            }
+        }
+        if picked.len() < 2 {
+            picked = g.node_ids().take(2).map(|u| (0, u)).collect();
+        }
+        picked.sort_unstable();
+        picked.into_iter().map(|(_, u)| u).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// Memoised == fresh, to the bit: for bitmask keys (≤ 128
+        /// tasks) and id-list keys, in any member order, on a repeat,
+        /// and for the union a merge would form.
+        #[test]
+        fn memoised_requirement_equals_fresh(
+            n in proptest::sample::select(vec![3usize, 17, 64, 128, 129, 180]),
+            seed in proptest::strategy::any::<u64>(),
+        ) {
+            let g = builder::gnp_dag_weighted(n, (4.0 / n as f64).min(0.9), seed);
+            let memo = ReqMemo::new(&g);
+            let mut asked = 0u64;
+            for round in 0..6u64 {
+                let a = scrambled_subset(&g, seed ^ round);
+                let b = scrambled_subset(&g, seed.rotate_left(17) ^ round);
+                let mut merged = a.clone();
+                merged.extend(b.iter().filter(|u| !a.contains(u)));
+                let mut reversed = merged.clone();
+                reversed.reverse();
+                for set in [&a, &b, &merged, &reversed, &merged] {
+                    let fresh = block_requirement(&g, set);
+                    proptest::prop_assert_eq!(memo.requirement(set).to_bits(), fresh.to_bits());
+                    asked += 1;
+                }
+            }
+            let (hits, misses) = memo.stats();
+            proptest::prop_assert_eq!(hits + misses, asked);
+            // `reversed` and the second `merged` repeat a set every round.
+            proptest::prop_assert!(hits >= 12, "{} hits", hits);
+        }
+    }
+
+    #[test]
+    fn memo_leaves_singletons_and_the_empty_set_alone() {
+        let g = builder::gnp_dag_weighted(10, 0.3, 1);
+        let memo = ReqMemo::new(&g);
+        assert_eq!(memo.requirement(&[]), 0.0);
+        for u in g.node_ids() {
+            assert_eq!(memo.requirement(&[u]), g.task_requirement(u));
+        }
+        assert_eq!(memo.stats(), (0, 0));
     }
 }

@@ -6,7 +6,7 @@
 //! requirement `r_{V_i}`, and (optional) processor assignment. A final
 //! [`BlockSet::to_mapping`] produces the immutable result.
 
-use crate::blockmem::block_requirement;
+use crate::blockmem::{block_requirement, ReqMemo};
 use dhp_dag::{Dag, NodeId, Partition};
 use dhp_platform::ProcId;
 
@@ -35,12 +35,22 @@ pub struct BlockSet {
 impl BlockSet {
     /// Builds a block set from a partition, computing every requirement.
     pub fn from_partition(g: &Dag, partition: &Partition) -> Self {
+        Self::from_partition_with(partition, |members| block_requirement(g, members))
+    }
+
+    /// [`BlockSet::from_partition`] with the requirements answered by
+    /// the solve's memo.
+    pub(crate) fn from_partition_memo(partition: &Partition, memo: &ReqMemo<'_>) -> Self {
+        Self::from_partition_with(partition, |members| memo.requirement(members))
+    }
+
+    fn from_partition_with(partition: &Partition, req: impl Fn(&[NodeId]) -> f64) -> Self {
         let blocks: Vec<Block> = partition
             .members()
             .into_iter()
             .enumerate()
             .map(|(id, members)| {
-                let req = block_requirement(g, &members);
+                let req = req(&members);
                 Block {
                     id: id as u64,
                     members,
@@ -89,9 +99,16 @@ impl BlockSet {
     }
 
     /// Adds a block (computing its requirement) and returns its index.
-    pub fn push_block(&mut self, g: &Dag, mut members: Vec<NodeId>) -> usize {
-        members.sort_unstable();
+    pub fn push_block(&mut self, g: &Dag, members: Vec<NodeId>) -> usize {
         let req = block_requirement(g, &members);
+        self.push_block_with_req(members, req)
+    }
+
+    /// Adds a block whose requirement the caller already holds (`req`
+    /// must be `block_requirement` of exactly `members`) and returns
+    /// its index.
+    pub(crate) fn push_block_with_req(&mut self, mut members: Vec<NodeId>, req: f64) -> usize {
+        members.sort_unstable();
         let id = self.next_id;
         self.next_id += 1;
         self.blocks.push(Block {
@@ -142,19 +159,29 @@ impl BlockSet {
         o: Option<usize>,
         proc: Option<ProcId>,
     ) -> usize {
-        let mut idx = vec![i, j];
-        if let Some(o) = o {
-            idx.push(o);
-        }
-        idx.sort_unstable();
-        idx.dedup();
-        assert!(idx.len() >= 2, "merge needs at least two distinct blocks");
+        let members: Vec<NodeId> = removal_order(i, j, o)
+            .flat_map(|b| self.blocks[b].members.iter().copied())
+            .collect();
+        let req = block_requirement(g, &members);
+        self.merge_blocks_with_req(i, j, o, proc, req)
+    }
+
+    /// [`BlockSet::merge_blocks`] for a caller that already holds the
+    /// merged block's requirement (Step 3 has just checked it against
+    /// the processor's memory).
+    pub(crate) fn merge_blocks_with_req(
+        &mut self,
+        i: usize,
+        j: usize,
+        o: Option<usize>,
+        proc: Option<ProcId>,
+        req: f64,
+    ) -> usize {
         let mut members = Vec::new();
-        // Remove from the highest index down so lower indices stay valid.
-        for &b in idx.iter().rev() {
+        for b in removal_order(i, j, o) {
             members.extend(self.remove_block(b).members);
         }
-        let ni = self.push_block(g, members);
+        let ni = self.push_block_with_req(members, req);
         self.blocks[ni].proc = proc;
         ni
     }
@@ -226,6 +253,17 @@ impl BlockSet {
             .filter(|&i| self.blocks[i].proc.is_some())
             .collect()
     }
+}
+
+/// The order in which a merge of blocks `i`, `j` (and `o`) swap-removes
+/// them: highest index first, so the lower ones stay valid. Step 3
+/// replays it on its own per-block tables.
+pub(crate) fn removal_order(i: usize, j: usize, o: Option<usize>) -> impl Iterator<Item = usize> {
+    let mut idx: Vec<usize> = [Some(i), Some(j), o].into_iter().flatten().collect();
+    idx.sort_unstable_by(|a, b| b.cmp(a));
+    idx.dedup();
+    assert!(idx.len() >= 2, "merge needs at least two distinct blocks");
+    idx.into_iter()
 }
 
 #[cfg(test)]

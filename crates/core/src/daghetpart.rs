@@ -3,10 +3,15 @@
 //! For every tentative block count `k' = 1..k` the driver runs the full
 //! pipeline (partition → assign → merge → swap) and keeps the mapping
 //! with the smallest makespan. The sweep is embarrassingly parallel and
-//! is fanned out over `std::thread::scope` workers (one chunk of `k'`
-//! values per worker, no shared mutable state beyond the result slot).
+//! is fanned out over `std::thread::scope` workers that draw the next
+//! `k'` from a shared counter, largest first: an attempt's cost grows
+//! with `k'` and varies wildly (most of a memory-tight sweep fails in
+//! Step 3, some early, some late), so contiguous chunks leave a worker
+//! idle while another grinds through the expensive end. The workers
+//! share the result slot and the solve's block-requirement memo
+//! ([`ReqMemo`]), nothing else.
 
-use crate::blocks::BlockSet;
+use crate::blockmem::ReqMemo;
 use crate::makespan::blockset_makespan;
 use crate::mapping::Mapping;
 use crate::steps;
@@ -14,6 +19,7 @@ use crate::{MappingResult, SchedError};
 use dhp_dag::Dag;
 use dhp_platform::Cluster;
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// How Step 1 chooses the tentative block count.
@@ -62,64 +68,7 @@ pub fn dag_het_part(
     cluster: &Cluster,
     cfg: &DagHetPartConfig,
 ) -> Result<MappingResult, SchedError> {
-    if g.is_empty() || cluster.is_empty() {
-        return Err(SchedError::NoSolution);
-    }
-    let start = Instant::now();
-    let k = cluster.len();
-    let kprimes: Vec<usize> = match cfg.kprime {
-        KprimeMode::Sweep => (1..=k.min(g.node_count())).collect(),
-        KprimeMode::Fixed(kp) => vec![kp.clamp(1, k.min(g.node_count()))],
-    };
-
-    // Best = (makespan, kprime, mapping); smaller kprime wins ties so the
-    // parallel and sequential drivers agree.
-    // Innermost ranked lock: taken inside phase slots (federation
-    // steps) and after any cache-stripe lookups have been released.
-    let best: Mutex<Option<(f64, usize, Mapping)>> =
-        Mutex::with_rank(None, parking_lot::ranks::SOLVER_BEST);
-    let consider = |kp: usize, candidate: Option<(f64, Mapping)>| {
-        if let Some((ms, mapping)) = candidate {
-            let mut slot = best.lock();
-            let better = match &*slot {
-                None => true,
-                Some((bms, bkp, _)) => ms < *bms - 1e-12 || (ms <= *bms + 1e-12 && kp < *bkp),
-            };
-            if better {
-                *slot = Some((ms, kp, mapping));
-            }
-        }
-    };
-
-    if cfg.parallel && kprimes.len() > 1 {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(kprimes.len());
-        let chunk = kprimes.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let consider = &consider;
-            for ws in kprimes.chunks(chunk) {
-                scope.spawn(move || {
-                    for &kp in ws {
-                        consider(kp, run_once(g, cluster, kp, cfg));
-                    }
-                });
-            }
-        });
-    } else {
-        for &kp in &kprimes {
-            consider(kp, run_once(g, cluster, kp, cfg));
-        }
-    }
-
-    let (makespan, kprime, mapping) = best.into_inner().ok_or(SchedError::NoSolution)?;
-    Ok(MappingResult {
-        mapping,
-        makespan,
-        kprime,
-        elapsed: start.elapsed(),
-    })
+    sweep(g, cluster, cfg, &ReqMemo::new(g), false).map(|(result, _)| result)
 }
 
 /// Per-step progress of one pipeline run (the winning `k'` of a traced
@@ -148,13 +97,29 @@ pub struct StepTrace {
 }
 
 /// Like [`dag_het_part`], but also returns the [`StepTrace`] of the
-/// winning `k'`. Runs the sweep sequentially (tracing is for analysis,
-/// not throughput).
+/// winning `k'` (same sweep, same winner; every attempt additionally
+/// scores its block set between the steps).
 pub fn dag_het_part_traced(
     g: &Dag,
     cluster: &Cluster,
     cfg: &DagHetPartConfig,
 ) -> Result<(MappingResult, StepTrace), SchedError> {
+    let (result, trace) = sweep(g, cluster, cfg, &ReqMemo::new(g), true)?;
+    let Some(trace) = trace else {
+        unreachable!("a traced sweep records a trace for every k'")
+    };
+    Ok((result, trace))
+}
+
+/// The `k'` sweep behind both entry points. `memo` lives for this one
+/// solve: every worker reads and feeds it, the caller drops it.
+fn sweep(
+    g: &Dag,
+    cluster: &Cluster,
+    cfg: &DagHetPartConfig,
+    memo: &ReqMemo<'_>,
+    traced: bool,
+) -> Result<(MappingResult, Option<StepTrace>), SchedError> {
     if g.is_empty() || cluster.is_empty() {
         return Err(SchedError::NoSolution);
     }
@@ -164,57 +129,105 @@ pub fn dag_het_part_traced(
         KprimeMode::Sweep => (1..=k.min(g.node_count())).collect(),
         KprimeMode::Fixed(kp) => vec![kp.clamp(1, k.min(g.node_count()))],
     };
-    let mut best: Option<(f64, usize, Mapping, StepTrace)> = None;
-    for kp in kprimes {
-        if let Some((ms, mapping, trace)) = run_once_traced(g, cluster, kp, cfg) {
-            let better = match &best {
-                None => true,
-                Some((bms, _, _, _)) => ms < *bms - 1e-12,
-            };
+
+    // Smaller kprime wins ties, so the result does not depend on which
+    // attempt finishes first.
+    // Innermost ranked lock: taken inside phase slots (federation
+    // steps) and after any cache-stripe lookups have been released.
+    let best: Mutex<Option<Attempt>> = Mutex::with_rank(None, parking_lot::ranks::SOLVER_BEST);
+    let attempt = |kp: usize| {
+        if let Some(new) = run_once(g, cluster, kp, cfg, memo, traced) {
+            let mut slot = best.lock();
+            let better = slot.as_ref().is_none_or(|old| {
+                new.makespan < old.makespan - 1e-12
+                    || (new.makespan <= old.makespan + 1e-12 && new.kprime < old.kprime)
+            });
             if better {
-                best = Some((ms, kp, mapping, trace));
+                *slot = Some(new);
             }
         }
+    };
+
+    if cfg.parallel && kprimes.len() > 1 {
+        let workers = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+            .min(kprimes.len());
+        // Hands out positions only and publishes no data: Relaxed.
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| {
+                    while let Some(&kp) = kprimes
+                        .iter()
+                        .rev()
+                        .nth(next.fetch_add(1, Ordering::Relaxed))
+                    {
+                        attempt(kp);
+                    }
+                });
+            }
+        });
+    } else {
+        kprimes.iter().copied().for_each(attempt);
     }
-    let (makespan, kprime, mapping, trace) = best.ok_or(SchedError::NoSolution)?;
+
+    let best = best.into_inner().ok_or(SchedError::NoSolution)?;
     Ok((
         MappingResult {
-            mapping,
-            makespan,
-            kprime,
+            mapping: best.mapping,
+            makespan: best.makespan,
+            kprime: best.kprime,
             elapsed: start.elapsed(),
         },
-        trace,
+        best.trace,
     ))
 }
 
-/// [`run_once`] plus per-step makespan measurements.
-fn run_once_traced(
+/// What one `k'` produced.
+struct Attempt {
+    makespan: f64,
+    kprime: usize,
+    mapping: Mapping,
+    /// Present when the sweep is traced.
+    trace: Option<StepTrace>,
+}
+
+/// One pipeline run with a fixed `k'`: the four steps, spelled out
+/// once. Returns the final makespan and mapping (and, when `traced`,
+/// how far each step got), or `None` when Step 3 cannot complete the
+/// assignment.
+fn run_once(
     g: &Dag,
     cluster: &Cluster,
     kprime: usize,
     cfg: &DagHetPartConfig,
-) -> Option<(f64, Mapping, StepTrace)> {
-    let bs = steps::partition::initial_blocks(g, kprime, &cfg.partition_cfg);
+    memo: &ReqMemo<'_>,
+    traced: bool,
+) -> Option<Attempt> {
+    let score = |bs: &_| traced.then(|| blockset_makespan(g, bs, cluster));
+    // Step 1: heterogeneity-blind acyclic partitioning.
+    let bs = steps::partition::initial_blocks_memo(g, kprime, &cfg.partition_cfg, memo);
     let blocks_after_partition = bs.len();
-    let mut bs: BlockSet = steps::assign::biggest_assign(g, cluster, bs, &cfg.partition_cfg);
+    // Step 2: memory-aware assignment (may split blocks).
+    let mut bs = steps::assign::biggest_assign_memo(g, cluster, bs, &cfg.partition_cfg, memo);
     let blocks_after_assign = bs.len();
     let unassigned_after_assign = bs.unassigned().len();
-    let estimated_after_assign = blockset_makespan(g, &bs, cluster);
-    steps::merge::merge_unassigned(g, cluster, &mut bs, cfg.enable_triple_merge).ok()?;
-    let after_merge = blockset_makespan(g, &bs, cluster);
+    let estimated_after_assign = score(&bs);
+    // Step 3: merge unassigned blocks, makespan-guided.
+    steps::merge::merge_unassigned_memo(g, cluster, &mut bs, cfg.enable_triple_merge, memo).ok()?;
+    let after_merge = score(&bs);
+    // Step 4: local search.
     if cfg.enable_swaps {
         steps::swap::swap_blocks(g, cluster, &mut bs);
     }
-    let after_swaps = blockset_makespan(g, &bs, cluster);
+    let after_swaps = score(&bs);
     if cfg.enable_idle_moves {
         steps::swap::idle_moves(g, cluster, &mut bs);
     }
-    let after_idle_moves = blockset_makespan(g, &bs, cluster);
-    Some((
-        after_idle_moves,
-        bs.to_mapping(g.node_count()),
-        StepTrace {
+    let makespan = blockset_makespan(g, &bs, cluster);
+    let trace = match (estimated_after_assign, after_merge, after_swaps) {
+        (Some(estimated_after_assign), Some(after_merge), Some(after_swaps)) => Some(StepTrace {
             kprime,
             blocks_after_partition,
             blocks_after_assign,
@@ -222,50 +235,16 @@ fn run_once_traced(
             estimated_after_assign,
             after_merge,
             after_swaps,
-            after_idle_moves,
-        },
-    ))
-}
-
-/// One pipeline run with a fixed `k'`. Returns the final makespan and
-/// mapping, or `None` when Step 3 cannot complete the assignment.
-fn run_once(
-    g: &Dag,
-    cluster: &Cluster,
-    kprime: usize,
-    cfg: &DagHetPartConfig,
-) -> Option<(f64, Mapping)> {
-    let trace = std::env::var_os("DHP_TRACE").is_some();
-    let t0 = Instant::now();
-    // Step 1: heterogeneity-blind acyclic partitioning.
-    let bs = steps::partition::initial_blocks(g, kprime, &cfg.partition_cfg);
-    let t1 = Instant::now();
-    // Step 2: memory-aware assignment (may split blocks).
-    let mut bs: BlockSet = steps::assign::biggest_assign(g, cluster, bs, &cfg.partition_cfg);
-    let t2 = Instant::now();
-    // Step 3: merge unassigned blocks, makespan-guided.
-    let unassigned = bs.unassigned().len();
-    let step3 = steps::merge::merge_unassigned(g, cluster, &mut bs, cfg.enable_triple_merge);
-    if trace {
-        eprintln!(
-            "k'={kprime}: step1 {:?} step2 {:?} ({} blocks, {unassigned} leftover) step3 {:?} ({})",
-            t1 - t0,
-            t2 - t1,
-            bs.len(),
-            t2.elapsed(),
-            if step3.is_ok() { "ok" } else { "fail" },
-        );
-    }
-    step3.ok()?;
-    // Step 4: local search.
-    if cfg.enable_swaps {
-        steps::swap::swap_blocks(g, cluster, &mut bs);
-    }
-    if cfg.enable_idle_moves {
-        steps::swap::idle_moves(g, cluster, &mut bs);
-    }
-    let ms = blockset_makespan(g, &bs, cluster);
-    Some((ms, bs.to_mapping(g.node_count())))
+            after_idle_moves: makespan,
+        }),
+        _ => None,
+    };
+    Some(Attempt {
+        makespan,
+        kprime,
+        mapping: bs.to_mapping(g.node_count()),
+        trace,
+    })
 }
 
 #[cfg(test)]
@@ -396,5 +375,37 @@ mod tests {
             assert!(trace.after_merge.is_finite());
             assert!(validate(&g, &cluster, &r.mapping).is_ok());
         }
+    }
+
+    /// The memo must earn its keep where the issue says it does: on a
+    /// chain-shaped instance the sweep asks for the same member sets
+    /// over and over. A memo that never hits fails here instead of
+    /// surviving silently; and sharing it changes no output.
+    #[test]
+    fn requirement_memo_hits_on_a_chain_shaped_instance() {
+        use dhp_wfgen::{Family, WorkflowInstance};
+        let g = WorkflowInstance::simulated(Family::Epigenomics, 60, 17).graph;
+        let cluster =
+            crate::fitting::scale_cluster_with_headroom(&g, &configs::default_cluster(), 1.05);
+        let cfg = DagHetPartConfig::default();
+        let memo = ReqMemo::new(&g);
+        let (shared, _) = sweep(&g, &cluster, &cfg, &memo, false).unwrap();
+        let (hits, misses) = memo.stats();
+        assert!(misses > 0, "premise: the solve has multi-task blocks");
+        assert!(
+            hits > misses,
+            "{hits} hits / {misses} misses: on this shape most questions repeat"
+        );
+
+        // The winning k' solved alone, from an empty memo, reaches the
+        // same mapping.
+        let fixed = DagHetPartConfig {
+            kprime: KprimeMode::Fixed(shared.kprime),
+            ..cfg
+        };
+        let alone = dag_het_part(&g, &cluster, &fixed).unwrap();
+        assert_eq!(alone.makespan.to_bits(), shared.makespan.to_bits());
+        assert_eq!(alone.mapping.partition, shared.mapping.partition);
+        assert_eq!(alone.mapping.proc_of_block, shared.mapping.proc_of_block);
     }
 }

@@ -12,6 +12,7 @@
 //! memory cannot be split further (the paper's pseudocode would loop);
 //! such blocks are left unassigned for Step 3 / the final failure check.
 
+use crate::blockmem::ReqMemo;
 use crate::blocks::BlockSet;
 use dhp_dag::{Dag, NodeId};
 use dhp_dagp::PartitionConfig;
@@ -50,6 +51,19 @@ impl Ord for QueuedBlock {
 /// block set: every mapped block fits its processor; unassigned blocks
 /// (if any) have been split down to the smallest memory where possible.
 pub fn biggest_assign(g: &Dag, cluster: &Cluster, bs: BlockSet, cfg: &PartitionConfig) -> BlockSet {
+    biggest_assign_memo(g, cluster, bs, cfg, &ReqMemo::new(g))
+}
+
+/// [`biggest_assign`] with the sub-blocks' requirements answered by the
+/// solve's memo. Every block leaves the queue with the requirement it
+/// entered with, so nothing is computed twice on the way out either.
+pub(crate) fn biggest_assign_memo(
+    g: &Dag,
+    cluster: &Cluster,
+    bs: BlockSet,
+    cfg: &PartitionConfig,
+    memo: &ReqMemo<'_>,
+) -> BlockSet {
     let mut seq = 0u64;
     let mut queue: BinaryHeap<QueuedBlock> = BinaryHeap::new();
     for b in bs.iter() {
@@ -60,35 +74,36 @@ pub fn biggest_assign(g: &Dag, cluster: &Cluster, bs: BlockSet, cfg: &PartitionC
         });
         seq += 1;
     }
+    let mut split = |queue: &mut BinaryHeap<QueuedBlock>, members: &[NodeId]| {
+        for part in split_in_two(g, members, cfg) {
+            queue.push(QueuedBlock {
+                req: memo.requirement(&part),
+                seq,
+                members: part,
+            });
+            seq += 1;
+        }
+    };
 
     let proc_order = cluster.ids_by_memory_desc();
     let mut free: std::collections::VecDeque<ProcId> = proc_order.into_iter().collect();
 
     let mut out = BlockSet::default();
-    let mut leftover: Vec<Vec<NodeId>> = Vec::new();
+    let mut leftover: Vec<QueuedBlock> = Vec::new();
 
     // Main loop: largest block onto largest free processor.
-    while !queue.is_empty() && !free.is_empty() {
-        let top = queue.pop().expect("checked non-empty");
-        let proc = *free.front().expect("checked non-empty");
+    while let Some(&proc) = free.front() {
+        let Some(top) = queue.pop() else { break };
         if top.req <= cluster.memory(proc) {
-            let i = out.push_block(g, top.members);
+            let i = out.push_block_with_req(top.members, top.req);
             out.assign(i, proc);
             free.pop_front();
         } else if top.members.len() == 1 {
             // Unsplittable and oversized for every remaining processor
             // (they only get smaller): park it for Step 3.
-            leftover.push(top.members);
+            leftover.push(top);
         } else {
-            for part in split_in_two(g, &top.members, cfg) {
-                let req = crate::blockmem::block_requirement(g, &part);
-                queue.push(QueuedBlock {
-                    req,
-                    seq,
-                    members: part,
-                });
-                seq += 1;
-            }
+            split(&mut queue, &top.members);
         }
     }
 
@@ -97,22 +112,14 @@ pub fn biggest_assign(g: &Dag, cluster: &Cluster, bs: BlockSet, cfg: &PartitionC
     let min_mem = cluster.min_memory();
     while let Some(top) = queue.pop() {
         if top.req <= min_mem || top.members.len() == 1 {
-            leftover.push(top.members);
+            leftover.push(top);
         } else {
-            for part in split_in_two(g, &top.members, cfg) {
-                let req = crate::blockmem::block_requirement(g, &part);
-                queue.push(QueuedBlock {
-                    req,
-                    seq,
-                    members: part,
-                });
-                seq += 1;
-            }
+            split(&mut queue, &top.members);
         }
     }
 
-    for members in leftover {
-        out.push_block(g, members);
+    for block in leftover {
+        out.push_block_with_req(block.members, block.req);
     }
     out
 }

@@ -11,15 +11,287 @@
 //! all unassigned is requeued (at most twice, via a per-block counter);
 //! if no merge can ever be found the step fails — the platform does not
 //! have enough resources.
+//!
+//! # What one iteration costs
+//!
+//! With `B` blocks and `E_q` quotient edges, one queue iteration is one
+//! critical path (only after a merge changed the quotient) plus, per
+//! candidate partner, one contraction and one Kahn pass over flat
+//! arrays — `O(B + E_q log E_q)`, no allocation, no `Dag` — and, only
+//! for a candidate that beats the incumbent's makespan, one block
+//! requirement from the solve's memo. The winner's contracted quotient
+//! and requirement are kept and *become* the state when the merge is
+//! executed; nothing a candidate evaluation produced is computed again.
 
-use crate::blocks::BlockSet;
-use crate::makespan::{block_speeds, quotient_critical_path, quotient_makespan};
+use crate::blockmem::ReqMemo;
+use crate::blocks::{removal_order, BlockSet};
 use crate::SchedError;
-use dhp_dag::{cycles, Dag, NodeId, QuotientGraph};
+use dhp_dag::{Dag, NodeId, QuotientGraph};
 use dhp_platform::Cluster;
 use std::collections::{HashMap, VecDeque};
 
-/// Result of a successful candidate search.
+/// A quotient graph as flat arrays. Node ids are dense `u32`s.
+#[derive(Debug, Default)]
+struct FlatQuotient {
+    /// Summed task work per node.
+    work: Vec<f64>,
+    /// Speed per node: its block's processor's, 1.0 while unassigned
+    /// (the paper's *estimated* makespan).
+    speed: Vec<f64>,
+    /// `(src, dst, volume)`, ascending by `(src, dst)`, no parallel
+    /// edges.
+    edges: Vec<(u32, u32, f64)>,
+}
+
+impl FlatQuotient {
+    /// The quotient of `bs` over `g`, plus the quotient node of every
+    /// block index.
+    fn of_blocks(g: &Dag, bs: &BlockSet, cluster: &Cluster) -> (Self, Vec<u32>) {
+        // `to_partition` renumbers blocks by first node appearance;
+        // recover each block's quotient node via a member lookup.
+        let partition = bs.to_partition(g.node_count());
+        let node_of_block: Vec<u32> = bs
+            .iter()
+            .map(|b| partition.block_of(b.members[0]).0)
+            .collect();
+        let mut speed = vec![1.0; bs.len()];
+        for (b, &qn) in bs.iter().zip(&node_of_block) {
+            speed[qn as usize] = b.proc.map_or(1.0, |p| cluster.speed(p));
+        }
+        let q = Self::of_dag(&QuotientGraph::build(g, &partition).graph, speed);
+        (q, node_of_block)
+    }
+
+    /// `q` (simple, edges stored ascending by endpoints, as
+    /// `QuotientGraph::build` leaves them) with the given node speeds.
+    fn of_dag(q: &Dag, speed: Vec<f64>) -> Self {
+        let edges: Vec<(u32, u32, f64)> = q
+            .edge_ids()
+            .map(|e| q.edge(e))
+            .map(|e| (e.src.0, e.dst.0, e.volume))
+            .collect();
+        debug_assert!(edges
+            .windows(2)
+            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+        Self {
+            work: q.node_ids().map(|u| q.node(u).work).collect(),
+            speed,
+            edges,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.work.len()
+    }
+
+    /// Writes into `out` this graph with `group` contracted into node 0
+    /// running at `merged_speed`; every other node keeps its relative
+    /// order, numbered from 1. `new_of_old` receives the renumbering.
+    ///
+    /// Floating-point sums are taken in one fixed order so that
+    /// makespans keep their bits: works in ascending old node id;
+    /// parallel edges (three of them after a triple merge, where the
+    /// order of the additions shows in the last bit) in the order
+    /// `sort_unstable_by_key` — deterministic for a given input — leaves
+    /// the renumbered old edge sequence in, which is the order the
+    /// golden outputs were recorded with.
+    fn contract_into(
+        &self,
+        group: &[u32],
+        merged_speed: f64,
+        out: &mut FlatQuotient,
+        new_of_old: &mut Vec<u32>,
+    ) {
+        new_of_old.clear();
+        new_of_old.resize(self.len(), u32::MAX);
+        for &member in group {
+            new_of_old[member as usize] = 0;
+        }
+        let mut next = 1u32;
+        for slot in new_of_old.iter_mut().filter(|slot| **slot == u32::MAX) {
+            *slot = next;
+            next += 1;
+        }
+        out.work.clear();
+        out.work.resize(next as usize, 0.0);
+        out.speed.clear();
+        out.speed.resize(next as usize, 1.0);
+        for (old, &new) in new_of_old.iter().enumerate() {
+            out.work[new as usize] += self.work[old];
+            out.speed[new as usize] = self.speed[old];
+        }
+        out.speed[0] = merged_speed;
+
+        out.edges.clear();
+        out.edges.extend(
+            self.edges
+                .iter()
+                .map(|&(a, b, vol)| (new_of_old[a as usize], new_of_old[b as usize], vol))
+                .filter(|&(a, b, _)| a != b),
+        );
+        out.edges.sort_unstable_by_key(|&(a, b, _)| (a, b));
+        out.edges.dedup_by(|next, kept| {
+            let parallel = (next.0, next.1) == (kept.0, kept.1);
+            if parallel {
+                kept.2 += next.2;
+            }
+            parallel
+        });
+    }
+}
+
+/// Reusable buffers of the passes over a [`FlatQuotient`].
+#[derive(Debug, Default)]
+struct PassScratch {
+    /// `edges[first_out[u]..first_out[u + 1]]` leave node `u`.
+    first_out: Vec<u32>,
+    indegree: Vec<u32>,
+    /// Kahn order (doubles as its own work queue).
+    order: Vec<u32>,
+    /// Bottom weight per node (paper Eq. (1)); valid after a
+    /// successful [`PassScratch::bottom_weights`].
+    bottom: Vec<f64>,
+    /// DFS stack of [`PassScratch::two_cycle_partner`]: node and the
+    /// index of its next out-edge.
+    stack: Vec<(u32, u32)>,
+    /// DFS colours: 0 unseen, 1 on the stack, 2 done.
+    colour: Vec<u8>,
+}
+
+impl PassScratch {
+    fn out_edges<'q>(&self, q: &'q FlatQuotient, u: u32) -> &'q [(u32, u32, f64)] {
+        &q.edges[self.first_out[u as usize] as usize..self.first_out[u as usize + 1] as usize]
+    }
+
+    /// One Kahn pass over `q`: indexes its out-edges and, when it is
+    /// acyclic, fills `bottom` and returns the makespan (the largest
+    /// bottom weight, with node cost `work / speed` and edge cost
+    /// `volume / bandwidth`). `None` means cyclic.
+    fn bottom_weights(&mut self, q: &FlatQuotient, bandwidth: f64) -> Option<f64> {
+        let n = q.len();
+        self.first_out.clear();
+        self.first_out.resize(n + 1, 0);
+        self.indegree.clear();
+        self.indegree.resize(n, 0);
+        for &(a, b, _) in &q.edges {
+            self.first_out[a as usize + 1] += 1;
+            self.indegree[b as usize] += 1;
+        }
+        for u in 0..n {
+            self.first_out[u + 1] += self.first_out[u];
+        }
+        self.order.clear();
+        self.order
+            .extend((0..n as u32).filter(|&u| self.indegree[u as usize] == 0));
+        let mut head = 0;
+        while let Some(&u) = self.order.get(head) {
+            head += 1;
+            for &(_, v, _) in self.out_edges(q, u) {
+                self.indegree[v as usize] -= 1;
+                if self.indegree[v as usize] == 0 {
+                    self.order.push(v);
+                }
+            }
+        }
+        if self.order.len() < n {
+            return None;
+        }
+        self.bottom.clear();
+        self.bottom.resize(n, 0.0);
+        let mut makespan = 0.0f64;
+        for &u in self.order.iter().rev() {
+            let mut tail = 0.0f64;
+            for &(_, v, vol) in self.out_edges(q, u) {
+                tail = tail.max(vol / bandwidth + self.bottom[v as usize]);
+            }
+            let b = q.work[u as usize] / q.speed[u as usize] + tail;
+            self.bottom[u as usize] = b;
+            makespan = makespan.max(b);
+        }
+        Some(makespan)
+    }
+
+    /// Marks the nodes of `q`'s critical path in `on_path` (all false
+    /// when `q` is empty or cyclic). Starts at the smallest node id of
+    /// maximal bottom weight and follows, at each step, the smallest
+    /// child id that realises it.
+    fn critical_path(&mut self, q: &FlatQuotient, bandwidth: f64, on_path: &mut Vec<bool>) {
+        on_path.clear();
+        on_path.resize(q.len(), false);
+        if q.len() == 0 || self.bottom_weights(q, bandwidth).is_none() {
+            return;
+        }
+        let mut cur = 0u32;
+        for u in 1..q.len() as u32 {
+            if self.bottom[u as usize] > self.bottom[cur as usize] {
+                cur = u;
+            }
+        }
+        loop {
+            on_path[cur as usize] = true;
+            let residual = self.bottom[cur as usize] - q.work[cur as usize] / q.speed[cur as usize];
+            let mut next: Option<u32> = None;
+            for &(_, v, vol) in self.out_edges(q, cur) {
+                let via = vol / bandwidth + self.bottom[v as usize];
+                if (via - residual).abs() <= 1e-9 * residual.abs().max(1.0)
+                    && next.is_none_or(|n| v < n)
+                {
+                    next = Some(v);
+                }
+            }
+            match next {
+                Some(v) => cur = v,
+                None => break,
+            }
+        }
+    }
+
+    /// For a cyclic `q` (out-edges indexed by the failed
+    /// [`PassScratch::bottom_weights`]): depth-first from the smallest
+    /// node id, children in ascending id, to the first edge that closes
+    /// a cycle. If that cycle has exactly two nodes, returns the one
+    /// that is not the merged node 0 — the third vertex of paper Fig. 2;
+    /// a longer first cycle disqualifies the candidate.
+    fn two_cycle_partner(&mut self, q: &FlatQuotient) -> Option<u32> {
+        self.colour.clear();
+        self.colour.resize(q.len(), 0);
+        for root in 0..q.len() as u32 {
+            if self.colour[root as usize] != 0 {
+                continue;
+            }
+            self.stack.clear();
+            self.stack.push((root, self.first_out[root as usize]));
+            self.colour[root as usize] = 1;
+            while let Some(&mut (u, ref mut next_edge)) = self.stack.last_mut() {
+                if *next_edge == self.first_out[u as usize + 1] {
+                    self.colour[u as usize] = 2;
+                    self.stack.pop();
+                    continue;
+                }
+                let v = q.edges[*next_edge as usize].1;
+                *next_edge += 1;
+                match self.colour[v as usize] {
+                    0 => {
+                        self.colour[v as usize] = 1;
+                        self.stack.push((v, self.first_out[v as usize]));
+                    }
+                    1 => {
+                        // Back edge u -> v: the cycle is the stack from
+                        // v up to u.
+                        let below = self.stack.len().checked_sub(2).map(|i| self.stack[i].0);
+                        return (below == Some(v)).then_some(if v != 0 { v } else { u });
+                    }
+                    _ => {}
+                }
+            }
+        }
+        None
+    }
+}
+
+/// The winning candidate of one search. Its contracted quotient stays
+/// in [`Step3::best_q`] / [`Step3::best_renumber`].
+#[derive(Clone, Copy, Debug)]
 struct BestMerge {
     /// Estimated makespan after the merge.
     makespan: f64,
@@ -27,6 +299,186 @@ struct BestMerge {
     partner: usize,
     /// Optional third block absorbed to break a 2-cycle.
     third: Option<usize>,
+    /// Memory requirement of the merged block.
+    req: f64,
+}
+
+/// State of one Step-3 run: the current quotient, its two-way block
+/// index, and the buffers candidate evaluation reuses.
+#[derive(Debug)]
+struct Step3<'a> {
+    cluster: &'a Cluster,
+    memo: &'a ReqMemo<'a>,
+    enable_triple_merge: bool,
+    q: FlatQuotient,
+    node_of_block: Vec<u32>,
+    block_of_node: Vec<u32>,
+    /// The candidate under evaluation and the old → new node renumbering
+    /// of its contraction.
+    cand_q: FlatQuotient,
+    cand_renumber: Vec<u32>,
+    /// The same two for the incumbent best candidate.
+    best_q: FlatQuotient,
+    best_renumber: Vec<u32>,
+    pass: PassScratch,
+    members: Vec<NodeId>,
+}
+
+impl<'a> Step3<'a> {
+    fn new(
+        cluster: &'a Cluster,
+        memo: &'a ReqMemo<'a>,
+        enable_triple_merge: bool,
+        q: FlatQuotient,
+        node_of_block: Vec<u32>,
+    ) -> Self {
+        let mut st = Self {
+            cluster,
+            memo,
+            enable_triple_merge,
+            q,
+            node_of_block,
+            block_of_node: Vec::new(),
+            cand_q: FlatQuotient::default(),
+            cand_renumber: Vec::new(),
+            best_q: FlatQuotient::default(),
+            best_renumber: Vec::new(),
+            pass: PassScratch::default(),
+            members: Vec::new(),
+        };
+        st.index_nodes();
+        st
+    }
+
+    fn index_nodes(&mut self) {
+        self.block_of_node.clear();
+        self.block_of_node.resize(self.node_of_block.len(), 0);
+        for (block, &qn) in self.node_of_block.iter().enumerate() {
+            self.block_of_node[qn as usize] = block as u32;
+        }
+    }
+
+    /// Block indices adjacent to `block` in the quotient, ascending.
+    fn neighbours(&self, block: usize, out: &mut Vec<usize>) {
+        let qn = self.node_of_block[block];
+        out.clear();
+        for &(a, b, _) in &self.q.edges {
+            if a == qn {
+                out.push(self.block_of_node[b as usize] as usize);
+            } else if b == qn {
+                out.push(self.block_of_node[a as usize] as usize);
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+    }
+
+    /// Contracts `nu` and `partner` (repairing a 2-cycle with a third
+    /// block when enabled) into [`Step3::cand_q`]. Returns the
+    /// estimated makespan and the third block, or `None` when the
+    /// merge cannot be made acyclic.
+    fn contract_candidate(
+        &mut self,
+        nu: usize,
+        partner: usize,
+        merged_speed: f64,
+    ) -> Option<(f64, Option<usize>)> {
+        let bandwidth = self.cluster.bandwidth;
+        let mut group = [self.node_of_block[nu], self.node_of_block[partner], 0];
+        self.q.contract_into(
+            &group[..2],
+            merged_speed,
+            &mut self.cand_q,
+            &mut self.cand_renumber,
+        );
+        if let Some(makespan) = self.pass.bottom_weights(&self.cand_q, bandwidth) {
+            return Some((makespan, None));
+        }
+        if !self.enable_triple_merge {
+            return None;
+        }
+        // The 2-cycle consists of the merged vertex and one other
+        // quotient node: absorb that third vertex too.
+        let other = self.pass.two_cycle_partner(&self.cand_q)?;
+        group[2] = self.cand_renumber.iter().position(|&new| new == other)? as u32;
+        self.q.contract_into(
+            &group,
+            merged_speed,
+            &mut self.cand_q,
+            &mut self.cand_renumber,
+        );
+        let makespan = self.pass.bottom_weights(&self.cand_q, bandwidth)?;
+        Some((
+            makespan,
+            Some(self.block_of_node[group[2] as usize] as usize),
+        ))
+    }
+
+    /// `FindMSOptMerge` (Algorithm 3): the merge of `nu` into one of its
+    /// assigned `neighbours` on (`on_path`) or off the critical path
+    /// that minimises the estimated makespan, subject to acyclicity
+    /// (with 2-cycle repair) and the partner processor's memory. The
+    /// makespan is estimated first: a candidate that cannot beat the
+    /// incumbent never asks for its memory requirement.
+    fn find_ms_opt_merge(
+        &mut self,
+        bs: &BlockSet,
+        nu: usize,
+        neighbours: &[usize],
+        critical: &[bool],
+        on_path: bool,
+    ) -> Option<BestMerge> {
+        let mut best: Option<BestMerge> = None;
+        for &partner in neighbours {
+            let Some(proc) = bs.block(partner).proc else {
+                continue;
+            };
+            if critical[self.node_of_block[partner] as usize] != on_path {
+                continue;
+            }
+            let Some((makespan, third)) =
+                self.contract_candidate(nu, partner, self.cluster.speed(proc))
+            else {
+                continue;
+            };
+            if !best.is_none_or(|b| makespan < b.makespan) {
+                continue;
+            }
+            self.members.clear();
+            for b in [Some(nu), Some(partner), third].into_iter().flatten() {
+                self.members.extend_from_slice(&bs.block(b).members);
+            }
+            let req = self.memo.requirement(&self.members);
+            if req > self.cluster.memory(proc) {
+                continue;
+            }
+            std::mem::swap(&mut self.cand_q, &mut self.best_q);
+            std::mem::swap(&mut self.cand_renumber, &mut self.best_renumber);
+            best = Some(BestMerge {
+                makespan,
+                partner,
+                third,
+                req,
+            });
+        }
+        best
+    }
+
+    /// Executes `best`: its contracted quotient becomes the current one
+    /// and the block tables follow the block set's own index shuffle.
+    fn commit(&mut self, bs: &mut BlockSet, nu: usize, best: BestMerge) {
+        for qn in &mut self.node_of_block {
+            *qn = self.best_renumber[*qn as usize];
+        }
+        for b in removal_order(nu, best.partner, best.third) {
+            self.node_of_block.swap_remove(b);
+        }
+        self.node_of_block.push(0);
+        let proc = bs.block(best.partner).proc;
+        bs.merge_blocks_with_req(nu, best.partner, best.third, proc, best.req);
+        std::mem::swap(&mut self.q, &mut self.best_q);
+        self.index_nodes();
+    }
 }
 
 /// Runs Step 3 until every block is assigned.
@@ -38,6 +490,18 @@ pub fn merge_unassigned(
     bs: &mut BlockSet,
     enable_triple_merge: bool,
 ) -> Result<(), SchedError> {
+    merge_unassigned_memo(g, cluster, bs, enable_triple_merge, &ReqMemo::new(g))
+}
+
+/// [`merge_unassigned`] with the merged blocks' requirements answered
+/// by the solve's memo.
+pub(crate) fn merge_unassigned_memo(
+    g: &Dag,
+    cluster: &Cluster,
+    bs: &mut BlockSet,
+    enable_triple_merge: bool,
+    memo: &ReqMemo<'_>,
+) -> Result<(), SchedError> {
     let mut counters: HashMap<u64, u32> = HashMap::new();
     // Deterministic processing order: by smallest member task id.
     let mut queue: VecDeque<u64> = {
@@ -45,13 +509,20 @@ pub fn merge_unassigned(
         un.sort_by_key(|&i| bs.block(i).members[0]);
         un.into_iter().map(|i| bs.block(i).id).collect()
     };
+    if queue.is_empty() {
+        return Ok(());
+    }
 
     // The quotient graph is maintained *incrementally*: built once, then
-    // contracted after every executed merge (rebuilding it from the full
-    // workflow per iteration would cost O(V+E) × #leftover blocks).
-    let (mut q, index0) = build_quotient(g, bs);
-    let mut qnode_of_id: HashMap<u64, NodeId> =
-        (0..bs.len()).map(|i| (bs.block(i).id, index0[i])).collect();
+    // replaced by the winning candidate's contraction after every
+    // executed merge.
+    let (q, node_of_block) = FlatQuotient::of_blocks(g, bs, cluster);
+    let mut st = Step3::new(cluster, memo, enable_triple_merge, q, node_of_block);
+    // Critical path under estimated speeds; stale once a merge changed
+    // the quotient, still good after a block was merely requeued.
+    let mut critical: Vec<bool> = Vec::new();
+    let mut critical_is_stale = true;
+    let mut neighbours: Vec<usize> = Vec::new();
 
     while let Some(id) = queue.pop_front() {
         let Some(nu) = bs.index_of(id) else {
@@ -60,80 +531,28 @@ pub fn merge_unassigned(
         };
         debug_assert!(bs.block(nu).proc.is_none());
 
-        let index_of_block: Vec<NodeId> = (0..bs.len())
-            .map(|i| qnode_of_id[&bs.block(i).id])
-            .collect();
+        if critical_is_stale {
+            st.pass
+                .critical_path(&st.q, cluster.bandwidth, &mut critical);
+            critical_is_stale = false;
+        }
+        st.neighbours(nu, &mut neighbours);
 
-        // Critical path under estimated speeds.
-        let speeds = block_speeds(bs, cluster);
-        let q_speeds: Vec<f64> = remap(&speeds, &index_of_block);
-        let cp = quotient_critical_path(&q, &q_speeds, cluster.bandwidth).unwrap_or_default();
-        let on_cp: Vec<bool> = {
-            let mut v = vec![false; bs.len()];
-            let block_of: HashMap<NodeId, usize> = index_of_block
-                .iter()
-                .enumerate()
-                .map(|(b, &qn)| (qn, b))
-                .collect();
-            for &qn in &cp {
-                v[block_of[&qn]] = true;
-            }
-            v
-        };
-        let assigned: Vec<bool> = (0..bs.len()).map(|i| bs.block(i).proc.is_some()).collect();
-
-        // First try off-critical-path partners, then anywhere.
-        let off_cp_candidates: Vec<bool> =
-            (0..bs.len()).map(|i| assigned[i] && !on_cp[i]).collect();
-        let found = find_ms_opt_merge(
-            g,
-            cluster,
-            bs,
-            &q,
-            &index_of_block,
-            nu,
-            &off_cp_candidates,
-            enable_triple_merge,
-        )
-        .or_else(|| {
-            find_ms_opt_merge(
-                g,
-                cluster,
-                bs,
-                &q,
-                &index_of_block,
-                nu,
-                &assigned,
-                enable_triple_merge,
-            )
-        });
+        // First try off-critical-path partners, then the ones on it
+        // (every assigned partner off it has just been rejected).
+        let found = st
+            .find_ms_opt_merge(bs, nu, &neighbours, &critical, false)
+            .or_else(|| st.find_ms_opt_merge(bs, nu, &neighbours, &critical, true));
 
         match found {
             Some(best) => {
-                // Contract the quotient along the executed merge.
-                let mut absorb = vec![best.partner];
-                if let Some(t) = best.third {
-                    absorb.push(t);
-                }
-                let (new_q, merged_map) = contract_quotient(&q, &index_of_block, nu, &absorb);
-                let old_ids: Vec<u64> = (0..bs.len()).map(|i| bs.block(i).id).collect();
-                let proc = bs.block(best.partner).proc;
-                let ni = bs.merge_blocks(g, nu, best.partner, best.third, proc);
-                let new_id = bs.block(ni).id;
-                qnode_of_id.clear();
-                for (i, &oid) in old_ids.iter().enumerate() {
-                    if merged_map[i].idx() != 0 {
-                        qnode_of_id.insert(oid, merged_map[i]);
-                    }
-                }
-                qnode_of_id.insert(new_id, NodeId(0));
-                q = new_q;
+                st.commit(bs, nu, best);
+                critical_is_stale = true;
             }
             None => {
                 // Maybe mergeable later, once neighbours are assigned.
-                let has_unassigned_neighbour = quotient_neighbours(&q, &index_of_block, nu)
-                    .into_iter()
-                    .any(|b| bs.block(b).proc.is_none());
+                let has_unassigned_neighbour =
+                    neighbours.iter().any(|&b| bs.block(b).proc.is_none());
                 let c = counters.entry(id).or_insert(0);
                 if has_unassigned_neighbour && *c <= 1 {
                     *c += 1;
@@ -147,224 +566,16 @@ pub fn merge_unassigned(
     Ok(())
 }
 
-/// Builds the quotient DAG of the block set plus the mapping from block
-/// index to quotient node (identity by construction, kept explicit for
-/// clarity).
-fn build_quotient(g: &Dag, bs: &BlockSet) -> (Dag, Vec<NodeId>) {
-    let partition = bs.to_partition(g.node_count());
-    let q = QuotientGraph::build(g, &partition);
-    // partition renumbers blocks by first node appearance; recover the
-    // quotient node of each BlockSet index via a member lookup.
-    let index_of_block: Vec<NodeId> = (0..bs.len())
-        .map(|i| {
-            let first = bs.block(i).members[0];
-            NodeId(partition.block_of(first).0)
-        })
-        .collect();
-    (q.graph, index_of_block)
-}
-
-/// Inverse of `index_of_block`.
-fn block_of_qnode(index_of_block: &[NodeId], qn: NodeId) -> usize {
-    index_of_block
-        .iter()
-        .position(|&x| x == qn)
-        .expect("quotient node must map to a block")
-}
-
-fn remap(speeds: &[f64], index_of_block: &[NodeId]) -> Vec<f64> {
-    let mut out = vec![1.0; speeds.len()];
-    for (block, &qn) in index_of_block.iter().enumerate() {
-        out[qn.idx()] = speeds[block];
-    }
-    out
-}
-
-/// Block indices adjacent to `block` in the quotient graph.
-fn quotient_neighbours(q: &Dag, index_of_block: &[NodeId], block: usize) -> Vec<usize> {
-    let qn = index_of_block[block];
-    let mut out: Vec<usize> = q
-        .parents(qn)
-        .chain(q.children(qn))
-        .map(|n| block_of_qnode(index_of_block, n))
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-/// `FindMSOptMerge` (Algorithm 3): finds the candidate merge of `nu` into
-/// one of its quotient neighbours within `candidates` (a per-block mask)
-/// minimising the estimated makespan, subject to acyclicity (with 2-cycle
-/// repair) and the partner processor's memory.
-#[allow(clippy::too_many_arguments)]
-fn find_ms_opt_merge(
-    g: &Dag,
-    cluster: &Cluster,
-    bs: &BlockSet,
-    q: &Dag,
-    index_of_block: &[NodeId],
-    nu: usize,
-    candidates: &[bool],
-    enable_triple_merge: bool,
-) -> Option<BestMerge> {
-    let mut best: Option<BestMerge> = None;
-    for partner in quotient_neighbours(q, index_of_block, nu) {
-        if !candidates[partner] {
-            continue;
-        }
-        let mut absorb = vec![partner];
-        // Tentative merge on the quotient graph.
-        let (mut merged_q, mut merged_map) = contract_quotient(q, index_of_block, nu, &absorb);
-        if let Some(cycle) = cycles::find_cycle(&merged_q) {
-            if !enable_triple_merge || cycle.len() != 2 {
-                continue; // unrepairable candidate
-            }
-            // The 2-cycle consists of the merged vertex and one other
-            // quotient node: absorb that third vertex too.
-            let merged_qn = merged_map[nu];
-            let other_qn = *cycle.iter().find(|&&c| c != merged_qn)?;
-            let third = block_of_qnode_in_map(&merged_map, other_qn, nu);
-            let Some(third) = third else { continue };
-            absorb.push(third);
-            let retry = contract_quotient(q, index_of_block, nu, &absorb);
-            merged_q = retry.0;
-            merged_map = retry.1;
-            if cycles::is_cyclic(&merged_q) {
-                continue;
-            }
-        }
-        let third = absorb.get(1).copied();
-
-        // Memory feasibility on the partner's processor.
-        let proc = bs.block(partner).proc.expect("candidates are assigned");
-        let mut members = bs.block(nu).members.clone();
-        members.extend_from_slice(&bs.block(partner).members);
-        if let Some(t) = third {
-            members.extend_from_slice(&bs.block(t).members);
-        }
-        let req = crate::blockmem::block_requirement(g, &members);
-        if req > cluster.memory(proc) {
-            continue;
-        }
-
-        // Estimated makespan of the merged quotient.
-        let speeds = merged_speeds(bs, cluster, &merged_map, &merged_q, partner);
-        let ms = quotient_makespan(&merged_q, &speeds, cluster.bandwidth);
-        if best.as_ref().is_none_or(|b| ms < b.makespan) {
-            best = Some(BestMerge {
-                makespan: ms,
-                partner,
-                third,
-            });
-        }
-    }
-    best
-}
-
-/// Contracts quotient nodes of blocks `absorb ∪ {nu}` into a single node.
-/// Returns the contracted graph and the per-block quotient-node map
-/// (blocks keep their identity; all merged blocks map to the merged
-/// node).
-fn contract_quotient(
-    q: &Dag,
-    index_of_block: &[NodeId],
-    nu: usize,
-    absorb: &[usize],
-) -> (Dag, Vec<NodeId>) {
-    let group_of = |block: usize| -> bool { block == nu || absorb.contains(&block) };
-    // New node ids: merged group first, then remaining blocks in order.
-    let mut new_of_old: Vec<u32> = vec![u32::MAX; q.node_count()];
-    let mut next = 1u32; // 0 = merged node
-    for (block, &qn) in index_of_block.iter().enumerate() {
-        if group_of(block) {
-            new_of_old[qn.idx()] = 0;
-        }
-    }
-    for qn in q.node_ids() {
-        if new_of_old[qn.idx()] == u32::MAX {
-            new_of_old[qn.idx()] = next;
-            next += 1;
-        }
-    }
-    let mut out = Dag::with_capacity(next as usize, q.edge_count());
-    let mut work = vec![0.0f64; next as usize];
-    let mut memory = vec![0.0f64; next as usize];
-    for qn in q.node_ids() {
-        let t = new_of_old[qn.idx()] as usize;
-        work[t] += q.node(qn).work;
-        memory[t] += q.node(qn).memory;
-    }
-    for t in 0..next as usize {
-        out.add_node(work[t], memory[t]);
-    }
-    // Combine parallel edges by sorting (no hashing: this is the hot path
-    // of `FindMSOptMerge`, executed once per merge candidate).
-    let mut pairs: Vec<(u32, u32, f64)> = Vec::with_capacity(q.edge_count());
-    for e in q.edge_ids() {
-        let ed = q.edge(e);
-        let (a, b) = (new_of_old[ed.src.idx()], new_of_old[ed.dst.idx()]);
-        if a != b {
-            pairs.push((a, b, ed.volume));
-        }
-    }
-    pairs.sort_unstable_by_key(|&(a, b, _)| (a, b));
-    let mut i = 0;
-    while i < pairs.len() {
-        let (a, b, mut vol) = pairs[i];
-        i += 1;
-        while i < pairs.len() && pairs[i].0 == a && pairs[i].1 == b {
-            vol += pairs[i].2;
-            i += 1;
-        }
-        out.add_edge(NodeId(a), NodeId(b), vol);
-    }
-    let merged_map: Vec<NodeId> = index_of_block
-        .iter()
-        .map(|&qn| NodeId(new_of_old[qn.idx()]))
-        .collect();
-    (out, merged_map)
-}
-
-/// Finds a block (≠ the merged group) whose quotient node in `merged_map`
-/// is `qn`.
-fn block_of_qnode_in_map(merged_map: &[NodeId], qn: NodeId, nu: usize) -> Option<usize> {
-    merged_map
-        .iter()
-        .enumerate()
-        .find(|&(b, &x)| x == qn && b != nu)
-        .map(|(b, _)| b)
-}
-
-/// Speeds of the contracted quotient: the merged node (0) runs at the
-/// partner's processor speed, every other node keeps its block's
-/// (estimated) speed.
-fn merged_speeds(
-    bs: &BlockSet,
-    cluster: &Cluster,
-    merged_map: &[NodeId],
-    merged_q: &Dag,
-    partner: usize,
-) -> Vec<f64> {
-    let mut speeds = vec![1.0f64; merged_q.node_count()];
-    for (block, &qn) in merged_map.iter().enumerate() {
-        if qn.idx() != 0 {
-            speeds[qn.idx()] = bs.block(block).proc.map_or(1.0, |p| cluster.speed(p));
-        }
-    }
-    let p = bs.block(partner).proc.expect("partner is assigned");
-    speeds[0] = cluster.speed(p);
-    speeds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::makespan::{quotient_critical_path, quotient_makespan};
     use crate::steps::assign::biggest_assign;
     use crate::steps::partition::initial_blocks;
-    use dhp_dag::builder;
+    use dhp_dag::{builder, cycles};
     use dhp_dagp::PartitionConfig;
     use dhp_platform::{configs, Processor};
+    use proptest::prelude::*;
 
     #[test]
     fn merges_leftovers_into_valid_mapping() {
@@ -424,17 +635,17 @@ mod tests {
         let b = q.add_node(2.0, 1.0);
         let c = q.add_node(3.0, 1.0);
         q.add_edge(a, b, 5.0);
-        q.add_edge(b, c, 7.0);
         q.add_edge(a, c, 11.0);
-        let index_of_block = vec![a, b, c];
-        let (m, map) = contract_quotient(&q, &index_of_block, 1, &[2]);
-        assert_eq!(m.node_count(), 2);
-        assert_eq!(m.edge_count(), 1);
-        // merged node 0 has work 2+3
-        assert_eq!(m.node(NodeId(0)).work, 5.0);
-        // edge a->merged combines 5 + 11
-        let e = m.edge_between(map[0], NodeId(0)).unwrap();
-        assert_eq!(m.edge(e).volume, 16.0);
+        q.add_edge(b, c, 7.0);
+        let flat = FlatQuotient::of_dag(&q, vec![1.0, 2.0, 4.0]);
+        let (mut m, mut renumber) = (FlatQuotient::default(), Vec::new());
+        flat.contract_into(&[1, 2], 8.0, &mut m, &mut renumber);
+        assert_eq!(renumber, vec![1, 0, 0]);
+        // merged node 0 has work 2+3 and the given speed; a keeps its own
+        assert_eq!(m.work, vec![5.0, 1.0]);
+        assert_eq!(m.speed, vec![8.0, 1.0]);
+        // edge a->merged combines 5 + 11; the internal edge is gone
+        assert_eq!(m.edges, vec![(1, 0, 16.0)]);
     }
 
     #[test]
@@ -466,5 +677,271 @@ mod tests {
         assert!(bs.unassigned().is_empty());
         let mapping = bs.to_mapping(3);
         assert!(crate::mapping::validate(&g, &cluster, &mapping).is_ok());
+    }
+
+    // ---- The reference the flat evaluation replaced ----------------
+    //
+    // Candidate evaluation as Step 3 did it before the flat quotient:
+    // build the contracted quotient as a `Dag`, look for a cycle with
+    // `cycles::find_cycle`, score with `quotient_makespan`. Kept only
+    // so the tests below can hold the flat passes to it, bit for bit.
+
+    /// Contracts quotient nodes of blocks `absorb ∪ {nu}` into node 0;
+    /// the other nodes follow in order. Returns the contracted graph
+    /// and the per-block quotient-node map.
+    fn contract_quotient(
+        q: &Dag,
+        index_of_block: &[NodeId],
+        nu: usize,
+        absorb: &[usize],
+    ) -> (Dag, Vec<NodeId>) {
+        let group_of = |block: usize| -> bool { block == nu || absorb.contains(&block) };
+        let mut new_of_old: Vec<u32> = vec![u32::MAX; q.node_count()];
+        let mut next = 1u32; // 0 = merged node
+        for (block, &qn) in index_of_block.iter().enumerate() {
+            if group_of(block) {
+                new_of_old[qn.idx()] = 0;
+            }
+        }
+        for qn in q.node_ids() {
+            if new_of_old[qn.idx()] == u32::MAX {
+                new_of_old[qn.idx()] = next;
+                next += 1;
+            }
+        }
+        let mut out = Dag::with_capacity(next as usize, q.edge_count());
+        let mut work = vec![0.0f64; next as usize];
+        for qn in q.node_ids() {
+            work[new_of_old[qn.idx()] as usize] += q.node(qn).work;
+        }
+        for &w in &work {
+            out.add_node(w, 0.0);
+        }
+        let mut pairs: Vec<(u32, u32, f64)> = Vec::with_capacity(q.edge_count());
+        for e in q.edge_ids() {
+            let ed = q.edge(e);
+            let (a, b) = (new_of_old[ed.src.idx()], new_of_old[ed.dst.idx()]);
+            if a != b {
+                pairs.push((a, b, ed.volume));
+            }
+        }
+        pairs.sort_unstable_by_key(|&(a, b, _)| (a, b));
+        let mut i = 0;
+        while i < pairs.len() {
+            let (a, b, mut vol) = pairs[i];
+            i += 1;
+            while i < pairs.len() && pairs[i].0 == a && pairs[i].1 == b {
+                vol += pairs[i].2;
+                i += 1;
+            }
+            out.add_edge(NodeId(a), NodeId(b), vol);
+        }
+        let merged_map: Vec<NodeId> = index_of_block
+            .iter()
+            .map(|&qn| NodeId(new_of_old[qn.idx()]))
+            .collect();
+        (out, merged_map)
+    }
+
+    /// One candidate (`nu` into `partner`, block `i` = quotient node
+    /// `i`) the old way: the contracted graph, its speeds, its
+    /// makespan and the third block, or `None` when rejected.
+    fn reference_candidate(
+        q: &Dag,
+        speed: &[f64],
+        nu: usize,
+        partner: usize,
+        merged_speed: f64,
+        bandwidth: f64,
+        enable_triple_merge: bool,
+    ) -> Option<(Dag, Vec<f64>, f64, Option<usize>)> {
+        let index_of_block: Vec<NodeId> = q.node_ids().collect();
+        let mut absorb = vec![partner];
+        let (mut merged_q, mut merged_map) = contract_quotient(q, &index_of_block, nu, &absorb);
+        if let Some(cycle) = cycles::find_cycle(&merged_q) {
+            if !enable_triple_merge || cycle.len() != 2 {
+                return None;
+            }
+            let merged_qn = merged_map[nu];
+            let other_qn = *cycle.iter().find(|&&c| c != merged_qn)?;
+            let third = merged_map
+                .iter()
+                .enumerate()
+                .find(|&(b, &x)| x == other_qn && b != nu)
+                .map(|(b, _)| b)?;
+            absorb.push(third);
+            (merged_q, merged_map) = contract_quotient(q, &index_of_block, nu, &absorb);
+            if cycles::is_cyclic(&merged_q) {
+                return None;
+            }
+        }
+        let mut speeds = vec![1.0f64; merged_q.node_count()];
+        for (block, &qn) in merged_map.iter().enumerate() {
+            if qn.idx() != 0 {
+                speeds[qn.idx()] = speed[block];
+            }
+        }
+        speeds[0] = merged_speed;
+        let ms = quotient_makespan(&merged_q, &speeds, bandwidth);
+        Some((merged_q, speeds, ms, absorb.get(1).copied()))
+    }
+
+    /// A random quotient: a weighted G(n, p) DAG whose nodes are
+    /// relabelled by the order of `keys` (so ids are not a topological
+    /// order, as in a real quotient), edges ascending, plus a speed per
+    /// node.
+    fn random_quotient(n: usize, p: f64, seed: u64, keys: &[u64]) -> (Dag, Vec<f64>) {
+        let g = builder::gnp_dag_weighted(n, p, seed);
+        let mut by_key: Vec<usize> = (0..n).collect();
+        by_key.sort_by_key(|&i| (keys[i % keys.len()], i));
+        let mut label = vec![0u32; n];
+        for (new, &old) in by_key.iter().enumerate() {
+            label[old] = new as u32;
+        }
+        let mut q = Dag::new();
+        for &old in &by_key {
+            q.add_node(g.node(NodeId(old as u32)).work, 0.0);
+        }
+        let mut edges: Vec<(u32, u32, f64)> = g
+            .edge_ids()
+            .map(|e| g.edge(e))
+            .map(|e| (label[e.src.idx()], label[e.dst.idx()], e.volume))
+            .collect();
+        edges.sort_by_key(|&(a, b, _)| (a, b));
+        for (a, b, vol) in edges {
+            q.add_edge(NodeId(a), NodeId(b), vol);
+        }
+        let speed = (0..n)
+            .map(|i| [1.0, 4.0, 8.0, 16.0, 32.0][(keys[i % keys.len()] % 5) as usize])
+            .collect();
+        (q, speed)
+    }
+
+    /// What the flat evaluation did with the candidates of one
+    /// quotient.
+    #[derive(Debug, Default, PartialEq)]
+    struct Outcomes {
+        plain: usize,
+        repaired: usize,
+        rejected: usize,
+    }
+
+    /// Holds the flat passes to the reference on every merge of two
+    /// adjacent nodes of `q`, both ways round: same verdict, same third
+    /// block, same contracted graph and same makespan, to the bit.
+    fn check_against_reference(q: &Dag, speed: &[f64], enable_triple_merge: bool) -> Outcomes {
+        let cluster = Cluster::new(vec![Processor::new("p", 1.0, 1.0)], 3.0);
+        let memo = ReqMemo::new(q);
+        let identity: Vec<u32> = (0..q.node_count() as u32).collect();
+        let mut st = Step3::new(
+            &cluster,
+            &memo,
+            enable_triple_merge,
+            FlatQuotient::of_dag(q, speed.to_vec()),
+            identity,
+        );
+
+        // The critical path of the quotient itself.
+        let mut on_path = Vec::new();
+        st.pass
+            .critical_path(&st.q, cluster.bandwidth, &mut on_path);
+        let mut want = vec![false; q.node_count()];
+        for u in quotient_critical_path(q, speed, cluster.bandwidth).unwrap_or_default() {
+            want[u.idx()] = true;
+        }
+        assert_eq!(on_path, want);
+
+        let mut seen = Outcomes::default();
+        for e in q.edge_ids() {
+            let (a, b) = (q.edge(e).src.idx(), q.edge(e).dst.idx());
+            for (nu, partner) in [(a, b), (b, a)] {
+                let merged_speed = speed[partner];
+                let want = reference_candidate(
+                    q,
+                    speed,
+                    nu,
+                    partner,
+                    merged_speed,
+                    cluster.bandwidth,
+                    enable_triple_merge,
+                );
+                let got = st.contract_candidate(nu, partner, merged_speed);
+                let Some((want_q, want_speed, want_ms, want_third)) = want else {
+                    assert_eq!(got, None, "{nu} into {partner}");
+                    seen.rejected += 1;
+                    continue;
+                };
+                let (ms, third) = got.unwrap_or_else(|| panic!("{nu} into {partner} rejected"));
+                assert_eq!(ms.to_bits(), want_ms.to_bits(), "{nu} into {partner}");
+                assert_eq!(third, want_third);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let want_work: Vec<f64> = want_q.node_ids().map(|u| want_q.node(u).work).collect();
+                assert_eq!(bits(&st.cand_q.work), bits(&want_work));
+                assert_eq!(bits(&st.cand_q.speed), bits(&want_speed));
+                let edges = |edges: &mut dyn Iterator<Item = (u32, u32, f64)>| {
+                    edges
+                        .map(|(a, b, v)| (a, b, v.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(
+                    edges(&mut st.cand_q.edges.iter().copied()),
+                    edges(
+                        &mut want_q
+                            .edge_ids()
+                            .map(|e| want_q.edge(e))
+                            .map(|e| (e.src.0, e.dst.0, e.volume))
+                    )
+                );
+                match third {
+                    None => seen.plain += 1,
+                    Some(_) => seen.repaired += 1,
+                }
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn flat_evaluation_covers_plain_repaired_and_rejected_candidates() {
+        let mut seen = Outcomes::default();
+        let mut without_repair = Outcomes::default();
+        for seed in 0..60u64 {
+            let n = 4 + (seed as usize % 20);
+            let keys: Vec<u64> = (0..n as u64)
+                .map(|i| (i + 1).wrapping_mul(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1) >> 7)
+                .collect();
+            let (q, speed) = random_quotient(n, 0.1 + (seed % 4) as f64 * 0.1, seed, &keys);
+            for (triple, total) in [(true, &mut seen), (false, &mut without_repair)] {
+                let one = check_against_reference(&q, &speed, triple);
+                total.plain += one.plain;
+                total.repaired += one.repaired;
+                total.rejected += one.rejected;
+            }
+        }
+        // Every branch was exercised, and the repair is what turns some
+        // rejections into triple merges.
+        assert!(
+            seen.plain > 0 && seen.repaired > 0 && seen.rejected > 0,
+            "{seen:?}"
+        );
+        assert_eq!(without_repair.repaired, 0);
+        assert_eq!(without_repair.plain, seen.plain);
+        assert_eq!(without_repair.rejected, seen.rejected + seen.repaired);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn flat_evaluation_matches_reference_on_random_quotients(
+            n in 2usize..28,
+            p in 0.05f64..0.5,
+            seed in any::<u64>(),
+            keys in proptest::collection::vec(any::<u64>(), 28),
+            triple in any::<bool>(),
+        ) {
+            let (q, speed) = random_quotient(n, p, seed, &keys);
+            check_against_reference(&q, &speed, triple);
+        }
     }
 }

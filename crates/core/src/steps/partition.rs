@@ -7,16 +7,28 @@
 //! work (heterogeneity is deliberately ignored here — it is handled by
 //! Steps 2–4).
 
+use crate::blockmem::ReqMemo;
 use crate::blocks::BlockSet;
 use dhp_dag::Dag;
 use dhp_dagp::{BalanceWeight, PartitionConfig};
 
 /// Produces the Step-1 block set with (at most) `k'` blocks.
 pub fn initial_blocks(g: &Dag, k_prime: usize, cfg: &PartitionConfig) -> BlockSet {
+    initial_blocks_memo(g, k_prime, cfg, &ReqMemo::new(g))
+}
+
+/// [`initial_blocks`] with the block requirements answered by the
+/// solve's memo (neighbouring `k'` share many Step-1 blocks).
+pub(crate) fn initial_blocks_memo(
+    g: &Dag,
+    k_prime: usize,
+    cfg: &PartitionConfig,
+    memo: &ReqMemo<'_>,
+) -> BlockSet {
     let mut cfg = cfg.clone();
     cfg.balance = BalanceWeight::Work;
     let partition = dhp_dagp::partition(g, k_prime, &cfg);
-    BlockSet::from_partition(g, &partition)
+    BlockSet::from_partition_memo(&partition, memo)
 }
 
 #[cfg(test)]
