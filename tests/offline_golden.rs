@@ -6,12 +6,22 @@
 //! partition + processor table). The solver must keep reproducing every
 //! line bit for bit, threaded and sequential.
 //!
+//! The `sweep` lines were added before the `k'` sweep started sharing
+//! one coarsening hierarchy and one Step-4 quotient: for every `k'` of
+//! four larger instances, the attempt's makespan bits and mapping, the
+//! block count Step 1 produced, and the swaps and idle moves Step 4
+//! made. Three are the 1000-task fan-outs whose hierarchy has two
+//! levels up to `k' = 33` and one above; the fourth is chain-shaped,
+//! with a hierarchy that runs from ten levels (`k' = 2`) down to one.
+//!
 //! Re-record (only when an output change is intended):
 //! `cargo test --release --test offline_golden -- --ignored record`.
 
 use dhp_core::daghetpart::KprimeMode;
 use dhp_core::fitting::scale_cluster_with_headroom;
+use dhp_core::makespan::blockset_makespan;
 use dhp_core::prelude::*;
+use dhp_core::steps;
 use dhp_dag::fingerprint::{fnv1a_u64, FNV_OFFSET};
 use dhp_dag::NodeId;
 use dhp_platform::{configs, Cluster};
@@ -59,6 +69,71 @@ fn tight_instance() -> (WorkflowInstance, Cluster) {
     (inst, cluster)
 }
 
+/// The per-`k'` instances: `(family, tasks, hierarchy depth at k' = 2,
+/// 10 and 36)` on the default cluster. The depths are the premise of
+/// the `sweep` lines — a sweep that coarsens once must cut its
+/// hierarchy at a different level for different `k'`.
+const SWEPT: [(Family, usize, [usize; 3]); 4] = [
+    (Family::Blast, 1000, [2, 2, 1]),
+    (Family::Bwa, 1000, [2, 2, 1]),
+    (Family::Seismology, 1000, [2, 2, 1]),
+    (Family::Soykb, 400, [10, 2, 1]),
+];
+
+/// One `sweep` line per `k'` of `family`/`tasks`: what the solver
+/// returns for that `k'` alone, and the Step-1 block count and Step-4
+/// move counts of the same pipeline re-driven through the public step
+/// functions (which must land on the same makespan).
+fn sweep_lines(out: &mut String, family: Family, tasks: usize, depths: [usize; 3]) {
+    let inst = WorkflowInstance::simulated(family, tasks, 17);
+    let g = &inst.graph;
+    let cluster = scale_cluster_with_headroom(g, &configs::default_cluster(), 1.05);
+    let pcfg = DagHetPartConfig::default().partition_cfg;
+    let work: Vec<f64> = g.node_ids().map(|u| g.node(u).work).collect();
+    let depth =
+        |k: usize| dhp_dagp::coarsen::coarsen(g, &work, k * pcfg.coarsen_target, pcfg.seed).depth();
+    assert_eq!(
+        [depth(2), depth(10), depth(36)],
+        depths,
+        "{}",
+        family.name()
+    );
+
+    for kp in 1..=cluster.len().min(g.node_count()) {
+        let cfg = DagHetPartConfig {
+            kprime: KprimeMode::Fixed(kp),
+            ..DagHetPartConfig::default()
+        };
+        let solved = dag_het_part(g, &cluster, &cfg);
+
+        let mut bs = steps::partition::initial_blocks(g, kp, &pcfg);
+        let blocks = bs.len();
+        bs = steps::assign::biggest_assign(g, &cluster, bs, &pcfg);
+        let moves = steps::merge::merge_unassigned(g, &cluster, &mut bs, true)
+            .ok()
+            .map(|()| {
+                let swaps = steps::swap::swap_blocks(g, &cluster, &mut bs);
+                let idle = steps::swap::idle_moves(g, &cluster, &mut bs);
+                (swaps, idle, blockset_makespan(g, &bs, &cluster))
+            });
+        let step4 = match (&solved, moves) {
+            (Ok(r), Some((swaps, idle, makespan))) => {
+                assert_eq!(r.makespan.to_bits(), makespan.to_bits(), "k'={kp}");
+                format!(" swaps={swaps} idle={idle}")
+            }
+            (Err(_), None) => String::new(),
+            _ => panic!("k'={kp}: the re-driven pipeline and the solver disagree"),
+        };
+        writeln!(
+            out,
+            "sweep {} {tasks} k'={kp}: {} blocks={blocks}{step4}",
+            family.name(),
+            outcome(&solved),
+        )
+        .unwrap();
+    }
+}
+
 /// Every golden line, freshly computed.
 fn compute() -> String {
     let mut out = String::new();
@@ -98,13 +173,16 @@ fn compute() -> String {
         let r = dag_het_part(&inst.graph, &cluster, &cfg);
         writeln!(out, "tight k'={kp}: {}", outcome(&r)).unwrap();
     }
+    for (family, tasks, depths) in SWEPT {
+        sweep_lines(&mut out, family, tasks, depths);
+    }
     out
 }
 
 #[test]
 fn solver_reproduces_every_golden_line() {
     let fresh = compute();
-    let (mut checked, mut tight, mut tight_failed) = (0, 0, 0);
+    let (mut checked, mut tight, mut tight_failed, mut swept) = (0, 0, 0, 0);
     for (want, got) in GOLDEN.lines().zip(fresh.lines()) {
         assert_eq!(want, got, "golden line {checked} differs");
         checked += 1;
@@ -112,9 +190,11 @@ fn solver_reproduces_every_golden_line() {
             tight += 1;
             tight_failed += want.ends_with("no-solution") as usize;
         }
+        swept += want.starts_with("sweep ") as usize;
     }
     assert_eq!(GOLDEN.lines().count(), fresh.lines().count());
-    assert_eq!(checked, 5 * 2 * 2 * 2 + tight);
+    assert_eq!(checked, 5 * 2 * 2 * 2 + tight + swept);
+    assert_eq!(swept, SWEPT.len() * 36);
     assert!(
         2 * tight_failed > tight,
         "premise: more than half of the tight instance's k' attempts fail ({tight_failed}/{tight})"
