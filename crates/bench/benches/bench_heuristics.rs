@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dhp_core::fitting::scale_cluster_with_headroom;
 use dhp_core::prelude::*;
+use dhp_core::steps::swap::swap_blocks;
 use dhp_core::steps::{assign::biggest_assign, merge::merge_unassigned, partition::initial_blocks};
 use dhp_platform::configs;
 use dhp_wfgen::{Family, WorkflowInstance};
@@ -102,5 +103,63 @@ fn bench_steps(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_both, bench_slot_search, bench_steps);
+/// The three pieces of work one `k'` attempt no longer repeats, each
+/// against what it replaced where that still exists: the dagP sweep
+/// with one hierarchy per part count and with one for all of them, the
+/// sub-DAG of one 250-task block of a 10000-task workflow (cost must
+/// not follow the workflow's edge count), and the Step-4 swap loop at
+/// `k' = 36` (one reverse sweep of a 36-node quotient per candidate).
+fn bench_shared_work(c: &mut Criterion) {
+    let cfg = DagHetPartConfig::default();
+    let fanout = WorkflowInstance::simulated(Family::Blast, 4_000, 17).graph;
+    let cluster = scale_cluster_with_headroom(&fanout, &configs::default_cluster(), 1.05);
+    let k = cluster.len();
+
+    let mut group = c.benchmark_group("dagp");
+    group.sample_size(10);
+    group.bench_function("partition_sweep/fanout4000/fresh", |b| {
+        b.iter(|| {
+            (1..=k)
+                .map(|kp| dhp_dagp::partition(&fanout, kp, &cfg.partition_cfg).num_blocks())
+                .sum::<usize>()
+        })
+    });
+    group.bench_function("partition_sweep/fanout4000/shared", |b| {
+        b.iter(|| {
+            let hierarchy = dhp_dagp::coarsen_for(&fanout, 2, &cfg.partition_cfg);
+            (1..=k)
+                .map(|kp| dhp_dagp::partition_on(&hierarchy, kp, &cfg.partition_cfg).num_blocks())
+                .sum::<usize>()
+        })
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("dag");
+    group.sample_size(10);
+    let wide = WorkflowInstance::simulated(Family::Blast, 10_000, 17).graph;
+    let block = dhp_dagp::partition(&wide, 40, &cfg.partition_cfg).members()[20].clone();
+    assert_eq!(block.len(), 250);
+    group.bench_function("induced_subgraph/fanout10000_block250", |b| {
+        b.iter(|| black_box(&wide).induced_subgraph(black_box(&block)))
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("steps");
+    group.sample_size(10);
+    let bs = initial_blocks(&fanout, k, &cfg.partition_cfg);
+    let mut mapped = biggest_assign(&fanout, &cluster, bs, &cfg.partition_cfg);
+    merge_unassigned(&fanout, &cluster, &mut mapped, true).expect("blast 4000 maps at k' = 36");
+    group.bench_function("swap_blocks/fanout4000_k36", |b| {
+        b.iter(|| swap_blocks(black_box(&fanout), &cluster, &mut mapped.clone()))
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_both,
+    bench_slot_search,
+    bench_steps,
+    bench_shared_work
+);
 criterion_main!(benches);

@@ -19,11 +19,11 @@ use std::collections::HashMap;
 
 /// Computes `r` for the block consisting of `members` of `g`.
 ///
-/// Cost: a pass over **all** of `g`'s nodes and edges to cut out the
-/// induced sub-DAG (`Dag::induced_subgraph` scans the whole edge list,
-/// whatever the block's size), a pass over the members' incident edges
-/// for the boundary load, then the traversal search on the block. On a
-/// large workflow the first term dominates for every small block.
+/// Cost: proportional to the block, not to `g` — the induced sub-DAG
+/// is cut out of the members' adjacency (`Dag::induced_subgraph`), the
+/// boundary load is a pass over the members' incident edges, then the
+/// traversal search runs on the block. All that still scales with `g`
+/// is two membership tables of one word and one bit per task.
 pub fn block_requirement(g: &Dag, members: &[NodeId]) -> f64 {
     if members.is_empty() {
         return 0.0;

@@ -8,13 +8,16 @@
 //! with `k'` and varies wildly (most of a memory-tight sweep fails in
 //! Step 3, some early, some late), so contiguous chunks leave a worker
 //! idle while another grinds through the expensive end. The workers
-//! share the result slot and the solve's block-requirement memo
-//! ([`ReqMemo`]), nothing else.
+//! share the result slot, the solve's block-requirement memo
+//! ([`ReqMemo`]) and the coarsening hierarchy of Step 1, which is built
+//! once before they start; nothing else.
 
 use crate::blockmem::ReqMemo;
 use crate::makespan::blockset_makespan;
 use crate::mapping::Mapping;
 use crate::steps;
+use crate::steps::partition::Step1;
+use crate::steps::swap::Step4;
 use crate::{MappingResult, SchedError};
 use dhp_dag::Dag;
 use dhp_platform::Cluster;
@@ -130,13 +133,15 @@ fn sweep(
         KprimeMode::Fixed(kp) => vec![kp.clamp(1, k.min(g.node_count()))],
     };
 
+    let step1 = Step1::coarsen(g, kprimes.iter().copied(), &cfg.partition_cfg);
+
     // Smaller kprime wins ties, so the result does not depend on which
     // attempt finishes first.
     // Innermost ranked lock: taken inside phase slots (federation
     // steps) and after any cache-stripe lookups have been released.
     let best: Mutex<Option<Attempt>> = Mutex::with_rank(None, parking_lot::ranks::SOLVER_BEST);
     let attempt = |kp: usize| {
-        if let Some(new) = run_once(g, cluster, kp, cfg, memo, traced) {
+        if let Some(new) = run_once(g, cluster, kp, cfg, &step1, memo, traced) {
             let mut slot = best.lock();
             let better = slot.as_ref().is_none_or(|old| {
                 new.makespan < old.makespan - 1e-12
@@ -202,12 +207,13 @@ fn run_once(
     cluster: &Cluster,
     kprime: usize,
     cfg: &DagHetPartConfig,
+    step1: &Step1,
     memo: &ReqMemo<'_>,
     traced: bool,
 ) -> Option<Attempt> {
     let score = |bs: &_| traced.then(|| blockset_makespan(g, bs, cluster));
     // Step 1: heterogeneity-blind acyclic partitioning.
-    let bs = steps::partition::initial_blocks_memo(g, kprime, &cfg.partition_cfg, memo);
+    let bs = step1.blocks(kprime, memo);
     let blocks_after_partition = bs.len();
     // Step 2: memory-aware assignment (may split blocks).
     let mut bs = steps::assign::biggest_assign_memo(g, cluster, bs, &cfg.partition_cfg, memo);
@@ -216,16 +222,19 @@ fn run_once(
     let estimated_after_assign = score(&bs);
     // Step 3: merge unassigned blocks, makespan-guided.
     steps::merge::merge_unassigned_memo(g, cluster, &mut bs, cfg.enable_triple_merge, memo).ok()?;
-    let after_merge = score(&bs);
-    // Step 4: local search.
+    // Step 4: local search. It moves blocks between processors and
+    // leaves the quotient as it is: one serves both sub-steps and every
+    // makespan from here on.
+    let mut step4 = Step4::new(g, cluster, &bs);
+    let after_merge = traced.then(|| step4.makespan());
     if cfg.enable_swaps {
-        steps::swap::swap_blocks(g, cluster, &mut bs);
+        step4.swap_blocks(cluster, &mut bs);
     }
-    let after_swaps = score(&bs);
+    let after_swaps = traced.then(|| step4.makespan());
     if cfg.enable_idle_moves {
-        steps::swap::idle_moves(g, cluster, &mut bs);
+        step4.idle_moves(cluster, &mut bs);
     }
-    let makespan = blockset_makespan(g, &bs, cluster);
+    let makespan = step4.makespan();
     let trace = match (estimated_after_assign, after_merge, after_swaps) {
         (Some(estimated_after_assign), Some(after_merge), Some(after_swaps)) => Some(StepTrace {
             kprime,
@@ -407,5 +416,38 @@ mod tests {
         assert_eq!(alone.makespan.to_bits(), shared.makespan.to_bits());
         assert_eq!(alone.mapping.partition, shared.mapping.partition);
         assert_eq!(alone.mapping.proc_of_block, shared.mapping.proc_of_block);
+    }
+
+    /// One hierarchy serves the whole sweep: every `k'` attempted on
+    /// it — from the levels its own coarsening would have stopped at —
+    /// ends exactly where that `k'` solved alone ends. The instance is
+    /// chain-shaped, so the hierarchy is deep and most `k'` use a
+    /// strict prefix of it.
+    #[test]
+    fn every_kprime_of_a_sweep_equals_that_kprime_solved_alone() {
+        use dhp_wfgen::{Family, WorkflowInstance};
+        let g = WorkflowInstance::simulated(Family::Soykb, 200, 17).graph;
+        let cluster =
+            crate::fitting::scale_cluster_with_headroom(&g, &configs::default_cluster(), 1.05);
+        let cfg = DagHetPartConfig::default();
+        let memo = ReqMemo::new(&g);
+        let step1 = Step1::coarsen(&g, 1..=cluster.len(), &cfg.partition_cfg);
+        let mut solved = 0;
+        for kprime in 1..=cluster.len() {
+            let fixed = DagHetPartConfig {
+                kprime: KprimeMode::Fixed(kprime),
+                ..cfg.clone()
+            };
+            let alone = dag_het_part(&g, &cluster, &fixed).ok();
+            let shared = run_once(&g, &cluster, kprime, &cfg, &step1, &memo, false);
+            assert_eq!(alone.is_some(), shared.is_some(), "k'={kprime}");
+            if let (Some(alone), Some(shared)) = (alone, shared) {
+                assert_eq!(alone.makespan.to_bits(), shared.makespan.to_bits());
+                assert_eq!(alone.mapping.partition, shared.mapping.partition);
+                assert_eq!(alone.mapping.proc_of_block, shared.mapping.proc_of_block);
+                solved += 1;
+            }
+        }
+        assert!(solved >= 5, "premise: several k' find a mapping ({solved})");
     }
 }

@@ -54,8 +54,7 @@ pub fn blockset_makespan(g: &Dag, bs: &BlockSet, cluster: &Cluster) -> f64 {
     let q = QuotientGraph::build(g, &partition);
     // `to_partition` renumbers by node order; rebuild speeds in that order.
     let mut speeds = vec![1.0f64; bs.len()];
-    for (i, block) in bs.iter().enumerate() {
-        let _ = i;
+    for block in bs.iter() {
         if let Some(&first) = block.members.first() {
             let dense = partition.block_of(first);
             speeds[dense.idx()] = block.proc.map_or(1.0, |p| cluster.speed(p));

@@ -23,271 +23,13 @@
 //! and requirement are kept and *become* the state when the merge is
 //! executed; nothing a candidate evaluation produced is computed again.
 
+use super::flat::{FlatQuotient, PassScratch};
 use crate::blockmem::ReqMemo;
 use crate::blocks::{removal_order, BlockSet};
 use crate::SchedError;
-use dhp_dag::{Dag, NodeId, QuotientGraph};
+use dhp_dag::{Dag, NodeId};
 use dhp_platform::Cluster;
 use std::collections::{HashMap, VecDeque};
-
-/// A quotient graph as flat arrays. Node ids are dense `u32`s.
-#[derive(Debug, Default)]
-struct FlatQuotient {
-    /// Summed task work per node.
-    work: Vec<f64>,
-    /// Speed per node: its block's processor's, 1.0 while unassigned
-    /// (the paper's *estimated* makespan).
-    speed: Vec<f64>,
-    /// `(src, dst, volume)`, ascending by `(src, dst)`, no parallel
-    /// edges.
-    edges: Vec<(u32, u32, f64)>,
-}
-
-impl FlatQuotient {
-    /// The quotient of `bs` over `g`, plus the quotient node of every
-    /// block index.
-    fn of_blocks(g: &Dag, bs: &BlockSet, cluster: &Cluster) -> (Self, Vec<u32>) {
-        // `to_partition` renumbers blocks by first node appearance;
-        // recover each block's quotient node via a member lookup.
-        let partition = bs.to_partition(g.node_count());
-        let node_of_block: Vec<u32> = bs
-            .iter()
-            .map(|b| partition.block_of(b.members[0]).0)
-            .collect();
-        let mut speed = vec![1.0; bs.len()];
-        for (b, &qn) in bs.iter().zip(&node_of_block) {
-            speed[qn as usize] = b.proc.map_or(1.0, |p| cluster.speed(p));
-        }
-        let q = Self::of_dag(&QuotientGraph::build(g, &partition).graph, speed);
-        (q, node_of_block)
-    }
-
-    /// `q` (simple, edges stored ascending by endpoints, as
-    /// `QuotientGraph::build` leaves them) with the given node speeds.
-    fn of_dag(q: &Dag, speed: Vec<f64>) -> Self {
-        let edges: Vec<(u32, u32, f64)> = q
-            .edge_ids()
-            .map(|e| q.edge(e))
-            .map(|e| (e.src.0, e.dst.0, e.volume))
-            .collect();
-        debug_assert!(edges
-            .windows(2)
-            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
-        Self {
-            work: q.node_ids().map(|u| q.node(u).work).collect(),
-            speed,
-            edges,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.work.len()
-    }
-
-    /// Writes into `out` this graph with `group` contracted into node 0
-    /// running at `merged_speed`; every other node keeps its relative
-    /// order, numbered from 1. `new_of_old` receives the renumbering.
-    ///
-    /// Floating-point sums are taken in one fixed order so that
-    /// makespans keep their bits: works in ascending old node id;
-    /// parallel edges (three of them after a triple merge, where the
-    /// order of the additions shows in the last bit) in the order
-    /// `sort_unstable_by_key` — deterministic for a given input — leaves
-    /// the renumbered old edge sequence in, which is the order the
-    /// golden outputs were recorded with.
-    fn contract_into(
-        &self,
-        group: &[u32],
-        merged_speed: f64,
-        out: &mut FlatQuotient,
-        new_of_old: &mut Vec<u32>,
-    ) {
-        new_of_old.clear();
-        new_of_old.resize(self.len(), u32::MAX);
-        for &member in group {
-            new_of_old[member as usize] = 0;
-        }
-        let mut next = 1u32;
-        for slot in new_of_old.iter_mut().filter(|slot| **slot == u32::MAX) {
-            *slot = next;
-            next += 1;
-        }
-        out.work.clear();
-        out.work.resize(next as usize, 0.0);
-        out.speed.clear();
-        out.speed.resize(next as usize, 1.0);
-        for (old, &new) in new_of_old.iter().enumerate() {
-            out.work[new as usize] += self.work[old];
-            out.speed[new as usize] = self.speed[old];
-        }
-        out.speed[0] = merged_speed;
-
-        out.edges.clear();
-        out.edges.extend(
-            self.edges
-                .iter()
-                .map(|&(a, b, vol)| (new_of_old[a as usize], new_of_old[b as usize], vol))
-                .filter(|&(a, b, _)| a != b),
-        );
-        out.edges.sort_unstable_by_key(|&(a, b, _)| (a, b));
-        out.edges.dedup_by(|next, kept| {
-            let parallel = (next.0, next.1) == (kept.0, kept.1);
-            if parallel {
-                kept.2 += next.2;
-            }
-            parallel
-        });
-    }
-}
-
-/// Reusable buffers of the passes over a [`FlatQuotient`].
-#[derive(Debug, Default)]
-struct PassScratch {
-    /// `edges[first_out[u]..first_out[u + 1]]` leave node `u`.
-    first_out: Vec<u32>,
-    indegree: Vec<u32>,
-    /// Kahn order (doubles as its own work queue).
-    order: Vec<u32>,
-    /// Bottom weight per node (paper Eq. (1)); valid after a
-    /// successful [`PassScratch::bottom_weights`].
-    bottom: Vec<f64>,
-    /// DFS stack of [`PassScratch::two_cycle_partner`]: node and the
-    /// index of its next out-edge.
-    stack: Vec<(u32, u32)>,
-    /// DFS colours: 0 unseen, 1 on the stack, 2 done.
-    colour: Vec<u8>,
-}
-
-impl PassScratch {
-    fn out_edges<'q>(&self, q: &'q FlatQuotient, u: u32) -> &'q [(u32, u32, f64)] {
-        &q.edges[self.first_out[u as usize] as usize..self.first_out[u as usize + 1] as usize]
-    }
-
-    /// One Kahn pass over `q`: indexes its out-edges and, when it is
-    /// acyclic, fills `bottom` and returns the makespan (the largest
-    /// bottom weight, with node cost `work / speed` and edge cost
-    /// `volume / bandwidth`). `None` means cyclic.
-    fn bottom_weights(&mut self, q: &FlatQuotient, bandwidth: f64) -> Option<f64> {
-        let n = q.len();
-        self.first_out.clear();
-        self.first_out.resize(n + 1, 0);
-        self.indegree.clear();
-        self.indegree.resize(n, 0);
-        for &(a, b, _) in &q.edges {
-            self.first_out[a as usize + 1] += 1;
-            self.indegree[b as usize] += 1;
-        }
-        for u in 0..n {
-            self.first_out[u + 1] += self.first_out[u];
-        }
-        self.order.clear();
-        self.order
-            .extend((0..n as u32).filter(|&u| self.indegree[u as usize] == 0));
-        let mut head = 0;
-        while let Some(&u) = self.order.get(head) {
-            head += 1;
-            for &(_, v, _) in self.out_edges(q, u) {
-                self.indegree[v as usize] -= 1;
-                if self.indegree[v as usize] == 0 {
-                    self.order.push(v);
-                }
-            }
-        }
-        if self.order.len() < n {
-            return None;
-        }
-        self.bottom.clear();
-        self.bottom.resize(n, 0.0);
-        let mut makespan = 0.0f64;
-        for &u in self.order.iter().rev() {
-            let mut tail = 0.0f64;
-            for &(_, v, vol) in self.out_edges(q, u) {
-                tail = tail.max(vol / bandwidth + self.bottom[v as usize]);
-            }
-            let b = q.work[u as usize] / q.speed[u as usize] + tail;
-            self.bottom[u as usize] = b;
-            makespan = makespan.max(b);
-        }
-        Some(makespan)
-    }
-
-    /// Marks the nodes of `q`'s critical path in `on_path` (all false
-    /// when `q` is empty or cyclic). Starts at the smallest node id of
-    /// maximal bottom weight and follows, at each step, the smallest
-    /// child id that realises it.
-    fn critical_path(&mut self, q: &FlatQuotient, bandwidth: f64, on_path: &mut Vec<bool>) {
-        on_path.clear();
-        on_path.resize(q.len(), false);
-        if q.len() == 0 || self.bottom_weights(q, bandwidth).is_none() {
-            return;
-        }
-        let mut cur = 0u32;
-        for u in 1..q.len() as u32 {
-            if self.bottom[u as usize] > self.bottom[cur as usize] {
-                cur = u;
-            }
-        }
-        loop {
-            on_path[cur as usize] = true;
-            let residual = self.bottom[cur as usize] - q.work[cur as usize] / q.speed[cur as usize];
-            let mut next: Option<u32> = None;
-            for &(_, v, vol) in self.out_edges(q, cur) {
-                let via = vol / bandwidth + self.bottom[v as usize];
-                if (via - residual).abs() <= 1e-9 * residual.abs().max(1.0)
-                    && next.is_none_or(|n| v < n)
-                {
-                    next = Some(v);
-                }
-            }
-            match next {
-                Some(v) => cur = v,
-                None => break,
-            }
-        }
-    }
-
-    /// For a cyclic `q` (out-edges indexed by the failed
-    /// [`PassScratch::bottom_weights`]): depth-first from the smallest
-    /// node id, children in ascending id, to the first edge that closes
-    /// a cycle. If that cycle has exactly two nodes, returns the one
-    /// that is not the merged node 0 — the third vertex of paper Fig. 2;
-    /// a longer first cycle disqualifies the candidate.
-    fn two_cycle_partner(&mut self, q: &FlatQuotient) -> Option<u32> {
-        self.colour.clear();
-        self.colour.resize(q.len(), 0);
-        for root in 0..q.len() as u32 {
-            if self.colour[root as usize] != 0 {
-                continue;
-            }
-            self.stack.clear();
-            self.stack.push((root, self.first_out[root as usize]));
-            self.colour[root as usize] = 1;
-            while let Some(&mut (u, ref mut next_edge)) = self.stack.last_mut() {
-                if *next_edge == self.first_out[u as usize + 1] {
-                    self.colour[u as usize] = 2;
-                    self.stack.pop();
-                    continue;
-                }
-                let v = q.edges[*next_edge as usize].1;
-                *next_edge += 1;
-                match self.colour[v as usize] {
-                    0 => {
-                        self.colour[v as usize] = 1;
-                        self.stack.push((v, self.first_out[v as usize]));
-                    }
-                    1 => {
-                        // Back edge u -> v: the cycle is the stack from
-                        // v up to u.
-                        let below = self.stack.len().checked_sub(2).map(|i| self.stack[i].0);
-                        return (below == Some(v)).then_some(if v != 0 { v } else { u });
-                    }
-                    _ => {}
-                }
-            }
-        }
-        None
-    }
-}
 
 /// The winning candidate of one search. Its contracted quotient stays
 /// in [`Step3::best_q`] / [`Step3::best_renumber`].
@@ -321,6 +63,7 @@ struct Step3<'a> {
     best_q: FlatQuotient,
     best_renumber: Vec<u32>,
     pass: PassScratch,
+    path: Vec<u32>,
     members: Vec<NodeId>,
 }
 
@@ -344,6 +87,7 @@ impl<'a> Step3<'a> {
             best_q: FlatQuotient::default(),
             best_renumber: Vec::new(),
             pass: PassScratch::default(),
+            path: Vec::new(),
             members: Vec::new(),
         };
         st.index_nodes();
@@ -355,6 +99,23 @@ impl<'a> Step3<'a> {
         self.block_of_node.resize(self.node_of_block.len(), 0);
         for (block, &qn) in self.node_of_block.iter().enumerate() {
             self.block_of_node[qn as usize] = block as u32;
+        }
+    }
+
+    /// Marks the nodes on the current quotient's critical path (none
+    /// when it is cyclic).
+    fn mark_critical_path(&mut self, on_path: &mut Vec<bool>) {
+        on_path.clear();
+        on_path.resize(self.q.len(), false);
+        if self
+            .pass
+            .bottom_weights(&self.q, self.cluster.bandwidth)
+            .is_some()
+        {
+            self.pass.critical_path(&self.q, &mut self.path);
+            for &u in &self.path {
+                on_path[u as usize] = true;
+            }
         }
     }
 
@@ -532,8 +293,7 @@ pub(crate) fn merge_unassigned_memo(
         debug_assert!(bs.block(nu).proc.is_none());
 
         if critical_is_stale {
-            st.pass
-                .critical_path(&st.q, cluster.bandwidth, &mut critical);
+            st.mark_critical_path(&mut critical);
             critical_is_stale = false;
         }
         st.neighbours(nu, &mut neighbours);
@@ -568,6 +328,7 @@ pub(crate) fn merge_unassigned_memo(
 
 #[cfg(test)]
 mod tests {
+    use super::super::flat::tests::random_quotient;
     use super::*;
     use crate::makespan::{quotient_critical_path, quotient_makespan};
     use crate::steps::assign::biggest_assign;
@@ -786,37 +547,6 @@ mod tests {
         Some((merged_q, speeds, ms, absorb.get(1).copied()))
     }
 
-    /// A random quotient: a weighted G(n, p) DAG whose nodes are
-    /// relabelled by the order of `keys` (so ids are not a topological
-    /// order, as in a real quotient), edges ascending, plus a speed per
-    /// node.
-    fn random_quotient(n: usize, p: f64, seed: u64, keys: &[u64]) -> (Dag, Vec<f64>) {
-        let g = builder::gnp_dag_weighted(n, p, seed);
-        let mut by_key: Vec<usize> = (0..n).collect();
-        by_key.sort_by_key(|&i| (keys[i % keys.len()], i));
-        let mut label = vec![0u32; n];
-        for (new, &old) in by_key.iter().enumerate() {
-            label[old] = new as u32;
-        }
-        let mut q = Dag::new();
-        for &old in &by_key {
-            q.add_node(g.node(NodeId(old as u32)).work, 0.0);
-        }
-        let mut edges: Vec<(u32, u32, f64)> = g
-            .edge_ids()
-            .map(|e| g.edge(e))
-            .map(|e| (label[e.src.idx()], label[e.dst.idx()], e.volume))
-            .collect();
-        edges.sort_by_key(|&(a, b, _)| (a, b));
-        for (a, b, vol) in edges {
-            q.add_edge(NodeId(a), NodeId(b), vol);
-        }
-        let speed = (0..n)
-            .map(|i| [1.0, 4.0, 8.0, 16.0, 32.0][(keys[i % keys.len()] % 5) as usize])
-            .collect();
-        (q, speed)
-    }
-
     /// What the flat evaluation did with the candidates of one
     /// quotient.
     #[derive(Debug, Default, PartialEq)]
@@ -843,8 +573,7 @@ mod tests {
 
         // The critical path of the quotient itself.
         let mut on_path = Vec::new();
-        st.pass
-            .critical_path(&st.q, cluster.bandwidth, &mut on_path);
+        st.mark_critical_path(&mut on_path);
         let mut want = vec![false; q.node_count()];
         for u in quotient_critical_path(q, speed, cluster.bandwidth).unwrap_or_default() {
             want[u.idx()] = true;

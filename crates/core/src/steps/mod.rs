@@ -8,6 +8,7 @@
 //!   critical-path blocks to idle faster processors (Algorithm 5).
 
 pub mod assign;
+mod flat;
 pub mod merge;
 pub mod partition;
 pub mod swap;

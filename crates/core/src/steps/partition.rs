@@ -9,26 +9,57 @@
 
 use crate::blockmem::ReqMemo;
 use crate::blocks::BlockSet;
-use dhp_dag::Dag;
+use dhp_dag::{Dag, Partition};
+use dhp_dagp::coarsen::Hierarchy;
 use dhp_dagp::{BalanceWeight, PartitionConfig};
 
 /// Produces the Step-1 block set with (at most) `k'` blocks.
 pub fn initial_blocks(g: &Dag, k_prime: usize, cfg: &PartitionConfig) -> BlockSet {
-    initial_blocks_memo(g, k_prime, cfg, &ReqMemo::new(g))
+    Step1::coarsen(g, [k_prime], cfg).blocks(k_prime, &ReqMemo::new(g))
 }
 
-/// [`initial_blocks`] with the block requirements answered by the
-/// solve's memo (neighbouring `k'` share many Step-1 blocks).
-pub(crate) fn initial_blocks_memo(
-    g: &Dag,
-    k_prime: usize,
-    cfg: &PartitionConfig,
-    memo: &ReqMemo<'_>,
-) -> BlockSet {
-    let mut cfg = cfg.clone();
-    cfg.balance = BalanceWeight::Work;
-    let partition = dhp_dagp::partition(g, k_prime, &cfg);
-    BlockSet::from_partition_memo(&partition, memo)
+/// What Step 1 computes once for all the `k'` of a solve: the
+/// coarsening hierarchy of the workflow. The partitioner coarsens the
+/// same way whatever the block count and only stops earlier for a
+/// larger one, so the hierarchy for the smallest `k'` holds the levels
+/// of every other.
+#[derive(Debug)]
+pub(crate) struct Step1 {
+    cfg: PartitionConfig,
+    tasks: usize,
+    /// `None` when no `k'` has two blocks or more: nothing to coarsen.
+    hierarchy: Option<Hierarchy>,
+}
+
+impl Step1 {
+    /// Coarsens `g` for the block counts `k_primes`.
+    pub(crate) fn coarsen(
+        g: &Dag,
+        k_primes: impl IntoIterator<Item = usize>,
+        cfg: &PartitionConfig,
+    ) -> Self {
+        let cfg = PartitionConfig {
+            balance: BalanceWeight::Work,
+            ..cfg.clone()
+        };
+        let smallest = k_primes.into_iter().filter(|&k| k >= 2).min();
+        Self {
+            hierarchy: smallest.map(|k| dhp_dagp::coarsen_for(g, k, &cfg)),
+            tasks: g.node_count(),
+            cfg,
+        }
+    }
+
+    /// The Step-1 block set for `k_prime`, one of the block counts this
+    /// was coarsened for, with the block requirements answered by the
+    /// solve's memo (neighbouring `k'` share many Step-1 blocks).
+    pub(crate) fn blocks(&self, k_prime: usize, memo: &ReqMemo<'_>) -> BlockSet {
+        let partition = match &self.hierarchy {
+            Some(hierarchy) => dhp_dagp::partition_on(hierarchy, k_prime, &self.cfg),
+            None => Partition::single_block(self.tasks),
+        };
+        BlockSet::from_partition_memo(&partition, memo)
+    }
 }
 
 #[cfg(test)]

@@ -12,161 +12,189 @@
 //!    each block to a faster idle processor that can hold it, recomputing
 //!    the critical path after every move.
 
+use super::flat::{FlatQuotient, PassScratch};
 use crate::blocks::BlockSet;
-use crate::makespan::{block_speeds, quotient_critical_path, quotient_makespan};
-use dhp_dag::{Dag, NodeId, QuotientGraph};
+use dhp_dag::Dag;
 use dhp_platform::{Cluster, ProcId};
 use std::collections::HashSet;
 
 /// Runs the swap loop. Requires every block assigned. Returns the number
 /// of executed swaps.
 pub fn swap_blocks(g: &Dag, cluster: &Cluster, bs: &mut BlockSet) -> usize {
-    debug_assert!(bs.unassigned().is_empty());
-    let n = bs.len();
-    if n < 2 {
-        return 0;
-    }
-    // The quotient graph is invariant under swaps: build it once.
-    let partition = bs.to_partition(g.node_count());
-    let q = QuotientGraph::build(g, &partition);
-    let qnode_of: Vec<NodeId> = (0..n)
-        .map(|i| NodeId(partition.block_of(bs.block(i).members[0]).0))
-        .collect();
-
-    let mut speeds_q = vec![1.0f64; n];
-    let mut procs: Vec<ProcId> = (0..n)
-        .map(|i| bs.block(i).proc.expect("step 4 needs a complete mapping"))
-        .collect();
-    for (i, &p) in procs.iter().enumerate() {
-        speeds_q[qnode_of[i].idx()] = cluster.speed(p);
-    }
-
-    let mut best_ms = quotient_makespan(&q.graph, &speeds_q, cluster.bandwidth);
-    let mut swaps = 0usize;
-    loop {
-        let mut best_pair: Option<(usize, usize, f64)> = None;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                // Feasibility: each block fits the other's processor.
-                if bs.block(i).req > cluster.memory(procs[j])
-                    || bs.block(j).req > cluster.memory(procs[i])
-                {
-                    continue;
-                }
-                // Evaluate with exchanged speeds.
-                let (qi, qj) = (qnode_of[i].idx(), qnode_of[j].idx());
-                let (si, sj) = (speeds_q[qi], speeds_q[qj]);
-                if si == sj {
-                    continue; // identical machines: no effect
-                }
-                speeds_q[qi] = sj;
-                speeds_q[qj] = si;
-                let ms = quotient_makespan(&q.graph, &speeds_q, cluster.bandwidth);
-                speeds_q[qi] = si;
-                speeds_q[qj] = sj;
-                if ms < best_ms - 1e-12 && best_pair.is_none_or(|(_, _, b)| ms < b) {
-                    best_pair = Some((i, j, ms));
-                }
-            }
-        }
-        match best_pair {
-            Some((i, j, ms)) => {
-                procs.swap(i, j);
-                let (qi, qj) = (qnode_of[i].idx(), qnode_of[j].idx());
-                speeds_q.swap(qi, qj);
-                best_ms = ms;
-                swaps += 1;
-            }
-            None => break,
-        }
-    }
-    for (i, &p) in procs.iter().enumerate() {
-        bs.assign(i, p);
-    }
-    let _ = best_ms;
-    swaps
+    Step4::new(g, cluster, bs).swap_blocks(cluster, bs)
 }
 
 /// Moves critical-path blocks to faster idle processors (the final
 /// sub-step of Step 4). Returns the number of moves.
 pub fn idle_moves(g: &Dag, cluster: &Cluster, bs: &mut BlockSet) -> usize {
-    debug_assert!(bs.unassigned().is_empty());
-    let used: HashSet<ProcId> = bs.iter().filter_map(|b| b.proc).collect();
-    let mut idle: Vec<ProcId> = cluster.proc_ids().filter(|p| !used.contains(p)).collect();
-    if idle.is_empty() {
-        return 0;
-    }
+    Step4::new(g, cluster, bs).idle_moves(cluster, bs)
+}
 
-    let partition = bs.to_partition(g.node_count());
-    let q = QuotientGraph::build(g, &partition);
-    let qnode_of: Vec<NodeId> = (0..bs.len())
-        .map(|i| NodeId(partition.block_of(bs.block(i).members[0]).0))
-        .collect();
+/// The quotient graph of a block set whose blocks Step 4 only moves
+/// between processors: built and indexed once, shared by the swaps, the
+/// idle moves and the final makespan. Its node speeds follow every
+/// reassignment the two sub-steps make.
+#[derive(Debug)]
+pub(crate) struct Step4 {
+    q: FlatQuotient,
+    node_of_block: Vec<u32>,
+    /// Indexed for `q`.
+    pass: PassScratch,
+    /// A cyclic quotient has no makespan to improve.
+    acyclic: bool,
+}
 
-    let mut moved: HashSet<u64> = HashSet::new();
-    let mut moves = 0usize;
-    loop {
-        let speeds = {
-            let by_block = block_speeds(bs, cluster);
-            let mut v = vec![1.0; bs.len()];
-            for (i, &qn) in qnode_of.iter().enumerate() {
-                v[qn.idx()] = by_block[i];
-            }
-            v
-        };
-        let Some(cp) = quotient_critical_path(&q.graph, &speeds, cluster.bandwidth) else {
-            break;
-        };
-        let mut acted = false;
-        for qn in cp {
-            let block = qnode_of
-                .iter()
-                .position(|&x| x == qn)
-                .expect("cp node is a block");
-            if moved.contains(&bs.block(block).id) {
-                continue;
-            }
-            let cur = bs.block(block).proc.expect("complete mapping");
-            let cur_speed = cluster.speed(cur);
-            // Fastest idle processor that holds the block and is faster.
-            let cand = idle
-                .iter()
-                .copied()
-                .filter(|&p| {
-                    cluster.speed(p) > cur_speed && bs.block(block).req <= cluster.memory(p)
-                })
-                .max_by(|a, b| {
-                    cluster
-                        .speed(*a)
-                        .partial_cmp(&cluster.speed(*b))
-                        .unwrap()
-                        .then(cluster.memory(*a).partial_cmp(&cluster.memory(*b)).unwrap())
-                        .then(b.cmp(a)) // deterministic: smaller id wins ties
-                });
-            if let Some(p) = cand {
-                idle.retain(|&x| x != p);
-                idle.push(cur);
-                bs.assign(block, p);
-                moved.insert(bs.block(block).id);
-                moves += 1;
-                acted = true;
-                break; // recompute the critical path
-            } else {
-                moved.insert(bs.block(block).id);
-            }
-        }
-        if !acted {
-            break;
+/// The processor of every block, or `None` while one is unassigned.
+fn assigned_procs(bs: &BlockSet) -> Option<Vec<ProcId>> {
+    bs.iter().map(|b| b.proc).collect()
+}
+
+impl Step4 {
+    /// The quotient of `bs` over `g` under the speeds of its
+    /// assignments.
+    pub(crate) fn new(g: &Dag, cluster: &Cluster, bs: &BlockSet) -> Self {
+        let (q, node_of_block) = FlatQuotient::of_blocks(g, bs, cluster);
+        let mut pass = PassScratch::default();
+        let acyclic = pass.index(&q, cluster.bandwidth);
+        Self {
+            q,
+            node_of_block,
+            pass,
+            acyclic,
         }
     }
-    moves
+
+    /// Makespan under the current assignments: `f64::INFINITY` when the
+    /// quotient is cyclic, `0.0` when it is empty.
+    pub(crate) fn makespan(&mut self) -> f64 {
+        if !self.acyclic {
+            return f64::INFINITY;
+        }
+        self.pass.relax(&self.q)
+    }
+
+    /// [`swap_blocks`] on the block set this quotient was built from.
+    ///
+    /// A candidate costs one reverse sweep over the quotient in its
+    /// stored topological order; nothing is allocated per candidate.
+    pub(crate) fn swap_blocks(&mut self, cluster: &Cluster, bs: &mut BlockSet) -> usize {
+        debug_assert!(bs.unassigned().is_empty());
+        let n = bs.len();
+        let Some(mut procs) = assigned_procs(bs) else {
+            return 0;
+        };
+        if n < 2 || !self.acyclic {
+            return 0;
+        }
+        let node = |block: usize| self.node_of_block[block] as usize;
+
+        let mut best_ms = self.pass.relax(&self.q);
+        let mut swaps = 0usize;
+        loop {
+            let mut best_pair: Option<(usize, usize, f64)> = None;
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    // Feasibility: each block fits the other's processor.
+                    if bs.block(i).req > cluster.memory(procs[j])
+                        || bs.block(j).req > cluster.memory(procs[i])
+                    {
+                        continue;
+                    }
+                    if self.q.speed[node(i)] == self.q.speed[node(j)] {
+                        continue; // identical machines: no effect
+                    }
+                    // Evaluate with exchanged speeds.
+                    self.q.speed.swap(node(i), node(j));
+                    let ms = self.pass.relax(&self.q);
+                    self.q.speed.swap(node(i), node(j));
+                    if ms < best_ms - 1e-12 && best_pair.is_none_or(|(_, _, b)| ms < b) {
+                        best_pair = Some((i, j, ms));
+                    }
+                }
+            }
+            let Some((i, j, ms)) = best_pair else {
+                break;
+            };
+            procs.swap(i, j);
+            self.q.speed.swap(node(i), node(j));
+            best_ms = ms;
+            swaps += 1;
+        }
+        for (i, &p) in procs.iter().enumerate() {
+            bs.assign(i, p);
+        }
+        swaps
+    }
+
+    /// [`idle_moves`] on the block set this quotient was built from.
+    pub(crate) fn idle_moves(&mut self, cluster: &Cluster, bs: &mut BlockSet) -> usize {
+        debug_assert!(bs.unassigned().is_empty());
+        let Some(mut procs) = assigned_procs(bs) else {
+            return 0;
+        };
+        let used: HashSet<ProcId> = procs.iter().copied().collect();
+        let mut idle: Vec<ProcId> = cluster.proc_ids().filter(|p| !used.contains(p)).collect();
+        if idle.is_empty() || !self.acyclic {
+            return 0;
+        }
+        let mut block_of_node = vec![0usize; self.q.len()];
+        for (block, &qn) in self.node_of_block.iter().enumerate() {
+            block_of_node[qn as usize] = block;
+        }
+
+        let mut path = Vec::new();
+        let mut moved: HashSet<u64> = HashSet::new();
+        let mut moves = 0usize;
+        loop {
+            self.pass.relax(&self.q);
+            self.pass.critical_path(&self.q, &mut path);
+            let mut acted = false;
+            for &qn in &path {
+                let block = block_of_node[qn as usize];
+                if !moved.insert(bs.block(block).id) {
+                    continue;
+                }
+                let cur = procs[block];
+                let cur_speed = cluster.speed(cur);
+                // Fastest idle processor that holds the block and is faster.
+                let cand = idle
+                    .iter()
+                    .copied()
+                    .filter(|&p| {
+                        cluster.speed(p) > cur_speed && bs.block(block).req <= cluster.memory(p)
+                    })
+                    .max_by(|a, b| {
+                        cluster
+                            .speed(*a)
+                            .total_cmp(&cluster.speed(*b))
+                            .then(cluster.memory(*a).total_cmp(&cluster.memory(*b)))
+                            .then(b.cmp(a)) // deterministic: smaller id wins ties
+                    });
+                if let Some(p) = cand {
+                    idle.retain(|&x| x != p);
+                    idle.push(cur);
+                    procs[block] = p;
+                    bs.assign(block, p);
+                    self.q.speed[qn as usize] = cluster.speed(p);
+                    moves += 1;
+                    acted = true;
+                    break; // recompute the critical path
+                }
+            }
+            if !acted {
+                break;
+            }
+        }
+        moves
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::makespan::{block_speeds, quotient_critical_path, quotient_makespan};
     use dhp_dag::builder;
-    use dhp_dag::Partition;
+    use dhp_dag::{NodeId, Partition, QuotientGraph};
     use dhp_platform::Processor;
 
     fn two_block_setup() -> (Dag, Cluster, BlockSet) {
@@ -258,5 +286,246 @@ mod tests {
         bs.assign(0, ProcId(1));
         bs.assign(1, ProcId(0));
         assert_eq!(idle_moves(&g, &cluster, &mut bs), 0);
+    }
+
+    // ---- The reference the shared flat quotient replaced -----------
+    //
+    // Step 4 as it was: each sub-step builds its own `QuotientGraph`,
+    // a swap candidate is scored by `quotient_makespan` (a topological
+    // sort and fresh vectors per call), the idle moves look a
+    // critical-path node's block up by a scan. Kept only so the tests
+    // below can hold the shared-quotient forms to it.
+
+    fn reference_swap_blocks(g: &Dag, cluster: &Cluster, bs: &mut BlockSet) -> usize {
+        debug_assert!(bs.unassigned().is_empty());
+        let n = bs.len();
+        if n < 2 {
+            return 0;
+        }
+        // The quotient graph is invariant under swaps: build it once.
+        let partition = bs.to_partition(g.node_count());
+        let q = QuotientGraph::build(g, &partition);
+        let qnode_of: Vec<NodeId> = (0..n)
+            .map(|i| NodeId(partition.block_of(bs.block(i).members[0]).0))
+            .collect();
+
+        let mut speeds_q = vec![1.0f64; n];
+        let mut procs: Vec<ProcId> = (0..n)
+            .map(|i| bs.block(i).proc.expect("step 4 needs a complete mapping"))
+            .collect();
+        for (i, &p) in procs.iter().enumerate() {
+            speeds_q[qnode_of[i].idx()] = cluster.speed(p);
+        }
+
+        let mut best_ms = quotient_makespan(&q.graph, &speeds_q, cluster.bandwidth);
+        let mut swaps = 0usize;
+        loop {
+            let mut best_pair: Option<(usize, usize, f64)> = None;
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    // Feasibility: each block fits the other's processor.
+                    if bs.block(i).req > cluster.memory(procs[j])
+                        || bs.block(j).req > cluster.memory(procs[i])
+                    {
+                        continue;
+                    }
+                    // Evaluate with exchanged speeds.
+                    let (qi, qj) = (qnode_of[i].idx(), qnode_of[j].idx());
+                    let (si, sj) = (speeds_q[qi], speeds_q[qj]);
+                    if si == sj {
+                        continue; // identical machines: no effect
+                    }
+                    speeds_q[qi] = sj;
+                    speeds_q[qj] = si;
+                    let ms = quotient_makespan(&q.graph, &speeds_q, cluster.bandwidth);
+                    speeds_q[qi] = si;
+                    speeds_q[qj] = sj;
+                    if ms < best_ms - 1e-12 && best_pair.is_none_or(|(_, _, b)| ms < b) {
+                        best_pair = Some((i, j, ms));
+                    }
+                }
+            }
+            match best_pair {
+                Some((i, j, ms)) => {
+                    procs.swap(i, j);
+                    let (qi, qj) = (qnode_of[i].idx(), qnode_of[j].idx());
+                    speeds_q.swap(qi, qj);
+                    best_ms = ms;
+                    swaps += 1;
+                }
+                None => break,
+            }
+        }
+        for (i, &p) in procs.iter().enumerate() {
+            bs.assign(i, p);
+        }
+        swaps
+    }
+
+    fn reference_idle_moves(g: &Dag, cluster: &Cluster, bs: &mut BlockSet) -> usize {
+        debug_assert!(bs.unassigned().is_empty());
+        let used: HashSet<ProcId> = bs.iter().filter_map(|b| b.proc).collect();
+        let mut idle: Vec<ProcId> = cluster.proc_ids().filter(|p| !used.contains(p)).collect();
+        if idle.is_empty() {
+            return 0;
+        }
+
+        let partition = bs.to_partition(g.node_count());
+        let q = QuotientGraph::build(g, &partition);
+        let qnode_of: Vec<NodeId> = (0..bs.len())
+            .map(|i| NodeId(partition.block_of(bs.block(i).members[0]).0))
+            .collect();
+
+        let mut moved: HashSet<u64> = HashSet::new();
+        let mut moves = 0usize;
+        loop {
+            let speeds = {
+                let by_block = block_speeds(bs, cluster);
+                let mut v = vec![1.0; bs.len()];
+                for (i, &qn) in qnode_of.iter().enumerate() {
+                    v[qn.idx()] = by_block[i];
+                }
+                v
+            };
+            let Some(cp) = quotient_critical_path(&q.graph, &speeds, cluster.bandwidth) else {
+                break;
+            };
+            let mut acted = false;
+            for qn in cp {
+                let block = qnode_of
+                    .iter()
+                    .position(|&x| x == qn)
+                    .expect("cp node is a block");
+                if moved.contains(&bs.block(block).id) {
+                    continue;
+                }
+                let cur = bs.block(block).proc.expect("complete mapping");
+                let cur_speed = cluster.speed(cur);
+                // Fastest idle processor that holds the block and is faster.
+                let cand = idle
+                    .iter()
+                    .copied()
+                    .filter(|&p| {
+                        cluster.speed(p) > cur_speed && bs.block(block).req <= cluster.memory(p)
+                    })
+                    .max_by(|a, b| {
+                        cluster
+                            .speed(*a)
+                            .partial_cmp(&cluster.speed(*b))
+                            .unwrap()
+                            .then(cluster.memory(*a).partial_cmp(&cluster.memory(*b)).unwrap())
+                            .then(b.cmp(a)) // deterministic: smaller id wins ties
+                    });
+                if let Some(p) = cand {
+                    idle.retain(|&x| x != p);
+                    idle.push(cur);
+                    bs.assign(block, p);
+                    moved.insert(bs.block(block).id);
+                    moves += 1;
+                    acted = true;
+                    break; // recompute the critical path
+                } else {
+                    moved.insert(bs.block(block).id);
+                }
+            }
+            if !acted {
+                break;
+            }
+        }
+        moves
+    }
+
+    /// A Step-3 block set of `g` for `kprime` with neighbouring blocks'
+    /// processors exchanged wherever both fit, so the local search has
+    /// something to undo. `None` when Step 3 finds no mapping.
+    fn stirred_mapping(g: &Dag, cluster: &Cluster, kprime: usize) -> Option<BlockSet> {
+        let cfg = dhp_dagp::PartitionConfig::default();
+        let bs = crate::steps::partition::initial_blocks(g, kprime, &cfg);
+        let mut bs = crate::steps::assign::biggest_assign(g, cluster, bs, &cfg);
+        crate::steps::merge::merge_unassigned(g, cluster, &mut bs, true).ok()?;
+        for i in (1..bs.len()).step_by(2) {
+            let (a, b) = (bs.block(i - 1).proc?, bs.block(i).proc?);
+            if bs.block(i - 1).req <= cluster.memory(b) && bs.block(i).req <= cluster.memory(a) {
+                bs.assign(i - 1, b);
+                bs.assign(i, a);
+            }
+        }
+        Some(bs)
+    }
+
+    /// Runs Step 4 three ways — the reference, the public functions
+    /// (one quotient each) and one shared [`Step4`] — and holds moves,
+    /// assignments and the final makespan's bits equal. Returns the
+    /// swap and idle-move counts.
+    fn check_against_reference(g: &Dag, cluster: &Cluster, start: &BlockSet) -> (usize, usize) {
+        let procs = |bs: &BlockSet| bs.iter().map(|b| b.proc).collect::<Vec<_>>();
+
+        let mut want = start.clone();
+        let swaps = reference_swap_blocks(g, cluster, &mut want);
+        let after_swaps = procs(&want);
+        let idle = reference_idle_moves(g, cluster, &mut want);
+        let makespan = crate::makespan::blockset_makespan(g, &want, cluster);
+
+        let mut public = start.clone();
+        assert_eq!(swap_blocks(g, cluster, &mut public), swaps);
+        assert_eq!(procs(&public), after_swaps);
+        assert_eq!(idle_moves(g, cluster, &mut public), idle);
+        assert_eq!(procs(&public), procs(&want));
+
+        let mut shared = start.clone();
+        let mut step4 = Step4::new(g, cluster, &shared);
+        assert_eq!(step4.swap_blocks(cluster, &mut shared), swaps);
+        assert_eq!(procs(&shared), after_swaps);
+        assert_eq!(step4.idle_moves(cluster, &mut shared), idle);
+        assert_eq!(procs(&shared), procs(&want));
+        assert_eq!(step4.makespan().to_bits(), makespan.to_bits());
+        (swaps, idle)
+    }
+
+    /// A simulated workflow on the default cluster fitted to it, with a
+    /// bandwidth that is not 1 (so a volume is not its own cost).
+    fn instance(family: dhp_wfgen::Family, tasks: usize, seed: u64) -> (Dag, Cluster) {
+        let g = dhp_wfgen::WorkflowInstance::simulated(family, tasks, seed).graph;
+        let base = dhp_platform::configs::default_cluster().with_bandwidth(0.4);
+        let cluster = crate::fitting::scale_cluster_with_headroom(&g, &base, 1.05);
+        (g, cluster)
+    }
+
+    #[test]
+    fn shared_quotient_step4_swaps_and_moves_like_the_reference() {
+        let (mut mapped, mut swaps, mut idle) = (0, 0, 0);
+        for (i, family) in dhp_wfgen::Family::ALL.into_iter().enumerate() {
+            let (g, cluster) = instance(family, 150 + 40 * i, 17);
+            for kprime in [4, 9, 14, 20] {
+                if let Some(start) = stirred_mapping(&g, &cluster, kprime) {
+                    let (s, i) = check_against_reference(&g, &cluster, &start);
+                    mapped += 1;
+                    swaps += s;
+                    idle += i;
+                }
+            }
+        }
+        // Both sub-steps had work to do.
+        assert!(
+            mapped >= 12 && swaps >= 12 && idle >= 12,
+            "{mapped} {swaps} {idle}"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn shared_quotient_step4_matches_reference_on_random_instances(
+            family in proptest::sample::select(dhp_wfgen::Family::ALL.to_vec()),
+            tasks in 40usize..260,
+            seed in proptest::strategy::any::<u64>(),
+            kprime in 2usize..24,
+        ) {
+            let (g, cluster) = instance(family, tasks, seed);
+            if let Some(start) = stirred_mapping(&g, &cluster, kprime) {
+                check_against_reference(&g, &cluster, &start);
+            }
+        }
     }
 }

@@ -310,23 +310,41 @@ impl Dag {
     /// Returns the subgraph plus the mapping from subgraph node indices
     /// back to the original ids. Edges with exactly one endpoint inside
     /// the set are dropped (callers needing boundary edges should query
-    /// the parent graph).
+    /// the parent graph). Surviving edges keep their relative order:
+    /// the subgraph's edge ids ascend with the original edge ids,
+    /// parallel edges included.
+    ///
+    /// Cost: one `u32` per node of `self` for the membership table,
+    /// then the members' out-edges — `O(|V| + Σ out-degree + E' log E')`
+    /// for `E'` surviving edges, independent of `self`'s edge count.
     pub fn induced_subgraph(&self, members: &[NodeId]) -> (Dag, Vec<NodeId>) {
         let mut local = vec![u32::MAX; self.node_count()];
-        let mut sub = Dag::with_capacity(members.len(), members.len());
         for (i, &u) in members.iter().enumerate() {
             assert!(
                 local[u.idx()] == u32::MAX,
                 "duplicate member {u:?} in induced_subgraph"
             );
             local[u.idx()] = i as u32;
+        }
+        let mut internal: Vec<EdgeId> = members
+            .iter()
+            .flat_map(|&u| self.out_edges(u))
+            .copied()
+            .filter(|&e| local[self.edge(e).dst.idx()] != u32::MAX)
+            .collect();
+        internal.sort_unstable();
+
+        let mut sub = Dag::with_capacity(members.len(), internal.len());
+        for &u in members {
             sub.add_node_data(self.node(u).clone());
         }
-        for e in &self.edges {
-            let (ls, ld) = (local[e.src.idx()], local[e.dst.idx()]);
-            if ls != u32::MAX && ld != u32::MAX {
-                sub.add_edge(NodeId(ls), NodeId(ld), e.volume);
-            }
+        for e in internal {
+            let e = self.edge(e);
+            sub.add_edge(
+                NodeId(local[e.src.idx()]),
+                NodeId(local[e.dst.idx()]),
+                e.volume,
+            );
         }
         (sub, members.to_vec())
     }
@@ -426,5 +444,34 @@ mod tests {
         assert_eq!(sub.edge_count(), 2);
         assert_eq!(back, vec![NodeId(0), NodeId(1), NodeId(3)]);
         assert_eq!(sub.node(NodeId(2)).work, 4.0);
+    }
+
+    #[test]
+    fn induced_subgraph_adds_edges_in_edge_id_order() {
+        // Edge ids are not grouped by source, and a -> b is doubled:
+        // walking the members' adjacency lists would emit a's three
+        // edges first.
+        let mut g = Dag::new();
+        let a = g.add_node(1.0, 1.0);
+        let b = g.add_node(2.0, 2.0);
+        let c = g.add_node(3.0, 3.0);
+        let outside = g.add_node(4.0, 4.0);
+        g.add_edge(b, c, 1.0);
+        g.add_edge(a, b, 2.0);
+        g.add_edge(a, outside, 9.0);
+        g.add_edge(a, c, 3.0);
+        g.add_edge(a, b, 4.0);
+        // Members scrambled: c = 0, a = 1, b = 2 in the subgraph.
+        let (sub, back) = g.induced_subgraph(&[c, a, b]);
+        assert_eq!(back, vec![c, a, b]);
+        let edges: Vec<(u32, u32, f64)> = sub
+            .edge_ids()
+            .map(|e| sub.edge(e))
+            .map(|e| (e.src.0, e.dst.0, e.volume))
+            .collect();
+        assert_eq!(
+            edges,
+            vec![(2, 0, 1.0), (1, 2, 2.0), (1, 0, 3.0), (1, 2, 4.0)]
+        );
     }
 }

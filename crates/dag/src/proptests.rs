@@ -3,11 +3,29 @@
 use crate::builder;
 use crate::critical::bottom_weights;
 use crate::cycles::{find_cycle, is_cyclic};
-use crate::graph::NodeId;
+use crate::graph::{Dag, EdgeData, NodeId};
 use crate::quotient::{is_acyclic_partition, Partition, QuotientGraph};
 use crate::reach::{has_bypass_path, has_path};
 use crate::topo::{is_topological_order, topo_levels, topo_sort};
 use proptest::prelude::*;
+
+/// `Dag::induced_subgraph` as a scan of the whole edge list: the
+/// reference the adjacency-built one is held to.
+fn induced_by_edge_scan(g: &Dag, members: &[NodeId]) -> Dag {
+    let mut local = vec![u32::MAX; g.node_count()];
+    let mut sub = Dag::new();
+    for (i, &u) in members.iter().enumerate() {
+        local[u.idx()] = i as u32;
+        sub.add_node_data(g.node(u).clone());
+    }
+    for e in g.edge_ids().map(|e| g.edge(e)) {
+        let (ls, ld) = (local[e.src.idx()], local[e.dst.idx()]);
+        if ls != u32::MAX && ld != u32::MAX {
+            sub.add_edge(NodeId(ls), NodeId(ld), e.volume);
+        }
+    }
+    sub
+}
 
 /// Strategy: a random DAG described by (n, p, seed).
 fn dag_params() -> impl Strategy<Value = (usize, f64, u64)> {
@@ -141,6 +159,51 @@ proptest! {
         prop_assert_eq!(part.num_blocks(), n - 1);
         prop_assert_eq!(part.block_of(NodeId(0)), merged);
         prop_assert_eq!(part.block_of(NodeId(1)), merged);
+    }
+
+    #[test]
+    fn induced_subgraph_equals_edge_scan(
+        (n, p, seed) in dag_params(),
+        keys in proptest::collection::vec(any::<u64>(), 40),
+    ) {
+        // The gnp edges re-added in key order, about a third of them
+        // doubled with another volume: edge ids are not grouped by
+        // source, and parallel edges must keep their relative order.
+        let base = builder::gnp_dag_weighted(n, p, seed);
+        let mut keyed: Vec<(u64, EdgeData)> = Vec::new();
+        for (i, e) in base.edge_ids().enumerate() {
+            let key = keys[i % keys.len()] ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            keyed.push((key, base.edge(e).clone()));
+            if key.is_multiple_of(3) {
+                let mut twin = base.edge(e).clone();
+                twin.volume += 0.5;
+                keyed.push((key.rotate_left(17), twin));
+            }
+        }
+        keyed.sort_by_key(|&(key, _)| key);
+        let mut g = Dag::new();
+        for u in base.node_ids() {
+            g.add_node_data(base.node(u).clone());
+        }
+        for (_, e) in &keyed {
+            g.add_edge(e.src, e.dst, e.volume);
+        }
+        // About half of the nodes, in key order.
+        let mut members: Vec<NodeId> = g
+            .node_ids()
+            .filter(|u| keys[u.idx()] & 8 == 0)
+            .collect();
+        members.sort_by_key(|u| keys[u.idx()]);
+
+        let (sub, back) = g.induced_subgraph(&members);
+        let want = induced_by_edge_scan(&g, &members);
+        prop_assert_eq!(&back, &members);
+        prop_assert_eq!(sub.node_count(), want.node_count());
+        for u in sub.node_ids() {
+            prop_assert_eq!(sub.node(u), want.node(u));
+        }
+        let edges = |d: &Dag| d.edge_ids().map(|e| d.edge(e).clone()).collect::<Vec<_>>();
+        prop_assert_eq!(edges(&sub), edges(&want));
     }
 
     #[test]

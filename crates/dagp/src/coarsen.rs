@@ -23,8 +23,8 @@ use rand::SeedableRng;
 pub struct Level {
     graph: Dag,
     weights: Vec<f64>,
-    /// For each node of this level's *finer* graph, its coarse
-    /// representative in `graph`. Empty for the finest level.
+    /// For each node of this level's graph, its coarse representative
+    /// in the next coarser level. Empty for the coarsest level.
     coarse_map: Vec<NodeId>,
 }
 
@@ -46,30 +46,86 @@ impl Level {
     }
 }
 
-/// The coarsening hierarchy, finest (input) level first.
+/// The coarsening hierarchy: the input graph and every coarser level
+/// [`coarsen`] built from it.
 #[derive(Debug)]
 pub struct Hierarchy {
-    /// levels[0] = finest; the `coarse_map` of level `i` maps level-`i`
-    /// nodes into level `i+1`.
-    levels: Vec<Level>,
+    finest: Level,
+    /// Levels `1..`, each the contraction of the one before it (the
+    /// first of `finest`).
+    coarser: Vec<Level>,
+    /// The node count coarsening was asked to reach.
+    target: usize,
 }
 
 impl Hierarchy {
+    /// The finest level: the input graph.
+    pub fn finest(&self) -> &Level {
+        &self.finest
+    }
+
     /// The coarsest level.
     pub fn coarsest(&self) -> &Level {
-        self.levels.last().expect("hierarchy is never empty")
+        self.coarser.last().unwrap_or(&self.finest)
     }
 
     /// Number of levels (≥ 1).
     pub fn depth(&self) -> usize {
-        self.levels.len()
+        1 + self.coarser.len()
+    }
+
+    /// The levels [`coarsen`] would have built for `target`, which must
+    /// be at least this hierarchy's own: everything up to the first
+    /// level with at most `target` nodes.
+    ///
+    /// Coarsening draws its matchings from one seeded stream and looks
+    /// at the target only to decide whether to go on; its other two
+    /// stopping rules do not depend on it. So the hierarchy for a
+    /// smaller target starts with the levels of every larger one.
+    pub fn prefix(&self, target: usize) -> Prefix<'_> {
+        debug_assert!(target >= self.target, "{target} < {}", self.target);
+        let small_enough = |level: &Level| level.graph.node_count() <= target;
+        let coarser = if small_enough(&self.finest) {
+            0
+        } else {
+            let first = self.coarser.iter().position(small_enough);
+            first.map_or(self.coarser.len(), |i| i + 1)
+        };
+        Prefix {
+            finest: &self.finest,
+            coarser: &self.coarser[..coarser],
+        }
+    }
+}
+
+/// The first levels of a [`Hierarchy`], its finest (input) level
+/// included.
+#[derive(Clone, Copy, Debug)]
+pub struct Prefix<'h> {
+    finest: &'h Level,
+    coarser: &'h [Level],
+}
+
+impl<'h> Prefix<'h> {
+    /// The coarsest level.
+    pub fn coarsest(&self) -> &'h Level {
+        self.coarser.last().unwrap_or(self.finest)
+    }
+
+    /// Number of levels (≥ 1).
+    pub fn depth(&self) -> usize {
+        1 + self.coarser.len()
     }
 
     /// Iterates over the levels from second-coarsest down to finest; at
     /// each yielded level, `coarse_of` maps its nodes into the previously
     /// processed (coarser) level.
-    pub fn finer_levels(&self) -> impl Iterator<Item = &Level> {
-        self.levels.iter().rev().skip(1)
+    pub fn finer_levels(&self) -> impl Iterator<Item = &'h Level> {
+        let finest = self.finest;
+        self.coarser
+            .split_last()
+            .into_iter()
+            .flat_map(move |(_, finer)| finer.iter().rev().chain(std::iter::once(finest)))
     }
 }
 
@@ -77,38 +133,42 @@ impl Hierarchy {
 /// contraction exists.
 pub fn coarsen(g: &Dag, weights: &[f64], target: usize, seed: u64) -> Hierarchy {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut levels = Vec::new();
-    let mut cur = g.clone();
-    let mut cur_weights = weights.to_vec();
+    let mut hierarchy = Hierarchy {
+        finest: Level {
+            graph: g.clone(),
+            weights: weights.to_vec(),
+            coarse_map: Vec::new(),
+        },
+        coarser: Vec::new(),
+        target,
+    };
 
     loop {
-        let n = cur.node_count();
+        let cur = hierarchy
+            .coarser
+            .last_mut()
+            .unwrap_or(&mut hierarchy.finest);
+        let n = cur.graph.node_count();
         if n <= target {
             break;
         }
-        let (matched_to, groups) = match_edges(&cur, &mut rng);
+        let (matched_to, groups) = match_edges(&cur.graph, &mut rng);
         if groups == n {
             break; // no contraction possible
         }
-        let (coarse, coarse_weights, coarse_map) =
-            contract(&cur, &cur_weights, &matched_to, groups);
-        levels.push(Level {
-            graph: std::mem::replace(&mut cur, coarse),
-            weights: std::mem::replace(&mut cur_weights, coarse_weights),
-            coarse_map,
+        let (graph, weights, coarse_map) = contract(&cur.graph, &cur.weights, &matched_to, groups);
+        cur.coarse_map = coarse_map;
+        hierarchy.coarser.push(Level {
+            graph,
+            weights,
+            coarse_map: Vec::new(),
         });
         // Diminishing returns guard: stop if the last round removed <5%.
-        let reduced = levels.last().unwrap().graph.node_count() - cur.node_count();
-        if reduced * 20 < n {
+        if (n - groups) * 20 < n {
             break;
         }
     }
-    levels.push(Level {
-        graph: cur,
-        weights: cur_weights,
-        coarse_map: Vec::new(),
-    });
-    Hierarchy { levels }
+    hierarchy
 }
 
 /// Greedy matching over contractible edges. Returns for each node the
@@ -124,8 +184,10 @@ fn match_edges(g: &Dag, rng: &mut StdRng) -> (Vec<u32>, usize) {
         .collect();
     // Shuffle then stable sort by decreasing volume: equal-volume edges
     // appear in seeded random order, everything else deterministic.
+    // `+ 0.0` turns a -0.0 into 0.0, so that `total_cmp` ranks the two
+    // zeros equal, as `partial_cmp` does.
     edges.shuffle(rng);
-    edges.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+    edges.sort_by(|a, b| (b.0 + 0.0).total_cmp(&(a.0 + 0.0)));
 
     let mut matched = vec![false; n];
     let mut group = vec![u32::MAX; n];
@@ -231,7 +293,10 @@ mod tests {
         let h = coarsen(&g, &weights, 10, 1);
         // walk every fine node through the maps; must land in coarsest
         let mut idx: Vec<NodeId> = g.node_ids().collect();
-        for level in h.levels.iter().take(h.depth() - 1) {
+        for level in std::iter::once(&h.finest)
+            .chain(&h.coarser)
+            .take(h.depth() - 1)
+        {
             idx = idx.iter().map(|&u| level.coarse_of(u)).collect();
         }
         let m = h.coarsest().graph().node_count();

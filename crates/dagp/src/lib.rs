@@ -97,27 +97,49 @@ impl Default for PartitionConfig {
 /// Panics if `g` is cyclic or empty.
 pub fn partition(g: &Dag, k: usize, cfg: &PartitionConfig) -> Partition {
     assert!(!g.is_empty(), "cannot partition an empty graph");
-    let n = g.node_count();
-    let k = k.min(n);
-    if k <= 1 {
-        return Partition::single_block(n);
+    if k.min(g.node_count()) <= 1 {
+        return Partition::single_block(g.node_count());
     }
+    partition_on(&coarsen_for(g, k, cfg), k, cfg)
+}
 
+/// Step 1 of [`partition`]`(g, k, cfg)`: the hierarchy it coarsens `g`
+/// into. The same hierarchy serves [`partition_on`] for every part
+/// count from `k` up, so a caller that tries many part counts on one
+/// graph coarsens once, for the smallest.
+pub fn coarsen_for(g: &Dag, k: usize, cfg: &PartitionConfig) -> coarsen::Hierarchy {
     // Balance weights on the finest level.
     let weights: Vec<f64> = match cfg.balance {
         BalanceWeight::Work => g.node_ids().map(|u| g.node(u).work).collect(),
         BalanceWeight::Memory => g.node_ids().map(|u| g.node(u).memory).collect(),
         BalanceWeight::TaskRequirement => g.node_ids().map(|u| g.task_requirement(u)).collect(),
     };
+    coarsen::coarsen(g, &weights, coarsening_target(g, k, cfg), cfg.seed)
+}
 
-    // 1. Coarsen.
-    let hierarchy = coarsen::coarsen(g, &weights, k * cfg.coarsen_target.max(2), cfg.seed);
+/// Node count at which coarsening for `k` parts stops.
+fn coarsening_target(g: &Dag, k: usize, cfg: &PartitionConfig) -> usize {
+    k.min(g.node_count()) * cfg.coarsen_target.max(2)
+}
 
-    // 2. Initial partition on the coarsest graph.
-    let coarsest = hierarchy.coarsest();
+/// Steps 2 and 3 of [`partition`]: partitions the graph `hierarchy` was
+/// built from into `k` parts, on the levels [`coarsen_for`] would have
+/// built for this `k`. `hierarchy` must come from [`coarsen_for`] with
+/// the same `cfg` and a part count of at most `k`; the result is then
+/// `partition(g, k, cfg)`, bit for bit.
+pub fn partition_on(hierarchy: &coarsen::Hierarchy, k: usize, cfg: &PartitionConfig) -> Partition {
+    let g = hierarchy.finest().graph();
+    let k = k.min(g.node_count());
+    if k <= 1 {
+        return Partition::single_block(g.node_count());
+    }
+    let levels = hierarchy.prefix(coarsening_target(g, k, cfg));
+
+    // Initial partition on the coarsest graph.
+    let coarsest = levels.coarsest();
     let mut assignment = initial::topo_chunks(coarsest.graph(), coarsest.weights(), k);
 
-    // 3. Refine on the coarsest level, then project and refine down.
+    // Refine on the coarsest level, then project and refine down.
     refine::refine(
         coarsest.graph(),
         coarsest.weights(),
@@ -126,7 +148,7 @@ pub fn partition(g: &Dag, k: usize, cfg: &PartitionConfig) -> Partition {
         cfg,
     );
     let mut level_assignment = assignment;
-    for level in hierarchy.finer_levels() {
+    for level in levels.finer_levels() {
         // Project: each fine node inherits its coarse representative's part.
         let mut fine = vec![0u32; level.graph().node_count()];
         for (i, part) in fine.iter_mut().enumerate() {

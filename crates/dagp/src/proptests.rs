@@ -1,9 +1,90 @@
 //! Property-based validation of the partitioner.
 
-use crate::{bisect, partition, BalanceWeight, PartitionConfig};
-use dhp_dag::builder;
+use crate::{bisect, coarsen_for, partition, partition_on, BalanceWeight, PartitionConfig};
 use dhp_dag::quotient::{is_acyclic_partition, QuotientGraph};
+use dhp_dag::{builder, Dag};
 use proptest::prelude::*;
+
+/// Four graphs of about `n` nodes: sparse random, layered, a chain and
+/// a fan-out (uniform weights on the last two, so every matching is
+/// decided by the seeded shuffle).
+fn shapes(n: usize, seed: u64) -> [(&'static str, Dag); 4] {
+    let width = 2 + (seed % 7) as usize;
+    let wide = (1.0, 9.0);
+    [
+        ("gnp", builder::gnp_dag_weighted(n, 3.0 / n as f64, seed)),
+        (
+            "layered",
+            builder::layered_random(n.div_ceil(width), width, 0.3, wide, wide, wide, seed),
+        ),
+        ("chain", builder::chain(n, 1.0, 1.0, 1.0)),
+        ("fan-out", builder::fork_join(n - 2, 2.0, 3.0, 4.0)),
+    ]
+}
+
+/// What [`shared_hierarchy_matches_fresh_partition`] came across.
+#[derive(Debug, Default)]
+struct Seen {
+    /// Part counts whose levels were fewer than the shared hierarchy's.
+    shorter_prefix: usize,
+    /// Hierarchies that stopped above their target (no safe contraction
+    /// left, or the last round removed less than 5 %).
+    stopped_early: usize,
+}
+
+/// One hierarchy, coarsened for two parts, must give every part count
+/// `1..=min(n, 40)` the partition a fresh `partition` computes.
+fn shared_hierarchy_matches_fresh_partition(g: &Dag, cfg: &PartitionConfig, seen: &mut Seen) {
+    let shared = coarsen_for(g, 2, cfg);
+    let coarsest = shared.coarsest().graph().node_count();
+    seen.stopped_early += (coarsest > 2 * cfg.coarsen_target) as usize;
+    for k in 1..=g.node_count().min(40) {
+        assert_eq!(partition_on(&shared, k, cfg), partition(g, k, cfg), "k={k}");
+        if k >= 2 {
+            let fresh_depth = coarsen_for(g, k, cfg).depth();
+            assert_eq!(shared.prefix(k * cfg.coarsen_target).depth(), fresh_depth);
+            seen.shorter_prefix += (fresh_depth < shared.depth()) as usize;
+        }
+    }
+}
+
+#[test]
+fn shared_hierarchy_covers_short_prefixes_and_early_stops() {
+    let mut seen = Seen::default();
+    for (n, seed) in [(30usize, 1u64), (95, 2), (240, 3), (400, 4)] {
+        for balance in [BalanceWeight::Work, BalanceWeight::TaskRequirement] {
+            let cfg = PartitionConfig {
+                seed,
+                balance,
+                ..Default::default()
+            };
+            for (shape, g) in shapes(n, seed) {
+                let before = seen.shorter_prefix;
+                shared_hierarchy_matches_fresh_partition(&g, &cfg, &mut seen);
+                if n > 2 * cfg.coarsen_target {
+                    assert!(
+                        seen.shorter_prefix > before,
+                        "{shape} {n}: every k used all levels"
+                    );
+                }
+            }
+        }
+    }
+    assert!(seen.stopped_early > 0, "{seen:?}");
+}
+
+proptest! {
+    // Each case partitions four graphs for up to 40 part counts, twice.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn shared_hierarchy_partitions_like_fresh(n in 30usize..400, seed in any::<u64>()) {
+        let cfg = PartitionConfig { seed, ..Default::default() };
+        for (_, g) in shapes(n, seed) {
+            shared_hierarchy_matches_fresh_partition(&g, &cfg, &mut Seen::default());
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
