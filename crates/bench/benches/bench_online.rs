@@ -3,11 +3,17 @@
 //! discrete-event execution), per policy — plus a Poisson trace
 //! contrasting fifo vs fifo-backfill and load-aware lease sizing, and
 //! a repeat-heavy trace contrasting the content-addressed solve cache
-//! against `--no-solve-cache` (`bench_solve_cache`).
+//! against `--no-solve-cache` (`bench_solve_cache`), and the two warm
+//! serving paths where the engine's own bookkeeping is the whole cost
+//! (`bench_warm_serving`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dhp_online::{fit_cluster, serve, AdmissionPolicy, LeaseSizing, OnlineConfig};
-use dhp_platform::configs;
+use dhp_online::{
+    fit_cluster, serve, serve_federation_with_cache, serve_with_cache, AdmissionPolicy,
+    LeaseSizing, OnlineConfig, RoutingPolicy, SolveCache,
+};
+use dhp_platform::configs::{self, ClusterKind, ClusterSize};
+use dhp_platform::Federation;
 use dhp_wfgen::arrivals::ArrivalProcess;
 use dhp_wfgen::Family;
 use std::hint::black_box;
@@ -157,10 +163,81 @@ fn bench_solve_cache(c: &mut Criterion) {
     group.finish();
 }
 
+/// The warm serving path, where every solve and every simulation is a
+/// cache hit and what is left is the engine itself: 2000 submissions
+/// cycling 60 recipes, one arrival every 25 time units (an overloaded,
+/// ever-deepening queue), on caches filled by an untimed first run. The
+/// single-cluster case runs conservative backfilling; the fleet case
+/// spreads the same trace over 16 members by least-loaded routing. The
+/// shape of the ruler's `online_warm_backlog` and `federation_16` at
+/// `cargo bench` size. (The timed closure also clones the trace, as
+/// every case in this file does.)
+fn bench_warm_serving(c: &mut Criterion) {
+    let subs = dhp_online::submission::repeating_stream(
+        60,
+        2000,
+        &[Family::Blast, Family::Seismology, Family::Genome],
+        (8, 48),
+        &ArrivalProcess::Uniform { interval: 25.0 },
+        17,
+    );
+    let member = fit_cluster(
+        &configs::cluster(ClusterKind::LessHet, ClusterSize::Small),
+        &subs,
+        1.05,
+    );
+
+    let mut group = c.benchmark_group("online");
+    group.sample_size(10);
+    let cfg = OnlineConfig {
+        policy: AdmissionPolicy::FifoBackfill,
+        ..OnlineConfig::default()
+    };
+    let cache = SolveCache::new();
+    serve_with_cache(&member, subs.clone(), &cfg, &cache);
+    group.bench_function("warm_backlog/2000x60recipes", |b| {
+        b.iter(|| {
+            serve_with_cache(
+                black_box(&member),
+                black_box(subs.clone()),
+                black_box(&cfg),
+                &cache,
+            )
+        })
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("federation");
+    group.sample_size(10);
+    let fleet = Federation::homogeneous(member, 16);
+    let cfg = OnlineConfig::default();
+    let cache = SolveCache::new();
+    serve_federation_with_cache(
+        &fleet,
+        subs.clone(),
+        &cfg,
+        RoutingPolicy::LeastLoaded,
+        &cache,
+    );
+    group.bench_function("warm_16_members/2000", |b| {
+        b.iter(|| {
+            serve_federation_with_cache(
+                black_box(&fleet),
+                black_box(subs.clone()),
+                black_box(&cfg),
+                RoutingPolicy::LeastLoaded,
+                &cache,
+            )
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_serve,
     bench_backfill_and_load_aware,
-    bench_solve_cache
+    bench_solve_cache,
+    bench_warm_serving
 );
 criterion_main!(benches);

@@ -3,8 +3,8 @@
 //! on a cold 50k-submission trace (500 unique topologies, so most
 //! probes pay real solver work before the cache warms), for the
 //! pre-overhaul admission strategy (`fast_admission: false` — full
-//! probe materialisation, no reservation token, no speculative
-//! pre-solving) and the overhauled default.
+//! probe materialisation, no reservation token, no tombstoned queue)
+//! and the overhauled default.
 //!
 //! Gates asserted at snapshot time: the optimized report is
 //! byte-identical to the baseline one after clearing the solver-effort

@@ -109,9 +109,9 @@ QUEUE OPTIONS (online co-scheduling of a workflow stream):
                         are byte-identical either way; requires --clusters)
   --slow-admission      pin the pre-overhaul admission execution strategy
                         (no probe fast path, reservation token, or
-                        speculative pre-solving) — the measured baseline
-                        for the admission_hotpath benchmark; the reports
-                        are byte-identical either way
+                        tombstoned queue) — the measured baseline for the
+                        admission_hotpath benchmark; the reports are
+                        byte-identical either way
   --bandwidth B         override the cluster bandwidth
   --headroom H          fleet-wide memory scaling so the hottest task of
                         the stream fits (default 1.05; 0 disables)

@@ -140,7 +140,7 @@ pub fn queue(args: &Args) -> Result<String, String> {
         persist,
         // `--slow-admission` pins the pre-overhaul admission execution
         // strategy (full probe materialisation, no reservation token,
-        // no speculative pre-solving) — the measured baseline for the
+        // no tombstoned queue) — the measured baseline for the
         // `admission_hotpath` benchmark. Scheduling outcomes are
         // byte-identical either way.
         fast_admission: !args.switch("slow-admission"),

@@ -154,10 +154,7 @@ fn sweep(
     };
 
     if cfg.parallel && kprimes.len() > 1 {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(kprimes.len());
+        let workers = crate::host_cores().min(kprimes.len());
         // Hands out positions only and publishes no data: Relaxed.
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {

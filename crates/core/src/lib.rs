@@ -73,6 +73,16 @@ impl std::fmt::Display for SchedError {
 
 impl std::error::Error for SchedError {}
 
+/// Hardware threads available to this process, probed once. On Linux
+/// the standard library's probe re-reads the cgroup files on every
+/// call (≈ 13 µs on the 2-core reference box), which is more
+/// than a warm admission costs — so every "how many workers?" decision
+/// in `dhp-core` and `dhp-online` reads this instead.
+pub fn host_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Commonly used items.
 pub mod prelude {
     pub use crate::baseline::dag_het_mem;

@@ -662,22 +662,22 @@ impl SolveCache {
     /// The probing core of [`SolveCache::schedule`], additionally
     /// reporting what the probe did to the store — the `Live` view mode
     /// charges exactly this outcome to its [`CacheAccount`], with no
-    /// global-counter diffing.
-    ///
-    /// `solve` runs only on a miss (with no stripe lock held). It is
-    /// how callers substitute a speculatively precomputed result for
-    /// the solver run while keeping every counter and store effect
-    /// byte-identical to an inline solve.
-    fn schedule_probed_with(
+    /// global-counter diffing. The solver runs only on a miss, with no
+    /// stripe lock held.
+    fn schedule_probed(
         &self,
+        g: &Dag,
+        fingerprint: u64,
         sub: &SubCluster,
-        key: SolveKey,
-        solve: impl FnOnce() -> Result<SubClusterSchedule, SchedError>,
+        algorithm: Algorithm,
+        cfg: &DagHetPartConfig,
+        config_hash: u64,
     ) -> (Result<SubClusterSchedule, SchedError>, CacheProbe) {
+        let key: SolveKey = (fingerprint, sub.shape_signature(), algorithm, config_hash);
         if !self.enabled {
             self.stripes[0].misses.fetch_add(1, Ordering::Relaxed);
             return (
-                solve(),
+                schedule_on_subcluster(g, sub, algorithm, cfg),
                 CacheProbe {
                     hit: false,
                     evictions: 0,
@@ -711,7 +711,7 @@ impl SolveCache {
             );
         }
         stripe.misses.fetch_add(1, Ordering::Relaxed);
-        match solve() {
+        match schedule_on_subcluster(g, sub, algorithm, cfg) {
             Err(SchedError::NoSolution) => {
                 let evictions = self.insert(key, CachedSolve::NoSolution);
                 (
@@ -734,19 +734,6 @@ impl SolveCache {
                 )
             }
         }
-    }
-
-    fn schedule_probed(
-        &self,
-        g: &Dag,
-        fingerprint: u64,
-        sub: &SubCluster,
-        algorithm: Algorithm,
-        cfg: &DagHetPartConfig,
-        config_hash: u64,
-    ) -> (Result<SubClusterSchedule, SchedError>, CacheProbe) {
-        let key: SolveKey = (fingerprint, sub.shape_signature(), algorithm, config_hash);
-        self.schedule_probed_with(sub, key, || schedule_on_subcluster(g, sub, algorithm, cfg))
     }
 
     /// Feasibility-only probe: exactly [`SolveCache::schedule`]'s
@@ -1290,31 +1277,16 @@ impl<'a> CacheView<'a> {
         cfg: &DagHetPartConfig,
         config_hash: u64,
     ) -> Result<SubClusterSchedule, SchedError> {
-        self.schedule_with(fingerprint, sub, algorithm, config_hash, || {
-            schedule_on_subcluster(g, sub, algorithm, cfg)
-        })
-    }
-
-    /// [`CacheView::schedule`] with the solver run supplied as a
-    /// closure, invoked only on a miss. This is the consumption seam of
-    /// speculative pre-solving: the admission layer parallel-solves
-    /// predicted cold keys up front, then feeds the precomputed results
-    /// through this closure — every counter, log event, and store
-    /// effect is charged exactly as if the solver had run inline, so
-    /// reports stay byte-identical.
-    pub fn schedule_with(
-        &self,
-        fingerprint: u64,
-        sub: &SubCluster,
-        algorithm: Algorithm,
-        config_hash: u64,
-        solve: impl FnOnce() -> Result<SubClusterSchedule, SchedError>,
-    ) -> Result<SubClusterSchedule, SchedError> {
-        let key: SolveKey = (fingerprint, sub.shape_signature(), algorithm, config_hash);
         match &self.mode {
-            ViewMode::Direct => self.cache.schedule_probed_with(sub, key, solve).0,
+            ViewMode::Direct => {
+                self.cache
+                    .schedule_probed(g, fingerprint, sub, algorithm, cfg, config_hash)
+                    .0
+            }
             ViewMode::Live(acc) => {
-                let (result, probe) = self.cache.schedule_probed_with(sub, key, solve);
+                let (result, probe) =
+                    self.cache
+                        .schedule_probed(g, fingerprint, sub, algorithm, cfg, config_hash);
                 let mut acc = acc.borrow_mut();
                 if probe.hit {
                     acc.stats.hits += 1;
@@ -1329,8 +1301,9 @@ impl<'a> CacheView<'a> {
                 if !self.cache.enabled {
                     acc.stats.misses += 1;
                     self.cache.stripes[0].misses.fetch_add(1, Ordering::Relaxed);
-                    return solve();
+                    return schedule_on_subcluster(g, sub, algorithm, cfg);
                 }
+                let key: SolveKey = (fingerprint, sub.shape_signature(), algorithm, config_hash);
                 let stripe = self.cache.stripe_of(&key);
                 // Own overlay first: this epoch's inserts are visible
                 // to this shard (and only this shard) before the seal.
@@ -1351,7 +1324,7 @@ impl<'a> CacheView<'a> {
                 }
                 acc.stats.misses += 1;
                 stripe.misses.fetch_add(1, Ordering::Relaxed);
-                match solve() {
+                match schedule_on_subcluster(g, sub, algorithm, cfg) {
                     Err(SchedError::NoSolution) => {
                         acc.overlay.insert(key, CachedSolve::NoSolution);
                         acc.log.push(CacheEvent::Insert(key));
@@ -1587,33 +1560,6 @@ impl<'a> CacheView<'a> {
                 ranks
             }
         }
-    }
-
-    /// Pure peek: whether **no** entry (solved or `NoSolution`) exists
-    /// for this key in the view's visibility — own overlay included for
-    /// frozen views. Touches no counters, draws no tick, logs nothing.
-    /// The speculative pre-solver uses this to skip keys whose upcoming
-    /// probe would hit anyway.
-    pub fn peek_is_cold(
-        &self,
-        fingerprint: u64,
-        shape: u64,
-        algorithm: Algorithm,
-        config_hash: u64,
-    ) -> bool {
-        if !self.cache.enabled {
-            // A disabled cache never answers probes, but speculation
-            // would also never be consumed deterministically cheaply;
-            // report warm so callers skip speculating entirely.
-            return false;
-        }
-        let key: SolveKey = (fingerprint, shape, algorithm, config_hash);
-        if let ViewMode::Frozen(acc) = &self.mode {
-            if acc.borrow().overlay.contains_key(&key) {
-                return false;
-            }
-        }
-        !self.cache.stripe_of(&key).entries.lock().contains_key(&key)
     }
 }
 

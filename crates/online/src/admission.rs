@@ -54,39 +54,13 @@
 
 use crate::engine::OnlineConfig;
 use crate::event::EventQueue;
-use crate::federation::probe_pool::solve_batch;
 use crate::lease::{commit_grant, escalation_sizes, Grant};
 use crate::policy::AdmissionPolicy;
 use crate::report::RejectedRecord;
 use crate::state::{ClusterState, InService, Pending, ProbeScratch};
-use dhp_core::partial::{schedule_on_subcluster, CacheView, SubClusterSchedule};
+use dhp_core::partial::{CacheView, SubClusterSchedule};
 use dhp_core::SchedError;
 use dhp_platform::{Cluster, ProcId, SubCluster};
-use std::collections::HashMap;
-
-/// Speculative pre-solve results for one admission pass, keyed by
-/// `(fingerprint, lease shape)`: the concrete processor prefix the
-/// prediction solved on, plus the solver outcome. Entries are consumed
-/// through [`CacheView::schedule_with`]'s miss closure — every counter
-/// and store effect is charged exactly as if the solver had run inline
-/// — and an entry whose concrete processors no longer match the
-/// probe's (a same-pass grant moved the free set under the prediction)
-/// is dropped, falling back to the inline solve.
-pub(crate) type SpecTable =
-    HashMap<(u64, u64), (Vec<ProcId>, Result<SubClusterSchedule, SchedError>)>;
-
-/// One speculative solve: the predicted cold probe of one backfill
-/// candidate against the pass-entry free set. Pure input for
-/// [`solve_batch`] — carries everything the solver needs and nothing
-/// it could mutate.
-pub(crate) struct SpecJob<'a> {
-    pub(crate) fingerprint: u64,
-    pub(crate) shape: u64,
-    /// The concrete global processors the prediction solves on; the
-    /// consumer substitutes the result only on an exact match.
-    pub(crate) ids: Vec<ProcId>,
-    pub(crate) graph: &'a dhp_dag::Dag,
-}
 
 /// How many queued candidates behind a blocked FIFO head are
 /// solver-evaluated per admission pass under
@@ -226,31 +200,6 @@ pub(crate) fn admission_passes(
                     .then(qa.id.cmp(&qb.id))
             });
         }
-        // Speculative pre-solve (the parallel-backfill layer): predict
-        // the first-rung solve key of each upcoming candidate against
-        // the pass-entry free set and solve the cold ones on a scoped
-        // thread pool up front. The results are consumed sequentially
-        // in candidate order through `schedule_with`'s miss closure, so
-        // grants commit exactly as on the inline path. The in-place
-        // walk materialises just its prediction window (the first
-        // `BACKFILL_DEPTH` live entries — all speculation ever reads).
-        let mut window = [0usize; BACKFILL_DEPTH];
-        let spec_order: &[usize] = if scan {
-            let mut wlen = 0usize;
-            for qi in 0..state.queue.len() {
-                if wlen == BACKFILL_DEPTH {
-                    break;
-                }
-                if !state.dead[qi] {
-                    window[wlen] = qi;
-                    wlen += 1;
-                }
-            }
-            &window[..wlen]
-        } else {
-            &order
-        };
-        let mut spec = speculate(state, spec_order, cfg, cache, config_hash);
         // Backfilling: once the effective FIFO head fails to place,
         // its reservation caps every later candidate's simulated
         // finish. `None` = no cap (head placeable, or a policy
@@ -383,7 +332,6 @@ pub(crate) fn admission_passes(
                 state.queue_len() - taken.len(),
                 state.cluster_id,
                 &mut state.scratch.free_sorted,
-                spec.as_mut(),
             ) {
                 Admit::Granted(grant) => {
                     if let Some(resv) = reservation {
@@ -506,7 +454,6 @@ pub(crate) fn admission_passes(
                         state.queue_len() - taken.len(),
                         state.cluster_id,
                         &mut state.scratch.free_sorted,
-                        spec.as_mut(),
                     ) else {
                         continue;
                     };
@@ -609,86 +556,6 @@ fn warm_in_cache(
     cache.is_warm(cand.fingerprint, shape, cfg.algorithm, config_hash)
 }
 
-/// Gathers and parallel-pre-solves the cold first-rung solve keys the
-/// upcoming pass is about to probe: for each of the first
-/// [`BACKFILL_DEPTH`] candidates in pass order, the lease prefix the
-/// engine would carve *right now* is predicted against the pass-entry
-/// free set, screened for memory, and — when the key is cold
-/// ([`CacheView::peek_is_cold`]) — solved on the scoped probe pool.
-/// Returns `None` when speculation is off (`fast_admission` false or
-/// `--serial-federation`), when the cache is disabled (`peek_is_cold`
-/// reports everything warm, keeping the solver-invocation counters
-/// honest), or when fewer than two jobs are cold (a pool for one job
-/// is pure overhead — the inline probe pays the same solve).
-fn speculate(
-    state: &mut ClusterState,
-    order: &[usize],
-    cfg: &OnlineConfig,
-    cache: &CacheView,
-    config_hash: u64,
-) -> Option<SpecTable> {
-    if !cfg.fast_admission || cfg.serial_federation {
-        return None;
-    }
-    // Like `run_phase`, the pool only exists where it can actually
-    // overlap work: on a single-core host every speculative solve is
-    // serial overhead paid up front (and some predictions are for
-    // probes the pass's cheap work-bound screen will skip entirely),
-    // so the pass solves inline instead. Probed once — the affinity
-    // syscall is too expensive for a per-pass check.
-    static HOST_CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    let cores =
-        *HOST_CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    if cores < 2 {
-        return None;
-    }
-    let ClusterState {
-        cluster,
-        mem_order,
-        free,
-        queue,
-        scratch,
-        ..
-    } = state;
-    let free_sorted = &mut scratch.free_sorted;
-    free_sorted.clear();
-    free_sorted.extend(mem_order.iter().copied().filter(|p| free[p.idx()]));
-    if free_sorted.is_empty() {
-        return None;
-    }
-    let queue_len = queue.len();
-    let mut jobs: Vec<SpecJob<'_>> = Vec::new();
-    for &qi in order.iter().take(BACKFILL_DEPTH) {
-        let cand = &queue[qi];
-        if cand.max_task_req > cluster.memory(free_sorted[0]) * (1.0 + 1e-9) {
-            continue;
-        }
-        let g = &cand.submission.instance.graph;
-        let target = cfg.lease.target_under_load(g.node_count(), queue_len);
-        let size = target.clamp(1, free_sorted.len());
-        let shape = cluster.shape_of_slice(&free_sorted[..size]);
-        if !cache.peek_is_cold(cand.fingerprint, shape, cfg.algorithm, config_hash) {
-            continue;
-        }
-        if jobs
-            .iter()
-            .any(|j| j.fingerprint == cand.fingerprint && j.shape == shape)
-        {
-            continue;
-        }
-        jobs.push(SpecJob {
-            fingerprint: cand.fingerprint,
-            shape,
-            ids: free_sorted[..size].to_vec(),
-            graph: g,
-        });
-    }
-    if jobs.len() < 2 {
-        return None;
-    }
-    Some(solve_batch(cluster, jobs, cfg))
-}
-
 /// The single lease search shared by admission ([`try_admit`]) and the
 /// reservation feasibility scan ([`can_place`]): filter the free
 /// processors in canonical memory order, screen the hottest task, and
@@ -713,7 +580,6 @@ fn find_placement(
     config_hash: u64,
     target: usize,
     free_sorted: &mut Vec<ProcId>,
-    mut spec: Option<&mut SpecTable>,
 ) -> Probe {
     free_sorted.clear();
     free_sorted.extend(mem_order.iter().copied().filter(|p| free[p.idx()]));
@@ -733,27 +599,14 @@ fn find_placement(
     let g = &cand.submission.instance.graph;
     for size in escalation_sizes(target, free_sorted.len()) {
         let sub = cluster.subcluster(&free_sorted[..size]);
-        let spec = spec.as_deref_mut();
-        // The miss closure consults the speculation table before paying
-        // the inline solve: a pre-solved entry substitutes only when it
-        // was computed for *exactly* these global processors (a key
-        // collision with a moved free set would be wrong even when the
-        // shape matches). Consumption through the closure keeps every
-        // counter, insert, and LRU effect identical to an inline solve.
-        let solved =
-            cache.schedule_with(cand.fingerprint, &sub, cfg.algorithm, config_hash, || {
-                if let Some(table) = spec {
-                    if let Some((ids, result)) =
-                        table.remove(&(cand.fingerprint, sub.shape_signature()))
-                    {
-                        if ids == sub.global_ids() {
-                            return result;
-                        }
-                    }
-                }
-                schedule_on_subcluster(g, &sub, cfg.algorithm, &cfg.solver)
-            });
-        match solved {
+        match cache.schedule(
+            g,
+            cand.fingerprint,
+            &sub,
+            cfg.algorithm,
+            &cfg.solver,
+            config_hash,
+        ) {
             Err(SchedError::NoSolution) => continue,
             Ok(sched) => return Probe::Placed { sub, sched },
         }
@@ -777,7 +630,6 @@ pub(crate) fn try_admit(
     queue_len: usize,
     cluster_id: Option<usize>,
     free_sorted: &mut Vec<ProcId>,
-    spec: Option<&mut SpecTable>,
 ) -> Admit {
     let g = &cand.submission.instance.graph;
     let target = cfg.lease.target_under_load(g.node_count(), queue_len);
@@ -791,7 +643,6 @@ pub(crate) fn try_admit(
         config_hash,
         target,
         free_sorted,
-        spec,
     ) {
         Probe::Placed { sub, sched } => (sub, sched),
         Probe::MemoryBlocked {
@@ -861,7 +712,6 @@ pub(crate) fn can_place(
                 config_hash,
                 target,
                 free_sorted,
-                None,
             ),
             Probe::Placed { .. }
         );

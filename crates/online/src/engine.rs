@@ -59,7 +59,7 @@ use crate::admission::admission_passes;
 use crate::lease::{run_growth, run_shrink};
 use crate::policy::{AdmissionPolicy, LeaseSizing};
 use crate::report::{FleetMetrics, ServeReport};
-use crate::state::ClusterState;
+use crate::state::{ClusterState, Pending};
 use crate::submission::{peak_overlap, Submission};
 use dhp_core::daghetpart::DagHetPartConfig;
 use dhp_core::partial::{Algorithm, CacheView, SolveCache, SolveCacheStats};
@@ -69,6 +69,7 @@ use dhp_platform::Cluster;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::Arc;
 
 pub use crate::admission::{ReservationRecord, ReservationTrigger, BACKFILL_DEPTH};
 pub use crate::state::{Placement, Regrow};
@@ -125,7 +126,9 @@ pub struct OnlineConfig {
     /// Force the federation driver onto its sequential member-stepping
     /// path (`--serial-federation`). The default (false) steps
     /// Active/Draining members in parallel between synchronisation
-    /// points; both paths are pinned byte-identical
+    /// points — on threads only when at least two members have work at
+    /// the event and the host has at least two cores, inline otherwise;
+    /// both paths are pinned byte-identical
     /// (`tests/federation_parallel.rs`), so this is a debugging escape
     /// hatch, not a semantic switch. Ignored by the single-cluster
     /// engine.
@@ -137,15 +140,12 @@ pub struct OnlineConfig {
     pub persist: Option<PersistSpec>,
     /// The admission hot-path overhaul (default on): feasibility probes
     /// skip schedule materialisation, the blocked head's reservation is
-    /// reused under an epoch validity token, and cold backfill probes
-    /// are pre-solved on a scoped worker pool. Every scheduling outcome
-    /// and every report byte is identical either way (the optimisations
-    /// are replays or reorderings of work the engine would do anyway;
-    /// pinned by the digest suites) — `false` restores the
-    /// pre-overhaul execution strategy as the measured baseline for
-    /// `admission_hotpath` benchmarks. Speculative pre-solving is
-    /// additionally disabled by [`OnlineConfig::serial_federation`],
-    /// which forces every code path single-threaded.
+    /// reused under an epoch validity token, and taken queue entries are
+    /// tombstoned instead of shifted out. Every scheduling outcome and
+    /// every report byte is identical either way (the optimisations are
+    /// replays of work the engine would do anyway; pinned by the digest
+    /// suites) — `false` restores the pre-overhaul execution strategy
+    /// as the measured baseline for `admission_hotpath` benchmarks.
     pub fast_admission: bool,
 }
 
@@ -241,16 +241,14 @@ pub fn serve_with_cache(
     // attribution (the federation tier's `CacheAccount` machinery) is
     // unnecessary with one caller.
     let view = CacheView::direct(cache);
-    let mut subs = submissions;
-    subs.sort_by(|a, b| a.arrival.total_cmp(&b.arrival).then(a.id.cmp(&b.id)));
+    let mut arrivals = arrival_order(submissions);
 
     let mut state = ClusterState::new(cluster, None);
-    let mut next_arrival = 0usize;
     let mut clock = 0.0f64;
 
     loop {
         // ------------------------------------------------ next event(s)
-        let arrival_time = subs.get(next_arrival).map(|s| s.arrival);
+        let arrival_time = arrivals.peek().map(|s| s.arrival);
         let completion_time = state.next_completion_time();
         match (completion_time, arrival_time) {
             (None, None) if state.queue_is_empty() => break,
@@ -268,13 +266,8 @@ pub fn serve_with_cache(
             }
             (_, Some(ta)) => {
                 clock = ta;
-                while let Some(s) = subs.get(next_arrival) {
-                    if s.arrival > clock {
-                        break;
-                    }
-                    let s = subs[next_arrival].clone();
-                    next_arrival += 1;
-                    state.enqueue_arrival(s, clock);
+                while let Some(s) = arrivals.next_if(|s| due(s, clock)) {
+                    state.enqueue_arrival(Pending::new(Arc::new(s)), clock);
                 }
             }
             // `(Some, None)` always satisfies the completion guard.
@@ -284,7 +277,7 @@ pub fn serve_with_cache(
         admission_passes(&mut state, cfg, &view, config_hash, clock);
         run_shrink(&mut state, cfg, &view, config_hash, clock);
 
-        let arrivals_pending = subs.get(next_arrival).is_some_and(|s| s.arrival <= clock);
+        let arrivals_pending = arrivals.peek().is_some_and(|s| s.arrival <= clock);
         run_growth(&mut state, cfg, &view, config_hash, clock, arrivals_pending);
     }
 
@@ -293,6 +286,25 @@ pub fn serve_with_cache(
     outcome.report.recovery = recovery;
     save_snapshot(cfg, cache);
     outcome
+}
+
+/// The submission stream in service order — `(arrival, id)` — as the
+/// iterator both serve loops consume: each submission is *moved* out of
+/// it into the one `Arc` its queue entry, and later its placement,
+/// share.
+pub(crate) fn arrival_order(
+    mut submissions: Vec<Submission>,
+) -> std::iter::Peekable<std::vec::IntoIter<Submission>> {
+    submissions.sort_by(|a, b| a.arrival.total_cmp(&b.arrival).then(a.id.cmp(&b.id)));
+    submissions.into_iter().peekable()
+}
+
+/// Whether the head of the stream arrives at `clock`. Phrased as "not
+/// later" so that a NaN arrival is consumed (and served as garbage)
+/// rather than spun on forever.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+pub(crate) fn due(s: &Submission, clock: f64) -> bool {
+    !(s.arrival > clock)
 }
 
 /// Restores the snapshot named by `cfg.persist` (if any) into `cache`.
@@ -408,10 +420,7 @@ pub(crate) fn finalize(
         let workers = if cache.capacity().is_some() {
             1
         } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(jobs.len())
+            dhp_core::host_cores().min(jobs.len())
         };
         std::thread::scope(|scope| {
             for _ in 0..workers {

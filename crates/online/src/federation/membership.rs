@@ -9,7 +9,6 @@ use super::shard::{MemberShard, MemberStatus};
 use crate::chaos::{FailureMode, MembershipEvent};
 use crate::report::LostRecord;
 use crate::state::Pending;
-use dhp_core::fitting::max_task_requirement;
 
 /// Applies one membership event to the fleet state. Queue migration
 /// picks each displaced workflow's new home with the speed-weighted
@@ -58,17 +57,11 @@ pub(super) fn apply_membership(event: &MembershipEvent, shards: &mut Vec<MemberS
                         });
                     }
                     FailureMode::Requeue => {
-                        let sub = svc.placement.submission;
+                        // The record that eventually completes
+                        // carries its failure-driven attempt count.
                         let p = Pending {
-                            id: sub.id,
-                            arrival: sub.arrival,
-                            total_work: sub.instance.graph.total_work(),
-                            max_task_req: max_task_requirement(&sub.instance.graph),
-                            fingerprint: svc.fingerprint,
-                            // The record that eventually completes
-                            // carries its failure-driven attempt count.
                             requeues: svc.record.requeues + 1,
-                            submission: sub,
+                            ..Pending::new(svc.placement.submission)
                         };
                         migrate_pending(shards, m, p, clock);
                     }

@@ -35,10 +35,13 @@
 //! 1. **Event arm** (sequential): advance the clock; apply due
 //!    membership events; route due arrivals.
 //! 2. **Step phase** (parallel): every eligible shard pops its due
-//!    completions and runs its admission passes and elastic shrink on
-//!    a [`std::thread::scope`] pool, probing the shared [`SolveCache`]
-//!    through *frozen* views — the store is read-only, deferred
-//!    effects accumulate per shard.
+//!    completions and runs its admission passes and elastic shrink,
+//!    probing the shared [`SolveCache`] through *frozen* views — the
+//!    store is read-only, deferred effects accumulate per shard. The
+//!    phase runs on a [`std::thread::scope`] pool only when at least
+//!    two shards are eligible and the host has at least two cores
+//!    ([`dhp_core::host_cores`], probed once per process); otherwise
+//!    inline, and deciding costs two integer compares.
 //! 3. **Seal** (sequential): each shard's deferred cache effects are
 //!    replayed into the store in member-index order.
 //! 4. **Spillover** (sequential): blocked work migrates across
@@ -82,7 +85,6 @@
 mod clock;
 mod membership;
 mod merge;
-pub(crate) mod probe_pool;
 mod rebalance;
 mod routing;
 mod shard;
@@ -91,8 +93,9 @@ pub use merge::{FederationOutcome, FederationReport};
 pub use routing::RoutingPolicy;
 
 use crate::chaos::{MembershipEvent, MembershipPlan};
-use crate::engine::{load_snapshot, make_cache, save_snapshot, OnlineConfig};
+use crate::engine::{arrival_order, due, load_snapshot, make_cache, save_snapshot, OnlineConfig};
 use crate::report::RejectedRecord;
+use crate::state::Pending;
 use crate::submission::Submission;
 use clock::NextEvent;
 use dhp_core::partial::SolveCache;
@@ -101,6 +104,7 @@ use membership::apply_membership;
 use rebalance::spill;
 use routing::route;
 use shard::{run_phase, MemberShard};
+use std::sync::Arc;
 
 /// Serves a submission stream across a federation of clusters. A fresh
 /// [`SolveCache`] — shared by every member — is created per call
@@ -197,10 +201,8 @@ fn serve_loop(
         .iter()
         .map(|(i, c)| MemberShard::new(c, i))
         .collect();
-    let mut subs = submissions;
-    subs.sort_by(|a, b| a.arrival.total_cmp(&b.arrival).then(a.id.cmp(&b.id)));
+    let mut arrivals = arrival_order(submissions);
 
-    let mut next_arrival = 0usize;
     let mut next_membership = 0usize;
     let mut clock = 0.0f64;
     let mut rr_next = 0usize;
@@ -208,7 +210,7 @@ fn serve_loop(
 
     loop {
         // ------------------------------------------------ next event(s)
-        let arrival_time = subs.get(next_arrival).map(|s| s.arrival);
+        let arrival_time = arrivals.peek().map(|s| s.arrival);
         let membership_time = chaos.get(next_membership).map(|e| e.at());
         let completion_time = shards
             .iter()
@@ -239,33 +241,31 @@ fn serve_loop(
             }
             NextEvent::Arrivals(ta) => {
                 clock = ta;
-                while let Some(s) = subs.get(next_arrival) {
-                    if s.arrival > clock {
-                        break;
-                    }
-                    let s = subs[next_arrival].clone();
-                    next_arrival += 1;
+                while let Some(s) = arrivals.next_if(|s| due(s, clock)) {
+                    // Built once: routing screens and probes with the
+                    // same facts the home queue then keeps.
+                    let p = Pending::new(Arc::new(s));
                     match route(
                         routing,
                         &mut rr_next,
                         &mut shards,
-                        &s,
+                        &p,
                         cfg,
                         cache,
                         config_hash,
                     ) {
-                        Some(home) => shards[home].state.enqueue_arrival(s, clock),
+                        Some(home) => shards[home].state.enqueue_arrival(p, clock),
                         // Every member failed or drained and no join is
                         // due: the arrival is deterministically rejected
                         // on the lowest-index member's record.
                         None => {
                             let cluster_id = shards[0].state.cluster_id;
                             shards[0].state.rejected.push(RejectedRecord {
-                                id: s.id,
-                                name: s.instance.name.clone(),
-                                arrival: s.arrival,
+                                id: p.id,
+                                name: p.submission.instance.name.clone(),
+                                arrival: p.arrival,
                                 rejected_at: clock,
-                                wait: clock - s.arrival,
+                                wait: clock - p.arrival,
                                 reason: "no active federation member".to_string(),
                                 cluster_id,
                             });
@@ -294,7 +294,7 @@ fn serve_loop(
 
         // ------------------------- growth phase: elastic lease growth,
         // same frozen-view model, then the ordered seal.
-        let arrivals_pending = subs.get(next_arrival).is_some_and(|s| s.arrival <= clock);
+        let arrivals_pending = arrivals.peek().is_some_and(|s| s.arrival <= clock);
         let worklist: Vec<&mut MemberShard> =
             shards.iter_mut().filter(|sh| sh.wants_growth()).collect();
         run_phase(worklist, serial, |sh| {

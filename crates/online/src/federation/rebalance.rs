@@ -178,8 +178,7 @@ pub(super) fn migrate_pending(shards: &mut [MemberShard], src: usize, p: Pending
     if screened.is_empty() {
         // No active member can hold the hottest task: record the
         // rejection through the destination's own arrival screen.
-        let sub = p.submission;
-        shards[dest].state.enqueue_arrival(sub, clock);
+        shards[dest].state.enqueue_arrival(p, clock);
     } else {
         shards[dest].state.insert_pending(p);
     }

@@ -1,5 +1,5 @@
-//! Home-cluster assignment: the [`RoutingPolicy`] and the `route` /
-//! `probe_pending` pair that pick an arriving workflow's member.
+//! Home-cluster assignment: the [`RoutingPolicy`] and `route`, which
+//! picks an arriving workflow's member.
 //!
 //! Routing runs on the driver thread between parallel phases, so its
 //! `best-fit` placement probes use *live* cache views: store effects
@@ -11,8 +11,6 @@ use super::shard::{MemberShard, MemberStatus};
 use crate::admission::can_place;
 use crate::engine::OnlineConfig;
 use crate::state::Pending;
-use crate::submission::Submission;
-use dhp_core::fitting::max_task_requirement;
 use dhp_core::partial::{CacheView, SolveCache};
 
 /// How an arriving workflow is assigned its home cluster.
@@ -79,8 +77,11 @@ pub(super) fn least_loaded(shards: &[MemberShard], pool: &[usize]) -> usize {
         .unwrap_or_else(|| unreachable!("routing pools are built non-empty"))
 }
 
-/// Picks an arriving submission's home cluster among the Active
-/// members, or `None` when every member has drained or failed.
+/// Picks an arriving workflow's home cluster among the Active
+/// members, or `None` when every member has drained or failed. `p` is
+/// the queue entry the home cluster will keep, so the memory screen and
+/// the `BestFit` probes reuse its arrival facts instead of re-deriving
+/// them.
 /// `BestFit` probes the members with the admission layer's
 /// `can_place`; those probes are attributed to the member they ran
 /// against, and their solves stay in the shared cache for the eventual
@@ -89,7 +90,7 @@ pub(super) fn route(
     routing: RoutingPolicy,
     rr_next: &mut usize,
     shards: &mut [MemberShard],
-    s: &Submission,
+    p: &Pending,
     cfg: &OnlineConfig,
     cache: &SolveCache,
     config_hash: u64,
@@ -112,7 +113,7 @@ pub(super) fn route(
     // is the real admission ceiling). When no member passes the screen
     // every home yields the same rejection, so the unscreened pool is
     // used and the (deterministic) home records it.
-    let req = max_task_requirement(&s.instance.graph);
+    let req = p.max_task_req;
     let mut pool: Vec<usize> = active
         .iter()
         .copied()
@@ -129,7 +130,6 @@ pub(super) fn route(
         }
         RoutingPolicy::LeastLoaded => least_loaded(shards, &pool),
         RoutingPolicy::BestFit => {
-            let probe = probe_pending(s);
             let mut best: Option<(f64, usize)> = None;
             // Probe buffer local to the sweep: the members' own scratch
             // arenas are unreachable here (the loop already borrows
@@ -147,7 +147,7 @@ pub(super) fn route(
                         &shard.state.cluster,
                         &shard.state.mem_order,
                         &shard.state.free,
-                        &probe,
+                        p,
                         cfg,
                         &view,
                         config_hash,
@@ -166,21 +166,6 @@ pub(super) fn route(
             best.map_or_else(|| least_loaded(shards, &pool), |(_, j)| j)
         }
     })
-}
-
-/// A transient [`Pending`] view of an arriving submission, for routing
-/// probes (the real `Pending` is built by the home cluster's
-/// `enqueue_arrival`).
-pub(super) fn probe_pending(s: &Submission) -> Pending {
-    Pending {
-        id: s.id,
-        arrival: s.arrival,
-        total_work: s.instance.graph.total_work(),
-        max_task_req: max_task_requirement(&s.instance.graph),
-        fingerprint: s.instance.graph.fingerprint(),
-        requeues: 0,
-        submission: s.clone(),
-    }
 }
 
 #[cfg(test)]

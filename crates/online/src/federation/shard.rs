@@ -130,20 +130,19 @@ impl MemberShard {
 
 /// Runs one parallel phase: `f` over every shard in `worklist`, on a
 /// [`std::thread::scope`] pool with work-stealing by atomic index.
-/// With `serial` set (the `--serial-federation` escape hatch) or a
-/// single-entry worklist the shards run inline, in worklist order —
-/// and because every shard's step is isolated (own state, own account,
-/// frozen store), the parallel path is byte-identical to it: the only
-/// thing thread timing can reorder is commutative atomic counter
-/// bumps.
+/// With `serial` set (the `--serial-federation` escape hatch), a
+/// worklist shorter than two, or a single-core host the shards run
+/// inline, in worklist order — and because every shard's step is
+/// isolated (own state, own account, frozen store), the parallel path
+/// is byte-identical to it: the only thing thread timing can reorder is
+/// commutative atomic counter bumps. This runs twice per event and most
+/// worklists hold one shard, so the decision reads the cached
+/// [`dhp_core::host_cores`] and never the OS.
 pub(crate) fn run_phase<F>(worklist: Vec<&mut MemberShard>, serial: bool, f: F)
 where
     F: Fn(&mut MemberShard) + Sync,
 {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(worklist.len());
+    let workers = dhp_core::host_cores().min(worklist.len());
     // A one-worker pool is just the inline loop with thread-spawn
     // overhead on top; take the inline path whenever it is exact.
     if serial || workers <= 1 {

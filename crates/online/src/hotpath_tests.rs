@@ -8,14 +8,18 @@
 //! which keeps the assertions exact while the harness runs other
 //! tests on sibling threads.
 
-use crate::admission::{can_place, head_fits_at, head_reservation_cached};
-use crate::engine::OnlineConfig;
+use crate::admission::{admission_passes, can_place, head_fits_at, head_reservation_cached};
+use crate::engine::{serve_with_cache, OnlineConfig};
 use crate::event::EventQueue;
+use crate::policy::{AdmissionPolicy, LeaseSizing};
 use crate::state::{ClusterState, Pending};
-use crate::submission::single_task;
+use crate::submission::{single_task, Submission};
 use dhp_core::partial::{CacheView, SolveCache};
+use dhp_platform::{Cluster, Processor};
+use dhp_wfgen::{SizeClass, WorkflowInstance};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 thread_local! {
     static LOCAL_ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -54,16 +58,13 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
 }
 
 fn pending(id: usize, work: f64, memory: f64) -> Pending {
-    let submission = single_task(id, 0.0, work, memory, &format!("hot-{id}"));
-    Pending {
+    Pending::new(Arc::new(single_task(
         id,
-        arrival: 0.0,
-        total_work: work,
-        max_task_req: memory,
-        fingerprint: submission.instance.graph.fingerprint(),
-        requeues: 0,
-        submission,
-    }
+        0.0,
+        work,
+        memory,
+        &format!("hot-{id}"),
+    )))
 }
 
 /// After one cold probe has filled the solve cache and sized the
@@ -275,4 +276,104 @@ fn reservation_token_reuse_and_invalidation() {
         Some((2, cand.id, 123.5)),
         "cache-aware runs must leave the token alone"
     );
+}
+
+/// Heap allocations (on the serving thread) of the second, warm, run
+/// of a 200-submission burst of `tasks`-task workflows under
+/// `FifoBackfill` — the first run filled the solve and sim caches, so
+/// the counted run pays for decisions only. The workflows are chains
+/// (six recipes, told apart by their task memory, so some fit only the
+/// big processors and heads do block): the one arrival cost
+/// that legitimately depends on the graph — the fingerprint's
+/// topological sort grows its ready heap with the DAG's *width* — is
+/// then the same at every length, and fixed two-processor leases keep
+/// both traces making the same decisions.
+fn warm_backlog_allocations(tasks: usize) -> u64 {
+    let subs: Vec<Submission> = (0..200)
+        .map(|id| {
+            const MEMORY: [f64; 6] = [4.0, 8.0, 12.0, 24.0, 40.0, 48.0];
+            let recipe = id % 6;
+            Submission {
+                id,
+                arrival: 0.0,
+                instance: WorkflowInstance {
+                    name: format!("chain-{tasks}-{recipe}"),
+                    family: None,
+                    size_class: SizeClass::Real,
+                    requested_size: tasks,
+                    graph: dhp_dag::builder::chain(tasks, 10.0, MEMORY[recipe], 2.0),
+                },
+            }
+        })
+        .collect();
+    let cluster = Cluster::new(
+        vec![
+            Processor::new("big", 4.0, 64.0),
+            Processor::new("big", 4.0, 64.0),
+            Processor::new("mid", 2.0, 32.0),
+            Processor::new("sml", 1.0, 16.0),
+            Processor::new("sml", 1.0, 16.0),
+        ],
+        1.0,
+    );
+    let cfg = OnlineConfig {
+        policy: AdmissionPolicy::FifoBackfill,
+        lease: LeaseSizing {
+            min_procs: 2,
+            max_procs: 2,
+            ..LeaseSizing::default()
+        },
+        ..OnlineConfig::default()
+    };
+    let cache = SolveCache::new();
+    let cold = serve_with_cache(&cluster, subs.clone(), &cfg, &cache);
+    assert_eq!(cold.report.fleet.completed, 200);
+    let input = subs.clone();
+    let mut warm = None;
+    let n = allocations_in(|| warm = Some(serve_with_cache(&cluster, input, &cfg, &cache)));
+    let warm = warm.unwrap();
+    assert_eq!(warm.report.fleet.completed, 200);
+    assert_eq!(warm.report.fleet.solve_cache_misses, 0, "run two is warm");
+    assert!(
+        !warm.reservations.is_empty(),
+        "the backlog blocks its heads"
+    );
+    n
+}
+
+/// A warm admission pays for decisions, not for the size of the
+/// workflow it decides about: with submissions shared by `Arc` from
+/// arrival to placement, serving 200-task workflows allocates (in
+/// count) what serving 10-task workflows does. Deep-copying the graph
+/// per arrival and per evaluated grant made this an order of magnitude.
+#[test]
+fn warm_serving_allocations_do_not_scale_with_task_count() {
+    let small = warm_backlog_allocations(10) as f64;
+    let large = warm_backlog_allocations(200) as f64;
+    assert!(
+        (large - small).abs() < 0.1 * small,
+        "warm allocation counts scale with task count: {small} (10 tasks) vs {large} (200 tasks)"
+    );
+}
+
+/// The queue entry's `Arc` is the placement's: between arrival and the
+/// returned outcome the submission is passed along, never copied.
+#[test]
+fn a_placement_shares_the_submission_it_was_queued_with() {
+    let cluster = dhp_platform::configs::small_cluster();
+    let cfg = OnlineConfig::default();
+    let cache = SolveCache::new();
+    let view = CacheView::direct(&cache);
+    let config_hash = SolveCache::config_hash(&cfg.solver);
+    let mut state = ClusterState::new(&cluster, None);
+    let queued = Arc::new(single_task(0, 0.0, 40.0, 2.0, "shared"));
+    state.enqueue_arrival(Pending::new(Arc::clone(&queued)), 0.0);
+    admission_passes(&mut state, &cfg, &view, config_hash, 0.0);
+    assert!(state.queue_is_empty(), "the idle cluster admits it at once");
+    let finish = state
+        .next_completion_time()
+        .expect("an admitted workflow has a completion pending");
+    state.process_due_completions(finish);
+    assert_eq!(state.placements.len(), 1);
+    assert!(Arc::ptr_eq(&state.placements[0].submission, &queued));
 }

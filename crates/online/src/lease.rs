@@ -17,6 +17,7 @@ use dhp_core::mapping::Mapping;
 use dhp_core::partial::{CacheView, SimOutcome, SubClusterSchedule};
 use dhp_platform::{ProcId, SubCluster};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Runs the discrete-event simulator plus its timeline and packs the
 /// outcome in lease-local processor ids — the compute closure of every
@@ -137,7 +138,7 @@ impl Grant {
             requeues: cand.requeues,
         };
         let placement = Placement {
-            submission: cand.submission.clone(),
+            submission: Arc::clone(&cand.submission),
             mapping: sched.global,
             lease,
             start,

@@ -14,9 +14,10 @@ use crate::submission::Submission;
 use dhp_core::fitting::max_task_requirement;
 use dhp_core::mapping::Mapping;
 use dhp_platform::{Cluster, ProcId};
+use std::sync::Arc;
 
 /// A queued workflow with its admission-relevant statistics.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct Pending {
     pub(crate) id: usize,
     pub(crate) arrival: f64,
@@ -29,15 +30,39 @@ pub(crate) struct Pending {
     /// this workflow back to the queue; 0 for fresh arrivals. Carried
     /// onto the completed record.
     pub(crate) requeues: u64,
-    pub(crate) submission: Submission,
+    /// The submission itself, shared: routing, spillover, requeue and
+    /// the eventual [`Placement`] all pass this pointer along, so the
+    /// graph is never copied between arrival and report.
+    pub(crate) submission: Arc<Submission>,
+}
+
+impl Pending {
+    /// The queue entry of a fresh arrival. The only place the
+    /// per-arrival graph facts (hottest task, total work, fingerprint)
+    /// are computed: the serve loops build this once per submission and
+    /// hand the same value to routing and to the home queue.
+    pub(crate) fn new(submission: Arc<Submission>) -> Pending {
+        let g = &submission.instance.graph;
+        Pending {
+            id: submission.id,
+            arrival: submission.arrival,
+            total_work: g.total_work(),
+            max_task_req: max_task_requirement(g),
+            fingerprint: g.fingerprint(),
+            requeues: 0,
+            submission,
+        }
+    }
 }
 
 /// One granted lease with its full schedule — returned for validation
 /// and replay alongside the serialisable report.
 #[derive(Clone, Debug)]
 pub struct Placement {
-    /// The served submission (graph included).
-    pub submission: Submission,
+    /// The served submission (graph included). Shared with the engine's
+    /// queue entry for it — the `Arc` the serve loop wrapped the
+    /// arrival in — so cloning a placement copies no graph.
+    pub submission: Arc<Submission>,
     /// The *as-admitted* mapping in parent-cluster processor ids (a
     /// complete, valid mapping of the whole graph). When `regrow` is
     /// set, the suffix tasks actually executed per `regrow.mapping`
@@ -281,17 +306,17 @@ impl ClusterState {
         }
     }
 
-    /// Screens an arriving submission against the cluster-wide memory
+    /// Screens an arriving workflow against the cluster-wide memory
     /// ceiling and either queues it or records the rejection.
-    pub(crate) fn enqueue_arrival(&mut self, s: Submission, clock: f64) {
-        let req = max_task_requirement(&s.instance.graph);
+    pub(crate) fn enqueue_arrival(&mut self, p: Pending, clock: f64) {
+        let req = p.max_task_req;
         if req > self.cluster.max_memory() * (1.0 + 1e-9) {
             self.rejected.push(RejectedRecord {
-                id: s.id,
-                name: s.instance.name.clone(),
-                arrival: s.arrival,
+                id: p.id,
+                name: p.submission.instance.name.clone(),
+                arrival: p.arrival,
                 rejected_at: clock,
-                wait: clock - s.arrival,
+                wait: clock - p.arrival,
                 reason: format!(
                     "task requirement {req:.2} exceeds the largest processor \
                      memory {:.2}",
@@ -301,15 +326,7 @@ impl ClusterState {
             });
             return;
         }
-        self.queue.push(Pending {
-            id: s.id,
-            arrival: s.arrival,
-            total_work: s.instance.graph.total_work(),
-            max_task_req: req,
-            fingerprint: s.instance.graph.fingerprint(),
-            requeues: 0,
-            submission: s,
-        });
+        self.queue.push(p);
         self.dead.push(false);
     }
 

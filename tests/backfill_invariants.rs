@@ -115,7 +115,7 @@ proptest! {
 
     /// The admission hot-path overhaul is an execution strategy, not a
     /// policy: with the overhaul on (feasibility fast path, epoch-token
-    /// reservation reuse, speculative pre-solving) and off (the
+    /// reservation reuse, tombstoned queue removal) and off (the
     /// measured pre-overhaul baseline), the scheduling outcome — every
     /// workflow record, rejection, and fleet aggregate — is
     /// byte-identical, and so is every head reservation the engine
