@@ -14,6 +14,15 @@
 //! levels up to `k' = 33` and one above; the fourth is chain-shaped,
 //! with a hierarchy that runs from ten levels (`k' = 2`) down to one.
 //!
+//! The `req` lines were added before the block requirement moved off
+//! the induced `Dag` onto a flat view of the parent graph: for seven
+//! instances and `k' ∈ {2, 12, 36}`, every Step-1 block's requirement
+//! bits and the FNV of the traversal order behind it (the order
+//! `dhp_sim` executes the block in), each whole workflow's `min_peak`
+//! bits, and the shape of the series-parallel decomposition of the
+//! three largest `k' = 12` blocks — a decomposition that changes shape
+//! is caught even where the peak happens not to move.
+//!
 //! Re-record (only when an output change is intended):
 //! `cargo test --release --test offline_golden -- --ignored record`.
 
@@ -23,7 +32,9 @@ use dhp_core::makespan::blockset_makespan;
 use dhp_core::prelude::*;
 use dhp_core::steps;
 use dhp_dag::fingerprint::{fnv1a_u64, FNV_OFFSET};
-use dhp_dag::NodeId;
+use dhp_dag::util::BitSet;
+use dhp_dag::{Dag, NodeId};
+use dhp_memdag::spdecomp::SpTree;
 use dhp_platform::{configs, Cluster};
 use dhp_wfgen::{Family, WorkflowInstance};
 use std::fmt::Write as _;
@@ -134,6 +145,118 @@ fn sweep_lines(out: &mut String, family: Family, tasks: usize, depths: [usize; 3
     }
 }
 
+/// The `req` instances: the four of [`SWEPT`] plus three more, built
+/// the same way (seed 17, default partitioner configuration).
+const PRICED: [(Family, usize); 7] = [
+    (Family::Blast, 1000),
+    (Family::Bwa, 1000),
+    (Family::Seismology, 1000),
+    (Family::Soykb, 400),
+    (Family::Genome, 1000),
+    (Family::Epigenomics, 60),
+    (Family::Montage, 60),
+];
+
+/// The sub-DAG induced by `members` (ascending), its id map, and the
+/// boundary load of every member: the block as `dhp-memdag` is asked
+/// about it.
+fn induced_block(g: &Dag, members: &[NodeId]) -> (Dag, Vec<NodeId>, Vec<f64>) {
+    let (sub, back) = g.induced_subgraph(members);
+    let mut member = BitSet::new(g.node_count());
+    for &u in members {
+        member.set(u.idx());
+    }
+    let ext = back
+        .iter()
+        .map(|&u| {
+            let inputs = g.in_edges(u).iter().map(|&e| g.edge(e));
+            let outputs = g.out_edges(u).iter().map(|&e| g.edge(e));
+            let mut boundary = 0.0;
+            for e in inputs.filter(|e| !member.get(e.src.idx())) {
+                boundary += e.volume;
+            }
+            for e in outputs.filter(|e| !member.get(e.dst.idx())) {
+                boundary += e.volume;
+            }
+            boundary
+        })
+        .collect();
+    (sub, back, ext)
+}
+
+/// FNV-1a over the order a block's best traversal executes its tasks
+/// in, as ids of `g`.
+fn block_order_fnv(g: &Dag, members: &[NodeId]) -> u64 {
+    let (sub, back, ext) = induced_block(g, members);
+    dhp_memdag::best_traversal(&sub, &ext)
+        .order
+        .iter()
+        .map(|u| back[u.idx()].0 as u64)
+        .fold(FNV_OFFSET, fnv1a_u64)
+}
+
+/// FNV-1a over the decomposition tree in pre-order: a tag and a child
+/// (or task) count per node, the tasks of leaves and cores as ids of
+/// `g`.
+fn shape_fnv(tree: &SpTree, back: &[NodeId], h: u64) -> u64 {
+    let id = |u: &NodeId| back[u.idx()].0 as u64;
+    match tree {
+        SpTree::Leaf(u) => fnv1a_u64(fnv1a_u64(h, 1), id(u)),
+        SpTree::Series(c) | SpTree::Parallel(c) => {
+            let tag = 2 + matches!(tree, SpTree::Parallel(_)) as u64;
+            let h = fnv1a_u64(fnv1a_u64(h, tag), c.len() as u64);
+            c.iter().fold(h, |h, t| shape_fnv(t, back, h))
+        }
+        SpTree::Complex(v) => {
+            let h = fnv1a_u64(fnv1a_u64(h, 4), v.len() as u64);
+            v.iter().map(id).fold(h, fnv1a_u64)
+        }
+    }
+}
+
+/// The `req` lines of one instance.
+fn req_lines(out: &mut String, family: Family, tasks: usize) {
+    let inst = WorkflowInstance::simulated(family, tasks, 17);
+    let g = &inst.graph;
+    let pcfg = DagHetPartConfig::default().partition_cfg;
+    let name = family.name();
+    writeln!(
+        out,
+        "req {name} {tasks} whole: {:016x}",
+        dhp_memdag::min_peak(g).to_bits()
+    )
+    .unwrap();
+    for kp in [2usize, 12, 36] {
+        let bs = steps::partition::initial_blocks(g, kp, &pcfg);
+        for (b, block) in bs.iter().enumerate() {
+            let req = dhp_core::blockmem::block_requirement(g, &block.members);
+            assert_eq!(req.to_bits(), block.req.to_bits(), "{name} k'={kp} b={b}");
+            writeln!(
+                out,
+                "req {name} {tasks} k'={kp} b={b} n={}: {:016x} {:016x}",
+                block.members.len(),
+                req.to_bits(),
+                block_order_fnv(g, &block.members)
+            )
+            .unwrap();
+        }
+        if kp == 12 {
+            let mut by_size: Vec<usize> = (0..bs.len()).collect();
+            by_size.sort_by_key(|&b| (std::cmp::Reverse(bs.block(b).members.len()), b));
+            let shapes: Vec<String> = by_size
+                .iter()
+                .take(3)
+                .map(|&b| {
+                    let (sub, back, _) = induced_block(g, &bs.block(b).members);
+                    let tree = dhp_memdag::spdecomp::decompose(&sub);
+                    format!("b={b}:{:016x}", shape_fnv(&tree, &back, FNV_OFFSET))
+                })
+                .collect();
+            writeln!(out, "req {name} {tasks} k'=12 shapes: {}", shapes.join(" ")).unwrap();
+        }
+    }
+}
+
 /// Every golden line, freshly computed.
 fn compute() -> String {
     let mut out = String::new();
@@ -176,13 +299,16 @@ fn compute() -> String {
     for (family, tasks, depths) in SWEPT {
         sweep_lines(&mut out, family, tasks, depths);
     }
+    for (family, tasks) in PRICED {
+        req_lines(&mut out, family, tasks);
+    }
     out
 }
 
 #[test]
 fn solver_reproduces_every_golden_line() {
     let fresh = compute();
-    let (mut checked, mut tight, mut tight_failed, mut swept) = (0, 0, 0, 0);
+    let (mut checked, mut tight, mut tight_failed, mut swept, mut priced) = (0, 0, 0, 0, 0);
     for (want, got) in GOLDEN.lines().zip(fresh.lines()) {
         assert_eq!(want, got, "golden line {checked} differs");
         checked += 1;
@@ -191,10 +317,14 @@ fn solver_reproduces_every_golden_line() {
             tight_failed += want.ends_with("no-solution") as usize;
         }
         swept += want.starts_with("sweep ") as usize;
+        priced += want.starts_with("req ") as usize;
     }
     assert_eq!(GOLDEN.lines().count(), fresh.lines().count());
-    assert_eq!(checked, 5 * 2 * 2 * 2 + tight + swept);
+    assert_eq!(checked, 5 * 2 * 2 * 2 + tight + swept + priced);
     assert_eq!(swept, SWEPT.len() * 36);
+    // Per instance: the whole workflow, the shapes, and at least the
+    // two blocks of `k' = 2`.
+    assert!(priced >= PRICED.len() * 4, "{priced} req lines");
     assert!(
         2 * tight_failed > tight,
         "premise: more than half of the tight instance's k' attempts fail ({tight_failed}/{tight})"
