@@ -155,11 +155,51 @@ fn bench_shared_work(c: &mut Criterion) {
     group.finish();
 }
 
+/// The block requirement `r(V_i)` by itself, at the two sizes the
+/// offline workloads ask it at — a Step-1 block of a wide workflow and
+/// the five-task blocks a chain-shaped solve prices by the tens of
+/// thousands — plus the two parts of the kernel that used to allocate
+/// per component and per task: the hill–valley merge of a stage of 363
+/// single-task components, and every strategy on a whole workflow.
+fn bench_requirement_kernel(c: &mut Criterion) {
+    let cfg = DagHetPartConfig::default();
+    let mut group = c.benchmark_group("memdag");
+    group.sample_size(20);
+
+    let fanout = WorkflowInstance::simulated(Family::Blast, 4_000, 17).graph;
+    let block = dhp_dagp::partition(&fanout, 12, &cfg.partition_cfg).members()[8].clone();
+    assert_eq!(block.len(), 331);
+    group.bench_function("block_requirement/fanout4000_block330", |b| {
+        b.iter(|| dhp_core::blockmem::block_requirement(black_box(&fanout), black_box(&block)))
+    });
+
+    let chain = WorkflowInstance::simulated(Family::Epigenomics, 60, 17).graph;
+    let order = dhp_dag::topo::topo_sort(&chain).expect("generated workflows are acyclic");
+    let five = &order[20..25];
+    group.bench_function("block_requirement/chain60_block5", |b| {
+        b.iter(|| dhp_core::blockmem::block_requirement(black_box(&chain), black_box(five)))
+    });
+
+    let stage = dhp_dag::builder::fork_join(363, 1.0, 3.0, 2.0);
+    let ext = vec![0.0; stage.node_count()];
+    group.bench_function("sp_order/parallel_stage_363_leaves", |b| {
+        b.iter(|| dhp_memdag::sptraversal::sp_order(black_box(&stage), black_box(&ext)))
+    });
+
+    let genome = WorkflowInstance::simulated(Family::Genome, 1_000, 17).graph;
+    let ext = vec![0.0; genome.node_count()];
+    group.bench_function("best_traversal/genome1000_whole", |b| {
+        b.iter(|| dhp_memdag::best_traversal(black_box(&genome), black_box(&ext)))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_both,
     bench_slot_search,
     bench_steps,
-    bench_shared_work
+    bench_shared_work,
+    bench_requirement_kernel
 );
 criterion_main!(benches);

@@ -12,49 +12,27 @@
 //! answers through a [`ReqMemo`] that lives exactly as long as the
 //! solve.
 
-use dhp_dag::util::BitSet;
 use dhp_dag::{Dag, NodeId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
 /// Computes `r` for the block consisting of `members` of `g`.
 ///
-/// Cost: proportional to the block, not to `g` — the induced sub-DAG
-/// is cut out of the members' adjacency (`Dag::induced_subgraph`), the
-/// boundary load is a pass over the members' incident edges, then the
-/// traversal search runs on the block. All that still scales with `g`
-/// is two membership tables of one word and one bit per task.
+/// Cost: proportional to the block — its tasks and their incident
+/// edges — and to nothing else. No sub-DAG is built: `dhp-memdag`
+/// views the block in place (`dhp_dag::BlockView`: the members'
+/// adjacency filtered to the block, the boundary load folded in during
+/// the same pass) and runs every traversal strategy on that view, all
+/// on the calling thread's reusable workspace. A question no larger
+/// than one the thread has answered before allocates nothing; the only
+/// table as long as `g` is the workspace's parent-id map, which grows
+/// once per thread and is wiped member by member after each question.
 pub fn block_requirement(g: &Dag, members: &[NodeId]) -> f64 {
-    if members.is_empty() {
-        return 0.0;
+    match members {
+        [] => 0.0,
+        [u] => g.task_requirement(*u),
+        _ => dhp_memdag::block_peak(g, members),
     }
-    if members.len() == 1 {
-        return g.task_requirement(members[0]);
-    }
-    let mut sorted = members.to_vec();
-    sorted.sort_unstable();
-    let (sub, back) = g.induced_subgraph(&sorted);
-    let mut member = BitSet::new(g.node_count());
-    for &u in &sorted {
-        member.set(u.idx());
-    }
-    // External load: boundary edges, charged transiently.
-    let mut ext = vec![0.0f64; sub.node_count()];
-    for (i, &orig) in back.iter().enumerate() {
-        let mut boundary = 0.0;
-        for &e in g.in_edges(orig) {
-            if !member.get(g.edge(e).src.idx()) {
-                boundary += g.edge(e).volume;
-            }
-        }
-        for &e in g.out_edges(orig) {
-            if !member.get(g.edge(e).dst.idx()) {
-                boundary += g.edge(e).volume;
-            }
-        }
-        ext[i] = boundary;
-    }
-    dhp_memdag::best_traversal(&sub, &ext).peak
 }
 
 /// A member set as a memo key: one bit per task while the workflow has
@@ -210,6 +188,97 @@ mod tests {
         }
         picked.sort_unstable();
         picked.into_iter().map(|(_, u)| u).collect()
+    }
+
+    /// `block_requirement` as it was computed before the block was
+    /// viewed in place: build the induced sub-DAG, sum the boundary
+    /// load per member, ask for the best traversal of that graph.
+    fn induced_requirement(g: &Dag, members: &[NodeId]) -> f64 {
+        let mut sorted = members.to_vec();
+        sorted.sort_unstable();
+        let (sub, back) = g.induced_subgraph(&sorted);
+        let mut member = dhp_dag::util::BitSet::new(g.node_count());
+        for &u in &sorted {
+            member.set(u.idx());
+        }
+        let mut ext = vec![0.0f64; sub.node_count()];
+        for (i, &orig) in back.iter().enumerate() {
+            let mut boundary = 0.0;
+            for &e in g.in_edges(orig) {
+                if !member.get(g.edge(e).src.idx()) {
+                    boundary += g.edge(e).volume;
+                }
+            }
+            for &e in g.out_edges(orig) {
+                if !member.get(g.edge(e).dst.idx()) {
+                    boundary += g.edge(e).volume;
+                }
+            }
+            ext[i] = boundary;
+        }
+        dhp_memdag::best_traversal(&sub, &ext).peak
+    }
+
+    /// Three disconnected pieces in one graph: a random DAG with about
+    /// a third of its edges doubled, the non-SP "N" between a fork and
+    /// a join, and `source → 50 × (a → b) → sink`.
+    fn mixed_dag(n: usize, seed: u64) -> Dag {
+        let mut g = builder::gnp_dag_weighted(n, 0.25, seed);
+        for e in g.edge_ids().filter(|e| e.0 % 3 == 0).collect::<Vec<_>>() {
+            let (src, dst) = (g.edge(e).src, g.edge(e).dst);
+            g.add_edge(src, dst, 0.5 + (seed % 7) as f64);
+        }
+        let mut state = seed | 1;
+        let mut weight = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            1.0 + (state % 1024) as f64 / 64.0
+        };
+        let [s, s1, s2, t1, t2, t] = [(); 6].map(|()| g.add_node(1.0, weight()));
+        for (u, v) in [
+            (s, s1),
+            (s, s2),
+            (s1, t1),
+            (s1, t2),
+            (s2, t2),
+            (t1, t),
+            (t2, t),
+        ] {
+            g.add_edge(u, v, weight());
+        }
+        let (source, sink) = (g.add_node(1.0, weight()), g.add_node(1.0, weight()));
+        for _ in 0..50 {
+            let (a, b) = (g.add_node(1.0, weight()), g.add_node(1.0, weight()));
+            g.add_edge(source, a, weight());
+            g.add_edge(a, b, weight());
+            g.add_edge(b, sink, weight());
+        }
+        g
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// In place == through the induced sub-DAG, to the bit — on one
+        /// thread's workspace, a large block, then a tiny one, then
+        /// everything, then the large one again.
+        #[test]
+        fn requirement_in_place_equals_the_induced_one(
+            n in 5usize..40,
+            seed in proptest::strategy::any::<u64>(),
+        ) {
+            let g = mixed_dag(n, seed);
+            let large = scrambled_subset(&g, seed);
+            let tiny: Vec<NodeId> = large.iter().rev().take(2 + (seed % 3) as usize).copied().collect();
+            let all: Vec<NodeId> = g.node_ids().collect();
+            for set in [&large, &tiny, &all, &large] {
+                proptest::prop_assert_eq!(
+                    block_requirement(&g, set).to_bits(),
+                    induced_requirement(&g, set).to_bits()
+                );
+            }
+        }
     }
 
     proptest::proptest! {

@@ -314,9 +314,17 @@ impl Dag {
     /// the subgraph's edge ids ascend with the original edge ids,
     /// parallel edges included.
     ///
+    /// The subgraph's tasks carry their weights but no `label`: a
+    /// sub-DAG's tasks are identified by the returned id map, and
+    /// nothing that consumes a sub-DAG (the partitioner, the solver,
+    /// the fingerprint) reads a label.
+    ///
     /// Cost: one `u32` per node of `self` for the membership table,
     /// then the members' out-edges — `O(|V| + Σ out-degree + E' log E')`
     /// for `E'` surviving edges, independent of `self`'s edge count.
+    /// A question that only needs the sub-DAG's *shape* (the block
+    /// requirement) asks a [`crate::view::BlockView`] instead and
+    /// builds no graph at all.
     pub fn induced_subgraph(&self, members: &[NodeId]) -> (Dag, Vec<NodeId>) {
         let mut local = vec![u32::MAX; self.node_count()];
         for (i, &u) in members.iter().enumerate() {
@@ -336,7 +344,8 @@ impl Dag {
 
         let mut sub = Dag::with_capacity(members.len(), internal.len());
         for &u in members {
-            sub.add_node_data(self.node(u).clone());
+            let node = self.node(u);
+            sub.add_node(node.work, node.memory);
         }
         for e in internal {
             let e = self.edge(e);

@@ -21,6 +21,9 @@
 //! * Reachability queries ([`reach`]).
 //! * Weighted longest ("critical") paths ([`critical`]).
 //! * Quotient-graph construction from a partition ([`quotient`]).
+//! * [`BlockView`] — a block's induced sub-DAG as a flat, refillable
+//!   view of the parent graph ([`view`]), for questions that need the
+//!   sub-DAG's shape but not a graph of their own.
 //! * GraphViz DOT import/export ([`dot`]).
 //! * Deterministic random-graph builders for tests and benchmarks
 //!   ([`builder`]).
@@ -62,9 +65,11 @@ pub mod quotient;
 pub mod reach;
 pub mod topo;
 pub mod util;
+pub mod view;
 
 pub use graph::{Dag, EdgeData, EdgeId, NodeData, NodeId};
 pub use quotient::{BlockId, Partition, QuotientGraph};
+pub use view::BlockView;
 
 #[cfg(test)]
 mod proptests;

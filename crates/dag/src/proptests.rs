@@ -10,13 +10,14 @@ use crate::topo::{is_topological_order, topo_levels, topo_sort};
 use proptest::prelude::*;
 
 /// `Dag::induced_subgraph` as a scan of the whole edge list: the
-/// reference the adjacency-built one is held to.
+/// reference the adjacency-built one is held to. Like it, the copy
+/// keeps the weights of a task and drops its label.
 fn induced_by_edge_scan(g: &Dag, members: &[NodeId]) -> Dag {
     let mut local = vec![u32::MAX; g.node_count()];
     let mut sub = Dag::new();
     for (i, &u) in members.iter().enumerate() {
         local[u.idx()] = i as u32;
-        sub.add_node_data(g.node(u).clone());
+        sub.add_node(g.node(u).work, g.node(u).memory);
     }
     for e in g.edge_ids().map(|e| g.edge(e)) {
         let (ls, ld) = (local[e.src.idx()], local[e.dst.idx()]);
@@ -183,7 +184,9 @@ proptest! {
         keyed.sort_by_key(|&(key, _)| key);
         let mut g = Dag::new();
         for u in base.node_ids() {
-            g.add_node_data(base.node(u).clone());
+            let mut named = base.node(u).clone();
+            named.label = Some(format!("task-{u}"));
+            g.add_node_data(named);
         }
         for (_, e) in &keyed {
             g.add_edge(e.src, e.dst, e.volume);

@@ -1,6 +1,44 @@
 //! Topological orders and levels.
 
 use crate::graph::{Dag, NodeId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// Kahn's algorithm over any graph whose nodes are `0..indeg.len()`:
+/// `indeg[u]` holds the in-degree of `u` (counting parallel edges) and
+/// `children(u)` enumerates the targets of its out-edges. Among ready
+/// nodes the smallest id is emitted first, so the order is
+/// deterministic whatever order `children` yields.
+///
+/// `ready` is scratch: emptied on entry and left empty. Returns the
+/// number of nodes emitted, which is `indeg.len()` iff the graph is
+/// acyclic. The one implementation behind [`topo_sort`] and the
+/// topological order of a [`crate::view::BlockView`].
+pub fn kahn_min_id<I: Iterator<Item = u32>>(
+    indeg: &mut [u32],
+    ready: &mut BinaryHeap<Reverse<u32>>,
+    children: impl Fn(u32) -> I,
+    mut emit: impl FnMut(u32),
+) -> usize {
+    ready.clear();
+    ready.extend(
+        (0..indeg.len() as u32)
+            .filter(|&u| indeg[u as usize] == 0)
+            .map(Reverse),
+    );
+    let mut emitted = 0;
+    while let Some(Reverse(u)) = ready.pop() {
+        emit(u);
+        emitted += 1;
+        for v in children(u) {
+            indeg[v as usize] -= 1;
+            if indeg[v as usize] == 0 {
+                ready.push(Reverse(v));
+            }
+        }
+    }
+    emitted
+}
 
 /// Computes a topological order with Kahn's algorithm.
 ///
@@ -8,27 +46,15 @@ use crate::graph::{Dag, NodeId};
 /// smallest id is emitted first, so the order is deterministic.
 pub fn topo_sort(g: &Dag) -> Option<Vec<NodeId>> {
     let n = g.node_count();
-    let mut indeg: Vec<usize> = g.node_ids().map(|u| g.in_degree(u)).collect();
-    // Min-ordered ready list implemented as a BinaryHeap over Reverse ids.
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let mut ready: BinaryHeap<Reverse<u32>> = g
-        .node_ids()
-        .filter(|u| indeg[u.idx()] == 0)
-        .map(|u| Reverse(u.0))
-        .collect();
+    let mut indeg: Vec<u32> = g.node_ids().map(|u| g.in_degree(u) as u32).collect();
     let mut order = Vec::with_capacity(n);
-    while let Some(Reverse(u)) = ready.pop() {
-        let u = NodeId(u);
-        order.push(u);
-        for v in g.children(u) {
-            indeg[v.idx()] -= 1;
-            if indeg[v.idx()] == 0 {
-                ready.push(Reverse(v.0));
-            }
-        }
-    }
-    (order.len() == n).then_some(order)
+    let emitted = kahn_min_id(
+        &mut indeg,
+        &mut BinaryHeap::new(),
+        |u| g.children(NodeId(u)).map(|v| v.0),
+        |u| order.push(NodeId(u)),
+    );
+    (emitted == n).then_some(order)
 }
 
 /// Checks that `order` is a topological order of `g` covering every node

@@ -13,15 +13,16 @@
 //! ready set is therefore a plain binary heap and the traversal runs in
 //! `O((V + E) log V)`.
 
-use dhp_dag::{Dag, NodeId};
+use dhp_dag::{BlockView, Dag, NodeId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Min-heap entry: (delta, static transient part, id).
+#[derive(Debug)]
 struct Ready {
     delta: f64,
     transient: f64,
-    id: NodeId,
+    id: u32,
 }
 
 impl PartialEq for Ready {
@@ -46,43 +47,115 @@ impl Ord for Ready {
     }
 }
 
-/// Computes the memory-greedy topological order.
-pub fn greedy_order(g: &Dag, ext: &[f64]) -> Vec<NodeId> {
-    let n = g.node_count();
-    let mut indeg: Vec<usize> = g.node_ids().map(|u| g.in_degree(u)).collect();
+/// The tasks one greedy run orders: all of a view, or a non-SP core of
+/// it. A task's position in the set is its id for tie-breaking.
+pub(crate) trait TaskSet {
+    /// Number of tasks in the set.
+    fn len(&self) -> usize;
+    /// The task (local id of the view) at position `i`.
+    fn task(&self, i: u32) -> u32;
+    /// The position of view task `v`, `None` outside the set.
+    fn position(&self, v: u32) -> Option<u32>;
+}
 
-    // Per-node input/output volume sums.
-    let mut in_sum = vec![0.0f64; n];
-    let mut out_sum = vec![0.0f64; n];
-    for e in g.edge_ids() {
-        let ed = g.edge(e);
-        out_sum[ed.src.idx()] += ed.volume;
-        in_sum[ed.dst.idx()] += ed.volume;
+/// Every task of a view of `.0` tasks, in id order.
+pub(crate) struct AllTasks(pub usize);
+
+impl TaskSet for AllTasks {
+    fn len(&self) -> usize {
+        self.0
     }
+    fn task(&self, i: u32) -> u32 {
+        i
+    }
+    fn position(&self, v: u32) -> Option<u32> {
+        Some(v)
+    }
+}
 
-    let entry = |u: NodeId| Ready {
-        delta: out_sum[u.idx()] - in_sum[u.idx()],
-        transient: g.node(u).memory + out_sum[u.idx()] + ext[u.idx()],
-        id: u,
+/// Tables of one greedy run, indexed by position in the set.
+#[derive(Debug, Default)]
+pub(crate) struct GreedyScratch {
+    indeg: Vec<u32>,
+    delta: Vec<f64>,
+    transient: Vec<f64>,
+    ready: BinaryHeap<Ready>,
+}
+
+/// Writes the memory-greedy order of `set` into `out` (`set.len()`
+/// slots, view-local ids). Only edges inside the set order its tasks;
+/// files exchanged with the rest of the view are folded into the
+/// external load, so a core is ordered as the block it would be alone.
+pub(crate) fn greedy_into(
+    view: &BlockView,
+    set: &impl TaskSet,
+    s: &mut GreedyScratch,
+    out: &mut [u32],
+) {
+    let m = set.len();
+    debug_assert_eq!(out.len(), m);
+    let GreedyScratch {
+        indeg,
+        delta,
+        transient,
+        ready,
+    } = s;
+    indeg.clear();
+    delta.clear();
+    transient.clear();
+    ready.clear();
+    for i in 0..m as u32 {
+        let u = set.task(i);
+        let (mut boundary, mut in_sum, mut out_sum, mut internal_in) = (0.0f64, 0.0f64, 0.0f64, 0);
+        for (v, volume) in view.in_edges(u) {
+            if set.position(v).is_some() {
+                in_sum += volume;
+                internal_in += 1;
+            } else {
+                boundary += volume;
+            }
+        }
+        for (v, volume) in view.out_edges(u) {
+            if set.position(v).is_some() {
+                out_sum += volume;
+            } else {
+                boundary += volume;
+            }
+        }
+        // The selection key is static per task (module docs).
+        indeg.push(internal_in);
+        delta.push(out_sum - in_sum);
+        transient.push(view.memory(u) + out_sum + (view.ext(u) + boundary));
+    }
+    let entry = |i: usize| Ready {
+        delta: delta[i],
+        transient: transient[i],
+        id: i as u32,
     };
-
-    let mut ready: BinaryHeap<Ready> = g
-        .node_ids()
-        .filter(|&u| g.in_degree(u) == 0)
-        .map(entry)
-        .collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(Ready { id: u, .. }) = ready.pop() {
-        order.push(u);
-        for v in g.children(u) {
-            indeg[v.idx()] -= 1;
-            if indeg[v.idx()] == 0 {
-                ready.push(entry(v));
+    ready.extend((0..m).filter(|&i| indeg[i] == 0).map(entry));
+    let mut done = 0;
+    while let Some(Ready { id, .. }) = ready.pop() {
+        let u = set.task(id);
+        out[done] = u;
+        done += 1;
+        for &v in view.children(u) {
+            let Some(j) = set.position(v) else { continue };
+            let j = j as usize;
+            indeg[j] -= 1;
+            if indeg[j] == 0 {
+                ready.push(entry(j));
             }
         }
     }
-    debug_assert_eq!(order.len(), n, "graph must be acyclic");
-    order
+    debug_assert_eq!(done, m, "graph must be acyclic");
+}
+
+/// Computes the memory-greedy topological order.
+pub fn greedy_order(g: &Dag, ext: &[f64]) -> Vec<NodeId> {
+    crate::with_workspace(|ws| {
+        ws.load_graph(g, ext);
+        ws.greedy_order().iter().map(|&u| NodeId(u)).collect()
+    })
 }
 
 #[cfg(test)]

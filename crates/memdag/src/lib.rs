@@ -36,9 +36,41 @@
 //! * [`greedy`] — memory-greedy list traversal used both inside `Complex`
 //!   cores and as an independent strategy.
 //! * [`best_traversal`] — runs all strategies and returns the best order
-//!   found together with its exactly evaluated peak.
+//!   found together with its exactly evaluated peak;
+//!   [`block_traversal`] / [`block_peak`] ask the same of a block of a
+//!   larger graph without building its sub-DAG.
 //! * [`dpopt::dp_min_peak`] — exact optimum by subset DP (≤ 20 nodes),
 //!   the referee used by the property tests.
+//!
+//! ## One kernel, one workspace
+//!
+//! Every entry point above runs the same flat kernel. The graph in
+//! question — a whole [`dhp_dag::Dag`], or the members of a block viewed
+//! in place — is written once into a [`dhp_dag::BlockView`] (dense
+//! local ids, CSR adjacency in the parent's edge order, per-task
+//! input / output sums, boundary files folded into the external load),
+//! and the topological order, the greedy order, the decomposition, the
+//! merge and the three evaluations all read that one representation.
+//! The view and every piece of scratch live in a per-thread workspace:
+//!
+//! * the view itself, with its parent-id table (the only table as long
+//!   as the workflow; wiped member by member after each fill);
+//! * the three candidate orders, the in-degree table and the ready
+//!   heaps of the topological and greedy orders, the greedy keys;
+//! * the decomposition: one node buffer that series splits cut into
+//!   ranges and parallel splits sort by component, the position table
+//!   that makes "is `v` in this set" a range check, separator flags,
+//!   one difference array, component ids and counting-sort slots, the
+//!   flat pre-order tree;
+//! * the merge: a stack of segments (ranges of the order buffer with
+//!   their peak and delta), the queue bounds, the heap of queue heads.
+//!
+//! Tables are rewritten from their start by each question, heaps and
+//! stacks are drained by the routine that fills them, so nothing
+//! carries over — and a question no larger than an earlier one on the
+//! same thread allocates nothing. A `&Dag` is simply the view whose
+//! members are all its nodes: there is no second implementation for
+//! whole workflows.
 //!
 //! ```
 //! // A fork where one branch produces a big intermediate file: the
@@ -66,13 +98,17 @@ pub mod greedy;
 pub mod liveness;
 pub mod spdecomp;
 pub mod sptraversal;
+mod workspace;
 
 pub use dpopt::{dp_min_peak, dp_min_peak_plain};
 
 use dhp_dag::{Dag, NodeId};
+use workspace::with_workspace;
 
 #[cfg(test)]
 mod proptests;
+#[cfg(test)]
+mod reference_tests;
 
 /// A traversal and its exactly evaluated peak memory.
 #[derive(Clone, Debug, PartialEq)]
@@ -101,38 +137,59 @@ pub fn best_traversal(g: &Dag, ext: &[f64]) -> Traversal {
             peak: 0.0,
         };
     }
-    let topo = dhp_dag::topo::topo_sort(g).expect("best_traversal requires a DAG");
-
-    let mut best = Traversal {
-        peak: liveness::traversal_peak(g, ext, &topo),
-        order: topo,
-    };
-
-    let greedy = greedy::greedy_order(g, ext);
-    let gp = liveness::traversal_peak(g, ext, &greedy);
-    if gp < best.peak {
-        best = Traversal {
-            order: greedy,
-            peak: gp,
-        };
-    }
-
-    let sp = sptraversal::sp_order(g, ext);
-    let sp_peak = liveness::traversal_peak(g, ext, &sp);
-    if sp_peak < best.peak {
-        best = Traversal {
-            order: sp,
-            peak: sp_peak,
-        };
-    }
-
-    best
+    with_workspace(|ws| {
+        ws.load_graph(g, ext);
+        ws.best_traversal()
+    })
 }
 
 /// Convenience wrapper: the minimum peak memory found for `g` with no
 /// external load (`r` of the whole workflow on one processor).
 pub fn min_peak(g: &Dag) -> f64 {
-    best_traversal(g, &vec![0.0; g.node_count()]).peak
+    if g.is_empty() {
+        return 0.0;
+    }
+    with_workspace(|ws| {
+        ws.view.fill_graph(g);
+        ws.best().0
+    })
+}
+
+/// [`best_traversal`] of the block `members` of `g` (any order, no
+/// duplicates): the sub-DAG the members induce, each member's external
+/// load being the total volume of its files to and from the rest of
+/// `g`. The order is in ids of `g`.
+///
+/// The block is viewed in place ([`dhp_dag::BlockView`]) — no sub-DAG
+/// is built — and the answer is, to the bit and to the task, that of
+/// [`best_traversal`] on the `Dag` the ascending members induce.
+///
+/// # Panics
+/// Panics if the induced sub-DAG is cyclic, or a member is listed twice
+/// or is not a node of `g`.
+pub fn block_traversal(g: &Dag, members: &[NodeId]) -> Traversal {
+    if members.is_empty() {
+        return Traversal {
+            order: Vec::new(),
+            peak: 0.0,
+        };
+    }
+    with_workspace(|ws| {
+        ws.view.fill_block(g, members);
+        ws.best_traversal()
+    })
+}
+
+/// The peak of [`block_traversal`] without its order: on a workspace
+/// that has seen a block this large, it allocates nothing.
+pub fn block_peak(g: &Dag, members: &[NodeId]) -> f64 {
+    if members.is_empty() {
+        return 0.0;
+    }
+    with_workspace(|ws| {
+        ws.view.fill_block(g, members);
+        ws.best().0
+    })
 }
 
 #[cfg(test)]

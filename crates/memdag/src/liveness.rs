@@ -1,7 +1,7 @@
 //! Exact liveness-based evaluation of a traversal's peak memory, plus a
 //! brute-force optimum for validation on small graphs.
 
-use dhp_dag::{Dag, NodeId};
+use dhp_dag::{BlockView, Dag, NodeId};
 
 /// Exact peak memory of executing `order` (a topological order of all of
 /// `g`'s tasks) under the block memory model (see crate docs).
@@ -15,20 +15,28 @@ use dhp_dag::{Dag, NodeId};
 pub fn traversal_peak(g: &Dag, ext: &[f64], order: &[NodeId]) -> f64 {
     debug_assert_eq!(order.len(), g.node_count());
     debug_assert!(dhp_dag::topo::is_topological_order(g, order));
+    crate::with_workspace(|ws| {
+        ws.load_graph(g, ext);
+        peak_of(&ws.view, order.iter().map(|u| u.0))
+    })
+}
+
+/// Peak of executing all of `view`'s tasks in `order` (local ids): the
+/// one evaluation behind [`traversal_peak`] and every strategy of
+/// [`crate::best_traversal`].
+pub(crate) fn peak_of(view: &BlockView, order: impl IntoIterator<Item = u32>) -> f64 {
     let mut live = 0.0f64; // resident internal files
     let mut peak = 0.0f64;
-    for &u in order {
-        let node = g.node(u);
+    for u in order {
         // Outputs of u are written while u runs; inputs of u are already
         // counted in `live` (produced earlier), external load is transient.
-        let outputs: f64 = g.out_edges(u).iter().map(|&e| g.edge(e).volume).sum();
-        let inputs: f64 = g.in_edges(u).iter().map(|&e| g.edge(e).volume).sum();
-        let current = live + node.memory + outputs + ext[u.idx()];
+        let (outputs, inputs) = (view.out_sum(u), view.in_sum(u));
+        let current = live + view.memory(u) + outputs + view.ext(u);
         peak = peak.max(current);
         live += outputs - inputs;
     }
     debug_assert!(
-        live.abs() < 1e-6 * (1.0 + g.total_volume()),
+        live.abs() < 1e-6 * (1.0 + view.total_volume()),
         "all internal files must be consumed, residual {live}"
     );
     peak

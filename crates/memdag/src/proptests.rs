@@ -2,10 +2,12 @@
 
 use crate::dpopt::dp_min_peak;
 use crate::liveness::{brute_force_min, traversal_peak};
-use crate::{best_traversal, spdecomp};
+use crate::reference_tests as reference;
+use crate::{best_traversal, block_peak, block_traversal, greedy, spdecomp, sptraversal};
 use dhp_dag::builder;
 use dhp_dag::topo::is_topological_order;
-use dhp_dag::Dag;
+use dhp_dag::util::BitSet;
+use dhp_dag::{Dag, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,6 +25,181 @@ fn random_out_tree(n: usize, seed: u64) -> Dag {
         g.add_edge(ids[p], ids[i], rng.random_range(1.0..15.0));
     }
     g
+}
+
+/// The shapes the kernel is held to the reference on: `0` a random
+/// DAG with about a third of its edges doubled (later edge ids, other
+/// volumes), `1` two random DAGs side by side, `2` the non-SP "N"
+/// between a fork and a join with a random tail, `3` `source → c ×
+/// (a → b) → sink` with `c ≥ 50` — a parallel stage of two-node
+/// components.
+fn shaped_dag(shape: usize, n: usize, seed: u64) -> Dag {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    let mut weight = move |hi: f64| rng.random_range(0.5..hi);
+    match shape {
+        0 => {
+            let mut g = builder::gnp_dag_weighted(n, 0.25, seed);
+            for e in g.edge_ids().filter(|e| e.0 % 3 == 0).collect::<Vec<_>>() {
+                let (src, dst) = (g.edge(e).src, g.edge(e).dst);
+                g.add_edge(src, dst, weight(9.0));
+            }
+            g
+        }
+        1 => {
+            let mut g = builder::gnp_dag_weighted(n, 0.3, seed);
+            let other = builder::gnp_dag_weighted(n / 2 + 1, 0.4, seed.rotate_left(9));
+            let shift = g.node_count() as u32;
+            for u in other.node_ids() {
+                g.add_node(other.node(u).work, other.node(u).memory);
+            }
+            for e in other.edge_ids().map(|e| other.edge(e)) {
+                g.add_edge(NodeId(e.src.0 + shift), NodeId(e.dst.0 + shift), e.volume);
+            }
+            g
+        }
+        2 => {
+            let mut g = Dag::new();
+            let ids: Vec<NodeId> = (0..6 + n).map(|_| g.add_node(1.0, weight(20.0))).collect();
+            let [s, s1, s2, t1, t2, t] = [0, 1, 2, 3, 4, 5].map(|i| ids[i]);
+            for (u, v) in [
+                (s, s1),
+                (s, s2),
+                (s1, t1),
+                (s1, t2),
+                (s2, t2),
+                (t1, t),
+                (t2, t),
+            ] {
+                g.add_edge(u, v, weight(15.0));
+            }
+            for i in 6..6 + n {
+                g.add_edge(ids[5 + (i - 6) / 2], ids[i], weight(15.0));
+            }
+            g
+        }
+        _ => {
+            let c = 50 + n;
+            let mut g = Dag::new();
+            let source = g.add_node(1.0, weight(20.0));
+            let sink = g.add_node(1.0, weight(20.0));
+            for _ in 0..c {
+                let a = g.add_node(1.0, weight(20.0));
+                let b = g.add_node(1.0, weight(20.0));
+                g.add_edge(source, a, weight(15.0));
+                g.add_edge(a, b, weight(15.0));
+                g.add_edge(b, sink, weight(15.0));
+            }
+            g
+        }
+    }
+}
+
+/// About `keep` in 8 of `g`'s tasks (at least two), in scrambled order.
+fn scrambled_members(g: &Dag, keep: u64, seed: u64) -> Vec<NodeId> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut picked: Vec<(u64, NodeId)> = g
+        .node_ids()
+        .map(|u| (rng.random_range(0..u64::MAX), u))
+        .filter(|(key, _)| key % 8 < keep)
+        .collect();
+    if picked.len() < 2 {
+        picked = g.node_ids().take(2).map(|u| (0, u)).collect();
+    }
+    picked.sort_unstable();
+    picked.into_iter().map(|(_, u)| u).collect()
+}
+
+/// The block the way it was asked about before the flat view: the
+/// induced sub-DAG of the ascending members, their boundary loads, and
+/// the reference traversal mapped back to ids of `g`.
+fn reference_block(g: &Dag, members: &[NodeId]) -> (Dag, Vec<f64>, crate::Traversal) {
+    let mut sorted = members.to_vec();
+    sorted.sort_unstable();
+    let (sub, back) = g.induced_subgraph(&sorted);
+    let mut member = BitSet::new(g.node_count());
+    for &u in &sorted {
+        member.set(u.idx());
+    }
+    let ext: Vec<f64> = back
+        .iter()
+        .map(|&orig| {
+            let mut boundary = 0.0;
+            for &e in g.in_edges(orig) {
+                if !member.get(g.edge(e).src.idx()) {
+                    boundary += g.edge(e).volume;
+                }
+            }
+            for &e in g.out_edges(orig) {
+                if !member.get(g.edge(e).dst.idx()) {
+                    boundary += g.edge(e).volume;
+                }
+            }
+            boundary
+        })
+        .collect();
+    let mut best = reference::best_traversal(&sub, &ext);
+    for u in &mut best.order {
+        *u = back[u.idx()];
+    }
+    (sub, ext, best)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The flat kernel on a view of the parent ≡ the old pipeline on
+    /// the induced `Dag`, peak bits and order — asked on one workspace
+    /// as a large block, then a tiny one, then the large one again, so
+    /// a table left dirty between questions shows.
+    #[test]
+    fn block_kernel_equals_the_dag_reference(
+        shape in 0usize..4,
+        n in 4usize..40,
+        keep in 3u64..9,
+        seed in any::<u64>(),
+    ) {
+        let g = shaped_dag(shape, n, seed);
+        let large = scrambled_members(&g, keep, seed);
+        let tiny: Vec<NodeId> = large.iter().rev().take(2 + (seed % 3) as usize).copied().collect();
+        for members in [&large, &tiny, &large] {
+            let (_, _, want) = reference_block(&g, members);
+            let got = block_traversal(&g, members);
+            prop_assert_eq!(got.peak.to_bits(), want.peak.to_bits());
+            prop_assert_eq!(&got.order, &want.order);
+            prop_assert_eq!(block_peak(&g, members).to_bits(), want.peak.to_bits());
+        }
+    }
+
+    /// Every public strategy on a `Dag` (the view whose members are all
+    /// its nodes) ≡ its old self, under a non-zero external load.
+    #[test]
+    fn every_strategy_equals_its_reference(
+        shape in 0usize..4,
+        n in 4usize..40,
+        keep in 3u64..9,
+        seed in any::<u64>(),
+    ) {
+        let whole = shaped_dag(shape, n, seed);
+        // Both a whole workflow and the sub-DAG of a block of it.
+        let (sub, sub_ext, _) = reference_block(&whole, &scrambled_members(&whole, keep, seed));
+        let whole_ext: Vec<f64> = whole.node_ids().map(|u| (u.0 % 5) as f64 * 1.5).collect();
+        for (g, ext) in [(&whole, &whole_ext), (&sub, &sub_ext)] {
+            prop_assert_eq!(spdecomp::decompose(g), reference::decompose(g));
+            let greedy = greedy::greedy_order(g, ext);
+            prop_assert_eq!(&greedy, &reference::greedy_order(g, ext));
+            let sp = sptraversal::sp_order(g, ext);
+            prop_assert_eq!(&sp, &reference::sp_order(g, ext));
+            for order in [&greedy, &sp] {
+                prop_assert_eq!(
+                    traversal_peak(g, ext, order).to_bits(),
+                    reference::traversal_peak(g, ext, order).to_bits()
+                );
+            }
+            let (got, want) = (best_traversal(g, ext), reference::best_traversal(g, ext));
+            prop_assert_eq!(got.peak.to_bits(), want.peak.to_bits());
+            prop_assert_eq!(got.order, want.order);
+        }
+    }
 }
 
 proptest! {

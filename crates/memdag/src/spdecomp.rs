@@ -19,8 +19,17 @@
 //! On a two-terminal node-SP graph the result contains no `Complex`
 //! nodes, which is what makes the Liu-style merge in
 //! [`crate::sptraversal`] exact there.
+//!
+//! The decomposition works on one buffer holding the node set in
+//! topological order: a series stage is a sub-range of it, a parallel
+//! split sorts a range by component (a stable counting sort, so every
+//! component keeps its topological order and components stay ordered by
+//! their first node) and each component is a sub-range again. The tree
+//! is therefore a flat pre-order list of `(kind, range)` nodes, written
+//! into tables the caller's workspace owns; [`decompose`] turns it into
+//! an owned [`SpTree`], [`crate::sptraversal`] orders straight from it.
 
-use dhp_dag::{Dag, NodeId};
+use dhp_dag::{BlockView, Dag, NodeId};
 
 /// The decomposition tree.
 #[derive(Clone, Debug, PartialEq)]
@@ -86,159 +95,302 @@ impl SpTree {
 /// # Panics
 /// Panics if `g` is cyclic.
 pub fn decompose(g: &Dag) -> SpTree {
-    let order = dhp_dag::topo::topo_sort(g).expect("decompose requires a DAG");
-    if order.is_empty() {
+    if g.is_empty() {
         return SpTree::Series(Vec::new());
     }
-    let mut pos = vec![usize::MAX; g.node_count()];
-    for (i, &u) in order.iter().enumerate() {
-        pos[u.idx()] = i;
-    }
-    decompose_set(g, &pos, order)
+    crate::with_workspace(|ws| {
+        ws.view.fill_graph(g);
+        ws.topo_order("decompose requires a DAG");
+        decompose_into(&ws.view, &ws.topo, &mut ws.decomp);
+        flatten(ws.decomp.to_tree(0, ws.view.members()))
+    })
 }
 
-/// Decomposes a node subset given in ascending global topological
-/// position (`pos`).
-#[allow(clippy::only_used_in_recursion)]
-fn decompose_set(g: &Dag, pos: &[usize], nodes: Vec<NodeId>) -> SpTree {
-    let m = nodes.len();
-    if m == 1 {
-        return SpTree::Leaf(nodes[0]);
+/// What a node of the flat tree is; the [`SpTree`] variants.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum SpKind {
+    Leaf,
+    Series,
+    Parallel,
+    Complex,
+}
+
+/// One node of the flat tree: it covers `nodes[lo..hi]` of the
+/// decomposition's buffer, and its subtree is `tree[self..end]` in
+/// pre-order (the first child is the next entry, a sibling starts where
+/// the previous one's subtree ends).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SpNode {
+    pub kind: SpKind,
+    pub lo: u32,
+    pub hi: u32,
+    pub end: u32,
+}
+
+/// The flat decomposition of one view plus the scratch that built it.
+/// Every table is indexed by view-local id or by buffer position and is
+/// rewritten from the start by the next [`decompose_into`]: nothing
+/// carries over between views.
+#[derive(Debug, Default)]
+pub(crate) struct Decomposition {
+    /// The view's tasks: topological order on entry, tree order after.
+    pub nodes: Vec<u32>,
+    /// `pos[u]` = index of task `u` in `nodes`, so "is `u` in the set
+    /// `nodes[lo..hi]`" is a range check ([`Self::index_in`]).
+    pos: Vec<u32>,
+    /// Pre-order tree; `tree[0]` is the root.
+    pub tree: Vec<SpNode>,
+    /// `sep[p]`: `nodes[p]` is a separator of the set being split.
+    /// Written per set over its own range only, so a caller walking its
+    /// range left to right may recurse into what it has passed.
+    sep: Vec<bool>,
+    /// Difference array of the current set (`m + 1` entries); dead
+    /// before any recursion.
+    diff: Vec<i64>,
+    /// Component of each task in the range being split.
+    comp: Vec<u32>,
+    /// Next free slot of each component during the counting sort.
+    slot: Vec<u32>,
+    /// The range being sorted, by component.
+    sorted: Vec<u32>,
+    /// Depth-first stack of the component search.
+    stack: Vec<u32>,
+    /// Stack of component end positions: a split pushes one per
+    /// component, its caller pops them when it has recursed into all.
+    ends: Vec<u32>,
+}
+
+const UNSEEN: u32 = u32::MAX;
+
+/// Decomposes all of `view`, given its topological order.
+pub(crate) fn decompose_into(view: &BlockView, topo: &[u32], d: &mut Decomposition) {
+    let n = topo.len();
+    debug_assert!(n > 0 && n == view.len());
+    d.nodes.clear();
+    d.nodes.extend_from_slice(topo);
+    d.pos.resize(n, 0);
+    for (i, &u) in topo.iter().enumerate() {
+        d.pos[u as usize] = i as u32;
     }
-    // Local index of each node (usize::MAX = not in set). A scratch map
-    // allocated per call; sets shrink geometrically so this stays cheap.
-    let mut local = vec![usize::MAX; g.node_count()];
-    for (i, &u) in nodes.iter().enumerate() {
-        local[u.idx()] = i;
+    d.sep.resize(n, false);
+    d.comp.resize(n, UNSEEN);
+    d.sorted.resize(n, 0);
+    d.tree.clear();
+    d.ends.clear();
+    d.decompose_set(view, 0, n as u32);
+}
+
+impl Decomposition {
+    /// Position of `v` relative to `lo` if it lies in `nodes[lo..hi]`.
+    #[inline]
+    pub fn index_in(&self, v: u32, lo: u32, hi: u32) -> Option<u32> {
+        let p = self.pos[v as usize];
+        (lo <= p && p < hi).then(|| p - lo)
     }
 
-    // cover[i] = number of edges spanning position i (exclusive of
-    // endpoints), built with a difference array.
-    let mut diff = vec![0i64; m + 1];
-    let span = |lo: usize, hi: usize, diff: &mut Vec<i64>| {
-        // covers positions lo..=hi
-        if lo <= hi {
-            diff[lo] += 1;
-            diff[hi + 1] -= 1;
+    /// Opens a tree node over `nodes[lo..hi]`; [`Self::close`] it after
+    /// its children.
+    fn open(&mut self, kind: SpKind, lo: u32, hi: u32) -> usize {
+        self.tree.push(SpNode {
+            kind,
+            lo,
+            hi,
+            end: self.tree.len() as u32 + 1,
+        });
+        self.tree.len() - 1
+    }
+
+    fn close(&mut self, node: usize) {
+        self.tree[node].end = self.tree.len() as u32;
+    }
+
+    /// Decomposes the set `nodes[lo..hi]` (ascending topological
+    /// position) and appends its subtree.
+    fn decompose_set(&mut self, view: &BlockView, lo: u32, hi: u32) {
+        if hi - lo == 1 {
+            self.open(SpKind::Leaf, lo, hi);
+            return;
         }
-    };
-    let mut internal_in = vec![0usize; m];
-    let mut internal_out = vec![0usize; m];
-    for (i, &u) in nodes.iter().enumerate() {
-        for &e in g.out_edges(u) {
-            let v = g.edge(e).dst;
-            let j = local[v.idx()];
-            if j != usize::MAX {
-                internal_out[i] += 1;
-                internal_in[j] += 1;
-                if j > i + 1 {
-                    span(i + 1, j - 1, &mut diff);
-                }
+        if !self.mark_separators(view, lo, hi) {
+            // No series structure: try parallel split.
+            let base = self.ends.len();
+            if self.split_components(view, lo, hi) == 1 {
+                self.open(SpKind::Complex, lo, hi);
+            } else {
+                self.parallel(view, lo, hi, base);
             }
+            self.ends.truncate(base);
+            return;
         }
-    }
-    // Virtual source edges to every internal source v: cover 0..iv-1.
-    // Virtual sink edges from every internal sink v: cover iv+1..m-1.
-    for i in 0..m {
-        if internal_in[i] == 0 && i >= 1 {
-            span(0, i - 1, &mut diff);
-        }
-        if internal_out[i] == 0 && i + 1 < m {
-            span(i + 1, m - 1, &mut diff);
-        }
-    }
-    let mut cover = vec![0i64; m];
-    let mut acc = 0i64;
-    for i in 0..m {
-        acc += diff[i];
-        cover[i] = acc;
-    }
-
-    let separators: Vec<usize> = (0..m).filter(|&i| cover[i] == 0).collect();
-
-    if separators.is_empty() {
-        // No series structure: try parallel split.
-        let comps = weak_components(g, &local, &nodes);
-        if comps.len() == 1 {
-            return SpTree::Complex(nodes);
-        }
-        let children = comps
-            .into_iter()
-            .map(|c| decompose_set(g, pos, c))
-            .collect();
-        return flatten(SpTree::Parallel(children));
-    }
-
-    // Series structure: separators are singleton stages; maximal runs of
-    // non-separators between them are parallel-decomposed intervals.
-    let is_sep: Vec<bool> = {
-        let mut v = vec![false; m];
-        for &s in &separators {
-            v[s] = true;
-        }
-        v
-    };
-    let mut stages: Vec<SpTree> = Vec::new();
-    let mut i = 0usize;
-    while i < m {
-        if is_sep[i] {
-            stages.push(SpTree::Leaf(nodes[i]));
-            i += 1;
-        } else {
+        // Series structure: separators are singleton stages; maximal runs of
+        // non-separators between them are parallel-decomposed intervals.
+        let series = self.open(SpKind::Series, lo, hi);
+        let mut i = lo;
+        while i < hi {
+            if self.sep[i as usize] {
+                self.open(SpKind::Leaf, i, i + 1);
+                i += 1;
+                continue;
+            }
             let start = i;
-            while i < m && !is_sep[i] {
+            while i < hi && !self.sep[i as usize] {
                 i += 1;
             }
-            let interval: Vec<NodeId> = nodes[start..i].to_vec();
-            let comps = weak_components(g, &local, &interval);
-            if comps.len() == 1 {
-                stages.push(decompose_set(g, pos, interval));
+            let base = self.ends.len();
+            if self.split_components(view, start, i) == 1 {
+                self.decompose_set(view, start, i);
             } else {
-                let children = comps
-                    .into_iter()
-                    .map(|c| decompose_set(g, pos, c))
-                    .collect();
-                stages.push(flatten(SpTree::Parallel(children)));
+                self.parallel(view, start, i, base);
             }
+            self.ends.truncate(base);
         }
+        self.close(series);
     }
-    flatten(SpTree::Series(stages))
-}
 
-/// Weakly connected components of the induced subgraph on `subset`
-/// (edges with both endpoints inside). Components are returned with
-/// nodes in ascending topological position, components ordered by their
-/// first node.
-fn weak_components(g: &Dag, local: &[usize], subset: &[NodeId]) -> Vec<Vec<NodeId>> {
-    let mut in_subset = vec![false; g.node_count()];
-    for &u in subset {
-        in_subset[u.idx()] = true;
-    }
-    let _ = local;
-    let mut comp = vec![usize::MAX; g.node_count()];
-    let mut next = 0usize;
-    for &root in subset {
-        if comp[root.idx()] != usize::MAX {
-            continue;
+    /// Appends the parallel node over `nodes[lo..hi]`, whose components
+    /// end at the positions `ends[base..]`.
+    fn parallel(&mut self, view: &BlockView, lo: u32, hi: u32, base: usize) {
+        let parallel = self.open(SpKind::Parallel, lo, hi);
+        let mut start = lo;
+        for c in base..self.ends.len() {
+            let end = self.ends[c];
+            self.decompose_set(view, start, end);
+            start = end;
         }
-        let mut stack = vec![root];
-        comp[root.idx()] = next;
-        while let Some(u) = stack.pop() {
-            let neighbours = g.children(u).chain(g.parents(u)).collect::<Vec<_>>();
-            for v in neighbours {
-                if in_subset[v.idx()] && comp[v.idx()] == usize::MAX {
-                    comp[v.idx()] = next;
-                    stack.push(v);
+        self.close(parallel);
+    }
+
+    /// Sets `sep[p]` for every `p` of `lo..hi`: `nodes[p]` is a
+    /// separator iff no edge of the set, nor a virtual edge from the
+    /// source or to the sink, spans its position. Returns whether there
+    /// is any.
+    fn mark_separators(&mut self, view: &BlockView, lo: u32, hi: u32) -> bool {
+        let m = (hi - lo) as usize;
+        // cover[i] = number of edges spanning position i (exclusive of
+        // endpoints), built with a difference array.
+        self.diff.clear();
+        self.diff.resize(m + 1, 0);
+        for i in 0..m {
+            let u = self.nodes[lo as usize + i];
+            let mut internal_out = 0usize;
+            for &v in view.children(u) {
+                let Some(j) = self.index_in(v, lo, hi) else {
+                    continue;
+                };
+                let j = j as usize;
+                internal_out += 1;
+                if j > i + 1 {
+                    // covers positions i+1..=j-1
+                    self.diff[i + 1] += 1;
+                    self.diff[j] -= 1;
                 }
             }
+            let internal_in = view
+                .parents(u)
+                .iter()
+                .filter(|&&v| self.index_in(v, lo, hi).is_some())
+                .count();
+            // Virtual source edges to every internal source: cover 0..=i-1.
+            // Virtual sink edges from every internal sink: cover i+1..=m-1.
+            if internal_in == 0 && i >= 1 {
+                self.diff[0] += 1;
+                self.diff[i] -= 1;
+            }
+            if internal_out == 0 && i + 1 < m {
+                self.diff[i + 1] += 1;
+                self.diff[m] -= 1;
+            }
         }
-        next += 1;
+        let mut any = false;
+        let mut cover = 0i64;
+        for i in 0..m {
+            cover += self.diff[i];
+            self.sep[lo as usize + i] = cover == 0;
+            any |= cover == 0;
+        }
+        any
     }
-    let mut out = vec![Vec::new(); next];
-    for &u in subset {
-        out[comp[u.idx()]].push(u);
+
+    /// Sorts `nodes[lo..hi]` by weakly connected component of the
+    /// sub-DAG the range induces (edges with both endpoints inside):
+    /// components ordered by their first node, each keeping its
+    /// ascending topological position. Pushes the end position of every
+    /// component onto `ends` and returns how many there are.
+    fn split_components(&mut self, view: &BlockView, lo: u32, hi: u32) -> usize {
+        let range = lo as usize..hi as usize;
+        for p in range.clone() {
+            self.comp[self.nodes[p] as usize] = UNSEEN;
+        }
+        let mut count = 0u32;
+        for p in range.clone() {
+            let root = self.nodes[p];
+            if self.comp[root as usize] != UNSEEN {
+                continue;
+            }
+            self.comp[root as usize] = count;
+            self.stack.push(root);
+            while let Some(u) = self.stack.pop() {
+                for &v in view.children(u).iter().chain(view.parents(u)) {
+                    if self.index_in(v, lo, hi).is_some() && self.comp[v as usize] == UNSEEN {
+                        self.comp[v as usize] = count;
+                        self.stack.push(v);
+                    }
+                }
+            }
+            count += 1;
+        }
+        if count == 1 {
+            self.ends.push(hi);
+            return 1;
+        }
+        // Counting sort by component, stable.
+        self.slot.clear();
+        self.slot.resize(count as usize, 0);
+        for p in range.clone() {
+            self.slot[self.comp[self.nodes[p] as usize] as usize] += 1;
+        }
+        let mut start = lo;
+        for slot in &mut self.slot {
+            let size = *slot;
+            *slot = start;
+            start += size;
+            self.ends.push(start);
+        }
+        for p in range.clone() {
+            let u = self.nodes[p];
+            let slot = &mut self.slot[self.comp[u as usize] as usize];
+            self.sorted[*slot as usize] = u;
+            *slot += 1;
+        }
+        for p in range {
+            let u = self.sorted[p];
+            self.nodes[p] = u;
+            self.pos[u as usize] = p as u32;
+        }
+        count as usize
     }
-    out
+
+    /// The subtree at `tree[t]` as an owned [`SpTree`] over the ids
+    /// `members` gives the view's tasks.
+    fn to_tree(&self, t: usize, members: &[NodeId]) -> SpTree {
+        let SpNode { kind, lo, hi, end } = self.tree[t];
+        let task = |p: u32| members[self.nodes[p as usize] as usize];
+        let children = || {
+            let mut out = Vec::new();
+            let mut child = t + 1;
+            while child < end as usize {
+                out.push(self.to_tree(child, members));
+                child = self.tree[child].end as usize;
+            }
+            out
+        };
+        match kind {
+            SpKind::Leaf => SpTree::Leaf(task(lo)),
+            SpKind::Series => SpTree::Series(children()),
+            SpKind::Parallel => SpTree::Parallel(children()),
+            SpKind::Complex => SpTree::Complex((lo..hi).map(task).collect()),
+        }
+    }
 }
 
 /// Collapses nested single-child / same-kind nodes for canonical trees.
@@ -252,10 +404,9 @@ fn flatten(t: SpTree) -> SpTree {
                     other => out.push(other),
                 }
             }
-            if out.len() == 1 {
-                out.pop().unwrap()
-            } else {
-                SpTree::Series(out)
+            match <[SpTree; 1]>::try_from(out) {
+                Ok([only]) => only,
+                Err(out) => SpTree::Series(out),
             }
         }
         SpTree::Parallel(c) => {
@@ -266,10 +417,9 @@ fn flatten(t: SpTree) -> SpTree {
                     other => out.push(other),
                 }
             }
-            if out.len() == 1 {
-                out.pop().unwrap()
-            } else {
-                SpTree::Parallel(out)
+            match <[SpTree; 1]>::try_from(out) {
+                Ok([only]) => only,
+                Err(out) => SpTree::Parallel(out),
             }
         }
         other => other,

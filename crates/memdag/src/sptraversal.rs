@@ -10,129 +10,259 @@
 //! Liu's optimal merging for tree-shaped profiles and a strong heuristic
 //! in general; the final order is always evaluated exactly by the caller.
 
-use crate::greedy;
-use crate::spdecomp::{decompose, SpTree};
-use dhp_dag::util::BitSet;
-use dhp_dag::{Dag, NodeId};
+use crate::greedy::{greedy_into, GreedyScratch, TaskSet};
+use crate::spdecomp::{decompose_into, Decomposition, SpKind};
+use dhp_dag::{BlockView, Dag, NodeId};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
-/// An atomic run of tasks with its relative memory profile.
-#[derive(Clone, Debug)]
+/// An atomic run of tasks — `order[lo..hi]` of the component it was cut
+/// from — with its relative memory profile.
+#[derive(Clone, Copy, Debug)]
 struct Segment {
-    tasks: Vec<NodeId>,
+    lo: u32,
+    hi: u32,
     /// Peak memory during the segment, relative to the segment start.
     peak: f64,
     /// Net memory delta across the segment.
     delta: f64,
 }
 
+/// Head of a component's segment queue in the merge heap.
+#[derive(Debug)]
+struct Head {
+    class: u8,
+    key: f64,
+    queue: u32,
+    index: u32,
+}
+
+impl PartialEq for Head {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Head {}
+impl PartialOrd for Head {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Head {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // max-heap: best segment = smallest (class, key, queue)
+        other
+            .class
+            .cmp(&self.class)
+            .then(other.key.total_cmp(&self.key))
+            .then(other.queue.cmp(&self.queue))
+    }
+}
+
+/// Scratch of the merges of one traversal. `segments` and `queues` are
+/// stacks: a parallel stage pushes its components' segments, merges
+/// them and pops them, and stages nested inside its components have
+/// come and gone by then. The heap is empty outside a merge.
+#[derive(Debug, Default)]
+pub(crate) struct MergeScratch {
+    segments: Vec<Segment>,
+    /// One `segments` range per component of the stages being merged.
+    queues: Vec<(u32, u32)>,
+    heads: BinaryHeap<Head>,
+    /// The merged order of the stage, before it is written back.
+    merged: Vec<u32>,
+}
+
+/// A non-SP core: the tasks `nodes[lo..hi]` of a decomposition, in
+/// topological order.
+struct Core<'a> {
+    d: &'a Decomposition,
+    lo: u32,
+    hi: u32,
+}
+
+impl TaskSet for Core<'_> {
+    fn len(&self) -> usize {
+        (self.hi - self.lo) as usize
+    }
+    fn task(&self, i: u32) -> u32 {
+        self.d.nodes[(self.lo + i) as usize]
+    }
+    fn position(&self, v: u32) -> Option<u32> {
+        self.d.index_in(v, self.lo, self.hi)
+    }
+}
+
 /// Computes a traversal order guided by the SP decomposition.
 pub fn sp_order(g: &Dag, ext: &[f64]) -> Vec<NodeId> {
-    let tree = decompose(g);
-    order_of(g, ext, &tree)
+    if g.is_empty() {
+        return Vec::new();
+    }
+    crate::with_workspace(|ws| {
+        ws.load_graph(g, ext);
+        ws.topo_order("sp_order requires a DAG");
+        ws.sp_order();
+        ws.sp.iter().map(|&u| NodeId(u)).collect()
+    })
 }
 
-fn order_of(g: &Dag, ext: &[f64], tree: &SpTree) -> Vec<NodeId> {
-    match tree {
-        SpTree::Leaf(u) => vec![*u],
-        SpTree::Series(stages) => {
-            let mut out = Vec::with_capacity(tree.len());
-            for s in stages {
-                out.extend(order_of(g, ext, s));
-            }
-            out
-        }
-        SpTree::Parallel(children) => {
-            let queues: Vec<Vec<Segment>> = children
-                .iter()
-                .map(|c| {
-                    let order = order_of(g, ext, c);
-                    segment_profile(g, ext, &order)
-                })
-                .collect();
-            merge_segments(queues)
-        }
-        SpTree::Complex(nodes) => complex_order(g, ext, nodes),
+/// Decomposes `view` (topological order `topo`) and writes the order
+/// the decomposition guides into `order` (view-local ids).
+pub(crate) fn sp_order_into(
+    view: &BlockView,
+    topo: &[u32],
+    d: &mut Decomposition,
+    merge: &mut MergeScratch,
+    greedy: &mut GreedyScratch,
+    order: &mut Vec<u32>,
+) {
+    decompose_into(view, topo, d);
+    order.resize(topo.len(), 0);
+    merge.segments.clear();
+    merge.queues.clear();
+    merge.heads.clear();
+    Traverser {
+        view,
+        d,
+        merge,
+        greedy,
+        order,
     }
+    .order_of(0);
 }
 
-/// Orders a non-SP core with the memory-greedy heuristic on its induced
-/// subgraph; boundary files are folded into the external load.
-fn complex_order(g: &Dag, ext: &[f64], nodes: &[NodeId]) -> Vec<NodeId> {
-    let (sub, back) = g.induced_subgraph(nodes);
-    let mut member = BitSet::new(g.node_count());
-    for &u in nodes {
-        member.set(u.idx());
-    }
-    // Local external load: the global one plus boundary edges.
-    let mut sub_ext = vec![0.0f64; sub.node_count()];
-    for (i, &orig) in back.iter().enumerate() {
-        let mut boundary = 0.0;
-        for &e in g.in_edges(orig) {
-            if !member.get(g.edge(e).src.idx()) {
-                boundary += g.edge(e).volume;
-            }
-        }
-        for &e in g.out_edges(orig) {
-            if !member.get(g.edge(e).dst.idx()) {
-                boundary += g.edge(e).volume;
-            }
-        }
-        sub_ext[i] = ext[orig.idx()] + boundary;
-    }
-    greedy::greedy_order(&sub, &sub_ext)
-        .into_iter()
-        .map(|u| back[u.idx()])
-        .collect()
+/// The recursion over the flat tree. The subtree over `nodes[lo..hi]`
+/// is ordered into `order[lo..hi]`: a permutation of the same tasks, so
+/// "is `v` in this component" stays the range check on `d.pos`.
+struct Traverser<'a> {
+    view: &'a BlockView,
+    d: &'a Decomposition,
+    merge: &'a mut MergeScratch,
+    greedy: &'a mut GreedyScratch,
+    order: &'a mut [u32],
 }
 
-/// Simulates `order` as one component and cuts it into atomic segments at
-/// the running minima of its relative memory curve.
-fn segment_profile(g: &Dag, ext: &[f64], order: &[NodeId]) -> Vec<Segment> {
-    let mut member = BitSet::new(g.node_count());
-    for &u in order {
-        member.set(u.idx());
-    }
-    // Relative curve: value after each task, and transient during it.
-    // Boundary inputs are live from the start: fold them into the start
-    // value so the relative curve begins at 0 and drops as they are
-    // consumed... Instead we track absolute values and subtract the
-    // running baseline at segment starts.
-    let mut live = 0.0f64;
-    for &u in order {
-        for &e in g.in_edges(u) {
-            if !member.get(g.edge(e).src.idx()) {
-                live += g.edge(e).volume;
+impl Traverser<'_> {
+    fn order_of(&mut self, t: usize) {
+        let node = self.d.tree[t];
+        let (lo, hi) = (node.lo as usize, node.hi as usize);
+        match node.kind {
+            SpKind::Leaf => self.order[lo] = self.d.nodes[lo],
+            SpKind::Series => {
+                let mut stage = t + 1;
+                while stage < node.end as usize {
+                    self.order_of(stage);
+                    stage = self.d.tree[stage].end as usize;
+                }
+            }
+            SpKind::Parallel => {
+                let (first_segment, first_queue) =
+                    (self.merge.segments.len(), self.merge.queues.len());
+                let mut child = t + 1;
+                while child < node.end as usize {
+                    self.order_of(child);
+                    let component = self.d.tree[child];
+                    let start = self.merge.segments.len() as u32;
+                    self.segment_profile(component.lo, component.hi);
+                    self.merge
+                        .queues
+                        .push((start, self.merge.segments.len() as u32));
+                    child = component.end as usize;
+                }
+                self.merge_segments(first_queue, lo);
+                self.merge.segments.truncate(first_segment);
+                self.merge.queues.truncate(first_queue);
+            }
+            // Ordered with the memory-greedy heuristic on the sub-DAG
+            // the core induces; boundary files are folded into the
+            // external load.
+            SpKind::Complex => {
+                let core = Core {
+                    d: self.d,
+                    lo: node.lo,
+                    hi: node.hi,
+                };
+                greedy_into(self.view, &core, self.greedy, &mut self.order[lo..hi]);
             }
         }
     }
-    let start0 = live;
-    let mut segments = Vec::new();
-    let mut seg_tasks: Vec<NodeId> = Vec::new();
-    let mut seg_start = start0;
-    let mut seg_peak = start0;
-    let mut running_min = start0;
-    for (i, &u) in order.iter().enumerate() {
-        let node = g.node(u);
-        let outputs: f64 = g.out_edges(u).iter().map(|&e| g.edge(e).volume).sum();
-        let inputs: f64 = g.in_edges(u).iter().map(|&e| g.edge(e).volume).sum();
-        let current = live + node.memory + outputs + ext[u.idx()];
-        seg_peak = seg_peak.max(current);
-        live += outputs - inputs;
-        seg_tasks.push(u);
-        let last = i + 1 == order.len();
-        if live < running_min - 1e-12 || last {
-            // New record minimum (or end): close the segment.
-            running_min = running_min.min(live);
-            segments.push(Segment {
-                tasks: std::mem::take(&mut seg_tasks),
-                peak: seg_peak - seg_start,
-                delta: live - seg_start,
-            });
-            seg_start = live;
-            seg_peak = live;
+
+    /// Simulates `order[lo..hi]` as one component and cuts it into atomic
+    /// segments at the running minima of its relative memory curve.
+    fn segment_profile(&mut self, lo: u32, hi: u32) {
+        let (view, d) = (self.view, self.d);
+        let order = &self.order[lo as usize..hi as usize];
+        // Relative curve: value after each task, and transient during it.
+        // Boundary inputs are live from the start; we track absolute
+        // values and subtract the running baseline at segment starts.
+        let mut live = 0.0f64;
+        for &u in order {
+            for (v, volume) in view.in_edges(u) {
+                if d.index_in(v, lo, hi).is_none() {
+                    live += volume;
+                }
+            }
+        }
+        let start0 = live;
+        let mut seg_lo = lo;
+        let mut seg_start = start0;
+        let mut seg_peak = start0;
+        let mut running_min = start0;
+        for (i, &u) in order.iter().enumerate() {
+            let (outputs, inputs) = (view.out_sum(u), view.in_sum(u));
+            let current = live + view.memory(u) + outputs + view.ext(u);
+            seg_peak = seg_peak.max(current);
+            live += outputs - inputs;
+            let next = lo + i as u32 + 1;
+            if live < running_min - 1e-12 || next == hi {
+                // New record minimum (or end): close the segment.
+                running_min = running_min.min(live);
+                self.merge.segments.push(Segment {
+                    lo: seg_lo,
+                    hi: next,
+                    peak: seg_peak - seg_start,
+                    delta: live - seg_start,
+                });
+                seg_lo = next;
+                seg_start = live;
+                seg_peak = live;
+            }
         }
     }
-    segments
+
+    /// Merges the segment queues `queues[first_queue..]` by repeatedly
+    /// emitting the best-ranked available head segment (heads only:
+    /// within a component the segment order is fixed) and writes the
+    /// merged order back over `order[lo..]`. Runs in `O(S log Q)`.
+    fn merge_segments(&mut self, first_queue: usize, lo: usize) {
+        let MergeScratch {
+            segments,
+            queues,
+            heads,
+            merged,
+        } = &mut *self.merge;
+        let queues = &queues[first_queue..];
+        let head = |queue: usize, index: u32| {
+            let (class, key) = rank(&segments[index as usize]);
+            Head {
+                class,
+                key,
+                queue: queue as u32,
+                index,
+            }
+        };
+        // Every component holds a task, so no queue is empty.
+        heads.extend(queues.iter().enumerate().map(|(qi, q)| head(qi, q.0)));
+        merged.clear();
+        while let Some(Head { queue, index, .. }) = heads.pop() {
+            let segment = segments[index as usize];
+            merged.extend_from_slice(&self.order[segment.lo as usize..segment.hi as usize]);
+            if index + 1 < queues[queue as usize].1 {
+                heads.push(head(queue as usize, index + 1));
+            }
+        }
+        self.order[lo..lo + merged.len()].copy_from_slice(merged);
+    }
 }
 
 /// Linearised priority of a segment under the classical pairwise rule
@@ -147,76 +277,6 @@ fn rank(s: &Segment) -> (u8, f64) {
     } else {
         (1, -(s.peak - s.delta))
     }
-}
-
-/// Merges per-component segment queues by repeatedly emitting the
-/// best-ranked available head segment (heads only: within a component the
-/// segment order is fixed). Runs in `O(S log Q)`.
-fn merge_segments(mut queues: Vec<Vec<Segment>>) -> Vec<NodeId> {
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    struct Head {
-        class: u8,
-        key: f64,
-        queue: usize,
-        index: usize,
-    }
-    impl PartialEq for Head {
-        fn eq(&self, other: &Self) -> bool {
-            self.cmp(other) == Ordering::Equal
-        }
-    }
-    impl Eq for Head {}
-    impl PartialOrd for Head {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Head {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // max-heap: best segment = smallest (class, key, queue)
-            other
-                .class
-                .cmp(&self.class)
-                .then(other.key.total_cmp(&self.key))
-                .then(other.queue.cmp(&self.queue))
-        }
-    }
-
-    let total: usize = queues
-        .iter()
-        .map(|q| q.iter().map(|s| s.tasks.len()).sum::<usize>())
-        .sum();
-    let mut out = Vec::with_capacity(total);
-    let mut heap: BinaryHeap<Head> = queues
-        .iter()
-        .enumerate()
-        .filter(|(_, q)| !q.is_empty())
-        .map(|(qi, q)| {
-            let (class, key) = rank(&q[0]);
-            Head {
-                class,
-                key,
-                queue: qi,
-                index: 0,
-            }
-        })
-        .collect();
-    while let Some(Head { queue, index, .. }) = heap.pop() {
-        out.append(&mut queues[queue][index].tasks);
-        let next = index + 1;
-        if next < queues[queue].len() {
-            let (class, key) = rank(&queues[queue][next]);
-            heap.push(Head {
-                class,
-                key,
-                queue,
-                index: next,
-            });
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -295,12 +355,25 @@ mod tests {
     #[test]
     fn segment_profiles_net_to_boundary_delta() {
         let g = builder::chain(5, 1.0, 2.0, 3.0);
-        let order: Vec<_> = g.node_ids().collect();
-        let segs = segment_profile(&g, &[0.0; 5], &order);
+        let mut view = BlockView::new();
+        view.fill_graph(&g);
+        let mut order: Vec<u32> = (0..5).collect();
+        let mut d = Decomposition::default();
+        decompose_into(&view, &order, &mut d);
+        let mut merge = MergeScratch::default();
+        let mut traverser = Traverser {
+            view: &view,
+            d: &d,
+            merge: &mut merge,
+            greedy: &mut GreedyScratch::default(),
+            order: &mut order,
+        };
+        traverser.segment_profile(0, 5);
+        let segs = &merge.segments;
         let total_delta: f64 = segs.iter().map(|s| s.delta).sum();
         // closed component: no boundary files, net zero
         assert!(total_delta.abs() < 1e-9);
-        let tasks: usize = segs.iter().map(|s| s.tasks.len()).sum();
+        let tasks: u32 = segs.iter().map(|s| s.hi - s.lo).sum();
         assert_eq!(tasks, 5);
     }
 }

@@ -377,3 +377,51 @@ fn a_placement_shares_the_submission_it_was_queued_with() {
     assert_eq!(state.placements.len(), 1);
     assert!(Arc::ptr_eq(&state.placements[0].submission, &queued));
 }
+
+/// `source → c × (a → b) → sink`: one parallel stage of `c` two-node
+/// components between two separators.
+fn two_node_fan(c: usize) -> dhp_dag::Dag {
+    let mut g = dhp_dag::Dag::new();
+    let source = g.add_node(1.0, 3.0);
+    let sink = g.add_node(1.0, 3.0);
+    for i in 0..c {
+        let a = g.add_node(1.0, 2.0 + (i % 7) as f64);
+        let b = g.add_node(1.0, 1.0 + (i % 5) as f64);
+        g.add_edge(source, a, 1.0 + (i % 3) as f64);
+        g.add_edge(a, b, 4.0);
+        g.add_edge(b, sink, 2.0);
+    }
+    g
+}
+
+/// A block requirement is answered on the thread's workspace: once it
+/// has seen a block of that size, the next question allocates nothing
+/// that scales with the block — not per task, not per component of a
+/// parallel stage (one table per recursive call made the bytes
+/// quadratic in the stage's width), not per task of the workflow.
+#[test]
+fn a_warm_block_requirement_allocates_nothing_that_scales() {
+    use dhp_core::blockmem::block_requirement;
+    let warm_cost = |c: usize| {
+        let g = two_node_fan(c);
+        let block: Vec<dhp_dag::NodeId> = g.node_ids().collect();
+        let first = block_requirement(&g, &block);
+        let mut again = 0.0;
+        let n = allocations_in(|| again = block_requirement(&g, &block));
+        assert_eq!(first.to_bits(), again.to_bits());
+        n
+    };
+    let (narrow, wide) = (warm_cost(50), warm_cost(400));
+    assert_eq!(narrow, wide, "allocations scale with the stage's width");
+    assert!(narrow <= 4, "{narrow} allocations on a warm workspace");
+
+    // The common question of a chain-shaped solve: five tasks of a
+    // 60-task workflow, after another five of them.
+    let inst = WorkflowInstance::simulated(dhp_wfgen::Family::Epigenomics, 60, 17);
+    let order = dhp_dag::topo::topo_sort(&inst.graph).expect("generated workflows are acyclic");
+    block_requirement(&inst.graph, &order[..5]);
+    let n = allocations_in(|| {
+        block_requirement(&inst.graph, &order[20..25]);
+    });
+    assert!(n <= 4, "{n} allocations for a 5-task block");
+}

@@ -252,33 +252,7 @@ fn block_order(g: &Dag, members: &[NodeId]) -> Vec<NodeId> {
     if members.len() <= 1 {
         return members.to_vec();
     }
-    let mut sorted = members.to_vec();
-    sorted.sort_unstable();
-    let (sub, back) = g.induced_subgraph(&sorted);
-    let mut member = BitSet::new(g.node_count());
-    for &u in &sorted {
-        member.set(u.idx());
-    }
-    let mut ext = vec![0.0f64; sub.node_count()];
-    for (i, &orig) in back.iter().enumerate() {
-        let mut boundary = 0.0;
-        for &e in g.in_edges(orig) {
-            if !member.get(g.edge(e).src.idx()) {
-                boundary += g.edge(e).volume;
-            }
-        }
-        for &e in g.out_edges(orig) {
-            if !member.get(g.edge(e).dst.idx()) {
-                boundary += g.edge(e).volume;
-            }
-        }
-        ext[i] = boundary;
-    }
-    dhp_memdag::best_traversal(&sub, &ext)
-        .order
-        .into_iter()
-        .map(|u| back[u.idx()])
-        .collect()
+    dhp_memdag::block_traversal(g, members).order
 }
 
 /// Peak memory of executing `order` as one block (transient boundary

@@ -185,14 +185,19 @@ fn induced_block(g: &Dag, members: &[NodeId]) -> (Dag, Vec<NodeId>, Vec<f64>) {
 }
 
 /// FNV-1a over the order a block's best traversal executes its tasks
-/// in, as ids of `g`.
+/// in, as ids of `g`: asked of the block in place (what `dhp_sim`
+/// replays), and of its induced sub-DAG the way the line was recorded.
 fn block_order_fnv(g: &Dag, members: &[NodeId]) -> u64 {
+    let in_place = dhp_memdag::block_traversal(g, members);
     let (sub, back, ext) = induced_block(g, members);
-    dhp_memdag::best_traversal(&sub, &ext)
+    let induced = dhp_memdag::best_traversal(&sub, &ext);
+    assert_eq!(in_place.peak.to_bits(), induced.peak.to_bits());
+    assert!(in_place
         .order
         .iter()
-        .map(|u| back[u.idx()].0 as u64)
-        .fold(FNV_OFFSET, fnv1a_u64)
+        .eq(induced.order.iter().map(|u| &back[u.idx()])));
+    let ids = in_place.order.iter().map(|u| u.0 as u64);
+    ids.fold(FNV_OFFSET, fnv1a_u64)
 }
 
 /// FNV-1a over the decomposition tree in pre-order: a tag and a child
