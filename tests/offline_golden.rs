@@ -23,6 +23,18 @@
 //! three largest `k' = 12` blocks — a decomposition that changes shape
 //! is caught even where the peak happens not to move.
 //!
+//! The `part` and `mem` lines were added before dagP's refinement moved
+//! onto one flat view per hierarchy level and DagHetMem started
+//! searching for each block's cut instead of re-evaluating every
+//! prefix: the raw assignment `dhp_dagp::partition` returns for every
+//! `k'` of the four `sweep` instances (refinement runs on ten levels
+//! down to one on the chain-shaped one) and the bisection of the three
+//! largest `k' = 12` blocks of each; and DagHetMem's outcome on the
+//! default and the small cluster for the `req` instances, the tight
+//! one, three 4000-task fan-outs and 23 seeded 60-task workflows, some
+//! of which it fails on and some of which it maps to blocks that do
+//! not fit their processor (`invalid`: ROADMAP item B, pinned as is).
+//!
 //! Re-record (only when an output change is intended):
 //! `cargo test --release --test offline_golden -- --ignored record`.
 
@@ -262,6 +274,89 @@ fn req_lines(out: &mut String, family: Family, tasks: usize) {
     }
 }
 
+/// FNV-1a over a partition as stored: the block of every task in task
+/// order.
+fn partition_fnv(p: &dhp_dag::Partition) -> u64 {
+    let blocks = (0..p.len()).map(|u| p.block_of(NodeId(u as u32)).0 as u64);
+    blocks.fold(FNV_OFFSET, fnv1a_u64)
+}
+
+/// The `part` lines of one [`SWEPT`] instance: the partitioner's raw
+/// answer for every `k'`, and the bisection (`FitBlock`'s split) of the
+/// three largest Step-1 blocks at `k' = 12`.
+fn part_lines(out: &mut String, family: Family, tasks: usize) {
+    let inst = WorkflowInstance::simulated(family, tasks, 17);
+    let g = &inst.graph;
+    let name = family.name();
+    let pcfg = dhp_dagp::PartitionConfig {
+        balance: dhp_dagp::BalanceWeight::Work,
+        ..DagHetPartConfig::default().partition_cfg
+    };
+    for kp in 1..=configs::default_cluster().len().min(g.node_count()) {
+        let p = dhp_dagp::partition(g, kp, &pcfg);
+        writeln!(
+            out,
+            "part {name} {tasks} k'={kp}: blocks={} {:016x}",
+            p.num_blocks(),
+            partition_fnv(&p)
+        )
+        .unwrap();
+    }
+    let mut blocks = dhp_dagp::partition(g, 12, &pcfg).members();
+    blocks.sort_by_key(|b| (std::cmp::Reverse(b.len()), b[0]));
+    let halves: Vec<String> = blocks
+        .iter()
+        .take(3)
+        .map(|members| {
+            let (sub, _) = g.induced_subgraph(members);
+            let halves = dhp_dagp::bisect(&sub, &pcfg);
+            assert_eq!(halves.num_blocks(), 2);
+            format!("n={}:{:016x}", members.len(), partition_fnv(&halves))
+        })
+        .collect();
+    writeln!(
+        out,
+        "part {name} {tasks} k'=12 bisect: {}",
+        halves.join(" ")
+    )
+    .unwrap();
+}
+
+/// The 60-task workflows of the `mem` lines, `(family, seeds)`. On
+/// montage seeds 0, 6 and 11 DagHetMem returns a mapping that fails
+/// `validate` (found by scanning seeds 0..120 on the parent commit).
+const BASELINE_60: [(Family, std::ops::Range<u64>); 3] = [
+    (Family::Epigenomics, 0..5),
+    (Family::Montage, 0..13),
+    (Family::Soykb, 0..5),
+];
+
+/// One `mem` line per cluster: what DagHetMem makes of `inst` on the
+/// default and the small cluster at 1.05 headroom.
+fn mem_lines(out: &mut String, label: &str, inst: &WorkflowInstance) {
+    let g = &inst.graph;
+    for (cname, base) in [
+        ("default", configs::default_cluster()),
+        ("small", configs::small_cluster()),
+    ] {
+        let cluster = scale_cluster_with_headroom(g, &base, 1.05);
+        let outcome = match dag_het_mem(g, &cluster) {
+            Ok(m) => format!(
+                "blocks={} {:016x} {}",
+                m.num_blocks(),
+                mapping_fnv(&m),
+                if validate(g, &cluster, &m).is_ok() {
+                    "valid"
+                } else {
+                    "invalid"
+                }
+            ),
+            Err(SchedError::NoSolution) => "no-solution".into(),
+        };
+        writeln!(out, "mem {label} {cname}: {outcome}").unwrap();
+    }
+}
+
 /// Every golden line, freshly computed.
 fn compute() -> String {
     let mut out = String::new();
@@ -307,6 +402,27 @@ fn compute() -> String {
     for (family, tasks) in PRICED {
         req_lines(&mut out, family, tasks);
     }
+    for (family, tasks, _) in SWEPT {
+        part_lines(&mut out, family, tasks);
+    }
+    let seeded = |family: Family, tasks, seed| {
+        let label = format!("{} {tasks} seed={seed}", family.name());
+        (label, WorkflowInstance::simulated(family, tasks, seed))
+    };
+    let large = [Family::Genome, Family::Bwa, Family::Seismology];
+    let instances = (PRICED
+        .into_iter()
+        .map(|(family, tasks)| seeded(family, tasks, 17)))
+    .chain([("tight".to_string(), tight_instance().0)])
+    .chain(large.map(|family| seeded(family, 4000, 17)))
+    .chain(
+        BASELINE_60
+            .into_iter()
+            .flat_map(|(family, seeds)| seeds.map(move |seed| seeded(family, 60, seed))),
+    );
+    for (label, inst) in instances {
+        mem_lines(&mut out, &label, &inst);
+    }
     out
 }
 
@@ -314,6 +430,7 @@ fn compute() -> String {
 fn solver_reproduces_every_golden_line() {
     let fresh = compute();
     let (mut checked, mut tight, mut tight_failed, mut swept, mut priced) = (0, 0, 0, 0, 0);
+    let (mut parts, mut mems, mut mem_failed, mut mem_invalid) = (0, 0, 0, 0);
     for (want, got) in GOLDEN.lines().zip(fresh.lines()) {
         assert_eq!(want, got, "golden line {checked} differs");
         checked += 1;
@@ -323,9 +440,25 @@ fn solver_reproduces_every_golden_line() {
         }
         swept += want.starts_with("sweep ") as usize;
         priced += want.starts_with("req ") as usize;
+        parts += want.starts_with("part ") as usize;
+        if want.starts_with("mem ") {
+            mems += 1;
+            mem_failed += want.ends_with("no-solution") as usize;
+            mem_invalid += want.ends_with(" invalid") as usize;
+        }
     }
     assert_eq!(GOLDEN.lines().count(), fresh.lines().count());
-    assert_eq!(checked, 5 * 2 * 2 * 2 + tight + swept + priced);
+    assert_eq!(
+        checked,
+        5 * 2 * 2 * 2 + tight + swept + priced + parts + mems
+    );
+    assert_eq!(parts, SWEPT.len() * 37);
+    assert_eq!(mems, 2 * (PRICED.len() + 1 + 3 + 23));
+    assert!(
+        mem_failed > 0 && mem_invalid > 0,
+        "premise: DagHetMem fails on some `mem` instances ({mem_failed}) and maps some \
+         to blocks that do not fit ({mem_invalid})"
+    );
     assert_eq!(swept, SWEPT.len() * 36);
     // Per instance: the whole workflow, the shapes, and at least the
     // two blocks of `k' = 2`.
