@@ -105,10 +105,13 @@ fn bench_steps(c: &mut Criterion) {
 
 /// The three pieces of work one `k'` attempt no longer repeats, each
 /// against what it replaced where that still exists: the dagP sweep
-/// with one hierarchy per part count and with one for all of them, the
-/// sub-DAG of one 250-task block of a 10000-task workflow (cost must
-/// not follow the workflow's edge count), and the Step-4 swap loop at
-/// `k' = 36` (one reverse sweep of a 36-node quotient per candidate).
+/// with one hierarchy per part count and with one for all of them
+/// (levels, their views and their topological orders included), one
+/// refinement of a 10000-task fan-out at `k = 36` on a ready view
+/// (every middle task's window is all 36 parts wide), the sub-DAG of
+/// one 250-task block of a 10000-task workflow (cost must not follow
+/// the workflow's edge count), and the Step-4 swap loop at `k' = 36`
+/// (one reverse sweep of a 36-node quotient per candidate).
 fn bench_shared_work(c: &mut Criterion) {
     let cfg = DagHetPartConfig::default();
     let fanout = WorkflowInstance::simulated(Family::Blast, 4_000, 17).graph;
@@ -132,11 +135,21 @@ fn bench_shared_work(c: &mut Criterion) {
                 .sum::<usize>()
         })
     });
+    let wide = WorkflowInstance::simulated(Family::Blast, 10_000, 17).graph;
+    let view = dhp_dagp::coarsen::LevelView::of(&wide);
+    let work: Vec<f64> = wide.node_ids().map(|u| wide.node(u).work).collect();
+    let chunks = dhp_dagp::initial::topo_chunks_on(&view, &work, k);
+    group.bench_function("refine/fanout10000_k36_one_level", |b| {
+        b.iter(|| {
+            let mut assignment = chunks.clone();
+            dhp_dagp::refine::refine_on(&view, &work, &mut assignment, k, &cfg.partition_cfg);
+            assignment
+        })
+    });
     group.finish();
 
     let mut group = c.benchmark_group("dag");
     group.sample_size(10);
-    let wide = WorkflowInstance::simulated(Family::Blast, 10_000, 17).graph;
     let block = dhp_dagp::partition(&wide, 40, &cfg.partition_cfg).members()[20].clone();
     assert_eq!(block.len(), 250);
     group.bench_function("induced_subgraph/fanout10000_block250", |b| {
@@ -194,9 +207,35 @@ fn bench_requirement_kernel(c: &mut Criterion) {
     group.finish();
 }
 
+/// DagHetMem on the fitted default cluster, where it does not cut and
+/// where it does. The hungriest task of `blast10000` and `genome4000`
+/// is a hub that holds the workflow's whole peak, so they fit the
+/// largest processor in one block and cost one traversal plus one
+/// block requirement; `bwa4000` is cut after some two thousand tasks,
+/// and that cut is searched for, not walked up to.
+fn bench_baseline(c: &mut Criterion) {
+    let mut group = c.benchmark_group("heuristics");
+    group.sample_size(10);
+    for (name, family, n, blocks) in [
+        ("blast10000", Family::Blast, 10_000, 1),
+        ("genome4000", Family::Genome, 4_000, 1),
+        ("bwa4000", Family::Bwa, 4_000, 2),
+    ] {
+        let g = WorkflowInstance::simulated(family, n, 17).graph;
+        let cluster = scale_cluster_with_headroom(&g, &configs::default_cluster(), 1.05);
+        let mapped = dag_het_mem(&g, &cluster).expect("fitted clusters hold their workflow");
+        assert_eq!(mapped.num_blocks(), blocks, "{name}");
+        group.bench_function(format!("dag_het_mem/{name}"), |b| {
+            b.iter(|| dag_het_mem(black_box(&g), black_box(&cluster)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_both,
+    bench_baseline,
     bench_slot_search,
     bench_steps,
     bench_shared_work,

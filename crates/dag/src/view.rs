@@ -21,6 +21,9 @@
 //! induced sub-DAG, and keeps its bits.
 
 use crate::graph::{Dag, NodeId};
+use crate::topo::kahn_min_id;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The sub-DAG induced by a member set (or a whole graph), flat.
 ///
@@ -79,7 +82,7 @@ impl BlockView {
             self.local[u.idx()] = i as u32;
         }
         let local = std::mem::take(&mut self.local);
-        self.fill_edges(g, |v| local[v.idx()]);
+        self.fill_edges(g, 0, |v| local[v.idx()]);
         self.local = local;
         for &u in &self.members {
             self.local[u.idx()] = u32::MAX;
@@ -91,24 +94,37 @@ impl BlockView {
     pub fn fill_graph(&mut self, g: &Dag) {
         self.members.clear();
         self.members.extend(g.node_ids());
-        self.fill_edges(g, |v| v.0);
+        self.fill_edges(g, g.edge_count(), |v| v.0);
     }
 
     /// Writes the per-member tables for `self.members`; `local(v)` is
     /// the local id of parent node `v`, `u32::MAX` outside the block.
-    fn fill_edges(&mut self, g: &Dag, local: impl Fn(NodeId) -> u32) {
-        self.memory.clear();
-        self.ext.clear();
-        self.out_sum.clear();
-        self.in_sum.clear();
-        self.out_dst.clear();
-        self.out_vol.clear();
-        self.in_src.clear();
-        self.in_vol.clear();
-        for starts in [&mut self.out_start, &mut self.in_start] {
-            starts.clear();
-            starts.push(0);
+    /// `edges` is how many internal edges to make room for up front (a
+    /// fresh view of a whole graph then allocates each table once).
+    fn fill_edges(&mut self, g: &Dag, edges: usize, local: impl Fn(NodeId) -> u32) {
+        let n = self.members.len();
+        for (table, len) in [
+            (&mut self.memory, n),
+            (&mut self.ext, n),
+            (&mut self.out_sum, n),
+            (&mut self.in_sum, n),
+            (&mut self.out_vol, edges),
+            (&mut self.in_vol, edges),
+        ] {
+            table.clear();
+            table.reserve(len);
         }
+        for (table, len) in [
+            (&mut self.out_dst, edges),
+            (&mut self.in_src, edges),
+            (&mut self.out_start, n + 1),
+            (&mut self.in_start, n + 1),
+        ] {
+            table.clear();
+            table.reserve(len);
+        }
+        self.out_start.push(0);
+        self.in_start.push(0);
         for &u in &self.members {
             // Boundary inputs before boundary outputs, internal sums
             // from +0.0 in adjacency order: the order and the start the
@@ -226,6 +242,27 @@ impl BlockView {
             .iter()
             .copied()
             .zip(self.in_vol[r].iter().copied())
+    }
+
+    /// Writes the view's topological order (smallest ready id first,
+    /// [`crate::topo::topo_sort`]'s order) into `order` and returns how
+    /// many tasks it holds: all of them iff the view is acyclic.
+    /// `indeg` and `ready` are scratch.
+    pub fn topo_order_into(
+        &self,
+        indeg: &mut Vec<u32>,
+        ready: &mut BinaryHeap<Reverse<u32>>,
+        order: &mut Vec<u32>,
+    ) -> usize {
+        indeg.clear();
+        indeg.extend((0..self.len() as u32).map(|u| self.parents(u).len() as u32));
+        order.clear();
+        kahn_min_id(
+            indeg,
+            ready,
+            |u| self.children(u).iter().copied(),
+            |u| order.push(u),
+        )
     }
 
     /// Total volume of the view's internal edges.

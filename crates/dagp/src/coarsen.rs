@@ -13,15 +13,55 @@
 //! nodes so they can never be cut), with a seeded shuffle for
 //! deterministic tie-breaking.
 
-use dhp_dag::{Dag, NodeId};
+use dhp_dag::{BlockView, Dag, NodeId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::collections::BinaryHeap;
+
+/// What initial partitioning and refinement read of a graph: its
+/// adjacency as a flat [`BlockView`] (CSR, each list in the [`Dag`]'s own
+/// edge-id order, so a sum over a vertex's edges adds what the same sum
+/// over the `Dag` adds, in the same order) and its topological order
+/// ([`dhp_dag::topo::topo_sort`]'s). Neither depends on the part count,
+/// so a level builds them once for every `k'` that partitions on it.
+#[derive(Debug)]
+pub struct LevelView {
+    adjacency: BlockView,
+    order: Vec<u32>,
+}
+
+impl LevelView {
+    /// Views all of `g`.
+    ///
+    /// # Panics
+    /// Panics if `g` is cyclic.
+    pub fn of(g: &Dag) -> Self {
+        let mut adjacency = BlockView::new();
+        adjacency.fill_graph(g);
+        let mut order = Vec::with_capacity(adjacency.len());
+        let emitted =
+            adjacency.topo_order_into(&mut Vec::new(), &mut BinaryHeap::new(), &mut order);
+        assert_eq!(emitted, adjacency.len(), "partitioning requires a DAG");
+        Self { adjacency, order }
+    }
+
+    /// The graph's adjacency; local ids are the graph's node ids.
+    pub fn adjacency(&self) -> &BlockView {
+        &self.adjacency
+    }
+
+    /// The graph's topological order, smallest ready id first.
+    pub fn order(&self) -> &[u32] {
+        &self.order
+    }
+}
 
 /// One level of the coarsening hierarchy.
 #[derive(Debug)]
 pub struct Level {
     graph: Dag,
+    view: LevelView,
     weights: Vec<f64>,
     /// For each node of this level's graph, its coarse representative
     /// in the next coarser level. Empty for the coarsest level.
@@ -29,9 +69,24 @@ pub struct Level {
 }
 
 impl Level {
-    /// The graph at this level.
+    fn new(graph: Dag, weights: Vec<f64>) -> Self {
+        Self {
+            view: LevelView::of(&graph),
+            graph,
+            weights,
+            coarse_map: Vec::new(),
+        }
+    }
+
+    /// The graph at this level. Its tasks carry their weights but no
+    /// label, at the finest level too.
     pub fn graph(&self) -> &Dag {
         &self.graph
+    }
+
+    /// The flat view and topological order of [`Level::graph`].
+    pub fn view(&self) -> &LevelView {
+        &self.view
     }
 
     /// Balance weights of this level's nodes.
@@ -134,11 +189,7 @@ impl<'h> Prefix<'h> {
 pub fn coarsen(g: &Dag, weights: &[f64], target: usize, seed: u64) -> Hierarchy {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut hierarchy = Hierarchy {
-        finest: Level {
-            graph: g.clone(),
-            weights: weights.to_vec(),
-            coarse_map: Vec::new(),
-        },
+        finest: Level::new(unlabelled(g), weights.to_vec()),
         coarser: Vec::new(),
         target,
     };
@@ -158,17 +209,28 @@ pub fn coarsen(g: &Dag, weights: &[f64], target: usize, seed: u64) -> Hierarchy 
         }
         let (graph, weights, coarse_map) = contract(&cur.graph, &cur.weights, &matched_to, groups);
         cur.coarse_map = coarse_map;
-        hierarchy.coarser.push(Level {
-            graph,
-            weights,
-            coarse_map: Vec::new(),
-        });
+        hierarchy.coarser.push(Level::new(graph, weights));
         // Diminishing returns guard: stop if the last round removed <5%.
         if (n - groups) * 20 < n {
             break;
         }
     }
     hierarchy
+}
+
+/// `g` with the same node and edge ids and every weight, without the
+/// labels: nothing reads a level's labels, so the finest level does not
+/// pay for a copy of them.
+fn unlabelled(g: &Dag) -> Dag {
+    let mut copy = Dag::with_capacity(g.node_count(), g.edge_count());
+    for u in g.node_ids() {
+        copy.add_node(g.node(u).work, g.node(u).memory);
+    }
+    for e in g.edge_ids() {
+        let e = g.edge(e);
+        copy.add_edge(e.src, e.dst, e.volume);
+    }
+    copy
 }
 
 /// Greedy matching over contractible edges. Returns for each node the
@@ -275,6 +337,64 @@ mod tests {
             assert!((c.graph().total_work() - g.total_work()).abs() < 1e-6);
             assert!((c.graph().total_memory() - g.total_memory()).abs() < 1e-6);
         }
+    }
+
+    /// Every level's view is its graph, edge by edge in the graph's own
+    /// list order (doubled edges included), and its order is the
+    /// graph's topological sort.
+    #[test]
+    fn the_level_view_is_the_level_graph() {
+        for seed in 0..4 {
+            let mut g = builder::gnp_dag_weighted(150, 0.04, seed);
+            // Edge ids that ascend with neither endpoint, and doubles.
+            for e in g.edge_ids().rev().step_by(3).collect::<Vec<_>>() {
+                let e = g.edge(e).clone();
+                g.add_edge(e.src, e.dst, e.volume + 1.0);
+            }
+            let weights = vec![1.0; g.node_count()];
+            let h = coarsen(&g, &weights, 10, seed);
+            assert!(h.depth() >= 3, "seed {seed}");
+            for level in std::iter::once(&h.finest).chain(&h.coarser) {
+                let (g, view) = (level.graph(), level.view());
+                assert_eq!(view.adjacency().len(), g.node_count());
+                for u in g.node_ids() {
+                    let ends = |ids: &[dhp_dag::EdgeId], end: fn(&dhp_dag::EdgeData) -> NodeId| {
+                        ids.iter()
+                            .map(|&e| (end(g.edge(e)).0, g.edge(e).volume))
+                            .collect::<Vec<_>>()
+                    };
+                    let outs: Vec<_> = view.adjacency().out_edges(u.0).collect();
+                    let ins: Vec<_> = view.adjacency().in_edges(u.0).collect();
+                    assert_eq!(outs, ends(g.out_edges(u), |e| e.dst));
+                    assert_eq!(ins, ends(g.in_edges(u), |e| e.src));
+                }
+                let sorted = dhp_dag::topo::topo_sort(g).expect("levels are acyclic");
+                assert!(view.order().iter().eq(sorted.iter().map(|u| &u.0)));
+            }
+        }
+    }
+
+    #[test]
+    fn the_finest_level_keeps_ids_and_weights_and_drops_labels() {
+        let mut g = builder::gnp_dag_weighted(40, 0.1, 5);
+        g.node_mut(NodeId(3)).label = Some("named".into());
+        let h = coarsen(&g, &vec![1.0; 40], 10, 0);
+        let finest = h.finest().graph();
+        assert!(finest.node_ids().all(|u| finest.node(u).label.is_none()
+            && finest.node(u).work == g.node(u).work
+            && finest.node(u).memory == g.node(u).memory));
+        assert!(g
+            .edge_ids()
+            .map(|e| g.edge(e))
+            .eq(finest.edge_ids().map(|e| finest.edge(e))));
+    }
+
+    #[test]
+    #[should_panic(expected = "partitioning requires a DAG")]
+    fn a_cycle_is_refused() {
+        let mut g = builder::chain(4, 1.0, 1.0, 1.0);
+        g.add_edge(NodeId(3), NodeId(1), 1.0);
+        LevelView::of(&g);
     }
 
     #[test]

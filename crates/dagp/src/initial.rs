@@ -7,16 +7,26 @@
 //! this gives a feasible starting point with part ids that are
 //! *topologically ordered* — the invariant the refinement step maintains.
 
+use crate::coarsen::LevelView;
 use dhp_dag::Dag;
 
 /// Splits a topological order of `g` into `k` contiguous chunks of
 /// roughly equal total `weight`. Returns the per-node part array with
 /// parts numbered `0..k` in topological order; all `k` parts are
 /// non-empty provided `g` has at least `k` nodes.
+///
+/// # Panics
+/// Panics if `g` is cyclic.
 pub fn topo_chunks(g: &Dag, weights: &[f64], k: usize) -> Vec<u32> {
-    let n = g.node_count();
+    topo_chunks_on(&LevelView::of(g), weights, k)
+}
+
+/// [`topo_chunks`] on a graph's view, which holds its topological
+/// order: what every part count of a sweep shares.
+pub fn topo_chunks_on(view: &LevelView, weights: &[f64], k: usize) -> Vec<u32> {
+    let order = view.order();
+    let n = order.len();
     assert!(k >= 1 && k <= n);
-    let order = dhp_dag::topo::topo_sort(g).expect("topo_chunks requires a DAG");
     let total: f64 = weights.iter().sum();
     let target = total / k as f64;
 
@@ -36,8 +46,8 @@ pub fn topo_chunks(g: &Dag, weights: &[f64], k: usize) -> Vec<u32> {
             acc = 0.0;
             count = 0;
         }
-        part[u.idx()] = cur;
-        acc += weights[u.idx()];
+        part[u as usize] = cur;
+        acc += weights[u as usize];
         count += 1;
     }
     part

@@ -24,7 +24,15 @@
 //!    parts to reduce the cut, keeping the part order topological (moves
 //!    are only allowed into the interval bounded by the parts of the
 //!    vertex's parents and children), which maintains acyclicity by
-//!    construction.
+//!    construction. A vertex whose part is within balance is scored
+//!    against the two ends of that interval only — the only parts of it
+//!    the vertex can have an edge to — so a pass costs the graph's
+//!    edges, not edges × `k`.
+//!
+//! Steps 2 and 3 read a level through its [`coarsen::LevelView`] — flat
+//! adjacency and one topological order, built with the level — so the
+//! part counts that share a hierarchy ([`coarsen_for`] once,
+//! [`partition_on`] per count) share those too.
 //!
 //! The partitioner is deterministic given [`PartitionConfig::seed`].
 //!
@@ -137,16 +145,10 @@ pub fn partition_on(hierarchy: &coarsen::Hierarchy, k: usize, cfg: &PartitionCon
 
     // Initial partition on the coarsest graph.
     let coarsest = levels.coarsest();
-    let mut assignment = initial::topo_chunks(coarsest.graph(), coarsest.weights(), k);
+    let mut assignment = initial::topo_chunks_on(coarsest.view(), coarsest.weights(), k);
 
     // Refine on the coarsest level, then project and refine down.
-    refine::refine(
-        coarsest.graph(),
-        coarsest.weights(),
-        &mut assignment,
-        k,
-        cfg,
-    );
+    refine::refine_on(coarsest.view(), coarsest.weights(), &mut assignment, k, cfg);
     let mut level_assignment = assignment;
     for level in levels.finer_levels() {
         // Project: each fine node inherits its coarse representative's part.
@@ -154,7 +156,7 @@ pub fn partition_on(hierarchy: &coarsen::Hierarchy, k: usize, cfg: &PartitionCon
         for (i, part) in fine.iter_mut().enumerate() {
             *part = level_assignment[level.coarse_of(NodeId(i as u32)).idx()];
         }
-        refine::refine(level.graph(), level.weights(), &mut fine, k, cfg);
+        refine::refine_on(level.view(), level.weights(), &mut fine, k, cfg);
         level_assignment = fine;
     }
 
@@ -171,6 +173,8 @@ pub fn bisect(g: &Dag, cfg: &PartitionConfig) -> Partition {
 
 #[cfg(test)]
 mod proptests;
+#[cfg(test)]
+mod reference_tests;
 
 #[cfg(test)]
 mod tests {

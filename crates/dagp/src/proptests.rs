@@ -1,5 +1,8 @@
 //! Property-based validation of the partitioner.
 
+use crate::initial::topo_chunks;
+use crate::reference_tests;
+use crate::refine::{refine, Tally, TALLY};
 use crate::{bisect, coarsen_for, partition, partition_on, BalanceWeight, PartitionConfig};
 use dhp_dag::quotient::{is_acyclic_partition, QuotientGraph};
 use dhp_dag::{builder, Dag};
@@ -71,6 +74,111 @@ fn shared_hierarchy_covers_short_prefixes_and_early_stops() {
         }
     }
     assert!(seen.stopped_early > 0, "{seen:?}");
+}
+
+/// The inputs refinement is held to its reference on, each built to
+/// reach one branch of the scoring.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Case {
+    /// The graph as built, unit weights, default balance.
+    AsBuilt,
+    /// Every seventh vertex fifty times heavier and no slack: chunks
+    /// start overweight and shed vertices by zero-gain moves.
+    Overweight,
+    /// Every third edge carries nothing and every fifth is doubled.
+    ZeroAndParallel,
+    /// Every other edge has its volume negated and the balance is
+    /// slack: vertices with a negative internal volume, whose gain
+    /// towards a part they do not touch is positive.
+    Negative,
+}
+
+const CASES: [Case; 4] = [
+    Case::AsBuilt,
+    Case::Overweight,
+    Case::ZeroAndParallel,
+    Case::Negative,
+];
+
+/// Refines the `k` topological chunks of `g`, disturbed as `case` says,
+/// with `refine` and with its reference, which must agree on every
+/// vertex. Returns what `refine` scored and whether anything moved.
+fn refines_like_the_reference(mut g: Dag, k: usize, case: Case) -> (Tally, bool) {
+    let n = g.node_count();
+    let mut weights = vec![1.0; n];
+    let mut cfg = PartitionConfig::default();
+    let edges: Vec<_> = g.edge_ids().collect();
+    match case {
+        Case::AsBuilt => {}
+        Case::Overweight => {
+            weights.iter_mut().step_by(7).for_each(|w| *w = 50.0);
+            cfg.epsilon = 0.0;
+        }
+        Case::ZeroAndParallel => {
+            for &e in edges.iter().step_by(3) {
+                g.edge_mut(e).volume = 0.0;
+            }
+            for &e in edges.iter().step_by(5) {
+                let e = g.edge(e).clone();
+                g.add_edge(e.src, e.dst, e.volume);
+            }
+        }
+        Case::Negative => {
+            for &e in edges.iter().step_by(2) {
+                g.edge_mut(e).volume *= -1.0;
+            }
+            cfg.epsilon = 10.0;
+        }
+    }
+    let k = k.min(n);
+    let chunks = topo_chunks(&g, &weights, k);
+    let (mut new, mut old) = (chunks.clone(), chunks.clone());
+    TALLY.set(Tally::default());
+    refine(&g, &weights, &mut new, k, &cfg);
+    reference_tests::refine(&g, &weights, &mut old, k, &cfg);
+    assert_eq!(new, old, "{case:?} k={k}");
+    (TALLY.get(), new != chunks)
+}
+
+#[test]
+fn refinement_takes_each_branch_and_agrees_with_the_reference() {
+    for case in CASES {
+        let (mut ends_only, mut whole_window, mut moved) = (0, 0, 0);
+        for (n, seed) in [(30usize, 1u64), (95, 2), (240, 3), (400, 4)] {
+            for (_, g) in shapes(n, seed) {
+                for k in [2usize, 3, 7, 16, 40] {
+                    let (tally, changed) = refines_like_the_reference(g.clone(), k, case);
+                    ends_only += tally.ends_only;
+                    whole_window += tally.whole_window;
+                    moved += changed as usize;
+                }
+            }
+        }
+        assert!(moved > 0, "{case:?}: refinement never moved a vertex");
+        assert!(
+            ends_only > 0,
+            "{case:?}: no vertex had only its window's ends scored"
+        );
+        // With all the slack of `Negative` no part is overweight: whole
+        // windows are scored there for the negative volumes alone.
+        if matches!(case, Case::Overweight | Case::Negative) {
+            assert!(whole_window > 0, "{case:?}: no whole window was scored");
+        }
+    }
+}
+
+proptest! {
+    // Each case refines four graphs four ways, twice.
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn refine_matches_its_reference(n in 30usize..400, k in 2usize..=40, seed in any::<u64>()) {
+        for (_, g) in shapes(n, seed) {
+            for case in CASES {
+                refines_like_the_reference(g.clone(), k, case);
+            }
+        }
+    }
 }
 
 proptest! {

@@ -23,7 +23,6 @@ use crate::liveness::peak_of;
 use crate::spdecomp::Decomposition;
 use crate::sptraversal::{sp_order_into, MergeScratch};
 use crate::Traversal;
-use dhp_dag::topo::kahn_min_id;
 use dhp_dag::{BlockView, Dag};
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -77,19 +76,10 @@ impl Workspace {
     /// # Panics
     /// Panics with `cyclic` if the view has a cycle.
     pub fn topo_order(&mut self, cyclic: &str) {
-        let view = &self.view;
-        let n = view.len() as u32;
-        self.indeg.clear();
-        self.indeg
-            .extend((0..n).map(|u| view.parents(u).len() as u32));
-        self.topo.clear();
-        let emitted = kahn_min_id(
-            &mut self.indeg,
-            &mut self.ready,
-            |u| view.children(u).iter().copied(),
-            |u| self.topo.push(u),
-        );
-        assert_eq!(emitted, n as usize, "{cyclic}");
+        let emitted = self
+            .view
+            .topo_order_into(&mut self.indeg, &mut self.ready, &mut self.topo);
+        assert_eq!(emitted, self.view.len(), "{cyclic}");
     }
 
     /// The memory-greedy order of the view.

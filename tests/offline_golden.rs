@@ -61,15 +61,21 @@ const FAMILIES: [Family; 5] = [
     Family::Genome,
 ];
 
+/// FNV-1a over a partition as stored: the block of every task in task
+/// order.
+fn partition_fnv(p: &dhp_dag::Partition) -> u64 {
+    let blocks = (0..p.len()).map(|u| p.block_of(NodeId(u as u32)).0 as u64);
+    blocks.fold(FNV_OFFSET, fnv1a_u64)
+}
+
 /// FNV-1a over the mapping as stored: block of every task in task
 /// order, then the processor of every block (`u64::MAX` = none).
 fn mapping_fnv(m: &Mapping) -> u64 {
-    let blocks = (0..m.partition.len()).map(|u| m.partition.block_of(NodeId(u as u32)).0 as u64);
     let procs = m
         .proc_of_block
         .iter()
         .map(|p| p.map_or(u64::MAX, |p| p.0 as u64));
-    blocks.chain(procs).fold(FNV_OFFSET, fnv1a_u64)
+    procs.fold(partition_fnv(&m.partition), fnv1a_u64)
 }
 
 fn outcome(r: &Result<MappingResult, SchedError>) -> String {
@@ -272,13 +278,6 @@ fn req_lines(out: &mut String, family: Family, tasks: usize) {
             writeln!(out, "req {name} {tasks} k'=12 shapes: {}", shapes.join(" ")).unwrap();
         }
     }
-}
-
-/// FNV-1a over a partition as stored: the block of every task in task
-/// order.
-fn partition_fnv(p: &dhp_dag::Partition) -> u64 {
-    let blocks = (0..p.len()).map(|u| p.block_of(NodeId(u as u32)).0 as u64);
-    blocks.fold(FNV_OFFSET, fnv1a_u64)
 }
 
 /// The `part` lines of one [`SWEPT`] instance: the partitioner's raw
