@@ -1,8 +1,11 @@
 //! Minimal `--flag value` argument parser.
 //!
-//! The binary has four subcommands with a handful of flags each; a
-//! hand-rolled parser keeps the dependency set to the workspace's
-//! approved crates and the error messages specific.
+//! The binary has a handful of subcommands with a handful of flags
+//! each; a hand-rolled parser keeps the dependency set to the
+//! workspace's approved crates and the error messages specific. The
+//! parser knows what every subcommand reads (`VOCABULARY`), so a
+//! misspelt or retired flag is an error naming it — never a value
+//! silently dropped, never a switch swallowing the next token.
 
 use std::collections::HashMap;
 
@@ -26,6 +29,8 @@ pub enum ArgError {
     Unexpected(String),
     /// The same flag was given twice.
     Duplicate(String),
+    /// A flag the subcommand does not read.
+    UnknownFlag(String),
 }
 
 impl std::fmt::Display for ArgError {
@@ -34,24 +39,81 @@ impl std::fmt::Display for ArgError {
             ArgError::MissingCommand => write!(f, "missing subcommand"),
             ArgError::Unexpected(t) => write!(f, "unexpected argument {t:?}"),
             ArgError::Duplicate(t) => write!(f, "flag --{t} given twice"),
+            ArgError::UnknownFlag(t) => write!(f, "unknown flag --{t}"),
         }
     }
 }
 
 impl std::error::Error for ArgError {}
 
-/// Switches that never take a value.
-const SWITCHES: [&str; 10] = [
-    "quiet",
-    "simulate",
-    "gantt",
-    "help",
-    "summary",
-    "lease-load-aware",
-    "no-solve-cache",
-    "cache-aware",
-    "serial-federation",
-    "slow-admission",
+/// What a subcommand reads besides `--help`: the flags that take a
+/// value, and the switches that take none.
+type Vocabulary = (&'static [&'static str], &'static [&'static str]);
+
+const QUEUE: Vocabulary = (
+    &[
+        "workflows",
+        "families",
+        "tasks",
+        "unique",
+        "process",
+        "rate",
+        "interval",
+        "policy",
+        "elastic",
+        "elastic-shrink",
+        "algorithm",
+        "lease-tasks",
+        "min-procs",
+        "max-procs",
+        "cache-cap",
+        "cache-file",
+        "autosave",
+        "cluster",
+        "clusters",
+        "routing",
+        "chaos",
+        "failure-mode",
+        "bandwidth",
+        "headroom",
+        "seed",
+        "output",
+    ],
+    &[
+        "lease-load-aware",
+        "no-solve-cache",
+        "cache-aware",
+        "serial-federation",
+        "summary",
+    ],
+);
+
+/// Every subcommand's [`Vocabulary`]. A command missing here parses
+/// with any flags; [`crate::run`] rejects it by name.
+const VOCABULARY: [(&str, Vocabulary); 7] = [
+    (
+        "schedule",
+        (
+            &[
+                "workflow",
+                "cluster",
+                "algorithm",
+                "bandwidth",
+                "headroom",
+                "output",
+            ],
+            &["simulate", "gantt", "quiet"],
+        ),
+    ),
+    (
+        "generate",
+        (&["family", "tasks", "seed", "format", "output"], &[]),
+    ),
+    ("inspect", (&["workflow"], &[])),
+    ("queue", QUEUE),
+    ("serve", QUEUE),
+    ("cluster-template", (&[], &[])),
+    ("help", (&[], &[])),
 ];
 
 impl Args {
@@ -66,11 +128,22 @@ impl Args {
             command: command.trim_start_matches('-').to_string(),
             ..Args::default()
         };
+        let vocabulary = VOCABULARY
+            .iter()
+            .find(|(name, _)| *name == args.command)
+            .map(|(_, v)| v);
         while let Some(tok) = it.next() {
             let Some(key) = tok.strip_prefix("--") else {
                 return Err(ArgError::Unexpected(tok));
             };
-            if SWITCHES.contains(&key) {
+            let mut is_switch = key == "help";
+            if let (false, Some((values, switches))) = (is_switch, vocabulary) {
+                is_switch = switches.contains(&key);
+                if !is_switch && !values.contains(&key) {
+                    return Err(ArgError::UnknownFlag(key.to_string()));
+                }
+            }
+            if is_switch {
                 args.switches.push(key.to_string());
                 continue;
             }
@@ -183,7 +256,7 @@ mod tests {
     #[test]
     fn duplicate_flag_is_an_error() {
         assert_eq!(
-            parse("schedule --seed 1 --seed 2").unwrap_err(),
+            parse("generate --seed 1 --seed 2").unwrap_err(),
             ArgError::Duplicate("seed".into())
         );
     }
@@ -212,6 +285,66 @@ mod tests {
         assert!(a.get_f64("bandwidth", 1.0).unwrap_err().contains("abc"));
         let a = parse("generate --tasks 1.5").unwrap();
         assert!(a.get_usize("tasks", 1).is_err());
+    }
+
+    #[test]
+    fn flags_the_subcommand_does_not_read_are_rejected_by_name() {
+        // A retired switch must not swallow the next token as its value.
+        assert_eq!(
+            parse("queue --slow-admission --summary").unwrap_err(),
+            ArgError::UnknownFlag("slow-admission".into())
+        );
+        assert_eq!(
+            parse("queue --slow-admission 5").unwrap_err(),
+            ArgError::UnknownFlag("slow-admission".into())
+        );
+        // A misspelt flag does not run with the default policy.
+        assert_eq!(
+            parse("queue --polcy fifo").unwrap_err(),
+            ArgError::UnknownFlag("polcy".into())
+        );
+        // Another subcommand's flag is not this one's.
+        assert_eq!(
+            parse("schedule --workflow wf.json --policy fifo").unwrap_err(),
+            ArgError::UnknownFlag("policy".into())
+        );
+        assert!(parse("serve --serial-federation --clusters a,b").is_ok());
+        assert!(parse("inspect --help").unwrap().switch("help"));
+    }
+
+    /// Every `--flag` of the usage text parses under the subcommand
+    /// whose section lists it, with the arity the text shows (a
+    /// metavariable one space after the flag = it takes a value).
+    #[test]
+    fn every_flag_in_the_usage_text_parses() {
+        let mut command = String::new();
+        let mut seen = 0;
+        for line in crate::commands::USAGE.lines() {
+            if let Some((section, _)) = line.split_once(" OPTIONS") {
+                command = section.to_lowercase();
+            }
+            let Some(rest) = line.strip_prefix("  --") else {
+                continue;
+            };
+            let (flag, tail) = rest.split_once(' ').unwrap();
+            let takes_value = !tail.starts_with(' ');
+            let parsed = parse(&format!(
+                "{command} --{flag}{}",
+                if takes_value { " x" } else { "" }
+            ))
+            .unwrap_or_else(|e| panic!("{command} --{flag}: {e}"));
+            assert_eq!(parsed.switch(flag), !takes_value, "{command} --{flag}");
+            seen += 1;
+        }
+        let listed: usize = VOCABULARY
+            .iter()
+            .filter(|(name, _)| ["schedule", "generate", "queue"].contains(name))
+            .map(|(_, (values, switches))| values.len() + switches.len())
+            .sum();
+        assert_eq!(
+            seen, listed,
+            "the usage text and VOCABULARY list the same flags"
+        );
     }
 
     #[test]

@@ -33,12 +33,14 @@ SCHEDULE OPTIONS:
   --gantt               append an ASCII per-processor timeline (implies
                         --simulate)
   --output FILE         write the JSON report to FILE instead of stdout
+  --quiet               with --output: print nothing on success
 
 GENERATE OPTIONS:
   --family NAME         genome|blast|bwa|epigenomics|montage|seismology|soykb
   --tasks N             approximate task count
   --seed N              RNG seed (default 42)
   --format FMT          wfcommons (default) or dot
+  --output FILE         write the workflow to FILE instead of stdout
 
 QUEUE OPTIONS (online co-scheduling of a workflow stream):
   --workflows N         number of submissions (default 20)
@@ -107,11 +109,6 @@ QUEUE OPTIONS (online co-scheduling of a workflow stream):
   --serial-federation   step federation members sequentially instead of on
                         the scoped thread pool (escape hatch; the reports
                         are byte-identical either way; requires --clusters)
-  --slow-admission      pin the pre-overhaul admission execution strategy
-                        (no probe fast path, reservation token, or
-                        tombstoned queue) — the measured baseline for the
-                        admission_hotpath benchmark; the reports are
-                        byte-identical either way
   --bandwidth B         override the cluster bandwidth
   --headroom H          fleet-wide memory scaling so the hottest task of
                         the stream fits (default 1.05; 0 disables)
@@ -441,6 +438,8 @@ mod tests {
             .unwrap_err()
             .contains("unknown family"));
         assert!(cli("help").unwrap().contains("USAGE"));
+        let err = cli("queue --workflows 2 --slow-admission --summary").unwrap_err();
+        assert!(err.starts_with("unknown flag --slow-admission") && err.contains("USAGE"));
         let wf = tmp("err.json");
         cli(&format!("generate --family bwa --tasks 200 --output {wf}")).unwrap();
         assert!(cli(&format!("schedule --workflow {wf} --algorithm magic"))

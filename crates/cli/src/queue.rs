@@ -138,12 +138,6 @@ pub fn queue(args: &Args) -> Result<String, String> {
         // byte-identical to the parallel default.
         serial_federation: args.switch("serial-federation"),
         persist,
-        // `--slow-admission` pins the pre-overhaul admission execution
-        // strategy (full probe materialisation, no reservation token,
-        // no tombstoned queue) — the measured baseline for the
-        // `admission_hotpath` benchmark. Scheduling outcomes are
-        // byte-identical either way.
-        fast_admission: !args.switch("slow-admission"),
     };
     if cfg.serial_federation && args.get("clusters").is_none() {
         return Err(

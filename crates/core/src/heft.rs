@@ -40,14 +40,10 @@ pub struct MemoryViolation {
     pub capacity: f64,
 }
 
-/// The rank phase of HEFT, split out so it can be memoized: the
-/// topological order, the mean-cost upward ranks, and the scheduling
-/// order they induce. All three are a pure function of the graph
-/// structure and the cluster's `(mean speed, bandwidth)` profile — both
-/// captured by the `(fingerprint, shape_signature)` pair the solve
-/// cache already keys on — so repeated probes of the same pair can
-/// replay a cached table instead of re-deriving it
-/// ([`crate::partial::CacheView::rank_table`]).
+/// The rank phase of HEFT: the topological order, the mean-cost upward
+/// ranks, and the scheduling order they induce. All three are a pure
+/// function of the graph structure and the cluster's `(mean speed,
+/// bandwidth)` profile.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RankTable {
     /// A topological order of the graph.
@@ -98,9 +94,9 @@ pub fn heft(g: &Dag, cluster: &Cluster) -> HeftSchedule {
     heft_with_ranks(g, cluster, &rank_table(g, cluster))
 }
 
-/// The EFT phase of HEFT against a precomputed (possibly memoized)
-/// [`RankTable`] — byte-identical to [`heft`] when `ranks` came from
-/// [`rank_table`] on the same `(g, cluster)` pair.
+/// The EFT phase of HEFT against a precomputed [`RankTable`] —
+/// byte-identical to [`heft`] when `ranks` came from [`rank_table`] on
+/// the same `(g, cluster)` pair.
 ///
 /// # Panics
 /// Panics on an empty graph or cluster, or a rank table whose length
@@ -188,23 +184,6 @@ fn insert_interval(busy: &mut Vec<(f64, f64)>, iv: (f64, f64)) {
     }
     let pos = busy.partition_point(|&(s, _)| s < iv.0);
     busy.insert(pos, iv);
-}
-
-/// Runs insertion-based HEFT with the rank phase memoized through the
-/// solve cache: the [`RankTable`] for `(fingerprint, shape_signature)`
-/// is replayed if cached and derived (then cached) otherwise. Always
-/// byte-identical to [`heft`] on the lease view — the table is a pure
-/// function of the key.
-pub fn heft_memo(
-    g: &Dag,
-    fingerprint: u64,
-    sub: &dhp_platform::SubCluster,
-    cache: &crate::partial::CacheView,
-) -> HeftSchedule {
-    let ranks = cache.rank_table(fingerprint, sub.shape_signature(), || {
-        rank_table(g, sub.cluster())
-    });
-    heft_with_ranks(g, sub.cluster(), &ranks)
 }
 
 /// Audits the resident memory of a HEFT schedule per processor.
@@ -397,10 +376,7 @@ mod tests {
         assert_eq!(packed_until, 300.0);
     }
 
-    /// The split rank phase must reproduce `heft` exactly: running the
-    /// EFT phase against a precomputed table is the memoization seam the
-    /// solve cache relies on, so any drift here breaks byte-identical
-    /// replay.
+    /// The split rank phase must reproduce `heft` exactly.
     #[test]
     fn heft_with_ranks_matches_heft_bitwise() {
         for seed in [1u64, 9, 42, 77] {
@@ -490,48 +466,5 @@ mod tests {
             busy,
             vec![(0.0, 1.0), (5.0, 6.0), (6.5, 7.0), (8.0, 9.0), (9.0, 10.0)]
         );
-    }
-
-    proptest::proptest! {
-        /// Rank memoization is invisible: for arbitrary DAG shapes and
-        /// lease prefixes, `heft_memo` through a solve cache — cold
-        /// (computing + inserting the table) and warm (replaying it) —
-        /// is bit-identical to a fresh `heft` on the lease view, and
-        /// the replayed table equals a freshly derived one.
-        #[test]
-        fn memoized_ranks_match_fresh_ranks(
-            n in 5usize..40,
-            edge_seed in 0u64..1_000,
-            lease in 1usize..5,
-            fingerprint in 0u64..u64::MAX,
-        ) {
-            let g = builder::gnp_dag_weighted(n, 0.25, edge_seed);
-            let cluster = dhp_platform::configs::small_cluster();
-            let ids: Vec<ProcId> =
-                cluster.proc_ids().take(lease.min(cluster.len())).collect();
-            let sub = cluster.subcluster(&ids);
-            let cache = crate::partial::SolveCache::new();
-            let view = crate::partial::CacheView::direct(&cache);
-            let fresh = heft(&g, sub.cluster());
-            let cold = heft_memo(&g, fingerprint, &sub, &view);
-            let warm = heft_memo(&g, fingerprint, &sub, &view);
-            for memo in [&cold, &warm] {
-                proptest::prop_assert_eq!(&fresh.proc_of_task, &memo.proc_of_task);
-                proptest::prop_assert_eq!(
-                    fresh.makespan.to_bits(), memo.makespan.to_bits());
-                for (a, b) in fresh.start.iter().zip(&memo.start) {
-                    proptest::prop_assert_eq!(a.to_bits(), b.to_bits());
-                }
-                for (a, b) in fresh.finish.iter().zip(&memo.finish) {
-                    proptest::prop_assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }
-            let (hits, misses) = (cache.stats().rank_hits, cache.stats().rank_misses);
-            proptest::prop_assert_eq!((hits, misses), (1, 1));
-            let table = view.rank_table(fingerprint, sub.shape_signature(), || {
-                unreachable!("second probe of a cached key must not recompute")
-            });
-            proptest::prop_assert_eq!(&*table, &rank_table(&g, sub.cluster()));
-        }
     }
 }

@@ -201,13 +201,6 @@ pub struct SolveCacheStats {
     /// the cache disabled every probe is a miss, so this field always
     /// counts simulator invocations routed through the cache.
     pub sim_misses: u64,
-    /// Rank-table probes answered from a memoized
-    /// [`RankTable`](crate::heft::RankTable).
-    pub rank_hits: u64,
-    /// Rank-table probes that re-derived the ranks. With the cache
-    /// disabled every probe is a miss, so this field always counts rank
-    /// recomputations routed through the cache.
-    pub rank_misses: u64,
 }
 
 /// A memoized discrete-event simulation outcome in **lease-local**
@@ -238,21 +231,6 @@ pub struct SimOutcome {
 /// * the algorithm,
 /// * a hash of the solver configuration ([`SolveCache::config_hash`]).
 type SolveKey = (u64, u64, Algorithm, u64);
-
-/// Rank-table cache key: HEFT's rank phase depends only on the graph
-/// structure and the lease shape (mean speed and bandwidth are shape
-/// functions), never on the algorithm or solver configuration — so rank
-/// entries are shared across every `(algorithm, config)` probing the
-/// same `(fingerprint, shape_signature)` pair.
-type RankKey = (u64, u64);
-
-/// Deterministic stripe selector for rank keys (same FNV-1a scheme as
-/// [`stripe_index`], over the two-word key image).
-fn rank_stripe_index(key: &RankKey, stripes: usize) -> usize {
-    let (fp, shape) = key;
-    let bytes = fp.to_le_bytes().into_iter().chain(shape.to_le_bytes());
-    (dhp_dag::fingerprint::fnv1a_bytes(bytes) % stripes as u64) as usize
-}
 
 /// Deterministic stripe selector: FNV-1a over the key's byte image.
 /// The std `HashMap` hasher is seeded per process, so it must not pick
@@ -311,18 +289,11 @@ struct Stripe {
     /// on its solve entry's recency and is dropped when `evict_lru`
     /// evicts that key.
     sims: parking_lot::Mutex<HashMap<SolveKey, Arc<SimOutcome>>>,
-    /// Memoized HEFT rank tables, keyed by `(fingerprint, shape)` only
-    /// (see [`RankKey`]). Like sims, ranks carry no LRU stamp of their
-    /// own: a rank entry is dropped when `evict_lru` evicts the last
-    /// solve of its `(fingerprint, shape)` pair.
-    ranks: parking_lot::Mutex<HashMap<RankKey, Arc<crate::heft::RankTable>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     sim_hits: AtomicU64,
     sim_misses: AtomicU64,
-    rank_hits: AtomicU64,
-    rank_misses: AtomicU64,
 }
 
 impl Default for Stripe {
@@ -337,14 +308,11 @@ impl Default for Stripe {
                 parking_lot::ranks::CACHE_STRIPE,
             ),
             sims: parking_lot::Mutex::with_rank(HashMap::new(), parking_lot::ranks::CACHE_STRIPE),
-            ranks: parking_lot::Mutex::with_rank(HashMap::new(), parking_lot::ranks::CACHE_STRIPE),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             sim_hits: AtomicU64::new(0),
             sim_misses: AtomicU64::new(0),
-            rank_hits: AtomicU64::new(0),
-            rank_misses: AtomicU64::new(0),
         }
     }
 }
@@ -544,8 +512,6 @@ impl SolveCache {
             total.evictions += s.evictions.load(Ordering::Relaxed);
             total.sim_hits += s.sim_hits.load(Ordering::Relaxed);
             total.sim_misses += s.sim_misses.load(Ordering::Relaxed);
-            total.rank_hits += s.rank_hits.load(Ordering::Relaxed);
-            total.rank_misses += s.rank_misses.load(Ordering::Relaxed);
         }
         total
     }
@@ -561,8 +527,6 @@ impl SolveCache {
                 evictions: s.evictions.load(Ordering::Relaxed),
                 sim_hits: s.sim_hits.load(Ordering::Relaxed),
                 sim_misses: s.sim_misses.load(Ordering::Relaxed),
-                rank_hits: s.rank_hits.load(Ordering::Relaxed),
-                rank_misses: s.rank_misses.load(Ordering::Relaxed),
             })
             .collect()
     }
@@ -614,17 +578,6 @@ impl SolveCache {
                 // A sim outcome rides on its solve entry's recency:
                 // evicting the solve drops the sim of the same key.
                 self.stripes[si].sims.lock().remove(&key);
-                // Rank tables ride on solve recency the same way. The
-                // rank key is coarser (no algorithm/config component),
-                // so this may drop a table another algorithm's entry
-                // still wants — a re-derivation on the next probe, never
-                // a correctness issue — but it bounds the rank store by
-                // the same capacity that bounds the solves.
-                let rkey: RankKey = (key.0, key.1);
-                self.stripes[rank_stripe_index(&rkey, self.stripes.len())]
-                    .ranks
-                    .lock()
-                    .remove(&rkey);
                 self.stripes[si].evictions.fetch_add(1, Ordering::Relaxed);
                 true
             }
@@ -883,43 +836,6 @@ impl SolveCache {
         self.stripes.iter().map(|s| s.sims.lock().len()).sum()
     }
 
-    fn rank_stripe_of(&self, key: &RankKey) -> &Stripe {
-        &self.stripes[rank_stripe_index(key, self.stripes.len())]
-    }
-
-    /// The probing core of the rank-table cache: returns the memoized
-    /// [`RankTable`](crate::heft::RankTable) for `(fingerprint, shape)`,
-    /// running `compute` (with no stripe lock held) and storing its
-    /// result on a miss. The bool reports whether the probe hit, for
-    /// per-caller attribution. Disabled caches compute every time and
-    /// store nothing, but still count the miss so rank-recompute
-    /// statistics stay comparable.
-    fn rank_probed(
-        &self,
-        key: RankKey,
-        compute: impl FnOnce() -> crate::heft::RankTable,
-    ) -> (Arc<crate::heft::RankTable>, bool) {
-        if !self.enabled {
-            self.stripes[0].rank_misses.fetch_add(1, Ordering::Relaxed);
-            return (Arc::new(compute()), false);
-        }
-        let stripe = self.rank_stripe_of(&key);
-        if let Some(ranks) = stripe.ranks.lock().get(&key).cloned() {
-            stripe.rank_hits.fetch_add(1, Ordering::Relaxed);
-            return (ranks, true);
-        }
-        stripe.rank_misses.fetch_add(1, Ordering::Relaxed);
-        let ranks = Arc::new(compute());
-        self.debug_assert_unfrozen("rank-table insert");
-        stripe.ranks.lock().insert(key, Arc::clone(&ranks));
-        (ranks, false)
-    }
-
-    /// Number of memoized rank tables (summed across stripes).
-    pub fn rank_len(&self) -> usize {
-        self.stripes.iter().map(|s| s.ranks.lock().len()).sum()
-    }
-
     // ------------------------------------------------------ snapshots
     //
     // The accessors `dhp_core::persist` serialises through. Snapshots
@@ -967,18 +883,6 @@ impl SolveCache {
         out
     }
 
-    /// Every memoized rank table as `(key, table)`, key-sorted.
-    pub(crate) fn snapshot_ranks(&self) -> Vec<(RankKey, Arc<crate::heft::RankTable>)> {
-        let mut out: Vec<(RankKey, Arc<crate::heft::RankTable>)> = Vec::new();
-        for stripe in self.stripes.iter() {
-            for (k, ranks) in stripe.ranks.lock().iter() {
-                out.push((*k, Arc::clone(ranks)));
-            }
-        }
-        out.sort_by_key(|(k, _)| *k);
-        out
-    }
-
     /// Current value of the recency clock (the largest stamp drawn).
     pub(crate) fn tick_value(&self) -> u64 {
         self.tick.load(Ordering::Relaxed)
@@ -1010,12 +914,6 @@ impl SolveCache {
         self.stripe_of(&key).sims.lock().insert(key, sim);
     }
 
-    /// Re-inserts a snapshotted rank table.
-    pub(crate) fn restore_rank(&self, key: RankKey, ranks: Arc<crate::heft::RankTable>) {
-        self.debug_assert_unfrozen("snapshot restore (rank)");
-        self.rank_stripe_of(&key).ranks.lock().insert(key, ranks);
-    }
-
     /// Completes a restore: advances the recency clock past every
     /// restored stamp, carries the snapshot's cumulative statistics
     /// into this cache's counters (stripe 0 keeps the aggregate — the
@@ -1031,9 +929,6 @@ impl SolveCache {
         s0.sim_hits.fetch_add(carried.sim_hits, Ordering::Relaxed);
         s0.sim_misses
             .fetch_add(carried.sim_misses, Ordering::Relaxed);
-        s0.rank_hits.fetch_add(carried.rank_hits, Ordering::Relaxed);
-        s0.rank_misses
-            .fetch_add(carried.rank_misses, Ordering::Relaxed);
         if let Some(cap) = self.capacity {
             while self.len() > cap && self.evict_lru() {}
         }
@@ -1072,16 +967,10 @@ impl SolveCache {
                         self.stripe_of(&key).sims.lock().insert(key, sim);
                     }
                 }
-                CacheEvent::RankInsert(key) => {
-                    if let Some(ranks) = account.rank_overlay.remove(&key) {
-                        self.rank_stripe_of(&key).ranks.lock().insert(key, ranks);
-                    }
-                }
             }
         }
         account.overlay.clear();
         account.sim_overlay.clear();
-        account.rank_overlay.clear();
     }
 }
 
@@ -1098,10 +987,6 @@ enum CacheEvent {
     /// into the shared sim store at seal time (sims carry no LRU stamp,
     /// so no tick is drawn).
     SimInsert(SolveKey),
-    /// A rank-table miss parked in the account's rank overlay: move it
-    /// into the shared rank store at seal time (ranks, like sims, carry
-    /// no LRU stamp).
-    RankInsert(RankKey),
 }
 
 /// Per-caller solve-cache bookkeeping: the cumulative solver statistics
@@ -1122,17 +1007,13 @@ pub struct CacheAccount {
     log: Vec<CacheEvent>,
     overlay: HashMap<SolveKey, CachedSolve>,
     sim_overlay: HashMap<SolveKey, Arc<SimOutcome>>,
-    rank_overlay: HashMap<RankKey, Arc<crate::heft::RankTable>>,
 }
 
 impl CacheAccount {
     /// True when the account holds deferred effects that a
     /// [`SolveCache::seal_account`] call has not replayed yet.
     pub fn is_sealed(&self) -> bool {
-        self.log.is_empty()
-            && self.overlay.is_empty()
-            && self.sim_overlay.is_empty()
-            && self.rank_overlay.is_empty()
+        self.log.is_empty() && self.overlay.is_empty() && self.sim_overlay.is_empty()
     }
 }
 
@@ -1500,64 +1381,6 @@ impl<'a> CacheView<'a> {
                 acc.sim_overlay.insert(key, Arc::clone(&sim));
                 acc.log.push(CacheEvent::SimInsert(key));
                 sim
-            }
-        }
-    }
-
-    /// Memoizing HEFT rank derivation through the view: returns the
-    /// [`RankTable`](crate::heft::RankTable) for `(fingerprint, shape)`,
-    /// running `compute` only on a miss. Per-mode semantics mirror
-    /// [`CacheView::sim_outcome`] — ranks carry no LRU stamp, frozen
-    /// views park misses in a rank overlay with a deferred `RankInsert`
-    /// for [`SolveCache::seal_account`], and a disabled cache computes
-    /// every time but still counts the miss (the rank-recompute counter
-    /// the drivers compare).
-    pub fn rank_table(
-        &self,
-        fingerprint: u64,
-        shape: u64,
-        compute: impl FnOnce() -> crate::heft::RankTable,
-    ) -> Arc<crate::heft::RankTable> {
-        let key: RankKey = (fingerprint, shape);
-        match &self.mode {
-            ViewMode::Direct => self.cache.rank_probed(key, compute).0,
-            ViewMode::Live(acc) => {
-                let (ranks, hit) = self.cache.rank_probed(key, compute);
-                let mut acc = acc.borrow_mut();
-                if hit {
-                    acc.stats.rank_hits += 1;
-                } else {
-                    acc.stats.rank_misses += 1;
-                }
-                ranks
-            }
-            ViewMode::Frozen(acc) => {
-                let mut acc = acc.borrow_mut();
-                if !self.cache.enabled {
-                    acc.stats.rank_misses += 1;
-                    self.cache.stripes[0]
-                        .rank_misses
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Arc::new(compute());
-                }
-                let stripe = self.cache.rank_stripe_of(&key);
-                if let Some(ranks) = acc.rank_overlay.get(&key).cloned() {
-                    acc.stats.rank_hits += 1;
-                    stripe.rank_hits.fetch_add(1, Ordering::Relaxed);
-                    return ranks;
-                }
-                let base = stripe.ranks.lock().get(&key).cloned();
-                if let Some(ranks) = base {
-                    acc.stats.rank_hits += 1;
-                    stripe.rank_hits.fetch_add(1, Ordering::Relaxed);
-                    return ranks;
-                }
-                acc.stats.rank_misses += 1;
-                stripe.rank_misses.fetch_add(1, Ordering::Relaxed);
-                let ranks = Arc::new(compute());
-                acc.rank_overlay.insert(key, Arc::clone(&ranks));
-                acc.log.push(CacheEvent::RankInsert(key));
-                ranks
             }
         }
     }

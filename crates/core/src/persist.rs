@@ -18,7 +18,7 @@
 //!   leaves the cache exactly as it was (a cold start), never a
 //!   partial restore, and never a panic.
 //!
-//! # Snapshot format (version 2)
+//! # Snapshot format (version 3)
 //!
 //! A little-endian binary frame around length-prefixed JSON records
 //! (the workspace's vendored serde shims provide the JSON):
@@ -26,20 +26,23 @@
 //! | field         | size | meaning                                       |
 //! |---------------|------|-----------------------------------------------|
 //! | magic         | 8    | `b"DHPCACHE"`                                 |
-//! | version       | 4    | format version, this module writes 2          |
+//! | version       | 4    | format version, this module writes 3          |
 //! | `config_hash` | 8    | [`SolveCache::config_hash`] of the solver     |
 //! | stripes       | 4    | stripe count at save time (informational)     |
 //! | solves        | 8    | number of solve records in the body           |
 //! | sims          | 8    | number of sim records in the body             |
-//! | ranks         | 8    | number of rank-table records in the body      |
 //! | body length   | 8    | byte length of the body                       |
 //! | body checksum | 8    | FNV-1a over the body bytes                    |
-//! | body          | var  | records: meta, solves, sims, then ranks       |
+//! | body          | var  | records: meta, solves, then sims              |
 //!
-//! Version 2 added the rank-table records (and their hit/miss counters
-//! in the meta record). Version-1 snapshots are refused as
+//! Snapshots of any other version are refused as
 //! [`SnapshotError::WrongVersion`] and degrade to a classified cold
 //! start — the same recovery semantics as any other incompatibility.
+//!
+//! The header sits outside the body checksum, so the two record counts
+//! are checked against the body before anything is sized by them: every
+//! record carries a 4-byte length prefix, so a count above
+//! `body length / 4` is [`SnapshotError::Malformed`].
 //!
 //! Every record is a `u32` byte length followed by that many bytes of
 //! UTF-8 JSON. All `u64` hashes, recency stamps, and `f64` bit
@@ -66,7 +69,7 @@ use std::time::Duration;
 pub const MAGIC: [u8; 8] = *b"DHPCACHE";
 
 /// The snapshot format version this module reads and writes.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Why a snapshot failed to load. Every variant is a **cold start**,
 /// never a panic; [`SnapshotError::Missing`] is the expected first-run
@@ -130,8 +133,6 @@ pub struct LoadSummary {
     pub solves: usize,
     /// Simulation outcomes restored.
     pub sims: usize,
-    /// Rank tables restored.
-    pub ranks: usize,
 }
 
 // ------------------------------------------------------------ JSON DTOs
@@ -164,8 +165,6 @@ struct MetaDto {
     evictions: String,
     sim_hits: String,
     sim_misses: String,
-    rank_hits: String,
-    rank_misses: String,
 }
 
 /// A cache key: `(fingerprint, shape, algorithm, config_hash)`.
@@ -269,52 +268,14 @@ impl SimDto {
     }
 }
 
-/// One memoized HEFT rank table, keyed by `(fingerprint, shape)` only
-/// (rank derivation is algorithm- and config-independent). Node ids
-/// travel as plain `u32` indices; ranks as hex `f64` bit patterns.
-#[derive(Serialize, Deserialize)]
-struct RankDto {
-    fp: String,
-    shape: String,
-    topo: Vec<u32>,
-    rank: Vec<String>,
-    by_rank: Vec<u32>,
-}
-
-impl RankDto {
-    fn pack(fp: u64, shape: u64, ranks: &crate::heft::RankTable) -> RankDto {
-        RankDto {
-            fp: hex(fp),
-            shape: hex(shape),
-            topo: ranks.topo.iter().map(|n| n.0).collect(),
-            rank: ranks.rank.iter().copied().map(hex_f64).collect(),
-            by_rank: ranks.by_rank.iter().map(|n| n.0).collect(),
-        }
-    }
-
-    fn unpack(&self) -> Result<((u64, u64), crate::heft::RankTable), SnapshotError> {
-        Ok((
-            (unhex(&self.fp)?, unhex(&self.shape)?),
-            crate::heft::RankTable {
-                topo: self.topo.iter().map(|&n| dhp_dag::NodeId(n)).collect(),
-                rank: self
-                    .rank
-                    .iter()
-                    .map(|s| unhex_f64(s))
-                    .collect::<Result<_, _>>()?,
-                by_rank: self.by_rank.iter().map(|&n| dhp_dag::NodeId(n)).collect(),
-            },
-        ))
-    }
-}
-
 // ------------------------------------------------------------- framing
 
-fn push_record<T: Serialize>(body: &mut Vec<u8>, dto: &T) {
-    let json = serde_json::to_string(dto).expect("snapshot DTOs always serialise");
+fn push_record<T: Serialize>(body: &mut Vec<u8>, dto: &T) -> std::io::Result<()> {
+    let json = serde_json::to_string(dto).map_err(std::io::Error::other)?;
     let bytes = json.as_bytes();
     body.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
     body.extend_from_slice(bytes);
+    Ok(())
 }
 
 /// A cursor over the length-prefixed records of a snapshot body.
@@ -325,11 +286,8 @@ struct Records<'a> {
 
 impl Records<'_> {
     fn next<T: Deserialize>(&mut self) -> Result<T, SnapshotError> {
+        let len = read_u32(self.body, self.pos)? as usize;
         let len_end = self.pos + 4;
-        if len_end > self.body.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let len = u32::from_le_bytes(self.body[self.pos..len_end].try_into().unwrap()) as usize;
         let end = len_end + len;
         if end > self.body.len() {
             return Err(SnapshotError::Truncated);
@@ -343,21 +301,23 @@ impl Records<'_> {
 
 fn read_u32(bytes: &[u8], at: usize) -> Result<u32, SnapshotError> {
     bytes
-        .get(at..at + 4)
-        .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+        .get(at..)
+        .and_then(|b| b.first_chunk::<4>())
+        .map(|b| u32::from_le_bytes(*b))
         .ok_or(SnapshotError::Truncated)
 }
 
 fn read_u64(bytes: &[u8], at: usize) -> Result<u64, SnapshotError> {
     bytes
-        .get(at..at + 8)
-        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+        .get(at..)
+        .and_then(|b| b.first_chunk::<8>())
+        .map(|b| u64::from_le_bytes(*b))
         .ok_or(SnapshotError::Truncated)
 }
 
 /// Byte offset of the body: magic + version + config_hash + stripes +
-/// solve count + sim count + rank count + body length + checksum.
-const HEADER_LEN: usize = 8 + 4 + 8 + 4 + 8 + 8 + 8 + 8 + 8;
+/// solve count + sim count + body length + checksum.
+const HEADER_LEN: usize = 8 + 4 + 8 + 4 + 8 + 8 + 8 + 8;
 
 impl SolveCache {
     /// Serialises the cache to `path` **crash-safely**: the snapshot
@@ -373,7 +333,6 @@ impl SolveCache {
     pub fn save_to(&self, path: &Path, config_hash: u64) -> std::io::Result<()> {
         let solves = self.snapshot_solves();
         let sims = self.snapshot_sims();
-        let ranks = self.snapshot_ranks();
         let stats = self.stats();
 
         let mut body = Vec::new();
@@ -386,10 +345,8 @@ impl SolveCache {
                 evictions: hex(stats.evictions),
                 sim_hits: hex(stats.sim_hits),
                 sim_misses: hex(stats.sim_misses),
-                rank_hits: hex(stats.rank_hits),
-                rank_misses: hex(stats.rank_misses),
             },
-        );
+        )?;
         for (key, entry, stamp) in &solves {
             let (fp, shape, algorithm, chash) = *key;
             push_record(
@@ -405,16 +362,13 @@ impl SolveCache {
                         elapsed_nanos: local.elapsed.as_nanos() as u64,
                     }),
                 },
-            );
+            )?;
         }
         for (key, sim) in &sims {
             let (fp, shape, algorithm, chash) = *key;
             let mut dto = SimDto::pack(sim);
             dto.key = KeyDto::pack(fp, shape, algorithm, chash);
-            push_record(&mut body, &dto);
-        }
-        for ((fp, shape), table) in &ranks {
-            push_record(&mut body, &RankDto::pack(*fp, *shape, table));
+            push_record(&mut body, &dto)?;
         }
 
         let mut frame = Vec::with_capacity(HEADER_LEN + body.len());
@@ -424,7 +378,6 @@ impl SolveCache {
         frame.extend_from_slice(&(self.stripes() as u32).to_le_bytes());
         frame.extend_from_slice(&(solves.len() as u64).to_le_bytes());
         frame.extend_from_slice(&(sims.len() as u64).to_le_bytes());
-        frame.extend_from_slice(&(ranks.len() as u64).to_le_bytes());
         frame.extend_from_slice(&(body.len() as u64).to_le_bytes());
         frame.extend_from_slice(&fnv1a_bytes(body.iter().copied()).to_le_bytes());
         frame.extend_from_slice(&body);
@@ -495,15 +448,26 @@ impl SolveCache {
                 expected: expected_config_hash,
             });
         }
-        let n_solves = read_u64(&bytes, 24)? as usize;
-        let n_sims = read_u64(&bytes, 32)? as usize;
-        let n_ranks = read_u64(&bytes, 40)? as usize;
-        let body_len = read_u64(&bytes, 48)? as usize;
-        let checksum = read_u64(&bytes, 56)?;
+        let body_len = read_u64(&bytes, 40)?;
+        let checksum = read_u64(&bytes, 48)?;
         let body = &bytes[HEADER_LEN..];
-        if body.len() != body_len {
+        if body.len() as u64 != body_len {
             return Err(SnapshotError::Truncated);
         }
+        // The counts sit outside the checksum: bound them by what the
+        // body can hold (a record is at least its 4-byte length prefix)
+        // before they size anything.
+        let count = |at: usize, what: &str| -> Result<usize, SnapshotError> {
+            let n = read_u64(&bytes, at)?;
+            if n > body_len / 4 {
+                return Err(SnapshotError::Malformed(format!(
+                    "header claims {n} {what} records in a {body_len}-byte body"
+                )));
+            }
+            Ok(n as usize)
+        };
+        let n_solves = count(24, "solve")?;
+        let n_sims = count(32, "sim")?;
         if fnv1a_bytes(body.iter().copied()) != checksum {
             return Err(SnapshotError::ChecksumMismatch);
         }
@@ -519,8 +483,6 @@ impl SolveCache {
             evictions: unhex(&meta.evictions)?,
             sim_hits: unhex(&meta.sim_hits)?,
             sim_misses: unhex(&meta.sim_misses)?,
-            rank_hits: unhex(&meta.rank_hits)?,
-            rank_misses: unhex(&meta.rank_misses)?,
         };
         let mut solves = Vec::with_capacity(n_solves);
         for _ in 0..n_solves {
@@ -547,11 +509,6 @@ impl SolveCache {
             let key = dto.key.unpack()?;
             sims.push((key, dto.unpack()?));
         }
-        let mut ranks = Vec::with_capacity(n_ranks);
-        for _ in 0..n_ranks {
-            let dto: RankDto = records.next()?;
-            ranks.push(dto.unpack()?);
-        }
         if records.pos != body.len() {
             return Err(SnapshotError::Malformed(
                 "trailing bytes after the last record".to_string(),
@@ -564,16 +521,12 @@ impl SolveCache {
         let summary = LoadSummary {
             solves: solves.len(),
             sims: sims.len(),
-            ranks: ranks.len(),
         };
         for (key, solved, stamp) in solves {
             self.restore_solve(key, solved.map(Arc::new), stamp);
         }
         for (key, sim) in sims {
             self.restore_sim(key, Arc::new(sim));
-        }
-        for (key, table) in ranks {
-            self.restore_rank(key, Arc::new(table));
         }
         self.finish_restore(tick, carried);
         Ok(summary)
@@ -662,9 +615,6 @@ mod tests {
                 lanes: vec![(0, 10.0), (1, 2.5)],
             },
         );
-        view.rank_table(graphs[0].fingerprint(), shape, || {
-            crate::heft::rank_table(&graphs[0], sub.cluster())
-        });
         (graphs, shape)
     }
 
@@ -681,17 +631,9 @@ mod tests {
 
         let restored = SolveCache::new();
         let summary = restored.load_from(&path, chash).unwrap();
-        assert_eq!(
-            summary,
-            LoadSummary {
-                solves: 3,
-                sims: 1,
-                ranks: 1
-            }
-        );
+        assert_eq!(summary, LoadSummary { solves: 3, sims: 1 });
         assert_eq!(restored.len(), 3);
         assert_eq!(restored.sim_len(), 1);
-        assert_eq!(restored.rank_len(), 1);
         assert_eq!(restored.stats(), saved_stats, "cumulative stats carry over");
 
         // Warm probes: both solves hit, the sim hits bit-exactly.
@@ -715,17 +657,10 @@ mod tests {
         );
         assert_eq!(sim.makespan, 12.5);
         assert_eq!(sim.lanes, vec![(0, 10.0), (1, 2.5)]);
-        // The restored rank table replays bit-exactly.
-        let fresh = crate::heft::rank_table(&graphs[0], sub.cluster());
-        let warm_ranks = view.rank_table(graphs[0].fingerprint(), shape, || {
-            panic!("restored rank table must hit")
-        });
-        assert_eq!(*warm_ranks, fresh);
         let after = restored.stats();
         assert_eq!(after.hits, saved_stats.hits + graphs.len() as u64);
         assert_eq!(after.misses, saved_stats.misses);
         assert_eq!(after.sim_hits, saved_stats.sim_hits + 1);
-        assert_eq!(after.rank_hits, saved_stats.rank_hits + 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -799,10 +734,30 @@ mod tests {
             try_load(b"{\"not\": \"a snapshot\"}"),
             SnapshotError::BadMagic
         );
-        // Wrong format version.
-        let mut wrong_ver = good.clone();
-        wrong_ver[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert_eq!(try_load(&wrong_ver), SnapshotError::WrongVersion(99));
+        // Wrong format version — a later one, and the previous one
+        // (whose header is one field longer; it is never parsed).
+        for v in [99u32, 2] {
+            let mut wrong_ver = good.clone();
+            wrong_ver[8..12].copy_from_slice(&v.to_le_bytes());
+            assert_eq!(try_load(&wrong_ver), SnapshotError::WrongVersion(v));
+        }
+        // The record counts sit outside the checksum. A count no body
+        // of this length can hold is refused before it sizes anything;
+        // one that is merely too large runs into the next section or
+        // off the end of the body.
+        for at in [24, 32] {
+            let mut huge = good.clone();
+            huge[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert!(matches!(try_load(&huge), SnapshotError::Malformed(_)));
+            let mut one_more = good.clone();
+            let n = read_u64(&good, at).unwrap() + 1;
+            one_more[at..at + 8].copy_from_slice(&n.to_le_bytes());
+            let err = try_load(&one_more);
+            assert!(
+                matches!(err, SnapshotError::Truncated | SnapshotError::Malformed(_)),
+                "{err:?}"
+            );
+        }
         // Wrong solver config: the whole file is refused.
         let fresh = SolveCache::new();
         let err = fresh.load_from(&path, chash ^ 1).unwrap_err();

@@ -145,30 +145,19 @@ pub(crate) fn admission_passes(
     let mut event_resv: Option<(usize, f64)> = None;
     loop {
         let mut changed = false;
-        // The FIFO-family's candidate order *is* the live queue order,
-        // so the overhauled pipeline walks the storage in place
-        // (skipping tombstones as it goes) instead of materialising an
-        // index vector per pass — on deep queues that vector write was
-        // the hottest line of the whole engine. Ranked policies and
-        // the cache-aware tiebreak still materialise (they reorder),
-        // reusing a scratch buffer; the legacy path allocates fresh,
-        // as the pre-overhaul driver did.
-        let scan = cfg.fast_admission
-            && !cfg.cache_aware
-            && matches!(
-                cfg.policy,
-                AdmissionPolicy::FifoBackfill | AdmissionPolicy::EasyBackfill
-            );
-        let mut order = if scan {
-            std::mem::take(&mut state.scratch.order) // stays empty
-        } else if cfg.fast_admission {
-            let mut o = std::mem::take(&mut state.scratch.order);
+        // The backfilling policies' candidate order *is* the live
+        // queue order, so the pass walks the storage in place (skipping
+        // tombstones as it goes) instead of materialising an index
+        // vector — on deep queues that vector write was the hottest
+        // line of the whole engine. Plain FIFO, the ranked policies and
+        // the cache-aware tiebreak materialise (they truncate or
+        // reorder), into a scratch buffer reused across passes.
+        let scan = !cfg.cache_aware && cfg.policy.backfills();
+        let mut order = std::mem::take(&mut state.scratch.order); // empty
+        if !scan {
             cfg.policy
-                .candidate_order_into(&state.queue, &state.dead, &mut o);
-            o
-        } else {
-            cfg.policy.candidate_order(&state.queue)
-        };
+                .candidate_order_into(&state.queue, &state.dead, &mut order);
+        }
         if cfg.cache_aware && cfg.policy.backfills() && state.queue_len() > 1 {
             // Cache-aware tiebreak: among same-arrival backfill
             // candidates, warm `(fingerprint, shape)` pairs go first.
@@ -484,37 +473,23 @@ pub(crate) fn admission_passes(
                 }
             }
         }
-        // Remove the taken entries. The overhauled pipeline tombstones
-        // them and sweeps the storage only once half of it is dead —
-        // each queue entry moves O(1) times over its whole lifetime.
-        // The legacy path removes per index, shifting the whole tail
-        // every time (O(grants × queue) — the single hottest cost in
-        // the pre-overhaul profile, and exactly what
-        // `fast_admission: false` pins for the A/B measurement).
-        if cfg.fast_admission {
-            for &qi in &taken {
-                state.dead[qi] = true;
-            }
-            state.dead_count += taken.len();
-            if state.dead_count * 2 > state.queue.len() {
-                state.compact_queue();
-            }
-        } else {
-            taken.sort_unstable_by(|a, b| b.cmp(a));
-            for qi in taken.iter().copied() {
-                state.queue.remove(qi);
-                state.dead.pop();
-            }
+        // Remove the taken entries: tombstone them and sweep the
+        // storage only once half of it is dead — each queue entry moves
+        // O(1) times over its whole lifetime.
+        for &qi in &taken {
+            state.dead[qi] = true;
+        }
+        state.dead_count += taken.len();
+        if state.dead_count * 2 > state.queue.len() {
+            state.compact_queue();
         }
         // Restore the pass buffers for the next pass (or event).
         taken.clear();
         deferred.clear();
+        order.clear();
         state.scratch.taken = taken;
         state.scratch.deferred = deferred;
-        if cfg.fast_admission {
-            order.clear();
-            state.scratch.order = order;
-        }
+        state.scratch.order = order;
         if !changed {
             break;
         }
@@ -698,24 +673,6 @@ pub(crate) fn can_place(
     let target = cfg
         .lease
         .target(cand.submission.instance.graph.node_count());
-    if !cfg.fast_admission {
-        // The measured pre-overhaul path: materialise every probe
-        // through the full placement search.
-        return matches!(
-            find_placement(
-                cluster,
-                mem_order,
-                free,
-                cand,
-                cfg,
-                cache,
-                config_hash,
-                target,
-                free_sorted,
-            ),
-            Probe::Placed { .. }
-        );
-    }
     free_sorted.clear();
     free_sorted.extend(mem_order.iter().copied().filter(|p| free[p.idx()]));
     if free_sorted.is_empty() || cand.max_task_req > cluster.memory(free_sorted[0]) * (1.0 + 1e-9) {
@@ -826,9 +783,7 @@ pub(crate) fn head_reservation(
 ///
 /// Reuse is gated off under `cache_aware` ordering — there the probes'
 /// cache-warmth side effects are scheduling-visible, and skipping them
-/// would perturb the very tiebreak they feed — and under
-/// `fast_admission = false` (the measured baseline recomputes
-/// everything, exactly as the pre-overhaul engine did).
+/// would perturb the very tiebreak they feed.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn head_reservation_cached(
     cluster: &Cluster,
@@ -844,7 +799,7 @@ pub(crate) fn head_reservation_cached(
     resv_cache: &mut Option<(u64, usize, f64)>,
     scratch: &mut ProbeScratch,
 ) -> f64 {
-    let reusable = cfg.fast_admission && !cfg.cache_aware;
+    let reusable = !cfg.cache_aware;
     if reusable {
         if let Some((e, id, r)) = *resv_cache {
             if e == epoch && id == cand.id {

@@ -138,15 +138,6 @@ pub struct OnlineConfig {
     /// first admission and rewrites it crash-safely at exit. `None`
     /// (default) keeps the cache purely in-memory.
     pub persist: Option<PersistSpec>,
-    /// The admission hot-path overhaul (default on): feasibility probes
-    /// skip schedule materialisation, the blocked head's reservation is
-    /// reused under an epoch validity token, and taken queue entries are
-    /// tombstoned instead of shifted out. Every scheduling outcome and
-    /// every report byte is identical either way (the optimisations are
-    /// replays of work the engine would do anyway; pinned by the digest
-    /// suites) — `false` restores the pre-overhaul execution strategy
-    /// as the measured baseline for `admission_hotpath` benchmarks.
-    pub fast_admission: bool,
 }
 
 /// Where (and how often) a run persists its solve cache.
@@ -181,7 +172,6 @@ impl Default for OnlineConfig {
             elastic_shrink: None,
             serial_federation: false,
             persist: None,
-            fast_admission: true,
         }
     }
 }
@@ -350,8 +340,6 @@ pub(crate) fn diff_stats(a: SolveCacheStats, b: SolveCacheStats) -> SolveCacheSt
         evictions: a.evictions - b.evictions,
         sim_hits: a.sim_hits - b.sim_hits,
         sim_misses: a.sim_misses - b.sim_misses,
-        rank_hits: a.rank_hits - b.rank_hits,
-        rank_misses: a.rank_misses - b.rank_misses,
     }
 }
 
@@ -547,8 +535,6 @@ pub(crate) fn finalize(
                 solve_cache_evictions: pre.evictions + batch.evictions,
                 sim_cache_hits: pre.sim_hits + batch.sim_hits,
                 sim_cache_misses: pre.sim_misses + batch.sim_misses,
-                rank_cache_hits: pre.rank_hits + batch.rank_hits,
-                rank_cache_misses: pre.rank_misses + batch.rank_misses,
                 lease_grown,
                 lease_shrunk,
                 lost: lost_count,

@@ -254,8 +254,6 @@ pub(super) fn merge_fleet(clusters: &[ServeReport], total_procs: usize) -> Fleet
         solve_cache_evictions: clusters.iter().map(|c| c.fleet.solve_cache_evictions).sum(),
         sim_cache_hits: clusters.iter().map(|c| c.fleet.sim_cache_hits).sum(),
         sim_cache_misses: clusters.iter().map(|c| c.fleet.sim_cache_misses).sum(),
-        rank_cache_hits: clusters.iter().map(|c| c.fleet.rank_cache_hits).sum(),
-        rank_cache_misses: clusters.iter().map(|c| c.fleet.rank_cache_misses).sum(),
         lease_grown: clusters.iter().map(|c| c.fleet.lease_grown).sum(),
         lease_shrunk: clusters.iter().map(|c| c.fleet.lease_shrunk).sum(),
         requeues: clusters.iter().map(|c| c.fleet.requeues).sum(),
@@ -301,8 +299,6 @@ mod tests {
             assert_eq!(f.baseline_solves, sum(&|f| f.baseline_solves));
             assert_eq!(f.sim_cache_hits, sum(&|f| f.sim_cache_hits));
             assert_eq!(f.sim_cache_misses, sum(&|f| f.sim_cache_misses));
-            assert_eq!(f.rank_cache_hits, sum(&|f| f.rank_cache_hits));
-            assert_eq!(f.rank_cache_misses, sum(&|f| f.rank_cache_misses));
             assert_eq!(f.lease_grown, sum(&|f| f.lease_grown));
             assert_eq!(f.requeues, sum(&|f| f.requeues));
             // Every workflow served exactly once, on a real member.

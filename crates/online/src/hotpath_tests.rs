@@ -8,7 +8,9 @@
 //! which keeps the assertions exact while the harness runs other
 //! tests on sibling threads.
 
-use crate::admission::{admission_passes, can_place, head_fits_at, head_reservation_cached};
+use crate::admission::{
+    admission_passes, can_place, head_fits_at, head_reservation_cached, try_admit, Admit,
+};
 use crate::engine::{serve_with_cache, OnlineConfig};
 use crate::event::EventQueue;
 use crate::policy::{AdmissionPolicy, LeaseSizing};
@@ -151,22 +153,22 @@ fn warm_probes_are_allocation_free() {
     assert_eq!(replays, 0, "warm head-fit replays must not allocate");
 }
 
-/// The slow baseline still allocates (it materialises every probe), so
-/// the zero above is the overhaul's doing, not the counter's.
+/// The allocator's positive control: the grant path still materialises
+/// its probe (`try_admit` → `find_placement` builds the lease view and
+/// the schedule even on a warm key) and must allocate, so the zero
+/// `can_place` reaches on the same key is the probe's doing, not the
+/// counter's.
 #[test]
 fn the_slow_baseline_still_allocates() {
     let cluster = dhp_platform::configs::small_cluster();
-    let cfg = OnlineConfig {
-        fast_admission: false,
-        ..OnlineConfig::default()
-    };
+    let cfg = OnlineConfig::default();
     let cache = SolveCache::new();
     let view = CacheView::direct(&cache);
     let config_hash = SolveCache::config_hash(&cfg.solver);
     let mut state = ClusterState::new(&cluster, None);
     let cand = pending(1, 40.0, 2.0);
-    for _ in 0..2 {
-        can_place(
+    let grant = |state: &mut ClusterState| {
+        let admit = try_admit(
             &cluster,
             &state.mem_order,
             &state.free,
@@ -174,12 +176,28 @@ fn the_slow_baseline_still_allocates() {
             &cfg,
             &view,
             config_hash,
+            0.0,
+            1,
+            None,
             &mut state.scratch.free_sorted,
         );
+        assert!(matches!(admit, Admit::Granted(_)));
+    };
+    for _ in 0..2 {
+        grant(&mut state);
     }
-    let n = allocations_in(|| {
+    let granting = allocations_in(|| {
         for _ in 0..10 {
-            can_place(
+            grant(&mut state);
+        }
+    });
+    assert!(
+        granting > 0,
+        "a grant materialises its lease and schedule and must allocate"
+    );
+    let probing = allocations_in(|| {
+        for _ in 0..10 {
+            assert!(can_place(
                 &cluster,
                 &state.mem_order,
                 &state.free,
@@ -188,13 +206,10 @@ fn the_slow_baseline_still_allocates() {
                 &view,
                 config_hash,
                 &mut state.scratch.free_sorted,
-            );
+            ));
         }
     });
-    assert!(
-        n > 0,
-        "the legacy path materialises probes and must allocate"
-    );
+    assert_eq!(probing, 0, "the feasibility probe on the same warm key");
 }
 
 /// The reservation token: a matching `(epoch, head)` replays the

@@ -82,23 +82,16 @@ impl AdmissionPolicy {
         )
     }
 
-    /// Candidate order: indices into `queue` in the order this policy
-    /// wants them tried. `Fifo` returns only the head (head-of-line
-    /// blocking); `FifoBackfill` returns the whole queue in arrival
-    /// order (the engine enforces the head's reservation); the others
-    /// rank the whole queue.
-    pub(crate) fn candidate_order(self, queue: &[crate::state::Pending]) -> Vec<usize> {
-        let mut idx = Vec::new();
-        self.candidate_order_into(queue, &[], &mut idx);
-        idx
-    }
-
-    /// [`candidate_order`](Self::candidate_order) into a caller-owned
-    /// buffer — the overhauled admission loop reuses one across passes
-    /// so steady-state ordering is allocation-free. `dead` is the
-    /// queue's tombstone mask (empty = everything live): tombstoned
-    /// entries are omitted, so the returned *storage* indices rank
-    /// exactly like positions in a compacted queue would.
+    /// Candidate order: storage indices into `queue` in the order this
+    /// policy wants them tried, into a caller-owned buffer (the
+    /// admission loop reuses one across passes so steady-state ordering
+    /// is allocation-free). `Fifo` yields only the head (head-of-line
+    /// blocking); the backfilling policies yield the whole queue in
+    /// arrival order (the engine enforces the head's reservation); the
+    /// others rank the whole queue. `dead` is the queue's tombstone
+    /// mask, parallel to `queue`: tombstoned entries are omitted, so
+    /// the indices rank exactly like positions in a compacted queue
+    /// would.
     pub(crate) fn candidate_order_into(
         self,
         queue: &[crate::state::Pending],
@@ -106,7 +99,7 @@ impl AdmissionPolicy {
         idx: &mut Vec<usize>,
     ) {
         idx.clear();
-        let live = |i: usize| dead.get(i).is_none_or(|&d| !d);
+        let live = |i: usize| !dead[i];
         match self {
             AdmissionPolicy::Fifo => {
                 if let Some(head) = (0..queue.len()).find(|&i| live(i)) {

@@ -231,17 +231,6 @@ pub struct FleetMetrics {
     /// Omitted from the JSON when 0.
     #[serde(default, skip_serializing_if = "is_zero_u64")]
     pub sim_cache_misses: u64,
-    /// HEFT upward-rank tables answered from the memoized rank store
-    /// (keyed by `(fingerprint, lease shape)` next to the solves).
-    /// Always 0 on the rank-free default solver and with
-    /// `--no-solve-cache`; omitted from the JSON when 0 so earlier
-    /// reports keep their schema byte-for-byte.
-    #[serde(default, skip_serializing_if = "is_zero_u64")]
-    pub rank_cache_hits: u64,
-    /// Rank tables the cache had to compute fresh. Omitted from the
-    /// JSON when 0.
-    #[serde(default, skip_serializing_if = "is_zero_u64")]
-    pub rank_cache_misses: u64,
 }
 
 impl FleetMetrics {
@@ -255,8 +244,6 @@ impl FleetMetrics {
         self.solve_cache_evictions = 0;
         self.sim_cache_hits = 0;
         self.sim_cache_misses = 0;
-        self.rank_cache_hits = 0;
-        self.rank_cache_misses = 0;
     }
 }
 
@@ -317,7 +304,7 @@ impl ServeReport {
              slowdown mean {:.3}  max {:.3}   mean lease {:.2} procs\n\
              solve cache hits {}  misses {}  (hit rate {:.1}%)   baseline solves {}  \
              evictions {}\n\
-             sim cache hits {}  misses {}   rank cache hits {}  misses {}\n\
+             sim cache hits {}  misses {}\n\
              leases grown {}  shrunk {}   lost {}",
             self.policy,
             self.algorithm,
@@ -342,8 +329,6 @@ impl ServeReport {
             f.solve_cache_evictions,
             f.sim_cache_hits,
             f.sim_cache_misses,
-            f.rank_cache_hits,
-            f.rank_cache_misses,
             f.lease_grown,
             f.lease_shrunk,
             f.lost,
@@ -417,8 +402,6 @@ mod tests {
                 requeues: 0,
                 sim_cache_hits: 0,
                 sim_cache_misses: 0,
-                rank_cache_hits: 0,
-                rank_cache_misses: 0,
             },
             recovery: None,
         }
@@ -485,15 +468,12 @@ mod tests {
         r.workflows[0].requeues = 1;
         r.fleet.sim_cache_hits = 4;
         r.fleet.sim_cache_misses = 2;
-        r.fleet.rank_cache_hits = 3;
-        r.fleet.rank_cache_misses = 1;
         r.recovery = Some("cold start: snapshot is truncated".into());
         let json = r.to_json();
         assert!(json.contains("failed_at"));
         assert!(json.contains("lease_shrunk"));
         assert!(json.contains("requeues"));
         assert!(json.contains("sim_cache_hits"));
-        assert!(json.contains("rank_cache_hits"));
         assert!(json.contains("recovery"));
         let back: ServeReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, r);

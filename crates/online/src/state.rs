@@ -166,13 +166,11 @@ pub(crate) struct ClusterState {
     pub(crate) free_count: usize,
     /// The admission queue, maintained in `(arrival, id)` order.
     pub(crate) queue: Vec<Pending>,
-    /// Tombstones parallel to `queue`. The overhauled admission
-    /// pipeline marks taken entries dead and defers the storage sweep
-    /// until half the entries are tombstones ([`compact_queue`]), so
-    /// each queue entry is moved O(1) times over its lifetime instead
-    /// of once per later admission. The legacy pipeline
-    /// (`fast_admission: false`) never marks tombstones, so every
-    /// accessor degrades to the plain direct read.
+    /// Tombstones parallel to `queue`. An admission pass marks taken
+    /// entries dead and defers the storage sweep until half the entries
+    /// are tombstones ([`compact_queue`]), so each queue entry is moved
+    /// O(1) times over its lifetime instead of once per later
+    /// admission.
     ///
     /// [`compact_queue`]: ClusterState::compact_queue
     pub(crate) dead: Vec<bool>,

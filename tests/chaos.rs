@@ -11,7 +11,7 @@
 //! * chaos runs are byte-identically deterministic;
 //! * a member **joining** after the failure strictly improves the mean
 //!   wait over the fail-only run (the Join-rebalancing acceptance
-//!   gate, pinned at bench scale in `chaos_report`).
+//!   gate).
 
 use dhp_online::{
     fit_cluster, serve_federation_chaos, FailureMode, MembershipPlan, OnlineConfig, RoutingPolicy,
@@ -203,9 +203,7 @@ fn chaos_runs_are_byte_identically_deterministic() {
 #[test]
 fn a_join_after_the_failure_improves_mean_wait() {
     // Fail member 1 at peak, then join a fresh same-shape member: the
-    // rebalanced fleet must wait strictly less than the fail-only run
-    // (the bench gate `chaos_report` pins this at 500-submission
-    // scale; this is the same comparison at test scale).
+    // rebalanced fleet must wait strictly less than the fail-only run.
     let (fed, member, subs) = burst_trace(40);
     let fail_only = serve_federation_chaos(
         &fed,

@@ -1,17 +1,16 @@
 //! Golden outputs of the single-cluster serving engine.
 //!
-//! `tests/golden/online_golden.txt` was recorded from the admission
-//! driver behind `OnlineConfig::fast_admission = false` (every pass
-//! materialises its candidate order, every reservation is replayed from
-//! scratch, every feasibility probe goes through the full placement
-//! search, taken entries are shifted out of the queue) before that
-//! driver was deleted; the recorder refused to write a row the default
-//! driver did not reproduce. Every line is a label, the FNV of the
-//! report JSON with the solver-effort counters cleared, the number of
-//! head reservations the engine computed, the FNV over every
+//! `tests/golden/online_golden.txt` was recorded from an admission
+//! driver the engine no longer has — one that materialised every pass's
+//! candidate order, replayed every reservation from scratch, sent every
+//! feasibility probe through the full placement search and shifted
+//! taken entries out of the queue — and the recorder refused to write a
+//! row today's driver did not reproduce. Every line is a label, the FNV
+//! of the report JSON with the solver-effort counters cleared, the
+//! number of head reservations the engine computed, the FNV over every
 //! reservation's `(at, head id, reservation, trigger)` in decision
-//! order, and — from the default driver — the FNV of the report JSON
-//! *with* its counters.
+//! order, and — from today's driver — the FNV of the report JSON *with*
+//! its counters.
 //!
 //! * `matrix` rows: `tests/engine_equivalence.rs`'s stream and cluster
 //!   over {burst, poisson, uniform} × all five policies × elastic {off,
@@ -30,7 +29,7 @@ use dhp_online::{AdmissionPolicy, OnlineConfig};
 use dhp_platform::{Cluster, Processor};
 use dhp_wfgen::arrivals::ArrivalProcess;
 use dhp_wfgen::Family;
-use online_rows::{counters_column, outcome_columns, single_cases, Case};
+use online_rows::{row, single_cases, Case};
 
 const GOLDEN: &str = include_str!("golden/online_golden.txt");
 
@@ -95,32 +94,11 @@ fn matrix_cases() -> Vec<Case> {
     cases
 }
 
-/// Every row, the scheduling columns taken from the slow driver and the
-/// with-counters column from the default one — after asserting the
-/// default driver agrees with the slow one on the former.
 fn compute() -> String {
     let mut out = String::new();
     for case in matrix_cases().into_iter().chain(single_cases()) {
-        let fast = case.serve();
-        let slow = Case {
-            cfg: OnlineConfig {
-                fast_admission: false,
-                ..case.cfg.clone()
-            },
-            ..case
-        };
-        let columns = outcome_columns(&slow.serve());
-        assert_eq!(
-            columns,
-            outcome_columns(&fast),
-            "{}: the default driver diverges from the slow one",
-            slow.label
-        );
-        out.push_str(&format!(
-            "{}: {columns} {}\n",
-            slow.label,
-            counters_column(&fast)
-        ));
+        out.push_str(&row(&case.label, &case.serve()));
+        out.push('\n');
     }
     out
 }

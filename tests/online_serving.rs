@@ -249,3 +249,60 @@ fn every_policy_serves_the_burst_without_validation_failures() {
         }
     }
 }
+
+/// The adaptive-admission gates on the bursty repeat-heavy trace (500
+/// submissions cycling 10 topologies, the paper's LessHet cluster at
+/// its small size — memory rarely blocks a placement there, so the
+/// head's reservation is the binding constraint): EASY's mean wait does
+/// not exceed conservative backfilling's, elastic growth finishes the
+/// trace no later than static leases do, and every run repeats byte
+/// for byte.
+#[test]
+fn easy_and_elastic_growth_pay_off_on_the_repeat_heavy_burst() {
+    use dhp_platform::configs::{cluster, ClusterKind, ClusterSize};
+    let subs = dhp_online::submission::repeating_stream(
+        10,
+        500,
+        &[Family::Blast, Family::Seismology, Family::Genome],
+        (8, 80),
+        &ArrivalProcess::Burst { at: 0.0 },
+        11,
+    );
+    let fitted = fit_cluster(
+        &cluster(ClusterKind::LessHet, ClusterSize::Small),
+        &subs,
+        1.05,
+    );
+    let run = |policy: AdmissionPolicy, elastic: Option<usize>| {
+        let cfg = OnlineConfig {
+            policy,
+            elastic,
+            ..OnlineConfig::default()
+        };
+        let report = serve(&fitted, subs.clone(), &cfg).report;
+        let again = serve(&fitted, subs.clone(), &cfg).report;
+        assert_eq!(
+            report.to_json(),
+            again.to_json(),
+            "{} (elastic {elastic:?}) is not deterministic",
+            policy.name()
+        );
+        report.fleet
+    };
+    let conservative = run(AdmissionPolicy::FifoBackfill, None);
+    let easy = run(AdmissionPolicy::EasyBackfill, None);
+    let elastic = run(AdmissionPolicy::FifoBackfill, Some(4));
+    assert!(
+        easy.mean_wait <= conservative.mean_wait + 1e-9,
+        "easy-backfill regressed mean wait: {} vs {}",
+        easy.mean_wait,
+        conservative.mean_wait
+    );
+    assert!(elastic.lease_grown >= 1, "premise: a lease grew");
+    assert!(
+        elastic.horizon <= conservative.horizon + 1e-9,
+        "elastic growth finished later than static leases: {} vs {}",
+        elastic.horizon,
+        conservative.horizon
+    );
+}

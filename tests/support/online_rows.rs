@@ -61,12 +61,9 @@ pub fn single_task_trace(n: usize, kind: u8, seed: u64) -> Vec<Submission> {
         .collect()
 }
 
-/// The elastic settings both row families cross with: `(label, growth
-/// threshold, shrink threshold)`.
-pub type ElasticPick = (&'static str, Option<usize>, Option<usize>);
-
-/// The `single` rows' picks — the four the former proptest drew from.
-pub const SINGLE_ELASTIC: [ElasticPick; 4] = [
+/// The `single` rows' elastic picks, `(label, growth threshold, shrink
+/// threshold)` — the four the former proptest drew from.
+pub const SINGLE_ELASTIC: [(&str, Option<usize>, Option<usize>); 4] = [
     ("off", None, None),
     ("grow-1", Some(1), None),
     ("shrink-1", None, Some(1)),
@@ -91,13 +88,8 @@ pub const SINGLE_SEEDS: [u64; 8] = [
 /// reservation, trigger)` in decision order, and FNV of the report JSON
 /// *with* its counters (a rerun must repeat those too).
 pub fn row(label: &str, out: &ServeOutcome) -> String {
-    format!("{label}: {} {}", outcome_columns(out), counters_column(out))
-}
-
-/// The columns of [`row`] that do not depend on solver effort.
-pub fn outcome_columns(out: &ServeOutcome) -> String {
-    let mut report = out.report.clone();
-    report.fleet.clear_solve_stats();
+    let mut scheduled = out.report.clone();
+    scheduled.fleet.clear_solve_stats();
     let resv = out.reservations.iter().fold(FNV_OFFSET, |h, r| {
         let trigger = match r.trigger {
             ReservationTrigger::HeadBlocked => 0,
@@ -113,15 +105,11 @@ pub fn outcome_columns(out: &ServeOutcome) -> String {
         .fold(h, fnv1a_u64)
     });
     format!(
-        "{:016x} {} {resv:016x}",
-        fnv1a_bytes(report.to_json().bytes()),
+        "{label}: {:016x} {} {resv:016x} {:016x}",
+        fnv1a_bytes(scheduled.to_json().bytes()),
         out.reservations.len(),
+        fnv1a_bytes(out.report.to_json().bytes()),
     )
-}
-
-/// The last column of [`row`].
-pub fn counters_column(out: &ServeOutcome) -> String {
-    format!("{:016x}", fnv1a_bytes(out.report.to_json().bytes()))
 }
 
 /// One run of the golden file: its label, trace and configuration.

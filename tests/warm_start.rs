@@ -117,7 +117,7 @@ fn a_500_submission_trace_round_trips_through_a_snapshot() {
 fn every_corrupt_snapshot_variant_degrades_to_a_cold_start() {
     let dir = scratch("corruption");
     let snap = dir.join("cache.bin");
-    // A small trace keeps the five corruption runs fast; the semantics
+    // A small trace keeps the corruption runs fast; the semantics
     // under test are identical at any scale.
     let subs = dhp_online::submission::repeating_stream(
         3,
@@ -135,22 +135,29 @@ fn every_corrupt_snapshot_variant_degrades_to_a_cold_start() {
 
     // Each variant: (tag, corrupted bytes, substring the recovery note
     // must carry). Offsets follow the documented header layout: magic
-    // [0..8), version [8..12), config_hash [12..20).
+    // [0..8), version [8..12), config_hash [12..20), solve count
+    // [24..32) — the counts sit outside the body checksum.
     let truncated = good[..good.len() / 2].to_vec();
     let mut bitflip = good.clone();
     let last = bitflip.len() - 1;
     bitflip[last] ^= 0x40; // body corruption → checksum mismatch
     let mut wrong_version = good.clone();
     wrong_version[8..12].copy_from_slice(&999u32.to_le_bytes());
+    let mut previous_version = good.clone();
+    previous_version[8..12].copy_from_slice(&2u32.to_le_bytes());
+    let mut header_count = good.clone();
+    header_count[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
     let mut wrong_config = good.clone();
     for b in &mut wrong_config[12..20] {
         *b ^= 0xff;
     }
     let garbage = b"this is not a snapshot of anything at all".to_vec();
-    let variants: [(&str, Vec<u8>, &str); 5] = [
+    let variants: [(&str, Vec<u8>, &str); 7] = [
         ("truncated", truncated, "truncated"),
         ("bit-flipped", bitflip, "checksum"),
         ("wrong-version", wrong_version, "version 999"),
+        ("previous-version", previous_version, "version 2"),
+        ("header-count", header_count, "malformed"),
         ("wrong-config", wrong_config, "solver config"),
         ("garbage", garbage, "bad magic"),
     ];
