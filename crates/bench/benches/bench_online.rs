@@ -5,7 +5,8 @@
 //! a repeat-heavy trace contrasting the content-addressed solve cache
 //! against `--no-solve-cache` (`bench_solve_cache`), and the two warm
 //! serving paths where the engine's own bookkeeping is the whole cost
-//! (`bench_warm_serving`).
+//! (`bench_warm_serving`), and what one arrival's graph costs the
+//! engine the first time and every time after (`bench_arrival_facts`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dhp_online::{
@@ -15,7 +16,7 @@ use dhp_online::{
 use dhp_platform::configs::{self, ClusterKind, ClusterSize};
 use dhp_platform::Federation;
 use dhp_wfgen::arrivals::ArrivalProcess;
-use dhp_wfgen::Family;
+use dhp_wfgen::{Family, WorkflowInstance};
 use std::hint::black_box;
 
 fn bench_serve(c: &mut Criterion) {
@@ -233,11 +234,53 @@ fn bench_warm_serving(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two arms of the serve loops' arrival table, as the public
+/// kernels each consists of: the first sight of a graph derives its
+/// three facts (total work, hottest task, fingerprint); a repeat is
+/// recognised by one content pre-hash and one content comparison
+/// against the stored witness. The table's own share (one `HashMap`
+/// probe on the pre-hash) is the same constant on both arms.
+fn bench_arrival_facts(c: &mut Criterion) {
+    let mut group = c.benchmark_group("arrival_facts");
+    for family in [Family::Blast, Family::Seismology, Family::Genome] {
+        for tasks in [8usize, 28, 48] {
+            let g = WorkflowInstance::simulated(family, tasks, 17).graph;
+            let witness = g.clone();
+            group.bench_with_input(
+                BenchmarkId::new(format!("first_sight/{}", family.name()), tasks),
+                &tasks,
+                |b, _| {
+                    b.iter(|| {
+                        let g = black_box(&g);
+                        (
+                            g.total_work(),
+                            dhp_core::fitting::max_task_requirement(g),
+                            g.fingerprint(),
+                        )
+                    })
+                },
+            );
+            group.bench_with_input(
+                BenchmarkId::new(format!("repeat/{}", family.name()), tasks),
+                &tasks,
+                |b, _| {
+                    b.iter(|| {
+                        let g = black_box(&g);
+                        (g.content_prehash(), black_box(&witness).content_eq(g))
+                    })
+                },
+            );
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_serve,
     bench_backfill_and_load_aware,
     bench_solve_cache,
-    bench_warm_serving
+    bench_warm_serving,
+    bench_arrival_facts
 );
 criterion_main!(benches);

@@ -22,6 +22,31 @@
 //! (harmless — at worst a redundant solve), and a collision between
 //! genuinely different graphs is astronomically unlikely but not
 //! impossible (the cache trades that risk for O(1) admission).
+//!
+//! # Recognising a graph that was seen before
+//!
+//! The fingerprint is not cheap: a topological sort, a position table
+//! and an edge sort, all allocated per call. A caller that is handed
+//! the same recipes over and over (the online engine's arrival path)
+//! does not need to pay that per submission, because a *copy* of a
+//! graph can be recognised without any of it:
+//!
+//! * [`Dag::content_eq`] compares two graphs' **stored content** — node
+//!   count, edge count, every `work` / `memory` bit in node order, every
+//!   `(src, dst, volume)` bit in edge order — in one linear pass that
+//!   allocates nothing. A [`Dag`] is append-only and its adjacency lists
+//!   are filled by `add_edge` in edge order, so equal storage means
+//!   equal adjacency, and every quantity derived from the graph
+//!   (`fingerprint`, `total_work`, each `task_requirement`) is bit-equal
+//!   on the two. Labels are not compared: nothing derived here reads
+//!   them. The converse does not hold and is not needed — the same
+//!   edges inserted in another order are *different* content (and are
+//!   merely recomputed by whoever keys on this).
+//! * [`Dag::content_prehash`] folds the same words into a `u64` to pick
+//!   the candidates worth comparing. It is a bucket index and nothing
+//!   more: it is not FNV, it is not stable across versions, it is never
+//!   stored, and no decision may rest on two pre-hashes being equal —
+//!   `content_eq` decides.
 
 use crate::graph::Dag;
 use crate::topo::topo_sort;
@@ -87,6 +112,51 @@ impl Dag {
             h = fnv1a_u64(h, v);
         }
         h
+    }
+
+    /// Cheap hash of the graph's stored content: the words
+    /// [`Dag::content_eq`] compares, folded one multiply per word on
+    /// independent lanes. Content-equal graphs pre-hash equal; the
+    /// reverse is only likely, so use it to *find* candidates and
+    /// `content_eq` to accept one (see the module docs). Allocates
+    /// nothing.
+    pub fn content_prehash(&self) -> u64 {
+        #[inline]
+        fn fold(h: u64, word: u64) -> u64 {
+            (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+        }
+        // One lane per stored field, so consecutive multiplies do not
+        // wait on each other.
+        let (mut work, mut memory) = (self.node_count() as u64, FNV_OFFSET);
+        for u in self.node_ids().map(|u| self.node(u)) {
+            work = fold(work, u.work.to_bits());
+            memory = fold(memory, u.memory.to_bits());
+        }
+        let (mut ends, mut volume) = (self.edge_count() as u64, FNV_PRIME);
+        for e in self.edge_ids().map(|e| self.edge(e)) {
+            ends = fold(ends, u64::from(e.src.0) << 32 | u64::from(e.dst.0));
+            volume = fold(volume, e.volume.to_bits());
+        }
+        fold(fold(fold(work, memory), ends), volume)
+    }
+
+    /// Whether `other` stores the same graph: same node and edge counts,
+    /// bit-equal `work` and `memory` node by node, bit-equal `(src, dst,
+    /// volume)` edge by edge. Labels are ignored. True implies every
+    /// derived quantity — [`Dag::fingerprint`] included — is bit-equal
+    /// on the two (see the module docs); false only means "not a copy".
+    /// One linear pass, no allocation.
+    pub fn content_eq(&self, other: &Dag) -> bool {
+        self.node_count() == other.node_count()
+            && self.edge_count() == other.edge_count()
+            && self.node_ids().all(|u| {
+                let (a, b) = (self.node(u), other.node(u));
+                a.work.to_bits() == b.work.to_bits() && a.memory.to_bits() == b.memory.to_bits()
+            })
+            && self.edge_ids().all(|e| {
+                let (a, b) = (self.edge(e), other.edge(e));
+                a.src == b.src && a.dst == b.dst && a.volume.to_bits() == b.volume.to_bits()
+            })
     }
 }
 
@@ -156,5 +226,75 @@ mod tests {
     #[test]
     fn empty_graph_is_total() {
         assert_eq!(Dag::new().fingerprint(), Dag::new().fingerprint());
+        assert!(Dag::new().content_eq(&Dag::new()));
+        assert_eq!(Dag::new().content_prehash(), Dag::new().content_prehash());
+    }
+
+    #[test]
+    fn content_equality_reads_weights_and_edges_but_not_labels() {
+        let base = builder::fork_join(5, 10.0, 4.0, 2.0);
+        let same = |g: &Dag| g.content_eq(&base) && base.content_eq(g);
+
+        let mut labelled = base.clone();
+        labelled.node_mut(NodeId(3)).label = Some("renamed-task".into());
+        assert!(same(&labelled));
+        assert_eq!(labelled.content_prehash(), base.content_prehash());
+
+        let bump = |x: &mut f64| *x = f64::from_bits(x.to_bits() ^ 1);
+        let mut work = base.clone();
+        bump(&mut work.node_mut(NodeId(6)).work);
+        let mut mem = base.clone();
+        bump(&mut mem.node_mut(NodeId(0)).memory);
+        let mut vol = base.clone();
+        let last = vol.edge_ids().next_back().unwrap();
+        bump(&mut vol.edge_mut(last).volume);
+        let mut extra_edge = base.clone();
+        extra_edge.add_edge(NodeId(0), NodeId(6), 2.0);
+        let mut extra_node = base.clone();
+        extra_node.add_node(10.0, 4.0);
+        for (what, g) in [
+            ("work", &work),
+            ("memory", &mem),
+            ("volume", &vol),
+            ("an extra edge", &extra_edge),
+            ("an extra node", &extra_node),
+        ] {
+            assert!(!g.content_eq(&base) && !base.content_eq(g), "{what}");
+            assert_ne!(g.content_prehash(), base.content_prehash(), "{what}");
+        }
+        // Signed zeros and NaN payloads are different content too: the
+        // fingerprint hashes bits, so equality compares bits.
+        let mut zero = base.clone();
+        zero.node_mut(NodeId(1)).work = 0.0;
+        let mut minus_zero = base.clone();
+        minus_zero.node_mut(NodeId(1)).work = -0.0;
+        assert!(!zero.content_eq(&minus_zero));
+        assert_ne!(zero.fingerprint(), minus_zero.fingerprint());
+    }
+
+    #[test]
+    fn insertion_order_of_edges_is_content() {
+        // Same edge multiset, stored in another order: the fingerprint
+        // (which sorts its edges) agrees, the content does not — such a
+        // pair is recomputed by whoever keys on content, never confused.
+        let build = |order: &[(u32, u32)]| {
+            let mut g = Dag::new();
+            for _ in 0..3 {
+                g.add_node(1.0, 2.0);
+            }
+            for &(s, d) in order {
+                g.add_edge(NodeId(s), NodeId(d), f64::from(s + d));
+            }
+            g
+        };
+        let a = build(&[(0, 1), (0, 2), (1, 2)]);
+        let b = build(&[(1, 2), (0, 1), (0, 2)]);
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert!(!a.content_eq(&b));
+        // One endpoint moved, counts and volumes kept.
+        let mut c = build(&[(0, 1), (0, 2)]);
+        c.add_edge(NodeId(0), NodeId(2), 3.0);
+        assert!(!a.content_eq(&c));
+        assert_ne!(a.content_prehash(), c.content_prehash());
     }
 }

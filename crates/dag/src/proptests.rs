@@ -28,6 +28,28 @@ fn induced_by_edge_scan(g: &Dag, members: &[NodeId]) -> Dag {
     sub
 }
 
+/// `g` again, built by another route to the same storage: each task
+/// is added just before the first edge that needs it instead of all
+/// tasks first, and every task gets a label.
+fn rebuilt_interleaved(g: &Dag) -> Dag {
+    let mut copy = Dag::new();
+    let grow_to = |copy: &mut Dag, n: usize| {
+        while copy.node_count() < n {
+            let u = NodeId(copy.node_count() as u32);
+            copy.add_node_data(crate::graph::NodeData {
+                label: Some(format!("t{u}")),
+                ..g.node(u).clone()
+            });
+        }
+    };
+    for e in g.edge_ids().map(|e| g.edge(e)) {
+        grow_to(&mut copy, e.src.idx().max(e.dst.idx()) + 1);
+        copy.add_edge(e.src, e.dst, e.volume);
+    }
+    grow_to(&mut copy, g.node_count());
+    copy
+}
+
 /// Strategy: a random DAG described by (n, p, seed).
 fn dag_params() -> impl Strategy<Value = (usize, f64, u64)> {
     (2usize..40, 0.05f64..0.5, any::<u64>())
@@ -41,6 +63,46 @@ proptest! {
         let g = builder::gnp_dag(n, p, seed);
         let order = topo_sort(&g).expect("gnp graphs are acyclic");
         prop_assert!(is_topological_order(&g, &order));
+    }
+
+    #[test]
+    fn content_equal_graphs_share_every_derived_fact(
+        (n, p, seed) in dag_params(),
+        pick in any::<u32>(),
+    ) {
+        let g = builder::gnp_dag_weighted(n, p, seed);
+        let copy = rebuilt_interleaved(&g);
+        prop_assert!(g.content_eq(&copy) && copy.content_eq(&g));
+        prop_assert_eq!(g.content_prehash(), copy.content_prehash());
+        // What the online engine keeps of an arrival...
+        prop_assert_eq!(g.fingerprint(), copy.fingerprint());
+        prop_assert_eq!(g.total_work().to_bits(), copy.total_work().to_bits());
+        for u in g.node_ids() {
+            prop_assert_eq!(
+                g.task_requirement(u).to_bits(),
+                copy.task_requirement(u).to_bits()
+            );
+            // ...and why: equal storage is equal adjacency.
+            prop_assert_eq!(g.out_edges(u), copy.out_edges(u));
+            prop_assert_eq!(g.in_edges(u), copy.in_edges(u));
+        }
+
+        // One stored word changed: no longer a copy.
+        let mut other = copy;
+        let u = NodeId(pick % n as u32);
+        match (pick / 7) % 3 {
+            0 => other.node_mut(u).work += 1.0,
+            1 => other.node_mut(u).memory += 1.0,
+            _ if g.edge_count() > 0 => {
+                let e = crate::graph::EdgeId(pick % g.edge_count() as u32);
+                other.edge_mut(e).volume += 1.0;
+            }
+            _ => {
+                other.add_node(1.0, 1.0);
+            }
+        }
+        prop_assert!(!g.content_eq(&other) && !other.content_eq(&g));
+        prop_assert_ne!(g.fingerprint(), other.fingerprint());
     }
 
     #[test]

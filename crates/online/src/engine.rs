@@ -59,7 +59,7 @@ use crate::admission::admission_passes;
 use crate::lease::{run_growth, run_shrink};
 use crate::policy::{AdmissionPolicy, LeaseSizing};
 use crate::report::{FleetMetrics, ServeReport};
-use crate::state::{ClusterState, Pending};
+use crate::state::{ArrivalFacts, ClusterState, Pending};
 use crate::submission::{peak_overlap, Submission};
 use dhp_core::daghetpart::DagHetPartConfig;
 use dhp_core::partial::{Algorithm, CacheView, SolveCache, SolveCacheStats};
@@ -234,6 +234,9 @@ pub fn serve_with_cache(
     let mut arrivals = arrival_order(submissions);
 
     let mut state = ClusterState::new(cluster, None);
+    // Every graph this call is handed, with its arrival facts: a repeat
+    // of a recipe is recognised instead of walked again.
+    let mut seen = ArrivalFacts::new();
     let mut clock = 0.0f64;
 
     loop {
@@ -257,7 +260,7 @@ pub fn serve_with_cache(
             (_, Some(ta)) => {
                 clock = ta;
                 while let Some(s) = arrivals.next_if(|s| due(s, clock)) {
-                    state.enqueue_arrival(Pending::new(Arc::new(s)), clock);
+                    state.enqueue_arrival(Pending::new(Arc::new(s), &mut seen), clock);
                 }
             }
             // `(Some, None)` always satisfies the completion guard.

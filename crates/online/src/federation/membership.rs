@@ -8,7 +8,7 @@ use super::rebalance::migrate_pending;
 use super::shard::{MemberShard, MemberStatus};
 use crate::chaos::{FailureMode, MembershipEvent};
 use crate::report::LostRecord;
-use crate::state::Pending;
+use crate::state::{ArrivalFacts, Pending};
 
 /// Applies one membership event to the fleet state. Queue migration
 /// picks each displaced workflow's new home with the speed-weighted
@@ -17,7 +17,12 @@ use crate::state::Pending;
 /// rebalances further. With no surviving Active member the displaced
 /// work is deterministically rejected on the event's own member, so
 /// every submission still ends in exactly one terminal class.
-pub(super) fn apply_membership(event: &MembershipEvent, shards: &mut Vec<MemberShard>, clock: f64) {
+pub(super) fn apply_membership(
+    event: &MembershipEvent,
+    shards: &mut Vec<MemberShard>,
+    seen: &mut ArrivalFacts,
+    clock: f64,
+) {
     match event {
         MembershipEvent::Drain { member, at: _ } => {
             let m = *member;
@@ -58,10 +63,12 @@ pub(super) fn apply_membership(event: &MembershipEvent, shards: &mut Vec<MemberS
                     }
                     FailureMode::Requeue => {
                         // The record that eventually completes
-                        // carries its failure-driven attempt count.
+                        // carries its failure-driven attempt count. The
+                        // graph arrived through `seen` once already, so
+                        // its facts are recognised, not re-derived.
                         let p = Pending {
                             requeues: svc.record.requeues + 1,
-                            ..Pending::new(svc.placement.submission)
+                            ..Pending::new(svc.placement.submission, seen)
                         };
                         migrate_pending(shards, m, p, clock);
                     }

@@ -95,7 +95,7 @@ pub use routing::RoutingPolicy;
 use crate::chaos::{MembershipEvent, MembershipPlan};
 use crate::engine::{arrival_order, due, load_snapshot, make_cache, save_snapshot, OnlineConfig};
 use crate::report::RejectedRecord;
-use crate::state::Pending;
+use crate::state::{ArrivalFacts, Pending};
 use crate::submission::Submission;
 use clock::NextEvent;
 use dhp_core::partial::SolveCache;
@@ -202,6 +202,9 @@ fn serve_loop(
         .map(|(i, c)| MemberShard::new(c, i))
         .collect();
     let mut arrivals = arrival_order(submissions);
+    // Every graph this call is handed, with its arrival facts: a repeat
+    // of a recipe is recognised instead of walked again.
+    let mut seen = ArrivalFacts::new();
 
     let mut next_membership = 0usize;
     let mut clock = 0.0f64;
@@ -236,7 +239,7 @@ fn serve_loop(
                         break;
                     }
                     next_membership += 1;
-                    apply_membership(e, &mut shards, clock);
+                    apply_membership(e, &mut shards, &mut seen, clock);
                 }
             }
             NextEvent::Arrivals(ta) => {
@@ -244,7 +247,7 @@ fn serve_loop(
                 while let Some(s) = arrivals.next_if(|s| due(s, clock)) {
                     // Built once: routing screens and probes with the
                     // same facts the home queue then keeps.
-                    let p = Pending::new(Arc::new(s));
+                    let p = Pending::new(Arc::new(s), &mut seen);
                     match route(
                         routing,
                         &mut rr_next,

@@ -167,7 +167,7 @@ pub(super) fn migrate_pending(shards: &mut [MemberShard], src: usize, p: Pending
     let screened: Vec<usize> = active
         .iter()
         .copied()
-        .filter(|&i| p.max_task_req <= shards[i].state.cluster.max_memory() * (1.0 + 1e-9))
+        .filter(|&i| p.max_task_req <= shards[i].state.max_memory * (1.0 + 1e-9))
         .collect();
     let pool = if screened.is_empty() {
         &active

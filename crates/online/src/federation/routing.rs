@@ -67,13 +67,15 @@ impl RoutingPolicy {
 /// divisor is a shared constant and the ordering is unchanged.
 /// Ties go to the smaller member index.
 pub(super) fn least_loaded(shards: &[MemberShard], pool: &[usize]) -> usize {
+    // Each member's load is evaluated once (`queued_work` walks the
+    // queue), not once per side of every comparison.
     pool.iter()
-        .copied()
-        .min_by(|&a, &b| {
-            let la = shards[a].state.queued_work() / shards[a].state.cluster.total_speed();
-            let lb = shards[b].state.queued_work() / shards[b].state.cluster.total_speed();
-            la.total_cmp(&lb).then(a.cmp(&b))
+        .map(|&i| {
+            let state = &shards[i].state;
+            (state.queued_work() / state.total_speed, i)
         })
+        .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+        .map(|(_, i)| i)
         .unwrap_or_else(|| unreachable!("routing pools are built non-empty"))
 }
 
@@ -117,7 +119,7 @@ pub(super) fn route(
     let mut pool: Vec<usize> = active
         .iter()
         .copied()
-        .filter(|&i| req <= shards[i].state.cluster.max_memory() * (1.0 + 1e-9))
+        .filter(|&i| req <= shards[i].state.max_memory * (1.0 + 1e-9))
         .collect();
     if pool.is_empty() {
         pool = active;

@@ -14,7 +14,7 @@ use crate::admission::{
 use crate::engine::{serve_with_cache, OnlineConfig};
 use crate::event::EventQueue;
 use crate::policy::{AdmissionPolicy, LeaseSizing};
-use crate::state::{ClusterState, Pending};
+use crate::state::{ArrivalFacts, ClusterState, Pending};
 use crate::submission::{single_task, Submission};
 use dhp_core::partial::{CacheView, SolveCache};
 use dhp_platform::{Cluster, Processor};
@@ -60,13 +60,10 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
 }
 
 fn pending(id: usize, work: f64, memory: f64) -> Pending {
-    Pending::new(Arc::new(single_task(
-        id,
-        0.0,
-        work,
-        memory,
-        &format!("hot-{id}"),
-    )))
+    Pending::new(
+        Arc::new(single_task(id, 0.0, work, memory, &format!("hot-{id}"))),
+        &mut ArrivalFacts::new(),
+    )
 }
 
 /// After one cold probe has filled the solve cache and sized the
@@ -298,11 +295,13 @@ fn reservation_token_reuse_and_invalidation() {
 /// `FifoBackfill` — the first run filled the solve and sim caches, so
 /// the counted run pays for decisions only. The workflows are chains
 /// (six recipes, told apart by their task memory, so some fit only the
-/// big processors and heads do block): the one arrival cost
-/// that legitimately depends on the graph — the fingerprint's
-/// topological sort grows its ready heap with the DAG's *width* — is
-/// then the same at every length, and fixed two-processor leases keep
-/// both traces making the same decisions.
+/// big processors and heads do block). An arrival's graph costs the
+/// heap something only the first time the call sees it (six times
+/// here): the fingerprint's topological sort grows its ready heap with
+/// the DAG's *width*, which a chain keeps the same at every length.
+/// The other 194 arrivals are recognised, which allocates nothing
+/// (`a_repeat_arrival_allocates_nothing`). Fixed two-processor leases
+/// keep both traces making the same decisions.
 fn warm_backlog_allocations(tasks: usize) -> u64 {
     let subs: Vec<Submission> = (0..200)
         .map(|id| {
@@ -371,6 +370,33 @@ fn warm_serving_allocations_do_not_scale_with_task_count() {
     );
 }
 
+/// Recognising a graph the call has seen — one pre-hash, one
+/// comparison against the witness — never touches the heap, at any
+/// size; deriving the facts the first time does (the fingerprint's
+/// sort heap, position table and edge vector, plus the table's entry).
+#[test]
+fn a_repeat_arrival_allocates_nothing() {
+    for tasks in [8usize, 48, 400] {
+        let copy = |id: usize| {
+            let mut sub = single_task(id, id as f64, 1.0, 1.0, &format!("fan-{tasks}-{id}"));
+            sub.instance.graph = two_node_fan((tasks - 2) / 2);
+            Arc::new(sub)
+        };
+        let (first, repeat) = (copy(0), copy(1));
+        assert_eq!(first.instance.graph.node_count(), tasks);
+        let mut seen = ArrivalFacts::new();
+        let mut queued = Vec::with_capacity(2);
+        let deriving = allocations_in(|| queued.push(Pending::new(first, &mut seen)));
+        assert!(
+            deriving > 0,
+            "{tasks} tasks: a first sight derives and stores"
+        );
+        let recognising = allocations_in(|| queued.push(Pending::new(repeat, &mut seen)));
+        assert_eq!(recognising, 0, "{tasks} tasks: a repeat arrival allocated");
+        assert_eq!(queued[0].fingerprint, queued[1].fingerprint);
+    }
+}
+
 /// The queue entry's `Arc` is the placement's: between arrival and the
 /// returned outcome the submission is passed along, never copied.
 #[test]
@@ -382,7 +408,10 @@ fn a_placement_shares_the_submission_it_was_queued_with() {
     let config_hash = SolveCache::config_hash(&cfg.solver);
     let mut state = ClusterState::new(&cluster, None);
     let queued = Arc::new(single_task(0, 0.0, 40.0, 2.0, "shared"));
-    state.enqueue_arrival(Pending::new(Arc::clone(&queued)), 0.0);
+    state.enqueue_arrival(
+        Pending::new(Arc::clone(&queued), &mut ArrivalFacts::new()),
+        0.0,
+    );
     admission_passes(&mut state, &cfg, &view, config_hash, 0.0);
     assert!(state.queue_is_empty(), "the idle cluster admits it at once");
     let finish = state

@@ -58,6 +58,8 @@
 //! ```
 
 pub mod admission;
+#[cfg(test)]
+mod arrival_tests;
 pub mod chaos;
 pub mod engine;
 #[cfg(test)]

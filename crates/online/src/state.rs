@@ -7,24 +7,38 @@
 //! ([`crate::federation::serve_federation`]) drives one per member
 //! cluster under a merged virtual clock — which is precisely why this
 //! state is a value and not a pile of locals.
+//!
+//! The queue's entries are [`Pending`] values, and what they carry of
+//! their graph comes from the serve call's [`ArrivalFacts`]: the three
+//! walks over an arriving graph (task sum, hottest task, fingerprint)
+//! happen once per distinct graph per call, and every later copy of it
+//! is recognised by content.
 
 use crate::event::EventQueue;
 use crate::report::{LostRecord, RejectedRecord, WorkflowRecord};
 use crate::submission::Submission;
 use dhp_core::fitting::max_task_requirement;
 use dhp_core::mapping::Mapping;
+use dhp_dag::Dag;
 use dhp_platform::{Cluster, ProcId};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A queued workflow with its admission-relevant statistics.
+///
+/// The three graph facts (`total_work`, `max_task_req`, `fingerprint`)
+/// are what routing, the arrival screen, every admission pass and every
+/// cache probe read instead of the graph. They are derived from the
+/// graph at most once per *distinct* graph per serve call: the only
+/// constructor, [`Pending::new`], asks the call's [`ArrivalFacts`].
 #[derive(Debug)]
 pub(crate) struct Pending {
     pub(crate) id: usize,
     pub(crate) arrival: f64,
     pub(crate) total_work: f64,
     pub(crate) max_task_req: f64,
-    /// [`dhp_dag::Dag::fingerprint`] of the graph, computed once on
-    /// arrival and reused by every cache probe for this workflow.
+    /// [`dhp_dag::Dag::fingerprint`] of the graph, reused by every
+    /// cache probe for this workflow.
     pub(crate) fingerprint: u64,
     /// How many times a member failure (`--failure-mode requeue`) sent
     /// this workflow back to the queue; 0 for fresh arrivals. Carried
@@ -37,21 +51,108 @@ pub(crate) struct Pending {
 }
 
 impl Pending {
-    /// The queue entry of a fresh arrival. The only place the
-    /// per-arrival graph facts (hottest task, total work, fingerprint)
-    /// are computed: the serve loops build this once per submission and
-    /// hand the same value to routing and to the home queue.
-    pub(crate) fn new(submission: Arc<Submission>) -> Pending {
-        let g = &submission.instance.graph;
+    /// The queue entry of an arrival (or of a requeue after a member
+    /// failure): the serve loops build this once per submission and
+    /// hand the same value to routing and to the home queue. `seen` is
+    /// the serve call's table — a fresh one is as correct, only slower.
+    pub(crate) fn new(submission: Arc<Submission>, seen: &mut ArrivalFacts) -> Pending {
+        let GraphFacts {
+            total_work,
+            max_task_req,
+            fingerprint,
+        } = seen.facts_of(&submission);
         Pending {
             id: submission.id,
             arrival: submission.arrival,
-            total_work: g.total_work(),
-            max_task_req: max_task_requirement(g),
-            fingerprint: g.fingerprint(),
+            total_work,
+            max_task_req,
+            fingerprint,
             requeues: 0,
             submission,
         }
+    }
+}
+
+/// What a [`Pending`] keeps of its graph.
+#[derive(Clone, Copy, Debug)]
+struct GraphFacts {
+    total_work: f64,
+    max_task_req: f64,
+    fingerprint: u64,
+}
+
+/// The graphs one serve call has been handed so far, each with the
+/// facts derived from it — so a recipe submitted a thousand times is
+/// walked once and *recognised* 999 times.
+///
+/// Recognition is [`Dag::content_eq`] against a witness — the first
+/// submission that carried the graph, kept by `Arc` — and equal content
+/// implies bit-equal facts, so a hit returns exactly what deriving
+/// would. [`Dag::content_prehash`] only chooses which witnesses to
+/// compare against; a collision costs one failed comparison and can
+/// never change an answer (the tests run the whole suite with every
+/// graph in one bucket). A repeat costs one pre-hash and one comparison,
+/// both linear in the graph and allocation-free.
+///
+/// The table is a local of the serve loop: it is never shared between
+/// calls, has no capacity and no counters, and dies with the call. It
+/// holds one `Arc` per distinct graph, which the call's placements hold
+/// until the report anyway.
+#[derive(Debug)]
+pub(crate) struct ArrivalFacts {
+    by_prehash: HashMap<u64, Vec<(Arc<Submission>, GraphFacts)>>,
+    prehash: fn(&Dag) -> u64,
+}
+
+impl ArrivalFacts {
+    pub(crate) fn new() -> ArrivalFacts {
+        ArrivalFacts {
+            by_prehash: HashMap::new(),
+            prehash: Dag::content_prehash,
+        }
+    }
+
+    /// A table whose pre-hash tells no two graphs apart: everything
+    /// lands in one bucket and `content_eq` alone decides.
+    #[cfg(test)]
+    pub(crate) fn with_one_bucket() -> ArrivalFacts {
+        ArrivalFacts {
+            by_prehash: HashMap::new(),
+            prehash: |_| 0,
+        }
+    }
+
+    fn facts_of(&mut self, submission: &Arc<Submission>) -> GraphFacts {
+        let g = &submission.instance.graph;
+        let bucket = self.by_prehash.entry((self.prehash)(g)).or_default();
+        if let Some((_, facts)) = bucket
+            .iter()
+            .find(|(witness, _)| witness.instance.graph.content_eq(g))
+        {
+            return *facts;
+        }
+        // First sight: a sum over the tasks, a max over every task's
+        // in- and out-edges, and the fingerprint's topological sort,
+        // position table and edge sort.
+        let facts = GraphFacts {
+            total_work: g.total_work(),
+            max_task_req: max_task_requirement(g),
+            fingerprint: g.fingerprint(),
+        };
+        bucket.push((Arc::clone(submission), facts));
+        facts
+    }
+
+    /// How many distinct graphs the table holds.
+    #[cfg(test)]
+    pub(crate) fn distinct(&self) -> usize {
+        self.by_prehash.values().map(Vec::len).sum()
+    }
+
+    /// How many pre-hash values they fell under.
+    #[cfg(test)]
+    pub(crate) fn buckets(&self) -> usize {
+        self.by_prehash.len()
     }
 }
 
@@ -156,8 +257,15 @@ pub(crate) struct ProbeScratch {
 /// the free set, the admission queue, the completion-event heap, the
 /// in-service table, and the accumulating per-run results.
 pub(crate) struct ClusterState {
-    /// The shared cluster this state serves.
+    /// The shared cluster this state serves. Never changes after
+    /// construction — `max_memory` and `total_speed` below rely on it.
     pub(crate) cluster: Cluster,
+    /// [`Cluster::max_memory`] of `cluster`: the ceiling of the arrival
+    /// and routing memory screens, read per member per arrival.
+    pub(crate) max_memory: f64,
+    /// [`Cluster::total_speed`] of `cluster`: the divisor of the
+    /// `least-loaded` routing signal.
+    pub(crate) total_speed: f64,
     /// Free processors, scanned in the heuristics' canonical
     /// memory-descending order so every lease grabs the biggest free
     /// memories first (feasibility is monotone in that choice).
@@ -225,6 +333,8 @@ impl ClusterState {
             "serve needs at least one processor (an empty cluster can admit nothing)"
         );
         ClusterState {
+            max_memory: cluster.max_memory(),
+            total_speed: cluster.total_speed(),
             mem_order: cluster.ids_by_memory_desc(),
             free: vec![true; cluster.len()],
             free_count: cluster.len(),
@@ -308,7 +418,7 @@ impl ClusterState {
     /// ceiling and either queues it or records the rejection.
     pub(crate) fn enqueue_arrival(&mut self, p: Pending, clock: f64) {
         let req = p.max_task_req;
-        if req > self.cluster.max_memory() * (1.0 + 1e-9) {
+        if req > self.max_memory * (1.0 + 1e-9) {
             self.rejected.push(RejectedRecord {
                 id: p.id,
                 name: p.submission.instance.name.clone(),
@@ -318,7 +428,7 @@ impl ClusterState {
                 reason: format!(
                     "task requirement {req:.2} exceeds the largest processor \
                      memory {:.2}",
-                    self.cluster.max_memory()
+                    self.max_memory
                 ),
                 cluster_id: self.cluster_id,
             });

@@ -36,6 +36,32 @@ proptest! {
     }
 
     #[test]
+    fn a_recipe_generated_twice_is_content_equal_and_shares_every_derived_fact(
+        family in any_family(),
+        n in 8usize..120,
+        seed in any::<u64>(),
+    ) {
+        // What repeat traffic looks like to the online engine: the same
+        // recipe instantiated again, under another name.
+        let a = WorkflowInstance::simulated(family, n, seed).graph;
+        let mut b = WorkflowInstance::simulated(family, n, seed).graph;
+        for u in b.node_ids() {
+            b.node_mut(u).label = None;
+        }
+        prop_assert!(a.content_eq(&b) && b.content_eq(&a));
+        prop_assert_eq!(a.content_prehash(), b.content_prehash());
+        prop_assert_eq!(a.fingerprint(), b.fingerprint());
+        prop_assert_eq!(a.total_work().to_bits(), b.total_work().to_bits());
+        for u in a.node_ids() {
+            prop_assert_eq!(a.task_requirement(u).to_bits(), b.task_requirement(u).to_bits());
+        }
+        // Other weights on the same topology are another content.
+        let c = WorkflowInstance::simulated(family, n, seed ^ 1).graph;
+        prop_assert!(!a.content_eq(&c));
+        prop_assert_ne!(a.fingerprint(), c.fingerprint());
+    }
+
+    #[test]
     fn wfcommons_roundtrip_preserves_everything(
         family in any_family(),
         n in 50usize..300,
