@@ -5,10 +5,13 @@
 //! a repeat-heavy trace contrasting the content-addressed solve cache
 //! against `--no-solve-cache` (`bench_solve_cache`), and the two warm
 //! serving paths where the engine's own bookkeeping is the whole cost
-//! (`bench_warm_serving`), and what one arrival's graph costs the
-//! engine the first time and every time after (`bench_arrival_facts`).
+//! (`bench_warm_serving`), what one arrival's graph costs the engine the
+//! first time and every time after (`bench_arrival_facts`), and what
+//! one warm admission pass over a blocked backfill window costs at
+//! growing queue depth (`bench_backfill_window`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dhp_online::admission::BackfillWindow;
 use dhp_online::{
     fit_cluster, serve, serve_federation_with_cache, serve_with_cache, AdmissionPolicy,
     LeaseSizing, OnlineConfig, RoutingPolicy, SolveCache,
@@ -275,12 +278,32 @@ fn bench_arrival_facts(c: &mut Criterion) {
     group.finish();
 }
 
+/// One warm admission pass over a blocked backfill window with `depth`
+/// candidates queued behind the head (`BackfillWindow`): sixteen of
+/// them, spread over the queue, are worth a probe and overshoot or wait;
+/// every other one has too much work for the hole. The pass jumps over
+/// those instead of walking past them, so its cost should stay roughly
+/// flat from 256 to 16 384 queued.
+fn bench_backfill_window(c: &mut Criterion) {
+    let mut group = c.benchmark_group("admission_pass");
+    for depth in [256usize, 2048, 16384] {
+        let mut window = BackfillWindow::new(depth);
+        group.bench_with_input(
+            BenchmarkId::new("backfill_window", depth),
+            &depth,
+            |b, _| b.iter(|| window.pass()),
+        );
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_serve,
     bench_backfill_and_load_aware,
     bench_solve_cache,
     bench_warm_serving,
-    bench_arrival_facts
+    bench_arrival_facts,
+    bench_backfill_window
 );
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! Scheduling onto partial clusters (processor leases).
 //!
 //! The offline heuristics map one workflow onto a whole
-//! [`Cluster`](dhp_platform::Cluster).
+//! [`Cluster`].
 //! The online engine instead hands each workflow a
 //! [`SubCluster`] lease and needs the resulting
 //! [`Mapping`] expressed in the *parent* cluster's processor ids, so
@@ -20,7 +20,7 @@ use crate::mapping::Mapping;
 use crate::metrics::MappingResult;
 use crate::SchedError;
 use dhp_dag::Dag;
-use dhp_platform::SubCluster;
+use dhp_platform::{Cluster, ProcId, SubCluster};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,15 +64,42 @@ pub struct SubClusterSchedule {
     pub global: Mapping,
 }
 
-/// Translates a lease-local mapping into parent processor ids.
-pub fn remap_to_parent(sub: &SubCluster, mapping: &Mapping) -> Mapping {
+/// Translates a lease-local mapping into parent processor ids. `lease`
+/// holds the leased parent ids in local-id order
+/// ([`SubCluster::global_ids`], or the id slice a lease is carved from).
+pub fn remap_to_parent(lease: &[ProcId], mapping: &Mapping) -> Mapping {
     Mapping {
         partition: mapping.partition.clone(),
         proc_of_block: mapping
             .proc_of_block
             .iter()
-            .map(|p| p.map(|local| sub.to_global(local)))
+            .map(|p| p.map(|local| lease[local.idx()]))
             .collect(),
+    }
+}
+
+/// Runs `algorithm` on a lease view, in the view's (lease-local) ids —
+/// the one solver call behind every cache miss.
+fn solve_local(
+    g: &Dag,
+    view: &Cluster,
+    algorithm: Algorithm,
+    cfg: &DagHetPartConfig,
+) -> Result<MappingResult, SchedError> {
+    match algorithm {
+        Algorithm::DagHetPart => dag_het_part(g, view, cfg),
+        Algorithm::DagHetMem => {
+            let start = std::time::Instant::now();
+            let mapping = dag_het_mem(g, view)?;
+            let makespan = makespan_of_mapping(g, view, &mapping);
+            let kprime = mapping.num_blocks();
+            Ok(MappingResult {
+                mapping,
+                makespan,
+                kprime,
+                elapsed: start.elapsed(),
+            })
+        }
     }
 }
 
@@ -86,23 +113,8 @@ pub fn schedule_on_subcluster(
     algorithm: Algorithm,
     cfg: &DagHetPartConfig,
 ) -> Result<SubClusterSchedule, SchedError> {
-    let view = sub.cluster();
-    let local = match algorithm {
-        Algorithm::DagHetPart => dag_het_part(g, view, cfg)?,
-        Algorithm::DagHetMem => {
-            let start = std::time::Instant::now();
-            let mapping = dag_het_mem(g, view)?;
-            let makespan = makespan_of_mapping(g, view, &mapping);
-            let kprime = mapping.num_blocks();
-            MappingResult {
-                mapping,
-                makespan,
-                kprime,
-                elapsed: start.elapsed(),
-            }
-        }
-    };
-    let global = remap_to_parent(sub, &local.mapping);
+    let local = solve_local(g, sub.cluster(), algorithm, cfg)?;
+    let global = remap_to_parent(sub.global_ids(), &local.mapping);
     Ok(SubClusterSchedule { local, global })
 }
 
@@ -169,12 +181,26 @@ pub fn solve_suffix(
     sorted.dedup();
     let (dag, back) = g.induced_subgraph(&sorted);
     let fingerprint = dag.fingerprint();
-    let schedule = cache.schedule(&dag, fingerprint, sub, algorithm, cfg, config_hash)?;
+    // The whole view in view order: its shape is `sub`'s signature.
+    let ids: Vec<ProcId> = sub.cluster().proc_ids().collect();
+    let local = cache.solve(
+        &dag,
+        fingerprint,
+        sub.cluster(),
+        &ids,
+        algorithm,
+        cfg,
+        config_hash,
+    )?;
+    let global = remap_to_parent(sub.global_ids(), &local.mapping);
     Ok(SuffixSolve {
         dag,
         back,
         fingerprint,
-        schedule,
+        schedule: SubClusterSchedule {
+            local: Arc::unwrap_or_clone(local),
+            global,
+        },
     })
 }
 
@@ -260,18 +286,20 @@ enum CachedSolve {
     NoSolution,
 }
 
-/// Materialises a memoized outcome against the probing lease: the
-/// cached lease-local mapping is remapped onto the probe's concrete
-/// processors (the body of every cache hit, in any view mode).
-fn materialize(entry: CachedSolve, sub: &SubCluster) -> Result<SubClusterSchedule, SchedError> {
-    match entry {
-        CachedSolve::NoSolution => Err(SchedError::NoSolution),
-        CachedSolve::Solved(local) => {
-            let global = remap_to_parent(sub, &local.mapping);
-            Ok(SubClusterSchedule {
-                local: (*local).clone(),
-                global,
-            })
+impl CachedSolve {
+    /// The entry a solve outcome is memoized as.
+    fn of(outcome: &Result<Arc<MappingResult>, SchedError>) -> CachedSolve {
+        match outcome {
+            Ok(local) => CachedSolve::Solved(Arc::clone(local)),
+            Err(SchedError::NoSolution) => CachedSolve::NoSolution,
+        }
+    }
+
+    /// The outcome a hit on this entry answers with.
+    fn outcome(self) -> Result<Arc<MappingResult>, SchedError> {
+        match self {
+            CachedSolve::Solved(local) => Ok(local),
+            CachedSolve::NoSolution => Err(SchedError::NoSolution),
         }
     }
 }
@@ -612,25 +640,23 @@ impl SolveCache {
         dhp_dag::fingerprint::fnv1a_bytes(format!("{cfg:?}").bytes())
     }
 
-    /// The probing core of [`SolveCache::schedule`], additionally
-    /// reporting what the probe did to the store — the `Live` view mode
-    /// charges exactly this outcome to its [`CacheAccount`], with no
-    /// global-counter diffing. The solver runs only on a miss, with no
-    /// stripe lock held.
-    fn schedule_probed(
+    /// The lookup-or-solve core of every direct-effect probe
+    /// ([`SolveCache::schedule`], [`SolveCache::dedicated_baseline`] and
+    /// the `Direct` / `Live` arms of [`CacheView::solve`]): answers
+    /// `key` from the store, or runs `solve` (with no stripe lock held)
+    /// and memoizes its outcome, `NoSolution` included. Also reports
+    /// what the probe did to the store — the `Live` view mode charges
+    /// exactly this outcome to its [`CacheAccount`], with no
+    /// global-counter diffing.
+    fn lookup_or_solve(
         &self,
-        g: &Dag,
-        fingerprint: u64,
-        sub: &SubCluster,
-        algorithm: Algorithm,
-        cfg: &DagHetPartConfig,
-        config_hash: u64,
-    ) -> (Result<SubClusterSchedule, SchedError>, CacheProbe) {
-        let key: SolveKey = (fingerprint, sub.shape_signature(), algorithm, config_hash);
+        key: SolveKey,
+        solve: impl FnOnce() -> Result<MappingResult, SchedError>,
+    ) -> (Result<Arc<MappingResult>, SchedError>, CacheProbe) {
         if !self.enabled {
             self.stripes[0].misses.fetch_add(1, Ordering::Relaxed);
             return (
-                schedule_on_subcluster(g, sub, algorithm, cfg),
+                solve().map(Arc::new),
                 CacheProbe {
                     hit: false,
                     evictions: 0,
@@ -643,8 +669,7 @@ impl SolveCache {
         self.debug_assert_unfrozen("direct probe (tick draw / LRU stamp refresh)");
         let stripe = self.stripe_of(&key);
         // Cheap under the stripe lock: an Arc refcount bump (or the
-        // unit NoSolution marker) plus the LRU stamp refresh; the
-        // O(tasks) materialisation runs with the lock released.
+        // unit NoSolution marker) plus the LRU stamp refresh.
         let cached: Option<CachedSolve> = {
             let mut entries = stripe.entries.lock();
             let tick = self.next_tick();
@@ -656,7 +681,7 @@ impl SolveCache {
         if let Some(entry) = cached {
             stripe.hits.fetch_add(1, Ordering::Relaxed);
             return (
-                materialize(entry, sub),
+                entry.outcome(),
                 CacheProbe {
                     hit: true,
                     evictions: 0,
@@ -664,115 +689,23 @@ impl SolveCache {
             );
         }
         stripe.misses.fetch_add(1, Ordering::Relaxed);
-        match schedule_on_subcluster(g, sub, algorithm, cfg) {
-            Err(SchedError::NoSolution) => {
-                let evictions = self.insert(key, CachedSolve::NoSolution);
-                (
-                    Err(SchedError::NoSolution),
-                    CacheProbe {
-                        hit: false,
-                        evictions,
-                    },
-                )
-            }
-            Ok(sched) => {
-                let evictions =
-                    self.insert(key, CachedSolve::Solved(Arc::new(sched.local.clone())));
-                (
-                    Ok(sched),
-                    CacheProbe {
-                        hit: false,
-                        evictions,
-                    },
-                )
-            }
-        }
-    }
-
-    /// Feasibility-only probe: exactly [`SolveCache::schedule`]'s
-    /// semantics — same key, same hit/miss/eviction charges, a miss
-    /// still solves and memoizes the full outcome — but a hit skips the
-    /// O(tasks) `materialize` clone and the probe never builds a
-    /// [`SubCluster`] unless it has to solve. The admission layer's
-    /// `can_place`/reservation replay only needs the yes/no.
-    #[allow(clippy::too_many_arguments)]
-    fn feasible_probed(
-        &self,
-        g: &Dag,
-        fingerprint: u64,
-        cluster: &dhp_platform::Cluster,
-        ids: &[dhp_platform::ProcId],
-        algorithm: Algorithm,
-        cfg: &DagHetPartConfig,
-        config_hash: u64,
-    ) -> (bool, CacheProbe) {
-        if !self.enabled {
-            self.stripes[0].misses.fetch_add(1, Ordering::Relaxed);
-            let sub = cluster.subcluster(ids);
-            return (
-                schedule_on_subcluster(g, &sub, algorithm, cfg).is_ok(),
-                CacheProbe {
-                    hit: false,
-                    evictions: 0,
-                },
-            );
-        }
-        self.debug_assert_unfrozen("direct probe (tick draw / LRU stamp refresh)");
-        let key: SolveKey = (
-            fingerprint,
-            cluster.shape_of_slice(ids),
-            algorithm,
-            config_hash,
-        );
-        let stripe = self.stripe_of(&key);
-        let cached: Option<bool> = {
-            let mut entries = stripe.entries.lock();
-            let tick = self.next_tick();
-            entries.get_mut(&key).map(|e| {
-                e.1 = tick;
-                matches!(e.0, CachedSolve::Solved(_))
-            })
-        };
-        if let Some(feasible) = cached {
-            stripe.hits.fetch_add(1, Ordering::Relaxed);
-            return (
-                feasible,
-                CacheProbe {
-                    hit: true,
-                    evictions: 0,
-                },
-            );
-        }
-        stripe.misses.fetch_add(1, Ordering::Relaxed);
-        let sub = cluster.subcluster(ids);
-        match schedule_on_subcluster(g, &sub, algorithm, cfg) {
-            Err(SchedError::NoSolution) => {
-                let evictions = self.insert(key, CachedSolve::NoSolution);
-                (
-                    false,
-                    CacheProbe {
-                        hit: false,
-                        evictions,
-                    },
-                )
-            }
-            Ok(sched) => {
-                let evictions = self.insert(key, CachedSolve::Solved(Arc::new(sched.local)));
-                (
-                    true,
-                    CacheProbe {
-                        hit: false,
-                        evictions,
-                    },
-                )
-            }
-        }
+        let outcome = solve().map(Arc::new);
+        let evictions = self.insert(key, CachedSolve::of(&outcome));
+        (
+            outcome,
+            CacheProbe {
+                hit: false,
+                evictions,
+            },
+        )
     }
 
     /// Memoizing [`schedule_on_subcluster`]. `fingerprint` must be
     /// `g.fingerprint()` — callers that schedule the same graph many
     /// times (the online engine) compute it once per submission instead
-    /// of once per probe.
+    /// of once per probe. A hit pays for cloning the memoized mapping
+    /// and remapping it onto `sub`'s processors; [`CacheView::solve`]
+    /// answers the same key without either.
     pub fn schedule(
         &self,
         g: &Dag,
@@ -782,8 +715,14 @@ impl SolveCache {
         cfg: &DagHetPartConfig,
         config_hash: u64,
     ) -> Result<SubClusterSchedule, SchedError> {
-        self.schedule_probed(g, fingerprint, sub, algorithm, cfg, config_hash)
-            .0
+        let key: SolveKey = (fingerprint, sub.shape_signature(), algorithm, config_hash);
+        let local = self
+            .lookup_or_solve(key, || solve_local(g, sub.cluster(), algorithm, cfg))
+            .0?;
+        Ok(SubClusterSchedule {
+            global: remap_to_parent(sub.global_ids(), &local.mapping),
+            local: Arc::unwrap_or_clone(local),
+        })
     }
 
     /// Memoizing [`dedicated_baseline`]: a whole-cluster solve, cached
@@ -793,15 +732,23 @@ impl SolveCache {
         &self,
         g: &Dag,
         fingerprint: u64,
-        cluster: &dhp_platform::Cluster,
+        cluster: &Cluster,
         algorithm: Algorithm,
         cfg: &DagHetPartConfig,
         config_hash: u64,
     ) -> Result<f64, SchedError> {
         let ids = cluster.ids_by_memory_desc();
-        let sub = cluster.subcluster(&ids);
-        self.schedule(g, fingerprint, &sub, algorithm, cfg, config_hash)
-            .map(|s| s.local.makespan)
+        let key: SolveKey = (
+            fingerprint,
+            cluster.shape_of_slice(&ids),
+            algorithm,
+            config_hash,
+        );
+        self.lookup_or_solve(key, || {
+            solve_local(g, cluster.subcluster(&ids).cluster(), algorithm, cfg)
+        })
+        .0
+        .map(|local| local.makespan)
     }
 
     /// The probing core of the sim-outcome cache: returns the memoized
@@ -997,7 +944,7 @@ enum CacheEvent {
 /// This is the **single owner of per-member solver-stat attribution**:
 /// every probe a member causes is charged here at probe time, by the
 /// [`CacheView`] that wraps the account — `Live` probes charge the
-/// exact outcome `schedule_probed` reports, `Frozen` probes charge
+/// exact outcome `lookup_or_solve` reports, `Frozen` probes charge
 /// their overlay/store outcome directly. Nothing diffs global counters
 /// around a call, so interleaved steps can never double-count.
 #[derive(Debug, Default)]
@@ -1146,28 +1093,45 @@ impl<'a> CacheView<'a> {
             .is_warm(fingerprint, shape, algorithm, config_hash)
     }
 
-    /// Memoizing [`schedule_on_subcluster`] through the view — the
-    /// probe entry point of every scheduling layer. See the type docs
-    /// for the per-mode semantics.
-    pub fn schedule(
+    /// Memoizing solve through the view — the probe entry point of
+    /// every scheduling layer. Answers for the lease `ids` (parent ids
+    /// of `cluster`, in carve order) with the memoized lease-local
+    /// [`MappingResult`] behind its [`Arc`], or `NoSolution`. The key's
+    /// shape is hashed straight off the id slice
+    /// ([`Cluster::shape_of_slice`], bit-equal to the carved view's
+    /// signature), so a hit builds no [`SubCluster`], clones no mapping
+    /// and allocates nothing; only a miss carves the view and solves.
+    /// Callers that need the mapping in parent ids translate it with
+    /// [`remap_to_parent`] once they commit to it.
+    ///
+    /// Charges per mode (see the type docs): `Direct` and `Live` probe
+    /// the store through the same core as [`SolveCache::schedule`] — one
+    /// hit or miss, one recency tick, any LRU evictions the insert
+    /// causes, and `Live` charges the same to its account; `Frozen`
+    /// reads its own overlay, then the store without touching it, and
+    /// defers the LRU refresh or the insert to the seal.
+    #[allow(clippy::too_many_arguments)]
+    pub fn solve(
         &self,
         g: &Dag,
         fingerprint: u64,
-        sub: &SubCluster,
+        cluster: &Cluster,
+        ids: &[ProcId],
         algorithm: Algorithm,
         cfg: &DagHetPartConfig,
         config_hash: u64,
-    ) -> Result<SubClusterSchedule, SchedError> {
+    ) -> Result<Arc<MappingResult>, SchedError> {
+        let key: SolveKey = (
+            fingerprint,
+            cluster.shape_of_slice(ids),
+            algorithm,
+            config_hash,
+        );
+        let solve = || solve_local(g, cluster.subcluster(ids).cluster(), algorithm, cfg);
         match &self.mode {
-            ViewMode::Direct => {
-                self.cache
-                    .schedule_probed(g, fingerprint, sub, algorithm, cfg, config_hash)
-                    .0
-            }
+            ViewMode::Direct => self.cache.lookup_or_solve(key, solve).0,
             ViewMode::Live(acc) => {
-                let (result, probe) =
-                    self.cache
-                        .schedule_probed(g, fingerprint, sub, algorithm, cfg, config_hash);
+                let (outcome, probe) = self.cache.lookup_or_solve(key, solve);
                 let mut acc = acc.borrow_mut();
                 if probe.hit {
                     acc.stats.hits += 1;
@@ -1175,144 +1139,37 @@ impl<'a> CacheView<'a> {
                     acc.stats.misses += 1;
                 }
                 acc.stats.evictions += probe.evictions;
-                result
+                outcome
             }
             ViewMode::Frozen(acc) => {
                 let mut acc = acc.borrow_mut();
                 if !self.cache.enabled {
                     acc.stats.misses += 1;
                     self.cache.stripes[0].misses.fetch_add(1, Ordering::Relaxed);
-                    return schedule_on_subcluster(g, sub, algorithm, cfg);
+                    return solve().map(Arc::new);
                 }
-                let key: SolveKey = (fingerprint, sub.shape_signature(), algorithm, config_hash);
                 let stripe = self.cache.stripe_of(&key);
                 // Own overlay first: this epoch's inserts are visible
                 // to this shard (and only this shard) before the seal.
-                if let Some(entry) = acc.overlay.get(&key).cloned() {
-                    acc.stats.hits += 1;
-                    stripe.hits.fetch_add(1, Ordering::Relaxed);
-                    acc.log.push(CacheEvent::Touch(key));
-                    return materialize(entry, sub);
-                }
-                // Read-only store probe: no tick draw, no stamp
+                // Then a read-only store probe: no tick draw, no stamp
                 // refresh — the Touch replays the refresh at seal time.
-                let base = stripe.entries.lock().get(&key).map(|(v, _)| v.clone());
-                if let Some(entry) = base {
-                    acc.stats.hits += 1;
-                    stripe.hits.fetch_add(1, Ordering::Relaxed);
-                    acc.log.push(CacheEvent::Touch(key));
-                    return materialize(entry, sub);
-                }
-                acc.stats.misses += 1;
-                stripe.misses.fetch_add(1, Ordering::Relaxed);
-                match schedule_on_subcluster(g, sub, algorithm, cfg) {
-                    Err(SchedError::NoSolution) => {
-                        acc.overlay.insert(key, CachedSolve::NoSolution);
-                        acc.log.push(CacheEvent::Insert(key));
-                        Err(SchedError::NoSolution)
-                    }
-                    Ok(sched) => {
-                        acc.overlay
-                            .insert(key, CachedSolve::Solved(Arc::new(sched.local.clone())));
-                        acc.log.push(CacheEvent::Insert(key));
-                        Ok(sched)
-                    }
-                }
-            }
-        }
-    }
-
-    /// Feasibility-only probe through the view: semantically
-    /// `self.schedule(...).is_ok()` — identical key, identical counter
-    /// charges, a miss still solves and memoizes — but a warm hit skips
-    /// the O(tasks) mapping materialisation and never constructs a
-    /// [`SubCluster`] (the shape is hashed straight off the id slice).
-    /// The zero-allocation admission probes are built on this.
-    #[allow(clippy::too_many_arguments)]
-    pub fn feasible(
-        &self,
-        g: &Dag,
-        fingerprint: u64,
-        cluster: &dhp_platform::Cluster,
-        ids: &[dhp_platform::ProcId],
-        algorithm: Algorithm,
-        cfg: &DagHetPartConfig,
-        config_hash: u64,
-    ) -> bool {
-        match &self.mode {
-            ViewMode::Direct => {
-                self.cache
-                    .feasible_probed(g, fingerprint, cluster, ids, algorithm, cfg, config_hash)
-                    .0
-            }
-            ViewMode::Live(acc) => {
-                let (feasible, probe) = self.cache.feasible_probed(
-                    g,
-                    fingerprint,
-                    cluster,
-                    ids,
-                    algorithm,
-                    cfg,
-                    config_hash,
-                );
-                let mut acc = acc.borrow_mut();
-                if probe.hit {
-                    acc.stats.hits += 1;
-                } else {
-                    acc.stats.misses += 1;
-                }
-                acc.stats.evictions += probe.evictions;
-                feasible
-            }
-            ViewMode::Frozen(acc) => {
-                let mut acc = acc.borrow_mut();
-                if !self.cache.enabled {
-                    acc.stats.misses += 1;
-                    self.cache.stripes[0].misses.fetch_add(1, Ordering::Relaxed);
-                    let sub = cluster.subcluster(ids);
-                    return schedule_on_subcluster(g, &sub, algorithm, cfg).is_ok();
-                }
-                let key: SolveKey = (
-                    fingerprint,
-                    cluster.shape_of_slice(ids),
-                    algorithm,
-                    config_hash,
-                );
-                let stripe = self.cache.stripe_of(&key);
-                if let Some(entry) = acc.overlay.get(&key) {
-                    let feasible = matches!(entry, CachedSolve::Solved(_));
-                    acc.stats.hits += 1;
-                    stripe.hits.fetch_add(1, Ordering::Relaxed);
-                    acc.log.push(CacheEvent::Touch(key));
-                    return feasible;
-                }
-                let base = stripe
-                    .entries
-                    .lock()
+                let cached = acc
+                    .overlay
                     .get(&key)
-                    .map(|(v, _)| matches!(v, CachedSolve::Solved(_)));
-                if let Some(feasible) = base {
+                    .cloned()
+                    .or_else(|| stripe.entries.lock().get(&key).map(|(v, _)| v.clone()));
+                if let Some(entry) = cached {
                     acc.stats.hits += 1;
                     stripe.hits.fetch_add(1, Ordering::Relaxed);
                     acc.log.push(CacheEvent::Touch(key));
-                    return feasible;
+                    return entry.outcome();
                 }
                 acc.stats.misses += 1;
                 stripe.misses.fetch_add(1, Ordering::Relaxed);
-                let sub = cluster.subcluster(ids);
-                match schedule_on_subcluster(g, &sub, algorithm, cfg) {
-                    Err(SchedError::NoSolution) => {
-                        acc.overlay.insert(key, CachedSolve::NoSolution);
-                        acc.log.push(CacheEvent::Insert(key));
-                        false
-                    }
-                    Ok(sched) => {
-                        acc.overlay
-                            .insert(key, CachedSolve::Solved(Arc::new(sched.local)));
-                        acc.log.push(CacheEvent::Insert(key));
-                        true
-                    }
-                }
+                let outcome = solve().map(Arc::new);
+                acc.overlay.insert(key, CachedSolve::of(&outcome));
+                acc.log.push(CacheEvent::Insert(key));
+                outcome
             }
         }
     }
@@ -1320,7 +1177,7 @@ impl<'a> CacheView<'a> {
     /// Memoizing discrete-event simulation through the view: returns
     /// the [`SimOutcome`] for `(fingerprint, shape, algorithm,
     /// config_hash)`, running `compute` only on a miss. Per-mode
-    /// semantics mirror [`CacheView::schedule`]:
+    /// semantics mirror [`CacheView::solve`]:
     ///
     /// * `Direct` — probe/insert the shared sim store, global counters
     ///   only.
@@ -1392,6 +1249,9 @@ mod tests {
     use crate::mapping::validate;
     use dhp_dag::builder;
     use dhp_platform::{Cluster, ProcId, Processor};
+
+    /// The two-processor lease most tests probe: m3 then m1.
+    const LEASE: [ProcId; 2] = [ProcId(3), ProcId(1)];
 
     fn cluster() -> Cluster {
         Cluster::new(
@@ -1861,13 +1721,12 @@ mod tests {
         let chash = SolveCache::config_hash(&cfg);
         let cache = SolveCache::new();
         let fp = g.fingerprint();
-        let sub = c.subcluster(&[ProcId(3), ProcId(1)]);
         let mut account = CacheAccount::default();
         {
             let view = CacheView::live(&cache, &mut account);
-            view.schedule(&g, fp, &sub, Algorithm::DagHetPart, &cfg, chash)
+            view.solve(&g, fp, &c, &LEASE, Algorithm::DagHetPart, &cfg, chash)
                 .unwrap();
-            view.schedule(&g, fp, &sub, Algorithm::DagHetPart, &cfg, chash)
+            view.solve(&g, fp, &c, &LEASE, Algorithm::DagHetPart, &cfg, chash)
                 .unwrap();
         }
         assert_eq!((account.stats.hits, account.stats.misses), (1, 1));
@@ -1892,10 +1751,10 @@ mod tests {
         {
             let view = CacheView::frozen(&cache, &mut account);
             // Miss: solved, parked in the overlay — the store is frozen.
-            view.schedule(&g, fp, &sub, Algorithm::DagHetPart, &cfg, chash)
+            view.solve(&g, fp, &c, &LEASE, Algorithm::DagHetPart, &cfg, chash)
                 .unwrap();
             // Repeat within the epoch: served from the own overlay.
-            view.schedule(&g, fp, &sub, Algorithm::DagHetPart, &cfg, chash)
+            view.solve(&g, fp, &c, &LEASE, Algorithm::DagHetPart, &cfg, chash)
                 .unwrap();
             assert!(view.is_warm(fp, sub.shape_signature(), Algorithm::DagHetPart, chash));
         }
@@ -1928,19 +1787,21 @@ mod tests {
         let mut account = CacheAccount::default();
         {
             let view = CacheView::frozen(&cache, &mut account);
-            view.schedule(
+            view.solve(
                 &g0,
                 g0.fingerprint(),
-                &sub,
+                &c,
+                &LEASE,
                 Algorithm::DagHetPart,
                 &cfg,
                 chash,
             )
             .unwrap();
-            view.schedule(
+            view.solve(
                 &g1,
                 g1.fingerprint(),
-                &sub,
+                &c,
+                &LEASE,
                 Algorithm::DagHetPart,
                 &cfg,
                 chash,
@@ -2066,10 +1927,11 @@ mod tests {
         let g0 = builder::chain(4, 2.0, 4.0, 1.0);
         let g1 = builder::chain(5, 2.0, 4.0, 1.0);
         let view = CacheView::direct(&cache);
-        view.schedule(
+        view.solve(
             &g0,
             g0.fingerprint(),
-            &sub,
+            &c,
+            &LEASE,
             Algorithm::DagHetPart,
             &cfg,
             chash,
@@ -2084,10 +1946,11 @@ mod tests {
         );
         assert_eq!((cache.len(), cache.sim_len()), (1, 1));
         // Inserting a second solve evicts g0 — and its sim with it.
-        view.schedule(
+        view.solve(
             &g1,
             g1.fingerprint(),
-            &sub,
+            &c,
+            &LEASE,
             Algorithm::DagHetPart,
             &cfg,
             chash,

@@ -575,34 +575,28 @@ mod tests {
     fn populate(cache: &SolveCache, chash: u64) -> (Vec<dhp_dag::Dag>, u64) {
         let c = cluster();
         let cfg = DagHetPartConfig::default();
-        let sub = c.subcluster(&[dhp_platform::ProcId(3), dhp_platform::ProcId(1)]);
-        let shape = sub.shape_signature();
+        let lease = [dhp_platform::ProcId(3), dhp_platform::ProcId(1)];
+        let shape = c.shape_of_slice(&lease);
         let graphs: Vec<dhp_dag::Dag> = (4..6).map(|n| builder::chain(n, 2.0, 4.0, 1.0)).collect();
         let view = CacheView::direct(cache);
+        let solve = |g: &dhp_dag::Dag, ids: &[dhp_platform::ProcId]| {
+            view.solve(
+                g,
+                g.fingerprint(),
+                &c,
+                ids,
+                Algorithm::DagHetPart,
+                &cfg,
+                chash,
+            )
+        };
         for g in &graphs {
-            view.schedule(g, g.fingerprint(), &sub, Algorithm::DagHetPart, &cfg, chash)
-                .unwrap();
+            solve(g, &lease).unwrap();
         }
         // Refresh g0 so the snapshot carries a non-trivial LRU order.
-        view.schedule(
-            &graphs[0],
-            graphs[0].fingerprint(),
-            &sub,
-            Algorithm::DagHetPart,
-            &cfg,
-            chash,
-        )
-        .unwrap();
+        solve(&graphs[0], &lease).unwrap();
         let big = builder::chain(40, 1.0, 30.0, 5.0);
-        let tiny = c.subcluster(&[dhp_platform::ProcId(2)]);
-        let _ = view.schedule(
-            &big,
-            big.fingerprint(),
-            &tiny,
-            Algorithm::DagHetPart,
-            &cfg,
-            chash,
-        );
+        let _ = solve(&big, &[dhp_platform::ProcId(2)]);
         view.sim_outcome(
             graphs[0].fingerprint(),
             shape,
@@ -643,10 +637,21 @@ mod tests {
         for g in &graphs {
             let direct = schedule_on_subcluster(g, &sub, Algorithm::DagHetPart, &cfg).unwrap();
             let warm = view
-                .schedule(g, g.fingerprint(), &sub, Algorithm::DagHetPart, &cfg, chash)
+                .solve(
+                    g,
+                    g.fingerprint(),
+                    &c,
+                    sub.global_ids(),
+                    Algorithm::DagHetPart,
+                    &cfg,
+                    chash,
+                )
                 .unwrap();
-            assert_eq!(warm.local.makespan, direct.local.makespan);
-            assert_eq!(warm.global.proc_of_block, direct.global.proc_of_block);
+            assert_eq!(warm.makespan, direct.local.makespan);
+            assert_eq!(
+                warm.mapping.proc_of_block,
+                direct.local.mapping.proc_of_block
+            );
         }
         let sim = view.sim_outcome(
             graphs[0].fingerprint(),

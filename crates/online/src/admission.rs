@@ -6,12 +6,12 @@
 //! 1. the admission policy ranks the queue
 //!    ([`AdmissionPolicy`]);
 //! 2. a lease is sized and the highest-memory free processors are
-//!    carved into a [`SubCluster`] view;
-//! 3. the offline solver maps the workflow onto the lease; on
-//!    `NoSolution` the lease size is doubled (up to all free
-//!    processors), after which the workflow either waits for more
-//!    capacity or — if the whole idle cluster cannot hold it — is
-//!    rejected;
+//!    carved off the front of the free set;
+//! 3. the offline solver maps the workflow onto the lease (memoized
+//!    through [`CacheView::solve`]); on `NoSolution` the lease size is
+//!    doubled (up to all free processors), after which the workflow
+//!    either waits for more capacity or — if the whole idle cluster
+//!    cannot hold it — is rejected;
 //! 4. the discrete-event simulator executes the mapping on the lease
 //!    view, fixing the completion instant and per-processor busy time.
 //!
@@ -21,15 +21,46 @@
 //! instant at which, replaying the pending completions in time order,
 //! enough processors free up for the head to be placeable — and later
 //! arrivals are admitted only if their simulated finish does not push
-//! past that reservation. Per pass, at most [`BACKFILL_DEPTH`]
-//! candidates are solver-evaluated; candidates whose work lower bound
-//! already overshoots the reservation are skipped for free. A single
-//! pass may admit several candidates; after every same-pass grant the
-//! pass's cached state is refreshed — the free-speed aggregate drops by
-//! the granted lease's speeds, and the conservative reservation is
+//! past that reservation. A single pass may admit several candidates;
+//! after every same-pass grant the pass's cached state is refreshed —
+//! the free-speed aggregate drops by the granted lease's speeds, the
+//! largest free memory is re-read, and the conservative reservation is
 //! re-derived against the shrunken free set before it filters the next
 //! candidate (each computation is recorded as a [`ReservationRecord`]
 //! for the pinning tests).
+//!
+//! **What a backfill window costs.** Per pass, at most
+//! [`BACKFILL_DEPTH`] candidates are *evaluated*; a pass pays for those
+//! and for little else:
+//!
+//! * *The work screen jumps.* A candidate whose work bound
+//!   (`clock + total_work / free_speed`) already overshoots the
+//!   reservation cannot finish inside the hole. The pass does not walk
+//!   past such candidates one by one: the queue's `WorkIndex` — a
+//!   min-tournament tree over queue storage keyed on `total_work` —
+//!   hands it the next storage slot whose work can pass, in O(log n).
+//!   The screen is monotone in `total_work`, so the jump lands exactly
+//!   where the walk would have. It is taken only from a skip, so the
+//!   first candidate after
+//!   a grant is still reached by a single step and the post-admission
+//!   refresh fires where it always did; under EASY it waits until the
+//!   deferral list is full, since a skipped candidate may still be
+//!   deferred. A jump does not count the candidates it passes, so the
+//!   pass's yielded-candidate count is exact only until the first
+//!   jump — it is read only while no reservation exists, and jumps
+//!   happen only once one does.
+//! * *Memory is screened once per pass.* The largest free memory (the
+//!   first free processor in the canonical memory order) is read at
+//!   pass entry and after each grant; a candidate whose hottest task
+//!   exceeds it on a partly free cluster waits without probing
+//!   anything. It still counts against [`BACKFILL_DEPTH`].
+//! * *The finish is known before the grant is built.* `try_admit`
+//!   takes the reservation as a cap. A placeable candidate's simulated
+//!   makespan comes from the memoized [`SimOutcome`] of its lease, and
+//!   a finish past the cap is `Admit::Overshoot`: no lease view, no
+//!   translated mapping and no `Grant` is built for a candidate the
+//!   pass then throws away. A warm overshooting probe allocates
+//!   nothing.
 //!
 //! `EasyBackfill` is the *aggressive* (EASY) split of the same idea:
 //! the blocked head's reservation is computed lazily **once per event**
@@ -54,19 +85,22 @@
 
 use crate::engine::OnlineConfig;
 use crate::event::EventQueue;
-use crate::lease::{commit_grant, escalation_sizes, Grant};
+use crate::lease::{commit_grant, escalation_sizes, simulate_outcome, Grant};
 use crate::policy::AdmissionPolicy;
 use crate::report::RejectedRecord;
-use crate::state::{ClusterState, InService, Pending, ProbeScratch};
-use dhp_core::partial::{CacheView, SubClusterSchedule};
+use crate::state::{ArrivalFacts, ClusterState, InService, Pending, ProbeScratch};
+use crate::submission::single_task;
+use dhp_core::metrics::MappingResult;
+use dhp_core::partial::{CacheView, SimOutcome, SolveCache};
 use dhp_core::SchedError;
-use dhp_platform::{Cluster, ProcId, SubCluster};
+use dhp_platform::{Cluster, ProcId, Processor};
+use std::sync::Arc;
 
 /// How many queued candidates behind a blocked FIFO head are
 /// solver-evaluated per admission pass under
 /// [`AdmissionPolicy::FifoBackfill`] — the backfill window. Bounds the
-/// per-event admission cost on deep queues; cheap work-bound skips do
-/// not count against it.
+/// per-event admission cost on deep queues; work-bound skips do not
+/// count against it (the pass jumps over them).
 pub const BACKFILL_DEPTH: usize = 16;
 
 /// Why the engine (re)computed a head reservation — exposed so tests
@@ -103,6 +137,9 @@ pub struct ReservationRecord {
 pub(crate) enum Admit {
     /// Lease granted; box keeps the variant small.
     Granted(Box<Grant>),
+    /// Placeable now, but the simulated finish runs past the probe's
+    /// cap (the pass's reservation); nothing was built.
+    Overshoot,
     /// Cannot be placed on the currently free processors; keep queued.
     Wait,
     /// Cannot be placed even on the whole idle cluster; drop.
@@ -111,11 +148,11 @@ pub(crate) enum Admit {
 
 /// Outcome of one lease-search probe ([`find_placement`]).
 enum Probe {
-    /// A feasible lease (as the solved [`SubCluster`] view, which
-    /// carries the leased global ids) with its schedule.
+    /// A feasible lease — the first `size` processors of the probe's
+    /// `free_sorted` — with its memoized lease-local solve.
     Placed {
-        sub: SubCluster,
-        sched: SubClusterSchedule,
+        size: usize,
+        local: Arc<MappingResult>,
     },
     /// The hottest task does not fit the largest free memory.
     MemoryBlocked { whole_cluster_free: bool },
@@ -124,15 +161,26 @@ enum Probe {
     Unplaceable { whole_cluster_free: bool },
 }
 
+/// The work screen: can a candidate of `total_work` possibly finish by
+/// `resv`? Its makespan is at least `total_work / free_speed` even with
+/// zero communication. For a finite positive `free_speed` the answer is
+/// monotone in `total_work` (true on a value ⇒ true on every smaller
+/// one), which is what lets the pass jump with the queue's
+/// `WorkIndex`.
+pub(crate) fn fits_hole(total_work: f64, clock: f64, free_speed: f64, resv: f64) -> bool {
+    !(free_speed <= 0.0 || clock + total_work / free_speed > resv + 1e-9)
+}
+
 /// Runs admission passes at the current event boundary until a full
 /// pass changes nothing. One pass may admit (and reject) several
 /// candidates: decisions are recorded against the pass's candidate
 /// order and the queue is compacted only at the end of the pass, so
 /// indices stay valid throughout. After every same-pass grant the
 /// pass's cached state is refreshed — `free_speed` drops by the granted
-/// lease's speeds and a conservative reservation is marked dirty and
-/// lazily re-derived before the next candidate consults it — so neither
-/// can go stale within a pass.
+/// lease's speeds, the largest free memory is re-read, and a
+/// conservative reservation is marked dirty and lazily re-derived
+/// before the next candidate consults it — so none of them can go
+/// stale within a pass.
 pub(crate) fn admission_passes(
     state: &mut ClusterState,
     cfg: &OnlineConfig,
@@ -140,6 +188,11 @@ pub(crate) fn admission_passes(
     config_hash: u64,
     clock: f64,
 ) {
+    debug_assert_eq!(
+        state.work_index.len(),
+        state.queue.len(),
+        "a queue-storage mutation bypassed the work index"
+    );
     // EASY's once-per-event head reservation, cached across the passes
     // of this event: (head id, reservation).
     let mut event_resv: Option<(usize, f64)> = None;
@@ -197,12 +250,14 @@ pub(crate) fn admission_passes(
         let mut reservation_dirty = false;
         // Queue index of the blocked head the reservation protects.
         let mut head_qi: Option<usize> = None;
-        // Aggregate speed of the free processors: a backfill
-        // candidate's makespan is at least `total_work / free_speed`
-        // even with zero communication, so candidates that cannot
-        // possibly beat the reservation are skipped without paying
-        // for a solver run. Kept fresh across same-pass admissions.
+        // Aggregate speed of the free processors: the work screen's
+        // divisor (see `fits_hole`). Kept fresh across same-pass
+        // admissions.
         let mut free_speed: f64 = state.free_speed();
+        // Largest free memory: every lease probe's first screen, read
+        // once here and again after each grant instead of re-filtering
+        // the free set per candidate.
+        let mut top_free = state.top_free_memory();
         let mut evaluated_backfills = 0usize;
         // Queue indices admitted or rejected this pass.
         let mut taken: Vec<usize> = std::mem::take(&mut state.scratch.taken);
@@ -212,8 +267,10 @@ pub(crate) fn admission_passes(
         let mut deferred: Vec<usize> = std::mem::take(&mut state.scratch.deferred);
         // Candidate walk: `cursor` advances through `order` (ranked)
         // or raw queue storage (in-place scan); `pos` counts yielded
-        // candidates either way, so it means the same thing the
-        // enumerate position meant on a compacted queue.
+        // candidates either way, so — until the work screen's first
+        // jump, which only happens once a reservation exists — it
+        // means the same thing the enumerate position meant on a
+        // compacted queue. It is read only while there is none.
         let mut cursor = 0usize;
         let mut pos = 0usize;
         loop {
@@ -283,61 +340,64 @@ pub(crate) fn admission_passes(
                 }
                 let resv = reservation
                     .unwrap_or_else(|| unreachable!("the dirty path above just refreshed it"));
-                if free_speed <= 0.0
-                    || clock + state.queue[qi].total_work / free_speed > resv + 1e-9
-                {
+                let fits = |w: f64| fits_hole(w, clock, free_speed, resv);
+                if !fits(state.queue[qi].total_work) {
                     // Cannot possibly finish inside the hole. EASY
                     // may still take it aggressively in phase 2 —
                     // but only screen in candidates whose hottest
                     // task fits the largest free memory, so the
                     // bounded deferral list is not wasted on
-                    // certainly unplaceable ones.
+                    // certainly unplaceable ones. (`top_free.max(0.0)`
+                    // is the fold of the free memories from 0: the
+                    // first free processor in `mem_order` holds their
+                    // maximum.)
                     if cfg.policy == AdmissionPolicy::EasyBackfill
                         && deferred.len() < BACKFILL_DEPTH
                     {
-                        let max_free_mem = state
-                            .cluster
-                            .proc_ids()
-                            .filter(|p| state.free[p.idx()])
-                            .map(|p| state.cluster.memory(p))
-                            .fold(0.0, f64::max);
-                        if state.queue[qi].max_task_req <= max_free_mem * (1.0 + 1e-9) {
+                        if state.queue[qi].max_task_req <= top_free.max(0.0) * (1.0 + 1e-9) {
                             deferred.push(qi);
                         }
+                    } else if scan && free_speed.is_finite() {
+                        // Nothing between here and the next slot whose
+                        // work can pass would do anything but skip:
+                        // jump there (`free_speed = +∞` breaks the
+                        // screen's monotonicity, so it steps instead).
+                        cursor = state.next_passing(cursor, fits);
                     }
                     continue;
                 }
                 evaluated_backfills += 1;
             }
-            match try_admit(
-                &state.cluster,
-                &state.mem_order,
-                &state.free,
-                &state.queue[qi],
-                cfg,
-                cache,
-                config_hash,
-                clock,
-                state.queue_len() - taken.len(),
-                state.cluster_id,
-                &mut state.scratch.free_sorted,
-            ) {
+            let cand = &state.queue[qi];
+            // `find_placement`'s first screen, answered from the pass's
+            // largest free memory: a hottest task no free processor can
+            // hold waits (on an idle cluster `try_admit` words the
+            // rejection instead).
+            let admit = if state.free_count < state.cluster.len()
+                && cand.max_task_req > top_free * (1.0 + 1e-9)
+            {
+                Admit::Wait
+            } else {
+                try_admit(
+                    &state.cluster,
+                    &state.mem_order,
+                    &state.free,
+                    cand,
+                    cfg,
+                    cache,
+                    config_hash,
+                    clock,
+                    state.queue_len() - taken.len(),
+                    state.cluster_id,
+                    reservation,
+                    &mut state.scratch.free_sorted,
+                )
+            };
+            match admit {
                 Admit::Granted(grant) => {
-                    if let Some(resv) = reservation {
-                        if grant.placement.finish > resv + 1e-9 {
-                            // Would run past the head's reservation
-                            // and delay it — conservative keeps it
-                            // queued, EASY retries it in phase 2.
-                            if cfg.policy == AdmissionPolicy::EasyBackfill
-                                && deferred.len() < BACKFILL_DEPTH
-                            {
-                                deferred.push(qi);
-                            }
-                            continue;
-                        }
-                    }
                     let fingerprint = state.queue[qi].fingerprint;
                     free_speed -= commit_grant(*grant, fingerprint, state);
+                    top_free = state.top_free_memory();
                     // Only the conservative policy re-derives its
                     // bound after a grant; EASY's event reservation
                     // is stale across grants by contract.
@@ -346,6 +406,16 @@ pub(crate) fn admission_passes(
                     }
                     taken.push(qi);
                     changed = true;
+                }
+                Admit::Overshoot => {
+                    // Would run past the head's reservation and delay
+                    // it — conservative keeps it queued, EASY retries
+                    // it in phase 2.
+                    if cfg.policy == AdmissionPolicy::EasyBackfill
+                        && deferred.len() < BACKFILL_DEPTH
+                    {
+                        deferred.push(qi);
+                    }
                 }
                 Admit::Wait => {
                     // Not placeable right now; under FIFO this blocks
@@ -393,7 +463,6 @@ pub(crate) fn admission_passes(
                         reservation = Some(resv);
                         head_qi = Some(qi);
                     }
-                    continue;
                 }
                 Admit::Reject(reason) => {
                     let cand = &state.queue[qi];
@@ -442,6 +511,7 @@ pub(crate) fn admission_passes(
                         clock,
                         state.queue_len() - taken.len(),
                         state.cluster_id,
+                        None,
                         &mut state.scratch.free_sorted,
                     ) else {
                         continue;
@@ -477,9 +547,8 @@ pub(crate) fn admission_passes(
         // storage only once half of it is dead — each queue entry moves
         // O(1) times over its whole lifetime.
         for &qi in &taken {
-            state.dead[qi] = true;
+            state.kill(qi);
         }
-        state.dead_count += taken.len();
         if state.dead_count * 2 > state.queue.len() {
             state.compact_queue();
         }
@@ -543,7 +612,8 @@ fn warm_in_cache(
 /// `shrink_under_load`, where admission sizes by queue length but the
 /// reservation scan cannot know the future backlog — there the probe
 /// and the admission may walk different lease shapes and the replay is
-/// not guaranteed.)
+/// not guaranteed.) A warm probe allocates nothing: the lease is a
+/// prefix of `free_sorted` and the solve comes back behind its `Arc`.
 #[allow(clippy::too_many_arguments)]
 fn find_placement(
     cluster: &Cluster,
@@ -573,25 +643,30 @@ fn find_placement(
 
     let g = &cand.submission.instance.graph;
     for size in escalation_sizes(target, free_sorted.len()) {
-        let sub = cluster.subcluster(&free_sorted[..size]);
-        match cache.schedule(
+        match cache.solve(
             g,
             cand.fingerprint,
-            &sub,
+            cluster,
+            &free_sorted[..size],
             cfg.algorithm,
             &cfg.solver,
             config_hash,
         ) {
             Err(SchedError::NoSolution) => continue,
-            Ok(sched) => return Probe::Placed { sub, sched },
+            Ok(local) => return Probe::Placed { size, local },
         }
     }
     Probe::Unplaceable { whole_cluster_free }
 }
 
-/// One admission probe: lease search, simulation, and the would-be
+/// One admission probe: lease search, the simulated finish, and — when
+/// it lands by `cap` (the pass's reservation, if any) — the would-be
 /// grant (committed by the caller via
-/// [`commit_grant`](crate::lease::commit_grant)).
+/// [`commit_grant`](crate::lease::commit_grant)). The simulation is
+/// memoized through the cache view under the same key as the solve it
+/// executes, so a repeat admission of a cached `(workflow, lease
+/// shape)` pair skips the simulator, and a finish past `cap` is
+/// [`Admit::Overshoot`] before anything is built.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn try_admit(
     cluster: &Cluster,
@@ -604,11 +679,12 @@ pub(crate) fn try_admit(
     clock: f64,
     queue_len: usize,
     cluster_id: Option<usize>,
+    cap: Option<f64>,
     free_sorted: &mut Vec<ProcId>,
 ) -> Admit {
     let g = &cand.submission.instance.graph;
     let target = cfg.lease.target_under_load(g.node_count(), queue_len);
-    let (sub, sched) = match find_placement(
+    let (size, local) = match find_placement(
         cluster,
         mem_order,
         free,
@@ -619,7 +695,7 @@ pub(crate) fn try_admit(
         target,
         free_sorted,
     ) {
-        Probe::Placed { sub, sched } => (sub, sched),
+        Probe::Placed { size, local } => (size, local),
         Probe::MemoryBlocked {
             whole_cluster_free: true,
         } => {
@@ -640,25 +716,28 @@ pub(crate) fn try_admit(
         }
         Probe::MemoryBlocked { .. } | Probe::Unplaceable { .. } => return Admit::Wait,
     };
-    Admit::Granted(Box::new(Grant::build(
-        cand,
-        sub,
-        sched,
-        clock,
-        cluster_id,
-        cache,
-        cfg,
+    let lease = &free_sorted[..size];
+    let sim: Arc<SimOutcome> = cache.sim_outcome(
+        cand.fingerprint,
+        cluster.shape_of_slice(lease),
+        cfg.algorithm,
         config_hash,
+        || simulate_outcome(g, &cluster.subcluster(lease), &local.mapping),
+    );
+    if cap.is_some_and(|cap| clock + sim.makespan > cap + 1e-9) {
+        return Admit::Overshoot;
+    }
+    Admit::Granted(Box::new(Grant::build(
+        cand, lease, &local, sim, clock, cluster_id,
     )))
 }
 
 /// Solver feasibility only — can `cand` be placed on the processors
-/// marked free in `free`? Keeps [`find_placement`]'s key, counter, and
-/// cache-insert semantics (the reservation scan only needs a yes/no,
-/// but the solve it pays for stays in the cache for the eventual
-/// admission to reuse) while skipping the schedule materialisation and
-/// the `SubCluster` construction on cache hits. Also the probe behind
-/// federation's `best-fit` routing and cross-cluster spillover.
+/// marked free in `free`? The same lease search as [`try_admit`]
+/// (same keys, counters and cache inserts — the reservation scan only
+/// needs a yes/no, but the solve it pays for stays in the cache for the
+/// eventual admission to reuse), without a simulation. Also the probe
+/// behind federation's `best-fit` routing and cross-cluster spillover.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn can_place(
     cluster: &Cluster,
@@ -673,26 +752,20 @@ pub(crate) fn can_place(
     let target = cfg
         .lease
         .target(cand.submission.instance.graph.node_count());
-    free_sorted.clear();
-    free_sorted.extend(mem_order.iter().copied().filter(|p| free[p.idx()]));
-    if free_sorted.is_empty() || cand.max_task_req > cluster.memory(free_sorted[0]) * (1.0 + 1e-9) {
-        return false;
-    }
-    let g = &cand.submission.instance.graph;
-    for size in escalation_sizes(target, free_sorted.len()) {
-        if cache.feasible(
-            g,
-            cand.fingerprint,
+    matches!(
+        find_placement(
             cluster,
-            &free_sorted[..size],
-            cfg.algorithm,
-            &cfg.solver,
+            mem_order,
+            free,
+            cand,
+            cfg,
+            cache,
             config_hash,
-        ) {
-            return true;
-        }
-    }
-    false
+            target,
+            free_sorted,
+        ),
+        Probe::Placed { .. }
+    )
 }
 
 /// The blocked FIFO head's reservation: pending completions are
@@ -885,4 +958,102 @@ pub(crate) fn head_fits_at(
         config_hash,
         free_sorted,
     )
+}
+
+/// One blocked backfill window, held still so a benchmark can time a
+/// warm admission pass over it at any queue depth
+/// (`admission_pass/backfill_window` in `bench_online`).
+///
+/// A four-processor cluster — one big processor, three small ones —
+/// runs a long workflow on the big one. The queue head needs the big
+/// processor too, so it blocks and reserves that workflow's
+/// completion. Behind it wait `depth` single-task candidates. Sixteen
+/// of them, spread evenly over the queue, are worth a probe: in turn
+/// one that places on a small processor but would finish after the
+/// reservation, and one whose task fits no free processor. Every other
+/// candidate has too much work for the hole. Nothing is ever admitted,
+/// so every pass decides the same window on the same warm caches.
+pub struct BackfillWindow {
+    state: ClusterState,
+    cfg: OnlineConfig,
+    cache: SolveCache,
+    config_hash: u64,
+}
+
+impl std::fmt::Debug for BackfillWindow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BackfillWindow")
+            .field("queued", &self.state.queue_len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl BackfillWindow {
+    /// The window with `depth` candidates behind the blocked head, its
+    /// caches filled by one untimed pass.
+    pub fn new(depth: usize) -> BackfillWindow {
+        let cluster = Cluster::new(
+            vec![
+                Processor::new("big", 1.0, 100.0),
+                Processor::new("small", 1.0, 10.0),
+                Processor::new("small", 1.0, 10.0),
+                Processor::new("small", 1.0, 10.0),
+            ],
+            1.0,
+        );
+        let cfg = OnlineConfig {
+            policy: AdmissionPolicy::FifoBackfill,
+            ..OnlineConfig::default()
+        };
+        let cache = SolveCache::new();
+        let config_hash = SolveCache::config_hash(&cfg.solver);
+        let mut state = ClusterState::new(&cluster, None);
+        let mut seen = ArrivalFacts::new();
+        let mut enqueue = |state: &mut ClusterState, id: usize, work: f64, memory: f64| {
+            let sub = single_task(id, 0.0, work, memory, "window");
+            state.enqueue_arrival(Pending::new(Arc::new(sub), &mut seen), 0.0);
+        };
+        // The running workflow holds the big processor until t = 1000.
+        enqueue(&mut state, 0, 1000.0, 100.0);
+        admission_passes(
+            &mut state,
+            &cfg,
+            &CacheView::direct(&cache),
+            config_hash,
+            0.0,
+        );
+        // The head, then the window: 3 free speed, 10 free memory.
+        enqueue(&mut state, 1, 1.0, 100.0);
+        let stride = (depth / BACKFILL_DEPTH).max(1);
+        for i in 0..depth {
+            let (work, memory) = match (i % stride + 1 == stride, i / stride % 2) {
+                (false, _) => (1e6, 1.0),   // 1e6 / 3 overshoots the hole
+                (true, 0) => (2400.0, 1.0), // 800 fits; 2400 on one does not
+                (true, _) => (1.0, 50.0),   // no free memory holds it
+            };
+            enqueue(&mut state, 2 + i, work, memory);
+        }
+        let mut window = BackfillWindow {
+            state,
+            cfg,
+            cache,
+            config_hash,
+        };
+        window.pass();
+        window
+    }
+
+    /// Runs one event's admission passes over the window; returns how
+    /// many workflows stay queued (all of them).
+    pub fn pass(&mut self) -> usize {
+        self.state.reservations.clear();
+        admission_passes(
+            &mut self.state,
+            &self.cfg,
+            &CacheView::direct(&self.cache),
+            self.config_hash,
+            0.0,
+        );
+        self.state.queue_len()
+    }
 }

@@ -115,8 +115,7 @@ pub(super) fn spill(
                 }
             }
             if let Some(j) = dest {
-                let p = shards[i].state.queue.remove(qi);
-                shards[i].state.dead.pop();
+                let p = shards[i].state.remove_queued(qi);
                 moved_ids.insert(p.id);
                 shards[j].state.insert_pending(p);
                 moved += 1;

@@ -10,6 +10,7 @@
 
 use crate::admission::{
     admission_passes, can_place, head_fits_at, head_reservation_cached, try_admit, Admit,
+    BackfillWindow,
 };
 use crate::engine::{serve_with_cache, OnlineConfig};
 use crate::event::EventQueue;
@@ -67,9 +68,9 @@ fn pending(id: usize, work: f64, memory: f64) -> Pending {
 }
 
 /// After one cold probe has filled the solve cache and sized the
-/// scratch arenas, repeated warm feasibility probes and head-fit
-/// replays touch the heap exactly zero times — the tentpole's
-/// steady-state guarantee.
+/// scratch arenas, repeated warm solves, feasibility probes and head-fit
+/// replays touch the heap exactly zero times — the steady-state
+/// guarantee every admission decision is built on.
 #[test]
 fn warm_probes_are_allocation_free() {
     let cluster = dhp_platform::configs::small_cluster();
@@ -112,6 +113,30 @@ fn warm_probes_are_allocation_free() {
     );
     assert!(warmup);
 
+    // The probe every lease search makes: a warm key answers with the
+    // memoized solve behind its `Arc`, building no view and cloning no
+    // mapping.
+    let lease = &state.mem_order[..2];
+    let fp = cand.fingerprint;
+    let solve = || {
+        view.solve(
+            &cand.submission.instance.graph,
+            fp,
+            &cluster,
+            lease,
+            cfg.algorithm,
+            &cfg.solver,
+            config_hash,
+        )
+    };
+    assert!(solve().is_ok());
+    let solves = allocations_in(|| {
+        for _ in 0..100 {
+            assert!(solve().is_ok());
+        }
+    });
+    assert_eq!(solves, 0, "warm solves must not allocate");
+
     let probes = allocations_in(|| {
         for _ in 0..100 {
             assert!(can_place(
@@ -150,11 +175,10 @@ fn warm_probes_are_allocation_free() {
     assert_eq!(replays, 0, "warm head-fit replays must not allocate");
 }
 
-/// The allocator's positive control: the grant path still materialises
-/// its probe (`try_admit` → `find_placement` builds the lease view and
-/// the schedule even on a warm key) and must allocate, so the zero
-/// `can_place` reaches on the same key is the probe's doing, not the
-/// counter's.
+/// The allocator's positive control: a committing grant still builds
+/// its record, placement and parent-id mapping even on a warm key, and
+/// must allocate, so the zero `can_place` reaches on the same key is
+/// the probe's doing, not the counter's.
 #[test]
 fn the_slow_baseline_still_allocates() {
     let cluster = dhp_platform::configs::small_cluster();
@@ -175,6 +199,7 @@ fn the_slow_baseline_still_allocates() {
             config_hash,
             0.0,
             1,
+            None,
             None,
             &mut state.scratch.free_sorted,
         );
@@ -207,6 +232,65 @@ fn the_slow_baseline_still_allocates() {
         }
     });
     assert_eq!(probing, 0, "the feasibility probe on the same warm key");
+}
+
+/// A backfill candidate that places but would finish after the blocked
+/// head's reservation is thrown away — so, warm, deciding that costs
+/// no heap at all: the solve and the simulated finish are memoized
+/// `Arc`s, and no lease view, parent-id mapping or grant is built for a
+/// candidate that overshoots. Whole passes over a blocked window of
+/// such candidates allocate nothing either.
+#[test]
+fn a_warm_overshooting_backfill_probe_allocates_nothing() {
+    let cluster = dhp_platform::configs::small_cluster();
+    let cfg = OnlineConfig::default();
+    let cache = SolveCache::new();
+    let view = CacheView::direct(&cache);
+    let config_hash = SolveCache::config_hash(&cfg.solver);
+    let mut state = ClusterState::new(&cluster, None);
+    let cand = pending(2, 40.0, 2.0);
+    let probe = |state: &mut ClusterState, cap: Option<f64>| {
+        try_admit(
+            &cluster,
+            &state.mem_order,
+            &state.free,
+            &cand,
+            &cfg,
+            &view,
+            config_hash,
+            0.0,
+            1,
+            None,
+            cap,
+            &mut state.scratch.free_sorted,
+        )
+    };
+    // Cold: the solve and the simulation fill the caches.
+    assert!(matches!(probe(&mut state, None), Admit::Granted(_)));
+    // A reservation just before the simulated finish: overshoot.
+    let Admit::Granted(grant) = probe(&mut state, None) else {
+        unreachable!("the idle cluster places it")
+    };
+    let cap = Some(grant.placement.finish - 1.0);
+    assert!(matches!(probe(&mut state, cap), Admit::Overshoot));
+    let overshooting = allocations_in(|| {
+        for _ in 0..100 {
+            assert!(matches!(probe(&mut state, cap), Admit::Overshoot));
+        }
+    });
+    assert_eq!(overshooting, 0, "a warm overshooting probe allocated");
+
+    for depth in [16, 256] {
+        let mut window = BackfillWindow::new(depth);
+        let queued = window.pass();
+        assert_eq!(queued, depth + 1, "the window admits nothing");
+        let passes = allocations_in(|| {
+            for _ in 0..10 {
+                assert_eq!(window.pass(), queued);
+            }
+        });
+        assert_eq!(passes, 0, "a warm window pass at depth {depth} allocated");
+    }
 }
 
 /// The reservation token: a matching `(epoch, head)` replays the

@@ -14,7 +14,8 @@ use crate::engine::OnlineConfig;
 use crate::report::WorkflowRecord;
 use crate::state::{ClusterState, InService, Pending, Placement, Regrow};
 use dhp_core::mapping::Mapping;
-use dhp_core::partial::{CacheView, SimOutcome, SubClusterSchedule};
+use dhp_core::metrics::MappingResult;
+use dhp_core::partial::{remap_to_parent, CacheView, SimOutcome};
 use dhp_platform::{ProcId, SubCluster};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -60,36 +61,27 @@ pub(crate) struct Grant {
 }
 
 impl Grant {
-    /// Executes the solved schedule on the lease view and assembles the
-    /// grant: the virtual clock advances by the *simulated* makespan,
-    /// and per-processor busy time feeds fleet utilisation. The
-    /// simulation is memoized through the cache view under the same
-    /// key as the solve it executes — repeat admissions of a cached
-    /// `(workflow, lease shape)` pair skip the simulator entirely.
-    #[allow(clippy::too_many_arguments)]
+    /// Assembles the grant of a committing candidate from its solve
+    /// and the simulated run of it: the virtual clock advances by the
+    /// *simulated* makespan, and per-processor busy time feeds fleet
+    /// utilisation. `lease` holds the leased parent ids in carve order
+    /// (the lease-local ids of `local` and `sim` index into it). Both
+    /// outcomes come memoized from the admission probe, which has
+    /// already decided the candidate commits; this is the first place
+    /// the mapping is translated into parent ids.
     pub(crate) fn build(
         cand: &Pending,
-        sub: SubCluster,
-        sched: SubClusterSchedule,
+        lease: &[ProcId],
+        local: &MappingResult,
+        sim: Arc<SimOutcome>,
         clock: f64,
         cluster_id: Option<usize>,
-        cache: &CacheView,
-        cfg: &OnlineConfig,
-        config_hash: u64,
     ) -> Grant {
         let g = &cand.submission.instance.graph;
-        let lease: Vec<ProcId> = sub.global_ids().to_vec();
-        let sim = cache.sim_outcome(
-            cand.fingerprint,
-            sub.shape_signature(),
-            cfg.algorithm,
-            config_hash,
-            || simulate_outcome(g, &sub, &sched.local.mapping),
-        );
         let busy: Vec<(ProcId, f64)> = sim
             .lanes
             .iter()
-            .map(|&(p, b)| (sub.to_global(ProcId(p)), b))
+            .map(|&(p, b)| (lease[p as usize], b))
             .collect();
         // The absolute per-task schedule: elastic growth later splits it
         // into the committed prefix and the re-solvable suffix.
@@ -98,11 +90,10 @@ impl Grant {
         let task_proc: Vec<ProcId> = g
             .node_ids()
             .map(|u| {
-                let b = sched.local.mapping.partition.block_of(u).idx();
-                sub.to_global(
-                    sched.local.mapping.proc_of_block[b]
-                        .unwrap_or_else(|| unreachable!("the solver maps every block")),
-                )
+                let b = local.mapping.partition.block_of(u).idx();
+                let p = local.mapping.proc_of_block[b]
+                    .unwrap_or_else(|| unreachable!("the solver maps every block"));
+                lease[p.idx()]
             })
             .collect();
         let start = clock;
@@ -129,9 +120,9 @@ impl Grant {
             // admitted ones never pay for it on the critical path).
             stretch: 0.0,
             baseline_makespan: 0.0,
-            model_makespan: sched.local.makespan,
+            model_makespan: local.makespan,
             lease: lease.iter().map(|p| p.0).collect(),
-            blocks: sched.local.mapping.num_blocks(),
+            blocks: local.mapping.num_blocks(),
             lease_grown: false,
             lease_shrunk: false,
             cluster_id,
@@ -139,8 +130,8 @@ impl Grant {
         };
         let placement = Placement {
             submission: Arc::clone(&cand.submission),
-            mapping: sched.global,
-            lease,
+            mapping: remap_to_parent(lease, &local.mapping),
+            lease: lease.to_vec(),
             start,
             finish,
             regrow: Vec::new(),

@@ -71,8 +71,13 @@ mod hotpath_tests;
 pub mod lease;
 pub mod policy;
 pub mod report;
+#[cfg(test)]
+mod solve_tests;
 mod state;
 pub mod submission;
+mod work_index;
+#[cfg(test)]
+mod work_index_tests;
 
 pub use chaos::{FailureMode, MembershipEvent, MembershipEventSpec, MembershipPlan};
 pub use engine::{

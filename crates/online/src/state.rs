@@ -17,6 +17,7 @@
 use crate::event::EventQueue;
 use crate::report::{LostRecord, RejectedRecord, WorkflowRecord};
 use crate::submission::Submission;
+use crate::work_index::WorkIndex;
 use dhp_core::fitting::max_task_requirement;
 use dhp_core::mapping::Mapping;
 use dhp_dag::Dag;
@@ -284,6 +285,12 @@ pub(crate) struct ClusterState {
     pub(crate) dead: Vec<bool>,
     /// How many `queue` entries are tombstoned.
     pub(crate) dead_count: usize,
+    /// The backfill window's jump table over `queue` (see
+    /// [`WorkIndex`]). Every storage mutation goes through a method of
+    /// this type so the index cannot miss one; the admission pass
+    /// asserts (debug builds) that it covers exactly `queue.len()`
+    /// slots.
+    pub(crate) work_index: WorkIndex,
     pub(crate) events: EventQueue,
     pub(crate) in_service: Vec<Option<InService>>,
     pub(crate) finished: Vec<WorkflowRecord>,
@@ -341,6 +348,7 @@ impl ClusterState {
             queue: Vec::new(),
             dead: Vec::new(),
             dead_count: 0,
+            work_index: WorkIndex::default(),
             events: EventQueue::new(),
             in_service: Vec::new(),
             finished: Vec::new(),
@@ -434,6 +442,7 @@ impl ClusterState {
             });
             return;
         }
+        self.work_index.push(WorkIndex::key(&p));
         self.queue.push(p);
         self.dead.push(false);
     }
@@ -451,6 +460,35 @@ impl ClusterState {
             .partition_point(|q| (q.arrival, q.id) < (p.arrival, p.id));
         self.queue.insert(pos, p);
         self.dead.insert(pos, false);
+        self.work_index.reset(self.queue.len());
+    }
+
+    /// Splices the live entry at storage slot `qi` out of the queue —
+    /// cross-cluster spillover moves it to another member with
+    /// [`ClusterState::insert_pending`].
+    pub(crate) fn remove_queued(&mut self, qi: usize) -> Pending {
+        debug_assert!(!self.dead[qi], "only a live entry can move");
+        self.dead.remove(qi);
+        let p = self.queue.remove(qi);
+        self.work_index.reset(self.queue.len());
+        p
+    }
+
+    /// Tombstones the live entry at storage slot `qi` (admitted or
+    /// rejected by an admission pass).
+    pub(crate) fn kill(&mut self, qi: usize) {
+        debug_assert!(!self.dead[qi], "an entry is taken once");
+        self.dead[qi] = true;
+        self.dead_count += 1;
+        self.work_index.kill(qi);
+    }
+
+    /// The first storage slot at or after `from` whose `total_work`
+    /// passes the monotone screen `pass` (tombstones never pass one
+    /// that anything fails), or `queue.len()`; see [`WorkIndex`].
+    pub(crate) fn next_passing(&mut self, from: usize, pass: impl Fn(f64) -> bool) -> usize {
+        self.work_index
+            .next_from(from, &self.queue, &self.dead, pass)
     }
 
     /// How many workflows are actually queued (tombstones excluded).
@@ -482,6 +520,7 @@ impl ClusterState {
         self.dead.clear();
         self.dead.resize(self.queue.len(), false);
         self.dead_count = 0;
+        self.work_index.reset(self.queue.len());
     }
 
     /// Total outstanding work queued on this cluster — the `least-loaded`
@@ -493,6 +532,17 @@ impl ClusterState {
             .filter(|(_, &d)| !d)
             .map(|(p, _)| p.total_work)
             .sum()
+    }
+
+    /// Memory of the largest free processor (`−∞` when none is free).
+    /// `mem_order` comes from [`Cluster::ids_by_memory_desc`], so the
+    /// first free processor in it holds the maximum — the memory every
+    /// lease probe screens the hottest task against.
+    pub(crate) fn top_free_memory(&self) -> f64 {
+        self.mem_order
+            .iter()
+            .find(|p| self.free[p.idx()])
+            .map_or(f64::NEG_INFINITY, |&p| self.cluster.memory(p))
     }
 
     /// Aggregate speed of the currently free processors — the
@@ -511,6 +561,7 @@ impl ClusterState {
     pub(crate) fn take_queue(&mut self) -> Vec<Pending> {
         self.compact_queue();
         self.dead.clear();
+        self.work_index.reset(0);
         std::mem::take(&mut self.queue)
     }
 
