@@ -180,7 +180,9 @@ pub(crate) fn fits_hole(total_work: f64, clock: f64, free_speed: f64, resv: f64)
 /// lease's speeds, the largest free memory is re-read, and a
 /// conservative reservation is marked dirty and lazily re-derived
 /// before the next candidate consults it — so none of them can go
-/// stale within a pass.
+/// stale within a pass. A pass over an empty queue or with no free
+/// processor could decide nothing, so it is not started: on a fleet
+/// most calls return here without reading the free set.
 pub(crate) fn admission_passes(
     state: &mut ClusterState,
     cfg: &OnlineConfig,
@@ -197,6 +199,14 @@ pub(crate) fn admission_passes(
     // of this event: (head id, reservation).
     let mut event_resv: Option<(usize, f64)> = None;
     loop {
+        // A pass that cannot decide anything returns before it is set
+        // up: over an empty queue it yields no candidate, and with no
+        // free processor it breaks on its first one before any probe.
+        // The only effect skipped is the end-of-pass compaction, which
+        // moves storage, not the live order.
+        if state.queue_is_empty() || state.free_count == 0 {
+            break;
+        }
         let mut changed = false;
         // The backfilling policies' candidate order *is* the live
         // queue order, so the pass walks the storage in place (skipping

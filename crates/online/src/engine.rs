@@ -29,8 +29,9 @@
 //! `slowdown`. These whole-cluster solves are **deferred off the
 //! admission critical path**: the engine only remembers each admitted
 //! workflow's structural fingerprint and drains the baseline solves at
-//! report time as one deduplicated batch fanned over
-//! `std::thread::scope` worker threads.
+//! report time as one deduplicated batch, fanned over
+//! `std::thread::scope` worker threads when more than one of its jobs
+//! still needs the solver.
 //!
 //! Every solver call — admission probes, reservation feasibility scans
 //! and the baseline batch — goes through a content-addressed
@@ -376,9 +377,11 @@ pub(crate) fn finalize(
     // here, off the critical path: deduplicated by fingerprint (one
     // solve per unique topology when the cache memoizes; one per
     // workflow when it is disabled, preserving honest uncached solver
-    // counts) and fanned over scoped worker threads sharing the cache.
-    // Each job writes its own slot, so the batch is deterministic
-    // regardless of thread interleaving.
+    // counts). Each job writes its own slot, so the batch is
+    // deterministic whatever runs it. Only jobs the cache has not
+    // solved yet are worth a thread: the pool is sized by those cold
+    // jobs, and a batch with at most one (every repeat-traffic member
+    // at report time) runs inline.
     let stats_before_batch = cache.stats();
     let jobs: Vec<usize> = if cache.is_enabled() {
         let mut seen: HashSet<u64> = HashSet::new();
@@ -401,33 +404,59 @@ pub(crate) fn finalize(
         ..cfg.solver.clone()
     };
     let batch_config_hash = SolveCache::config_hash(&batch_solver);
-    if !jobs.is_empty() {
-        let next = AtomicUsize::new(0);
-        // A capacity-bounded cache runs the batch on one worker: exact
-        // LRU eviction order (and so the eviction counters) is only
-        // well-defined when capped inserts are not racing, and the
-        // batch is the one place the engine would otherwise insert from
-        // several threads at once.
-        let workers = if cache.capacity().is_some() {
-            1
-        } else {
-            dhp_core::host_cores().min(jobs.len())
-        };
+    // Every job solves on the whole cluster in canonical memory order —
+    // the key [`SolveCache::dedicated_baseline`] uses — so the order and
+    // its shape are computed once for the batch. A pure peek (no tick,
+    // no counter) tells the warm jobs from the cold ones; a memoized
+    // `NoSolution` is not warm, so it counts as cold.
+    let whole = cluster.ids_by_memory_desc();
+    let whole_shape = cluster.shape_of_slice(&whole);
+    let cold = jobs
+        .iter()
+        .filter(|&&i| {
+            !cache.is_warm(
+                finished_fp[i],
+                whole_shape,
+                cfg.algorithm,
+                batch_config_hash,
+            )
+        })
+        .count();
+    // A capacity-bounded cache runs the batch on one worker: exact
+    // LRU eviction order (and so the eviction counters) is only
+    // well-defined when capped inserts are not racing, and the batch is
+    // the one place the engine would otherwise insert from several
+    // threads at once.
+    let workers = if cache.capacity().is_some() {
+        1
+    } else {
+        dhp_core::host_cores().min(cold)
+    };
+    let next = AtomicUsize::new(0);
+    let drain = || loop {
+        let j = next.fetch_add(1, AtomicOrdering::Relaxed);
+        let Some(&i) = jobs.get(j) else { break };
+        let g = &placements[i].submission.instance.graph;
+        *results[j].lock() = Some(
+            CacheView::direct(cache)
+                .solve(
+                    g,
+                    finished_fp[i],
+                    &cluster,
+                    &whole,
+                    cfg.algorithm,
+                    &batch_solver,
+                    batch_config_hash,
+                )
+                .map(|local| local.makespan),
+        );
+    };
+    if workers <= 1 {
+        drain();
+    } else {
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let j = next.fetch_add(1, AtomicOrdering::Relaxed);
-                    let Some(&i) = jobs.get(j) else { break };
-                    let g = &placements[i].submission.instance.graph;
-                    *results[j].lock() = Some(cache.dedicated_baseline(
-                        g,
-                        finished_fp[i],
-                        &cluster,
-                        cfg.algorithm,
-                        &batch_solver,
-                        batch_config_hash,
-                    ));
-                });
+                scope.spawn(drain);
             }
         });
     }
@@ -439,7 +468,7 @@ pub(crate) fn finalize(
                 finished_fp[i],
                 r.lock()
                     .clone()
-                    .unwrap_or_else(|| unreachable!("the scoped pool ran every baseline job")),
+                    .unwrap_or_else(|| unreachable!("the drain ran every baseline job")),
             )
         })
         .collect();

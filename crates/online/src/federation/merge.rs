@@ -4,8 +4,8 @@
 use super::routing::RoutingPolicy;
 use super::shard::MemberShard;
 use crate::engine::{finalize, OnlineConfig, ServeOutcome};
-use crate::report::{FleetMetrics, ServeReport, WorkflowRecord};
-use crate::submission::peak_overlap;
+use crate::report::{FleetMetrics, ServeReport};
+use crate::submission::peak_overlap_of;
 use dhp_core::partial::SolveCache;
 use serde::{Deserialize, Serialize};
 #[cfg(debug_assertions)]
@@ -154,7 +154,8 @@ pub(super) fn assemble(
 /// Merges the per-cluster fleet metrics into the federation-level
 /// block: exact sums for counters and solver statistics,
 /// completion-weighted means, a federation-wide utilisation window, and
-/// peak concurrency recomputed over the merged record set. Debug
+/// peak concurrency recomputed over the merged record set (read in
+/// place, never copied). Debug
 /// builds additionally verify the per-member ↔ fleet partition
 /// invariant: every submission id appears in exactly one terminal
 /// class (completed, rejected, or lost) across the whole federation,
@@ -220,10 +221,6 @@ pub(super) fn merge_fleet(clusters: &[ServeReport], total_procs: usize) -> Fleet
     let maxed = |f: &dyn Fn(&FleetMetrics) -> f64| -> f64 {
         clusters.iter().map(|c| f(&c.fleet)).fold(0.0, f64::max)
     };
-    let all_records: Vec<WorkflowRecord> = clusters
-        .iter()
-        .flat_map(|c| c.workflows.iter().cloned())
-        .collect();
     FleetMetrics {
         completed,
         rejected,
@@ -247,7 +244,7 @@ pub(super) fn merge_fleet(clusters: &[ServeReport], total_procs: usize) -> Fleet
         mean_slowdown: weighted(&|f| f.mean_slowdown),
         max_slowdown: maxed(&|f| f.max_slowdown),
         mean_lease: weighted(&|f| f.mean_lease),
-        peak_concurrency: peak_overlap(&all_records),
+        peak_concurrency: peak_overlap_of(clusters.iter().flat_map(|c| &c.workflows)),
         solve_cache_hits: clusters.iter().map(|c| c.fleet.solve_cache_hits).sum(),
         solve_cache_misses: clusters.iter().map(|c| c.fleet.solve_cache_misses).sum(),
         baseline_solves: clusters.iter().map(|c| c.fleet.baseline_solves).sum(),

@@ -42,10 +42,12 @@
 //!    two shards are eligible and the host has at least two cores
 //!    ([`dhp_core::host_cores`], probed once per process); otherwise
 //!    inline, and deciding costs two integer compares.
-//! 3. **Seal** (sequential): each shard's deferred cache effects are
-//!    replayed into the store in member-index order.
+//! 3. **Seal** (sequential): the deferred cache effects of each shard
+//!    that ran the phase are replayed into the store in member-index
+//!    order (no other shard can hold any).
 //! 4. **Spillover** (sequential): blocked work migrates across
-//!    members.
+//!    members, probing only destinations that could place it (see
+//!    `rebalance.rs`).
 //! 5. **Growth phase** (parallel) + seal: elastic lease growth, same
 //!    frozen-view model.
 //!
@@ -85,9 +87,9 @@
 mod clock;
 mod membership;
 mod merge;
-mod rebalance;
-mod routing;
-mod shard;
+pub(crate) mod rebalance;
+pub(crate) mod routing;
+pub(crate) mod shard;
 
 pub use merge::{FederationOutcome, FederationReport};
 pub use routing::RoutingPolicy;
@@ -210,6 +212,11 @@ fn serve_loop(
     let mut clock = 0.0f64;
     let mut rr_next = 0usize;
     let mut spillovers = 0u64;
+    // The members of the current parallel phase, ascending.
+    let mut phase: Vec<usize> = Vec::new();
+    // The spillover sweep's memo of each member's largest free memory,
+    // reset at every sweep; kept here so a sweep allocates nothing.
+    let mut top_free: Vec<Option<f64>> = Vec::new();
 
     loop {
         // ------------------------------------------------ next event(s)
@@ -280,31 +287,31 @@ fn serve_loop(
 
         // ------------------------- step phase: completions + admission
         // + elastic shrink, shard-isolated, parallel under frozen
-        // cache views; then the ordered seal.
-        let worklist: Vec<&mut MemberShard> = shards
-            .iter_mut()
-            .filter(|sh| sh.wants_step(clock))
-            .collect();
-        run_phase(worklist, serial, |sh| {
+        // cache views; then the ordered seal. Only a shard that ran the
+        // phase holds deferred effects (routing and spillover probe
+        // through live views), so only those are sealed.
+        phase.clear();
+        phase.extend((0..shards.len()).filter(|&i| shards[i].wants_step(clock)));
+        run_phase(&mut shards, &phase, serial, |sh| {
             sh.step_to(clock, cfg, cache, config_hash)
         });
-        for sh in shards.iter_mut() {
-            cache.seal_account(&mut sh.account);
+        for &i in &phase {
+            cache.seal_account(&mut shards[i].account);
         }
 
         // -------------------------------------------------- spillover
-        spillovers += spill(&mut shards, cfg, cache, config_hash, clock);
+        spillovers += spill(&mut shards, &mut top_free, cfg, cache, config_hash, clock);
 
         // ------------------------- growth phase: elastic lease growth,
         // same frozen-view model, then the ordered seal.
         let arrivals_pending = arrivals.peek().is_some_and(|s| s.arrival <= clock);
-        let worklist: Vec<&mut MemberShard> =
-            shards.iter_mut().filter(|sh| sh.wants_growth()).collect();
-        run_phase(worklist, serial, |sh| {
+        phase.clear();
+        phase.extend((0..shards.len()).filter(|&i| shards[i].wants_growth()));
+        run_phase(&mut shards, &phase, serial, |sh| {
             sh.grow(clock, cfg, cache, config_hash, arrivals_pending)
         });
-        for sh in shards.iter_mut() {
-            cache.seal_account(&mut sh.account);
+        for &i in &phase {
+            cache.seal_account(&mut shards[i].account);
         }
 
         // ------------------------------------------------- autosave

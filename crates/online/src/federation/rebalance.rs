@@ -5,6 +5,22 @@
 //! the sequential synchronisation points of the federation, because
 //! they move work *between* shards. Spillover's placement probes use
 //! *live* cache views charged to the source member's account.
+//!
+//! The sweep runs at every event, and on a busy fleet most of the
+//! (candidate, destination) pairs it considers cannot place: either the
+//! destination has no free processor, or the candidate's hottest task
+//! exceeds the destination's largest free memory. `find_placement`
+//! answers both before it reaches the cache, so the sweep asks them
+//! first ([`turned_away`], reading a destination's largest free memory
+//! at most once per sweep) and skips the probe — along with its account
+//! take/restore, live view and free-list rebuild. A source with nothing
+//! queued is passed over before its storage is touched. The screen repeats
+//! exactly those two answers, in the same expression (a NaN
+//! requirement still probes), and nothing else. In particular a pair
+//! that failed at an earlier event is probed again even if neither
+//! side changed since: such a probe reaches the cache, and its hit is
+//! charged to the source member's account, which the report and its
+//! digest include.
 
 use super::routing::least_loaded;
 use super::shard::{MemberShard, MemberStatus};
@@ -13,7 +29,6 @@ use crate::engine::OnlineConfig;
 use crate::report::RejectedRecord;
 use crate::state::Pending;
 use dhp_core::partial::{CacheView, SolveCache};
-use std::collections::HashSet;
 
 /// Re-runs a member's admission passes with a live view over its own
 /// account (the spillover sweep admits movers and re-admits drained
@@ -33,6 +48,29 @@ fn readmit(
     shard.account = account;
 }
 
+/// Whether `can_place` is certain to refuse a candidate whose hottest
+/// task needs `max_task_req` on a member with `free_count` free
+/// processors, the largest of which holds `top_free()` — without
+/// reaching the cache. These are exactly `find_placement`'s two early
+/// answers: an empty free set, and a hottest task above the largest
+/// free memory (the same comparison, so a NaN requirement is not
+/// turned away and still probes). The memory is only read when some
+/// processor is free.
+pub(crate) fn turned_away(
+    free_count: usize,
+    top_free: impl FnOnce() -> f64,
+    max_task_req: f64,
+) -> bool {
+    free_count == 0 || max_task_req > top_free() * (1.0 + 1e-9)
+}
+
+/// Member `j`'s largest free memory, read at most once per sweep into
+/// `memo` (its free set only moves when it admits, which clears the
+/// entry).
+fn top_free_of(memo: &mut [Option<f64>], shards: &[MemberShard], j: usize) -> f64 {
+    *memo[j].get_or_insert_with(|| shards[j].state.top_free_memory())
+}
+
 /// The cross-cluster spillover sweep: every workflow still queued after
 /// its home cluster's admission pass is offered to the first other
 /// member that can place it *now*; each mover is admitted on its new
@@ -44,8 +82,16 @@ fn readmit(
 /// [`BACKFILL_DEPTH`] queued candidates are probed per source cluster
 /// per event, and a workflow migrates at most once per event (no
 /// ping-pong). Returns the number of migrations.
-pub(super) fn spill(
+///
+/// Screened before probed (see the module docs): a source with an
+/// empty queue is passed over, and a destination [`turned_away`] by
+/// its free count or its largest free memory is not probed. `top_free`
+/// memoizes each member's largest free memory for the sweep (the
+/// caller keeps the buffer across events, so a sweep allocates
+/// nothing); a member's entry is dropped when it admits.
+pub(crate) fn spill(
     shards: &mut [MemberShard],
+    top_free: &mut Vec<Option<f64>>,
     cfg: &OnlineConfig,
     cache: &SolveCache,
     config_hash: u64,
@@ -56,40 +102,51 @@ pub(super) fn spill(
         return 0;
     }
     // Fast path: with no free processor on any Active member every
-    // migration probe fails before reaching a solver (an empty free set
-    // is unplaceable without a probe), so the whole sweep is a no-op —
-    // skip the O(members² × depth) scan outright. This matters at
-    // fleet scale, where most events leave every member saturated.
+    // destination is turned away, so the whole sweep is a no-op.
     if !shards
         .iter()
         .any(|sh| sh.status == MemberStatus::Active && sh.state.free_count > 0)
     {
         return 0;
     }
+    top_free.clear();
+    top_free.resize(n, None);
     let mut moved = 0u64;
-    let mut moved_ids: HashSet<usize> = HashSet::new();
+    // Ids that migrated at this event: at most one event's moves.
+    let mut moved_ids: Vec<usize> = Vec::new();
     let mut drained_sources: Vec<usize> = Vec::new();
     // Probe buffer local to the sweep: the shards' own scratch arenas
-    // are unreachable here (every probe borrows two shards at once),
-    // and spillover is off the admission hot path.
+    // are unreachable here (every probe borrows two shards at once).
     let mut buf = Vec::new();
     for i in 0..n {
+        if shards[i].state.queue_is_empty() {
+            continue;
+        }
         // The sweep walks and splices raw queue storage, so fold any
         // admission tombstones out of it first (no-op when none).
         shards[i].state.compact_queue();
         let mut qi = 0usize;
         let mut probed = 0usize;
         while qi < shards[i].state.queue.len() && probed < BACKFILL_DEPTH {
-            if moved_ids.contains(&shards[i].state.queue[qi].id) {
+            let cand = &shards[i].state.queue[qi];
+            if moved_ids.contains(&cand.id) {
                 qi += 1;
                 continue;
             }
+            let req = cand.max_task_req;
             probed += 1;
             let mut dest: Option<usize> = None;
             for j in 0..n {
                 // Only Active members receive spillover: a draining
                 // member is emptying out and a failed one is gone.
-                if j == i || shards[j].status != MemberStatus::Active {
+                if j == i
+                    || shards[j].status != MemberStatus::Active
+                    || turned_away(
+                        shards[j].state.free_count,
+                        || top_free_of(top_free, shards, j),
+                        req,
+                    )
+                {
                     continue;
                 }
                 // The probe is charged to the *source*: spillover is
@@ -116,7 +173,7 @@ pub(super) fn spill(
             }
             if let Some(j) = dest {
                 let p = shards[i].state.remove_queued(qi);
-                moved_ids.insert(p.id);
+                moved_ids.push(p.id);
                 shards[j].state.insert_pending(p);
                 moved += 1;
                 drained_sources.push(i);
@@ -125,6 +182,7 @@ pub(super) fn spill(
                 // the next probe keeps every later `can_place` honest
                 // about what is actually still free.
                 readmit(&mut shards[j], cfg, cache, config_hash, clock);
+                top_free[j] = None;
             } else {
                 qi += 1;
             }
@@ -173,7 +231,8 @@ pub(super) fn migrate_pending(shards: &mut [MemberShard], src: usize, p: Pending
     } else {
         &screened
     };
-    let dest = least_loaded(shards, pool);
+    let dest = least_loaded(shards, pool.iter().copied())
+        .unwrap_or_else(|| unreachable!("the pool holds an Active member"));
     if screened.is_empty() {
         // No active member can hold the hottest task: record the
         // rejection through the destination's own arrival screen.
@@ -187,9 +246,98 @@ pub(super) fn migrate_pending(shards: &mut [MemberShard], src: usize, p: Pending
 mod tests {
     use super::super::routing::RoutingPolicy;
     use super::super::serve_federation;
+    use super::turned_away;
+    use crate::admission::can_place;
     use crate::engine::OnlineConfig;
+    use crate::state::{ArrivalFacts, ClusterState, Pending};
     use crate::submission::single_task;
+    use dhp_core::partial::{CacheAccount, CacheView, SolveCache, SolveCacheStats};
     use dhp_platform::{Cluster, Federation, Processor};
+    use proptest::prelude::*;
+    use std::sync::Arc;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The destination screen is exact: it turns a member away
+        /// precisely when `can_place` would refuse without reaching the
+        /// cache. Turned away ⇒ `can_place` is false and neither the
+        /// probing account nor the cache's global counters move; let
+        /// through ⇒ the probe reaches the cache. Over random member
+        /// clusters, random, empty and full free sets, and hottest-task
+        /// requirements that are NaN, ±0, ±∞, exactly the largest free
+        /// memory, on either side of its tolerance, or anything.
+        #[test]
+        fn the_spill_screen_turns_away_exactly_the_unprobed_refusals(
+            procs in collection::vec(
+                (1.0f64..4.0, sample::select(vec![10.0, 50.0, 120.0, 600.0, 1000.0])),
+                1..=6,
+            ),
+            mask in collection::vec(any::<bool>(), 6),
+            free_mode in 0usize..3,
+            req_kind in 0usize..10,
+            x in 0.0f64..1200.0,
+            task_memory in 1.0f64..800.0,
+        ) {
+            let cluster = Cluster::new(
+                procs.iter().map(|&(speed, memory)| Processor::new("p", speed, memory)).collect(),
+                1.0,
+            );
+            let mut state = ClusterState::new(&cluster, Some(0));
+            for (i, free) in state.free.iter_mut().enumerate() {
+                *free = match free_mode {
+                    0 => mask[i],
+                    1 => false,
+                    _ => true,
+                };
+            }
+            state.free_count = state.free.iter().filter(|&&f| f).count();
+            let top = state.top_free_memory();
+            let req = match req_kind {
+                0 => f64::NAN,
+                1 => 0.0,
+                2 => -0.0,
+                3 => f64::INFINITY,
+                4 => f64::NEG_INFINITY,
+                5 => top,
+                6 => top * (1.0 + 1e-9),
+                7 => top * (1.0 + 2e-9),
+                _ => x,
+            };
+            let cand = Pending {
+                max_task_req: req,
+                ..Pending::new(
+                    Arc::new(single_task(0, 0.0, 5.0, task_memory, "cand")),
+                    &mut ArrivalFacts::new(),
+                )
+            };
+            let cfg = OnlineConfig::default();
+            let cache = SolveCache::new();
+            let global = cache.stats();
+            let mut account = CacheAccount::default();
+            let fits = {
+                let view = CacheView::live(&cache, &mut account);
+                can_place(
+                    &state.cluster,
+                    &state.mem_order,
+                    &state.free,
+                    &cand,
+                    &cfg,
+                    &view,
+                    SolveCache::config_hash(&cfg.solver),
+                    &mut Vec::new(),
+                )
+            };
+            if turned_away(state.free_count, || state.top_free_memory(), req) {
+                prop_assert!(!fits, "a turned-away destination placed {req}");
+                prop_assert_eq!(account.stats, SolveCacheStats::default());
+                prop_assert_eq!(cache.stats(), global);
+            } else {
+                prop_assert!(account.stats != SolveCacheStats::default());
+                prop_assert!(cache.stats() != global, "an unscreened probe skipped the cache");
+            }
+        }
+    }
 
     #[test]
     fn spillover_moves_blocked_work_to_a_free_member() {

@@ -65,18 +65,20 @@ impl RoutingPolicy {
 /// aggregate speed, so a twice-as-fast member absorbs twice the
 /// backlog before it ties a slow one. On homogeneous fleets the
 /// divisor is a shared constant and the ordering is unchanged.
-/// Ties go to the smaller member index.
-pub(super) fn least_loaded(shards: &[MemberShard], pool: &[usize]) -> usize {
+/// Ties go to the smaller member index; `None` for an empty pool.
+pub(super) fn least_loaded(
+    shards: &[MemberShard],
+    pool: impl IntoIterator<Item = usize>,
+) -> Option<usize> {
     // Each member's load is evaluated once (`queued_work` walks the
     // queue), not once per side of every comparison.
-    pool.iter()
-        .map(|&i| {
+    pool.into_iter()
+        .map(|i| {
             let state = &shards[i].state;
             (state.queued_work() / state.total_speed, i)
         })
         .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
         .map(|(_, i)| i)
-        .unwrap_or_else(|| unreachable!("routing pools are built non-empty"))
 }
 
 /// Picks an arriving workflow's home cluster among the Active
@@ -88,7 +90,7 @@ pub(super) fn least_loaded(shards: &[MemberShard], pool: &[usize]) -> usize {
 /// `can_place`; those probes are attributed to the member they ran
 /// against, and their solves stay in the shared cache for the eventual
 /// admission to replay.
-pub(super) fn route(
+pub(crate) fn route(
     routing: RoutingPolicy,
     rr_next: &mut usize,
     shards: &mut [MemberShard],
@@ -97,15 +99,6 @@ pub(super) fn route(
     cache: &SolveCache,
     config_hash: u64,
 ) -> Option<usize> {
-    let active: Vec<usize> = (0..shards.len())
-        .filter(|&i| shards[i].status == MemberStatus::Active)
-        .collect();
-    if active.is_empty() {
-        return None;
-    }
-    if active.len() == 1 {
-        return Some(active[0]);
-    }
     // Memory screen first: a member whose largest processor cannot hold
     // the workflow's hottest task would *permanently reject* it on
     // arrival, so routing is restricted to members that can — on a
@@ -116,21 +109,39 @@ pub(super) fn route(
     // every home yields the same rejection, so the unscreened pool is
     // used and the (deterministic) home records it.
     let req = p.max_task_req;
+    let holds = |sh: &MemberShard| req <= sh.state.max_memory * (1.0 + 1e-9);
+    if routing == RoutingPolicy::LeastLoaded {
+        // Every arrival routes, so the pools are filtered in place
+        // rather than collected.
+        let shards: &[MemberShard] = shards;
+        let active = || (0..shards.len()).filter(|&i| shards[i].status == MemberStatus::Active);
+        return least_loaded(shards, active().filter(|&i| holds(&shards[i])))
+            .or_else(|| least_loaded(shards, active()));
+    }
+    let active: Vec<usize> = (0..shards.len())
+        .filter(|&i| shards[i].status == MemberStatus::Active)
+        .collect();
+    if active.is_empty() {
+        return None;
+    }
+    if active.len() == 1 {
+        return Some(active[0]);
+    }
     let mut pool: Vec<usize> = active
         .iter()
         .copied()
-        .filter(|&i| req <= shards[i].state.max_memory * (1.0 + 1e-9))
+        .filter(|&i| holds(&shards[i]))
         .collect();
     if pool.is_empty() {
         pool = active;
     }
-    Some(match routing {
+    match routing {
         RoutingPolicy::RoundRobin => {
             let i = pool[*rr_next % pool.len()];
             *rr_next += 1;
-            i
+            Some(i)
         }
-        RoutingPolicy::LeastLoaded => least_loaded(shards, &pool),
+        RoutingPolicy::LeastLoaded => unreachable!("least-loaded routing answered above"),
         RoutingPolicy::BestFit => {
             let mut best: Option<(f64, usize)> = None;
             // Probe buffer local to the sweep: the members' own scratch
@@ -165,9 +176,10 @@ pub(super) fn route(
                     best = Some((speed, j));
                 }
             }
-            best.map_or_else(|| least_loaded(shards, &pool), |(_, j)| j)
+            best.map(|(_, j)| j)
+                .or_else(|| least_loaded(shards, pool.iter().copied()))
         }
-    })
+    }
 }
 
 #[cfg(test)]

@@ -128,26 +128,27 @@ impl MemberShard {
     }
 }
 
-/// Runs one parallel phase: `f` over every shard in `worklist`, on a
-/// [`std::thread::scope`] pool with work-stealing by atomic index.
-/// With `serial` set (the `--serial-federation` escape hatch), a
-/// worklist shorter than two, or a single-core host the shards run
-/// inline, in worklist order — and because every shard's step is
-/// isolated (own state, own account, frozen store), the parallel path
-/// is byte-identical to it: the only thing thread timing can reorder is
-/// commutative atomic counter bumps. This runs twice per event and most
-/// worklists hold one shard, so the decision reads the cached
-/// [`dhp_core::host_cores`] and never the OS.
-pub(crate) fn run_phase<F>(worklist: Vec<&mut MemberShard>, serial: bool, f: F)
+/// Runs one parallel phase: `f` over the shards at the (ascending)
+/// indices `members`, on a [`std::thread::scope`] pool with
+/// work-stealing by atomic index. With `serial` set (the
+/// `--serial-federation` escape hatch), fewer than two members, or a
+/// single-core host the shards run inline, in index order — and because
+/// every shard's step is isolated (own state, own account, frozen
+/// store), the parallel path is byte-identical to it: the only thing
+/// thread timing can reorder is commutative atomic counter bumps. This
+/// runs twice per event and most phases hold one shard, so the decision
+/// reads the cached [`dhp_core::host_cores`] and never the OS, and the
+/// inline path builds nothing.
+pub(crate) fn run_phase<F>(shards: &mut [MemberShard], members: &[usize], serial: bool, f: F)
 where
     F: Fn(&mut MemberShard) + Sync,
 {
-    let workers = dhp_core::host_cores().min(worklist.len());
+    let workers = dhp_core::host_cores().min(members.len());
     // A one-worker pool is just the inline loop with thread-spawn
     // overhead on top; take the inline path whenever it is exact.
     if serial || workers <= 1 {
-        for shard in worklist {
-            f(shard);
+        for &i in members {
+            f(&mut shards[i]);
         }
         return;
     }
@@ -155,9 +156,11 @@ where
     // worker holds one across the whole member step, which probes the
     // solve-cache stripes and runs solvers underneath (the debug-build
     // rank tracker enforces exactly that nesting order).
-    let slots: Vec<parking_lot::Mutex<&mut MemberShard>> = worklist
-        .into_iter()
-        .map(|sh| parking_lot::Mutex::with_rank(sh, parking_lot::ranks::PHASE_SLOT))
+    let slots: Vec<parking_lot::Mutex<&mut MemberShard>> = shards
+        .iter_mut()
+        .enumerate()
+        .filter(|(i, _)| members.binary_search(i).is_ok())
+        .map(|(_, sh)| parking_lot::Mutex::with_rank(sh, parking_lot::ranks::PHASE_SLOT))
         .collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {

@@ -1,6 +1,7 @@
 //! Hot-path pins: the probe scratch arenas really are allocation-free
-//! in steady state, and the reservation token's reuse/invalidations
-//! behave exactly as documented.
+//! in steady state, a federation event pays nothing for the members and
+//! passes that cannot change anything, and the reservation token's
+//! reuse/invalidations behave exactly as documented.
 //!
 //! The allocation assertions use a counting [`GlobalAlloc`] wrapper
 //! installed for this test binary. The counter is **per thread**
@@ -14,6 +15,10 @@ use crate::admission::{
 };
 use crate::engine::{serve_with_cache, OnlineConfig};
 use crate::event::EventQueue;
+use crate::federation::rebalance::spill;
+use crate::federation::routing::{route, RoutingPolicy};
+use crate::federation::shard::MemberShard;
+use crate::federation::testutil::member;
 use crate::policy::{AdmissionPolicy, LeaseSizing};
 use crate::state::{ArrivalFacts, ClusterState, Pending};
 use crate::submission::{single_task, Submission};
@@ -552,4 +557,117 @@ fn a_warm_block_requirement_allocates_nothing_that_scales() {
         block_requirement(&inst.graph, &order[20..25]);
     });
     assert!(n <= 4, "{n} allocations for a 5-task block");
+}
+
+/// An admission pass that cannot decide anything is not set up: over
+/// an empty queue, or with every processor leased, `admission_passes`
+/// returns before it reads the free set, orders candidates or takes
+/// its scratch buffers — so on a fleet, where most members have nothing
+/// to decide at most events, it costs no heap.
+#[test]
+fn an_admission_pass_that_cannot_decide_allocates_nothing() {
+    let cluster = dhp_platform::configs::small_cluster();
+    let cache = SolveCache::new();
+    let view = CacheView::direct(&cache);
+    for policy in [AdmissionPolicy::Fifo, AdmissionPolicy::FifoBackfill] {
+        let cfg = OnlineConfig {
+            policy,
+            ..OnlineConfig::default()
+        };
+        let config_hash = SolveCache::config_hash(&cfg.solver);
+        let mut state = ClusterState::new(&cluster, None);
+        let empty = allocations_in(|| admission_passes(&mut state, &cfg, &view, config_hash, 0.0));
+        assert_eq!(
+            empty,
+            0,
+            "{}: a pass over an empty queue allocated",
+            policy.name()
+        );
+
+        state.enqueue_arrival(pending(3, 40.0, 2.0), 0.0);
+        state.free.fill(false);
+        state.free_count = 0;
+        let full = allocations_in(|| admission_passes(&mut state, &cfg, &view, config_hash, 0.0));
+        assert_eq!(
+            full,
+            0,
+            "{}: a pass with nothing free allocated",
+            policy.name()
+        );
+        assert_eq!(state.queue_len(), 1);
+    }
+}
+
+/// Sixteen members, each with some queued work: routing a repeat
+/// arrival least-loaded filters the Active, memory-screened members in
+/// place and allocates nothing.
+#[test]
+fn a_least_loaded_route_allocates_nothing() {
+    let cfg = OnlineConfig::default();
+    let cache = SolveCache::new();
+    let config_hash = SolveCache::config_hash(&cfg.solver);
+    let mut shards: Vec<MemberShard> = (0..16).map(|i| MemberShard::new(&member(), i)).collect();
+    for (i, sh) in shards.iter_mut().enumerate() {
+        sh.state
+            .enqueue_arrival(pending(100 + i, 10.0 + (i % 5) as f64, 2.0), 0.0);
+    }
+    let arrival = pending(7, 40.0, 2.0);
+    let mut rr_next = 0;
+    let mut home = None;
+    let routed = allocations_in(|| {
+        for _ in 0..100 {
+            home = route(
+                RoutingPolicy::LeastLoaded,
+                &mut rr_next,
+                &mut shards,
+                &arrival,
+                &cfg,
+                &cache,
+                config_hash,
+            );
+        }
+    });
+    assert_eq!(routed, 0, "a least-loaded route allocated");
+    // The least queued work is member 0's (10 units, ties to the
+    // smaller index).
+    assert_eq!(home, Some(0));
+}
+
+/// A spillover sweep in which every destination is screened out — full,
+/// or with no free processor that holds the candidates' hottest task —
+/// probes nothing and allocates nothing, however many candidates wait.
+#[test]
+fn a_fully_screened_spill_sweep_allocates_nothing() {
+    let cfg = OnlineConfig::default();
+    let cache = SolveCache::new();
+    let config_hash = SolveCache::config_hash(&cfg.solver);
+    let mut shards: Vec<MemberShard> = (0..16).map(|i| MemberShard::new(&member(), i)).collect();
+    // Member 0 is fully leased, with candidates only its big processor
+    // (600) can hold; every other member either has nothing free or
+    // only its mid (400) and small (250) processors.
+    for id in 0..8 {
+        shards[0]
+            .state
+            .enqueue_arrival(pending(id, 40.0, 500.0), 0.0);
+    }
+    for (i, sh) in shards.iter_mut().enumerate() {
+        let busy = if i % 2 == 0 { 3 } else { 1 };
+        for &p in &sh.state.mem_order[..busy] {
+            sh.state.free[p.idx()] = false;
+        }
+        sh.state.free_count = 3 - busy;
+    }
+    let mut top_free = Vec::new();
+    let sweep = |shards: &mut Vec<MemberShard>, top_free: &mut Vec<Option<f64>>| {
+        spill(shards, top_free, &cfg, &cache, config_hash, 0.0)
+    };
+    assert_eq!(sweep(&mut shards, &mut top_free), 0);
+    let swept = allocations_in(|| {
+        for _ in 0..100 {
+            assert_eq!(sweep(&mut shards, &mut top_free), 0);
+        }
+    });
+    assert_eq!(swept, 0, "a fully screened spill sweep allocated");
+    assert_eq!(shards[0].state.queue_len(), 8);
+    assert_eq!(cache.stats(), Default::default(), "a screened sweep probed");
 }

@@ -135,7 +135,14 @@ pub fn fit_cluster(cluster: &Cluster, submissions: &[Submission], headroom: f64)
 /// arithmetic (it never consults engine state), which is why it lives
 /// here; the federation tier reuses it across the merged record set.
 pub fn peak_overlap(records: &[WorkflowRecord]) -> usize {
-    let mut edges: Vec<(f64, i32)> = Vec::with_capacity(records.len() * 2);
+    peak_overlap_of(records)
+}
+
+/// [`peak_overlap`] over borrowed records from anywhere — the
+/// federation merges its members' record sets without copying them.
+pub(crate) fn peak_overlap_of<'a>(records: impl IntoIterator<Item = &'a WorkflowRecord>) -> usize {
+    let records = records.into_iter();
+    let mut edges: Vec<(f64, i32)> = Vec::with_capacity(records.size_hint().0 * 2);
     for r in records {
         edges.push((r.start, 1));
         edges.push((r.finish, -1));
