@@ -20,8 +20,10 @@
 //!   LRU cache, which run the baseline batch's cold and capacity-capped
 //!   paths.
 //!
-//! Each line is a label, the FNV-1a of the full `FederationReport` JSON
-//! (solver counters included) and the spillover count.
+//! Each line is `online_rows::federation_row`: a label, the FNV-1a of
+//! the `FederationReport` JSON with the solver counters cleared on the
+//! fleet and on every member, the spillover count, and the FNV-1a of
+//! the full JSON (counters included).
 //!
 //! Re-record (only when an output change is intended):
 //! `cargo test --release --test federation_golden -- --ignored record`.
@@ -29,7 +31,6 @@
 #[path = "support/online_rows.rs"]
 mod online_rows;
 
-use dhp_dag::fingerprint::fnv1a_bytes;
 use dhp_online::submission::repeating_stream;
 use dhp_online::{
     fit_cluster, serve_federation, serve_federation_chaos, AdmissionPolicy, FailureMode,
@@ -39,7 +40,7 @@ use dhp_platform::configs::{cluster, ClusterKind, ClusterSize};
 use dhp_platform::{Cluster, Federation, MemberSpec, ProcSpec, Processor};
 use dhp_wfgen::arrivals::ArrivalProcess;
 use dhp_wfgen::Family;
-use online_rows::single_task_trace;
+use online_rows::{federation_row, single_task_trace};
 
 const GOLDEN: &str = include_str!("golden/federation_golden.txt");
 
@@ -122,12 +123,7 @@ impl Case {
             .expect("the plan validates against the federation"),
             None => serve_federation(&self.federation, self.subs.clone(), &self.cfg, self.routing),
         };
-        format!(
-            "{}: {:016x} {}",
-            self.label,
-            fnv1a_bytes(out.report.to_json().bytes()),
-            out.report.spillovers
-        )
+        federation_row(&self.label, &out.report)
     }
 }
 

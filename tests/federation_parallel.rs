@@ -19,18 +19,29 @@
 //!   `--cache-cap` is deterministic and driver-independent;
 //! * a 50× stress loop produces one digest (smokes out ordering races
 //!   that a single lucky run could hide).
+//!
+//! Every run is also held to its row of
+//! `tests/golden/federation_parallel_golden.txt`
+//! (`online_rows::federation_row`). Re-record (only when an output
+//! change is intended):
+//! `cargo test --release --test federation_parallel -- --ignored record`.
 
-use dhp_dag::fingerprint::fnv1a_bytes;
+#[path = "support/online_rows.rs"]
+mod online_rows;
+
 use dhp_online::{
     fit_cluster, serve_federation, serve_federation_chaos, FailureMode, FederationReport,
-    MembershipPlan, OnlineConfig, RoutingPolicy,
+    MembershipPlan, OnlineConfig, RoutingPolicy, Submission,
 };
 use dhp_platform::configs::{cluster, ClusterKind, ClusterSize};
 use dhp_platform::Federation;
 use dhp_wfgen::arrivals::ArrivalProcess;
 use dhp_wfgen::Family;
+use online_rows::federation_row;
 
-fn trace(process: &ArrivalProcess, n: usize) -> (Federation, Vec<dhp_online::Submission>) {
+const GOLDEN: &str = include_str!("golden/federation_parallel_golden.txt");
+
+fn trace(process: &ArrivalProcess, n: usize) -> (Federation, Vec<Submission>) {
     let subs = dhp_online::submission::repeating_stream(
         6,
         n,
@@ -47,12 +58,6 @@ fn trace(process: &ArrivalProcess, n: usize) -> (Federation, Vec<dhp_online::Sub
     (Federation::homogeneous(member, 3), subs)
 }
 
-/// Digest of the *entire* serialised federation report — scheduling,
-/// metrics, and the per-member solver-stat attribution.
-fn digest(report: &FederationReport) -> u64 {
-    fnv1a_bytes(report.to_json().bytes())
-}
-
 /// A membership plan exercising every sequential sync-point the
 /// parallel phases must respect: a drain (queue migration) and a
 /// requeue failure (in-service rebuild) on distinct members.
@@ -62,57 +67,133 @@ fn chaos_plan() -> MembershipPlan {
         .fail(1, 90.0, FailureMode::Requeue)
 }
 
-fn run(
-    fed: &Federation,
-    subs: &[dhp_online::Submission],
-    cfg: &OnlineConfig,
+/// One recorded run: its label, trace, configuration and routing.
+struct Case {
+    label: String,
+    fed: Federation,
+    subs: Vec<Submission>,
+    cfg: OnlineConfig,
     routing: RoutingPolicy,
     chaos: bool,
-) -> u64 {
-    let out = if chaos {
-        serve_federation_chaos(fed, subs.to_vec(), cfg, routing, &chaos_plan())
-            .expect("the plan validates against a 3-member federation")
-    } else {
-        serve_federation(fed, subs.to_vec(), cfg, routing)
-    };
-    digest(&out.report)
 }
 
-#[test]
-fn parallel_driver_is_byte_identical_to_sequential_across_the_matrix() {
+impl Case {
+    fn serve(&self, cfg: &OnlineConfig) -> FederationReport {
+        let subs = self.subs.clone();
+        if self.chaos {
+            serve_federation_chaos(&self.fed, subs, cfg, self.routing, &chaos_plan())
+                .expect("the plan validates against a 3-member federation")
+                .report
+        } else {
+            serve_federation(&self.fed, subs, cfg, self.routing).report
+        }
+    }
+
+    /// The run's golden row.
+    fn row(&self, report: &FederationReport) -> String {
+        federation_row(&self.label, report)
+    }
+
+    /// The recorded row for this case's label.
+    fn golden(&self) -> &'static str {
+        let prefix = format!("{}: ", self.label);
+        GOLDEN
+            .lines()
+            .find(|l| l.starts_with(&prefix))
+            .unwrap_or_else(|| panic!("no golden row for {}", self.label))
+    }
+}
+
+fn serial(cfg: &OnlineConfig) -> OnlineConfig {
+    OnlineConfig {
+        serial_federation: true,
+        ..cfg.clone()
+    }
+}
+
+/// {burst, poisson, uniform} × routings × chaos off/on × elastic off/on.
+fn matrix() -> Vec<Case> {
     let processes = [
         ("burst", ArrivalProcess::Burst { at: 0.0 }),
         ("poisson", ArrivalProcess::Poisson { rate: 0.05 }),
         ("uniform", ArrivalProcess::Uniform { interval: 10.0 }),
     ];
+    let mut cases = Vec::new();
     for (pname, process) in &processes {
         let (fed, subs) = trace(process, 36);
         for routing in RoutingPolicy::ALL {
             for chaos in [false, true] {
                 for elastic in [None, Some(2)] {
-                    let parallel = OnlineConfig {
-                        elastic,
-                        elastic_shrink: elastic.map(|_| 4),
-                        ..OnlineConfig::default()
-                    };
-                    let sequential = OnlineConfig {
-                        serial_federation: true,
-                        ..parallel.clone()
-                    };
-                    let p = run(&fed, &subs, &parallel, routing, chaos);
-                    let s = run(&fed, &subs, &sequential, routing, chaos);
-                    assert_eq!(
-                        p,
-                        s,
-                        "{pname}/{}/chaos-{chaos}/elastic-{:?}: parallel digest \
-                         0x{p:016x} != sequential 0x{s:016x}",
-                        routing.name(),
-                        elastic,
-                    );
+                    cases.push(Case {
+                        label: format!(
+                            "matrix {pname} {} chaos-{} elastic-{}",
+                            routing.name(),
+                            if chaos { "on" } else { "off" },
+                            if elastic.is_some() { "on" } else { "off" },
+                        ),
+                        fed: fed.clone(),
+                        subs: subs.clone(),
+                        cfg: OnlineConfig {
+                            elastic,
+                            elastic_shrink: elastic.map(|_| 4),
+                            ..OnlineConfig::default()
+                        },
+                        routing,
+                        chaos,
+                    });
                 }
             }
         }
     }
+    cases
+}
+
+/// A three-entry LRU cache under every routing.
+fn capped() -> Vec<Case> {
+    let (fed, subs) = trace(&ArrivalProcess::Uniform { interval: 8.0 }, 48);
+    RoutingPolicy::ALL
+        .into_iter()
+        .map(|routing| Case {
+            label: format!("capped uniform {}", routing.name()),
+            fed: fed.clone(),
+            subs: subs.clone(),
+            cfg: OnlineConfig {
+                cache_cap: Some(3),
+                ..OnlineConfig::default()
+            },
+            routing,
+            chaos: false,
+        })
+        .collect()
+}
+
+/// The stress loop's chaos + elastic burst.
+fn stress() -> Case {
+    let (fed, subs) = trace(&ArrivalProcess::Burst { at: 0.0 }, 24);
+    Case {
+        label: "stress burst least-loaded chaos-on elastic-on".into(),
+        fed,
+        subs,
+        cfg: OnlineConfig {
+            elastic: Some(2),
+            ..OnlineConfig::default()
+        },
+        routing: RoutingPolicy::LeastLoaded,
+        chaos: true,
+    }
+}
+
+#[test]
+fn parallel_driver_is_byte_identical_to_sequential_across_the_matrix() {
+    let cases = matrix();
+    assert_eq!(cases.len(), 36);
+    for case in &cases {
+        let p = case.row(&case.serve(&case.cfg));
+        let s = case.row(&case.serve(&serial(&case.cfg)));
+        assert_eq!(p, s, "parallel and sequential drivers diverge");
+        assert_eq!(p, case.golden(), "{} moved", case.label);
+    }
+    assert_eq!(GOLDEN.lines().count(), 36 + 3 + 1);
 }
 
 #[test]
@@ -121,36 +202,23 @@ fn lru_eviction_under_the_striped_store_is_deterministic() {
     // the striped store's global-LRU scan; the victim choice (and with
     // it every later hit/miss) must be identical run-to-run and
     // driver-to-driver.
-    let (fed, subs) = trace(&ArrivalProcess::Uniform { interval: 8.0 }, 48);
-    let capped = OnlineConfig {
-        cache_cap: Some(3),
-        ..OnlineConfig::default()
-    };
-    let serial = OnlineConfig {
-        serial_federation: true,
-        ..capped.clone()
-    };
-    for routing in RoutingPolicy::ALL {
-        let a = serve_federation(&fed, subs.clone(), &capped, routing);
-        let b = serve_federation(&fed, subs.clone(), &capped, routing);
-        let c = serve_federation(&fed, subs.clone(), &serial, routing);
+    for case in capped() {
+        let a = case.serve(&case.cfg);
+        let b = case.serve(&case.cfg);
+        let c = case.serve(&serial(&case.cfg));
         assert!(
-            a.report.fleet.solve_cache_evictions > 0,
+            a.fleet.solve_cache_evictions > 0,
             "{}: the cap never evicted — the test is not exercising LRU",
-            routing.name()
+            case.label
         );
+        assert_eq!(case.row(&a), case.row(&b), "{}: capped runs diverged", case.label);
         assert_eq!(
-            digest(&a.report),
-            digest(&b.report),
-            "{}: capped parallel runs diverged",
-            routing.name()
-        );
-        assert_eq!(
-            digest(&a.report),
-            digest(&c.report),
+            case.row(&a),
+            case.row(&c),
             "{}: capped parallel run diverged from sequential",
-            routing.name()
+            case.label
         );
+        assert_eq!(case.row(&a), case.golden(), "{} moved", case.label);
     }
 }
 
@@ -159,21 +227,26 @@ fn fifty_stress_runs_yield_one_digest() {
     // Ordering races are intermittent by nature; one equal pair proves
     // little. Fifty parallel runs over a chaos + elastic trace must
     // all land on the digest of the sequential reference.
-    let (fed, subs) = trace(&ArrivalProcess::Burst { at: 0.0 }, 24);
-    let parallel = OnlineConfig {
-        elastic: Some(2),
-        ..OnlineConfig::default()
-    };
-    let sequential = OnlineConfig {
-        serial_federation: true,
-        ..parallel.clone()
-    };
-    let reference = run(&fed, &subs, &sequential, RoutingPolicy::LeastLoaded, true);
+    let case = stress();
+    let reference = case.row(&case.serve(&serial(&case.cfg)));
+    assert_eq!(reference, case.golden());
     for i in 0..50 {
-        let d = run(&fed, &subs, &parallel, RoutingPolicy::LeastLoaded, true);
-        assert_eq!(
-            d, reference,
-            "stress run {i} diverged: 0x{d:016x} != 0x{reference:016x}"
-        );
+        let row = case.row(&case.serve(&case.cfg));
+        assert_eq!(row, reference, "stress run {i} diverged");
     }
+}
+
+#[test]
+#[ignore = "rewrites tests/golden/federation_parallel_golden.txt"]
+fn record() {
+    let mut out = String::new();
+    for case in matrix().into_iter().chain(capped()).chain([stress()]) {
+        out.push_str(&case.row(&case.serve(&case.cfg)));
+        out.push('\n');
+    }
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/federation_parallel_golden.txt"
+    );
+    std::fs::write(path, out).unwrap();
 }

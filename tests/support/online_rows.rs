@@ -1,12 +1,14 @@
-//! Shared by `tests/online_golden.rs` and `tests/backfill_invariants.rs`:
-//! the single-task trace generator and the row format of
-//! `tests/golden/online_golden.txt`.
-#![allow(dead_code)] // each test binary uses its own half
+//! Shared by `tests/online_golden.rs`, `tests/backfill_invariants.rs`
+//! and the federation golden suites: the single-task trace generator,
+//! the row format of `tests/golden/online_golden.txt` and that of the
+//! federation golden files.
+#![allow(dead_code)] // each test binary uses its own part
 
 use dhp_dag::fingerprint::{fnv1a_bytes, fnv1a_u64, FNV_OFFSET};
 use dhp_online::submission::single_task;
 use dhp_online::{
-    serve, AdmissionPolicy, OnlineConfig, ReservationTrigger, ServeOutcome, Submission,
+    serve, AdmissionPolicy, FederationReport, OnlineConfig, ReservationTrigger, ServeOutcome,
+    Submission,
 };
 use dhp_platform::{Cluster, Processor};
 use dhp_wfgen::arrivals::{arrival_times, ArrivalProcess};
@@ -109,6 +111,25 @@ pub fn row(label: &str, out: &ServeOutcome) -> String {
         fnv1a_bytes(scheduled.to_json().bytes()),
         out.reservations.len(),
         fnv1a_bytes(out.report.to_json().bytes()),
+    )
+}
+
+/// One federation golden row: the label, FNV of the report JSON with
+/// the solver-effort counters cleared on the fleet and on every member,
+/// the spillover count, and FNV of the report JSON *with* its counters.
+/// A change that moves only the last column moved solver effort (which
+/// member paid for a probe, and whether it hit), not a schedule.
+pub fn federation_row(label: &str, report: &FederationReport) -> String {
+    let mut scheduled = report.clone();
+    scheduled.fleet.clear_solve_stats();
+    for c in &mut scheduled.clusters {
+        c.fleet.clear_solve_stats();
+    }
+    format!(
+        "{label}: {:016x} {} {:016x}",
+        fnv1a_bytes(scheduled.to_json().bytes()),
+        report.spillovers,
+        fnv1a_bytes(report.to_json().bytes()),
     )
 }
 
