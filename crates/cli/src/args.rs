@@ -83,7 +83,6 @@ const QUEUE: Vocabulary = (
         "lease-load-aware",
         "no-solve-cache",
         "cache-aware",
-        "serial-federation",
         "summary",
     ],
 );
@@ -308,7 +307,10 @@ mod tests {
             parse("schedule --workflow wf.json --policy fifo").unwrap_err(),
             ArgError::UnknownFlag("policy".into())
         );
-        assert!(parse("serve --serial-federation --clusters a,b").is_ok());
+        assert_eq!(
+            parse("serve --serial-federation --clusters a,b").unwrap_err(),
+            ArgError::UnknownFlag("serial-federation".into())
+        );
         assert!(parse("inspect --help").unwrap().switch("help"));
     }
 

@@ -106,9 +106,6 @@ QUEUE OPTIONS (online co-scheduling of a workflow stream):
                         (requires --clusters)
   --failure-mode NAME   requeue | lost — fills in `mode` for fail events
                         that omit it (requires --chaos)
-  --serial-federation   step federation members sequentially instead of on
-                        the scoped thread pool (escape hatch; the reports
-                        are byte-identical either way; requires --clusters)
   --bandwidth B         override the cluster bandwidth
   --headroom H          fleet-wide memory scaling so the hottest task of
                         the stream fits (default 1.05; 0 disables)

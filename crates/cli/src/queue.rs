@@ -133,19 +133,8 @@ pub fn queue(args: &Args) -> Result<String, String> {
         cache_aware: args.switch("cache-aware"),
         elastic,
         elastic_shrink,
-        // `--serial-federation` forces the federation driver onto its
-        // sequential member-stepping path — an escape hatch pinned
-        // byte-identical to the parallel default.
-        serial_federation: args.switch("serial-federation"),
         persist,
     };
-    if cfg.serial_federation && args.get("clusters").is_none() {
-        return Err(
-            "--serial-federation requires --clusters (the single-cluster engine has no \
-             parallel member stepping to disable)"
-                .into(),
-        );
-    }
     if cfg.cache_cap.is_some() && !cfg.solve_cache {
         return Err("--cache-cap is meaningless with --no-solve-cache".into());
     }
@@ -537,16 +526,15 @@ mod tests {
 
     #[test]
     fn serial_federation_flag_parses_and_requires_clusters() {
-        let err = cli("queue --workflows 4 --serial-federation").unwrap_err();
-        assert!(
-            err.contains("--serial-federation requires --clusters"),
-            "{err}"
-        );
-        let base = "queue --workflows 6 --families blast --tasks 20-30 \
-                    --process burst --seed 7 --clusters small,small";
-        let parallel = cli(base).unwrap();
-        let serial = cli(&format!("{base} --serial-federation")).unwrap();
-        assert_eq!(parallel, serial, "serial driver diverged from parallel");
+        // The federation has one driver; the switch that picked the
+        // other one is gone, with or without --clusters.
+        for extra in ["", " --clusters small,small"] {
+            let err = cli(&format!("queue --workflows 4 --serial-federation{extra}")).unwrap_err();
+            assert!(
+                err.starts_with("unknown flag --serial-federation") && err.contains("USAGE"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -137,8 +137,8 @@ fn sweep(
 
     // Smaller kprime wins ties, so the result does not depend on which
     // attempt finishes first.
-    // Innermost ranked lock: taken inside phase slots (federation
-    // steps) and after any cache-stripe lookups have been released.
+    // Innermost ranked lock: taken after any cache-stripe lookups have
+    // been released.
     let best: Mutex<Option<Attempt>> = Mutex::with_rank(None, parking_lot::ranks::SOLVER_BEST);
     let attempt = |kp: usize| {
         if let Some(new) = run_once(g, cluster, kp, cfg, &step1, memo, traced) {

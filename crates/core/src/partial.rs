@@ -21,7 +21,7 @@ use crate::metrics::MappingResult;
 use crate::SchedError;
 use dhp_dag::Dag;
 use dhp_platform::{Cluster, ProcId, SubCluster};
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -326,10 +326,10 @@ struct Stripe {
 
 impl Default for Stripe {
     fn default() -> Self {
-        // Stripe mutexes rank above the phase slots that hold them and
-        // below the solver's slot; they are never nested with each
-        // other (entries vs sims of the same key are taken
-        // sequentially), which the debug-build rank tracker enforces.
+        // Stripe mutexes rank below the solver's slot; they are never
+        // nested with each other (entries vs sims of the same key are
+        // taken sequentially), which the debug-build rank tracker
+        // enforces.
         Stripe {
             entries: parking_lot::Mutex::with_rank(
                 HashMap::new(),
@@ -346,7 +346,7 @@ impl Default for Stripe {
 }
 
 /// Outcome of one probe against the shared store, for exact per-caller
-/// attribution (the `Live` view charges these to a [`CacheAccount`]).
+/// attribution (a [`CacheView::live`] charges these to its account).
 struct CacheProbe {
     hit: bool,
     evictions: u64,
@@ -367,7 +367,8 @@ struct CacheProbe {
 /// [`SolveCache::stripes`] independently mutexed segments (selected by
 /// an FNV-1a hash of the key, so stripe membership is deterministic),
 /// each held only for lookups and inserts — never across a solver run
-/// — so concurrent member solves don't serialise on one global mutex.
+/// — so the baseline batch's concurrent solves don't serialise on one
+/// global mutex.
 /// Hit/miss/eviction counters live per stripe and [`SolveCache::stats`]
 /// sums them; counter totals are interleaving-independent because every
 /// probe bumps exactly one counter. Two concurrent misses on the *same*
@@ -381,16 +382,9 @@ struct CacheProbe {
 /// counted in [`SolveCacheStats::evictions`]). Unbounded streams of
 /// novel topologies therefore cannot grow memory without limit. Exact
 /// LRU order assumes inserts on a capped cache come from one thread at
-/// a time — which the engine guarantees: capped inserts happen on the
-/// federation driver thread (account seals and routing probes) or in
-/// the sequential capped baseline batch.
-///
-/// For parallel serving phases the store also supports a **frozen
-/// epoch** protocol (see [`CacheView::frozen`] and
-/// [`SolveCache::seal_account`]): probes treat the store as read-only,
-/// record their deferred effects in a per-caller [`CacheAccount`], and
-/// the driver replays those effects in a deterministic order at the
-/// next synchronisation point.
+/// a time — which the engine guarantees: both serve loops probe from
+/// one thread, member after member in a federation, and the baseline
+/// batch runs on one worker under a cap.
 #[derive(Debug)]
 pub struct SolveCache {
     enabled: bool,
@@ -401,12 +395,6 @@ pub struct SolveCache {
     /// and insert draws a unique stamp, so LRU victims are well-defined
     /// across stripes.
     tick: AtomicU64,
-    /// Number of live [`CacheView::frozen`] handles — the frozen-epoch
-    /// poison flag. While any frozen view exists the store must be
-    /// read-only (shards are probing it concurrently); debug builds
-    /// assert this on every store mutation, turning the whole test
-    /// suite into a frozen-view race detector.
-    frozen_views: AtomicU64,
 }
 
 impl Default for SolveCache {
@@ -428,22 +416,7 @@ impl SolveCache {
             capacity,
             stripes: (0..stripes).map(|_| Stripe::default()).collect(),
             tick: AtomicU64::new(0),
-            frozen_views: AtomicU64::new(0),
         }
-    }
-
-    /// Debug-build poison check: the store must never be mutated while
-    /// a frozen epoch is in progress (any [`CacheView::frozen`] handle
-    /// alive). `what` names the mutation for the panic message.
-    #[inline]
-    fn debug_assert_unfrozen(&self, what: &str) {
-        debug_assert_eq!(
-            self.frozen_views.load(Ordering::Relaxed),
-            0,
-            "solve-cache store mutation ({what}) during a frozen parallel \
-             phase: shards hold frozen views, so all store effects must be \
-             deferred to the member-ordered seal"
-        );
     }
 
     /// An empty, enabled, unbounded cache with
@@ -589,7 +562,6 @@ impl SolveCache {
     /// globally smallest recency stamp; stamps are unique, so the
     /// victim is well-defined). Returns false on an empty cache.
     fn evict_lru(&self) -> bool {
-        self.debug_assert_unfrozen("LRU eviction");
         let mut victim: Option<(u64, usize, SolveKey)> = None;
         for (si, stripe) in self.stripes.iter().enumerate() {
             let entries = stripe.entries.lock();
@@ -617,7 +589,6 @@ impl SolveCache {
     /// the number of evictions this insert caused (for per-caller
     /// attribution).
     fn insert(&self, key: SolveKey, value: CachedSolve) -> u64 {
-        self.debug_assert_unfrozen("entry insert");
         let mut evicted = 0u64;
         if let Some(cap) = self.capacity {
             while self.len() >= cap && !self.contains(&key) && self.evict_lru() {
@@ -640,14 +611,14 @@ impl SolveCache {
         dhp_dag::fingerprint::fnv1a_bytes(format!("{cfg:?}").bytes())
     }
 
-    /// The lookup-or-solve core of every direct-effect probe
-    /// ([`SolveCache::schedule`], [`SolveCache::dedicated_baseline`] and
-    /// the `Direct` / `Live` arms of [`CacheView::solve`]): answers
-    /// `key` from the store, or runs `solve` (with no stripe lock held)
-    /// and memoizes its outcome, `NoSolution` included. Also reports
-    /// what the probe did to the store — the `Live` view mode charges
-    /// exactly this outcome to its [`CacheAccount`], with no
-    /// global-counter diffing.
+    /// The lookup-or-solve core of every probe ([`SolveCache::schedule`],
+    /// [`SolveCache::dedicated_baseline`] and [`CacheView::solve`]):
+    /// answers `key` from the store — drawing a recency tick and
+    /// refreshing the entry's LRU stamp — or runs `solve` (with no
+    /// stripe lock held) and memoizes its outcome, `NoSolution`
+    /// included. Also reports what the probe did to the store — a
+    /// [`CacheView::live`] charges exactly this outcome to its account,
+    /// with no global-counter diffing.
     fn lookup_or_solve(
         &self,
         key: SolveKey,
@@ -663,10 +634,6 @@ impl SolveCache {
                 },
             );
         }
-        // Even a pure lookup mutates the store here: it draws a recency
-        // tick and refreshes the entry's LRU stamp. Frozen-epoch probes
-        // must go through `CacheView`'s read-only path instead.
-        self.debug_assert_unfrozen("direct probe (tick draw / LRU stamp refresh)");
         let stripe = self.stripe_of(&key);
         // Cheap under the stripe lock: an Arc refcount bump (or the
         // unit NoSolution marker) plus the LRU stamp refresh.
@@ -773,7 +740,6 @@ impl SolveCache {
         }
         stripe.sim_misses.fetch_add(1, Ordering::Relaxed);
         let sim = Arc::new(compute());
-        self.debug_assert_unfrozen("sim-outcome insert");
         stripe.sims.lock().insert(key, Arc::clone(&sim));
         (sim, false)
     }
@@ -844,7 +810,6 @@ impl SolveCache {
         value: Option<Arc<MappingResult>>,
         stamp: u64,
     ) {
-        self.debug_assert_unfrozen("snapshot restore (solve)");
         let value = match value {
             Some(local) => CachedSolve::Solved(local),
             None => CachedSolve::NoSolution,
@@ -857,7 +822,6 @@ impl SolveCache {
 
     /// Re-inserts a snapshotted simulation outcome.
     pub(crate) fn restore_sim(&self, key: SolveKey, sim: Arc<SimOutcome>) {
-        self.debug_assert_unfrozen("snapshot restore (sim)");
         self.stripe_of(&key).sims.lock().insert(key, sim);
     }
 
@@ -867,7 +831,6 @@ impl SolveCache {
     /// per-stripe split is not persisted), and evicts down to this
     /// cache's LRU capacity if the snapshot outgrows it.
     pub(crate) fn finish_restore(&self, tick: u64, carried: SolveCacheStats) {
-        self.debug_assert_unfrozen("snapshot restore (finish)");
         self.tick.fetch_max(tick, Ordering::Relaxed);
         let s0 = &self.stripes[0];
         s0.hits.fetch_add(carried.hits, Ordering::Relaxed);
@@ -880,180 +843,51 @@ impl SolveCache {
             while self.len() > cap && self.evict_lru() {}
         }
     }
-
-    /// Replays one frozen-epoch account's deferred store effects, in
-    /// the order its probes recorded them: a `Touch` refreshes the
-    /// entry's LRU stamp (if the entry still exists — a sibling's seal
-    /// may have evicted it), an `Insert` moves the account's overlay
-    /// value into the shared store, charging any LRU evictions to the
-    /// account. The driver calls this once per member in member-index
-    /// order at every synchronisation point, which is what makes the
-    /// parallel federation byte-identical to the sequential one: the
-    /// store's evolution is a pure function of the seal order, never of
-    /// thread timing. The account's log and overlay are drained; its
-    /// `stats` keep accumulating across epochs.
-    pub fn seal_account(&self, account: &mut CacheAccount) {
-        self.debug_assert_unfrozen("account seal");
-        for ev in std::mem::take(&mut account.log) {
-            match ev {
-                CacheEvent::Touch(key) => {
-                    let stripe = self.stripe_of(&key);
-                    let mut entries = stripe.entries.lock();
-                    let tick = self.next_tick();
-                    if let Some(e) = entries.get_mut(&key) {
-                        e.1 = tick;
-                    }
-                }
-                CacheEvent::Insert(key) => {
-                    if let Some(value) = account.overlay.remove(&key) {
-                        account.stats.evictions += self.insert(key, value);
-                    }
-                }
-                CacheEvent::SimInsert(key) => {
-                    if let Some(sim) = account.sim_overlay.remove(&key) {
-                        self.stripe_of(&key).sims.lock().insert(key, sim);
-                    }
-                }
-            }
-        }
-        account.overlay.clear();
-        account.sim_overlay.clear();
-    }
-}
-
-/// The deferred store effects a frozen-epoch probe records for the
-/// seal to replay.
-#[derive(Clone, Copy, Debug)]
-enum CacheEvent {
-    /// A hit: refresh this key's LRU stamp at seal time.
-    Touch(SolveKey),
-    /// A miss whose outcome is parked in the account's overlay: move it
-    /// into the shared store at seal time (with LRU eviction).
-    Insert(SolveKey),
-    /// A sim-outcome miss parked in the account's sim overlay: move it
-    /// into the shared sim store at seal time (sims carry no LRU stamp,
-    /// so no tick is drawn).
-    SimInsert(SolveKey),
-}
-
-/// Per-caller solve-cache bookkeeping: the cumulative solver statistics
-/// attributed to one caller (one federation member), plus — during a
-/// frozen epoch — the ordered log of deferred store effects and the
-/// overlay holding the caller's own inserts.
-///
-/// This is the **single owner of per-member solver-stat attribution**:
-/// every probe a member causes is charged here at probe time, by the
-/// [`CacheView`] that wraps the account — `Live` probes charge the
-/// exact outcome `lookup_or_solve` reports, `Frozen` probes charge
-/// their overlay/store outcome directly. Nothing diffs global counters
-/// around a call, so interleaved steps can never double-count.
-#[derive(Debug, Default)]
-pub struct CacheAccount {
-    /// Cumulative statistics attributed to this account.
-    pub stats: SolveCacheStats,
-    log: Vec<CacheEvent>,
-    overlay: HashMap<SolveKey, CachedSolve>,
-    sim_overlay: HashMap<SolveKey, Arc<SimOutcome>>,
-}
-
-impl CacheAccount {
-    /// True when the account holds deferred effects that a
-    /// [`SolveCache::seal_account`] call has not replayed yet.
-    pub fn is_sealed(&self) -> bool {
-        self.log.is_empty() && self.overlay.is_empty() && self.sim_overlay.is_empty()
-    }
-}
-
-/// How a [`CacheView`] interacts with the shared store.
-enum ViewMode<'a> {
-    Direct,
-    Live(RefCell<&'a mut CacheAccount>),
-    Frozen(RefCell<&'a mut CacheAccount>),
 }
 
 /// A borrowing handle the scheduling layers (admission, lease growth,
-/// suffix solves) probe instead of the raw [`SolveCache`], fixing *how*
-/// each probe touches the shared store and *who* is charged for it:
+/// suffix solves) probe instead of the raw [`SolveCache`], fixing *who*
+/// is charged for each probe:
 ///
-/// * [`CacheView::direct`] — probe the store directly, charge only the
-///   global counters. The single-cluster engine's mode; byte-identical
-///   to probing the [`SolveCache`] itself.
-/// * [`CacheView::live`] — probe the store directly, but additionally
-///   charge the exact probe outcome (hit/miss/evictions) to a
-///   [`CacheAccount`]. Used by the federation driver thread for
-///   routing and spillover probes, where store effects are safe but
-///   per-member attribution is required.
-/// * [`CacheView::frozen`] — treat the store as **read-only**: hits
-///   come from the account's overlay first, then the shared store
-///   (without touching its LRU stamps); misses solve and park the
-///   result in the overlay. Every deferred store effect is logged for
-///   [`SolveCache::seal_account`] to replay deterministically. This is
-///   the mode of the parallel per-member phases: shards probe
-///   concurrently without racing on store mutations, and the sealed
-///   replay order (member index) — not thread timing — decides the
-///   store's evolution.
+/// * [`CacheView::direct`] — charge only the store's global counters.
+///   The single-cluster engine's view; byte-identical to probing the
+///   [`SolveCache`] itself.
+/// * [`CacheView::live`] — additionally charge the exact probe outcome
+///   (hit/miss, evictions, sim hit/miss) to an account: the federation
+///   member whose step, routing or spillover caused the probe.
 ///
-/// Global hit/miss counters are bumped immediately in every mode (they
-/// are commutative atomics, so totals are interleaving-independent);
-/// eviction counters only move on direct/live inserts and at seal time.
+/// Both probe the shared store in place: an insert is visible to the
+/// very next probe, whoever makes it.
+#[derive(Debug)]
 pub struct CacheView<'a> {
     cache: &'a SolveCache,
-    mode: ViewMode<'a>,
-}
-
-impl std::fmt::Debug for CacheView<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mode = match self.mode {
-            ViewMode::Direct => "direct",
-            ViewMode::Live(_) => "live",
-            ViewMode::Frozen(_) => "frozen",
-        };
-        f.debug_struct("CacheView").field("mode", &mode).finish()
-    }
-}
-
-impl Drop for CacheView<'_> {
-    fn drop(&mut self) {
-        // Frozen views are counted on the cache: the last one dropping
-        // lifts the store's mutation poison (the driver may then seal).
-        if matches!(self.mode, ViewMode::Frozen(_)) {
-            self.cache.frozen_views.fetch_sub(1, Ordering::Release);
-        }
-    }
+    account: Option<&'a Cell<SolveCacheStats>>,
 }
 
 impl<'a> CacheView<'a> {
-    /// A pass-through view: probes hit the store exactly like calling
-    /// [`SolveCache::schedule`] directly.
+    /// A view that charges only the store's global counters.
     pub fn direct(cache: &'a SolveCache) -> Self {
         CacheView {
             cache,
-            mode: ViewMode::Direct,
+            account: None,
         }
     }
 
-    /// A direct-effect view that also charges each probe's exact
-    /// outcome to `account` (no global-counter diffing).
-    pub fn live(cache: &'a SolveCache, account: &'a mut CacheAccount) -> Self {
+    /// A view that also charges each probe's exact outcome to `account`
+    /// (no global-counter diffing).
+    pub fn live(cache: &'a SolveCache, account: &'a mut SolveCacheStats) -> Self {
         CacheView {
             cache,
-            mode: ViewMode::Live(RefCell::new(account)),
+            account: Some(Cell::from_mut(account)),
         }
     }
 
-    /// A frozen-epoch view: the store is read-only, deferred effects
-    /// accumulate in `account` until [`SolveCache::seal_account`].
-    ///
-    /// While the view is alive the store is **poisoned against
-    /// mutation**: debug builds assert on any insert, eviction, LRU
-    /// stamp refresh, restore, or seal until the view drops — so a
-    /// parallel phase that accidentally routes a probe around the
-    /// frozen protocol trips immediately under `cargo test`.
-    pub fn frozen(cache: &'a SolveCache, account: &'a mut CacheAccount) -> Self {
-        cache.frozen_views.fetch_add(1, Ordering::Release);
-        CacheView {
-            cache,
-            mode: ViewMode::Frozen(RefCell::new(account)),
+    /// Applies `charge` to the account, if the view has one.
+    fn charge(&self, charge: impl FnOnce(&mut SolveCacheStats)) {
+        if let Some(account) = self.account {
+            let mut stats = account.get();
+            charge(&mut stats);
+            account.set(stats);
         }
     }
 
@@ -1062,20 +896,12 @@ impl<'a> CacheView<'a> {
         self.cache
     }
 
-    /// Number of live frozen views over `cache` (the poison flag the
-    /// store-mutation asserts read; exposed for tests).
-    pub fn frozen_count(cache: &SolveCache) -> u64 {
-        cache.frozen_views.load(Ordering::Acquire)
-    }
-
     /// Whether the underlying cache memoizes.
     pub fn is_enabled(&self) -> bool {
         self.cache.is_enabled()
     }
 
-    /// [`SolveCache::is_warm`] through the view: a frozen view also
-    /// consults its own overlay (its epoch's inserts are warm to
-    /// itself). A pure peek in every mode.
+    /// [`SolveCache::is_warm`] through the view: a pure peek.
     pub fn is_warm(
         &self,
         fingerprint: u64,
@@ -1083,12 +909,6 @@ impl<'a> CacheView<'a> {
         algorithm: Algorithm,
         config_hash: u64,
     ) -> bool {
-        if let ViewMode::Frozen(acc) = &self.mode {
-            let key: SolveKey = (fingerprint, shape, algorithm, config_hash);
-            if matches!(acc.borrow().overlay.get(&key), Some(CachedSolve::Solved(_))) {
-                return true;
-            }
-        }
         self.cache
             .is_warm(fingerprint, shape, algorithm, config_hash)
     }
@@ -1104,12 +924,10 @@ impl<'a> CacheView<'a> {
     /// Callers that need the mapping in parent ids translate it with
     /// [`remap_to_parent`] once they commit to it.
     ///
-    /// Charges per mode (see the type docs): `Direct` and `Live` probe
-    /// the store through the same core as [`SolveCache::schedule`] — one
-    /// hit or miss, one recency tick, any LRU evictions the insert
-    /// causes, and `Live` charges the same to its account; `Frozen`
-    /// reads its own overlay, then the store without touching it, and
-    /// defers the LRU refresh or the insert to the seal.
+    /// The store is probed through the same core as
+    /// [`SolveCache::schedule`] — one hit or miss, one recency tick, any
+    /// LRU evictions the insert causes — and a live view charges the
+    /// same to its account.
     #[allow(clippy::too_many_arguments)]
     pub fn solve(
         &self,
@@ -1127,69 +945,26 @@ impl<'a> CacheView<'a> {
             algorithm,
             config_hash,
         );
-        let solve = || solve_local(g, cluster.subcluster(ids).cluster(), algorithm, cfg);
-        match &self.mode {
-            ViewMode::Direct => self.cache.lookup_or_solve(key, solve).0,
-            ViewMode::Live(acc) => {
-                let (outcome, probe) = self.cache.lookup_or_solve(key, solve);
-                let mut acc = acc.borrow_mut();
-                if probe.hit {
-                    acc.stats.hits += 1;
-                } else {
-                    acc.stats.misses += 1;
-                }
-                acc.stats.evictions += probe.evictions;
-                outcome
+        let (outcome, probe) = self.cache.lookup_or_solve(key, || {
+            solve_local(g, cluster.subcluster(ids).cluster(), algorithm, cfg)
+        });
+        self.charge(|acc| {
+            if probe.hit {
+                acc.hits += 1;
+            } else {
+                acc.misses += 1;
             }
-            ViewMode::Frozen(acc) => {
-                let mut acc = acc.borrow_mut();
-                if !self.cache.enabled {
-                    acc.stats.misses += 1;
-                    self.cache.stripes[0].misses.fetch_add(1, Ordering::Relaxed);
-                    return solve().map(Arc::new);
-                }
-                let stripe = self.cache.stripe_of(&key);
-                // Own overlay first: this epoch's inserts are visible
-                // to this shard (and only this shard) before the seal.
-                // Then a read-only store probe: no tick draw, no stamp
-                // refresh — the Touch replays the refresh at seal time.
-                let cached = acc
-                    .overlay
-                    .get(&key)
-                    .cloned()
-                    .or_else(|| stripe.entries.lock().get(&key).map(|(v, _)| v.clone()));
-                if let Some(entry) = cached {
-                    acc.stats.hits += 1;
-                    stripe.hits.fetch_add(1, Ordering::Relaxed);
-                    acc.log.push(CacheEvent::Touch(key));
-                    return entry.outcome();
-                }
-                acc.stats.misses += 1;
-                stripe.misses.fetch_add(1, Ordering::Relaxed);
-                let outcome = solve().map(Arc::new);
-                acc.overlay.insert(key, CachedSolve::of(&outcome));
-                acc.log.push(CacheEvent::Insert(key));
-                outcome
-            }
-        }
+            acc.evictions += probe.evictions;
+        });
+        outcome
     }
 
     /// Memoizing discrete-event simulation through the view: returns
     /// the [`SimOutcome`] for `(fingerprint, shape, algorithm,
-    /// config_hash)`, running `compute` only on a miss. Per-mode
-    /// semantics mirror [`CacheView::solve`]:
-    ///
-    /// * `Direct` — probe/insert the shared sim store, global counters
-    ///   only.
-    /// * `Live` — same store effects, plus the exact hit/miss charged
-    ///   to the account.
-    /// * `Frozen` — own sim overlay first, then a read-only store
-    ///   probe; misses compute and park the outcome in the overlay with
-    ///   a deferred `SimInsert` for [`SolveCache::seal_account`]. Sims
-    ///   carry no LRU stamp, so hits defer nothing.
-    ///
-    /// A disabled cache computes every time and stores nothing, but
-    /// still counts the miss.
+    /// config_hash)`, running `compute` only on a miss and storing its
+    /// result; a live view charges the hit or miss to its account. A
+    /// disabled cache computes every time and stores nothing, but still
+    /// counts the miss.
     pub fn sim_outcome(
         &self,
         fingerprint: u64,
@@ -1199,47 +974,15 @@ impl<'a> CacheView<'a> {
         compute: impl FnOnce() -> SimOutcome,
     ) -> Arc<SimOutcome> {
         let key: SolveKey = (fingerprint, shape, algorithm, config_hash);
-        match &self.mode {
-            ViewMode::Direct => self.cache.sim_probed(key, compute).0,
-            ViewMode::Live(acc) => {
-                let (sim, hit) = self.cache.sim_probed(key, compute);
-                let mut acc = acc.borrow_mut();
-                if hit {
-                    acc.stats.sim_hits += 1;
-                } else {
-                    acc.stats.sim_misses += 1;
-                }
-                sim
+        let (sim, hit) = self.cache.sim_probed(key, compute);
+        self.charge(|acc| {
+            if hit {
+                acc.sim_hits += 1;
+            } else {
+                acc.sim_misses += 1;
             }
-            ViewMode::Frozen(acc) => {
-                let mut acc = acc.borrow_mut();
-                if !self.cache.enabled {
-                    acc.stats.sim_misses += 1;
-                    self.cache.stripes[0]
-                        .sim_misses
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Arc::new(compute());
-                }
-                let stripe = self.cache.stripe_of(&key);
-                if let Some(sim) = acc.sim_overlay.get(&key).cloned() {
-                    acc.stats.sim_hits += 1;
-                    stripe.sim_hits.fetch_add(1, Ordering::Relaxed);
-                    return sim;
-                }
-                let base = stripe.sims.lock().get(&key).cloned();
-                if let Some(sim) = base {
-                    acc.stats.sim_hits += 1;
-                    stripe.sim_hits.fetch_add(1, Ordering::Relaxed);
-                    return sim;
-                }
-                acc.stats.sim_misses += 1;
-                stripe.sim_misses.fetch_add(1, Ordering::Relaxed);
-                let sim = Arc::new(compute());
-                acc.sim_overlay.insert(key, Arc::clone(&sim));
-                acc.log.push(CacheEvent::SimInsert(key));
-                sim
-            }
-        }
+        });
+        sim
     }
 }
 
@@ -1721,7 +1464,7 @@ mod tests {
         let chash = SolveCache::config_hash(&cfg);
         let cache = SolveCache::new();
         let fp = g.fingerprint();
-        let mut account = CacheAccount::default();
+        let mut account = SolveCacheStats::default();
         {
             let view = CacheView::live(&cache, &mut account);
             view.solve(&g, fp, &c, &LEASE, Algorithm::DagHetPart, &cfg, chash)
@@ -1729,8 +1472,7 @@ mod tests {
             view.solve(&g, fp, &c, &LEASE, Algorithm::DagHetPart, &cfg, chash)
                 .unwrap();
         }
-        assert_eq!((account.stats.hits, account.stats.misses), (1, 1));
-        assert!(account.is_sealed(), "live probes defer nothing");
+        assert_eq!((account.hits, account.misses), (1, 1));
         // Live probes hit the store directly: the global counters agree
         // and the entry is immediately visible to direct probes.
         let s = cache.stats();
@@ -1739,81 +1481,34 @@ mod tests {
     }
 
     #[test]
-    fn frozen_view_defers_inserts_until_the_seal() {
-        let g = builder::fork_join(6, 10.0, 4.0, 2.0);
-        let c = cluster();
-        let cfg = DagHetPartConfig::default();
-        let chash = SolveCache::config_hash(&cfg);
-        let cache = SolveCache::new();
-        let fp = g.fingerprint();
-        let sub = c.subcluster(&[ProcId(3), ProcId(1)]);
-        let mut account = CacheAccount::default();
-        {
-            let view = CacheView::frozen(&cache, &mut account);
-            // Miss: solved, parked in the overlay — the store is frozen.
-            view.solve(&g, fp, &c, &LEASE, Algorithm::DagHetPart, &cfg, chash)
-                .unwrap();
-            // Repeat within the epoch: served from the own overlay.
-            view.solve(&g, fp, &c, &LEASE, Algorithm::DagHetPart, &cfg, chash)
-                .unwrap();
-            assert!(view.is_warm(fp, sub.shape_signature(), Algorithm::DagHetPart, chash));
-        }
-        assert_eq!((account.stats.hits, account.stats.misses), (1, 1));
-        assert!(!account.is_sealed());
-        assert_eq!(cache.len(), 0, "a frozen epoch must not mutate the store");
-        assert!(!cache.is_warm(fp, sub.shape_signature(), Algorithm::DagHetPart, chash));
-        cache.seal_account(&mut account);
-        assert!(account.is_sealed());
-        assert_eq!(cache.len(), 1, "the seal publishes the overlay");
-        assert!(cache.is_warm(fp, sub.shape_signature(), Algorithm::DagHetPart, chash));
-        // A direct probe now hits the sealed entry.
-        cache
-            .schedule(&g, fp, &sub, Algorithm::DagHetPart, &cfg, chash)
-            .unwrap();
-        assert_eq!(cache.stats().hits, 1 + 1); // 1 frozen overlay hit + 1 direct
-    }
-
-    #[test]
-    fn sealing_charges_evictions_to_the_inserting_account() {
-        // Capacity 1: sealing two frozen inserts must evict once, and
-        // the eviction is attributed to the sealing account.
+    fn live_inserts_charge_evictions_to_the_inserting_account() {
+        // Capacity 1: the second insert evicts the first at once, and
+        // the eviction is charged to the account whose probe inserted.
         let c = cluster();
         let cfg = DagHetPartConfig::default();
         let chash = SolveCache::config_hash(&cfg);
         let cache = SolveCache::with_capacity(1);
-        let sub = c.subcluster(&[ProcId(3), ProcId(1)]);
+        let sub = c.subcluster(&LEASE);
         let g0 = builder::chain(4, 2.0, 4.0, 1.0);
         let g1 = builder::chain(5, 2.0, 4.0, 1.0);
-        let mut account = CacheAccount::default();
-        {
-            let view = CacheView::frozen(&cache, &mut account);
-            view.solve(
-                &g0,
-                g0.fingerprint(),
-                &c,
-                &LEASE,
-                Algorithm::DagHetPart,
-                &cfg,
-                chash,
-            )
-            .unwrap();
-            view.solve(
-                &g1,
-                g1.fingerprint(),
-                &c,
-                &LEASE,
-                Algorithm::DagHetPart,
-                &cfg,
-                chash,
-            )
-            .unwrap();
+        let mut first = SolveCacheStats::default();
+        let mut second = SolveCacheStats::default();
+        for (g, account) in [(&g0, &mut first), (&g1, &mut second)] {
+            CacheView::live(&cache, account)
+                .solve(
+                    g,
+                    g.fingerprint(),
+                    &c,
+                    &LEASE,
+                    Algorithm::DagHetPart,
+                    &cfg,
+                    chash,
+                )
+                .unwrap();
         }
-        assert_eq!(account.stats.evictions, 0, "evictions only move at seal");
-        cache.seal_account(&mut account);
-        assert_eq!(account.stats.evictions, 1);
+        assert_eq!((first.evictions, second.evictions), (0, 1));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().evictions, 1);
-        // The survivor is the later insert (seal replays in log order).
         assert!(cache.is_warm(
             g1.fingerprint(),
             sub.shape_signature(),
@@ -1877,43 +1572,14 @@ mod tests {
     #[test]
     fn live_view_charges_sim_probes_to_the_account() {
         let cache = SolveCache::new();
-        let mut account = CacheAccount::default();
+        let mut account = SolveCacheStats::default();
         {
             let view = CacheView::live(&cache, &mut account);
             view.sim_outcome(7, 9, Algorithm::DagHetPart, 3, || toy_sim(10.0));
             view.sim_outcome(7, 9, Algorithm::DagHetPart, 3, || toy_sim(10.0));
         }
-        assert_eq!((account.stats.sim_hits, account.stats.sim_misses), (1, 1));
-        assert!(account.is_sealed(), "live sim probes defer nothing");
+        assert_eq!((account.sim_hits, account.sim_misses), (1, 1));
         assert_eq!(cache.sim_len(), 1);
-    }
-
-    #[test]
-    fn frozen_view_defers_sim_inserts_until_the_seal() {
-        let cache = SolveCache::new();
-        let mut account = CacheAccount::default();
-        {
-            let view = CacheView::frozen(&cache, &mut account);
-            let first = view.sim_outcome(7, 9, Algorithm::DagHetPart, 3, || toy_sim(10.0));
-            // Repeat within the epoch: served from the own sim overlay.
-            let second = view.sim_outcome(7, 9, Algorithm::DagHetPart, 3, || toy_sim(99.0));
-            assert_eq!(*first, *second);
-        }
-        assert_eq!((account.stats.sim_hits, account.stats.sim_misses), (1, 1));
-        assert!(!account.is_sealed());
-        assert_eq!(
-            cache.sim_len(),
-            0,
-            "a frozen epoch must not mutate the store"
-        );
-        cache.seal_account(&mut account);
-        assert!(account.is_sealed());
-        assert_eq!(cache.sim_len(), 1, "the seal publishes the sim overlay");
-        // A direct probe now hits the sealed sim.
-        let view = CacheView::direct(&cache);
-        let sim = view.sim_outcome(7, 9, Algorithm::DagHetPart, 3, || toy_sim(99.0));
-        assert_eq!(sim.makespan, 10.0);
-        assert_eq!(cache.stats().sim_hits, 1 + 1); // frozen overlay hit + direct
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //!   digest-pinned report/merge/persist modules.
 //! * **R2 wall-clock confinement** — `Instant::now`/`SystemTime` only
 //!   in the bench harness, solver timing, and metrics.
-//! * **R3 lock discipline** — no nested stripe/slot guards in
-//!   `core/partial.rs` and `online/federation/`, no raw `SolveCache`
-//!   access from shard code.
+//! * **R3 lock discipline** — no nested stripe guards in
+//!   `core/partial.rs` and `online/federation/`.
 //! * **R4 panic hygiene** — `unwrap()`/`expect()` in library non-test
 //!   code governed by the shrink-only ratchet in `lint-baseline.toml`.
 //! * **R5 golden-JSON discipline** — serde report structs keep their
@@ -19,8 +18,7 @@
 //! Run it with `cargo run -p dhp-lint -- --check` (CI gates on the
 //! exit code) or `--fix-baseline` to regenerate the R4 ratchet after
 //! burning occurrences down. The static pass is paired with dynamic
-//! debug-build enforcement: the `vendor/parking_lot` lock-rank tracker
-//! and the solve cache's frozen-view poison flag.
+//! debug-build enforcement: the `vendor/parking_lot` lock-rank tracker.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

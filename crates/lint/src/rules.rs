@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, BTreeSet};
 pub const R1: &str = "R1-determinism";
 /// Rule id: wall-clock reads outside the allowlist.
 pub const R2: &str = "R2-wallclock";
-/// Rule id: nested stripe guards / raw store access in shard code.
+/// Rule id: nested stripe guards.
 pub const R3: &str = "R3-lock-discipline";
 /// Rule id: unwrap/expect ratchet in library non-test code.
 pub const R4: &str = "R4-panic-hygiene";
@@ -326,9 +326,9 @@ fn lock_discipline(m: &FileModel, out: &mut Vec<Finding>) {
                 line: line.number,
                 rule: R3,
                 message: format!(
-                    "`.lock()` while guard `{}` (line {}) is still held — a second stripe/\
-                     slot guard under a held one deadlocks crossed stripes; release the \
-                     first guard (or copy what you need out of it) before locking again",
+                    "`.lock()` while guard `{}` (line {}) is still held — a second stripe \
+                     guard under a held one deadlocks crossed stripes; release the first \
+                     guard (or copy what you need out of it) before locking again",
                     held.name, held.line
                 ),
             });
@@ -350,34 +350,6 @@ fn lock_discipline(m: &FileModel, out: &mut Vec<Finding>) {
                     depth: line.depth_end,
                     line: line.number,
                 });
-            }
-        }
-    }
-    // Shard code must not touch the raw store: every probe goes
-    // through a frozen CacheView over the shard's own account.
-    if m.rel.ends_with("federation/shard.rs") {
-        for line in m.lines.iter().filter(|l| !l.is_test) {
-            for at in word_starts(&line.code, "cache") {
-                let rest = &line.code[at + "cache".len()..];
-                let Some(after_dot) = rest.strip_prefix('.') else {
-                    continue;
-                };
-                let method: String = after_dot
-                    .chars()
-                    .take_while(|&c| is_ident_char(c))
-                    .collect();
-                if !method.is_empty() && after_dot[method.len()..].starts_with('(') {
-                    out.push(Finding {
-                        file: m.rel.clone(),
-                        line: line.number,
-                        rule: R3,
-                        message: format!(
-                            "raw `SolveCache` access (`cache.{method}(..)`) from shard code — \
-                             shards must probe through a frozen `CacheView` over their own \
-                             `CacheAccount` so store effects replay at the driver's ordered seal"
-                        ),
-                    });
-                }
             }
         }
     }

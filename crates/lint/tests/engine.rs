@@ -11,7 +11,6 @@ use std::collections::{BTreeMap, BTreeSet};
 const R1_FIX: &str = include_str!("fixtures/r1_map_iteration.rs");
 const R2_FIX: &str = include_str!("fixtures/r2_wallclock.rs");
 const R3_GUARDS_FIX: &str = include_str!("fixtures/r3_nested_guards.rs");
-const R3_STORE_FIX: &str = include_str!("fixtures/r3_raw_store.rs");
 const R4_FIX: &str = include_str!("fixtures/r4_unwrap.rs");
 const R5_FIX: &str = include_str!("fixtures/r5_missing_attrs.rs");
 const CLEAN_FIX: &str = include_str!("fixtures/clean.rs");
@@ -60,15 +59,6 @@ fn r3_flags_nested_stripe_guards() {
     // Same defects inside the federation tree are also in scope.
     let got = findings("crates/online/src/federation/rebalance.rs", R3_GUARDS_FIX);
     assert_eq!(got, vec![(7, rules::R3), (12, rules::R3)]);
-}
-
-#[test]
-fn r3_flags_raw_store_access_from_shard_code() {
-    let got = findings("crates/online/src/federation/shard.rs", R3_STORE_FIX);
-    assert_eq!(got, vec![(6, rules::R3)]);
-    // Other federation modules may hold a &SolveCache (the driver
-    // seals accounts against it); only shard code is store-blind.
-    assert!(findings("crates/online/src/federation/routing.rs", R3_STORE_FIX).is_empty());
 }
 
 #[test]

@@ -105,8 +105,10 @@ pub struct OnlineConfig {
     /// backfilling policy), try those whose `(fingerprint, lease
     /// shape)` is already warm in the solve cache first — their probe
     /// is a cache hit, so the bounded backfill window is spent where
-    /// admission is cheapest. Off by default (keeps the admission order
-    /// byte-identical to the id-tiebreak engine).
+    /// admission is cheapest. On a federation, warm includes what a
+    /// sibling member solved earlier in the same event. Off by default
+    /// (keeps the admission order byte-identical to the id-tiebreak
+    /// engine).
     pub cache_aware: bool,
     /// Elastic lease growth (`--elastic N`): `Some(threshold)` lets a
     /// completion event whose freed processors would otherwise idle —
@@ -124,16 +126,6 @@ pub struct OnlineConfig {
     /// shrink is refused when it would delay a blocked backfill head's
     /// reservation. `None` (default) never shrinks.
     pub elastic_shrink: Option<usize>,
-    /// Force the federation driver onto its sequential member-stepping
-    /// path (`--serial-federation`). The default (false) steps
-    /// Active/Draining members in parallel between synchronisation
-    /// points — on threads only when at least two members have work at
-    /// the event and the host has at least two cores, inline otherwise;
-    /// both paths are pinned byte-identical
-    /// (`tests/federation_parallel.rs`), so this is a debugging escape
-    /// hatch, not a semantic switch. Ignored by the single-cluster
-    /// engine.
-    pub serial_federation: bool,
     /// Durable warm start (`--cache-file PATH`, `--autosave N`):
     /// `Some` restores the solve cache from a snapshot before the run's
     /// first admission and rewrites it crash-safely at exit. `None`
@@ -171,7 +163,6 @@ impl Default for OnlineConfig {
             cache_aware: false,
             elastic: None,
             elastic_shrink: None,
-            serial_federation: false,
             persist: None,
         }
     }
@@ -229,8 +220,8 @@ pub fn serve_with_cache(
     let recovery = load_snapshot(cfg, cache);
     let stats_at_entry = cache.stats();
     // The single-cluster engine probes the store directly; per-caller
-    // attribution (the federation tier's `CacheAccount` machinery) is
-    // unnecessary with one caller.
+    // attribution (the federation's live views) is unnecessary with one
+    // caller.
     let view = CacheView::direct(cache);
     let mut arrivals = arrival_order(submissions);
 

@@ -1,8 +1,7 @@
 //! Applying membership (chaos) events to the fleet: drain, fail, join.
 //!
-//! Runs on the driver thread at the membership arm of the event loop —
-//! a sequential synchronisation point, since drains and failures move
-//! work between shards.
+//! Runs at the membership arm of the event loop, before any member
+//! steps, since drains and failures move work between shards.
 
 use super::rebalance::migrate_pending;
 use super::shard::{MemberShard, MemberStatus};

@@ -113,7 +113,7 @@ pub struct FederationOutcome {
 /// Finalises every shard (in member-index order — the deferred
 /// baseline batches and the report assembly are order-sensitive) and
 /// assembles the federation outcome. Each member's solver statistics
-/// are exactly its account's accumulated charges.
+/// are exactly the charges its shard accumulated.
 pub(super) fn assemble(
     shards: Vec<MemberShard>,
     cfg: &OnlineConfig,
@@ -123,13 +123,7 @@ pub(super) fn assemble(
 ) -> FederationOutcome {
     let outcomes: Vec<ServeOutcome> = shards
         .into_iter()
-        .map(|sh| {
-            debug_assert!(
-                sh.account.is_sealed(),
-                "a member account left the loop with unsealed effects"
-            );
-            finalize(sh.state, cfg, cache, sh.account.stats)
-        })
+        .map(|sh| finalize(sh.state, cfg, cache, sh.stats))
         .collect();
     let clusters: Vec<ServeReport> = outcomes.iter().map(|o| o.report.clone()).collect();
     let total_procs: usize = clusters.iter().map(|c| c.cluster_procs).sum();

@@ -11,9 +11,9 @@
 //!   completion/membership/arrival instant, tie order **completions <
 //!   membership < arrivals**, members in index order.
 //! * `shard.rs` — a `MemberShard` owning one member's `ClusterState`,
-//!   `MemberStatus`, and solve-cache account, with `step_to`/`grow` as
-//!   its only entry points and no access to sibling state. The unit of
-//!   parallelism.
+//!   `MemberStatus`, and the solver statistics charged to it, with
+//!   `step_to`/`grow` as its only entry points and no access to sibling
+//!   state.
 //! * `routing.rs` — [`RoutingPolicy`] and home-cluster assignment:
 //!   `round-robin` (arrival order cycling the members), `least-loaded`
 //!   (smallest speed-weighted queued work), or `best-fit` (among
@@ -21,55 +21,41 @@
 //!   free speed; falling back to least-loaded).
 //! * `rebalance.rs` — the spillover sweep (remote backfilling across
 //!   the federation, bounded per event and ping-pong-free) and
-//!   drain/fail queue migration: the sequential cross-member phases.
+//!   drain/fail queue migration: the cross-member phases.
 //! * `membership.rs` — applying chaos-plan drain/fail/join events.
 //! * `merge.rs` — per-member finalisation, exact-sum fleet metrics, and
 //!   the serialisable [`FederationReport`].
 //!
-//! # Parallel serving
+//! # One federation driver
 //!
 //! One driver (`serve_loop`) serves both the plain and the chaos
-//! entry points. Each clock step alternates parallel per-shard phases
-//! with sequential synchronisation points:
+//! entry points, on one thread. Each clock step runs, in order:
 //!
-//! 1. **Event arm** (sequential): advance the clock; apply due
-//!    membership events; route due arrivals.
-//! 2. **Step phase** (parallel): every eligible shard pops its due
-//!    completions and runs its admission passes and elastic shrink,
-//!    probing the shared [`SolveCache`] through *frozen* views — the
-//!    store is read-only, deferred effects accumulate per shard. The
-//!    phase runs on a [`std::thread::scope`] pool only when at least
-//!    two shards are eligible and the host has at least two cores
-//!    ([`dhp_core::host_cores`], probed once per process); otherwise
-//!    inline, and deciding costs two integer compares.
-//! 3. **Seal** (sequential): the deferred cache effects of each shard
-//!    that ran the phase are replayed into the store in member-index
-//!    order (no other shard can hold any).
-//! 4. **Spillover** (sequential): blocked work migrates across
-//!    members, probing only destinations that could place it (see
-//!    `rebalance.rs`).
-//! 5. **Growth phase** (parallel) + seal: elastic lease growth, same
-//!    frozen-view model.
+//! 1. **Event arm**: advance the clock; apply due membership events;
+//!    route due arrivals.
+//! 2. **Step**: every member with a due completion or (if Active)
+//!    queued work pops its completions and runs its admission passes
+//!    and elastic shrink, in member-index order.
+//! 3. **Spillover**: blocked work migrates across members, probing
+//!    only destinations that could place it (see `rebalance.rs`).
+//! 4. **Growth**: elastic lease growth, in member-index order.
 //!
-//! Because each shard's phase work is a pure function of its own state
-//! and the store frozen at phase entry, and the store only evolves at
-//! the ordered seals, the parallel run is **byte-identical** to the
-//! sequential one (`--serial-federation`, or
-//! [`OnlineConfig::serial_federation`]) — pinned by
-//! `tests/federation_parallel.rs` across routings, arrival processes,
-//! chaos and elasticity.
+//! Every probe goes to the shared [`SolveCache`] through a live view
+//! charged to the member that caused it, so a solve one member inserts
+//! is a hit for any identically shaped lease on any other member from
+//! the next probe on — within the same event too. The store stays
+//! striped because the baseline batch's cold solves still run on
+//! several threads at report time; member stepping does not, since
+//! threads did not pay there (README, "One federation driver").
 //!
-//! The shared [`SolveCache`] is striped internally, so concurrent
-//! member solves don't serialise on one mutex; lease shapes are
-//! content-addressed, so a lease solved on one member is a hit for any
-//! identically shaped lease on *any other* member. Every member
-//! produces its own [`ServeReport`](crate::report::ServeReport)
-//! (records stamped with the member's `cluster_id`), and the
-//! [`FederationReport`] adds fleet-level
+//! Every member produces its own
+//! [`ServeReport`](crate::report::ServeReport) (records stamped with
+//! the member's `cluster_id`), and the [`FederationReport`] adds
+//! fleet-level
 //! [`FleetMetrics`](crate::report::FleetMetrics) whose counters are
 //! the exact sums of the per-cluster ones (solver statistics are
 //! attributed to the member whose probes caused them — each shard's
-//! `CacheAccount` is the single owner of that attribution).
+//! `stats` is the single owner of that attribution).
 //!
 //! Membership events ([`serve_federation_chaos`]) merge a
 //! [`MembershipPlan`] of time-ordered `drain` / `fail` / `join` events
@@ -105,7 +91,7 @@ use dhp_platform::Federation;
 use membership::apply_membership;
 use rebalance::spill;
 use routing::route;
-use shard::{run_phase, MemberShard};
+use shard::MemberShard;
 use std::sync::Arc;
 
 /// Serves a submission stream across a federation of clusters. A fresh
@@ -174,12 +160,9 @@ pub fn serve_federation_chaos_with_cache(
 
 /// The federated event loop shared by the plain and chaos entry
 /// points: completions, membership events and arrivals merged on one
-/// virtual clock (in that priority at equal instants), followed by the
-/// parallel per-shard step phase (completions + admission + shrink),
-/// the ordered account seal, the sequential spillover sweep, and the
-/// parallel growth phase (see the module docs for the sync-point
-/// model). With [`OnlineConfig::serial_federation`] set every phase
-/// runs inline in member order — byte-identical by construction.
+/// virtual clock (in that priority at equal instants), followed by each
+/// member's step (completions + admission + shrink), the spillover
+/// sweep, and each member's growth (see the module docs).
 fn serve_loop(
     federation: &Federation,
     submissions: Vec<Submission>,
@@ -189,14 +172,12 @@ fn serve_loop(
     chaos: &[MembershipEvent],
 ) -> FederationOutcome {
     let config_hash = SolveCache::config_hash(&cfg.solver);
-    let serial = cfg.serial_federation;
     // Durable warm start: restore the snapshot before any shard is
     // built, so every member sees the warm store from its first probe.
     let recovery = load_snapshot(cfg, cache);
     // `--autosave N`: rewrite the snapshot every N synchronisation
-    // points (clock steps). The growth-phase seal is the natural save
-    // point — the store is quiescent and every deferred effect of the
-    // step has been replayed.
+    // points (clock steps), after the growth step — the end of the
+    // event, when no probe is in flight.
     let autosave_every = cfg.persist.as_ref().and_then(|p| p.autosave);
     let mut steps_since_save = 0usize;
     let mut shards: Vec<MemberShard> = federation
@@ -212,8 +193,6 @@ fn serve_loop(
     let mut clock = 0.0f64;
     let mut rr_next = 0usize;
     let mut spillovers = 0u64;
-    // The members of the current parallel phase, ascending.
-    let mut phase: Vec<usize> = Vec::new();
     // The spillover sweep's memo of each member's largest free memory,
     // reset at every sweep; kept here so a sweep allocates nothing.
     let mut top_free: Vec<Option<f64>> = Vec::new();
@@ -231,13 +210,13 @@ fn serve_loop(
             NextEvent::Idle => break,
             // Some queue is non-empty with nothing in flight anywhere:
             // every processor of every member is free, so the step
-            // phase below either admits or rejects each head candidate
+            // below either admits or rejects each head candidate
             // (the single-cluster invariant, member by member — queues
             // only ever live on Active members, whose admission runs
             // below).
             NextEvent::Stalled => {}
             // The due completions themselves pop inside each shard's
-            // `step_to` — shard-local work, done in the parallel phase.
+            // `step_to` below.
             NextEvent::Completions(tc) => clock = tc,
             NextEvent::Membership(tm) => {
                 clock = tm;
@@ -285,33 +264,18 @@ fn serve_loop(
             }
         }
 
-        // ------------------------- step phase: completions + admission
-        // + elastic shrink, shard-isolated, parallel under frozen
-        // cache views; then the ordered seal. Only a shard that ran the
-        // phase holds deferred effects (routing and spillover probe
-        // through live views), so only those are sealed.
-        phase.clear();
-        phase.extend((0..shards.len()).filter(|&i| shards[i].wants_step(clock)));
-        run_phase(&mut shards, &phase, serial, |sh| {
-            sh.step_to(clock, cfg, cache, config_hash)
-        });
-        for &i in &phase {
-            cache.seal_account(&mut shards[i].account);
+        // -------------------- step: completions + admission + shrink
+        for sh in shards.iter_mut().filter(|sh| sh.wants_step(clock)) {
+            sh.step_to(clock, cfg, cache, config_hash);
         }
 
         // -------------------------------------------------- spillover
         spillovers += spill(&mut shards, &mut top_free, cfg, cache, config_hash, clock);
 
-        // ------------------------- growth phase: elastic lease growth,
-        // same frozen-view model, then the ordered seal.
+        // --------------------------------- growth: elastic lease growth
         let arrivals_pending = arrivals.peek().is_some_and(|s| s.arrival <= clock);
-        phase.clear();
-        phase.extend((0..shards.len()).filter(|&i| shards[i].wants_growth()));
-        run_phase(&mut shards, &phase, serial, |sh| {
-            sh.grow(clock, cfg, cache, config_hash, arrivals_pending)
-        });
-        for &i in &phase {
-            cache.seal_account(&mut shards[i].account);
+        for sh in shards.iter_mut().filter(|sh| sh.wants_growth()) {
+            sh.grow(clock, cfg, cache, config_hash, arrivals_pending);
         }
 
         // ------------------------------------------------- autosave
@@ -405,29 +369,6 @@ mod tests {
                 a.report.to_json(),
                 b.report.to_json(),
                 "{} is not deterministic",
-                routing.name()
-            );
-        }
-    }
-
-    #[test]
-    fn serial_flag_is_byte_identical_to_the_parallel_driver() {
-        let fed = Federation::new(vec![member(), member(), member()]);
-        for routing in RoutingPolicy::ALL {
-            let par = serve_federation(&fed, burst(10), &OnlineConfig::default(), routing);
-            let ser = serve_federation(
-                &fed,
-                burst(10),
-                &OnlineConfig {
-                    serial_federation: true,
-                    ..OnlineConfig::default()
-                },
-                routing,
-            );
-            assert_eq!(
-                par.report.to_json(),
-                ser.report.to_json(),
-                "{}: parallel and serial drivers diverge",
                 routing.name()
             );
         }

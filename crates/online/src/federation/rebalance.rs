@@ -1,10 +1,9 @@
 //! Cross-member rebalancing: the spillover sweep and the drain/fail
 //! queue migration.
 //!
-//! Both run on the driver thread between parallel phases — they are
-//! the sequential synchronisation points of the federation, because
-//! they move work *between* shards. Spillover's placement probes use
-//! *live* cache views charged to the source member's account.
+//! Both move work *between* shards, so they run between the members'
+//! own steps. Spillover's placement probes are charged to the source
+//! member's stats.
 //!
 //! The sweep runs at every event, and on a busy fleet most of the
 //! (candidate, destination) pairs it considers cannot place: either the
@@ -12,14 +11,14 @@
 //! exceeds the destination's largest free memory. `find_placement`
 //! answers both before it reaches the cache, so the sweep asks them
 //! first ([`turned_away`], reading a destination's largest free memory
-//! at most once per sweep) and skips the probe — along with its account
-//! take/restore, live view and free-list rebuild. A source with nothing
+//! at most once per sweep) and skips the probe — along with its live
+//! view and free-list rebuild. A source with nothing
 //! queued is passed over before its storage is touched. The screen repeats
 //! exactly those two answers, in the same expression (a NaN
 //! requirement still probes), and nothing else. In particular a pair
 //! that failed at an earlier event is probed again even if neither
 //! side changed since: such a probe reaches the cache, and its hit is
-//! charged to the source member's account, which the report and its
+//! charged to the source member's stats, which the report and its
 //! digest include.
 
 use super::routing::least_loaded;
@@ -31,8 +30,8 @@ use crate::state::Pending;
 use dhp_core::partial::{CacheView, SolveCache};
 
 /// Re-runs a member's admission passes with a live view over its own
-/// account (the spillover sweep admits movers and re-admits drained
-/// sources mid-event, where store effects are safe and wanted).
+/// stats (the spillover sweep admits movers and re-admits drained
+/// sources mid-event).
 fn readmit(
     shard: &mut MemberShard,
     cfg: &OnlineConfig,
@@ -40,12 +39,14 @@ fn readmit(
     config_hash: u64,
     clock: f64,
 ) {
-    let mut account = std::mem::take(&mut shard.account);
-    {
-        let view = CacheView::live(cache, &mut account);
-        admission_passes(&mut shard.state, cfg, &view, config_hash, clock);
-    }
-    shard.account = account;
+    let MemberShard { state, stats, .. } = shard;
+    admission_passes(
+        state,
+        cfg,
+        &CacheView::live(cache, stats),
+        config_hash,
+        clock,
+    );
 }
 
 /// Whether `can_place` is certain to refuse a candidate whose hottest
@@ -151,21 +152,18 @@ pub(crate) fn spill(
                 }
                 // The probe is charged to the *source*: spillover is
                 // the home queue's cost of finding a new home.
-                let mut account = std::mem::take(&mut shards[i].account);
-                let fits = {
-                    let view = CacheView::live(cache, &mut account);
-                    can_place(
-                        &shards[j].state.cluster,
-                        &shards[j].state.mem_order,
-                        &shards[j].state.free,
-                        &shards[i].state.queue[qi],
-                        cfg,
-                        &view,
-                        config_hash,
-                        &mut buf,
-                    )
-                };
-                shards[i].account = account;
+                let mut stats = shards[i].stats;
+                let fits = can_place(
+                    &shards[j].state.cluster,
+                    &shards[j].state.mem_order,
+                    &shards[j].state.free,
+                    &shards[i].state.queue[qi],
+                    cfg,
+                    &CacheView::live(cache, &mut stats),
+                    config_hash,
+                    &mut buf,
+                );
+                shards[i].stats = stats;
                 if fits {
                     dest = Some(j);
                     break;
@@ -251,7 +249,7 @@ mod tests {
     use crate::engine::OnlineConfig;
     use crate::state::{ArrivalFacts, ClusterState, Pending};
     use crate::submission::single_task;
-    use dhp_core::partial::{CacheAccount, CacheView, SolveCache, SolveCacheStats};
+    use dhp_core::partial::{CacheView, SolveCache, SolveCacheStats};
     use dhp_platform::{Cluster, Federation, Processor};
     use proptest::prelude::*;
     use std::sync::Arc;
@@ -314,7 +312,7 @@ mod tests {
             let cfg = OnlineConfig::default();
             let cache = SolveCache::new();
             let global = cache.stats();
-            let mut account = CacheAccount::default();
+            let mut account = SolveCacheStats::default();
             let fits = {
                 let view = CacheView::live(&cache, &mut account);
                 can_place(
@@ -330,10 +328,10 @@ mod tests {
             };
             if turned_away(state.free_count, || state.top_free_memory(), req) {
                 prop_assert!(!fits, "a turned-away destination placed {req}");
-                prop_assert_eq!(account.stats, SolveCacheStats::default());
+                prop_assert_eq!(account, SolveCacheStats::default());
                 prop_assert_eq!(cache.stats(), global);
             } else {
-                prop_assert!(account.stats != SolveCacheStats::default());
+                prop_assert!(account != SolveCacheStats::default());
                 prop_assert!(cache.stats() != global, "an unscreened probe skipped the cache");
             }
         }

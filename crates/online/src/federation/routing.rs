@@ -1,11 +1,9 @@
 //! Home-cluster assignment: the [`RoutingPolicy`] and `route`, which
 //! picks an arriving workflow's member.
 //!
-//! Routing runs on the driver thread between parallel phases, so its
-//! `best-fit` placement probes use *live* cache views: store effects
-//! are immediate (the solve stays in the shared cache for the eventual
-//! admission to replay) and each probe's outcome is charged to the
-//! account of the member it ran against.
+//! `best-fit`'s placement probes go through live cache views: the solve
+//! stays in the shared cache for the eventual admission to replay, and
+//! each probe's outcome is charged to the member it ran against.
 
 use super::shard::{MemberShard, MemberStatus};
 use crate::admission::can_place;
@@ -150,28 +148,23 @@ pub(crate) fn route(
             // hot path.
             let mut buf = Vec::new();
             for &j in &pool {
-                let shard = &mut shards[j];
-                // A live view over the probed member's own account: the
+                let MemberShard { state, stats, .. } = &mut shards[j];
+                // A live view over the probed member's own stats: the
                 // probe's outcome is charged to it, exactly.
-                let mut account = std::mem::take(&mut shard.account);
-                let fits = {
-                    let view = CacheView::live(cache, &mut account);
-                    can_place(
-                        &shard.state.cluster,
-                        &shard.state.mem_order,
-                        &shard.state.free,
-                        p,
-                        cfg,
-                        &view,
-                        config_hash,
-                        &mut buf,
-                    )
-                };
-                shard.account = account;
+                let fits = can_place(
+                    &state.cluster,
+                    &state.mem_order,
+                    &state.free,
+                    p,
+                    cfg,
+                    &CacheView::live(cache, stats),
+                    config_hash,
+                    &mut buf,
+                );
                 if !fits {
                     continue;
                 }
-                let speed = shard.state.free_speed();
+                let speed = state.free_speed();
                 if best.is_none_or(|(s0, _)| speed < s0) {
                     best = Some((speed, j));
                 }

@@ -1,31 +1,23 @@
-//! One federation member's isolated serving slice: its
-//! [`ClusterState`], its membership status, and its solve-cache
-//! account.
+//! One federation member's serving slice: its [`ClusterState`], its
+//! membership status, and the solver statistics charged to it.
 //!
-//! A [`MemberShard`] is the unit of parallelism. Its entry points —
-//! [`MemberShard::step_to`] for the completion/admission/shrink phase
-//! and [`MemberShard::grow`] for the elastic-growth phase — touch
-//! nothing but the shard's own state and its own [`CacheAccount`], and
-//! probe the shared [`SolveCache`] exclusively through a *frozen*
-//! [`CacheView`](dhp_core::partial::CacheView): the store is read-only
-//! for the duration of the phase, deferred effects are replayed by the
-//! driver's ordered seal. That isolation is what lets [`run_phase`]
-//! dispatch shards onto a [`std::thread::scope`] pool while keeping
-//! the run byte-identical to the sequential path.
+//! [`MemberShard::step_to`] (completions, admission, shrink) and
+//! [`MemberShard::grow`] (elastic growth) touch nothing but the shard's
+//! own state, and probe the shared [`SolveCache`] through a
+//! [`CacheView::live`] over the shard's own `stats`. The driver calls
+//! them member after member on one thread, so a solve one member
+//! inserts is a hit for a sibling stepping later in the same event.
 //!
-//! The shard's [`CacheAccount`] is the **single owner** of the
-//! member's solver-stat attribution: every probe the member causes —
-//! its own admission and lease solves (frozen, charged at probe time),
-//! and the driver's routing/spillover probes against it (live views
-//! built over this same account) — lands here and nowhere else. No
-//! global-counter diffing happens anywhere in the federation, so
-//! interleaved steps cannot double-count.
+//! `stats` is the **single owner** of the member's solver-stat
+//! attribution: every probe the member causes — its own admission and
+//! lease solves, and the driver's routing/spillover probes against it
+//! (live views over this same field) — lands here and nowhere else. No
+//! global-counter diffing happens anywhere in the federation.
 
 use crate::engine::OnlineConfig;
 use crate::state::ClusterState;
-use dhp_core::partial::{CacheAccount, CacheView, SolveCache};
+use dhp_core::partial::{CacheView, SolveCache, SolveCacheStats};
 use dhp_platform::Cluster;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Lifecycle of a federation member under membership events. Without a
 /// chaos plan every member stays `Active` forever and the loop is
@@ -42,15 +34,15 @@ pub(crate) enum MemberStatus {
 }
 
 /// One federation member: its engine state, membership status, and the
-/// account its solver statistics are attributed to.
+/// solver statistics attributed to it.
 pub(crate) struct MemberShard {
     /// The member's per-cluster engine state.
     pub(crate) state: ClusterState,
     /// The member's membership lifecycle status.
     pub(crate) status: MemberStatus,
     /// The single owner of this member's solver-stat attribution (see
-    /// the module docs); sealed by the driver at every sync point.
-    pub(crate) account: CacheAccount,
+    /// the module docs).
+    pub(crate) stats: SolveCacheStats,
 }
 
 impl MemberShard {
@@ -59,7 +51,7 @@ impl MemberShard {
         MemberShard {
             state: ClusterState::new(cluster, Some(index)),
             status: MemberStatus::Active,
-            account: CacheAccount::default(),
+            stats: SolveCacheStats::default(),
         }
     }
 
@@ -78,9 +70,7 @@ impl MemberShard {
 
     /// The shard's per-event serving step: pop due completions, then —
     /// if Active — run the admission passes and the elastic shrink
-    /// sweep. All cache probes go through a frozen view over the
-    /// shard's own account, so this is safe to run concurrently with
-    /// sibling shards.
+    /// sweep, probing through a live view over the shard's own stats.
     pub(crate) fn step_to(
         &mut self,
         clock: f64,
@@ -92,8 +82,8 @@ impl MemberShard {
         if self.status != MemberStatus::Active {
             return;
         }
-        let MemberShard { state, account, .. } = self;
-        let view = CacheView::frozen(cache, account);
+        let MemberShard { state, stats, .. } = self;
+        let view = CacheView::live(cache, stats);
         crate::admission::admission_passes(state, cfg, &view, config_hash, clock);
         // Before the spillover sweep: processors reclaimed here are
         // visible to the migration probes of this very event.
@@ -122,55 +112,8 @@ impl MemberShard {
         if self.status == MemberStatus::Failed {
             return;
         }
-        let MemberShard { state, account, .. } = self;
-        let view = CacheView::frozen(cache, account);
+        let MemberShard { state, stats, .. } = self;
+        let view = CacheView::live(cache, stats);
         crate::lease::run_growth(state, cfg, &view, config_hash, clock, arrivals_pending);
     }
-}
-
-/// Runs one parallel phase: `f` over the shards at the (ascending)
-/// indices `members`, on a [`std::thread::scope`] pool with
-/// work-stealing by atomic index. With `serial` set (the
-/// `--serial-federation` escape hatch), fewer than two members, or a
-/// single-core host the shards run inline, in index order — and because
-/// every shard's step is isolated (own state, own account, frozen
-/// store), the parallel path is byte-identical to it: the only thing
-/// thread timing can reorder is commutative atomic counter bumps. This
-/// runs twice per event and most phases hold one shard, so the decision
-/// reads the cached [`dhp_core::host_cores`] and never the OS, and the
-/// inline path builds nothing.
-pub(crate) fn run_phase<F>(shards: &mut [MemberShard], members: &[usize], serial: bool, f: F)
-where
-    F: Fn(&mut MemberShard) + Sync,
-{
-    let workers = dhp_core::host_cores().min(members.len());
-    // A one-worker pool is just the inline loop with thread-spawn
-    // overhead on top; take the inline path whenever it is exact.
-    if serial || workers <= 1 {
-        for &i in members {
-            f(&mut shards[i]);
-        }
-        return;
-    }
-    // Slot locks are the outermost rank of the workspace ladder: a
-    // worker holds one across the whole member step, which probes the
-    // solve-cache stripes and runs solvers underneath (the debug-build
-    // rank tracker enforces exactly that nesting order).
-    let slots: Vec<parking_lot::Mutex<&mut MemberShard>> = shards
-        .iter_mut()
-        .enumerate()
-        .filter(|(i, _)| members.binary_search(i).is_ok())
-        .map(|(_, sh)| parking_lot::Mutex::with_rank(sh, parking_lot::ranks::PHASE_SLOT))
-        .collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(slot) = slots.get(i) else { break };
-                let mut shard = slot.lock();
-                f(&mut shard);
-            });
-        }
-    });
 }

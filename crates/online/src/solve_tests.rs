@@ -6,12 +6,11 @@
 //! that same contract: on random probe sequences — warm hits, misses,
 //! memoized `NoSolution`s, LRU evictions, a disabled cache — it gives
 //! the reference's answer and moves the store's counters exactly as
-//! the reference moves a twin store, in `Direct`, `Live` and `Frozen`
-//! view modes; `Live` charges the same to its account, and a sealed
-//! `Frozen` epoch leaves the store holding what the reference holds.
+//! the reference moves a twin store, through direct and live views; a
+//! live view charges the same to its account.
 
 use dhp_core::daghetpart::DagHetPartConfig;
-use dhp_core::partial::{Algorithm, CacheAccount, CacheView, SolveCache, SolveCacheStats};
+use dhp_core::partial::{Algorithm, CacheView, SolveCache, SolveCacheStats};
 use dhp_dag::{builder, Dag};
 use dhp_platform::{Cluster, ProcId, Processor};
 
@@ -59,7 +58,6 @@ const ALGORITHMS: [Algorithm; 2] = [Algorithm::DagHetPart, Algorithm::DagHetMem]
 enum Mode {
     Direct,
     Live,
-    Frozen,
 }
 
 fn delta(after: SolveCacheStats, before: SolveCacheStats) -> SolveCacheStats {
@@ -82,12 +80,11 @@ fn agree(mode: Mode, make: fn() -> SolveCache, probes: &[(usize, usize, usize)])
     let (graphs, leases) = (graphs(), leases());
     let reference = make();
     let subject = make();
-    let mut account = CacheAccount::default();
+    let mut account = SolveCacheStats::default();
     {
         let view = match mode {
             Mode::Direct => CacheView::direct(&subject),
             Mode::Live => CacheView::live(&subject, &mut account),
-            Mode::Frozen => CacheView::frozen(&subject, &mut account),
         };
         for &(gi, li, ai) in probes {
             let (g, ids, algo) = (&graphs[gi], &leases[li], ALGORITHMS[ai]);
@@ -108,14 +105,8 @@ fn agree(mode: Mode, make: fn() -> SolveCache, probes: &[(usize, usize, usize)])
         }
     }
     match mode {
-        Mode::Direct => assert_eq!(account.stats, SolveCacheStats::default()),
-        Mode::Live => assert_eq!(account.stats, subject.stats(), "live charges"),
-        Mode::Frozen => {
-            let (charged, store) = (account.stats, subject.stats());
-            assert_eq!((charged.hits, charged.misses), (store.hits, store.misses));
-            subject.seal_account(&mut account);
-            assert!(account.is_sealed());
-        }
+        Mode::Direct => assert_eq!(account, SolveCacheStats::default()),
+        Mode::Live => assert_eq!(account, subject.stats(), "live charges"),
     }
     assert_eq!(subject.len(), reference.len());
     for g in &graphs {
@@ -159,11 +150,6 @@ proptest::proptest! {
             agree(Mode::Direct, make, &probes);
             agree(Mode::Live, make, &probes);
         }
-        // A frozen epoch reads through its own overlay, so only an
-        // unbounded store evolves like the direct reference within it.
-        for make in [unbounded, disabled] {
-            agree(Mode::Frozen, make, &probes);
-        }
     }
 }
 
@@ -180,7 +166,7 @@ fn solve_hits_misses_and_memoized_no_solution() {
         (gi_long, tiny, 0),
         (gi_long, tiny, 0),
     ];
-    for mode in [Mode::Direct, Mode::Live, Mode::Frozen] {
+    for mode in [Mode::Direct, Mode::Live] {
         agree(mode, unbounded, &probes);
     }
     let cache = SolveCache::new();

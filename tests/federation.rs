@@ -10,7 +10,9 @@
 //! * **pinning**: `least-loaded` routing over two members never waits
 //!   longer (mean wait) than a single member serving the same burst;
 //! * placements stay valid and disjoint *per member* — federation never
-//!   leases across cluster boundaries.
+//!   leases across cluster boundaries;
+//! * a solve one member makes is a hit for a sibling admitting the same
+//!   recipe at the same instant.
 
 use dhp_online::{
     fit_cluster, serve, serve_federation, serve_federation_with_cache, OnlineConfig, RoutingPolicy,
@@ -206,4 +208,49 @@ fn shared_cache_carries_solves_across_members_and_runs() {
         r.to_json()
     };
     assert_eq!(strip(&cold.report), strip(&warm.report));
+}
+
+#[test]
+fn same_instant_siblings_share_one_solve() {
+    // One recipe submitted twice at t = 0 to two identical members,
+    // round-robin: one copy each, both admitted at the same event on
+    // identically shaped leases. The member stepping second finds the
+    // first member's solve and simulation in the shared cache, so every
+    // solver and simulator run of the admission happens once.
+    let subs = dhp_online::submission::repeating_stream(
+        1,
+        2,
+        &[Family::Seismology],
+        (30, 30),
+        &ArrivalProcess::Burst { at: 0.0 },
+        5,
+    );
+    let member = fit_cluster(
+        &cluster(ClusterKind::LessHet, ClusterSize::Small),
+        &subs,
+        1.05,
+    );
+    let fed = Federation::homogeneous(member, 2);
+    let out = serve_federation(
+        &fed,
+        subs,
+        &OnlineConfig::default(),
+        RoutingPolicy::RoundRobin,
+    );
+    let [first, second] = [&out.report.clusters[0], &out.report.clusters[1]].map(|c| &c.fleet);
+    assert_eq!((first.completed, second.completed), (1, 1));
+    assert_eq!(out.report.clusters[0].workflows[0].start, 0.0);
+    assert_eq!(out.report.clusters[1].workflows[0].start, 0.0);
+    // One lease solve and one simulation, made by the first member;
+    // the second member's probes for them are hits. (The baseline
+    // batch adds one solve, on the first member, and one hit.)
+    assert_eq!(
+        (
+            first.solve_cache_misses - first.baseline_solves,
+            first.sim_cache_misses
+        ),
+        (1, 1)
+    );
+    assert_eq!((second.solve_cache_misses, second.sim_cache_misses), (0, 0));
+    assert_eq!((second.solve_cache_hits, second.sim_cache_hits), (2, 1));
 }

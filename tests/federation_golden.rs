@@ -1,8 +1,7 @@
 //! Golden outputs of the federation tier.
 //!
-//! `tests/federation_parallel.rs` holds the parallel driver to the
-//! sequential one, and `tests/golden/online_golden.txt` holds a single
-//! cluster to its recorded outputs. These rows hold whole federated
+//! `tests/golden/online_golden.txt` holds a single cluster to its
+//! recorded outputs. These rows hold whole federated
 //! runs — routing, every member's admission passes, the spillover
 //! sweep, membership events and each member's deferred baseline batch —
 //! to the outputs they had when the file was recorded:
