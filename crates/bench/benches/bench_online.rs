@@ -8,7 +8,8 @@
 //! (`bench_warm_serving`), what one arrival's graph costs the engine the
 //! first time and every time after (`bench_arrival_facts`), and what
 //! one warm admission pass over a blocked backfill window costs at
-//! growing queue depth (`bench_backfill_window`).
+//! growing queue depth and behind a growing tombstoned prefix
+//! (`bench_backfill_window`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dhp_online::admission::BackfillWindow;
@@ -284,15 +285,26 @@ fn bench_arrival_facts(c: &mut Criterion) {
 /// every other one has too much work for the hole. The pass jumps over
 /// those instead of walking past them, so its cost should stay roughly
 /// flat from 256 to 16 384 queued.
+///
+/// `dead_prefix/<dead>` is the deepest window behind `dead` tombstones
+/// (`BackfillWindow::with_dead_prefix`): the pass starts at the first
+/// live slot, so its cost should not grow with the prefix either.
 fn bench_backfill_window(c: &mut Criterion) {
     let mut group = c.benchmark_group("admission_pass");
-    for depth in [256usize, 2048, 16384] {
+    let sizes = [256usize, 2048, 16384];
+    for depth in sizes {
         let mut window = BackfillWindow::new(depth);
         group.bench_with_input(
             BenchmarkId::new("backfill_window", depth),
             &depth,
             |b, _| b.iter(|| window.pass()),
         );
+    }
+    for dead in sizes {
+        let mut window = BackfillWindow::with_dead_prefix(dead, sizes[2]);
+        group.bench_with_input(BenchmarkId::new("dead_prefix", dead), &dead, |b, _| {
+            b.iter(|| window.pass())
+        });
     }
     group.finish();
 }

@@ -277,6 +277,18 @@ fn stripe_index(key: &SolveKey, stripes: usize) -> usize {
     (dhp_dag::fingerprint::fnv1a_bytes(bytes) % stripes as u64) as usize
 }
 
+/// One probe's cache key with its stripe, picked once: made by
+/// [`CacheView::key`] and answered by [`CacheView::solve_keyed`] and
+/// [`CacheView::sim_outcome_keyed`], so an admission probe that asks
+/// both stores hashes its lease shape once and its key's stripe once.
+/// The stripe is the one of the cache whose view made the key; a key
+/// is only valid there.
+#[derive(Clone, Copy, Debug)]
+pub struct ProbeKey {
+    key: SolveKey,
+    stripe: usize,
+}
+
 /// A memoized solve outcome in lease-local processor ids. Solved
 /// entries sit behind an [`Arc`] so a hit clones a refcount under the
 /// map lock, not an O(tasks) mapping.
@@ -503,6 +515,24 @@ impl SolveCache {
         &self.stripes[stripe_index(key, self.stripes.len())]
     }
 
+    /// `key` with its stripe in this cache.
+    fn probe_key(&self, key: SolveKey) -> ProbeKey {
+        ProbeKey {
+            key,
+            stripe: stripe_index(&key, self.stripes.len()),
+        }
+    }
+
+    /// The stripe `key` was made for, without hashing it again.
+    fn stripe_at(&self, key: &ProbeKey) -> &Stripe {
+        debug_assert_eq!(
+            key.stripe,
+            stripe_index(&key.key, self.stripes.len()),
+            "a probe key made for another cache"
+        );
+        &self.stripes[key.stripe]
+    }
+
     /// Snapshot of the hit/miss/eviction counters: the exact sum of the
     /// per-stripe counters.
     pub fn stats(&self) -> SolveCacheStats {
@@ -554,8 +584,8 @@ impl SolveCache {
         )
     }
 
-    fn contains(&self, key: &SolveKey) -> bool {
-        self.stripe_of(key).entries.lock().contains_key(key)
+    fn contains(&self, key: &ProbeKey) -> bool {
+        self.stripe_at(key).entries.lock().contains_key(&key.key)
     }
 
     /// Removes the least-recently-used entry across all stripes (the
@@ -588,7 +618,7 @@ impl SolveCache {
     /// entries first when the capacity bound would be exceeded. Returns
     /// the number of evictions this insert caused (for per-caller
     /// attribution).
-    fn insert(&self, key: SolveKey, value: CachedSolve) -> u64 {
+    fn insert(&self, key: ProbeKey, value: CachedSolve) -> u64 {
         let mut evicted = 0u64;
         if let Some(cap) = self.capacity {
             while self.len() >= cap && !self.contains(&key) && self.evict_lru() {
@@ -596,10 +626,10 @@ impl SolveCache {
             }
         }
         let stamp = self.next_tick();
-        self.stripe_of(&key)
+        self.stripe_at(&key)
             .entries
             .lock()
-            .insert(key, (value, stamp));
+            .insert(key.key, (value, stamp));
         evicted
     }
 
@@ -621,7 +651,7 @@ impl SolveCache {
     /// with no global-counter diffing.
     fn lookup_or_solve(
         &self,
-        key: SolveKey,
+        key: ProbeKey,
         solve: impl FnOnce() -> Result<MappingResult, SchedError>,
     ) -> (Result<Arc<MappingResult>, SchedError>, CacheProbe) {
         if !self.enabled {
@@ -634,13 +664,13 @@ impl SolveCache {
                 },
             );
         }
-        let stripe = self.stripe_of(&key);
+        let stripe = self.stripe_at(&key);
         // Cheap under the stripe lock: an Arc refcount bump (or the
         // unit NoSolution marker) plus the LRU stamp refresh.
         let cached: Option<CachedSolve> = {
             let mut entries = stripe.entries.lock();
             let tick = self.next_tick();
-            entries.get_mut(&key).map(|e| {
+            entries.get_mut(&key.key).map(|e| {
                 e.1 = tick;
                 e.0.clone()
             })
@@ -682,7 +712,7 @@ impl SolveCache {
         cfg: &DagHetPartConfig,
         config_hash: u64,
     ) -> Result<SubClusterSchedule, SchedError> {
-        let key: SolveKey = (fingerprint, sub.shape_signature(), algorithm, config_hash);
+        let key = self.probe_key((fingerprint, sub.shape_signature(), algorithm, config_hash));
         let local = self
             .lookup_or_solve(key, || solve_local(g, sub.cluster(), algorithm, cfg))
             .0?;
@@ -705,12 +735,12 @@ impl SolveCache {
         config_hash: u64,
     ) -> Result<f64, SchedError> {
         let ids = cluster.ids_by_memory_desc();
-        let key: SolveKey = (
+        let key = self.probe_key((
             fingerprint,
             cluster.shape_of_slice(&ids),
             algorithm,
             config_hash,
-        );
+        ));
         self.lookup_or_solve(key, || {
             solve_local(g, cluster.subcluster(&ids).cluster(), algorithm, cfg)
         })
@@ -726,21 +756,21 @@ impl SolveCache {
     /// so simulator-invocation statistics stay comparable.
     fn sim_probed(
         &self,
-        key: SolveKey,
+        key: ProbeKey,
         compute: impl FnOnce() -> SimOutcome,
     ) -> (Arc<SimOutcome>, bool) {
         if !self.enabled {
             self.stripes[0].sim_misses.fetch_add(1, Ordering::Relaxed);
             return (Arc::new(compute()), false);
         }
-        let stripe = self.stripe_of(&key);
-        if let Some(sim) = stripe.sims.lock().get(&key).cloned() {
+        let stripe = self.stripe_at(&key);
+        if let Some(sim) = stripe.sims.lock().get(&key.key).cloned() {
             stripe.sim_hits.fetch_add(1, Ordering::Relaxed);
             return (sim, true);
         }
         stripe.sim_misses.fetch_add(1, Ordering::Relaxed);
         let sim = Arc::new(compute());
-        stripe.sims.lock().insert(key, Arc::clone(&sim));
+        stripe.sims.lock().insert(key.key, Arc::clone(&sim));
         (sim, false)
     }
 
@@ -939,14 +969,51 @@ impl<'a> CacheView<'a> {
         cfg: &DagHetPartConfig,
         config_hash: u64,
     ) -> Result<Arc<MappingResult>, SchedError> {
-        let key: SolveKey = (
+        let key = self.key(
             fingerprint,
             cluster.shape_of_slice(ids),
             algorithm,
             config_hash,
         );
+        self.solve_keyed(key, g, cluster, ids, cfg)
+    }
+
+    /// The key `(fingerprint, shape, algorithm, config_hash)` with its
+    /// stripe in this view's cache, for a probe that asks both stores
+    /// ([`CacheView::solve_keyed`], then
+    /// [`CacheView::sim_outcome_keyed`]). Touches no entry and no
+    /// counter.
+    pub fn key(
+        &self,
+        fingerprint: u64,
+        shape: u64,
+        algorithm: Algorithm,
+        config_hash: u64,
+    ) -> ProbeKey {
+        self.cache
+            .probe_key((fingerprint, shape, algorithm, config_hash))
+    }
+
+    /// [`CacheView::solve`] on a key already made: `key`'s shape must
+    /// be `cluster.shape_of_slice(ids)`, and a miss solves `g` with
+    /// `key`'s algorithm on the lease `ids`. Same answer, same counter
+    /// moves, same recency tick; only the shape and the stripe are not
+    /// hashed again.
+    pub fn solve_keyed(
+        &self,
+        key: ProbeKey,
+        g: &Dag,
+        cluster: &Cluster,
+        ids: &[ProcId],
+        cfg: &DagHetPartConfig,
+    ) -> Result<Arc<MappingResult>, SchedError> {
+        debug_assert_eq!(
+            key.key.1,
+            cluster.shape_of_slice(ids),
+            "a key of another lease"
+        );
         let (outcome, probe) = self.cache.lookup_or_solve(key, || {
-            solve_local(g, cluster.subcluster(ids).cluster(), algorithm, cfg)
+            solve_local(g, cluster.subcluster(ids).cluster(), key.key.2, cfg)
         });
         self.charge(|acc| {
             if probe.hit {
@@ -973,7 +1040,17 @@ impl<'a> CacheView<'a> {
         config_hash: u64,
         compute: impl FnOnce() -> SimOutcome,
     ) -> Arc<SimOutcome> {
-        let key: SolveKey = (fingerprint, shape, algorithm, config_hash);
+        let key = self.key(fingerprint, shape, algorithm, config_hash);
+        self.sim_outcome_keyed(key, compute)
+    }
+
+    /// [`CacheView::sim_outcome`] on a key already made — typically the
+    /// one the same probe's [`CacheView::solve_keyed`] just answered.
+    pub fn sim_outcome_keyed(
+        &self,
+        key: ProbeKey,
+        compute: impl FnOnce() -> SimOutcome,
+    ) -> Arc<SimOutcome> {
         let (sim, hit) = self.cache.sim_probed(key, compute);
         self.charge(|acc| {
             if hit {

@@ -33,6 +33,12 @@
 //! [`BACKFILL_DEPTH`] candidates are *evaluated*; a pass pays for those
 //! and for little else:
 //!
+//! * *The walk starts at the first live slot.* Taken entries stay in
+//!   storage as tombstones until half of it is dead, and admission takes
+//!   mostly from the front, so storage usually opens with a run of them.
+//!   `ClusterState` keeps where that run ends, and the in-place scan
+//!   starts there (`first_live`) instead of at slot 0 — a pass no
+//!   longer steps over the dead prefix one flag at a time.
 //! * *The work screen jumps.* A candidate whose work bound
 //!   (`clock + total_work / free_speed`) already overshoots the
 //!   reservation cannot finish inside the hole. The pass does not walk
@@ -60,7 +66,9 @@
 //!   a finish past the cap is `Admit::Overshoot`: no lease view, no
 //!   translated mapping and no `Grant` is built for a candidate the
 //!   pass then throws away. A warm overshooting probe allocates
-//!   nothing.
+//!   nothing, and it hashes its key once: the [`ProbeKey`] that
+//!   answered the lease's solve (shape and stripe included) answers its
+//!   sim lookup too.
 //!
 //! `EasyBackfill` is the *aggressive* (EASY) split of the same idea:
 //! the blocked head's reservation is computed lazily **once per event**
@@ -91,7 +99,7 @@ use crate::report::RejectedRecord;
 use crate::state::{ArrivalFacts, ClusterState, InService, Pending, ProbeScratch};
 use crate::submission::single_task;
 use dhp_core::metrics::MappingResult;
-use dhp_core::partial::{CacheView, SimOutcome, SolveCache};
+use dhp_core::partial::{CacheView, ProbeKey, SimOutcome, SolveCache};
 use dhp_core::SchedError;
 use dhp_platform::{Cluster, ProcId, Processor};
 use std::sync::Arc;
@@ -149,10 +157,12 @@ pub(crate) enum Admit {
 /// Outcome of one lease-search probe ([`find_placement`]).
 enum Probe {
     /// A feasible lease — the first `size` processors of the probe's
-    /// `free_sorted` — with its memoized lease-local solve.
+    /// `free_sorted` — with its memoized lease-local solve and the key
+    /// that answered it, which the lease's sim lookup reuses.
     Placed {
         size: usize,
         local: Arc<MappingResult>,
+        key: ProbeKey,
     },
     /// The hottest task does not fit the largest free memory.
     MemoryBlocked { whole_cluster_free: bool },
@@ -199,6 +209,10 @@ pub(crate) fn admission_passes(
     // of this event: (head id, reservation).
     let mut event_resv: Option<(usize, f64)> = None;
     loop {
+        debug_assert!(
+            state.queue_is_empty() || !state.dead[state.first_live()],
+            "a queue-storage mutation left the first live slot behind"
+        );
         // A pass that cannot decide anything returns before it is set
         // up: over an empty queue it yields no candidate, and with no
         // free processor it breaks on its first one before any probe.
@@ -218,8 +232,12 @@ pub(crate) fn admission_passes(
         let scan = !cfg.cache_aware && cfg.policy.backfills();
         let mut order = std::mem::take(&mut state.scratch.order); // empty
         if !scan {
-            cfg.policy
-                .candidate_order_into(&state.queue, &state.dead, &mut order);
+            cfg.policy.candidate_order_into(
+                &state.queue,
+                &state.dead,
+                state.first_live(),
+                &mut order,
+            );
         }
         if cfg.cache_aware && cfg.policy.backfills() && state.queue_len() > 1 {
             // Cache-aware tiebreak: among same-arrival backfill
@@ -276,12 +294,13 @@ pub(crate) fn admission_passes(
         // every safe grant has been made.
         let mut deferred: Vec<usize> = std::mem::take(&mut state.scratch.deferred);
         // Candidate walk: `cursor` advances through `order` (ranked)
-        // or raw queue storage (in-place scan); `pos` counts yielded
+        // or raw queue storage (in-place scan, from the first live
+        // slot: the dead prefix yields nothing); `pos` counts yielded
         // candidates either way, so — until the work screen's first
         // jump, which only happens once a reservation exists — it
         // means the same thing the enumerate position meant on a
         // compacted queue. It is read only while there is none.
-        let mut cursor = 0usize;
+        let mut cursor = if scan { state.first_live() } else { 0 };
         let mut pos = 0usize;
         loop {
             let qi = if scan {
@@ -624,6 +643,8 @@ fn warm_in_cache(
 /// and the admission may walk different lease shapes and the replay is
 /// not guaranteed.) A warm probe allocates nothing: the lease is a
 /// prefix of `free_sorted` and the solve comes back behind its `Arc`.
+/// Each lease size's shape is hashed once, into the key a placed probe
+/// hands back for [`try_admit`]'s sim lookup.
 #[allow(clippy::too_many_arguments)]
 fn find_placement(
     cluster: &Cluster,
@@ -653,17 +674,16 @@ fn find_placement(
 
     let g = &cand.submission.instance.graph;
     for size in escalation_sizes(target, free_sorted.len()) {
-        match cache.solve(
-            g,
+        let lease = &free_sorted[..size];
+        let key = cache.key(
             cand.fingerprint,
-            cluster,
-            &free_sorted[..size],
+            cluster.shape_of_slice(lease),
             cfg.algorithm,
-            &cfg.solver,
             config_hash,
-        ) {
+        );
+        match cache.solve_keyed(key, g, cluster, lease, &cfg.solver) {
             Err(SchedError::NoSolution) => continue,
-            Ok(local) => return Probe::Placed { size, local },
+            Ok(local) => return Probe::Placed { size, local, key },
         }
     }
     Probe::Unplaceable { whole_cluster_free }
@@ -673,10 +693,10 @@ fn find_placement(
 /// it lands by `cap` (the pass's reservation, if any) — the would-be
 /// grant (committed by the caller via
 /// [`commit_grant`](crate::lease::commit_grant)). The simulation is
-/// memoized through the cache view under the same key as the solve it
-/// executes, so a repeat admission of a cached `(workflow, lease
-/// shape)` pair skips the simulator, and a finish past `cap` is
-/// [`Admit::Overshoot`] before anything is built.
+/// memoized through the cache view under the key that answered the
+/// solve it executes (not hashed again), so a repeat admission of a
+/// cached `(workflow, lease shape)` pair skips the simulator, and a
+/// finish past `cap` is [`Admit::Overshoot`] before anything is built.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn try_admit(
     cluster: &Cluster,
@@ -694,7 +714,7 @@ pub(crate) fn try_admit(
 ) -> Admit {
     let g = &cand.submission.instance.graph;
     let target = cfg.lease.target_under_load(g.node_count(), queue_len);
-    let (size, local) = match find_placement(
+    let (size, local, key) = match find_placement(
         cluster,
         mem_order,
         free,
@@ -705,7 +725,7 @@ pub(crate) fn try_admit(
         target,
         free_sorted,
     ) {
-        Probe::Placed { size, local } => (size, local),
+        Probe::Placed { size, local, key } => (size, local, key),
         Probe::MemoryBlocked {
             whole_cluster_free: true,
         } => {
@@ -727,13 +747,9 @@ pub(crate) fn try_admit(
         Probe::MemoryBlocked { .. } | Probe::Unplaceable { .. } => return Admit::Wait,
     };
     let lease = &free_sorted[..size];
-    let sim: Arc<SimOutcome> = cache.sim_outcome(
-        cand.fingerprint,
-        cluster.shape_of_slice(lease),
-        cfg.algorithm,
-        config_hash,
-        || simulate_outcome(g, &cluster.subcluster(lease), &local.mapping),
-    );
+    let sim: Arc<SimOutcome> = cache.sim_outcome_keyed(key, || {
+        simulate_outcome(g, &cluster.subcluster(lease), &local.mapping)
+    });
     if cap.is_some_and(|cap| clock + sim.makespan > cap + 1e-9) {
         return Admit::Overshoot;
     }
@@ -983,6 +999,11 @@ pub(crate) fn head_fits_at(
 /// reservation, and one whose task fits no free processor. Every other
 /// candidate has too much work for the hole. Nothing is ever admitted,
 /// so every pass decides the same window on the same warm caches.
+///
+/// [`BackfillWindow::with_dead_prefix`] puts tombstones — entries
+/// already taken, not yet swept out of storage — ahead of the head, the
+/// way a deep queue looks between two compactions
+/// (`admission_pass/dead_prefix`).
 pub struct BackfillWindow {
     state: ClusterState,
     cfg: OnlineConfig,
@@ -1002,6 +1023,20 @@ impl BackfillWindow {
     /// The window with `depth` candidates behind the blocked head, its
     /// caches filled by one untimed pass.
     pub fn new(depth: usize) -> BackfillWindow {
+        BackfillWindow::with_dead_prefix(0, depth)
+    }
+
+    /// The same window behind `dead` tombstoned storage slots. A pass
+    /// sweeps the storage once more than half of it is dead, so the
+    /// prefix stays only while `dead ≤ depth`.
+    ///
+    /// # Panics
+    /// Panics if `dead > depth`.
+    pub fn with_dead_prefix(dead: usize, depth: usize) -> BackfillWindow {
+        assert!(
+            dead <= depth,
+            "a pass would sweep a prefix of {dead} tombstones ahead of {depth} candidates"
+        );
         let cluster = Cluster::new(
             vec![
                 Processor::new("big", 1.0, 100.0),
@@ -1032,8 +1067,13 @@ impl BackfillWindow {
             config_hash,
             0.0,
         );
+        // Entries taken earlier, still in storage.
+        for id in 1..=dead {
+            enqueue(&mut state, id, 1.0, 1.0);
+            state.kill(state.queue.len() - 1);
+        }
         // The head, then the window: 3 free speed, 10 free memory.
-        enqueue(&mut state, 1, 1.0, 100.0);
+        enqueue(&mut state, dead + 1, 1.0, 100.0);
         let stride = (depth / BACKFILL_DEPTH).max(1);
         for i in 0..depth {
             let (work, memory) = match (i % stride + 1 == stride, i / stride % 2) {
@@ -1041,7 +1081,7 @@ impl BackfillWindow {
                 (true, 0) => (2400.0, 1.0), // 800 fits; 2400 on one does not
                 (true, _) => (1.0, 50.0),   // no free memory holds it
             };
-            enqueue(&mut state, 2 + i, work, memory);
+            enqueue(&mut state, dead + 2 + i, work, memory);
         }
         let mut window = BackfillWindow {
             state,

@@ -285,8 +285,8 @@ fn a_warm_overshooting_backfill_probe_allocates_nothing() {
     });
     assert_eq!(overshooting, 0, "a warm overshooting probe allocated");
 
-    for depth in [16, 256] {
-        let mut window = BackfillWindow::new(depth);
+    for (dead, depth) in [(0, 16), (0, 256), (256, 256)] {
+        let mut window = BackfillWindow::with_dead_prefix(dead, depth);
         let queued = window.pass();
         assert_eq!(queued, depth + 1, "the window admits nothing");
         let passes = allocations_in(|| {
@@ -294,7 +294,10 @@ fn a_warm_overshooting_backfill_probe_allocates_nothing() {
                 assert_eq!(window.pass(), queued);
             }
         });
-        assert_eq!(passes, 0, "a warm window pass at depth {depth} allocated");
+        assert_eq!(
+            passes, 0,
+            "a warm window pass at depth {depth} behind {dead} tombstones allocated"
+        );
     }
 }
 

@@ -289,13 +289,7 @@ fn grow_lease(
     // waiting, the head's current reservation is computed once, and
     // every swap below must honour it — elastic growth must not seize
     // the processors the head's promise assumed would be free.
-    let head_guard: Option<(&Pending, f64)> = match state
-        .queue
-        .iter()
-        .zip(&state.dead)
-        .find(|(_, &d)| !d)
-        .map(|(p, _)| p)
-    {
+    let head_guard: Option<(&Pending, f64)> = match state.queue.get(state.first_live()) {
         Some(head) if cfg.policy.backfills() => {
             let resv = head_reservation_cached(
                 &state.cluster,
@@ -555,13 +549,7 @@ fn shrink_lease(
     // The head guard, computed once like `grow_lease`'s: a shrink may
     // delay the candidate past the blocked head's reservation only if
     // the head still fits at that instant afterwards.
-    let head_guard: Option<(&Pending, f64)> = match state
-        .queue
-        .iter()
-        .zip(&state.dead)
-        .find(|(_, &d)| !d)
-        .map(|(p, _)| p)
-    {
+    let head_guard: Option<(&Pending, f64)> = match state.queue.get(state.first_live()) {
         Some(head) if cfg.policy.backfills() => {
             let resv = head_reservation_cached(
                 &state.cluster,

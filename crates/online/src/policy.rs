@@ -91,28 +91,31 @@ impl AdmissionPolicy {
     /// others rank the whole queue. `dead` is the queue's tombstone
     /// mask, parallel to `queue`: tombstoned entries are omitted, so
     /// the indices rank exactly like positions in a compacted queue
-    /// would.
+    /// would. `first_live` is
+    /// [`ClusterState::first_live`](crate::state::ClusterState::first_live):
+    /// every slot before it is dead, and it is the head itself.
     pub(crate) fn candidate_order_into(
         self,
         queue: &[crate::state::Pending],
         dead: &[bool],
+        first_live: usize,
         idx: &mut Vec<usize>,
     ) {
         idx.clear();
-        let live = |i: usize| !dead[i];
+        let live_slots = (first_live..queue.len()).filter(|&i| !dead[i]);
         match self {
             AdmissionPolicy::Fifo => {
-                if let Some(head) = (0..queue.len()).find(|&i| live(i)) {
-                    idx.push(head);
+                if first_live < queue.len() {
+                    idx.push(first_live);
                 }
             }
             // The queue is maintained in (arrival, id) order, so plain
             // index order *is* arrival order.
             AdmissionPolicy::FifoBackfill | AdmissionPolicy::EasyBackfill => {
-                idx.extend((0..queue.len()).filter(|&i| live(i)));
+                idx.extend(live_slots);
             }
             AdmissionPolicy::ShortestFirst => {
-                idx.extend((0..queue.len()).filter(|&i| live(i)));
+                idx.extend(live_slots);
                 idx.sort_by(|&a, &b| {
                     queue[a]
                         .total_work
@@ -121,7 +124,7 @@ impl AdmissionPolicy {
                 });
             }
             AdmissionPolicy::MemoryFitFirst => {
-                idx.extend((0..queue.len()).filter(|&i| live(i)));
+                idx.extend(live_slots);
                 idx.sort_by(|&a, &b| {
                     queue[b]
                         .max_task_req

@@ -279,12 +279,18 @@ pub(crate) struct ClusterState {
     /// entries dead and defers the storage sweep until half the entries
     /// are tombstones ([`compact_queue`]), so each queue entry is moved
     /// O(1) times over its lifetime instead of once per later
-    /// admission.
+    /// admission. Admission takes mostly from the front, so the dead
+    /// slots pile up there; `live_from` marks where they end.
     ///
     /// [`compact_queue`]: ClusterState::compact_queue
     pub(crate) dead: Vec<bool>,
     /// How many `queue` entries are tombstoned.
     pub(crate) dead_count: usize,
+    /// The first live storage slot, or `queue.len()` when none is live:
+    /// every slot before it is a tombstone. Read through
+    /// [`ClusterState::first_live`]; every storage mutation below keeps
+    /// it exact.
+    live_from: usize,
     /// The backfill window's jump table over `queue` (see
     /// [`WorkIndex`]). Every storage mutation goes through a method of
     /// this type so the index cannot miss one; the admission pass
@@ -348,6 +354,7 @@ impl ClusterState {
             queue: Vec::new(),
             dead: Vec::new(),
             dead_count: 0,
+            live_from: 0,
             work_index: WorkIndex::default(),
             events: EventQueue::new(),
             in_service: Vec::new(),
@@ -442,6 +449,8 @@ impl ClusterState {
             });
             return;
         }
+        // A push never moves `live_from`: on an all-dead storage it
+        // already points at the slot the entry takes.
         self.work_index.push(WorkIndex::key(&p));
         self.queue.push(p);
         self.dead.push(false);
@@ -460,6 +469,7 @@ impl ClusterState {
             .partition_point(|q| (q.arrival, q.id) < (p.arrival, p.id));
         self.queue.insert(pos, p);
         self.dead.insert(pos, false);
+        self.live_from = self.live_from.min(pos);
         self.work_index.reset(self.queue.len());
     }
 
@@ -470,6 +480,9 @@ impl ClusterState {
         debug_assert!(!self.dead[qi], "only a live entry can move");
         self.dead.remove(qi);
         let p = self.queue.remove(qi);
+        if qi == self.live_from {
+            self.skip_dead_prefix();
+        }
         self.work_index.reset(self.queue.len());
         p
     }
@@ -480,7 +493,29 @@ impl ClusterState {
         debug_assert!(!self.dead[qi], "an entry is taken once");
         self.dead[qi] = true;
         self.dead_count += 1;
+        if qi == self.live_from {
+            self.skip_dead_prefix();
+        }
         self.work_index.kill(qi);
+    }
+
+    /// Advances `live_from` past the tombstones it points at. A slot
+    /// stays dead until the next compaction, so each tombstone is
+    /// stepped over once, not once per pass (again only if a spillover
+    /// insert lands in front of it).
+    fn skip_dead_prefix(&mut self) {
+        while self.live_from < self.dead.len() && self.dead[self.live_from] {
+            self.live_from += 1;
+        }
+    }
+
+    /// The first live storage slot, or `queue.len()` when nothing is
+    /// queued: the one head lookup of the engine. The backfill scan
+    /// starts here, FIFO's candidate order is this slot alone, the
+    /// elastic grow and shrink guards protect the entry here, and
+    /// [`ClusterState::queued_work`] sums from here. O(1).
+    pub(crate) fn first_live(&self) -> usize {
+        self.live_from
     }
 
     /// The first storage slot at or after `from` whose `total_work`
@@ -504,9 +539,10 @@ impl ClusterState {
     /// Sweeps the tombstones out of the queue storage. Called when
     /// half the storage is dead (so each entry moves O(1) times over
     /// its lifetime) and before handing the queue to consumers that
-    /// iterate it raw.
+    /// iterate it raw. Afterwards no slot is dead, so `live_from` is 0.
     pub(crate) fn compact_queue(&mut self) {
         if self.dead_count == 0 {
+            debug_assert_eq!(self.live_from, 0, "no tombstone, no dead prefix");
             return;
         }
         let dead = std::mem::take(&mut self.dead);
@@ -520,15 +556,18 @@ impl ClusterState {
         self.dead.clear();
         self.dead.resize(self.queue.len(), false);
         self.dead_count = 0;
+        self.live_from = 0;
         self.work_index.reset(self.queue.len());
     }
 
     /// Total outstanding work queued on this cluster — the `least-loaded`
-    /// routing signal.
+    /// routing signal. The dead prefix adds nothing, so starting at the
+    /// first live slot makes the same additions in the same order.
     pub(crate) fn queued_work(&self) -> f64 {
-        self.queue
+        let from = self.first_live();
+        self.queue[from..]
             .iter()
-            .zip(&self.dead)
+            .zip(&self.dead[from..])
             .filter(|(_, &d)| !d)
             .map(|(p, _)| p.total_work)
             .sum()

@@ -5,7 +5,9 @@
 //! every screen the pass can ask (including an unbounded reservation
 //! and a free speed of zero or less), and through every queue mutation
 //! [`ClusterState`] makes (arrival push, tombstone, compaction, spill
-//! insert and removal, draining).
+//! insert and removal, draining). The same mutations are held to keep
+//! [`ClusterState::first_live`] — where the pass starts — on the first
+//! live slot a linear scan finds.
 
 use crate::admission::fits_hole;
 use crate::state::{ClusterState, Pending};
@@ -122,7 +124,15 @@ fn mutate(state: &mut ClusterState, rng: &mut Rng, next_id: &mut usize) {
             *next_id += 1;
             state.enqueue_arrival(pending(id, id as f64, work(rng)), id as f64);
         }
-        8..=12 if !live.is_empty() => state.kill(live[rng.below(live.len())]),
+        // Admission mostly takes the head, which grows the dead prefix.
+        8..=12 if !live.is_empty() => {
+            let k = if rng.below(2) == 0 {
+                0
+            } else {
+                rng.below(live.len())
+            };
+            state.kill(live[k]);
+        }
         13 | 14 => state.compact_queue(),
         15 | 16 => {
             let id = *next_id;
@@ -130,8 +140,14 @@ fn mutate(state: &mut ClusterState, rng: &mut Rng, next_id: &mut usize) {
             state.insert_pending(pending(id, id as f64 * rng.unit(), work(rng)));
         }
         17 | 18 if !live.is_empty() => {
-            state.compact_queue();
-            let qi = rng.below(state.queue.len());
+            // The spill sweep compacts before it splices; a removal
+            // from storage with tombstones in it is legal too.
+            let qi = if rng.below(2) == 0 {
+                state.compact_queue();
+                rng.below(state.queue.len())
+            } else {
+                live[rng.below(live.len())]
+            };
             let moved = state.remove_queued(qi);
             assert!(moved.id < *next_id);
         }
@@ -160,6 +176,34 @@ proptest::proptest! {
             for _ in 0..4 {
                 check_query(&mut state, &mut rng);
             }
+        }
+    }
+
+    #[test]
+    fn first_live_matches_a_linear_scan_for_the_first_live_slot(
+        seed in proptest::prelude::any::<u64>(),
+        steps in 1usize..160,
+    ) {
+        let cluster = Cluster::new(vec![Processor::new("p", 1.0, 10.0)], 1.0);
+        let mut state = ClusterState::new(&cluster, None);
+        let mut rng = Rng(seed);
+        let mut next_id = 0usize;
+        for _ in 0..steps {
+            mutate(&mut state, &mut rng, &mut next_id);
+            let len = state.queue.len();
+            let first = state.first_live();
+            let linear = (0..len).find(|&i| !state.dead[i]).unwrap_or(len);
+            assert_eq!(first, linear, "first live slot of {len}");
+            assert!(state.dead[..first].iter().all(|&d| d), "a live slot before {first}");
+            // Summing from there is the whole-storage sum, bit for bit.
+            let whole: f64 = state
+                .queue
+                .iter()
+                .zip(&state.dead)
+                .filter(|(_, &d)| !d)
+                .map(|(p, _)| p.total_work)
+                .sum();
+            assert_eq!(state.queued_work().to_bits(), whole.to_bits());
         }
     }
 }
