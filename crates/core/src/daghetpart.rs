@@ -137,7 +137,7 @@ fn sweep(
 
     // Smaller kprime wins ties, so the result does not depend on which
     // attempt finishes first.
-    // Innermost ranked lock: taken after any cache-stripe lookups have
+    // Innermost ranked lock: taken after any solve-cache lookup has
     // been released.
     let best: Mutex<Option<Attempt>> = Mutex::with_rank(None, parking_lot::ranks::SOLVER_BEST);
     let attempt = |kp: usize| {

@@ -23,7 +23,6 @@ use dhp_dag::Dag;
 use dhp_platform::{Cluster, ProcId, SubCluster};
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Which solver to run on a lease.
@@ -234,7 +233,7 @@ pub struct SolveCacheStats {
 /// need to fix a workflow's completion instant and busy-time ledger,
 /// keyed next to the solve it simulates (same key space as the solve
 /// store). Stored behind an [`Arc`] so a hit is a refcount bump under
-/// the stripe lock.
+/// the store lock.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimOutcome {
     /// Simulated makespan of the mapping on the lease.
@@ -258,36 +257,12 @@ pub struct SimOutcome {
 /// * a hash of the solver configuration ([`SolveCache::config_hash`]).
 type SolveKey = (u64, u64, Algorithm, u64);
 
-/// Deterministic stripe selector: FNV-1a over the key's byte image.
-/// The std `HashMap` hasher is seeded per process, so it must not pick
-/// stripes — stripe membership has to be a pure function of the key
-/// for striped runs (and their per-stripe counters) to reproduce.
-fn stripe_index(key: &SolveKey, stripes: usize) -> usize {
-    let (fp, shape, algorithm, chash) = key;
-    let algo_byte = match algorithm {
-        Algorithm::DagHetPart => 0u8,
-        Algorithm::DagHetMem => 1u8,
-    };
-    let bytes = fp
-        .to_le_bytes()
-        .into_iter()
-        .chain(shape.to_le_bytes())
-        .chain([algo_byte])
-        .chain(chash.to_le_bytes());
-    (dhp_dag::fingerprint::fnv1a_bytes(bytes) % stripes as u64) as usize
-}
-
-/// One probe's cache key with its stripe, picked once: made by
-/// [`CacheView::key`] and answered by [`CacheView::solve_keyed`] and
-/// [`CacheView::sim_outcome_keyed`], so an admission probe that asks
-/// both stores hashes its lease shape once and its key's stripe once.
-/// The stripe is the one of the cache whose view made the key; a key
-/// is only valid there.
+/// One probe's cache key, made once by [`CacheView::key`] and answered
+/// by [`CacheView::solve_keyed`] and [`CacheView::sim_outcome_keyed`],
+/// so an admission probe that asks both memos hashes its lease shape
+/// once.
 #[derive(Clone, Copy, Debug)]
-pub struct ProbeKey {
-    key: SolveKey,
-    stripe: usize,
-}
+pub struct ProbeKey(SolveKey);
 
 /// A memoized solve outcome in lease-local processor ids. Solved
 /// entries sit behind an [`Arc`] so a hit clones a refcount under the
@@ -316,44 +291,76 @@ impl CachedSolve {
     }
 }
 
-/// One lock stripe of the [`SolveCache`]: a segment of the memoization
-/// map under its own mutex, plus that segment's share of the global
-/// hit/miss/eviction counters. Keys are spread over stripes by
-/// [`stripe_index`], so concurrent probes on different keys almost
-/// never contend on the same lock.
-#[derive(Debug)]
-struct Stripe {
-    entries: parking_lot::Mutex<HashMap<SolveKey, (CachedSolve, u64)>>,
-    /// Memoized simulation outcomes, keyed alongside the solves of the
-    /// same stripe. Sims carry no LRU stamp of their own: a sim rides
-    /// on its solve entry's recency and is dropped when `evict_lru`
-    /// evicts that key.
-    sims: parking_lot::Mutex<HashMap<SolveKey, Arc<SimOutcome>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    sim_hits: AtomicU64,
-    sim_misses: AtomicU64,
+/// Everything a [`SolveCache`] holds, behind its one mutex.
+#[derive(Debug, Default)]
+struct Store {
+    /// Memoized solves with their LRU recency stamps.
+    entries: HashMap<SolveKey, (CachedSolve, u64)>,
+    /// Memoized simulation outcomes, keyed alongside the solves. Sims
+    /// carry no LRU stamp of their own: a sim rides on its solve
+    /// entry's recency and is dropped when `evict_lru` evicts that key.
+    sims: HashMap<SolveKey, Arc<SimOutcome>>,
+    stats: SolveCacheStats,
+    /// The monotone recency clock: each lookup and insert draws a
+    /// unique stamp, so the LRU victim is well-defined.
+    tick: u64,
 }
 
-impl Default for Stripe {
-    fn default() -> Self {
-        // Stripe mutexes rank below the solver's slot; they are never
-        // nested with each other (entries vs sims of the same key are
-        // taken sequentially), which the debug-build rank tracker
-        // enforces.
-        Stripe {
-            entries: parking_lot::Mutex::with_rank(
-                HashMap::new(),
-                parking_lot::ranks::CACHE_STRIPE,
-            ),
-            sims: parking_lot::Mutex::with_rank(HashMap::new(), parking_lot::ranks::CACHE_STRIPE),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            sim_hits: AtomicU64::new(0),
-            sim_misses: AtomicU64::new(0),
+impl Store {
+    fn next_tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+
+    /// One probe of the solve memo: draws a recency tick, hit or miss,
+    /// refreshes a hit's stamp and counts the probe.
+    fn lookup(&mut self, key: &SolveKey) -> Option<CachedSolve> {
+        let tick = self.next_tick();
+        let cached = self.entries.get_mut(key).map(|e| {
+            e.1 = tick;
+            e.0.clone()
+        });
+        if cached.is_some() {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
         }
+        cached
+    }
+
+    /// Removes the least-recently-used entry (the smallest recency
+    /// stamp; stamps are unique, so the victim is well-defined) and the
+    /// sim of the same key. Returns false on an empty store.
+    fn evict_lru(&mut self) -> bool {
+        let Some(key) = self
+            .entries
+            .iter()
+            .min_by_key(|(_, (_, stamp))| *stamp)
+            .map(|(k, _)| *k)
+        else {
+            return false;
+        };
+        self.entries.remove(&key);
+        self.sims.remove(&key);
+        self.stats.evictions += 1;
+        true
+    }
+
+    /// Memoizes `value` under `key`, evicting least-recently-used
+    /// entries first when `capacity` would be exceeded, then drawing
+    /// the entry's stamp. Returns the number of evictions this insert
+    /// caused (for per-caller attribution).
+    fn insert(&mut self, capacity: Option<usize>, key: SolveKey, value: CachedSolve) -> u64 {
+        let mut evicted = 0u64;
+        if let Some(cap) = capacity {
+            while self.entries.len() >= cap && !self.entries.contains_key(&key) && self.evict_lru()
+            {
+                evicted += 1;
+            }
+        }
+        let stamp = self.next_tick();
+        self.entries.insert(key, (value, stamp));
+        evicted
     }
 }
 
@@ -374,39 +381,33 @@ struct CacheProbe {
 /// are memoized too: the engine's lease-escalation ladder probes the
 /// same infeasible shapes repeatedly.
 ///
-/// The cache is shared across threads (`&SolveCache` is `Sync`). The
-/// map is **lock-striped**: keys are spread over
-/// [`SolveCache::stripes`] independently mutexed segments (selected by
-/// an FNV-1a hash of the key, so stripe membership is deterministic),
-/// each held only for lookups and inserts — never across a solver run
-/// — so the baseline batch's concurrent solves don't serialise on one
-/// global mutex.
-/// Hit/miss/eviction counters live per stripe and [`SolveCache::stats`]
-/// sums them; counter totals are interleaving-independent because every
+/// The cache is shared across threads (`&SolveCache` is `Sync`). One
+/// mutex guards the solve memo, the sim memo, the counters and the
+/// recency clock, and it is held only for a lookup or an insert —
+/// never across a solver run or a simulation. Both serve loops probe
+/// from one thread; the only concurrent probes are the baseline
+/// batch's cold solves, which spend their time in the solver, not on
+/// the lock. Counter totals are interleaving-independent because every
 /// probe bumps exactly one counter. Two concurrent misses on the *same*
 /// key both solve and last-write-wins; the engine avoids this by
 /// deduplicating its parallel baseline batch up front.
 ///
 /// [`SolveCache::with_capacity`] bounds the cache to an LRU capacity:
-/// every hit refreshes its entry's recency stamp (drawn from one global
-/// atomic tick), and an insert that would exceed the bound first evicts
-/// the least-recently-used entry across *all* stripes (evictions are
-/// counted in [`SolveCacheStats::evictions`]). Unbounded streams of
-/// novel topologies therefore cannot grow memory without limit. Exact
-/// LRU order assumes inserts on a capped cache come from one thread at
-/// a time — which the engine guarantees: both serve loops probe from
-/// one thread, member after member in a federation, and the baseline
-/// batch runs on one worker under a cap.
+/// every lookup draws a recency stamp (a hit refreshes its entry's
+/// with it), and an insert that would exceed the bound first evicts the
+/// least-recently-used entry (evictions are counted in
+/// [`SolveCacheStats::evictions`]). Unbounded streams of novel
+/// topologies therefore cannot grow memory without limit. Exact LRU
+/// order assumes inserts on a capped cache come from one thread at a
+/// time — which the engine guarantees: both serve loops probe from one
+/// thread, member after member in a federation, and the baseline batch
+/// runs on one worker under a cap.
 #[derive(Debug)]
 pub struct SolveCache {
     enabled: bool,
     /// LRU bound; `None` = unbounded.
     capacity: Option<usize>,
-    stripes: Box<[Stripe]>,
-    /// The monotone recency clock shared by every stripe: each lookup
-    /// and insert draws a unique stamp, so LRU victims are well-defined
-    /// across stripes.
-    tick: AtomicU64,
+    store: parking_lot::Mutex<Store>,
 }
 
 impl Default for SolveCache {
@@ -418,23 +419,20 @@ impl Default for SolveCache {
 }
 
 impl SolveCache {
-    /// Lock stripes of the default constructors.
-    pub const DEFAULT_STRIPES: usize = 16;
-
-    fn build(enabled: bool, capacity: Option<usize>, stripes: usize) -> Self {
-        assert!(stripes > 0, "a solve cache needs at least one stripe");
+    fn build(enabled: bool, capacity: Option<usize>) -> Self {
         SolveCache {
             enabled,
             capacity,
-            stripes: (0..stripes).map(|_| Stripe::default()).collect(),
-            tick: AtomicU64::new(0),
+            // The store ranks below the solver's slot and is never
+            // nested with itself, which the debug-build rank tracker
+            // enforces.
+            store: parking_lot::Mutex::with_rank(Store::default(), parking_lot::ranks::CACHE_STORE),
         }
     }
 
-    /// An empty, enabled, unbounded cache with
-    /// [`SolveCache::DEFAULT_STRIPES`] lock stripes.
+    /// An empty, enabled, unbounded cache.
     pub fn new() -> Self {
-        SolveCache::build(true, None, SolveCache::DEFAULT_STRIPES)
+        SolveCache::build(true, None)
     }
 
     /// An empty, enabled cache holding at most `capacity` entries, the
@@ -448,38 +446,14 @@ impl SolveCache {
             capacity > 0,
             "a zero-capacity cache cannot memoize; use SolveCache::disabled()"
         );
-        SolveCache::build(true, Some(capacity), SolveCache::DEFAULT_STRIPES)
-    }
-
-    /// An empty, enabled, unbounded cache with exactly `stripes` lock
-    /// stripes — `with_stripes(1)` is the single-mutex reference path
-    /// the striping tests pin against.
-    ///
-    /// # Panics
-    /// Panics if `stripes` is zero.
-    pub fn with_stripes(stripes: usize) -> Self {
-        SolveCache::build(true, None, stripes)
-    }
-
-    /// An LRU-capped cache with an explicit stripe count (both bounds
-    /// of [`SolveCache::with_capacity`] and [`SolveCache::with_stripes`]
-    /// at once).
-    ///
-    /// # Panics
-    /// Panics if `capacity` or `stripes` is zero.
-    pub fn with_capacity_and_stripes(capacity: usize, stripes: usize) -> Self {
-        assert!(
-            capacity > 0,
-            "a zero-capacity cache cannot memoize; use SolveCache::disabled()"
-        );
-        SolveCache::build(true, Some(capacity), stripes)
+        SolveCache::build(true, Some(capacity))
     }
 
     /// A pass-through cache: never memoizes, but still counts every
     /// call as a miss, so solver-invocation statistics stay comparable
     /// between cached and uncached runs (`--no-solve-cache`).
     pub fn disabled() -> Self {
-        SolveCache::build(false, None, 1)
+        SolveCache::build(false, None)
     }
 
     /// Whether this cache memoizes (false for [`SolveCache::disabled`]).
@@ -492,14 +466,9 @@ impl SolveCache {
         self.capacity
     }
 
-    /// Number of lock stripes.
-    pub fn stripes(&self) -> usize {
-        self.stripes.len()
-    }
-
-    /// Number of memoized entries (summed across stripes).
+    /// Number of memoized entries.
     pub fn len(&self) -> usize {
-        self.stripes.iter().map(|s| s.entries.lock().len()).sum()
+        self.store.lock().entries.len()
     }
 
     /// True when nothing is memoized yet.
@@ -507,59 +476,9 @@ impl SolveCache {
         self.len() == 0
     }
 
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    fn stripe_of(&self, key: &SolveKey) -> &Stripe {
-        &self.stripes[stripe_index(key, self.stripes.len())]
-    }
-
-    /// `key` with its stripe in this cache.
-    fn probe_key(&self, key: SolveKey) -> ProbeKey {
-        ProbeKey {
-            key,
-            stripe: stripe_index(&key, self.stripes.len()),
-        }
-    }
-
-    /// The stripe `key` was made for, without hashing it again.
-    fn stripe_at(&self, key: &ProbeKey) -> &Stripe {
-        debug_assert_eq!(
-            key.stripe,
-            stripe_index(&key.key, self.stripes.len()),
-            "a probe key made for another cache"
-        );
-        &self.stripes[key.stripe]
-    }
-
-    /// Snapshot of the hit/miss/eviction counters: the exact sum of the
-    /// per-stripe counters.
+    /// Snapshot of the hit/miss/eviction counters.
     pub fn stats(&self) -> SolveCacheStats {
-        let mut total = SolveCacheStats::default();
-        for s in self.stripes.iter() {
-            total.hits += s.hits.load(Ordering::Relaxed);
-            total.misses += s.misses.load(Ordering::Relaxed);
-            total.evictions += s.evictions.load(Ordering::Relaxed);
-            total.sim_hits += s.sim_hits.load(Ordering::Relaxed);
-            total.sim_misses += s.sim_misses.load(Ordering::Relaxed);
-        }
-        total
-    }
-
-    /// Per-stripe counter snapshot, in stripe-index order — the
-    /// striping tests assert these sum exactly to [`SolveCache::stats`].
-    pub fn stripe_stats(&self) -> Vec<SolveCacheStats> {
-        self.stripes
-            .iter()
-            .map(|s| SolveCacheStats {
-                hits: s.hits.load(Ordering::Relaxed),
-                misses: s.misses.load(Ordering::Relaxed),
-                evictions: s.evictions.load(Ordering::Relaxed),
-                sim_hits: s.sim_hits.load(Ordering::Relaxed),
-                sim_misses: s.sim_misses.load(Ordering::Relaxed),
-            })
-            .collect()
+        self.store.lock().stats
     }
 
     /// Whether a *solved* entry for this exact key is memoized right
@@ -579,58 +498,9 @@ impl SolveCache {
         }
         let key: SolveKey = (fingerprint, shape, algorithm, config_hash);
         matches!(
-            self.stripe_of(&key).entries.lock().get(&key),
+            self.store.lock().entries.get(&key),
             Some((CachedSolve::Solved(_), _))
         )
-    }
-
-    fn contains(&self, key: &ProbeKey) -> bool {
-        self.stripe_at(key).entries.lock().contains_key(&key.key)
-    }
-
-    /// Removes the least-recently-used entry across all stripes (the
-    /// globally smallest recency stamp; stamps are unique, so the
-    /// victim is well-defined). Returns false on an empty cache.
-    fn evict_lru(&self) -> bool {
-        let mut victim: Option<(u64, usize, SolveKey)> = None;
-        for (si, stripe) in self.stripes.iter().enumerate() {
-            let entries = stripe.entries.lock();
-            if let Some((k, (_, stamp))) = entries.iter().min_by_key(|(_, (_, s))| *s) {
-                if victim.as_ref().is_none_or(|(vs, _, _)| stamp < vs) {
-                    victim = Some((*stamp, si, *k));
-                }
-            }
-        }
-        match victim {
-            None => false,
-            Some((_, si, key)) => {
-                self.stripes[si].entries.lock().remove(&key);
-                // A sim outcome rides on its solve entry's recency:
-                // evicting the solve drops the sim of the same key.
-                self.stripes[si].sims.lock().remove(&key);
-                self.stripes[si].evictions.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-        }
-    }
-
-    /// Memoizes `value` under `key`, evicting least-recently-used
-    /// entries first when the capacity bound would be exceeded. Returns
-    /// the number of evictions this insert caused (for per-caller
-    /// attribution).
-    fn insert(&self, key: ProbeKey, value: CachedSolve) -> u64 {
-        let mut evicted = 0u64;
-        if let Some(cap) = self.capacity {
-            while self.len() >= cap && !self.contains(&key) && self.evict_lru() {
-                evicted += 1;
-            }
-        }
-        let stamp = self.next_tick();
-        self.stripe_at(&key)
-            .entries
-            .lock()
-            .insert(key.key, (value, stamp));
-        evicted
     }
 
     /// Hash of a solver configuration, for the cache key. Computed over
@@ -644,9 +514,9 @@ impl SolveCache {
     /// The lookup-or-solve core of every probe ([`SolveCache::schedule`],
     /// [`SolveCache::dedicated_baseline`] and [`CacheView::solve`]):
     /// answers `key` from the store — drawing a recency tick and
-    /// refreshing the entry's LRU stamp — or runs `solve` (with no
-    /// stripe lock held) and memoizes its outcome, `NoSolution`
-    /// included. Also reports what the probe did to the store — a
+    /// refreshing the entry's LRU stamp — or runs `solve` (with the
+    /// lock released) and memoizes its outcome, `NoSolution` included.
+    /// Also reports what the probe did to the store — a
     /// [`CacheView::live`] charges exactly this outcome to its account,
     /// with no global-counter diffing.
     fn lookup_or_solve(
@@ -655,7 +525,7 @@ impl SolveCache {
         solve: impl FnOnce() -> Result<MappingResult, SchedError>,
     ) -> (Result<Arc<MappingResult>, SchedError>, CacheProbe) {
         if !self.enabled {
-            self.stripes[0].misses.fetch_add(1, Ordering::Relaxed);
+            self.store.lock().stats.misses += 1;
             return (
                 solve().map(Arc::new),
                 CacheProbe {
@@ -664,19 +534,10 @@ impl SolveCache {
                 },
             );
         }
-        let stripe = self.stripe_at(&key);
-        // Cheap under the stripe lock: an Arc refcount bump (or the
-        // unit NoSolution marker) plus the LRU stamp refresh.
-        let cached: Option<CachedSolve> = {
-            let mut entries = stripe.entries.lock();
-            let tick = self.next_tick();
-            entries.get_mut(&key.key).map(|e| {
-                e.1 = tick;
-                e.0.clone()
-            })
-        };
+        // Cheap under the lock: an Arc refcount bump (or the unit
+        // NoSolution marker) plus the LRU stamp refresh.
+        let cached = self.store.lock().lookup(&key.0);
         if let Some(entry) = cached {
-            stripe.hits.fetch_add(1, Ordering::Relaxed);
             return (
                 entry.outcome(),
                 CacheProbe {
@@ -685,9 +546,11 @@ impl SolveCache {
                 },
             );
         }
-        stripe.misses.fetch_add(1, Ordering::Relaxed);
         let outcome = solve().map(Arc::new);
-        let evictions = self.insert(key, CachedSolve::of(&outcome));
+        let evictions = self
+            .store
+            .lock()
+            .insert(self.capacity, key.0, CachedSolve::of(&outcome));
         (
             outcome,
             CacheProbe {
@@ -712,7 +575,7 @@ impl SolveCache {
         cfg: &DagHetPartConfig,
         config_hash: u64,
     ) -> Result<SubClusterSchedule, SchedError> {
-        let key = self.probe_key((fingerprint, sub.shape_signature(), algorithm, config_hash));
+        let key = ProbeKey((fingerprint, sub.shape_signature(), algorithm, config_hash));
         let local = self
             .lookup_or_solve(key, || solve_local(g, sub.cluster(), algorithm, cfg))
             .0?;
@@ -735,7 +598,7 @@ impl SolveCache {
         config_hash: u64,
     ) -> Result<f64, SchedError> {
         let ids = cluster.ids_by_memory_desc();
-        let key = self.probe_key((
+        let key = ProbeKey((
             fingerprint,
             cluster.shape_of_slice(&ids),
             algorithm,
@@ -749,34 +612,41 @@ impl SolveCache {
     }
 
     /// The probing core of the sim-outcome cache: returns the memoized
-    /// [`SimOutcome`] for `key`, running `compute` (with no stripe lock
-    /// held) and storing its result on a miss. The bool reports whether
-    /// the probe hit, for per-caller attribution. Disabled caches
-    /// compute every time and store nothing, but still count the miss
-    /// so simulator-invocation statistics stay comparable.
+    /// [`SimOutcome`] for `key`, running `compute` (with the lock
+    /// released) and storing its result on a miss. The bool reports
+    /// whether the probe hit, for per-caller attribution. Disabled
+    /// caches compute every time and store nothing, but still count the
+    /// miss so simulator-invocation statistics stay comparable.
     fn sim_probed(
         &self,
         key: ProbeKey,
         compute: impl FnOnce() -> SimOutcome,
     ) -> (Arc<SimOutcome>, bool) {
         if !self.enabled {
-            self.stripes[0].sim_misses.fetch_add(1, Ordering::Relaxed);
+            self.store.lock().stats.sim_misses += 1;
             return (Arc::new(compute()), false);
         }
-        let stripe = self.stripe_at(&key);
-        if let Some(sim) = stripe.sims.lock().get(&key.key).cloned() {
-            stripe.sim_hits.fetch_add(1, Ordering::Relaxed);
+        let cached = {
+            let mut store = self.store.lock();
+            let sim = store.sims.get(&key.0).cloned();
+            if sim.is_some() {
+                store.stats.sim_hits += 1;
+            } else {
+                store.stats.sim_misses += 1;
+            }
+            sim
+        };
+        if let Some(sim) = cached {
             return (sim, true);
         }
-        stripe.sim_misses.fetch_add(1, Ordering::Relaxed);
         let sim = Arc::new(compute());
-        stripe.sims.lock().insert(key.key, Arc::clone(&sim));
+        self.store.lock().sims.insert(key.0, Arc::clone(&sim));
         (sim, false)
     }
 
-    /// Number of memoized simulation outcomes (summed across stripes).
+    /// Number of memoized simulation outcomes.
     pub fn sim_len(&self) -> usize {
-        self.stripes.iter().map(|s| s.sims.lock().len()).sum()
+        self.store.lock().sims.len()
     }
 
     // ------------------------------------------------------ snapshots
@@ -785,8 +655,7 @@ impl SolveCache {
     // are key-sorted so a saved file is a pure function of the cache
     // *contents*, never of `HashMap` iteration order.
 
-    /// Deterministic byte image of a key, for stripe selection and
-    /// snapshot ordering.
+    /// Deterministic byte image of a key, for snapshot ordering.
     fn key_sort_image(key: &SolveKey) -> (u64, u64, u8, u64) {
         let (fp, shape, algorithm, chash) = *key;
         let algo_byte = match algorithm {
@@ -800,77 +669,75 @@ impl SolveCache {
     /// `None` is a memoized `NoSolution`.
     #[allow(clippy::type_complexity)]
     pub(crate) fn snapshot_solves(&self) -> Vec<(SolveKey, Option<Arc<MappingResult>>, u64)> {
-        let mut out: Vec<(SolveKey, Option<Arc<MappingResult>>, u64)> = Vec::new();
-        for stripe in self.stripes.iter() {
-            for (k, (v, stamp)) in stripe.entries.lock().iter() {
+        let mut out: Vec<(SolveKey, Option<Arc<MappingResult>>, u64)> = self
+            .store
+            .lock()
+            .entries
+            .iter()
+            .map(|(k, (v, stamp))| {
                 let solved = match v {
                     CachedSolve::Solved(local) => Some(Arc::clone(local)),
                     CachedSolve::NoSolution => None,
                 };
-                out.push((*k, solved, *stamp));
-            }
-        }
+                (*k, solved, *stamp)
+            })
+            .collect();
         out.sort_by_key(|(k, _, _)| SolveCache::key_sort_image(k));
         out
     }
 
     /// Every memoized simulation outcome as `(key, sim)`, key-sorted.
     pub(crate) fn snapshot_sims(&self) -> Vec<(SolveKey, Arc<SimOutcome>)> {
-        let mut out: Vec<(SolveKey, Arc<SimOutcome>)> = Vec::new();
-        for stripe in self.stripes.iter() {
-            for (k, sim) in stripe.sims.lock().iter() {
-                out.push((*k, Arc::clone(sim)));
-            }
-        }
+        let mut out: Vec<(SolveKey, Arc<SimOutcome>)> = self
+            .store
+            .lock()
+            .sims
+            .iter()
+            .map(|(k, sim)| (*k, Arc::clone(sim)))
+            .collect();
         out.sort_by_key(|(k, _)| SolveCache::key_sort_image(k));
         out
     }
 
     /// Current value of the recency clock (the largest stamp drawn).
     pub(crate) fn tick_value(&self) -> u64 {
-        self.tick.load(Ordering::Relaxed)
+        self.store.lock().tick
     }
 
-    /// Re-inserts a snapshotted solve with its saved LRU stamp (no tick
-    /// draw — restored entries keep their relative recency order).
-    /// `None` restores a memoized `NoSolution`.
-    pub(crate) fn restore_solve(
+    /// Restores a parsed snapshot: re-inserts every solve with its
+    /// saved LRU stamp (no tick draw — restored entries keep their
+    /// relative recency order; `None` is a memoized `NoSolution`) and
+    /// every sim, advances the recency clock past every restored stamp,
+    /// carries the snapshot's cumulative statistics into this cache's
+    /// counters, and evicts down to this cache's LRU capacity if the
+    /// snapshot outgrows it.
+    pub(crate) fn restore(
         &self,
-        key: SolveKey,
-        value: Option<Arc<MappingResult>>,
-        stamp: u64,
+        tick: u64,
+        carried: SolveCacheStats,
+        solves: Vec<(SolveKey, Option<MappingResult>, u64)>,
+        sims: Vec<(SolveKey, SimOutcome)>,
     ) {
-        let value = match value {
-            Some(local) => CachedSolve::Solved(local),
-            None => CachedSolve::NoSolution,
-        };
-        self.stripe_of(&key)
-            .entries
-            .lock()
-            .insert(key, (value, stamp));
-    }
-
-    /// Re-inserts a snapshotted simulation outcome.
-    pub(crate) fn restore_sim(&self, key: SolveKey, sim: Arc<SimOutcome>) {
-        self.stripe_of(&key).sims.lock().insert(key, sim);
-    }
-
-    /// Completes a restore: advances the recency clock past every
-    /// restored stamp, carries the snapshot's cumulative statistics
-    /// into this cache's counters (stripe 0 keeps the aggregate — the
-    /// per-stripe split is not persisted), and evicts down to this
-    /// cache's LRU capacity if the snapshot outgrows it.
-    pub(crate) fn finish_restore(&self, tick: u64, carried: SolveCacheStats) {
-        self.tick.fetch_max(tick, Ordering::Relaxed);
-        let s0 = &self.stripes[0];
-        s0.hits.fetch_add(carried.hits, Ordering::Relaxed);
-        s0.misses.fetch_add(carried.misses, Ordering::Relaxed);
-        s0.evictions.fetch_add(carried.evictions, Ordering::Relaxed);
-        s0.sim_hits.fetch_add(carried.sim_hits, Ordering::Relaxed);
-        s0.sim_misses
-            .fetch_add(carried.sim_misses, Ordering::Relaxed);
+        let mut store = self.store.lock();
+        for (key, solved, stamp) in solves {
+            let value = match solved {
+                Some(local) => CachedSolve::Solved(Arc::new(local)),
+                None => CachedSolve::NoSolution,
+            };
+            store.entries.insert(key, (value, stamp));
+        }
+        for (key, sim) in sims {
+            store.sims.insert(key, Arc::new(sim));
+        }
+        store.tick = store.tick.max(tick);
+        let stats = &mut store.stats;
+        stats.hits += carried.hits;
+        stats.misses += carried.misses;
+        stats.evictions += carried.evictions;
+        stats.sim_hits += carried.sim_hits;
+        stats.sim_misses += carried.sim_misses;
         if let Some(cap) = self.capacity {
-            while self.len() > cap && self.evict_lru() {}
+            while store.entries.len() > cap && store.evict_lru() {}
         }
     }
 }
@@ -978,9 +845,8 @@ impl<'a> CacheView<'a> {
         self.solve_keyed(key, g, cluster, ids, cfg)
     }
 
-    /// The key `(fingerprint, shape, algorithm, config_hash)` with its
-    /// stripe in this view's cache, for a probe that asks both stores
-    /// ([`CacheView::solve_keyed`], then
+    /// The key `(fingerprint, shape, algorithm, config_hash)`, for a
+    /// probe that asks both memos ([`CacheView::solve_keyed`], then
     /// [`CacheView::sim_outcome_keyed`]). Touches no entry and no
     /// counter.
     pub fn key(
@@ -990,15 +856,13 @@ impl<'a> CacheView<'a> {
         algorithm: Algorithm,
         config_hash: u64,
     ) -> ProbeKey {
-        self.cache
-            .probe_key((fingerprint, shape, algorithm, config_hash))
+        ProbeKey((fingerprint, shape, algorithm, config_hash))
     }
 
     /// [`CacheView::solve`] on a key already made: `key`'s shape must
     /// be `cluster.shape_of_slice(ids)`, and a miss solves `g` with
     /// `key`'s algorithm on the lease `ids`. Same answer, same counter
-    /// moves, same recency tick; only the shape and the stripe are not
-    /// hashed again.
+    /// moves, same recency tick; only the shape is not hashed again.
     pub fn solve_keyed(
         &self,
         key: ProbeKey,
@@ -1007,13 +871,10 @@ impl<'a> CacheView<'a> {
         ids: &[ProcId],
         cfg: &DagHetPartConfig,
     ) -> Result<Arc<MappingResult>, SchedError> {
-        debug_assert_eq!(
-            key.key.1,
-            cluster.shape_of_slice(ids),
-            "a key of another lease"
-        );
+        let (_, shape, algorithm, _) = key.0;
+        debug_assert_eq!(shape, cluster.shape_of_slice(ids), "a key of another lease");
         let (outcome, probe) = self.cache.lookup_or_solve(key, || {
-            solve_local(g, cluster.subcluster(ids).cluster(), key.key.2, cfg)
+            solve_local(g, cluster.subcluster(ids).cluster(), algorithm, cfg)
         });
         self.charge(|acc| {
             if probe.hit {
@@ -1430,107 +1291,50 @@ mod tests {
         assert_eq!(Algorithm::parse("heft"), None);
     }
 
-    // ------------------------------------------------ striping + views
-
-    /// Runs the same sequential probe workload against a cache and
-    /// returns its stats: a mix of misses, hits, repeats and an
-    /// infeasible (NoSolution) shape.
-    fn probe_workload(cache: &SolveCache) -> SolveCacheStats {
-        let c = cluster();
-        let cfg = DagHetPartConfig::default();
-        let chash = SolveCache::config_hash(&cfg);
-        let sub = c.subcluster(&[ProcId(3), ProcId(1)]);
-        let tiny = c.subcluster(&[ProcId(2)]);
-        let graphs: Vec<Dag> = (3..9).map(|n| builder::chain(n, 2.0, 4.0, 1.0)).collect();
-        for pass in 0..3 {
-            for g in &graphs {
-                let _ =
-                    cache.schedule(g, g.fingerprint(), &sub, Algorithm::DagHetPart, &cfg, chash);
-            }
-            if pass == 1 {
-                let big = builder::chain(40, 1.0, 30.0, 5.0);
-                let _ = cache.schedule(
-                    &big,
-                    big.fingerprint(),
-                    &tiny,
-                    Algorithm::DagHetPart,
-                    &cfg,
-                    chash,
-                );
-            }
-        }
-        cache.stats()
-    }
+    // ------------------------------------------------ threads + views
 
     #[test]
-    fn striped_counters_sum_exactly_to_the_single_stripe_path() {
-        // The single-mutex reference path is `with_stripes(1)`; the
-        // striped default must report the identical aggregate counters
-        // and entry count on an identical sequential workload, and its
-        // per-stripe counters must sum exactly to the aggregate.
-        let reference = SolveCache::with_stripes(1);
-        let striped = SolveCache::new();
-        assert_eq!(striped.stripes(), SolveCache::DEFAULT_STRIPES);
-        let a = probe_workload(&reference);
-        let b = probe_workload(&striped);
-        assert_eq!(a, b, "striping changed the aggregate statistics");
-        assert_eq!(reference.len(), striped.len());
-        let mut summed = SolveCacheStats::default();
-        for s in striped.stripe_stats() {
-            summed.hits += s.hits;
-            summed.misses += s.misses;
-            summed.evictions += s.evictions;
-            summed.sim_hits += s.sim_hits;
-            summed.sim_misses += s.sim_misses;
-        }
-        assert_eq!(summed, striped.stats(), "stripe counters must sum exactly");
-        // And the entries really are spread over more than one stripe.
-        assert!(
-            striped
-                .stripe_stats()
-                .iter()
-                .filter(|s| s.misses > 0)
-                .count()
-                > 1
-        );
-    }
-
-    #[test]
-    fn capped_striped_cache_keeps_global_lru_order() {
-        // The LRU pin re-run on a many-striped capped cache: eviction
-        // order must follow global recency, not per-stripe recency.
+    fn concurrent_probes_count_exactly() {
+        // Four threads probe one uncapped store at once, each on keys
+        // of its own (its thread index is the key's config hash), every
+        // key twice: one miss then one hit per key, whatever the
+        // interleaving. The barrier releases all four together.
+        const THREADS: u64 = 4;
+        const KEYS: usize = 6;
         let c = cluster();
         let cfg = DagHetPartConfig::default();
-        let chash = SolveCache::config_hash(&cfg);
-        let cache = SolveCache::with_capacity_and_stripes(2, 8);
-        let sub = c.subcluster(&[ProcId(3), ProcId(1)]);
-        let graphs: Vec<Dag> = (4..7).map(|n| builder::chain(n, 2.0, 4.0, 1.0)).collect();
-        let solve = |g: &Dag| {
-            cache
-                .schedule(g, g.fingerprint(), &sub, Algorithm::DagHetPart, &cfg, chash)
-                .unwrap()
-        };
-        solve(&graphs[0]);
-        solve(&graphs[1]);
-        solve(&graphs[0]); // refresh g0
-        solve(&graphs[2]); // evicts g1 across stripes
-        assert!(cache.is_warm(
-            graphs[0].fingerprint(),
-            sub.shape_signature(),
-            Algorithm::DagHetPart,
-            chash
-        ));
-        assert!(!cache.is_warm(
-            graphs[1].fingerprint(),
-            sub.shape_signature(),
-            Algorithm::DagHetPart,
-            chash
-        ));
-        solve(&graphs[0]);
-        solve(&graphs[1]);
+        let cache = SolveCache::new();
+        let graphs: Vec<Dag> = (0..KEYS)
+            .map(|n| builder::chain(n + 3, 2.0, 4.0, 1.0))
+            .collect();
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for chash in 0..THREADS {
+                let (c, cfg, cache, graphs, start) = (&c, &cfg, &cache, &graphs, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let view = CacheView::direct(cache);
+                    for _ in 0..2 {
+                        for g in graphs {
+                            view.solve(
+                                g,
+                                g.fingerprint(),
+                                c,
+                                &LEASE,
+                                Algorithm::DagHetMem,
+                                cfg,
+                                chash,
+                            )
+                            .unwrap();
+                        }
+                    }
+                });
+            }
+        });
+        let expected = THREADS * KEYS as u64;
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.evictions), (2, 4, 2));
-        assert_eq!(cache.len(), 2);
+        assert_eq!((s.hits, s.misses, s.evictions), (expected, expected, 0));
+        assert_eq!(cache.len() as u64, expected);
     }
 
     #[test]

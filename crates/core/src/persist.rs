@@ -5,7 +5,7 @@
 //! gives the cache a versioned on-disk snapshot format and two
 //! operations:
 //!
-//! * [`SolveCache::save_to`] — serialise the striped store (solve
+//! * [`SolveCache::save_to`] — serialise the store (solve
 //!   entries with their LRU recency stamps, memoized [`SimOutcome`]s,
 //!   cumulative hit/miss/eviction statistics) **crash-safely**: the
 //!   snapshot is written to a temporary sibling file, fsynced, and
@@ -18,7 +18,7 @@
 //!   leaves the cache exactly as it was (a cold start), never a
 //!   partial restore, and never a panic.
 //!
-//! # Snapshot format (version 3)
+//! # Snapshot format (version 4)
 //!
 //! A little-endian binary frame around length-prefixed JSON records
 //! (the workspace's vendored serde shims provide the JSON):
@@ -26,9 +26,8 @@
 //! | field         | size | meaning                                       |
 //! |---------------|------|-----------------------------------------------|
 //! | magic         | 8    | `b"DHPCACHE"`                                 |
-//! | version       | 4    | format version, this module writes 3          |
+//! | version       | 4    | format version, this module writes 4          |
 //! | `config_hash` | 8    | [`SolveCache::config_hash`] of the solver     |
-//! | stripes       | 4    | stripe count at save time (informational)     |
 //! | solves        | 8    | number of solve records in the body           |
 //! | sims          | 8    | number of sim records in the body             |
 //! | body length   | 8    | byte length of the body                       |
@@ -38,6 +37,9 @@
 //! Snapshots of any other version are refused as
 //! [`SnapshotError::WrongVersion`] and degrade to a classified cold
 //! start — the same recovery semantics as any other incompatibility.
+//! The version is checked before any later offset is read, so a
+//! version-3 file (one more 4-byte field after `config_hash`) is
+//! refused, not misread.
 //!
 //! The header sits outside the body checksum, so the two record counts
 //! are checked against the body before anything is sized by them: every
@@ -49,10 +51,6 @@
 //! patterns are hex-*strings* in the JSON: the vendored value tree
 //! stores numbers as `f64`, which cannot represent full-range 64-bit
 //! integers exactly, and a warm start must round-trip bit-exactly.
-//!
-//! The stripe count is informational only: stripe membership is a pure
-//! function of the key, so a snapshot loads correctly into a cache
-//! with any stripe count.
 
 use crate::metrics::MappingResult;
 use crate::partial::{Algorithm, SimOutcome, SolveCache, SolveCacheStats};
@@ -62,14 +60,13 @@ use dhp_platform::ProcId;
 use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Leading magic bytes of every snapshot.
 pub const MAGIC: [u8; 8] = *b"DHPCACHE";
 
 /// The snapshot format version this module reads and writes.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Why a snapshot failed to load. Every variant is a **cold start**,
 /// never a panic; [`SnapshotError::Missing`] is the expected first-run
@@ -315,9 +312,9 @@ fn read_u64(bytes: &[u8], at: usize) -> Result<u64, SnapshotError> {
         .ok_or(SnapshotError::Truncated)
 }
 
-/// Byte offset of the body: magic + version + config_hash + stripes +
-/// solve count + sim count + body length + checksum.
-const HEADER_LEN: usize = 8 + 4 + 8 + 4 + 8 + 8 + 8 + 8;
+/// Byte offset of the body: magic + version + config_hash + solve
+/// count + sim count + body length + checksum.
+const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8 + 8;
 
 impl SolveCache {
     /// Serialises the cache to `path` **crash-safely**: the snapshot
@@ -375,7 +372,6 @@ impl SolveCache {
         frame.extend_from_slice(&MAGIC);
         frame.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         frame.extend_from_slice(&config_hash.to_le_bytes());
-        frame.extend_from_slice(&(self.stripes() as u32).to_le_bytes());
         frame.extend_from_slice(&(solves.len() as u64).to_le_bytes());
         frame.extend_from_slice(&(sims.len() as u64).to_le_bytes());
         frame.extend_from_slice(&(body.len() as u64).to_le_bytes());
@@ -448,8 +444,8 @@ impl SolveCache {
                 expected: expected_config_hash,
             });
         }
-        let body_len = read_u64(&bytes, 40)?;
-        let checksum = read_u64(&bytes, 48)?;
+        let body_len = read_u64(&bytes, 36)?;
+        let checksum = read_u64(&bytes, 44)?;
         let body = &bytes[HEADER_LEN..];
         if body.len() as u64 != body_len {
             return Err(SnapshotError::Truncated);
@@ -466,8 +462,8 @@ impl SolveCache {
             }
             Ok(n as usize)
         };
-        let n_solves = count(24, "solve")?;
-        let n_sims = count(32, "sim")?;
+        let n_solves = count(20, "solve")?;
+        let n_sims = count(28, "sim")?;
         if fnv1a_bytes(body.iter().copied()) != checksum {
             return Err(SnapshotError::ChecksumMismatch);
         }
@@ -522,13 +518,7 @@ impl SolveCache {
             solves: solves.len(),
             sims: sims.len(),
         };
-        for (key, solved, stamp) in solves {
-            self.restore_solve(key, solved.map(Arc::new), stamp);
-        }
-        for (key, sim) in sims {
-            self.restore_sim(key, Arc::new(sim));
-        }
-        self.finish_restore(tick, carried);
+        self.restore(tick, carried, solves, sims);
         Ok(summary)
     }
 }
@@ -741,7 +731,7 @@ mod tests {
         );
         // Wrong format version — a later one, and the previous one
         // (whose header is one field longer; it is never parsed).
-        for v in [99u32, 2] {
+        for v in [99u32, 3] {
             let mut wrong_ver = good.clone();
             wrong_ver[8..12].copy_from_slice(&v.to_le_bytes());
             assert_eq!(try_load(&wrong_ver), SnapshotError::WrongVersion(v));
@@ -750,7 +740,7 @@ mod tests {
         // of this length can hold is refused before it sizes anything;
         // one that is merely too large runs into the next section or
         // off the end of the body.
-        for at in [24, 32] {
+        for at in [20, 28] {
             let mut huge = good.clone();
             huge[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
             assert!(matches!(try_load(&huge), SnapshotError::Malformed(_)));

@@ -8,7 +8,7 @@
 //!   digest-pinned report/merge/persist modules.
 //! * **R2 wall-clock confinement** — `Instant::now`/`SystemTime` only
 //!   in the bench harness, solver timing, and metrics.
-//! * **R3 lock discipline** — no nested stripe guards in
+//! * **R3 lock discipline** — no nested lock guards in
 //!   `core/partial.rs` and `online/federation/`.
 //! * **R4 panic hygiene** — `unwrap()`/`expect()` in library non-test
 //!   code governed by the shrink-only ratchet in `lint-baseline.toml`.

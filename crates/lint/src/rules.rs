@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, BTreeSet};
 pub const R1: &str = "R1-determinism";
 /// Rule id: wall-clock reads outside the allowlist.
 pub const R2: &str = "R2-wallclock";
-/// Rule id: nested stripe guards.
+/// Rule id: nested lock guards.
 pub const R3: &str = "R3-lock-discipline";
 /// Rule id: unwrap/expect ratchet in library non-test code.
 pub const R4: &str = "R4-panic-hygiene";
@@ -326,9 +326,10 @@ fn lock_discipline(m: &FileModel, out: &mut Vec<Finding>) {
                 line: line.number,
                 rule: R3,
                 message: format!(
-                    "`.lock()` while guard `{}` (line {}) is still held — a second stripe \
-                     guard under a held one deadlocks crossed stripes; release the first \
-                     guard (or copy what you need out of it) before locking again",
+                    "`.lock()` while guard `{}` (line {}) is still held — a second guard \
+                     under a held one deadlocks on the same mutex, or against a thread \
+                     locking in the other order; release the first guard (or copy what \
+                     you need out of it) before locking again",
                     held.name, held.line
                 ),
             });
@@ -338,7 +339,7 @@ fn lock_discipline(m: &FileModel, out: &mut Vec<Finding>) {
                 line: line.number,
                 rule: R3,
                 message: "two `.lock()` temporaries in one expression — nested guard \
-                          acquisition deadlocks crossed stripes; split into sequential \
+                          acquisition can deadlock; split into sequential \
                           statements so each guard drops before the next acquires"
                     .to_string(),
             });

@@ -12,7 +12,7 @@ pub fn sorted_values(m: &HashMap<usize, u64>, keys: &[usize]) -> Vec<u64> {
     sorted.values().copied().collect()
 }
 
-/// One guard at a time: the stripe guard drops before anything else
+/// One guard at a time: the store guard drops before anything else
 /// locks.
 pub fn tick(m: &Mutex<u64>) -> u64 {
     let mut g = m.lock();

@@ -67,8 +67,8 @@
 //!   translated mapping and no `Grant` is built for a candidate the
 //!   pass then throws away. A warm overshooting probe allocates
 //!   nothing, and it hashes its key once: the [`ProbeKey`] that
-//!   answered the lease's solve (shape and stripe included) answers its
-//!   sim lookup too.
+//!   answered the lease's solve (lease shape included) answers its sim
+//!   lookup too.
 //!
 //! `EasyBackfill` is the *aggressive* (EASY) split of the same idea:
 //! the blocked head's reservation is computed lazily **once per event**

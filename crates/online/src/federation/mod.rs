@@ -43,10 +43,10 @@
 //! Every probe goes to the shared [`SolveCache`] through a live view
 //! charged to the member that caused it, so a solve one member inserts
 //! is a hit for any identically shaped lease on any other member from
-//! the next probe on — within the same event too. The store stays
-//! striped because the baseline batch's cold solves still run on
-//! several threads at report time; member stepping does not, since
-//! threads did not pay there (README, "One federation driver").
+//! the next probe on — within the same event too. The store is one
+//! mutex: only the baseline batch's cold solves still run on several
+//! threads at report time, and they rarely meet on the lock (README,
+//! "One federation driver").
 //!
 //! Every member produces its own
 //! [`ServeReport`](crate::report::ServeReport) (records stamped with

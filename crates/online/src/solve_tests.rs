@@ -131,10 +131,6 @@ fn capped() -> SolveCache {
     SolveCache::with_capacity(3)
 }
 
-fn capped_one_stripe() -> SolveCache {
-    SolveCache::with_capacity_and_stripes(2, 1)
-}
-
 fn disabled() -> SolveCache {
     SolveCache::disabled()
 }
@@ -146,7 +142,7 @@ proptest::proptest! {
     fn solve_answers_and_charges_like_the_feasibility_probe_it_replaced(
         probes in proptest::collection::vec((0usize..4, 0usize..7, 0usize..2), 1..40),
     ) {
-        for make in [unbounded, capped, capped_one_stripe, disabled] {
+        for make in [unbounded, capped, disabled] {
             agree(Mode::Direct, make, &probes);
             agree(Mode::Live, make, &probes);
         }

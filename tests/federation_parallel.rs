@@ -179,8 +179,8 @@ fn parallel_driver_is_byte_identical_to_sequential_across_the_matrix() {
 #[test]
 fn lru_eviction_under_the_striped_store_is_deterministic() {
     // A cap far below the trace's working set forces evictions through
-    // the striped store's global-LRU scan; the victim choice (and with
-    // it every later hit/miss) must repeat run to run.
+    // the store's LRU scan; the victim choice (and with it every later
+    // hit/miss) must repeat run to run.
     for case in capped() {
         let a = case.serve();
         let b = case.serve();

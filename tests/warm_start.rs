@@ -136,17 +136,20 @@ fn every_corrupt_snapshot_variant_degrades_to_a_cold_start() {
     // Each variant: (tag, corrupted bytes, substring the recovery note
     // must carry). Offsets follow the documented header layout: magic
     // [0..8), version [8..12), config_hash [12..20), solve count
-    // [24..32) — the counts sit outside the body checksum.
+    // [20..28) — the counts sit outside the body checksum.
     let truncated = good[..good.len() / 2].to_vec();
     let mut bitflip = good.clone();
     let last = bitflip.len() - 1;
     bitflip[last] ^= 0x40; // body corruption → checksum mismatch
     let mut wrong_version = good.clone();
     wrong_version[8..12].copy_from_slice(&999u32.to_le_bytes());
+    // A genuine version-3 frame: the same header with its 4-byte lock
+    // count field back after config_hash.
     let mut previous_version = good.clone();
-    previous_version[8..12].copy_from_slice(&2u32.to_le_bytes());
+    previous_version[8..12].copy_from_slice(&3u32.to_le_bytes());
+    previous_version.splice(20..20, 16u32.to_le_bytes());
     let mut header_count = good.clone();
-    header_count[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
+    header_count[20..28].copy_from_slice(&u64::MAX.to_le_bytes());
     let mut wrong_config = good.clone();
     for b in &mut wrong_config[12..20] {
         *b ^= 0xff;
@@ -156,7 +159,7 @@ fn every_corrupt_snapshot_variant_degrades_to_a_cold_start() {
         ("truncated", truncated, "truncated"),
         ("bit-flipped", bitflip, "checksum"),
         ("wrong-version", wrong_version, "version 999"),
-        ("previous-version", previous_version, "version 2"),
+        ("previous-version", previous_version, "version 3"),
         ("header-count", header_count, "malformed"),
         ("wrong-config", wrong_config, "solver config"),
         ("garbage", garbage, "bad magic"),
