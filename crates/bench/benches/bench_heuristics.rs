@@ -7,7 +7,8 @@ use dhp_core::fitting::scale_cluster_with_headroom;
 use dhp_core::prelude::*;
 use dhp_core::steps::swap::swap_blocks;
 use dhp_core::steps::{assign::biggest_assign, merge::merge_unassigned, partition::initial_blocks};
-use dhp_platform::configs;
+use dhp_platform::configs::{self, ClusterKind, ClusterSize};
+use dhp_platform::Cluster;
 use dhp_wfgen::{Family, WorkflowInstance};
 use std::hint::black_box;
 
@@ -168,6 +169,46 @@ fn bench_shared_work(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two shapes `online_cold` solves by the thousand: Step 4 (the
+/// quotient build and the swap rounds, each of which relaxes only the
+/// candidates that could win) on a 40-task recipe at `k' = 18` over the
+/// fitted 18-processor less-heterogeneous cluster, and a whole `k'`
+/// sweep on a 3-processor lease of it, where starting the sweep's
+/// threads is much of the solve (the caller drains the counter too).
+fn bench_online_shapes(c: &mut Criterion) {
+    let cfg = DagHetPartConfig::default();
+    let recipe = WorkflowInstance::simulated(Family::Genome, 40, 17).graph;
+    let base = configs::cluster(ClusterKind::LessHet, ClusterSize::Small);
+    let cluster = scale_cluster_with_headroom(&recipe, &base, 1.05);
+    let bs = initial_blocks(&recipe, cluster.len(), &cfg.partition_cfg);
+    let mut mapped = biggest_assign(&recipe, &cluster, bs, &cfg.partition_cfg);
+    merge_unassigned(&recipe, &cluster, &mut mapped, true).expect("genome 40 maps at k' = 18");
+    let mut group = c.benchmark_group("steps");
+    group.sample_size(20);
+    group.bench_function("swap_blocks/cold18", |b| {
+        b.iter(|| swap_blocks(black_box(&recipe), &cluster, &mut mapped.clone()))
+    });
+    group.finish();
+
+    let lease = Cluster::new(
+        cluster.ids_by_memory_desc()[..3]
+            .iter()
+            .map(|&p| cluster.proc(p).clone())
+            .collect(),
+        cluster.bandwidth,
+    );
+    assert!(
+        dag_het_part(&recipe, &lease, &cfg).is_ok(),
+        "the lease holds the recipe"
+    );
+    let mut group = c.benchmark_group("daghetpart");
+    group.sample_size(20);
+    group.bench_function("small_lease_sweep", |b| {
+        b.iter(|| dag_het_part(black_box(&recipe), &lease, &cfg))
+    });
+    group.finish();
+}
+
 /// The block requirement `r(V_i)` by itself, at the two sizes the
 /// offline workloads ask it at — a Step-1 block of a wide workflow and
 /// the five-task blocks a chain-shaped solve prices by the tens of
@@ -239,6 +280,7 @@ criterion_group!(
     bench_slot_search,
     bench_steps,
     bench_shared_work,
+    bench_online_shapes,
     bench_requirement_kernel
 );
 criterion_main!(benches);

@@ -3,7 +3,9 @@
 //! For every tentative block count `k' = 1..k` the driver runs the full
 //! pipeline (partition → assign → merge → swap) and keeps the mapping
 //! with the smallest makespan. The sweep is embarrassingly parallel and
-//! is fanned out over `std::thread::scope` workers that draw the next
+//! is fanned out over up to `host_cores()` workers — the calling thread
+//! plus one `std::thread::scope` spawn per further worker, since a spawn
+//! costs about as much as one attempt on a small lease — that draw the next
 //! `k'` from a shared counter, largest first: an attempt's cost grows
 //! with `k'` and varies wildly (most of a memory-tight sweep fails in
 //! Step 3, some early, some late), so contiguous chunks leave a worker
@@ -157,18 +159,21 @@ fn sweep(
         let workers = crate::host_cores().min(kprimes.len());
         // Hands out positions only and publishes no data: Relaxed.
         let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    while let Some(&kp) = kprimes
-                        .iter()
-                        .rev()
-                        .nth(next.fetch_add(1, Ordering::Relaxed))
-                    {
-                        attempt(kp);
-                    }
-                });
+        let drain = || {
+            while let Some(&kp) = kprimes
+                .iter()
+                .rev()
+                .nth(next.fetch_add(1, Ordering::Relaxed))
+            {
+                attempt(kp);
             }
+        };
+        // The caller is one of the workers.
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(drain);
+            }
+            drain();
         });
     } else {
         kprimes.iter().copied().for_each(attempt);

@@ -41,7 +41,8 @@ impl Mapping {
 /// Reasons a mapping is invalid.
 #[derive(Clone, Debug, PartialEq)]
 pub enum MappingError {
-    /// Partition does not cover the graph / block table mismatch.
+    /// Partition does not cover the graph / block table mismatch / a
+    /// processor id outside the cluster.
     Malformed,
     /// The quotient graph contains a cycle.
     CyclicQuotient,
@@ -113,6 +114,9 @@ pub fn validate(g: &Dag, cluster: &Cluster, mapping: &Mapping) -> Result<(), Map
             Some(p) => {
                 if !used.insert(*p) {
                     return Err(MappingError::DuplicateProcessor { proc: *p });
+                }
+                if p.idx() >= cluster.len() {
+                    return Err(MappingError::Malformed);
                 }
                 let req = block_requirement(g, &q.members[i]);
                 let capacity = cluster.memory(*p);
@@ -193,6 +197,20 @@ mod tests {
         assert_eq!(
             validate(&g, &tiny_cluster(), &mapping),
             Err(MappingError::Unassigned { block: 1 })
+        );
+    }
+
+    #[test]
+    fn processor_outside_the_cluster_is_malformed() {
+        let g = builder::chain(2, 1.0, 1.0, 1.0);
+        let cluster = tiny_cluster();
+        let mapping = Mapping {
+            partition: Partition::from_raw(&[0, 1]),
+            proc_of_block: vec![Some(ProcId(0)), Some(ProcId(cluster.len() as u32))],
+        };
+        assert_eq!(
+            validate(&g, &cluster, &mapping),
+            Err(MappingError::Malformed)
         );
     }
 

@@ -1,7 +1,13 @@
 //! The quotient graph as Steps 3 and 4 hold it: flat arrays instead of
 //! a [`Dag`], and the passes over it (Kahn order, bottom weights,
-//! critical path, first cycle) on buffers that are reused from one
-//! candidate to the next.
+//! critical path, tight chain, first cycle) on buffers that are reused
+//! from one candidate to the next.
+//!
+//! [`FlatQuotient::of_blocks`] builds it straight from a
+//! [`BlockSet`] — one block-of-task table, one sort of the crossing
+//! edges, no hashing — in the numbering and summation order of
+//! `BlockSet::to_partition` + `QuotientGraph::build`, which the tests
+//! keep as its reference.
 //!
 //! A pass is split where its inputs change at different rates.
 //! [`PassScratch::index`] depends on the quotient's shape and volumes
@@ -17,7 +23,7 @@
 //! the bit.
 
 use crate::blocks::BlockSet;
-use dhp_dag::{Dag, QuotientGraph};
+use dhp_dag::Dag;
 use dhp_platform::Cluster;
 
 /// A quotient graph as flat arrays. Node ids are dense `u32`s.
@@ -36,24 +42,69 @@ pub(super) struct FlatQuotient {
 impl FlatQuotient {
     /// The quotient of `bs` over `g`, plus the quotient node of every
     /// block index.
+    ///
+    /// Built straight from the blocks: nodes are numbered by first
+    /// appearance over task ids (the numbering of
+    /// `BlockSet::to_partition`), and every sum is taken in the order
+    /// `QuotientGraph::build` takes it — a block's work over its
+    /// members ascending, a quotient edge's volume onto `0.0` over its
+    /// crossing edges in edge-id order — so the weights keep their bits
+    /// without a `Partition`, a `Dag` or a hash map in between.
     pub(super) fn of_blocks(g: &Dag, bs: &BlockSet, cluster: &Cluster) -> (Self, Vec<u32>) {
-        // `to_partition` renumbers blocks by first node appearance;
-        // recover each block's quotient node via a member lookup.
-        let partition = bs.to_partition(g.node_count());
-        let node_of_block: Vec<u32> = bs
-            .iter()
-            .map(|b| partition.block_of(b.members[0]).0)
-            .collect();
-        let mut speed = vec![1.0; bs.len()];
-        for (b, &qn) in bs.iter().zip(&node_of_block) {
-            speed[qn as usize] = b.proc.map_or(1.0, |p| cluster.speed(p));
+        let mut block_of_task = vec![u32::MAX; g.node_count()];
+        for (b, block) in bs.iter().enumerate() {
+            for &u in &block.members {
+                debug_assert_eq!(block_of_task[u.idx()], u32::MAX, "overlapping blocks");
+                block_of_task[u.idx()] = b as u32;
+            }
         }
-        let q = Self::of_dag(&QuotientGraph::build(g, &partition).graph, speed);
-        (q, node_of_block)
+        let mut node_of_block = vec![u32::MAX; bs.len()];
+        let mut next = 0u32;
+        for &b in &block_of_task {
+            assert!(b != u32::MAX, "block set does not cover the graph");
+            let node = &mut node_of_block[b as usize];
+            if *node == u32::MAX {
+                *node = next;
+                next += 1;
+            }
+        }
+        debug_assert_eq!(next as usize, bs.len(), "empty block");
+        // The same table, now holding every task's quotient node.
+        let mut node_of_task = block_of_task;
+        for b in &mut node_of_task {
+            *b = node_of_block[*b as usize];
+        }
+
+        let mut work = vec![0.0; bs.len()];
+        let mut speed = vec![1.0; bs.len()];
+        for (block, &node) in bs.iter().zip(&node_of_block) {
+            // Members ascend (a `Block` invariant), as in `Partition::members`.
+            work[node as usize] = block.members.iter().map(|&u| g.node(u).work).sum();
+            speed[node as usize] = block.proc.map_or(1.0, |p| cluster.speed(p));
+        }
+
+        let node = |u: dhp_dag::NodeId| node_of_task[u.idx()];
+        let mut crossing: Vec<(u32, u32, f64)> = g
+            .edge_ids()
+            .map(|e| g.edge(e))
+            .map(|e| (node(e.src), node(e.dst), e.volume))
+            .filter(|&(a, b, _)| a != b)
+            .collect();
+        // Stable: parallel edges stay in edge-id order.
+        crossing.sort_by_key(|&(a, b, _)| (a, b));
+        let mut edges: Vec<(u32, u32, f64)> = Vec::with_capacity(crossing.len());
+        for (a, b, volume) in crossing {
+            match edges.last_mut() {
+                Some((la, lb, sum)) if (*la, *lb) == (a, b) => *sum += volume,
+                _ => edges.push((a, b, 0.0 + volume)),
+            }
+        }
+        (Self { work, speed, edges }, node_of_block)
     }
 
     /// `q` (simple, edges stored ascending by endpoints, as
     /// `QuotientGraph::build` leaves them) with the given node speeds.
+    #[cfg(test)]
     pub(super) fn of_dag(q: &Dag, speed: Vec<f64>) -> Self {
         let edges: Vec<(u32, u32, f64)> = q
             .edge_ids()
@@ -254,6 +305,39 @@ impl PassScratch {
         }
     }
 
+    /// Marks in `on_chain` (resized to `q`) the nodes of one *exactly*
+    /// tight chain under the bottom weights of the last
+    /// [`PassScratch::relax`], whose makespan was `makespan`: from the
+    /// smallest node id whose bottom weight equals `makespan`, along
+    /// the first out-edge whose `cost + bottom` equals the node's tail
+    /// (the max [`PassScratch::relax`] took), with no tolerance. Along
+    /// the chain `bottom[c] = work / speed + cost + bottom[next]` holds
+    /// as computed, and the last node's tail is the `0.0` a sink has.
+    /// Returns `false`, marking nothing, when no bottom weight equals
+    /// `makespan`.
+    pub(super) fn mark_tight_chain(
+        &self,
+        q: &FlatQuotient,
+        makespan: f64,
+        on_chain: &mut Vec<bool>,
+    ) -> bool {
+        on_chain.clear();
+        on_chain.resize(q.len(), false);
+        let Some(mut cur) = self.bottom.iter().position(|&b| b == makespan) else {
+            return false;
+        };
+        loop {
+            on_chain[cur] = true;
+            let via = |e: usize| self.cost[e] + self.bottom[q.edges[e].1 as usize];
+            let mut edges = self.out_edges(cur as u32);
+            let tail = edges.clone().fold(0.0f64, |tail, e| tail.max(via(e)));
+            match edges.find(|&e| via(e) == tail) {
+                Some(e) => cur = q.edges[e].1 as usize,
+                None => return true,
+            }
+        }
+    }
+
     /// For a cyclic `q` (out-edges indexed by the failed
     /// [`PassScratch::bottom_weights`]): depth-first from the smallest
     /// node id, children in ascending id, to the first edge that closes
@@ -340,8 +424,98 @@ pub(super) mod tests {
         (q, speed)
     }
 
+    /// The detour [`FlatQuotient::of_blocks`] replaced: `to_partition`,
+    /// then `QuotientGraph::build` (two hash maps and a `Dag`), then
+    /// [`FlatQuotient::of_dag`].
+    fn reference_of_blocks(g: &Dag, bs: &BlockSet, cluster: &Cluster) -> (FlatQuotient, Vec<u32>) {
+        let partition = bs.to_partition(g.node_count());
+        let node_of_block: Vec<u32> = bs
+            .iter()
+            .map(|b| partition.block_of(b.members[0]).0)
+            .collect();
+        let mut speed = vec![1.0; bs.len()];
+        for (b, &qn) in bs.iter().zip(&node_of_block) {
+            speed[qn as usize] = b.proc.map_or(1.0, |p| cluster.speed(p));
+        }
+        let q = dhp_dag::QuotientGraph::build(g, &partition);
+        (FlatQuotient::of_dag(&q.graph, speed), node_of_block)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The direct build equals the detour to the bit — works,
+        /// speeds, edges with their volumes, and the node of every
+        /// block — on block sets whose order is not first appearance
+        /// (merges swap-remove), with zero and `-0.0` works and volumes
+        /// and many parallel crossing edges (dense graphs, few blocks,
+        /// and task edges doubled).
+        #[test]
+        fn direct_quotient_build_matches_the_partition_detour(
+            n in 1usize..40,
+            p in 0.05f64..0.6,
+            seed in any::<u64>(),
+            parts in 1u32..10,
+            raw in proptest::collection::vec(any::<u32>(), 40),
+            works in proptest::collection::vec(0u8..4, 40),
+            volumes in proptest::collection::vec(0u8..4, 64),
+            doubled in 0usize..64,
+            merges in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..4),
+            procs in proptest::collection::vec(0u32..6, 40),
+        ) {
+            let mut g = builder::gnp_dag_weighted(n, p, seed);
+            for (u, &w) in g.node_ids().collect::<Vec<_>>().into_iter().zip(&works) {
+                match w {
+                    1 => g.node_mut(u).work = 0.0,
+                    2 => g.node_mut(u).work = -0.0,
+                    _ => {}
+                }
+            }
+            let tweak = |v: f64, class: u8| match class {
+                1 => 0.0,
+                2 => -0.0,
+                _ => v,
+            };
+            let edges: Vec<_> = g.edge_ids().collect();
+            for (&e, &class) in edges.iter().zip(&volumes) {
+                g.edge_mut(e).volume = tweak(g.edge(e).volume, class);
+            }
+            for (i, &e) in edges.iter().take(doubled).enumerate() {
+                let (src, dst, volume) = (g.edge(e).src, g.edge(e).dst, g.edge(e).volume);
+                g.add_edge(src, dst, tweak(volume, volumes[(i + 1) % volumes.len()]));
+            }
+            let raw: Vec<u32> = raw[..n].iter().map(|r| r % parts).collect();
+            let mut bs = BlockSet::from_partition(&g, &dhp_dag::Partition::from_raw(&raw));
+            for &(i, j) in &merges {
+                let (i, j) = (i % bs.len(), j % bs.len());
+                if i != j {
+                    bs.merge_blocks(&g, i, j, None, None);
+                }
+            }
+            let cluster = Cluster::new(
+                [1.0, 4.0, 8.0, 16.0]
+                    .iter()
+                    .map(|&s| dhp_platform::Processor::new("p", s, 1.0))
+                    .collect(),
+                1.0,
+            );
+            for (b, &proc) in procs.iter().enumerate().take(bs.len()) {
+                if (proc as usize) < cluster.len() {
+                    bs.assign(b, dhp_platform::ProcId(proc));
+                }
+            }
+
+            let (got, got_nodes) = FlatQuotient::of_blocks(&g, &bs, &cluster);
+            let (want, want_nodes) = reference_of_blocks(&g, &bs, &cluster);
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(got_nodes, want_nodes);
+            prop_assert_eq!(bits(&got.work), bits(&want.work));
+            prop_assert_eq!(bits(&got.speed), bits(&want.speed));
+            let edge_bits = |q: &FlatQuotient| {
+                q.edges.iter().map(|&(a, b, v)| (a, b, v.to_bits())).collect::<Vec<_>>()
+            };
+            prop_assert_eq!(edge_bits(&got), edge_bits(&want));
+        }
 
         /// What Step 4 does to a quotient — index it once, then relax
         /// under one speed vector after another — gives the makespan

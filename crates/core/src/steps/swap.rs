@@ -2,11 +2,14 @@
 //!
 //! Starting from the valid Step-3 mapping:
 //!
-//! 1. **Swaps** — repeatedly evaluate all pairs of blocks; a swap
-//!    exchanges the two blocks' processors and is feasible when both
-//!    blocks fit their new memories. The best improving swap is executed
-//!    until none exists. Swapping never changes the quotient graph, only
-//!    block speeds, so evaluation is cheap.
+//! 1. **Swaps** — a swap exchanges two blocks' processors and is
+//!    feasible when both blocks fit their new memories. Each round
+//!    executes the best improving swap, until none exists. Swapping
+//!    never changes the quotient graph, only block speeds, so a
+//!    candidate costs one relax of the shared quotient; and a round
+//!    relaxes only the feasible pairs that move a block of one exactly
+//!    tight chain to a faster processor — every other pair provably
+//!    cannot shorten the makespan (see `Step4::swap_blocks`).
 //! 2. **Idle moves** — if processors remain idle (typical for small
 //!    workflows split into few blocks), walk the critical path and move
 //!    each block to a faster idle processor that can hold it, recomputing
@@ -21,7 +24,7 @@ use std::collections::HashSet;
 /// Runs the swap loop. Requires every block assigned. Returns the number
 /// of executed swaps.
 pub fn swap_blocks(g: &Dag, cluster: &Cluster, bs: &mut BlockSet) -> usize {
-    Step4::new(g, cluster, bs).swap_blocks(cluster, bs)
+    Step4::new(g, cluster, bs).swap_blocks(cluster, bs).0
 }
 
 /// Moves critical-path blocks to faster idle processors (the final
@@ -74,23 +77,41 @@ impl Step4 {
     }
 
     /// [`swap_blocks`] on the block set this quotient was built from.
+    /// Returns the executed swaps and the candidates relaxed.
     ///
     /// A candidate costs one reverse sweep over the quotient in its
     /// stored topological order; nothing is allocated per candidate.
-    pub(crate) fn swap_blocks(&mut self, cluster: &Cluster, bs: &mut BlockSet) -> usize {
+    /// Each round relaxes the incumbent and marks one exactly tight
+    /// chain ([`PassScratch::mark_tight_chain`]); a pair is relaxed
+    /// only when it moves a chain block to a strictly faster processor.
+    /// Any other pair leaves every chain block as fast or slower, and
+    /// with non-negative work, positive speeds and a finite makespan,
+    /// rounded `/`, `+` and `max` are monotone along the chain: each
+    /// chain node's bottom weight can only grow, so the new makespan is
+    /// at least the incumbent's and the pair could never pass the
+    /// improvement test. A round without those premises relaxes every
+    /// feasible pair.
+    pub(crate) fn swap_blocks(&mut self, cluster: &Cluster, bs: &mut BlockSet) -> (usize, usize) {
         debug_assert!(bs.unassigned().is_empty());
         let n = bs.len();
         let Some(mut procs) = assigned_procs(bs) else {
-            return 0;
+            return (0, 0);
         };
         if n < 2 || !self.acyclic {
-            return 0;
+            return (0, 0);
         }
         let node = |block: usize| self.node_of_block[block] as usize;
+        // Swaps only permute the speeds, so this holds for every round.
+        let monotone = self.q.work.iter().all(|&w| w.is_finite() && w >= 0.0)
+            && self.q.speed.iter().all(|&s| s > 0.0);
+        let mut on_chain = Vec::new();
 
-        let mut best_ms = self.pass.relax(&self.q);
-        let mut swaps = 0usize;
+        let (mut swaps, mut relaxed) = (0usize, 0usize);
         loop {
+            let best_ms = self.pass.relax(&self.q);
+            let pruned = monotone
+                && best_ms.is_finite()
+                && self.pass.mark_tight_chain(&self.q, best_ms, &mut on_chain);
             let mut best_pair: Option<(usize, usize, f64)> = None;
             for i in 0..n {
                 for j in (i + 1)..n {
@@ -100,30 +121,36 @@ impl Step4 {
                     {
                         continue;
                     }
-                    if self.q.speed[node(i)] == self.q.speed[node(j)] {
+                    let (si, sj) = (self.q.speed[node(i)], self.q.speed[node(j)]);
+                    if si == sj {
                         continue; // identical machines: no effect
+                    }
+                    // The block that would move to the faster processor.
+                    let gains = if si < sj { i } else { j };
+                    if pruned && !on_chain[node(gains)] {
+                        continue; // cannot shorten the makespan
                     }
                     // Evaluate with exchanged speeds.
                     self.q.speed.swap(node(i), node(j));
                     let ms = self.pass.relax(&self.q);
                     self.q.speed.swap(node(i), node(j));
+                    relaxed += 1;
                     if ms < best_ms - 1e-12 && best_pair.is_none_or(|(_, _, b)| ms < b) {
                         best_pair = Some((i, j, ms));
                     }
                 }
             }
-            let Some((i, j, ms)) = best_pair else {
+            let Some((i, j, _)) = best_pair else {
                 break;
             };
             procs.swap(i, j);
             self.q.speed.swap(node(i), node(j));
-            best_ms = ms;
             swaps += 1;
         }
         for (i, &p) in procs.iter().enumerate() {
             bs.assign(i, p);
         }
-        swaps
+        (swaps, relaxed)
     }
 
     /// [`idle_moves`] on the block set this quotient was built from.
@@ -296,11 +323,12 @@ mod tests {
     // critical-path node's block up by a scan. Kept only so the tests
     // below can hold the shared-quotient forms to it.
 
-    fn reference_swap_blocks(g: &Dag, cluster: &Cluster, bs: &mut BlockSet) -> usize {
+    /// Returns the executed swaps and the candidates scored.
+    fn reference_swap_blocks(g: &Dag, cluster: &Cluster, bs: &mut BlockSet) -> (usize, usize) {
         debug_assert!(bs.unassigned().is_empty());
         let n = bs.len();
         if n < 2 {
-            return 0;
+            return (0, 0);
         }
         // The quotient graph is invariant under swaps: build it once.
         let partition = bs.to_partition(g.node_count());
@@ -318,7 +346,7 @@ mod tests {
         }
 
         let mut best_ms = quotient_makespan(&q.graph, &speeds_q, cluster.bandwidth);
-        let mut swaps = 0usize;
+        let (mut swaps, mut scored) = (0usize, 0usize);
         loop {
             let mut best_pair: Option<(usize, usize, f64)> = None;
             for i in 0..n {
@@ -340,6 +368,7 @@ mod tests {
                     let ms = quotient_makespan(&q.graph, &speeds_q, cluster.bandwidth);
                     speeds_q[qi] = si;
                     speeds_q[qj] = sj;
+                    scored += 1;
                     if ms < best_ms - 1e-12 && best_pair.is_none_or(|(_, _, b)| ms < b) {
                         best_pair = Some((i, j, ms));
                     }
@@ -359,7 +388,7 @@ mod tests {
         for (i, &p) in procs.iter().enumerate() {
             bs.assign(i, p);
         }
-        swaps
+        (swaps, scored)
     }
 
     fn reference_idle_moves(g: &Dag, cluster: &Cluster, bs: &mut BlockSet) -> usize {
@@ -461,7 +490,7 @@ mod tests {
         let procs = |bs: &BlockSet| bs.iter().map(|b| b.proc).collect::<Vec<_>>();
 
         let mut want = start.clone();
-        let swaps = reference_swap_blocks(g, cluster, &mut want);
+        let (swaps, _) = reference_swap_blocks(g, cluster, &mut want);
         let after_swaps = procs(&want);
         let idle = reference_idle_moves(g, cluster, &mut want);
         let makespan = crate::makespan::blockset_makespan(g, &want, cluster);
@@ -474,7 +503,7 @@ mod tests {
 
         let mut shared = start.clone();
         let mut step4 = Step4::new(g, cluster, &shared);
-        assert_eq!(step4.swap_blocks(cluster, &mut shared), swaps);
+        assert_eq!(step4.swap_blocks(cluster, &mut shared).0, swaps);
         assert_eq!(procs(&shared), after_swaps);
         assert_eq!(step4.idle_moves(cluster, &mut shared), idle);
         assert_eq!(procs(&shared), procs(&want));
@@ -512,18 +541,55 @@ mod tests {
         );
     }
 
+    /// The swap rounds' pruning is not inert: on a wide workflow at
+    /// `k' = 36` the search relaxes at most a fifth of the candidates
+    /// the unpruned reference scores, and makes the same swaps.
+    #[test]
+    fn swap_rounds_relax_at_most_a_fifth_of_the_candidates() {
+        let (g, cluster) = instance(dhp_wfgen::Family::Blast, 1_000, 17);
+        let start = stirred_mapping(&g, &cluster, 36).expect("blast 1000 maps at k' = 36");
+        let procs = |bs: &BlockSet| bs.iter().map(|b| b.proc).collect::<Vec<_>>();
+
+        let mut want = start.clone();
+        let (swaps, scored) = reference_swap_blocks(&g, &cluster, &mut want);
+        let mut got = start.clone();
+        let (pruned_swaps, relaxed) =
+            Step4::new(&g, &cluster, &got).swap_blocks(&cluster, &mut got);
+        assert_eq!(pruned_swaps, swaps);
+        assert_eq!(procs(&got), procs(&want));
+        assert!(swaps > 0, "premise: the stirred mapping has swaps to undo");
+        assert!(relaxed * 5 <= scored, "relaxed {relaxed} of {scored}");
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(24))]
 
+        /// `premise` varies what the swap rounds' pruning relies on, on
+        /// the Step-3 mapping: 0 leaves the instance as generated; 1
+        /// makes one block's work zero (the premise still holds); 2
+        /// makes one task's work negative and 3 shrinks the bandwidth
+        /// until edge costs are huge or overflow to an infinite makespan
+        /// (the premise fails, so every pair is relaxed).
         #[test]
         fn shared_quotient_step4_matches_reference_on_random_instances(
             family in proptest::sample::select(dhp_wfgen::Family::ALL.to_vec()),
             tasks in 40usize..260,
             seed in proptest::strategy::any::<u64>(),
             kprime in 2usize..24,
+            premise in 0u8..4,
         ) {
-            let (g, cluster) = instance(family, tasks, seed);
+            let (mut g, mut cluster) = instance(family, tasks, seed);
             if let Some(start) = stirred_mapping(&g, &cluster, kprime) {
+                match premise {
+                    1 => {
+                        for &u in &start.block(0).members {
+                            g.node_mut(u).work = 0.0;
+                        }
+                    }
+                    2 => g.node_mut(start.block(0).members[0]).work = -1.0,
+                    3 => cluster = cluster.with_bandwidth(1e-300),
+                    _ => {}
+                }
                 check_against_reference(&g, &cluster, &start);
             }
         }

@@ -29,9 +29,9 @@
 //! `slowdown`. These whole-cluster solves are **deferred off the
 //! admission critical path**: the engine only remembers each admitted
 //! workflow's structural fingerprint and drains the baseline solves at
-//! report time as one deduplicated batch, fanned over
-//! `std::thread::scope` worker threads when more than one of its jobs
-//! still needs the solver.
+//! report time as one deduplicated batch, fanned over the calling
+//! thread and `std::thread::scope` worker threads when more than one of
+//! its jobs still needs the solver.
 //!
 //! Every solver call — admission probes, reservation feasibility scans
 //! and the baseline batch — goes through a content-addressed
@@ -445,10 +445,12 @@ pub(crate) fn finalize(
     if workers <= 1 {
         drain();
     } else {
+        // The caller is one of the workers, as in the k' sweep.
         std::thread::scope(|scope| {
-            for _ in 0..workers {
+            for _ in 1..workers {
                 scope.spawn(drain);
             }
+            drain();
         });
     }
     let baseline_of: HashMap<u64, Result<f64, SchedError>> = jobs
