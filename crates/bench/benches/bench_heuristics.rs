@@ -66,7 +66,9 @@ fn bench_slot_search(c: &mut Criterion) {
 /// block sets, most of which Step 3 fails on after paying for it — the
 /// clone of the block sets is in the loop and is noise next to it) and
 /// Step 2 on a wide 4000-task one (every block leaves the queue with
-/// the requirement it entered with).
+/// the requirement it entered with). Before them, Step 1 on that wide
+/// workflow at `k' = 36`: coarsening, partitioning and pricing blocks
+/// that are mostly stages of independent tasks.
 fn bench_steps(c: &mut Criterion) {
     let cfg = DagHetPartConfig::default();
     let mut group = c.benchmark_group("steps");
@@ -89,6 +91,9 @@ fn bench_steps(c: &mut Criterion) {
     });
 
     let fanout = WorkflowInstance::simulated(Family::Blast, 4_000, 17).graph;
+    group.bench_function("initial_blocks/blast4000_k36", |b| {
+        b.iter(|| initial_blocks(black_box(&fanout), 36, &cfg.partition_cfg))
+    });
     let cluster = scale_cluster_with_headroom(&fanout, &configs::default_cluster(), 1.05);
     let blocks = initial_blocks(&fanout, cluster.len(), &cfg.partition_cfg);
     group.bench_function("biggest_assign/fanout4000", |b| {

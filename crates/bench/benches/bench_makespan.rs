@@ -1,5 +1,6 @@
 //! Microbenchmark: the bottom-weight makespan engine (paper Eq. (1)–(2)),
-//! the inner loop of Steps 3–4 and of Figs. 3–7.
+//! the inner loop of Steps 3–4 and of Figs. 3–7, and the partition
+//! renumbering behind every quotient it is asked about.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dhp_core::makespan::quotient_makespan;
@@ -29,5 +30,22 @@ fn bench_critical_path(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_quotient_makespan, bench_critical_path);
+/// `Partition::from_raw` on 50 000 tasks spread over 36 block numbers:
+/// the renumbering every dagP partition (and so every `k'` of a sweep)
+/// ends with.
+fn bench_partition_from_raw(c: &mut Criterion) {
+    let raw: Vec<u32> = (0..50_000u32).map(|i| i * 17 % 36).collect();
+    let mut group = c.benchmark_group("dag");
+    group.bench_function("partition_from_raw/50000", |b| {
+        b.iter(|| dhp_dag::Partition::from_raw(black_box(&raw)))
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_quotient_makespan,
+    bench_critical_path,
+    bench_partition_from_raw
+);
 criterion_main!(benches);

@@ -22,8 +22,9 @@ use std::collections::HashMap;
 /// edges — and to nothing else. No sub-DAG is built: `dhp-memdag`
 /// views the block in place (`dhp_dag::BlockView`: the members'
 /// adjacency filtered to the block, the boundary load folded in during
-/// the same pass) and runs every traversal strategy on that view, all
-/// on the calling thread's reusable workspace. A question no larger
+/// the same pass) and runs every traversal strategy on that view — or,
+/// when no two members share a file, evaluates the one order they all
+/// return — on the calling thread's reusable workspace. A question no larger
 /// than one the thread has answered before allocates nothing; the only
 /// table as long as `g` is the workspace's parent-id map, which grows
 /// once per thread and is wiped member by member after each question.

@@ -43,16 +43,40 @@ impl Partition {
     /// Block numbers may be sparse; they are renumbered densely in order
     /// of first appearance.
     pub fn from_raw(raw: &[u32]) -> Self {
-        let mut remap: HashMap<u32, u32> = HashMap::new();
-        let mut assignment = Vec::with_capacity(raw.len());
-        for &b in raw {
-            let next = remap.len() as u32;
-            let dense = *remap.entry(b).or_insert(next);
-            assignment.push(BlockId(dense));
+        let slots = raw.iter().max().map_or(0, |&b| b as usize + 1);
+        if slots <= 2 * raw.len() + 1024 {
+            return Self::renumber(raw, slots);
         }
+        // Too sparse for a slot per number: rank the numbers first.
+        let mut used = raw.to_vec();
+        used.sort_unstable();
+        used.dedup();
+        let ranks: Vec<u32> = raw
+            .iter()
+            .map(|&b| used.partition_point(|&x| x < b) as u32)
+            .collect();
+        Self::renumber(&ranks, used.len())
+    }
+
+    /// [`Partition::from_raw`] of block numbers below `slots`, through
+    /// one table slot per number.
+    fn renumber(raw: &[u32], slots: usize) -> Self {
+        let mut dense = vec![u32::MAX; slots];
+        let mut num_blocks = 0;
+        let assignment = raw
+            .iter()
+            .map(|&b| {
+                let slot = &mut dense[b as usize];
+                if *slot == u32::MAX {
+                    *slot = num_blocks;
+                    num_blocks += 1;
+                }
+                BlockId(*slot)
+            })
+            .collect();
         Self {
             assignment,
-            num_blocks: remap.len(),
+            num_blocks: num_blocks as usize,
         }
     }
 
@@ -292,6 +316,42 @@ mod tests {
         assert_eq!(p.block_of(NodeId(0)), BlockId(0));
         assert_eq!(p.block_of(NodeId(2)), BlockId(1));
         assert_eq!(p.block_of(NodeId(3)), BlockId(2));
+    }
+
+    /// The hashing renumbering [`Partition::from_raw`] replaced.
+    fn reference_from_raw(raw: &[u32]) -> Partition {
+        let mut remap: HashMap<u32, u32> = HashMap::new();
+        let mut assignment = Vec::with_capacity(raw.len());
+        for &b in raw {
+            let next = remap.len() as u32;
+            let dense = *remap.entry(b).or_insert(next);
+            assignment.push(BlockId(dense));
+        }
+        Partition {
+            assignment,
+            num_blocks: remap.len(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The slot table renumbers like the hash map did: on dense
+        /// numbers, on numbers with gaps, and on numbers too sparse
+        /// for a slot each (up to `u32::MAX`, ranked first).
+        #[test]
+        fn from_raw_equals_the_hashing_reference(
+            raw in proptest::collection::vec(0u32..40, 0..200),
+            spread in 0u32..4,
+        ) {
+            let raw: Vec<u32> = match spread {
+                0 => raw,
+                1 => raw.iter().map(|&b| b * 7 + 5).collect(),
+                2 => raw.iter().map(|&b| b * 97).collect(),
+                _ => raw.iter().map(|&b| u32::MAX - b * 0x0100_0001).collect(),
+            };
+            proptest::prop_assert_eq!(Partition::from_raw(&raw), reference_from_raw(&raw));
+        }
     }
 
     #[test]

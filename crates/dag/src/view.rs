@@ -265,6 +265,13 @@ impl BlockView {
         )
     }
 
+    /// Number of the view's internal edges, parallel edges counted
+    /// apart.
+    #[inline]
+    pub fn edge_count(&self) -> usize {
+        self.out_dst.len()
+    }
+
     /// Total volume of the view's internal edges.
     pub fn total_volume(&self) -> f64 {
         self.out_vol.iter().sum()
@@ -329,6 +336,7 @@ mod tests {
         assert_eq!(view.members(), [a, b, c]);
         assert_eq!(view.children(0), [1, 2, 1]);
         assert_eq!(view.parents(2), [1, 0]);
+        assert_eq!(view.edge_count(), 4);
         assert_eq!(view.ext(0), 9.0);
         assert_eq!(view.ext(2), 5.0);
         assert_is_induced(&g, &view);

@@ -36,7 +36,9 @@
 //! * [`greedy`] — memory-greedy list traversal used both inside `Complex`
 //!   cores and as an independent strategy.
 //! * [`best_traversal`] — runs all strategies and returns the best order
-//!   found together with its exactly evaluated peak;
+//!   found together with its exactly evaluated peak; a graph or block
+//!   whose tasks share no file gets the answer all of them would give,
+//!   its smallest-id-first order, from one evaluation;
 //!   [`block_traversal`] / [`block_peak`] ask the same of a block of a
 //!   larger graph without building its sub-DAG.
 //! * [`dpopt::dp_min_peak`] — exact optimum by subset DP (≤ 20 nodes),
@@ -221,6 +223,29 @@ mod tests {
         let t = best_traversal(&g, &[0.0; 6]);
         // middle tasks: 3 (in) + 3 (out) + 10 = 16
         assert_eq!(t.peak, 16.0);
+    }
+
+    /// A file of infinite or NaN size (WfCommons sizes are not checked)
+    /// gets an answer in debug builds as in release: the liveness
+    /// residual `inf - inf` is not a leftover file.
+    #[test]
+    fn non_finite_volumes_are_answered() {
+        for volume in [f64::INFINITY, f64::NAN] {
+            let mut g = Dag::new();
+            let a = g.add_node(1.0, 2.0);
+            let b = g.add_node(1.0, 3.0);
+            let c = g.add_node(1.0, 4.0);
+            g.add_edge(a, b, volume);
+            g.add_edge(b, c, 1.0);
+            let whole = best_traversal(&g, &[0.0; 3]);
+            assert_eq!(whole.order, [a, b, c]);
+            let block = block_traversal(&g, &[b, a]);
+            assert_eq!(block.order, [a, b]);
+            assert_eq!(block_peak(&g, &[a, b]).to_bits(), block.peak.to_bits());
+            if volume.is_infinite() {
+                assert_eq!((whole.peak, block.peak), (volume, volume));
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 use crate::dpopt::dp_min_peak;
 use crate::liveness::{brute_force_min, traversal_peak};
 use crate::reference_tests as reference;
-use crate::{best_traversal, block_peak, block_traversal, greedy, spdecomp, sptraversal};
+use crate::workspace::TALLY;
+use crate::{best_traversal, block_peak, block_traversal, greedy, min_peak, spdecomp, sptraversal};
 use dhp_dag::builder;
 use dhp_dag::topo::is_topological_order;
 use dhp_dag::util::BitSet;
@@ -109,6 +110,62 @@ fn scrambled_members(g: &Dag, keep: u64, seed: u64) -> Vec<NodeId> {
     picked.into_iter().map(|(_, u)| u).collect()
 }
 
+/// A member set of `g` without an internal edge, in scrambled order.
+/// With `stage`, all the tasks at one depth (longest path from a
+/// source) — a stage of a fork-join; otherwise an independent set
+/// picked greedily from about `keep` in 8 of the tasks.
+fn edge_free_members(g: &Dag, stage: bool, keep: u64, seed: u64) -> Vec<NodeId> {
+    if stage {
+        let mut depth = vec![0usize; g.node_count()];
+        for u in dhp_dag::topo::topo_sort(g).expect("shaped DAGs are acyclic") {
+            for v in g.children(u) {
+                depth[v.idx()] = depth[v.idx()].max(depth[u.idx()] + 1);
+            }
+        }
+        let level = seed as usize % (depth.iter().max().copied().unwrap_or(0) + 1);
+        return scrambled_members(g, 8, seed)
+            .into_iter()
+            .filter(|u| depth[u.idx()] == level)
+            .collect();
+    }
+    let mut picked = BitSet::new(g.node_count());
+    let mut members = Vec::new();
+    for u in scrambled_members(g, keep, seed) {
+        if g.parents(u)
+            .chain(g.children(u))
+            .all(|v| !picked.get(v.idx()))
+        {
+            picked.set(u.idx());
+            members.push(u);
+        }
+    }
+    members
+}
+
+/// Hostile weights on about half the tasks and a quarter of the files:
+/// memory `0`, `-0.0`, negative or NaN; files so large that a boundary
+/// load dwarfs every task, or overflows to infinity.
+fn make_hostile(g: &mut Dag, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xbad);
+    for u in g.node_ids().collect::<Vec<_>>() {
+        let memory = &mut g.node_mut(u).memory;
+        match rng.random_range(0..8u32) {
+            0 => *memory = 0.0,
+            1 => *memory = -0.0,
+            2 => *memory = -*memory,
+            3 => *memory = f64::NAN,
+            _ => {}
+        }
+    }
+    for e in g.edge_ids().collect::<Vec<_>>() {
+        match rng.random_range(0..8u32) {
+            0 => g.edge_mut(e).volume = 1e300,
+            1 => g.edge_mut(e).volume = f64::MAX,
+            _ => {}
+        }
+    }
+}
+
 /// The block the way it was asked about before the flat view: the
 /// induced sub-DAG of the ascending members, their boundary loads, and
 /// the reference traversal mapped back to ids of `g`.
@@ -168,6 +225,39 @@ proptest! {
             prop_assert_eq!(&got.order, &want.order);
             prop_assert_eq!(block_peak(&g, members).to_bits(), want.peak.to_bits());
         }
+    }
+
+    /// A block without an internal edge is answered in one pass, and
+    /// that answer is the three strategies' — peak bits and order, on a
+    /// view of the parent and on the block's own `Dag` — also under
+    /// hostile weights.
+    #[test]
+    fn edge_free_blocks_equal_the_reference(
+        shape in 0usize..4,
+        n in 4usize..40,
+        stage in any::<bool>(),
+        keep in 3u64..9,
+        hostile in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let mut g = shaped_dag(shape, n, seed);
+        if hostile {
+            make_hostile(&mut g, seed);
+        }
+        let members = edge_free_members(&g, stage, keep, seed);
+        let (sub, ext, want) = reference_block(&g, &members);
+        prop_assert_eq!(sub.edge_count(), 0);
+        TALLY.set(0);
+        let got = block_traversal(&g, &members);
+        prop_assert_eq!(got.peak.to_bits(), want.peak.to_bits());
+        prop_assert_eq!(&got.order, &want.order);
+        prop_assert_eq!(block_peak(&g, &members).to_bits(), want.peak.to_bits());
+        let (got, want) = (best_traversal(&sub, &ext), reference::best_traversal(&sub, &ext));
+        prop_assert_eq!(got.peak.to_bits(), want.peak.to_bits());
+        prop_assert_eq!(got.order, want.order);
+        let unloaded = reference::best_traversal(&sub, &vec![0.0; sub.node_count()]);
+        prop_assert_eq!(min_peak(&sub).to_bits(), unloaded.peak.to_bits());
+        prop_assert_eq!(TALLY.get(), 4, "every question took the one pass");
     }
 
     /// Every public strategy on a `Dag` (the view whose members are all
