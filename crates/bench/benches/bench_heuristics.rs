@@ -232,6 +232,10 @@ fn bench_requirement_kernel(c: &mut Criterion) {
         b.iter(|| dhp_core::blockmem::block_requirement(black_box(&fanout), black_box(&block)))
     });
 
+    group.bench_function("block_bounds/fanout4000_block330", |b| {
+        b.iter(|| dhp_memdag::block_bounds(black_box(&fanout), black_box(&block)))
+    });
+
     let chain = WorkflowInstance::simulated(Family::Epigenomics, 60, 17).graph;
     let order = dhp_dag::topo::topo_sort(&chain).expect("generated workflows are acyclic");
     let five = &order[20..25];
@@ -278,10 +282,34 @@ fn bench_baseline(c: &mut Criterion) {
     group.finish();
 }
 
+/// What the offline benchmark's call pays after the solve: DagHetMem
+/// on a workflow whose hub holds its whole peak, so the baseline maps
+/// it in one block, and `validate` on that mapping — one whole-workflow
+/// block whose topological order already fits.
+fn bench_baseline_and_validate(c: &mut Criterion) {
+    let g = WorkflowInstance::simulated(Family::Genome, 10_000, 17).graph;
+    let cluster = scale_cluster_with_headroom(&g, &configs::default_cluster(), 1.05);
+    let mapped = dag_het_mem(&g, &cluster).expect("fitted clusters hold their workflow");
+    assert_eq!(mapped.num_blocks(), 1);
+    let mut group = c.benchmark_group("baseline");
+    group.sample_size(10);
+    group.bench_function("dag_het_mem/genome10000", |b| {
+        b.iter(|| dag_het_mem(black_box(&g), black_box(&cluster)))
+    });
+    group.finish();
+    let mut group = c.benchmark_group("mapping");
+    group.sample_size(10);
+    group.bench_function("validate/genome10000", |b| {
+        b.iter(|| dhp_core::mapping::validate(black_box(&g), black_box(&cluster), &mapped))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_both,
     bench_baseline,
+    bench_baseline_and_validate,
     bench_slot_search,
     bench_steps,
     bench_shared_work,

@@ -27,16 +27,29 @@
 //! have compared: `O(log L)` evaluations for a block of `L` tasks
 //! instead of `L`. With a negative volume the premise does not hold and
 //! the search may close a block at a different, equally fitting, task.
+//!
+//! **What it prices.** The whole-workflow traversal and the
+//! `prefix_peak` of every probed run — nothing else. The blocks go
+//! into the [`Mapping`] as they are; their requirement under the
+//! kernel's own orders is never computed here, and `mapping::validate`
+//! prices them when asked (bound first, kernel second).
 
-use crate::blocks::BlockSet;
 use crate::mapping::Mapping;
 use crate::SchedError;
 use dhp_dag::util::BitSet;
 use dhp_dag::{Dag, NodeId, Partition};
 use dhp_platform::Cluster;
 
-/// Runs DagHetMem. On success the returned mapping is complete and
-/// valid; `Err(NoSolution)` reproduces the paper's failure mode.
+/// Runs DagHetMem; `Err(NoSolution)` reproduces the paper's failure
+/// mode.
+///
+/// On success the mapping is complete, with one processor per block and
+/// an acyclic quotient (blocks are runs of one topological order), and
+/// every block fits its processor *when run in the global traversal's
+/// order*. It need not pass [`crate::mapping::validate`], which prices a
+/// block by the best of the kernel's own orders on the block alone —
+/// that can exceed the traversal's peak (the four `baseline_invalid`
+/// instances of the `offline_chain` benchmark; ROADMAP item A).
 pub fn dag_het_mem(g: &Dag, cluster: &Cluster) -> Result<Mapping, SchedError> {
     let procs = cluster.ids_by_memory_desc();
     let Some(&largest) = procs.first() else {
@@ -50,9 +63,10 @@ pub fn dag_het_mem(g: &Dag, cluster: &Cluster) -> Result<Mapping, SchedError> {
 
     // Whole workflow fits the largest processor: single-block mapping.
     if traversal.peak <= cluster.memory(largest) {
-        let mut bs = BlockSet::from_partition(g, &Partition::single_block(g.node_count()));
-        bs.assign(0, largest);
-        return Ok(bs.to_mapping(g.node_count()));
+        return Ok(Mapping {
+            partition: Partition::single_block(g.node_count()),
+            proc_of_block: vec![Some(largest)],
+        });
     }
 
     let mut rest = traversal.order.as_slice();
@@ -90,13 +104,12 @@ pub fn dag_het_mem(g: &Dag, cluster: &Cluster) -> Result<Mapping, SchedError> {
         return Err(SchedError::NoSolution);
     }
 
-    // Assemble the mapping.
-    let mut bs = BlockSet::default();
-    for (block, proc) in finished {
-        let i = bs.push_block(g, block.to_vec());
-        bs.assign(i, proc);
-    }
-    Ok(bs.to_mapping(g.node_count()))
+    Ok(Mapping::from_blocks(
+        g.node_count(),
+        finished
+            .into_iter()
+            .map(|(block, proc)| (block, Some(proc))),
+    ))
 }
 
 /// The largest `len` in `0..=max_len` with `fits(len)`, for a predicate
@@ -160,6 +173,7 @@ fn prefix_peak(g: &Dag, tasks: &[NodeId], members: &BitSet) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocks::BlockSet;
     use crate::mapping::validate;
     use dhp_dag::builder;
     use dhp_platform::{configs, ProcId, Processor};

@@ -11,8 +11,19 @@
 //! split and merge their way to the same blocks), so `dag_het_part`
 //! answers through a [`ReqMemo`] that lives exactly as long as the
 //! solve.
+//!
+//! **Bounds decide, the kernel confirms.** No step of a solve *reads*
+//! a requirement: Step 2 orders blocks by it and compares it with
+//! memories, Steps 3 and 4 compare it with memories. So a solve first
+//! asks for certified bounds `lo ≤ r ≤ hi` ([`ReqMemo::bounds`],
+//! `dhp_memdag::block_bounds`: one topological order and its peak
+//! instead of three strategies), decides every comparison the bounds
+//! decide, and resolves `r` ([`ReqMemo::resolve`]) only when they
+//! straddle the value it is compared with. Every decision is the one
+//! `r` itself would make.
 
 use dhp_dag::{Dag, NodeId};
+use dhp_memdag::PeakBounds;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
@@ -47,20 +58,32 @@ enum SetKey {
 
 #[derive(Debug, Default)]
 struct MemoStore {
-    reqs: HashMap<SetKey, f64>,
+    /// Exact entries are [`PeakBounds::exact`].
+    known: HashMap<SetKey, PeakBounds>,
     hits: u64,
     misses: u64,
+    /// Bounds questions answered by bounds that are not exact.
+    #[cfg(test)]
+    bounded: u64,
+    /// Those of them resolved later.
+    #[cfg(test)]
+    resolved: u64,
 }
 
-/// [`block_requirement`] remembered per member set, for one workflow
-/// and one solve: `dag_het_part` makes one, hands it to every `k'`
-/// worker, and drops it with the solve, so it never outlives the graph
-/// its keys index into and its memory is bounded by one solve's
-/// distinct blocks. Singletons and the empty set bypass it (they cost
-/// less than a lookup).
+/// What is known of `r` per member set, for one workflow and one
+/// solve: `dag_het_part` makes one, hands it to every `k'` worker, and
+/// drops it with the solve, so it never outlives the graph its keys
+/// index into and its memory is bounded by one solve's distinct blocks.
+/// Singletons and the empty set bypass it (they cost less than a
+/// lookup, and their answer is always exact).
+///
+/// An entry holds either certified bounds (`dhp_memdag::block_bounds`)
+/// or the exact requirement; a resolution replaces the former by the
+/// latter, so each set costs the full kernel at most once.
 ///
 /// Two workers missing on the same set both compute it; the value is a
-/// function of the set, so whichever insert lands last changes nothing.
+/// function of the set, so whichever insert lands last changes nothing
+/// — except that an exact entry is never replaced by bounds.
 #[derive(Debug)]
 pub struct ReqMemo<'g> {
     g: &'g Dag,
@@ -78,6 +101,9 @@ impl<'g> ReqMemo<'g> {
 
     /// `block_requirement(g, members)`, computed at most once per
     /// member set (`members` in any order, without duplicates).
+    ///
+    /// # Panics
+    /// Panics if a member is listed twice.
     pub fn requirement(&self, members: &[NodeId]) -> f64 {
         if members.len() < 2 {
             return block_requirement(self.g, members);
@@ -85,7 +111,8 @@ impl<'g> ReqMemo<'g> {
         let key = self.key(members);
         {
             let mut store = self.store.lock();
-            if let Some(&req) = store.reqs.get(&key) {
+            if let Some(known) = store.known.get(&key).filter(|b| b.is_exact()) {
+                let req = known.hi;
                 store.hits += 1;
                 return req;
             }
@@ -94,22 +121,89 @@ impl<'g> ReqMemo<'g> {
         // Computed outside the lock: this is the expensive part, and
         // the other workers must stay free to look up their own sets.
         let req = block_requirement(self.g, members);
-        self.store.lock().reqs.insert(key, req);
+        self.store.lock().known.insert(key, PeakBounds::exact(req));
         req
     }
 
-    /// `(hits, misses)` over the multi-member questions asked so far.
+    /// Certified bounds on `block_requirement(g, members)`: the exact
+    /// value when the memo holds it or the block has at most one task
+    /// or no internal edge, `dhp_memdag::block_bounds` otherwise.
+    ///
+    /// # Panics
+    /// Panics if a member is listed twice.
+    pub fn bounds(&self, members: &[NodeId]) -> PeakBounds {
+        if members.len() < 2 {
+            return PeakBounds::exact(block_requirement(self.g, members));
+        }
+        let key = self.key(members);
+        {
+            let mut store = self.store.lock();
+            if let Some(&known) = store.known.get(&key) {
+                store.hits += 1;
+                return known;
+            }
+            store.misses += 1;
+        }
+        let bounds = dhp_memdag::block_bounds(self.g, members);
+        let mut store = self.store.lock();
+        #[cfg(test)]
+        if !bounds.is_exact() {
+            store.bounded += 1;
+        }
+        *store.known.entry(key).or_insert(bounds)
+    }
+
+    /// The requirement of `members` whose bounds are `bounds`: their
+    /// value when they are exact, [`ReqMemo::requirement`] otherwise.
+    pub fn resolve(&self, members: &[NodeId], bounds: PeakBounds) -> f64 {
+        if bounds.is_exact() {
+            return bounds.hi;
+        }
+        #[cfg(test)]
+        {
+            self.store.lock().resolved += 1;
+        }
+        let req = self.requirement(members);
+        debug_assert!(bounds.lo <= req && req <= bounds.hi, "{bounds:?} vs {req}");
+        req
+    }
+
+    /// `(hits, misses)` over the multi-member questions asked so far,
+    /// bounds and exact ones alike.
     pub fn stats(&self) -> (u64, u64) {
         let store = self.store.lock();
         (store.hits, store.misses)
     }
 
+    /// `(bounded, resolved)`: bounds questions answered by bounds that
+    /// were not exact, and how many of those were resolved later.
+    #[cfg(test)]
+    pub(crate) fn tally(&self) -> (u64, u64) {
+        let store = self.store.lock();
+        (store.bounded, store.resolved)
+    }
+
+    /// The key of `members`.
+    ///
+    /// # Panics
+    /// Panics if a member is listed twice: a mask would OR the copies
+    /// away, and a miss on the same list would panic in the kernel.
     fn key(&self, members: &[NodeId]) -> SetKey {
         if self.g.node_count() <= u128::BITS as usize {
-            SetKey::Mask(members.iter().fold(0, |mask, u| mask | 1u128 << u.0))
+            let mask = members.iter().fold(0, |mask, u| mask | 1u128 << u.0);
+            assert_eq!(
+                mask.count_ones() as usize,
+                members.len(),
+                "duplicate member in block"
+            );
+            SetKey::Mask(mask)
         } else {
             let mut ids: Vec<u32> = members.iter().map(|u| u.0).collect();
             ids.sort_unstable();
+            assert!(
+                ids.windows(2).all(|w| w[0] < w[1]),
+                "duplicate member in block"
+            );
             SetKey::Ids(ids.into_boxed_slice())
         }
     }
@@ -316,13 +410,76 @@ mod tests {
         }
     }
 
+    /// A member listed twice is refused on every path: before a mask
+    /// key could OR the copy away and answer a hit for the set without
+    /// it, and the same for bounds — with a mask key (≤ 128 tasks) and
+    /// with an id-list key.
+    #[test]
+    fn memo_refuses_a_duplicated_member_on_hits_and_misses() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for n in [6usize, 130] {
+            let g = builder::chain(n, 1.0, 4.0, 2.0);
+            let (a, b) = (NodeId(1), NodeId(2));
+            let twice = [a, a, b];
+            let refused = |ask: &dyn Fn(&ReqMemo<'_>) -> PeakBounds, warm: bool| {
+                let memo = ReqMemo::new(&g);
+                if warm {
+                    memo.requirement(&[a, b]);
+                }
+                let err = catch_unwind(AssertUnwindSafe(|| ask(&memo))).unwrap_err();
+                let msg = err.downcast_ref::<String>().map(String::as_str);
+                let msg = msg.or_else(|| err.downcast_ref::<&str>().copied());
+                assert!(
+                    msg.is_some_and(|m| m.contains("duplicate member")),
+                    "n={n} warm={warm}: {msg:?}"
+                );
+            };
+            for warm in [false, true] {
+                refused(&|memo| PeakBounds::exact(memo.requirement(&twice)), warm);
+                refused(&|memo| memo.bounds(&twice), warm);
+            }
+        }
+    }
+
+    /// Bounds bracket the requirement, resolving them yields it to the
+    /// bit, and the memo counts bounds questions with the exact ones: a
+    /// bounds question is answered by any entry, an exact one only by
+    /// an exact entry.
+    #[test]
+    fn memo_bounds_bracket_and_resolve_to_the_requirement() {
+        let g = builder::gnp_dag_weighted(40, 0.2, 5);
+        let memo = ReqMemo::new(&g);
+        let mut resolved = 0;
+        for seed in 0..24u64 {
+            let set = scrambled_subset(&g, seed);
+            let fresh = block_requirement(&g, &set);
+            let bounds = memo.bounds(&set);
+            assert!(
+                bounds.lo <= fresh && fresh <= bounds.hi,
+                "{bounds:?} vs {fresh}"
+            );
+            assert_eq!(memo.bounds(&set), bounds, "a hit returns the entry");
+            resolved += !bounds.is_exact() as u64;
+            assert_eq!(memo.resolve(&set, bounds).to_bits(), fresh.to_bits());
+            assert!(memo.bounds(&set).is_exact(), "the entry is exact now");
+        }
+        assert!(resolved > 0, "premise: some subsets have internal edges");
+        let (hits, misses) = memo.stats();
+        // Per set: a bounds miss, a bounds hit, a resolution that hits
+        // an exact entry or misses, then a bounds hit.
+        assert_eq!(hits + misses, 24 * 3 + resolved);
+        assert_eq!(memo.tally(), (resolved, resolved));
+    }
+
     #[test]
     fn memo_leaves_singletons_and_the_empty_set_alone() {
         let g = builder::gnp_dag_weighted(10, 0.3, 1);
         let memo = ReqMemo::new(&g);
         assert_eq!(memo.requirement(&[]), 0.0);
+        assert_eq!(memo.bounds(&[]), PeakBounds::exact(0.0));
         for u in g.node_ids() {
             assert_eq!(memo.requirement(&[u]), g.task_requirement(u));
+            assert_eq!(memo.bounds(&[u]), PeakBounds::exact(g.task_requirement(u)));
         }
         assert_eq!(memo.stats(), (0, 0));
     }

@@ -8,6 +8,7 @@
 
 use crate::blockmem::{block_requirement, ReqMemo};
 use dhp_dag::{Dag, NodeId, Partition};
+use dhp_memdag::PeakBounds;
 use dhp_platform::ProcId;
 
 /// One block of the evolving partition.
@@ -19,10 +20,26 @@ pub struct Block {
     pub id: u64,
     /// Member tasks, ascending by id.
     pub members: Vec<NodeId>,
-    /// Cached memory requirement `r` (peak of the best traversal found).
+    /// Cached memory requirement `r` (peak of the best traversal
+    /// found). Every block set a public function returns holds it to
+    /// the bit. Inside a solve it may hold only an upper bound on `r`
+    /// (`dhp_memdag::block_bounds`), beside a private lower bound.
     pub req: f64,
     /// Processor this block is mapped to, if any.
     pub proc: Option<ProcId>,
+    /// Certified lower bound on `r`; the same bits as `req` once `req`
+    /// is exact.
+    lo: f64,
+}
+
+impl Block {
+    /// What is known of `r`: `lo ≤ r ≤ req`.
+    pub(crate) fn bounds(&self) -> PeakBounds {
+        PeakBounds {
+            lo: self.lo,
+            hi: self.req,
+        }
+    }
 }
 
 /// The evolving set of blocks.
@@ -35,16 +52,18 @@ pub struct BlockSet {
 impl BlockSet {
     /// Builds a block set from a partition, computing every requirement.
     pub fn from_partition(g: &Dag, partition: &Partition) -> Self {
-        Self::from_partition_with(partition, |members| block_requirement(g, members))
+        Self::from_partition_with(partition, |members| {
+            PeakBounds::exact(block_requirement(g, members))
+        })
     }
 
-    /// [`BlockSet::from_partition`] with the requirements answered by
-    /// the solve's memo.
+    /// [`BlockSet::from_partition`] with only the bounds of each
+    /// requirement, answered by the solve's memo.
     pub(crate) fn from_partition_memo(partition: &Partition, memo: &ReqMemo<'_>) -> Self {
-        Self::from_partition_with(partition, |members| memo.requirement(members))
+        Self::from_partition_with(partition, |members| memo.bounds(members))
     }
 
-    fn from_partition_with(partition: &Partition, req: impl Fn(&[NodeId]) -> f64) -> Self {
+    fn from_partition_with(partition: &Partition, req: impl Fn(&[NodeId]) -> PeakBounds) -> Self {
         let blocks: Vec<Block> = partition
             .members()
             .into_iter()
@@ -54,8 +73,9 @@ impl BlockSet {
                 Block {
                     id: id as u64,
                     members,
-                    req,
+                    req: req.hi,
                     proc: None,
+                    lo: req.lo,
                 }
             })
             .collect();
@@ -98,24 +118,47 @@ impl BlockSet {
         self.blocks[i].proc = None;
     }
 
+    /// The requirement of block `i`, resolved from its bounds by `memo`
+    /// if it is not exact yet; the block keeps it.
+    pub(crate) fn resolve(&mut self, i: usize, memo: &ReqMemo<'_>) -> f64 {
+        let block = &mut self.blocks[i];
+        let req = memo.resolve(&block.members, block.bounds());
+        block.req = req;
+        block.lo = req;
+        req
+    }
+
+    /// Resolves every requirement: what a public function does before
+    /// it returns a block set.
+    pub(crate) fn resolve_all(&mut self, memo: &ReqMemo<'_>) {
+        for i in 0..self.blocks.len() {
+            self.resolve(i, memo);
+        }
+    }
+
     /// Adds a block (computing its requirement) and returns its index.
     pub fn push_block(&mut self, g: &Dag, members: Vec<NodeId>) -> usize {
         let req = block_requirement(g, &members);
-        self.push_block_with_req(members, req)
+        self.push_block_with_bounds(members, PeakBounds::exact(req))
     }
 
-    /// Adds a block whose requirement the caller already holds (`req`
-    /// must be `block_requirement` of exactly `members`) and returns
-    /// its index.
-    pub(crate) fn push_block_with_req(&mut self, mut members: Vec<NodeId>, req: f64) -> usize {
+    /// Adds a block whose requirement's bounds the caller already holds
+    /// (they must bound `block_requirement` of exactly `members`) and
+    /// returns its index.
+    pub(crate) fn push_block_with_bounds(
+        &mut self,
+        mut members: Vec<NodeId>,
+        req: PeakBounds,
+    ) -> usize {
         members.sort_unstable();
         let id = self.next_id;
         self.next_id += 1;
         self.blocks.push(Block {
             id,
             members,
-            req,
+            req: req.hi,
             proc: None,
+            lo: req.lo,
         });
         self.blocks.len() - 1
     }
@@ -163,25 +206,25 @@ impl BlockSet {
             .flat_map(|b| self.blocks[b].members.iter().copied())
             .collect();
         let req = block_requirement(g, &members);
-        self.merge_blocks_with_req(i, j, o, proc, req)
+        self.merge_blocks_with_bounds(i, j, o, proc, PeakBounds::exact(req))
     }
 
     /// [`BlockSet::merge_blocks`] for a caller that already holds the
-    /// merged block's requirement (Step 3 has just checked it against
-    /// the processor's memory).
-    pub(crate) fn merge_blocks_with_req(
+    /// bounds of the merged block's requirement (Step 3 has just
+    /// checked them against the processor's memory).
+    pub(crate) fn merge_blocks_with_bounds(
         &mut self,
         i: usize,
         j: usize,
         o: Option<usize>,
         proc: Option<ProcId>,
-        req: f64,
+        req: PeakBounds,
     ) -> usize {
         let mut members = Vec::new();
         for b in removal_order(i, j, o) {
             members.extend(self.remove_block(b).members);
         }
-        let ni = self.push_block_with_req(members, req);
+        let ni = self.push_block_with_bounds(members, req);
         self.blocks[ni].proc = proc;
         ni
     }
@@ -207,37 +250,10 @@ impl BlockSet {
     /// Block order is preserved: mapping block `i` corresponds to
     /// `self.block(i)`.
     pub fn to_mapping(&self, n: usize) -> crate::mapping::Mapping {
-        // `to_partition` renumbers by first appearance over node ids; to
-        // keep proc assignment aligned, build the raw array and the proc
-        // table in block order directly.
-        let mut raw = vec![u32::MAX; n];
-        for (b, block) in self.blocks.iter().enumerate() {
-            for &u in &block.members {
-                raw[u.idx()] = b as u32;
-            }
-        }
-        assert!(raw.iter().all(|&x| x != u32::MAX));
-        // Partition::from_raw renumbers by first appearance; compute that
-        // same renumbering for the proc table.
-        let mut remap: Vec<Option<u32>> = vec![None; self.blocks.len()];
-        let mut next = 0u32;
-        for &b in raw.iter() {
-            if remap[b as usize].is_none() {
-                remap[b as usize] = Some(next);
-                next += 1;
-            }
-        }
-        let partition = Partition::from_raw(&raw);
-        let mut proc_of_block = vec![None; self.blocks.len()];
-        for (b, block) in self.blocks.iter().enumerate() {
-            if let Some(dense) = remap[b] {
-                proc_of_block[dense as usize] = block.proc;
-            }
-        }
-        crate::mapping::Mapping {
-            partition,
-            proc_of_block,
-        }
+        crate::mapping::Mapping::from_blocks(
+            n,
+            self.blocks.iter().map(|b| (b.members.as_slice(), b.proc)),
+        )
     }
 
     /// Indices of unassigned blocks.

@@ -230,11 +230,11 @@ fn run_once(
     let mut step4 = Step4::new(g, cluster, &bs);
     let after_merge = traced.then(|| step4.makespan());
     if cfg.enable_swaps {
-        step4.swap_blocks(cluster, &mut bs);
+        step4.swap_blocks(cluster, &mut bs, memo);
     }
     let after_swaps = traced.then(|| step4.makespan());
     if cfg.enable_idle_moves {
-        step4.idle_moves(cluster, &mut bs);
+        step4.idle_moves(cluster, &mut bs, memo);
     }
     let makespan = step4.makespan();
     let trace = match (estimated_after_assign, after_merge, after_swaps) {
@@ -388,10 +388,11 @@ mod tests {
         }
     }
 
-    /// The memo must earn its keep where the issue says it does: on a
-    /// chain-shaped instance the sweep asks for the same member sets
-    /// over and over. A memo that never hits fails here instead of
-    /// surviving silently; and sharing it changes no output.
+    /// The memo must earn its keep: on a chain-shaped instance the
+    /// sweep asks about the same member sets over and over — for
+    /// bounds, and for the requirement where the bounds do not decide.
+    /// Both kinds of question count. A memo that never hits fails here
+    /// instead of surviving silently; and sharing it changes no output.
     #[test]
     fn requirement_memo_hits_on_a_chain_shaped_instance() {
         use dhp_wfgen::{Family, WorkflowInstance};
@@ -418,6 +419,27 @@ mod tests {
         assert_eq!(alone.makespan.to_bits(), shared.makespan.to_bits());
         assert_eq!(alone.mapping.partition, shared.mapping.partition);
         assert_eq!(alone.mapping.proc_of_block, shared.mapping.proc_of_block);
+    }
+
+    /// Bounds decide almost every comparison of a sweep: on
+    /// genome-1000 (seed 17, the fitted default cluster) only a handful
+    /// of the bounds questions about blocks with an internal edge need
+    /// the kernel's bits. A change that makes the bounds looser, or a
+    /// step that resolves where it need not, moves the pin.
+    #[test]
+    fn a_genome_sweep_resolves_a_handful_of_requirements() {
+        use dhp_wfgen::{Family, WorkflowInstance};
+        let g = WorkflowInstance::simulated(Family::Genome, 1_000, 17).graph;
+        let cluster =
+            crate::fitting::scale_cluster_with_headroom(&g, &configs::default_cluster(), 1.05);
+        // One thread: two workers missing on one set would both count.
+        let cfg = DagHetPartConfig {
+            parallel: false,
+            ..DagHetPartConfig::default()
+        };
+        let memo = ReqMemo::new(&g);
+        sweep(&g, &cluster, &cfg, &memo, false).unwrap();
+        assert_eq!(memo.tally(), (235, 9), "(bounded, resolved)");
     }
 
     /// One hierarchy serves the whole sweep: every `k'` attempted on

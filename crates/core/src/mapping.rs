@@ -1,7 +1,7 @@
 //! Final mapping representation and validation.
 
 use crate::blockmem::block_requirement;
-use dhp_dag::{Dag, Partition, QuotientGraph};
+use dhp_dag::{Dag, NodeId, Partition, QuotientGraph};
 use dhp_platform::{Cluster, ProcId};
 use std::collections::HashSet;
 
@@ -26,6 +26,40 @@ impl Mapping {
     /// Number of blocks `k'`.
     pub fn num_blocks(&self) -> usize {
         self.partition.num_blocks()
+    }
+
+    /// The mapping of `blocks`, member lists that cover `0..n` once,
+    /// each with its processor. Blocks are numbered by first appearance
+    /// over task ids ([`Partition::from_raw`]), and every processor
+    /// follows its block.
+    pub(crate) fn from_blocks<'a>(
+        n: usize,
+        blocks: impl ExactSizeIterator<Item = (&'a [NodeId], Option<ProcId>)>,
+    ) -> Self {
+        let mut raw = vec![u32::MAX; n];
+        let mut procs = Vec::with_capacity(blocks.len());
+        for (b, (members, proc)) in blocks.enumerate() {
+            for &u in members {
+                raw[u.idx()] = b as u32;
+            }
+            procs.push(proc);
+        }
+        assert!(raw.iter().all(|&x| x != u32::MAX));
+        // Partition::from_raw renumbers by first appearance; compute that
+        // same renumbering for the proc table.
+        let mut proc_of_block = vec![None; procs.len()];
+        let mut seen = vec![false; procs.len()];
+        let mut next = 0;
+        for &b in &raw {
+            if !std::mem::replace(&mut seen[b as usize], true) {
+                proc_of_block[next] = procs[b as usize];
+                next += 1;
+            }
+        }
+        Self {
+            partition: Partition::from_raw(&raw),
+            proc_of_block,
+        }
     }
 
     /// Number of distinct processors in use.
@@ -94,8 +128,15 @@ impl std::error::Error for MappingError {}
 
 /// Validates all DAGP-PM constraints: complete assignment, distinct
 /// processors, acyclic quotient, and the memory constraint
-/// `r_{V_i} ≤ M_{proc(V_i)}` (requirements are recomputed from scratch —
-/// this is the ground-truth check used by the test suites).
+/// `r_{V_i} ≤ M_{proc(V_i)}` (up to a relative `1e-9`), requirements
+/// recomputed from scratch — this is the ground-truth check used by
+/// the test suites.
+///
+/// Bound first, kernel second: a block whose smallest-id-first
+/// topological order already fits — a real order, and an upper bound
+/// on `r` (`dhp_memdag::block_bounds`) — is accepted on that peak
+/// alone; any other block gets the full kernel, so the verdict and a
+/// [`MappingError::MemoryExceeded`]'s `req` are exactly what `r` gives.
 pub fn validate(g: &Dag, cluster: &Cluster, mapping: &Mapping) -> Result<(), MappingError> {
     if mapping.partition.len() != g.node_count()
         || mapping.proc_of_block.len() != mapping.partition.num_blocks()
@@ -118,8 +159,22 @@ pub fn validate(g: &Dag, cluster: &Cluster, mapping: &Mapping) -> Result<(), Map
                 if p.idx() >= cluster.len() {
                     return Err(MappingError::Malformed);
                 }
-                let req = block_requirement(g, &q.members[i]);
+                let members = &q.members[i];
                 let capacity = cluster.memory(*p);
+                let req = match members.len() {
+                    0 | 1 => block_requirement(g, members),
+                    _ => {
+                        let bounds = dhp_memdag::block_bounds(g, members);
+                        if bounds.hi <= capacity * (1.0 + 1e-9) {
+                            continue;
+                        }
+                        if bounds.is_exact() {
+                            bounds.hi
+                        } else {
+                            block_requirement(g, members)
+                        }
+                    }
+                };
                 if req > capacity * (1.0 + 1e-9) {
                     return Err(MappingError::MemoryExceeded {
                         block: i,
@@ -212,6 +267,86 @@ mod tests {
             validate(&g, &cluster, &mapping),
             Err(MappingError::Malformed)
         );
+    }
+
+    /// `validate` as it was before it tried the bound first: every
+    /// block priced by the kernel.
+    fn reference_validate(
+        g: &Dag,
+        cluster: &Cluster,
+        mapping: &Mapping,
+    ) -> Result<(), MappingError> {
+        let q = QuotientGraph::build(g, &mapping.partition);
+        for (i, p) in mapping.proc_of_block.iter().enumerate() {
+            let p = p.expect("complete mappings only");
+            let req = block_requirement(g, &q.members[i]);
+            let capacity = cluster.memory(p);
+            if req > capacity * (1.0 + 1e-9) {
+                return Err(MappingError::MemoryExceeded {
+                    block: i,
+                    req,
+                    capacity,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Bound first, kernel second gives today's verdict and payload
+        /// on capacities set exactly where the bound and the kernel part
+        /// ways: at a block's requirement, between its bounds, at its
+        /// topological peak, just below either.
+        #[test]
+        fn validate_equals_the_kernel_only_check(
+            n in 8usize..60,
+            blocks in 1usize..6,
+            seed in proptest::strategy::any::<u64>(),
+        ) {
+            const DECIMALS: [f64; 4] = [0.1, 0.2, 0.3, 0.7];
+            let mut g = builder::gnp_dag(n, (4.0 / n as f64).min(0.5), seed);
+            let pick = |i: u64| DECIMALS[(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) as usize % 4];
+            for u in g.node_ids().collect::<Vec<_>>() {
+                g.node_mut(u).memory = pick(seed ^ u.0 as u64);
+            }
+            for e in g.edge_ids().collect::<Vec<_>>() {
+                g.edge_mut(e).volume = pick(seed.rotate_left(9) ^ e.0 as u64);
+            }
+            // Runs of a topological order: an acyclic quotient.
+            let order = dhp_dag::topo::topo_sort(&g).unwrap();
+            let mut raw = vec![0u32; n];
+            for (i, &u) in order.iter().enumerate() {
+                raw[u.idx()] = (i * blocks / n) as u32;
+            }
+            let partition = Partition::from_raw(&raw);
+            let q = QuotientGraph::build(&g, &partition);
+            let processors = (0..partition.num_blocks())
+                .map(|b| {
+                    let members = &q.members[b];
+                    let bounds = dhp_memdag::block_bounds(&g, members);
+                    let r = block_requirement(&g, members);
+                    let spots = [r, 0.5 * (bounds.lo + bounds.hi), bounds.hi, bounds.lo];
+                    let spot = spots[(seed >> (2 * b)) as usize % 4];
+                    let capacity = match (seed >> (20 + b)) % 3 {
+                        0 => spot,
+                        1 => spot / (1.0 + 1e-9),
+                        _ => spot * (1.0 - 1e-12),
+                    };
+                    Processor::new(format!("p{b}"), 1.0, capacity)
+                })
+                .collect();
+            let cluster = Cluster::new(processors, 1.0);
+            let mapping = Mapping {
+                proc_of_block: (0..partition.num_blocks() as u32).map(|p| Some(ProcId(p))).collect(),
+                partition,
+            };
+            proptest::prop_assert_eq!(
+                validate(&g, &cluster, &mapping),
+                reference_validate(&g, &cluster, &mapping)
+            );
+        }
     }
 
     #[test]

@@ -11,21 +11,60 @@
 //! Deviation guard: a single-task block that exceeds every relevant
 //! memory cannot be split further (the paper's pseudocode would loop);
 //! such blocks are left unassigned for Step 3 / the final failure check.
+//!
+//! **On bounds.** A queued block carries certified bounds `lo ≤ r ≤ hi`
+//! on its requirement and is queued on `hi`. The queue hands out the
+//! block the exact requirements would: a top whose `r` is known is
+//! that block by the heap order (every other `r` is at most its `hi`),
+//! and one whose `r` is not is taken only when its `lo` exceeds every
+//! other block's `hi` — otherwise it is resolved and requeued. "Fits
+//! `M`" is decided on `hi ≤ M`, "does not fit" on `lo > M`, and
+//! anything in between resolves `r`.
 
 use crate::blockmem::ReqMemo;
 use crate::blocks::BlockSet;
 use dhp_dag::{Dag, NodeId};
 use dhp_dagp::PartitionConfig;
+use dhp_memdag::PeakBounds;
 use dhp_platform::{Cluster, ProcId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// A queued block: max-heap by requirement, ties broken by insertion
+/// A queued block: max-heap by the upper bound of its requirement
+/// (the requirement itself once known), ties broken by insertion
 /// sequence for determinism.
 struct QueuedBlock {
-    req: f64,
+    req: PeakBounds,
     seq: u64,
     members: Vec<NodeId>,
+}
+
+impl QueuedBlock {
+    /// Resolves `r`, which the block keeps.
+    fn resolve(&mut self, memo: &ReqMemo<'_>) -> f64 {
+        self.req = PeakBounds::exact(memo.resolve(&self.members, self.req));
+        self.req.hi
+    }
+
+    /// `r ≤ memory`, resolving `r` only when the bounds cannot tell.
+    fn fits(&mut self, memory: f64, memo: &ReqMemo<'_>) -> bool {
+        self.req
+            .fits(memory)
+            .unwrap_or_else(|| self.resolve(memo) <= memory)
+    }
+}
+
+/// Pops the block with the largest requirement (the earliest queued
+/// among equals), resolving requirements only as far as that takes.
+fn pop_largest(queue: &mut BinaryHeap<QueuedBlock>, memo: &ReqMemo<'_>) -> Option<QueuedBlock> {
+    loop {
+        let mut top = queue.pop()?;
+        if top.req.is_exact() || queue.peek().is_none_or(|next| top.req.lo > next.req.hi) {
+            return Some(top);
+        }
+        top.resolve(memo);
+        queue.push(top);
+    }
 }
 
 impl PartialEq for QueuedBlock {
@@ -42,7 +81,8 @@ impl PartialOrd for QueuedBlock {
 impl Ord for QueuedBlock {
     fn cmp(&self, other: &Self) -> Ordering {
         self.req
-            .total_cmp(&other.req)
+            .hi
+            .total_cmp(&other.req.hi)
             .then(other.seq.cmp(&self.seq))
     }
 }
@@ -50,13 +90,18 @@ impl Ord for QueuedBlock {
 /// Runs `BiggestAssign` on the Step-1 block set, returning the Step-2
 /// block set: every mapped block fits its processor; unassigned blocks
 /// (if any) have been split down to the smallest memory where possible.
+/// Every requirement in it is exact.
 pub fn biggest_assign(g: &Dag, cluster: &Cluster, bs: BlockSet, cfg: &PartitionConfig) -> BlockSet {
-    biggest_assign_memo(g, cluster, bs, cfg, &ReqMemo::new(g))
+    let memo = ReqMemo::new(g);
+    let mut out = biggest_assign_memo(g, cluster, bs, cfg, &memo);
+    out.resolve_all(&memo);
+    out
 }
 
-/// [`biggest_assign`] with the sub-blocks' requirements answered by the
-/// solve's memo. Every block leaves the queue with the requirement it
-/// entered with, so nothing is computed twice on the way out either.
+/// [`biggest_assign`] with the sub-blocks' requirement bounds answered
+/// by the solve's memo, resolved only where a decision needs them.
+/// Every block leaves the queue with what it entered with or learned
+/// on the way, so nothing is computed twice on the way out either.
 pub(crate) fn biggest_assign_memo(
     g: &Dag,
     cluster: &Cluster,
@@ -68,7 +113,7 @@ pub(crate) fn biggest_assign_memo(
     let mut queue: BinaryHeap<QueuedBlock> = BinaryHeap::new();
     for b in bs.iter() {
         queue.push(QueuedBlock {
-            req: b.req,
+            req: b.bounds(),
             seq,
             members: b.members.clone(),
         });
@@ -77,7 +122,7 @@ pub(crate) fn biggest_assign_memo(
     let mut split = |queue: &mut BinaryHeap<QueuedBlock>, members: &[NodeId]| {
         for part in split_in_two(g, members, cfg) {
             queue.push(QueuedBlock {
-                req: memo.requirement(&part),
+                req: memo.bounds(&part),
                 seq,
                 members: part,
             });
@@ -93,9 +138,11 @@ pub(crate) fn biggest_assign_memo(
 
     // Main loop: largest block onto largest free processor.
     while let Some(&proc) = free.front() {
-        let Some(top) = queue.pop() else { break };
-        if top.req <= cluster.memory(proc) {
-            let i = out.push_block_with_req(top.members, top.req);
+        let Some(mut top) = pop_largest(&mut queue, memo) else {
+            break;
+        };
+        if top.fits(cluster.memory(proc), memo) {
+            let i = out.push_block_with_bounds(top.members, top.req);
             out.assign(i, proc);
             free.pop_front();
         } else if top.members.len() == 1 {
@@ -110,8 +157,8 @@ pub(crate) fn biggest_assign_memo(
     // Processors exhausted: split remaining blocks down to the smallest
     // memory (FitBlock with doMap = false).
     let min_mem = cluster.min_memory();
-    while let Some(top) = queue.pop() {
-        if top.req <= min_mem || top.members.len() == 1 {
+    while let Some(mut top) = pop_largest(&mut queue, memo) {
+        if top.members.len() == 1 || top.fits(min_mem, memo) {
             leftover.push(top);
         } else {
             split(&mut queue, &top.members);
@@ -119,7 +166,7 @@ pub(crate) fn biggest_assign_memo(
     }
 
     for block in leftover {
-        out.push_block_with_req(block.members, block.req);
+        out.push_block_with_bounds(block.members, block.req);
     }
     out
 }
@@ -217,6 +264,219 @@ mod tests {
         assert_step2_invariants(&g, &cluster, &out);
         assert!(out.assigned().len() <= 1);
         assert!(!out.unassigned().is_empty());
+    }
+
+    // ---- The eager reference ---------------------------------------
+    //
+    // Step 2 as it was before it decided on bounds: every block is
+    // priced exactly before it is queued. Kept only so the tests below
+    // can hold the lazy queue to it.
+
+    struct EagerBlock {
+        req: f64,
+        seq: u64,
+        members: Vec<NodeId>,
+    }
+
+    fn eager_biggest_assign(
+        g: &Dag,
+        cluster: &Cluster,
+        bs: &BlockSet,
+        cfg: &PartitionConfig,
+        memo: &ReqMemo<'_>,
+    ) -> BlockSet {
+        let key = |b: &EagerBlock| (b.req, std::cmp::Reverse(b.seq));
+        let mut queue: Vec<EagerBlock> = Vec::new();
+        let pop = |queue: &mut Vec<EagerBlock>| {
+            let top = (0..queue.len()).max_by(|&a, &b| {
+                let ((ra, sa), (rb, sb)) = (key(&queue[a]), key(&queue[b]));
+                ra.total_cmp(&rb).then(sa.cmp(&sb))
+            })?;
+            Some(queue.swap_remove(top))
+        };
+        let mut seq = 0u64;
+        for b in bs.iter() {
+            let req = memo.requirement(&b.members);
+            queue.push(EagerBlock {
+                req,
+                seq,
+                members: b.members.clone(),
+            });
+            seq += 1;
+        }
+        let mut split = |queue: &mut Vec<EagerBlock>, members: &[NodeId]| {
+            for part in split_in_two(g, members, cfg) {
+                let req = memo.requirement(&part);
+                queue.push(EagerBlock {
+                    req,
+                    seq,
+                    members: part,
+                });
+                seq += 1;
+            }
+        };
+        let mut free: std::collections::VecDeque<ProcId> =
+            cluster.ids_by_memory_desc().into_iter().collect();
+        let mut out = BlockSet::default();
+        let mut leftover = Vec::new();
+        while let Some(&proc) = free.front() {
+            let Some(top) = pop(&mut queue) else { break };
+            if top.req <= cluster.memory(proc) {
+                let i = out.push_block_with_bounds(top.members, PeakBounds::exact(top.req));
+                out.assign(i, proc);
+                free.pop_front();
+            } else if top.members.len() == 1 {
+                leftover.push(top);
+            } else {
+                split(&mut queue, &top.members);
+            }
+        }
+        let min_mem = cluster.min_memory();
+        while let Some(top) = pop(&mut queue) {
+            if top.req <= min_mem || top.members.len() == 1 {
+                leftover.push(top);
+            } else {
+                split(&mut queue, &top.members);
+            }
+        }
+        for block in leftover {
+            out.push_block_with_bounds(block.members, PeakBounds::exact(block.req));
+        }
+        out
+    }
+
+    /// A graph of about `n` tasks: `0` random, `1` a fork-join of
+    /// identical tasks (requirements tie), `2` random with memories
+    /// and volumes from a few short decimals (requirements nearly tie),
+    /// `3` a simulated workflow.
+    fn shaped(shape: u8, n: usize, seed: u64) -> Dag {
+        match shape {
+            0 => builder::gnp_dag_weighted(n, (3.0 / n as f64).min(0.5), seed),
+            1 => builder::fork_join(n, 1.0, 3.0, 2.0),
+            2 => {
+                const DECIMALS: [f64; 4] = [0.1, 0.2, 0.3, 0.7];
+                let mut g = builder::gnp_dag(n, (3.0 / n as f64).min(0.5), seed);
+                let pick = |i: u64| DECIMALS[(i.wrapping_mul(0x9e37_79b9) >> 7) as usize % 4];
+                for u in g.node_ids().collect::<Vec<_>>() {
+                    g.node_mut(u).memory = pick(seed ^ u.0 as u64);
+                }
+                for e in g.edge_ids().collect::<Vec<_>>() {
+                    g.edge_mut(e).volume = pick(seed.rotate_left(7) ^ e.0 as u64);
+                }
+                g
+            }
+            _ => {
+                let family = dhp_wfgen::Family::ALL[seed as usize % dhp_wfgen::Family::ALL.len()];
+                dhp_wfgen::WorkflowInstance::simulated(family, n, seed).graph
+            }
+        }
+    }
+
+    /// A cluster of `procs` processors whose memories sit where the
+    /// Step-1 blocks' comparisons are hardest: exactly at a block's
+    /// requirement, inside its bounds, at its upper bound — or, with
+    /// `tight`, at a fraction of one, so blocks split and their parts
+    /// are compared too.
+    fn awkward_cluster(g: &Dag, bs: &BlockSet, procs: usize, tight: bool, seed: u64) -> Cluster {
+        let memo = ReqMemo::new(g);
+        let mut spots = Vec::new();
+        for b in bs.iter() {
+            let bounds = memo.bounds(&b.members);
+            let r = memo.requirement(&b.members);
+            let scale = if tight { 0.45 } else { 1.0 };
+            spots.extend([r, 0.5 * (bounds.lo + bounds.hi), bounds.hi].map(|m| m * scale));
+        }
+        let floor = crate::fitting::max_task_requirement(g);
+        let memories = (0..procs as u64).map(|p| {
+            let pick = (seed.rotate_left(p as u32 * 5) ^ p.wrapping_mul(0x9e37_79b9)) as usize;
+            spots[pick % spots.len()].max(floor)
+        });
+        Cluster::new(
+            memories
+                .enumerate()
+                .map(|(i, m)| Processor::new(format!("p{i}"), 1.0 + i as f64, m))
+                .collect(),
+            1.0,
+        )
+    }
+
+    /// Step 2 on bounds and Step 2 on exact requirements, from the same
+    /// Step-1 blocks on one cluster: the same blocks in the same order,
+    /// the same processors, and the same requirement bits once the lazy
+    /// one is resolved. Returns `(bounded, resolved)` of the lazy run.
+    fn check_against_eager(
+        g: &Dag,
+        kprime: usize,
+        procs: usize,
+        tight: bool,
+        seed: u64,
+    ) -> (u64, u64) {
+        let cfg = PartitionConfig::default();
+        let step1 = super::super::partition::Step1::coarsen(g, [kprime], &cfg);
+        let eager_memo = ReqMemo::new(g);
+        let start = step1.blocks(kprime, &eager_memo);
+        let cluster = awkward_cluster(g, &start, procs, tight, seed);
+        let want = eager_biggest_assign(g, &cluster, &start, &cfg, &eager_memo);
+
+        let memo = ReqMemo::new(g);
+        let mut got = biggest_assign_memo(g, &cluster, step1.blocks(kprime, &memo), &cfg, &memo);
+        let tally = memo.tally();
+        got.resolve_all(&memo);
+        assert_eq!(got.len(), want.len());
+        for (a, b) in got.iter().zip(want.iter()) {
+            assert_eq!(a.members, b.members);
+            assert_eq!(a.proc, b.proc);
+            assert_eq!(a.req.to_bits(), b.req.to_bits());
+            assert!(a.bounds().is_exact());
+        }
+        let public = biggest_assign(g, &cluster, initial_blocks(g, kprime, &cfg), &cfg);
+        assert!(public
+            .iter()
+            .zip(want.iter())
+            .all(|(a, b)| a.members == b.members
+                && a.proc == b.proc
+                && a.req.to_bits() == b.req.to_bits()));
+        tally
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn lazy_assign_equals_the_eager_reference(
+            shape in 0u8..4,
+            n in 12usize..120,
+            kprime in 1usize..10,
+            procs in 1usize..12,
+            tight in proptest::strategy::any::<bool>(),
+            seed in proptest::strategy::any::<u64>(),
+        ) {
+            check_against_eager(&shaped(shape, n, seed), kprime, procs, tight, seed);
+        }
+    }
+
+    /// The clusters above do make the bounds straddle: across a fixed
+    /// set of instances, requirements are resolved — though even there
+    /// some bounds questions never need the kernel.
+    #[test]
+    fn awkward_clusters_force_resolutions() {
+        let (mut bounded, mut resolved) = (0, 0);
+        for seed in 0..24u64 {
+            let g = shaped((seed % 4) as u8, 40 + seed as usize * 3, seed);
+            let (b, r) = check_against_eager(
+                &g,
+                2 + seed as usize % 7,
+                3 + seed as usize % 8,
+                seed % 3 == 0,
+                seed,
+            );
+            bounded += b;
+            resolved += r;
+        }
+        assert!(
+            resolved > 0 && resolved < bounded,
+            "{resolved} of {bounded}"
+        );
     }
 
     #[test]

@@ -18,16 +18,19 @@
 //! critical path (only after a merge changed the quotient) plus, per
 //! candidate partner, one contraction and one Kahn pass over flat
 //! arrays — `O(B + E_q log E_q)`, no allocation, no `Dag` — and, only
-//! for a candidate that beats the incumbent's makespan, one block
-//! requirement from the solve's memo. The winner's contracted quotient
-//! and requirement are kept and *become* the state when the merge is
-//! executed; nothing a candidate evaluation produced is computed again.
+//! for a candidate that beats the incumbent's makespan, the bounds of
+//! one block requirement from the solve's memo (the requirement itself
+//! only when they straddle the partner's memory). The winner's
+//! contracted quotient and bounds are kept and *become* the state when
+//! the merge is executed; nothing a candidate evaluation produced is
+//! computed again.
 
 use super::flat::{FlatQuotient, PassScratch};
 use crate::blockmem::ReqMemo;
 use crate::blocks::{removal_order, BlockSet};
 use crate::SchedError;
 use dhp_dag::{Dag, NodeId};
+use dhp_memdag::PeakBounds;
 use dhp_platform::Cluster;
 use std::collections::{HashMap, VecDeque};
 
@@ -41,8 +44,8 @@ struct BestMerge {
     partner: usize,
     /// Optional third block absorbed to break a 2-cycle.
     third: Option<usize>,
-    /// Memory requirement of the merged block.
-    req: f64,
+    /// What is known of the merged block's memory requirement.
+    req: PeakBounds,
 }
 
 /// State of one Step-3 run: the current quotient, its two-way block
@@ -209,8 +212,16 @@ impl<'a> Step3<'a> {
             for b in [Some(nu), Some(partner), third].into_iter().flatten() {
                 self.members.extend_from_slice(&bs.block(b).members);
             }
-            let req = self.memo.requirement(&self.members);
-            if req > self.cluster.memory(proc) {
+            let memory = self.cluster.memory(proc);
+            let mut req = self.memo.bounds(&self.members);
+            let exceeds = match req.fits(memory) {
+                Some(fits) => !fits,
+                None => {
+                    req = PeakBounds::exact(self.memo.resolve(&self.members, req));
+                    req.hi > memory
+                }
+            };
+            if exceeds {
                 continue;
             }
             std::mem::swap(&mut self.cand_q, &mut self.best_q);
@@ -236,13 +247,14 @@ impl<'a> Step3<'a> {
         }
         self.node_of_block.push(0);
         let proc = bs.block(best.partner).proc;
-        bs.merge_blocks_with_req(nu, best.partner, best.third, proc, best.req);
+        bs.merge_blocks_with_bounds(nu, best.partner, best.third, proc, best.req);
         std::mem::swap(&mut self.q, &mut self.best_q);
         self.index_nodes();
     }
 }
 
-/// Runs Step 3 until every block is assigned.
+/// Runs Step 3 until every block is assigned. Every requirement in
+/// `bs` is exact afterwards, also when the step fails.
 ///
 /// `enable_triple_merge` switches the 2-cycle repair on/off (ablation).
 pub fn merge_unassigned(
@@ -251,11 +263,15 @@ pub fn merge_unassigned(
     bs: &mut BlockSet,
     enable_triple_merge: bool,
 ) -> Result<(), SchedError> {
-    merge_unassigned_memo(g, cluster, bs, enable_triple_merge, &ReqMemo::new(g))
+    let memo = ReqMemo::new(g);
+    let merged = merge_unassigned_memo(g, cluster, bs, enable_triple_merge, &memo);
+    bs.resolve_all(&memo);
+    merged
 }
 
-/// [`merge_unassigned`] with the merged blocks' requirements answered
-/// by the solve's memo.
+/// [`merge_unassigned`] with the bounds of the merged blocks'
+/// requirements answered by the solve's memo, resolved only where the
+/// memory check needs them.
 pub(crate) fn merge_unassigned_memo(
     g: &Dag,
     cluster: &Cluster,

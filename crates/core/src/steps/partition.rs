@@ -13,9 +13,13 @@ use dhp_dag::{Dag, Partition};
 use dhp_dagp::coarsen::Hierarchy;
 use dhp_dagp::{BalanceWeight, PartitionConfig};
 
-/// Produces the Step-1 block set with (at most) `k'` blocks.
+/// Produces the Step-1 block set with (at most) `k'` blocks, every
+/// requirement exact.
 pub fn initial_blocks(g: &Dag, k_prime: usize, cfg: &PartitionConfig) -> BlockSet {
-    Step1::coarsen(g, [k_prime], cfg).blocks(k_prime, &ReqMemo::new(g))
+    let memo = ReqMemo::new(g);
+    let mut bs = Step1::coarsen(g, [k_prime], cfg).blocks(k_prime, &memo);
+    bs.resolve_all(&memo);
+    bs
 }
 
 /// What Step 1 computes once for all the `k'` of a solve: the
@@ -51,8 +55,9 @@ impl Step1 {
     }
 
     /// The Step-1 block set for `k_prime`, one of the block counts this
-    /// was coarsened for, with the block requirements answered by the
-    /// solve's memo (neighbouring `k'` share many Step-1 blocks).
+    /// was coarsened for, with the bounds of the block requirements
+    /// answered by the solve's memo (neighbouring `k'` share many
+    /// Step-1 blocks).
     pub(crate) fn blocks(&self, k_prime: usize, memo: &ReqMemo<'_>) -> BlockSet {
         let partition = match &self.hierarchy {
             Some(hierarchy) => dhp_dagp::partition_on(hierarchy, k_prime, &self.cfg),

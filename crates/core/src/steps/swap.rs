@@ -14,8 +14,13 @@
 //!    workflows split into few blocks), walk the critical path and move
 //!    each block to a faster idle processor that can hold it, recomputing
 //!    the critical path after every move.
+//!
+//! "Block `i` fits memory `M`" is decided on the bounds of its
+//! requirement where they tell, and resolves the requirement — once
+//! per block, which then keeps it — where they straddle `M`.
 
 use super::flat::{FlatQuotient, PassScratch};
+use crate::blockmem::ReqMemo;
 use crate::blocks::BlockSet;
 use dhp_dag::Dag;
 use dhp_platform::{Cluster, ProcId};
@@ -23,14 +28,37 @@ use std::collections::HashSet;
 
 /// Runs the swap loop. Requires every block assigned. Returns the number
 /// of executed swaps.
+///
+/// Step 4 only ever resolves requirements, so a block set whose
+/// requirements are exact, as every public function returns them,
+/// leaves it exact.
 pub fn swap_blocks(g: &Dag, cluster: &Cluster, bs: &mut BlockSet) -> usize {
-    Step4::new(g, cluster, bs).swap_blocks(cluster, bs).0
+    let memo = ReqMemo::new(g);
+    Step4::new(g, cluster, bs).swap_blocks(cluster, bs, &memo).0
 }
 
 /// Moves critical-path blocks to faster idle processors (the final
 /// sub-step of Step 4). Returns the number of moves.
 pub fn idle_moves(g: &Dag, cluster: &Cluster, bs: &mut BlockSet) -> usize {
-    Step4::new(g, cluster, bs).idle_moves(cluster, bs)
+    let memo = ReqMemo::new(g);
+    Step4::new(g, cluster, bs).idle_moves(cluster, bs, &memo)
+}
+
+/// `r > memory` for block `i`, resolving `r` (which the block then
+/// keeps) only when its bounds straddle `memory`.
+fn exceeds(bs: &mut BlockSet, i: usize, memory: f64, memo: &ReqMemo<'_>) -> bool {
+    match bs.block(i).bounds().fits(memory) {
+        Some(fits) => !fits,
+        None => bs.resolve(i, memo) > memory,
+    }
+}
+
+/// `r ≤ memory` for block `i`, likewise.
+fn fits(bs: &mut BlockSet, i: usize, memory: f64, memo: &ReqMemo<'_>) -> bool {
+    match bs.block(i).bounds().fits(memory) {
+        Some(fits) => fits,
+        None => bs.resolve(i, memo) <= memory,
+    }
 }
 
 /// The quotient graph of a block set whose blocks Step 4 only moves
@@ -91,7 +119,12 @@ impl Step4 {
     /// at least the incumbent's and the pair could never pass the
     /// improvement test. A round without those premises relaxes every
     /// feasible pair.
-    pub(crate) fn swap_blocks(&mut self, cluster: &Cluster, bs: &mut BlockSet) -> (usize, usize) {
+    pub(crate) fn swap_blocks(
+        &mut self,
+        cluster: &Cluster,
+        bs: &mut BlockSet,
+        memo: &ReqMemo<'_>,
+    ) -> (usize, usize) {
         debug_assert!(bs.unassigned().is_empty());
         let n = bs.len();
         let Some(mut procs) = assigned_procs(bs) else {
@@ -116,8 +149,8 @@ impl Step4 {
             for i in 0..n {
                 for j in (i + 1)..n {
                     // Feasibility: each block fits the other's processor.
-                    if bs.block(i).req > cluster.memory(procs[j])
-                        || bs.block(j).req > cluster.memory(procs[i])
+                    if exceeds(bs, i, cluster.memory(procs[j]), memo)
+                        || exceeds(bs, j, cluster.memory(procs[i]), memo)
                     {
                         continue;
                     }
@@ -154,7 +187,12 @@ impl Step4 {
     }
 
     /// [`idle_moves`] on the block set this quotient was built from.
-    pub(crate) fn idle_moves(&mut self, cluster: &Cluster, bs: &mut BlockSet) -> usize {
+    pub(crate) fn idle_moves(
+        &mut self,
+        cluster: &Cluster,
+        bs: &mut BlockSet,
+        memo: &ReqMemo<'_>,
+    ) -> usize {
         debug_assert!(bs.unassigned().is_empty());
         let Some(mut procs) = assigned_procs(bs) else {
             return 0;
@@ -188,7 +226,7 @@ impl Step4 {
                     .iter()
                     .copied()
                     .filter(|&p| {
-                        cluster.speed(p) > cur_speed && bs.block(block).req <= cluster.memory(p)
+                        cluster.speed(p) > cur_speed && fits(bs, block, cluster.memory(p), memo)
                     })
                     .max_by(|a, b| {
                         cluster
@@ -503,9 +541,10 @@ mod tests {
 
         let mut shared = start.clone();
         let mut step4 = Step4::new(g, cluster, &shared);
-        assert_eq!(step4.swap_blocks(cluster, &mut shared).0, swaps);
+        let memo = ReqMemo::new(g);
+        assert_eq!(step4.swap_blocks(cluster, &mut shared, &memo).0, swaps);
         assert_eq!(procs(&shared), after_swaps);
-        assert_eq!(step4.idle_moves(cluster, &mut shared), idle);
+        assert_eq!(step4.idle_moves(cluster, &mut shared, &memo), idle);
         assert_eq!(procs(&shared), procs(&want));
         assert_eq!(step4.makespan().to_bits(), makespan.to_bits());
         (swaps, idle)
@@ -554,7 +593,7 @@ mod tests {
         let (swaps, scored) = reference_swap_blocks(&g, &cluster, &mut want);
         let mut got = start.clone();
         let (pruned_swaps, relaxed) =
-            Step4::new(&g, &cluster, &got).swap_blocks(&cluster, &mut got);
+            Step4::new(&g, &cluster, &got).swap_blocks(&cluster, &mut got, &ReqMemo::new(&g));
         assert_eq!(pruned_swaps, swaps);
         assert_eq!(procs(&got), procs(&want));
         assert!(swaps > 0, "premise: the stirred mapping has swaps to undo");

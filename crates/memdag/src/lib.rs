@@ -41,6 +41,10 @@
 //!   its smallest-id-first order, from one evaluation;
 //!   [`block_traversal`] / [`block_peak`] ask the same of a block of a
 //!   larger graph without building its sub-DAG.
+//! * [`block_bounds`] — certified bounds `lo ≤ r ≤ hi` on
+//!   [`block_peak`] from one topological order and its peak, for callers
+//!   that only *compare* a requirement with something: they need the
+//!   kernel's bits only when the bounds straddle it.
 //! * [`dpopt::dp_min_peak`] — exact optimum by subset DP (≤ 20 nodes),
 //!   the referee used by the property tests.
 //!
@@ -191,6 +195,97 @@ pub fn block_peak(g: &Dag, members: &[NodeId]) -> f64 {
     with_workspace(|ws| {
         ws.view.fill_block(g, members);
         ws.best().0
+    })
+}
+
+/// Certified bounds `lo ≤ r ≤ hi` on a block's requirement `r`, the
+/// peak [`block_peak`] returns ([`block_bounds`]).
+///
+/// The bounds are *exact* when `lo` and `hi` are the same bits: then
+/// both are `r`, to the bit.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PeakBounds {
+    /// No order the kernel can return has a smaller computed peak.
+    pub lo: f64,
+    /// The computed peak of the block's smallest-id-first topological
+    /// order, which the kernel replaces only by a strictly smaller one.
+    pub hi: f64,
+}
+
+impl PeakBounds {
+    /// The bounds of a known requirement `r`.
+    pub fn exact(r: f64) -> Self {
+        Self { lo: r, hi: r }
+    }
+
+    /// True when `lo` and `hi` are the same bits, which are then `r`'s.
+    pub fn is_exact(self) -> bool {
+        self.lo.to_bits() == self.hi.to_bits()
+    }
+
+    /// `r ≤ memory`, when the bounds decide it: `Some(true)` if
+    /// `hi ≤ memory`, `Some(false)` if `lo > memory`, `None` when the
+    /// interval straddles `memory` (or a NaN is involved) and only `r`
+    /// itself can tell.
+    pub fn fits(self, memory: f64) -> Option<bool> {
+        if self.hi <= memory {
+            Some(true)
+        } else if self.lo > memory {
+            Some(false)
+        } else {
+            None
+        }
+    }
+}
+
+/// Certified bounds on [`block_peak`]`(g, members)`, for the price of
+/// one topological order and two passes over the block — no greedy
+/// order, decomposition or merge. A caller that only *compares* the
+/// requirement with something decides on the bounds and asks
+/// [`block_peak`] only when they straddle it; every decision is then
+/// the one the exact value would make.
+///
+/// * A block without an internal edge gets its exact answer, in the
+///   one pass [`block_peak`] takes for it.
+/// * Any negative or non-finite memory, external load or file volume,
+///   or a sum `S` (below) that overflows, gets the exact answer of the
+///   full kernel.
+/// * Otherwise `hi` is the computed peak of the topological order that
+///   the kernel evaluates first and replaces only by a strictly smaller
+///   peak, so `r ≤ hi` holds bit for bit; and
+///   `lo = max_u τ_u − (2n + 4Δ + 24)·ε·S`, where
+///   `τ_u = ((m_u + in_u) + out_u) + ext_u` as computed,
+///   `S` is the computed sum of every `τ_u`, `n` the block's size, `Δ`
+///   its largest in- or out-degree, and `ε = f64::EPSILON`.
+///
+/// **Why `lo ≤ r`.** Take any topological order, as every strategy's
+/// is, and the task `t` of the largest `τ`. In real arithmetic the
+/// step running `t` holds every internal input of `t` resident (its
+/// producers ran, `t` has not), so the step's value is at least `t`'s
+/// own term. Computed, the step's value differs from its real one by
+/// the rounding of the resident sum (at most `γ_n` of the volumes it
+/// ever added), of the per-task input and output sums (at most `γ_Δ`
+/// each), and of the step's three additions (`γ_3`), while `τ_t`
+/// carries the rounding of its own three (`γ_3`); with `u = ε/2` that
+/// is under `1.01·(n + 2Δ + 9)·u` times the real sum of all terms,
+/// which is below `1.01·S`. The slack subtracted,
+/// `4·(n + 2Δ + 12)·u·S`, is about four times that and also covers
+/// the rounding of the subtraction itself, so every order's computed
+/// peak — and hence `r`, the smallest of three — is at least `lo`.
+///
+/// On a workspace that has seen a block this large it allocates
+/// nothing.
+///
+/// # Panics
+/// Panics if the induced sub-DAG is cyclic, or a member is listed twice
+/// or is not a node of `g`.
+pub fn block_bounds(g: &Dag, members: &[NodeId]) -> PeakBounds {
+    if members.is_empty() {
+        return PeakBounds::exact(0.0);
+    }
+    with_workspace(|ws| {
+        ws.view.fill_block(g, members);
+        ws.bounds()
     })
 }
 

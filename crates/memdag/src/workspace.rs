@@ -22,7 +22,7 @@ use crate::greedy::{greedy_into, AllTasks, GreedyScratch};
 use crate::liveness::peak_of;
 use crate::spdecomp::Decomposition;
 use crate::sptraversal::{sp_order_into, MergeScratch};
-use crate::Traversal;
+use crate::{PeakBounds, Traversal};
 use dhp_dag::{BlockView, Dag};
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -156,6 +156,45 @@ impl Workspace {
             best = (sp_peak, Strategy::SeriesParallel);
         }
         best
+    }
+
+    /// Certified bounds on what [`Workspace::best`] would return for
+    /// the (non-empty) view, computed without the greedy order, the
+    /// decomposition or the merge; see [`crate::block_bounds`] for the
+    /// argument.
+    pub fn bounds(&mut self) -> PeakBounds {
+        if self.view.edge_count() == 0 {
+            return PeakBounds::exact(self.best().0);
+        }
+        let view = &self.view;
+        let (mut lo, mut sum, mut degree) = (0.0f64, 0.0f64, 0usize);
+        let mut tame = true;
+        for u in 0..view.len() as u32 {
+            let (memory, ext) = (view.memory(u), view.ext(u));
+            tame &= memory.is_finite() && memory >= 0.0 && ext.is_finite() && ext >= 0.0;
+            tame &= view
+                .out_edges(u)
+                .all(|(_, volume)| volume.is_finite() && volume >= 0.0);
+            degree = degree
+                .max(view.children(u).len())
+                .max(view.parents(u).len());
+            let term = ((memory + view.in_sum(u)) + view.out_sum(u)) + ext;
+            lo = lo.max(term);
+            sum += term;
+        }
+        if !tame || !sum.is_finite() {
+            return PeakBounds::exact(self.best().0);
+        }
+        self.topo_order("best_traversal requires a DAG");
+        let hi = peak_of(&self.view, self.topo.iter().copied());
+        let factor = (2 * self.view.len() + 4 * degree + 24) as f64 * f64::EPSILON;
+        let lo = lo - factor * sum;
+        if lo >= hi {
+            // `lo ≤ r ≤ hi` pins `r` to `hi`, and `best` keeps the
+            // topological peak's bits unless another is strictly smaller.
+            return PeakBounds::exact(hi);
+        }
+        PeakBounds { lo, hi }
     }
 
     /// [`Workspace::best`] with the winning order, as ids of the

@@ -468,6 +468,40 @@ fn solver_reproduces_every_golden_line() {
     );
 }
 
+/// The certified bounds bracket every requirement the `req` lines pin:
+/// for each Step-1 block of the seven instances at `k' ∈ {2, 12, 36}`,
+/// `lo ≤ r ≤ hi`, `r` has `hi`'s bits whenever it equals it, and exact
+/// bounds are `r` itself. The topological peak is the requirement on
+/// most blocks, which is what lets the bounds decide.
+#[test]
+fn bounds_bracket_every_golden_step1_block() {
+    let pcfg = DagHetPartConfig::default().partition_cfg;
+    let (mut blocks, mut exact, mut topo_wins) = (0, 0, 0);
+    for (family, tasks) in PRICED {
+        let g = &WorkflowInstance::simulated(family, tasks, 17).graph;
+        for kp in [2usize, 12, 36] {
+            for block in steps::partition::initial_blocks(g, kp, &pcfg).iter() {
+                let members = &block.members;
+                let bounds = dhp_memdag::block_bounds(g, members);
+                let r = dhp_memdag::block_peak(g, members);
+                let at = format!("{} {tasks} k'={kp} n={}", family.name(), members.len());
+                assert!(bounds.lo <= r && r <= bounds.hi, "{at}: {bounds:?} vs {r}");
+                if r == bounds.hi {
+                    assert_eq!(r.to_bits(), bounds.hi.to_bits(), "{at}");
+                    topo_wins += 1;
+                }
+                if bounds.is_exact() {
+                    assert_eq!(bounds.lo.to_bits(), r.to_bits(), "{at}");
+                    exact += 1;
+                }
+                blocks += 1;
+            }
+        }
+    }
+    assert!(exact > 0 && exact < blocks, "{exact} exact of {blocks}");
+    assert!(2 * topo_wins > blocks, "{topo_wins} of {blocks}");
+}
+
 #[test]
 #[ignore = "rewrites tests/golden/offline_golden.txt"]
 fn record() {
