@@ -210,21 +210,6 @@ proptest! {
     }
 
     #[test]
-    fn merge_blocks_preserves_cover((n, p, seed) in dag_params()) {
-        let g = builder::gnp_dag(n, p, seed);
-        let raw: Vec<u32> = (0..n as u32).collect(); // singleton blocks
-        let mut part = Partition::from_raw(&raw);
-        // Merge the two blocks containing nodes 0 and 1.
-        let b0 = part.block_of(NodeId(0));
-        let b1 = part.block_of(NodeId(1));
-        let merged = part.merge_blocks(b0, b1);
-        prop_assert!(part.validate(&g));
-        prop_assert_eq!(part.num_blocks(), n - 1);
-        prop_assert_eq!(part.block_of(NodeId(0)), merged);
-        prop_assert_eq!(part.block_of(NodeId(1)), merged);
-    }
-
-    #[test]
     fn induced_subgraph_equals_edge_scan(
         (n, p, seed) in dag_params(),
         keys in proptest::collection::vec(any::<u64>(), 40),
@@ -292,8 +277,7 @@ fn induced_subgraph_of_block_is_consistent() {
         raw[u.idx()] = (i / 9) as u32;
     }
     let part = Partition::from_raw(&raw);
-    for b in 0..part.num_blocks() {
-        let members = part.block_members(crate::quotient::BlockId(b as u32));
+    for members in part.members() {
         let (sub, back) = g.induced_subgraph(&members);
         assert_eq!(sub.node_count(), members.len());
         assert!(!is_cyclic(&sub));

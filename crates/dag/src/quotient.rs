@@ -118,71 +118,6 @@ impl Partition {
         out
     }
 
-    /// Members of a single block.
-    pub fn block_members(&self, b: BlockId) -> Vec<NodeId> {
-        self.assignment
-            .iter()
-            .enumerate()
-            .filter(|(_, &x)| x == b)
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
-    }
-
-    /// Reassigns every task of block `from` into block `to` and compacts
-    /// block numbering. Returns the new id of the merged block.
-    pub fn merge_blocks(&mut self, from: BlockId, to: BlockId) -> BlockId {
-        assert_ne!(from, to, "cannot merge a block into itself");
-        for a in &mut self.assignment {
-            if *a == from {
-                *a = to;
-            }
-        }
-        // Compact: shift every block numbered above `from` down by one.
-        for a in &mut self.assignment {
-            if a.0 > from.0 {
-                a.0 -= 1;
-            }
-        }
-        self.num_blocks -= 1;
-        if to.0 > from.0 {
-            BlockId(to.0 - 1)
-        } else {
-            to
-        }
-    }
-
-    /// Replaces the tasks of block `b` according to `sub`: task `u` of the
-    /// block moves to a brand-new block numbered `num_blocks + sub(u)` and
-    /// numbering is recompacted. Used when `FitBlock` re-partitions an
-    /// oversized block. Returns the ids of the newly created blocks.
-    pub fn split_block(&mut self, b: BlockId, members: &[NodeId], sub: &[u32]) -> Vec<BlockId> {
-        assert_eq!(members.len(), sub.len());
-        let base = self.num_blocks as u32;
-        let mut used: Vec<u32> = sub.to_vec();
-        used.sort_unstable();
-        used.dedup();
-        let remap: HashMap<u32, u32> = used
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, base + i as u32))
-            .collect();
-        for (&u, &s) in members.iter().zip(sub) {
-            debug_assert_eq!(self.assignment[u.idx()], b);
-            self.assignment[u.idx()] = BlockId(remap[&s]);
-        }
-        self.num_blocks += used.len();
-        // Old block b is now empty: compact it away.
-        for a in &mut self.assignment {
-            if a.0 > b.0 {
-                a.0 -= 1;
-            }
-        }
-        self.num_blocks -= 1;
-        (0..used.len() as u32)
-            .map(|i| BlockId(base + i - 1))
-            .collect()
-    }
-
     /// Validates that the partition covers `g` exactly and block ids are
     /// dense.
     pub fn validate(&self, g: &Dag) -> bool {
@@ -378,38 +313,6 @@ mod tests {
         let p = Partition::from_raw(&[0, 0, 0, 4, 1, 2, 2, 2, 4]);
         let q = QuotientGraph::build(&g, &p);
         assert!(!q.is_acyclic());
-    }
-
-    #[test]
-    fn merge_blocks_compacts() {
-        let mut p = Partition::from_raw(&[0, 1, 2, 3]);
-        let merged = p.merge_blocks(BlockId(1), BlockId(3));
-        assert_eq!(p.num_blocks(), 3);
-        assert_eq!(p.block_of(NodeId(1)), merged);
-        assert_eq!(p.block_of(NodeId(3)), merged);
-        assert!(p.validate(&{
-            let mut g = Dag::new();
-            for _ in 0..4 {
-                g.add_node(1.0, 1.0);
-            }
-            g
-        }));
-    }
-
-    #[test]
-    fn split_block_creates_new_blocks() {
-        let mut p = Partition::from_raw(&[0, 0, 0, 1]);
-        let members = p.block_members(BlockId(0));
-        let new = p.split_block(BlockId(0), &members, &[0, 1, 0]);
-        assert_eq!(p.num_blocks(), 3);
-        assert_eq!(new.len(), 2);
-        assert_eq!(p.block_of(NodeId(0)), p.block_of(NodeId(2)));
-        assert_ne!(p.block_of(NodeId(0)), p.block_of(NodeId(1)));
-        let mut g = Dag::new();
-        for _ in 0..4 {
-            g.add_node(1.0, 1.0);
-        }
-        assert!(p.validate(&g));
     }
 
     #[test]
