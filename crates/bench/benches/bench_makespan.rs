@@ -1,31 +1,46 @@
 //! Microbenchmark: the bottom-weight makespan engine (paper Eq. (1)–(2)),
-//! the inner loop of Steps 3–4 and of Figs. 3–7, and the partition
-//! renumbering behind every quotient it is asked about.
+//! the inner loop of Steps 3–4, the exact solver and Figs. 3–7, and the
+//! partition renumbering behind every quotient it is asked about.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dhp_core::makespan::quotient_makespan;
-use dhp_dag::builder;
+use dhp_dag::{builder, FlatQuotient, Partition, PassScratch};
 use std::hint::black_box;
 
+/// A quotient-graph-shaped DAG with `k` blocks as a flat quotient (the
+/// quotient of its partition into singletons), its nodes at six
+/// different speeds.
+fn gnp_quotient(k: usize, seed: u64) -> FlatQuotient {
+    let g = builder::gnp_dag_weighted(k, 0.15, seed);
+    let singletons: Vec<u32> = (0..k as u32).collect();
+    let mut q = FlatQuotient::build(&g, &Partition::from_raw(&singletons));
+    q.speed = (0..k).map(|i| 1.0 + (i % 6) as f64 * 5.0).collect();
+    q
+}
+
+/// One index (out-edges, Kahn order, edge costs) and one relax (bottom
+/// weights under the speeds): the makespan of a fresh quotient.
 fn bench_quotient_makespan(c: &mut Criterion) {
     let mut group = c.benchmark_group("quotient_makespan");
     for &k in &[8usize, 36, 60, 200] {
-        // a quotient-graph-shaped DAG with k blocks
-        let q = builder::gnp_dag_weighted(k, 0.15, 7);
-        let speeds: Vec<f64> = (0..k).map(|i| 1.0 + (i % 6) as f64 * 5.0).collect();
+        let q = gnp_quotient(k, 7);
+        let mut pass = PassScratch::default();
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
-            b.iter(|| quotient_makespan(black_box(&q), black_box(&speeds), 1.0))
+            b.iter(|| pass.bottom_weights(black_box(&q), 1.0))
         });
     }
     group.finish();
 }
 
+/// The critical path of a relaxed quotient.
 fn bench_critical_path(c: &mut Criterion) {
-    let q = builder::gnp_dag_weighted(60, 0.15, 3);
-    let speeds: Vec<f64> = (0..60).map(|i| 1.0 + (i % 6) as f64 * 5.0).collect();
+    let q = gnp_quotient(60, 3);
+    let mut pass = PassScratch::default();
+    let mut path = Vec::new();
     c.bench_function("quotient_critical_path_60", |b| {
         b.iter(|| {
-            dhp_core::makespan::quotient_critical_path(black_box(&q), black_box(&speeds), 1.0)
+            pass.bottom_weights(black_box(&q), 1.0);
+            pass.critical_path(black_box(&q), &mut path);
+            path.len()
         })
     });
 }
@@ -37,7 +52,7 @@ fn bench_partition_from_raw(c: &mut Criterion) {
     let raw: Vec<u32> = (0..50_000u32).map(|i| i * 17 % 36).collect();
     let mut group = c.benchmark_group("dag");
     group.bench_function("partition_from_raw/50000", |b| {
-        b.iter(|| dhp_dag::Partition::from_raw(black_box(&raw)))
+        b.iter(|| Partition::from_raw(black_box(&raw)))
     });
     group.finish();
 }

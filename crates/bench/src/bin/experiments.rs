@@ -973,10 +973,7 @@ fn ablate_partitioner(ctx: &Ctx) {
         let cut_und = undirected::cut_of(g, &und);
         // Estimated makespan with unit speeds (partition quality proxy
         // before any platform decisions).
-        let est = |p: &dhp_dag::Partition| {
-            let q = dhp_dag::QuotientGraph::build(g, p);
-            dhp_core::makespan::quotient_makespan(&q.graph, &vec![1.0; p.num_blocks()], 1.0)
-        };
+        let est = |p: &dhp_dag::Partition| dhp_dag::FlatQuotient::build(g, p).makespan(1.0);
         rows.push(vec![
             inst.name.clone(),
             format!("{} / {}", native.num_blocks(), und.num_blocks()),

@@ -229,22 +229,6 @@ impl BlockSet {
         ni
     }
 
-    /// The dense [`Partition`] corresponding to this block set.
-    pub fn to_partition(&self, n: usize) -> Partition {
-        let mut raw = vec![u32::MAX; n];
-        for (b, block) in self.blocks.iter().enumerate() {
-            for &u in &block.members {
-                debug_assert_eq!(raw[u.idx()], u32::MAX, "overlapping blocks");
-                raw[u.idx()] = b as u32;
-            }
-        }
-        assert!(
-            raw.iter().all(|&x| x != u32::MAX),
-            "block set does not cover the graph"
-        );
-        Partition::from_raw(&raw)
-    }
-
     /// Finalises into a [`crate::mapping::Mapping`].
     ///
     /// Block order is preserved: mapping block `i` corresponds to
@@ -298,7 +282,7 @@ mod tests {
         let p = Partition::from_raw(&raw);
         let bs = BlockSet::from_partition(&g, &p);
         assert_eq!(bs.len(), 4);
-        let p2 = bs.to_partition(20);
+        let p2 = bs.to_mapping(20).partition;
         assert_eq!(p2.num_blocks(), 4);
         // same grouping (up to renumbering): block of each node pair equal
         for a in g.node_ids() {
@@ -320,11 +304,11 @@ mod tests {
         let (a, b) = members.split_at(6);
         bs.split_block(&g, 0, vec![a.to_vec(), b.to_vec()]);
         assert_eq!(bs.len(), 2);
-        bs.to_partition(12); // must not panic (covers everything)
+        bs.to_mapping(12); // must not panic (covers everything)
         let ni = bs.merge_blocks(&g, 0, 1, None, None);
         assert_eq!(bs.len(), 1);
         assert_eq!(bs.block(ni).members.len(), 12);
-        bs.to_partition(12);
+        bs.to_mapping(12);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Final mapping representation and validation.
 
 use crate::blockmem::block_requirement;
-use dhp_dag::{Dag, NodeId, Partition, QuotientGraph};
+use dhp_dag::{Dag, FlatQuotient, NodeId, Partition, PassScratch};
 use dhp_platform::{Cluster, ProcId};
 use std::collections::HashSet;
 
@@ -37,27 +37,21 @@ impl Mapping {
         blocks: impl ExactSizeIterator<Item = (&'a [NodeId], Option<ProcId>)>,
     ) -> Self {
         let mut raw = vec![u32::MAX; n];
-        let mut procs = Vec::with_capacity(blocks.len());
+        let mut first_and_proc = Vec::with_capacity(blocks.len());
         for (b, (members, proc)) in blocks.enumerate() {
             for &u in members {
                 raw[u.idx()] = b as u32;
             }
-            procs.push(proc);
+            first_and_proc.push((members[0], proc));
         }
         assert!(raw.iter().all(|&x| x != u32::MAX));
-        // Partition::from_raw renumbers by first appearance; compute that
-        // same renumbering for the proc table.
-        let mut proc_of_block = vec![None; procs.len()];
-        let mut seen = vec![false; procs.len()];
-        let mut next = 0;
-        for &b in &raw {
-            if !std::mem::replace(&mut seen[b as usize], true) {
-                proc_of_block[next] = procs[b as usize];
-                next += 1;
-            }
+        let partition = Partition::from_raw(&raw);
+        let mut proc_of_block = vec![None; first_and_proc.len()];
+        for (first, proc) in first_and_proc {
+            proc_of_block[partition.block_of(first).idx()] = proc;
         }
         Self {
-            partition: Partition::from_raw(&raw),
+            partition,
             proc_of_block,
         }
     }
@@ -144,10 +138,11 @@ pub fn validate(g: &Dag, cluster: &Cluster, mapping: &Mapping) -> Result<(), Map
     {
         return Err(MappingError::Malformed);
     }
-    let q = QuotientGraph::build(g, &mapping.partition);
-    if !q.is_acyclic() {
+    let q = FlatQuotient::build(g, &mapping.partition);
+    if !PassScratch::default().index(&q, cluster.bandwidth) {
         return Err(MappingError::CyclicQuotient);
     }
+    let members = mapping.partition.members();
     let mut used = HashSet::new();
     for (i, p) in mapping.proc_of_block.iter().enumerate() {
         match p {
@@ -159,7 +154,7 @@ pub fn validate(g: &Dag, cluster: &Cluster, mapping: &Mapping) -> Result<(), Map
                 if p.idx() >= cluster.len() {
                     return Err(MappingError::Malformed);
                 }
-                let members = &q.members[i];
+                let members = &members[i];
                 let capacity = cluster.memory(*p);
                 let req = match members.len() {
                     0 | 1 => block_requirement(g, members),
@@ -276,10 +271,10 @@ mod tests {
         cluster: &Cluster,
         mapping: &Mapping,
     ) -> Result<(), MappingError> {
-        let q = QuotientGraph::build(g, &mapping.partition);
+        let members = mapping.partition.members();
         for (i, p) in mapping.proc_of_block.iter().enumerate() {
             let p = p.expect("complete mappings only");
-            let req = block_requirement(g, &q.members[i]);
+            let req = block_requirement(g, &members[i]);
             let capacity = cluster.memory(p);
             if req > capacity * (1.0 + 1e-9) {
                 return Err(MappingError::MemoryExceeded {
@@ -321,10 +316,10 @@ mod tests {
                 raw[u.idx()] = (i * blocks / n) as u32;
             }
             let partition = Partition::from_raw(&raw);
-            let q = QuotientGraph::build(&g, &partition);
+            let members = partition.members();
             let processors = (0..partition.num_blocks())
                 .map(|b| {
-                    let members = &q.members[b];
+                    let members = &members[b];
                     let bounds = dhp_memdag::block_bounds(&g, members);
                     let r = block_requirement(&g, members);
                     let spots = [r, 0.5 * (bounds.lo + bounds.hi), bounds.hi, bounds.lo];

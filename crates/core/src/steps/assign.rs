@@ -194,7 +194,7 @@ mod tests {
     use super::*;
     use crate::steps::partition::initial_blocks;
     use dhp_dag::builder;
-    use dhp_dag::quotient::QuotientGraph;
+    use dhp_dag::quotient::is_acyclic_partition;
     use dhp_platform::Processor;
 
     fn assert_step2_invariants(g: &Dag, cluster: &Cluster, bs: &BlockSet) {
@@ -207,8 +207,8 @@ mod tests {
                 assert!(used.insert(p), "duplicate processor");
             }
         }
-        let p = bs.to_partition(g.node_count());
-        assert!(QuotientGraph::build(g, &p).is_acyclic());
+        let p = bs.to_mapping(g.node_count()).partition;
+        assert!(is_acyclic_partition(g, &p));
     }
 
     #[test]

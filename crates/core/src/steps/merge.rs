@@ -25,11 +25,11 @@
 //! the merge is executed; nothing a candidate evaluation produced is
 //! computed again.
 
-use super::flat::{FlatQuotient, PassScratch};
 use crate::blockmem::ReqMemo;
 use crate::blocks::{removal_order, BlockSet};
+use crate::makespan::quotient_of_blocks;
 use crate::SchedError;
-use dhp_dag::{Dag, NodeId};
+use dhp_dag::{Dag, FlatQuotient, NodeId, PassScratch};
 use dhp_memdag::PeakBounds;
 use dhp_platform::Cluster;
 use std::collections::{HashMap, VecDeque};
@@ -126,7 +126,7 @@ impl<'a> Step3<'a> {
     fn neighbours(&self, block: usize, out: &mut Vec<usize>) {
         let qn = self.node_of_block[block];
         out.clear();
-        for &(a, b, _) in &self.q.edges {
+        for &(a, b, _) in self.q.edges() {
             if a == qn {
                 out.push(self.block_of_node[b as usize] as usize);
             } else if b == qn {
@@ -293,7 +293,7 @@ pub(crate) fn merge_unassigned_memo(
     // The quotient graph is maintained *incrementally*: built once, then
     // replaced by the winning candidate's contraction after every
     // executed merge.
-    let (q, node_of_block) = FlatQuotient::of_blocks(g, bs, cluster);
+    let (q, node_of_block) = quotient_of_blocks(g, bs, cluster);
     let mut st = Step3::new(cluster, memo, enable_triple_merge, q, node_of_block);
     // Critical path under estimated speeds; stale once a merge changed
     // the quotient, still good after a block was merely requeued.
@@ -344,9 +344,8 @@ pub(crate) fn merge_unassigned_memo(
 
 #[cfg(test)]
 mod tests {
-    use super::super::flat::tests::random_quotient;
     use super::*;
-    use crate::makespan::{quotient_critical_path, quotient_makespan};
+    use crate::makespan::{flat_of, quotient_critical_path, quotient_makespan};
     use crate::steps::assign::biggest_assign;
     use crate::steps::partition::initial_blocks;
     use dhp_dag::{builder, cycles};
@@ -414,15 +413,16 @@ mod tests {
         q.add_edge(a, b, 5.0);
         q.add_edge(a, c, 11.0);
         q.add_edge(b, c, 7.0);
-        let flat = FlatQuotient::of_dag(&q, vec![1.0, 2.0, 4.0]);
+        let mut flat = flat_of(&q);
+        flat.speed = vec![1.0, 2.0, 4.0];
         let (mut m, mut renumber) = (FlatQuotient::default(), Vec::new());
         flat.contract_into(&[1, 2], 8.0, &mut m, &mut renumber);
         assert_eq!(renumber, vec![1, 0, 0]);
         // merged node 0 has work 2+3 and the given speed; a keeps its own
-        assert_eq!(m.work, vec![5.0, 1.0]);
+        assert_eq!(m.work(), [5.0, 1.0]);
         assert_eq!(m.speed, vec![8.0, 1.0]);
         // edge a->merged combines 5 + 11; the internal edge is gone
-        assert_eq!(m.edges, vec![(1, 0, 16.0)]);
+        assert_eq!(m.edges(), [(1, 0, 16.0)]);
     }
 
     #[test]
@@ -454,6 +454,37 @@ mod tests {
         assert!(bs.unassigned().is_empty());
         let mapping = bs.to_mapping(3);
         assert!(crate::mapping::validate(&g, &cluster, &mapping).is_ok());
+    }
+
+    /// A random quotient: a weighted G(n, p) DAG whose nodes are
+    /// relabelled by the order of `keys` (so ids are not a topological
+    /// order, as in a real quotient), edges ascending, plus a speed per
+    /// node.
+    fn random_quotient(n: usize, p: f64, seed: u64, keys: &[u64]) -> (Dag, Vec<f64>) {
+        let g = builder::gnp_dag_weighted(n, p, seed);
+        let mut by_key: Vec<usize> = (0..n).collect();
+        by_key.sort_by_key(|&i| (keys[i % keys.len()], i));
+        let mut label = vec![0u32; n];
+        for (new, &old) in by_key.iter().enumerate() {
+            label[old] = new as u32;
+        }
+        let mut q = Dag::new();
+        for &old in &by_key {
+            q.add_node(g.node(NodeId(old as u32)).work, 0.0);
+        }
+        let mut edges: Vec<(u32, u32, f64)> = g
+            .edge_ids()
+            .map(|e| g.edge(e))
+            .map(|e| (label[e.src.idx()], label[e.dst.idx()], e.volume))
+            .collect();
+        edges.sort_by_key(|&(a, b, _)| (a, b));
+        for (a, b, vol) in edges {
+            q.add_edge(NodeId(a), NodeId(b), vol);
+        }
+        let speed = (0..n)
+            .map(|i| [1.0, 4.0, 8.0, 16.0, 32.0][(keys[i % keys.len()] % 5) as usize])
+            .collect();
+        (q, speed)
     }
 
     // ---- The reference the flat evaluation replaced ----------------
@@ -579,13 +610,9 @@ mod tests {
         let cluster = Cluster::new(vec![Processor::new("p", 1.0, 1.0)], 3.0);
         let memo = ReqMemo::new(q);
         let identity: Vec<u32> = (0..q.node_count() as u32).collect();
-        let mut st = Step3::new(
-            &cluster,
-            &memo,
-            enable_triple_merge,
-            FlatQuotient::of_dag(q, speed.to_vec()),
-            identity,
-        );
+        let mut flat = flat_of(q);
+        flat.speed = speed.to_vec();
+        let mut st = Step3::new(&cluster, &memo, enable_triple_merge, flat, identity);
 
         // The critical path of the quotient itself.
         let mut on_path = Vec::new();
@@ -621,7 +648,7 @@ mod tests {
                 assert_eq!(third, want_third);
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 let want_work: Vec<f64> = want_q.node_ids().map(|u| want_q.node(u).work).collect();
-                assert_eq!(bits(&st.cand_q.work), bits(&want_work));
+                assert_eq!(bits(st.cand_q.work()), bits(&want_work));
                 assert_eq!(bits(&st.cand_q.speed), bits(&want_speed));
                 let edges = |edges: &mut dyn Iterator<Item = (u32, u32, f64)>| {
                     edges
@@ -629,7 +656,7 @@ mod tests {
                         .collect::<Vec<_>>()
                 };
                 assert_eq!(
-                    edges(&mut st.cand_q.edges.iter().copied()),
+                    edges(&mut st.cand_q.edges().iter().copied()),
                     edges(
                         &mut want_q
                             .edge_ids()

@@ -8,7 +8,6 @@
 //!   critical-path blocks to idle faster processors (Algorithm 5).
 
 pub mod assign;
-mod flat;
 pub mod merge;
 pub mod partition;
 pub mod swap;

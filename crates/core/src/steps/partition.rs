@@ -71,7 +71,7 @@ impl Step1 {
 mod tests {
     use super::*;
     use dhp_dag::builder;
-    use dhp_dag::quotient::QuotientGraph;
+    use dhp_dag::quotient::is_acyclic_partition;
 
     #[test]
     fn produces_k_blocks_with_acyclic_quotient() {
@@ -79,8 +79,8 @@ mod tests {
         for k in [1usize, 3, 7] {
             let bs = initial_blocks(&g, k, &PartitionConfig::default());
             assert_eq!(bs.len(), k);
-            let p = bs.to_partition(80);
-            assert!(QuotientGraph::build(&g, &p).is_acyclic());
+            let p = bs.to_mapping(80).partition;
+            assert!(is_acyclic_partition(&g, &p));
             // requirements are cached and positive
             assert!(bs.iter().all(|b| b.req > 0.0));
         }

@@ -19,10 +19,10 @@
 //! requirement where they tell, and resolves the requirement — once
 //! per block, which then keeps it — where they straddle `M`.
 
-use super::flat::{FlatQuotient, PassScratch};
 use crate::blockmem::ReqMemo;
 use crate::blocks::BlockSet;
-use dhp_dag::Dag;
+use crate::makespan::quotient_of_blocks;
+use dhp_dag::{Dag, FlatQuotient, PassScratch};
 use dhp_platform::{Cluster, ProcId};
 use std::collections::HashSet;
 
@@ -84,7 +84,7 @@ impl Step4 {
     /// The quotient of `bs` over `g` under the speeds of its
     /// assignments.
     pub(crate) fn new(g: &Dag, cluster: &Cluster, bs: &BlockSet) -> Self {
-        let (q, node_of_block) = FlatQuotient::of_blocks(g, bs, cluster);
+        let (q, node_of_block) = quotient_of_blocks(g, bs, cluster);
         let mut pass = PassScratch::default();
         let acyclic = pass.index(&q, cluster.bandwidth);
         Self {
@@ -135,7 +135,7 @@ impl Step4 {
         }
         let node = |block: usize| self.node_of_block[block] as usize;
         // Swaps only permute the speeds, so this holds for every round.
-        let monotone = self.q.work.iter().all(|&w| w.is_finite() && w >= 0.0)
+        let monotone = self.q.work().iter().all(|&w| w.is_finite() && w >= 0.0)
             && self.q.speed.iter().all(|&s| s > 0.0);
         let mut on_chain = Vec::new();
 
@@ -257,7 +257,7 @@ impl Step4 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::makespan::{block_speeds, quotient_critical_path, quotient_makespan};
+    use crate::makespan::{quotient_critical_path, quotient_makespan};
     use dhp_dag::builder;
     use dhp_dag::{NodeId, Partition, QuotientGraph};
     use dhp_platform::Processor;
@@ -369,7 +369,7 @@ mod tests {
             return (0, 0);
         }
         // The quotient graph is invariant under swaps: build it once.
-        let partition = bs.to_partition(g.node_count());
+        let partition = bs.to_mapping(g.node_count()).partition;
         let q = QuotientGraph::build(g, &partition);
         let qnode_of: Vec<NodeId> = (0..n)
             .map(|i| NodeId(partition.block_of(bs.block(i).members[0]).0))
@@ -437,7 +437,7 @@ mod tests {
             return 0;
         }
 
-        let partition = bs.to_partition(g.node_count());
+        let partition = bs.to_mapping(g.node_count()).partition;
         let q = QuotientGraph::build(g, &partition);
         let qnode_of: Vec<NodeId> = (0..bs.len())
             .map(|i| NodeId(partition.block_of(bs.block(i).members[0]).0))
@@ -446,14 +446,10 @@ mod tests {
         let mut moved: HashSet<u64> = HashSet::new();
         let mut moves = 0usize;
         loop {
-            let speeds = {
-                let by_block = block_speeds(bs, cluster);
-                let mut v = vec![1.0; bs.len()];
-                for (i, &qn) in qnode_of.iter().enumerate() {
-                    v[qn.idx()] = by_block[i];
-                }
-                v
-            };
+            let mut speeds = vec![1.0; bs.len()];
+            for (block, &qn) in bs.iter().zip(&qnode_of) {
+                speeds[qn.idx()] = block.proc.map_or(1.0, |p| cluster.speed(p));
+            }
             let Some(cp) = quotient_critical_path(&q.graph, &speeds, cluster.bandwidth) else {
                 break;
             };

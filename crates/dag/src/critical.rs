@@ -1,15 +1,19 @@
-//! Weighted longest ("critical") paths over a DAG.
+//! Weighted longest ("critical") paths over a [`Dag`], generic over
+//! cost closures.
 //!
 //! The makespan of a mapped quotient graph is the maximum *bottom weight*
 //! (paper Eq. (1)–(2)), which is exactly a longest path where node costs
-//! are `w_ν / s_ν` and edge costs are `c_{ν,ν'} / β`. This module keeps
-//! the computation generic over cost closures so both the estimated
-//! (speed 1) and the mapped variants reuse it.
+//! are `w_ν / s_ν` and edge costs are `c_{ν,ν'} / β`. Quotients are
+//! answered by the passes of [`crate::quotient::PassScratch`]; what is
+//! left here runs on any `Dag` — [`bottom_weights`] prices the task
+//! graph itself for makespan lower bounds. The tests keep
+//! `critical_path` as the reference those passes are held to.
 
 use crate::graph::{Dag, NodeId};
 use crate::topo::topo_sort;
 
 /// Result of a critical-path computation.
+#[cfg(test)]
 #[derive(Clone, Debug, PartialEq)]
 pub struct CriticalPath {
     /// Total cost (sum of node costs plus edge costs along the path).
@@ -46,6 +50,7 @@ where
 /// path). Ties are broken deterministically towards smaller node ids.
 ///
 /// Returns `None` on cyclic input or an empty graph.
+#[cfg(test)]
 pub fn critical_path<NC, EC>(g: &Dag, node_cost: NC, edge_cost: EC) -> Option<CriticalPath>
 where
     NC: Fn(NodeId) -> f64,

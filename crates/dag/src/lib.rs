@@ -19,8 +19,11 @@
 //! * Cycle detection and extraction ([`cycles`]), needed when merging
 //!   blocks of a partition may create cyclic quotient graphs.
 //! * Reachability queries ([`reach`]).
-//! * Weighted longest ("critical") paths ([`critical`]).
-//! * Quotient-graph construction from a partition ([`quotient`]).
+//! * Bottom weights over any DAG ([`critical`]).
+//! * Partitions and their quotient graph ([`quotient`]): the flat
+//!   [`FlatQuotient`] and the passes of [`PassScratch`] (acyclicity,
+//!   makespan per paper Eq. (1)–(2), critical path) that every caller
+//!   runs; [`QuotientGraph`] materialises it as a [`Dag`].
 //! * [`BlockView`] — a block's induced sub-DAG as a flat, refillable
 //!   view of the parent graph ([`view`]), for questions that need the
 //!   sub-DAG's shape but not a graph of their own.
@@ -33,6 +36,7 @@
 //! state elsewhere in the workspace can live in flat `Vec`s.
 //!
 //! ```
+//! use dhp_dag::quotient::is_acyclic_partition;
 //! use dhp_dag::{Dag, Partition, QuotientGraph};
 //!
 //! // A diamond: s -> {a, b} -> t with per-task (work, memory) weights.
@@ -50,8 +54,8 @@
 //! // Partition {s,a} | {b,t}: the quotient graph stays acyclic and
 //! // aggregates node works and crossing volumes.
 //! let p = Partition::from_raw(&[0, 0, 1, 1]);
+//! assert!(is_acyclic_partition(&g, &p));
 //! let q = QuotientGraph::build(&g, &p);
-//! assert!(q.is_acyclic());
 //! assert_eq!(q.graph.node_count(), 2);
 //! ```
 
@@ -68,7 +72,7 @@ pub mod util;
 pub mod view;
 
 pub use graph::{Dag, EdgeData, EdgeId, NodeData, NodeId};
-pub use quotient::{BlockId, Partition, QuotientGraph};
+pub use quotient::{BlockId, FlatQuotient, Partition, PassScratch, QuotientGraph};
 pub use view::BlockView;
 
 #[cfg(test)]

@@ -182,7 +182,7 @@ proptest! {
         }
         let part = Partition::from_raw(&raw);
         let q = QuotientGraph::build(&g, &part);
-        prop_assert!(q.is_acyclic());
+        prop_assert!(is_acyclic_partition(&g, &part));
         let qw: f64 = q.graph.node_ids().map(|u| q.graph.node(u).work).sum();
         prop_assert!((qw - g.total_work()).abs() < 1e-6);
         let qm: f64 = q.graph.node_ids().map(|u| q.graph.node(u).memory).sum();

@@ -1,14 +1,21 @@
 //! Partitions and quotient graphs.
 //!
 //! A [`Partition`] assigns every task a block number; the induced
-//! [`QuotientGraph`] `Γ` has one vertex per block, vertex weight
+//! quotient graph `Γ` has one vertex per block, vertex weight
 //! `w_ν = Σ_{u∈V_i} w_u` and edge weight `c_{νi,νj} = Σ c_{u,v}` over all
 //! crossing edges (paper §3.3). The scheduler only accepts partitions
 //! whose quotient graph is acyclic.
+//!
+//! [`FlatQuotient`] is the one quotient: built from a partition with no
+//! hashing, numbered like it, and read by the passes of
+//! [`PassScratch`], which the mapping validator, every makespan,
+//! DagHetPart's Steps 3 and 4 and the exact solver run.
+//! [`QuotientGraph::build`] materialises it as a [`Dag`]. The tests keep
+//! the old hash-map build and `critical::critical_path` as the
+//! references both are held to, bit for bit.
 
 use crate::graph::{Dag, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Identifier of a block within a partition (dense index).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
@@ -135,8 +142,382 @@ impl Partition {
     }
 }
 
-/// The quotient graph `Γ` of a partition, plus bookkeeping to map between
-/// blocks and quotient nodes (they coincide: block `i` is node `i`).
+/// A quotient graph as flat arrays: node `i` is block `i`. Speeds are
+/// set by the caller; the default 1.0 gives the paper's *estimated*
+/// makespan.
+#[derive(Debug, Default)]
+pub struct FlatQuotient {
+    /// Summed task work per node.
+    work: Vec<f64>,
+    /// Speed per node.
+    pub speed: Vec<f64>,
+    /// `(src, dst, volume)` ascending by `(src, dst)`, no parallel
+    /// edges.
+    edges: Vec<(u32, u32, f64)>,
+}
+
+impl FlatQuotient {
+    /// The quotient of `partition` over `g`, every speed 1.0.
+    ///
+    /// No hashing and no sort over the crossing edges (only over each
+    /// block's distinct targets). Every sum is taken in one fixed
+    /// order, so the weights keep their bits: a block's work over its
+    /// members ascending, from `Iterator::sum`'s `-0.0`; a quotient
+    /// edge's volume onto `0.0` over its crossing edges in edge-id
+    /// order. Edges internal to a block are dropped. The result may be
+    /// cyclic.
+    pub fn build(g: &Dag, partition: &Partition) -> Self {
+        assert_eq!(partition.len(), g.node_count());
+        let k = partition.num_blocks();
+        let mut work = vec![-0.0; k];
+        for u in g.node_ids() {
+            work[partition.block_of(u).idx()] += g.node(u).work;
+        }
+        let block = |u: NodeId| partition.block_of(u).0;
+        let crossing: Vec<(u32, u32, f64)> = g
+            .edge_ids()
+            .map(|e| g.edge(e))
+            .map(|e| (block(e.src), block(e.dst), e.volume))
+            .filter(|&(a, b, _)| a != b)
+            .collect();
+        // A counting sort by source block keeps each block's crossing
+        // edges in edge-id order.
+        let mut first = vec![0usize; k + 1];
+        for &(a, _, _) in &crossing {
+            first[a as usize + 1] += 1;
+        }
+        for a in 0..k {
+            first[a + 1] += first[a];
+        }
+        let mut next = first.clone();
+        let mut by_source = vec![(0u32, 0.0); crossing.len()];
+        for &(a, b, volume) in &crossing {
+            by_source[next[a as usize]] = (b, volume);
+            next[a as usize] += 1;
+        }
+        // Then per source block: each target's volumes summed onto
+        // `0.0` in that order, targets ascending.
+        let mut edges = Vec::new();
+        let (mut sum, mut summed_for) = (vec![0.0; k], vec![u32::MAX; k]);
+        let mut targets: Vec<u32> = Vec::new();
+        for a in 0..k {
+            targets.clear();
+            for &(b, volume) in &by_source[first[a]..first[a + 1]] {
+                if summed_for[b as usize] != a as u32 {
+                    summed_for[b as usize] = a as u32;
+                    sum[b as usize] = 0.0;
+                    targets.push(b);
+                }
+                sum[b as usize] += volume;
+            }
+            targets.sort_unstable();
+            edges.extend(targets.iter().map(|&b| (a as u32, b, sum[b as usize])));
+        }
+        Self {
+            work,
+            speed: vec![1.0; k],
+            edges,
+        }
+    }
+
+    /// Summed task work per node.
+    pub fn work(&self) -> &[f64] {
+        &self.work
+    }
+
+    /// `(src, dst, volume)` ascending by `(src, dst)`, no parallel
+    /// edges.
+    pub fn edges(&self) -> &[(u32, u32, f64)] {
+        &self.edges
+    }
+
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.work.len()
+    }
+
+    /// True when the quotient has no node.
+    pub fn is_empty(&self) -> bool {
+        self.work.is_empty()
+    }
+
+    /// The makespan under the current speeds (paper Eq. (2)), with
+    /// communication divided by `bandwidth`: `f64::INFINITY` when the
+    /// quotient is cyclic, `0.0` when it is empty. A caller that asks
+    /// repeatedly keeps its own [`PassScratch`].
+    pub fn makespan(&self, bandwidth: f64) -> f64 {
+        PassScratch::default()
+            .bottom_weights(self, bandwidth)
+            .unwrap_or(f64::INFINITY)
+    }
+
+    /// Writes into `out` this graph with `group` contracted into node 0
+    /// running at `merged_speed`; every other node keeps its relative
+    /// order, numbered from 1. `new_of_old` receives the renumbering.
+    ///
+    /// Floating-point sums are taken in one fixed order so that
+    /// makespans keep their bits: works in ascending old node id;
+    /// parallel edges (three of them after a triple merge, where the
+    /// order of the additions shows in the last bit) in the order
+    /// `sort_unstable_by_key` — deterministic for a given input — leaves
+    /// the renumbered old edge sequence in, which is the order the
+    /// golden outputs were recorded with.
+    pub fn contract_into(
+        &self,
+        group: &[u32],
+        merged_speed: f64,
+        out: &mut FlatQuotient,
+        new_of_old: &mut Vec<u32>,
+    ) {
+        new_of_old.clear();
+        new_of_old.resize(self.len(), u32::MAX);
+        for &member in group {
+            new_of_old[member as usize] = 0;
+        }
+        let mut next = 1u32;
+        for slot in new_of_old.iter_mut().filter(|slot| **slot == u32::MAX) {
+            *slot = next;
+            next += 1;
+        }
+        out.work.clear();
+        out.work.resize(next as usize, 0.0);
+        out.speed.clear();
+        out.speed.resize(next as usize, 1.0);
+        for (old, &new) in new_of_old.iter().enumerate() {
+            out.work[new as usize] += self.work[old];
+            out.speed[new as usize] = self.speed[old];
+        }
+        out.speed[0] = merged_speed;
+
+        out.edges.clear();
+        out.edges.extend(
+            self.edges
+                .iter()
+                .map(|&(a, b, vol)| (new_of_old[a as usize], new_of_old[b as usize], vol))
+                .filter(|&(a, b, _)| a != b),
+        );
+        out.edges.sort_unstable_by_key(|&(a, b, _)| (a, b));
+        out.edges.dedup_by(|next, kept| {
+            let parallel = (next.0, next.1) == (kept.0, kept.1);
+            if parallel {
+                kept.2 += next.2;
+            }
+            parallel
+        });
+    }
+}
+
+/// Reusable buffers of the passes over a [`FlatQuotient`].
+///
+/// A pass is split where its inputs change at different rates.
+/// [`PassScratch::index`] depends on the quotient's shape and volumes
+/// only — out-edge index, Kahn order, edge costs `volume / bandwidth`;
+/// [`PassScratch::relax`] is the one reverse sweep that depends on the
+/// speeds. A caller that only ever changes speeds indexes once and
+/// relaxes per question.
+#[derive(Debug, Default)]
+pub struct PassScratch {
+    /// `edges[first_out[u]..first_out[u + 1]]` leave node `u`.
+    first_out: Vec<u32>,
+    indegree: Vec<u32>,
+    /// Kahn order (doubles as its own work queue).
+    order: Vec<u32>,
+    /// `volume / bandwidth` of every edge, in edge order.
+    cost: Vec<f64>,
+    /// Bottom weight per node (paper Eq. (1)); valid after
+    /// [`PassScratch::relax`].
+    bottom: Vec<f64>,
+    /// DFS stack of [`PassScratch::two_cycle_partner`]: node and the
+    /// index of its next out-edge.
+    stack: Vec<(u32, u32)>,
+    /// DFS colours: 0 unseen, 1 on the stack, 2 done.
+    colour: Vec<u8>,
+}
+
+impl PassScratch {
+    /// Positions in `q.edges` (and `cost`) of the edges leaving `u`.
+    fn out_edges(&self, u: u32) -> std::ops::Range<usize> {
+        self.first_out[u as usize] as usize..self.first_out[u as usize + 1] as usize
+    }
+
+    /// Everything about `q` that its speeds do not change: indexes its
+    /// out-edges, prices every edge at `volume / bandwidth` and takes
+    /// one Kahn pass. Returns whether `q` is acyclic, which
+    /// [`PassScratch::relax`] requires.
+    pub fn index(&mut self, q: &FlatQuotient, bandwidth: f64) -> bool {
+        let n = q.len();
+        self.first_out.clear();
+        self.first_out.resize(n + 1, 0);
+        self.indegree.clear();
+        self.indegree.resize(n, 0);
+        self.cost.clear();
+        for &(a, b, vol) in &q.edges {
+            self.first_out[a as usize + 1] += 1;
+            self.indegree[b as usize] += 1;
+            self.cost.push(vol / bandwidth);
+        }
+        for u in 0..n {
+            self.first_out[u + 1] += self.first_out[u];
+        }
+        self.order.clear();
+        self.order
+            .extend((0..n as u32).filter(|&u| self.indegree[u as usize] == 0));
+        let mut head = 0;
+        while let Some(&u) = self.order.get(head) {
+            head += 1;
+            for &(_, v, _) in &q.edges[self.out_edges(u)] {
+                self.indegree[v as usize] -= 1;
+                if self.indegree[v as usize] == 0 {
+                    self.order.push(v);
+                }
+            }
+        }
+        self.order.len() == n
+    }
+
+    /// Fills the bottom weights (paper Eq. (1)) for the speeds `q` has
+    /// now and returns the makespan: the largest bottom weight, with
+    /// node cost `work / speed`. `q` must be the acyclic quotient last
+    /// given to [`PassScratch::index`], its speeds aside.
+    pub fn relax(&mut self, q: &FlatQuotient) -> f64 {
+        debug_assert_eq!(self.order.len(), q.len());
+        self.bottom.clear();
+        self.bottom.resize(q.len(), 0.0);
+        let mut makespan = 0.0f64;
+        for &u in self.order.iter().rev() {
+            let mut tail = 0.0f64;
+            for e in self.out_edges(u) {
+                tail = tail.max(self.cost[e] + self.bottom[q.edges[e].1 as usize]);
+            }
+            let b = q.work[u as usize] / q.speed[u as usize] + tail;
+            self.bottom[u as usize] = b;
+            makespan = makespan.max(b);
+        }
+        makespan
+    }
+
+    /// [`PassScratch::index`] then [`PassScratch::relax`]: the makespan
+    /// of `q`, or `None` when it is cyclic.
+    pub fn bottom_weights(&mut self, q: &FlatQuotient, bandwidth: f64) -> Option<f64> {
+        self.index(q, bandwidth).then(|| self.relax(q))
+    }
+
+    /// Writes the critical path of `q`, first node to last, into `path`
+    /// (empty when `q` is empty). Needs the bottom weights of a
+    /// [`PassScratch::relax`] under `q`'s current speeds. Starts at the
+    /// smallest node id of maximal bottom weight and follows, at each
+    /// step, the smallest child id that realises it up to a relative
+    /// `1e-9`.
+    pub fn critical_path(&self, q: &FlatQuotient, path: &mut Vec<u32>) {
+        path.clear();
+        if q.is_empty() {
+            return;
+        }
+        let mut cur = 0u32;
+        for u in 1..q.len() as u32 {
+            if self.bottom[u as usize] > self.bottom[cur as usize] {
+                cur = u;
+            }
+        }
+        loop {
+            path.push(cur);
+            let residual = self.bottom[cur as usize] - q.work[cur as usize] / q.speed[cur as usize];
+            let mut next: Option<u32> = None;
+            for e in self.out_edges(cur) {
+                let v = q.edges[e].1;
+                let via = self.cost[e] + self.bottom[v as usize];
+                if (via - residual).abs() <= 1e-9 * residual.abs().max(1.0)
+                    && next.is_none_or(|n| v < n)
+                {
+                    next = Some(v);
+                }
+            }
+            match next {
+                Some(v) => cur = v,
+                None => break,
+            }
+        }
+    }
+
+    /// Marks in `on_chain` (resized to `q`) the nodes of one *exactly*
+    /// tight chain under the bottom weights of the last
+    /// [`PassScratch::relax`], whose makespan was `makespan`: from the
+    /// smallest node id whose bottom weight equals `makespan`, along
+    /// the first out-edge whose `cost + bottom` equals the node's tail
+    /// (the max [`PassScratch::relax`] took), with no tolerance. Along
+    /// the chain `bottom[c] = work / speed + cost + bottom[next]` holds
+    /// as computed, and the last node's tail is the `0.0` a sink has.
+    /// Returns `false`, marking nothing, when no bottom weight equals
+    /// `makespan`.
+    pub fn mark_tight_chain(
+        &self,
+        q: &FlatQuotient,
+        makespan: f64,
+        on_chain: &mut Vec<bool>,
+    ) -> bool {
+        on_chain.clear();
+        on_chain.resize(q.len(), false);
+        let Some(mut cur) = self.bottom.iter().position(|&b| b == makespan) else {
+            return false;
+        };
+        loop {
+            on_chain[cur] = true;
+            let via = |e: usize| self.cost[e] + self.bottom[q.edges[e].1 as usize];
+            let mut edges = self.out_edges(cur as u32);
+            let tail = edges.clone().fold(0.0f64, |tail, e| tail.max(via(e)));
+            match edges.find(|&e| via(e) == tail) {
+                Some(e) => cur = q.edges[e].1 as usize,
+                None => return true,
+            }
+        }
+    }
+
+    /// For a cyclic `q` (out-edges indexed by the failed
+    /// [`PassScratch::index`]): depth-first from the smallest node id,
+    /// children in edge order, to the first edge that closes a cycle.
+    /// If that cycle has exactly two nodes, returns the one that is not
+    /// node 0 — the third vertex of paper Fig. 2 when node 0 is a merged
+    /// block; a longer first cycle gives `None`.
+    pub fn two_cycle_partner(&mut self, q: &FlatQuotient) -> Option<u32> {
+        self.colour.clear();
+        self.colour.resize(q.len(), 0);
+        for root in 0..q.len() as u32 {
+            if self.colour[root as usize] != 0 {
+                continue;
+            }
+            self.stack.clear();
+            self.stack.push((root, self.first_out[root as usize]));
+            self.colour[root as usize] = 1;
+            while let Some(&mut (u, ref mut next_edge)) = self.stack.last_mut() {
+                if *next_edge == self.first_out[u as usize + 1] {
+                    self.colour[u as usize] = 2;
+                    self.stack.pop();
+                    continue;
+                }
+                let v = q.edges[*next_edge as usize].1;
+                *next_edge += 1;
+                match self.colour[v as usize] {
+                    0 => {
+                        self.colour[v as usize] = 1;
+                        self.stack.push((v, self.first_out[v as usize]));
+                    }
+                    1 => {
+                        // Back edge u -> v: the cycle is the stack from
+                        // v up to u.
+                        let below = self.stack.len().checked_sub(2).map(|i| self.stack[i].0);
+                        return (below == Some(v)).then_some(if v != 0 { v } else { u });
+                    }
+                    _ => {}
+                }
+            }
+        }
+        None
+    }
+}
+
+/// The quotient graph `Γ` of a partition as a [`Dag`], plus the members
+/// of every block (block `i` is node `i`): [`FlatQuotient::build`]
+/// materialised for a caller that wants a graph.
 #[derive(Clone, Debug)]
 pub struct QuotientGraph {
     /// The quotient DAG; node weights carry summed work and memory,
@@ -150,44 +531,20 @@ impl QuotientGraph {
     /// Builds the quotient graph of `partition` over `g`.
     ///
     /// Parallel crossing edges between two blocks are combined into one
-    /// quotient edge with summed volume. Edges internal to a block are
-    /// dropped. The result may be cyclic — callers must check
-    /// [`QuotientGraph::is_acyclic`].
+    /// quotient edge with summed volume, and edges are stored ascending
+    /// by endpoints. Edges internal to a block are dropped. The result
+    /// may be cyclic; [`is_acyclic_partition`] tells.
     pub fn build(g: &Dag, partition: &Partition) -> Self {
-        assert_eq!(partition.len(), g.node_count());
-        let k = partition.num_blocks();
-        let mut graph = Dag::with_capacity(k, g.edge_count().min(k * k));
+        let flat = FlatQuotient::build(g, partition);
         let members = partition.members();
-        for m in &members {
-            let work: f64 = m.iter().map(|&u| g.node(u).work).sum();
-            let memory: f64 = m.iter().map(|&u| g.node(u).memory).sum();
-            graph.add_node(work, memory);
+        let mut graph = Dag::with_capacity(flat.len(), flat.edges.len());
+        for (m, &work) in members.iter().zip(&flat.work) {
+            graph.add_node(work, m.iter().map(|&u| g.node(u).memory).sum());
         }
-        let mut combined: HashMap<(BlockId, BlockId), f64> = HashMap::new();
-        for e in g.edge_ids() {
-            let ed = g.edge(e);
-            let (bs, bd) = (partition.block_of(ed.src), partition.block_of(ed.dst));
-            if bs != bd {
-                *combined.entry((bs, bd)).or_insert(0.0) += ed.volume;
-            }
-        }
-        // Deterministic edge order.
-        let mut pairs: Vec<_> = combined.into_iter().collect();
-        pairs.sort_by_key(|&((a, b), _)| (a, b));
-        for ((bs, bd), vol) in pairs {
-            graph.add_edge(NodeId(bs.0), NodeId(bd.0), vol);
+        for &(a, b, volume) in &flat.edges {
+            graph.add_edge(NodeId(a), NodeId(b), volume);
         }
         Self { graph, members }
-    }
-
-    /// Number of blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.graph.node_count()
-    }
-
-    /// True if the quotient graph is a DAG (i.e. the partition is acyclic).
-    pub fn is_acyclic(&self) -> bool {
-        !crate::cycles::is_cyclic(&self.graph)
     }
 
     /// Total crossing volume (the edge cut of the partition).
@@ -198,12 +555,16 @@ impl QuotientGraph {
 
 /// Convenience: true iff `partition` induces an acyclic quotient graph.
 pub fn is_acyclic_partition(g: &Dag, partition: &Partition) -> bool {
-    QuotientGraph::build(g, partition).is_acyclic()
+    PassScratch::default().index(&FlatQuotient::build(g, partition), 1.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder;
+    use crate::critical::critical_path;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     /// The 9-task example of paper Fig. 1, reconstructed from the facts
     /// the paper states: task 1 is the only source, task 9 the only
@@ -294,7 +655,7 @@ mod tests {
         let g = paper_graph();
         let p = paper_partition();
         let q = QuotientGraph::build(&g, &p);
-        assert!(q.is_acyclic());
+        assert!(is_acyclic_partition(&g, &p));
         // Paper: w1=4, w2=1, w3=3, w4=1
         let works: Vec<f64> = q.graph.node_ids().map(|u| q.graph.node(u).work).collect();
         assert_eq!(works, vec![4.0, 1.0, 3.0, 1.0]);
@@ -311,8 +672,7 @@ mod tests {
         // via edges (4,6) and (8,9) — paper §3.3.
         let g = paper_graph();
         let p = Partition::from_raw(&[0, 0, 0, 4, 1, 2, 2, 2, 4]);
-        let q = QuotientGraph::build(&g, &p);
-        assert!(!q.is_acyclic());
+        assert!(!is_acyclic_partition(&g, &p));
     }
 
     #[test]
@@ -331,9 +691,229 @@ mod tests {
         let g = paper_graph();
         let p = Partition::single_block(g.node_count());
         let q = QuotientGraph::build(&g, &p);
-        assert_eq!(q.num_blocks(), 1);
+        assert_eq!(q.graph.node_count(), 1);
         assert_eq!(q.edge_cut(), 0.0);
-        assert!(q.is_acyclic());
+        assert!(is_acyclic_partition(&g, &p));
         assert_eq!(q.graph.node(NodeId(0)).work, 9.0);
+    }
+
+    /// Paper §3.3 on the quotient of Fig. 1 with unit speeds and
+    /// bandwidth: bottom weights `l4 = 1, l3 = 5, l2 = 7, l1 = 12`, so
+    /// the makespan is 12 along ν1 → ν2 → ν3 → ν4. A faster first block
+    /// or a wider link shortens it; the cyclic merge has none.
+    #[test]
+    fn paper_quotient_passes() {
+        let g = paper_graph();
+        let mut q = FlatQuotient::build(&g, &paper_partition());
+        let mut pass = PassScratch::default();
+        assert_eq!(pass.bottom_weights(&q, 1.0), Some(12.0));
+        assert_eq!(pass.bottom, vec![12.0, 7.0, 5.0, 1.0]);
+        let mut path = Vec::new();
+        pass.critical_path(&q, &mut path);
+        assert_eq!(path, vec![0, 1, 2, 3]);
+        assert!(q.makespan(2.0) < 12.0);
+        q.speed[0] = 2.0;
+        assert!(pass.relax(&q) < 12.0);
+        let cyclic = Partition::from_raw(&[0, 0, 0, 4, 1, 2, 2, 2, 4]);
+        assert_eq!(
+            FlatQuotient::build(&g, &cyclic).makespan(1.0),
+            f64::INFINITY
+        );
+    }
+
+    #[test]
+    fn empty_graph_has_an_empty_quotient() {
+        let q = FlatQuotient::build(&Dag::new(), &Partition::from_raw(&[]));
+        assert!(q.is_empty());
+        assert_eq!(q.makespan(1.0).to_bits(), 0.0f64.to_bits());
+        let mut pass = PassScratch::default();
+        assert_eq!(pass.bottom_weights(&q, 1.0), Some(0.0));
+        let mut path = vec![7];
+        pass.critical_path(&q, &mut path);
+        assert!(path.is_empty());
+        assert!(critical_path(&Dag::new(), |_| 0.0, |_| 0.0).is_none());
+    }
+
+    // ---- The references the flat quotient replaced -----------------
+
+    /// `QuotientGraph::build` as it was: a hash map of block pairs, then
+    /// a `Dag`.
+    fn reference_build(g: &Dag, partition: &Partition) -> QuotientGraph {
+        assert_eq!(partition.len(), g.node_count());
+        let k = partition.num_blocks();
+        let mut graph = Dag::with_capacity(k, g.edge_count().min(k * k));
+        let members = partition.members();
+        for m in &members {
+            let work: f64 = m.iter().map(|&u| g.node(u).work).sum();
+            let memory: f64 = m.iter().map(|&u| g.node(u).memory).sum();
+            graph.add_node(work, memory);
+        }
+        let mut combined: HashMap<(BlockId, BlockId), f64> = HashMap::new();
+        for e in g.edge_ids() {
+            let ed = g.edge(e);
+            let (bs, bd) = (partition.block_of(ed.src), partition.block_of(ed.dst));
+            if bs != bd {
+                *combined.entry((bs, bd)).or_insert(0.0) += ed.volume;
+            }
+        }
+        let mut pairs: Vec<_> = combined.into_iter().collect();
+        pairs.sort_by_key(|&((a, b), _)| (a, b));
+        for ((bs, bd), vol) in pairs {
+            graph.add_edge(NodeId(bs.0), NodeId(bd.0), vol);
+        }
+        QuotientGraph { graph, members }
+    }
+
+    /// The makespan of `q` under `speed` as a topological sort and
+    /// [`crate::critical::bottom_weights`] over the `Dag` give it.
+    fn reference_makespan(q: &Dag, speed: &[f64], bandwidth: f64) -> f64 {
+        crate::critical::bottom_weights(
+            q,
+            |u| q.node(u).work / speed[u.idx()],
+            |e| q.edge(e).volume / bandwidth,
+        )
+        .map_or(f64::INFINITY, |b| b.into_iter().fold(0.0, f64::max))
+    }
+
+    /// A weighted G(n, p) DAG with its tasks relabelled by random keys
+    /// (ids are not a topological order) and a partition of it, drawn
+    /// so that the sums show their order: zero and `-0.0` works and
+    /// volumes, and the first `doubled` task edges doubled (dense graphs
+    /// and few blocks give many parallel crossing edges). The blocks
+    /// are random (mostly a cyclic quotient), or, with `runs`, runs of
+    /// a topological order (always acyclic, and still numbered by
+    /// first appearance over task ids, which is not a topological order
+    /// of the quotient).
+    fn arb_partitioned() -> impl Strategy<Value = (Dag, Partition)> {
+        (
+            (1usize..40, 0.05f64..0.6, any::<u64>(), any::<bool>()),
+            (
+                1u32..20,
+                collection::vec(any::<u32>(), 40),
+                collection::vec(any::<u64>(), 40),
+            ),
+            (
+                collection::vec(0u8..4, 40),
+                collection::vec(0u8..4, 64),
+                0usize..64,
+            ),
+        )
+            .prop_map(
+                |((n, p, seed, runs), (parts, raw, keys), (works, volumes, doubled))| {
+                    let base = builder::gnp_dag_weighted(n, p, seed);
+                    let mut by_key: Vec<usize> = (0..n).collect();
+                    by_key.sort_by_key(|&i| (keys[i], i));
+                    let mut label = vec![0u32; n];
+                    for (new, &old) in by_key.iter().enumerate() {
+                        label[old] = new as u32;
+                    }
+                    let tweak = |v: f64, class: u8| match class {
+                        1 => 0.0,
+                        2 => -0.0,
+                        _ => v,
+                    };
+                    let mut g = Dag::new();
+                    for (&old, &class) in by_key.iter().zip(&works) {
+                        let task = base.node(NodeId(old as u32));
+                        g.add_node(tweak(task.work, class), task.memory);
+                    }
+                    for (i, e) in base.edge_ids().map(|e| base.edge(e)).enumerate() {
+                        let (src, dst) = (NodeId(label[e.src.idx()]), NodeId(label[e.dst.idx()]));
+                        let volume = tweak(e.volume, volumes[i % volumes.len()]);
+                        g.add_edge(src, dst, volume);
+                        if i < doubled {
+                            g.add_edge(src, dst, tweak(volume, volumes[(i + 1) % volumes.len()]));
+                        }
+                    }
+                    let mut blocks: Vec<u32> = raw[..n].iter().map(|r| r % parts).collect();
+                    if runs {
+                        let order = crate::topo::topo_sort(&g).unwrap();
+                        for (i, &u) in order.iter().enumerate() {
+                            blocks[u.idx()] = (i * parts as usize / n) as u32;
+                        }
+                    }
+                    (g, Partition::from_raw(&blocks))
+                },
+            )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// The flat build and the `Dag` it materialises equal the hash
+        /// map build to the bit — works, memories, edges with their
+        /// volumes, members, edge cut — and the Kahn pass's verdict is
+        /// `cycles::is_cyclic`'s, on cyclic and acyclic quotients.
+        #[test]
+        fn flat_quotient_build_matches_the_hash_map_build((g, partition) in arb_partitioned()) {
+            let want = reference_build(&g, &partition);
+            let got = QuotientGraph::build(&g, &partition);
+            let flat = FlatQuotient::build(&g, &partition);
+            let bits = |xs: &mut dyn Iterator<Item = f64>| xs.map(f64::to_bits).collect::<Vec<_>>();
+            let node_bits = |q: &Dag| {
+                q.node_ids()
+                    .map(|u| (q.node(u).work.to_bits(), q.node(u).memory.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            let edge_bits = |q: &Dag| {
+                q.edge_ids()
+                    .map(|e| q.edge(e))
+                    .map(|e| (e.src.0, e.dst.0, e.volume.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            prop_assert_eq!(node_bits(&got.graph), node_bits(&want.graph));
+            prop_assert_eq!(edge_bits(&got.graph), edge_bits(&want.graph));
+            prop_assert_eq!(&got.members, &want.members);
+            prop_assert_eq!(got.edge_cut().to_bits(), want.edge_cut().to_bits());
+            prop_assert_eq!(
+                bits(&mut flat.work.iter().copied()),
+                bits(&mut want.graph.node_ids().map(|u| want.graph.node(u).work))
+            );
+            prop_assert!(flat.speed.iter().all(|&s| s == 1.0));
+            let flat_edges: Vec<_> = flat.edges.iter().map(|&(a, b, v)| (a, b, v.to_bits())).collect();
+            prop_assert_eq!(flat_edges, edge_bits(&want.graph));
+            let acyclic = !crate::cycles::is_cyclic(&want.graph);
+            prop_assert_eq!(PassScratch::default().index(&flat, 1.0), acyclic);
+            prop_assert_eq!(is_acyclic_partition(&g, &partition), acyclic);
+            prop_assert_eq!(
+                flat.makespan(1.0).to_bits(),
+                reference_makespan(&want.graph, &flat.speed, 1.0).to_bits()
+            );
+        }
+
+        /// Index once, then relax under one speed vector after another
+        /// (what Step 4 and the exact solver do): the makespan and the
+        /// critical path of the `Dag` passes, to the bit and in path
+        /// order.
+        #[test]
+        fn indexed_once_relaxed_often_matches_the_dag_passes(
+            (g, partition) in arb_partitioned(),
+            speeds in collection::vec(collection::vec(0usize..5, 40), 6),
+            bandwidth in proptest::sample::select(vec![0.3, 1.0, 3.0, 7.0]),
+        ) {
+            let q = reference_build(&g, &partition).graph;
+            let mut flat = FlatQuotient::build(&g, &partition);
+            let mut pass = PassScratch::default();
+            if !pass.index(&flat, bandwidth) {
+                return;
+            }
+            let mut path = Vec::new();
+            for draw in &speeds {
+                for (slot, &class) in flat.speed.iter_mut().zip(draw) {
+                    *slot = [1.0, 4.0, 8.0, 16.0, 32.0][class];
+                }
+                let want = reference_makespan(&q, &flat.speed, bandwidth);
+                prop_assert_eq!(pass.relax(&flat).to_bits(), want.to_bits());
+                pass.critical_path(&flat, &mut path);
+                let want: Vec<u32> = critical_path(
+                    &q,
+                    |u| q.node(u).work / flat.speed[u.idx()],
+                    |e| q.edge(e).volume / bandwidth,
+                )
+                .map(|cp| cp.path.iter().map(|u| u.0).collect())
+                .unwrap_or_default();
+                prop_assert_eq!(&path, &want);
+            }
+        }
     }
 }

@@ -23,9 +23,8 @@
 
 use crate::partitions::RestrictedGrowth;
 use dhp_core::blockmem::block_requirement;
-use dhp_core::makespan::quotient_makespan;
 use dhp_core::Mapping;
-use dhp_dag::{Dag, NodeId, Partition, QuotientGraph};
+use dhp_dag::{Dag, FlatQuotient, NodeId, Partition, PassScratch};
 use dhp_platform::{Cluster, ProcId};
 use std::collections::HashMap;
 
@@ -148,10 +147,15 @@ pub fn solve_with_incumbent(
     let kmax = cluster.len().min(cfg.max_blocks).min(n);
 
     let symmetry = symmetry_classes(cluster);
+    let s_max = cluster
+        .iter()
+        .map(|(_, p)| p.speed)
+        .fold(f64::MIN_POSITIVE, f64::max);
     let mut req_cache: HashMap<u64, f64> = HashMap::new();
     let mut best: Option<(f64, Mapping)> = None;
     let mut incumbent = upper_bound;
     let mut stats = SearchStats::default();
+    let mut pass = PassScratch::default();
 
     for rgs in RestrictedGrowth::new(n, kmax) {
         stats.partitions += 1;
@@ -161,15 +165,16 @@ pub fn solve_with_incumbent(
             });
         }
         let partition = Partition::from_raw(&rgs);
-        let q = QuotientGraph::build(g, &partition);
-        if !q.is_acyclic() {
+        // Indexed once here; the assignment search only changes speeds.
+        let mut q = FlatQuotient::build(g, &partition);
+        if !pass.index(&q, cluster.bandwidth) {
             continue;
         }
         stats.acyclic += 1;
 
         // Per-block requirements (memoised by member bitmask).
-        let reqs: Vec<f64> = q
-            .members
+        let reqs: Vec<f64> = partition
+            .members()
             .iter()
             .map(|members| {
                 let mask = members.iter().fold(0u64, |m, u| m | 1 << u.idx());
@@ -187,13 +192,23 @@ pub fn solve_with_incumbent(
         }
         stats.mem_feasible += 1;
 
-        assign_blocks(
-            g,
+        // Branch over injective block → processor assignments, the most
+        // memory-hungry blocks first: they have the fewest candidate
+        // processors, which shrinks the branching factor early.
+        let mut order: Vec<usize> = (0..q.len()).collect();
+        order.sort_by(|&a, &b| reqs[b].total_cmp(&reqs[a]));
+        q.speed.fill(s_max); // optimistic default
+        dfs(
             cluster,
-            &q,
+            &mut q,
+            &mut pass,
             &reqs,
             &symmetry,
             &partition,
+            &order,
+            0,
+            &mut vec![None; order.len()],
+            &mut vec![0; symmetry.len()],
             &mut incumbent,
             &mut best,
             &mut stats,
@@ -223,62 +238,20 @@ fn symmetry_classes(cluster: &Cluster) -> Vec<Vec<ProcId>> {
     classes.into_iter().map(|(_, _, ids)| ids).collect()
 }
 
-/// Branch over injective block → processor assignments for one partition.
-#[allow(clippy::too_many_arguments)] // internal DFS driver
-fn assign_blocks(
-    g: &Dag,
-    cluster: &Cluster,
-    q: &QuotientGraph,
-    reqs: &[f64],
-    symmetry: &[Vec<ProcId>],
-    partition: &Partition,
-    incumbent: &mut f64,
-    best: &mut Option<(f64, Mapping)>,
-    stats: &mut SearchStats,
-) {
-    let k_prime = q.members.len();
-    // Assign the most memory-hungry blocks first: they have the fewest
-    // candidate processors, which shrinks the branching factor early.
-    let mut order: Vec<usize> = (0..k_prime).collect();
-    order.sort_by(|&a, &b| reqs[b].total_cmp(&reqs[a]));
-
-    let s_max = cluster
-        .iter()
-        .map(|(_, p)| p.speed)
-        .fold(f64::MIN_POSITIVE, f64::max);
-    let mut speeds = vec![s_max; k_prime]; // optimistic default
-    let mut chosen: Vec<Option<ProcId>> = vec![None; k_prime];
-    let mut used_per_class = vec![0usize; symmetry.len()];
-
-    dfs(
-        g,
-        cluster,
-        q,
-        reqs,
-        symmetry,
-        partition,
-        &order,
-        0,
-        &mut speeds,
-        &mut chosen,
-        &mut used_per_class,
-        incumbent,
-        best,
-        stats,
-    );
-}
-
+/// One node of the assignment search over a partition whose quotient
+/// `q` (node `i` is block `i`) `pass` has indexed: blocks
+/// `order[..depth]` run on their `chosen` processors, the rest at the
+/// fastest speed.
 #[allow(clippy::too_many_arguments)] // internal DFS driver
 fn dfs(
-    g: &Dag,
     cluster: &Cluster,
-    q: &QuotientGraph,
+    q: &mut FlatQuotient,
+    pass: &mut PassScratch,
     reqs: &[f64],
     symmetry: &[Vec<ProcId>],
     partition: &Partition,
     order: &[usize],
     depth: usize,
-    speeds: &mut Vec<f64>,
     chosen: &mut Vec<Option<ProcId>>,
     used_per_class: &mut Vec<usize>,
     incumbent: &mut f64,
@@ -286,7 +259,7 @@ fn dfs(
     stats: &mut SearchStats,
 ) {
     // Optimistic bound: every still-unassigned block keeps speed s_max.
-    let optimistic = quotient_makespan(&q.graph, speeds, cluster.bandwidth);
+    let optimistic = pass.relax(q);
     if optimistic >= *incumbent {
         stats.pruned += 1;
         return;
@@ -305,7 +278,6 @@ fn dfs(
         return;
     }
     let b = order[depth];
-    let _ = g;
     for (class, ids) in symmetry.iter().enumerate() {
         if used_per_class[class] == ids.len() {
             continue;
@@ -314,20 +286,19 @@ fn dfs(
         if reqs[b] > cluster.memory(p) * (1.0 + 1e-9) {
             continue;
         }
-        let saved = speeds[b];
-        speeds[b] = cluster.speed(p);
+        let saved = q.speed[b];
+        q.speed[b] = cluster.speed(p);
         chosen[b] = Some(p);
         used_per_class[class] += 1;
         dfs(
-            g,
             cluster,
             q,
+            pass,
             reqs,
             symmetry,
             partition,
             order,
             depth + 1,
-            speeds,
             chosen,
             used_per_class,
             incumbent,
@@ -336,7 +307,7 @@ fn dfs(
         );
         used_per_class[class] -= 1;
         chosen[b] = None;
-        speeds[b] = saved;
+        q.speed[b] = saved;
     }
 }
 

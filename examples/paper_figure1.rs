@@ -9,10 +9,10 @@
 //!
 //! Run with: `cargo run --release -p dhp-exact --example paper_figure1`
 
-use dhp_core::makespan::{makespan_of_mapping, quotient_makespan};
+use dhp_core::makespan::makespan_of_mapping;
 use dhp_core::mapping::{validate, Mapping, MappingError};
 use dhp_core::prelude::*;
-use dhp_dag::{Dag, Partition, QuotientGraph};
+use dhp_dag::{Dag, FlatQuotient, Partition, QuotientGraph};
 use dhp_exact::{solve, ExactConfig};
 use dhp_platform::{Cluster, ProcId, Processor};
 
@@ -74,7 +74,7 @@ fn main() {
     }
 
     // Bottom weights with unit speeds and unit bandwidth → makespan 12.
-    let ms = quotient_makespan(&q.graph, &[1.0; 4], 1.0);
+    let ms = FlatQuotient::build(&g, &partition).makespan(1.0);
     println!("\nmakespan μ(Γ) with unit speeds/bandwidth = {ms} (paper: 12)");
     assert_eq!(ms, 12.0);
 
