@@ -82,21 +82,47 @@ pub(crate) fn flat_of(q: &Dag) -> FlatQuotient {
 }
 
 /// The critical path of `q` under `speeds`, or `None` when it is cyclic
-/// or empty: the pass's (`dhp_dag`'s tests hold it to
-/// `critical::critical_path`) on `q` as a [`FlatQuotient`].
+/// or empty, as `dhp_dag::critical::bottom_weights` over a `Dag` and a
+/// walk of its own give it: the reference the tests hold
+/// `PassScratch::critical_path`'s callers to. Starts at the smallest
+/// node id of maximal bottom weight and follows, at each step, the
+/// smallest child id that realises it up to a relative `1e-9`.
 #[cfg(test)]
 pub(crate) fn quotient_critical_path(
     q: &Dag,
     speeds: &[f64],
     bandwidth: f64,
 ) -> Option<Vec<dhp_dag::NodeId>> {
-    let mut flat = flat_of(q);
-    flat.speed = speeds.to_vec();
-    let mut pass = dhp_dag::PassScratch::default();
-    pass.bottom_weights(&flat, bandwidth)?;
-    let mut path = Vec::new();
-    pass.critical_path(&flat, &mut path);
-    (!path.is_empty()).then(|| path.into_iter().map(dhp_dag::NodeId).collect())
+    use dhp_dag::NodeId;
+    let node_cost = |u: NodeId| q.node(u).work / speeds[u.idx()];
+    let edge_cost = |e| q.edge(e).volume / bandwidth;
+    let bottom = dhp_dag::critical::bottom_weights(q, node_cost, edge_cost)?;
+    let mut cur = q.node_ids().next()?;
+    for u in q.node_ids() {
+        if bottom[u.idx()] > bottom[cur.idx()] {
+            cur = u;
+        }
+    }
+    let mut path = vec![cur];
+    loop {
+        let residual = bottom[cur.idx()] - node_cost(cur);
+        let next = q
+            .out_edges(cur)
+            .iter()
+            .map(|&e| (q.edge(e).dst, edge_cost(e)))
+            .filter(|&(v, cost)| {
+                (cost + bottom[v.idx()] - residual).abs() <= 1e-9 * residual.abs().max(1.0)
+            })
+            .map(|(v, _)| v)
+            .min();
+        match next {
+            Some(v) => {
+                path.push(v);
+                cur = v;
+            }
+            None => return Some(path),
+        }
+    }
 }
 
 #[cfg(test)]
