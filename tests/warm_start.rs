@@ -12,11 +12,17 @@
 //! * a simulated kill between the temp-file write and the atomic
 //!   rename leaves the prior snapshot loadable;
 //! * the federation tier warm-starts and autosaves through the same
-//!   snapshot path.
+//!   snapshot path;
+//! * the bytes a cold run's snapshot holds — lease sims and elastic
+//!   grow/shrink suffix sims included — are pinned, and save → load →
+//!   save reproduces them exactly.
 
+use dhp_core::partial::SolveCache;
 use dhp_core::persist::temp_sibling;
+use dhp_dag::fingerprint::fnv1a_bytes;
 use dhp_online::{
-    serve, serve_federation, OnlineConfig, PersistSpec, RoutingPolicy, ServeOutcome, Submission,
+    serve, serve_federation, AdmissionPolicy, OnlineConfig, PersistSpec, RoutingPolicy,
+    ServeOutcome, Submission,
 };
 use dhp_platform::{Cluster, Federation, Processor};
 use dhp_wfgen::arrivals::ArrivalProcess;
@@ -302,4 +308,89 @@ fn the_federation_warm_starts_and_autosaves_through_the_same_snapshot() {
     };
     assert_eq!(strip(&plain.report), strip(&warm.report));
     assert_eq!(strip(&plain.report), strip(&cold.report));
+}
+
+/// FNV of a snapshot with every solve's wall-clock `elapsed_nanos`
+/// zeroed: the one field of the file that is not a function of the
+/// trace. The header's body length and checksum cover those digits, so
+/// the digest takes the header up to the record counts and then each
+/// normalised record.
+fn snapshot_digest(bytes: &[u8]) -> u64 {
+    const HEADER_LEN: usize = 52;
+    const ELAPSED: &str = "\"elapsed_nanos\":";
+    let mut image = bytes[..36].to_vec();
+    let mut at = HEADER_LEN;
+    while at < bytes.len() {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        let mut json = std::str::from_utf8(&bytes[at + 4..at + 4 + len])
+            .unwrap()
+            .to_string();
+        if let Some(start) = json.find(ELAPSED).map(|i| i + ELAPSED.len()) {
+            let end = start + json[start..].find(|c: char| !c.is_ascii_digit()).unwrap();
+            json.replace_range(start..end, "0");
+        }
+        image.extend_from_slice(&(json.len() as u32).to_le_bytes());
+        image.extend_from_slice(json.as_bytes());
+        at += 4 + len;
+    }
+    fnv1a_bytes(image.iter().copied())
+}
+
+#[test]
+fn a_cold_elastic_runs_snapshot_bytes_are_pinned_and_reload_exactly() {
+    let dir = scratch("snapshot-pin");
+    let snap = dir.join("cache.bin");
+    // `tests/engine_equivalence.rs`'s cluster and stream, served with
+    // growth and shrinking so the cache holds suffix sims next to the
+    // lease sims.
+    let cluster = Cluster::new(
+        vec![
+            Processor::new("big", 4.0, 600.0),
+            Processor::new("mid", 2.0, 400.0),
+            Processor::new("mid", 2.0, 400.0),
+            Processor::new("sml", 1.0, 250.0),
+        ],
+        1.0,
+    );
+    let subs = dhp_online::submission::stream(
+        8,
+        &[Family::Blast, Family::Seismology],
+        (20, 40),
+        &ArrivalProcess::Burst { at: 0.0 },
+        2024,
+    );
+    let cfg = OnlineConfig {
+        policy: AdmissionPolicy::FifoBackfill,
+        elastic: Some(2),
+        elastic_shrink: Some(2),
+        // A capped cache runs the baseline batch on one worker, so the
+        // batch's LRU stamps do not depend on thread interleaving.
+        cache_cap: Some(1 << 20),
+        ..persist_cfg(&snap)
+    };
+    let cold = serve(&cluster, subs, &cfg);
+    assert!(cold.report.recovery.is_none());
+    assert_eq!(
+        (
+            cold.report.fleet.lease_grown,
+            cold.report.fleet.lease_shrunk
+        ),
+        (2, 4),
+        "premise: the run grows and shrinks leases"
+    );
+    let saved = std::fs::read(&snap).unwrap();
+    assert_eq!(
+        snapshot_digest(&saved),
+        0x9df0_e9f4_a0a0_b501,
+        "snapshot bytes moved"
+    );
+
+    // Save → load → save reproduces the file byte for byte.
+    let chash = SolveCache::config_hash(&cfg.solver);
+    let reloaded = SolveCache::new();
+    let summary = reloaded.load_from(&snap, chash).unwrap();
+    assert_eq!(summary.sims as u64, cold.report.fleet.sim_cache_misses);
+    let again = dir.join("again.bin");
+    reloaded.save_to(&again, chash).unwrap();
+    assert_eq!(std::fs::read(&again).unwrap(), saved);
 }
