@@ -79,12 +79,7 @@ const QUEUE: Vocabulary = (
         "seed",
         "output",
     ],
-    &[
-        "lease-load-aware",
-        "no-solve-cache",
-        "cache-aware",
-        "summary",
-    ],
+    &["lease-load-aware", "no-solve-cache", "summary"],
 );
 
 /// Every subcommand's [`Vocabulary`]. A command missing here parses
@@ -146,9 +141,8 @@ impl Args {
                 args.switches.push(key.to_string());
                 continue;
             }
-            let value = match it.peek() {
-                Some(v) if !v.starts_with("--") => it.next().unwrap(),
-                _ => return Err(ArgError::Unexpected(format!("--{key} (missing value)"))),
+            let Some(value) = it.next_if(|v| !v.starts_with("--")) else {
+                return Err(ArgError::Unexpected(format!("--{key} (missing value)")));
             };
             if args.flags.insert(key.to_string(), value).is_some() {
                 return Err(ArgError::Duplicate(key.to_string()));
@@ -310,6 +304,10 @@ mod tests {
         assert_eq!(
             parse("serve --serial-federation --clusters a,b").unwrap_err(),
             ArgError::UnknownFlag("serial-federation".into())
+        );
+        assert_eq!(
+            parse("queue --cache-aware --policy fifo-backfill").unwrap_err(),
+            ArgError::UnknownFlag("cache-aware".into())
         );
         assert!(parse("inspect --help").unwrap().switch("help"));
     }

@@ -82,9 +82,6 @@ QUEUE OPTIONS (online co-scheduling of a workflow stream):
   --cache-cap N         bound the solve cache to an LRU capacity of N
                         entries (evictions are counted in the report);
                         default unbounded
-  --cache-aware         among equally eligible backfill candidates, try
-                        those whose (workflow, lease shape) solve is
-                        already cached first
   --cache-file PATH     durable warm start: restore the solve cache from
                         PATH before the run and rewrite it crash-safely
                         (temp file + fsync + atomic rename) at exit; a

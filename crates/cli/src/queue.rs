@@ -128,20 +128,12 @@ pub fn queue(args: &Args) -> Result<String, String> {
         // `--cache-cap N` bounds the solve cache to an LRU capacity;
         // evictions surface in the report's solver statistics.
         cache_cap: args.get_positive_usize("cache-cap")?,
-        // `--cache-aware` prefers warm-cache candidates among equally
-        // eligible backfill ties.
-        cache_aware: args.switch("cache-aware"),
         elastic,
         elastic_shrink,
         persist,
     };
     if cfg.cache_cap.is_some() && !cfg.solve_cache {
         return Err("--cache-cap is meaningless with --no-solve-cache".into());
-    }
-    if cfg.cache_aware && !cfg.solve_cache {
-        return Err("--cache-aware is meaningless with --no-solve-cache \
-                    (nothing is ever warm in a disabled cache)"
-            .into());
     }
     if cfg.persist.is_some() && !cfg.solve_cache {
         return Err("--cache-file is meaningless with --no-solve-cache \
@@ -595,13 +587,6 @@ mod tests {
         a.fleet.clear_solve_stats();
         b.fleet.clear_solve_stats();
         assert_eq!(a.to_json(), b.to_json());
-        // `--cache-aware` parses and serves.
-        let out = cli("queue --workflows 6 --unique 2 --families blast \
-             --tasks 20-30 --process burst --cluster small --seed 7 \
-             --policy fifo-backfill --cache-aware")
-        .unwrap();
-        let report: dhp_online::ServeReport = serde_json::from_str(&out).unwrap();
-        assert_eq!(report.fleet.completed + report.fleet.rejected, 6);
     }
 
     #[test]
@@ -619,8 +604,6 @@ mod tests {
         );
         let err = cli("queue --workflows 4 --cache-cap 10 --no-solve-cache").unwrap_err();
         assert!(err.contains("--cache-cap"), "{err}");
-        let err = cli("queue --workflows 4 --cache-aware --no-solve-cache").unwrap_err();
-        assert!(err.contains("--cache-aware"), "{err}");
         let err = cli("queue --workflows 4 --clusters ,").unwrap_err();
         assert!(err.contains("at least one cluster"), "{err}");
     }

@@ -147,6 +147,9 @@ pub struct SuffixSolve {
     /// Structural fingerprint of the suffix DAG (the solve-cache key
     /// component, exposed so callers can correlate cache traffic).
     pub fingerprint: u64,
+    /// The cache key the suffix solve was answered under: the key to
+    /// ask [`CacheView::sim_outcome_keyed`] for the suffix's sim.
+    pub key: ProbeKey,
     /// The suffix schedule on the target lease, in both id spaces.
     pub schedule: SubClusterSchedule,
 }
@@ -182,20 +185,19 @@ pub fn solve_suffix(
     let fingerprint = dag.fingerprint();
     // The whole view in view order: its shape is `sub`'s signature.
     let ids: Vec<ProcId> = sub.cluster().proc_ids().collect();
-    let local = cache.solve(
-        &dag,
+    let key = cache.key(
         fingerprint,
-        sub.cluster(),
-        &ids,
+        sub.cluster().shape_of_slice(&ids),
         algorithm,
-        cfg,
         config_hash,
-    )?;
+    );
+    let local = cache.solve_keyed(key, &dag, sub.cluster(), &ids, cfg)?;
     let global = remap_to_parent(sub.global_ids(), &local.mapping);
     Ok(SuffixSolve {
         dag,
         back,
         fingerprint,
+        key,
         schedule: SubClusterSchedule {
             local: Arc::unwrap_or_clone(local),
             global,
@@ -266,27 +268,43 @@ pub struct ProbeKey(SolveKey);
 
 /// A memoized solve outcome in lease-local processor ids. Solved
 /// entries sit behind an [`Arc`] so a hit clones a refcount under the
-/// map lock, not an O(tasks) mapping.
+/// map lock, not an O(tasks) mapping. A solved entry also holds the
+/// simulation of its mapping once a probe has asked for it; the sim
+/// carries no LRU stamp of its own and leaves with its entry.
 #[derive(Clone, Debug)]
 enum CachedSolve {
-    Solved(Arc<MappingResult>),
+    Solved {
+        local: Arc<MappingResult>,
+        sim: Option<Arc<SimOutcome>>,
+    },
     NoSolution,
 }
 
 impl CachedSolve {
-    /// The entry a solve outcome is memoized as.
+    /// The entry a solve outcome is memoized as (no sim yet).
     fn of(outcome: &Result<Arc<MappingResult>, SchedError>) -> CachedSolve {
         match outcome {
-            Ok(local) => CachedSolve::Solved(Arc::clone(local)),
+            Ok(local) => CachedSolve::Solved {
+                local: Arc::clone(local),
+                sim: None,
+            },
             Err(SchedError::NoSolution) => CachedSolve::NoSolution,
         }
     }
 
     /// The outcome a hit on this entry answers with.
-    fn outcome(self) -> Result<Arc<MappingResult>, SchedError> {
+    fn outcome(&self) -> Result<Arc<MappingResult>, SchedError> {
         match self {
-            CachedSolve::Solved(local) => Ok(local),
+            CachedSolve::Solved { local, .. } => Ok(Arc::clone(local)),
             CachedSolve::NoSolution => Err(SchedError::NoSolution),
+        }
+    }
+
+    /// The memoized simulation, if this is a solved entry that has one.
+    fn sim(&self) -> Option<&Arc<SimOutcome>> {
+        match self {
+            CachedSolve::Solved { sim, .. } => sim.as_ref(),
+            CachedSolve::NoSolution => None,
         }
     }
 }
@@ -294,12 +312,9 @@ impl CachedSolve {
 /// Everything a [`SolveCache`] holds, behind its one mutex.
 #[derive(Debug, Default)]
 struct Store {
-    /// Memoized solves with their LRU recency stamps.
+    /// Memoized solves (each with its sim, once simulated) and their
+    /// LRU recency stamps.
     entries: HashMap<SolveKey, (CachedSolve, u64)>,
-    /// Memoized simulation outcomes, keyed alongside the solves. Sims
-    /// carry no LRU stamp of their own: a sim rides on its solve
-    /// entry's recency and is dropped when `evict_lru` evicts that key.
-    sims: HashMap<SolveKey, Arc<SimOutcome>>,
     stats: SolveCacheStats,
     /// The monotone recency clock: each lookup and insert draws a
     /// unique stamp, so the LRU victim is well-defined.
@@ -314,11 +329,11 @@ impl Store {
 
     /// One probe of the solve memo: draws a recency tick, hit or miss,
     /// refreshes a hit's stamp and counts the probe.
-    fn lookup(&mut self, key: &SolveKey) -> Option<CachedSolve> {
+    fn lookup(&mut self, key: &SolveKey) -> Option<Result<Arc<MappingResult>, SchedError>> {
         let tick = self.next_tick();
         let cached = self.entries.get_mut(key).map(|e| {
             e.1 = tick;
-            e.0.clone()
+            e.0.outcome()
         });
         if cached.is_some() {
             self.stats.hits += 1;
@@ -329,8 +344,8 @@ impl Store {
     }
 
     /// Removes the least-recently-used entry (the smallest recency
-    /// stamp; stamps are unique, so the victim is well-defined) and the
-    /// sim of the same key. Returns false on an empty store.
+    /// stamp; stamps are unique, so the victim is well-defined), its
+    /// sim with it. Returns false on an empty store.
     fn evict_lru(&mut self) -> bool {
         let Some(key) = self
             .entries
@@ -341,9 +356,16 @@ impl Store {
             return false;
         };
         self.entries.remove(&key);
-        self.sims.remove(&key);
         self.stats.evictions += 1;
         true
+    }
+
+    /// Memoizes `sim` on `key`'s entry if that entry is solved; any
+    /// other key keeps nothing.
+    fn attach_sim(&mut self, key: &SolveKey, sim: Arc<SimOutcome>) {
+        if let Some((CachedSolve::Solved { sim: slot, .. }, _)) = self.entries.get_mut(key) {
+            *slot = Some(sim);
+        }
     }
 
     /// Memoizes `value` under `key`, evicting least-recently-used
@@ -382,7 +404,7 @@ struct CacheProbe {
 /// same infeasible shapes repeatedly.
 ///
 /// The cache is shared across threads (`&SolveCache` is `Sync`). One
-/// mutex guards the solve memo, the sim memo, the counters and the
+/// mutex guards the memo (solves and their sims), the counters and the
 /// recency clock, and it is held only for a lookup or an insert —
 /// never across a solver run or a simulation. Both serve loops probe
 /// from one thread; the only concurrent probes are the baseline
@@ -483,8 +505,9 @@ impl SolveCache {
 
     /// Whether a *solved* entry for this exact key is memoized right
     /// now. A pure peek: it neither counts as a hit nor refreshes the
-    /// entry's LRU stamp — the online engine's cache-aware admission
-    /// tiebreak consults it without perturbing the statistics the
+    /// entry's LRU stamp — the online engine's `finalize` counts the
+    /// cold jobs of its dedicated-baseline batch with it (to size the
+    /// batch's worker pool) without perturbing the statistics the
     /// reports pin.
     pub fn is_warm(
         &self,
@@ -499,7 +522,7 @@ impl SolveCache {
         let key: SolveKey = (fingerprint, shape, algorithm, config_hash);
         matches!(
             self.store.lock().entries.get(&key),
-            Some((CachedSolve::Solved(_), _))
+            Some((CachedSolve::Solved { .. }, _))
         )
     }
 
@@ -537,9 +560,9 @@ impl SolveCache {
         // Cheap under the lock: an Arc refcount bump (or the unit
         // NoSolution marker) plus the LRU stamp refresh.
         let cached = self.store.lock().lookup(&key.0);
-        if let Some(entry) = cached {
+        if let Some(outcome) = cached {
             return (
-                entry.outcome(),
+                outcome,
                 CacheProbe {
                     hit: true,
                     evictions: 0,
@@ -611,12 +634,14 @@ impl SolveCache {
         .map(|local| local.makespan)
     }
 
-    /// The probing core of the sim-outcome cache: returns the memoized
-    /// [`SimOutcome`] for `key`, running `compute` (with the lock
-    /// released) and storing its result on a miss. The bool reports
-    /// whether the probe hit, for per-caller attribution. Disabled
-    /// caches compute every time and store nothing, but still count the
-    /// miss so simulator-invocation statistics stay comparable.
+    /// The probing core of the sim-outcome cache: returns the sim
+    /// memoized on `key`'s solved entry, or runs `compute` (with the
+    /// lock released) and stores its result on that entry. The bool
+    /// reports whether the probe hit, for per-caller attribution. A sim
+    /// probe draws no recency tick and refreshes no stamp. On a key
+    /// without a solved entry — and on a disabled cache — it computes,
+    /// counts the miss and stores nothing, so simulator-invocation
+    /// statistics stay comparable.
     fn sim_probed(
         &self,
         key: ProbeKey,
@@ -628,7 +653,7 @@ impl SolveCache {
         }
         let cached = {
             let mut store = self.store.lock();
-            let sim = store.sims.get(&key.0).cloned();
+            let sim = store.entries.get(&key.0).and_then(|e| e.0.sim()).cloned();
             if sim.is_some() {
                 store.stats.sim_hits += 1;
             } else {
@@ -640,13 +665,18 @@ impl SolveCache {
             return (sim, true);
         }
         let sim = Arc::new(compute());
-        self.store.lock().sims.insert(key.0, Arc::clone(&sim));
+        self.store.lock().attach_sim(&key.0, Arc::clone(&sim));
         (sim, false)
     }
 
     /// Number of memoized simulation outcomes.
     pub fn sim_len(&self) -> usize {
-        self.store.lock().sims.len()
+        let store = self.store.lock();
+        store
+            .entries
+            .values()
+            .filter(|e| e.0.sim().is_some())
+            .count()
     }
 
     // ------------------------------------------------------ snapshots
@@ -674,13 +704,7 @@ impl SolveCache {
             .lock()
             .entries
             .iter()
-            .map(|(k, (v, stamp))| {
-                let solved = match v {
-                    CachedSolve::Solved(local) => Some(Arc::clone(local)),
-                    CachedSolve::NoSolution => None,
-                };
-                (*k, solved, *stamp)
-            })
+            .map(|(k, (v, stamp))| (*k, v.outcome().ok(), *stamp))
             .collect();
         out.sort_by_key(|(k, _, _)| SolveCache::key_sort_image(k));
         out
@@ -691,9 +715,9 @@ impl SolveCache {
         let mut out: Vec<(SolveKey, Arc<SimOutcome>)> = self
             .store
             .lock()
-            .sims
+            .entries
             .iter()
-            .map(|(k, sim)| (*k, Arc::clone(sim)))
+            .filter_map(|(k, (v, _))| Some((*k, Arc::clone(v.sim()?))))
             .collect();
         out.sort_by_key(|(k, _)| SolveCache::key_sort_image(k));
         out
@@ -706,11 +730,12 @@ impl SolveCache {
 
     /// Restores a parsed snapshot: re-inserts every solve with its
     /// saved LRU stamp (no tick draw — restored entries keep their
-    /// relative recency order; `None` is a memoized `NoSolution`) and
-    /// every sim, advances the recency clock past every restored stamp,
-    /// carries the snapshot's cumulative statistics into this cache's
-    /// counters, and evicts down to this cache's LRU capacity if the
-    /// snapshot outgrows it.
+    /// relative recency order; `None` is a memoized `NoSolution`),
+    /// attaches every sim to its solve (the caller has refused a sim
+    /// without one), advances the recency clock past every restored
+    /// stamp, carries the snapshot's cumulative statistics into this
+    /// cache's counters, and evicts down to this cache's LRU capacity
+    /// if the snapshot outgrows it.
     pub(crate) fn restore(
         &self,
         tick: u64,
@@ -721,13 +746,16 @@ impl SolveCache {
         let mut store = self.store.lock();
         for (key, solved, stamp) in solves {
             let value = match solved {
-                Some(local) => CachedSolve::Solved(Arc::new(local)),
+                Some(local) => CachedSolve::Solved {
+                    local: Arc::new(local),
+                    sim: None,
+                },
                 None => CachedSolve::NoSolution,
             };
             store.entries.insert(key, (value, stamp));
         }
         for (key, sim) in sims {
-            store.sims.insert(key, Arc::new(sim));
+            store.attach_sim(&key, Arc::new(sim));
         }
         store.tick = store.tick.max(tick);
         let stats = &mut store.stats;
@@ -796,18 +824,6 @@ impl<'a> CacheView<'a> {
     /// Whether the underlying cache memoizes.
     pub fn is_enabled(&self) -> bool {
         self.cache.is_enabled()
-    }
-
-    /// [`SolveCache::is_warm`] through the view: a pure peek.
-    pub fn is_warm(
-        &self,
-        fingerprint: u64,
-        shape: u64,
-        algorithm: Algorithm,
-        config_hash: u64,
-    ) -> bool {
-        self.cache
-            .is_warm(fingerprint, shape, algorithm, config_hash)
     }
 
     /// Memoizing solve through the view — the probe entry point of
@@ -887,26 +903,14 @@ impl<'a> CacheView<'a> {
         outcome
     }
 
-    /// Memoizing discrete-event simulation through the view: returns
-    /// the [`SimOutcome`] for `(fingerprint, shape, algorithm,
-    /// config_hash)`, running `compute` only on a miss and storing its
-    /// result; a live view charges the hit or miss to its account. A
-    /// disabled cache computes every time and stores nothing, but still
-    /// counts the miss.
-    pub fn sim_outcome(
-        &self,
-        fingerprint: u64,
-        shape: u64,
-        algorithm: Algorithm,
-        config_hash: u64,
-        compute: impl FnOnce() -> SimOutcome,
-    ) -> Arc<SimOutcome> {
-        let key = self.key(fingerprint, shape, algorithm, config_hash);
-        self.sim_outcome_keyed(key, compute)
-    }
-
-    /// [`CacheView::sim_outcome`] on a key already made — typically the
-    /// one the same probe's [`CacheView::solve_keyed`] just answered.
+    /// Memoizing discrete-event simulation through the view, on the
+    /// key the same probe's [`CacheView::solve_keyed`] (or
+    /// [`solve_suffix`]) just answered: returns the [`SimOutcome`]
+    /// memoized on that solve's entry, running `compute` only on a miss
+    /// and storing its result there; a live view charges the hit or
+    /// miss to its account. A disabled cache, or a key with no solved
+    /// entry, computes every time and stores nothing, but still counts
+    /// the miss.
     pub fn sim_outcome_keyed(
         &self,
         key: ProbeKey,
@@ -1409,17 +1413,34 @@ mod tests {
         }
     }
 
+    /// Solves `g` on [`LEASE`] through `view` and returns the key the
+    /// solve was answered under — the key its sim is memoized on.
+    fn solve_on_lease(view: &CacheView, g: &Dag) -> ProbeKey {
+        let c = cluster();
+        let cfg = DagHetPartConfig::default();
+        let key = view.key(
+            g.fingerprint(),
+            c.shape_of_slice(&LEASE),
+            Algorithm::DagHetPart,
+            SolveCache::config_hash(&cfg),
+        );
+        view.solve_keyed(key, g, &c, &LEASE, &cfg).unwrap();
+        key
+    }
+
     #[test]
     fn sim_outcomes_memoize_through_the_direct_view() {
         let cache = SolveCache::new();
         let view = CacheView::direct(&cache);
+        let key = solve_on_lease(&view, &builder::chain(4, 2.0, 4.0, 1.0));
+        let tick = cache.tick_value();
         let mut computed = 0;
-        let first = view.sim_outcome(7, 9, Algorithm::DagHetPart, 3, || {
+        let first = view.sim_outcome_keyed(key, || {
             computed += 1;
             toy_sim(10.0)
         });
         let mut recomputed = false;
-        let second = view.sim_outcome(7, 9, Algorithm::DagHetPart, 3, || {
+        let second = view.sim_outcome_keyed(key, || {
             recomputed = true;
             toy_sim(99.0)
         });
@@ -1429,17 +1450,54 @@ mod tests {
         assert_eq!(cache.sim_len(), 1);
         let s = cache.stats();
         assert_eq!((s.sim_hits, s.sim_misses), (1, 1));
-        // Sims and solves count separately.
-        assert_eq!((s.hits, s.misses), (0, 0));
+        // Sims and solves count separately: the one solve miss is the
+        // solve's, and no sim probe draws a recency tick.
+        assert_eq!((s.hits, s.misses), (0, 1));
+        assert_eq!(cache.tick_value(), tick);
+    }
+
+    #[test]
+    fn a_sim_probe_without_a_solved_entry_stores_nothing() {
+        let c = cluster();
+        let cfg = DagHetPartConfig::default();
+        let chash = SolveCache::config_hash(&cfg);
+        let cache = SolveCache::new();
+        let view = CacheView::direct(&cache);
+        // No entry at all, then a memoized NoSolution (a 40-task chain
+        // of 30-unit tasks cannot fit on m2's 32 units).
+        let big = builder::chain(40, 1.0, 30.0, 5.0);
+        let infeasible = view.key(
+            big.fingerprint(),
+            c.shape_of_slice(&[ProcId(2)]),
+            Algorithm::DagHetPart,
+            chash,
+        );
+        let no = view.solve_keyed(infeasible, &big, &c, &[ProcId(2)], &cfg);
+        assert!(matches!(no, Err(SchedError::NoSolution)));
+        let unsolved = view.key(7, 9, Algorithm::DagHetPart, 3);
+        let mut computed = 0;
+        for key in [unsolved, infeasible] {
+            for _ in 0..2 {
+                view.sim_outcome_keyed(key, || {
+                    computed += 1;
+                    toy_sim(10.0)
+                });
+            }
+        }
+        assert_eq!(computed, 4, "nothing was memoized to hit");
+        assert_eq!(cache.sim_len(), 0);
+        let s = cache.stats();
+        assert_eq!((s.sim_hits, s.sim_misses), (0, 4));
     }
 
     #[test]
     fn disabled_cache_computes_sims_every_time_but_counts_them() {
         let cache = SolveCache::disabled();
         let view = CacheView::direct(&cache);
+        let key = solve_on_lease(&view, &builder::chain(4, 2.0, 4.0, 1.0));
         let mut computed = 0;
         for _ in 0..3 {
-            view.sim_outcome(7, 9, Algorithm::DagHetPart, 3, || {
+            view.sim_outcome_keyed(key, || {
                 computed += 1;
                 toy_sim(10.0)
             });
@@ -1456,65 +1514,36 @@ mod tests {
         let mut account = SolveCacheStats::default();
         {
             let view = CacheView::live(&cache, &mut account);
-            view.sim_outcome(7, 9, Algorithm::DagHetPart, 3, || toy_sim(10.0));
-            view.sim_outcome(7, 9, Algorithm::DagHetPart, 3, || toy_sim(10.0));
+            let key = solve_on_lease(&view, &builder::chain(4, 2.0, 4.0, 1.0));
+            view.sim_outcome_keyed(key, || toy_sim(10.0));
+            view.sim_outcome_keyed(key, || toy_sim(10.0));
         }
         assert_eq!((account.sim_hits, account.sim_misses), (1, 1));
+        // The solve that made the key is charged too.
+        assert_eq!((account.hits, account.misses), (0, 1));
         assert_eq!(cache.sim_len(), 1);
     }
 
     #[test]
     fn evicting_a_solve_drops_its_sim_outcome() {
-        let c = cluster();
-        let cfg = DagHetPartConfig::default();
-        let chash = SolveCache::config_hash(&cfg);
         let cache = SolveCache::with_capacity(1);
-        let sub = c.subcluster(&[ProcId(3), ProcId(1)]);
-        let shape = sub.shape_signature();
-        let g0 = builder::chain(4, 2.0, 4.0, 1.0);
-        let g1 = builder::chain(5, 2.0, 4.0, 1.0);
         let view = CacheView::direct(&cache);
-        view.solve(
-            &g0,
-            g0.fingerprint(),
-            &c,
-            &LEASE,
-            Algorithm::DagHetPart,
-            &cfg,
-            chash,
-        )
-        .unwrap();
-        view.sim_outcome(
-            g0.fingerprint(),
-            shape,
-            Algorithm::DagHetPart,
-            chash,
-            || toy_sim(10.0),
-        );
+        let k0 = solve_on_lease(&view, &builder::chain(4, 2.0, 4.0, 1.0));
+        view.sim_outcome_keyed(k0, || toy_sim(10.0));
         assert_eq!((cache.len(), cache.sim_len()), (1, 1));
         // Inserting a second solve evicts g0 — and its sim with it.
-        view.solve(
-            &g1,
-            g1.fingerprint(),
-            &c,
-            &LEASE,
-            Algorithm::DagHetPart,
-            &cfg,
-            chash,
-        )
-        .unwrap();
+        solve_on_lease(&view, &builder::chain(5, 2.0, 4.0, 1.0));
         assert_eq!((cache.len(), cache.sim_len()), (1, 0));
         let mut recomputed = false;
-        view.sim_outcome(
-            g0.fingerprint(),
-            shape,
-            Algorithm::DagHetPart,
-            chash,
-            || {
-                recomputed = true;
-                toy_sim(11.0)
-            },
-        );
+        view.sim_outcome_keyed(k0, || {
+            recomputed = true;
+            toy_sim(11.0)
+        });
         assert!(recomputed, "the evicted sim must be gone");
+        assert_eq!(
+            cache.sim_len(),
+            0,
+            "nor does it come back without its solve"
+        );
     }
 }

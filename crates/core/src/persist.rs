@@ -46,6 +46,11 @@
 //! record carries a 4-byte length prefix, so a count above
 //! `body length / 4` is [`SnapshotError::Malformed`].
 //!
+//! The cache memoizes a sim on the entry of the solve it simulates, so
+//! a sim record whose key has no solved record in the same snapshot (no
+//! record at all, or a memoized `NoSolution`) is
+//! [`SnapshotError::Malformed`] too.
+//!
 //! Every record is a `u32` byte length followed by that many bytes of
 //! UTF-8 JSON. All `u64` hashes, recency stamps, and `f64` bit
 //! patterns are hex-*strings* in the JSON: the vendored value tree
@@ -58,6 +63,7 @@ use dhp_dag::fingerprint::fnv1a_bytes;
 use dhp_dag::Partition;
 use dhp_platform::ProcId;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::io::Write;
 use std::path::Path;
 use std::time::Duration;
@@ -316,6 +322,20 @@ fn read_u64(bytes: &[u8], at: usize) -> Result<u64, SnapshotError> {
 /// count + sim count + body length + checksum.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8 + 8;
 
+/// The header (see the module docs) followed by `body`.
+fn frame(config_hash: u64, solves: usize, sims: usize, body: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(HEADER_LEN + body.len());
+    frame.extend_from_slice(&MAGIC);
+    frame.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    frame.extend_from_slice(&config_hash.to_le_bytes());
+    frame.extend_from_slice(&(solves as u64).to_le_bytes());
+    frame.extend_from_slice(&(sims as u64).to_le_bytes());
+    frame.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    frame.extend_from_slice(&fnv1a_bytes(body.iter().copied()).to_le_bytes());
+    frame.extend_from_slice(body);
+    frame
+}
+
 impl SolveCache {
     /// Serialises the cache to `path` **crash-safely**: the snapshot
     /// is written to a `.tmp` sibling, flushed and fsynced, then
@@ -368,15 +388,7 @@ impl SolveCache {
             push_record(&mut body, &dto)?;
         }
 
-        let mut frame = Vec::with_capacity(HEADER_LEN + body.len());
-        frame.extend_from_slice(&MAGIC);
-        frame.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        frame.extend_from_slice(&config_hash.to_le_bytes());
-        frame.extend_from_slice(&(solves.len() as u64).to_le_bytes());
-        frame.extend_from_slice(&(sims.len() as u64).to_le_bytes());
-        frame.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        frame.extend_from_slice(&fnv1a_bytes(body.iter().copied()).to_le_bytes());
-        frame.extend_from_slice(&body);
+        let frame = frame(config_hash, solves.len(), sims.len(), &body);
 
         // Temp file + fsync + atomic rename + directory fsync: the
         // rename is the commit point; everything before it is
@@ -499,10 +511,22 @@ impl SolveCache {
             };
             solves.push(((fp, shape, algorithm, chash), solved, stamp));
         }
+        // A sim is memoized on its solve: one whose key the snapshot
+        // does not leave solved (last record wins, as on restore) has
+        // nowhere to go.
+        let solved: HashMap<_, bool> = solves
+            .iter()
+            .map(|(key, local, _)| (*key, local.is_some()))
+            .collect();
         let mut sims = Vec::with_capacity(n_sims);
         for _ in 0..n_sims {
             let dto: SimDto = records.next()?;
             let key = dto.key.unpack()?;
+            if solved.get(&key) != Some(&true) {
+                return Err(SnapshotError::Malformed(format!(
+                    "sim record for key {key:x?} has no solved entry"
+                )));
+            }
             sims.push((key, dto.unpack()?));
         }
         if records.pos != body.len() {
@@ -587,18 +611,13 @@ mod tests {
         solve(&graphs[0], &lease).unwrap();
         let big = builder::chain(40, 1.0, 30.0, 5.0);
         let _ = solve(&big, &[dhp_platform::ProcId(2)]);
-        view.sim_outcome(
-            graphs[0].fingerprint(),
-            shape,
-            Algorithm::DagHetPart,
-            chash,
-            || SimOutcome {
-                makespan: 12.5,
-                task_start: vec![0.0, 2.5],
-                task_finish: vec![2.5, 12.5],
-                lanes: vec![(0, 10.0), (1, 2.5)],
-            },
-        );
+        let key = view.key(graphs[0].fingerprint(), shape, Algorithm::DagHetPart, chash);
+        view.sim_outcome_keyed(key, || SimOutcome {
+            makespan: 12.5,
+            task_start: vec![0.0, 2.5],
+            task_finish: vec![2.5, 12.5],
+            lanes: vec![(0, 10.0), (1, 2.5)],
+        });
         (graphs, shape)
     }
 
@@ -643,13 +662,8 @@ mod tests {
                 direct.local.mapping.proc_of_block
             );
         }
-        let sim = view.sim_outcome(
-            graphs[0].fingerprint(),
-            shape,
-            Algorithm::DagHetPart,
-            chash,
-            || panic!("restored sim must hit"),
-        );
+        let key = view.key(graphs[0].fingerprint(), shape, Algorithm::DagHetPart, chash);
+        let sim = view.sim_outcome_keyed(key, || panic!("restored sim must hit"));
         assert_eq!(sim.makespan, 12.5);
         assert_eq!(sim.lanes, vec![(0, 10.0), (1, 2.5)]);
         let after = restored.stats();
@@ -701,7 +715,7 @@ mod tests {
         let cfg = DagHetPartConfig::default();
         let chash = SolveCache::config_hash(&cfg);
         let cache = SolveCache::new();
-        populate(&cache, chash);
+        let (graphs, shape) = populate(&cache, chash);
         cache.save_to(&path, chash).unwrap();
         let good = std::fs::read(&path).unwrap();
 
@@ -752,6 +766,36 @@ mod tests {
                 matches!(err, SnapshotError::Truncated | SnapshotError::Malformed(_)),
                 "{err:?}"
             );
+        }
+        // A sim memoized on no solve: the saved frame with its one sim
+        // record re-keyed, every count, length and checksum valid.
+        let rekeyed = |key: KeyDto| -> Vec<u8> {
+            let mut records = Records {
+                body: &good[HEADER_LEN..],
+                pos: 0,
+            };
+            let mut body = Vec::new();
+            push_record(&mut body, &records.next::<MetaDto>().unwrap()).unwrap();
+            for _ in 0..3 {
+                push_record(&mut body, &records.next::<SolveDto>().unwrap()).unwrap();
+            }
+            let mut sim: SimDto = records.next().unwrap();
+            sim.key = key;
+            push_record(&mut body, &sim).unwrap();
+            frame(chash, 3, 1, &body)
+        };
+        let own = KeyDto::pack(graphs[0].fingerprint(), shape, Algorithm::DagHetPart, chash);
+        assert_eq!(rekeyed(own), good, "premise: the rebuild is faithful");
+        let big = builder::chain(40, 1.0, 30.0, 5.0);
+        let no_solution = cluster().shape_of_slice(&[dhp_platform::ProcId(2)]);
+        for key in [
+            // No solve record under the key at all.
+            KeyDto::pack(1, 2, Algorithm::DagHetPart, chash),
+            // The key of the memoized NoSolution.
+            KeyDto::pack(big.fingerprint(), no_solution, Algorithm::DagHetPart, chash),
+        ] {
+            let err = try_load(&rekeyed(key));
+            assert!(matches!(err, SnapshotError::Malformed(_)), "{err:?}");
         }
         // Wrong solver config: the whole file is refused.
         let fresh = SolveCache::new();

@@ -81,15 +81,6 @@
 //! ones — and the aggressive grants deliberately check against the
 //! reservation's original completion replay, trading the conservative
 //! never-delay-the-head guarantee for throughput.
-//!
-//! With [`OnlineConfig::cache_aware`](crate::engine::OnlineConfig) set,
-//! equally eligible backfill candidates (same arrival instant, under a
-//! backfilling policy) are tried warm-cache-first: a candidate whose
-//! `(fingerprint, lease shape)` already has a memoized solve admits in
-//! O(1) where a cold one pays a solver run, so preferring it spends the
-//! backfill window's bounded probe budget where it is cheapest. The
-//! tiebreak never reorders across arrival instants — eligibility still
-//! ranks first, the cache only splits ties.
 
 use crate::engine::OnlineConfig;
 use crate::event::EventQueue;
@@ -226,10 +217,10 @@ pub(crate) fn admission_passes(
         // queue order, so the pass walks the storage in place (skipping
         // tombstones as it goes) instead of materialising an index
         // vector — on deep queues that vector write was the hottest
-        // line of the whole engine. Plain FIFO, the ranked policies and
-        // the cache-aware tiebreak materialise (they truncate or
-        // reorder), into a scratch buffer reused across passes.
-        let scan = !cfg.cache_aware && cfg.policy.backfills();
+        // line of the whole engine. Plain FIFO and the ranked policies
+        // materialise (they truncate or reorder), into a scratch buffer
+        // reused across passes.
+        let scan = cfg.policy.backfills();
         let mut order = std::mem::take(&mut state.scratch.order); // empty
         if !scan {
             cfg.policy.candidate_order_into(
@@ -238,37 +229,6 @@ pub(crate) fn admission_passes(
                 state.first_live(),
                 &mut order,
             );
-        }
-        if cfg.cache_aware && cfg.policy.backfills() && state.queue_len() > 1 {
-            // Cache-aware tiebreak: among same-arrival backfill
-            // candidates, warm `(fingerprint, shape)` pairs go first.
-            // Warmth is sampled at pass entry; same-pass grants may
-            // stale it, which only costs tiebreak quality, never
-            // eligibility. (`warm` is indexed by storage slot, so it
-            // is filled for tombstones too — only live slots are ever
-            // consulted through `order`.)
-            let queue_len = state.queue_len();
-            let mut warm: Vec<bool> = Vec::with_capacity(state.queue.len());
-            for p in &state.queue {
-                warm.push(warm_in_cache(
-                    &state.cluster,
-                    &state.mem_order,
-                    &state.free,
-                    p,
-                    cfg,
-                    cache,
-                    config_hash,
-                    queue_len,
-                    &mut state.scratch.free_sorted,
-                ));
-            }
-            order.sort_by(|&a, &b| {
-                let (qa, qb) = (&state.queue[a], &state.queue[b]);
-                qa.arrival
-                    .total_cmp(&qb.arrival)
-                    .then(warm[b].cmp(&warm[a]))
-                    .then(qa.id.cmp(&qb.id))
-            });
         }
         // Backfilling: once the effective FIFO head fails to place,
         // its reservation caps every later candidate's simulated
@@ -594,41 +554,6 @@ pub(crate) fn admission_passes(
     }
 }
 
-/// Whether `cand`'s first admission probe — the lease the engine would
-/// carve for it right now — already has a memoized solve. Consulted by
-/// the cache-aware tiebreak; never touches the cache's statistics or
-/// LRU order.
-#[allow(clippy::too_many_arguments)]
-fn warm_in_cache(
-    cluster: &Cluster,
-    mem_order: &[ProcId],
-    free: &[bool],
-    cand: &Pending,
-    cfg: &OnlineConfig,
-    cache: &CacheView,
-    config_hash: u64,
-    queue_len: usize,
-    free_sorted: &mut Vec<ProcId>,
-) -> bool {
-    free_sorted.clear();
-    free_sorted.extend(mem_order.iter().copied().filter(|p| free[p.idx()]));
-    if free_sorted.is_empty() || cand.max_task_req > cluster.memory(free_sorted[0]) * (1.0 + 1e-9) {
-        return false;
-    }
-    // The same load-aware target `try_admit` will use, so the probed
-    // shape is the lease the engine would actually carve (under
-    // `shrink_under_load` the two would otherwise diverge and the
-    // tiebreak would consult the wrong cache key).
-    let target = cfg
-        .lease
-        .target_under_load(cand.submission.instance.graph.node_count(), queue_len);
-    let size = target.clamp(1, free_sorted.len());
-    // Shape straight off the id slice — bit-equal to the materialised
-    // view's signature, without constructing one.
-    let shape = cluster.shape_of_slice(&free_sorted[..size]);
-    cache.is_warm(cand.fingerprint, shape, cfg.algorithm, config_hash)
-}
-
 /// The single lease search shared by admission ([`try_admit`]) and the
 /// reservation feasibility scan ([`can_place`]): filter the free
 /// processors in canonical memory order, screen the hottest task, and
@@ -879,10 +804,6 @@ pub(crate) fn head_reservation(
 /// [`ClusterState::epoch`](crate::state::ClusterState). While the
 /// token `(epoch, head id)` matches, the cached value is returned
 /// without replaying a single solver probe.
-///
-/// Reuse is gated off under `cache_aware` ordering — there the probes'
-/// cache-warmth side effects are scheduling-visible, and skipping them
-/// would perturb the very tiebreak they feed.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn head_reservation_cached(
     cluster: &Cluster,
@@ -898,12 +819,9 @@ pub(crate) fn head_reservation_cached(
     resv_cache: &mut Option<(u64, usize, f64)>,
     scratch: &mut ProbeScratch,
 ) -> f64 {
-    let reusable = !cfg.cache_aware;
-    if reusable {
-        if let Some((e, id, r)) = *resv_cache {
-            if e == epoch && id == cand.id {
-                return r;
-            }
+    if let Some((e, id, r)) = *resv_cache {
+        if e == epoch && id == cand.id {
+            return r;
         }
     }
     let r = head_reservation(
@@ -918,9 +836,7 @@ pub(crate) fn head_reservation_cached(
         config_hash,
         scratch,
     );
-    if reusable {
-        *resv_cache = Some((epoch, cand.id, r));
-    }
+    *resv_cache = Some((epoch, cand.id, r));
     r
 }
 

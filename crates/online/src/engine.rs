@@ -100,16 +100,6 @@ pub struct OnlineConfig {
     /// `solve_cache` is off or when the caller passes its own cache to
     /// [`serve_with_cache`].
     pub cache_cap: Option<usize>,
-    /// Cache-aware admission tiebreak (`--cache-aware`): among equally
-    /// eligible backfill candidates (same arrival instant under a
-    /// backfilling policy), try those whose `(fingerprint, lease
-    /// shape)` is already warm in the solve cache first — their probe
-    /// is a cache hit, so the bounded backfill window is spent where
-    /// admission is cheapest. On a federation, warm includes what a
-    /// sibling member solved earlier in the same event. Off by default
-    /// (keeps the admission order byte-identical to the id-tiebreak
-    /// engine).
-    pub cache_aware: bool,
     /// Elastic lease growth (`--elastic N`): `Some(threshold)` lets a
     /// completion event whose freed processors would otherwise idle —
     /// strictly fewer than `threshold` workflows queued — hand them to
@@ -160,7 +150,6 @@ impl Default for OnlineConfig {
             solver: DagHetPartConfig::default(),
             solve_cache: true,
             cache_cap: None,
-            cache_aware: false,
             elastic: None,
             elastic_shrink: None,
             persist: None,

@@ -671,70 +671,6 @@ fn capped_cache_changes_only_solver_statistics() {
 }
 
 #[test]
-fn cache_aware_tiebreak_prefers_the_warm_candidate() {
-    use crate::submission::single_task;
-    // big holds the blocked head's memory; one small processor is the
-    // only backfill slot. A warmup workflow leaves its (fingerprint,
-    // shape) solve in the cache; later, two same-instant backfill
-    // candidates compete for the small processor — the cold one has the
-    // smaller id (and wins the default tiebreak), the warm one is a
-    // fingerprint twin of the warmup. `cache_aware` must flip the
-    // order; eligibility (the head, earlier arrivals) is untouched.
-    let cluster = Cluster::new(
-        vec![
-            Processor::new("big", 1.0, 1000.0),
-            Processor::new("sml", 1.0, 100.0),
-        ],
-        1.0,
-    );
-    let subs = vec![
-        single_task(0, 0.0, 100.0, 900.0, "hog"), // big until t=100
-        single_task(1, 0.0, 5.0, 50.0, "warmup"), // sml until t=5; caches (5.0, 50.0) on sml
-        single_task(2, 1.0, 10.0, 500.0, "head"), // needs big: blocked, reservation t=100
-        single_task(3, 2.0, 6.0, 50.0, "cold"),   // distinct fingerprint, smaller id
-        single_task(4, 2.0, 5.0, 50.0, "warm"),   // warmup's fingerprint twin
-    ];
-    let run = |cache_aware: bool| {
-        let cfg = OnlineConfig {
-            policy: AdmissionPolicy::FifoBackfill,
-            cache_aware,
-            ..OnlineConfig::default()
-        };
-        serve(&cluster, subs.clone(), &cfg)
-    };
-    let start = |out: &ServeOutcome, id: usize| {
-        out.report
-            .workflows
-            .iter()
-            .find(|r| r.id == id)
-            .unwrap()
-            .start
-    };
-    let blind = run(false);
-    let aware = run(true);
-    for out in [&blind, &aware] {
-        assert_eq!(out.report.fleet.completed, 5);
-        // The head's reservation is honoured either way.
-        assert_eq!(start(out, 2), 100.0);
-    }
-    // Default id-tiebreak: the cold candidate takes the freed small
-    // processor at t=5, the warm one queues behind it.
-    assert_eq!(start(&blind, 3), 5.0);
-    assert_eq!(start(&blind, 4), 11.0);
-    // Cache-aware: the warm twin goes first (its admission is a cache
-    // hit), the cold one queues.
-    assert_eq!(start(&aware, 4), 5.0);
-    assert_eq!(start(&aware, 3), 10.0);
-    // The warm candidate's admission really was answered from the
-    // cache (the totals match the blind run — the warm solve hits
-    // whenever it happens — the tiebreak changes *when* the window
-    // spends its probes, not how many).
-    assert!(aware.report.fleet.solve_cache_hits >= 1);
-    // Determinism with the tiebreak on.
-    assert_eq!(run(true).report.to_json(), aware.report.to_json());
-}
-
-#[test]
 fn identical_runs_produce_identical_reports() {
     let cluster = small_cluster();
     let a = serve(&cluster, small_stream(8), &OnlineConfig::default());

@@ -303,9 +303,7 @@ fn a_warm_overshooting_backfill_probe_allocates_nothing() {
 
 /// The reservation token: a matching `(epoch, head)` replays the
 /// memoized value without touching a solver; a moved epoch or a
-/// different head forces a fresh computation; `cache_aware` disables
-/// reuse outright (warm-probe side effects are scheduling-visible
-/// there).
+/// different head forces a fresh computation.
 #[test]
 fn reservation_token_reuse_and_invalidation() {
     let cluster = dhp_platform::configs::small_cluster();
@@ -322,8 +320,7 @@ fn reservation_token_reuse_and_invalidation() {
 
     let compute = |epoch: u64,
                    resv_cache: &mut Option<(u64, usize, f64)>,
-                   scratch: &mut crate::state::ProbeScratch,
-                   cfg: &OnlineConfig| {
+                   scratch: &mut crate::state::ProbeScratch| {
         head_reservation_cached(
             &cluster,
             &state.mem_order,
@@ -331,7 +328,7 @@ fn reservation_token_reuse_and_invalidation() {
             &events,
             &in_service,
             &cand,
-            cfg,
+            &cfg,
             &view,
             config_hash,
             epoch,
@@ -342,44 +339,22 @@ fn reservation_token_reuse_and_invalidation() {
 
     // No pending completions: the reservation is INFINITY, and the
     // token is stored.
-    let r = compute(0, &mut resv_cache, &mut scratch, &cfg);
+    let r = compute(0, &mut resv_cache, &mut scratch);
     assert_eq!(r, f64::INFINITY);
     assert_eq!(resv_cache, Some((0, cand.id, f64::INFINITY)));
 
     // A matching token short-circuits: plant a sentinel and watch it
     // come back untouched.
     resv_cache = Some((0, cand.id, 123.5));
-    assert_eq!(compute(0, &mut resv_cache, &mut scratch, &cfg), 123.5);
+    assert_eq!(compute(0, &mut resv_cache, &mut scratch), 123.5);
 
     // A moved epoch invalidates — the sentinel is recomputed away.
-    assert_eq!(
-        compute(1, &mut resv_cache, &mut scratch, &cfg),
-        f64::INFINITY
-    );
+    assert_eq!(compute(1, &mut resv_cache, &mut scratch), f64::INFINITY);
     assert_eq!(resv_cache, Some((1, cand.id, f64::INFINITY)));
 
     // A different head invalidates too.
     resv_cache = Some((1, cand.id + 1, 99.0));
-    assert_eq!(
-        compute(1, &mut resv_cache, &mut scratch, &cfg),
-        f64::INFINITY
-    );
-
-    // cache_aware: the sentinel is ignored *and* nothing is stored.
-    let aware = OnlineConfig {
-        cache_aware: true,
-        ..OnlineConfig::default()
-    };
-    resv_cache = Some((2, cand.id, 123.5));
-    assert_eq!(
-        compute(2, &mut resv_cache, &mut scratch, &aware),
-        f64::INFINITY
-    );
-    assert_eq!(
-        resv_cache,
-        Some((2, cand.id, 123.5)),
-        "cache-aware runs must leave the token alone"
-    );
+    assert_eq!(compute(1, &mut resv_cache, &mut scratch), f64::INFINITY);
 }
 
 /// Heap allocations (on the serving thread) of the second, warm, run

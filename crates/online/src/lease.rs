@@ -342,13 +342,9 @@ fn grow_lease(
         ) else {
             continue;
         };
-        let sim = cache.sim_outcome(
-            s.fingerprint,
-            union.shape_signature(),
-            cfg.algorithm,
-            config_hash,
-            || simulate_outcome(&s.dag, &union, &s.schedule.local.mapping),
-        );
+        let sim = cache.sim_outcome_keyed(s.key, || {
+            simulate_outcome(&s.dag, &union, &s.schedule.local.mapping)
+        });
         let new_finish = release + sim.makespan;
         if new_finish >= svc.record.finish - 1e-9 {
             continue; // no genuine win on the grown lease
@@ -663,13 +659,9 @@ fn shrink_lease(
         ) else {
             continue;
         };
-        let sim = cache.sim_outcome(
-            s.fingerprint,
-            sub.shape_signature(),
-            cfg.algorithm,
-            config_hash,
-            || simulate_outcome(&s.dag, &sub, &s.schedule.local.mapping),
-        );
+        let sim = cache.sim_outcome_keyed(s.key, || {
+            simulate_outcome(&s.dag, &sub, &s.schedule.local.mapping)
+        });
         let new_finish = release + sim.makespan;
         // Honour the blocked head's reservation: risky only when the
         // candidate's completion moves from before the reservation to

@@ -14,7 +14,7 @@
 //!
 //! * `matrix` rows: `tests/engine_equivalence.rs`'s stream and cluster
 //!   over {burst, poisson, uniform} × all five policies × elastic {off,
-//!   grow 2, shrink 1, grow 2 + shrink 2} × `cache_aware` {off, on}.
+//!   grow 2, shrink 1, grow 2 + shrink 2}.
 //! * `single` rows: `tests/backfill_invariants.rs`'s single-task traces
 //!   (see `support/online_rows.rs` for the axes); that suite holds the
 //!   engine to the same rows.
@@ -70,24 +70,17 @@ fn matrix_cases() -> Vec<Case> {
         );
         for policy in AdmissionPolicy::ALL {
             for (ename, elastic, elastic_shrink) in elastic {
-                for cache_aware in [false, true] {
-                    cases.push(Case {
-                        label: format!(
-                            "matrix {pname} {} {ename} cache-aware={}",
-                            policy.name(),
-                            if cache_aware { "on" } else { "off" }
-                        ),
-                        cluster: small_cluster(),
-                        subs: subs.clone(),
-                        cfg: OnlineConfig {
-                            policy,
-                            elastic,
-                            elastic_shrink,
-                            cache_aware,
-                            ..OnlineConfig::default()
-                        },
-                    });
-                }
+                cases.push(Case {
+                    label: format!("matrix {pname} {} {ename}", policy.name()),
+                    cluster: small_cluster(),
+                    subs: subs.clone(),
+                    cfg: OnlineConfig {
+                        policy,
+                        elastic,
+                        elastic_shrink,
+                        ..OnlineConfig::default()
+                    },
+                });
             }
         }
     }
@@ -115,7 +108,7 @@ fn the_engine_reproduces_every_golden_line() {
         reserved += (count != Some("0")) as usize;
     }
     assert_eq!(GOLDEN.lines().count(), fresh.lines().count());
-    assert_eq!(matrix, 3 * 5 * 4 * 2);
+    assert_eq!(matrix, 3 * 5 * 4);
     assert_eq!(single, 3 * 3 * 3 * 4 * 8);
     assert!(
         reserved * 4 > matrix + single,
