@@ -5,9 +5,11 @@
 //! cargo run --release -p dhp-bench --bin experiments -- fig3-left --full
 //! ```
 //!
-//! Without `--full`, a scaled-down size ladder is used (documented in
-//! EXPERIMENTS.md) so the whole suite completes in minutes on a laptop;
-//! `--full` uses the paper's task counts (200 … 30 000).
+//! Without `--full`, a scaled-down size ladder is used (200, 1 000,
+//! 2 000 and 4 000 tasks; see `sizes`) so the whole suite completes in
+//! minutes on a laptop; `--full` uses the paper's task counts (200 …
+//! 30 000). The tables print to stdout; persisting them is ROADMAP
+//! item E.
 
 use dhp_bench::report::{num, pct, print_table, secs};
 use dhp_bench::runner::{aggregate_absolute, aggregate_relative_pct, run_suite, Outcome};
@@ -150,7 +152,9 @@ fn sizes(opts: &Opts) -> Vec<usize> {
 }
 
 /// Size classes for the scaled-down ladder (the paper thresholds would
-/// put every scaled instance into "small"); documented in EXPERIMENTS.md.
+/// put every scaled instance into "small"): up to 1 000 tasks is small,
+/// up to 2 000 mid, larger big. Recording the ladder next to the tables
+/// it produced is ROADMAP item E.
 fn scaled_class(n: usize) -> SizeClass {
     if n <= 1_000 {
         SizeClass::Small
