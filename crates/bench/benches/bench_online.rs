@@ -238,7 +238,7 @@ fn bench_warm_serving(c: &mut Criterion) {
     group.finish();
 }
 
-/// The two arms of the serve loops' arrival table, as the public
+/// The two arms of the serve loop's arrival table, as the public
 /// kernels each consists of: the first sight of a graph derives its
 /// three facts (total work, hottest task, fingerprint); a repeat is
 /// recognised by one content pre-hash and one content comparison

@@ -406,7 +406,7 @@ struct CacheProbe {
 /// The cache is shared across threads (`&SolveCache` is `Sync`). One
 /// mutex guards the memo (solves and their sims), the counters and the
 /// recency clock, and it is held only for a lookup or an insert —
-/// never across a solver run or a simulation. Both serve loops probe
+/// never across a solver run or a simulation. The serve loop probes
 /// from one thread; the only concurrent probes are the baseline
 /// batch's cold solves, which spend their time in the solver, not on
 /// the lock. Counter totals are interleaving-independent because every
@@ -421,8 +421,8 @@ struct CacheProbe {
 /// [`SolveCacheStats::evictions`]). Unbounded streams of novel
 /// topologies therefore cannot grow memory without limit. Exact LRU
 /// order assumes inserts on a capped cache come from one thread at a
-/// time — which the engine guarantees: both serve loops probe from one
-/// thread, member after member in a federation, and the baseline batch
+/// time — which the engine guarantees: the serve loop probes from one
+/// thread, member after member, and the baseline batch
 /// runs on one worker under a cap.
 #[derive(Debug)]
 pub struct SolveCache {
@@ -775,11 +775,12 @@ impl SolveCache {
 /// is charged for each probe:
 ///
 /// * [`CacheView::direct`] — charge only the store's global counters.
-///   The single-cluster engine's view; byte-identical to probing the
+///   The baseline batch's view; byte-identical to probing the
 ///   [`SolveCache`] itself.
 /// * [`CacheView::live`] — additionally charge the exact probe outcome
-///   (hit/miss, evictions, sim hit/miss) to an account: the federation
-///   member whose step, routing or spillover caused the probe.
+///   (hit/miss, evictions, sim hit/miss) to an account: the serve
+///   loop's member (the single cluster's only one) whose step, routing
+///   or spillover caused the probe.
 ///
 /// Both probe the shared store in place: an insert is visible to the
 /// very next probe, whoever makes it.

@@ -1,6 +1,6 @@
 //! The arrival-facts table against the three direct walks.
 //!
-//! Every check runs twice: on the table the serve loops build, and on
+//! Every check runs twice: on the table the serve loop builds, and on
 //! one whose pre-hash puts every graph in the same bucket — there
 //! `Dag::content_eq` is the only thing telling graphs apart, which is
 //! the claim the table's correctness rests on.

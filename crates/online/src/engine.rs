@@ -1,11 +1,14 @@
-//! The event-driven co-scheduling engine: a thin orchestrator over the
-//! layered engine modules.
+//! The single-cluster co-scheduling engine: its configuration, its
+//! entry points, and the per-cluster finalisation every serving run
+//! ends with.
 //!
 //! [`serve`] advances a global virtual clock over two event kinds —
 //! workflow *arrivals* (from the submission stream) and workflow
 //! *completions* (computed by `dhp-sim` on the workflow's lease) — and
 //! at every event boundary runs the admission layer and, when enabled,
-//! the elastic-growth step. The layers:
+//! elastic shrink and growth. The loop is [`crate::federation`]'s,
+//! run over one member whose records carry no `cluster_id`. The layers
+//! it sequences:
 //!
 //! * `event` — the virtual-clock completion heap and the
 //!   `(time, seq)` staleness discipline;
@@ -17,9 +20,9 @@
 //! * [`crate::lease`] — grant construction/commitment, the lease
 //!   escalation ladder, elastic growth (`run_growth`).
 //!
-//! This module only sequences them — pop events, enqueue arrivals,
-//! admit, grow — and assembles the final [`ServeOutcome`]: the deferred
-//! dedicated-baseline batch plus the fleet metrics.
+//! This module finalises a finished shard into its [`ServeOutcome`]
+//! (`finalize`: the deferred dedicated-baseline batch plus the fleet
+//! metrics), for the single cluster and for each federation member.
 //!
 //! Each admitted workflow is also solved once *alone on the whole idle
 //! cluster* ([`dhp_core::partial::dedicated_baseline`]); the resulting
@@ -56,11 +59,10 @@
 //! front so its hit/miss counts are independent of thread
 //! interleaving.
 
-use crate::admission::admission_passes;
-use crate::lease::{run_growth, run_shrink};
+use crate::federation::{serve_loop, shard::MemberShard, RoutingPolicy};
 use crate::policy::{AdmissionPolicy, LeaseSizing};
 use crate::report::{FleetMetrics, ServeReport};
-use crate::state::{ArrivalFacts, ClusterState, Pending};
+use crate::state::ClusterState;
 use crate::submission::{peak_overlap, Submission};
 use dhp_core::daghetpart::DagHetPartConfig;
 use dhp_core::partial::{Algorithm, CacheView, SolveCache, SolveCacheStats};
@@ -70,7 +72,6 @@ use dhp_platform::Cluster;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::Arc;
 
 pub use crate::admission::{ReservationRecord, ReservationTrigger, BACKFILL_DEPTH};
 pub use crate::state::{Placement, Regrow};
@@ -134,10 +135,10 @@ pub struct PersistSpec {
     /// intact.
     pub path: PathBuf,
     /// Periodic snapshots (`--autosave N`): additionally rewrite the
-    /// snapshot every `N` federation synchronisation points, bounding
+    /// snapshot every `N` synchronisation points — clock steps of the
+    /// event loop, on a single cluster as on a federation — bounding
     /// how much warm state a crash can lose. `None` saves only at
-    /// exit. The single-cluster engine has no synchronisation points
-    /// and ignores this field.
+    /// exit.
     pub autosave: Option<usize>,
 }
 
@@ -202,83 +203,24 @@ pub fn serve_with_cache(
     cfg: &OnlineConfig,
     cache: &SolveCache,
 ) -> ServeOutcome {
-    let config_hash = SolveCache::config_hash(&cfg.solver);
-    // Restore the snapshot *before* the entry snapshot of the solver
-    // statistics: carried-in aggregate counters and any restore-time
-    // evictions belong to earlier runs, not to this run's report.
-    let recovery = load_snapshot(cfg, cache);
-    let stats_at_entry = cache.stats();
-    // The single-cluster engine probes the store directly; per-caller
-    // attribution (the federation's live views) is unnecessary with one
-    // caller.
-    let view = CacheView::direct(cache);
-    let mut arrivals = arrival_order(submissions);
-
-    let mut state = ClusterState::new(cluster, None);
-    // Every graph this call is handed, with its arrival facts: a repeat
-    // of a recipe is recognised instead of walked again.
-    let mut seen = ArrivalFacts::new();
-    let mut clock = 0.0f64;
-
-    loop {
-        // ------------------------------------------------ next event(s)
-        let arrival_time = arrivals.peek().map(|s| s.arrival);
-        let completion_time = state.next_completion_time();
-        match (completion_time, arrival_time) {
-            (None, None) if state.queue_is_empty() => break,
-            (None, None) => {
-                // Queue non-empty with nothing in flight: every
-                // processor is free, so the admission pass below must
-                // either admit or reject each head candidate; falling
-                // through with an unchanged clock is safe.
-            }
-            // Completions first at equal instants: freed processors
-            // must be visible to same-instant arrivals.
-            (Some(tc), ta) if ta.is_none_or(|t| tc <= t) => {
-                clock = tc;
-                state.process_due_completions(clock);
-            }
-            (_, Some(ta)) => {
-                clock = ta;
-                while let Some(s) = arrivals.next_if(|s| due(s, clock)) {
-                    state.enqueue_arrival(Pending::new(Arc::new(s), &mut seen), clock);
-                }
-            }
-            // `(Some, None)` always satisfies the completion guard.
-            (Some(_), None) => unreachable!(),
-        }
-
-        admission_passes(&mut state, cfg, &view, config_hash, clock);
-        run_shrink(&mut state, cfg, &view, config_hash, clock);
-
-        let arrivals_pending = arrivals.peek().is_some_and(|s| s.arrival <= clock);
-        run_growth(&mut state, cfg, &view, config_hash, clock, arrivals_pending);
-    }
-
-    let mid = cache.stats();
-    let mut outcome = finalize(state, cfg, cache, diff_stats(mid, stats_at_entry));
-    outcome.report.recovery = recovery;
-    save_snapshot(cfg, cache);
-    outcome
-}
-
-/// The submission stream in service order — `(arrival, id)` — as the
-/// iterator both serve loops consume: each submission is *moved* out of
-/// it into the one `Arc` its queue entry, and later its placement,
-/// share.
-pub(crate) fn arrival_order(
-    mut submissions: Vec<Submission>,
-) -> std::iter::Peekable<std::vec::IntoIter<Submission>> {
-    submissions.sort_by(|a, b| a.arrival.total_cmp(&b.arrival).then(a.id.cmp(&b.id)));
-    submissions.into_iter().peekable()
-}
-
-/// Whether the head of the stream arrives at `clock`. Phrased as "not
-/// later" so that a NaN arrival is consumed (and served as garbage)
-/// rather than spun on forever.
-#[allow(clippy::neg_cmp_op_on_partial_ord)]
-pub(crate) fn due(s: &Submission, clock: f64) -> bool {
-    !(s.arrival > clock)
+    // One member: routing answers without weighing any load, and the
+    // spillover sweep has no destination.
+    serve_loop(
+        vec![MemberShard::new(cluster, None)],
+        submissions,
+        cfg,
+        RoutingPolicy::LeastLoaded,
+        cache,
+        &[],
+        |shards, _spillovers, recovery| {
+            let Some(shard) = shards.into_iter().next() else {
+                unreachable!("a run without a membership plan keeps its one member")
+            };
+            let mut outcome = finalize(shard.state, cfg, cache, shard.stats);
+            outcome.report.recovery = recovery;
+            outcome
+        },
+    )
 }
 
 /// Restores the snapshot named by `cfg.persist` (if any) into `cache`.
@@ -329,9 +271,8 @@ pub(crate) fn diff_stats(a: SolveCacheStats, b: SolveCacheStats) -> SolveCacheSt
 
 /// Drains the deferred dedicated-baseline batch and assembles the final
 /// [`ServeOutcome`] from a finished event loop's state. `pre` carries
-/// the solver statistics already accumulated by this run's admission
-/// phase (the federation tier attributes those per cluster; the
-/// single-cluster engine passes the whole-run delta).
+/// the solver statistics the shard's live views were charged during
+/// the loop (its admission, lease and routing probes).
 pub(crate) fn finalize(
     state: ClusterState,
     cfg: &OnlineConfig,

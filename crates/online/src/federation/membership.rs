@@ -76,7 +76,7 @@ pub(super) fn apply_membership(
         }
         MembershipEvent::Join { cluster, at: _ } => {
             let idx = shards.len();
-            shards.push(MemberShard::new(cluster, idx));
+            shards.push(MemberShard::new(cluster, Some(idx)));
         }
     }
 }

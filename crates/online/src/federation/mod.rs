@@ -26,10 +26,13 @@
 //! * `merge.rs` — per-member finalisation, exact-sum fleet metrics, and
 //!   the serialisable [`FederationReport`].
 //!
-//! # One federation driver
+//! # One event loop
 //!
-//! One driver (`serve_loop`) serves both the plain and the chaos
-//! entry points, on one thread. Each clock step runs, in order:
+//! One driver (`serve_loop`) serves the plain and the chaos entry
+//! points, on one thread — and the single-cluster engine
+//! ([`serve`](crate::engine::serve)) too, as one member whose shard
+//! carries no `cluster_id` and is finalised without a fleet merge.
+//! Each clock step runs, in order:
 //!
 //! 1. **Event arm**: advance the clock; apply due membership events;
 //!    route due arrivals.
@@ -46,7 +49,7 @@
 //! the next probe on — within the same event too. The store is one
 //! mutex: only the baseline batch's cold solves still run on several
 //! threads at report time, and they rarely meet on the lock (README,
-//! "One federation driver").
+//! "One event loop").
 //!
 //! Every member produces its own
 //! [`ServeReport`](crate::report::ServeReport) (records stamped with
@@ -81,7 +84,7 @@ pub use merge::{FederationOutcome, FederationReport};
 pub use routing::RoutingPolicy;
 
 use crate::chaos::{MembershipEvent, MembershipPlan};
-use crate::engine::{arrival_order, due, load_snapshot, make_cache, save_snapshot, OnlineConfig};
+use crate::engine::{load_snapshot, make_cache, save_snapshot, OnlineConfig};
 use crate::report::RejectedRecord;
 use crate::state::{ArrivalFacts, Pending};
 use crate::submission::Submission;
@@ -117,7 +120,7 @@ pub fn serve_federation_with_cache(
     routing: RoutingPolicy,
     cache: &SolveCache,
 ) -> FederationOutcome {
-    serve_loop(federation, submissions, cfg, routing, cache, &[])
+    serve_fleet(federation, submissions, cfg, routing, cache, &[])
 }
 
 /// Serves a submission stream across a federation *under a membership
@@ -148,7 +151,7 @@ pub fn serve_federation_chaos_with_cache(
     cache: &SolveCache,
 ) -> Result<FederationOutcome, String> {
     let events = plan.resolve(federation.len())?;
-    Ok(serve_loop(
+    Ok(serve_fleet(
         federation,
         submissions,
         cfg,
@@ -158,12 +161,9 @@ pub fn serve_federation_chaos_with_cache(
     ))
 }
 
-/// The federated event loop shared by the plain and chaos entry
-/// points: completions, membership events and arrivals merged on one
-/// virtual clock (in that priority at equal instants), followed by each
-/// member's step (completions + admission + shrink), the spillover
-/// sweep, and each member's growth (see the module docs).
-fn serve_loop(
+/// [`serve_loop`] over one shard per member, stamped with its member
+/// index, merged into the fleet report at the end.
+fn serve_fleet(
     federation: &Federation,
     submissions: Vec<Submission>,
     cfg: &OnlineConfig,
@@ -171,19 +171,54 @@ fn serve_loop(
     cache: &SolveCache,
     chaos: &[MembershipEvent],
 ) -> FederationOutcome {
+    let shards = federation
+        .iter()
+        .map(|(i, c)| MemberShard::new(c, Some(i)))
+        .collect();
+    serve_loop(
+        shards,
+        submissions,
+        cfg,
+        routing,
+        cache,
+        chaos,
+        |shards, spillovers, recovery| {
+            let mut outcome = merge::assemble(shards, cfg, cache, routing, spillovers);
+            outcome.report.recovery = recovery;
+            outcome
+        },
+    )
+}
+
+/// The online tier's one event loop, shared by the single-cluster
+/// engine and the plain and chaos federation entry points:
+/// completions, membership events and arrivals merged on one virtual
+/// clock (in that priority at equal instants), followed by each
+/// member's step (completions + admission + shrink), the spillover
+/// sweep, and each member's growth (see the module docs).
+///
+/// The caller builds the shards and turns the finished ones, the
+/// spillover count and the snapshot's recovery note into its outcome
+/// with `finish`. The snapshot is restored before the first event and
+/// saved after `finish`, so the deferred baseline solves are in it.
+pub(crate) fn serve_loop<T>(
+    mut shards: Vec<MemberShard>,
+    submissions: Vec<Submission>,
+    cfg: &OnlineConfig,
+    routing: RoutingPolicy,
+    cache: &SolveCache,
+    chaos: &[MembershipEvent],
+    finish: impl FnOnce(Vec<MemberShard>, u64, Option<String>) -> T,
+) -> T {
     let config_hash = SolveCache::config_hash(&cfg.solver);
-    // Durable warm start: restore the snapshot before any shard is
-    // built, so every member sees the warm store from its first probe.
+    // Durable warm start: restore the snapshot before the first event,
+    // so every member sees the warm store from its first probe.
     let recovery = load_snapshot(cfg, cache);
     // `--autosave N`: rewrite the snapshot every N synchronisation
     // points (clock steps), after the growth step — the end of the
     // event, when no probe is in flight.
     let autosave_every = cfg.persist.as_ref().and_then(|p| p.autosave);
     let mut steps_since_save = 0usize;
-    let mut shards: Vec<MemberShard> = federation
-        .iter()
-        .map(|(i, c)| MemberShard::new(c, i))
-        .collect();
     let mut arrivals = arrival_order(submissions);
     // Every graph this call is handed, with its arrival facts: a repeat
     // of a recipe is recognised instead of walked again.
@@ -288,11 +323,27 @@ fn serve_loop(
         }
     }
 
-    // ------------------------------------------------------- finalize
-    let mut outcome = merge::assemble(shards, cfg, cache, routing, spillovers);
-    outcome.report.recovery = recovery;
+    let outcome = finish(shards, spillovers, recovery);
     save_snapshot(cfg, cache);
     outcome
+}
+
+/// The submission stream in service order — `(arrival, id)`: each
+/// submission is *moved* out of it into the one `Arc` its queue entry,
+/// and later its placement, share.
+fn arrival_order(
+    mut submissions: Vec<Submission>,
+) -> std::iter::Peekable<std::vec::IntoIter<Submission>> {
+    submissions.sort_by(|a, b| a.arrival.total_cmp(&b.arrival).then(a.id.cmp(&b.id)));
+    submissions.into_iter().peekable()
+}
+
+/// Whether the head of the stream arrives at `clock`. Phrased as "not
+/// later" so that a NaN arrival is consumed (and served as garbage)
+/// rather than spun on forever.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn due(s: &Submission, clock: f64) -> bool {
+    !(s.arrival > clock)
 }
 
 #[cfg(test)]
@@ -333,9 +384,10 @@ mod tests {
 
     #[test]
     fn single_member_federation_matches_the_plain_engine() {
-        // The federated loop over one member must reduce to `serve`:
-        // identical records (modulo the cluster_id stamp) and identical
-        // fleet metrics, solver statistics included.
+        // `serve` is this loop over one unstamped member, so a
+        // one-member federation must reduce to it: identical records
+        // (modulo the cluster_id stamp) and identical fleet metrics,
+        // solver statistics included.
         let cluster = member();
         let subs = burst(6);
         let plain = serve(&cluster, subs.clone(), &OnlineConfig::default());

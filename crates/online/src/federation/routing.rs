@@ -68,9 +68,17 @@ pub(super) fn least_loaded(
     shards: &[MemberShard],
     pool: impl IntoIterator<Item = usize>,
 ) -> Option<usize> {
+    let mut pool = pool.into_iter().peekable();
+    let first = pool.next()?;
+    // A one-candidate pool (every arrival on a single cluster) is
+    // answered without weighing any load.
+    if pool.peek().is_none() {
+        return Some(first);
+    }
     // Each member's load is evaluated once (`queued_work` walks the
     // queue), not once per side of every comparison.
-    pool.into_iter()
+    std::iter::once(first)
+        .chain(pool)
         .map(|i| {
             let state = &shards[i].state;
             (state.queued_work() / state.total_speed, i)

@@ -46,10 +46,12 @@ pub(crate) struct MemberShard {
 }
 
 impl MemberShard {
-    /// A fresh Active shard for member `index`.
-    pub(crate) fn new(cluster: &Cluster, index: usize) -> MemberShard {
+    /// A fresh Active shard: `Some(i)` for federation member `i`, whose
+    /// records carry `cluster_id = i`; `None` for the single-cluster
+    /// engine's one shard, whose records carry no `cluster_id`.
+    pub(crate) fn new(cluster: &Cluster, cluster_id: Option<usize>) -> MemberShard {
         MemberShard {
-            state: ClusterState::new(cluster, Some(index)),
+            state: ClusterState::new(cluster, cluster_id),
             status: MemberStatus::Active,
             stats: SolveCacheStats::default(),
         }

@@ -584,7 +584,9 @@ fn a_least_loaded_route_allocates_nothing() {
     let cfg = OnlineConfig::default();
     let cache = SolveCache::new();
     let config_hash = SolveCache::config_hash(&cfg.solver);
-    let mut shards: Vec<MemberShard> = (0..16).map(|i| MemberShard::new(&member(), i)).collect();
+    let mut shards: Vec<MemberShard> = (0..16)
+        .map(|i| MemberShard::new(&member(), Some(i)))
+        .collect();
     for (i, sh) in shards.iter_mut().enumerate() {
         sh.state
             .enqueue_arrival(pending(100 + i, 10.0 + (i % 5) as f64, 2.0), 0.0);
@@ -619,7 +621,9 @@ fn a_fully_screened_spill_sweep_allocates_nothing() {
     let cfg = OnlineConfig::default();
     let cache = SolveCache::new();
     let config_hash = SolveCache::config_hash(&cfg.solver);
-    let mut shards: Vec<MemberShard> = (0..16).map(|i| MemberShard::new(&member(), i)).collect();
+    let mut shards: Vec<MemberShard> = (0..16)
+        .map(|i| MemberShard::new(&member(), Some(i)))
+        .collect();
     // Member 0 is fully leased, with candidates only its big processor
     // (600) can hold; every other member either has nothing free or
     // only its mid (400) and small (250) processors.

@@ -2,11 +2,11 @@
 //! set, in-service bookkeeping, and the accumulating run results.
 //!
 //! [`ClusterState`] owns everything one shared cluster's event loop
-//! mutates. The single-cluster engine ([`crate::engine::serve`]) drives
-//! exactly one of these; the federation tier
-//! ([`crate::federation::serve_federation`]) drives one per member
-//! cluster under a merged virtual clock — which is precisely why this
-//! state is a value and not a pile of locals.
+//! mutates. The one event loop drives one per member cluster under a
+//! merged virtual clock — exactly one for the single-cluster engine
+//! ([`crate::engine::serve`]), one per member for the federation tier
+//! ([`crate::federation::serve_federation`]) — which is precisely why
+//! this state is a value and not a pile of locals.
 //!
 //! The queue's entries are [`Pending`] values, and what they carry of
 //! their graph comes from the serve call's [`ArrivalFacts`]: the three
@@ -53,7 +53,7 @@ pub(crate) struct Pending {
 
 impl Pending {
     /// The queue entry of an arrival (or of a requeue after a member
-    /// failure): the serve loops build this once per submission and
+    /// failure): the serve loop builds this once per submission and
     /// hand the same value to routing and to the home queue. `seen` is
     /// the serve call's table — a fresh one is as correct, only slower.
     pub(crate) fn new(submission: Arc<Submission>, seen: &mut ArrivalFacts) -> Pending {

@@ -110,7 +110,7 @@ impl Federation {
 
 impl From<Cluster> for Federation {
     /// A single-member federation — the degenerate case the federated
-    /// serving tier reduces to the plain engine on.
+    /// serving tier reduces to the single-cluster engine on.
     fn from(cluster: Cluster) -> Self {
         Federation::new(vec![cluster])
     }
