@@ -89,8 +89,8 @@ QUEUE OPTIONS (online co-scheduling of a workflow stream):
                         mismatched one degrades to a cold start with a
                         `recovery` note in the report
   --autosave N          with --cache-file: additionally rewrite the
-                        snapshot every N federation synchronisation
-                        points, bounding what a crash can lose
+                        snapshot every N clock steps (single cluster or
+                        federation), bounding what a crash can lose
   --cluster NAME|FILE   shared cluster (default: default)
   --clusters LIST       serve a *federation*: comma-separated cluster
                         names/files, one engine per member, a shared solve
@@ -198,7 +198,9 @@ pub fn schedule(args: &Args) -> Result<String, String> {
             );
         }
     }
-    let json = report.to_json();
+    let json = report
+        .to_json()
+        .map_err(|e| format!("cannot serialise the report: {e}"))?;
     if let Some(out) = args.get("output") {
         std::fs::write(out, &json).map_err(|e| format!("cannot write {out:?}: {e}"))?;
         if args.switch("quiet") {
@@ -222,7 +224,8 @@ pub fn generate(args: &Args) -> Result<String, String> {
     let seed = args.get_usize("seed", 42)? as u64;
     let inst = WorkflowInstance::simulated(family, tasks, seed);
     let text = match args.get_or("format", "wfcommons") {
-        "wfcommons" => wfcommons::to_json(&inst, wfcommons::GIB),
+        "wfcommons" => wfcommons::to_json(&inst, wfcommons::GIB)
+            .map_err(|e| format!("cannot serialise the workflow: {e}"))?,
         "dot" => dhp_dag::dot::to_dot(&inst.graph, &inst.name),
         other => return Err(format!("unknown --format {other:?}")),
     };
@@ -276,9 +279,9 @@ pub fn inspect(args: &Args) -> Result<String, String> {
 }
 
 /// `daghetpart cluster-template`: the default cluster as a JSON file.
-pub fn cluster_template() -> String {
+pub fn cluster_template() -> Result<String, String> {
     serde_json::to_string_pretty(&ClusterSpec::from_cluster(&configs::default_cluster()))
-        .expect("spec serialisation cannot fail")
+        .map_err(|e| format!("cannot serialise the cluster template: {e}"))
 }
 
 fn parse_family(name: &str) -> Result<Family, String> {

@@ -40,7 +40,7 @@ pub fn run<I: IntoIterator<Item = String>>(tokens: I) -> Result<String, String> 
         "generate" => commands::generate(&args),
         "inspect" => commands::inspect(&args),
         "queue" | "serve" => queue::queue(&args),
-        "cluster-template" => Ok(commands::cluster_template()),
+        "cluster-template" => commands::cluster_template(),
         other => Err(format!(
             "unknown subcommand {other:?}\n\n{}",
             commands::USAGE

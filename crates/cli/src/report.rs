@@ -63,7 +63,11 @@ impl ScheduleReport {
             .iter()
             .enumerate()
             .map(|(i, tasks)| {
-                let p = mapping.proc_of_block[i].expect("complete mapping");
+                let Some(p) = mapping.proc_of_block[i] else {
+                    unreachable!(
+                        "the mapping is validated, and `validate` rejects an incomplete one"
+                    )
+                };
                 let proc = cluster.proc(p);
                 BlockReport {
                     block: i,
@@ -98,8 +102,8 @@ impl ScheduleReport {
     }
 
     /// Pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serialisation cannot fail")
+    pub fn to_json(&self) -> Result<String, serde_json::Error> {
+        serde_json::to_string_pretty(self)
     }
 }
 
@@ -129,7 +133,7 @@ mod tests {
         for b in &report.mapping {
             assert!(b.memory_requirement <= b.memory_capacity * (1.0 + 1e-9));
         }
-        let back: ScheduleReport = serde_json::from_str(&report.to_json()).unwrap();
+        let back: ScheduleReport = serde_json::from_str(&report.to_json().unwrap()).unwrap();
         assert_eq!(back.makespan, report.makespan);
         assert_eq!(back.mapping.len(), report.mapping.len());
     }

@@ -67,7 +67,9 @@ pub fn rank_table(g: &Dag, cluster: &Cluster) -> RankTable {
     let mean_speed: f64 = cluster.iter().map(|(_, p)| p.speed).sum::<f64>() / cluster.len() as f64;
 
     // Upward ranks with mean costs.
-    let topo = dhp_dag::topo::topo_sort(g).expect("heft requires a DAG");
+    let Some(topo) = dhp_dag::topo::topo_sort(g) else {
+        unreachable!("rank_table is only called on a DAG (see # Panics)")
+    };
     let mut rank = vec![0.0f64; n];
     for &u in topo.iter().rev() {
         let mut tail: f64 = 0.0;
@@ -135,7 +137,9 @@ pub fn heft_with_ranks(g: &Dag, cluster: &Cluster, ranks: &RankTable) -> HeftSch
                 best = Some((eft, est, p));
             }
         }
-        let (eft, est, p) = best.expect("non-empty cluster");
+        let Some((eft, est, p)) = best else {
+            unreachable!("asserted above: the cluster is non-empty, so some processor was tried")
+        };
         proc_of_task[u.idx()] = p;
         start[u.idx()] = est;
         finish[u.idx()] = eft;

@@ -170,7 +170,9 @@ fn fm_refine_undirected(
 /// the sweep every edge points from a lower-ranked block to an equal or
 /// higher one, so the quotient is acyclic by construction.
 pub fn repair_acyclicity(g: &Dag, part: &[u32]) -> Vec<u32> {
-    let order = dhp_dag::topo::topo_sort(g).expect("repair needs a DAG");
+    let Some(order) = dhp_dag::topo::topo_sort(g) else {
+        unreachable!("the partitioner only repairs partitions of a DAG")
+    };
     let mut pos = vec![0usize; g.node_count()];
     for (i, &u) in order.iter().enumerate() {
         pos[u.idx()] = i;

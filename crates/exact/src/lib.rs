@@ -46,8 +46,7 @@ pub mod solver;
 pub use bounds::{critical_path_bound, makespan_lower_bound, total_work_bound};
 pub use partitions::RestrictedGrowth;
 pub use solver::{
-    optimal_makespan, solve, solve_with_incumbent, ExactConfig, ExactError, ExactSolution,
-    SearchStats,
+    solve, solve_with_incumbent, ExactConfig, ExactError, ExactSolution, SearchStats,
 };
 
 #[cfg(test)]

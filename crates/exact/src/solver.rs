@@ -311,14 +311,6 @@ fn dfs(
     }
 }
 
-/// Convenience: the exact optimum makespan, or `None` if infeasible.
-/// Panics on instances larger than the config allows.
-pub fn optimal_makespan(g: &Dag, cluster: &Cluster, cfg: &ExactConfig) -> Option<f64> {
-    solve(g, cluster, cfg)
-        .expect("instance within exact-solver limits")
-        .map(|s| s.makespan)
-}
-
 /// Largest single-task requirement — used by callers to build clusters
 /// on which an instance is guaranteed to be feasible.
 pub fn max_task_requirement(g: &Dag) -> f64 {

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! cargo run -p dhp-lint -- --check            # exit 0 clean, 1 findings
-//! cargo run -p dhp-lint -- --fix-baseline     # regenerate the R4 ratchet
 //! cargo run -p dhp-lint -- --check --root X   # check another tree
 //! ```
 //!
@@ -14,27 +13,20 @@ const USAGE: &str = "dhp-lint — workspace invariant checker (R1..R5)
 
 USAGE:
     dhp-lint --check          run all rules; exit 1 on any finding
-    dhp-lint --fix-baseline   regenerate lint-baseline.toml (R4 ratchet)
     dhp-lint ... --root PATH  workspace root (default: current directory)
 ";
-
-enum Mode {
-    Check,
-    FixBaseline,
-}
 
 fn main() {
     std::process::exit(run(std::env::args().skip(1).collect()));
 }
 
 fn run(args: Vec<String>) -> i32 {
-    let mut mode: Option<Mode> = None;
+    let mut check = false;
     let mut root = PathBuf::from(".");
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--check" => mode = Some(Mode::Check),
-            "--fix-baseline" => mode = Some(Mode::FixBaseline),
+            "--check" => check = true,
             "--root" => match it.next() {
                 Some(p) => root = PathBuf::from(p),
                 None => {
@@ -52,47 +44,28 @@ fn run(args: Vec<String>) -> i32 {
             }
         }
     }
-    match mode {
-        Some(Mode::Check) => match dhp_lint::run_check(&root) {
-            Ok(outcome) => {
-                for f in &outcome.findings {
-                    println!("{}:{} {} {}", f.file, f.line, f.rule, f.message);
-                }
-                for note in &outcome.notes {
-                    println!("note: {note}");
-                }
-                println!(
-                    "dhp-lint: {} file(s) checked, {} finding(s)",
-                    outcome.files,
-                    outcome.findings.len()
-                );
-                if outcome.findings.is_empty() {
-                    0
-                } else {
-                    1
-                }
+    if !check {
+        eprintln!("dhp-lint: pick a mode\n\n{USAGE}");
+        return 2;
+    }
+    match dhp_lint::run_check(&root) {
+        Ok(outcome) => {
+            for f in &outcome.findings {
+                println!("{}:{} {} {}", f.file, f.line, f.rule, f.message);
             }
-            Err(e) => {
-                eprintln!("dhp-lint: {e}");
-                2
-            }
-        },
-        Some(Mode::FixBaseline) => match dhp_lint::fix_baseline(&root) {
-            Ok((total, files)) => {
-                println!(
-                    "dhp-lint: wrote {} ({total} unwrap()/expect() occurrences across \
-                     {files} files)",
-                    dhp_lint::BASELINE_FILE
-                );
+            println!(
+                "dhp-lint: {} file(s) checked, {} finding(s)",
+                outcome.files,
+                outcome.findings.len()
+            );
+            if outcome.findings.is_empty() {
                 0
+            } else {
+                1
             }
-            Err(e) => {
-                eprintln!("dhp-lint: {e}");
-                2
-            }
-        },
-        None => {
-            eprintln!("dhp-lint: pick a mode\n\n{USAGE}");
+        }
+        Err(e) => {
+            eprintln!("dhp-lint: {e}");
             2
         }
     }

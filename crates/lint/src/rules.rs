@@ -2,13 +2,10 @@
 //! [`FileModel`]s.
 //!
 //! Every rule is grounded in a real workspace invariant — see the
-//! README's "Invariants & static analysis" section. R1/R2/R3/R5 are
-//! per-file and run through [`check_model`]; R4 (panic hygiene) is a
-//! cross-file ratchet: [`panic_sites`] enumerates the occurrences and
-//! [`apply_ratchet`] compares them against the checked-in baseline.
+//! README's "Invariants & static analysis" section. All five are
+//! per-file and run through [`check_model`].
 
 use crate::lexer::{is_ident_char, FileModel};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Rule id: hash-iteration-order leaks in digest-pinned modules.
 pub const R1: &str = "R1-determinism";
@@ -16,7 +13,7 @@ pub const R1: &str = "R1-determinism";
 pub const R2: &str = "R2-wallclock";
 /// Rule id: nested lock guards.
 pub const R3: &str = "R3-lock-discipline";
-/// Rule id: unwrap/expect ratchet in library non-test code.
+/// Rule id: unwrap/expect in library non-test code.
 pub const R4: &str = "R4-panic-hygiene";
 /// Rule id: serde attributes protecting the pinned golden JSON.
 pub const R5: &str = "R5-golden-json";
@@ -34,12 +31,13 @@ pub struct Finding {
     pub message: String,
 }
 
-/// Runs the per-file rules (R1, R2, R3, R5) over one lexed file.
+/// Runs the five rules (R1..R5) over one lexed file.
 pub fn check_model(m: &FileModel) -> Vec<Finding> {
     let mut out = Vec::new();
     determinism(m, &mut out);
     wallclock(m, &mut out);
     lock_discipline(m, &mut out);
+    panic_hygiene(m, &mut out);
     golden_json(m, &mut out);
     out
 }
@@ -358,12 +356,6 @@ fn lock_discipline(m: &FileModel, out: &mut Vec<Finding>) {
 
 // ---------------------------------------------------------------- R4
 
-/// Whether the R4 ratchet applies to this path (library code only;
-/// binary targets may panic on startup errors).
-pub fn ratchet_applies(rel: &str) -> bool {
-    !is_bin(rel)
-}
-
 /// Line numbers (one per occurrence) of `.unwrap()` / `.expect(` calls
 /// in the file's non-test code.
 pub fn panic_sites(m: &FileModel) -> Vec<usize> {
@@ -384,62 +376,23 @@ pub fn panic_sites(m: &FileModel) -> Vec<usize> {
     out
 }
 
-/// Compares per-file panic sites against the shrink-only baseline.
-/// Returns R4 findings (count grew) and advisory notes (slack or stale
-/// entries).
-pub fn apply_ratchet(
-    sites: &BTreeMap<String, Vec<usize>>,
-    scanned: &BTreeSet<String>,
-    baseline: &BTreeMap<String, usize>,
-) -> (Vec<Finding>, Vec<String>) {
-    let mut findings = Vec::new();
-    let mut notes = Vec::new();
-    for (rel, s) in sites {
-        let allowed = baseline.get(rel).copied().unwrap_or(0);
-        if s.len() > allowed {
-            // Anchor the finding on the first occurrence beyond the
-            // allowance — the one that regressed the ratchet.
-            let line = s[allowed.min(s.len() - 1)];
-            findings.push(Finding {
-                file: rel.clone(),
-                line,
-                rule: R4,
-                message: format!(
-                    "{} unwrap()/expect() calls in non-test code, ratchet baseline allows \
-                     {}; propagate the error or document infallibility (`unreachable!` \
-                     with a reason) — lint-baseline.toml only ever shrinks",
-                    s.len(),
-                    allowed
-                ),
-            });
-        } else if s.len() < allowed {
-            notes.push(format!(
-                "ratchet slack: {rel} has {} unwrap()/expect() calls, baseline allows {} — \
-                 run --fix-baseline to tighten",
-                s.len(),
-                allowed
-            ));
-        }
+/// Every `.unwrap()` / `.expect(` in a library file's non-test code is
+/// a finding; binary targets may panic on startup errors.
+fn panic_hygiene(m: &FileModel, out: &mut Vec<Finding>) {
+    if is_bin(&m.rel) {
+        return;
     }
-    for (rel, &allowed) in baseline {
-        if sites.contains_key(rel) {
-            continue;
-        }
-        if scanned.contains(rel) {
-            if allowed > 0 {
-                notes.push(format!(
-                    "ratchet slack: {rel} is clean, baseline allows {allowed} — run \
-                     --fix-baseline to tighten"
-                ));
-            }
-        } else {
-            notes.push(format!(
-                "stale baseline entry: {rel} is not among the scanned sources — run \
-                 --fix-baseline to prune"
-            ));
-        }
+    for line in panic_sites(m) {
+        out.push(Finding {
+            file: m.rel.clone(),
+            line,
+            rule: R4,
+            message: "unwrap()/expect() in library non-test code; propagate the error, or \
+                      state the invariant with `let … else { unreachable!(\"<the check that \
+                      guarantees it>\") }`"
+                .to_string(),
+        });
     }
-    (findings, notes)
 }
 
 // ---------------------------------------------------------------- R5

@@ -1,12 +1,10 @@
 //! End-to-end tests for the lint engine: each known-bad fixture must
 //! produce its exact `file:line rule` findings when analyzed under a
-//! rule-scoped fake path, the clean fixture must produce none, the R4
-//! ratchet must flag regressions and tolerate slack, and the real
-//! workspace must lint clean.
+//! rule-scoped fake path, the clean fixture must produce none, and the
+//! real workspace must lint clean.
 
 use dhp_lint::lexer::analyze;
-use dhp_lint::rules::{self, apply_ratchet, check_model, panic_sites};
-use std::collections::{BTreeMap, BTreeSet};
+use dhp_lint::rules::{self, check_model, panic_sites};
 
 const R1_FIX: &str = include_str!("fixtures/r1_map_iteration.rs");
 const R2_FIX: &str = include_str!("fixtures/r2_wallclock.rs");
@@ -68,47 +66,14 @@ fn r4_sites_skip_test_modules() {
 }
 
 #[test]
-fn r4_ratchet_regression_and_slack() {
-    let rel = "crates/online/src/state.rs".to_string();
-    let m = analyze(&rel, R4_FIX);
-    let mut sites = BTreeMap::new();
-    sites.insert(rel.clone(), panic_sites(&m));
-    let scanned: BTreeSet<String> = [rel.clone()].into_iter().collect();
+fn r4_flags_every_library_unwrap() {
+    let got = findings("crates/online/src/state.rs", R4_FIX);
+    assert_eq!(got, vec![(3, rules::R4), (7, rules::R4)]);
+}
 
-    // Exactly at the allowance: clean, no notes.
-    let baseline: BTreeMap<String, usize> = [(rel.clone(), 2)].into_iter().collect();
-    let (fs, notes) = apply_ratchet(&sites, &scanned, &baseline);
-    assert!(fs.is_empty() && notes.is_empty());
-
-    // One over the allowance: the finding anchors on the first
-    // occurrence beyond it.
-    let baseline: BTreeMap<String, usize> = [(rel.clone(), 1)].into_iter().collect();
-    let (fs, _) = apply_ratchet(&sites, &scanned, &baseline);
-    assert_eq!(fs.len(), 1);
-    assert_eq!(
-        (fs[0].file.as_str(), fs[0].line, fs[0].rule),
-        (rel.as_str(), 7, rules::R4)
-    );
-
-    // No baseline entry means allowance 0: anchors on the first site.
-    let (fs, _) = apply_ratchet(&sites, &scanned, &BTreeMap::new());
-    assert_eq!(fs.len(), 1);
-    assert_eq!(fs[0].line, 3);
-
-    // Under the allowance: no finding, a tightening note.
-    let baseline: BTreeMap<String, usize> = [(rel.clone(), 5)].into_iter().collect();
-    let (fs, notes) = apply_ratchet(&sites, &scanned, &baseline);
-    assert!(fs.is_empty());
-    assert_eq!(notes.len(), 1);
-    assert!(notes[0].contains("ratchet slack"), "{}", notes[0]);
-
-    // A baseline entry for an unscanned file is reported stale.
-    let baseline: BTreeMap<String, usize> = [("crates/gone/src/lib.rs".to_string(), 1)]
-        .into_iter()
-        .collect();
-    let (fs, notes) = apply_ratchet(&BTreeMap::new(), &scanned, &baseline);
-    assert!(fs.is_empty());
-    assert!(notes.iter().any(|n| n.contains("stale baseline entry")));
+#[test]
+fn r4_exempts_bins() {
+    assert!(findings("crates/cli/src/main.rs", R4_FIX).is_empty());
 }
 
 #[test]
@@ -150,4 +115,19 @@ fn workspace_lints_clean() {
         "workspace has findings:\n{}",
         rendered.join("\n")
     );
+}
+
+#[test]
+fn unknown_arguments_exit_2() {
+    // `--check` is the only mode: anything else, the retired
+    // `--fix-baseline` included, is a usage error.
+    for arg in ["--fix-baseline", "--chekc"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_dhp-lint"))
+            .arg(arg)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{arg}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown argument"), "{arg}: {stderr}");
+    }
 }

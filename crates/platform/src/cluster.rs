@@ -112,9 +112,8 @@ impl Cluster {
         ids.sort_by(|&a, &b| {
             let (pa, pb) = (self.proc(a), self.proc(b));
             pb.memory
-                .partial_cmp(&pa.memory)
-                .unwrap()
-                .then(pb.speed.partial_cmp(&pa.speed).unwrap())
+                .total_cmp(&pa.memory)
+                .then(pb.speed.total_cmp(&pa.speed))
                 .then(a.cmp(&b))
         });
         ids

@@ -89,7 +89,12 @@ pub fn simulate_with_links(
         .collect();
     let proc_of: Vec<dhp_platform::ProcId> = g
         .node_ids()
-        .map(|u| mapping.proc_of_block[block_of[u.idx()]].expect("complete"))
+        .map(|u| {
+            let Some(p) = mapping.proc_of_block[block_of[u.idx()]] else {
+                unreachable!("asserted above: the mapping is complete")
+            };
+            p
+        })
         .collect();
 
     // Execution order within each block: the same traversal the memory

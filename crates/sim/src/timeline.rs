@@ -61,7 +61,9 @@ pub struct Timeline {
 pub fn timeline(_g: &Dag, cluster: &Cluster, mapping: &Mapping, sim: &SimResult) -> Timeline {
     let mut lanes: Vec<Lane> = Vec::new();
     for (block, members) in mapping.partition.members().iter().enumerate() {
-        let proc = mapping.proc_of_block[block].expect("complete mapping");
+        let Some(proc) = mapping.proc_of_block[block] else {
+            unreachable!("`sim` came from `simulate`, which asserts the mapping is complete")
+        };
         let mut intervals: Vec<Interval> = members
             .iter()
             .map(|&u| Interval {

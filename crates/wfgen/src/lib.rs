@@ -24,7 +24,7 @@
 //! assert!(inst.graph.node_count() >= 190);    // widths quantise slightly
 //! assert_eq!(inst.size_class.name(), "small");
 //! // WfCommons JSON round-trip (the paper's instance format):
-//! let json = dhp_wfgen::wfcommons::to_json(&inst, dhp_wfgen::wfcommons::GIB);
+//! let json = dhp_wfgen::wfcommons::to_json(&inst, dhp_wfgen::wfcommons::GIB).unwrap();
 //! let back = dhp_wfgen::wfcommons::from_json(
 //!     &json, &dhp_wfgen::wfcommons::ImportConfig::default()).unwrap();
 //! assert_eq!(back.graph.node_count(), inst.graph.node_count());

@@ -68,7 +68,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let inst = WorkflowInstance::simulated(family, n, seed);
-        let back = from_json(&to_json(&inst, GIB), &ImportConfig::default())
+        let back = from_json(&to_json(&inst, GIB).unwrap(), &ImportConfig::default())
             .expect("roundtrip import");
         let (a, b) = (&inst.graph, &back.graph);
         prop_assert_eq!(a.node_count(), b.node_count());
@@ -98,7 +98,7 @@ proptest! {
         let scale = f64::from(2u32).powi(scale_pow as i32);
         let inst = WorkflowInstance::simulated(Family::Blast, n, seed);
         let cfg = ImportConfig { bytes_per_unit: scale, ..ImportConfig::default() };
-        let back = from_json(&to_json(&inst, scale), &cfg).expect("roundtrip");
+        let back = from_json(&to_json(&inst, scale).unwrap(), &cfg).expect("roundtrip");
         let close = |x: f64, y: f64| (x - y).abs() <= 1e-6 * x.abs().max(1.0);
         prop_assert!(close(inst.graph.total_memory(), back.graph.total_memory()));
         prop_assert!(close(inst.graph.total_volume(), back.graph.total_volume()));

@@ -332,9 +332,8 @@ pub fn to_instance(inst: &WorkflowInstance, bytes_per_unit: f64) -> WfInstance {
 }
 
 /// Serialises an instance to a pretty-printed WfCommons JSON string.
-pub fn to_json(inst: &WorkflowInstance, bytes_per_unit: f64) -> String {
+pub fn to_json(inst: &WorkflowInstance, bytes_per_unit: f64) -> Result<String, serde_json::Error> {
     serde_json::to_string_pretty(&to_instance(inst, bytes_per_unit))
-        .expect("WfInstance serialisation cannot fail")
 }
 
 #[cfg(test)]
@@ -343,7 +342,7 @@ mod tests {
     use crate::Family;
 
     fn roundtrip(inst: &WorkflowInstance) -> WorkflowInstance {
-        let json = to_json(inst, GIB);
+        let json = to_json(inst, GIB).unwrap();
         from_json(&json, &ImportConfig::default()).expect("roundtrip import")
     }
 

@@ -26,7 +26,7 @@ fn main() {
 
     // 1. Generate and export.
     let inst = WorkflowInstance::simulated(Family::Blast, 1000, 42);
-    let json = wfcommons::to_json(&inst, wfcommons::GIB);
+    let json = wfcommons::to_json(&inst, wfcommons::GIB).expect("serialise instance");
     let wf_path = dir.join("blast-1000.json");
     std::fs::write(&wf_path, &json).expect("write instance");
     println!(
@@ -70,7 +70,8 @@ fn main() {
         part.makespan,
     );
     let report_path = dir.join("blast-1000.mapping.json");
-    std::fs::write(&report_path, report.to_json()).expect("write report");
+    let json = report.to_json().expect("serialise report");
+    std::fs::write(&report_path, json).expect("write report");
     println!("mapping report -> {}", report_path.display());
 
     // The same exchange is available from the command line:
