@@ -109,7 +109,7 @@ pub fn queue(args: &Args) -> Result<String, String> {
     // before the run (a missing file is a silent cold start; a corrupt
     // one degrades to a cold start with a `recovery` note), rewritten
     // crash-safely at exit. `--autosave N` additionally rewrites the
-    // snapshot every N federation synchronisation points.
+    // snapshot every N clock steps of the event loop.
     let autosave = args.get_positive_usize("autosave")?;
     let persist = args.get("cache-file").map(|p| PersistSpec {
         path: std::path::PathBuf::from(p),

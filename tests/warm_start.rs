@@ -12,7 +12,8 @@
 //! * a simulated kill between the temp-file write and the atomic
 //!   rename leaves the prior snapshot loadable;
 //! * the federation tier warm-starts and autosaves through the same
-//!   snapshot path;
+//!   snapshot path, and a single cluster's autosave leaves the report
+//!   and the final snapshot as a save at exit does;
 //! * the bytes a cold run's snapshot holds — lease sims and elastic
 //!   grow/shrink suffix sims included — are pinned, and save → load →
 //!   save reproduces them exactly.
@@ -310,12 +311,12 @@ fn the_federation_warm_starts_and_autosaves_through_the_same_snapshot() {
     assert_eq!(strip(&plain.report), strip(&cold.report));
 }
 
-/// FNV of a snapshot with every solve's wall-clock `elapsed_nanos`
-/// zeroed: the one field of the file that is not a function of the
-/// trace. The header's body length and checksum cover those digits, so
-/// the digest takes the header up to the record counts and then each
-/// normalised record.
-fn snapshot_digest(bytes: &[u8]) -> u64 {
+/// A snapshot with every solve's wall-clock `elapsed_nanos` zeroed:
+/// the one field of the file that is not a function of the trace. The
+/// header's body length and checksum cover those digits, so the image
+/// takes the header up to the record counts and then each normalised
+/// record.
+fn normalized_snapshot(bytes: &[u8]) -> Vec<u8> {
     const HEADER_LEN: usize = 52;
     const ELAPSED: &str = "\"elapsed_nanos\":";
     let mut image = bytes[..36].to_vec();
@@ -333,16 +334,18 @@ fn snapshot_digest(bytes: &[u8]) -> u64 {
         image.extend_from_slice(json.as_bytes());
         at += 4 + len;
     }
-    fnv1a_bytes(image.iter().copied())
+    image
 }
 
-#[test]
-fn a_cold_elastic_runs_snapshot_bytes_are_pinned_and_reload_exactly() {
-    let dir = scratch("snapshot-pin");
-    let snap = dir.join("cache.bin");
-    // `tests/engine_equivalence.rs`'s cluster and stream, served with
-    // growth and shrinking so the cache holds suffix sims next to the
-    // lease sims.
+/// FNV of [`normalized_snapshot`].
+fn snapshot_digest(bytes: &[u8]) -> u64 {
+    fnv1a_bytes(normalized_snapshot(bytes))
+}
+
+/// `tests/engine_equivalence.rs`'s cluster and stream, served with
+/// growth and shrinking so the cache holds suffix sims next to the
+/// lease sims, persisting to `snap`.
+fn cold_elastic_case(snap: &Path) -> (Cluster, Vec<Submission>, OnlineConfig) {
     let cluster = Cluster::new(
         vec![
             Processor::new("big", 4.0, 600.0),
@@ -366,8 +369,16 @@ fn a_cold_elastic_runs_snapshot_bytes_are_pinned_and_reload_exactly() {
         // A capped cache runs the baseline batch on one worker, so the
         // batch's LRU stamps do not depend on thread interleaving.
         cache_cap: Some(1 << 20),
-        ..persist_cfg(&snap)
+        ..persist_cfg(snap)
     };
+    (cluster, subs, cfg)
+}
+
+#[test]
+fn a_cold_elastic_runs_snapshot_bytes_are_pinned_and_reload_exactly() {
+    let dir = scratch("snapshot-pin");
+    let snap = dir.join("cache.bin");
+    let (cluster, subs, cfg) = cold_elastic_case(&snap);
     let cold = serve(&cluster, subs, &cfg);
     assert!(cold.report.recovery.is_none());
     assert_eq!(
@@ -393,4 +404,29 @@ fn a_cold_elastic_runs_snapshot_bytes_are_pinned_and_reload_exactly() {
     let again = dir.join("again.bin");
     reloaded.save_to(&again, chash).unwrap();
     assert_eq!(std::fs::read(&again).unwrap(), saved);
+}
+
+#[test]
+fn single_cluster_autosave_changes_neither_the_report_nor_the_snapshot() {
+    // `--autosave 1` rewrites the snapshot at every clock step of the
+    // single-cluster run too; what it leaves behind at exit, and the
+    // report, are those of a run that saves only at exit.
+    let dir = scratch("single-autosave");
+    let run = |autosave: Option<usize>, tag: &str| {
+        let snap = dir.join(tag);
+        let (cluster, subs, mut cfg) = cold_elastic_case(&snap);
+        if let Some(spec) = cfg.persist.as_mut() {
+            spec.autosave = autosave;
+        }
+        let out = serve(&cluster, subs, &cfg);
+        assert!(out.report.recovery.is_none(), "{tag}");
+        (out.report.to_json(), std::fs::read(&snap).unwrap())
+    };
+    let (every_step, every_step_snap) = run(Some(1), "autosave.bin");
+    let (at_exit, at_exit_snap) = run(None, "exit.bin");
+    assert_eq!(every_step, at_exit);
+    assert_eq!(
+        normalized_snapshot(&every_step_snap),
+        normalized_snapshot(&at_exit_snap)
+    );
 }
