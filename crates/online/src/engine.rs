@@ -5,24 +5,13 @@
 //! [`serve`] advances a global virtual clock over two event kinds —
 //! workflow *arrivals* (from the submission stream) and workflow
 //! *completions* (computed by `dhp-sim` on the workflow's lease) — and
-//! at every event boundary runs the admission layer and, when enabled,
-//! elastic shrink and growth. The loop is [`crate::federation`]'s,
-//! run over one member whose records carry no `cluster_id`. The layers
-//! it sequences:
-//!
-//! * `event` — the virtual-clock completion heap and the
-//!   `(time, seq)` staleness discipline;
-//! * `state` — `ClusterState`: the free set, the admission
-//!   queue, in-service bookkeeping and accumulating run results;
-//! * [`crate::admission`] — the policy passes
-//!   (`admission_passes`),
-//!   conservative/EASY backfilling, head reservations;
-//! * [`crate::lease`] — grant construction/commitment, the lease
-//!   escalation ladder, elastic growth (`run_growth`).
-//!
-//! This module finalises a finished shard into its [`ServeOutcome`]
-//! (`finalize`: the deferred dedicated-baseline batch plus the fleet
-//! metrics), for the single cluster and for each federation member.
+//! at every event boundary runs the admission layer
+//! ([`crate::admission`]) and, when enabled, elastic shrink and growth
+//! ([`crate::lease`]). The loop is [`crate::federation`]'s, run over
+//! one member whose records carry no `cluster_id`. This module
+//! finalises a finished member into its [`ServeOutcome`] (`finalize`:
+//! the deferred dedicated-baseline batch plus the fleet metrics), for
+//! the single cluster and for each federation member.
 //!
 //! Each admitted workflow is also solved once *alone on the whole idle
 //! cluster* ([`dhp_core::partial::dedicated_baseline`]); the resulting
