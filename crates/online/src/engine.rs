@@ -248,7 +248,7 @@ pub(crate) fn save_snapshot(cfg: &OnlineConfig, cache: &SolveCache) {
 
 /// `a - b`, counter-wise — solver statistics accumulated between two
 /// snapshots of the same cache.
-pub(crate) fn diff_stats(a: SolveCacheStats, b: SolveCacheStats) -> SolveCacheStats {
+fn diff_stats(a: SolveCacheStats, b: SolveCacheStats) -> SolveCacheStats {
     SolveCacheStats {
         hits: a.hits - b.hits,
         misses: a.misses - b.misses,
