@@ -2,17 +2,34 @@
 //!
 //! For every tentative block count `k' = 1..k` the driver runs the full
 //! pipeline (partition → assign → merge → swap) and keeps the mapping
-//! with the smallest makespan. The sweep is embarrassingly parallel and
-//! is fanned out over up to `host_cores()` workers — the calling thread
-//! plus one `std::thread::scope` spawn per further worker, since a spawn
-//! costs about as much as one attempt on a small lease — that draw the next
-//! `k'` from a shared counter, largest first: an attempt's cost grows
-//! with `k'` and varies wildly (most of a memory-tight sweep fails in
-//! Step 3, some early, some late), so contiguous chunks leave a worker
-//! idle while another grinds through the expensive end. The workers
-//! share the result slot, the solve's block-requirement memo
-//! ([`ReqMemo`]) and the coarsening hierarchy of Step 1, which is built
-//! once before they start; nothing else.
+//! with the smallest makespan. Both drivers are one drain loop: workers
+//! draw the next `k'` from a shared counter, largest first — an
+//! attempt's cost grows with `k'` and varies wildly (most of a
+//! memory-tight sweep fails in Step 3, some early, some late), so
+//! contiguous chunks leave a worker idle while another grinds through
+//! the expensive end. The sequential driver is that loop with one
+//! worker. The parallel one runs `host_cores().min(|k'| / 2).max(1)`:
+//! the calling thread plus one `std::thread::scope` spawn per further
+//! worker, and since a spawn costs about as much as one attempt on a
+//! small lease, a worker is spawned only when it gets at least two
+//! attempts — a sweep of two or three `k'` spawns none.
+//!
+//! The workers share the result slot, the solve's block-requirement
+//! memo ([`ReqMemo`]) and the coarsening hierarchy of Step 1, which is
+//! built once before they start; nothing else. They read the slot as
+//! well as fill it. After Step 3 an attempt asks Step 4 for a lower
+//! bound on any makespan its local search can reach (one relax with
+//! every block at the cluster's top speed), and stops there — before
+//! the swaps, the idle moves and the mapping — when the bound exceeds
+//! what the incumbent can still grow to. The slot takes an attempt
+//! that is faster by more than `1e-12`, or slower by at most `1e-12`
+//! with a smaller `k'`; so a replacement raises the slot by at most one
+//! rounded `+ 1e-12`, at most `|k'| - 1` other attempts are placed
+//! before this one would be, and its own placement allows one more. A
+//! bound above the incumbent plus `|k'|` such additions therefore
+//! belongs to an attempt that could not have been placed in any
+//! interleaving of the workers: pruning it moves no winner. Traced
+//! sweeps never prune.
 
 use crate::blockmem::ReqMemo;
 use crate::makespan::blockset_makespan;
@@ -43,7 +60,10 @@ pub struct DagHetPartConfig {
     pub partition_cfg: dhp_dagp::PartitionConfig,
     /// `k'` selection.
     pub kprime: KprimeMode,
-    /// Fan the `k'` sweep out over threads.
+    /// Fan the `k'` sweep out over threads: the calling thread plus one
+    /// per further worker, where each worker gets at least two `k'`. Off,
+    /// the calling thread alone drains the same largest-first loop, so
+    /// both settings reach the same result.
     pub parallel: bool,
     /// Enable Step 4 swaps.
     pub enable_swaps: bool,
@@ -136,48 +156,56 @@ fn sweep(
     };
 
     let step1 = Step1::coarsen(g, kprimes.iter().copied(), &cfg.partition_cfg);
+    let solve = Solve {
+        g,
+        cluster,
+        cfg,
+        step1: &step1,
+        memo,
+        traced,
+    };
 
-    // Smaller kprime wins ties, so the result does not depend on which
-    // attempt finishes first.
     // Innermost ranked lock: taken after any solve-cache lookup has
     // been released.
     let best: Mutex<Option<Attempt>> = Mutex::with_rank(None, parking_lot::ranks::SOLVER_BEST);
+    let beaten = |bound: f64| {
+        let incumbent = best.lock().as_ref().map(|old| old.makespan);
+        incumbent.is_some_and(|m| bound > placement_cap(m, kprimes.len()))
+    };
     let attempt = |kp: usize| {
-        if let Some(new) = run_once(g, cluster, kp, cfg, &step1, memo, traced) {
+        if let Some(new) = solve.run_once(kp, &beaten) {
             let mut slot = best.lock();
-            let better = slot.as_ref().is_none_or(|old| {
-                new.makespan < old.makespan - 1e-12
-                    || (new.makespan <= old.makespan + 1e-12 && new.kprime < old.kprime)
-            });
-            if better {
+            if slot.as_ref().is_none_or(|old| new.beats(old)) {
                 *slot = Some(new);
             }
         }
     };
 
-    if cfg.parallel && kprimes.len() > 1 {
-        let workers = crate::host_cores().min(kprimes.len());
-        // Hands out positions only and publishes no data: Relaxed.
-        let next = AtomicUsize::new(0);
-        let drain = || {
-            while let Some(&kp) = kprimes
-                .iter()
-                .rev()
-                .nth(next.fetch_add(1, Ordering::Relaxed))
-            {
-                attempt(kp);
-            }
-        };
-        // The caller is one of the workers.
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(drain);
-            }
-            drain();
-        });
+    let workers = if cfg.parallel {
+        crate::host_cores().min(kprimes.len() / 2).max(1)
     } else {
-        kprimes.iter().copied().for_each(attempt);
-    }
+        1
+    };
+    // Hands out positions only and publishes no data: Relaxed.
+    let next = AtomicUsize::new(0);
+    let drain = || {
+        while let Some(&kp) = kprimes
+            .iter()
+            .rev()
+            .nth(next.fetch_add(1, Ordering::Relaxed))
+        {
+            attempt(kp);
+        }
+    };
+    // The caller is one of the workers.
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            #[cfg(test)]
+            SPAWNS.set(SPAWNS.get() + 1);
+            scope.spawn(drain);
+        }
+        drain();
+    });
 
     let best = best.into_inner().ok_or(SchedError::NoSolution)?;
     Ok((
@@ -191,6 +219,22 @@ fn sweep(
     ))
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Worker threads the sweeps run on this thread have spawned.
+    static SPAWNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The most an incumbent of makespan `incumbent` can have grown to by
+/// the time a sweep over `attempts` values of `k'` places an attempt
+/// that read it, plus the slack of that placement: `attempts` rounded
+/// additions of `1e-12`, one per replacement ([`Attempt::beats`]).
+/// Added one at a time rather than as `attempts as f64 * 1e-12`: near
+/// a makespan whose ulp is about `1e-12`, each addition may round up.
+fn placement_cap(incumbent: f64, attempts: usize) -> f64 {
+    (0..attempts).fold(incumbent, |cap, _| cap + 1e-12)
+}
+
 /// What one `k'` produced.
 struct Attempt {
     makespan: f64,
@@ -200,62 +244,91 @@ struct Attempt {
     trace: Option<StepTrace>,
 }
 
-/// One pipeline run with a fixed `k'`: the four steps, spelled out
-/// once. Returns the final makespan and mapping (and, when `traced`,
-/// how far each step got), or `None` when Step 3 cannot complete the
-/// assignment.
-fn run_once(
-    g: &Dag,
-    cluster: &Cluster,
-    kprime: usize,
-    cfg: &DagHetPartConfig,
-    step1: &Step1,
-    memo: &ReqMemo<'_>,
+impl Attempt {
+    /// Whether this attempt replaces `old` in the result slot. A
+    /// smaller makespan wins and a smaller `k'` wins ties, so the
+    /// result does not depend on which attempt finishes first.
+    fn beats(&self, old: &Attempt) -> bool {
+        self.makespan < old.makespan - 1e-12
+            || (self.makespan <= old.makespan + 1e-12 && self.kprime < old.kprime)
+    }
+}
+
+/// What every attempt of one sweep shares.
+struct Solve<'a, 'g> {
+    g: &'g Dag,
+    cluster: &'a Cluster,
+    cfg: &'a DagHetPartConfig,
+    step1: &'a Step1,
+    memo: &'a ReqMemo<'g>,
+    /// Score the block set between the steps, and never prune.
     traced: bool,
-) -> Option<Attempt> {
-    let score = |bs: &_| traced.then(|| blockset_makespan(g, bs, cluster));
-    // Step 1: heterogeneity-blind acyclic partitioning.
-    let bs = step1.blocks(kprime, memo);
-    let blocks_after_partition = bs.len();
-    // Step 2: memory-aware assignment (may split blocks).
-    let mut bs = steps::assign::biggest_assign_memo(g, cluster, bs, &cfg.partition_cfg, memo);
-    let blocks_after_assign = bs.len();
-    let unassigned_after_assign = bs.unassigned().len();
-    let estimated_after_assign = score(&bs);
-    // Step 3: merge unassigned blocks, makespan-guided.
-    steps::merge::merge_unassigned_memo(g, cluster, &mut bs, cfg.enable_triple_merge, memo).ok()?;
-    // Step 4: local search. It moves blocks between processors and
-    // leaves the quotient as it is: one serves both sub-steps and every
-    // makespan from here on.
-    let mut step4 = Step4::new(g, cluster, &bs);
-    let after_merge = traced.then(|| step4.makespan());
-    if cfg.enable_swaps {
-        step4.swap_blocks(cluster, &mut bs, memo);
-    }
-    let after_swaps = traced.then(|| step4.makespan());
-    if cfg.enable_idle_moves {
-        step4.idle_moves(cluster, &mut bs, memo);
-    }
-    let makespan = step4.makespan();
-    let trace = match (estimated_after_assign, after_merge, after_swaps) {
-        (Some(estimated_after_assign), Some(after_merge), Some(after_swaps)) => Some(StepTrace {
+}
+
+impl Solve<'_, '_> {
+    /// One pipeline run with a fixed `k'`: the four steps, spelled out
+    /// once. Returns the final makespan and mapping (and, when traced,
+    /// how far each step got), or `None` when Step 3 cannot complete
+    /// the assignment or when `beaten` holds for Step 4's lower bound.
+    fn run_once(&self, kprime: usize, beaten: &dyn Fn(f64) -> bool) -> Option<Attempt> {
+        let Self {
+            g,
+            cluster,
+            cfg,
+            step1,
+            memo,
+            traced,
+        } = *self;
+        let score = |bs: &_| traced.then(|| blockset_makespan(g, bs, cluster));
+        // Step 1: heterogeneity-blind acyclic partitioning.
+        let bs = step1.blocks(kprime, memo);
+        let blocks_after_partition = bs.len();
+        // Step 2: memory-aware assignment (may split blocks).
+        let mut bs = steps::assign::biggest_assign_memo(g, cluster, bs, &cfg.partition_cfg, memo);
+        let blocks_after_assign = bs.len();
+        let unassigned_after_assign = bs.unassigned().len();
+        let estimated_after_assign = score(&bs);
+        // Step 3: merge unassigned blocks, makespan-guided.
+        steps::merge::merge_unassigned_memo(g, cluster, &mut bs, cfg.enable_triple_merge, memo)
+            .ok()?;
+        // Step 4: local search. It moves blocks between processors and
+        // leaves the quotient as it is: one serves both sub-steps, the
+        // bound and every makespan from here on.
+        let mut step4 = Step4::new(g, cluster, &bs);
+        if !traced && step4.lower_bound(cluster).is_some_and(beaten) {
+            return None;
+        }
+        let after_merge = traced.then(|| step4.makespan());
+        if cfg.enable_swaps {
+            step4.swap_blocks(cluster, &mut bs, memo);
+        }
+        let after_swaps = traced.then(|| step4.makespan());
+        if cfg.enable_idle_moves {
+            step4.idle_moves(cluster, &mut bs, memo);
+        }
+        let makespan = step4.makespan();
+        let trace = match (estimated_after_assign, after_merge, after_swaps) {
+            (Some(estimated_after_assign), Some(after_merge), Some(after_swaps)) => {
+                Some(StepTrace {
+                    kprime,
+                    blocks_after_partition,
+                    blocks_after_assign,
+                    unassigned_after_assign,
+                    estimated_after_assign,
+                    after_merge,
+                    after_swaps,
+                    after_idle_moves: makespan,
+                })
+            }
+            _ => None,
+        };
+        Some(Attempt {
+            makespan,
             kprime,
-            blocks_after_partition,
-            blocks_after_assign,
-            unassigned_after_assign,
-            estimated_after_assign,
-            after_merge,
-            after_swaps,
-            after_idle_moves: makespan,
-        }),
-        _ => None,
-    };
-    Some(Attempt {
-        makespan,
-        kprime,
-        mapping: bs.to_mapping(g.node_count()),
-        trace,
-    })
+            mapping: bs.to_mapping(g.node_count()),
+            trace,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -302,8 +375,188 @@ mod tests {
         let seq = dag_het_part(&g, &cluster, &cfg).unwrap();
         cfg.parallel = true;
         let par = dag_het_part(&g, &cluster, &cfg).unwrap();
-        assert_eq!(seq.kprime, par.kprime);
-        assert!((seq.makespan - par.makespan).abs() < 1e-9);
+        assert_same(&seq, &par);
+    }
+
+    /// Equal makespan bits, `k'` and mapping.
+    fn assert_same(got: &MappingResult, want: &MappingResult) {
+        assert_eq!(got.makespan.to_bits(), want.makespan.to_bits());
+        assert_eq!(got.kprime, want.kprime);
+        assert_eq!(got.mapping.partition, want.mapping.partition);
+        assert_eq!(got.mapping.proc_of_block, want.mapping.proc_of_block);
+    }
+
+    /// The sweep without the lower bound's pruning: every `k'` runs to
+    /// completion, on one thread, largest first, under the slot rule of
+    /// [`Attempt::beats`]. Holds every completed attempt to its own
+    /// bound (Step 4 never ends below it), and returns, with the result,
+    /// how many attempts the sequential sweep prunes.
+    fn exhaustive(
+        g: &Dag,
+        cluster: &Cluster,
+        cfg: &DagHetPartConfig,
+    ) -> (Result<MappingResult, SchedError>, usize) {
+        if g.is_empty() || cluster.is_empty() {
+            return (Err(SchedError::NoSolution), 0);
+        }
+        let kprimes: Vec<usize> = match cfg.kprime {
+            KprimeMode::Sweep => (1..=cluster.len().min(g.node_count())).collect(),
+            KprimeMode::Fixed(kp) => vec![kp.clamp(1, cluster.len().min(g.node_count()))],
+        };
+        let memo = ReqMemo::new(g);
+        let step1 = Step1::coarsen(g, kprimes.iter().copied(), &cfg.partition_cfg);
+        let solve = Solve {
+            g,
+            cluster,
+            cfg,
+            step1: &step1,
+            memo: &memo,
+            traced: false,
+        };
+        let mut best: Option<Attempt> = None;
+        let mut prunable = 0;
+        for &kp in kprimes.iter().rev() {
+            let bound = std::cell::Cell::new(None);
+            let Some(new) = solve.run_once(kp, &|b| {
+                bound.set(Some(b));
+                false
+            }) else {
+                continue;
+            };
+            if let Some(bound) = bound.get() {
+                assert!(bound <= new.makespan, "k'={kp}: {bound} > {}", new.makespan);
+                let cap = best
+                    .as_ref()
+                    .map(|old| placement_cap(old.makespan, kprimes.len()));
+                prunable += cap.is_some_and(|cap| bound > cap) as usize;
+            }
+            if best.as_ref().is_none_or(|old| new.beats(old)) {
+                best = Some(new);
+            }
+        }
+        let result = best
+            .ok_or(SchedError::NoSolution)
+            .map(|best| MappingResult {
+                mapping: best.mapping,
+                makespan: best.makespan,
+                kprime: best.kprime,
+                elapsed: std::time::Duration::ZERO,
+            });
+        (result, prunable)
+    }
+
+    /// Both drivers against [`exhaustive`]: the same outcome, to the
+    /// bit. Returns the attempts the sequential sweep prunes.
+    fn check_against_exhaustive(g: &Dag, cluster: &Cluster) -> usize {
+        let (want, prunable) = exhaustive(g, cluster, &DagHetPartConfig::default());
+        for parallel in [false, true] {
+            let cfg = DagHetPartConfig {
+                parallel,
+                ..DagHetPartConfig::default()
+            };
+            match (dag_het_part(g, cluster, &cfg), &want) {
+                (Ok(got), Ok(want)) => assert_same(&got, want),
+                (got, want) => assert_eq!(got.err(), want.clone().err(), "parallel={parallel}"),
+            }
+        }
+        prunable
+    }
+
+    /// A simulated workflow on `base` fitted to it at 1.05.
+    fn fitted(
+        family: dhp_wfgen::Family,
+        tasks: usize,
+        seed: u64,
+        base: &Cluster,
+    ) -> (Dag, Cluster) {
+        let g = dhp_wfgen::WorkflowInstance::simulated(family, tasks, seed).graph;
+        let cluster = crate::fitting::scale_cluster_with_headroom(&g, base, 1.05);
+        (g, cluster)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// Pruning moves no winner: both drivers end where every `k'`
+        /// run to completion ends.
+        #[test]
+        fn pruning_moves_no_winner(
+            family in proptest::sample::select(dhp_wfgen::Family::ALL.to_vec()),
+            tasks in 8usize..=60,
+            seed in proptest::strategy::any::<u64>(),
+            base in 0usize..3,
+        ) {
+            let base = [
+                configs::default_cluster(),
+                configs::small_cluster(),
+                configs::less_het_cluster(),
+            ][base]
+                .clone();
+            let (g, cluster) = fitted(family, tasks, seed, &base);
+            check_against_exhaustive(&g, &cluster);
+        }
+    }
+
+    /// The pruning is not inert: on a wide workflow about a third of a
+    /// sequential sweep's attempts lose to the incumbent before Step 4.
+    #[test]
+    fn the_bound_prunes_attempts_that_cannot_win() {
+        let (g, cluster) = fitted(
+            dhp_wfgen::Family::Blast,
+            200,
+            17,
+            &configs::default_cluster(),
+        );
+        let prunable = check_against_exhaustive(&g, &cluster);
+        assert!(prunable >= 10, "{prunable} of 36 attempts pruned");
+    }
+
+    /// Where the bound's premises fail — a NaN or a negative task work,
+    /// a processor of speed 0 — both drivers still end where the
+    /// exhaustive sweep does. Every quotient has the block of the
+    /// hostile task, so no attempt gets a bound and none is pruned; the
+    /// processors of speed 0 break the premises only of the attempts
+    /// that use them.
+    #[test]
+    fn the_bound_steps_aside_on_hostile_numerics() {
+        let (g, cluster) = fitted(
+            dhp_wfgen::Family::Genome,
+            60,
+            17,
+            &configs::default_cluster(),
+        );
+        let mut nan = g.clone();
+        nan.node_mut(dhp_dag::NodeId(5)).work = f64::NAN;
+        assert_eq!(check_against_exhaustive(&nan, &cluster), 0);
+        let mut negative = g.clone();
+        negative.node_mut(dhp_dag::NodeId(5)).work = -1e9;
+        assert_eq!(check_against_exhaustive(&negative, &cluster), 0);
+        let stalled = Cluster::new(
+            cluster
+                .proc_ids()
+                .map(|p| Processor {
+                    speed: if p.0 % 3 == 0 { 0.0 } else { cluster.speed(p) },
+                    ..cluster.proc(p).clone()
+                })
+                .collect(),
+            cluster.bandwidth,
+        );
+        check_against_exhaustive(&g, &stalled);
+    }
+
+    /// A worker thread is spawned only when it gets two attempts: a
+    /// sweep of two or three `k'` runs on the calling thread alone.
+    #[test]
+    fn a_sweep_spawns_one_worker_per_two_attempts() {
+        let g = builder::gnp_dag_weighted(60, 0.08, 3);
+        let spawns = |k: usize| {
+            SPAWNS.set(0);
+            dag_het_part(&g, &ample_het_cluster(&g, k), &DagHetPartConfig::default()).unwrap();
+            SPAWNS.get()
+        };
+        assert_eq!(spawns(2), 0);
+        assert_eq!(spawns(3), 0);
+        assert_eq!(spawns(36), crate::host_cores().min(18) - 1);
     }
 
     #[test]
@@ -456,6 +709,14 @@ mod tests {
         let cfg = DagHetPartConfig::default();
         let memo = ReqMemo::new(&g);
         let step1 = Step1::coarsen(&g, 1..=cluster.len(), &cfg.partition_cfg);
+        let solve = Solve {
+            g: &g,
+            cluster: &cluster,
+            cfg: &cfg,
+            step1: &step1,
+            memo: &memo,
+            traced: false,
+        };
         let mut solved = 0;
         for kprime in 1..=cluster.len() {
             let fixed = DagHetPartConfig {
@@ -463,7 +724,7 @@ mod tests {
                 ..cfg.clone()
             };
             let alone = dag_het_part(&g, &cluster, &fixed).ok();
-            let shared = run_once(&g, &cluster, kprime, &cfg, &step1, &memo, false);
+            let shared = solve.run_once(kprime, &|_| false);
             assert_eq!(alone.is_some(), shared.is_some(), "k'={kprime}");
             if let (Some(alone), Some(shared)) = (alone, shared) {
                 assert_eq!(alone.makespan.to_bits(), shared.makespan.to_bits());

@@ -104,6 +104,37 @@ impl Step4 {
         self.pass.relax(&self.q)
     }
 
+    /// Whether every node's work is finite and non-negative and every
+    /// speed positive: what makes a relax monotone in the speeds. Step 4
+    /// moves blocks only onto processors of positive speed, so this
+    /// holds for every assignment it reaches once it holds here.
+    fn monotone(&self) -> bool {
+        self.q.work().iter().all(|&w| w.is_finite() && w >= 0.0)
+            && self.q.speed.iter().all(|&s| s > 0.0)
+    }
+
+    /// A lower bound on every makespan the swaps and idle moves can
+    /// reach from here: one relax with every node at the cluster's top
+    /// speed. Both sub-steps only reassign processors of `cluster`, so
+    /// no node ever runs faster; and with the premises of
+    /// [`Step4::monotone`] rounded `/`, `+` and `max` are monotone, so no
+    /// bottom weight of the real relax falls below this one. `None` on a
+    /// cyclic quotient or when a premise fails.
+    pub(crate) fn lower_bound(&mut self, cluster: &Cluster) -> Option<f64> {
+        let top = cluster
+            .proc_ids()
+            .map(|p| cluster.speed(p))
+            .fold(f64::NEG_INFINITY, f64::max);
+        if !self.acyclic || top <= 0.0 || !self.monotone() {
+            return None;
+        }
+        let top_speeds = vec![top; self.q.len()];
+        let speeds = std::mem::replace(&mut self.q.speed, top_speeds);
+        let bound = self.pass.relax(&self.q);
+        self.q.speed = speeds;
+        Some(bound)
+    }
+
     /// [`swap_blocks`] on the block set this quotient was built from.
     /// Returns the executed swaps and the candidates relaxed.
     ///
@@ -135,8 +166,7 @@ impl Step4 {
         }
         let node = |block: usize| self.node_of_block[block] as usize;
         // Swaps only permute the speeds, so this holds for every round.
-        let monotone = self.q.work().iter().all(|&w| w.is_finite() && w >= 0.0)
-            && self.q.speed.iter().all(|&s| s > 0.0);
+        let monotone = self.monotone();
         let mut on_chain = Vec::new();
 
         let (mut swaps, mut relaxed) = (0usize, 0usize);
@@ -594,6 +624,60 @@ mod tests {
         assert_eq!(procs(&got), procs(&want));
         assert!(swaps > 0, "premise: the stirred mapping has swaps to undo");
         assert!(relaxed * 5 <= scored, "relaxed {relaxed} of {scored}");
+    }
+
+    /// `lower_bound` on a Step-3 mapping of `g`, then the bound and the
+    /// makespan Step 4 ends at.
+    fn bound_and_final(g: &Dag, cluster: &Cluster, start: &BlockSet) -> (Option<f64>, f64) {
+        let mut bs = start.clone();
+        let memo = ReqMemo::new(g);
+        let mut step4 = Step4::new(g, cluster, &bs);
+        let bound = step4.lower_bound(cluster);
+        step4.swap_blocks(cluster, &mut bs, &memo);
+        step4.idle_moves(cluster, &mut bs, &memo);
+        (bound, step4.makespan())
+    }
+
+    /// The bound holds Step 4 from below, and is `None` where a premise
+    /// fails on the quotient: a NaN or a negative block work, a block on
+    /// a processor of speed 0. A processor of speed 0 that no block uses
+    /// breaks no premise.
+    #[test]
+    fn the_lower_bound_steps_aside_where_a_premise_fails() {
+        let (g, cluster) = instance(dhp_wfgen::Family::Genome, 150, 17);
+        let start = stirred_mapping(&g, &cluster, 9).expect("genome 150 maps at k' = 9");
+        let (bound, makespan) = bound_and_final(&g, &cluster, &start);
+        let bound = bound.expect("the premises hold as generated");
+        assert!(bound > 0.0 && bound <= makespan, "{bound} vs {makespan}");
+
+        let first = start.block(0).members[0];
+        let mut nan = g.clone();
+        nan.node_mut(first).work = f64::NAN;
+        assert_eq!(bound_and_final(&nan, &cluster, &start).0, None);
+        let mut negative = g.clone();
+        for &u in &start.block(0).members {
+            negative.node_mut(u).work = -1.0;
+        }
+        assert_eq!(bound_and_final(&negative, &cluster, &start).0, None);
+
+        let with_speed_zero = |stalled: ProcId| {
+            // Past `Processor::new`'s check: the fields are public.
+            let procs = cluster.proc_ids().map(|p| Processor {
+                speed: if p == stalled { 0.0 } else { cluster.speed(p) },
+                ..cluster.proc(p).clone()
+            });
+            Cluster::new(procs.collect(), cluster.bandwidth)
+        };
+        let used = start.block(0).proc.expect("Step 3 assigns every block");
+        let stalled = with_speed_zero(used);
+        assert_eq!(bound_and_final(&g, &stalled, &start).0, None);
+        let idle = cluster
+            .proc_ids()
+            .find(|p| start.iter().all(|b| b.proc != Some(*p)))
+            .expect("premise: k' = 9 leaves a processor idle");
+        let stalled = with_speed_zero(idle);
+        let (bound, makespan) = bound_and_final(&g, &stalled, &start);
+        assert!(bound.is_some_and(|b| b <= makespan));
     }
 
     proptest::proptest! {
