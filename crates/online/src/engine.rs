@@ -303,12 +303,13 @@ pub(crate) fn finalize(
     };
     let results: Vec<parking_lot::Mutex<Option<Result<f64, SchedError>>>> =
         jobs.iter().map(|_| parking_lot::Mutex::new(None)).collect();
-    // The batch is already parallel across jobs, so each job runs the
-    // *sequential* k'-sweep driver — otherwise every one of the P
-    // workers would fan its sweep over P more threads (P² threads on P
-    // cores). The two drivers agree exactly (ties break towards the
-    // smaller k' for precisely this reason), so results are unchanged;
-    // only the batch's cache keys carry the sequential config's hash.
+    // The batch is already parallel across jobs, so each job's k' sweep
+    // runs with one worker on the job's own thread — otherwise every one
+    // of the P workers would fan its sweep over P more threads (P²
+    // threads on P cores). Both settings drain the same largest-first
+    // loop and break ties towards the smaller k', so results are
+    // unchanged; only the batch's cache keys carry the sequential
+    // config's hash.
     let batch_solver = DagHetPartConfig {
         parallel: false,
         ..cfg.solver.clone()
