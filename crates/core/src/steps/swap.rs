@@ -116,7 +116,7 @@ impl Step4 {
     /// A lower bound on every makespan the swaps and idle moves can
     /// reach from here: one relax with every node at the cluster's top
     /// speed. Both sub-steps only reassign processors of `cluster`, so
-    /// no node ever runs faster; and with the premises of
+    /// no node ever runs faster than that; and with the premises of
     /// [`Step4::monotone`] rounded `/`, `+` and `max` are monotone, so no
     /// bottom weight of the real relax falls below this one. `None` on a
     /// cyclic quotient or when a premise fails.
