@@ -8,28 +8,28 @@
 //! memory-tight sweep fails in Step 3, some early, some late), so
 //! contiguous chunks leave a worker idle while another grinds through
 //! the expensive end. The sequential driver is that loop with one
-//! worker. The parallel one runs `host_cores().min(|k'| / 2).max(1)`:
-//! the calling thread plus one `std::thread::scope` spawn per further
-//! worker, and since a spawn costs about as much as one attempt on a
-//! small lease, a worker is spawned only when it gets at least two
-//! attempts — a sweep of two or three `k'` spawns none.
+//! worker. The parallel one runs `host_cores().min(|k'|)` workers: the
+//! calling thread plus one `std::thread::scope` spawn per further
+//! worker. A spawn costs about as much as one attempt on a small lease,
+//! so a sweep of at most three values of `k'` — the lease sweeps an
+//! online run makes by the thousand — runs on the calling thread alone.
 //!
 //! The workers share the result slot, the solve's block-requirement
 //! memo ([`ReqMemo`]) and the coarsening hierarchy of Step 1, which is
 //! built once before they start; nothing else. They read the slot as
-//! well as fill it. After Step 3 an attempt asks Step 4 for a lower
-//! bound on any makespan its local search can reach (one relax with
-//! every block at the cluster's top speed), and stops there — before
-//! the swaps, the idle moves and the mapping — when the bound exceeds
-//! what the incumbent can still grow to. The slot takes an attempt
-//! that is faster by more than `1e-12`, or slower by at most `1e-12`
-//! with a smaller `k'`; so a replacement raises the slot by at most one
-//! rounded `+ 1e-12`, at most `|k'| - 1` other attempts are placed
-//! before this one would be, and its own placement allows one more. A
-//! bound above the incumbent plus `|k'|` such additions therefore
-//! belongs to an attempt that could not have been placed in any
-//! interleaving of the workers: pruning it moves no winner. Traced
-//! sweeps never prune.
+//! well as fill it. After Step 3 an attempt that has an incumbent to
+//! beat asks Step 4 for a lower bound on any makespan its local search
+//! can reach (one relax with every block at the cluster's top speed),
+//! and stops there — before the swaps, the idle moves and the mapping —
+//! when the bound exceeds what the incumbent can still grow to. The
+//! slot takes an attempt that is faster by more than `1e-12`, or slower
+//! by at most `1e-12` with a smaller `k'`; so a replacement raises the
+//! slot by at most one rounded `+ 1e-12`, at most `|k'| - 1` other
+//! attempts are placed before this one would be, and its own placement
+//! allows one more. A bound above the incumbent plus `|k'|` such
+//! additions therefore belongs to an attempt that could not have been
+//! placed in any interleaving of the workers: pruning it moves no
+//! winner, and no trace either — a traced sweep reports the winner's.
 
 use crate::blockmem::ReqMemo;
 use crate::makespan::blockset_makespan;
@@ -61,9 +61,12 @@ pub struct DagHetPartConfig {
     /// `k'` selection.
     pub kprime: KprimeMode,
     /// Fan the `k'` sweep out over threads: the calling thread plus one
-    /// per further worker, where each worker gets at least two `k'`. Off,
-    /// the calling thread alone drains the same largest-first loop, so
-    /// both settings reach the same result.
+    /// per further worker, up to one worker per `k'`; a sweep of at most
+    /// three values of `k'` stays on the calling thread. Off, the calling
+    /// thread alone drains the same largest-first loop, so both settings
+    /// reach the same result unless three or more makespans lie within a
+    /// few `1e-12` of each other, where the slot's tie rule is not
+    /// transitive.
     pub parallel: bool,
     /// Enable Step 4 swaps.
     pub enable_swaps: bool,
@@ -122,8 +125,8 @@ pub struct StepTrace {
 }
 
 /// Like [`dag_het_part`], but also returns the [`StepTrace`] of the
-/// winning `k'` (same sweep, same winner; every attempt additionally
-/// scores its block set between the steps).
+/// winning `k'` (same sweep, same pruning, same winner; every attempt
+/// additionally scores its block set between the steps it runs).
 pub fn dag_het_part_traced(
     g: &Dag,
     cluster: &Cluster,
@@ -168,12 +171,12 @@ fn sweep(
     // Innermost ranked lock: taken after any solve-cache lookup has
     // been released.
     let best: Mutex<Option<Attempt>> = Mutex::with_rank(None, parking_lot::ranks::SOLVER_BEST);
-    let beaten = |bound: f64| {
+    let cap = || {
         let incumbent = best.lock().as_ref().map(|old| old.makespan);
-        incumbent.is_some_and(|m| bound > placement_cap(m, kprimes.len()))
+        incumbent.map(|m| placement_cap(m, kprimes.len()))
     };
     let attempt = |kp: usize| {
-        if let Some(new) = solve.run_once(kp, &beaten) {
+        if let Some(new) = solve.run_once(kp, &cap) {
             let mut slot = best.lock();
             if slot.as_ref().is_none_or(|old| new.beats(old)) {
                 *slot = Some(new);
@@ -181,8 +184,8 @@ fn sweep(
         }
     };
 
-    let workers = if cfg.parallel {
-        crate::host_cores().min(kprimes.len() / 2).max(1)
+    let workers = if cfg.parallel && kprimes.len() > INLINE_SWEEP {
+        crate::host_cores().min(kprimes.len())
     } else {
         1
     };
@@ -219,6 +222,12 @@ fn sweep(
     ))
 }
 
+/// The longest sweep the parallel driver runs on the calling thread
+/// alone. A spawn costs about one attempt on a small lease, and lease
+/// sweeps of two or three `k'` are where that was measured; longer
+/// sweeps get up to one worker per `k'`.
+const INLINE_SWEEP: usize = 3;
+
 #[cfg(test)]
 thread_local! {
     /// Worker threads the sweeps run on this thread have spawned.
@@ -247,7 +256,9 @@ struct Attempt {
 impl Attempt {
     /// Whether this attempt replaces `old` in the result slot. A
     /// smaller makespan wins and a smaller `k'` wins ties, so the
-    /// result does not depend on which attempt finishes first.
+    /// result does not depend on which attempt finishes first — unless
+    /// three or more makespans lie within a few `1e-12` of each other:
+    /// ties within `1e-12` are not transitive.
     fn beats(&self, old: &Attempt) -> bool {
         self.makespan < old.makespan - 1e-12
             || (self.makespan <= old.makespan + 1e-12 && self.kprime < old.kprime)
@@ -261,7 +272,7 @@ struct Solve<'a, 'g> {
     cfg: &'a DagHetPartConfig,
     step1: &'a Step1,
     memo: &'a ReqMemo<'g>,
-    /// Score the block set between the steps, and never prune.
+    /// Score the block set between the steps.
     traced: bool,
 }
 
@@ -269,8 +280,9 @@ impl Solve<'_, '_> {
     /// One pipeline run with a fixed `k'`: the four steps, spelled out
     /// once. Returns the final makespan and mapping (and, when traced,
     /// how far each step got), or `None` when Step 3 cannot complete
-    /// the assignment or when `beaten` holds for Step 4's lower bound.
-    fn run_once(&self, kprime: usize, beaten: &dyn Fn(f64) -> bool) -> Option<Attempt> {
+    /// the assignment or when Step 4's lower bound exceeds `cap`, which
+    /// is read after Step 3 (`None`: nothing to beat, no bound taken).
+    fn run_once(&self, kprime: usize, cap: &dyn Fn() -> Option<f64>) -> Option<Attempt> {
         let Self {
             g,
             cluster,
@@ -295,7 +307,7 @@ impl Solve<'_, '_> {
         // leaves the quotient as it is: one serves both sub-steps, the
         // bound and every makespan from here on.
         let mut step4 = Step4::new(g, cluster, &bs);
-        if !traced && step4.lower_bound(cluster).is_some_and(beaten) {
+        if cap().is_some_and(|cap| step4.lower_bound(cluster).is_some_and(|b| b > cap)) {
             return None;
         }
         let after_merge = traced.then(|| step4.makespan());
@@ -389,8 +401,9 @@ mod tests {
     /// The sweep without the lower bound's pruning: every `k'` runs to
     /// completion, on one thread, largest first, under the slot rule of
     /// [`Attempt::beats`]. Holds every completed attempt to its own
-    /// bound (Step 4 never ends below it), and returns, with the result,
-    /// how many attempts the sequential sweep prunes.
+    /// bound — capped at the makespan Step 4 ends at, the attempt is not
+    /// pruned — and returns, with the result, how many attempts the
+    /// sequential sweep prunes.
     fn exhaustive(
         g: &Dag,
         cluster: &Cluster,
@@ -416,19 +429,19 @@ mod tests {
         let mut best: Option<Attempt> = None;
         let mut prunable = 0;
         for &kp in kprimes.iter().rev() {
-            let bound = std::cell::Cell::new(None);
-            let Some(new) = solve.run_once(kp, &|b| {
-                bound.set(Some(b));
-                false
-            }) else {
+            let Some(new) = solve.run_once(kp, &|| None) else {
                 continue;
             };
-            if let Some(bound) = bound.get() {
-                assert!(bound <= new.makespan, "k'={kp}: {bound} > {}", new.makespan);
-                let cap = best
-                    .as_ref()
-                    .map(|old| placement_cap(old.makespan, kprimes.len()));
-                prunable += cap.is_some_and(|cap| bound > cap) as usize;
+            let own = new.makespan;
+            assert!(
+                solve.run_once(kp, &|| Some(own)).is_some(),
+                "k'={kp}: the bound exceeds the final makespan {own}"
+            );
+            if let Some(cap) = best
+                .as_ref()
+                .map(|old| placement_cap(old.makespan, kprimes.len()))
+            {
+                prunable += solve.run_once(kp, &|| Some(cap)).is_none() as usize;
             }
             if best.as_ref().is_none_or(|old| new.beats(old)) {
                 best = Some(new);
@@ -509,6 +522,12 @@ mod tests {
         );
         let prunable = check_against_exhaustive(&g, &cluster);
         assert!(prunable >= 10, "{prunable} of 36 attempts pruned");
+        // A traced sweep prunes too, and traces the same winner.
+        let cfg = DagHetPartConfig::default();
+        let (traced, trace) = dag_het_part_traced(&g, &cluster, &cfg).unwrap();
+        assert_same(&traced, &dag_het_part(&g, &cluster, &cfg).unwrap());
+        assert_eq!(trace.kprime, traced.kprime);
+        assert_eq!(trace.after_idle_moves.to_bits(), traced.makespan.to_bits());
     }
 
     /// Where the bound's premises fail — a NaN or a negative task work,
@@ -544,10 +563,10 @@ mod tests {
         check_against_exhaustive(&g, &stalled);
     }
 
-    /// A worker thread is spawned only when it gets two attempts: a
-    /// sweep of two or three `k'` runs on the calling thread alone.
+    /// A sweep of two or three `k'` runs on the calling thread alone;
+    /// a longer one gets up to one worker per `k'`.
     #[test]
-    fn a_sweep_spawns_one_worker_per_two_attempts() {
+    fn a_short_sweep_spawns_no_worker() {
         let g = builder::gnp_dag_weighted(60, 0.08, 3);
         let spawns = |k: usize| {
             SPAWNS.set(0);
@@ -556,7 +575,8 @@ mod tests {
         };
         assert_eq!(spawns(2), 0);
         assert_eq!(spawns(3), 0);
-        assert_eq!(spawns(36), crate::host_cores().min(18) - 1);
+        assert_eq!(spawns(4), crate::host_cores().min(4) - 1);
+        assert_eq!(spawns(36), crate::host_cores().min(36) - 1);
     }
 
     #[test]
@@ -724,7 +744,7 @@ mod tests {
                 ..cfg.clone()
             };
             let alone = dag_het_part(&g, &cluster, &fixed).ok();
-            let shared = solve.run_once(kprime, &|_| false);
+            let shared = solve.run_once(kprime, &|| None);
             assert_eq!(alone.is_some(), shared.is_some(), "k'={kprime}");
             if let (Some(alone), Some(shared)) = (alone, shared) {
                 assert_eq!(alone.makespan.to_bits(), shared.makespan.to_bits());
