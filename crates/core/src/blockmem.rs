@@ -21,11 +21,17 @@
 //! decide, and resolves `r` ([`ReqMemo::resolve`]) only when they
 //! straddle the value it is compared with. Every decision is the one
 //! `r` itself would make.
+//!
+//! **Bisections.** Step 2's `Partition(V_m, 2)` is a function of the
+//! member set as well, and the sweep's attempts split the same blocks
+//! again and again, so the memo also holds the parts each set was
+//! split into (`ReqMemo::split`), under its own lock.
 
 use dhp_dag::{Dag, NodeId};
 use dhp_memdag::PeakBounds;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Computes `r` for the block consisting of `members` of `g`.
 ///
@@ -70,6 +76,16 @@ struct MemoStore {
     resolved: u64,
 }
 
+/// The parts Step 2 split each member set into.
+#[derive(Debug, Default)]
+struct SplitStore {
+    known: HashMap<SetKey, Arc<[Vec<NodeId>]>>,
+    #[cfg(test)]
+    hits: u64,
+    #[cfg(test)]
+    misses: u64,
+}
+
 /// What is known of `r` per member set, for one workflow and one
 /// solve: `dag_het_part` makes one, hands it to every `k'` worker, and
 /// drops it with the solve, so it never outlives the graph its keys
@@ -84,10 +100,15 @@ struct MemoStore {
 /// Two workers missing on the same set both compute it; the value is a
 /// function of the set, so whichever insert lands last changes nothing
 /// — except that an exact entry is never replaced by bounds.
+///
+/// The memo also holds Step 2's bisections (`ReqMemo::split`), behind
+/// a lock of their own, so that a worker copying parts out never holds
+/// up one asking for bounds.
 #[derive(Debug)]
 pub struct ReqMemo<'g> {
     g: &'g Dag,
     store: Mutex<MemoStore>,
+    splits: Mutex<SplitStore>,
 }
 
 impl<'g> ReqMemo<'g> {
@@ -96,7 +117,40 @@ impl<'g> ReqMemo<'g> {
         Self {
             g,
             store: Mutex::new(MemoStore::default()),
+            splits: Mutex::new(SplitStore::default()),
         }
+    }
+
+    /// The parts `bisect` splits `members` (any order, at least two,
+    /// without duplicates) into, with `bisect` run at most once per
+    /// member set and the parts copied out after the lock is released.
+    /// Every call on one memo must bisect the same way: one solve
+    /// splits with one partitioner configuration.
+    ///
+    /// # Panics
+    /// Panics if a member is listed twice.
+    pub(crate) fn split(
+        &self,
+        members: &[NodeId],
+        bisect: impl FnOnce() -> Vec<Vec<NodeId>>,
+    ) -> Vec<Vec<NodeId>> {
+        let key = self.key(members);
+        let known = {
+            let splits = &mut *self.splits.lock();
+            let known = splits.known.get(&key).cloned();
+            #[cfg(test)]
+            match known {
+                Some(_) => splits.hits += 1,
+                None => splits.misses += 1,
+            }
+            known
+        };
+        let parts = known.unwrap_or_else(|| {
+            let parts: Arc<[Vec<NodeId>]> = bisect().into();
+            let mut splits = self.splits.lock();
+            splits.known.entry(key).or_insert(parts).clone()
+        });
+        parts.to_vec()
     }
 
     /// `block_requirement(g, members)`, computed at most once per
@@ -173,6 +227,13 @@ impl<'g> ReqMemo<'g> {
     pub fn stats(&self) -> (u64, u64) {
         let store = self.store.lock();
         (store.hits, store.misses)
+    }
+
+    /// `(hits, misses)` over the bisections asked for so far.
+    #[cfg(test)]
+    pub(crate) fn split_tally(&self) -> (u64, u64) {
+        let splits = self.splits.lock();
+        (splits.hits, splits.misses)
     }
 
     /// `(bounded, resolved)`: bounds questions answered by bounds that

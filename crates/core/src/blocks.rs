@@ -220,7 +220,10 @@ impl BlockSet {
         proc: Option<ProcId>,
         req: PeakBounds,
     ) -> usize {
-        let mut members = Vec::new();
+        let len = removal_order(i, j, o)
+            .map(|b| self.blocks[b].members.len())
+            .sum();
+        let mut members = Vec::with_capacity(len);
         for b in removal_order(i, j, o) {
             members.extend(self.remove_block(b).members);
         }
@@ -259,11 +262,12 @@ impl BlockSet {
 /// them: highest index first, so the lower ones stay valid. Step 3
 /// replays it on its own per-block tables.
 pub(crate) fn removal_order(i: usize, j: usize, o: Option<usize>) -> impl Iterator<Item = usize> {
-    let mut idx: Vec<usize> = [Some(i), Some(j), o].into_iter().flatten().collect();
+    let mut idx = [i, j, o.unwrap_or(i)];
     idx.sort_unstable_by(|a, b| b.cmp(a));
-    idx.dedup();
-    assert!(idx.len() >= 2, "merge needs at least two distinct blocks");
-    idx.into_iter()
+    assert!(idx[0] != idx[2], "merge needs at least two distinct blocks");
+    (0..3)
+        .filter(move |&k| k == 0 || idx[k - 1] != idx[k])
+        .map(move |k| idx[k])
 }
 
 #[cfg(test)]

@@ -298,7 +298,7 @@ impl Solve<'_, '_> {
         // Step 2: memory-aware assignment (may split blocks).
         let mut bs = steps::assign::biggest_assign_memo(g, cluster, bs, &cfg.partition_cfg, memo);
         let blocks_after_assign = bs.len();
-        let unassigned_after_assign = bs.unassigned().len();
+        let unassigned_after_assign = traced.then(|| bs.unassigned().len());
         let estimated_after_assign = score(&bs);
         // Step 3: merge unassigned blocks, makespan-guided.
         steps::merge::merge_unassigned_memo(g, cluster, &mut bs, cfg.enable_triple_merge, memo)
@@ -319,19 +319,27 @@ impl Solve<'_, '_> {
             step4.idle_moves(cluster, &mut bs, memo);
         }
         let makespan = step4.makespan();
-        let trace = match (estimated_after_assign, after_merge, after_swaps) {
-            (Some(estimated_after_assign), Some(after_merge), Some(after_swaps)) => {
-                Some(StepTrace {
-                    kprime,
-                    blocks_after_partition,
-                    blocks_after_assign,
-                    unassigned_after_assign,
-                    estimated_after_assign,
-                    after_merge,
-                    after_swaps,
-                    after_idle_moves: makespan,
-                })
-            }
+        let trace = match (
+            unassigned_after_assign,
+            estimated_after_assign,
+            after_merge,
+            after_swaps,
+        ) {
+            (
+                Some(unassigned_after_assign),
+                Some(estimated_after_assign),
+                Some(after_merge),
+                Some(after_swaps),
+            ) => Some(StepTrace {
+                kprime,
+                blocks_after_partition,
+                blocks_after_assign,
+                unassigned_after_assign,
+                estimated_after_assign,
+                after_merge,
+                after_swaps,
+                after_idle_moves: makespan,
+            }),
             _ => None,
         };
         Some(Attempt {
@@ -663,8 +671,8 @@ mod tests {
 
     /// The memo must earn its keep: on a chain-shaped instance the
     /// sweep asks about the same member sets over and over — for
-    /// bounds, and for the requirement where the bounds do not decide.
-    /// Both kinds of question count. A memo that never hits fails here
+    /// bounds, for the requirement where the bounds do not decide, and
+    /// for Step 2's bisections. A memo that never hits fails here
     /// instead of surviving silently; and sharing it changes no output.
     #[test]
     fn requirement_memo_hits_on_a_chain_shaped_instance() {
@@ -680,6 +688,13 @@ mod tests {
         assert!(
             hits > misses,
             "{hits} hits / {misses} misses: on this shape most questions repeat"
+        );
+        // So do Step 2's bisections, across the sweep's k'.
+        let (hits, misses) = memo.split_tally();
+        assert!(misses > 0, "premise: the solve splits blocks");
+        assert!(
+            hits > misses,
+            "{hits} hits / {misses} misses: most bisections repeat"
         );
 
         // The winning k' solved alone, from an empty memo, reaches the

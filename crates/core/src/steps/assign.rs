@@ -20,6 +20,13 @@
 //! other block's `hi` — otherwise it is resolved and requeued. "Fits
 //! `M`" is decided on `hi ≤ M`, "does not fit" on `lo > M`, and
 //! anything in between resolves `r`.
+//!
+//! **On splits.** A bisection is a function of the member set too, and
+//! neighbouring `k'` attempts split their way through the same blocks,
+//! so the solve's memo also holds bisections: each member set is
+//! bisected once per solve. A block small enough not to be coarsened
+//! is bisected on a view of the workflow (`dhp_dagp::bisect_block`),
+//! without building its sub-DAG.
 
 use crate::blockmem::ReqMemo;
 use crate::blocks::BlockSet;
@@ -120,7 +127,7 @@ pub(crate) fn biggest_assign_memo(
         seq += 1;
     }
     let mut split = |queue: &mut BinaryHeap<QueuedBlock>, members: &[NodeId]| {
-        for part in split_in_two(g, members, cfg) {
+        for part in memo.split(members, || split_in_two(g, members, cfg)) {
             queue.push(QueuedBlock {
                 req: memo.bounds(&part),
                 seq,
@@ -171,18 +178,19 @@ pub(crate) fn biggest_assign_memo(
     out
 }
 
-/// `Partition(V_m, 2)`: bisects the block's induced sub-DAG; may return
-/// more than two parts if the partitioner cannot balance otherwise
-/// (mirroring dagP's behaviour noted in the paper).
+/// `Partition(V_m, 2)`: bisects the sub-DAG the block induces
+/// (`dhp_dagp::bisect_block`, which views a small block in place); may
+/// return more than two parts if the partitioner cannot balance
+/// otherwise (mirroring dagP's behaviour noted in the paper). Each part
+/// ascends.
 fn split_in_two(g: &Dag, members: &[NodeId], cfg: &PartitionConfig) -> Vec<Vec<NodeId>> {
     debug_assert!(members.len() >= 2);
     let mut sorted = members.to_vec();
     sorted.sort_unstable();
-    let (sub, back) = g.induced_subgraph(&sorted);
-    let part = dhp_dagp::bisect(&sub, cfg);
+    let part = dhp_dagp::bisect_block(g, &sorted, cfg);
     let mut parts: Vec<Vec<NodeId>> = vec![Vec::new(); part.num_blocks()];
-    for u in sub.node_ids() {
-        parts[part.block_of(u).idx()].push(back[u.idx()]);
+    for (i, &u) in sorted.iter().enumerate() {
+        parts[part.block_of(NodeId(i as u32)).idx()].push(u);
     }
     parts.retain(|p| !p.is_empty());
     debug_assert!(parts.len() >= 2);

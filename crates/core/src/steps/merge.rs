@@ -15,15 +15,20 @@
 //! # What one iteration costs
 //!
 //! With `B` blocks and `E_q` quotient edges, one queue iteration is one
-//! critical path (only after a merge changed the quotient) plus, per
-//! candidate partner, one contraction and one Kahn pass over flat
-//! arrays — `O(B + E_q log E_q)`, no allocation, no `Dag` — and, only
-//! for a candidate that beats the incumbent's makespan, the bounds of
-//! one block requirement from the solve's memo (the requirement itself
-//! only when they straddle the partner's memory). The winner's
-//! contracted quotient and bounds are kept and *become* the state when
-//! the merge is executed; nothing a candidate evaluation produced is
-//! computed again.
+//! critical path — only after a merge changed the quotient: one index
+//! and one relax, which every candidate until the next merge reads —
+//! plus, per candidate partner, one backward sweep of the Kahn order
+//! up to the later of the two quotient nodes: `O(B + E_q)`, no
+//! allocation, nothing built (`PassScratch::merged_pair_makespan`). The
+//! merged node's bottom weight comes from the two nodes' out-edges,
+//! its ancestors get new ones, and every other node keeps its own.
+//! Only a candidate whose contraction is cyclic is contracted, to look
+//! for the 2-cycle and absorb its third block. A candidate that beats
+//! the incumbent's makespan then asks the solve's memo for the bounds
+//! of one block requirement (the requirement itself only when they
+//! straddle the partner's memory). The executed merge is contracted
+//! once — in one linear pass when it joins two blocks — and becomes
+//! the state, with the bounds its check left behind.
 
 use crate::blockmem::ReqMemo;
 use crate::blocks::{removal_order, BlockSet};
@@ -34,8 +39,7 @@ use dhp_memdag::PeakBounds;
 use dhp_platform::Cluster;
 use std::collections::{HashMap, VecDeque};
 
-/// The winning candidate of one search. Its contracted quotient stays
-/// in [`Step3::best_q`] / [`Step3::best_renumber`].
+/// The winning candidate of one search.
 #[derive(Clone, Copy, Debug)]
 struct BestMerge {
     /// Estimated makespan after the merge.
@@ -44,6 +48,8 @@ struct BestMerge {
     partner: usize,
     /// Optional third block absorbed to break a 2-cycle.
     third: Option<usize>,
+    /// The speed of the partner's processor, the merged block's.
+    speed: f64,
     /// What is known of the merged block's memory requirement.
     req: PeakBounds,
 }
@@ -58,14 +64,15 @@ struct Step3<'a> {
     q: FlatQuotient,
     node_of_block: Vec<u32>,
     block_of_node: Vec<u32>,
-    /// The candidate under evaluation and the old → new node renumbering
-    /// of its contraction.
+    /// `q` indexed and relaxed, when it is acyclic: what a two-block
+    /// candidate is scored on.
+    pass: PassScratch,
+    relaxed: bool,
+    /// A contraction (a cyclic candidate's, or the executed merge's),
+    /// its old → new node renumbering and its own passes.
     cand_q: FlatQuotient,
     cand_renumber: Vec<u32>,
-    /// The same two for the incumbent best candidate.
-    best_q: FlatQuotient,
-    best_renumber: Vec<u32>,
-    pass: PassScratch,
+    cand_pass: PassScratch,
     path: Vec<u32>,
     members: Vec<NodeId>,
 }
@@ -85,11 +92,11 @@ impl<'a> Step3<'a> {
             q,
             node_of_block,
             block_of_node: Vec::new(),
+            pass: PassScratch::default(),
+            relaxed: false,
             cand_q: FlatQuotient::default(),
             cand_renumber: Vec::new(),
-            best_q: FlatQuotient::default(),
-            best_renumber: Vec::new(),
-            pass: PassScratch::default(),
+            cand_pass: PassScratch::default(),
             path: Vec::new(),
             members: Vec::new(),
         };
@@ -106,15 +113,16 @@ impl<'a> Step3<'a> {
     }
 
     /// Marks the nodes on the current quotient's critical path (none
-    /// when it is cyclic).
+    /// when it is cyclic). Leaves the quotient indexed and relaxed for
+    /// the candidates scored until the next merge.
     fn mark_critical_path(&mut self, on_path: &mut Vec<bool>) {
         on_path.clear();
         on_path.resize(self.q.len(), false);
-        if self
+        self.relaxed = self
             .pass
             .bottom_weights(&self.q, self.cluster.bandwidth)
-            .is_some()
-        {
+            .is_some();
+        if self.relaxed {
             self.pass.critical_path(&self.q, &mut self.path);
             for &u in &self.path {
                 on_path[u as usize] = true;
@@ -137,11 +145,13 @@ impl<'a> Step3<'a> {
         out.dedup();
     }
 
-    /// Contracts `nu` and `partner` (repairing a 2-cycle with a third
-    /// block when enabled) into [`Step3::cand_q`]. Returns the
-    /// estimated makespan and the third block, or `None` when the
-    /// merge cannot be made acyclic.
-    fn contract_candidate(
+    /// The estimated makespan after merging `nu` into `partner`
+    /// (repairing a 2-cycle with a third block when enabled) and the
+    /// third block, or `None` when the merge cannot be made acyclic.
+    /// An acyclic two-block merge is scored on the relaxed quotient
+    /// without being built; only a cyclic one is contracted, into
+    /// [`Step3::cand_q`], to look for its 2-cycle.
+    fn score_candidate(
         &mut self,
         nu: usize,
         partner: usize,
@@ -149,13 +159,19 @@ impl<'a> Step3<'a> {
     ) -> Option<(f64, Option<usize>)> {
         let bandwidth = self.cluster.bandwidth;
         let mut group = [self.node_of_block[nu], self.node_of_block[partner], 0];
+        if self.relaxed {
+            let pair = [group[0], group[1]];
+            if let Some(makespan) = self.pass.merged_pair_makespan(&self.q, pair, merged_speed) {
+                return Some((makespan, None));
+            }
+        }
         self.q.contract_into(
             &group[..2],
             merged_speed,
             &mut self.cand_q,
             &mut self.cand_renumber,
         );
-        if let Some(makespan) = self.pass.bottom_weights(&self.cand_q, bandwidth) {
+        if let Some(makespan) = self.cand_pass.bottom_weights(&self.cand_q, bandwidth) {
             return Some((makespan, None));
         }
         if !self.enable_triple_merge {
@@ -163,7 +179,7 @@ impl<'a> Step3<'a> {
         }
         // The 2-cycle consists of the merged vertex and one other
         // quotient node: absorb that third vertex too.
-        let other = self.pass.two_cycle_partner(&self.cand_q)?;
+        let other = self.cand_pass.two_cycle_partner(&self.cand_q)?;
         group[2] = self.cand_renumber.iter().position(|&new| new == other)? as u32;
         self.q.contract_into(
             &group,
@@ -171,11 +187,28 @@ impl<'a> Step3<'a> {
             &mut self.cand_q,
             &mut self.cand_renumber,
         );
-        let makespan = self.pass.bottom_weights(&self.cand_q, bandwidth)?;
+        let makespan = self.cand_pass.bottom_weights(&self.cand_q, bandwidth)?;
         Some((
             makespan,
             Some(self.block_of_node[group[2] as usize] as usize),
         ))
+    }
+
+    /// Contracts the blocks of `merge` (`nu` into its partner, and its
+    /// third block if any) into [`Step3::cand_q`].
+    fn contract_merge(&mut self, nu: usize, merge: &BestMerge) {
+        let group = [
+            self.node_of_block[nu],
+            self.node_of_block[merge.partner],
+            merge.third.map_or(0, |b| self.node_of_block[b]),
+        ];
+        let len = if merge.third.is_some() { 3 } else { 2 };
+        self.q.contract_into(
+            &group[..len],
+            merge.speed,
+            &mut self.cand_q,
+            &mut self.cand_renumber,
+        );
     }
 
     /// `FindMSOptMerge` (Algorithm 3): the merge of `nu` into one of its
@@ -200,9 +233,8 @@ impl<'a> Step3<'a> {
             if critical[self.node_of_block[partner] as usize] != on_path {
                 continue;
             }
-            let Some((makespan, third)) =
-                self.contract_candidate(nu, partner, self.cluster.speed(proc))
-            else {
+            let speed = self.cluster.speed(proc);
+            let Some((makespan, third)) = self.score_candidate(nu, partner, speed) else {
                 continue;
             };
             if !best.is_none_or(|b| makespan < b.makespan) {
@@ -224,23 +256,24 @@ impl<'a> Step3<'a> {
             if exceeds {
                 continue;
             }
-            std::mem::swap(&mut self.cand_q, &mut self.best_q);
-            std::mem::swap(&mut self.cand_renumber, &mut self.best_renumber);
             best = Some(BestMerge {
                 makespan,
                 partner,
                 third,
+                speed,
                 req,
             });
         }
         best
     }
 
-    /// Executes `best`: its contracted quotient becomes the current one
+    /// Executes `best`: its contraction becomes the current quotient
     /// and the block tables follow the block set's own index shuffle.
     fn commit(&mut self, bs: &mut BlockSet, nu: usize, best: BestMerge) {
+        self.contract_merge(nu, &best);
+        self.relaxed = false;
         for qn in &mut self.node_of_block {
-            *qn = self.best_renumber[*qn as usize];
+            *qn = self.cand_renumber[*qn as usize];
         }
         for b in removal_order(nu, best.partner, best.third) {
             self.node_of_block.swap_remove(b);
@@ -248,7 +281,7 @@ impl<'a> Step3<'a> {
         self.node_of_block.push(0);
         let proc = bs.block(best.partner).proc;
         bs.merge_blocks_with_bounds(nu, best.partner, best.third, proc, best.req);
-        std::mem::swap(&mut self.q, &mut self.best_q);
+        std::mem::swap(&mut self.q, &mut self.cand_q);
         self.index_nodes();
     }
 }
@@ -487,6 +520,25 @@ mod tests {
         (q, speed)
     }
 
+    /// Makes some of `q`'s numbers hostile, picked by `keys`: NaN and
+    /// negative works, `-0.0` volumes, speed 0.
+    fn make_hostile(q: &mut Dag, speed: &mut [f64], keys: &[u64]) {
+        let key = |i: usize| keys[i % keys.len()] >> 3;
+        for (u, speed) in speed.iter_mut().enumerate() {
+            match key(u) % 7 {
+                0 => q.node_mut(NodeId(u as u32)).work = f64::NAN,
+                1 => q.node_mut(NodeId(u as u32)).work *= -1.0,
+                2 => *speed = 0.0,
+                _ => {}
+            }
+        }
+        for e in q.edge_ids().collect::<Vec<_>>() {
+            if key(e.idx() + 5) % 3 == 0 {
+                q.edge_mut(e).volume = -0.0;
+            }
+        }
+    }
+
     // ---- The reference the flat evaluation replaced ----------------
     //
     // Candidate evaluation as Step 3 did it before the flat quotient:
@@ -603,10 +655,20 @@ mod tests {
         rejected: usize,
     }
 
-    /// Holds the flat passes to the reference on every merge of two
-    /// adjacent nodes of `q`, both ways round: same verdict, same third
-    /// block, same contracted graph and same makespan, to the bit.
+    /// Holds Step 3's candidate scoring to the reference on every merge
+    /// of two adjacent nodes of `q`, both ways round: same verdict, same
+    /// third block and same makespan, to the bit; and the contraction a
+    /// commit of that merge performs (two nodes, or three after a
+    /// repair) to the reference's graph, to the bit.
     fn check_against_reference(q: &Dag, speed: &[f64], enable_triple_merge: bool) -> Outcomes {
+        // A quotient's volumes are sums onto `0.0`, so a `-0.0` task
+        // volume reaches Step 3 as `0.0`: the reference sees what the
+        // flat quotient holds.
+        let mut q = q.clone();
+        for e in q.edge_ids().collect::<Vec<_>>() {
+            q.edge_mut(e).volume += 0.0;
+        }
+        let q = &q;
         let cluster = Cluster::new(vec![Processor::new("p", 1.0, 1.0)], 3.0);
         let memo = ReqMemo::new(q);
         let identity: Vec<u32> = (0..q.node_count() as u32).collect();
@@ -617,6 +679,7 @@ mod tests {
         // The critical path of the quotient itself.
         let mut on_path = Vec::new();
         st.mark_critical_path(&mut on_path);
+        assert!(st.relaxed, "random quotients are acyclic");
         let mut want = vec![false; q.node_count()];
         for u in quotient_critical_path(q, speed, cluster.bandwidth).unwrap_or_default() {
             want[u.idx()] = true;
@@ -637,7 +700,7 @@ mod tests {
                     cluster.bandwidth,
                     enable_triple_merge,
                 );
-                let got = st.contract_candidate(nu, partner, merged_speed);
+                let got = st.score_candidate(nu, partner, merged_speed);
                 let Some((want_q, want_speed, want_ms, want_third)) = want else {
                     assert_eq!(got, None, "{nu} into {partner}");
                     seen.rejected += 1;
@@ -646,6 +709,14 @@ mod tests {
                 let (ms, third) = got.unwrap_or_else(|| panic!("{nu} into {partner} rejected"));
                 assert_eq!(ms.to_bits(), want_ms.to_bits(), "{nu} into {partner}");
                 assert_eq!(third, want_third);
+                let merge = BestMerge {
+                    makespan: ms,
+                    partner,
+                    third,
+                    speed: merged_speed,
+                    req: PeakBounds::exact(0.0),
+                };
+                st.contract_merge(nu, &merge);
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 let want_work: Vec<f64> = want_q.node_ids().map(|u| want_q.node(u).work).collect();
                 assert_eq!(bits(st.cand_q.work()), bits(&want_work));
@@ -682,7 +753,10 @@ mod tests {
             let keys: Vec<u64> = (0..n as u64)
                 .map(|i| (i + 1).wrapping_mul(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1) >> 7)
                 .collect();
-            let (q, speed) = random_quotient(n, 0.1 + (seed % 4) as f64 * 0.1, seed, &keys);
+            let (mut q, mut speed) = random_quotient(n, 0.1 + (seed % 4) as f64 * 0.1, seed, &keys);
+            if seed % 3 == 0 {
+                make_hostile(&mut q, &mut speed, &keys);
+            }
             for (triple, total) in [(true, &mut seen), (false, &mut without_repair)] {
                 let one = check_against_reference(&q, &speed, triple);
                 total.plain += one.plain;
@@ -711,8 +785,12 @@ mod tests {
             seed in any::<u64>(),
             keys in proptest::collection::vec(any::<u64>(), 28),
             triple in any::<bool>(),
+            hostile in any::<bool>(),
         ) {
-            let (q, speed) = random_quotient(n, p, seed, &keys);
+            let (mut q, mut speed) = random_quotient(n, p, seed, &keys);
+            if hostile {
+                make_hostile(&mut q, &mut speed, &keys);
+            }
             check_against_reference(&q, &speed, triple);
         }
     }

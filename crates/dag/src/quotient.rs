@@ -235,7 +235,10 @@ impl FlatQuotient {
     /// order of the additions shows in the last bit) in the order
     /// `sort_unstable_by_key` — deterministic for a given input — leaves
     /// the renumbered old edge sequence in, which is the order the
-    /// golden outputs were recorded with.
+    /// golden outputs were recorded with. A group of two distinct nodes
+    /// has at most two parallel edges per pair, whose sum has the same
+    /// bits in either order, so its edges are written in one linear
+    /// pass instead.
     pub fn contract_into(
         &self,
         group: &[u32],
@@ -264,6 +267,12 @@ impl FlatQuotient {
         out.speed[0] = merged_speed;
 
         out.edges.clear();
+        if let &[x, y] = group {
+            if x != y {
+                self.contract_pair_edges(x.min(y), x.max(y), new_of_old, &mut out.edges);
+                return;
+            }
+        }
         out.edges.extend(
             self.edges
                 .iter()
@@ -278,6 +287,74 @@ impl FlatQuotient {
             }
             parallel
         });
+    }
+
+    /// The edges of [`FlatQuotient::contract_into`] for the group
+    /// `{lo, hi}` (`lo < hi`), ascending, written in one pass over the
+    /// sorted edge list: first the merged node's out-edges, the two
+    /// nodes' runs merged by target; then every other source's run,
+    /// its edge into the group (the two volumes summed when it has
+    /// one to each) first, as node 0 is the smallest target.
+    fn contract_pair_edges(
+        &self,
+        lo: u32,
+        hi: u32,
+        new_of_old: &[u32],
+        out: &mut Vec<(u32, u32, f64)>,
+    ) {
+        let outside = |e: &&(u32, u32, f64)| e.1 != lo && e.1 != hi;
+        let mut from_lo = self.edges_from(lo).iter().filter(outside).peekable();
+        let mut from_hi = self.edges_from(hi).iter().filter(outside).peekable();
+        loop {
+            let (dst, vol) = match (from_lo.peek(), from_hi.peek()) {
+                (None, None) => break,
+                (Some(&&(_, a, va)), Some(&&(_, b, vb))) if a == b => {
+                    from_lo.next();
+                    from_hi.next();
+                    (a, va + vb)
+                }
+                (Some(&&(_, a, va)), Some(&&(_, b, _))) if a < b => {
+                    from_lo.next();
+                    (a, va)
+                }
+                (Some(&&(_, a, va)), None) => {
+                    from_lo.next();
+                    (a, va)
+                }
+                (_, Some(&&(_, b, vb))) => {
+                    from_hi.next();
+                    (b, vb)
+                }
+            };
+            out.push((0, new_of_old[dst as usize], vol));
+        }
+        for run in self.edges.chunk_by(|e, f| e.0 == f.0) {
+            let src = run[0].0;
+            if src == lo || src == hi {
+                continue;
+            }
+            let new_src = new_of_old[src as usize];
+            let into_group = run
+                .iter()
+                .filter(|e| !outside(e))
+                .map(|e| e.2)
+                .reduce(|va, vb| va + vb);
+            if let Some(vol) = into_group {
+                out.push((new_src, 0, vol));
+            }
+            out.extend(
+                run.iter()
+                    .filter(outside)
+                    .map(|&(_, b, vol)| (new_src, new_of_old[b as usize], vol)),
+            );
+        }
+    }
+
+    /// The edges leaving node `u`.
+    fn edges_from(&self, u: u32) -> &[(u32, u32, f64)] {
+        let start = self.edges.partition_point(|e| e.0 < u);
+        let len = self.edges[start..].partition_point(|e| e.0 == u);
+        &self.edges[start..start + len]
     }
 }
 
@@ -306,6 +383,18 @@ pub struct PassScratch {
     stack: Vec<(u32, u32)>,
     /// DFS colours: 0 unseen, 1 on the stack, 2 done.
     colour: Vec<u8>,
+    /// The `bandwidth` of the last [`PassScratch::index`].
+    bandwidth: f64,
+    /// Position of every node in `order`; empty until
+    /// [`PassScratch::merged_pair_makespan`] first needs it after an
+    /// index.
+    rank: Vec<u32>,
+    /// Per node, for [`PassScratch::merged_pair_makespan`]: whether it
+    /// reaches the pair's later node, whether it is an ancestor of the
+    /// merged node, and then its new bottom weight.
+    reaches_late: Vec<bool>,
+    ancestor: Vec<bool>,
+    fresh: Vec<f64>,
 }
 
 impl PassScratch {
@@ -320,6 +409,8 @@ impl PassScratch {
     /// [`PassScratch::relax`] requires.
     pub fn index(&mut self, q: &FlatQuotient, bandwidth: f64) -> bool {
         let n = q.len();
+        self.bandwidth = bandwidth;
+        self.rank.clear();
         self.first_out.clear();
         self.first_out.resize(n + 1, 0);
         self.indegree.clear();
@@ -374,6 +465,151 @@ impl PassScratch {
     /// of `q`, or `None` when it is cyclic.
     pub fn bottom_weights(&mut self, q: &FlatQuotient, bandwidth: f64) -> Option<f64> {
         self.index(q, bandwidth).then(|| self.relax(q))
+    }
+
+    /// The makespan of `q` with `pair` contracted into one node running
+    /// at `merged_speed` — what [`FlatQuotient::contract_into`] of the
+    /// pair followed by [`PassScratch::bottom_weights`] returns, to the
+    /// bit — or `None` when that contraction is cyclic. Builds nothing:
+    /// `q` must be the acyclic quotient of the last
+    /// [`PassScratch::index`] and [`PassScratch::relax`], and those
+    /// bottom weights are read in place.
+    ///
+    /// With `early` the pair's node that comes first in the Kahn order
+    /// and `late` the other, the contraction is cyclic iff a child of
+    /// `early` other than `late` reaches `late`. Only the merged node
+    /// and its ancestors get new bottom weights; every other node keeps
+    /// the one it has. The merged node works `(0.0 + w_lo) + w_hi`
+    /// (ascending node id, as the contraction sums) and a parallel
+    /// pair's volumes are added before the division by the bandwidth,
+    /// as the contraction and [`PassScratch::index`] do. No bottom
+    /// weight is `-0.0` (a sink's tail is `+0.0`, and a sum is `-0.0`
+    /// only when both terms are) and `f64::max` drops a NaN, so the
+    /// maxima here and in [`PassScratch::relax`] do not depend on the
+    /// order they are taken in.
+    pub fn merged_pair_makespan(
+        &mut self,
+        q: &FlatQuotient,
+        pair: [u32; 2],
+        merged_speed: f64,
+    ) -> Option<f64> {
+        let n = q.len();
+        debug_assert!(self.order.len() == n && self.bottom.len() == n);
+        debug_assert_ne!(pair[0], pair[1]);
+        if self.rank.len() != n {
+            self.rank.clear();
+            self.rank.resize(n, 0);
+            for (i, &u) in self.order.iter().enumerate() {
+                self.rank[u as usize] = i as u32;
+            }
+        }
+        let [x, y] = pair;
+        let (early, late) = if self.rank[x as usize] < self.rank[y as usize] {
+            (x, y)
+        } else {
+            (y, x)
+        };
+        let in_pair = |v: u32| v == x || v == y;
+
+        // The merged node: its work, and its tail over the two sorted
+        // runs of out-edges, merged by target.
+        let merged_work = (0.0 + q.work[x.min(y) as usize]) + q.work[x.max(y) as usize];
+        let outside = |e: &usize| !in_pair(q.edges[*e].1);
+        let mut from_lo = self.out_edges(x.min(y)).filter(outside).peekable();
+        let mut from_hi = self.out_edges(x.max(y)).filter(outside).peekable();
+        let mut tail = 0.0f64;
+        loop {
+            let (dst, cost) = match (from_lo.peek().copied(), from_hi.peek().copied()) {
+                (None, None) => break,
+                (Some(a), Some(b)) if q.edges[a].1 == q.edges[b].1 => {
+                    from_lo.next();
+                    from_hi.next();
+                    (q.edges[a].1, (q.edges[a].2 + q.edges[b].2) / self.bandwidth)
+                }
+                (Some(a), Some(b)) if q.edges[a].1 < q.edges[b].1 => {
+                    from_lo.next();
+                    (q.edges[a].1, self.cost[a])
+                }
+                (Some(a), None) => {
+                    from_lo.next();
+                    (q.edges[a].1, self.cost[a])
+                }
+                (_, Some(b)) => {
+                    from_hi.next();
+                    (q.edges[b].1, self.cost[b])
+                }
+            };
+            tail = tail.max(cost + self.bottom[dst as usize]);
+        }
+        let merged = merged_work / merged_speed + tail;
+
+        // Nodes after `late` in the Kahn order reach neither node of the
+        // pair; the ones before it are swept backwards.
+        let late_rank = self.rank[late as usize] as usize;
+        let mut makespan = 0.0f64.max(merged);
+        for &u in &self.order[late_rank + 1..] {
+            makespan = makespan.max(self.bottom[u as usize]);
+        }
+        for flags in [&mut self.reaches_late, &mut self.ancestor] {
+            flags.clear();
+            flags.resize(n, false);
+        }
+        self.fresh.clear();
+        self.fresh.resize(n, 0.0);
+        for i in (0..late_rank).rev() {
+            let u = self.order[i];
+            let edges = self.out_edges(u);
+            if u == early {
+                if edges
+                    .map(|e| q.edges[e].1)
+                    .any(|v| v != late && self.reaches_late[v as usize])
+                {
+                    return None;
+                }
+                continue;
+            }
+            // Its edge into the merged node, if any, and what it
+            // reaches.
+            let (mut reaches_late, mut ancestor) = (false, false);
+            let mut into_pair: Option<(usize, Option<usize>)> = None;
+            for e in edges.clone() {
+                let v = q.edges[e].1;
+                reaches_late |= v == late || self.reaches_late[v as usize];
+                ancestor |= self.ancestor[v as usize];
+                if in_pair(v) {
+                    into_pair = Some(into_pair.map_or((e, None), |(first, _)| (first, Some(e))));
+                }
+            }
+            self.reaches_late[u as usize] = reaches_late;
+            if !ancestor && into_pair.is_none() {
+                makespan = makespan.max(self.bottom[u as usize]);
+                continue;
+            }
+            self.ancestor[u as usize] = true;
+            let mut tail = 0.0f64;
+            if let Some((first, second)) = into_pair {
+                let cost = match second {
+                    None => self.cost[first],
+                    Some(second) => (q.edges[first].2 + q.edges[second].2) / self.bandwidth,
+                };
+                tail = tail.max(cost + merged);
+            }
+            for e in edges {
+                let v = q.edges[e].1 as usize;
+                if !in_pair(v as u32) {
+                    let bottom = if self.ancestor[v] {
+                        self.fresh[v]
+                    } else {
+                        self.bottom[v]
+                    };
+                    tail = tail.max(self.cost[e] + bottom);
+                }
+            }
+            let b = q.work[u as usize] / q.speed[u as usize] + tail;
+            self.fresh[u as usize] = b;
+            makespan = makespan.max(b);
+        }
+        Some(makespan)
     }
 
     /// Writes the critical path of `q`, first node to last, into `path`
@@ -891,5 +1127,100 @@ mod tests {
                 prop_assert_eq!(&path, &want);
             }
         }
+
+        /// Every pair of nodes of an acyclic quotient, either way round,
+        /// on hostile numbers (zero, negative and NaN works, `-0.0` and
+        /// NaN volumes, speeds 0 and negative): the linear pass writes
+        /// the contraction the sort writes, and the pass scores that
+        /// contraction without building it — the same verdict and the
+        /// same makespan bits as indexing and relaxing it.
+        #[test]
+        fn a_merged_pair_scores_as_its_contraction(
+            (g, partition) in arb_partitioned(Just(true)),
+            speeds in collection::vec(0usize..7, 40),
+            hostile in collection::vec(0u8..8, 64),
+            bandwidth in proptest::sample::select(vec![0.3, 1.0, 3.0, 7.0]),
+        ) {
+            let mut q = FlatQuotient::build(&g, &partition);
+            for (u, &class) in speeds.iter().enumerate().take(q.len()) {
+                q.speed[u] = [1.0, 4.0, 8.0, 16.0, 32.0, 0.0, -2.0][class];
+                match hostile[u] {
+                    0 => q.work[u] = f64::NAN,
+                    1 => q.work[u] = -q.work[u] - 1.0,
+                    _ => {}
+                }
+            }
+            for (e, &class) in q.edges.iter_mut().zip(hostile.iter().rev()) {
+                match class {
+                    0 => e.2 = f64::NAN,
+                    1 | 2 => e.2 = -0.0,
+                    _ => {}
+                }
+            }
+            let mut pass = PassScratch::default();
+            prop_assert!(pass.index(&q, bandwidth));
+            pass.relax(&q);
+            let (mut got, mut want) = (FlatQuotient::default(), FlatQuotient::default());
+            let (mut renumber, mut check) = (Vec::new(), PassScratch::default());
+            let bits = |q: &FlatQuotient| {
+                (
+                    q.work.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
+                    q.speed.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                    q.edges.iter().map(|&(a, b, v)| (a, b, v.to_bits())).collect::<Vec<_>>(),
+                )
+            };
+            for x in 0..q.len() as u32 {
+                for y in (0..q.len() as u32).filter(|&y| y != x) {
+                    q.contract_into(&[x, y], 5.0, &mut got, &mut renumber);
+                    contract_by_sort(&q, &[x, y], 5.0, &mut want);
+                    prop_assert_eq!(bits(&got), bits(&want));
+                    let scored = pass.merged_pair_makespan(&q, [x, y], 5.0);
+                    let built = check.bottom_weights(&got, bandwidth);
+                    prop_assert_eq!(scored.map(f64::to_bits), built.map(f64::to_bits), "{} {}", x, y);
+                }
+            }
+        }
+    }
+
+    /// [`FlatQuotient::contract_into`] as it was for every group: map
+    /// the edges, sort them, fold parallel ones.
+    fn contract_by_sort(
+        q: &FlatQuotient,
+        group: &[u32],
+        merged_speed: f64,
+        out: &mut FlatQuotient,
+    ) {
+        let mut new_of_old = vec![u32::MAX; q.len()];
+        for &member in group {
+            new_of_old[member as usize] = 0;
+        }
+        let mut next = 1;
+        for slot in new_of_old.iter_mut().filter(|slot| **slot == u32::MAX) {
+            *slot = next;
+            next += 1;
+        }
+        out.work.clear();
+        out.work.resize(next as usize, 0.0);
+        out.speed.clear();
+        out.speed.resize(next as usize, 1.0);
+        for (old, &new) in new_of_old.iter().enumerate() {
+            out.work[new as usize] += q.work[old];
+            out.speed[new as usize] = q.speed[old];
+        }
+        out.speed[0] = merged_speed;
+        out.edges = q
+            .edges
+            .iter()
+            .map(|&(a, b, vol)| (new_of_old[a as usize], new_of_old[b as usize], vol))
+            .filter(|&(a, b, _)| a != b)
+            .collect();
+        out.edges.sort_unstable_by_key(|&(a, b, _)| (a, b));
+        out.edges.dedup_by(|next, kept| {
+            let parallel = (next.0, next.1) == (kept.0, kept.1);
+            if parallel {
+                kept.2 += next.2;
+            }
+            parallel
+        });
     }
 }

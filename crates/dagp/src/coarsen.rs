@@ -25,7 +25,9 @@ use std::collections::BinaryHeap;
 /// over the `Dag` adds, in the same order) and its topological order
 /// ([`dhp_dag::topo::topo_sort`]'s). Neither depends on the part count,
 /// so a level builds them once for every `k'` that partitions on it.
-#[derive(Debug)]
+/// A view refilled with block after block ([`LevelView::fill_block`])
+/// reuses its buffers.
+#[derive(Debug, Default)]
 pub struct LevelView {
     adjacency: BlockView,
     order: Vec<u32>,
@@ -44,6 +46,29 @@ impl LevelView {
             adjacency.topo_order_into(&mut Vec::new(), &mut BinaryHeap::new(), &mut order);
         assert_eq!(emitted, adjacency.len(), "partitioning requires a DAG");
         Self { adjacency, order }
+    }
+
+    /// Refills the view with the sub-DAG `members` (ascending, without
+    /// duplicates) induce in `g`: what [`LevelView::of`] gives for
+    /// `g.induced_subgraph(members).0`, edge lists and order alike
+    /// (see [`BlockView`] on edge order), built without the sub-DAG.
+    /// `indeg` and `ready` are scratch.
+    ///
+    /// # Panics
+    /// Panics if `members` is not ascending.
+    pub fn fill_block(
+        &mut self,
+        g: &Dag,
+        members: &[NodeId],
+        indeg: &mut Vec<u32>,
+        ready: &mut BinaryHeap<std::cmp::Reverse<u32>>,
+    ) {
+        assert!(members.is_sorted(), "block members must ascend");
+        self.adjacency.fill_block(g, members);
+        let emitted = self
+            .adjacency
+            .topo_order_into(indeg, ready, &mut self.order);
+        debug_assert_eq!(emitted, members.len(), "a sub-DAG of a DAG is acyclic");
     }
 
     /// The graph's adjacency; local ids are the graph's node ids.

@@ -34,6 +34,13 @@
 //! part counts that share a hierarchy ([`coarsen_for`] once,
 //! [`partition_on`] per count) share those too.
 //!
+//! `FitBlock`'s bisection of one block of a workflow is
+//! [`bisect_block`]: a block too small to be coarsened (most of them)
+//! is chunked and refined on a [`coarsen::LevelView`] refilled straight
+//! from the workflow, so no sub-DAG is built and a warm thread
+//! allocates only what the chunking and the refinement return or keep
+//! per part.
+//!
 //! The partitioner is deterministic given [`PartitionConfig::seed`].
 //!
 //! ```
@@ -122,12 +129,17 @@ pub fn coarsen_for(g: &Dag, k: usize, cfg: &PartitionConfig) -> coarsen::Hierarc
         BalanceWeight::Memory => g.node_ids().map(|u| g.node(u).memory).collect(),
         BalanceWeight::TaskRequirement => g.node_ids().map(|u| g.task_requirement(u)).collect(),
     };
-    coarsen::coarsen(g, &weights, coarsening_target(g, k, cfg), cfg.seed)
+    coarsen::coarsen(
+        g,
+        &weights,
+        coarsening_target(g.node_count(), k, cfg),
+        cfg.seed,
+    )
 }
 
-/// Node count at which coarsening for `k` parts stops.
-fn coarsening_target(g: &Dag, k: usize, cfg: &PartitionConfig) -> usize {
-    k.min(g.node_count()) * cfg.coarsen_target.max(2)
+/// Node count at which coarsening `n` nodes for `k` parts stops.
+fn coarsening_target(n: usize, k: usize, cfg: &PartitionConfig) -> usize {
+    k.min(n) * cfg.coarsen_target.max(2)
 }
 
 /// Steps 2 and 3 of [`partition`]: partitions the graph `hierarchy` was
@@ -141,7 +153,7 @@ pub fn partition_on(hierarchy: &coarsen::Hierarchy, k: usize, cfg: &PartitionCon
     if k <= 1 {
         return Partition::single_block(g.node_count());
     }
-    let levels = hierarchy.prefix(coarsening_target(g, k, cfg));
+    let levels = hierarchy.prefix(coarsening_target(g.node_count(), k, cfg));
 
     // Initial partition on the coarsest graph.
     let coarsest = levels.coarsest();
@@ -169,6 +181,68 @@ pub fn bisect(g: &Dag, cfg: &PartitionConfig) -> Partition {
     let mut c = cfg.clone();
     c.balance = BalanceWeight::TaskRequirement;
     partition(g, 2, &c)
+}
+
+/// What [`bisect_block`] reuses from one block to the next on a thread.
+#[derive(Default)]
+struct BlockScratch {
+    view: coarsen::LevelView,
+    weights: Vec<f64>,
+    indeg: Vec<u32>,
+    ready: std::collections::BinaryHeap<std::cmp::Reverse<u32>>,
+}
+
+thread_local! {
+    static BLOCK: std::cell::RefCell<BlockScratch> = std::cell::RefCell::default();
+}
+
+/// [`bisect`] of the sub-DAG `members` (ascending, without duplicates)
+/// induce in `g`: `bisect(&g.induced_subgraph(members).0, cfg)`, bit
+/// for bit, indexed like `members`.
+///
+/// A block of at most `2 · coarsen_target` tasks is not coarsened, so
+/// its bisection is one chunking of its topological order and one
+/// refinement: those run on a [`coarsen::LevelView`] of the block
+/// filled straight from `g`'s adjacency, on the calling thread's
+/// reusable buffers, with each task's weight its internal in- and
+/// out-volume plus its memory (the sub-DAG's task requirement, summed
+/// in the same order). No sub-DAG is built, and a thread that has seen
+/// a block of this size allocates only the result, the chunking's part
+/// array and [`refine::refine_on`]'s four per-part tables (two entries
+/// each). Those stay `refine_on`'s own: kept in reusable buffers, they
+/// slowed its pass loop on large graphs. A larger block is bisected
+/// through its induced sub-DAG.
+///
+/// # Panics
+/// Panics if `members` is empty or not ascending.
+pub fn bisect_block(g: &Dag, members: &[NodeId], cfg: &PartitionConfig) -> Partition {
+    assert!(!members.is_empty(), "cannot partition an empty graph");
+    let n = members.len();
+    if n > coarsening_target(n, 2, cfg) {
+        return bisect(&g.induced_subgraph(members).0, cfg);
+    }
+    if n == 1 {
+        return Partition::single_block(1);
+    }
+    BLOCK.with_borrow_mut(|s| {
+        let BlockScratch {
+            view,
+            weights,
+            indeg,
+            ready,
+        } = s;
+        view.fill_block(g, members, indeg, ready);
+        let block = view.adjacency();
+        weights.clear();
+        weights.extend((0..n as u32).map(|u| {
+            let inputs: f64 = block.in_edges(u).map(|(_, volume)| volume).sum();
+            let outputs: f64 = block.out_edges(u).map(|(_, volume)| volume).sum();
+            inputs + outputs + block.memory(u)
+        }));
+        let mut part = initial::topo_chunks_on(view, weights, 2);
+        refine::refine_on(view, weights, &mut part, 2, cfg);
+        Partition::from_raw(&part)
+    })
 }
 
 #[cfg(test)]

@@ -3,9 +3,11 @@
 use crate::initial::topo_chunks;
 use crate::reference_tests;
 use crate::refine::{refine, Tally, TALLY};
-use crate::{bisect, coarsen_for, partition, partition_on, BalanceWeight, PartitionConfig};
+use crate::{
+    bisect, bisect_block, coarsen_for, partition, partition_on, BalanceWeight, PartitionConfig,
+};
 use dhp_dag::quotient::{is_acyclic_partition, QuotientGraph};
-use dhp_dag::{builder, Dag};
+use dhp_dag::{builder, Dag, NodeId};
 use proptest::prelude::*;
 
 /// Four graphs of about `n` nodes: sparse random, layered, a chain and
@@ -265,4 +267,111 @@ proptest! {
         }
         prop_assert_eq!(changes, k.min(len) - 1);
     }
+}
+
+/// Graph `source` of about `n` tasks: a workflow family (every one of
+/// them) or one of two random DAGs.
+fn block_source(source: usize, n: usize, seed: u64) -> Dag {
+    use dhp_wfgen::{Family, WorkflowInstance};
+    match Family::ALL.get(source) {
+        Some(&family) => WorkflowInstance::simulated(family, n, seed).graph,
+        None if source.is_multiple_of(2) => builder::gnp_dag_weighted(n, 4.0 / n as f64, seed),
+        None => {
+            let wide = (0.5, 9.0);
+            builder::layered_random(n.div_ceil(6), 6, 0.3, wide, wide, wide, seed)
+        }
+    }
+}
+
+/// `size` members of `g`, ascending: a window of its topological order
+/// (what a partition's blocks look like) or a scattered pick.
+fn block_of(g: &Dag, size: usize, at: u64, scattered: bool) -> Vec<NodeId> {
+    let n = g.node_count();
+    let mut members: Vec<NodeId> = if scattered {
+        let keep =
+            |u: &NodeId| (u64::from(u.0) ^ at).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 62 != 0;
+        let picked: Vec<NodeId> = g.node_ids().filter(keep).take(size).collect();
+        match picked.len() {
+            0 | 1 => g.node_ids().take(size).collect(),
+            _ => picked,
+        }
+    } else {
+        let order = dhp_dag::topo::topo_sort(g).expect("generated graphs are acyclic");
+        let start = at as usize % (n - size + 1);
+        order[start..start + size].to_vec()
+    };
+    members.sort_unstable();
+    members
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A block bisected in place equals the bisection of its induced
+    /// sub-DAG, to the assignment: on every workflow family and random
+    /// DAGs, for blocks of 2 to 61 tasks (the in-place path ends at 60
+    /// under the default configuration), with hostile weights (`-0.0`
+    /// memories and volumes, NaN volumes), on one thread whose buffers
+    /// saw the previous case's block.
+    #[test]
+    fn bisect_block_equals_bisect_of_the_induced_subgraph(
+        source in 0usize..dhp_wfgen::Family::ALL.len() + 2,
+        n in 70usize..160,
+        seed in any::<u64>(),
+        size in 2usize..62,
+        at in any::<u64>(),
+        scattered in any::<bool>(),
+        hostile in 0u8..4,
+    ) {
+        let mut g = block_source(source, n, seed);
+        if hostile > 0 {
+            for u in g.node_ids().filter(|u| u.0 % 3 == 0).collect::<Vec<_>>() {
+                g.node_mut(u).memory = -0.0;
+            }
+            for (i, e) in g.edge_ids().collect::<Vec<_>>().into_iter().enumerate() {
+                match (i as u64 ^ seed) % 5 {
+                    0 | 1 => g.edge_mut(e).volume = -0.0,
+                    2 if hostile == 3 => g.edge_mut(e).volume = f64::NAN,
+                    _ => {}
+                }
+            }
+        }
+        let members = block_of(&g, size.min(g.node_count()), at, scattered);
+        let cfg = PartitionConfig { seed, ..PartitionConfig::default() };
+        let want = bisect(&g.induced_subgraph(&members).0, &cfg);
+        prop_assert_eq!(bisect_block(&g, &members, &cfg), want);
+    }
+}
+
+/// Both sides of the 60-task boundary on every source: windows of 59
+/// to 62 tasks of a topological order bisect in place or through the
+/// induced sub-DAG exactly as `bisect` of that sub-DAG does. No block
+/// up to the boundary is coarsened, and some past it are, so the
+/// boundary is where the in-place path would stop being `bisect`.
+#[test]
+fn bisect_block_holds_on_both_sides_of_the_coarsening_boundary() {
+    let cfg = PartitionConfig::default();
+    let mut coarsened = 0;
+    for source in 0..dhp_wfgen::Family::ALL.len() + 2 {
+        let g = block_source(source, 150, source as u64);
+        for size in 59..=62 {
+            for at in [0u64, 17, 40] {
+                let members = block_of(&g, size, at, false);
+                let sub = g.induced_subgraph(&members).0;
+                assert_eq!(
+                    bisect_block(&g, &members, &cfg),
+                    bisect(&sub, &cfg),
+                    "source {source}, size {size}, at {at}"
+                );
+                let c = PartitionConfig {
+                    balance: BalanceWeight::TaskRequirement,
+                    ..cfg.clone()
+                };
+                let depth = coarsen_for(&sub, 2, &c).depth();
+                assert!(size > 60 || depth == 1, "source {source}, size {size}");
+                coarsened += (depth > 1) as usize;
+            }
+        }
+    }
+    assert!(coarsened > 0);
 }

@@ -537,6 +537,30 @@ fn a_warm_block_requirement_allocates_nothing_that_scales() {
     assert!(n <= 4, "{n} allocations for a 5-task block");
 }
 
+/// Step 2 bisects a small block on the thread's buffers: once the
+/// thread has bisected one block of a chain-shaped workflow, the next
+/// allocates only its result (the `Partition`'s assignment and the
+/// renumbering table `Partition::from_raw` fills it through), the
+/// chunking's part array and the refinement's four two-entry per-part
+/// tables — no sub-DAG, no copy of it, no view.
+#[test]
+fn a_warm_bisection_builds_no_graph() {
+    use dhp_dagp::{bisect, bisect_block, PartitionConfig};
+    let g = WorkflowInstance::simulated(dhp_wfgen::Family::Epigenomics, 60, 17).graph;
+    let order = dhp_dag::topo::topo_sort(&g).expect("generated workflows are acyclic");
+    let block = |at: usize| {
+        let mut members = order[at..at + 5].to_vec();
+        members.sort_unstable();
+        members
+    };
+    let cfg = PartitionConfig::default();
+    bisect_block(&g, &block(0), &cfg);
+    let (members, mut warm) = (block(20), None);
+    let n = allocations_in(|| warm = Some(bisect_block(&g, &members, &cfg)));
+    assert_eq!(warm, Some(bisect(&g.induced_subgraph(&members).0, &cfg)));
+    assert!(n <= 7, "{n} allocations for a 5-task block");
+}
+
 /// An admission pass that cannot decide anything is not set up: over
 /// an empty queue, or with every processor leased, `admission_passes`
 /// returns before it reads the free set, orders candidates or takes
