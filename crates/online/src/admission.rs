@@ -83,11 +83,10 @@
 //! never-delay-the-head guarantee for throughput.
 
 use crate::engine::OnlineConfig;
-use crate::event::EventQueue;
 use crate::lease::{commit_grant, escalation_sizes, simulate_outcome, Grant};
 use crate::policy::AdmissionPolicy;
 use crate::report::RejectedRecord;
-use crate::state::{ArrivalFacts, ClusterState, InService, Pending, ProbeScratch};
+use crate::state::{ArrivalFacts, ClusterState, Pending, ProbeScratch};
 use crate::submission::single_task;
 use dhp_core::metrics::MappingResult;
 use dhp_core::partial::{CacheView, ProbeKey, SimOutcome, SolveCache};
@@ -301,26 +300,13 @@ pub(crate) fn admission_passes(
                 // longer exists (the stale-reservation fix). EASY
                 // keeps its event-level reservation by design.
                 if reservation_dirty {
-                    let head = &state.queue[head_qi.unwrap_or_else(|| {
+                    let hq = head_qi.unwrap_or_else(|| {
                         unreachable!("a dirty reservation implies a queue head")
-                    })];
-                    let fresh = head_reservation_cached(
-                        &state.cluster,
-                        &state.mem_order,
-                        &state.free,
-                        &state.events,
-                        &state.in_service,
-                        head,
-                        cfg,
-                        cache,
-                        config_hash,
-                        state.epoch,
-                        &mut state.resv_cache,
-                        &mut state.scratch,
-                    );
+                    });
+                    let fresh = head_reservation(state, hq, cfg, cache, config_hash);
                     state.reservations.push(ReservationRecord {
                         at: clock,
-                        head_id: head.id,
+                        head_id: state.queue[hq].id,
                         reservation: fresh,
                         trigger: ReservationTrigger::PostAdmission,
                     });
@@ -412,39 +398,26 @@ pub(crate) fn admission_passes(
                     // gets a chance — capped by the head's
                     // reservation when backfilling.
                     if cfg.policy.backfills() && effective_head && reservation.is_none() {
-                        let cand = &state.queue[qi];
+                        let head_id = state.queue[qi].id;
                         let resv = match event_resv {
                             // EASY: reuse this event's reservation,
                             // computed at most once (stale across
                             // same-event admissions by design).
                             Some((id, r))
-                                if cfg.policy == AdmissionPolicy::EasyBackfill && id == cand.id =>
+                                if cfg.policy == AdmissionPolicy::EasyBackfill && id == head_id =>
                             {
                                 r
                             }
                             _ => {
-                                let r = head_reservation_cached(
-                                    &state.cluster,
-                                    &state.mem_order,
-                                    &state.free,
-                                    &state.events,
-                                    &state.in_service,
-                                    cand,
-                                    cfg,
-                                    cache,
-                                    config_hash,
-                                    state.epoch,
-                                    &mut state.resv_cache,
-                                    &mut state.scratch,
-                                );
+                                let r = head_reservation(state, qi, cfg, cache, config_hash);
                                 state.reservations.push(ReservationRecord {
                                     at: clock,
-                                    head_id: cand.id,
+                                    head_id,
                                     reservation: r,
                                     trigger: ReservationTrigger::HeadBlocked,
                                 });
                                 if cfg.policy == AdmissionPolicy::EasyBackfill {
-                                    event_resv = Some((cand.id, r));
+                                    event_resv = Some((head_id, r));
                                 }
                                 r
                             }
@@ -508,19 +481,15 @@ pub(crate) fn admission_passes(
                     let safe = grant.placement.finish <= resv + 1e-9;
                     if !safe
                         && !head_fits_at(
-                            &state.cluster,
-                            &state.mem_order,
-                            &state.free,
+                            state,
+                            hq,
                             &grant.placement.lease,
+                            &[],
                             None,
-                            &state.events,
-                            &state.in_service,
-                            &state.queue[hq],
+                            resv,
                             cfg,
                             cache,
                             config_hash,
-                            resv,
-                            &mut state.scratch,
                         )
                     {
                         continue;
@@ -719,36 +688,55 @@ pub(crate) fn can_place(
     )
 }
 
-/// The blocked FIFO head's reservation: pending completions are
-/// replayed in `(time, seq)` order onto the current free set, and the
-/// first instant at which the head becomes placeable is returned.
-/// `f64::INFINITY` means the head is not placeable even once everything
-/// drains (it will be rejected when the cluster is idle), so backfill
-/// is unconstrained.
+/// The reservation of the blocked head at queue slot `hq`: pending
+/// completions are replayed in `(time, seq)` order onto the current
+/// free set, and the first instant at which the head becomes placeable
+/// is returned. `f64::INFINITY` means the head is not placeable even
+/// once everything drains (it will be rejected when the cluster is
+/// idle), so backfill is unconstrained.
 ///
 /// Placeability is monotone in the freed set (freeing more processors
 /// only adds memory), so the earliest feasible prefix of completions is
 /// found by binary search — `O(log k)` solver probes instead of `O(k)`.
-#[allow(clippy::too_many_arguments)]
+///
+/// The replay sits behind the incremental validity token: the
+/// reservation for a given head is a pure function of the free set,
+/// the completion heap, and the in-service table, all of which move
+/// only at the mutation points that bump [`ClusterState::epoch`]. While
+/// the token `(epoch, head id)` matches, the cached value (`INFINITY`
+/// included) is returned without replaying a single solver probe.
 pub(crate) fn head_reservation(
-    cluster: &Cluster,
-    mem_order: &[ProcId],
-    free: &[bool],
-    events: &EventQueue,
-    in_service: &[Option<InService>],
-    cand: &Pending,
+    state: &mut ClusterState,
+    hq: usize,
     cfg: &OnlineConfig,
     cache: &CacheView,
     config_hash: u64,
-    scratch: &mut ProbeScratch,
 ) -> f64 {
+    let ClusterState {
+        cluster,
+        mem_order,
+        free,
+        queue,
+        events,
+        in_service,
+        epoch,
+        resv_cache,
+        scratch,
+        ..
+    } = state;
+    let head = &queue[hq];
+    if let Some((e, id, r)) = *resv_cache {
+        if e == *epoch && id == head.id {
+            return r;
+        }
+    }
     let ProbeScratch {
         free_sorted,
         hyp,
         pending,
         ..
     } = scratch;
-    // Stale heap entries (superseded by an elastic growth) free
+    // Stale heap entries (superseded by an elastic resize) free
     // nothing; only live completions participate in the replay.
     pending.clear();
     pending.extend(events.iter().filter_map(|c| {
@@ -759,7 +747,7 @@ pub(crate) fn head_reservation(
     }));
     pending.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     // Placeable once completions[0..=i] have freed their leases?
-    let feasible_after = |i: usize, hyp: &mut Vec<bool>, free_sorted: &mut Vec<ProcId>| -> bool {
+    let mut feasible_after = |i: usize| -> bool {
         hyp.clear();
         hyp.extend_from_slice(free);
         for &(_, _, slot) in &pending[..=i] {
@@ -774,78 +762,40 @@ pub(crate) fn head_reservation(
             cluster,
             mem_order,
             hyp,
-            cand,
+            head,
             cfg,
             cache,
             config_hash,
             free_sorted,
         )
     };
-    if pending.is_empty() || !feasible_after(pending.len() - 1, hyp, free_sorted) {
-        return f64::INFINITY;
-    }
-    // Smallest i with feasible_after(i); invariant: feasible at `hi`.
-    let (mut lo, mut hi) = (0usize, pending.len() - 1);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if feasible_after(mid, hyp, free_sorted) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
+    let r = if pending.is_empty() || !feasible_after(pending.len() - 1) {
+        f64::INFINITY
+    } else {
+        // Smallest i with feasible_after(i); invariant: feasible at `hi`.
+        let (mut lo, mut hi) = (0usize, pending.len() - 1);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if feasible_after(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
         }
-    }
-    pending[hi].0
-}
-
-/// [`head_reservation`] behind the incremental validity token: the
-/// reservation for a given head is a pure function of the free set,
-/// the completion heap, and the in-service table, all of which move
-/// only at the mutation points that bump
-/// [`ClusterState::epoch`](crate::state::ClusterState). While the
-/// token `(epoch, head id)` matches, the cached value is returned
-/// without replaying a single solver probe.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn head_reservation_cached(
-    cluster: &Cluster,
-    mem_order: &[ProcId],
-    free: &[bool],
-    events: &EventQueue,
-    in_service: &[Option<InService>],
-    cand: &Pending,
-    cfg: &OnlineConfig,
-    cache: &CacheView,
-    config_hash: u64,
-    epoch: u64,
-    resv_cache: &mut Option<(u64, usize, f64)>,
-    scratch: &mut ProbeScratch,
-) -> f64 {
-    if let Some((e, id, r)) = *resv_cache {
-        if e == epoch && id == cand.id {
-            return r;
-        }
-    }
-    let r = head_reservation(
-        cluster,
-        mem_order,
-        free,
-        events,
-        in_service,
-        cand,
-        cfg,
-        cache,
-        config_hash,
-        scratch,
-    );
-    *resv_cache = Some((epoch, cand.id, r));
+        pending[hi].0
+    };
+    *resv_cache = Some((*epoch, head.id, r));
     r
 }
 
-/// The shared head-placeability replay: with `exclude` (a candidate's
-/// would-be lease, or the processors a growth wants to claim) held
-/// busy past the reservation, is the blocked head still placeable at
-/// `resv` once every pending completion up to that instant has freed
-/// its lease? `skip_slot` drops one workflow's completion from the
-/// replay — the elastic-growth guard passes the candidate's own slot,
+/// The shared head-placeability replay: is the blocked head at queue
+/// slot `hq` still placeable at `resv` once every pending completion up
+/// to that instant has freed its lease, on a free set that differs from
+/// the current one by `claim` (held busy past the reservation: an EASY
+/// candidate's would-be lease, or the processors an elastic growth
+/// takes) and `release` (already free: the processors an elastic
+/// shrink hands back)? `skip_slot` drops one workflow's completion from
+/// the replay — an elastic resize passes the candidate's own slot,
 /// whose old completion the swap would supersede.
 ///
 /// Used by EASY's aggressive-backfill check (where the replay
@@ -853,30 +803,39 @@ pub(crate) fn head_reservation_cached(
 /// *not* refreshed after earlier aggressive grants of the same event,
 /// which is the conservative guarantee EASY trades for throughput:
 /// piled-up aggressive backfills may each pass this check alone yet
-/// jointly delay the head) and by the elastic-growth head guard.
+/// jointly delay the head) and by the elastic resize's head guard.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn head_fits_at(
-    cluster: &Cluster,
-    mem_order: &[ProcId],
-    free: &[bool],
-    exclude: &[ProcId],
+    state: &mut ClusterState,
+    hq: usize,
+    claim: &[ProcId],
+    release: &[ProcId],
     skip_slot: Option<usize>,
-    events: &EventQueue,
-    in_service: &[Option<InService>],
-    head: &Pending,
+    resv: f64,
     cfg: &OnlineConfig,
     cache: &CacheView,
     config_hash: u64,
-    resv: f64,
-    scratch: &mut ProbeScratch,
 ) -> bool {
+    let ClusterState {
+        cluster,
+        mem_order,
+        free,
+        queue,
+        events,
+        in_service,
+        scratch,
+        ..
+    } = state;
     let ProbeScratch {
         free_sorted, hyp, ..
     } = scratch;
     hyp.clear();
     hyp.extend_from_slice(free);
-    for &p in exclude {
+    for &p in claim {
         hyp[p.idx()] = false;
+    }
+    for &p in release {
+        hyp[p.idx()] = true;
     }
     for c in events.iter() {
         if c.time > resv + 1e-9 || Some(c.slot) == skip_slot {
@@ -894,7 +853,7 @@ pub(crate) fn head_fits_at(
         cluster,
         mem_order,
         hyp,
-        head,
+        &queue[hq],
         cfg,
         cache,
         config_hash,
@@ -1007,6 +966,13 @@ impl BackfillWindow {
         };
         window.pass();
         window
+    }
+
+    /// The window's state, configuration, cache and configuration hash,
+    /// for driving its replays directly.
+    #[cfg(test)]
+    pub(crate) fn parts(&mut self) -> (&mut ClusterState, &OnlineConfig, &SolveCache, u64) {
+        (&mut self.state, &self.cfg, &self.cache, self.config_hash)
     }
 
     /// Runs one event's admission passes over the window; returns how

@@ -417,6 +417,108 @@ fn elastic_growth_reschedules_the_suffix_on_freed_processors() {
     assert_eq!(grown.report.to_json(), again.report.to_json());
 }
 
+/// Elastic shrink: a workflow holding the whole cluster while a
+/// newcomer queues gives back every processor its unstarted suffix does
+/// not need — keeping the ones running tasks and the largest droppable
+/// memory — and the newcomer starts on a released processor at once.
+#[test]
+fn elastic_shrink_releases_idle_lease_processors_to_the_queue() {
+    use crate::submission::single_task;
+    // Two slow big memories, two fast small ones.
+    let cluster = Cluster::new(
+        vec![
+            Processor::new("big", 1.0, 100.0),
+            Processor::new("mid", 1.0, 60.0),
+            Processor::new("fast", 10.0, 20.0),
+            Processor::new("fast", 10.0, 20.0),
+        ],
+        1.0,
+    );
+    // root → {a, b} → c: a and b run on the fast processors, c needs
+    // 50 memory, which only big and mid hold.
+    let mut g = dhp_dag::Dag::new();
+    let root = g.add_node(1.0, 1.0);
+    let c = g.add_node(100.0, 50.0);
+    for _ in 0..2 {
+        let v = g.add_node(50.0, 1.0);
+        g.add_edge(root, v, 0.1);
+        g.add_edge(v, c, 0.1);
+    }
+    let subs = vec![
+        Submission {
+            id: 0,
+            arrival: 0.0,
+            instance: dhp_wfgen::WorkflowInstance {
+                name: "diamond".into(),
+                family: None,
+                size_class: dhp_wfgen::SizeClass::Real,
+                requested_size: 4,
+                graph: g,
+            },
+        },
+        // Arrives while the diamond holds every processor; 30 memory
+        // fits only big and mid.
+        single_task(1, 2.0, 10.0, 30.0, "newcomer"),
+    ];
+    let run = |elastic_shrink| {
+        let cfg = OnlineConfig {
+            elastic_shrink,
+            lease: LeaseSizing {
+                min_procs: 4,
+                max_procs: 4,
+                ..LeaseSizing::default()
+            },
+            ..OnlineConfig::default()
+        };
+        serve(&cluster, subs.clone(), &cfg)
+    };
+    let record = |out: &ServeOutcome, id: usize| {
+        out.report
+            .workflows
+            .iter()
+            .find(|r| r.id == id)
+            .unwrap()
+            .clone()
+    };
+    // Static leases: the newcomer waits for the whole diamond.
+    let fixed = run(None);
+    assert_eq!(fixed.report.fleet.lease_shrunk, 0);
+    assert!(!record(&fixed, 0).lease_shrunk);
+    assert_eq!(record(&fixed, 1).start, record(&fixed, 0).finish);
+
+    let out = run(Some(1));
+    assert_eq!(out.report.fleet.lease_shrunk, 1);
+    // At t = 2 root has finished on mid, and a and b run on the fast
+    // processors, which stay. Of the droppable big and mid, c's 50
+    // memory keeps the largest, big — mid would hold c too — and mid
+    // goes.
+    let diamond = record(&out, 0);
+    assert!(diamond.lease_shrunk && !diamond.lease_grown);
+    assert_eq!(diamond.lease, vec![0, 2, 3]);
+    // The newcomer starts on the released processor at that instant.
+    let newcomer = record(&out, 1);
+    assert_eq!((newcomer.start, newcomer.lease), (2.0, vec![1]));
+    // c re-solves onto big once a and b drain (1.1 + 50 / 10).
+    let p = out
+        .placements
+        .iter()
+        .find(|p| p.submission.id == 0)
+        .unwrap();
+    assert_eq!(p.regrow.len(), 1, "exactly one shrink recorded");
+    let regrow = &p.regrow[0];
+    assert_eq!(regrow.suffix, vec![c]);
+    assert_eq!(regrow.at, 6.1);
+    assert_eq!(
+        regrow.mapping.proc_of_block,
+        vec![Some(dhp_platform::ProcId(0))]
+    );
+    validate(&regrow.suffix_dag, &cluster, &regrow.mapping)
+        .expect("suffix mapping valid against the shared cluster");
+    assert_eq!(diamond.finish, p.finish);
+    // Byte-identical determinism.
+    assert_eq!(out.report.to_json(), run(Some(1)).report.to_json());
+}
+
 /// Same-instant arrivals outrank elastic growth (code-review fix):
 /// a workflow arriving at the very instant a completion frees a
 /// processor gets that processor, not a running workflow's grown

@@ -5,10 +5,10 @@
 //! stream) and workflow *completions*, which live here as a min-heap of
 //! [`Completion`] entries ordered by `(time, seq)`. The monotonically
 //! increasing `seq` both breaks ties deterministically and implements
-//! *staleness*: elastic lease growth re-schedules a workflow's
-//! completion by pushing a fresh event and bumping the in-service
-//! record's `live_seq`; heap entries whose `seq` no longer matches are
-//! stale and must be skipped on pop (see
+//! *staleness*: an elastic lease resize (growth or shrink)
+//! re-schedules a workflow's completion by pushing a fresh event and
+//! bumping the in-service record's `live_seq`; heap entries whose `seq`
+//! no longer matches are stale and must be skipped on pop (see
 //! [`InService::live_seq`](crate::state::InService)).
 
 use std::cmp::Ordering;

@@ -10,11 +10,9 @@
 //! tests on sibling threads.
 
 use crate::admission::{
-    admission_passes, can_place, head_fits_at, head_reservation_cached, try_admit, Admit,
-    BackfillWindow,
+    admission_passes, can_place, head_fits_at, head_reservation, try_admit, Admit, BackfillWindow,
 };
 use crate::engine::{serve_with_cache, OnlineConfig};
-use crate::event::EventQueue;
 use crate::federation::rebalance::spill;
 use crate::federation::routing::{route, RoutingPolicy};
 use crate::federation::shard::MemberShard;
@@ -84,9 +82,8 @@ fn warm_probes_are_allocation_free() {
     let view = CacheView::direct(&cache);
     let config_hash = SolveCache::config_hash(&cfg.solver);
     let mut state = ClusterState::new(&cluster, None);
-    let cand = pending(0, 40.0, 2.0);
-    let events = EventQueue::new();
-    let in_service: Vec<Option<crate::state::InService>> = Vec::new();
+    state.enqueue_arrival(pending(0, 40.0, 2.0), 0.0);
+    let hq = state.first_live();
 
     // Cold pass: solver runs, cache fills, scratch buffers grow.
     for _ in 0..2 {
@@ -94,39 +91,27 @@ fn warm_probes_are_allocation_free() {
             &cluster,
             &state.mem_order,
             &state.free,
-            &cand,
+            &state.queue[hq],
             &cfg,
             &view,
             config_hash,
             &mut state.scratch.free_sorted,
         ));
     }
-    let warmup = head_fits_at(
-        &cluster,
-        &state.mem_order,
-        &state.free,
-        &[],
-        None,
-        &events,
-        &in_service,
-        &cand,
-        &cfg,
-        &view,
-        config_hash,
-        0.0,
-        &mut state.scratch,
-    );
-    assert!(warmup);
+    let fits = |state: &mut ClusterState| {
+        head_fits_at(state, hq, &[], &[], None, 0.0, &cfg, &view, config_hash)
+    };
+    assert!(fits(&mut state));
 
     // The probe every lease search makes: a warm key answers with the
     // memoized solve behind its `Arc`, building no view and cloning no
     // mapping.
+    let cand = &state.queue[hq];
     let lease = &state.mem_order[..2];
-    let fp = cand.fingerprint;
     let solve = || {
         view.solve(
             &cand.submission.instance.graph,
-            fp,
+            cand.fingerprint,
             &cluster,
             lease,
             cfg.algorithm,
@@ -148,7 +133,7 @@ fn warm_probes_are_allocation_free() {
                 &cluster,
                 &state.mem_order,
                 &state.free,
-                &cand,
+                &state.queue[hq],
                 &cfg,
                 &view,
                 config_hash,
@@ -160,21 +145,7 @@ fn warm_probes_are_allocation_free() {
 
     let replays = allocations_in(|| {
         for _ in 0..100 {
-            assert!(head_fits_at(
-                &cluster,
-                &state.mem_order,
-                &state.free,
-                &[],
-                None,
-                &events,
-                &in_service,
-                &cand,
-                &cfg,
-                &view,
-                config_hash,
-                0.0,
-                &mut state.scratch,
-            ));
+            assert!(fits(&mut state));
         }
     });
     assert_eq!(replays, 0, "warm head-fit replays must not allocate");
@@ -311,50 +282,62 @@ fn reservation_token_reuse_and_invalidation() {
     let cache = SolveCache::new();
     let view = CacheView::direct(&cache);
     let config_hash = SolveCache::config_hash(&cfg.solver);
-    let state = ClusterState::new(&cluster, None);
-    let cand = pending(7, 40.0, 2.0);
-    let events = EventQueue::new();
-    let in_service: Vec<Option<crate::state::InService>> = Vec::new();
-    let mut scratch = crate::state::ProbeScratch::default();
-    let mut resv_cache = None;
-
-    let compute = |epoch: u64,
-                   resv_cache: &mut Option<(u64, usize, f64)>,
-                   scratch: &mut crate::state::ProbeScratch| {
-        head_reservation_cached(
-            &cluster,
-            &state.mem_order,
-            &state.free,
-            &events,
-            &in_service,
-            &cand,
-            &cfg,
-            &view,
-            config_hash,
-            epoch,
-            resv_cache,
-            scratch,
-        )
+    let mut state = ClusterState::new(&cluster, None);
+    state.enqueue_arrival(pending(7, 40.0, 2.0), 0.0);
+    let hq = state.first_live();
+    let id = state.queue[hq].id;
+    let mut compute = |epoch: u64, resv_cache: Option<(u64, usize, f64)>| {
+        state.epoch = epoch;
+        state.resv_cache = resv_cache;
+        let r = head_reservation(&mut state, hq, &cfg, &view, config_hash);
+        (r, state.resv_cache)
     };
 
     // No pending completions: the reservation is INFINITY, and the
     // token is stored.
-    let r = compute(0, &mut resv_cache, &mut scratch);
-    assert_eq!(r, f64::INFINITY);
-    assert_eq!(resv_cache, Some((0, cand.id, f64::INFINITY)));
+    assert_eq!(
+        compute(0, None),
+        (f64::INFINITY, Some((0, id, f64::INFINITY)))
+    );
 
     // A matching token short-circuits: plant a sentinel and watch it
     // come back untouched.
-    resv_cache = Some((0, cand.id, 123.5));
-    assert_eq!(compute(0, &mut resv_cache, &mut scratch), 123.5);
+    assert_eq!(compute(0, Some((0, id, 123.5))).0, 123.5);
 
     // A moved epoch invalidates — the sentinel is recomputed away.
-    assert_eq!(compute(1, &mut resv_cache, &mut scratch), f64::INFINITY);
-    assert_eq!(resv_cache, Some((1, cand.id, f64::INFINITY)));
+    assert_eq!(
+        compute(1, Some((0, id, 123.5))),
+        (f64::INFINITY, Some((1, id, f64::INFINITY)))
+    );
 
     // A different head invalidates too.
-    resv_cache = Some((1, cand.id + 1, 99.0));
-    assert_eq!(compute(1, &mut resv_cache, &mut scratch), f64::INFINITY);
+    assert_eq!(compute(1, Some((1, id + 1, 99.0))).0, f64::INFINITY);
+}
+
+/// A reservation replay that misses the token pays solver probes, not
+/// heap: on a warm window whose blocked head waits for a live pending
+/// completion, moving the epoch before every call forces the whole
+/// replay — the live completions sorted, the hypothetical free set
+/// rebuilt, the placement probed — 100 times without one allocation.
+#[test]
+fn a_warm_reservation_replay_allocates_nothing() {
+    let mut window = BackfillWindow::new(16);
+    window.pass();
+    let (state, cfg, cache, config_hash) = window.parts();
+    let view = CacheView::direct(cache);
+    let hq = state.first_live();
+    let replay = |state: &mut ClusterState| {
+        state.bump_epoch();
+        head_reservation(state, hq, cfg, &view, config_hash)
+    };
+    // The head needs the big processor, which frees at t = 1000.
+    assert_eq!(replay(state), 1000.0);
+    let replays = allocations_in(|| {
+        for _ in 0..100 {
+            assert_eq!(replay(state), 1000.0);
+        }
+    });
+    assert_eq!(replays, 0, "a warm reservation replay allocated");
 }
 
 /// Heap allocations (on the serving thread) of the second, warm, run

@@ -1,21 +1,25 @@
 //! The lease lifecycle: grant construction, commitment into engine
-//! state, the escalation ladder, and elastic growth.
+//! state, the escalation ladder, and elastic resizing.
 //!
 //! A `Grant` is everything one admitted lease produces — the metrics
 //! record, the placement, per-processor busy time, and the absolute
-//! per-task schedule elastic growth later splits. `commit_grant`
-//! books it into the `ClusterState`; `grow_lease` implements the
-//! elastic re-solve of a running workflow's suffix onto freed
-//! processors (driven by `run_growth` at completion events whose
-//! freed processors would otherwise idle).
+//! per-task schedule an elastic resize later splits. `commit_grant`
+//! books it into the `ClusterState`. An elastic resize re-solves a
+//! running workflow's unstarted suffix on a different lease: grown by
+//! freed processors the queue cannot use (`run_growth`, at completion
+//! events), or shrunk to hand processors to a deep queue
+//! (`run_shrink`). Both share one path — the candidate ranking, the
+//! blocked head's guard, the suffix split and the commit — and differ
+//! only in the lease they re-solve on, the test that accepts the swap,
+//! and when the head guard applies.
 
-use crate::admission::{admission_passes, head_fits_at, head_reservation_cached, BACKFILL_DEPTH};
+use crate::admission::{admission_passes, head_fits_at, head_reservation, BACKFILL_DEPTH};
 use crate::engine::OnlineConfig;
 use crate::report::WorkflowRecord;
 use crate::state::{ClusterState, InService, Pending, Placement, Regrow};
 use dhp_core::mapping::Mapping;
 use dhp_core::metrics::MappingResult;
-use dhp_core::partial::{remap_to_parent, CacheView, SimOutcome};
+use dhp_core::partial::{remap_to_parent, CacheView, SimOutcome, SuffixSolve};
 use dhp_platform::{ProcId, SubCluster};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -238,18 +242,14 @@ pub(crate) fn run_growth(
     }
 }
 
-/// One elastic-growth attempt: ranks the in-service workflows by
-/// unstarted work (ties on id), re-solves the best candidate's suffix
-/// DAG on its lease grown by the currently free processors, and swaps
-/// the placement when the re-solve finishes strictly earlier *and*
-/// enlists at least one previously free processor. The suffix schedule
-/// is released only once the committed prefix (running tasks included)
-/// has drained, so the swap never overlaps already-running tasks.
-/// Under a backfilling policy a blocked queue head keeps its promise:
-/// a swap whose grown lease stays busy past the head's reservation is
-/// taken only if the head remains placeable at the reservation instant
-/// without it. At most [`BACKFILL_DEPTH`] candidates are re-solved per
-/// attempt (the admission path's probe-bound discipline). Returns
+/// One elastic-growth attempt: re-solves the best candidate's suffix
+/// DAG (see [`resize_candidates`]) on its lease grown by the currently
+/// free processors, and swaps the placement when the re-solve finishes
+/// strictly earlier *and* enlists at least one previously free
+/// processor. Under a backfilling policy a blocked queue head keeps its
+/// promise: a swap whose grown lease stays busy past the head's
+/// reservation is taken only if the head remains placeable at the
+/// reservation instant without the processors it claims. Returns
 /// whether a swap happened.
 fn grow_lease(
     state: &mut ClusterState,
@@ -258,75 +258,20 @@ fn grow_lease(
     config_hash: u64,
     clock: f64,
 ) -> bool {
-    let mut cands: Vec<(usize, f64, usize)> = state
-        .in_service
-        .iter()
-        .enumerate()
-        .filter_map(|(slot, svc)| {
-            let svc = svc.as_ref()?;
-            let g = &svc.placement.submission.instance.graph;
-            let remaining: f64 = g
-                .node_ids()
-                .filter(|u| svc.task_start[u.idx()] > clock + 1e-9)
-                .map(|u| g.node(u).work)
-                .sum();
-            (remaining > 0.0).then_some((slot, remaining, svc.record.id))
-        })
-        .collect();
-    cands.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.2.cmp(&b.2)));
-    // Bound the solver probes per attempt, mirroring the admission
-    // pass's backfill window — a failed improvement check usually paid
-    // a full suffix solve (suffix shapes are mostly unique, so the
-    // cache rarely answers them).
-    cands.truncate(BACKFILL_DEPTH);
+    let cands = resize_candidates(state, clock, 1);
     let free_ids: Vec<ProcId> = state
         .mem_order
         .iter()
         .copied()
         .filter(|p| state.free[p.idx()])
         .collect();
-    // The head guard: with a backfilling policy and a blocked head
-    // waiting, the head's current reservation is computed once, and
-    // every swap below must honour it — elastic growth must not seize
-    // the processors the head's promise assumed would be free.
-    let head_guard: Option<(&Pending, f64)> = match state.queue.get(state.first_live()) {
-        Some(head) if cfg.policy.backfills() => {
-            let resv = head_reservation_cached(
-                &state.cluster,
-                &state.mem_order,
-                &state.free,
-                &state.events,
-                &state.in_service,
-                head,
-                cfg,
-                cache,
-                config_hash,
-                state.epoch,
-                &mut state.resv_cache,
-                &mut state.scratch,
-            );
-            resv.is_finite().then_some((head, resv))
-        }
-        _ => None,
-    };
-
-    for (slot, _, _) in cands {
-        let svc = state.in_service[slot]
-            .as_ref()
-            .unwrap_or_else(|| unreachable!("candidates are ranked over live slots"));
+    let guard = head_guard(state, cfg, cache, config_hash);
+    for slot in cands {
+        let Some(svc) = state.in_service[slot].as_ref() else {
+            unreachable!("candidates are ranked over live slots")
+        };
         let g = &svc.placement.submission.instance.graph;
-        let suffix: Vec<dhp_dag::NodeId> = g
-            .node_ids()
-            .filter(|u| svc.task_start[u.idx()] > clock + 1e-9)
-            .collect();
-        // The committed prefix drains first; the suffix schedule is
-        // released at its last finish (cross-boundary files are local
-        // by then — see `solve_suffix`).
-        let release = g
-            .node_ids()
-            .filter(|u| svc.task_start[u.idx()] <= clock + 1e-9)
-            .map(|u| svc.task_finish[u.idx()])
-            .fold(clock, f64::max);
+        let (suffix, release_at) = unstarted(svc, clock);
         let union = state
             .cluster
             .subcluster(&svc.placement.lease)
@@ -345,122 +290,51 @@ fn grow_lease(
         let sim = cache.sim_outcome_keyed(s.key, || {
             simulate_outcome(&s.dag, &union, &s.schedule.local.mapping)
         });
-        let new_finish = release + sim.makespan;
+        let new_finish = release_at + sim.makespan;
         if new_finish >= svc.record.finish - 1e-9 {
             continue; // no genuine win on the grown lease
         }
         // Claim only the processors the suffix actually uses; a swap
         // that enlists no new processor is not a growth (and skipping
         // it bounds the growth loop by the free count).
-        let old_lease: HashSet<u32> = svc.placement.lease.iter().map(|p| p.0).collect();
-        let mut suffix_proc: Vec<ProcId> = Vec::with_capacity(s.back.len());
-        let mut used_new: Vec<ProcId> = Vec::new();
-        for u in s.dag.node_ids() {
-            let b = s.schedule.local.mapping.partition.block_of(u).idx();
-            let p = union.to_global(
-                s.schedule.local.mapping.proc_of_block[b]
-                    .unwrap_or_else(|| unreachable!("the solver maps every block")),
-            );
-            suffix_proc.push(p);
-            if !old_lease.contains(&p.0) && !used_new.contains(&p) {
-                used_new.push(p);
+        let old_lease = &svc.placement.lease;
+        let mut claim: Vec<ProcId> = Vec::new();
+        for p in suffix_procs(&s) {
+            if !old_lease.contains(&p) && !claim.contains(&p) {
+                claim.push(p);
             }
         }
-        if used_new.is_empty() {
+        if claim.is_empty() {
             continue;
         }
-        // Honour the blocked head's reservation. A swap finishing by
-        // the reservation returns everything it holds in time and
-        // cannot delay the head; one running past it must leave the
-        // head placeable at the reservation instant on what remains —
-        // the current free set minus the newly claimed processors,
-        // plus every other live completion up to the reservation (the
-        // candidate's own old completion no longer happens).
-        if let Some((head, resv)) = head_guard {
-            if new_finish > resv + 1e-9
-                && !head_fits_at(
-                    &state.cluster,
-                    &state.mem_order,
-                    &state.free,
-                    &used_new,
-                    Some(slot),
-                    &state.events,
-                    &state.in_service,
-                    head,
-                    cfg,
-                    cache,
-                    config_hash,
-                    resv,
-                    &mut state.scratch,
-                )
-            {
-                continue;
-            }
-        }
-
-        // ---- commit the swap
-        let svc = state.in_service[slot]
-            .as_mut()
-            .unwrap_or_else(|| unreachable!("candidates are ranked over live slots"));
-        for (i, &orig) in s.back.iter().enumerate() {
-            svc.task_start[orig.idx()] = release + sim.task_start[i];
-            svc.task_finish[orig.idx()] = release + sim.task_finish[i];
-            svc.task_proc[orig.idx()] = suffix_proc[i];
-        }
-        // Replace this workflow's busy-time contribution: subtract
-        // exactly what was credited, re-credit the swapped schedule.
-        for (p, b) in &svc.busy {
-            state.busy_time[p.idx()] -= *b;
-        }
-        let g = &svc.placement.submission.instance.graph;
-        let mut by_proc: HashMap<ProcId, f64> = HashMap::new();
-        for u in g.node_ids() {
-            *by_proc.entry(svc.task_proc[u.idx()]).or_insert(0.0) +=
-                svc.task_finish[u.idx()] - svc.task_start[u.idx()];
-        }
-        let mut busy: Vec<(ProcId, f64)> = by_proc.into_iter().collect();
-        busy.sort_by_key(|&(p, _)| p);
-        for (p, b) in &busy {
-            state.busy_time[p.idx()] += *b;
-        }
-        svc.busy = busy;
         // The grown lease, in the canonical order of the union view.
         let lease: Vec<ProcId> = union
             .global_ids()
             .iter()
             .copied()
-            .filter(|p| old_lease.contains(&p.0) || used_new.contains(p))
+            .filter(|p| old_lease.contains(p) || claim.contains(p))
             .collect();
-        for &p in &used_new {
-            debug_assert!(state.free[p.idx()]);
-            state.free[p.idx()] = false;
+        // A swap finishing by the reservation returns everything it
+        // holds in time; one running past it must leave the head
+        // placeable there without the claimed processors.
+        if let Some((hq, resv)) = guard {
+            if new_finish > resv + 1e-9
+                && !head_fits_at(
+                    state,
+                    hq,
+                    &claim,
+                    &[],
+                    Some(slot),
+                    resv,
+                    cfg,
+                    cache,
+                    config_hash,
+                )
+            {
+                continue;
+            }
         }
-        state.free_count -= used_new.len();
-        // Re-schedule the completion; the old heap entry goes stale.
-        let seq = state.events.push(new_finish, slot);
-        svc.live_seq = seq;
-        let r = &mut svc.record;
-        r.finish = new_finish;
-        r.service = new_finish - r.start;
-        r.response = new_finish - r.arrival;
-        r.slowdown = if r.service > 0.0 {
-            r.response / r.service
-        } else {
-            1.0
-        };
-        r.lease = lease.iter().map(|p| p.0).collect();
-        r.lease_grown = true;
-        svc.placement.finish = new_finish;
-        svc.placement.lease = lease;
-        svc.placement.regrow.push(Regrow {
-            at: release,
-            suffix: s.back,
-            suffix_dag: s.dag,
-            mapping: s.schedule.global,
-        });
-        // The free set, the heap, and the in-service table all just
-        // changed: move the reservation token's epoch on.
-        state.epoch = state.epoch.wrapping_add(1);
+        commit_resize(state, slot, s, &sim, release_at, lease, &claim, &[]);
         return true;
     }
     false
@@ -500,20 +374,19 @@ pub(crate) fn run_shrink(
     }
 }
 
-/// One elastic-shrink attempt: ranks the in-service workflows by
-/// unstarted work (most first, ties on id — the workflow with the most
-/// re-solvable suffix yields the most reclaimable capacity), and for
-/// the best candidate releases every lease processor hosting no
-/// currently running task, re-solving the suffix DAG on the reduced
-/// lease. Processors are added back (memory-descending) while the
-/// reduced lease cannot memory-fit the suffix. The shrink is taken
-/// even when it delays the candidate's own finish — arriving load
-/// outranks a running workflow's tail — but a blocked queue head keeps
-/// its promise exactly as under growth: a shrink pushing the
-/// candidate's completion past the head's reservation is taken only if
-/// the head remains placeable at the reservation instant on the
-/// post-shrink state. At most [`BACKFILL_DEPTH`] candidates are
-/// re-solved per attempt. Returns whether a shrink happened.
+/// One elastic-shrink attempt: for the best candidate with at least
+/// two processors (see [`resize_candidates`]), releases every lease
+/// processor hosting no currently running task and re-solves the
+/// suffix DAG on the reduced lease. Processors are added back
+/// (memory-descending) while the reduced lease cannot memory-fit the
+/// suffix. The shrink is taken even when it delays the candidate's own
+/// finish — arriving load outranks a running workflow's tail — but a
+/// blocked queue head keeps its promise: a shrink moving the
+/// candidate's completion from before the head's reservation to after
+/// it (the reservation's replay assumed the whole old lease free at the
+/// old finish) is taken only if the head remains placeable at the
+/// reservation instant with the released processors free. Returns
+/// whether a shrink happened.
 fn shrink_lease(
     state: &mut ClusterState,
     cfg: &OnlineConfig,
@@ -521,68 +394,14 @@ fn shrink_lease(
     config_hash: u64,
     clock: f64,
 ) -> bool {
-    let mut cands: Vec<(usize, f64, usize)> = state
-        .in_service
-        .iter()
-        .enumerate()
-        .filter_map(|(slot, svc)| {
-            let svc = svc.as_ref()?;
-            let g = &svc.placement.submission.instance.graph;
-            let remaining: f64 = g
-                .node_ids()
-                .filter(|u| svc.task_start[u.idx()] > clock + 1e-9)
-                .map(|u| g.node(u).work)
-                .sum();
-            (remaining > 0.0 && svc.placement.lease.len() > 1).then_some((
-                slot,
-                remaining,
-                svc.record.id,
-            ))
-        })
-        .collect();
-    cands.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.2.cmp(&b.2)));
-    cands.truncate(BACKFILL_DEPTH);
-    // The head guard, computed once like `grow_lease`'s: a shrink may
-    // delay the candidate past the blocked head's reservation only if
-    // the head still fits at that instant afterwards.
-    let head_guard: Option<(&Pending, f64)> = match state.queue.get(state.first_live()) {
-        Some(head) if cfg.policy.backfills() => {
-            let resv = head_reservation_cached(
-                &state.cluster,
-                &state.mem_order,
-                &state.free,
-                &state.events,
-                &state.in_service,
-                head,
-                cfg,
-                cache,
-                config_hash,
-                state.epoch,
-                &mut state.resv_cache,
-                &mut state.scratch,
-            );
-            resv.is_finite().then_some((head, resv))
-        }
-        _ => None,
-    };
-
-    for (slot, _, _) in cands {
-        let svc = state.in_service[slot]
-            .as_ref()
-            .unwrap_or_else(|| unreachable!("candidates are ranked over live slots"));
+    let cands = resize_candidates(state, clock, 2);
+    let guard = head_guard(state, cfg, cache, config_hash);
+    for slot in cands {
+        let Some(svc) = state.in_service[slot].as_ref() else {
+            unreachable!("candidates are ranked over live slots")
+        };
         let g = &svc.placement.submission.instance.graph;
-        let suffix: Vec<dhp_dag::NodeId> = g
-            .node_ids()
-            .filter(|u| svc.task_start[u.idx()] > clock + 1e-9)
-            .collect();
-        if suffix.is_empty() {
-            continue;
-        }
-        let release = g
-            .node_ids()
-            .filter(|u| svc.task_start[u.idx()] <= clock + 1e-9)
-            .map(|u| svc.task_finish[u.idx()])
-            .fold(clock, f64::max);
+        let (suffix, release_at) = unstarted(svc, clock);
         // A lease processor hosting a currently running task cannot be
         // released before that task drains; every other one can go —
         // finished prefix tasks no longer occupy it, and unstarted
@@ -598,54 +417,38 @@ fn shrink_lease(
             .iter()
             .map(|&u| g.task_requirement(u))
             .fold(0.0, f64::max);
-        // Keep the running processors, then add droppables back —
-        // biggest memory first — until the reduced lease can memory-fit
-        // the suffix (feasibility is monotone in that choice; the
-        // solver below still has the final word).
-        let mut keep: Vec<ProcId> = svc
-            .placement
-            .lease
+        // Release the other processors, but add them back — biggest
+        // memory first — while the kept ones cannot memory-fit the
+        // suffix (feasibility is monotone in that choice; the solver
+        // below still has the final word).
+        let lease = &svc.placement.lease;
+        let mem = |p: &ProcId| state.cluster.memory(*p);
+        let mut kept_max_mem = lease
             .iter()
-            .copied()
             .filter(|p| running.contains(&p.0))
-            .collect();
-        let mut droppable: Vec<ProcId> = svc
-            .placement
-            .lease
+            .map(mem)
+            .fold(0.0, f64::max);
+        let mut released: Vec<ProcId> = lease
             .iter()
             .copied()
             .filter(|p| !running.contains(&p.0))
             .collect();
-        droppable.sort_by(|a, b| {
-            state
-                .cluster
-                .memory(*b)
-                .total_cmp(&state.cluster.memory(*a))
-                .then(a.cmp(b))
-        });
-        let mut kept_max_mem = keep
-            .iter()
-            .map(|&p| state.cluster.memory(p))
-            .fold(0.0, f64::max);
-        let mut released: Vec<ProcId> = Vec::new();
-        for p in droppable {
-            if kept_max_mem < suffix_req * (1.0 - 1e-9) {
-                kept_max_mem = kept_max_mem.max(state.cluster.memory(p));
-                keep.push(p);
-            } else {
-                released.push(p);
+        released.sort_by(|a, b| mem(b).total_cmp(&mem(a)).then(a.cmp(b)));
+        released.retain(|p| {
+            let add_back = kept_max_mem < suffix_req * (1.0 - 1e-9);
+            if add_back {
+                kept_max_mem = kept_max_mem.max(mem(p));
             }
-        }
+            !add_back
+        });
         if released.is_empty() {
             continue;
         }
         // The reduced lease in the old lease's carve order.
-        let reduced: Vec<ProcId> = svc
-            .placement
-            .lease
+        let reduced: Vec<ProcId> = lease
             .iter()
             .copied()
-            .filter(|p| keep.contains(p))
+            .filter(|p| !released.contains(p))
             .collect();
         let sub = state.cluster.subcluster(&reduced);
         let Ok(s) = dhp_core::partial::solve_suffix(
@@ -662,109 +465,190 @@ fn shrink_lease(
         let sim = cache.sim_outcome_keyed(s.key, || {
             simulate_outcome(&s.dag, &sub, &s.schedule.local.mapping)
         });
-        let new_finish = release + sim.makespan;
-        // Honour the blocked head's reservation: risky only when the
-        // candidate's completion moves from before the reservation to
-        // after it (the reservation's replay assumed the whole old
-        // lease free at the old finish). The hypothetical free set has
-        // the released processors already free and the candidate's own
-        // completion skipped.
-        if let Some((head, resv)) = head_guard {
-            let old_finish = state.in_service[slot]
-                .as_ref()
-                .unwrap_or_else(|| unreachable!("candidates are ranked over live slots"))
-                .record
-                .finish;
-            if old_finish <= resv + 1e-9 && new_finish > resv + 1e-9 {
-                let mut hyp_free = state.free.clone();
-                for &p in &released {
-                    hyp_free[p.idx()] = true;
-                }
-                if !head_fits_at(
-                    &state.cluster,
-                    &state.mem_order,
-                    &hyp_free,
+        let new_finish = release_at + sim.makespan;
+        let old_finish = svc.record.finish;
+        if let Some((hq, resv)) = guard {
+            if old_finish <= resv + 1e-9
+                && new_finish > resv + 1e-9
+                && !head_fits_at(
+                    state,
+                    hq,
                     &[],
+                    &released,
                     Some(slot),
-                    &state.events,
-                    &state.in_service,
-                    head,
+                    resv,
                     cfg,
                     cache,
                     config_hash,
-                    resv,
-                    &mut state.scratch,
-                ) {
-                    continue;
-                }
+                )
+            {
+                continue;
             }
         }
-
-        // ---- commit the shrink (mirrors `grow_lease`'s swap)
-        let suffix_proc: Vec<ProcId> = s
-            .dag
-            .node_ids()
-            .map(|u| {
-                let b = s.schedule.local.mapping.partition.block_of(u).idx();
-                sub.to_global(
-                    s.schedule.local.mapping.proc_of_block[b]
-                        .unwrap_or_else(|| unreachable!("the solver maps every block")),
-                )
-            })
-            .collect();
-        let svc = state.in_service[slot]
-            .as_mut()
-            .unwrap_or_else(|| unreachable!("candidates are ranked over live slots"));
-        for (i, &orig) in s.back.iter().enumerate() {
-            svc.task_start[orig.idx()] = release + sim.task_start[i];
-            svc.task_finish[orig.idx()] = release + sim.task_finish[i];
-            svc.task_proc[orig.idx()] = suffix_proc[i];
-        }
-        for (p, b) in &svc.busy {
-            state.busy_time[p.idx()] -= *b;
-        }
-        let g = &svc.placement.submission.instance.graph;
-        let mut by_proc: HashMap<ProcId, f64> = HashMap::new();
-        for u in g.node_ids() {
-            *by_proc.entry(svc.task_proc[u.idx()]).or_insert(0.0) +=
-                svc.task_finish[u.idx()] - svc.task_start[u.idx()];
-        }
-        let mut busy: Vec<(ProcId, f64)> = by_proc.into_iter().collect();
-        busy.sort_by_key(|&(p, _)| p);
-        for (p, b) in &busy {
-            state.busy_time[p.idx()] += *b;
-        }
-        svc.busy = busy;
-        for &p in &released {
-            debug_assert!(!state.free[p.idx()]);
-            state.free[p.idx()] = true;
-        }
-        state.free_count += released.len();
-        let seq = state.events.push(new_finish, slot);
-        svc.live_seq = seq;
-        let r = &mut svc.record;
-        r.finish = new_finish;
-        r.service = new_finish - r.start;
-        r.response = new_finish - r.arrival;
-        r.slowdown = if r.service > 0.0 {
-            r.response / r.service
-        } else {
-            1.0
-        };
-        r.lease = reduced.iter().map(|p| p.0).collect();
-        r.lease_shrunk = true;
-        svc.placement.finish = new_finish;
-        svc.placement.lease = reduced;
-        svc.placement.regrow.push(Regrow {
-            at: release,
-            suffix: s.back,
-            suffix_dag: s.dag,
-            mapping: s.schedule.global,
-        });
-        // The free set, the heap, and the in-service table all just
-        // changed: move the reservation token's epoch on.
-        state.epoch = state.epoch.wrapping_add(1);
+        commit_resize(state, slot, s, &sim, release_at, reduced, &[], &released);
         return true;
     }
     false
+}
+
+/// The in-service workflows an elastic resize may re-solve, best
+/// first: those holding at least `min_lease` processors and some
+/// unstarted work, ranked by that work (most first — the workflow with
+/// the most re-solvable suffix gains or yields the most), ties on id.
+/// At most [`BACKFILL_DEPTH`] are returned, mirroring the admission
+/// pass's probe bound: a failed attempt usually paid a full suffix
+/// solve (suffix shapes are mostly unique, so the cache rarely answers
+/// them).
+fn resize_candidates(state: &ClusterState, clock: f64, min_lease: usize) -> Vec<usize> {
+    let mut cands: Vec<(usize, f64, usize)> = state
+        .in_service
+        .iter()
+        .enumerate()
+        .filter_map(|(slot, svc)| {
+            let svc = svc.as_ref()?;
+            let g = &svc.placement.submission.instance.graph;
+            let remaining: f64 = g
+                .node_ids()
+                .filter(|u| svc.task_start[u.idx()] > clock + 1e-9)
+                .map(|u| g.node(u).work)
+                .sum();
+            (remaining > 0.0 && svc.placement.lease.len() >= min_lease).then_some((
+                slot,
+                remaining,
+                svc.record.id,
+            ))
+        })
+        .collect();
+    cands.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.2.cmp(&b.2)));
+    cands.truncate(BACKFILL_DEPTH);
+    cands.into_iter().map(|(slot, _, _)| slot).collect()
+}
+
+/// The head guard of one resize attempt: under a backfilling policy,
+/// the blocked queue head's slot and its finite reservation, computed
+/// once per attempt — a resize must not seize the processors the
+/// head's promise assumed would be free. `None` when nothing is queued,
+/// the policy does not backfill, or the head is not placeable even once
+/// everything drains.
+fn head_guard(
+    state: &mut ClusterState,
+    cfg: &OnlineConfig,
+    cache: &CacheView,
+    config_hash: u64,
+) -> Option<(usize, f64)> {
+    let hq = state.first_live();
+    if hq == state.queue.len() || !cfg.policy.backfills() {
+        return None;
+    }
+    let resv = head_reservation(state, hq, cfg, cache, config_hash);
+    resv.is_finite().then_some((hq, resv))
+}
+
+/// A running workflow's unstarted suffix (tasks starting after `clock`)
+/// and the instant its re-solved schedule is released: the last finish
+/// of the committed prefix, running tasks included, so the suffix never
+/// overlaps them (cross-boundary files are local by then — see
+/// `solve_suffix`).
+fn unstarted(svc: &InService, clock: f64) -> (Vec<dhp_dag::NodeId>, f64) {
+    let g = &svc.placement.submission.instance.graph;
+    let suffix = g
+        .node_ids()
+        .filter(|u| svc.task_start[u.idx()] > clock + 1e-9)
+        .collect();
+    let release_at = g
+        .node_ids()
+        .filter(|u| svc.task_start[u.idx()] <= clock + 1e-9)
+        .map(|u| svc.task_finish[u.idx()])
+        .fold(clock, f64::max);
+    (suffix, release_at)
+}
+
+/// The parent processor of every suffix task, in suffix-local id order.
+fn suffix_procs(s: &SuffixSolve) -> Vec<ProcId> {
+    let m = &s.schedule.global;
+    s.dag
+        .node_ids()
+        .map(|u| {
+            m.proc_of_block[m.partition.block_of(u).idx()]
+                .unwrap_or_else(|| unreachable!("the solver maps every block"))
+        })
+        .collect()
+}
+
+/// Swaps the running workflow in `slot` onto its re-solved suffix `s`,
+/// simulated as `sim` and released at `release_at`, on `lease` — which
+/// `claim`s processors from the free set (growth) or `release`s
+/// processors to it (shrink). The one writer of a resized workflow's
+/// state: its task times and processors, its exact busy-time
+/// re-credit, the free set, its completion event (the old heap entry
+/// goes stale), its record and placement, and the [`Regrow`] entry.
+#[allow(clippy::too_many_arguments)]
+fn commit_resize(
+    state: &mut ClusterState,
+    slot: usize,
+    s: SuffixSolve,
+    sim: &SimOutcome,
+    release_at: f64,
+    lease: Vec<ProcId>,
+    claim: &[ProcId],
+    release: &[ProcId],
+) {
+    let procs = suffix_procs(&s);
+    let Some(svc) = state.in_service[slot].as_mut() else {
+        unreachable!("candidates are ranked over live slots")
+    };
+    for (i, &orig) in s.back.iter().enumerate() {
+        svc.task_start[orig.idx()] = release_at + sim.task_start[i];
+        svc.task_finish[orig.idx()] = release_at + sim.task_finish[i];
+        svc.task_proc[orig.idx()] = procs[i];
+    }
+    // Replace this workflow's busy-time contribution: subtract exactly
+    // what was credited, re-credit the swapped schedule.
+    for (p, b) in &svc.busy {
+        state.busy_time[p.idx()] -= *b;
+    }
+    let g = &svc.placement.submission.instance.graph;
+    let mut by_proc: HashMap<ProcId, f64> = HashMap::new();
+    for u in g.node_ids() {
+        *by_proc.entry(svc.task_proc[u.idx()]).or_insert(0.0) +=
+            svc.task_finish[u.idx()] - svc.task_start[u.idx()];
+    }
+    let mut busy: Vec<(ProcId, f64)> = by_proc.into_iter().collect();
+    busy.sort_by_key(|&(p, _)| p);
+    for (p, b) in &busy {
+        state.busy_time[p.idx()] += *b;
+    }
+    svc.busy = busy;
+    for &p in claim {
+        debug_assert!(state.free[p.idx()]);
+        state.free[p.idx()] = false;
+    }
+    for &p in release {
+        debug_assert!(!state.free[p.idx()]);
+        state.free[p.idx()] = true;
+    }
+    state.free_count = state.free_count - claim.len() + release.len();
+    let new_finish = release_at + sim.makespan;
+    svc.live_seq = state.events.push(new_finish, slot);
+    let r = &mut svc.record;
+    r.finish = new_finish;
+    r.service = new_finish - r.start;
+    r.response = new_finish - r.arrival;
+    r.slowdown = if r.service > 0.0 {
+        r.response / r.service
+    } else {
+        1.0
+    };
+    r.lease = lease.iter().map(|p| p.0).collect();
+    r.lease_grown |= !claim.is_empty();
+    r.lease_shrunk |= !release.is_empty();
+    svc.placement.finish = new_finish;
+    svc.placement.lease = lease;
+    svc.placement.regrow.push(Regrow {
+        at: release_at,
+        suffix: s.back,
+        suffix_dag: s.dag,
+        mapping: s.schedule.global,
+    });
+    state.bump_epoch();
 }

@@ -171,26 +171,28 @@ pub struct Placement {
     /// instead.
     pub mapping: Mapping,
     /// Leased processors (parent ids, grant order). After an elastic
-    /// growth this is the grown lease; the extra processors joined at
-    /// the growth instant, not at `start`.
+    /// resize this is the resized lease: processors a growth added
+    /// joined at the growth instant, not at `start`, and processors a
+    /// shrink released left at the shrink instant.
     pub lease: Vec<ProcId>,
     /// Lease grant instant.
     pub start: f64,
     /// Completion instant.
     pub finish: f64,
-    /// The elastic re-solves of this workflow's suffixes, in growth
-    /// order (empty for statically leased workflows). A task's executed
+    /// The elastic re-solves of this workflow's suffixes, grown or
+    /// shrunk, in resize order (empty for statically leased workflows). A task's executed
     /// schedule is given by the *last* entry whose `suffix` contains it
     /// (earlier entries were superseded before those tasks started), or
     /// by the as-admitted `mapping` if no entry does.
     pub regrow: Vec<Regrow>,
 }
 
-/// The re-solved suffix phase of an elastically grown lease.
+/// The re-solved suffix phase of an elastically resized (grown or
+/// shrunk) lease.
 #[derive(Clone, Debug)]
 pub struct Regrow {
     /// Instant the suffix schedule begins: the committed prefix has
-    /// drained by then, and it is never earlier than the growth event.
+    /// drained by then, and it is never earlier than the resize event.
     pub at: f64,
     /// Original node ids of the re-scheduled suffix, ascending
     /// (index-aligned with `suffix_dag`'s dense local ids).
@@ -208,19 +210,19 @@ pub(crate) struct InService {
     pub(crate) placement: Placement,
     pub(crate) fingerprint: u64,
     /// Sequence number of this workflow's *live* completion event.
-    /// Elastic growth re-schedules completions by pushing a fresh event
-    /// and bumping this; heap entries whose seq no longer matches are
-    /// stale and skipped on pop.
+    /// An elastic resize re-schedules the completion by pushing a fresh
+    /// event and bumping this; heap entries whose seq no longer matches
+    /// are stale and skipped on pop.
     pub(crate) live_seq: u64,
     /// Absolute per-task start instants under the current schedule (the
-    /// committed/suffix split point of elastic growth).
+    /// committed/suffix split point of an elastic resize).
     pub(crate) task_start: Vec<f64>,
     /// Absolute per-task finish instants under the current schedule.
     pub(crate) task_finish: Vec<f64>,
     /// Global processor of every task under the current schedule.
     pub(crate) task_proc: Vec<ProcId>,
     /// Per-processor busy time already credited to the fleet for this
-    /// workflow (subtracted exactly on an elastic swap).
+    /// workflow (subtracted exactly on an elastic resize).
     pub(crate) busy: Vec<(ProcId, f64)>,
 }
 
@@ -231,7 +233,7 @@ pub(crate) struct InService {
 /// live pending completions in time order. The buffers are cleared and
 /// refilled per use — after the first few events they have grown to
 /// the cluster's working-set size and stay there (pinned by the
-/// allocation-counting test in `admission.rs`).
+/// allocation-counting tests in `hotpath_tests.rs`).
 #[derive(Default)]
 pub(crate) struct ProbeScratch {
     /// Free processors in canonical memory-descending order — the
@@ -332,7 +334,7 @@ pub(crate) struct ClusterState {
     pub(crate) epoch: u64,
     /// The memoized head reservation: `(epoch, head id, reservation)`.
     /// Consulted (and refilled) by
-    /// [`crate::admission::head_reservation_cached`]; a token whose
+    /// [`crate::admission::head_reservation`]; a token whose
     /// epoch or head no longer matches forces a fresh replay.
     pub(crate) resv_cache: Option<(u64, usize, f64)>,
     /// Reusable probe buffers (see [`ProbeScratch`]).
@@ -395,7 +397,7 @@ impl ClusterState {
 
     /// Pops every completion event due at or before `clock`: frees the
     /// lease, records the finished workflow, and arms elastic growth.
-    /// Stale entries (superseded by an elastic growth) are dropped.
+    /// Stale entries (superseded by an elastic resize) are dropped.
     pub(crate) fn process_due_completions(&mut self, clock: f64) {
         while let Some(c) = self.events.peek() {
             if c.time > clock {
@@ -404,7 +406,7 @@ impl ClusterState {
             let Some(c) = self.events.pop() else {
                 unreachable!("peek above just returned this entry");
             };
-            // Elastic growth re-schedules completions: a heap entry
+            // An elastic resize re-schedules completions: a heap entry
             // whose seq no longer matches its slot's live event is
             // stale — drop it.
             let live = self.in_service[c.slot]
