@@ -27,5 +27,20 @@ fn bench_bisect(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_partition, bench_bisect);
+/// The coarsening hierarchy a `k'` sweep builds once, before its
+/// workers start (for the smallest part count): matching and contracting
+/// level after level, down from 10 000 tasks.
+fn bench_coarsen(c: &mut Criterion) {
+    let mut group = c.benchmark_group("dagp_coarsen");
+    group.sample_size(10);
+    for (name, family) in [("blast", Family::Blast), ("genome", Family::Genome)] {
+        let g = family.generate(10_000, &WeightModel::paper(), 9);
+        group.bench_function(format!("{name}_10000"), |b| {
+            b.iter(|| dhp_dagp::coarsen_for(black_box(&g), 2, &PartitionConfig::default()))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_partition, bench_bisect, bench_coarsen);
 criterion_main!(benches);

@@ -1,9 +1,12 @@
 //! Microbenchmark: the bottom-weight makespan engine (paper Eq. (1)–(2)),
-//! the inner loop of Steps 3–4, the exact solver and Figs. 3–7, and the
-//! partition renumbering behind every quotient it is asked about.
+//! the inner loop of Steps 3–4, the exact solver and Figs. 3–7, the
+//! partition renumbering behind every quotient it is asked about, and
+//! the quotient build itself.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dhp_dag::{builder, FlatQuotient, Partition, PassScratch};
+use dhp_dagp::PartitionConfig;
+use dhp_wfgen::{Family, WeightModel};
 use std::hint::black_box;
 
 /// A quotient-graph-shaped DAG with `k` blocks as a flat quotient (the
@@ -57,10 +60,33 @@ fn bench_partition_from_raw(c: &mut Criterion) {
     group.finish();
 }
 
+/// `FlatQuotient::build` of a dagP partition: what every `k'` attempt
+/// of a sweep pays once for its block set. A 10 000-task fan-out
+/// workflow at 36 and 400 blocks (the first coalesces in a `k × k`
+/// table, the second by source) and a 60-task chain-shaped one at 36
+/// blocks, where the crossing edges are few against the table.
+fn bench_quotient_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("quotient_build");
+    let cases = [
+        ("fanout10000_k36", Family::Blast, 10_000, 36),
+        ("chain60_k36", Family::Epigenomics, 60, 36),
+        ("fanout10000_k400", Family::Blast, 10_000, 400),
+    ];
+    for (name, family, tasks, k) in cases {
+        let g = family.generate(tasks, &WeightModel::paper(), 9);
+        let partition = dhp_dagp::partition(&g, k, &PartitionConfig::default());
+        group.bench_function(name, |b| {
+            b.iter(|| FlatQuotient::build(black_box(&g), black_box(&partition)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_quotient_makespan,
     bench_critical_path,
-    bench_partition_from_raw
+    bench_partition_from_raw,
+    bench_quotient_build
 );
 criterion_main!(benches);

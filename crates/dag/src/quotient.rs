@@ -10,11 +10,17 @@
 //! hashing, numbered like it, and read by the passes of
 //! [`PassScratch`], which the mapping validator, every makespan,
 //! DagHetPart's Steps 3 and 4 and the exact solver run.
-//! [`QuotientGraph::build`] materialises it as a [`Dag`]. The tests keep
-//! the old hash-map build and `critical::critical_path` as the
-//! references both are held to, bit for bit.
+//! [`QuotientGraph::build`] materialises it as a [`Dag`].
+//!
+//! [`coalesce_crossing`] is the one way crossing edges become quotient
+//! edges, here and in `dhp_dagp`'s coarsening: one linear pass, through
+//! a `k × k` table of sums when `k` is small against the edge count and
+//! by buckets per source otherwise, each pair's volume summed in
+//! edge-id order. The tests keep the old stable sort, the old hash-map
+//! build and `critical::critical_path` as the references all of it is
+//! held to, bit for bit.
 
-use crate::graph::{Dag, NodeId};
+use crate::graph::{Dag, EdgeId, NodeId};
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a block within a partition (dense index).
@@ -142,6 +148,101 @@ impl Partition {
     }
 }
 
+/// How many table cells [`coalesce_crossing`] spends per edge before it
+/// buckets by source instead. On dagP partitions of 60- to 10 000-task
+/// workflows the table is 2–3× faster at under one cell per edge and
+/// breaks even at about 3 (60 tasks) to 6 (10 000 tasks) cells per
+/// edge.
+const TABLE_CELLS_PER_EDGE: usize = 4;
+
+/// The crossing edges of a graph coarsened onto `k` nodes, coalesced:
+/// one `(a, b, volume)` per node pair, ascending by `(a, b)`.
+///
+/// `edges` is every edge of the finer graph in edge-id order, already
+/// mapped to its coarse endpoints (each below `k`); those with `a == b`
+/// are internal and dropped. A pair's volume is summed onto `0.0` over
+/// its crossing edges in edge-id order, so it has the same bits however
+/// the pairs are found. With `k²` at most four cells per edge (a
+/// DagHetPart `k'` attempt's quotient of a workflow of a few hundred
+/// tasks or more) the sums accumulate in a `k × k` table; otherwise (a
+/// dagP coarse level, where `k` is close to the node count, or a short
+/// chain cut into many blocks) the edges are bucketed by source and
+/// each source's run is coalesced through a per-destination slot table.
+/// Neither hashes; neither sorts the edges (the bucket path sorts only
+/// each source's distinct destinations).
+pub fn coalesce_crossing<I>(k: usize, edges: I) -> Vec<(u32, u32, f64)>
+where
+    I: ExactSizeIterator<Item = (u32, u32, f64)> + Clone,
+{
+    if k.saturating_mul(k) <= edges.len().saturating_mul(TABLE_CELLS_PER_EDGE) {
+        coalesce_in_table(k, edges)
+    } else {
+        coalesce_by_source(k, edges)
+    }
+}
+
+/// [`coalesce_crossing`] through a `k × k` table of sums.
+fn coalesce_in_table(
+    k: usize,
+    edges: impl Iterator<Item = (u32, u32, f64)>,
+) -> Vec<(u32, u32, f64)> {
+    let mut sum = vec![0.0f64; k * k];
+    let mut seen = vec![false; k * k];
+    for (a, b, volume) in edges.filter(|&(a, b, _)| a != b) {
+        let cell = a as usize * k + b as usize;
+        sum[cell] += volume;
+        seen[cell] = true;
+    }
+    (0..k * k)
+        .filter(|&cell| seen[cell])
+        .map(|cell| ((cell / k) as u32, (cell % k) as u32, sum[cell]))
+        .collect()
+}
+
+/// [`coalesce_crossing`] by one counting pass over the sources: each
+/// source's crossing edges, in edge-id order, are coalesced through a
+/// slot per destination (the pair's place in the output) and the run's
+/// pairs then put in destination order.
+fn coalesce_by_source<I>(k: usize, edges: I) -> Vec<(u32, u32, f64)>
+where
+    I: Iterator<Item = (u32, u32, f64)> + Clone,
+{
+    let crossing = edges.filter(|&(a, b, _)| a != b);
+    let mut start = vec![0u32; k + 1];
+    for (a, _, _) in crossing.clone() {
+        start[a as usize + 1] += 1;
+    }
+    for a in 0..k {
+        start[a + 1] += start[a];
+    }
+    let mut next = start[..k].to_vec();
+    let mut by_source = vec![(0u32, 0.0f64); start[k] as usize];
+    for (a, b, volume) in crossing {
+        let at = &mut next[a as usize];
+        by_source[*at as usize] = (b, volume);
+        *at += 1;
+    }
+    // `slot[b]` is where the current source's pair with `b` sits in
+    // `out`, if it is at or after `run_start`.
+    let mut slot = vec![u32::MAX; k];
+    let mut out: Vec<(u32, u32, f64)> = Vec::with_capacity(by_source.len());
+    for a in 0..k {
+        let run_start = out.len();
+        for &(b, volume) in &by_source[start[a] as usize..start[a + 1] as usize] {
+            let at = slot[b as usize] as usize;
+            match out.get_mut(at) {
+                Some(pair) if at >= run_start => pair.2 += volume,
+                _ => {
+                    slot[b as usize] = out.len() as u32;
+                    out.push((a as u32, b, 0.0 + volume));
+                }
+            }
+        }
+        out[run_start..].sort_unstable_by_key(|&(_, b, _)| b);
+    }
+    out
+}
+
 /// A quotient graph as flat arrays: node `i` is block `i`. Speeds are
 /// set by the caller; the default 1.0 gives the paper's *estimated*
 /// makespan.
@@ -172,21 +273,12 @@ impl FlatQuotient {
             work[partition.block_of(u).idx()] += g.node(u).work;
         }
         let block = |u: NodeId| partition.block_of(u).0;
-        let mut crossing: Vec<(u32, u32, f64)> = g
-            .edge_ids()
-            .map(|e| g.edge(e))
-            .map(|e| (block(e.src), block(e.dst), e.volume))
-            .filter(|&(a, b, _)| a != b)
-            .collect();
-        // Stable: parallel crossing edges stay in edge-id order.
-        crossing.sort_by_key(|&(a, b, _)| (a, b));
-        let mut edges: Vec<(u32, u32, f64)> = Vec::with_capacity(crossing.len());
-        for (a, b, volume) in crossing {
-            match edges.last_mut() {
-                Some((la, lb, sum)) if (*la, *lb) == (a, b) => *sum += volume,
-                _ => edges.push((a, b, 0.0 + volume)),
-            }
-        }
+        let edges = coalesce_crossing(
+            k,
+            (0..g.edge_count() as u32)
+                .map(|e| g.edge(EdgeId(e)))
+                .map(|e| (block(e.src), block(e.dst), e.volume)),
+        );
         Self {
             work,
             speed: vec![1.0; k],
@@ -958,18 +1050,8 @@ mod tests {
             let memory: f64 = m.iter().map(|&u| g.node(u).memory).sum();
             graph.add_node(work, memory);
         }
-        let mut combined: HashMap<(BlockId, BlockId), f64> = HashMap::new();
-        for e in g.edge_ids() {
-            let ed = g.edge(e);
-            let (bs, bd) = (partition.block_of(ed.src), partition.block_of(ed.dst));
-            if bs != bd {
-                *combined.entry((bs, bd)).or_insert(0.0) += ed.volume;
-            }
-        }
-        let mut pairs: Vec<_> = combined.into_iter().collect();
-        pairs.sort_by_key(|&((a, b), _)| (a, b));
-        for ((bs, bd), vol) in pairs {
-            graph.add_edge(NodeId(bs.0), NodeId(bd.0), vol);
+        for (a, b, volume) in coalesce_by_hash_map(&block_edges(g, partition)) {
+            graph.add_edge(NodeId(a), NodeId(b), volume);
         }
         QuotientGraph { graph, members }
     }
@@ -988,30 +1070,39 @@ mod tests {
     /// A weighted G(n, p) DAG with its tasks relabelled by random keys
     /// (ids are not a topological order) and a partition of it, drawn
     /// so that the sums show their order: zero and `-0.0` works and
-    /// volumes, and the first `doubled` task edges doubled (dense graphs
-    /// and few blocks give many parallel crossing edges). The blocks
-    /// are random (mostly a cyclic quotient), or, when `runs` draws
-    /// `true`, runs of a topological order (always acyclic, and still
-    /// numbered by first appearance over task ids, which is not a
-    /// topological order of the quotient).
+    /// volumes (and, when `hostile`, NaN and `±∞` volumes), and the
+    /// first `doubled` task edges repeated one to three times (dense
+    /// graphs and few blocks give many parallel crossing edges). One
+    /// draw in twelve has no edge at all. The blocks are random (mostly
+    /// a cyclic quotient; from one block up to one per task, so the
+    /// quotient's `k²` lands on both sides of the coalescer's switch),
+    /// or, when `runs` draws `true`, runs of a topological order (always
+    /// acyclic, and still numbered by first appearance over task ids,
+    /// which is not a topological order of the quotient).
     fn arb_partitioned(
         runs: impl Strategy<Value = bool>,
+        hostile: bool,
     ) -> impl Strategy<Value = (Dag, Partition)> {
         (
-            (1usize..40, 0.05f64..0.6, any::<u64>(), runs),
+            (1usize..40, 0.0f64..0.6, any::<u64>(), runs),
             (
-                1u32..20,
+                1u32..48,
                 collection::vec(any::<u32>(), 40),
                 collection::vec(any::<u64>(), 40),
             ),
             (
                 collection::vec(0u8..4, 40),
-                collection::vec(0u8..4, 64),
-                0usize..64,
+                collection::vec(0u8..7, 64),
+                (0usize..64, 1usize..4),
             ),
         )
             .prop_map(
-                |((n, p, seed, runs), (parts, raw, keys), (works, volumes, doubled))| {
+                move |(
+                    (n, p, seed, runs),
+                    (parts, raw, keys),
+                    (works, volumes, (doubled, copies)),
+                )| {
+                    let p = if p < 0.05 { 0.0 } else { p };
                     let base = builder::gnp_dag_weighted(n, p, seed);
                     let mut by_key: Vec<usize> = (0..n).collect();
                     by_key.sort_by_key(|&i| (keys[i], i));
@@ -1022,6 +1113,9 @@ mod tests {
                     let tweak = |v: f64, class: u8| match class {
                         1 => 0.0,
                         2 => -0.0,
+                        4 if hostile => f64::NAN,
+                        5 if hostile => f64::INFINITY,
+                        6 if hostile => f64::NEG_INFINITY,
                         _ => v,
                     };
                     let mut g = Dag::new();
@@ -1033,8 +1127,9 @@ mod tests {
                         let (src, dst) = (NodeId(label[e.src.idx()]), NodeId(label[e.dst.idx()]));
                         let volume = tweak(e.volume, volumes[i % volumes.len()]);
                         g.add_edge(src, dst, volume);
-                        if i < doubled {
-                            g.add_edge(src, dst, tweak(volume, volumes[(i + 1) % volumes.len()]));
+                        for copy in 1..=copies * usize::from(i < doubled) {
+                            let class = volumes[(i + copy) % volumes.len()];
+                            g.add_edge(src, dst, tweak(volume, class));
                         }
                     }
                     let mut blocks: Vec<u32> = raw[..n].iter().map(|r| r % parts).collect();
@@ -1049,16 +1144,120 @@ mod tests {
             )
     }
 
+    /// Every edge of `g` as `(block of src, block of dst, volume)`, in
+    /// edge-id order.
+    fn block_edges(g: &Dag, partition: &Partition) -> Vec<(u32, u32, f64)> {
+        let block = |u: NodeId| partition.block_of(u).0;
+        g.edge_ids()
+            .map(|e| g.edge(e))
+            .map(|e| (block(e.src), block(e.dst), e.volume))
+            .collect()
+    }
+
+    /// `FlatQuotient::build`'s coalescing as it was: the crossing edges
+    /// stably sorted by block pair, then each run of parallel ones
+    /// summed onto `0.0`.
+    fn coalesce_by_sort(edges: &[(u32, u32, f64)]) -> Vec<(u32, u32, f64)> {
+        let mut crossing: Vec<(u32, u32, f64)> =
+            edges.iter().copied().filter(|&(a, b, _)| a != b).collect();
+        crossing.sort_by_key(|&(a, b, _)| (a, b));
+        let mut out: Vec<(u32, u32, f64)> = Vec::with_capacity(crossing.len());
+        for (a, b, volume) in crossing {
+            match out.last_mut() {
+                Some((la, lb, sum)) if (*la, *lb) == (a, b) => *sum += volume,
+                _ => out.push((a, b, 0.0 + volume)),
+            }
+        }
+        out
+    }
+
+    /// The quotient's and `dhp_dagp`'s coarse-edge coalescing as they
+    /// were: a hash map of node pairs, each volume summed onto `0.0`,
+    /// then sorted by pair.
+    fn coalesce_by_hash_map(edges: &[(u32, u32, f64)]) -> Vec<(u32, u32, f64)> {
+        let mut combined: HashMap<(u32, u32), f64> = HashMap::new();
+        for &(a, b, volume) in edges.iter().filter(|&&(a, b, _)| a != b) {
+            *combined.entry((a, b)).or_insert(0.0) += volume;
+        }
+        let mut pairs: Vec<_> = combined.into_iter().collect();
+        pairs.sort_by_key(|&(pair, _)| pair);
+        pairs
+            .into_iter()
+            .map(|((a, b), volume)| (a, b, volume))
+            .collect()
+    }
+
+    /// The bits of `v`, every NaN as `f64::NAN`'s. Rust leaves the sign
+    /// and payload of a NaN that arithmetic returns unspecified (on
+    /// x86-64, `∞ + -∞` is negative, and where two NaNs meet the
+    /// compiler may pick either operand's), so two builds of the same
+    /// sum can differ there and nowhere else.
+    fn canonical_bits(v: f64) -> u64 {
+        if v.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
+    fn edge_bits(edges: &[(u32, u32, f64)]) -> Vec<(u32, u32, u64)> {
+        edges
+            .iter()
+            .map(|&(a, b, v)| (a, b, canonical_bits(v)))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Both ways [`coalesce_crossing`] can take, and the switch
+        /// between them, coalesce like the sort and the hash map did,
+        /// to the bit (a NaN's sign and payload aside, see
+        /// [`canonical_bits`]): from one node to many more than the
+        /// edges, none to hundreds of edges over few pairs, internal
+        /// edges, and `±0.0`, NaN and `±∞` volumes.
+        #[test]
+        fn both_coalescing_paths_match_the_sort_and_the_hash_map(
+            k in 1usize..64,
+            pairs in collection::vec((any::<u32>(), any::<u32>()), 0..300),
+            classes in collection::vec(0u8..8, 300),
+            few_pairs in any::<bool>(),
+        ) {
+            let span = if few_pairs { k.min(3) } else { k } as u32;
+            let edges: Vec<(u32, u32, f64)> = pairs
+                .iter()
+                .zip(&classes)
+                .map(|(&(a, b), &class)| {
+                    let volume = match class {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => f64::NAN,
+                        3 => f64::INFINITY,
+                        4 => f64::NEG_INFINITY,
+                        _ => f64::from(a % 1000) * 0.1 + f64::from(b % 7) * 1e-9,
+                    };
+                    (a % span, b % span, volume)
+                })
+                .collect();
+            let want = edge_bits(&coalesce_by_sort(&edges));
+            prop_assert_eq!(edge_bits(&coalesce_by_hash_map(&edges)), want.clone());
+            prop_assert_eq!(edge_bits(&coalesce_in_table(k, edges.iter().copied())), want.clone());
+            prop_assert_eq!(edge_bits(&coalesce_by_source(k, edges.iter().copied())), want.clone());
+            prop_assert_eq!(edge_bits(&coalesce_crossing(k, edges.iter().copied())), want);
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(96))]
 
         /// The flat build and the `Dag` it materialises equal the hash
         /// map build to the bit — works, memories, edges with their
-        /// volumes, members, edge cut — and the Kahn pass's verdict is
-        /// `cycles::is_cyclic`'s, on cyclic and acyclic quotients.
+        /// volumes, members, edge cut — its edges are the sort's, and
+        /// the Kahn pass's verdict is `cycles::is_cyclic`'s, on cyclic
+        /// and acyclic quotients.
         #[test]
         fn flat_quotient_build_matches_the_hash_map_build(
-            (g, partition) in arb_partitioned(any::<bool>()),
+            (g, partition) in arb_partitioned(any::<bool>(), true),
         ) {
             let want = reference_build(&g, &partition);
             let got = QuotientGraph::build(&g, &partition);
@@ -1069,23 +1268,24 @@ mod tests {
                     .map(|u| (q.node(u).work.to_bits(), q.node(u).memory.to_bits()))
                     .collect::<Vec<_>>()
             };
-            let edge_bits = |q: &Dag| {
+            let dag_edge_bits = |q: &Dag| {
                 q.edge_ids()
                     .map(|e| q.edge(e))
-                    .map(|e| (e.src.0, e.dst.0, e.volume.to_bits()))
+                    .map(|e| (e.src.0, e.dst.0, canonical_bits(e.volume)))
                     .collect::<Vec<_>>()
             };
             prop_assert_eq!(node_bits(&got.graph), node_bits(&want.graph));
-            prop_assert_eq!(edge_bits(&got.graph), edge_bits(&want.graph));
+            prop_assert_eq!(dag_edge_bits(&got.graph), dag_edge_bits(&want.graph));
             prop_assert_eq!(&got.members, &want.members);
-            prop_assert_eq!(got.edge_cut().to_bits(), want.edge_cut().to_bits());
+            prop_assert_eq!(canonical_bits(got.edge_cut()), canonical_bits(want.edge_cut()));
             prop_assert_eq!(
                 bits(&mut flat.work.iter().copied()),
                 bits(&mut want.graph.node_ids().map(|u| want.graph.node(u).work))
             );
             prop_assert!(flat.speed.iter().all(|&s| s == 1.0));
-            let flat_edges: Vec<_> = flat.edges.iter().map(|&(a, b, v)| (a, b, v.to_bits())).collect();
-            prop_assert_eq!(flat_edges, edge_bits(&want.graph));
+            prop_assert_eq!(edge_bits(&flat.edges), dag_edge_bits(&want.graph));
+            let by_sort = coalesce_by_sort(&block_edges(&g, &partition));
+            prop_assert_eq!(edge_bits(&flat.edges), edge_bits(&by_sort));
             let acyclic = !crate::cycles::is_cyclic(&want.graph);
             prop_assert_eq!(PassScratch::default().index(&flat, 1.0), acyclic);
             prop_assert_eq!(is_acyclic_partition(&g, &partition), acyclic);
@@ -1101,7 +1301,7 @@ mod tests {
         /// order, on acyclic quotients.
         #[test]
         fn indexed_once_relaxed_often_matches_the_dag_passes(
-            (g, partition) in arb_partitioned(Just(true)),
+            (g, partition) in arb_partitioned(Just(true), false),
             speeds in collection::vec(collection::vec(0usize..5, 40), 6),
             bandwidth in proptest::sample::select(vec![0.3, 1.0, 3.0, 7.0]),
         ) {
@@ -1136,7 +1336,7 @@ mod tests {
         /// same makespan bits as indexing and relaxing it.
         #[test]
         fn a_merged_pair_scores_as_its_contraction(
-            (g, partition) in arb_partitioned(Just(true)),
+            (g, partition) in arb_partitioned(Just(true), false),
             speeds in collection::vec(0usize..7, 40),
             hostile in collection::vec(0u8..8, 64),
             bandwidth in proptest::sample::select(vec![0.3, 1.0, 3.0, 7.0]),

@@ -12,8 +12,17 @@
 //! greedy by decreasing edge volume (heavy edges are hidden inside coarse
 //! nodes so they can never be cut), with a seeded shuffle for
 //! deterministic tie-breaking.
+//!
+//! A level is contracted without hashing: parallel coarse edges are
+//! coalesced by [`dhp_dag::quotient::coalesce_crossing`], which sums
+//! each pair's volume in fine edge-id order. A level keeps at least
+//! half the nodes of the one before it, so the coalescer mostly buckets
+//! the fine edges by coarse source rather than fill a `k × k` table.
+//! The tests keep the hash-map contraction it replaced and hold every
+//! level to it, bit for bit.
 
-use dhp_dag::{BlockView, Dag, NodeId};
+use dhp_dag::quotient::coalesce_crossing;
+use dhp_dag::{BlockView, Dag, EdgeId, NodeId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -212,6 +221,21 @@ impl<'h> Prefix<'h> {
 /// Coarsens `g` until at most `target` nodes remain or no further safe
 /// contraction exists.
 pub fn coarsen(g: &Dag, weights: &[f64], target: usize, seed: u64) -> Hierarchy {
+    coarsen_with(g, weights, target, seed, contract)
+}
+
+/// The graph, balance weights and coarse map of one level's contraction
+/// (see [`contract`]).
+type Contraction = (Dag, Vec<f64>, Vec<NodeId>);
+
+/// [`coarsen`], each level contracted by `contract`.
+fn coarsen_with(
+    g: &Dag,
+    weights: &[f64],
+    target: usize,
+    seed: u64,
+    contract: fn(&Dag, &[f64], &[u32], usize) -> Contraction,
+) -> Hierarchy {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut hierarchy = Hierarchy {
         finest: Level::new(unlabelled(g), weights.to_vec()),
@@ -303,13 +327,11 @@ fn match_edges(g: &Dag, rng: &mut StdRng) -> (Vec<u32>, usize) {
 }
 
 /// Builds the contracted graph. `group` maps fine nodes to coarse ids
-/// `0..groups`.
-fn contract(
-    g: &Dag,
-    weights: &[f64],
-    group: &[u32],
-    groups: usize,
-) -> (Dag, Vec<f64>, Vec<NodeId>) {
+/// `0..groups`. A coarse node sums its members' works, memories and
+/// weights in ascending fine id; a coarse edge is one pair of groups,
+/// ascending, its volume summed in fine edge-id order
+/// ([`coalesce_crossing`]).
+fn contract(g: &Dag, weights: &[f64], group: &[u32], groups: usize) -> Contraction {
     let mut coarse = Dag::with_capacity(groups, g.edge_count());
     let mut coarse_weights = vec![0.0f64; groups];
     let mut work = vec![0.0f64; groups];
@@ -323,20 +345,11 @@ fn contract(
     for c in 0..groups {
         coarse.add_node(work[c], memory[c]);
     }
-    // Coalesce parallel coarse edges.
-    use std::collections::HashMap;
-    let mut combined: HashMap<(u32, u32), f64> = HashMap::new();
-    for e in g.edge_ids() {
-        let ed = g.edge(e);
-        let (a, b) = (group[ed.src.idx()], group[ed.dst.idx()]);
-        if a != b {
-            *combined.entry((a, b)).or_insert(0.0) += ed.volume;
-        }
-    }
-    let mut pairs: Vec<_> = combined.into_iter().collect();
-    pairs.sort_by_key(|&((a, b), _)| (a, b));
-    for ((a, b), vol) in pairs {
-        coarse.add_edge(NodeId(a), NodeId(b), vol);
+    let crossing = (0..g.edge_count() as u32)
+        .map(|e| g.edge(EdgeId(e)))
+        .map(|e| (group[e.src.idx()], group[e.dst.idx()], e.volume));
+    for (a, b, volume) in coalesce_crossing(groups, crossing) {
+        coarse.add_edge(NodeId(a), NodeId(b), volume);
     }
     let coarse_map = group.iter().map(|&c| NodeId(c)).collect();
     (coarse, coarse_weights, coarse_map)
@@ -347,6 +360,109 @@ mod tests {
     use super::*;
     use dhp_dag::builder;
     use dhp_dag::cycles::is_cyclic;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// [`contract`] as it was: coarse edges through a hash map of group
+    /// pairs, each volume summed onto `0.0`, then sorted by pair.
+    fn contract_by_hash_map(g: &Dag, weights: &[f64], group: &[u32], groups: usize) -> Contraction {
+        let mut coarse = Dag::with_capacity(groups, g.edge_count());
+        let mut coarse_weights = vec![0.0f64; groups];
+        let mut work = vec![0.0f64; groups];
+        let mut memory = vec![0.0f64; groups];
+        for u in g.node_ids() {
+            let c = group[u.idx()] as usize;
+            work[c] += g.node(u).work;
+            memory[c] += g.node(u).memory;
+            coarse_weights[c] += weights[u.idx()];
+        }
+        for c in 0..groups {
+            coarse.add_node(work[c], memory[c]);
+        }
+        let mut combined: HashMap<(u32, u32), f64> = HashMap::new();
+        for e in g.edge_ids() {
+            let ed = g.edge(e);
+            let (a, b) = (group[ed.src.idx()], group[ed.dst.idx()]);
+            if a != b {
+                *combined.entry((a, b)).or_insert(0.0) += ed.volume;
+            }
+        }
+        let mut pairs: Vec<_> = combined.into_iter().collect();
+        pairs.sort_by_key(|&((a, b), _)| (a, b));
+        for ((a, b), vol) in pairs {
+            coarse.add_edge(NodeId(a), NodeId(b), vol);
+        }
+        let coarse_map = group.iter().map(|&c| NodeId(c)).collect();
+        (coarse, coarse_weights, coarse_map)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Coarsening through the coalescer builds the hierarchy the
+        /// hash map built, level by level and to the bit: coarse edges
+        /// in order with their volumes, works, memories, balance
+        /// weights, and the coarse maps (which the next level's
+        /// matching draws from the edges). Edges are doubled or tripled;
+        /// works and weights include `±0.0`, NaN and `±∞`, compared
+        /// with every NaN alike (Rust leaves the sign of a NaN that
+        /// arithmetic returns unspecified). Volumes include `±0.0` and
+        /// `+∞` but no NaN and no `-∞`: the matching ranks volumes with
+        /// `total_cmp`, which sees a NaN's sign, so a NaN sum could rank
+        /// differently in two builds of the same code.
+        #[test]
+        fn coarsening_matches_the_hash_map_contraction(
+            (n, p, seed) in (2usize..160, 0.01f64..0.15, any::<u64>()),
+            (doubled, copies) in (0usize..200, 1usize..3),
+            classes in proptest::collection::vec(0u8..8, 64),
+            target in 1usize..24,
+        ) {
+            let hostile = |v: f64, class: u8| match class {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f64::INFINITY,
+                3 => f64::NAN,
+                4 => f64::NEG_INFINITY,
+                _ => v,
+            };
+            let volume = |v: f64, class: u8| if class < 3 { hostile(v, class) } else { v };
+            let bits = |v: f64| if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() };
+            let base = builder::gnp_dag_weighted(n, p, seed);
+            let mut g = Dag::with_capacity(n, 3 * base.edge_count());
+            for u in base.node_ids() {
+                let node = base.node(u);
+                g.add_node(hostile(node.work, classes[u.idx() % 64]), node.memory);
+            }
+            for (i, e) in base.edge_ids().map(|e| base.edge(e)).enumerate() {
+                g.add_edge(e.src, e.dst, volume(e.volume, classes[i % 64]));
+                for copy in 1..=copies * usize::from(i < doubled) {
+                    g.add_edge(e.src, e.dst, volume(e.volume + 1.0, classes[(i + copy) % 64]));
+                }
+            }
+            let weights: Vec<f64> =
+                g.node_ids().map(|u| hostile(g.node(u).work, classes[(u.idx() + 7) % 64])).collect();
+            let got = coarsen(&g, &weights, target, seed);
+            let want = coarsen_with(&g, &weights, target, seed, contract_by_hash_map);
+            prop_assert_eq!(got.depth(), want.depth());
+            let levels = |h: &Hierarchy| {
+                std::iter::once(&h.finest).chain(&h.coarser).map(|level| {
+                    let g = &level.graph;
+                    (
+                        g.node_ids()
+                            .map(|u| (bits(g.node(u).work), g.node(u).memory.to_bits()))
+                            .collect::<Vec<_>>(),
+                        g.edge_ids()
+                            .map(|e| g.edge(e))
+                            .map(|e| (e.src.0, e.dst.0, e.volume.to_bits()))
+                            .collect::<Vec<_>>(),
+                        level.weights.iter().map(|&w| bits(w)).collect::<Vec<_>>(),
+                        level.coarse_map.clone(),
+                    )
+                }).collect::<Vec<_>>()
+            };
+            prop_assert_eq!(levels(&got), levels(&want));
+        }
+    }
 
     #[test]
     fn coarsening_preserves_acyclicity_and_totals() {
