@@ -12,7 +12,7 @@
 //! (`bench_backfill_window`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dhp_online::admission::BackfillWindow;
+use dhp_online::admission::{BackfillWindow, WarmProbeCase, WarmProbes};
 use dhp_online::{
     fit_cluster, serve, serve_federation_with_cache, serve_with_cache, AdmissionPolicy,
     LeaseSizing, OnlineConfig, RoutingPolicy, SolveCache,
@@ -309,6 +309,26 @@ fn bench_backfill_window(c: &mut Criterion) {
     group.finish();
 }
 
+/// One warm admission probe of each outcome (`WarmProbes`): the
+/// cost every backfill candidate pays per event on a warm cache.
+/// `overshoot` places but finishes past the reservation, `wait` finds
+/// a memoized `NoSolution` on every lease size, `grant` also builds
+/// the grant (and drops it).
+fn bench_warm_probe(c: &mut Criterion) {
+    let mut group = c.benchmark_group("solve_cache");
+    let mut probes = WarmProbes::new();
+    for (name, case) in [
+        ("overshoot", WarmProbeCase::Overshoot),
+        ("wait", WarmProbeCase::Wait),
+        ("grant", WarmProbeCase::Grant),
+    ] {
+        group.bench_function(format!("warm_probe/{name}"), |b| {
+            b.iter(|| probes.probe(black_box(case)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_serve,
@@ -316,6 +336,7 @@ criterion_group!(
     bench_solve_cache,
     bench_warm_serving,
     bench_arrival_facts,
-    bench_backfill_window
+    bench_backfill_window,
+    bench_warm_probe
 );
 criterion_main!(benches);

@@ -55,7 +55,10 @@ pub fn block_requirement(g: &Dag, members: &[NodeId]) -> f64 {
 
 /// A member set as a memo key: one bit per task while the workflow has
 /// at most 128 of them (16 bytes whatever the block), the ascending id
-/// list otherwise.
+/// list otherwise. Hashed with SipHash, not with the fold of
+/// `dhp_dag::fingerprint::FoldState`: a mask's low bits are the
+/// workflow's low task ids, which the blocks of one solve share, and
+/// the fold would pile such keys into few buckets.
 #[derive(Debug, PartialEq, Eq, Hash)]
 enum SetKey {
     Mask(u128),

@@ -260,11 +260,48 @@ pub struct SimOutcome {
 type SolveKey = (u64, u64, Algorithm, u64);
 
 /// One probe's cache key, made once by [`CacheView::key`] and answered
-/// by [`CacheView::solve_keyed`] and [`CacheView::sim_outcome_keyed`],
-/// so an admission probe that asks both memos hashes its lease shape
-/// once.
+/// by [`CacheView::probe_warm`] — or, when nothing is memoized under
+/// it, by [`CacheView::solve_keyed`] and
+/// [`CacheView::sim_outcome_keyed`] — so an admission probe hashes its
+/// lease shape once.
 #[derive(Clone, Copy, Debug)]
 pub struct ProbeKey(SolveKey);
+
+/// What [`CacheView::probe_warm`] found under the key, with the counter
+/// moves it made.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum WarmProbe {
+    /// Nothing is memoized under the key (always, on a disabled cache).
+    /// The probe moved nothing: ask [`CacheView::solve_keyed`].
+    Cold,
+    /// A memoized `NoSolution`: one hit.
+    NoSolution,
+    /// A memoized solve: one hit. `sim` is its memoized simulation's
+    /// makespan — one sim hit — when the probe asked for it and the
+    /// entry has one.
+    Solved {
+        /// The memoized simulated makespan, if asked for and memoized.
+        sim: Option<f64>,
+    },
+}
+
+/// The store's map hasher. Every word of a [`SolveKey`] is already a
+/// hash (or the algorithm's discriminant), so the store folds them
+/// ([`FoldState`](dhp_dag::fingerprint::FoldState)) instead of running
+/// SipHash over them again. Test builds count each key hash
+/// ([`tally`]).
+#[cfg(not(test))]
+type StoreHasher = dhp_dag::fingerprint::FoldState;
+#[cfg(test)]
+type StoreHasher = tally::CountingFold;
+
+/// A clone of a memoized value's [`Arc`]: every clone the store hands
+/// out goes through here, so test builds can count them ([`tally`]).
+fn share<T>(value: &Arc<T>) -> Arc<T> {
+    #[cfg(test)]
+    tally::bump(&tally::ARC_CLONES);
+    Arc::clone(value)
+}
 
 /// A memoized solve outcome in lease-local processor ids. Solved
 /// entries sit behind an [`Arc`] so a hit clones a refcount under the
@@ -285,7 +322,7 @@ impl CachedSolve {
     fn of(outcome: &Result<Arc<MappingResult>, SchedError>) -> CachedSolve {
         match outcome {
             Ok(local) => CachedSolve::Solved {
-                local: Arc::clone(local),
+                local: share(local),
                 sim: None,
             },
             Err(SchedError::NoSolution) => CachedSolve::NoSolution,
@@ -295,7 +332,7 @@ impl CachedSolve {
     /// The outcome a hit on this entry answers with.
     fn outcome(&self) -> Result<Arc<MappingResult>, SchedError> {
         match self {
-            CachedSolve::Solved { local, .. } => Ok(Arc::clone(local)),
+            CachedSolve::Solved { local, .. } => Ok(share(local)),
             CachedSolve::NoSolution => Err(SchedError::NoSolution),
         }
     }
@@ -314,7 +351,7 @@ impl CachedSolve {
 struct Store {
     /// Memoized solves (each with its sim, once simulated) and their
     /// LRU recency stamps.
-    entries: HashMap<SolveKey, (CachedSolve, u64)>,
+    entries: HashMap<SolveKey, (CachedSolve, u64), StoreHasher>,
     stats: SolveCacheStats,
     /// The monotone recency clock: each lookup and insert draws a
     /// unique stamp, so the LRU victim is well-defined.
@@ -341,6 +378,39 @@ impl Store {
             self.stats.misses += 1;
         }
         cached
+    }
+
+    /// One warm probe: `lookup` and then, when `with_sim`, the sim
+    /// lookup of `sim_probed`, on one hash of the key — provided the
+    /// key is memoized. Then it draws one recency tick, refreshes the
+    /// entry's stamp, counts one hit, and counts one sim hit when it
+    /// returns the memoized sim's makespan. A key that is not memoized
+    /// moves nothing (not even the tick a missing `lookup` draws): the
+    /// caller's fallback, [`SolveCache::lookup_or_solve`], does that.
+    fn probe_warm(&mut self, key: &SolveKey, with_sim: bool) -> WarmProbe {
+        // Disjoint borrows: the one `get_mut` holds the entry while the
+        // clock and the counters move.
+        let Store {
+            entries,
+            stats,
+            tick,
+        } = self;
+        let Some((entry, stamp)) = entries.get_mut(key) else {
+            return WarmProbe::Cold;
+        };
+        *tick += 1;
+        *stamp = *tick;
+        stats.hits += 1;
+        match entry {
+            CachedSolve::NoSolution => WarmProbe::NoSolution,
+            CachedSolve::Solved { sim, .. } => {
+                let sim = sim.as_ref().filter(|_| with_sim).map(|sim| {
+                    stats.sim_hits += 1;
+                    sim.makespan
+                });
+                WarmProbe::Solved { sim }
+            }
+        }
     }
 
     /// Removes the least-recently-used entry (the smallest recency
@@ -452,6 +522,13 @@ impl SolveCache {
         }
     }
 
+    /// Takes the store lock (test builds count the takes, [`tally`]).
+    fn lock(&self) -> parking_lot::MutexGuard<'_, Store> {
+        #[cfg(test)]
+        tally::bump(&tally::LOCKS);
+        self.store.lock()
+    }
+
     /// An empty, enabled, unbounded cache.
     pub fn new() -> Self {
         SolveCache::build(true, None)
@@ -490,7 +567,7 @@ impl SolveCache {
 
     /// Number of memoized entries.
     pub fn len(&self) -> usize {
-        self.store.lock().entries.len()
+        self.lock().entries.len()
     }
 
     /// True when nothing is memoized yet.
@@ -500,7 +577,7 @@ impl SolveCache {
 
     /// Snapshot of the hit/miss/eviction counters.
     pub fn stats(&self) -> SolveCacheStats {
-        self.store.lock().stats
+        self.lock().stats
     }
 
     /// Whether a *solved* entry for this exact key is memoized right
@@ -521,7 +598,7 @@ impl SolveCache {
         }
         let key: SolveKey = (fingerprint, shape, algorithm, config_hash);
         matches!(
-            self.store.lock().entries.get(&key),
+            self.lock().entries.get(&key),
             Some((CachedSolve::Solved { .. }, _))
         )
     }
@@ -548,7 +625,7 @@ impl SolveCache {
         solve: impl FnOnce() -> Result<MappingResult, SchedError>,
     ) -> (Result<Arc<MappingResult>, SchedError>, CacheProbe) {
         if !self.enabled {
-            self.store.lock().stats.misses += 1;
+            self.lock().stats.misses += 1;
             return (
                 solve().map(Arc::new),
                 CacheProbe {
@@ -559,7 +636,7 @@ impl SolveCache {
         }
         // Cheap under the lock: an Arc refcount bump (or the unit
         // NoSolution marker) plus the LRU stamp refresh.
-        let cached = self.store.lock().lookup(&key.0);
+        let cached = self.lock().lookup(&key.0);
         if let Some(outcome) = cached {
             return (
                 outcome,
@@ -648,12 +725,12 @@ impl SolveCache {
         compute: impl FnOnce() -> SimOutcome,
     ) -> (Arc<SimOutcome>, bool) {
         if !self.enabled {
-            self.store.lock().stats.sim_misses += 1;
+            self.lock().stats.sim_misses += 1;
             return (Arc::new(compute()), false);
         }
         let cached = {
-            let mut store = self.store.lock();
-            let sim = store.entries.get(&key.0).and_then(|e| e.0.sim()).cloned();
+            let mut store = self.lock();
+            let sim = store.entries.get(&key.0).and_then(|e| e.0.sim()).map(share);
             if sim.is_some() {
                 store.stats.sim_hits += 1;
             } else {
@@ -665,13 +742,13 @@ impl SolveCache {
             return (sim, true);
         }
         let sim = Arc::new(compute());
-        self.store.lock().attach_sim(&key.0, Arc::clone(&sim));
+        self.lock().attach_sim(&key.0, share(&sim));
         (sim, false)
     }
 
     /// Number of memoized simulation outcomes.
     pub fn sim_len(&self) -> usize {
-        let store = self.store.lock();
+        let store = self.lock();
         store
             .entries
             .values()
@@ -717,7 +794,7 @@ impl SolveCache {
             .lock()
             .entries
             .iter()
-            .filter_map(|(k, (v, _))| Some((*k, Arc::clone(v.sim()?))))
+            .filter_map(|(k, (v, _))| Some((*k, share(v.sim()?))))
             .collect();
         out.sort_by_key(|(k, _)| SolveCache::key_sort_image(k));
         out
@@ -725,7 +802,23 @@ impl SolveCache {
 
     /// Current value of the recency clock (the largest stamp drawn).
     pub(crate) fn tick_value(&self) -> u64 {
-        self.store.lock().tick
+        self.lock().tick
+    }
+
+    /// The recency clock and every memoized key with its LRU stamp,
+    /// key-sorted: everything an eviction decides on. For checks that
+    /// hold two probe paths to the same moves of the store; touches no
+    /// entry and no counter.
+    #[allow(clippy::type_complexity)]
+    pub fn recency(&self) -> (u64, Vec<((u64, u64, Algorithm, u64), u64)>) {
+        let store = self.lock();
+        let mut stamps: Vec<_> = store
+            .entries
+            .iter()
+            .map(|(key, (_, stamp))| (*key, *stamp))
+            .collect();
+        stamps.sort_by_key(|(key, _)| SolveCache::key_sort_image(key));
+        (store.tick, stamps)
     }
 
     /// Restores a parsed snapshot: re-inserts every solve with its
@@ -743,7 +836,7 @@ impl SolveCache {
         solves: Vec<(SolveKey, Option<MappingResult>, u64)>,
         sims: Vec<(SolveKey, SimOutcome)>,
     ) {
-        let mut store = self.store.lock();
+        let mut store = self.lock();
         for (key, solved, stamp) in solves {
             let value = match solved {
                 Some(local) => CachedSolve::Solved {
@@ -784,6 +877,17 @@ impl SolveCache {
 ///
 /// Both probe the shared store in place: an insert is visible to the
 /// very next probe, whoever makes it.
+///
+/// A lease probe has two paths through the view, with the same counter
+/// moves, recency tick and stamps (a test holds them equal):
+///
+/// * the warm path — [`CacheView::probe_warm`]: one store lock and one
+///   hash of the key answer a memoized solve and, when asked, its sim's
+///   makespan, cloning no [`Arc`]; [`CacheView::memoized`] reads the
+///   values back, uncounted, only for a probe that commits;
+/// * the two-call path, for a key nothing is memoized under —
+///   [`CacheView::solve_keyed`], which solves and inserts, then
+///   [`CacheView::sim_outcome_keyed`], which simulates and attaches.
 #[derive(Debug)]
 pub struct CacheView<'a> {
     cache: &'a SolveCache,
@@ -904,6 +1008,73 @@ impl<'a> CacheView<'a> {
         outcome
     }
 
+    /// The warm probe: answers a memoized `key` under one store lock and
+    /// one hash of the key, exactly as [`CacheView::solve_keyed`] and
+    /// then (when `with_sim`) [`CacheView::sim_outcome_keyed`] would on
+    /// a hit — one recency tick, the entry's stamp refreshed, one hit,
+    /// and one sim hit when the entry's sim is memoized — and a live
+    /// view charges the same. It returns the sim's makespan instead of
+    /// the memoized values, so it clones no [`Arc`] and allocates
+    /// nothing: an admission probe decides an overshoot on the
+    /// makespan alone, and only a grant reads the values
+    /// ([`CacheView::memoized`]).
+    ///
+    /// On a key that is not memoized — every key of a disabled cache —
+    /// it moves nothing and answers [`WarmProbe::Cold`]; the caller
+    /// then takes the two-call path, which counts the miss. When it
+    /// answers `Solved { sim: None }` after being asked for the sim,
+    /// the sim is not memoized yet and
+    /// [`CacheView::sim_outcome_keyed`] counts its miss.
+    pub fn probe_warm(&self, key: ProbeKey, with_sim: bool) -> WarmProbe {
+        if !self.cache.enabled {
+            return WarmProbe::Cold;
+        }
+        let found = self.cache.lock().probe_warm(&key.0, with_sim);
+        if found != WarmProbe::Cold {
+            self.charge(|acc| {
+                acc.hits += 1;
+                if matches!(found, WarmProbe::Solved { sim: Some(_) }) {
+                    acc.sim_hits += 1;
+                }
+            });
+        }
+        found
+    }
+
+    /// The values behind a [`CacheView::probe_warm`] that answered
+    /// `Solved`: the memoized solve and — when `with_sim` (the probe
+    /// counted a sim hit) — its memoized sim, read without a recency
+    /// tick and without counting anything. What the probe counted
+    /// stands for this read too.
+    ///
+    /// The entry is gone only if another thread's insert evicted it in
+    /// between (the store lock is not held across the two calls). Then
+    /// this solves again through [`CacheView::solve_keyed`] — which
+    /// counts that probe — and returns no sim; the solvers are
+    /// deterministic, so the answer is the one the probe found. `key`,
+    /// `g`, `cluster`, `ids` and `cfg` are as for `solve_keyed`.
+    #[allow(clippy::type_complexity)]
+    pub fn memoized(
+        &self,
+        key: ProbeKey,
+        with_sim: bool,
+        g: &Dag,
+        cluster: &Cluster,
+        ids: &[ProcId],
+        cfg: &DagHetPartConfig,
+    ) -> Result<(Arc<MappingResult>, Option<Arc<SimOutcome>>), SchedError> {
+        let found = match self.cache.lock().entries.get(&key.0) {
+            Some((CachedSolve::Solved { local, sim }, _)) => {
+                Some((share(local), sim.as_ref().filter(|_| with_sim).map(share)))
+            }
+            _ => None,
+        };
+        match found {
+            Some(found) => Ok(found),
+            None => Ok((self.solve_keyed(key, g, cluster, ids, cfg)?, None)),
+        }
+    }
+
     /// Memoizing discrete-event simulation through the view, on the
     /// key the same probe's [`CacheView::solve_keyed`] (or
     /// [`solve_suffix`]) just answered: returns the [`SimOutcome`]
@@ -926,6 +1097,46 @@ impl<'a> CacheView<'a> {
             }
         });
         sim
+    }
+}
+
+/// Test-build tallies of what probing the store costs, per thread: store
+/// lock takes, key hashes and [`Arc`] clones handed out.
+#[cfg(test)]
+mod tally {
+    use dhp_dag::fingerprint::{FoldHasher, FoldState};
+    use std::cell::Cell;
+    use std::hash::BuildHasher;
+    use std::thread::LocalKey;
+
+    thread_local! {
+        pub(super) static LOCKS: Cell<u64> = const { Cell::new(0) };
+        pub(super) static HASHES: Cell<u64> = const { Cell::new(0) };
+        pub(super) static ARC_CLONES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(super) fn bump(counter: &'static LocalKey<Cell<u64>>) {
+        counter.with(|c| c.set(c.get() + 1));
+    }
+
+    /// `(lock takes, key hashes, Arc clones)` so far on this thread.
+    pub(super) fn read() -> (u64, u64, u64) {
+        let get = |counter: &'static LocalKey<Cell<u64>>| counter.with(Cell::get);
+        (get(&LOCKS), get(&HASHES), get(&ARC_CLONES))
+    }
+
+    /// [`FoldState`], counting every hasher it builds: one per key
+    /// hashed.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub(super) struct CountingFold;
+
+    impl BuildHasher for CountingFold {
+        type Hasher = FoldHasher;
+
+        fn build_hasher(&self) -> FoldHasher {
+            bump(&HASHES);
+            FoldState.build_hasher()
+        }
     }
 }
 
@@ -1523,6 +1734,201 @@ mod tests {
         // The solve that made the key is charged too.
         assert_eq!((account.hits, account.misses), (0, 1));
         assert_eq!(cache.sim_len(), 1);
+    }
+
+    // ------------------------------------------------------ warm probes
+
+    /// Probes `key` the two-call way ([`CacheView::solve_keyed`], then
+    /// [`CacheView::sim_outcome_keyed`] on a solved key) and returns the
+    /// simulated makespan, if it placed.
+    fn two_call_probe(view: &CacheView, key: ProbeKey, g: &Dag, ids: &[ProcId]) -> Option<f64> {
+        let local = view
+            .solve_keyed(key, g, &cluster(), ids, &DagHetPartConfig::default())
+            .ok()?;
+        Some(
+            view.sim_outcome_keyed(key, || toy_sim(local.makespan))
+                .makespan,
+        )
+    }
+
+    /// The same probe through [`CacheView::probe_warm`], falling back to
+    /// the two calls on a cold key and reading a missing sim back with
+    /// [`CacheView::memoized`], as admission does.
+    fn one_lock_probe(view: &CacheView, key: ProbeKey, g: &Dag, ids: &[ProcId]) -> Option<f64> {
+        let c = cluster();
+        let cfg = DagHetPartConfig::default();
+        match view.probe_warm(key, true) {
+            WarmProbe::Cold => two_call_probe(view, key, g, ids),
+            WarmProbe::NoSolution => None,
+            WarmProbe::Solved {
+                sim: Some(makespan),
+            } => Some(makespan),
+            WarmProbe::Solved { sim: None } => {
+                let (local, sim) = view.memoized(key, false, g, &c, ids, &cfg).ok()?;
+                assert!(sim.is_none(), "a sim the probe did not count");
+                Some(
+                    view.sim_outcome_keyed(key, || toy_sim(local.makespan))
+                        .makespan,
+                )
+            }
+        }
+    }
+
+    #[test]
+    fn a_warm_probe_moves_the_store_like_the_two_calls() {
+        // A solved key with its sim, a solved key without one, a
+        // memoized NoSolution, and a key nothing is memoized under —
+        // probed in turn, twice over, on twin stores (one unbounded,
+        // then a cap of 2 that evicts on every cold insert).
+        let c = cluster();
+        let cfg = DagHetPartConfig::default();
+        let chash = SolveCache::config_hash(&cfg);
+        let (g0, g1, g2) = (
+            builder::chain(4, 2.0, 4.0, 1.0),
+            builder::chain(5, 2.0, 4.0, 1.0),
+            builder::chain(6, 2.0, 4.0, 1.0),
+        );
+        let big = builder::chain(40, 1.0, 30.0, 5.0);
+        let tiny = [ProcId(2)];
+        let probes: [(&Dag, &[ProcId]); 5] = [
+            (&g0, &LEASE),
+            (&g1, &LEASE),
+            (&big, &tiny),
+            (&g2, &LEASE),
+            (&g0, &tiny),
+        ];
+        for make in [SolveCache::new, || SolveCache::with_capacity(2)] {
+            let (reference, subject) = (make(), make());
+            let (mut want_account, mut got_account) = Default::default();
+            {
+                let want_view = CacheView::live(&reference, &mut want_account);
+                let got_view = CacheView::live(&subject, &mut got_account);
+                for view in [&want_view, &got_view] {
+                    let k0 = solve_on_lease(view, &g0);
+                    view.sim_outcome_keyed(k0, || toy_sim(1.0));
+                    solve_on_lease(view, &g1);
+                }
+                for (round, &(g, ids)) in probes.iter().cycle().take(10).enumerate() {
+                    let key = want_view.key(
+                        g.fingerprint(),
+                        c.shape_of_slice(ids),
+                        Algorithm::DagHetPart,
+                        chash,
+                    );
+                    let want = two_call_probe(&want_view, key, g, ids);
+                    let got = one_lock_probe(&got_view, key, g, ids);
+                    assert_eq!(got, want, "probe {round}");
+                    assert_eq!(subject.stats(), reference.stats(), "probe {round}");
+                    assert_eq!(subject.recency(), reference.recency(), "probe {round}");
+                }
+            }
+            assert_eq!(got_account, want_account);
+        }
+    }
+
+    #[test]
+    fn a_warm_probe_takes_one_lock_one_hash_and_no_arc() {
+        let cache = SolveCache::new();
+        let view = CacheView::direct(&cache);
+        let g = builder::chain(4, 2.0, 4.0, 1.0);
+        let key = solve_on_lease(&view, &g);
+        view.sim_outcome_keyed(key, || toy_sim(10.0));
+        let cost = |probe: &dyn Fn()| {
+            let before = tally::read();
+            probe();
+            let after = tally::read();
+            (after.0 - before.0, after.1 - before.1, after.2 - before.2)
+        };
+        // What an overshooting admission probe asks: the makespan only.
+        assert_eq!(
+            cost(&|| assert_eq!(
+                view.probe_warm(key, true),
+                WarmProbe::Solved { sim: Some(10.0) }
+            )),
+            (1, 1, 0),
+            "(lock takes, key hashes, Arc clones) of a warm probe"
+        );
+        // The two calls it replaces: twice each.
+        assert_eq!(
+            cost(&|| {
+                assert_eq!(two_call_probe(&view, key, &g, &LEASE), Some(10.0));
+            }),
+            (2, 2, 2)
+        );
+        // A grant reads the values back once more, uncounted.
+        let stats = cache.stats();
+        let recency = cache.recency();
+        assert_eq!(
+            cost(&|| {
+                let (local, sim) = view
+                    .memoized(
+                        key,
+                        true,
+                        &g,
+                        &cluster(),
+                        &LEASE,
+                        &DagHetPartConfig::default(),
+                    )
+                    .unwrap();
+                assert_eq!(sim.map(|s| s.makespan), Some(10.0));
+                assert!(local.makespan > 0.0);
+            }),
+            (1, 1, 2)
+        );
+        assert_eq!((cache.stats(), cache.recency()), (stats, recency));
+    }
+
+    #[test]
+    fn a_warm_probe_on_a_disabled_or_cold_store_moves_nothing() {
+        for cache in [SolveCache::new(), SolveCache::disabled()] {
+            let mut account = SolveCacheStats::default();
+            {
+                let view = CacheView::live(&cache, &mut account);
+                let key = view.key(7, 9, Algorithm::DagHetPart, 3);
+                assert_eq!(view.probe_warm(key, true), WarmProbe::Cold);
+                assert_eq!(view.probe_warm(key, false), WarmProbe::Cold);
+            }
+            assert_eq!(account, SolveCacheStats::default());
+            assert_eq!(cache.stats(), SolveCacheStats::default());
+            assert_eq!(cache.recency(), (0, Vec::new()));
+        }
+    }
+
+    #[test]
+    fn memoized_solves_again_when_the_entry_is_gone() {
+        // Capacity 1: a second insert evicts the entry a probe found,
+        // as another thread's insert could between the probe and the
+        // grant's read. The read solves again and returns no sim.
+        let cache = SolveCache::with_capacity(1);
+        let view = CacheView::direct(&cache);
+        let g = builder::chain(4, 2.0, 4.0, 1.0);
+        let key = solve_on_lease(&view, &g);
+        view.sim_outcome_keyed(key, || toy_sim(10.0));
+        let first = view.memoized(
+            key,
+            true,
+            &g,
+            &cluster(),
+            &LEASE,
+            &DagHetPartConfig::default(),
+        );
+        let (first, sim) = first.unwrap();
+        assert!(sim.is_some());
+        solve_on_lease(&view, &builder::chain(5, 2.0, 4.0, 1.0));
+        let misses = cache.stats().misses;
+        let again = view.memoized(
+            key,
+            true,
+            &g,
+            &cluster(),
+            &LEASE,
+            &DagHetPartConfig::default(),
+        );
+        let (again, sim) = again.unwrap();
+        assert!(sim.is_none());
+        assert_eq!(again.makespan, first.makespan);
+        assert_eq!(again.mapping.proc_of_block, first.mapping.proc_of_block);
+        assert_eq!(cache.stats().misses, misses + 1, "the re-solve is counted");
     }
 
     #[test]

@@ -47,9 +47,17 @@
 //!   more: it is not FNV, it is not stable across versions, it is never
 //!   stored, and no decision may rest on two pre-hashes being equal —
 //!   `content_eq` decides.
+//!
+//! # Maps keyed by content hashes
+//!
+//! A map whose keys are already hashes — fingerprints, lease shapes,
+//! pre-hashes — gains nothing from hashing them again with SipHash.
+//! [`FoldState`] is the [`BuildHasher`] such maps use: the pre-hash's
+//! multiply-fold, applied once per written word.
 
 use crate::graph::Dag;
 use crate::topo::topo_sort;
+use std::hash::{BuildHasher, Hasher};
 
 /// FNV-1a offset basis — the hash state every fingerprint starts from.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -76,6 +84,86 @@ pub fn fnv1a_bytes(bytes: impl IntoIterator<Item = u8>) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// The word fold of [`Dag::content_prehash`] and [`FoldHasher`]: one
+/// rotate, one xor and one multiply per word.
+#[inline]
+fn fold(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// The [`BuildHasher`] of maps keyed only by content hashes: the solve
+/// cache's `(fingerprint, shape, algorithm, config hash)` store and the
+/// serve loop's arrival pre-hash table. Every word of such a key is
+/// already the output of a hash, so one multiply-fold per word
+/// ([`FoldHasher`]) spreads it over the buckets as well as SipHash
+/// does, at a fraction of the cost (a unit test checks the spread on
+/// the golden traces' store keys).
+///
+/// It is deterministic and takes no random seed. A submitter who can
+/// choose graphs could in principle aim many fingerprints at one
+/// bucket and make the store's lookups linear; fingerprints are 64-bit
+/// FNV over the whole graph, so that takes a deliberate search, and
+/// defending against it belongs with the other hostile inputs
+/// (ROADMAP G), not here.
+///
+/// Keep it to keys that are hashes. A key whose low bits carry
+/// structure clusters under it: the fold's low output bits depend
+/// only on the low input bits, and a map picks buckets by the low
+/// bits. `ReqMemo`'s member-set masks in `dhp-core` are such keys —
+/// bit `i` is task `i`, and the blocks of one solve share their low
+/// tasks — so that memo keeps SipHash.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FoldState;
+
+impl BuildHasher for FoldState {
+    type Hasher = FoldHasher;
+
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher(FNV_OFFSET)
+    }
+}
+
+/// The [`Hasher`] of [`FoldState`]: folds every written word into the
+/// state with the multiply-fold of [`Dag::content_prehash`]. Integers
+/// are one word each; a byte slice is folded eight little-endian bytes
+/// at a time, the last word zero-padded.
+#[derive(Clone, Copy, Debug)]
+pub struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = fold(self.0, u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.write_u64(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.write_u64(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0 = fold(self.0, i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
+
+    fn write_isize(&mut self, i: isize) {
+        self.write_u64(i as u64);
+    }
 }
 
 impl Dag {
@@ -121,10 +209,6 @@ impl Dag {
     /// `content_eq` to accept one (see the module docs). Allocates
     /// nothing.
     pub fn content_prehash(&self) -> u64 {
-        #[inline]
-        fn fold(h: u64, word: u64) -> u64 {
-            (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
-        }
         // One lane per stored field, so consecutive multiplies do not
         // wait on each other.
         let (mut work, mut memory) = (self.node_count() as u64, FNV_OFFSET);
@@ -270,6 +354,33 @@ mod tests {
         minus_zero.node_mut(NodeId(1)).work = -0.0;
         assert!(!zero.content_eq(&minus_zero));
         assert_ne!(zero.fingerprint(), minus_zero.fingerprint());
+    }
+
+    #[test]
+    fn the_fold_hasher_is_deterministic_and_hashes_words_not_bytes() {
+        use std::hash::{BuildHasher, Hash};
+        let hash = |key: &dyn Fn(&mut FoldHasher)| {
+            let mut h = FoldState.build_hasher();
+            key(&mut h);
+            h.finish()
+        };
+        let key = (0xdead_beef_u64, 7u64, 3u64);
+        let a = hash(&|h| key.hash(h));
+        // No per-process seed: a fresh builder folds to the same value.
+        assert_eq!(a, FoldState.hash_one(key));
+        assert_eq!(a, hash(&|h| key.hash(h)));
+        // One fold per word, in write order.
+        let by_hand = fold(fold(fold(FNV_OFFSET, key.0), key.1), key.2);
+        assert_eq!(a, by_hand);
+        assert_ne!(a, hash(&|h| (key.1, key.0, key.2).hash(h)));
+        // Narrow integers are one word each; a byte slice is whole
+        // little-endian words, the last one zero-padded.
+        assert_eq!(hash(&|h| h.write_u32(9)), fold(FNV_OFFSET, 9));
+        assert_eq!(hash(&|h| h.write_usize(9)), fold(FNV_OFFSET, 9));
+        assert_eq!(
+            hash(&|h| h.write(&[1, 0, 0, 0, 0, 0, 0, 0, 2])),
+            fold(fold(FNV_OFFSET, 1), 2)
+        );
     }
 
     #[test]

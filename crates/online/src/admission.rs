@@ -62,13 +62,22 @@
 //!   anything. It still counts against [`BACKFILL_DEPTH`].
 //! * *The finish is known before the grant is built.* `try_admit`
 //!   takes the reservation as a cap. A placeable candidate's simulated
-//!   makespan comes from the memoized [`SimOutcome`] of its lease, and
-//!   a finish past the cap is `Admit::Overshoot`: no lease view, no
-//!   translated mapping and no `Grant` is built for a candidate the
-//!   pass then throws away. A warm overshooting probe allocates
-//!   nothing, and it hashes its key once: the [`ProbeKey`] that
-//!   answered the lease's solve (lease shape included) answers its sim
-//!   lookup too.
+//!   makespan comes from the memoized sim of its lease, and a finish
+//!   past the cap is `Admit::Overshoot`: no lease view, no translated
+//!   mapping and no `Grant` is built for a candidate the pass then
+//!   throws away.
+//! * *A warm probe is one lookup.* Each lease size of the escalation
+//!   ladder asks [`CacheView::probe_warm`]: one store lock and one hash
+//!   of the [`ProbeKey`] answer the solve and — on the size that places
+//!   — the sim's makespan, with no `Arc` cloned. Only a grant reads the
+//!   memoized solve and sim back ([`CacheView::memoized`], no counter
+//!   moves). The key's lease shape is hashed once per free list and
+//!   size: the probe buffer (`state::FreeList`) keeps the shapes of
+//!   the last list it was filled with, and most probes of a pass see
+//!   the same free set. A warm overshooting or waiting probe allocates
+//!   nothing. A key that nothing is memoized under takes the two-call
+//!   path (`solve_keyed`, then `sim_outcome_keyed`), which counts the
+//!   miss, solves and simulates.
 //!
 //! `EasyBackfill` is the *aggressive* (EASY) split of the same idea:
 //! the blocked head's reservation is computed lazily **once per event**
@@ -86,10 +95,10 @@ use crate::engine::OnlineConfig;
 use crate::lease::{commit_grant, escalation_sizes, simulate_outcome, Grant};
 use crate::policy::AdmissionPolicy;
 use crate::report::RejectedRecord;
-use crate::state::{ArrivalFacts, ClusterState, Pending, ProbeScratch};
+use crate::state::{ArrivalFacts, ClusterState, FreeList, Pending, ProbeScratch};
 use crate::submission::single_task;
 use dhp_core::metrics::MappingResult;
-use dhp_core::partial::{CacheView, ProbeKey, SimOutcome, SolveCache};
+use dhp_core::partial::{CacheView, ProbeKey, SolveCache, WarmProbe};
 use dhp_core::SchedError;
 use dhp_platform::{Cluster, ProcId, Processor};
 use std::sync::Arc;
@@ -147,18 +156,29 @@ pub(crate) enum Admit {
 /// Outcome of one lease-search probe ([`find_placement`]).
 enum Probe {
     /// A feasible lease — the first `size` processors of the probe's
-    /// `free_sorted` — with its memoized lease-local solve and the key
-    /// that answered it, which the lease's sim lookup reuses.
+    /// free list — with the key that answered its solve, which the
+    /// lease's grant reads back under.
     Placed {
         size: usize,
-        local: Arc<MappingResult>,
         key: ProbeKey,
+        solve: Solved,
     },
     /// The hottest task does not fit the largest free memory.
     MemoryBlocked { whole_cluster_free: bool },
     /// No lease carved from the free set admits a valid mapping (also
     /// covers an empty free set, with `whole_cluster_free` false).
     Unplaceable { whole_cluster_free: bool },
+}
+
+/// How a placed probe's solve was answered.
+enum Solved {
+    /// From the memo, by [`CacheView::probe_warm`]: nothing was cloned.
+    /// `sim` is the memoized simulated makespan, when the probe asked
+    /// for it and it is memoized.
+    Warm { sim: Option<f64> },
+    /// By [`CacheView::solve_keyed`], on a key nothing was memoized
+    /// under.
+    Cold(Arc<MappingResult>),
 }
 
 /// The work screen: can a candidate of `total_work` possibly finish by
@@ -535,50 +555,60 @@ pub(crate) fn admission_passes(
 /// `shrink_under_load`, where admission sizes by queue length but the
 /// reservation scan cannot know the future backlog — there the probe
 /// and the admission may walk different lease shapes and the replay is
-/// not guaranteed.) A warm probe allocates nothing: the lease is a
-/// prefix of `free_sorted` and the solve comes back behind its `Arc`.
-/// Each lease size's shape is hashed once, into the key a placed probe
-/// hands back for [`try_admit`]'s sim lookup.
+/// not guaranteed.)
+///
+/// Each size asks the memo first ([`CacheView::probe_warm`], with the
+/// sim when `with_sim`); only a key nothing is memoized under is
+/// solved ([`CacheView::solve_keyed`]). A warm probe allocates
+/// nothing: the lease is a prefix of `free`'s list, its shape is read
+/// back from `free` while the list is unchanged, and the store hands
+/// back no `Arc`.
 #[allow(clippy::too_many_arguments)]
 fn find_placement(
     cluster: &Cluster,
     mem_order: &[ProcId],
-    free: &[bool],
+    free_set: &[bool],
     cand: &Pending,
     cfg: &OnlineConfig,
     cache: &CacheView,
     config_hash: u64,
     target: usize,
-    free_sorted: &mut Vec<ProcId>,
+    with_sim: bool,
+    free: &mut FreeList,
 ) -> Probe {
-    free_sorted.clear();
-    free_sorted.extend(mem_order.iter().copied().filter(|p| free[p.idx()]));
-    if free_sorted.is_empty() {
+    free.refill(mem_order, free_set);
+    let Some(&top) = free.procs().first() else {
         return Probe::Unplaceable {
             whole_cluster_free: false,
         };
-    }
-    let whole_cluster_free = free_sorted.len() == cluster.len();
+    };
+    let whole_cluster_free = free.procs().len() == cluster.len();
 
     // The lease takes the biggest free memories first, so feasibility of
     // the hottest task is decided by the first free processor.
-    if cand.max_task_req > cluster.memory(free_sorted[0]) * (1.0 + 1e-9) {
+    if cand.max_task_req > cluster.memory(top) * (1.0 + 1e-9) {
         return Probe::MemoryBlocked { whole_cluster_free };
     }
 
     let g = &cand.submission.instance.graph;
-    for size in escalation_sizes(target, free_sorted.len()) {
-        let lease = &free_sorted[..size];
+    for size in escalation_sizes(target, free.procs().len()) {
         let key = cache.key(
             cand.fingerprint,
-            cluster.shape_of_slice(lease),
+            free.shape(cluster, size),
             cfg.algorithm,
             config_hash,
         );
-        match cache.solve_keyed(key, g, cluster, lease, &cfg.solver) {
-            Err(SchedError::NoSolution) => continue,
-            Ok(local) => return Probe::Placed { size, local, key },
-        }
+        let solve = match cache.probe_warm(key, with_sim) {
+            WarmProbe::NoSolution => continue,
+            WarmProbe::Solved { sim } => Solved::Warm { sim },
+            WarmProbe::Cold => {
+                match cache.solve_keyed(key, g, cluster, &free.procs()[..size], &cfg.solver) {
+                    Err(SchedError::NoSolution) => continue,
+                    Ok(local) => Solved::Cold(local),
+                }
+            }
+        };
+        return Probe::Placed { size, key, solve };
     }
     Probe::Unplaceable { whole_cluster_free }
 }
@@ -590,12 +620,13 @@ fn find_placement(
 /// memoized through the cache view under the key that answered the
 /// solve it executes (not hashed again), so a repeat admission of a
 /// cached `(workflow, lease shape)` pair skips the simulator, and a
-/// finish past `cap` is [`Admit::Overshoot`] before anything is built.
+/// finish past `cap` is [`Admit::Overshoot`] before anything is built
+/// or cloned.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn try_admit(
     cluster: &Cluster,
     mem_order: &[ProcId],
-    free: &[bool],
+    free_set: &[bool],
     cand: &Pending,
     cfg: &OnlineConfig,
     cache: &CacheView,
@@ -604,22 +635,23 @@ pub(crate) fn try_admit(
     queue_len: usize,
     cluster_id: Option<usize>,
     cap: Option<f64>,
-    free_sorted: &mut Vec<ProcId>,
+    free: &mut FreeList,
 ) -> Admit {
     let g = &cand.submission.instance.graph;
     let target = cfg.lease.target_under_load(g.node_count(), queue_len);
-    let (size, local, key) = match find_placement(
+    let (size, key, solve) = match find_placement(
         cluster,
         mem_order,
-        free,
+        free_set,
         cand,
         cfg,
         cache,
         config_hash,
         target,
-        free_sorted,
+        true,
+        free,
     ) {
-        Probe::Placed { size, local, key } => (size, local, key),
+        Probe::Placed { size, key, solve } => (size, key, solve),
         Probe::MemoryBlocked {
             whole_cluster_free: true,
         } => {
@@ -640,20 +672,41 @@ pub(crate) fn try_admit(
         }
         Probe::MemoryBlocked { .. } | Probe::Unplaceable { .. } => return Admit::Wait,
     };
-    let lease = &free_sorted[..size];
-    let sim: Arc<SimOutcome> = cache.sim_outcome_keyed(key, || {
-        simulate_outcome(g, &cluster.subcluster(lease), &local.mapping)
-    });
-    if cap.is_some_and(|cap| clock + sim.makespan > cap + 1e-9) {
-        return Admit::Overshoot;
-    }
+    let overshoots = |makespan: f64| cap.is_some_and(|cap| clock + makespan > cap + 1e-9);
+    let lease = &free.procs()[..size];
+    let (local, sim) = match solve {
+        Solved::Warm {
+            sim: Some(makespan),
+        } if overshoots(makespan) => return Admit::Overshoot,
+        Solved::Warm { sim } => {
+            match cache.memoized(key, sim.is_some(), g, cluster, lease, &cfg.solver) {
+                Ok(found) => found,
+                // The solvers are deterministic: a re-solve of a key
+                // that placed places again.
+                Err(SchedError::NoSolution) => return Admit::Wait,
+            }
+        }
+        Solved::Cold(local) => (local, None),
+    };
+    let sim = match sim {
+        Some(sim) => sim,
+        None => {
+            let sim = cache.sim_outcome_keyed(key, || {
+                simulate_outcome(g, &cluster.subcluster(lease), &local.mapping)
+            });
+            if overshoots(sim.makespan) {
+                return Admit::Overshoot;
+            }
+            sim
+        }
+    };
     Admit::Granted(Box::new(Grant::build(
         cand, lease, &local, sim, clock, cluster_id,
     )))
 }
 
 /// Solver feasibility only — can `cand` be placed on the processors
-/// marked free in `free`? The same lease search as [`try_admit`]
+/// marked free in `free_set`? The same lease search as [`try_admit`]
 /// (same keys, counters and cache inserts — the reservation scan only
 /// needs a yes/no, but the solve it pays for stays in the cache for the
 /// eventual admission to reuse), without a simulation. Also the probe
@@ -662,12 +715,12 @@ pub(crate) fn try_admit(
 pub(crate) fn can_place(
     cluster: &Cluster,
     mem_order: &[ProcId],
-    free: &[bool],
+    free_set: &[bool],
     cand: &Pending,
     cfg: &OnlineConfig,
     cache: &CacheView,
     config_hash: u64,
-    free_sorted: &mut Vec<ProcId>,
+    free: &mut FreeList,
 ) -> bool {
     let target = cfg
         .lease
@@ -676,13 +729,14 @@ pub(crate) fn can_place(
         find_placement(
             cluster,
             mem_order,
-            free,
+            free_set,
             cand,
             cfg,
             cache,
             config_hash,
             target,
-            free_sorted,
+            false,
+            free,
         ),
         Probe::Placed { .. }
     )
@@ -987,5 +1041,144 @@ impl BackfillWindow {
             0.0,
         );
         self.state.queue_len()
+    }
+}
+
+/// What a [`WarmProbes`] probe is set up to decide.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WarmProbeCase {
+    /// Places, but its simulated finish runs past the cap.
+    Overshoot,
+    /// No lease of the free processors holds it: every size of its
+    /// ladder is a memoized `NoSolution`.
+    Wait,
+    /// Places within the cap; the grant is built (and dropped).
+    Grant,
+}
+
+/// One admission probe of each outcome, held still on warm caches so a
+/// benchmark can time a single warm `try_admit`
+/// (`solve_cache/warm_probe/<case>` in `bench_online`).
+///
+/// On a four-processor cluster two processors are busy, and the free
+/// two are m0 (64 memory) and m2 (32). A 20-task chain places on m0:
+/// under a reservation at the current instant it overshoots, without
+/// one it is granted. Two branches of 30-unit files under one root fit
+/// neither lease — every task fits m0, but one processor must hold a
+/// branch's files besides the other's — so it waits after a warm probe
+/// per lease size. Nothing is committed, so every call probes the same
+/// free list on the same warm cache.
+pub struct WarmProbes {
+    state: ClusterState,
+    cfg: OnlineConfig,
+    cache: SolveCache,
+    config_hash: u64,
+    chain: Pending,
+    branches: Pending,
+}
+
+impl std::fmt::Debug for WarmProbes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WarmProbes").finish_non_exhaustive()
+    }
+}
+
+impl Default for WarmProbes {
+    fn default() -> Self {
+        WarmProbes::new()
+    }
+}
+
+impl WarmProbes {
+    /// The probes, their caches filled by two untimed rounds.
+    pub fn new() -> WarmProbes {
+        let cluster = Cluster::new(
+            vec![
+                Processor::new("m0", 2.0, 64.0),
+                Processor::new("m1", 4.0, 128.0),
+                Processor::new("m2", 1.0, 32.0),
+                Processor::new("m3", 8.0, 256.0),
+            ],
+            1.0,
+        );
+        let mut branches = dhp_dag::Dag::new();
+        let n: Vec<_> = (0..5).map(|_| branches.add_node(3.0, 2.0)).collect();
+        for (src, dst) in [(0, 1), (0, 2), (1, 3), (2, 4)] {
+            branches.add_edge(n[src], n[dst], 30.0);
+        }
+        let mut seen = ArrivalFacts::new();
+        let mut pending = |id: usize, name: &str, graph: dhp_dag::Dag| {
+            let sub = crate::submission::Submission {
+                id,
+                arrival: 0.0,
+                instance: dhp_wfgen::WorkflowInstance {
+                    name: name.into(),
+                    family: None,
+                    size_class: dhp_wfgen::SizeClass::Real,
+                    requested_size: graph.node_count(),
+                    graph,
+                },
+            };
+            Pending::new(Arc::new(sub), &mut seen)
+        };
+        let chain = pending(0, "chain", dhp_dag::builder::chain(20, 5.0, 2.0, 1.0));
+        let branches = pending(1, "branches", branches);
+        let cfg = OnlineConfig::default();
+        let cache = SolveCache::new();
+        let config_hash = SolveCache::config_hash(&cfg.solver);
+        let mut state = ClusterState::new(&cluster, None);
+        for p in [1, 3] {
+            state.free[p] = false;
+        }
+        state.free_count = 2;
+        let mut probes = WarmProbes {
+            state,
+            cfg,
+            cache,
+            config_hash,
+            chain,
+            branches,
+        };
+        for _ in 0..2 {
+            for case in [
+                WarmProbeCase::Grant,
+                WarmProbeCase::Overshoot,
+                WarmProbeCase::Wait,
+            ] {
+                assert!(probes.probe(case), "{case:?} did not decide {case:?}");
+            }
+        }
+        probes
+    }
+
+    /// One warm admission probe of `case`; returns whether it decided
+    /// what `case` names.
+    pub fn probe(&mut self, case: WarmProbeCase) -> bool {
+        let (cand, cap) = match case {
+            WarmProbeCase::Overshoot => (&self.chain, Some(0.0)),
+            WarmProbeCase::Wait => (&self.branches, None),
+            WarmProbeCase::Grant => (&self.chain, None),
+        };
+        let state = &mut self.state;
+        let admit = try_admit(
+            &state.cluster,
+            &state.mem_order,
+            &state.free,
+            cand,
+            &self.cfg,
+            &CacheView::direct(&self.cache),
+            self.config_hash,
+            0.0,
+            1,
+            None,
+            cap,
+            &mut state.scratch.free_sorted,
+        );
+        matches!(
+            (case, admit),
+            (WarmProbeCase::Overshoot, Admit::Overshoot)
+                | (WarmProbeCase::Wait, Admit::Wait)
+                | (WarmProbeCase::Grant, Admit::Granted(_))
+        )
     }
 }

@@ -116,9 +116,6 @@ pub(crate) fn spill(
     // Ids that migrated at this event: at most one event's moves.
     let mut moved_ids: Vec<usize> = Vec::new();
     let mut drained_sources: Vec<usize> = Vec::new();
-    // Probe buffer local to the sweep: the shards' own scratch arenas
-    // are unreachable here (every probe borrows two shards at once).
-    let mut buf = Vec::new();
     for i in 0..n {
         if shards[i].state.queue_is_empty() {
             continue;
@@ -151,8 +148,12 @@ pub(crate) fn spill(
                     continue;
                 }
                 // The probe is charged to the *source*: spillover is
-                // the home queue's cost of finding a new home.
+                // the home queue's cost of finding a new home. It carves
+                // from the destination's own free list (its lease shapes
+                // are the destination cluster's), moved out for the
+                // probe because the candidate borrows the source shard.
                 let mut stats = shards[i].stats;
+                let mut free = std::mem::take(&mut shards[j].state.scratch.free_sorted);
                 let fits = can_place(
                     &shards[j].state.cluster,
                     &shards[j].state.mem_order,
@@ -161,8 +162,9 @@ pub(crate) fn spill(
                     cfg,
                     &CacheView::live(cache, &mut stats),
                     config_hash,
-                    &mut buf,
+                    &mut free,
                 );
+                shards[j].state.scratch.free_sorted = free;
                 shards[i].stats = stats;
                 if fits {
                     dest = Some(j);
@@ -247,7 +249,7 @@ mod tests {
     use super::turned_away;
     use crate::admission::can_place;
     use crate::engine::OnlineConfig;
-    use crate::state::{ArrivalFacts, ClusterState, Pending};
+    use crate::state::{ArrivalFacts, ClusterState, FreeList, Pending};
     use crate::submission::single_task;
     use dhp_core::partial::{CacheView, SolveCache, SolveCacheStats};
     use dhp_platform::{Cluster, Federation, Processor};
@@ -323,7 +325,7 @@ mod tests {
                     &cfg,
                     &view,
                     SolveCache::config_hash(&cfg.solver),
-                    &mut Vec::new(),
+                    &mut FreeList::default(),
                 )
             };
             if turned_away(state.free_count, || state.top_free_memory(), req) {

@@ -150,15 +150,12 @@ pub(crate) fn route(
         RoutingPolicy::LeastLoaded => unreachable!("least-loaded routing answered above"),
         RoutingPolicy::BestFit => {
             let mut best: Option<(f64, usize)> = None;
-            // Probe buffer local to the sweep: the members' own scratch
-            // arenas are unreachable here (the loop already borrows
-            // across shard indices), and routing is off the admission
-            // hot path.
-            let mut buf = Vec::new();
             for &j in &pool {
                 let MemberShard { state, stats, .. } = &mut shards[j];
                 // A live view over the probed member's own stats: the
-                // probe's outcome is charged to it, exactly.
+                // probe's outcome is charged to it, exactly. The probe
+                // carves from the member's own free list, whose lease
+                // shapes are that member's cluster's.
                 let fits = can_place(
                     &state.cluster,
                     &state.mem_order,
@@ -167,7 +164,7 @@ pub(crate) fn route(
                     cfg,
                     &CacheView::live(cache, stats),
                     config_hash,
-                    &mut buf,
+                    &mut state.scratch.free_sorted,
                 );
                 if !fits {
                     continue;

@@ -212,9 +212,9 @@ fn the_slow_baseline_still_allocates() {
 
 /// A backfill candidate that places but would finish after the blocked
 /// head's reservation is thrown away — so, warm, deciding that costs
-/// no heap at all: the solve and the simulated finish are memoized
-/// `Arc`s, and no lease view, parent-id mapping or grant is built for a
-/// candidate that overshoots. Whole passes over a blocked window of
+/// no heap at all: one warm probe answers the solve and the simulated
+/// finish without handing back an `Arc`, and no lease view, parent-id
+/// mapping or grant is built for a candidate that overshoots. Whole passes over a blocked window of
 /// such candidates allocate nothing either.
 #[test]
 fn a_warm_overshooting_backfill_probe_allocates_nothing() {
@@ -270,6 +270,84 @@ fn a_warm_overshooting_backfill_probe_allocates_nothing() {
             "a warm window pass at depth {depth} behind {dead} tombstones allocated"
         );
     }
+}
+
+/// A candidate that no lease of the free processors can hold waits —
+/// and, warm, deciding that costs no heap either: each size of its
+/// ladder is a memoized `NoSolution` answered by one warm probe, on a
+/// shape read back from the probe buffer.
+#[test]
+fn a_warm_waiting_probe_allocates_nothing() {
+    // Two branches under one root, 30-unit files on every edge: each
+    // task needs at most 62, which m0 (64) holds, but one processor
+    // must hold a whole branch's files besides the other's.
+    let cluster = Cluster::new(
+        vec![
+            Processor::new("m0", 2.0, 64.0),
+            Processor::new("m1", 4.0, 128.0),
+            Processor::new("m2", 1.0, 32.0),
+            Processor::new("m3", 8.0, 256.0),
+        ],
+        1.0,
+    );
+    let mut g = dhp_dag::Dag::new();
+    let n: Vec<_> = (0..5).map(|_| g.add_node(3.0, 2.0)).collect();
+    for (src, dst) in [(0, 1), (0, 2), (1, 3), (2, 4)] {
+        g.add_edge(n[src], n[dst], 30.0);
+    }
+    let cand = Pending::new(
+        Arc::new(Submission {
+            id: 3,
+            arrival: 0.0,
+            instance: WorkflowInstance {
+                name: "branches".into(),
+                family: None,
+                size_class: SizeClass::Real,
+                requested_size: 5,
+                graph: g,
+            },
+        }),
+        &mut ArrivalFacts::new(),
+    );
+    let cfg = OnlineConfig::default();
+    let cache = SolveCache::new();
+    let view = CacheView::direct(&cache);
+    let config_hash = SolveCache::config_hash(&cfg.solver);
+    let mut state = ClusterState::new(&cluster, None);
+    // Only m0 is free: the memory screen passes, the solver does not.
+    for p in [1, 3] {
+        state.free[p] = false;
+    }
+    state.free_count = 2;
+    let probe = |state: &mut ClusterState| {
+        try_admit(
+            &cluster,
+            &state.mem_order,
+            &state.free,
+            &cand,
+            &cfg,
+            &view,
+            config_hash,
+            0.0,
+            1,
+            None,
+            None,
+            &mut state.scratch.free_sorted,
+        )
+    };
+    // Cold, then once more to size both halves of the probe buffer.
+    for _ in 0..2 {
+        assert!(matches!(probe(&mut state), Admit::Wait));
+    }
+    let solves = cache.stats().misses;
+    assert!(solves > 0, "the ladder reached the solver");
+    let waiting = allocations_in(|| {
+        for _ in 0..100 {
+            assert!(matches!(probe(&mut state), Admit::Wait));
+        }
+    });
+    assert_eq!(waiting, 0, "a warm waiting probe allocated");
+    assert_eq!(cache.stats().misses, solves, "every repeat was warm");
 }
 
 /// The reservation token: a matching `(epoch, head)` replays the

@@ -72,6 +72,8 @@ pub mod lease;
 pub mod policy;
 pub mod report;
 #[cfg(test)]
+mod shape_memo_tests;
+#[cfg(test)]
 mod solve_tests;
 mod state;
 pub mod submission;

@@ -8,11 +8,27 @@
 //! the reference's answer and moves the store's counters exactly as
 //! the reference moves a twin store, through direct and live views; a
 //! live view charges the same to its account.
+//!
+//! The admission probe is held the same way to the two-call probe it
+//! replaced (kept below as the reference, `two_call_admit`): per lease
+//! size a freshly hashed shape, `solve_keyed`, then `sim_outcome_keyed`
+//! on the size that places. `try_admit` and `can_place` answer through
+//! [`CacheView::probe_warm`] on one hash and one lock, and read shapes
+//! back from the probe buffer; on random probe sequences they must
+//! decide the same, move every counter the same (globally and on a live
+//! account), and leave the same recency clock and per-entry stamps.
 
+use crate::admission::{can_place, try_admit, Admit};
+use crate::engine::OnlineConfig;
+use crate::lease::{escalation_sizes, simulate_outcome, Grant};
+use crate::state::{ArrivalFacts, FreeList, Pending};
+use crate::submission::Submission;
 use dhp_core::daghetpart::DagHetPartConfig;
 use dhp_core::partial::{Algorithm, CacheView, SolveCache, SolveCacheStats};
 use dhp_dag::{builder, Dag};
 use dhp_platform::{Cluster, ProcId, Processor};
+use dhp_wfgen::{SizeClass, WorkflowInstance};
+use std::sync::Arc;
 
 fn cluster() -> Cluster {
     Cluster::new(
@@ -49,7 +65,22 @@ fn graphs() -> Vec<Dag> {
         builder::chain(5, 2.0, 4.0, 1.0),
         builder::fork_join(6, 10.0, 4.0, 2.0),
         builder::chain(40, 1.0, 30.0, 5.0),
+        two_branches(),
+        builder::chain(1, 1.0, 300.0, 0.0),
     ]
+}
+
+/// Two branches of two tasks each under one source, 30-unit files on
+/// every edge: every task needs at most 62, but one processor must
+/// hold a whole branch's files besides the other's, so a lease of m0
+/// alone (64) has no solution though the memory screen passes it.
+fn two_branches() -> Dag {
+    let mut g = Dag::new();
+    let n: Vec<_> = (0..5).map(|_| g.add_node(3.0, 2.0)).collect();
+    for (src, dst) in [(0, 1), (0, 2), (1, 3), (2, 4)] {
+        g.add_edge(n[src], n[dst], 30.0);
+    }
+    g
 }
 
 const ALGORITHMS: [Algorithm; 2] = [Algorithm::DagHetPart, Algorithm::DagHetMem];
@@ -185,4 +216,296 @@ fn solve_hits_misses_and_memoized_no_solution() {
     }
     let s = cache.stats();
     assert_eq!((s.hits, s.misses, cache.len()), (1, 1, 1));
+}
+
+// ----------------------------------------------------------------------
+// The one-lock admission probe against the two-call probe it replaced
+
+/// The admission probe as it was before [`CacheView::probe_warm`]: the
+/// free list filtered afresh, each size's shape hashed afresh,
+/// `solve_keyed` per size and `sim_outcome_keyed` on the size that
+/// places. `with_sim: false` is `can_place`'s half: placeability only.
+#[allow(clippy::too_many_arguments)]
+fn two_call_admit(
+    c: &Cluster,
+    free_set: &[bool],
+    cand: &Pending,
+    cfg: &OnlineConfig,
+    view: &CacheView,
+    config_hash: u64,
+    cap: Option<f64>,
+    with_sim: bool,
+) -> Admit {
+    let g = &cand.submission.instance.graph;
+    let free: Vec<ProcId> = c
+        .ids_by_memory_desc()
+        .into_iter()
+        .filter(|p| free_set[p.idx()])
+        .collect();
+    let whole = free.len() == c.len();
+    if free.is_empty() {
+        return Admit::Wait;
+    }
+    if cand.max_task_req > c.memory(free[0]) * (1.0 + 1e-9) {
+        return if whole {
+            Admit::Reject(format!(
+                "task requirement {:.2} exceeds every processor memory",
+                cand.max_task_req
+            ))
+        } else {
+            Admit::Wait
+        };
+    }
+    let target = if with_sim {
+        cfg.lease.target_under_load(g.node_count(), 1)
+    } else {
+        cfg.lease.target(g.node_count())
+    };
+    for size in escalation_sizes(target, free.len()) {
+        let lease = &free[..size];
+        let key = view.key(
+            cand.fingerprint,
+            c.shape_of_slice(lease),
+            cfg.algorithm,
+            config_hash,
+        );
+        let Ok(local) = view.solve_keyed(key, g, c, lease, &cfg.solver) else {
+            continue;
+        };
+        if !with_sim {
+            return Admit::Overshoot; // "placed"; no sim asked
+        }
+        let sim = view.sim_outcome_keyed(key, || {
+            simulate_outcome(g, &c.subcluster(lease), &local.mapping)
+        });
+        if cap.is_some_and(|cap| sim.makespan > cap + 1e-9) {
+            return Admit::Overshoot;
+        }
+        return Admit::Granted(Box::new(Grant::build(cand, lease, &local, sim, 0.0, None)));
+    }
+    if whole {
+        Admit::Reject(format!(
+            "no valid mapping exists on the whole idle cluster \
+             ({} processors, {:.2} total memory)",
+            c.len(),
+            c.total_memory()
+        ))
+    } else {
+        Admit::Wait
+    }
+}
+
+/// What an admission probe decided, comparably.
+#[derive(Clone, Debug, PartialEq)]
+enum Decided {
+    Granted {
+        finish: u64,
+        lease: Vec<ProcId>,
+        mapping: Vec<Option<ProcId>>,
+        busy: Vec<(ProcId, u64)>,
+    },
+    Overshoot,
+    Wait,
+    Reject(String),
+}
+
+fn decided(admit: Admit) -> Decided {
+    match admit {
+        Admit::Granted(grant) => Decided::Granted {
+            finish: grant.placement.finish.to_bits(),
+            lease: grant.placement.lease.clone(),
+            mapping: grant.placement.mapping.proc_of_block.clone(),
+            busy: grant.busy.iter().map(|&(p, b)| (p, b.to_bits())).collect(),
+        },
+        Admit::Overshoot => Decided::Overshoot,
+        Admit::Wait => Decided::Wait,
+        Admit::Reject(reason) => Decided::Reject(reason),
+    }
+}
+
+fn candidate(gi: usize) -> Pending {
+    let sub = Submission {
+        id: gi,
+        arrival: 0.0,
+        instance: WorkflowInstance {
+            name: format!("graph-{gi}"),
+            family: None,
+            size_class: SizeClass::Real,
+            requested_size: 1,
+            graph: graphs().swap_remove(gi),
+        },
+    };
+    Pending::new(Arc::new(sub), &mut ArrivalFacts::new())
+}
+
+/// One admission probe: a graph, a free set (bit `i` frees processor
+/// `i`), a cap (none, one every finish overshoots, one some finishes
+/// fit), an algorithm, and whether it is `try_admit` or `can_place`.
+type AdmitProbe = (usize, u8, usize, usize, bool);
+
+/// Drives `probes` through `try_admit` / `can_place` on one cache (one
+/// probe buffer for the whole sequence, as a cluster's scratch is) and
+/// through [`two_call_admit`] on a twin, comparing every decision,
+/// every counter move, the recency clock and every entry's stamp.
+fn admit_agree(mode: Mode, make: fn() -> SolveCache, probes: &[AdmitProbe]) -> Vec<Decided> {
+    let c = cluster();
+    let mem_order = c.ids_by_memory_desc();
+    let cands: Vec<Pending> = (0..graphs().len()).map(candidate).collect();
+    let reference = make();
+    let subject = make();
+    let (mut want_account, mut got_account) = Default::default();
+    let mut free = FreeList::default();
+    let mut decisions = Vec::new();
+    {
+        let (want_view, got_view) = match mode {
+            Mode::Direct => (CacheView::direct(&reference), CacheView::direct(&subject)),
+            Mode::Live => (
+                CacheView::live(&reference, &mut want_account),
+                CacheView::live(&subject, &mut got_account),
+            ),
+        };
+        for (round, &(gi, mask, cap, ai, admit)) in probes.iter().enumerate() {
+            let cfg = OnlineConfig {
+                algorithm: ALGORITHMS[ai],
+                ..OnlineConfig::default()
+            };
+            let config_hash = SolveCache::config_hash(&cfg.solver);
+            let free_set: Vec<bool> = (0..c.len()).map(|i| mask >> i & 1 == 1).collect();
+            let cap = [None, Some(0.0), Some(12.0)][cap];
+            let cand = &cands[gi];
+            let want = decided(two_call_admit(
+                &c,
+                &free_set,
+                cand,
+                &cfg,
+                &want_view,
+                config_hash,
+                cap,
+                admit,
+            ));
+            let got = if admit {
+                decided(try_admit(
+                    &c,
+                    &mem_order,
+                    &free_set,
+                    cand,
+                    &cfg,
+                    &got_view,
+                    config_hash,
+                    0.0,
+                    1,
+                    None,
+                    cap,
+                    &mut free,
+                ))
+            } else {
+                let placed = can_place(
+                    &c,
+                    &mem_order,
+                    &free_set,
+                    cand,
+                    &cfg,
+                    &got_view,
+                    config_hash,
+                    &mut free,
+                );
+                let want_placed = want == Decided::Overshoot;
+                assert_eq!(placed, want_placed, "{mode:?} probe {round}: placeability");
+                want.clone()
+            };
+            let what = format!("{mode:?} probe {round}: {:?}", probes[round]);
+            assert_eq!(got, want, "{what}");
+            assert_eq!(subject.stats(), reference.stats(), "{what}");
+            assert_eq!(subject.recency(), reference.recency(), "{what}");
+            decisions.push(got);
+        }
+    }
+    assert_eq!(got_account, want_account, "{mode:?}: live charges");
+    decisions
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn the_one_lock_probe_decides_and_charges_like_the_two_calls(
+        probes in proptest::collection::vec(
+            (0usize..6, 0u8..16, 0usize..3, 0usize..2, proptest::prelude::any::<bool>()),
+            1..40,
+        ),
+    ) {
+        for make in [unbounded, capped, disabled] {
+            admit_agree(Mode::Direct, make, &probes);
+            admit_agree(Mode::Live, make, &probes);
+        }
+    }
+}
+
+/// Each outcome, cold and then warm: a grant, its overshoot, a wait
+/// after the solver found no lease (m0 alone cannot hold the two
+/// branches), a wait and a rejection on the memory screen, and
+/// `can_place` both ways.
+#[test]
+fn the_one_lock_probe_on_each_outcome() {
+    let all = 0b1111;
+    let (small, branches, huge) = (0, 4, 5);
+    let m0 = 0b0001;
+    let probes: Vec<AdmitProbe> = vec![
+        (small, all, 0, 0, true),
+        (small, all, 0, 0, true),
+        (small, all, 1, 0, true),
+        (branches, m0, 0, 0, true),
+        (branches, m0, 0, 0, true),
+        (huge, m0, 0, 0, true),
+        (huge, all, 0, 0, true),
+        (branches, all, 0, 0, true),
+        (branches, all, 0, 0, true),
+        (small, all, 0, 0, false),
+        (branches, m0, 0, 0, false),
+    ];
+    let kinds = |decisions: Vec<Decided>| -> String {
+        decisions
+            .iter()
+            .map(|d| match d {
+                Decided::Granted { .. } => 'G',
+                Decided::Overshoot => 'O',
+                Decided::Wait => 'W',
+                Decided::Reject(_) => 'R',
+            })
+            .collect()
+    };
+    for make in [unbounded, capped, disabled] {
+        for mode in [Mode::Direct, Mode::Live] {
+            // `can_place` shows as the reference's O (placed) or W.
+            assert_eq!(kinds(admit_agree(mode, make, &probes)), "GGOWWWRGGOW");
+        }
+    }
+    // The solver really ran out of leases on m0 (a miss, no sim), and
+    // the warm repeat hit the memoized NoSolution.
+    let cache = SolveCache::new();
+    let view = CacheView::direct(&cache);
+    let c = cluster();
+    let cfg = OnlineConfig::default();
+    let mut free = FreeList::default();
+    let free_set = [true, false, false, false];
+    let mut probe = || {
+        try_admit(
+            &c,
+            &c.ids_by_memory_desc(),
+            &free_set,
+            &candidate(branches),
+            &cfg,
+            &view,
+            SolveCache::config_hash(&cfg.solver),
+            0.0,
+            1,
+            None,
+            None,
+            &mut free,
+        )
+    };
+    assert!(matches!(probe(), Admit::Wait));
+    assert!(matches!(probe(), Admit::Wait));
+    let s = cache.stats();
+    assert_eq!((s.hits, s.misses, s.sim_misses), (1, 1, 0));
 }

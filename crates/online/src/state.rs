@@ -20,6 +20,7 @@ use crate::submission::Submission;
 use crate::work_index::WorkIndex;
 use dhp_core::fitting::max_task_requirement;
 use dhp_core::mapping::Mapping;
+use dhp_dag::fingerprint::FoldState;
 use dhp_dag::Dag;
 use dhp_platform::{Cluster, ProcId};
 use std::collections::HashMap;
@@ -98,17 +99,18 @@ struct GraphFacts {
 /// The table is a local of the serve loop: it is never shared between
 /// calls, has no capacity and no counters, and dies with the call. It
 /// holds one `Arc` per distinct graph, which the call's placements hold
-/// until the report anyway.
+/// until the report anyway. Its keys are pre-hashes, so the map folds
+/// them ([`FoldState`]) rather than hashing them again.
 #[derive(Debug)]
 pub(crate) struct ArrivalFacts {
-    by_prehash: HashMap<u64, Vec<(Arc<Submission>, GraphFacts)>>,
+    by_prehash: HashMap<u64, Vec<(Arc<Submission>, GraphFacts)>, FoldState>,
     prehash: fn(&Dag) -> u64,
 }
 
 impl ArrivalFacts {
     pub(crate) fn new() -> ArrivalFacts {
         ArrivalFacts {
-            by_prehash: HashMap::new(),
+            by_prehash: HashMap::default(),
             prehash: Dag::content_prehash,
         }
     }
@@ -118,7 +120,7 @@ impl ArrivalFacts {
     #[cfg(test)]
     pub(crate) fn with_one_bucket() -> ArrivalFacts {
         ArrivalFacts {
-            by_prehash: HashMap::new(),
+            by_prehash: HashMap::default(),
             prehash: |_| 0,
         }
     }
@@ -226,6 +228,105 @@ pub(crate) struct InService {
     pub(crate) busy: Vec<(ProcId, f64)>,
 }
 
+/// The free processors a lease probe carves from, in canonical
+/// memory-descending order, with the lease shapes of the list memoized
+/// by lease size.
+///
+/// A lease is a prefix of the list, and its shape
+/// ([`Cluster::shape_of_slice`], the cache key's lease half) is a pure
+/// function of that ordered prefix on a given cluster. So while the
+/// list stays what it was — between two events most probes see the same
+/// free set — every size's shape is hashed once and then read back.
+/// [`FreeList::refill`] filters the free set afresh and drops the
+/// memo only when the list changed. One `FreeList` serves one cluster:
+/// it is part of a [`ClusterState`]'s [`ProbeScratch`], and the debug
+/// build checks every shape it reads back against a fresh hash (test
+/// builds tally the checks, [`shape_tally`]).
+#[derive(Default)]
+pub(crate) struct FreeList {
+    /// The current list.
+    list: Vec<ProcId>,
+    /// Where `refill` filters into before comparing; swapped with
+    /// `list` when the two differ.
+    fresh: Vec<ProcId>,
+    /// `(size, shape of list[..size])` for each size asked since the
+    /// list last changed.
+    shapes: Vec<(usize, u64)>,
+}
+
+impl FreeList {
+    /// Fills the list with the processors of `mem_order` that `free`
+    /// marks free, keeping the memoized shapes if the list is the one
+    /// they were hashed on.
+    pub(crate) fn refill(&mut self, mem_order: &[ProcId], free: &[bool]) {
+        self.fresh.clear();
+        self.fresh
+            .extend(mem_order.iter().copied().filter(|p| free[p.idx()]));
+        if self.fresh != self.list {
+            std::mem::swap(&mut self.fresh, &mut self.list);
+            self.shapes.clear();
+        }
+    }
+
+    /// The free processors, in memory-descending order.
+    pub(crate) fn procs(&self) -> &[ProcId] {
+        &self.list
+    }
+
+    /// The shape of the lease `procs()[..size]` on `cluster`, the
+    /// cluster whose free set the list was filled from.
+    pub(crate) fn shape(&mut self, cluster: &Cluster, size: usize) -> u64 {
+        let lease = &self.list[..size];
+        if let Some(&(_, shape)) = self.shapes.iter().find(|&&(s, _)| s == size) {
+            debug_assert_eq!(
+                shape,
+                cluster.shape_of_slice(lease),
+                "a memoized lease shape of another list or cluster"
+            );
+            #[cfg(test)]
+            shape_tally::read_back(shape == cluster.shape_of_slice(lease));
+            return shape;
+        }
+        #[cfg(test)]
+        shape_tally::bump(&shape_tally::HASHED);
+        let shape = cluster.shape_of_slice(lease);
+        self.shapes.push((size, shape));
+        shape
+    }
+}
+
+/// Test-build tallies of the lease-shape memo, per thread: shapes
+/// hashed, shapes read back, and read-backs that differed from a fresh
+/// hash of their lease (always 0 unless the memo is wrong).
+#[cfg(test)]
+pub(crate) mod shape_tally {
+    use std::cell::Cell;
+    use std::thread::LocalKey;
+
+    thread_local! {
+        pub(super) static HASHED: Cell<u64> = const { Cell::new(0) };
+        static READ_BACK: Cell<u64> = const { Cell::new(0) };
+        static STALE: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(super) fn bump(counter: &'static LocalKey<Cell<u64>>) {
+        counter.with(|c| c.set(c.get() + 1));
+    }
+
+    pub(super) fn read_back(fresh: bool) {
+        bump(&READ_BACK);
+        if !fresh {
+            bump(&STALE);
+        }
+    }
+
+    /// `(hashed, read back, stale)` so far on this thread.
+    pub(crate) fn read() -> (u64, u64, u64) {
+        let get = |counter: &'static LocalKey<Cell<u64>>| counter.with(Cell::get);
+        (get(&HASHED), get(&READ_BACK), get(&STALE))
+    }
+}
+
 /// Reusable buffers for the admission hot path, owned by the
 /// [`ClusterState`] so steady-state probes allocate nothing: every
 /// placement probe needs the free set filtered into memory order, and
@@ -236,9 +337,10 @@ pub(crate) struct InService {
 /// allocation-counting tests in `hotpath_tests.rs`).
 #[derive(Default)]
 pub(crate) struct ProbeScratch {
-    /// Free processors in canonical memory-descending order — the
-    /// lease-carve prefix source of `find_placement` / `can_place`.
-    pub(crate) free_sorted: Vec<ProcId>,
+    /// Free processors in canonical memory-descending order, with their
+    /// lease shapes — the lease-carve prefix source of `find_placement`
+    /// / `can_place`.
+    pub(crate) free_sorted: FreeList,
     /// Hypothetical free set for the reservation replays
     /// (`head_reservation` / `head_fits_at`).
     pub(crate) hyp: Vec<bool>,

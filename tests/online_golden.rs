@@ -116,6 +116,62 @@ fn the_engine_reproduces_every_golden_line() {
     );
 }
 
+/// `(keys sharing a bucket with an earlier key, largest bucket)` when
+/// `hashes` are placed by their low bits in a table of `buckets`, as a
+/// `HashMap` places them.
+fn spread(hashes: &[u64], buckets: usize) -> (usize, usize) {
+    let mut load = vec![0usize; buckets];
+    for &h in hashes {
+        load[h as usize & (buckets - 1)] += 1;
+    }
+    let occupied = load.iter().filter(|&&l| l > 0).count();
+    (hashes.len() - occupied, load.into_iter().max().unwrap_or(0))
+}
+
+/// The solve store folds its keys (`dhp_dag::fingerprint::FoldState`)
+/// instead of running SipHash over them, because every word of a key is
+/// already a hash. On the golden traces' distinct store keys the fold
+/// must spread over a map's buckets like SipHash does — at the table
+/// size a map of that many keys has, and at 2× and 4× it — and its top
+/// seven bits, which a `HashMap` compares before the keys, must take
+/// as many values.
+#[test]
+fn the_store_keys_of_the_golden_traces_spread_like_siphash() {
+    use dhp_dag::fingerprint::FoldState;
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{BuildHasher, BuildHasherDefault};
+    let cache = dhp_online::SolveCache::new();
+    for case in matrix_cases().into_iter().chain(single_cases()) {
+        dhp_online::serve_with_cache(&case.cluster, case.subs.clone(), &case.cfg, &cache);
+    }
+    let keys: Vec<_> = cache.recency().1.into_iter().map(|(key, _)| key).collect();
+    assert!(keys.len() > 200, "premise: {} distinct keys", keys.len());
+    let fold: Vec<u64> = keys.iter().map(|k| FoldState.hash_one(k)).collect();
+    let sip: Vec<u64> = keys
+        .iter()
+        .map(|k| BuildHasherDefault::<DefaultHasher>::default().hash_one(k))
+        .collect();
+    let table = (keys.len() * 8 / 7).next_power_of_two();
+    for buckets in [table, 2 * table, 4 * table] {
+        let (fold_shared, fold_max) = spread(&fold, buckets);
+        let (sip_shared, sip_max) = spread(&sip, buckets);
+        assert!(
+            fold_shared * 10 <= sip_shared * 11 + 10 && fold_max <= sip_max + 1,
+            "{} keys in {buckets} buckets: the fold shares {fold_shared} (largest {fold_max}), \
+             SipHash {sip_shared} (largest {sip_max})",
+            keys.len()
+        );
+    }
+    let top7 = |hashes: &[u64]| {
+        let mut seen = [false; 128];
+        for &h in hashes {
+            seen[(h >> 57) as usize] = true;
+        }
+        seen.iter().filter(|&&s| s).count()
+    };
+    assert!(top7(&fold) >= top7(&sip) - 2);
+}
+
 #[test]
 #[ignore = "rewrites tests/golden/online_golden.txt"]
 fn record() {
