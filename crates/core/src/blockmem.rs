@@ -27,11 +27,11 @@
 //! again and again, so the memo also holds the parts each set was
 //! split into (`ReqMemo::split`), under its own lock.
 
+use crate::blocks::MemberPool;
 use dhp_dag::{Dag, NodeId};
 use dhp_memdag::PeakBounds;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Computes `r` for the block consisting of `members` of `g`.
 ///
@@ -58,17 +58,64 @@ pub fn block_requirement(g: &Dag, members: &[NodeId]) -> f64 {
 /// list otherwise. Hashed with SipHash, not with the fold of
 /// `dhp_dag::fingerprint::FoldState`: a mask's low bits are the
 /// workflow's low task ids, which the blocks of one solve share, and
-/// the fold would pile such keys into few buckets.
-#[derive(Debug, PartialEq, Eq, Hash)]
-enum SetKey {
+/// the fold would pile such keys into few buckets. A lookup borrows the
+/// id list from a buffer of the calling thread; only an insertion
+/// copies it into the map.
+#[derive(Clone, Copy, Debug)]
+enum SetKey<'k> {
     Mask(u128),
-    Ids(Box<[u32]>),
+    Ids(&'k [u32]),
+}
+
+/// Entries per member set, under the two kinds of [`SetKey`].
+#[derive(Debug)]
+struct SetMap<V> {
+    masks: HashMap<u128, V>,
+    ids: HashMap<Box<[u32]>, V>,
+}
+
+impl<V> Default for SetMap<V> {
+    fn default() -> Self {
+        Self {
+            masks: HashMap::new(),
+            ids: HashMap::new(),
+        }
+    }
+}
+
+impl<V> SetMap<V> {
+    fn get(&self, key: SetKey<'_>) -> Option<&V> {
+        match key {
+            SetKey::Mask(mask) => self.masks.get(&mask),
+            SetKey::Ids(ids) => self.ids.get(ids),
+        }
+    }
+
+    /// The entry of `key`, `value` inserted first if there is none.
+    fn get_or_insert(&mut self, key: SetKey<'_>, value: V) -> &mut V {
+        match key {
+            SetKey::Mask(mask) => self.masks.entry(mask).or_insert(value),
+            SetKey::Ids(ids) => self.ids.entry(ids.into()).or_insert(value),
+        }
+    }
+
+    fn insert(&mut self, key: SetKey<'_>, value: V) {
+        match key {
+            SetKey::Mask(mask) => self.masks.insert(mask, value),
+            SetKey::Ids(ids) => self.ids.insert(ids.into(), value),
+        };
+    }
+}
+
+thread_local! {
+    /// The id list a [`SetKey::Ids`] lookup borrows.
+    static IDS: std::cell::Cell<Vec<u32>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
 #[derive(Debug, Default)]
 struct MemoStore {
     /// Exact entries are [`PeakBounds::exact`].
-    known: HashMap<SetKey, PeakBounds>,
+    known: SetMap<PeakBounds>,
     hits: u64,
     misses: u64,
     /// Bounds questions answered by bounds that are not exact.
@@ -79,10 +126,13 @@ struct MemoStore {
     resolved: u64,
 }
 
-/// The parts Step 2 split each member set into.
+/// The parts Step 2 split each member set into: both, one after the
+/// other, in one list for the whole solve, and where each set's parts
+/// start there and where the second begins.
 #[derive(Debug, Default)]
 struct SplitStore {
-    known: HashMap<SetKey, Arc<[Vec<NodeId>]>>,
+    known: SetMap<(usize, usize)>,
+    parts: Vec<NodeId>,
     #[cfg(test)]
     hits: u64,
     #[cfg(test)]
@@ -124,36 +174,49 @@ impl<'g> ReqMemo<'g> {
         }
     }
 
-    /// The parts `bisect` splits `members` (any order, at least two,
-    /// without duplicates) into, with `bisect` run at most once per
-    /// member set and the parts copied out after the lock is released.
-    /// Every call on one memo must bisect the same way: one solve
+    /// The two parts `bisect` splits `members` (any order, at least
+    /// two, without duplicates) into, copied into lists from `pool`.
+    /// `bisect` returns both parts, one after the other, and where the
+    /// second starts; it runs at most once per member set, outside the
+    /// lock. Every call on one memo must bisect the same way: one solve
     /// splits with one partitioner configuration.
     ///
     /// # Panics
     /// Panics if a member is listed twice.
-    pub(crate) fn split(
+    pub(crate) fn split<'h>(
         &self,
         members: &[NodeId],
-        bisect: impl FnOnce() -> Vec<Vec<NodeId>>,
-    ) -> Vec<Vec<NodeId>> {
-        let key = self.key(members);
-        let known = {
-            let splits = &mut *self.splits.lock();
-            let known = splits.known.get(&key).cloned();
-            #[cfg(test)]
-            match known {
-                Some(_) => splits.hits += 1,
-                None => splits.misses += 1,
+        pool: &mut MemberPool,
+        bisect: impl FnOnce() -> (&'h [NodeId], usize),
+    ) -> [Vec<NodeId>; 2] {
+        let len = members.len();
+        self.with_key(members, |key| {
+            let mut copy_out = |splits: &SplitStore, (start, mid): (usize, usize)| {
+                let (first, second) = splits.parts[start..start + len].split_at(mid);
+                [pool.copy_of(first), pool.copy_of(second)]
+            };
+            {
+                let splits = &mut *self.splits.lock();
+                let known = splits.known.get(key).copied();
+                #[cfg(test)]
+                match known {
+                    Some(_) => splits.hits += 1,
+                    None => splits.misses += 1,
+                }
+                if let Some(at) = known {
+                    return copy_out(splits, at);
+                }
             }
-            known
-        };
-        let parts = known.unwrap_or_else(|| {
-            let parts: Arc<[Vec<NodeId>]> = bisect().into();
-            let mut splits = self.splits.lock();
-            splits.known.entry(key).or_insert(parts).clone()
-        });
-        parts.to_vec()
+            let (halves, mid) = bisect();
+            debug_assert!(halves.len() == len && 0 < mid && mid < len, "two parts");
+            let splits = &mut *self.splits.lock();
+            let start = splits.parts.len();
+            let at = *splits.known.get_or_insert(key, (start, mid));
+            if at.0 == start {
+                splits.parts.extend_from_slice(halves);
+            }
+            copy_out(splits, at)
+        })
     }
 
     /// `block_requirement(g, members)`, computed at most once per
@@ -165,21 +228,22 @@ impl<'g> ReqMemo<'g> {
         if members.len() < 2 {
             return block_requirement(self.g, members);
         }
-        let key = self.key(members);
-        {
-            let mut store = self.store.lock();
-            if let Some(known) = store.known.get(&key).filter(|b| b.is_exact()) {
-                let req = known.hi;
-                store.hits += 1;
-                return req;
+        self.with_key(members, |key| {
+            {
+                let mut store = self.store.lock();
+                if let Some(known) = store.known.get(key).filter(|b| b.is_exact()) {
+                    let req = known.hi;
+                    store.hits += 1;
+                    return req;
+                }
+                store.misses += 1;
             }
-            store.misses += 1;
-        }
-        // Computed outside the lock: this is the expensive part, and
-        // the other workers must stay free to look up their own sets.
-        let req = block_requirement(self.g, members);
-        self.store.lock().known.insert(key, PeakBounds::exact(req));
-        req
+            // Computed outside the lock: this is the expensive part, and
+            // the other workers must stay free to look up their own sets.
+            let req = block_requirement(self.g, members);
+            self.store.lock().known.insert(key, PeakBounds::exact(req));
+            req
+        })
     }
 
     /// Certified bounds on `block_requirement(g, members)`: the exact
@@ -192,22 +256,23 @@ impl<'g> ReqMemo<'g> {
         if members.len() < 2 {
             return PeakBounds::exact(block_requirement(self.g, members));
         }
-        let key = self.key(members);
-        {
-            let mut store = self.store.lock();
-            if let Some(&known) = store.known.get(&key) {
-                store.hits += 1;
-                return known;
+        self.with_key(members, |key| {
+            {
+                let mut store = self.store.lock();
+                if let Some(&known) = store.known.get(key) {
+                    store.hits += 1;
+                    return known;
+                }
+                store.misses += 1;
             }
-            store.misses += 1;
-        }
-        let bounds = dhp_memdag::block_bounds(self.g, members);
-        let mut store = self.store.lock();
-        #[cfg(test)]
-        if !bounds.is_exact() {
-            store.bounded += 1;
-        }
-        *store.known.entry(key).or_insert(bounds)
+            let bounds = dhp_memdag::block_bounds(self.g, members);
+            let mut store = self.store.lock();
+            #[cfg(test)]
+            if !bounds.is_exact() {
+                store.bounded += 1;
+            }
+            *store.known.get_or_insert(key, bounds)
+        })
     }
 
     /// The requirement of `members` whose bounds are `bounds`: their
@@ -247,12 +312,12 @@ impl<'g> ReqMemo<'g> {
         (store.bounded, store.resolved)
     }
 
-    /// The key of `members`.
+    /// Runs `question` with the key of `members`.
     ///
     /// # Panics
     /// Panics if a member is listed twice: a mask would OR the copies
     /// away, and a miss on the same list would panic in the kernel.
-    fn key(&self, members: &[NodeId]) -> SetKey {
+    fn with_key<R>(&self, members: &[NodeId], question: impl FnOnce(SetKey<'_>) -> R) -> R {
         if self.g.node_count() <= u128::BITS as usize {
             let mask = members.iter().fold(0, |mask, u| mask | 1u128 << u.0);
             assert_eq!(
@@ -260,16 +325,21 @@ impl<'g> ReqMemo<'g> {
                 members.len(),
                 "duplicate member in block"
             );
-            SetKey::Mask(mask)
-        } else {
-            let mut ids: Vec<u32> = members.iter().map(|u| u.0).collect();
-            ids.sort_unstable();
-            assert!(
-                ids.windows(2).all(|w| w[0] < w[1]),
-                "duplicate member in block"
-            );
-            SetKey::Ids(ids.into_boxed_slice())
+            return question(SetKey::Mask(mask));
         }
+        // A question asked while another holds the buffer (none does)
+        // would find it empty and grow one of its own.
+        let mut ids = IDS.take();
+        ids.clear();
+        ids.extend(members.iter().map(|u| u.0));
+        ids.sort_unstable();
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "duplicate member in block"
+        );
+        let answer = question(SetKey::Ids(&ids));
+        IDS.set(ids);
+        answer
     }
 }
 

@@ -58,9 +58,86 @@ impl BlockSet {
     }
 
     /// [`BlockSet::from_partition`] with only the bounds of each
-    /// requirement, answered by the solve's memo.
+    /// requirement, answered by the solve's memo: what
+    /// [`BlockSet::from_raw_in`] builds, through a [`Partition`].
+    #[cfg(test)]
     pub(crate) fn from_partition_memo(partition: &Partition, memo: &ReqMemo<'_>) -> Self {
         Self::from_partition_with(partition, |members| memo.bounds(members))
+    }
+
+    /// The Step-1 block set of the raw assignment `raw` (the part of
+    /// every task, each below `raw.len()`), numbered as
+    /// [`Partition::from_raw`] numbers its blocks, with the bounds of
+    /// every requirement answered by the solve's memo: what
+    /// [`BlockSet::from_partition_memo`] of that partition gives. Its
+    /// member lists come from `pool` and its block list is `storage`;
+    /// `dense` and `sizes` are scratch.
+    pub(crate) fn from_raw_in(
+        raw: &[u32],
+        memo: &ReqMemo<'_>,
+        pool: &mut MemberPool,
+        mut storage: Vec<Block>,
+        dense: &mut Vec<u32>,
+        sizes: &mut Vec<usize>,
+    ) -> Self {
+        dense.clear();
+        dense.resize(raw.len(), u32::MAX);
+        sizes.clear();
+        for &part in raw {
+            let slot = &mut dense[part as usize];
+            if *slot == u32::MAX {
+                *slot = sizes.len() as u32;
+                sizes.push(0);
+            }
+            sizes[*slot as usize] += 1;
+        }
+        storage.clear();
+        storage.extend(sizes.iter().enumerate().map(|(id, &len)| Block {
+            id: id as u64,
+            members: pool.take(len),
+            req: 0.0,
+            proc: None,
+            lo: 0.0,
+        }));
+        for (u, &part) in raw.iter().enumerate() {
+            storage[dense[part as usize] as usize]
+                .members
+                .push(NodeId(u as u32));
+        }
+        for block in &mut storage {
+            let req = memo.bounds(&block.members);
+            (block.req, block.lo) = (req.hi, req.lo);
+        }
+        let next_id = storage.len() as u64;
+        Self {
+            blocks: storage,
+            next_id,
+        }
+    }
+
+    /// An empty block set on `storage` (cleared), numbering its blocks
+    /// from 0 as [`BlockSet::default`] does.
+    pub(crate) fn on_storage(mut storage: Vec<Block>) -> Self {
+        storage.clear();
+        Self {
+            blocks: storage,
+            next_id: 0,
+        }
+    }
+
+    /// Takes the set apart: every member list goes back to `pool`, and
+    /// the emptied block list is returned for the next set.
+    pub(crate) fn recycle(mut self, pool: &mut MemberPool) -> Vec<Block> {
+        for block in self.blocks.drain(..) {
+            pool.give(block.members);
+        }
+        self.blocks
+    }
+
+    /// Moves every block out, in order, leaving the emptied block list.
+    pub(crate) fn drain_into(mut self, mut each: impl FnMut(Block)) -> Vec<Block> {
+        self.blocks.drain(..).for_each(&mut each);
+        self.blocks
     }
 
     fn from_partition_with(partition: &Partition, req: impl Fn(&[NodeId]) -> PeakBounds) -> Self {
@@ -206,12 +283,20 @@ impl BlockSet {
             .flat_map(|b| self.blocks[b].members.iter().copied())
             .collect();
         let req = block_requirement(g, &members);
-        self.merge_blocks_with_bounds(i, j, o, proc, PeakBounds::exact(req))
+        self.merge_blocks_with_bounds(
+            i,
+            j,
+            o,
+            proc,
+            PeakBounds::exact(req),
+            &mut MemberPool::default(),
+        )
     }
 
     /// [`BlockSet::merge_blocks`] for a caller that already holds the
     /// bounds of the merged block's requirement (Step 3 has just
-    /// checked them against the processor's memory).
+    /// checked them against the processor's memory). The merged list
+    /// comes from `pool`, and the merged blocks' lists go back to it.
     pub(crate) fn merge_blocks_with_bounds(
         &mut self,
         i: usize,
@@ -219,13 +304,16 @@ impl BlockSet {
         o: Option<usize>,
         proc: Option<ProcId>,
         req: PeakBounds,
+        pool: &mut MemberPool,
     ) -> usize {
         let len = removal_order(i, j, o)
             .map(|b| self.blocks[b].members.len())
             .sum();
-        let mut members = Vec::with_capacity(len);
+        let mut members = pool.take(len);
         for b in removal_order(i, j, o) {
-            members.extend(self.remove_block(b).members);
+            let merged = self.remove_block(b).members;
+            members.extend_from_slice(&merged);
+            pool.give(merged);
         }
         let ni = self.push_block_with_bounds(members, req);
         self.blocks[ni].proc = proc;
@@ -243,6 +331,12 @@ impl BlockSet {
         )
     }
 
+    /// Writes the indices of the unassigned blocks into `out`.
+    pub(crate) fn unassigned_into(&self, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend((0..self.blocks.len()).filter(|&i| self.blocks[i].proc.is_none()));
+    }
+
     /// Indices of unassigned blocks.
     pub fn unassigned(&self) -> Vec<usize> {
         (0..self.blocks.len())
@@ -255,6 +349,49 @@ impl BlockSet {
         (0..self.blocks.len())
             .filter(|&i| self.blocks[i].proc.is_some())
             .collect()
+    }
+}
+
+/// Member lists of dropped blocks, kept for the next blocks of the
+/// thread's attempts ([`crate::workspace`]), by size class: class `c`
+/// holds lists with room for at least `2^c` members. A list is handed
+/// out for a block of known size from the smallest class that holds
+/// it and is never filled past that size, so it is never grown. An
+/// attempt that repeats one the thread has made takes at most as many
+/// lists of each class as were live at once the first time, and all of
+/// those are back in the pool: it allocates none.
+#[derive(Debug, Default)]
+pub(crate) struct MemberPool(Vec<Vec<Vec<NodeId>>>);
+
+impl MemberPool {
+    /// An empty list with room for `len` members.
+    pub(crate) fn take(&mut self, len: usize) -> Vec<NodeId> {
+        let class = len.next_power_of_two().trailing_zeros() as usize;
+        self.0
+            .get_mut(class)
+            .and_then(Vec::pop)
+            .unwrap_or_else(|| Vec::with_capacity(1 << class))
+    }
+
+    /// [`MemberPool::take`] filled with `members`.
+    pub(crate) fn copy_of(&mut self, members: &[NodeId]) -> Vec<NodeId> {
+        let mut copy = self.take(members.len());
+        copy.extend_from_slice(members);
+        copy
+    }
+
+    /// Keeps `members` (cleared) for a later block; a list without room
+    /// is dropped, which frees nothing.
+    pub(crate) fn give(&mut self, mut members: Vec<NodeId>) {
+        let Some(class) = members.capacity().checked_ilog2() else {
+            return;
+        };
+        members.clear();
+        let class = class as usize;
+        if self.0.len() <= class {
+            self.0.resize_with(class + 1, Vec::new);
+        }
+        self.0[class].push(members);
     }
 }
 
@@ -325,6 +462,42 @@ mod tests {
         assert!(bs.block(ni).req > 0.0);
         // merging removes the boundary edge from both blocks' boundaries
         assert!(bs.block(ni).req >= r0 - 1e-9);
+    }
+
+    /// Block sets built on reused lists — a pool and a block list that
+    /// held blocks of other sets, of other sizes — equal the ones built
+    /// through a [`Partition`]: the same blocks in the same order, with
+    /// the same ids, members and bounds bits.
+    #[test]
+    fn pooled_block_sets_equal_the_partition_built_ones() {
+        let g = builder::gnp_dag_weighted(90, 0.05, 7);
+        let memo = ReqMemo::new(&g);
+        let mut pool = MemberPool::default();
+        let (mut storage, mut dense, mut sizes) = (Vec::new(), Vec::new(), Vec::new());
+        for seed in 0..40u64 {
+            let k = 1 + (seed * 7) % 30;
+            let raw: Vec<u32> = (0..90u64)
+                .map(|u| ((u.wrapping_mul(2_654_435_761) ^ seed.wrapping_mul(40_503)) % k) as u32)
+                .collect();
+            let want = BlockSet::from_partition_memo(&Partition::from_raw(&raw), &memo);
+            let got =
+                BlockSet::from_raw_in(&raw, &memo, &mut pool, storage, &mut dense, &mut sizes);
+            assert_eq!(got.len(), want.len());
+            for (a, b) in got.iter().zip(want.iter()) {
+                assert_eq!((a.id, &a.members, a.proc), (b.id, &b.members, b.proc));
+                assert_eq!(a.req.to_bits(), b.req.to_bits());
+                assert_eq!(a.lo.to_bits(), b.lo.to_bits());
+            }
+            assert_eq!(got.next_id, want.next_id);
+            // The mapping of either, built from the block lists alone.
+            let (m, w) = (got.to_mapping(90), want.to_mapping(90));
+            assert_eq!(m.partition, Partition::from_raw(&raw));
+            assert_eq!(
+                (m.partition, m.proc_of_block),
+                (w.partition, w.proc_of_block)
+            );
+            storage = got.recycle(&mut pool);
+        }
     }
 
     #[test]

@@ -30,16 +30,34 @@
 //! additions therefore belongs to an attempt that could not have been
 //! placed in any interleaving of the workers: pruning it moves no
 //! winner, and no trace either — a traced sweep reports the winner's.
+//!
+//! **What an attempt allocates.** Nothing but the mapping it returns:
+//! its partition's block array and its processor table, and not even
+//! those when Step 3 fails or the bound prunes it. Every other buffer
+//! of the four steps lives in its thread's workspace
+//! (`crate::workspace`, one per thread, like `dhp_memdag`'s and
+//! `dhp_dagp::bisect_block`'s), which the calling thread of a solve and
+//! the workers it spawns keep from one attempt, and one solve, to the
+//! next: the partitioner's arrays (`dhp_dagp::PartitionScratch`), the
+//! block list and a pool of member lists by size class, Step 2's queue,
+//! Step 3's quotient and queue, Step 4's quotient and tables. Blocks
+//! move from step to step instead of being copied; a member list is
+//! taken from the pool and returned to it. Each step clears and refills
+//! what it takes, so nothing carries from one attempt to the next.
+//! What a solve allocates besides is its own: the memo's tables and the
+//! bisections it keeps, and Step 1's view of the workflow — built once,
+//! and for a workflow already at the coarsening target without a copy
+//! of the graph (`dhp_dagp::SweepLevels`).
 
 use crate::blockmem::ReqMemo;
 use crate::makespan::blockset_makespan;
 use crate::mapping::Mapping;
 use crate::steps;
 use crate::steps::partition::Step1;
-use crate::steps::swap::Step4;
+use crate::workspace::{with_workspace, Workspace};
 use crate::{MappingResult, SchedError};
 use dhp_dag::Dag;
-use dhp_platform::Cluster;
+use dhp_platform::{Cluster, ProcId};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -159,14 +177,7 @@ fn sweep(
     };
 
     let step1 = Step1::coarsen(g, kprimes.iter().copied(), &cfg.partition_cfg);
-    let solve = Solve {
-        g,
-        cluster,
-        cfg,
-        step1: &step1,
-        memo,
-        traced,
-    };
+    let solve = Solve::new(g, cluster, cfg, &step1, memo, traced);
 
     // Innermost ranked lock: taken after any solve-cache lookup has
     // been released.
@@ -272,82 +283,137 @@ struct Solve<'a, 'g> {
     cfg: &'a DagHetPartConfig,
     step1: &'a Step1,
     memo: &'a ReqMemo<'g>,
+    /// `cluster.ids_by_memory_desc()`: Step 2's processor order.
+    proc_order: Vec<ProcId>,
     /// Score the block set between the steps.
     traced: bool,
 }
 
-impl Solve<'_, '_> {
+impl<'a, 'g> Solve<'a, 'g> {
+    fn new(
+        g: &'g Dag,
+        cluster: &'a Cluster,
+        cfg: &'a DagHetPartConfig,
+        step1: &'a Step1,
+        memo: &'a ReqMemo<'g>,
+        traced: bool,
+    ) -> Self {
+        Self {
+            g,
+            cluster,
+            cfg,
+            step1,
+            memo,
+            proc_order: cluster.ids_by_memory_desc(),
+            traced,
+        }
+    }
+
+    /// One pipeline run with a fixed `k'` on this thread's workspace.
+    fn run_once(&self, kprime: usize, cap: &dyn Fn() -> Option<f64>) -> Option<Attempt> {
+        with_workspace(|ws| self.run_on(kprime, cap, ws))
+    }
+
     /// One pipeline run with a fixed `k'`: the four steps, spelled out
-    /// once. Returns the final makespan and mapping (and, when traced,
+    /// once, every buffer taken from `ws` and the block set given back
+    /// to it. Returns the final makespan and mapping (and, when traced,
     /// how far each step got), or `None` when Step 3 cannot complete
     /// the assignment or when Step 4's lower bound exceeds `cap`, which
     /// is read after Step 3 (`None`: nothing to beat, no bound taken).
-    fn run_once(&self, kprime: usize, cap: &dyn Fn() -> Option<f64>) -> Option<Attempt> {
+    fn run_on(
+        &self,
+        kprime: usize,
+        cap: &dyn Fn() -> Option<f64>,
+        ws: &mut Workspace,
+    ) -> Option<Attempt> {
         let Self {
             g,
             cluster,
             cfg,
             step1,
             memo,
+            ref proc_order,
             traced,
         } = *self;
         let score = |bs: &_| traced.then(|| blockset_makespan(g, bs, cluster));
         // Step 1: heterogeneity-blind acyclic partitioning.
-        let bs = step1.blocks(kprime, memo);
+        let bs = step1.blocks_in(kprime, memo, ws);
         let blocks_after_partition = bs.len();
         // Step 2: memory-aware assignment (may split blocks).
-        let mut bs = steps::assign::biggest_assign_memo(g, cluster, bs, &cfg.partition_cfg, memo);
-        let blocks_after_assign = bs.len();
-        let unassigned_after_assign = traced.then(|| bs.unassigned().len());
-        let estimated_after_assign = score(&bs);
-        // Step 3: merge unassigned blocks, makespan-guided.
-        steps::merge::merge_unassigned_memo(g, cluster, &mut bs, cfg.enable_triple_merge, memo)
-            .ok()?;
-        // Step 4: local search. It moves blocks between processors and
-        // leaves the quotient as it is: one serves both sub-steps, the
-        // bound and every makespan from here on.
-        let mut step4 = Step4::new(g, cluster, &bs);
-        if cap().is_some_and(|cap| step4.lower_bound(cluster).is_some_and(|b| b > cap)) {
-            return None;
-        }
-        let after_merge = traced.then(|| step4.makespan());
-        if cfg.enable_swaps {
-            step4.swap_blocks(cluster, &mut bs, memo);
-        }
-        let after_swaps = traced.then(|| step4.makespan());
-        if cfg.enable_idle_moves {
-            step4.idle_moves(cluster, &mut bs, memo);
-        }
-        let makespan = step4.makespan();
-        let trace = match (
-            unassigned_after_assign,
-            estimated_after_assign,
-            after_merge,
-            after_swaps,
-        ) {
-            (
-                Some(unassigned_after_assign),
-                Some(estimated_after_assign),
-                Some(after_merge),
-                Some(after_swaps),
-            ) => Some(StepTrace {
-                kprime,
-                blocks_after_partition,
-                blocks_after_assign,
+        let mut bs = steps::assign::biggest_assign_memo(
+            g,
+            cluster,
+            proc_order,
+            bs,
+            &cfg.partition_cfg,
+            memo,
+            ws,
+        );
+        let attempt = 'attempt: {
+            let blocks_after_assign = bs.len();
+            let unassigned_after_assign = traced.then(|| bs.unassigned().len());
+            let estimated_after_assign = score(&bs);
+            // Step 3: merge unassigned blocks, makespan-guided.
+            let merged = steps::merge::merge_unassigned_memo(
+                g,
+                cluster,
+                &mut bs,
+                cfg.enable_triple_merge,
+                memo,
+                ws,
+            );
+            if merged.is_err() {
+                break 'attempt None;
+            }
+            // Step 4: local search. It moves blocks between processors and
+            // leaves the quotient as it is: one serves both sub-steps, the
+            // bound and every makespan from here on.
+            let step4 = &mut ws.step4;
+            step4.rebuild(g, cluster, &bs);
+            if cap().is_some_and(|cap| step4.lower_bound(cluster).is_some_and(|b| b > cap)) {
+                break 'attempt None;
+            }
+            let after_merge = traced.then(|| step4.makespan());
+            if cfg.enable_swaps {
+                step4.swap_blocks(cluster, &mut bs, memo);
+            }
+            let after_swaps = traced.then(|| step4.makespan());
+            if cfg.enable_idle_moves {
+                step4.idle_moves(cluster, &mut bs, memo);
+            }
+            let makespan = step4.makespan();
+            let trace = match (
                 unassigned_after_assign,
                 estimated_after_assign,
                 after_merge,
                 after_swaps,
-                after_idle_moves: makespan,
-            }),
-            _ => None,
+            ) {
+                (
+                    Some(unassigned_after_assign),
+                    Some(estimated_after_assign),
+                    Some(after_merge),
+                    Some(after_swaps),
+                ) => Some(StepTrace {
+                    kprime,
+                    blocks_after_partition,
+                    blocks_after_assign,
+                    unassigned_after_assign,
+                    estimated_after_assign,
+                    after_merge,
+                    after_swaps,
+                    after_idle_moves: makespan,
+                }),
+                _ => None,
+            };
+            Some(Attempt {
+                makespan,
+                kprime,
+                mapping: bs.to_mapping(g.node_count()),
+                trace,
+            })
         };
-        Some(Attempt {
-            makespan,
-            kprime,
-            mapping: bs.to_mapping(g.node_count()),
-            trace,
-        })
+        ws.blocks = bs.recycle(&mut ws.pool);
+        attempt
     }
 }
 
@@ -406,12 +472,13 @@ mod tests {
         assert_eq!(got.mapping.proc_of_block, want.mapping.proc_of_block);
     }
 
-    /// The sweep without the lower bound's pruning: every `k'` runs to
-    /// completion, on one thread, largest first, under the slot rule of
-    /// [`Attempt::beats`]. Holds every completed attempt to its own
-    /// bound — capped at the makespan Step 4 ends at, the attempt is not
-    /// pruned — and returns, with the result, how many attempts the
-    /// sequential sweep prunes.
+    /// The sweep without the lower bound's pruning and without reused
+    /// buffers: every `k'` runs to completion, each attempt on a
+    /// workspace of its own, on one thread, largest first, under the
+    /// slot rule of [`Attempt::beats`]. Holds every completed attempt to
+    /// its own bound — capped at the makespan Step 4 ends at, the
+    /// attempt is not pruned — and returns, with the result, how many
+    /// attempts the sequential sweep prunes.
     fn exhaustive(
         g: &Dag,
         cluster: &Cluster,
@@ -426,30 +493,25 @@ mod tests {
         };
         let memo = ReqMemo::new(g);
         let step1 = Step1::coarsen(g, kprimes.iter().copied(), &cfg.partition_cfg);
-        let solve = Solve {
-            g,
-            cluster,
-            cfg,
-            step1: &step1,
-            memo: &memo,
-            traced: false,
-        };
+        let solve = Solve::new(g, cluster, cfg, &step1, &memo, false);
+        let fresh =
+            |kp: usize, cap: Option<f64>| solve.run_on(kp, &|| cap, &mut Workspace::default());
         let mut best: Option<Attempt> = None;
         let mut prunable = 0;
         for &kp in kprimes.iter().rev() {
-            let Some(new) = solve.run_once(kp, &|| None) else {
+            let Some(new) = fresh(kp, None) else {
                 continue;
             };
             let own = new.makespan;
             assert!(
-                solve.run_once(kp, &|| Some(own)).is_some(),
+                fresh(kp, Some(own)).is_some(),
                 "k'={kp}: the bound exceeds the final makespan {own}"
             );
             if let Some(cap) = best
                 .as_ref()
                 .map(|old| placement_cap(old.makespan, kprimes.len()))
             {
-                prunable += solve.run_once(kp, &|| Some(cap)).is_none() as usize;
+                prunable += fresh(kp, Some(cap)).is_none() as usize;
             }
             if best.as_ref().is_none_or(|old| new.beats(old)) {
                 best = Some(new);
@@ -744,14 +806,7 @@ mod tests {
         let cfg = DagHetPartConfig::default();
         let memo = ReqMemo::new(&g);
         let step1 = Step1::coarsen(&g, 1..=cluster.len(), &cfg.partition_cfg);
-        let solve = Solve {
-            g: &g,
-            cluster: &cluster,
-            cfg: &cfg,
-            step1: &step1,
-            memo: &memo,
-            traced: false,
-        };
+        let solve = Solve::new(&g, &cluster, &cfg, &step1, &memo, false);
         let mut solved = 0;
         for kprime in 1..=cluster.len() {
             let fixed = DagHetPartConfig {
@@ -769,5 +824,107 @@ mod tests {
             }
         }
         assert!(solved >= 5, "premise: several k' find a mapping ({solved})");
+    }
+
+    /// A thread's workspace carries nothing from one attempt into the
+    /// next: a solve on a fresh thread, and one on a thread that has
+    /// just solved a larger, differently shaped workflow on another
+    /// cluster — one sweep that finds a mapping and one whose attempts
+    /// fail in Step 3 — both end where [`exhaustive`], which gives each
+    /// attempt a workspace of its own, ends, to the bit, for both
+    /// drivers.
+    fn check_history_independence(g: &Dag, cluster: &Cluster, dirty: &[(Dag, Cluster)]) {
+        let (want, _) = exhaustive(g, cluster, &DagHetPartConfig::default());
+        for parallel in [false, true] {
+            let cfg = DagHetPartConfig {
+                parallel,
+                ..DagHetPartConfig::default()
+            };
+            let solve = || dag_het_part(g, cluster, &cfg);
+            let (fresh, reused) = std::thread::scope(|scope| {
+                let fresh = scope.spawn(solve);
+                let reused = scope.spawn(|| {
+                    for (g, cluster) in dirty {
+                        let _ = dag_het_part(g, cluster, &cfg);
+                    }
+                    solve()
+                });
+                (fresh.join(), reused.join())
+            });
+            let (Ok(fresh), Ok(reused)) = (fresh, reused) else {
+                panic!("a solve panicked");
+            };
+            for got in [fresh, reused] {
+                match (got, &want) {
+                    (Ok(got), Ok(want)) => assert_same(&got, want),
+                    (got, want) => assert_eq!(got.err(), want.clone().err(), "parallel={parallel}"),
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Stale scratch moves no output.
+        #[test]
+        fn a_solve_does_not_depend_on_what_its_thread_solved_before(
+            family in proptest::sample::select(dhp_wfgen::Family::ALL.to_vec()),
+            tasks in 8usize..=60,
+            seed in proptest::strategy::any::<u64>(),
+            base in 0usize..3,
+        ) {
+            let bases = [
+                configs::default_cluster(),
+                configs::small_cluster(),
+                configs::less_het_cluster(),
+            ];
+            let (g, cluster) = fitted(family, tasks, seed, &bases[base]);
+            // Larger, of another family, on the other clusters: fitted
+            // (mapped, many blocks) and at a fifth of that memory
+            // (attempts fail in Step 3).
+            let other = dhp_wfgen::Family::ALL[(family as usize + 3) % dhp_wfgen::Family::ALL.len()];
+            let (big, roomy) = fitted(other, tasks + 90, seed ^ 0x5eed, &bases[(base + 1) % 3]);
+            let tight = Cluster::new(
+                roomy
+                    .proc_ids()
+                    .map(|p| Processor::new(format!("t{}", p.0), roomy.speed(p), roomy.memory(p) / 5.0))
+                    .collect(),
+                roomy.bandwidth * 0.5,
+            );
+            check_history_independence(&g, &cluster, &[(big.clone(), roomy), (big, tight)]);
+        }
+    }
+
+    /// A repeated attempt — the same `k'` on the same memo, on a thread
+    /// that has made it twice — allocates exactly what its mapping
+    /// holds (the partition's block array and the processor table) when
+    /// it finds one, and nothing when it does not. (Twice: Step 3 swaps
+    /// its two quotient buffers on every merge, so after an odd number
+    /// of merges the next attempt builds into the other one.)
+    #[test]
+    fn a_repeated_attempt_allocates_only_its_mapping() {
+        use crate::alloc_tests::allocations_in;
+        let (mut found, mut failed) = (0, 0);
+        for family in dhp_wfgen::Family::ALL {
+            let (g, cluster) = fitted(family, 48, 17, &configs::default_cluster());
+            let cfg = DagHetPartConfig::default();
+            let memo = ReqMemo::new(&g);
+            let step1 = Step1::coarsen(&g, 1..=cluster.len(), &cfg.partition_cfg);
+            let solve = Solve::new(&g, &cluster, &cfg, &step1, &memo, false);
+            for kprime in [1, 2, 5, 12, 24, 36] {
+                solve.run_once(kprime, &|| None);
+                solve.run_once(kprime, &|| None);
+                let (attempt, allocations) = allocations_in(|| solve.run_once(kprime, &|| None));
+                let mapping = attempt.map(|a| a.mapping);
+                let (_, held) = allocations_in(|| mapping.clone());
+                assert_eq!(allocations, held, "{family:?} k'={kprime}");
+                match mapping {
+                    Some(_) => found += 1,
+                    None => failed += 1,
+                }
+            }
+        }
+        assert!(found > 0 && failed > 0, "{found} found, {failed} failed");
     }
 }

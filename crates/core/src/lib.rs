@@ -1,4 +1,9 @@
-#![forbid(unsafe_code)]
+// Product code never uses `unsafe`; the test build downgrades the
+// forbid to a deny so the allocation-count pins in `alloc_tests` can
+// install a counting global allocator (the one thing that cannot be
+// written without an `unsafe impl`).
+#![cfg_attr(not(test), forbid(unsafe_code))]
+#![cfg_attr(test, deny(unsafe_code))]
 #![warn(missing_docs)]
 
 //! # dhp-core
@@ -46,6 +51,10 @@ pub mod metrics;
 pub mod partial;
 pub mod persist;
 pub mod steps;
+mod workspace;
+
+#[cfg(test)]
+mod alloc_tests;
 
 pub use baseline::dag_het_mem;
 pub use daghetpart::{dag_het_part, dag_het_part_traced, DagHetPartConfig, StepTrace};

@@ -8,6 +8,7 @@
 
 use crate::blocks::BlockSet;
 use crate::mapping::Mapping;
+use dhp_dag::quotient::CoalesceScratch;
 use dhp_dag::{Dag, FlatQuotient};
 use dhp_platform::Cluster;
 
@@ -30,12 +31,62 @@ pub(crate) fn quotient_of_blocks(
     bs: &BlockSet,
     cluster: &Cluster,
 ) -> (FlatQuotient, Vec<u32>) {
-    let mapping = bs.to_mapping(g.node_count());
-    let node_of_block = bs
-        .iter()
-        .map(|b| mapping.partition.block_of(b.members[0]).0)
-        .collect();
-    (mapping_quotient(g, cluster, &mapping), node_of_block)
+    let (mut q, mut node_of_block) = (FlatQuotient::default(), Vec::new());
+    quotient_of_blocks_into(
+        g,
+        bs,
+        cluster,
+        &mut q,
+        &mut node_of_block,
+        &mut QuotientScratch::default(),
+    );
+    (q, node_of_block)
+}
+
+/// What [`quotient_of_blocks_into`] reuses from one quotient to the
+/// next.
+#[derive(Debug, Default)]
+pub(crate) struct QuotientScratch {
+    /// The quotient node of every task.
+    node_of_task: Vec<u32>,
+    coalesce: CoalesceScratch,
+}
+
+/// [`quotient_of_blocks`] into `q` and `node_of_block`, on `scratch`,
+/// without building the mapping: a block's first appearance over task
+/// ids is its smallest member's, so the nodes are numbered in the order
+/// of that.
+pub(crate) fn quotient_of_blocks_into(
+    g: &Dag,
+    bs: &BlockSet,
+    cluster: &Cluster,
+    q: &mut FlatQuotient,
+    node_of_block: &mut Vec<u32>,
+    scratch: &mut QuotientScratch,
+) {
+    let node_of_task = &mut scratch.node_of_task;
+    node_of_task.clear();
+    node_of_task.resize(g.node_count(), u32::MAX);
+    for (b, block) in bs.iter().enumerate() {
+        for &u in &block.members {
+            node_of_task[u.idx()] = b as u32;
+        }
+    }
+    node_of_block.clear();
+    node_of_block.resize(bs.len(), u32::MAX);
+    let mut nodes = 0;
+    for slot in node_of_task.iter_mut() {
+        let node = &mut node_of_block[*slot as usize];
+        if *node == u32::MAX {
+            *node = nodes;
+            nodes += 1;
+        }
+        *slot = *node;
+    }
+    q.rebuild(g, node_of_task, bs.len(), &mut scratch.coalesce);
+    for (block, &node) in bs.iter().zip(node_of_block.iter()) {
+        q.speed[node as usize] = block.proc.map_or(1.0, |p| cluster.speed(p));
+    }
 }
 
 /// (Estimated) makespan of a block set: `f64::INFINITY` when its

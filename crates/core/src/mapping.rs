@@ -34,24 +34,38 @@ impl Mapping {
     /// follows its block.
     pub(crate) fn from_blocks<'a>(
         n: usize,
-        blocks: impl ExactSizeIterator<Item = (&'a [NodeId], Option<ProcId>)>,
+        blocks: impl ExactSizeIterator<Item = (&'a [NodeId], Option<ProcId>)> + Clone,
     ) -> Self {
+        // The first appearance of a block over task ids is its smallest
+        // member: mark those, number them in task order, then give every
+        // member its block's number. The two tables the mapping keeps
+        // are the only ones built.
+        const FIRST: u32 = u32::MAX - 1;
+        let first = |members: &[NodeId]| members.iter().min().map(|u| u.idx());
         let mut raw = vec![u32::MAX; n];
-        let mut first_and_proc = Vec::with_capacity(blocks.len());
-        for (b, (members, proc)) in blocks.enumerate() {
-            for &u in members {
-                raw[u.idx()] = b as u32;
+        for (members, _) in blocks.clone() {
+            let Some(u) = first(members) else {
+                unreachable!("a block has a member")
+            };
+            raw[u] = FIRST;
+        }
+        for (next, b) in raw.iter_mut().filter(|b| **b == FIRST).enumerate() {
+            *b = next as u32;
+        }
+        let mut proc_of_block = vec![None; blocks.len()];
+        for (members, proc) in blocks {
+            let Some(u) = first(members) else {
+                unreachable!("a block has a member")
+            };
+            let b = raw[u];
+            for &v in members {
+                raw[v.idx()] = b;
             }
-            first_and_proc.push((members[0], proc));
+            proc_of_block[b as usize] = proc;
         }
         assert!(raw.iter().all(|&x| x != u32::MAX));
-        let partition = Partition::from_raw(&raw);
-        let mut proc_of_block = vec![None; first_and_proc.len()];
-        for (first, proc) in first_and_proc {
-            proc_of_block[partition.block_of(first).idx()] = proc;
-        }
         Self {
-            partition,
+            partition: Partition::from_dense(raw),
             proc_of_block,
         }
     }

@@ -30,6 +30,7 @@
 
 use crate::blockmem::ReqMemo;
 use crate::blocks::BlockSet;
+use crate::workspace::Workspace;
 use dhp_dag::{Dag, NodeId};
 use dhp_dagp::PartitionConfig;
 use dhp_memdag::PeakBounds;
@@ -40,6 +41,7 @@ use std::collections::BinaryHeap;
 /// A queued block: max-heap by the upper bound of its requirement
 /// (the requirement itself once known), ties broken by insertion
 /// sequence for determinism.
+#[derive(Debug)]
 struct QueuedBlock {
     req: PeakBounds,
     seq: u64,
@@ -100,34 +102,74 @@ impl Ord for QueuedBlock {
 /// Every requirement in it is exact.
 pub fn biggest_assign(g: &Dag, cluster: &Cluster, bs: BlockSet, cfg: &PartitionConfig) -> BlockSet {
     let memo = ReqMemo::new(g);
-    let mut out = biggest_assign_memo(g, cluster, bs, cfg, &memo);
+    let mut out = biggest_assign_memo(
+        g,
+        cluster,
+        &cluster.ids_by_memory_desc(),
+        bs,
+        cfg,
+        &memo,
+        &mut Workspace::default(),
+    );
     out.resolve_all(&memo);
     out
+}
+
+/// What Step 2 reuses from one attempt to the next: the storage of its
+/// queue and of the blocks it parks.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    queue: Vec<QueuedBlock>,
+    leftover: Vec<QueuedBlock>,
+    split: SplitScratch,
+}
+
+/// What [`split_in_two`] reuses: the members ascending, their parts,
+/// and the two parts one after the other.
+#[derive(Debug, Default)]
+struct SplitScratch {
+    sorted: Vec<NodeId>,
+    part: Vec<u32>,
+    halves: Vec<NodeId>,
 }
 
 /// [`biggest_assign`] with the sub-blocks' requirement bounds answered
 /// by the solve's memo, resolved only where a decision needs them.
 /// Every block leaves the queue with what it entered with or learned
 /// on the way, so nothing is computed twice on the way out either.
+/// `proc_order` is `cluster.ids_by_memory_desc()`. The Step-1 blocks
+/// move through the queue into the result, which takes over their
+/// block list; split blocks' member lists go back to `ws`'s pool, and
+/// their parts come from it.
 pub(crate) fn biggest_assign_memo(
     g: &Dag,
     cluster: &Cluster,
+    proc_order: &[ProcId],
     bs: BlockSet,
     cfg: &PartitionConfig,
     memo: &ReqMemo<'_>,
+    ws: &mut Workspace,
 ) -> BlockSet {
+    let Scratch {
+        queue,
+        leftover,
+        split: scratch,
+    } = &mut ws.step2;
+    let pool = &mut ws.pool;
     let mut seq = 0u64;
-    let mut queue: BinaryHeap<QueuedBlock> = BinaryHeap::new();
-    for b in bs.iter() {
+    queue.clear();
+    let mut queue = BinaryHeap::from(std::mem::take(queue));
+    let storage = bs.drain_into(|b| {
         queue.push(QueuedBlock {
             req: b.bounds(),
             seq,
-            members: b.members.clone(),
+            members: b.members,
         });
         seq += 1;
-    }
-    let mut split = |queue: &mut BinaryHeap<QueuedBlock>, members: &[NodeId]| {
-        for part in memo.split(members, || split_in_two(g, members, cfg)) {
+    });
+    let mut split = |queue: &mut BinaryHeap<QueuedBlock>, members: Vec<NodeId>| {
+        let parts = memo.split(&members, pool, || split_in_two(g, &members, cfg, scratch));
+        for part in parts {
             queue.push(QueuedBlock {
                 req: memo.bounds(&part),
                 seq,
@@ -135,29 +177,28 @@ pub(crate) fn biggest_assign_memo(
             });
             seq += 1;
         }
+        pool.give(members);
     };
 
-    let proc_order = cluster.ids_by_memory_desc();
-    let mut free: std::collections::VecDeque<ProcId> = proc_order.into_iter().collect();
-
-    let mut out = BlockSet::default();
-    let mut leftover: Vec<QueuedBlock> = Vec::new();
+    let mut out = BlockSet::on_storage(storage);
+    leftover.clear();
 
     // Main loop: largest block onto largest free processor.
-    while let Some(&proc) = free.front() {
+    let mut free = proc_order.iter();
+    while let Some(&proc) = free.as_slice().first() {
         let Some(mut top) = pop_largest(&mut queue, memo) else {
             break;
         };
         if top.fits(cluster.memory(proc), memo) {
             let i = out.push_block_with_bounds(top.members, top.req);
             out.assign(i, proc);
-            free.pop_front();
+            free.next();
         } else if top.members.len() == 1 {
             // Unsplittable and oversized for every remaining processor
             // (they only get smaller): park it for Step 3.
             leftover.push(top);
         } else {
-            split(&mut queue, &top.members);
+            split(&mut queue, top.members);
         }
     }
 
@@ -168,33 +209,46 @@ pub(crate) fn biggest_assign_memo(
         if top.members.len() == 1 || top.fits(min_mem, memo) {
             leftover.push(top);
         } else {
-            split(&mut queue, &top.members);
+            split(&mut queue, top.members);
         }
     }
 
-    for block in leftover {
+    for block in leftover.drain(..) {
         out.push_block_with_bounds(block.members, block.req);
     }
+    ws.step2.queue = queue.into_vec();
     out
 }
 
 /// `Partition(V_m, 2)`: bisects the sub-DAG the block induces
-/// (`dhp_dagp::bisect_block`, which views a small block in place); may
-/// return more than two parts if the partitioner cannot balance
-/// otherwise (mirroring dagP's behaviour noted in the paper). Each part
-/// ascends.
-fn split_in_two(g: &Dag, members: &[NodeId], cfg: &PartitionConfig) -> Vec<Vec<NodeId>> {
+/// (`dhp_dagp::bisect_block_into`, which views a small block in place)
+/// into two parts, each ascending: the part of the smallest member
+/// first, as `Partition::from_raw` numbers them. Returns both, one after
+/// the other, and where the second starts. The partitioner keeps both
+/// parts of a bisection non-empty.
+fn split_in_two<'s>(
+    g: &Dag,
+    members: &[NodeId],
+    cfg: &PartitionConfig,
+    scratch: &'s mut SplitScratch,
+) -> (&'s [NodeId], usize) {
     debug_assert!(members.len() >= 2);
-    let mut sorted = members.to_vec();
+    let SplitScratch {
+        sorted,
+        part,
+        halves,
+    } = scratch;
+    sorted.clear();
+    sorted.extend_from_slice(members);
     sorted.sort_unstable();
-    let part = dhp_dagp::bisect_block(g, &sorted, cfg);
-    let mut parts: Vec<Vec<NodeId>> = vec![Vec::new(); part.num_blocks()];
-    for (i, &u) in sorted.iter().enumerate() {
-        parts[part.block_of(NodeId(i as u32)).idx()].push(u);
-    }
-    parts.retain(|p| !p.is_empty());
-    debug_assert!(parts.len() >= 2);
-    parts
+    dhp_dagp::bisect_block_into(g, sorted, cfg, part);
+    let in_first = |&(_, &p): &(&NodeId, &u32)| p == part[0];
+    let members = || sorted.iter().zip(part.iter());
+    halves.clear();
+    halves.extend(members().filter(in_first).map(|(&u, _)| u));
+    let mid = halves.len();
+    halves.extend(members().filter(|m| !in_first(m)).map(|(&u, _)| u));
+    (halves, mid)
 }
 
 #[cfg(test)]
@@ -313,12 +367,14 @@ mod tests {
             seq += 1;
         }
         let mut split = |queue: &mut Vec<EagerBlock>, members: &[NodeId]| {
-            for part in split_in_two(g, members, cfg) {
-                let req = memo.requirement(&part);
+            let mut scratch = SplitScratch::default();
+            let (halves, mid) = split_in_two(g, members, cfg, &mut scratch);
+            for part in [&halves[..mid], &halves[mid..]] {
+                let req = memo.requirement(part);
                 queue.push(EagerBlock {
                     req,
                     seq,
-                    members: part,
+                    members: part.to_vec(),
                 });
                 seq += 1;
             }
@@ -427,7 +483,15 @@ mod tests {
         let want = eager_biggest_assign(g, &cluster, &start, &cfg, &eager_memo);
 
         let memo = ReqMemo::new(g);
-        let mut got = biggest_assign_memo(g, &cluster, step1.blocks(kprime, &memo), &cfg, &memo);
+        let mut got = biggest_assign_memo(
+            g,
+            &cluster,
+            &cluster.ids_by_memory_desc(),
+            step1.blocks(kprime, &memo),
+            &cfg,
+            &memo,
+            &mut Workspace::default(),
+        );
         let tally = memo.tally();
         got.resolve_all(&memo);
         assert_eq!(got.len(), want.len());

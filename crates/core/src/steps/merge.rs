@@ -31,8 +31,9 @@
 //! the state, with the bounds its check left behind.
 
 use crate::blockmem::ReqMemo;
-use crate::blocks::{removal_order, BlockSet};
-use crate::makespan::quotient_of_blocks;
+use crate::blocks::{removal_order, BlockSet, MemberPool};
+use crate::makespan::{quotient_of_blocks_into, QuotientScratch};
+use crate::workspace::Workspace;
 use crate::SchedError;
 use dhp_dag::{Dag, FlatQuotient, NodeId, PassScratch};
 use dhp_memdag::PeakBounds;
@@ -54,20 +55,31 @@ struct BestMerge {
     req: PeakBounds,
 }
 
-/// State of one Step-3 run: the current quotient, its two-way block
-/// index, and the buffers candidate evaluation reuses.
-#[derive(Debug)]
-struct Step3<'a> {
-    cluster: &'a Cluster,
-    memo: &'a ReqMemo<'a>,
-    enable_triple_merge: bool,
+/// What Step 3 reuses from one attempt to the next: the quotient, its
+/// tables and the buffers of candidate evaluation ([`State`]), and the
+/// queue with its bookkeeping.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    state: State,
+    /// Block ids in processing order, and how often each was requeued.
+    queue: VecDeque<u64>,
+    counters: HashMap<u64, u32>,
+    unassigned: Vec<usize>,
+    /// The critical-path mark of every quotient node, and one block's
+    /// neighbours.
+    critical: Vec<bool>,
+    neighbours: Vec<usize>,
+}
+
+/// What a [`Step3`] works on.
+#[derive(Debug, Default)]
+struct State {
     q: FlatQuotient,
     node_of_block: Vec<u32>,
     block_of_node: Vec<u32>,
     /// `q` indexed and relaxed, when it is acyclic: what a two-block
     /// candidate is scored on.
     pass: PassScratch,
-    relaxed: bool,
     /// A contraction (a cyclic candidate's, or the executed merge's),
     /// its old → new node renumbering and its own passes.
     cand_q: FlatQuotient,
@@ -75,40 +87,47 @@ struct Step3<'a> {
     cand_pass: PassScratch,
     path: Vec<u32>,
     members: Vec<NodeId>,
+    quotient: QuotientScratch,
 }
 
-impl<'a> Step3<'a> {
+/// State of one Step-3 run: the current quotient, its two-way block
+/// index, and the buffers candidate evaluation reuses, all in `s`.
+#[derive(Debug)]
+struct Step3<'a, 's> {
+    cluster: &'a Cluster,
+    memo: &'a ReqMemo<'a>,
+    enable_triple_merge: bool,
+    /// Whether `s.pass` holds `s.q` indexed and relaxed.
+    relaxed: bool,
+    s: &'s mut State,
+}
+
+impl<'a, 's> Step3<'a, 's> {
+    /// Starts on the quotient in `s.q`, whose node of every block is in
+    /// `s.node_of_block`.
     fn new(
         cluster: &'a Cluster,
         memo: &'a ReqMemo<'a>,
         enable_triple_merge: bool,
-        q: FlatQuotient,
-        node_of_block: Vec<u32>,
+        s: &'s mut State,
     ) -> Self {
         let mut st = Self {
             cluster,
             memo,
             enable_triple_merge,
-            q,
-            node_of_block,
-            block_of_node: Vec::new(),
-            pass: PassScratch::default(),
             relaxed: false,
-            cand_q: FlatQuotient::default(),
-            cand_renumber: Vec::new(),
-            cand_pass: PassScratch::default(),
-            path: Vec::new(),
-            members: Vec::new(),
+            s,
         };
         st.index_nodes();
         st
     }
 
     fn index_nodes(&mut self) {
-        self.block_of_node.clear();
-        self.block_of_node.resize(self.node_of_block.len(), 0);
-        for (block, &qn) in self.node_of_block.iter().enumerate() {
-            self.block_of_node[qn as usize] = block as u32;
+        let s = &mut *self.s;
+        s.block_of_node.clear();
+        s.block_of_node.resize(s.node_of_block.len(), 0);
+        for (block, &qn) in s.node_of_block.iter().enumerate() {
+            s.block_of_node[qn as usize] = block as u32;
         }
     }
 
@@ -117,14 +136,15 @@ impl<'a> Step3<'a> {
     /// the candidates scored until the next merge.
     fn mark_critical_path(&mut self, on_path: &mut Vec<bool>) {
         on_path.clear();
-        on_path.resize(self.q.len(), false);
+        on_path.resize(self.s.q.len(), false);
         self.relaxed = self
+            .s
             .pass
-            .bottom_weights(&self.q, self.cluster.bandwidth)
+            .bottom_weights(&self.s.q, self.cluster.bandwidth)
             .is_some();
         if self.relaxed {
-            self.pass.critical_path(&self.q, &mut self.path);
-            for &u in &self.path {
+            self.s.pass.critical_path(&self.s.q, &mut self.s.path);
+            for &u in &self.s.path {
                 on_path[u as usize] = true;
             }
         }
@@ -132,13 +152,13 @@ impl<'a> Step3<'a> {
 
     /// Block indices adjacent to `block` in the quotient, ascending.
     fn neighbours(&self, block: usize, out: &mut Vec<usize>) {
-        let qn = self.node_of_block[block];
+        let qn = self.s.node_of_block[block];
         out.clear();
-        for &(a, b, _) in self.q.edges() {
+        for &(a, b, _) in self.s.q.edges() {
             if a == qn {
-                out.push(self.block_of_node[b as usize] as usize);
+                out.push(self.s.block_of_node[b as usize] as usize);
             } else if b == qn {
-                out.push(self.block_of_node[a as usize] as usize);
+                out.push(self.s.block_of_node[a as usize] as usize);
             }
         }
         out.sort_unstable();
@@ -158,20 +178,24 @@ impl<'a> Step3<'a> {
         merged_speed: f64,
     ) -> Option<(f64, Option<usize>)> {
         let bandwidth = self.cluster.bandwidth;
-        let mut group = [self.node_of_block[nu], self.node_of_block[partner], 0];
+        let mut group = [self.s.node_of_block[nu], self.s.node_of_block[partner], 0];
         if self.relaxed {
             let pair = [group[0], group[1]];
-            if let Some(makespan) = self.pass.merged_pair_makespan(&self.q, pair, merged_speed) {
+            if let Some(makespan) = self
+                .s
+                .pass
+                .merged_pair_makespan(&self.s.q, pair, merged_speed)
+            {
                 return Some((makespan, None));
             }
         }
-        self.q.contract_into(
+        self.s.q.contract_into(
             &group[..2],
             merged_speed,
-            &mut self.cand_q,
-            &mut self.cand_renumber,
+            &mut self.s.cand_q,
+            &mut self.s.cand_renumber,
         );
-        if let Some(makespan) = self.cand_pass.bottom_weights(&self.cand_q, bandwidth) {
+        if let Some(makespan) = self.s.cand_pass.bottom_weights(&self.s.cand_q, bandwidth) {
             return Some((makespan, None));
         }
         if !self.enable_triple_merge {
@@ -179,18 +203,18 @@ impl<'a> Step3<'a> {
         }
         // The 2-cycle consists of the merged vertex and one other
         // quotient node: absorb that third vertex too.
-        let other = self.cand_pass.two_cycle_partner(&self.cand_q)?;
-        group[2] = self.cand_renumber.iter().position(|&new| new == other)? as u32;
-        self.q.contract_into(
+        let other = self.s.cand_pass.two_cycle_partner(&self.s.cand_q)?;
+        group[2] = self.s.cand_renumber.iter().position(|&new| new == other)? as u32;
+        self.s.q.contract_into(
             &group,
             merged_speed,
-            &mut self.cand_q,
-            &mut self.cand_renumber,
+            &mut self.s.cand_q,
+            &mut self.s.cand_renumber,
         );
-        let makespan = self.cand_pass.bottom_weights(&self.cand_q, bandwidth)?;
+        let makespan = self.s.cand_pass.bottom_weights(&self.s.cand_q, bandwidth)?;
         Some((
             makespan,
-            Some(self.block_of_node[group[2] as usize] as usize),
+            Some(self.s.block_of_node[group[2] as usize] as usize),
         ))
     }
 
@@ -198,16 +222,16 @@ impl<'a> Step3<'a> {
     /// third block if any) into [`Step3::cand_q`].
     fn contract_merge(&mut self, nu: usize, merge: &BestMerge) {
         let group = [
-            self.node_of_block[nu],
-            self.node_of_block[merge.partner],
-            merge.third.map_or(0, |b| self.node_of_block[b]),
+            self.s.node_of_block[nu],
+            self.s.node_of_block[merge.partner],
+            merge.third.map_or(0, |b| self.s.node_of_block[b]),
         ];
         let len = if merge.third.is_some() { 3 } else { 2 };
-        self.q.contract_into(
+        self.s.q.contract_into(
             &group[..len],
             merge.speed,
-            &mut self.cand_q,
-            &mut self.cand_renumber,
+            &mut self.s.cand_q,
+            &mut self.s.cand_renumber,
         );
     }
 
@@ -230,7 +254,7 @@ impl<'a> Step3<'a> {
             let Some(proc) = bs.block(partner).proc else {
                 continue;
             };
-            if critical[self.node_of_block[partner] as usize] != on_path {
+            if critical[self.s.node_of_block[partner] as usize] != on_path {
                 continue;
             }
             let speed = self.cluster.speed(proc);
@@ -240,16 +264,16 @@ impl<'a> Step3<'a> {
             if !best.is_none_or(|b| makespan < b.makespan) {
                 continue;
             }
-            self.members.clear();
+            self.s.members.clear();
             for b in [Some(nu), Some(partner), third].into_iter().flatten() {
-                self.members.extend_from_slice(&bs.block(b).members);
+                self.s.members.extend_from_slice(&bs.block(b).members);
             }
             let memory = self.cluster.memory(proc);
-            let mut req = self.memo.bounds(&self.members);
+            let mut req = self.memo.bounds(&self.s.members);
             let exceeds = match req.fits(memory) {
                 Some(fits) => !fits,
                 None => {
-                    req = PeakBounds::exact(self.memo.resolve(&self.members, req));
+                    req = PeakBounds::exact(self.memo.resolve(&self.s.members, req));
                     req.hi > memory
                 }
             };
@@ -269,19 +293,19 @@ impl<'a> Step3<'a> {
 
     /// Executes `best`: its contraction becomes the current quotient
     /// and the block tables follow the block set's own index shuffle.
-    fn commit(&mut self, bs: &mut BlockSet, nu: usize, best: BestMerge) {
+    fn commit(&mut self, bs: &mut BlockSet, nu: usize, best: BestMerge, pool: &mut MemberPool) {
         self.contract_merge(nu, &best);
         self.relaxed = false;
-        for qn in &mut self.node_of_block {
-            *qn = self.cand_renumber[*qn as usize];
+        for qn in &mut self.s.node_of_block {
+            *qn = self.s.cand_renumber[*qn as usize];
         }
         for b in removal_order(nu, best.partner, best.third) {
-            self.node_of_block.swap_remove(b);
+            self.s.node_of_block.swap_remove(b);
         }
-        self.node_of_block.push(0);
+        self.s.node_of_block.push(0);
         let proc = bs.block(best.partner).proc;
-        bs.merge_blocks_with_bounds(nu, best.partner, best.third, proc, best.req);
-        std::mem::swap(&mut self.q, &mut self.cand_q);
+        bs.merge_blocks_with_bounds(nu, best.partner, best.third, proc, best.req, pool);
+        std::mem::swap(&mut self.s.q, &mut self.s.cand_q);
         self.index_nodes();
     }
 }
@@ -297,28 +321,45 @@ pub fn merge_unassigned(
     enable_triple_merge: bool,
 ) -> Result<(), SchedError> {
     let memo = ReqMemo::new(g);
-    let merged = merge_unassigned_memo(g, cluster, bs, enable_triple_merge, &memo);
+    let merged = merge_unassigned_memo(
+        g,
+        cluster,
+        bs,
+        enable_triple_merge,
+        &memo,
+        &mut Workspace::default(),
+    );
     bs.resolve_all(&memo);
     merged
 }
 
 /// [`merge_unassigned`] with the bounds of the merged blocks'
 /// requirements answered by the solve's memo, resolved only where the
-/// memory check needs them.
+/// memory check needs them, on `ws`'s buffers: merged blocks' member
+/// lists come from its pool and go back to it.
 pub(crate) fn merge_unassigned_memo(
     g: &Dag,
     cluster: &Cluster,
     bs: &mut BlockSet,
     enable_triple_merge: bool,
     memo: &ReqMemo<'_>,
+    ws: &mut Workspace,
 ) -> Result<(), SchedError> {
-    let mut counters: HashMap<u64, u32> = HashMap::new();
-    // Deterministic processing order: by smallest member task id.
-    let mut queue: VecDeque<u64> = {
-        let mut un: Vec<usize> = bs.unassigned();
-        un.sort_by_key(|&i| bs.block(i).members[0]);
-        un.into_iter().map(|i| bs.block(i).id).collect()
-    };
+    let Scratch {
+        state,
+        queue,
+        counters,
+        unassigned,
+        critical,
+        neighbours,
+    } = &mut ws.step3;
+    counters.clear();
+    // Deterministic processing order: by smallest member task id (no
+    // two blocks share it, so an unstable sort orders them alike).
+    bs.unassigned_into(unassigned);
+    unassigned.sort_unstable_by_key(|&i| bs.block(i).members[0]);
+    queue.clear();
+    queue.extend(unassigned.iter().map(|&i| bs.block(i).id));
     if queue.is_empty() {
         return Ok(());
     }
@@ -326,13 +367,18 @@ pub(crate) fn merge_unassigned_memo(
     // The quotient graph is maintained *incrementally*: built once, then
     // replaced by the winning candidate's contraction after every
     // executed merge.
-    let (q, node_of_block) = quotient_of_blocks(g, bs, cluster);
-    let mut st = Step3::new(cluster, memo, enable_triple_merge, q, node_of_block);
+    quotient_of_blocks_into(
+        g,
+        bs,
+        cluster,
+        &mut state.q,
+        &mut state.node_of_block,
+        &mut state.quotient,
+    );
+    let mut st = Step3::new(cluster, memo, enable_triple_merge, state);
     // Critical path under estimated speeds; stale once a merge changed
     // the quotient, still good after a block was merely requeued.
-    let mut critical: Vec<bool> = Vec::new();
     let mut critical_is_stale = true;
-    let mut neighbours: Vec<usize> = Vec::new();
 
     while let Some(id) = queue.pop_front() {
         let Some(nu) = bs.index_of(id) else {
@@ -342,20 +388,20 @@ pub(crate) fn merge_unassigned_memo(
         debug_assert!(bs.block(nu).proc.is_none());
 
         if critical_is_stale {
-            st.mark_critical_path(&mut critical);
+            st.mark_critical_path(critical);
             critical_is_stale = false;
         }
-        st.neighbours(nu, &mut neighbours);
+        st.neighbours(nu, neighbours);
 
         // First try off-critical-path partners, then the ones on it
         // (every assigned partner off it has just been rejected).
         let found = st
-            .find_ms_opt_merge(bs, nu, &neighbours, &critical, false)
-            .or_else(|| st.find_ms_opt_merge(bs, nu, &neighbours, &critical, true));
+            .find_ms_opt_merge(bs, nu, neighbours, critical, false)
+            .or_else(|| st.find_ms_opt_merge(bs, nu, neighbours, critical, true));
 
         match found {
             Some(best) => {
-                st.commit(bs, nu, best);
+                st.commit(bs, nu, best, &mut ws.pool);
                 critical_is_stale = true;
             }
             None => {
@@ -671,10 +717,13 @@ mod tests {
         let q = &q;
         let cluster = Cluster::new(vec![Processor::new("p", 1.0, 1.0)], 3.0);
         let memo = ReqMemo::new(q);
-        let identity: Vec<u32> = (0..q.node_count() as u32).collect();
-        let mut flat = flat_of(q);
-        flat.speed = speed.to_vec();
-        let mut st = Step3::new(&cluster, &memo, enable_triple_merge, flat, identity);
+        let mut state = State {
+            q: flat_of(q),
+            node_of_block: (0..q.node_count() as u32).collect(),
+            ..State::default()
+        };
+        state.q.speed = speed.to_vec();
+        let mut st = Step3::new(&cluster, &memo, enable_triple_merge, &mut state);
 
         // The critical path of the quotient itself.
         let mut on_path = Vec::new();
@@ -719,15 +768,15 @@ mod tests {
                 st.contract_merge(nu, &merge);
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 let want_work: Vec<f64> = want_q.node_ids().map(|u| want_q.node(u).work).collect();
-                assert_eq!(bits(st.cand_q.work()), bits(&want_work));
-                assert_eq!(bits(&st.cand_q.speed), bits(&want_speed));
+                assert_eq!(bits(st.s.cand_q.work()), bits(&want_work));
+                assert_eq!(bits(&st.s.cand_q.speed), bits(&want_speed));
                 let edges = |edges: &mut dyn Iterator<Item = (u32, u32, f64)>| {
                     edges
                         .map(|(a, b, v)| (a, b, v.to_bits()))
                         .collect::<Vec<_>>()
                 };
                 assert_eq!(
-                    edges(&mut st.cand_q.edges().iter().copied()),
+                    edges(&mut st.s.cand_q.edges().iter().copied()),
                     edges(
                         &mut want_q
                             .edge_ids()

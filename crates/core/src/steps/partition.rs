@@ -9,9 +9,9 @@
 
 use crate::blockmem::ReqMemo;
 use crate::blocks::BlockSet;
-use dhp_dag::{Dag, Partition};
-use dhp_dagp::coarsen::Hierarchy;
-use dhp_dagp::{BalanceWeight, PartitionConfig};
+use crate::workspace::Workspace;
+use dhp_dag::Dag;
+use dhp_dagp::{BalanceWeight, PartitionConfig, PartitionScratch, SweepLevels};
 
 /// Produces the Step-1 block set with (at most) `k'` blocks, every
 /// requirement exact.
@@ -26,13 +26,26 @@ pub fn initial_blocks(g: &Dag, k_prime: usize, cfg: &PartitionConfig) -> BlockSe
 /// coarsening hierarchy of the workflow. The partitioner coarsens the
 /// same way whatever the block count and only stops earlier for a
 /// larger one, so the hierarchy for the smallest `k'` holds the levels
-/// of every other.
+/// of every other. A workflow already at the coarsening target of the
+/// smallest `k'` is not coarsened at all, and not copied either
+/// ([`SweepLevels`]).
 #[derive(Debug)]
 pub(crate) struct Step1 {
     cfg: PartitionConfig,
     tasks: usize,
-    /// `None` when no `k'` has two blocks or more: nothing to coarsen.
-    hierarchy: Option<Hierarchy>,
+    /// `None` when no `k'` has two blocks or more: nothing to partition.
+    levels: Option<SweepLevels>,
+}
+
+/// What Step 1 reuses from one attempt to the next.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    partition: PartitionScratch,
+    /// Every task in part 0, for a solve with no `k'` above 1.
+    whole: Vec<u32>,
+    /// Dense block number per part, and the size of every block.
+    dense: Vec<u32>,
+    sizes: Vec<usize>,
 }
 
 impl Step1 {
@@ -48,7 +61,7 @@ impl Step1 {
         };
         let smallest = k_primes.into_iter().filter(|&k| k >= 2).min();
         Self {
-            hierarchy: smallest.map(|k| dhp_dagp::coarsen_for(g, k, &cfg)),
+            levels: smallest.map(|k| SweepLevels::new(g, k, &cfg)),
             tasks: g.node_count(),
             cfg,
         }
@@ -59,11 +72,33 @@ impl Step1 {
     /// answered by the solve's memo (neighbouring `k'` share many
     /// Step-1 blocks).
     pub(crate) fn blocks(&self, k_prime: usize, memo: &ReqMemo<'_>) -> BlockSet {
-        let partition = match &self.hierarchy {
-            Some(hierarchy) => dhp_dagp::partition_on(hierarchy, k_prime, &self.cfg),
-            None => Partition::single_block(self.tasks),
+        self.blocks_in(k_prime, memo, &mut Workspace::default())
+    }
+
+    /// [`Step1::blocks`] on `ws`: the partitioner's buffers, the block
+    /// list and the member lists all come from it.
+    pub(crate) fn blocks_in(
+        &self,
+        k_prime: usize,
+        memo: &ReqMemo<'_>,
+        ws: &mut Workspace,
+    ) -> BlockSet {
+        let Scratch {
+            partition,
+            whole,
+            dense,
+            sizes,
+        } = &mut ws.step1;
+        let raw = match &self.levels {
+            Some(levels) => levels.partition_into(k_prime, &self.cfg, partition),
+            None => {
+                whole.clear();
+                whole.resize(self.tasks, 0);
+                whole
+            }
         };
-        BlockSet::from_partition_memo(&partition, memo)
+        let storage = std::mem::take(&mut ws.blocks);
+        BlockSet::from_raw_in(raw, memo, &mut ws.pool, storage, dense, sizes)
     }
 }
 

@@ -21,10 +21,9 @@
 
 use crate::blockmem::ReqMemo;
 use crate::blocks::BlockSet;
-use crate::makespan::quotient_of_blocks;
+use crate::makespan::{quotient_of_blocks_into, QuotientScratch};
 use dhp_dag::{Dag, FlatQuotient, PassScratch};
 use dhp_platform::{Cluster, ProcId};
-use std::collections::HashSet;
 
 /// Runs the swap loop. Requires every block assigned. Returns the number
 /// of executed swaps.
@@ -64,8 +63,10 @@ fn fits(bs: &mut BlockSet, i: usize, memory: f64, memo: &ReqMemo<'_>) -> bool {
 /// The quotient graph of a block set whose blocks Step 4 only moves
 /// between processors: built and indexed once, shared by the swaps, the
 /// idle moves and the final makespan. Its node speeds follow every
-/// reassignment the two sub-steps make.
-#[derive(Debug)]
+/// reassignment the two sub-steps make. A thread's attempts rebuild
+/// one and the same ([`Step4::rebuild`]), so its buffers — the quotient,
+/// its passes and the sub-steps' tables — are reused.
+#[derive(Debug, Default)]
 pub(crate) struct Step4 {
     q: FlatQuotient,
     node_of_block: Vec<u32>,
@@ -73,26 +74,53 @@ pub(crate) struct Step4 {
     pass: PassScratch,
     /// A cyclic quotient has no makespan to improve.
     acyclic: bool,
-}
-
-/// The processor of every block, or `None` while one is unassigned.
-fn assigned_procs(bs: &BlockSet) -> Option<Vec<ProcId>> {
-    bs.iter().map(|b| b.proc).collect()
+    quotient: QuotientScratch,
+    /// The processor of every block; the speeds of the lower bound.
+    procs: Vec<ProcId>,
+    top_speeds: Vec<f64>,
+    /// The swaps' tight chain.
+    on_chain: Vec<bool>,
+    /// The idle moves' tables: processors in use, idle processors, the
+    /// block of every quotient node, the critical path and the blocks
+    /// already visited on it.
+    used: Vec<bool>,
+    idle: Vec<ProcId>,
+    block_of_node: Vec<usize>,
+    path: Vec<u32>,
+    moved: Vec<bool>,
 }
 
 impl Step4 {
     /// The quotient of `bs` over `g` under the speeds of its
     /// assignments.
     pub(crate) fn new(g: &Dag, cluster: &Cluster, bs: &BlockSet) -> Self {
-        let (q, node_of_block) = quotient_of_blocks(g, bs, cluster);
-        let mut pass = PassScratch::default();
-        let acyclic = pass.index(&q, cluster.bandwidth);
-        Self {
-            q,
-            node_of_block,
-            pass,
-            acyclic,
+        let mut step4 = Self::default();
+        step4.rebuild(g, cluster, bs);
+        step4
+    }
+
+    /// Becomes [`Step4::new`]`(g, cluster, bs)`, on the buffers it has.
+    pub(crate) fn rebuild(&mut self, g: &Dag, cluster: &Cluster, bs: &BlockSet) {
+        quotient_of_blocks_into(
+            g,
+            bs,
+            cluster,
+            &mut self.q,
+            &mut self.node_of_block,
+            &mut self.quotient,
+        );
+        self.acyclic = self.pass.index(&self.q, cluster.bandwidth);
+    }
+
+    /// Fills `procs` with the processor of every block; `false` while
+    /// one is unassigned.
+    fn assigned_procs(&mut self, bs: &BlockSet) -> bool {
+        self.procs.clear();
+        for b in bs.iter() {
+            let Some(p) = b.proc else { return false };
+            self.procs.push(p);
         }
+        true
     }
 
     /// Makespan under the current assignments: `f64::INFINITY` when the
@@ -128,10 +156,11 @@ impl Step4 {
         if !self.acyclic || top <= 0.0 || !self.monotone() {
             return None;
         }
-        let top_speeds = vec![top; self.q.len()];
-        let speeds = std::mem::replace(&mut self.q.speed, top_speeds);
+        self.top_speeds.clear();
+        self.top_speeds.resize(self.q.len(), top);
+        std::mem::swap(&mut self.q.speed, &mut self.top_speeds);
         let bound = self.pass.relax(&self.q);
-        self.q.speed = speeds;
+        std::mem::swap(&mut self.q.speed, &mut self.top_speeds);
         Some(bound)
     }
 
@@ -156,25 +185,28 @@ impl Step4 {
         bs: &mut BlockSet,
         memo: &ReqMemo<'_>,
     ) -> (usize, usize) {
-        debug_assert!(bs.unassigned().is_empty());
+        debug_assert!(bs.iter().all(|b| b.proc.is_some()));
         let n = bs.len();
-        let Some(mut procs) = assigned_procs(bs) else {
-            return (0, 0);
-        };
-        if n < 2 || !self.acyclic {
+        if !self.assigned_procs(bs) || n < 2 || !self.acyclic {
             return (0, 0);
         }
-        let node = |block: usize| self.node_of_block[block] as usize;
         // Swaps only permute the speeds, so this holds for every round.
         let monotone = self.monotone();
-        let mut on_chain = Vec::new();
+        let Self {
+            q,
+            node_of_block,
+            pass,
+            procs,
+            on_chain,
+            ..
+        } = self;
+        let node = |block: usize| node_of_block[block] as usize;
 
         let (mut swaps, mut relaxed) = (0usize, 0usize);
         loop {
-            let best_ms = self.pass.relax(&self.q);
-            let pruned = monotone
-                && best_ms.is_finite()
-                && self.pass.mark_tight_chain(&self.q, best_ms, &mut on_chain);
+            let best_ms = pass.relax(q);
+            let pruned =
+                monotone && best_ms.is_finite() && pass.mark_tight_chain(q, best_ms, on_chain);
             let mut best_pair: Option<(usize, usize, f64)> = None;
             for i in 0..n {
                 for j in (i + 1)..n {
@@ -184,7 +216,7 @@ impl Step4 {
                     {
                         continue;
                     }
-                    let (si, sj) = (self.q.speed[node(i)], self.q.speed[node(j)]);
+                    let (si, sj) = (q.speed[node(i)], q.speed[node(j)]);
                     if si == sj {
                         continue; // identical machines: no effect
                     }
@@ -194,9 +226,9 @@ impl Step4 {
                         continue; // cannot shorten the makespan
                     }
                     // Evaluate with exchanged speeds.
-                    self.q.speed.swap(node(i), node(j));
-                    let ms = self.pass.relax(&self.q);
-                    self.q.speed.swap(node(i), node(j));
+                    q.speed.swap(node(i), node(j));
+                    let ms = pass.relax(q);
+                    q.speed.swap(node(i), node(j));
                     relaxed += 1;
                     if ms < best_ms - 1e-12 && best_pair.is_none_or(|(_, _, b)| ms < b) {
                         best_pair = Some((i, j, ms));
@@ -207,7 +239,7 @@ impl Step4 {
                 break;
             };
             procs.swap(i, j);
-            self.q.speed.swap(node(i), node(j));
+            q.speed.swap(node(i), node(j));
             swaps += 1;
         }
         for (i, &p) in procs.iter().enumerate() {
@@ -223,30 +255,50 @@ impl Step4 {
         bs: &mut BlockSet,
         memo: &ReqMemo<'_>,
     ) -> usize {
-        debug_assert!(bs.unassigned().is_empty());
-        let Some(mut procs) = assigned_procs(bs) else {
-            return 0;
-        };
-        let used: HashSet<ProcId> = procs.iter().copied().collect();
-        let mut idle: Vec<ProcId> = cluster.proc_ids().filter(|p| !used.contains(p)).collect();
-        if idle.is_empty() || !self.acyclic {
+        debug_assert!(bs.iter().all(|b| b.proc.is_some()));
+        if !self.assigned_procs(bs) {
             return 0;
         }
-        let mut block_of_node = vec![0usize; self.q.len()];
-        for (block, &qn) in self.node_of_block.iter().enumerate() {
+        let Self {
+            q,
+            node_of_block,
+            pass,
+            acyclic,
+            procs,
+            used,
+            idle,
+            block_of_node,
+            path,
+            moved,
+            ..
+        } = self;
+        used.clear();
+        used.resize(cluster.len(), false);
+        for p in procs.iter() {
+            used[p.idx()] = true;
+        }
+        idle.clear();
+        idle.extend(cluster.proc_ids().filter(|p| !used[p.idx()]));
+        if idle.is_empty() || !*acyclic {
+            return 0;
+        }
+        block_of_node.clear();
+        block_of_node.resize(q.len(), 0);
+        for (block, &qn) in node_of_block.iter().enumerate() {
             block_of_node[qn as usize] = block;
         }
 
-        let mut path = Vec::new();
-        let mut moved: HashSet<u64> = HashSet::new();
+        // Block indices do not change here: a block is marked by index.
+        moved.clear();
+        moved.resize(bs.len(), false);
         let mut moves = 0usize;
         loop {
-            self.pass.relax(&self.q);
-            self.pass.critical_path(&self.q, &mut path);
+            pass.relax(q);
+            pass.critical_path(q, path);
             let mut acted = false;
-            for &qn in &path {
+            for &qn in path.iter() {
                 let block = block_of_node[qn as usize];
-                if !moved.insert(bs.block(block).id) {
+                if std::mem::replace(&mut moved[block], true) {
                     continue;
                 }
                 let cur = procs[block];
@@ -270,7 +322,7 @@ impl Step4 {
                     idle.push(cur);
                     procs[block] = p;
                     bs.assign(block, p);
-                    self.q.speed[qn as usize] = cluster.speed(p);
+                    q.speed[qn as usize] = cluster.speed(p);
                     moves += 1;
                     acted = true;
                     break; // recompute the critical path
@@ -291,6 +343,7 @@ mod tests {
     use dhp_dag::builder;
     use dhp_dag::{NodeId, Partition, QuotientGraph};
     use dhp_platform::Processor;
+    use std::collections::HashSet;
 
     fn two_block_setup() -> (Dag, Cluster, BlockSet) {
         // Chain split in two; block 0 is much heavier than block 1.

@@ -93,6 +93,25 @@ impl Partition {
         }
     }
 
+    /// [`Partition::from_raw`] of `raw` whose block numbers are already
+    /// dense in order of first appearance (each at most one above the
+    /// largest before it, the first 0), taking the array over instead
+    /// of copying it.
+    ///
+    /// # Panics
+    /// Panics if the numbers are not dense in that order.
+    pub fn from_dense(raw: Vec<u32>) -> Self {
+        let mut num_blocks = 0u32;
+        for &b in &raw {
+            assert!(b <= num_blocks, "block {b} before block {num_blocks}");
+            num_blocks += (b == num_blocks) as u32;
+        }
+        Self {
+            assignment: raw.into_iter().map(BlockId).collect(),
+            num_blocks: num_blocks as usize,
+        }
+    }
+
     /// The trivial partition placing every task in one block.
     pub fn single_block(n: usize) -> Self {
         Self {
@@ -174,10 +193,42 @@ pub fn coalesce_crossing<I>(k: usize, edges: I) -> Vec<(u32, u32, f64)>
 where
     I: ExactSizeIterator<Item = (u32, u32, f64)> + Clone,
 {
+    let mut out = Vec::new();
+    coalesce_crossing_into(k, edges, &mut out, &mut CoalesceScratch::default());
+    out
+}
+
+/// The tables [`coalesce_crossing`] fills, kept by a caller that
+/// coalesces again and again ([`FlatQuotient::rebuild`]).
+#[derive(Debug, Default)]
+pub struct CoalesceScratch {
+    /// The `k × k` path: the sum and whether it has a crossing edge,
+    /// per cell.
+    sum: Vec<f64>,
+    seen: Vec<bool>,
+    /// The bucket path: where each source's run starts, where its next
+    /// edge goes, the runs, and the current run's slot per destination.
+    start: Vec<u32>,
+    next: Vec<u32>,
+    by_source: Vec<(u32, f64)>,
+    slot: Vec<u32>,
+}
+
+/// [`coalesce_crossing`] into `out` (cleared first), on `scratch`'s
+/// tables: the same pairs in the same order, to the bit.
+fn coalesce_crossing_into<I>(
+    k: usize,
+    edges: I,
+    out: &mut Vec<(u32, u32, f64)>,
+    scratch: &mut CoalesceScratch,
+) where
+    I: ExactSizeIterator<Item = (u32, u32, f64)> + Clone,
+{
+    out.clear();
     if k.saturating_mul(k) <= edges.len().saturating_mul(TABLE_CELLS_PER_EDGE) {
-        coalesce_in_table(k, edges)
+        coalesce_in_table(k, edges, out, scratch)
     } else {
-        coalesce_by_source(k, edges)
+        coalesce_by_source(k, edges, out, scratch)
     }
 }
 
@@ -185,38 +236,58 @@ where
 fn coalesce_in_table(
     k: usize,
     edges: impl Iterator<Item = (u32, u32, f64)>,
-) -> Vec<(u32, u32, f64)> {
-    let mut sum = vec![0.0f64; k * k];
-    let mut seen = vec![false; k * k];
+    out: &mut Vec<(u32, u32, f64)>,
+    scratch: &mut CoalesceScratch,
+) {
+    let (sum, seen) = (&mut scratch.sum, &mut scratch.seen);
+    sum.clear();
+    sum.resize(k * k, 0.0);
+    seen.clear();
+    seen.resize(k * k, false);
     for (a, b, volume) in edges.filter(|&(a, b, _)| a != b) {
         let cell = a as usize * k + b as usize;
         sum[cell] += volume;
         seen[cell] = true;
     }
-    (0..k * k)
-        .filter(|&cell| seen[cell])
-        .map(|cell| ((cell / k) as u32, (cell % k) as u32, sum[cell]))
-        .collect()
+    out.extend(
+        (0..k * k)
+            .filter(|&cell| seen[cell])
+            .map(|cell| ((cell / k) as u32, (cell % k) as u32, sum[cell])),
+    );
 }
 
 /// [`coalesce_crossing`] by one counting pass over the sources: each
 /// source's crossing edges, in edge-id order, are coalesced through a
 /// slot per destination (the pair's place in the output) and the run's
 /// pairs then put in destination order.
-fn coalesce_by_source<I>(k: usize, edges: I) -> Vec<(u32, u32, f64)>
-where
+fn coalesce_by_source<I>(
+    k: usize,
+    edges: I,
+    out: &mut Vec<(u32, u32, f64)>,
+    scratch: &mut CoalesceScratch,
+) where
     I: Iterator<Item = (u32, u32, f64)> + Clone,
 {
+    let CoalesceScratch {
+        start,
+        next,
+        by_source,
+        slot,
+        ..
+    } = scratch;
     let crossing = edges.filter(|&(a, b, _)| a != b);
-    let mut start = vec![0u32; k + 1];
+    start.clear();
+    start.resize(k + 1, 0);
     for (a, _, _) in crossing.clone() {
         start[a as usize + 1] += 1;
     }
     for a in 0..k {
         start[a + 1] += start[a];
     }
-    let mut next = start[..k].to_vec();
-    let mut by_source = vec![(0u32, 0.0f64); start[k] as usize];
+    next.clear();
+    next.extend_from_slice(&start[..k]);
+    by_source.clear();
+    by_source.resize(start[k] as usize, (0, 0.0));
     for (a, b, volume) in crossing {
         let at = &mut next[a as usize];
         by_source[*at as usize] = (b, volume);
@@ -224,8 +295,9 @@ where
     }
     // `slot[b]` is where the current source's pair with `b` sits in
     // `out`, if it is at or after `run_start`.
-    let mut slot = vec![u32::MAX; k];
-    let mut out: Vec<(u32, u32, f64)> = Vec::with_capacity(by_source.len());
+    slot.clear();
+    slot.resize(k, u32::MAX);
+    out.reserve(by_source.len());
     for a in 0..k {
         let run_start = out.len();
         for &(b, volume) in &by_source[start[a] as usize..start[a + 1] as usize] {
@@ -240,7 +312,6 @@ where
         }
         out[run_start..].sort_unstable_by_key(|&(_, b, _)| b);
     }
-    out
 }
 
 /// A quotient graph as flat arrays: node `i` is block `i`. Speeds are
@@ -267,23 +338,51 @@ impl FlatQuotient {
     /// Edges internal to a block are dropped. The result may be cyclic.
     pub fn build(g: &Dag, partition: &Partition) -> Self {
         assert_eq!(partition.len(), g.node_count());
-        let k = partition.num_blocks();
-        let mut work = vec![-0.0; k];
+        let mut q = Self::default();
+        q.fill(
+            g,
+            partition.num_blocks(),
+            |u| partition.block_of(u).0,
+            &mut CoalesceScratch::default(),
+        );
+        q
+    }
+
+    /// Refills this quotient with the one [`FlatQuotient::build`] gives
+    /// for the partition of `g` into the `k` blocks `block_of` numbers
+    /// (`block_of[u]` below `k` for every task `u`), on `scratch`: a
+    /// caller that keeps both allocates nothing once they have held a
+    /// quotient this large.
+    ///
+    /// # Panics
+    /// Panics if `block_of` does not have one entry per task.
+    pub fn rebuild(&mut self, g: &Dag, block_of: &[u32], k: usize, scratch: &mut CoalesceScratch) {
+        assert_eq!(block_of.len(), g.node_count());
+        self.fill(g, k, |u| block_of[u.idx()], scratch);
+    }
+
+    fn fill(
+        &mut self,
+        g: &Dag,
+        k: usize,
+        block: impl Fn(NodeId) -> u32,
+        scratch: &mut CoalesceScratch,
+    ) {
+        self.work.clear();
+        self.work.resize(k, -0.0);
         for u in g.node_ids() {
-            work[partition.block_of(u).idx()] += g.node(u).work;
+            self.work[block(u) as usize] += g.node(u).work;
         }
-        let block = |u: NodeId| partition.block_of(u).0;
-        let edges = coalesce_crossing(
+        self.speed.clear();
+        self.speed.resize(k, 1.0);
+        coalesce_crossing_into(
             k,
             (0..g.edge_count() as u32)
                 .map(|e| g.edge(EdgeId(e)))
                 .map(|e| (block(e.src), block(e.dst), e.volume)),
+            &mut self.edges,
+            scratch,
         );
-        Self {
-            work,
-            speed: vec![1.0; k],
-            edges,
-        }
     }
 
     /// Summed task work per node.
@@ -948,7 +1047,14 @@ mod tests {
                 2 => raw.iter().map(|&b| b * 97).collect(),
                 _ => raw.iter().map(|&b| u32::MAX - b * 0x0100_0001).collect(),
             };
-            proptest::prop_assert_eq!(Partition::from_raw(&raw), reference_from_raw(&raw));
+            let want = reference_from_raw(&raw);
+            proptest::prop_assert_eq!(Partition::from_raw(&raw), want.clone());
+            // Its own numbers, already dense, are taken over as they are;
+            // the raw ones are refused unless they are dense too.
+            let dense: Vec<u32> = want.assignment.iter().map(|b| b.0).collect();
+            proptest::prop_assert_eq!(Partition::from_dense(dense.clone()), want);
+            let taken = std::panic::catch_unwind(|| Partition::from_dense(raw.clone()));
+            proptest::prop_assert_eq!(taken.is_ok(), raw == dense);
         }
     }
 
@@ -1241,8 +1347,17 @@ mod tests {
                 .collect();
             let want = edge_bits(&coalesce_by_sort(&edges));
             prop_assert_eq!(edge_bits(&coalesce_by_hash_map(&edges)), want.clone());
-            prop_assert_eq!(edge_bits(&coalesce_in_table(k, edges.iter().copied())), want.clone());
-            prop_assert_eq!(edge_bits(&coalesce_by_source(k, edges.iter().copied())), want.clone());
+            // One scratch and one output list for both paths, each
+            // left holding what the one before it wrote.
+            let (mut out, mut scratch) = (vec![(7, 7, 7.0)], CoalesceScratch::default());
+            out.clear();
+            coalesce_in_table(k, edges.iter().copied(), &mut out, &mut scratch);
+            prop_assert_eq!(edge_bits(&out), want.clone());
+            out.clear();
+            coalesce_by_source(k, edges.iter().copied(), &mut out, &mut scratch);
+            prop_assert_eq!(edge_bits(&out), want.clone());
+            coalesce_crossing_into(k, edges.iter().copied(), &mut out, &mut scratch);
+            prop_assert_eq!(edge_bits(&out), want.clone());
             prop_assert_eq!(edge_bits(&coalesce_crossing(k, edges.iter().copied())), want);
         }
     }

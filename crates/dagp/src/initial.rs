@@ -24,13 +24,22 @@ pub fn topo_chunks(g: &Dag, weights: &[f64], k: usize) -> Vec<u32> {
 /// [`topo_chunks`] on a graph's view, which holds its topological
 /// order: what every part count of a sweep shares.
 pub fn topo_chunks_on(view: &LevelView, weights: &[f64], k: usize) -> Vec<u32> {
+    let mut part = Vec::new();
+    topo_chunks_into(view, weights, k, &mut part);
+    part
+}
+
+/// [`topo_chunks_on`] into `part` (cleared first), for a caller that
+/// keeps the array from one chunking to the next.
+pub(crate) fn topo_chunks_into(view: &LevelView, weights: &[f64], k: usize, part: &mut Vec<u32>) {
     let order = view.order();
     let n = order.len();
     assert!(k >= 1 && k <= n);
     let total: f64 = weights.iter().sum();
     let target = total / k as f64;
 
-    let mut part = vec![0u32; n];
+    part.clear();
+    part.resize(n, 0);
     let mut cur = 0u32;
     let mut acc = 0.0f64;
     let mut count = 0usize; // nodes in the current part
@@ -50,7 +59,6 @@ pub fn topo_chunks_on(view: &LevelView, weights: &[f64], k: usize) -> Vec<u32> {
         acc += weights[u as usize];
         count += 1;
     }
-    part
 }
 
 #[cfg(test)]

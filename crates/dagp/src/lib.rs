@@ -38,8 +38,13 @@
 //! [`bisect_block`]: a block too small to be coarsened (most of them)
 //! is chunked and refined on a [`coarsen::LevelView`] refilled straight
 //! from the workflow, so no sub-DAG is built and a warm thread
-//! allocates only what the chunking and the refinement return or keep
-//! per part.
+//! allocates only the partition it returns.
+//!
+//! A caller that partitions one graph for many part counts builds its
+//! [`SweepLevels`] once and partitions into a [`PartitionScratch`] it
+//! keeps ([`SweepLevels::partition_into`]): a warm partitioning
+//! allocates nothing, and a graph already at the coarsening target is
+//! not copied into a hierarchy.
 //!
 //! The partitioner is deterministic given [`PartitionConfig::seed`].
 //!
@@ -123,18 +128,21 @@ pub fn partition(g: &Dag, k: usize, cfg: &PartitionConfig) -> Partition {
 /// count from `k` up, so a caller that tries many part counts on one
 /// graph coarsens once, for the smallest.
 pub fn coarsen_for(g: &Dag, k: usize, cfg: &PartitionConfig) -> coarsen::Hierarchy {
-    // Balance weights on the finest level.
-    let weights: Vec<f64> = match cfg.balance {
-        BalanceWeight::Work => g.node_ids().map(|u| g.node(u).work).collect(),
-        BalanceWeight::Memory => g.node_ids().map(|u| g.node(u).memory).collect(),
-        BalanceWeight::TaskRequirement => g.node_ids().map(|u| g.task_requirement(u)).collect(),
-    };
     coarsen::coarsen(
         g,
-        &weights,
+        &balance_weights(g, cfg),
         coarsening_target(g.node_count(), k, cfg),
         cfg.seed,
     )
+}
+
+/// Balance weights on the finest level.
+fn balance_weights(g: &Dag, cfg: &PartitionConfig) -> Vec<f64> {
+    match cfg.balance {
+        BalanceWeight::Work => g.node_ids().map(|u| g.node(u).work).collect(),
+        BalanceWeight::Memory => g.node_ids().map(|u| g.node(u).memory).collect(),
+        BalanceWeight::TaskRequirement => g.node_ids().map(|u| g.task_requirement(u)).collect(),
+    }
 }
 
 /// Node count at which coarsening `n` nodes for `k` parts stops.
@@ -148,31 +156,149 @@ fn coarsening_target(n: usize, k: usize, cfg: &PartitionConfig) -> usize {
 /// the same `cfg` and a part count of at most `k`; the result is then
 /// `partition(g, k, cfg)`, bit for bit.
 pub fn partition_on(hierarchy: &coarsen::Hierarchy, k: usize, cfg: &PartitionConfig) -> Partition {
-    let g = hierarchy.finest().graph();
-    let k = k.min(g.node_count());
+    Partition::from_raw(partition_on_into(
+        hierarchy,
+        k,
+        cfg,
+        &mut PartitionScratch::default(),
+    ))
+}
+
+/// The buffers of one partitioning ([`SweepLevels::partition_into`]),
+/// kept by a caller that partitions again and again: a warm one
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub struct PartitionScratch {
+    /// The current level's assignment.
+    assignment: Vec<u32>,
+    /// The next finer level's, while it is projected and refined.
+    fine: Vec<u32>,
+    refine: refine::RefineScratch,
+}
+
+/// [`partition_on`] on `scratch`, before the blocks are renumbered: the
+/// part of every node, in `0..k`, with the parts numbered in
+/// topological order. [`Partition::from_raw`] of it is
+/// [`partition_on`]'s result.
+fn partition_on_into<'s>(
+    hierarchy: &coarsen::Hierarchy,
+    k: usize,
+    cfg: &PartitionConfig,
+    scratch: &'s mut PartitionScratch,
+) -> &'s [u32] {
+    let n = hierarchy.finest().graph().node_count();
+    let k = k.min(n);
     if k <= 1 {
-        return Partition::single_block(g.node_count());
+        return scratch.single_part(n);
     }
-    let levels = hierarchy.prefix(coarsening_target(g.node_count(), k, cfg));
-
-    // Initial partition on the coarsest graph.
+    let levels = hierarchy.prefix(coarsening_target(n, k, cfg));
     let coarsest = levels.coarsest();
-    let mut assignment = initial::topo_chunks_on(coarsest.view(), coarsest.weights(), k);
-
-    // Refine on the coarsest level, then project and refine down.
-    refine::refine_on(coarsest.view(), coarsest.weights(), &mut assignment, k, cfg);
-    let mut level_assignment = assignment;
+    scratch.chunk_and_refine(coarsest.view(), coarsest.weights(), k, cfg);
     for level in levels.finer_levels() {
+        let PartitionScratch {
+            assignment,
+            fine,
+            refine,
+        } = scratch;
         // Project: each fine node inherits its coarse representative's part.
-        let mut fine = vec![0u32; level.graph().node_count()];
-        for (i, part) in fine.iter_mut().enumerate() {
-            *part = level_assignment[level.coarse_of(NodeId(i as u32)).idx()];
-        }
-        refine::refine_on(level.view(), level.weights(), &mut fine, k, cfg);
-        level_assignment = fine;
+        fine.clear();
+        fine.extend(
+            (0..level.graph().node_count() as u32)
+                .map(|i| assignment[level.coarse_of(NodeId(i)).idx()]),
+        );
+        refine::refine_with(level.view(), level.weights(), fine, k, cfg, refine);
+        std::mem::swap(assignment, fine);
+    }
+    &scratch.assignment
+}
+
+impl PartitionScratch {
+    /// Every one of `n` nodes in part 0.
+    fn single_part(&mut self, n: usize) -> &[u32] {
+        self.assignment.clear();
+        self.assignment.resize(n, 0);
+        &self.assignment
     }
 
-    Partition::from_raw(&level_assignment)
+    /// The initial partition of the coarsest level and its refinement.
+    fn chunk_and_refine(
+        &mut self,
+        view: &coarsen::LevelView,
+        weights: &[f64],
+        k: usize,
+        cfg: &PartitionConfig,
+    ) {
+        initial::topo_chunks_into(view, weights, k, &mut self.assignment);
+        refine::refine_with(
+            view,
+            weights,
+            &mut self.assignment,
+            k,
+            cfg,
+            &mut self.refine,
+        );
+    }
+}
+
+/// What a sweep over part counts partitions one graph on, built once
+/// for the smallest count: [`coarsen_for`]'s hierarchy — or, for a
+/// graph already at the coarsening target of that count (and so of
+/// every larger one), where the hierarchy would be the finest level
+/// alone, just the graph's view and balance weights, without the copy
+/// of the graph that level holds.
+#[derive(Debug)]
+pub struct SweepLevels(Levels);
+
+#[derive(Debug)]
+enum Levels {
+    Flat {
+        view: coarsen::LevelView,
+        weights: Vec<f64>,
+    },
+    Coarsened(coarsen::Hierarchy),
+}
+
+impl SweepLevels {
+    /// The levels of `g` for the part counts from `k` up.
+    ///
+    /// # Panics
+    /// Panics if `g` is cyclic.
+    pub fn new(g: &Dag, k: usize, cfg: &PartitionConfig) -> Self {
+        let n = g.node_count();
+        Self(if n <= coarsening_target(n, k, cfg) {
+            Levels::Flat {
+                view: coarsen::LevelView::of(g),
+                weights: balance_weights(g, cfg),
+            }
+        } else {
+            Levels::Coarsened(coarsen_for(g, k, cfg))
+        })
+    }
+
+    /// [`partition`]`(g, k, cfg)` of the graph these levels were built
+    /// from, on `scratch` and before its blocks are renumbered: the
+    /// part of every node, in `0..k`, the parts numbered in topological
+    /// order ([`Partition::from_raw`] of it is the partition). `k` must
+    /// be at least the count the levels were built for, `cfg` the one
+    /// they were built with.
+    pub fn partition_into<'s>(
+        &self,
+        k: usize,
+        cfg: &PartitionConfig,
+        scratch: &'s mut PartitionScratch,
+    ) -> &'s [u32] {
+        let (view, weights) = match &self.0 {
+            Levels::Coarsened(hierarchy) => return partition_on_into(hierarchy, k, cfg, scratch),
+            Levels::Flat { view, weights } => (view, weights),
+        };
+        let n = view.order().len();
+        let k = k.min(n);
+        if k <= 1 {
+            return scratch.single_part(n);
+        }
+        scratch.chunk_and_refine(view, weights, k, cfg);
+        &scratch.assignment
+    }
 }
 
 /// Bisects `g` into two blocks (`FitBlock`'s `Partition(V, 2)`), balanced
@@ -190,6 +316,7 @@ struct BlockScratch {
     weights: Vec<f64>,
     indeg: Vec<u32>,
     ready: std::collections::BinaryHeap<std::cmp::Reverse<u32>>,
+    part: PartitionScratch,
 }
 
 thread_local! {
@@ -207,22 +334,38 @@ thread_local! {
 /// reusable buffers, with each task's weight its internal in- and
 /// out-volume plus its memory (the sub-DAG's task requirement, summed
 /// in the same order). No sub-DAG is built, and a thread that has seen
-/// a block of this size allocates only the result, the chunking's part
-/// array and [`refine::refine_on`]'s four per-part tables (two entries
-/// each). Those stay `refine_on`'s own: kept in reusable buffers, they
-/// slowed its pass loop on large graphs. A larger block is bisected
-/// through its induced sub-DAG.
+/// a block of this size allocates only the result. A larger block is
+/// bisected through its induced sub-DAG.
 ///
 /// # Panics
 /// Panics if `members` is empty or not ascending.
 pub fn bisect_block(g: &Dag, members: &[NodeId], cfg: &PartitionConfig) -> Partition {
+    let mut part = Vec::new();
+    bisect_block_into(g, members, cfg, &mut part);
+    Partition::from_raw(&part)
+}
+
+/// [`bisect_block`] into `part` (cleared first), before the two blocks
+/// are renumbered: `part[i]` is the part of `members[i]`, and
+/// [`Partition::from_raw`] of it is [`bisect_block`]'s result. A block
+/// small enough to be viewed in place allocates nothing on a thread
+/// that has seen one of its size, and nothing for `part` once it has
+/// held as many entries.
+///
+/// # Panics
+/// Panics if `members` is empty or not ascending.
+pub fn bisect_block_into(g: &Dag, members: &[NodeId], cfg: &PartitionConfig, part: &mut Vec<u32>) {
     assert!(!members.is_empty(), "cannot partition an empty graph");
+    part.clear();
     let n = members.len();
     if n > coarsening_target(n, 2, cfg) {
-        return bisect(&g.induced_subgraph(members).0, cfg);
+        let halves = bisect(&g.induced_subgraph(members).0, cfg);
+        part.extend((0..n as u32).map(|i| halves.block_of(NodeId(i)).0));
+        return;
     }
     if n == 1 {
-        return Partition::single_block(1);
+        part.push(0);
+        return;
     }
     BLOCK.with_borrow_mut(|s| {
         let BlockScratch {
@@ -230,6 +373,7 @@ pub fn bisect_block(g: &Dag, members: &[NodeId], cfg: &PartitionConfig) -> Parti
             weights,
             indeg,
             ready,
+            part: scratch,
         } = s;
         view.fill_block(g, members, indeg, ready);
         let block = view.adjacency();
@@ -239,9 +383,8 @@ pub fn bisect_block(g: &Dag, members: &[NodeId], cfg: &PartitionConfig) -> Parti
             let outputs: f64 = block.out_edges(u).map(|(_, volume)| volume).sum();
             inputs + outputs + block.memory(u)
         }));
-        let mut part = initial::topo_chunks_on(view, weights, 2);
-        refine::refine_on(view, weights, &mut part, 2, cfg);
-        Partition::from_raw(&part)
+        scratch.chunk_and_refine(view, weights, 2, cfg);
+        part.extend_from_slice(&scratch.assignment);
     })
 }
 

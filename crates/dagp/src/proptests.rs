@@ -5,8 +5,9 @@ use crate::reference_tests;
 use crate::refine::{refine, Tally, TALLY};
 use crate::{
     bisect, bisect_block, coarsen_for, partition, partition_on, BalanceWeight, PartitionConfig,
+    PartitionScratch, SweepLevels,
 };
-use dhp_dag::quotient::{is_acyclic_partition, QuotientGraph};
+use dhp_dag::quotient::{is_acyclic_partition, Partition, QuotientGraph};
 use dhp_dag::{builder, Dag, NodeId};
 use proptest::prelude::*;
 
@@ -27,9 +28,13 @@ fn shapes(n: usize, seed: u64) -> [(&'static str, Dag); 4] {
     ]
 }
 
-/// What [`shared_hierarchy_matches_fresh_partition`] came across.
+/// What [`shared_hierarchy_matches_fresh_partition`] came across, and
+/// the partitioning buffers every call of it shares.
 #[derive(Debug, Default)]
 struct Seen {
+    scratch: PartitionScratch,
+    /// Graphs partitioned on their own view ([`SweepLevels`]).
+    flat: usize,
     /// Part counts whose levels were fewer than the shared hierarchy's.
     shorter_prefix: usize,
     /// Hierarchies that stopped above their target (no safe contraction
@@ -38,13 +43,20 @@ struct Seen {
 }
 
 /// One hierarchy, coarsened for two parts, must give every part count
-/// `1..=min(n, 40)` the partition a fresh `partition` computes.
+/// `1..=min(n, 40)` the partition a fresh `partition` computes; so must
+/// the sweep's levels for two parts, partitioned on buffers the calls
+/// before left behind (other graphs, other counts).
 fn shared_hierarchy_matches_fresh_partition(g: &Dag, cfg: &PartitionConfig, seen: &mut Seen) {
     let shared = coarsen_for(g, 2, cfg);
     let coarsest = shared.coarsest().graph().node_count();
     seen.stopped_early += (coarsest > 2 * cfg.coarsen_target) as usize;
+    let sweep = SweepLevels::new(g, 2, cfg);
+    seen.flat += (shared.depth() == 1) as usize;
     for k in 1..=g.node_count().min(40) {
-        assert_eq!(partition_on(&shared, k, cfg), partition(g, k, cfg), "k={k}");
+        let fresh = partition(g, k, cfg);
+        assert_eq!(partition_on(&shared, k, cfg), fresh, "k={k}");
+        let raw = sweep.partition_into(k, cfg, &mut seen.scratch);
+        assert_eq!(Partition::from_raw(raw), fresh, "k={k}");
         if k >= 2 {
             let fresh_depth = coarsen_for(g, k, cfg).depth();
             assert_eq!(shared.prefix(k * cfg.coarsen_target).depth(), fresh_depth);
@@ -75,7 +87,7 @@ fn shared_hierarchy_covers_short_prefixes_and_early_stops() {
             }
         }
     }
-    assert!(seen.stopped_early > 0, "{seen:?}");
+    assert!(seen.stopped_early > 0 && seen.flat > 0, "{seen:?}");
 }
 
 /// The inputs refinement is held to its reference on, each built to
@@ -190,8 +202,9 @@ proptest! {
     #[test]
     fn shared_hierarchy_partitions_like_fresh(n in 30usize..400, seed in any::<u64>()) {
         let cfg = PartitionConfig { seed, ..Default::default() };
+        let mut seen = Seen::default();
         for (_, g) in shapes(n, seed) {
-            shared_hierarchy_matches_fresh_partition(&g, &cfg, &mut Seen::default());
+            shared_hierarchy_matches_fresh_partition(&g, &cfg, &mut seen);
         }
     }
 }

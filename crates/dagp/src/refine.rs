@@ -72,6 +72,39 @@ pub fn refine_on(
     k: usize,
     cfg: &PartitionConfig,
 ) {
+    refine_with(
+        view,
+        weights,
+        assignment,
+        k,
+        cfg,
+        &mut RefineScratch::default(),
+    );
+}
+
+/// The four per-part tables of a refinement, kept by a caller that
+/// refines again and again.
+#[derive(Debug, Default)]
+pub(crate) struct RefineScratch {
+    part_weight: Vec<f64>,
+    part_count: Vec<usize>,
+    /// Incident volume per part, valid where `stamp` holds the
+    /// current visit's version.
+    vol_to: Vec<f64>,
+    stamp: Vec<u32>,
+}
+
+/// [`refine_on`] with its per-part tables in `scratch`: the same moves,
+/// to the bit. The pass loop reads the tables as slices, as it read
+/// them when they were its own.
+pub(crate) fn refine_with(
+    view: &LevelView,
+    weights: &[f64],
+    assignment: &mut [u32],
+    k: usize,
+    cfg: &PartitionConfig,
+    scratch: &mut RefineScratch,
+) {
     let g = view.adjacency();
     let n = g.len();
     debug_assert_eq!(assignment.len(), n);
@@ -81,16 +114,28 @@ pub fn refine_on(
     let total: f64 = weights.iter().sum();
     let cap = (1.0 + cfg.epsilon) * total / k as f64;
 
-    let mut part_weight = vec![0.0f64; k];
-    let mut part_count = vec![0usize; k];
+    let RefineScratch {
+        part_weight,
+        part_count,
+        vol_to,
+        stamp,
+    } = scratch;
+    part_weight.clear();
+    part_weight.resize(k, 0.0);
+    part_count.clear();
+    part_count.resize(k, 0);
+    vol_to.clear();
+    vol_to.resize(k, 0.0);
+    stamp.clear();
+    stamp.resize(k, 0);
+    let (part_weight, part_count) = (&mut part_weight[..], &mut part_count[..]);
+    let (vol_to, stamp) = (&mut vol_to[..], &mut stamp[..]);
     for (i, &p) in assignment.iter().enumerate() {
         part_weight[p as usize] += weights[i];
         part_count[p as usize] += 1;
     }
 
-    // Scratch: incident volume per part, with version stamping.
-    let mut vol_to = vec![0.0f64; k];
-    let mut stamp = vec![0u32; k];
+    // Incident volume per part, with version stamping.
     let mut version = 0u32;
 
     for _pass in 0..cfg.refine_passes {

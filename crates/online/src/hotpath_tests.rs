@@ -600,13 +600,14 @@ fn a_warm_block_requirement_allocates_nothing_that_scales() {
 
 /// Step 2 bisects a small block on the thread's buffers: once the
 /// thread has bisected one block of a chain-shaped workflow, the next
-/// allocates only its result (the `Partition`'s assignment and the
-/// renumbering table `Partition::from_raw` fills it through), the
-/// chunking's part array and the refinement's four two-entry per-part
-/// tables — no sub-DAG, no copy of it, no view.
+/// allocates only its result (the `Partition`'s assignment, the
+/// renumbering table `Partition::from_raw` fills it through, and the
+/// part array it is renumbered from) — no sub-DAG, no copy of it, no
+/// view, no per-part table. Into a part array that has held as many
+/// entries, as DagHetPart's Step 2 bisects, it allocates nothing.
 #[test]
 fn a_warm_bisection_builds_no_graph() {
-    use dhp_dagp::{bisect, bisect_block, PartitionConfig};
+    use dhp_dagp::{bisect, bisect_block, bisect_block_into, PartitionConfig};
     let g = WorkflowInstance::simulated(dhp_wfgen::Family::Epigenomics, 60, 17).graph;
     let order = dhp_dag::topo::topo_sort(&g).expect("generated workflows are acyclic");
     let block = |at: usize| {
@@ -618,8 +619,13 @@ fn a_warm_bisection_builds_no_graph() {
     bisect_block(&g, &block(0), &cfg);
     let (members, mut warm) = (block(20), None);
     let n = allocations_in(|| warm = Some(bisect_block(&g, &members, &cfg)));
-    assert_eq!(warm, Some(bisect(&g.induced_subgraph(&members).0, &cfg)));
-    assert!(n <= 7, "{n} allocations for a 5-task block");
+    let want = bisect(&g.induced_subgraph(&members).0, &cfg);
+    assert_eq!(warm, Some(want.clone()));
+    assert!(n <= 3, "{n} allocations for a 5-task block");
+    let mut part = Vec::with_capacity(5);
+    let n = allocations_in(|| bisect_block_into(&g, &members, &cfg, &mut part));
+    assert_eq!(dhp_dag::Partition::from_raw(&part), want);
+    assert_eq!(n, 0, "{n} allocations into a part array of room");
 }
 
 /// An admission pass that cannot decide anything is not set up: over

@@ -119,11 +119,6 @@ impl Cluster {
         ids
     }
 
-    /// Id of the processor with the smallest memory (ties: smaller id).
-    pub fn min_memory_proc(&self) -> Option<ProcId> {
-        self.ids_by_memory_desc().last().copied()
-    }
-
     /// Returns a copy of the cluster with a different bandwidth — used by
     /// the CCR experiments (paper §5.2.6).
     pub fn with_bandwidth(&self, bandwidth: f64) -> Cluster {
@@ -153,7 +148,6 @@ mod tests {
         let ids = c.ids_by_memory_desc();
         // 192 (faster b before d), 192, 16, 8
         assert_eq!(ids, vec![ProcId(1), ProcId(3), ProcId(0), ProcId(2)]);
-        assert_eq!(c.min_memory_proc(), Some(ProcId(2)));
     }
 
     #[test]
