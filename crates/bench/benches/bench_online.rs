@@ -145,20 +145,22 @@ fn bench_solve_cache(c: &mut Criterion) {
             11,
         );
         let cluster = fit_cluster(&configs::default_cluster(), &subs, 1.05);
-        for (name, cached) in [("cached", true), ("uncached", false)] {
-            let cfg = OnlineConfig {
-                solve_cache: cached,
-                ..OnlineConfig::default()
-            };
+        let cfg = OnlineConfig::default();
+        let caches = [
+            ("cached", SolveCache::new as fn() -> SolveCache),
+            ("uncached", SolveCache::disabled),
+        ];
+        for (name, cache) in caches {
             group.bench_with_input(
                 BenchmarkId::new(format!("repeat{unique}/{name}"), n),
                 &n,
                 |b, _| {
                     b.iter(|| {
-                        serve(
+                        serve_with_cache(
                             black_box(&cluster),
                             black_box(subs.clone()),
                             black_box(&cfg),
+                            &cache(),
                         )
                     })
                 },

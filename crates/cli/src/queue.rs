@@ -6,8 +6,9 @@ use crate::args::Args;
 use crate::spec::resolve_cluster;
 use dhp_core::partial::Algorithm;
 use dhp_online::{
-    fit_cluster, serve, serve_federation, serve_federation_chaos, AdmissionPolicy, FailureMode,
-    LeaseSizing, MembershipPlan, OnlineConfig, PersistSpec, RoutingPolicy,
+    fit_cluster, serve_federation_chaos_with_cache, serve_federation_with_cache, serve_with_cache,
+    AdmissionPolicy, FailureMode, LeaseSizing, MembershipPlan, OnlineConfig, PersistSpec,
+    RoutingPolicy, SolveCache,
 };
 use dhp_platform::Federation;
 use dhp_wfgen::arrivals::ArrivalProcess;
@@ -116,31 +117,34 @@ pub fn queue(args: &Args) -> Result<String, String> {
         autosave,
     });
 
+    // Escape hatch: `--no-solve-cache` forces a fresh solver run per
+    // probe (identical scheduling outcome, only slower — the solver
+    // statistics in the report show the difference).
+    let solve_cache = !args.switch("no-solve-cache");
+    // `--cache-cap N` bounds the solve cache to an LRU capacity;
+    // evictions surface in the report's solver statistics.
+    let cache_cap = args.get_positive_usize("cache-cap")?;
     let cfg = OnlineConfig {
         policy,
         lease,
         algorithm,
         solver: Default::default(),
-        // Escape hatch: `--no-solve-cache` forces a fresh solver run
-        // per probe (identical scheduling outcome, only slower — the
-        // solver statistics in the report show the difference).
-        solve_cache: !args.switch("no-solve-cache"),
-        // `--cache-cap N` bounds the solve cache to an LRU capacity;
-        // evictions surface in the report's solver statistics.
-        cache_cap: args.get_positive_usize("cache-cap")?,
         elastic,
         elastic_shrink,
         persist,
     };
-    if cfg.cache_cap.is_some() && !cfg.solve_cache {
-        return Err("--cache-cap is meaningless with --no-solve-cache".into());
-    }
-    if cfg.persist.is_some() && !cfg.solve_cache {
+    let cache = match (solve_cache, cache_cap) {
+        (true, None) => SolveCache::new(),
+        (true, Some(cap)) => SolveCache::with_capacity(cap),
+        (false, None) => SolveCache::disabled(),
+        (false, Some(_)) => return Err("--cache-cap is meaningless with --no-solve-cache".into()),
+    };
+    if cfg.persist.is_some() && !solve_cache {
         return Err("--cache-file is meaningless with --no-solve-cache \
                     (a disabled cache has nothing to persist)"
             .into());
     }
-    if autosave.is_some() && !cfg.solve_cache {
+    if autosave.is_some() && !solve_cache {
         return Err("--autosave is meaningless with --no-solve-cache \
                     (a disabled cache has nothing to persist)"
             .into());
@@ -194,9 +198,9 @@ pub fn queue(args: &Args) -> Result<String, String> {
                     }
                     c
                 })?;
-                serve_federation_chaos(&federation, subs, &cfg, routing, &plan)?
+                serve_federation_chaos_with_cache(&federation, subs, &cfg, routing, &plan, &cache)?
             }
-            None => serve_federation(&federation, subs, &cfg, routing),
+            None => serve_federation_with_cache(&federation, subs, &cfg, routing, &cache),
         };
         let text = if args.switch("summary") {
             out.report.summary()
@@ -226,7 +230,7 @@ pub fn queue(args: &Args) -> Result<String, String> {
     if headroom != 0.0 {
         cluster = fit_cluster(&cluster, &subs, headroom);
     }
-    let out = serve(&cluster, subs, &cfg);
+    let out = serve_with_cache(&cluster, subs, &cfg, &cache);
 
     let text = if args.switch("summary") {
         out.report.summary()

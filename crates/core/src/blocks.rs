@@ -68,8 +68,9 @@ impl BlockSet {
     /// The Step-1 block set of the raw assignment `raw` (the part of
     /// every task, each below `raw.len()`), numbered as
     /// [`Partition::from_raw`] numbers its blocks, with the bounds of
-    /// every requirement answered by the solve's memo: what
-    /// [`BlockSet::from_partition_memo`] of that partition gives. Its
+    /// every requirement answered by the solve's memo: what the
+    /// test-build `BlockSet::from_partition_memo` of that partition
+    /// gives. Its
     /// member lists come from `pool` and its block list is `storage`;
     /// `dense` and `sizes` are scratch.
     pub(crate) fn from_raw_in(
@@ -190,11 +191,6 @@ impl BlockSet {
         self.blocks[i].proc = Some(p);
     }
 
-    /// Clears the assignment of block `i`.
-    pub fn unassign(&mut self, i: usize) {
-        self.blocks[i].proc = None;
-    }
-
     /// The requirement of block `i`, resolved from its bounds by `memo`
     /// if it is not exact yet; the block keeps it.
     pub(crate) fn resolve(&mut self, i: usize, memo: &ReqMemo<'_>) -> f64 {
@@ -243,24 +239,6 @@ impl BlockSet {
     /// Removes block `i` (swap-remove; the last block takes index `i`).
     pub fn remove_block(&mut self, i: usize) -> Block {
         self.blocks.swap_remove(i)
-    }
-
-    /// Replaces block `i` by the given member lists (used when `FitBlock`
-    /// re-partitions an oversized block). Returns the indices of the new
-    /// blocks.
-    pub fn split_block(&mut self, g: &Dag, i: usize, parts: Vec<Vec<NodeId>>) -> Vec<usize> {
-        assert!(!parts.is_empty());
-        let total: usize = parts.iter().map(Vec::len).sum();
-        assert_eq!(
-            total,
-            self.blocks[i].members.len(),
-            "split must cover block"
-        );
-        self.remove_block(i);
-        parts
-            .into_iter()
-            .map(|members| self.push_block(g, members))
-            .collect()
     }
 
     /// Merges the members of blocks `i` and `j` (and optionally `o`) into
@@ -341,13 +319,6 @@ impl BlockSet {
     pub fn unassigned(&self) -> Vec<usize> {
         (0..self.blocks.len())
             .filter(|&i| self.blocks[i].proc.is_none())
-            .collect()
-    }
-
-    /// Indices of assigned blocks.
-    pub fn assigned(&self) -> Vec<usize> {
-        (0..self.blocks.len())
-            .filter(|&i| self.blocks[i].proc.is_some())
             .collect()
     }
 }
@@ -439,11 +410,8 @@ mod tests {
     #[test]
     fn split_and_merge_keep_cover() {
         let g = builder::gnp_dag_weighted(12, 0.2, 2);
-        let p = Partition::single_block(12);
-        let mut bs = BlockSet::from_partition(&g, &p);
-        let members = bs.block(0).members.clone();
-        let (a, b) = members.split_at(6);
-        bs.split_block(&g, 0, vec![a.to_vec(), b.to_vec()]);
+        let raw: Vec<u32> = (0..12).map(|u| u / 6).collect();
+        let mut bs = BlockSet::from_partition(&g, &Partition::from_raw(&raw));
         assert_eq!(bs.len(), 2);
         bs.to_mapping(12); // must not panic (covers everything)
         let ni = bs.merge_blocks(&g, 0, 1, None, None);

@@ -30,12 +30,6 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
-/// Relative makespan in percent: `100 * heuristic / baseline` (the
-/// paper's headline metric; lower is better).
-pub fn relative_makespan_pct(heuristic: f64, baseline: f64) -> f64 {
-    100.0 * heuristic / baseline
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,13 +45,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn geometric_mean_rejects_zero() {
         geometric_mean(&[1.0, 0.0]);
-    }
-
-    #[test]
-    fn relative_makespan() {
-        assert_eq!(relative_makespan_pct(41.0, 100.0), 41.0);
-        // paper: 41% relative makespan = 2.44x better
-        let rel = relative_makespan_pct(41.0, 100.0);
-        assert!((100.0 / rel - 2.439).abs() < 0.01);
     }
 }

@@ -288,15 +288,15 @@ pub enum WarmProbe {
 /// The store's map hasher. Every word of a [`SolveKey`] is already a
 /// hash (or the algorithm's discriminant), so the store folds them
 /// ([`FoldState`](dhp_dag::fingerprint::FoldState)) instead of running
-/// SipHash over them again. Test builds count each key hash
-/// ([`tally`]).
+/// SipHash over them again. Test builds count each key hash (the
+/// test-build `tally` module).
 #[cfg(not(test))]
 type StoreHasher = dhp_dag::fingerprint::FoldState;
 #[cfg(test)]
 type StoreHasher = tally::CountingFold;
 
 /// A clone of a memoized value's [`Arc`]: every clone the store hands
-/// out goes through here, so test builds can count them ([`tally`]).
+/// out goes through here, so test builds can count them (`tally`).
 fn share<T>(value: &Arc<T>) -> Arc<T> {
     #[cfg(test)]
     tally::bump(&tally::ARC_CLONES);
@@ -522,7 +522,7 @@ impl SolveCache {
         }
     }
 
-    /// Takes the store lock (test builds count the takes, [`tally`]).
+    /// Takes the store lock (test builds count the takes, `tally`).
     fn lock(&self) -> parking_lot::MutexGuard<'_, Store> {
         #[cfg(test)]
         tally::bump(&tally::LOCKS);
@@ -919,16 +919,6 @@ impl<'a> CacheView<'a> {
             charge(&mut stats);
             account.set(stats);
         }
-    }
-
-    /// The underlying shared cache.
-    pub fn cache(&self) -> &'a SolveCache {
-        self.cache
-    }
-
-    /// Whether the underlying cache memoizes.
-    pub fn is_enabled(&self) -> bool {
-        self.cache.is_enabled()
     }
 
     /// Memoizing solve through the view — the probe entry point of

@@ -170,7 +170,7 @@ impl<'a, 's> Step3<'a, 's> {
     /// third block, or `None` when the merge cannot be made acyclic.
     /// An acyclic two-block merge is scored on the relaxed quotient
     /// without being built; only a cyclic one is contracted, into
-    /// [`Step3::cand_q`], to look for its 2-cycle.
+    /// [`State::cand_q`], to look for its 2-cycle.
     fn score_candidate(
         &mut self,
         nu: usize,
@@ -219,7 +219,7 @@ impl<'a, 's> Step3<'a, 's> {
     }
 
     /// Contracts the blocks of `merge` (`nu` into its partner, and its
-    /// third block if any) into [`Step3::cand_q`].
+    /// third block if any) into [`State::cand_q`].
     fn contract_merge(&mut self, nu: usize, merge: &BestMerge) {
         let group = [
             self.s.node_of_block[nu],

@@ -72,36 +72,6 @@ pub fn find_cycle(g: &Dag) -> Option<Vec<NodeId>> {
     None
 }
 
-/// Length of the shortest directed cycle through edge-closure checks, or
-/// `None` if acyclic. Exact and O(V·E) in the worst case; the graphs this
-/// runs on (quotient graphs) are small.
-pub fn shortest_cycle_len(g: &Dag) -> Option<usize> {
-    use std::collections::VecDeque;
-    let n = g.node_count();
-    let mut best: Option<usize> = None;
-    // For every node s, BFS to find shortest path back to s.
-    for s in g.node_ids() {
-        let mut dist = vec![usize::MAX; n];
-        let mut q = VecDeque::new();
-        dist[s.idx()] = 0;
-        q.push_back(s);
-        while let Some(u) = q.pop_front() {
-            for v in g.children(u) {
-                if v == s {
-                    let len = dist[u.idx()] + 1;
-                    if best.is_none_or(|b| len < b) {
-                        best = Some(len);
-                    }
-                } else if dist[v.idx()] == usize::MAX {
-                    dist[v.idx()] = dist[u.idx()] + 1;
-                    q.push_back(v);
-                }
-            }
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,7 +84,6 @@ mod tests {
         g.add_edge(a, b, 1.0);
         assert!(!is_cyclic(&g));
         assert!(find_cycle(&g).is_none());
-        assert!(shortest_cycle_len(&g).is_none());
     }
 
     #[test]
@@ -127,7 +96,6 @@ mod tests {
         assert!(is_cyclic(&g));
         let c = find_cycle(&g).unwrap();
         assert_eq!(c.len(), 2);
-        assert_eq!(shortest_cycle_len(&g), Some(2));
     }
 
     #[test]
@@ -150,19 +118,5 @@ mod tests {
                 "missing edge {u:?}->{v:?} in cycle {c:?}"
             );
         }
-        assert_eq!(shortest_cycle_len(&g), Some(3));
-    }
-
-    #[test]
-    fn shortest_cycle_prefers_small() {
-        // big cycle 0->1->2->0 plus 2-cycle 3<->4
-        let mut g = Dag::new();
-        let n: Vec<_> = (0..5).map(|_| g.add_node(1.0, 1.0)).collect();
-        g.add_edge(n[0], n[1], 1.0);
-        g.add_edge(n[1], n[2], 1.0);
-        g.add_edge(n[2], n[0], 1.0);
-        g.add_edge(n[3], n[4], 1.0);
-        g.add_edge(n[4], n[3], 1.0);
-        assert_eq!(shortest_cycle_len(&g), Some(2));
     }
 }

@@ -18,7 +18,6 @@
 //! * Topological sorting and level computation ([`topo`]).
 //! * Cycle detection and extraction ([`cycles`]), needed when merging
 //!   blocks of a partition may create cyclic quotient graphs.
-//! * Reachability queries ([`reach`]).
 //! * Bottom weights over any DAG ([`critical`]).
 //! * Partitions and their quotient graph ([`quotient`]): the flat
 //!   [`FlatQuotient`] and the passes of [`PassScratch`] (acyclicity,
@@ -66,7 +65,6 @@ pub mod dot;
 pub mod fingerprint;
 pub mod graph;
 pub mod quotient;
-pub mod reach;
 pub mod topo;
 pub mod util;
 pub mod view;

@@ -91,20 +91,6 @@ pub fn topo_levels(g: &Dag) -> Option<Vec<usize>> {
     Some(level)
 }
 
-/// "Bottom level" of every node: sinks have level 0, and
-/// `blevel[u] = 1 + max(blevel of children)`. Useful for list-scheduling
-/// style priorities.
-pub fn bottom_levels(g: &Dag) -> Option<Vec<usize>> {
-    let order = topo_sort(g)?;
-    let mut level = vec![0usize; g.node_count()];
-    for &u in order.iter().rev() {
-        for v in g.children(u) {
-            level[u.idx()] = level[u.idx()].max(level[v.idx()] + 1);
-        }
-    }
-    Some(level)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,7 +147,6 @@ mod tests {
     fn levels() {
         let g = diamond();
         assert_eq!(topo_levels(&g).unwrap(), vec![0, 1, 1, 2]);
-        assert_eq!(bottom_levels(&g).unwrap(), vec![2, 1, 1, 0]);
     }
 
     #[test]

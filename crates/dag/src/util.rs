@@ -1,6 +1,5 @@
-//! Small utilities shared by the graph algorithms: a flat bitset and an
-//! indexed binary max-heap with key updates (used by priority-driven
-//! traversals and the partitioner's gain queues).
+//! Small utilities shared by the graph algorithms: a flat bitset over
+//! dense node indices.
 
 /// A fixed-capacity bitset over `usize` words.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -16,11 +15,6 @@ impl BitSet {
             words: vec![0; len.div_ceil(64)],
             len,
         }
-    }
-
-    /// Number of bits the set can hold.
-    pub fn capacity(&self) -> usize {
-        self.len
     }
 
     /// Sets bit `i`.
@@ -44,173 +38,9 @@ impl BitSet {
         (self.words[i / 64] >> (i % 64)) & 1 == 1
     }
 
-    /// Number of set bits.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// Clears all bits.
     pub fn clear_all(&mut self) {
         self.words.fill(0);
-    }
-
-    /// Iterator over the indices of set bits, ascending.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    None
-                } else {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    Some(wi * 64 + b)
-                }
-            })
-        })
-    }
-}
-
-/// An indexed max-heap keyed by `f64` priorities with support for
-/// arbitrary key updates and removals, as required by priority queues over
-/// blocks (Step 2 of the heuristic) and gain-driven refinement.
-///
-/// Items are dense `usize` handles `< capacity`. Ties are broken by the
-/// smaller handle to keep behaviour deterministic.
-#[derive(Clone, Debug)]
-pub struct IndexedMaxHeap {
-    /// heap[i] = item handle
-    heap: Vec<usize>,
-    /// pos[item] = index in `heap`, or usize::MAX if absent
-    pos: Vec<usize>,
-    key: Vec<f64>,
-}
-
-impl IndexedMaxHeap {
-    /// Creates an empty heap for handles `< capacity`.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            heap: Vec::with_capacity(capacity),
-            pos: vec![usize::MAX; capacity],
-            key: vec![f64::NEG_INFINITY; capacity],
-        }
-    }
-
-    /// Number of items currently in the heap.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// True if `item` is currently queued.
-    pub fn contains(&self, item: usize) -> bool {
-        self.pos[item] != usize::MAX
-    }
-
-    /// Current key of `item` (meaningful only if queued).
-    pub fn key_of(&self, item: usize) -> f64 {
-        self.key[item]
-    }
-
-    /// Inserts `item` with `key`, or updates its key if already present.
-    pub fn push(&mut self, item: usize, key: f64) {
-        if self.contains(item) {
-            self.update(item, key);
-            return;
-        }
-        self.key[item] = key;
-        self.pos[item] = self.heap.len();
-        self.heap.push(item);
-        self.sift_up(self.heap.len() - 1);
-    }
-
-    /// Changes the key of a queued item.
-    pub fn update(&mut self, item: usize, key: f64) {
-        debug_assert!(self.contains(item));
-        let old = self.key[item];
-        self.key[item] = key;
-        let p = self.pos[item];
-        if Self::before(key, item, old, item) {
-            self.sift_up(p);
-        } else {
-            self.sift_down(p);
-        }
-    }
-
-    /// Removes and returns the item with the largest key.
-    pub fn pop_max(&mut self) -> Option<(usize, f64)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let top = self.heap[0];
-        self.remove(top);
-        Some((top, self.key[top]))
-    }
-
-    /// Peeks at the item with the largest key.
-    pub fn peek_max(&self) -> Option<(usize, f64)> {
-        self.heap.first().map(|&i| (i, self.key[i]))
-    }
-
-    /// Removes a queued item.
-    pub fn remove(&mut self, item: usize) {
-        let p = self.pos[item];
-        debug_assert!(p != usize::MAX);
-        let last = self.heap.len() - 1;
-        self.heap.swap(p, last);
-        self.pos[self.heap[p]] = p;
-        self.heap.pop();
-        self.pos[item] = usize::MAX;
-        if p < self.heap.len() {
-            self.sift_down(p);
-            self.sift_up(self.pos[self.heap[p]]);
-        }
-    }
-
-    #[inline]
-    fn before(ka: f64, ia: usize, kb: f64, ib: usize) -> bool {
-        ka > kb || (ka == kb && ia < ib)
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            let (a, b) = (self.heap[i], self.heap[parent]);
-            if Self::before(self.key[a], a, self.key[b], b) {
-                self.heap.swap(i, parent);
-                self.pos[self.heap[i]] = i;
-                self.pos[self.heap[parent]] = parent;
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut best = i;
-            for c in [l, r] {
-                if c < self.heap.len() {
-                    let (a, b) = (self.heap[c], self.heap[best]);
-                    if Self::before(self.key[a], a, self.key[b], b) {
-                        best = c;
-                    }
-                }
-            }
-            if best == i {
-                break;
-            }
-            self.heap.swap(i, best);
-            self.pos[self.heap[i]] = i;
-            self.pos[self.heap[best]] = best;
-            i = best;
-        }
     }
 }
 
@@ -221,65 +51,15 @@ mod tests {
     #[test]
     fn bitset_basics() {
         let mut b = BitSet::new(130);
-        assert_eq!(b.count(), 0);
+        assert!((0..130).all(|i| !b.get(i)));
         b.set(0);
         b.set(64);
         b.set(129);
         assert!(b.get(0) && b.get(64) && b.get(129));
         assert!(!b.get(1));
-        assert_eq!(b.count(), 3);
-        assert_eq!(b.iter().collect::<Vec<_>>(), vec![0, 64, 129]);
         b.clear(64);
-        assert_eq!(b.count(), 2);
+        assert!(!b.get(64) && b.get(0) && b.get(129));
         b.clear_all();
-        assert_eq!(b.count(), 0);
-    }
-
-    #[test]
-    fn heap_pop_order() {
-        let mut h = IndexedMaxHeap::new(10);
-        h.push(3, 5.0);
-        h.push(1, 9.0);
-        h.push(7, 7.0);
-        assert_eq!(h.pop_max().unwrap().0, 1);
-        assert_eq!(h.pop_max().unwrap().0, 7);
-        assert_eq!(h.pop_max().unwrap().0, 3);
-        assert!(h.pop_max().is_none());
-    }
-
-    #[test]
-    fn heap_update_and_remove() {
-        let mut h = IndexedMaxHeap::new(8);
-        for i in 0..8 {
-            h.push(i, i as f64);
-        }
-        h.update(0, 100.0);
-        assert_eq!(h.peek_max().unwrap().0, 0);
-        h.remove(0);
-        assert_eq!(h.peek_max().unwrap().0, 7);
-        h.update(1, 50.0);
-        assert_eq!(h.pop_max().unwrap().0, 1);
-        assert!(!h.contains(1));
-        assert_eq!(h.len(), 6);
-    }
-
-    #[test]
-    fn heap_tie_break_deterministic() {
-        let mut h = IndexedMaxHeap::new(4);
-        h.push(2, 1.0);
-        h.push(0, 1.0);
-        h.push(3, 1.0);
-        assert_eq!(h.pop_max().unwrap().0, 0);
-        assert_eq!(h.pop_max().unwrap().0, 2);
-        assert_eq!(h.pop_max().unwrap().0, 3);
-    }
-
-    #[test]
-    fn heap_push_existing_updates() {
-        let mut h = IndexedMaxHeap::new(4);
-        h.push(1, 1.0);
-        h.push(1, 10.0);
-        assert_eq!(h.len(), 1);
-        assert_eq!(h.key_of(1), 10.0);
+        assert!((0..130).all(|i| !b.get(i)));
     }
 }

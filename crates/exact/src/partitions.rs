@@ -36,11 +36,6 @@ impl RestrictedGrowth {
             kmax,
         }
     }
-
-    /// Number of blocks used by an RGS (its maximum entry + 1).
-    pub fn block_count(rgs: &[u32]) -> usize {
-        rgs.iter().copied().max().map_or(0, |m| m as usize + 1)
-    }
 }
 
 impl Iterator for RestrictedGrowth {
@@ -113,13 +108,6 @@ mod tests {
             }
             assert!(seen.insert(rgs));
         }
-    }
-
-    #[test]
-    fn block_count_is_max_plus_one() {
-        assert_eq!(RestrictedGrowth::block_count(&[0, 1, 0, 2]), 3);
-        assert_eq!(RestrictedGrowth::block_count(&[0, 0]), 1);
-        assert_eq!(RestrictedGrowth::block_count(&[]), 0);
     }
 
     #[test]

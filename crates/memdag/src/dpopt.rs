@@ -95,11 +95,6 @@ pub fn dp_min_peak(g: &Dag, ext: &[f64]) -> f64 {
     dp[full as usize]
 }
 
-/// Convenience: exact minimum peak of a whole graph (no external load).
-pub fn dp_min_peak_plain(g: &Dag) -> f64 {
-    dp_min_peak(g, &vec![0.0; g.node_count()])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,7 +134,7 @@ mod tests {
             .node_ids()
             .map(|u| g.task_requirement(u))
             .fold(0.0f64, f64::max);
-        assert_eq!(dp_min_peak_plain(&g), want);
+        assert_eq!(dp_min_peak(&g, &vec![0.0; g.node_count()]), want);
     }
 
     #[test]
@@ -155,7 +150,7 @@ mod tests {
         g.add_edge(s, b, 1.0);
         g.add_edge(a, t, 10.0); // heavy intermediate
         g.add_edge(b, t, 1.0);
-        let opt = dp_min_peak_plain(&g);
+        let opt = dp_min_peak(&g, &vec![0.0; g.node_count()]);
         // worst order: a then b holds 10 + (b running: 2 live +1 out) ...
         // optimum: 12 (execute a, while its 10-file is live run b: 10+1+1)
         // any order: t needs 11 inputs at once anyway: 11; a's execution:
@@ -190,17 +185,17 @@ mod tests {
     #[test]
     fn empty_and_single() {
         let g = dhp_dag::Dag::new();
-        assert_eq!(dp_min_peak_plain(&g), 0.0);
+        assert_eq!(dp_min_peak(&g, &vec![0.0; g.node_count()]), 0.0);
         let mut g = dhp_dag::Dag::new();
         g.add_node(1.0, 7.0);
-        assert_eq!(dp_min_peak_plain(&g), 7.0);
+        assert_eq!(dp_min_peak(&g, &vec![0.0; g.node_count()]), 7.0);
     }
 
     #[test]
     #[should_panic(expected = "limited")]
     fn too_large_is_rejected() {
         let g = builder::chain(21, 1.0, 1.0, 1.0);
-        dp_min_peak_plain(&g);
+        dp_min_peak(&g, &vec![0.0; g.node_count()]);
     }
 
     #[test]
@@ -215,7 +210,7 @@ mod tests {
         let b2 = g.add_node(1.0, 0.0);
         g.add_edge(a1, a2, 5.0);
         g.add_edge(b1, b2, 5.0);
-        let opt = dp_min_peak_plain(&g);
+        let opt = dp_min_peak(&g, &vec![0.0; g.node_count()]);
         assert_eq!(opt, 5.0, "finish one chain before starting the other");
         let _ = (N(0), N(1)); // silence potential unused-import pedantry
     }

@@ -106,7 +106,7 @@ pub mod spdecomp;
 pub mod sptraversal;
 mod workspace;
 
-pub use dpopt::{dp_min_peak, dp_min_peak_plain};
+pub use dpopt::dp_min_peak;
 
 use dhp_dag::{Dag, NodeId};
 use workspace::with_workspace;

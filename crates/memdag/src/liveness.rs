@@ -47,45 +47,6 @@ pub(crate) fn peak_of(view: &BlockView, order: impl IntoIterator<Item = u32>) ->
     peak
 }
 
-/// A local profile of executing `order` when only nodes inside `members`
-/// are internal. Boundary files of earlier-executed neighbours are
-/// resident from the start (for inputs) or until the end (for outputs).
-///
-/// Returns `(peak, start, end)`: the peak memory over the component run,
-/// the resident memory before the first task (pending boundary inputs),
-/// and after the last (produced boundary outputs). All values are
-/// absolute (include the boundary-resident files).
-pub fn simulate_local(
-    g: &Dag,
-    ext: &[f64],
-    order: &[NodeId],
-    members: &dhp_dag::util::BitSet,
-) -> (f64, f64, f64) {
-    // Pending boundary inputs: edges from outside members into members.
-    let mut live = 0.0f64;
-    for &u in order {
-        for &e in g.in_edges(u) {
-            if !members.get(g.edge(e).src.idx()) {
-                live += g.edge(e).volume;
-            }
-        }
-    }
-    let start = live;
-    let mut peak = live;
-    for &u in order {
-        let node = g.node(u);
-        let outputs: f64 = g.out_edges(u).iter().map(|&e| g.edge(e).volume).sum();
-        let inputs: f64 = g.in_edges(u).iter().map(|&e| g.edge(e).volume).sum();
-        let current = live + node.memory + outputs + ext[u.idx()];
-        peak = peak.max(current);
-        // All outputs stay (internal until consumed, boundary until the
-        // component ends); all inputs are freed (internal ones were in
-        // `live` since their producer, boundary ones since the start).
-        live += outputs - inputs;
-    }
-    (peak, start, live)
-}
-
 /// Exhaustive minimum peak over *all* topological orders. Exponential —
 /// only for validation on graphs with ≲ 9 nodes.
 pub fn brute_force_min(g: &Dag, ext: &[f64]) -> f64 {
@@ -153,7 +114,6 @@ pub fn brute_force_min(g: &Dag, ext: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use dhp_dag::builder;
-    use dhp_dag::util::BitSet;
 
     #[test]
     fn singleton_matches_task_requirement() {
@@ -204,29 +164,6 @@ mod tests {
         // huge ext on a, none on b
         let p = traversal_peak(&g, &[100.0, 0.0], &[a, b]);
         assert_eq!(p, 102.0); // a: 1 + 1 + 100
-    }
-
-    #[test]
-    fn simulate_local_boundary_algebra() {
-        // external producer x -> u ; u -> v internal; v -> external y
-        let mut g = Dag::new();
-        let x = g.add_node(0.0, 1.0);
-        let u = g.add_node(0.0, 2.0);
-        let v = g.add_node(0.0, 3.0);
-        let y = g.add_node(0.0, 1.0);
-        g.add_edge(x, u, 5.0);
-        g.add_edge(u, v, 7.0);
-        g.add_edge(v, y, 11.0);
-        let mut members = BitSet::new(4);
-        members.set(u.idx());
-        members.set(v.idx());
-        let ext = vec![0.0; 4];
-        let (peak, start, end) = simulate_local(&g, &ext, &[u, v], &members);
-        assert_eq!(start, 5.0); // pending input file (x,u)
-                                // u: 5 + 2 + 7 = 14 ; after u: live = 5 + 7 - 5 = 7
-                                // v: 7 + 3 + 11 = 21 ; after v: live = 7 + 11 - 7 = 11
-        assert_eq!(peak, 21.0);
-        assert_eq!(end, 11.0); // produced boundary file (v,y)
     }
 
     #[test]

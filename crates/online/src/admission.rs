@@ -448,15 +448,8 @@ pub(crate) fn admission_passes(
                 }
                 Admit::Reject(reason) => {
                     let cand = &state.queue[qi];
-                    state.rejected.push(RejectedRecord {
-                        id: cand.id,
-                        name: cand.submission.instance.name.clone(),
-                        arrival: cand.arrival,
-                        rejected_at: clock,
-                        wait: clock - cand.arrival,
-                        reason,
-                        cluster_id: state.cluster_id,
-                    });
+                    let record = RejectedRecord::of(cand, clock, reason, state.cluster_id);
+                    state.rejected.push(record);
                     taken.push(qi);
                     changed = true;
                 }
@@ -616,7 +609,7 @@ fn find_placement(
 /// One admission probe: lease search, the simulated finish, and — when
 /// it lands by `cap` (the pass's reservation, if any) — the would-be
 /// grant (committed by the caller via
-/// [`commit_grant`](crate::lease::commit_grant)). The simulation is
+/// [`crate::lease::commit_grant`]). The simulation is
 /// memoized through the cache view under the key that answered the
 /// solve it executes (not hashed again), so a repeat admission of a
 /// cached `(workflow, lease shape)` pair skips the simulator, and a

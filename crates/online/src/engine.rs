@@ -31,12 +31,13 @@
 //! signature, algorithm, solver-config hash)`. Realistic traces repeat
 //! the same topologies on the same lease shapes over and over, so
 //! repeat traffic admits in near-O(1): the cached lease-local mapping
-//! is remapped onto the probe's concrete processors. `--no-solve-cache`
-//! (engine: [`OnlineConfig::solve_cache`] = false) bypasses
+//! is remapped onto the probe's concrete processors. The caller picks
+//! the cache: [`SolveCache::disabled`] (`--no-solve-cache`) bypasses
 //! memoization; the *scheduling outcome is byte-identical either way*
 //! (asserted by `tests/solve_cache.rs`), only the [`FleetMetrics`]
-//! solver statistics differ. [`OnlineConfig::cache_cap`] bounds the
-//! cache to an LRU capacity for unbounded streams.
+//! solver statistics differ. [`SolveCache::with_capacity`]
+//! (`--cache-cap`) bounds the cache to an LRU capacity for unbounded
+//! streams.
 //!
 //! Completions at an instant are processed before arrivals at the same
 //! instant (freed processors are visible to the newly arrived work),
@@ -77,19 +78,6 @@ pub struct OnlineConfig {
     pub algorithm: Algorithm,
     /// DagHetPart settings (ignored by DagHetMem).
     pub solver: DagHetPartConfig,
-    /// Memoize solver outcomes in a content-addressed [`SolveCache`]
-    /// (default). When false the engine still routes every solve
-    /// through a pass-through cache so solver-invocation statistics
-    /// stay comparable, but nothing is memoized — the CLI's
-    /// `--no-solve-cache` escape hatch.
-    pub solve_cache: bool,
-    /// LRU bound on the solve cache (`--cache-cap N`): at most this
-    /// many memoized entries, the least-recently-used evicted first, so
-    /// unbounded submission streams cannot grow memory without limit.
-    /// `None` (default) keeps the cache unbounded. Ignored when
-    /// `solve_cache` is off or when the caller passes its own cache to
-    /// [`serve_with_cache`].
-    pub cache_cap: Option<usize>,
     /// Elastic lease growth (`--elastic N`): `Some(threshold)` lets a
     /// completion event whose freed processors would otherwise idle —
     /// strictly fewer than `threshold` workflows queued — hand them to
@@ -138,8 +126,6 @@ impl Default for OnlineConfig {
             lease: LeaseSizing::default(),
             algorithm: Algorithm::DagHetPart,
             solver: DagHetPartConfig::default(),
-            solve_cache: true,
-            cache_cap: None,
             elastic: None,
             elastic_shrink: None,
             persist: None,
@@ -161,25 +147,13 @@ pub struct ServeOutcome {
     pub reservations: Vec<ReservationRecord>,
 }
 
-/// Builds the cache [`serve`] runs with: pass-through when
-/// `solve_cache` is off, LRU-bounded when `cache_cap` is set.
-pub(crate) fn make_cache(cfg: &OnlineConfig) -> SolveCache {
-    match (cfg.solve_cache, cfg.cache_cap) {
-        (false, _) => SolveCache::disabled(),
-        (true, None) => SolveCache::new(),
-        (true, Some(cap)) => SolveCache::with_capacity(cap),
-    }
-}
-
 /// Serves a submission stream on a shared cluster. See the module docs
 /// for the event loop; the returned outcome is deterministic for fixed
-/// inputs. A fresh [`SolveCache`] is created per call (pass-through
-/// when [`OnlineConfig::solve_cache`] is off, LRU-bounded under
-/// [`OnlineConfig::cache_cap`]); use [`serve_with_cache`] to share one
-/// cache across runs.
+/// inputs. A fresh unbounded [`SolveCache`] is created per call; use
+/// [`serve_with_cache`] to pass a disabled or capped one, or to share
+/// one cache across runs.
 pub fn serve(cluster: &Cluster, submissions: Vec<Submission>, cfg: &OnlineConfig) -> ServeOutcome {
-    let cache = make_cache(cfg);
-    serve_with_cache(cluster, submissions, cfg, &cache)
+    serve_with_cache(cluster, submissions, cfg, &SolveCache::new())
 }
 
 /// [`serve`] with a caller-owned [`SolveCache`], so repeat traffic

@@ -10,6 +10,7 @@ use crate::report::WorkflowRecord;
 use crate::submission::stream;
 use crate::submission::Submission;
 use dhp_core::mapping::validate;
+use dhp_core::partial::SolveCache;
 use dhp_platform::Cluster;
 use dhp_platform::Processor;
 use dhp_wfgen::arrivals::ArrivalProcess;
@@ -747,11 +748,8 @@ fn capped_cache_changes_only_solver_statistics() {
         42,
     );
     let run = |cache_cap: Option<usize>| {
-        let cfg = OnlineConfig {
-            cache_cap,
-            ..OnlineConfig::default()
-        };
-        serve(&cluster, subs.clone(), &cfg)
+        let cache = cache_cap.map_or_else(SolveCache::new, SolveCache::with_capacity);
+        serve_with_cache(&cluster, subs.clone(), &OnlineConfig::default(), &cache)
     };
     let unbounded = run(None);
     let capped = run(Some(1));

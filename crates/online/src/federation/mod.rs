@@ -84,7 +84,7 @@ pub use merge::{FederationOutcome, FederationReport};
 pub use routing::RoutingPolicy;
 
 use crate::chaos::{MembershipEvent, MembershipPlan};
-use crate::engine::{load_snapshot, make_cache, save_snapshot, OnlineConfig};
+use crate::engine::{load_snapshot, save_snapshot, OnlineConfig};
 use crate::report::RejectedRecord;
 use crate::state::{ArrivalFacts, Pending};
 use crate::submission::Submission;
@@ -98,18 +98,17 @@ use shard::MemberShard;
 use std::sync::Arc;
 
 /// Serves a submission stream across a federation of clusters. A fresh
-/// [`SolveCache`] — shared by every member — is created per call
-/// (honouring [`OnlineConfig::solve_cache`] and
-/// [`OnlineConfig::cache_cap`]); use [`serve_federation_with_cache`] to
-/// share one across runs. Deterministic for fixed inputs.
+/// unbounded [`SolveCache`] — shared by every member — is created per
+/// call; use [`serve_federation_with_cache`] to pass a disabled or
+/// capped one, or to share one across runs. Deterministic for fixed
+/// inputs.
 pub fn serve_federation(
     federation: &Federation,
     submissions: Vec<Submission>,
     cfg: &OnlineConfig,
     routing: RoutingPolicy,
 ) -> FederationOutcome {
-    let cache = make_cache(cfg);
-    serve_federation_with_cache(federation, submissions, cfg, routing, &cache)
+    serve_federation_with_cache(federation, submissions, cfg, routing, &SolveCache::new())
 }
 
 /// [`serve_federation`] with a caller-owned shared [`SolveCache`].
@@ -126,10 +125,10 @@ pub fn serve_federation_with_cache(
 /// Serves a submission stream across a federation *under a membership
 /// plan*: drain/fail/join events merged into the federated clock (see
 /// [`MembershipPlan`] for the semantics and JSON schema). A fresh
-/// shared [`SolveCache`] is created per call. Returns an error when
-/// the plan does not validate against the federation (member index out
-/// of range, unknown failure mode, unbuildable join spec). An empty
-/// plan reproduces [`serve_federation`] byte-for-byte.
+/// unbounded shared [`SolveCache`] is created per call. Returns an
+/// error when the plan does not validate against the federation
+/// (member index out of range, unknown failure mode, unbuildable join
+/// spec). An empty plan reproduces [`serve_federation`] byte-for-byte.
 pub fn serve_federation_chaos(
     federation: &Federation,
     submissions: Vec<Submission>,
@@ -137,8 +136,14 @@ pub fn serve_federation_chaos(
     routing: RoutingPolicy,
     plan: &MembershipPlan,
 ) -> Result<FederationOutcome, String> {
-    let cache = make_cache(cfg);
-    serve_federation_chaos_with_cache(federation, submissions, cfg, routing, plan, &cache)
+    serve_federation_chaos_with_cache(
+        federation,
+        submissions,
+        cfg,
+        routing,
+        plan,
+        &SolveCache::new(),
+    )
 }
 
 /// [`serve_federation_chaos`] with a caller-owned shared [`SolveCache`].
@@ -283,16 +288,10 @@ pub(crate) fn serve_loop<T>(
                         // due: the arrival is deterministically rejected
                         // on the lowest-index member's record.
                         None => {
-                            let cluster_id = shards[0].state.cluster_id;
-                            shards[0].state.rejected.push(RejectedRecord {
-                                id: p.id,
-                                name: p.submission.instance.name.clone(),
-                                arrival: p.arrival,
-                                rejected_at: clock,
-                                wait: clock - p.arrival,
-                                reason: "no active federation member".to_string(),
-                                cluster_id,
-                            });
+                            let reason = "no active federation member".to_string();
+                            let state = &mut shards[0].state;
+                            let record = RejectedRecord::of(&p, clock, reason, state.cluster_id);
+                            state.rejected.push(record);
                         }
                     }
                 }

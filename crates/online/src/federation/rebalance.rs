@@ -209,16 +209,11 @@ pub(super) fn migrate_pending(shards: &mut [MemberShard], src: usize, p: Pending
         .filter(|&i| shards[i].status == MemberStatus::Active)
         .collect();
     if active.is_empty() {
-        let cluster_id = shards[src].state.cluster_id;
-        shards[src].state.rejected.push(RejectedRecord {
-            id: p.id,
-            name: p.submission.instance.name.clone(),
-            arrival: p.arrival,
-            rejected_at: clock,
-            wait: clock - p.arrival,
-            reason: "member left the federation with no surviving active member".to_string(),
-            cluster_id,
-        });
+        let reason = "member left the federation with no surviving active member".to_string();
+        let state = &mut shards[src].state;
+        state
+            .rejected
+            .push(RejectedRecord::of(&p, clock, reason, state.cluster_id));
         return;
     }
     let screened: Vec<usize> = active

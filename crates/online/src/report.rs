@@ -1,6 +1,7 @@
 //! Serialisable results of one serving run: per-workflow records and
 //! fleet-level aggregates.
 
+use crate::state::Pending;
 use serde::{Deserialize, Serialize};
 
 /// `skip_serializing_if` helper: keeps pre-chaos reports byte-identical
@@ -114,6 +115,22 @@ pub struct RejectedRecord {
     /// (absent from the JSON) for single-cluster runs.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub cluster_id: Option<usize>,
+}
+
+impl RejectedRecord {
+    /// The record of giving up on `p` at `clock` on member
+    /// `cluster_id`: the one place its `wait` is derived.
+    pub(crate) fn of(p: &Pending, clock: f64, reason: String, cluster_id: Option<usize>) -> Self {
+        RejectedRecord {
+            id: p.id,
+            name: p.submission.instance.name.clone(),
+            arrival: p.arrival,
+            rejected_at: clock,
+            wait: clock - p.arrival,
+            reason,
+            cluster_id,
+        }
+    }
 }
 
 /// A workflow that was in service on a member that failed with

@@ -241,7 +241,7 @@ pub(crate) struct InService {
 /// memo only when the list changed. One `FreeList` serves one cluster:
 /// it is part of a [`ClusterState`]'s [`ProbeScratch`], and the debug
 /// build checks every shape it reads back against a fresh hash (test
-/// builds tally the checks, [`shape_tally`]).
+/// builds tally the checks, `shape_tally`).
 #[derive(Default)]
 pub(crate) struct FreeList {
     /// The current list.
@@ -348,8 +348,8 @@ pub(crate) struct ProbeScratch {
     /// reservation replay.
     pub(crate) pending: Vec<(f64, u64, usize)>,
     /// Candidate order of the current admission pass
-    /// ([`AdmissionPolicy::candidate_order_into`]); taken out of the
-    /// scratch for the pass and restored cleared.
+    /// ([`crate::policy::AdmissionPolicy::candidate_order_into`]);
+    /// taken out of the scratch for the pass and restored cleared.
     pub(crate) order: Vec<usize>,
     /// Queue indices admitted or rejected in the current pass.
     pub(crate) taken: Vec<usize>,
@@ -538,19 +538,13 @@ impl ClusterState {
     pub(crate) fn enqueue_arrival(&mut self, p: Pending, clock: f64) {
         let req = p.max_task_req;
         if req > self.max_memory * (1.0 + 1e-9) {
-            self.rejected.push(RejectedRecord {
-                id: p.id,
-                name: p.submission.instance.name.clone(),
-                arrival: p.arrival,
-                rejected_at: clock,
-                wait: clock - p.arrival,
-                reason: format!(
-                    "task requirement {req:.2} exceeds the largest processor \
-                     memory {:.2}",
-                    self.max_memory
-                ),
-                cluster_id: self.cluster_id,
-            });
+            let reason = format!(
+                "task requirement {req:.2} exceeds the largest processor \
+                 memory {:.2}",
+                self.max_memory
+            );
+            self.rejected
+                .push(RejectedRecord::of(&p, clock, reason, self.cluster_id));
             return;
         }
         // A push never moves `live_from`: on an all-dead storage it

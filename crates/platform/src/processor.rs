@@ -25,23 +25,11 @@ impl Processor {
             memory,
         }
     }
-
-    /// Execution time of `work` operations on this processor.
-    #[inline]
-    pub fn exec_time(&self, work: f64) -> f64 {
-        work / self.speed
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn exec_time_scales_with_speed() {
-        let p = Processor::new("A1", 32.0, 32.0);
-        assert_eq!(p.exec_time(64.0), 2.0);
-    }
 
     #[test]
     #[should_panic(expected = "speed must be positive")]

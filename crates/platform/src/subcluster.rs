@@ -10,7 +10,7 @@
 //! The existing solvers (`dag_het_part`, `dag_het_mem`, the simulator)
 //! are oblivious to leasing: they see an ordinary [`Cluster`] through
 //! [`SubCluster::cluster`] and produce mappings in *local* ids, which
-//! [`SubCluster::to_global`] translates back for fleet-level accounting.
+//! [`SubCluster::global_ids`] translates back for fleet-level accounting.
 
 use crate::cluster::{Cluster, ProcId};
 
@@ -73,23 +73,6 @@ impl SubCluster {
     /// Parent ids of the leased processors, in local-id order.
     pub fn global_ids(&self) -> &[ProcId] {
         &self.global_ids
-    }
-
-    /// Translates a local processor id to the parent's id.
-    ///
-    /// # Panics
-    /// Panics if `local` is out of range for this lease.
-    #[inline]
-    pub fn to_global(&self, local: ProcId) -> ProcId {
-        self.global_ids[local.idx()]
-    }
-
-    /// Translates a parent processor id into this lease, if leased.
-    pub fn to_local(&self, global: ProcId) -> Option<ProcId> {
-        self.global_ids
-            .iter()
-            .position(|&g| g == global)
-            .map(|i| ProcId(i as u32))
     }
 
     /// This lease grown by `extra` parent processors: a fresh view over
@@ -234,10 +217,6 @@ mod tests {
     fn id_translation_roundtrips() {
         let c = parent();
         let sub = c.subcluster(&[ProcId(1), ProcId(2)]);
-        assert_eq!(sub.to_global(ProcId(0)), ProcId(1));
-        assert_eq!(sub.to_global(ProcId(1)), ProcId(2));
-        assert_eq!(sub.to_local(ProcId(2)), Some(ProcId(1)));
-        assert_eq!(sub.to_local(ProcId(0)), None);
         assert_eq!(sub.global_ids(), &[ProcId(1), ProcId(2)]);
     }
 

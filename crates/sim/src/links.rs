@@ -29,15 +29,6 @@ impl LinkModel {
         }
     }
 
-    /// A pessimistic uniform bound: the slowest link speed anywhere.
-    /// Used to price transfers whose endpoints are not both known.
-    pub fn worst_case(&self) -> f64 {
-        match self {
-            LinkModel::Uniform(beta) => *beta,
-            LinkModel::PerProcessor(rates) => rates.iter().copied().fold(f64::INFINITY, f64::min),
-        }
-    }
-
     /// Validates rates are positive.
     pub fn validate(&self) -> bool {
         match self {
@@ -55,7 +46,6 @@ mod tests {
     fn uniform_is_symmetric_constant() {
         let l = LinkModel::Uniform(2.5);
         assert_eq!(l.bandwidth(ProcId(0), ProcId(7)), 2.5);
-        assert_eq!(l.worst_case(), 2.5);
         assert!(l.validate());
     }
 
@@ -64,7 +54,6 @@ mod tests {
         let l = LinkModel::PerProcessor(vec![4.0, 1.0, 2.0]);
         assert_eq!(l.bandwidth(ProcId(0), ProcId(1)), 1.0);
         assert_eq!(l.bandwidth(ProcId(2), ProcId(0)), 2.0);
-        assert_eq!(l.worst_case(), 1.0);
     }
 
     #[test]

@@ -57,12 +57,6 @@ impl Family {
         Family::Soykb,
     ];
 
-    /// The two most fanned-out families per the paper's discussion (§5.2.6).
-    pub const MOST_FANNED: [Family; 2] = [Family::Bwa, Family::Blast];
-
-    /// The two least fanned-out families per the paper's discussion (§5.2.6).
-    pub const LEAST_FANNED: [Family; 2] = [Family::Soykb, Family::Epigenomics];
-
     /// Family name as used in the paper's figures.
     pub fn name(self) -> &'static str {
         match self {

@@ -4,9 +4,8 @@
 //! volumes, 1–1000 for task workloads, and 1–192 for task memory weights,
 //! mimicking the ranges observed in historical trace data.
 
-use dhp_dag::Dag;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Inclusive uniform ranges for the three weight kinds.
@@ -64,53 +63,45 @@ fn draw(rng: &mut StdRng, (lo, hi): (f64, f64)) -> f64 {
     }
 }
 
-/// Overwrites all node and edge weights of `g` with fresh draws from the
-/// model (used after a topology has been constructed).
-pub fn assign_weights(g: &mut Dag, model: &WeightModel, seed: u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    for u in g.node_ids().collect::<Vec<_>>() {
-        let n = g.node_mut(u);
-        n.work = draw(&mut rng, model.work);
-        n.memory = draw(&mut rng, model.memory);
-    }
-    for e in g.edge_ids().collect::<Vec<_>>() {
-        g.edge_mut(e).volume = draw(&mut rng, model.volume);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dhp_dag::builder;
+    use rand::SeedableRng;
+
+    /// `count` draws of each kind, interleaved as a generator makes them.
+    fn draws(model: &WeightModel, seed: u64, count: usize) -> Vec<[f64; 3]> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..count)
+            .map(|_| {
+                [
+                    model.draw_work(&mut rng),
+                    model.draw_memory(&mut rng),
+                    model.draw_volume(&mut rng),
+                ]
+            })
+            .collect()
+    }
 
     #[test]
     fn paper_ranges_respected() {
-        let mut g = builder::gnp_dag(60, 0.2, 5);
-        assign_weights(&mut g, &WeightModel::paper(), 17);
-        for u in g.node_ids() {
-            let n = g.node(u);
-            assert!((1.0..=1000.0).contains(&n.work));
-            assert!((1.0..=192.0).contains(&n.memory));
-        }
-        for e in g.edge_ids() {
-            assert!((1.0..=10.0).contains(&g.edge(e).volume));
+        for [work, memory, volume] in draws(&WeightModel::paper(), 17, 200) {
+            assert!((1.0..=1000.0).contains(&work));
+            assert!((1.0..=192.0).contains(&memory));
+            assert!((1.0..=10.0).contains(&volume));
         }
     }
 
     #[test]
     fn deterministic() {
-        let mut a = builder::gnp_dag(30, 0.2, 5);
-        let mut b = builder::gnp_dag(30, 0.2, 5);
-        assign_weights(&mut a, &WeightModel::paper(), 99);
-        assign_weights(&mut b, &WeightModel::paper(), 99);
-        assert_eq!(a.total_work(), b.total_work());
-        assert_eq!(a.total_volume(), b.total_volume());
+        let a = draws(&WeightModel::paper(), 99, 50);
+        assert_eq!(a, draws(&WeightModel::paper(), 99, 50));
+        assert_ne!(a, draws(&WeightModel::paper(), 98, 50));
     }
 
     #[test]
     fn unit_model_is_constant() {
-        let mut g = builder::gnp_dag(10, 0.3, 1);
-        assign_weights(&mut g, &WeightModel::unit(), 3);
-        assert_eq!(g.total_work(), 10.0);
+        for d in draws(&WeightModel::unit(), 3, 10) {
+            assert_eq!(d, [1.0; 3]);
+        }
     }
 }

@@ -11,13 +11,17 @@
 //! * chaos runs are byte-identically deterministic;
 //! * a member **joining** after the failure strictly improves the mean
 //!   wait over the fail-only run (the Join-rebalancing acceptance
-//!   gate).
+//!   gate);
+//! * every rejection reason a membership plan can cause is recorded
+//!   with its text, its member and `wait = rejected_at - arrival`.
 
+use dhp_online::submission::single_task;
 use dhp_online::{
     fit_cluster, serve_federation_chaos, FailureMode, MembershipPlan, OnlineConfig, RoutingPolicy,
+    Submission,
 };
 use dhp_platform::configs::{cluster, ClusterKind, ClusterSize};
-use dhp_platform::{ClusterSpec, Federation, MemberSpec};
+use dhp_platform::{Cluster, ClusterSpec, Federation, MemberSpec, Processor};
 use dhp_wfgen::arrivals::ArrivalProcess;
 use dhp_wfgen::Family;
 
@@ -240,5 +244,103 @@ fn a_join_after_the_failure_improves_mean_wait() {
         "joining a member after the failure did not improve mean wait: {} vs {}",
         with_join.report.fleet.mean_wait,
         fail_only.report.fleet.mean_wait
+    );
+}
+
+/// The three rejections no golden row names by text, in one run: an
+/// arrival no processor can hold (the arrival screen), the queue of the
+/// last active member when it drains, and arrivals after every member
+/// has left.
+#[test]
+fn every_rejection_reason_names_its_member_and_wait() {
+    let member = Cluster::new(vec![Processor::new("p", 1.0, 100.0); 2], 1.0);
+    let fed = Federation::homogeneous(member, 2);
+    // Twelve one-task workflows at t = 0 keep both queues deep past
+    // t = 10; one at t = 1 needs more memory than any processor has;
+    // two arrive at t = 20, after the last active member has drained.
+    let mut subs: Vec<Submission> = (0..12)
+        .map(|i| single_task(i, 0.0, 50.0, 60.0, "deep"))
+        .collect();
+    subs.push(single_task(12, 1.0, 1.0, 500.0, "oversize"));
+    subs.extend((13..15).map(|i| single_task(i, 20.0, 1.0, 10.0, "late")));
+    let plan = MembershipPlan::new()
+        .fail(0, 5.0, FailureMode::Requeue)
+        .drain(1, 10.0);
+    let out = serve_federation_chaos(
+        &fed,
+        subs.clone(),
+        &OnlineConfig::default(),
+        RoutingPolicy::LeastLoaded,
+        &plan,
+    )
+    .unwrap();
+    let report = &out.report;
+
+    let mut rejected = Vec::new();
+    for (k, c) in report.clusters.iter().enumerate() {
+        for r in &c.rejected {
+            assert_eq!(r.cluster_id, Some(k), "{r:?} is on member {k}'s record");
+            assert_eq!(r.arrival.to_bits(), subs[r.id].arrival.to_bits(), "{r:?}");
+            assert_eq!(
+                r.wait.to_bits(),
+                (r.rejected_at - r.arrival).to_bits(),
+                "{r:?}"
+            );
+            rejected.push(r);
+        }
+    }
+    let with_reason = |text: &str| -> Vec<_> {
+        rejected
+            .iter()
+            .filter(|r| r.reason.contains(text))
+            .copied()
+            .collect()
+    };
+
+    let screened = with_reason("exceeds the largest processor memory");
+    assert_eq!(screened.len(), 1, "{screened:?}");
+    assert_eq!((screened[0].id, screened[0].rejected_at), (12, 1.0));
+    assert_eq!(screened[0].wait, 0.0);
+
+    let left = with_reason("member left the federation with no surviving active member");
+    assert!(
+        !left.is_empty(),
+        "the drained member's queue was not rejected"
+    );
+    for r in &left {
+        assert!(r.id < 12, "{r:?}");
+        assert_eq!((r.cluster_id, r.rejected_at, r.wait), (Some(1), 10.0, 10.0));
+    }
+
+    let none_active = with_reason("no active federation member");
+    let ids: Vec<usize> = none_active.iter().map(|r| r.id).collect();
+    assert_eq!(ids, [13, 14]);
+    for r in &none_active {
+        assert_eq!((r.cluster_id, r.rejected_at, r.wait), (Some(0), 20.0, 0.0));
+    }
+    assert_eq!(
+        rejected.len(),
+        screened.len() + left.len() + none_active.len(),
+        "a rejection with another reason: {rejected:?}"
+    );
+
+    // Every submission ends in exactly one terminal class.
+    let mut ids: Vec<usize> = report
+        .clusters
+        .iter()
+        .flat_map(|c| {
+            c.workflows
+                .iter()
+                .map(|r| r.id)
+                .chain(c.rejected.iter().map(|r| r.id))
+                .chain(c.lost.iter().map(|r| r.id))
+        })
+        .collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (0..subs.len()).collect::<Vec<_>>());
+    let f = &report.fleet;
+    assert_eq!(
+        (f.completed, f.rejected, f.lost),
+        (subs.len() - rejected.len(), rejected.len(), 0)
     );
 }

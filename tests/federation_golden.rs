@@ -32,8 +32,8 @@ mod online_rows;
 
 use dhp_online::submission::repeating_stream;
 use dhp_online::{
-    fit_cluster, serve_federation, serve_federation_chaos, AdmissionPolicy, FailureMode,
-    MembershipPlan, OnlineConfig, RoutingPolicy, Submission,
+    fit_cluster, serve_federation_chaos_with_cache, serve_federation_with_cache, AdmissionPolicy,
+    FailureMode, MembershipPlan, OnlineConfig, RoutingPolicy, SolveCache, Submission,
 };
 use dhp_platform::configs::{cluster, ClusterKind, ClusterSize};
 use dhp_platform::{Cluster, Federation, MemberSpec, ProcSpec, Processor};
@@ -107,20 +107,30 @@ struct Case {
     cfg: OnlineConfig,
     routing: RoutingPolicy,
     plan: Option<MembershipPlan>,
+    /// The solve cache the run starts with.
+    cache: fn() -> SolveCache,
 }
 
 impl Case {
     fn row(&self) -> String {
+        let cache = (self.cache)();
         let out = match &self.plan {
-            Some(plan) => serve_federation_chaos(
+            Some(plan) => serve_federation_chaos_with_cache(
                 &self.federation,
                 self.subs.clone(),
                 &self.cfg,
                 self.routing,
                 plan,
+                &cache,
             )
             .expect("the plan validates against the federation"),
-            None => serve_federation(&self.federation, self.subs.clone(), &self.cfg, self.routing),
+            None => serve_federation_with_cache(
+                &self.federation,
+                self.subs.clone(),
+                &self.cfg,
+                self.routing,
+                &cache,
+            ),
         };
         federation_row(&self.label, &out.report)
     }
@@ -153,6 +163,7 @@ fn cases() -> Vec<Case> {
                             },
                             routing,
                             plan: chaos.then(|| chaos_plan(&member)),
+                            cache: SolveCache::new,
                         });
                     }
                 }
@@ -185,6 +196,7 @@ fn cases() -> Vec<Case> {
                     },
                     routing,
                     plan: None,
+                    cache: SolveCache::new,
                 });
             }
         }
@@ -203,12 +215,17 @@ fn cases() -> Vec<Case> {
                 cfg: OnlineConfig::default(),
                 routing,
                 plan: None,
+                cache: SolveCache::new,
             });
         }
     }
 
     let (member, subs) = dag_trace(&ArrivalProcess::Poisson { rate: 0.05 }, 30);
-    for (label, solve_cache, cache_cap) in [("nocache", false, None), ("capped", true, Some(3))] {
+    let caches = [
+        ("nocache", SolveCache::disabled as fn() -> SolveCache),
+        ("capped", || SolveCache::with_capacity(3)),
+    ];
+    for (label, cache) in caches {
         cases.push(Case {
             label: format!("{label} poisson least-loaded fifo-backfill elastic-on"),
             federation: Federation::homogeneous(member.clone(), 3),
@@ -217,12 +234,11 @@ fn cases() -> Vec<Case> {
                 policy: AdmissionPolicy::FifoBackfill,
                 elastic: Some(2),
                 elastic_shrink: Some(4),
-                solve_cache,
-                cache_cap,
                 ..OnlineConfig::default()
             },
             routing: RoutingPolicy::LeastLoaded,
             plan: None,
+            cache,
         });
     }
     cases

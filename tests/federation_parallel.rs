@@ -16,8 +16,8 @@
 mod online_rows;
 
 use dhp_online::{
-    fit_cluster, serve_federation, serve_federation_chaos, FailureMode, FederationReport,
-    MembershipPlan, OnlineConfig, RoutingPolicy, Submission,
+    fit_cluster, serve_federation_chaos_with_cache, serve_federation_with_cache, FailureMode,
+    FederationReport, MembershipPlan, OnlineConfig, RoutingPolicy, SolveCache, Submission,
 };
 use dhp_platform::configs::{cluster, ClusterKind, ClusterSize};
 use dhp_platform::Federation;
@@ -60,17 +60,27 @@ struct Case {
     cfg: OnlineConfig,
     routing: RoutingPolicy,
     chaos: bool,
+    /// The solve cache the run starts with.
+    cache: fn() -> SolveCache,
 }
 
 impl Case {
     fn serve(&self) -> FederationReport {
-        let subs = self.subs.clone();
+        let (subs, cache) = (self.subs.clone(), (self.cache)());
         if self.chaos {
-            serve_federation_chaos(&self.fed, subs, &self.cfg, self.routing, &chaos_plan())
-                .expect("the plan validates against a 3-member federation")
-                .report
+            let plan = chaos_plan();
+            serve_federation_chaos_with_cache(
+                &self.fed,
+                subs,
+                &self.cfg,
+                self.routing,
+                &plan,
+                &cache,
+            )
+            .expect("the plan validates against a 3-member federation")
+            .report
         } else {
-            serve_federation(&self.fed, subs, &self.cfg, self.routing).report
+            serve_federation_with_cache(&self.fed, subs, &self.cfg, self.routing, &cache).report
         }
     }
 
@@ -118,6 +128,7 @@ fn matrix() -> Vec<Case> {
                         },
                         routing,
                         chaos,
+                        cache: SolveCache::new,
                     });
                 }
             }
@@ -135,12 +146,10 @@ fn capped() -> Vec<Case> {
             label: format!("capped uniform {}", routing.name()),
             fed: fed.clone(),
             subs: subs.clone(),
-            cfg: OnlineConfig {
-                cache_cap: Some(3),
-                ..OnlineConfig::default()
-            },
+            cfg: OnlineConfig::default(),
             routing,
             chaos: false,
+            cache: || SolveCache::with_capacity(3),
         })
         .collect()
 }
@@ -158,6 +167,7 @@ fn stress() -> Case {
         },
         routing: RoutingPolicy::LeastLoaded,
         chaos: true,
+        cache: SolveCache::new,
     }
 }
 

@@ -38,10 +38,14 @@ fn run(
 ) -> ServeOutcome {
     let cfg = OnlineConfig {
         policy,
-        solve_cache: cached,
         ..OnlineConfig::default()
     };
-    serve(cluster, subs, &cfg)
+    let cache = if cached {
+        SolveCache::new()
+    } else {
+        SolveCache::disabled()
+    };
+    serve_with_cache(cluster, subs, &cfg, &cache)
 }
 
 /// JSON of the report with the solver-effort counters zeroed: the only

@@ -22,8 +22,8 @@ use dhp_core::partial::SolveCache;
 use dhp_core::persist::temp_sibling;
 use dhp_dag::fingerprint::fnv1a_bytes;
 use dhp_online::{
-    serve, serve_federation, AdmissionPolicy, OnlineConfig, PersistSpec, RoutingPolicy,
-    ServeOutcome, Submission,
+    serve, serve_federation, serve_with_cache, AdmissionPolicy, OnlineConfig, PersistSpec,
+    RoutingPolicy, ServeOutcome, Submission,
 };
 use dhp_platform::{Cluster, Federation, Processor};
 use dhp_wfgen::arrivals::ArrivalProcess;
@@ -366,12 +366,16 @@ fn cold_elastic_case(snap: &Path) -> (Cluster, Vec<Submission>, OnlineConfig) {
         policy: AdmissionPolicy::FifoBackfill,
         elastic: Some(2),
         elastic_shrink: Some(2),
-        // A capped cache runs the baseline batch on one worker, so the
-        // batch's LRU stamps do not depend on thread interleaving.
-        cache_cap: Some(1 << 20),
         ..persist_cfg(snap)
     };
     (cluster, subs, cfg)
+}
+
+/// Serves [`cold_elastic_case`] on a capped cache: it runs the baseline
+/// batch on one worker, so the batch's LRU stamps do not depend on
+/// thread interleaving.
+fn serve_capped(cluster: &Cluster, subs: Vec<Submission>, cfg: &OnlineConfig) -> ServeOutcome {
+    serve_with_cache(cluster, subs, cfg, &SolveCache::with_capacity(1 << 20))
 }
 
 #[test]
@@ -379,7 +383,7 @@ fn a_cold_elastic_runs_snapshot_bytes_are_pinned_and_reload_exactly() {
     let dir = scratch("snapshot-pin");
     let snap = dir.join("cache.bin");
     let (cluster, subs, cfg) = cold_elastic_case(&snap);
-    let cold = serve(&cluster, subs, &cfg);
+    let cold = serve_capped(&cluster, subs, &cfg);
     assert!(cold.report.recovery.is_none());
     assert_eq!(
         (
@@ -418,7 +422,7 @@ fn single_cluster_autosave_changes_neither_the_report_nor_the_snapshot() {
         if let Some(spec) = cfg.persist.as_mut() {
             spec.autosave = autosave;
         }
-        let out = serve(&cluster, subs, &cfg);
+        let out = serve_capped(&cluster, subs, &cfg);
         assert!(out.report.recovery.is_none(), "{tag}");
         (out.report.to_json(), std::fs::read(&snap).unwrap())
     };
