@@ -169,6 +169,10 @@ fn sweep(
     if g.is_empty() || cluster.is_empty() {
         return Err(SchedError::NoSolution);
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "`MappingResult::elapsed` reports solver wall time; no decision reads it"
+    )]
     let start = Instant::now();
     let k = cluster.len();
     let kprimes: Vec<usize> = match cfg.kprime {

@@ -57,13 +57,15 @@
 //! stores numbers as `f64`, which cannot represent full-range 64-bit
 //! integers exactly, and a warm start must round-trip bit-exactly.
 
+// Digest-pinned output: no hash-ordered collection may reach it.
+#![deny(clippy::disallowed_types)]
+
 use crate::metrics::MappingResult;
 use crate::partial::{Algorithm, SimOutcome, SolveCache, SolveCacheStats};
 use dhp_dag::fingerprint::fnv1a_bytes;
 use dhp_dag::Partition;
 use dhp_platform::ProcId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::io::Write;
 use std::path::Path;
 use std::time::Duration;
@@ -514,7 +516,8 @@ impl SolveCache {
         // A sim is memoized on its solve: one whose key the snapshot
         // does not leave solved (last record wins, as on restore) has
         // nowhere to go.
-        let solved: HashMap<_, bool> = solves
+        #[expect(clippy::disallowed_types, reason = "membership only, never iterated")]
+        let solved: std::collections::HashMap<_, bool> = solves
             .iter()
             .map(|(key, local, _)| (*key, local.is_some()))
             .collect();

@@ -351,9 +351,24 @@ mod tests {
                 },
                 120.0,
             );
+        // Each kind's unused fields stay out of its JSON.
+        let event = |i: usize| serde_json::to_string(&plan.events[i]).unwrap();
+        assert!(!event(0).contains("mode") && !event(0).contains("spec"));
+        assert!(event(1).contains("mode") && !event(1).contains("spec"));
+        assert!(!event(2).contains("member") && !event(2).contains("mode"));
         let back = MembershipPlan::from_json(&plan.to_json()).unwrap();
         assert_eq!(back.events.len(), 3);
         assert_eq!(back.to_json(), plan.to_json());
+        // A drain + fail plan's JSON with every `#[serde(default)]` key
+        // removed still parses, to the defaults.
+        let bare = MembershipPlan::from_json(
+            r#"{"events": [{"kind": "drain", "at": 50}, {"kind": "fail", "at": 80}]}"#,
+        )
+        .unwrap();
+        assert_eq!(bare.events.len(), 2);
+        for e in &bare.events {
+            assert!(e.member.is_none() && e.mode.is_none() && e.spec.is_none());
+        }
         let events = back.resolve(2).unwrap();
         assert_eq!(events.len(), 3);
         assert!(matches!(

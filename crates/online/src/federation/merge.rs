@@ -1,6 +1,9 @@
 //! Report assembly: per-member finalisation, fleet-metric merging, and
 //! the serialisable [`FederationReport`].
 
+// Digest-pinned output: no hash-ordered collection may reach it.
+#![deny(clippy::disallowed_types)]
+
 use super::routing::RoutingPolicy;
 use super::shard::MemberShard;
 use crate::engine::{finalize, OnlineConfig, ServeOutcome};
@@ -9,7 +12,7 @@ use crate::submission::peak_overlap_of;
 use dhp_core::partial::SolveCache;
 use serde::{Deserialize, Serialize};
 #[cfg(debug_assertions)]
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Everything one federated serving run reports: per-cluster
 /// [`ServeReport`]s plus fleet-level merged metrics.
@@ -157,7 +160,7 @@ pub(super) fn assemble(
 pub(super) fn merge_fleet(clusters: &[ServeReport], total_procs: usize) -> FleetMetrics {
     #[cfg(debug_assertions)]
     {
-        let mut seen: HashSet<usize> = HashSet::new();
+        let mut seen: BTreeSet<usize> = BTreeSet::new();
         for (i, c) in clusters.iter().enumerate() {
             debug_assert_eq!(
                 c.fleet.completed,
@@ -321,8 +324,28 @@ mod tests {
             },
             RoutingPolicy::BestFit,
         );
-        let back: FederationReport = serde_json::from_str(&out.report.to_json()).unwrap();
+        let json = out.report.to_json();
+        assert!(!json.contains("recovery"));
+        let back: FederationReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, out.report);
+        // A report's JSON with every `#[serde(default)]` key removed
+        // still parses, to the defaults.
+        let bare: FederationReport = serde_json::from_str(
+            r#"{
+                "routing": "best-fit", "policy": "fifo", "algorithm": "daghetpart",
+                "total_procs": 4, "clusters": [],
+                "fleet": {
+                    "completed": 1, "rejected": 1, "horizon": 12.5, "window_start": 0,
+                    "throughput": 0.08, "utilization": 0.5, "mean_wait": 0, "max_wait": 0,
+                    "mean_stretch": 1.25, "max_stretch": 1.25, "mean_slowdown": 1,
+                    "max_slowdown": 1, "mean_lease": 2, "peak_concurrency": 1
+                }
+            }"#,
+        )
+        .unwrap();
+        assert_eq!((bare.total_procs, bare.fleet.completed), (4, 1));
+        assert_eq!((bare.spillovers, bare.fleet.solve_cache_hits), (0, 0));
+        assert_eq!(bare.recovery, None);
         let s = out.report.summary();
         assert!(s.contains("routing best-fit"), "{s}");
         assert!(s.contains("cluster 0"), "{s}");

@@ -1,6 +1,9 @@
 //! Serialisable results of one serving run: per-workflow records and
 //! fleet-level aggregates.
 
+// Digest-pinned output: no hash-ordered collection may reach it.
+#![deny(clippy::disallowed_types)]
+
 use crate::state::Pending;
 use serde::{Deserialize, Serialize};
 
@@ -461,13 +464,15 @@ mod tests {
     #[test]
     fn chaos_fields_stay_out_of_the_json_until_used() {
         // Pre-chaos reports must keep their schema byte-for-byte: the
-        // new fields only appear once a shrink or a loss happened.
+        // new fields only appear once a shrink or a loss happened, and
+        // `cluster_id` only once a federation member served the record.
         let json = sample().to_json();
         assert!(!json.contains("lease_shrunk"));
         assert!(!json.contains("\"lost\""));
         assert!(!json.contains("requeues"));
         assert!(!json.contains("sim_cache"));
         assert!(!json.contains("recovery"));
+        assert!(!json.contains("cluster_id"));
 
         let mut r = sample();
         r.lost.push(LostRecord {
@@ -477,9 +482,16 @@ mod tests {
             arrival: 1.0,
             start: 3.0,
             failed_at: 7.5,
-            cluster_id: Some(1),
+            cluster_id: None,
         });
         r.fleet.lost = 1;
+        let json = r.to_json();
+        assert!(json.contains("failed_at"));
+        assert!(!json.contains("cluster_id"));
+
+        r.workflows[0].cluster_id = Some(0);
+        r.rejected[0].cluster_id = Some(1);
+        r.lost[0].cluster_id = Some(1);
         r.fleet.lease_shrunk = 2;
         r.fleet.requeues = 1;
         r.workflows[0].requeues = 1;
@@ -487,7 +499,7 @@ mod tests {
         r.fleet.sim_cache_misses = 2;
         r.recovery = Some("cold start: snapshot is truncated".into());
         let json = r.to_json();
-        assert!(json.contains("failed_at"));
+        assert_eq!(json.matches("cluster_id").count(), 3);
         assert!(json.contains("lease_shrunk"));
         assert!(json.contains("requeues"));
         assert!(json.contains("sim_cache_hits"));
@@ -496,13 +508,43 @@ mod tests {
         assert_eq!(back, r);
     }
 
+    /// `sample()`'s JSON with every `#[serde(default)]` key removed (the
+    /// skipped ones are absent anyway): a report written before those
+    /// fields existed. A field added without `#[serde(default)]` makes
+    /// it unparseable.
+    const SAMPLE_WITHOUT_DEFAULTED_KEYS: &str = r#"{
+        "policy": "fifo", "algorithm": "daghetpart", "cluster_procs": 4, "bandwidth": 1,
+        "workflows": [{
+            "id": 0, "name": "blast-30-0", "tasks": 30, "arrival": 0, "start": 0,
+            "finish": 12.5, "wait": 0, "service": 12.5, "response": 12.5, "slowdown": 1,
+            "stretch": 1.25, "baseline_makespan": 10, "model_makespan": 13, "lease": [1, 3],
+            "blocks": 2
+        }],
+        "rejected": [{
+            "id": 1, "name": "blast-99-0", "arrival": 2, "rejected_at": 6, "wait": 4,
+            "reason": "too big"
+        }],
+        "fleet": {
+            "completed": 1, "rejected": 1, "horizon": 12.5, "window_start": 0,
+            "throughput": 0.08, "utilization": 0.5, "mean_wait": 0, "max_wait": 0,
+            "mean_stretch": 1.25, "max_stretch": 1.25, "mean_slowdown": 1, "max_slowdown": 1,
+            "mean_lease": 2, "peak_concurrency": 1
+        }
+    }"#;
+
     #[test]
     fn reports_without_stats_fields_still_deserialize() {
-        // `#[serde(default)]` keeps pre-cache JSON reports loadable.
-        let mut r = sample();
-        r.fleet.clear_solve_stats();
-        let json = r.to_json();
-        let back: ServeReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.fleet.solve_cache_misses, 0);
+        // `#[serde(default)]` keeps reports written before a field
+        // existed loadable: the literal lacks every defaulted key.
+        let back: ServeReport = serde_json::from_str(SAMPLE_WITHOUT_DEFAULTED_KEYS).unwrap();
+        let mut want = sample();
+        want.fleet.clear_solve_stats();
+        assert_eq!(back, want);
+        let lost: LostRecord = serde_json::from_str(
+            r#"{"id": 2, "name": "blast-30-1", "tasks": 30, "arrival": 1, "start": 3,
+                "failed_at": 7.5}"#,
+        )
+        .unwrap();
+        assert_eq!(lost.cluster_id, None);
     }
 }

@@ -37,6 +37,10 @@ fn main() {
         cluster.max_memory()
     );
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the example prints each heuristic's runtime"
+    )]
     let t0 = std::time::Instant::now();
     let mem = dag_het_mem(&inst.graph, &cluster);
     let mem_time = t0.elapsed();

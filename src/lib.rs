@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 //! Workspace facade: re-exports every `dhp-*` crate under one roof so
 //! the repository-level examples and integration tests (and downstream
