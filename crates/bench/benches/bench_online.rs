@@ -9,13 +9,14 @@
 //! first time and every time after (`bench_arrival_facts`), and what
 //! one warm admission pass over a blocked backfill window costs at
 //! growing queue depth and behind a growing tombstoned prefix
-//! (`bench_backfill_window`).
+//! (`bench_backfill_window`), and what writing and parsing one deep
+//! backlog's JSON report costs (`bench_report`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dhp_online::admission::{BackfillWindow, WarmProbeCase, WarmProbes};
 use dhp_online::{
     fit_cluster, serve, serve_federation_with_cache, serve_with_cache, AdmissionPolicy,
-    LeaseSizing, OnlineConfig, RoutingPolicy, SolveCache,
+    LeaseSizing, OnlineConfig, RoutingPolicy, ServeReport, SolveCache,
 };
 use dhp_platform::configs::{self, ClusterKind, ClusterSize};
 use dhp_platform::Federation;
@@ -240,6 +241,43 @@ fn bench_warm_serving(c: &mut Criterion) {
     group.finish();
 }
 
+/// The report of one 5,600-submission backlog call (the size of one
+/// `online_warm_backlog` call in `benchmark/`, whose warm reports differ
+/// only in their cache counters), written as the pretty JSON
+/// `ServeReport::to_json` returns and parsed back.
+fn bench_report(c: &mut Criterion) {
+    let subs = dhp_online::submission::repeating_stream(
+        60,
+        5600,
+        &[Family::Blast, Family::Seismology, Family::Genome],
+        (8, 48),
+        &ArrivalProcess::Uniform { interval: 25.0 },
+        17,
+    );
+    let member = fit_cluster(
+        &configs::cluster(ClusterKind::LessHet, ClusterSize::Small),
+        &subs,
+        1.05,
+    );
+    let cfg = OnlineConfig {
+        policy: AdmissionPolicy::FifoBackfill,
+        ..OnlineConfig::default()
+    };
+    let report = serve(&member, subs, &cfg).report;
+    let json = report.to_json();
+
+    let mut group = c.benchmark_group("report");
+    group.sample_size(10);
+    let records = report.workflows.len() + report.rejected.len();
+    group.bench_with_input(BenchmarkId::new("to_json", records), &records, |b, _| {
+        b.iter(|| black_box(&report).to_json())
+    });
+    group.bench_with_input(BenchmarkId::new("from_str", records), &records, |b, _| {
+        b.iter(|| serde_json::from_str::<ServeReport>(black_box(&json)))
+    });
+    group.finish();
+}
+
 /// The two arms of the serve loop's arrival table, as the public
 /// kernels each consists of: the first sight of a graph derives its
 /// three facts (total work, hottest task, fingerprint); a repeat is
@@ -337,6 +375,7 @@ criterion_group!(
     bench_backfill_and_load_aware,
     bench_solve_cache,
     bench_warm_serving,
+    bench_report,
     bench_arrival_facts,
     bench_backfill_window,
     bench_warm_probe

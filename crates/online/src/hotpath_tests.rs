@@ -744,3 +744,34 @@ fn a_fully_screened_spill_sweep_allocates_nothing() {
     assert_eq!(shards[0].state.queue_len(), 8);
     assert_eq!(cache.stats(), Default::default(), "a screened sweep probed");
 }
+
+/// Serialising a report writes straight into the one output buffer:
+/// its growth (one doubling at a time, about log2 of the text's length)
+/// is the whole allocation count, at 10 records or 1,000.
+#[test]
+fn report_json_allocates_only_its_output_buffer() {
+    let cluster = dhp_platform::configs::small_cluster();
+    let subs = (0..4)
+        .map(|id| single_task(id, id as f64, 1.0 + id as f64, 1.0, &format!("json-{id}")))
+        .collect();
+    let out = serve_with_cache(&cluster, subs, &OnlineConfig::default(), &SolveCache::new());
+    let template = out.report;
+    assert_eq!(template.workflows.len(), 4);
+    for records in [10usize, 1_000] {
+        let mut report = template.clone();
+        report.workflows = (0..records)
+            .map(|i| {
+                let mut r = template.workflows[i % 4].clone();
+                r.id = i;
+                r
+            })
+            .collect();
+        let mut json = String::new();
+        let n = allocations_in(|| json = report.to_json());
+        assert!(
+            n <= 24,
+            "{records} records: {n} allocations for {} bytes of JSON",
+            json.len()
+        );
+    }
+}
