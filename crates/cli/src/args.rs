@@ -166,13 +166,18 @@ impl Args {
         self.get(key).ok_or_else(|| format!("missing --{key}"))
     }
 
-    /// Numeric flag with a default.
+    /// Finite numeric flag with a default. `NaN` and `±inf` parse as
+    /// `f64` but pass no range check (`NaN < 1.0` is false), so they are
+    /// usage errors with the flag named, like a token that does not
+    /// parse.
     pub fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
         match self.get(key) {
             None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key}: not a number: {v:?}")),
+            Some(v) => match v.parse::<f64>() {
+                Ok(x) if x.is_finite() => Ok(x),
+                Ok(_) => Err(format!("--{key}: not a finite number: {v:?}")),
+                Err(_) => Err(format!("--{key}: not a number: {v:?}")),
+            },
         }
     }
 
@@ -278,6 +283,20 @@ mod tests {
         assert!(a.get_f64("bandwidth", 1.0).unwrap_err().contains("abc"));
         let a = parse("generate --tasks 1.5").unwrap();
         assert!(a.get_usize("tasks", 1).is_err());
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected_with_the_flag_named() {
+        for v in ["NaN", "nan", "inf", "-inf", "infinity", "1e999"] {
+            let a = parse(&format!("queue --headroom {v}")).unwrap();
+            let err = a.get_f64("headroom", 1.05).unwrap_err();
+            assert!(
+                err.contains("--headroom") && err.contains("finite"),
+                "{v}: {err}"
+            );
+        }
+        let a = parse("queue --rate -0.5").unwrap();
+        assert_eq!(a.get_f64("rate", 0.05).unwrap(), -0.5);
     }
 
     #[test]

@@ -426,6 +426,19 @@ mod tests {
     }
 
     #[test]
+    fn schedule_rejects_a_non_finite_headroom() {
+        let wf = tmp("headroom.json");
+        cli(&format!("generate --family blast --tasks 50 --output {wf}")).unwrap();
+        for v in ["NaN", "inf", "-inf"] {
+            let err = cli(&format!("schedule --workflow {wf} --headroom {v}")).unwrap_err();
+            assert!(
+                err.contains("--headroom") && err.contains("finite"),
+                "{v}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn helpful_errors() {
         assert!(cli("schedule").unwrap_err().contains("--workflow"));
         assert!(cli("frobnicate")

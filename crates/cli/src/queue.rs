@@ -403,6 +403,28 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_numeric_flags_are_usage_errors() {
+        // `NaN < 1.0` is false, so a NaN headroom used to pass the range
+        // check and trip the fitting assertion; `inf` ran on infinite
+        // memories.
+        for (flag, line) in [
+            ("--headroom", "queue --workflows 2 --headroom NaN"),
+            ("--headroom", "queue --workflows 2 --headroom inf"),
+            ("--rate", "queue --workflows 2 --process poisson --rate NaN"),
+            (
+                "--interval",
+                "queue --workflows 2 --process uniform --interval inf",
+            ),
+        ] {
+            let err = cli(line).unwrap_err();
+            assert!(
+                err.contains(flag) && err.contains("finite"),
+                "{line}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn zero_unique_and_zero_elastic_are_usage_errors() {
         // An explicit `--unique 0` used to fall through to the
         // all-distinct default; it now fails loudly, as does a

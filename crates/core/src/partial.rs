@@ -12,6 +12,14 @@
 //! returns both forms of the mapping: `local` (lease-relative ids, the
 //! form the simulator consumes together with the lease view) and
 //! `global` (parent ids, the form fleet bookkeeping consumes).
+//!
+//! The online engine asks for those solves through a [`SolveCache`]
+//! keyed by `(fingerprint, lease shape, algorithm, config hash)`. A
+//! [`Solver`] binds the last two once — the algorithm, its settings and
+//! the settings' hash — and a [`CacheView`] probes the cache with one
+//! bound solver, so this module alone decides how a probe is keyed:
+//! callers pass a graph and a lease, never the algorithm, the settings
+//! or the hash.
 
 use crate::baseline::dag_het_mem;
 use crate::daghetpart::{dag_het_part, DagHetPartConfig};
@@ -159,8 +167,8 @@ pub struct SuffixSolve {
 }
 
 /// Extracts the induced sub-DAG over `suffix` (original node ids of
-/// `g`, any order, duplicates ignored) and schedules it on `sub`
-/// through `cache` — the solve entry point of elastic lease growth.
+/// `g`, any order, duplicates ignored) and schedules it on `sub` with
+/// `cache`'s solver — the solve entry point of elastic lease growth.
 ///
 /// Cross-boundary files (edges from already-executed tasks into the
 /// suffix) are dropped by the induced subgraph: the caller releases
@@ -176,10 +184,7 @@ pub fn solve_suffix(
     g: &Dag,
     suffix: &[dhp_dag::NodeId],
     sub: &SubCluster,
-    algorithm: Algorithm,
-    cfg: &DagHetPartConfig,
     cache: &CacheView,
-    config_hash: u64,
 ) -> Result<SuffixSolve, SchedError> {
     assert!(!suffix.is_empty(), "cannot re-solve an empty suffix");
     let mut sorted = suffix.to_vec();
@@ -189,13 +194,8 @@ pub fn solve_suffix(
     let fingerprint = dag.fingerprint();
     // The whole view in view order: its shape is `sub`'s signature.
     let ids: Vec<ProcId> = sub.cluster().proc_ids().collect();
-    let key = cache.key(
-        fingerprint,
-        sub.cluster().shape_of_slice(&ids),
-        algorithm,
-        config_hash,
-    );
-    let local = cache.solve_keyed(key, &dag, sub.cluster(), &ids, cfg)?;
+    let key = cache.key(fingerprint, sub.cluster().shape_of_slice(&ids));
+    let local = cache.solve_keyed(key, &dag, sub.cluster(), &ids)?;
     let global = remap_to_parent(sub.global_ids(), &local.mapping);
     Ok(SuffixSolve {
         dag,
@@ -461,7 +461,7 @@ impl Store {
 }
 
 /// Outcome of one probe against the shared store, for exact per-caller
-/// attribution (a [`CacheView::live`] charges these to its account).
+/// attribution (a [`CacheView::charging`] view charges these to its account).
 struct CacheProbe {
     hit: bool,
     evictions: u64,
@@ -507,10 +507,9 @@ pub struct SolveCache {
 }
 
 impl Default for SolveCache {
-    /// The disabled pass-through cache (mirrors
-    /// [`SolveCache::disabled`]).
+    /// An empty, enabled, unbounded cache, as [`SolveCache::new`].
     fn default() -> Self {
-        SolveCache::disabled()
+        SolveCache::new()
     }
 }
 
@@ -621,8 +620,8 @@ impl SolveCache {
     /// refreshing the entry's LRU stamp — or runs `solve` (with the
     /// lock released) and memoizes its outcome, `NoSolution` included.
     /// Also reports what the probe did to the store — a
-    /// [`CacheView::live`] charges exactly this outcome to its account,
-    /// with no global-counter diffing.
+    /// [`CacheView::charging`] view charges exactly this outcome to its
+    /// account, with no global-counter diffing.
     fn lookup_or_solve(
         &self,
         key: ProbeKey,
@@ -867,17 +866,47 @@ impl SolveCache {
     }
 }
 
+/// One solver bound for probing: the algorithm, its DagHetPart settings
+/// (ignored by DagHetMem) and their [`SolveCache::config_hash`],
+/// computed once here. A [`CacheView`] keys every probe by it and runs
+/// it on a miss, so making a view neither hashes nor allocates.
+#[derive(Clone, Debug)]
+pub struct Solver {
+    algorithm: Algorithm,
+    cfg: DagHetPartConfig,
+    config_hash: u64,
+}
+
+impl Solver {
+    /// Binds `algorithm` with its settings `cfg`, hashing them once.
+    pub fn new(algorithm: Algorithm, cfg: DagHetPartConfig) -> Solver {
+        let config_hash = SolveCache::config_hash(&cfg);
+        Solver {
+            algorithm,
+            cfg,
+            config_hash,
+        }
+    }
+
+    /// The settings' hash: the last word of every key this solver's
+    /// probes make, and the header a snapshot of them is saved under.
+    pub fn config_hash(&self) -> u64 {
+        self.config_hash
+    }
+}
+
 /// A borrowing handle the scheduling layers (admission, lease growth,
-/// suffix solves) probe instead of the raw [`SolveCache`], fixing *who*
-/// is charged for each probe:
+/// suffix solves) probe instead of the raw [`SolveCache`]. It binds the
+/// [`Solver`] every probe is keyed by and runs on a miss, and fixes
+/// *who* is charged for each probe:
 ///
 /// * [`CacheView::direct`] — charge only the store's global counters.
-///   The baseline batch's view; byte-identical to probing the
-///   [`SolveCache`] itself.
-/// * [`CacheView::live`] — additionally charge the exact probe outcome
-///   (hit/miss, evictions, sim hit/miss) to an account: the serve
-///   loop's member (the single cluster's only one) whose step, routing
-///   or spillover caused the probe.
+///   The serve loop's view and the baseline batch's; byte-identical to
+///   probing the [`SolveCache`] itself.
+/// * [`CacheView::charging`] — the same view, additionally charging the
+///   exact probe outcome (hit/miss, evictions, sim hit/miss) to an
+///   account: the serve loop's member (the single cluster's only one)
+///   whose step, routing or spillover caused the probe.
 ///
 /// Both probe the shared store in place: an insert is visible to the
 /// very next probe, whoever makes it.
@@ -895,23 +924,31 @@ impl SolveCache {
 #[derive(Debug)]
 pub struct CacheView<'a> {
     cache: &'a SolveCache,
+    solver: &'a Solver,
     account: Option<&'a Cell<SolveCacheStats>>,
 }
 
 impl<'a> CacheView<'a> {
-    /// A view that charges only the store's global counters.
-    pub fn direct(cache: &'a SolveCache) -> Self {
+    /// A view that probes `cache` with `solver` and charges only the
+    /// store's global counters.
+    pub fn direct(cache: &'a SolveCache, solver: &'a Solver) -> Self {
         CacheView {
             cache,
+            solver,
             account: None,
         }
     }
 
-    /// A view that also charges each probe's exact outcome to `account`
-    /// (no global-counter diffing).
-    pub fn live(cache: &'a SolveCache, account: &'a mut SolveCacheStats) -> Self {
+    /// This view's cache and solver, charging each probe's exact
+    /// outcome to `account` as well (no global-counter diffing) — in
+    /// place of any account this view charges.
+    pub fn charging<'b>(&self, account: &'b mut SolveCacheStats) -> CacheView<'b>
+    where
+        'a: 'b,
+    {
         CacheView {
-            cache,
+            cache: self.cache,
+            solver: self.solver,
             account: Some(Cell::from_mut(account)),
         }
     }
@@ -938,58 +975,59 @@ impl<'a> CacheView<'a> {
     ///
     /// The store is probed through the same core as
     /// [`SolveCache::schedule`] — one hit or miss, one recency tick, any
-    /// LRU evictions the insert causes — and a live view charges the
+    /// LRU evictions the insert causes — and a charging view charges the
     /// same to its account.
-    #[allow(clippy::too_many_arguments)]
     pub fn solve(
         &self,
         g: &Dag,
         fingerprint: u64,
         cluster: &Cluster,
         ids: &[ProcId],
-        algorithm: Algorithm,
-        cfg: &DagHetPartConfig,
-        config_hash: u64,
     ) -> Result<Arc<MappingResult>, SchedError> {
-        let key = self.key(
-            fingerprint,
-            cluster.shape_of_slice(ids),
-            algorithm,
-            config_hash,
-        );
-        self.solve_keyed(key, g, cluster, ids, cfg)
+        let key = self.key(fingerprint, cluster.shape_of_slice(ids));
+        self.solve_keyed(key, g, cluster, ids)
     }
 
-    /// The key `(fingerprint, shape, algorithm, config_hash)`, for a
-    /// probe that asks both memos ([`CacheView::solve_keyed`], then
+    /// The key `(fingerprint, shape, algorithm, config hash)` of this
+    /// view's solver, for a probe that asks both memos
+    /// ([`CacheView::solve_keyed`], then
     /// [`CacheView::sim_outcome_keyed`]). Touches no entry and no
     /// counter.
-    pub fn key(
-        &self,
-        fingerprint: u64,
-        shape: u64,
-        algorithm: Algorithm,
-        config_hash: u64,
-    ) -> ProbeKey {
-        ProbeKey((fingerprint, shape, algorithm, config_hash))
+    pub fn key(&self, fingerprint: u64, shape: u64) -> ProbeKey {
+        let solver = self.solver;
+        ProbeKey((fingerprint, shape, solver.algorithm, solver.config_hash))
     }
 
-    /// [`CacheView::solve`] on a key already made: `key`'s shape must
-    /// be `cluster.shape_of_slice(ids)`, and a miss solves `g` with
-    /// `key`'s algorithm on the lease `ids`. Same answer, same counter
-    /// moves, same recency tick; only the shape is not hashed again.
+    /// Whether a *solved* entry is memoized under this view's key for
+    /// `(fingerprint, shape)`: [`SolveCache::is_warm`], a pure peek
+    /// that counts nothing and refreshes no stamp.
+    pub fn is_warm(&self, fingerprint: u64, shape: u64) -> bool {
+        let (fingerprint, shape, algorithm, config_hash) = self.key(fingerprint, shape).0;
+        self.cache
+            .is_warm(fingerprint, shape, algorithm, config_hash)
+    }
+
+    /// [`CacheView::solve`] on a key already made: `key` must be this
+    /// view's for `cluster.shape_of_slice(ids)`, and a miss solves `g`
+    /// with the view's solver on the lease `ids`. Same answer, same
+    /// counter moves, same recency tick; only the shape is not hashed
+    /// again.
     pub fn solve_keyed(
         &self,
         key: ProbeKey,
         g: &Dag,
         cluster: &Cluster,
         ids: &[ProcId],
-        cfg: &DagHetPartConfig,
     ) -> Result<Arc<MappingResult>, SchedError> {
-        let (_, shape, algorithm, _) = key.0;
-        debug_assert_eq!(shape, cluster.shape_of_slice(ids), "a key of another lease");
+        let (fingerprint, ..) = key.0;
+        debug_assert_eq!(
+            key.0,
+            self.key(fingerprint, cluster.shape_of_slice(ids)).0,
+            "a key of another lease or solver"
+        );
+        let Solver { algorithm, cfg, .. } = self.solver;
         let (outcome, probe) = self.cache.lookup_or_solve(key, || {
-            solve_local(g, cluster.subcluster(ids).cluster(), algorithm, cfg)
+            solve_local(g, cluster.subcluster(ids).cluster(), *algorithm, cfg)
         });
         self.charge(|acc| {
             if probe.hit {
@@ -1006,7 +1044,7 @@ impl<'a> CacheView<'a> {
     /// one hash of the key, exactly as [`CacheView::solve_keyed`] and
     /// then (when `with_sim`) [`CacheView::sim_outcome_keyed`] would on
     /// a hit — one recency tick, the entry's stamp refreshed, one hit,
-    /// and one sim hit when the entry's sim is memoized — and a live
+    /// and one sim hit when the entry's sim is memoized — and a charging
     /// view charges the same. It returns the sim's makespan instead of
     /// the memoized values, so it clones no [`Arc`] and allocates
     /// nothing: an admission probe decides an overshoot on the
@@ -1046,7 +1084,7 @@ impl<'a> CacheView<'a> {
     /// this solves again through [`CacheView::solve_keyed`] — which
     /// counts that probe — and returns no sim; the solvers are
     /// deterministic, so the answer is the one the probe found. `key`,
-    /// `g`, `cluster`, `ids` and `cfg` are as for `solve_keyed`.
+    /// `g`, `cluster` and `ids` are as for `solve_keyed`.
     #[allow(clippy::type_complexity)]
     pub fn memoized(
         &self,
@@ -1055,7 +1093,6 @@ impl<'a> CacheView<'a> {
         g: &Dag,
         cluster: &Cluster,
         ids: &[ProcId],
-        cfg: &DagHetPartConfig,
     ) -> Result<(Arc<MappingResult>, Option<Arc<SimOutcome>>), SchedError> {
         let found = match self.cache.lock().entries.get(&key.0) {
             Some((CachedSolve::Solved { local, sim }, _)) => {
@@ -1065,7 +1102,7 @@ impl<'a> CacheView<'a> {
         };
         match found {
             Some(found) => Ok(found),
-            None => Ok((self.solve_keyed(key, g, cluster, ids, cfg)?, None)),
+            None => Ok((self.solve_keyed(key, g, cluster, ids)?, None)),
         }
     }
 
@@ -1073,7 +1110,7 @@ impl<'a> CacheView<'a> {
     /// key the same probe's [`CacheView::solve_keyed`] (or
     /// [`solve_suffix`]) just answered: returns the [`SimOutcome`]
     /// memoized on that solve's entry, running `compute` only on a miss
-    /// and storing its result there; a live view charges the hit or
+    /// and storing its result there; a charging view charges the hit or
     /// miss to its account. A disabled cache, or a key with no solved
     /// entry, computes every time and stores nothing, but still counts
     /// the miss.
@@ -1143,6 +1180,12 @@ mod tests {
 
     /// The two-processor lease most tests probe: m3 then m1.
     const LEASE: [ProcId; 2] = [ProcId(3), ProcId(1)];
+
+    /// DagHetPart under its default settings, the solver most views
+    /// here probe with.
+    fn default_solver() -> Solver {
+        Solver::new(Algorithm::DagHetPart, DagHetPartConfig::default())
+    }
 
     fn cluster() -> Cluster {
         Cluster::new(
@@ -1305,6 +1348,32 @@ mod tests {
     }
 
     #[test]
+    fn the_default_cache_memoizes_like_new() {
+        let g = builder::chain(4, 2.0, 4.0, 1.0);
+        let sub = cluster().subcluster(&LEASE);
+        let cfg = DagHetPartConfig::default();
+        let chash = SolveCache::config_hash(&cfg);
+        let cache = SolveCache::default();
+        assert!(cache.is_enabled());
+        assert_eq!(cache.capacity(), None);
+        for _ in 0..2 {
+            cache
+                .schedule(
+                    &g,
+                    g.fingerprint(),
+                    &sub,
+                    Algorithm::DagHetPart,
+                    &cfg,
+                    chash,
+                )
+                .unwrap();
+        }
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
     fn cached_dedicated_baseline_matches_direct() {
         let g = builder::fork_join(6, 10.0, 4.0, 2.0);
         let c = cluster();
@@ -1332,20 +1401,12 @@ mod tests {
         let g = builder::chain(4, 3.0, 4.0, 1.0);
         let c = cluster();
         let cfg = DagHetPartConfig::default();
-        let chash = SolveCache::config_hash(&cfg);
         let cache = SolveCache::new();
+        let solver = default_solver();
         let sub = c.subcluster(&[ProcId(3), ProcId(1)]);
         let suffix: Vec<dhp_dag::NodeId> = g.node_ids().skip(2).collect();
-        let s = solve_suffix(
-            &g,
-            &suffix,
-            &sub,
-            Algorithm::DagHetPart,
-            &cfg,
-            &CacheView::direct(&cache),
-            chash,
-        )
-        .expect("lease holds the 2-task suffix");
+        let s = solve_suffix(&g, &suffix, &sub, &CacheView::direct(&cache, &solver))
+            .expect("lease holds the 2-task suffix");
         assert_eq!(s.dag.node_count(), 2);
         assert_eq!(s.back, suffix);
         // The suffix mapping is a valid mapping of the suffix DAG, in
@@ -1364,20 +1425,11 @@ mod tests {
     fn suffix_solve_reports_no_solution_on_a_tiny_lease() {
         let g = builder::chain(40, 1.0, 30.0, 5.0);
         let c = cluster();
-        let cfg = DagHetPartConfig::default();
-        let chash = SolveCache::config_hash(&cfg);
         let cache = SolveCache::new();
+        let solver = default_solver();
         let sub = c.subcluster(&[ProcId(2)]);
         let suffix: Vec<dhp_dag::NodeId> = g.node_ids().skip(1).collect();
-        let r = solve_suffix(
-            &g,
-            &suffix,
-            &sub,
-            Algorithm::DagHetPart,
-            &cfg,
-            &CacheView::direct(&cache),
-            chash,
-        );
+        let r = solve_suffix(&g, &suffix, &sub, &CacheView::direct(&cache, &solver));
         assert_eq!(r.err(), Some(SchedError::NoSolution));
     }
 
@@ -1386,16 +1438,13 @@ mod tests {
     fn empty_suffix_is_a_caller_bug() {
         let g = builder::chain(3, 1.0, 1.0, 1.0);
         let c = cluster();
-        let cfg = DagHetPartConfig::default();
         let cache = SolveCache::new();
+        let solver = default_solver();
         let _ = solve_suffix(
             &g,
             &[],
             &c.subcluster(&[ProcId(0)]),
-            Algorithm::DagHetPart,
-            &cfg,
-            &CacheView::direct(&cache),
-            SolveCache::config_hash(&cfg),
+            &CacheView::direct(&cache, &solver),
         );
     }
 
@@ -1506,36 +1555,30 @@ mod tests {
     #[test]
     fn concurrent_probes_count_exactly() {
         // Four threads probe one uncapped store at once, each on keys
-        // of its own (its thread index is the key's config hash), every
-        // key twice: one miss then one hit per key, whatever the
-        // interleaving. The barrier releases all four together.
+        // of its own (its thread index is its solver's partitioner
+        // seed, so each binds another config hash), every key twice:
+        // one miss then one hit per key, whatever the interleaving. The
+        // barrier releases all four together.
         const THREADS: u64 = 4;
         const KEYS: usize = 6;
         let c = cluster();
-        let cfg = DagHetPartConfig::default();
         let cache = SolveCache::new();
         let graphs: Vec<Dag> = (0..KEYS)
             .map(|n| builder::chain(n + 3, 2.0, 4.0, 1.0))
             .collect();
         let start = std::sync::Barrier::new(THREADS as usize);
         std::thread::scope(|scope| {
-            for chash in 0..THREADS {
-                let (c, cfg, cache, graphs, start) = (&c, &cfg, &cache, &graphs, &start);
+            for seed in 0..THREADS {
+                let (c, cache, graphs, start) = (&c, &cache, &graphs, &start);
                 scope.spawn(move || {
+                    let mut cfg = DagHetPartConfig::default();
+                    cfg.partition_cfg.seed = seed;
+                    let solver = Solver::new(Algorithm::DagHetMem, cfg);
                     start.wait();
-                    let view = CacheView::direct(cache);
+                    let view = CacheView::direct(cache, &solver);
                     for _ in 0..2 {
                         for g in graphs {
-                            view.solve(
-                                g,
-                                g.fingerprint(),
-                                c,
-                                &LEASE,
-                                Algorithm::DagHetMem,
-                                cfg,
-                                chash,
-                            )
-                            .unwrap();
+                            view.solve(g, g.fingerprint(), c, &LEASE).unwrap();
                         }
                     }
                 });
@@ -1551,20 +1594,17 @@ mod tests {
     fn live_view_charges_the_account_exactly() {
         let g = builder::fork_join(6, 10.0, 4.0, 2.0);
         let c = cluster();
-        let cfg = DagHetPartConfig::default();
-        let chash = SolveCache::config_hash(&cfg);
         let cache = SolveCache::new();
+        let solver = default_solver();
         let fp = g.fingerprint();
         let mut account = SolveCacheStats::default();
         {
-            let view = CacheView::live(&cache, &mut account);
-            view.solve(&g, fp, &c, &LEASE, Algorithm::DagHetPart, &cfg, chash)
-                .unwrap();
-            view.solve(&g, fp, &c, &LEASE, Algorithm::DagHetPart, &cfg, chash)
-                .unwrap();
+            let view = CacheView::direct(&cache, &solver).charging(&mut account);
+            view.solve(&g, fp, &c, &LEASE).unwrap();
+            view.solve(&g, fp, &c, &LEASE).unwrap();
         }
         assert_eq!((account.hits, account.misses), (1, 1));
-        // Live probes hit the store directly: the global counters agree
+        // Charged probes hit the store directly: the global counters agree
         // and the entry is immediately visible to direct probes.
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
@@ -1576,25 +1616,17 @@ mod tests {
         // Capacity 1: the second insert evicts the first at once, and
         // the eviction is charged to the account whose probe inserted.
         let c = cluster();
-        let cfg = DagHetPartConfig::default();
-        let chash = SolveCache::config_hash(&cfg);
+        let solver = default_solver();
         let cache = SolveCache::with_capacity(1);
+        let view = CacheView::direct(&cache, &solver);
         let sub = c.subcluster(&LEASE);
         let g0 = builder::chain(4, 2.0, 4.0, 1.0);
         let g1 = builder::chain(5, 2.0, 4.0, 1.0);
         let mut first = SolveCacheStats::default();
         let mut second = SolveCacheStats::default();
         for (g, account) in [(&g0, &mut first), (&g1, &mut second)] {
-            CacheView::live(&cache, account)
-                .solve(
-                    g,
-                    g.fingerprint(),
-                    &c,
-                    &LEASE,
-                    Algorithm::DagHetPart,
-                    &cfg,
-                    chash,
-                )
+            view.charging(account)
+                .solve(g, g.fingerprint(), &c, &LEASE)
                 .unwrap();
         }
         assert_eq!((first.evictions, second.evictions), (0, 1));
@@ -1604,8 +1636,10 @@ mod tests {
             g1.fingerprint(),
             sub.shape_signature(),
             Algorithm::DagHetPart,
-            chash
+            solver.config_hash()
         ));
+        assert!(view.is_warm(g1.fingerprint(), sub.shape_signature()));
+        assert!(!view.is_warm(g0.fingerprint(), sub.shape_signature()));
     }
 
     // ------------------------------------------------ sim-outcome cache
@@ -1623,21 +1657,16 @@ mod tests {
     /// solve was answered under — the key its sim is memoized on.
     fn solve_on_lease(view: &CacheView, g: &Dag) -> ProbeKey {
         let c = cluster();
-        let cfg = DagHetPartConfig::default();
-        let key = view.key(
-            g.fingerprint(),
-            c.shape_of_slice(&LEASE),
-            Algorithm::DagHetPart,
-            SolveCache::config_hash(&cfg),
-        );
-        view.solve_keyed(key, g, &c, &LEASE, &cfg).unwrap();
+        let key = view.key(g.fingerprint(), c.shape_of_slice(&LEASE));
+        view.solve_keyed(key, g, &c, &LEASE).unwrap();
         key
     }
 
     #[test]
     fn sim_outcomes_memoize_through_the_direct_view() {
         let cache = SolveCache::new();
-        let view = CacheView::direct(&cache);
+        let solver = default_solver();
+        let view = CacheView::direct(&cache, &solver);
         let key = solve_on_lease(&view, &builder::chain(4, 2.0, 4.0, 1.0));
         let tick = cache.tick_value();
         let mut computed = 0;
@@ -1665,22 +1694,16 @@ mod tests {
     #[test]
     fn a_sim_probe_without_a_solved_entry_stores_nothing() {
         let c = cluster();
-        let cfg = DagHetPartConfig::default();
-        let chash = SolveCache::config_hash(&cfg);
         let cache = SolveCache::new();
-        let view = CacheView::direct(&cache);
+        let solver = default_solver();
+        let view = CacheView::direct(&cache, &solver);
         // No entry at all, then a memoized NoSolution (a 40-task chain
         // of 30-unit tasks cannot fit on m2's 32 units).
         let big = builder::chain(40, 1.0, 30.0, 5.0);
-        let infeasible = view.key(
-            big.fingerprint(),
-            c.shape_of_slice(&[ProcId(2)]),
-            Algorithm::DagHetPart,
-            chash,
-        );
-        let no = view.solve_keyed(infeasible, &big, &c, &[ProcId(2)], &cfg);
+        let infeasible = view.key(big.fingerprint(), c.shape_of_slice(&[ProcId(2)]));
+        let no = view.solve_keyed(infeasible, &big, &c, &[ProcId(2)]);
         assert!(matches!(no, Err(SchedError::NoSolution)));
-        let unsolved = view.key(7, 9, Algorithm::DagHetPart, 3);
+        let unsolved = view.key(7, 9);
         let mut computed = 0;
         for key in [unsolved, infeasible] {
             for _ in 0..2 {
@@ -1699,7 +1722,8 @@ mod tests {
     #[test]
     fn disabled_cache_computes_sims_every_time_but_counts_them() {
         let cache = SolveCache::disabled();
-        let view = CacheView::direct(&cache);
+        let solver = default_solver();
+        let view = CacheView::direct(&cache, &solver);
         let key = solve_on_lease(&view, &builder::chain(4, 2.0, 4.0, 1.0));
         let mut computed = 0;
         for _ in 0..3 {
@@ -1717,9 +1741,10 @@ mod tests {
     #[test]
     fn live_view_charges_sim_probes_to_the_account() {
         let cache = SolveCache::new();
+        let solver = default_solver();
         let mut account = SolveCacheStats::default();
         {
-            let view = CacheView::live(&cache, &mut account);
+            let view = CacheView::direct(&cache, &solver).charging(&mut account);
             let key = solve_on_lease(&view, &builder::chain(4, 2.0, 4.0, 1.0));
             view.sim_outcome_keyed(key, || toy_sim(10.0));
             view.sim_outcome_keyed(key, || toy_sim(10.0));
@@ -1736,9 +1761,7 @@ mod tests {
     /// [`CacheView::sim_outcome_keyed`] on a solved key) and returns the
     /// simulated makespan, if it placed.
     fn two_call_probe(view: &CacheView, key: ProbeKey, g: &Dag, ids: &[ProcId]) -> Option<f64> {
-        let local = view
-            .solve_keyed(key, g, &cluster(), ids, &DagHetPartConfig::default())
-            .ok()?;
+        let local = view.solve_keyed(key, g, &cluster(), ids).ok()?;
         Some(
             view.sim_outcome_keyed(key, || toy_sim(local.makespan))
                 .makespan,
@@ -1750,7 +1773,6 @@ mod tests {
     /// [`CacheView::memoized`], as admission does.
     fn one_lock_probe(view: &CacheView, key: ProbeKey, g: &Dag, ids: &[ProcId]) -> Option<f64> {
         let c = cluster();
-        let cfg = DagHetPartConfig::default();
         match view.probe_warm(key, true) {
             WarmProbe::Cold => two_call_probe(view, key, g, ids),
             WarmProbe::NoSolution => None,
@@ -1758,7 +1780,7 @@ mod tests {
                 sim: Some(makespan),
             } => Some(makespan),
             WarmProbe::Solved { sim: None } => {
-                let (local, sim) = view.memoized(key, false, g, &c, ids, &cfg).ok()?;
+                let (local, sim) = view.memoized(key, false, g, &c, ids).ok()?;
                 assert!(sim.is_none(), "a sim the probe did not count");
                 Some(
                     view.sim_outcome_keyed(key, || toy_sim(local.makespan))
@@ -1775,8 +1797,7 @@ mod tests {
         // probed in turn, twice over, on twin stores (one unbounded,
         // then a cap of 2 that evicts on every cold insert).
         let c = cluster();
-        let cfg = DagHetPartConfig::default();
-        let chash = SolveCache::config_hash(&cfg);
+        let solver = default_solver();
         let (g0, g1, g2) = (
             builder::chain(4, 2.0, 4.0, 1.0),
             builder::chain(5, 2.0, 4.0, 1.0),
@@ -1795,20 +1816,15 @@ mod tests {
             let (reference, subject) = (make(), make());
             let (mut want_account, mut got_account) = Default::default();
             {
-                let want_view = CacheView::live(&reference, &mut want_account);
-                let got_view = CacheView::live(&subject, &mut got_account);
+                let want_view = CacheView::direct(&reference, &solver).charging(&mut want_account);
+                let got_view = CacheView::direct(&subject, &solver).charging(&mut got_account);
                 for view in [&want_view, &got_view] {
                     let k0 = solve_on_lease(view, &g0);
                     view.sim_outcome_keyed(k0, || toy_sim(1.0));
                     solve_on_lease(view, &g1);
                 }
                 for (round, &(g, ids)) in probes.iter().cycle().take(10).enumerate() {
-                    let key = want_view.key(
-                        g.fingerprint(),
-                        c.shape_of_slice(ids),
-                        Algorithm::DagHetPart,
-                        chash,
-                    );
+                    let key = want_view.key(g.fingerprint(), c.shape_of_slice(ids));
                     let want = two_call_probe(&want_view, key, g, ids);
                     let got = one_lock_probe(&got_view, key, g, ids);
                     assert_eq!(got, want, "probe {round}");
@@ -1823,7 +1839,8 @@ mod tests {
     #[test]
     fn a_warm_probe_takes_one_lock_one_hash_and_no_arc() {
         let cache = SolveCache::new();
-        let view = CacheView::direct(&cache);
+        let solver = default_solver();
+        let view = CacheView::direct(&cache, &solver);
         let g = builder::chain(4, 2.0, 4.0, 1.0);
         let key = solve_on_lease(&view, &g);
         view.sim_outcome_keyed(key, || toy_sim(10.0));
@@ -1854,16 +1871,7 @@ mod tests {
         let recency = cache.recency();
         assert_eq!(
             cost(&|| {
-                let (local, sim) = view
-                    .memoized(
-                        key,
-                        true,
-                        &g,
-                        &cluster(),
-                        &LEASE,
-                        &DagHetPartConfig::default(),
-                    )
-                    .unwrap();
+                let (local, sim) = view.memoized(key, true, &g, &cluster(), &LEASE).unwrap();
                 assert_eq!(sim.map(|s| s.makespan), Some(10.0));
                 assert!(local.makespan > 0.0);
             }),
@@ -1874,11 +1882,12 @@ mod tests {
 
     #[test]
     fn a_warm_probe_on_a_disabled_or_cold_store_moves_nothing() {
+        let solver = default_solver();
         for cache in [SolveCache::new(), SolveCache::disabled()] {
             let mut account = SolveCacheStats::default();
             {
-                let view = CacheView::live(&cache, &mut account);
-                let key = view.key(7, 9, Algorithm::DagHetPart, 3);
+                let view = CacheView::direct(&cache, &solver).charging(&mut account);
+                let key = view.key(7, 9);
                 assert_eq!(view.probe_warm(key, true), WarmProbe::Cold);
                 assert_eq!(view.probe_warm(key, false), WarmProbe::Cold);
             }
@@ -1894,30 +1903,17 @@ mod tests {
         // as another thread's insert could between the probe and the
         // grant's read. The read solves again and returns no sim.
         let cache = SolveCache::with_capacity(1);
-        let view = CacheView::direct(&cache);
+        let solver = default_solver();
+        let view = CacheView::direct(&cache, &solver);
         let g = builder::chain(4, 2.0, 4.0, 1.0);
         let key = solve_on_lease(&view, &g);
         view.sim_outcome_keyed(key, || toy_sim(10.0));
-        let first = view.memoized(
-            key,
-            true,
-            &g,
-            &cluster(),
-            &LEASE,
-            &DagHetPartConfig::default(),
-        );
+        let first = view.memoized(key, true, &g, &cluster(), &LEASE);
         let (first, sim) = first.unwrap();
         assert!(sim.is_some());
         solve_on_lease(&view, &builder::chain(5, 2.0, 4.0, 1.0));
         let misses = cache.stats().misses;
-        let again = view.memoized(
-            key,
-            true,
-            &g,
-            &cluster(),
-            &LEASE,
-            &DagHetPartConfig::default(),
-        );
+        let again = view.memoized(key, true, &g, &cluster(), &LEASE);
         let (again, sim) = again.unwrap();
         assert!(sim.is_none());
         assert_eq!(again.makespan, first.makespan);
@@ -1928,7 +1924,8 @@ mod tests {
     #[test]
     fn evicting_a_solve_drops_its_sim_outcome() {
         let cache = SolveCache::with_capacity(1);
-        let view = CacheView::direct(&cache);
+        let solver = default_solver();
+        let view = CacheView::direct(&cache, &solver);
         let k0 = solve_on_lease(&view, &builder::chain(4, 2.0, 4.0, 1.0));
         view.sim_outcome_keyed(k0, || toy_sim(10.0));
         assert_eq!((cache.len(), cache.sim_len()), (1, 1));

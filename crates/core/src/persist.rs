@@ -562,7 +562,7 @@ pub fn temp_sibling(path: &Path) -> std::path::PathBuf {
 mod tests {
     use super::*;
     use crate::daghetpart::DagHetPartConfig;
-    use crate::partial::{schedule_on_subcluster, CacheView};
+    use crate::partial::{schedule_on_subcluster, CacheView, Solver};
     use dhp_dag::builder;
     use dhp_platform::{Cluster, Processor};
 
@@ -588,24 +588,17 @@ mod tests {
 
     /// Populates a cache with two solved entries (one hit to order the
     /// LRU stamps), a memoized NoSolution, and one sim outcome;
-    /// returns the graphs for later probing.
-    fn populate(cache: &SolveCache, chash: u64) -> (Vec<dhp_dag::Dag>, u64) {
+    /// returns the graphs for later probing. Every key carries the
+    /// default DagHetPart settings' config hash.
+    fn populate(cache: &SolveCache) -> (Vec<dhp_dag::Dag>, u64) {
         let c = cluster();
-        let cfg = DagHetPartConfig::default();
+        let solver = Solver::new(Algorithm::DagHetPart, DagHetPartConfig::default());
         let lease = [dhp_platform::ProcId(3), dhp_platform::ProcId(1)];
         let shape = c.shape_of_slice(&lease);
         let graphs: Vec<dhp_dag::Dag> = (4..6).map(|n| builder::chain(n, 2.0, 4.0, 1.0)).collect();
-        let view = CacheView::direct(cache);
+        let view = CacheView::direct(cache, &solver);
         let solve = |g: &dhp_dag::Dag, ids: &[dhp_platform::ProcId]| {
-            view.solve(
-                g,
-                g.fingerprint(),
-                &c,
-                ids,
-                Algorithm::DagHetPart,
-                &cfg,
-                chash,
-            )
+            view.solve(g, g.fingerprint(), &c, ids)
         };
         for g in &graphs {
             solve(g, &lease).unwrap();
@@ -614,7 +607,7 @@ mod tests {
         solve(&graphs[0], &lease).unwrap();
         let big = builder::chain(40, 1.0, 30.0, 5.0);
         let _ = solve(&big, &[dhp_platform::ProcId(2)]);
-        let key = view.key(graphs[0].fingerprint(), shape, Algorithm::DagHetPart, chash);
+        let key = view.key(graphs[0].fingerprint(), shape);
         view.sim_outcome_keyed(key, || SimOutcome {
             makespan: 12.5,
             task_start: vec![0.0, 2.5],
@@ -631,7 +624,7 @@ mod tests {
         let cfg = DagHetPartConfig::default();
         let chash = SolveCache::config_hash(&cfg);
         let cache = SolveCache::new();
-        let (graphs, shape) = populate(&cache, chash);
+        let (graphs, shape) = populate(&cache);
         let saved_stats = cache.stats();
         cache.save_to(&path, chash).unwrap();
 
@@ -645,19 +638,12 @@ mod tests {
         // Warm probes: both solves hit, the sim hits bit-exactly.
         let c = cluster();
         let sub = c.subcluster(&[dhp_platform::ProcId(3), dhp_platform::ProcId(1)]);
-        let view = CacheView::direct(&restored);
+        let solver = Solver::new(Algorithm::DagHetPart, cfg.clone());
+        let view = CacheView::direct(&restored, &solver);
         for g in &graphs {
             let direct = schedule_on_subcluster(g, &sub, Algorithm::DagHetPart, &cfg).unwrap();
             let warm = view
-                .solve(
-                    g,
-                    g.fingerprint(),
-                    &c,
-                    sub.global_ids(),
-                    Algorithm::DagHetPart,
-                    &cfg,
-                    chash,
-                )
+                .solve(g, g.fingerprint(), &c, sub.global_ids())
                 .unwrap();
             assert_eq!(warm.makespan, direct.local.makespan);
             assert_eq!(
@@ -665,7 +651,7 @@ mod tests {
                 direct.local.mapping.proc_of_block
             );
         }
-        let key = view.key(graphs[0].fingerprint(), shape, Algorithm::DagHetPart, chash);
+        let key = view.key(graphs[0].fingerprint(), shape);
         let sim = view.sim_outcome_keyed(key, || panic!("restored sim must hit"));
         assert_eq!(sim.makespan, 12.5);
         assert_eq!(sim.lanes, vec![(0, 10.0), (1, 2.5)]);
@@ -683,7 +669,7 @@ mod tests {
         let cfg = DagHetPartConfig::default();
         let chash = SolveCache::config_hash(&cfg);
         let unbounded = SolveCache::new();
-        let (graphs, shape) = populate(&unbounded, chash);
+        let (graphs, shape) = populate(&unbounded);
         unbounded.save_to(&path, chash).unwrap();
 
         // Load into a capacity-2 cache: the snapshot's 3 entries evict
@@ -718,7 +704,7 @@ mod tests {
         let cfg = DagHetPartConfig::default();
         let chash = SolveCache::config_hash(&cfg);
         let cache = SolveCache::new();
-        let (graphs, shape) = populate(&cache, chash);
+        let (graphs, shape) = populate(&cache);
         cache.save_to(&path, chash).unwrap();
         let good = std::fs::read(&path).unwrap();
 
@@ -815,7 +801,7 @@ mod tests {
         let cfg = DagHetPartConfig::default();
         let chash = SolveCache::config_hash(&cfg);
         let cache = SolveCache::new();
-        populate(&cache, chash);
+        populate(&cache);
         cache.save_to(&path, chash).unwrap();
 
         // Simulate the crash window: a later save that died after
@@ -842,7 +828,7 @@ mod tests {
             restored.load_from(&path, chash).unwrap(),
             LoadSummary::default()
         );
-        populate(&cache, chash);
+        populate(&cache);
         cache.save_to(&path, chash).unwrap(); // replaces in place
         assert_eq!(restored.load_from(&path, chash).unwrap().solves, 3);
         let _ = std::fs::remove_dir_all(&dir);
@@ -855,7 +841,7 @@ mod tests {
         let cfg = DagHetPartConfig::default();
         let chash = SolveCache::config_hash(&cfg);
         let cache = SolveCache::new();
-        populate(&cache, chash);
+        populate(&cache);
         cache.save_to(&path, chash).unwrap();
         let disabled = SolveCache::disabled();
         assert_eq!(

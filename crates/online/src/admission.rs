@@ -8,10 +8,11 @@
 //! 2. a lease is sized and the highest-memory free processors are
 //!    carved off the front of the free set;
 //! 3. the offline solver maps the workflow onto the lease (memoized
-//!    through [`CacheView::solve`]); on `NoSolution` the lease size is
-//!    doubled (up to all free processors), after which the workflow
-//!    either waits for more capacity or — if the whole idle cluster
-//!    cannot hold it — is rejected;
+//!    through [`CacheView::solve`], whose view binds the run's solver,
+//!    so a probe passes only the graph and the lease); on `NoSolution`
+//!    the lease size is doubled (up to all free processors), after
+//!    which the workflow either waits for more capacity or — if the
+//!    whole idle cluster cannot hold it — is rejected;
 //! 4. the discrete-event simulator executes the mapping on the lease
 //!    view, fixing the completion instant and per-processor busy time.
 //!
@@ -98,7 +99,7 @@ use crate::report::RejectedRecord;
 use crate::state::{ArrivalFacts, ClusterState, FreeList, Pending, ProbeScratch};
 use crate::submission::single_task;
 use dhp_core::metrics::MappingResult;
-use dhp_core::partial::{CacheView, ProbeKey, SolveCache, WarmProbe};
+use dhp_core::partial::{CacheView, ProbeKey, SolveCache, Solver, WarmProbe};
 use dhp_core::SchedError;
 use dhp_platform::{Cluster, ProcId, Processor};
 use std::sync::Arc;
@@ -207,7 +208,6 @@ pub(crate) fn admission_passes(
     state: &mut ClusterState,
     cfg: &OnlineConfig,
     cache: &CacheView,
-    config_hash: u64,
     clock: f64,
 ) {
     debug_assert_eq!(
@@ -323,7 +323,7 @@ pub(crate) fn admission_passes(
                     let hq = head_qi.unwrap_or_else(|| {
                         unreachable!("a dirty reservation implies a queue head")
                     });
-                    let fresh = head_reservation(state, hq, cfg, cache, config_hash);
+                    let fresh = head_reservation(state, hq, cfg, cache);
                     state.reservations.push(ReservationRecord {
                         at: clock,
                         head_id: state.queue[hq].id,
@@ -380,7 +380,6 @@ pub(crate) fn admission_passes(
                     cand,
                     cfg,
                     cache,
-                    config_hash,
                     clock,
                     state.queue_len() - taken.len(),
                     state.cluster_id,
@@ -429,7 +428,7 @@ pub(crate) fn admission_passes(
                                 r
                             }
                             _ => {
-                                let r = head_reservation(state, qi, cfg, cache, config_hash);
+                                let r = head_reservation(state, qi, cfg, cache);
                                 state.reservations.push(ReservationRecord {
                                     at: clock,
                                     head_id,
@@ -482,7 +481,6 @@ pub(crate) fn admission_passes(
                         &state.queue[qi],
                         cfg,
                         cache,
-                        config_hash,
                         clock,
                         state.queue_len() - taken.len(),
                         state.cluster_id,
@@ -502,7 +500,6 @@ pub(crate) fn admission_passes(
                             resv,
                             cfg,
                             cache,
-                            config_hash,
                         )
                     {
                         continue;
@@ -562,9 +559,7 @@ fn find_placement(
     mem_order: &[ProcId],
     free_set: &[bool],
     cand: &Pending,
-    cfg: &OnlineConfig,
     cache: &CacheView,
-    config_hash: u64,
     target: usize,
     with_sim: bool,
     free: &mut FreeList,
@@ -585,21 +580,14 @@ fn find_placement(
 
     let g = &cand.submission.instance.graph;
     for size in escalation_sizes(target, free.procs().len()) {
-        let key = cache.key(
-            cand.fingerprint,
-            free.shape(cluster, size),
-            cfg.algorithm,
-            config_hash,
-        );
+        let key = cache.key(cand.fingerprint, free.shape(cluster, size));
         let solve = match cache.probe_warm(key, with_sim) {
             WarmProbe::NoSolution => continue,
             WarmProbe::Solved { sim } => Solved::Warm { sim },
-            WarmProbe::Cold => {
-                match cache.solve_keyed(key, g, cluster, &free.procs()[..size], &cfg.solver) {
-                    Err(SchedError::NoSolution) => continue,
-                    Ok(local) => Solved::Cold(local),
-                }
-            }
+            WarmProbe::Cold => match cache.solve_keyed(key, g, cluster, &free.procs()[..size]) {
+                Err(SchedError::NoSolution) => continue,
+                Ok(local) => Solved::Cold(local),
+            },
         };
         return Probe::Placed { size, key, solve };
     }
@@ -623,7 +611,6 @@ pub(crate) fn try_admit(
     cand: &Pending,
     cfg: &OnlineConfig,
     cache: &CacheView,
-    config_hash: u64,
     clock: f64,
     queue_len: usize,
     cluster_id: Option<usize>,
@@ -633,16 +620,7 @@ pub(crate) fn try_admit(
     let g = &cand.submission.instance.graph;
     let target = cfg.lease.target_under_load(g.node_count(), queue_len);
     let (size, key, solve) = match find_placement(
-        cluster,
-        mem_order,
-        free_set,
-        cand,
-        cfg,
-        cache,
-        config_hash,
-        target,
-        true,
-        free,
+        cluster, mem_order, free_set, cand, cache, target, true, free,
     ) {
         Probe::Placed { size, key, solve } => (size, key, solve),
         Probe::MemoryBlocked {
@@ -672,7 +650,7 @@ pub(crate) fn try_admit(
             sim: Some(makespan),
         } if overshoots(makespan) => return Admit::Overshoot,
         Solved::Warm { sim } => {
-            match cache.memoized(key, sim.is_some(), g, cluster, lease, &cfg.solver) {
+            match cache.memoized(key, sim.is_some(), g, cluster, lease) {
                 Ok(found) => found,
                 // The solvers are deterministic: a re-solve of a key
                 // that placed places again.
@@ -704,7 +682,6 @@ pub(crate) fn try_admit(
 /// needs a yes/no, but the solve it pays for stays in the cache for the
 /// eventual admission to reuse), without a simulation. Also the probe
 /// behind federation's `best-fit` routing and cross-cluster spillover.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn can_place(
     cluster: &Cluster,
     mem_order: &[ProcId],
@@ -712,25 +689,13 @@ pub(crate) fn can_place(
     cand: &Pending,
     cfg: &OnlineConfig,
     cache: &CacheView,
-    config_hash: u64,
     free: &mut FreeList,
 ) -> bool {
     let target = cfg
         .lease
         .target(cand.submission.instance.graph.node_count());
     matches!(
-        find_placement(
-            cluster,
-            mem_order,
-            free_set,
-            cand,
-            cfg,
-            cache,
-            config_hash,
-            target,
-            false,
-            free,
-        ),
+        find_placement(cluster, mem_order, free_set, cand, cache, target, false, free),
         Probe::Placed { .. }
     )
 }
@@ -757,7 +722,6 @@ pub(crate) fn head_reservation(
     hq: usize,
     cfg: &OnlineConfig,
     cache: &CacheView,
-    config_hash: u64,
 ) -> f64 {
     let ClusterState {
         cluster,
@@ -805,16 +769,7 @@ pub(crate) fn head_reservation(
                 hyp[p.idx()] = true;
             }
         }
-        can_place(
-            cluster,
-            mem_order,
-            hyp,
-            head,
-            cfg,
-            cache,
-            config_hash,
-            free_sorted,
-        )
+        can_place(cluster, mem_order, hyp, head, cfg, cache, free_sorted)
     };
     let r = if pending.is_empty() || !feasible_after(pending.len() - 1) {
         f64::INFINITY
@@ -861,7 +816,6 @@ pub(crate) fn head_fits_at(
     resv: f64,
     cfg: &OnlineConfig,
     cache: &CacheView,
-    config_hash: u64,
 ) -> bool {
     let ClusterState {
         cluster,
@@ -896,16 +850,7 @@ pub(crate) fn head_fits_at(
             }
         }
     }
-    can_place(
-        cluster,
-        mem_order,
-        hyp,
-        &queue[hq],
-        cfg,
-        cache,
-        config_hash,
-        free_sorted,
-    )
+    can_place(cluster, mem_order, hyp, &queue[hq], cfg, cache, free_sorted)
 }
 
 /// One blocked backfill window, held still so a benchmark can time a
@@ -930,7 +875,7 @@ pub struct BackfillWindow {
     state: ClusterState,
     cfg: OnlineConfig,
     cache: SolveCache,
-    config_hash: u64,
+    solver: Solver,
 }
 
 impl std::fmt::Debug for BackfillWindow {
@@ -973,7 +918,7 @@ impl BackfillWindow {
             ..OnlineConfig::default()
         };
         let cache = SolveCache::new();
-        let config_hash = SolveCache::config_hash(&cfg.solver);
+        let solver = cfg.lease_solver();
         let mut state = ClusterState::new(&cluster, None);
         let mut seen = ArrivalFacts::new();
         let mut enqueue = |state: &mut ClusterState, id: usize, work: f64, memory: f64| {
@@ -982,13 +927,7 @@ impl BackfillWindow {
         };
         // The running workflow holds the big processor until t = 1000.
         enqueue(&mut state, 0, 1000.0, 100.0);
-        admission_passes(
-            &mut state,
-            &cfg,
-            &CacheView::direct(&cache),
-            config_hash,
-            0.0,
-        );
+        admission_passes(&mut state, &cfg, &CacheView::direct(&cache, &solver), 0.0);
         // Entries taken earlier, still in storage.
         for id in 1..=dead {
             enqueue(&mut state, id, 1.0, 1.0);
@@ -1009,30 +948,26 @@ impl BackfillWindow {
             state,
             cfg,
             cache,
-            config_hash,
+            solver,
         };
         window.pass();
         window
     }
 
-    /// The window's state, configuration, cache and configuration hash,
-    /// for driving its replays directly.
+    /// The window's state, configuration and cache view, for driving
+    /// its replays directly.
     #[cfg(test)]
-    pub(crate) fn parts(&mut self) -> (&mut ClusterState, &OnlineConfig, &SolveCache, u64) {
-        (&mut self.state, &self.cfg, &self.cache, self.config_hash)
+    pub(crate) fn parts(&mut self) -> (&mut ClusterState, &OnlineConfig, CacheView<'_>) {
+        let view = CacheView::direct(&self.cache, &self.solver);
+        (&mut self.state, &self.cfg, view)
     }
 
     /// Runs one event's admission passes over the window; returns how
     /// many workflows stay queued (all of them).
     pub fn pass(&mut self) -> usize {
         self.state.reservations.clear();
-        admission_passes(
-            &mut self.state,
-            &self.cfg,
-            &CacheView::direct(&self.cache),
-            self.config_hash,
-            0.0,
-        );
+        let view = CacheView::direct(&self.cache, &self.solver);
+        admission_passes(&mut self.state, &self.cfg, &view, 0.0);
         self.state.queue_len()
     }
 }
@@ -1065,7 +1000,7 @@ pub struct WarmProbes {
     state: ClusterState,
     cfg: OnlineConfig,
     cache: SolveCache,
-    config_hash: u64,
+    solver: Solver,
     chain: Pending,
     branches: Pending,
 }
@@ -1118,7 +1053,7 @@ impl WarmProbes {
         let branches = pending(1, "branches", branches);
         let cfg = OnlineConfig::default();
         let cache = SolveCache::new();
-        let config_hash = SolveCache::config_hash(&cfg.solver);
+        let solver = cfg.lease_solver();
         let mut state = ClusterState::new(&cluster, None);
         for p in [1, 3] {
             state.free[p] = false;
@@ -1128,7 +1063,7 @@ impl WarmProbes {
             state,
             cfg,
             cache,
-            config_hash,
+            solver,
             chain,
             branches,
         };
@@ -1159,8 +1094,7 @@ impl WarmProbes {
             &state.free,
             cand,
             &self.cfg,
-            &CacheView::direct(&self.cache),
-            self.config_hash,
+            &CacheView::direct(&self.cache, &self.solver),
             0.0,
             1,
             None,

@@ -28,7 +28,12 @@
 //! Every solver call — admission probes, reservation feasibility scans
 //! and the baseline batch — goes through a content-addressed
 //! [`SolveCache`] keyed by `(workflow fingerprint, lease shape
-//! signature, algorithm, solver-config hash)`. Realistic traces repeat
+//! signature, algorithm, solver-config hash)`. The last two come from a
+//! [`Solver`] bound once: the serve loop binds `cfg`'s algorithm and
+//! settings for every lease probe, and `finalize` binds the baseline
+//! batch's one-worker settings; each probes through a
+//! [`CacheView`] over that solver, so no layer below names the
+//! algorithm, the settings or their hash. Realistic traces repeat
 //! the same topologies on the same lease shapes over and over, so
 //! repeat traffic admits in near-O(1): the cached lease-local mapping
 //! is remapped onto the probe's concrete processors. The caller picks
@@ -55,7 +60,7 @@ use crate::report::{FleetMetrics, ServeReport};
 use crate::state::ClusterState;
 use crate::submission::{peak_overlap, Submission};
 use dhp_core::daghetpart::DagHetPartConfig;
-use dhp_core::partial::{Algorithm, CacheView, SolveCache, SolveCacheStats};
+use dhp_core::partial::{Algorithm, CacheView, SolveCache, SolveCacheStats, Solver};
 use dhp_core::persist::SnapshotError;
 use dhp_core::SchedError;
 use dhp_platform::Cluster;
@@ -133,6 +138,14 @@ impl Default for OnlineConfig {
     }
 }
 
+impl OnlineConfig {
+    /// `algorithm` with its `solver` settings, bound once per run: the
+    /// solver every lease probe of the run is keyed by and runs.
+    pub(crate) fn lease_solver(&self) -> Solver {
+        Solver::new(self.algorithm, self.solver.clone())
+    }
+}
+
 /// Result of [`serve`]: the serialisable report plus the placements.
 #[derive(Clone, Debug)]
 pub struct ServeOutcome {
@@ -186,15 +199,20 @@ pub fn serve_with_cache(
     )
 }
 
-/// Restores the snapshot named by `cfg.persist` (if any) into `cache`.
+/// Restores the snapshot named by `cfg.persist` (if any) into `cache`,
+/// checking it was saved under `solver`'s settings.
 /// Returns `None` on a warm start, when persistence is off, or when the
 /// file simply does not exist yet (the silent first-run cold start);
 /// `Some(note)` when a snapshot was present but unusable — the run
 /// degrades to a cold start, a warning goes to stderr, and the note
 /// lands in the report's `recovery` field. Never panics on a bad file.
-pub(crate) fn load_snapshot(cfg: &OnlineConfig, cache: &SolveCache) -> Option<String> {
+pub(crate) fn load_snapshot(
+    cfg: &OnlineConfig,
+    cache: &SolveCache,
+    solver: &Solver,
+) -> Option<String> {
     let spec = cfg.persist.as_ref()?;
-    match cache.load_from(&spec.path, SolveCache::config_hash(&cfg.solver)) {
+    match cache.load_from(&spec.path, solver.config_hash()) {
         Ok(_) | Err(SnapshotError::Missing) => None,
         Err(e) => {
             let note = format!("cold start: {e}");
@@ -205,14 +223,15 @@ pub(crate) fn load_snapshot(cfg: &OnlineConfig, cache: &SolveCache) -> Option<St
 }
 
 /// Rewrites the snapshot named by `cfg.persist` (if any) from `cache`,
-/// crash-safely (temp sibling + fsync + atomic rename). A failed save
+/// under `solver`'s settings, crash-safely (temp sibling + fsync +
+/// atomic rename). A failed save
 /// warns on stderr but never fails the run — the report is the
 /// product; the snapshot is an optimisation for the next run.
-pub(crate) fn save_snapshot(cfg: &OnlineConfig, cache: &SolveCache) {
+pub(crate) fn save_snapshot(cfg: &OnlineConfig, cache: &SolveCache, solver: &Solver) {
     let Some(spec) = cfg.persist.as_ref() else {
         return;
     };
-    if let Err(e) = cache.save_to(&spec.path, SolveCache::config_hash(&cfg.solver)) {
+    if let Err(e) = cache.save_to(&spec.path, solver.config_hash()) {
         eprintln!(
             "warning: could not save solve-cache snapshot to {}: {e}",
             spec.path.display()
@@ -283,13 +302,16 @@ pub(crate) fn finalize(
     // threads on P cores). Both settings drain the same largest-first
     // loop and break ties towards the smaller k', so results are
     // unchanged unless three or more makespans tie within a few 1e-12
-    // (the goldens pin that none of theirs do); only the batch's cache
-    // keys carry the sequential config's hash.
-    let batch_solver = DagHetPartConfig {
-        parallel: false,
-        ..cfg.solver.clone()
-    };
-    let batch_config_hash = SolveCache::config_hash(&batch_solver);
+    // (the goldens pin that none of theirs do); the batch binds that
+    // sequential solver once, so only its cache keys carry the
+    // sequential config's hash.
+    let batch_solver = Solver::new(
+        cfg.algorithm,
+        DagHetPartConfig {
+            parallel: false,
+            ..cfg.solver.clone()
+        },
+    );
     // Every job solves on the whole cluster in canonical memory order —
     // the key [`SolveCache::dedicated_baseline`] uses — so the order and
     // its shape are computed once for the batch. A pure peek (no tick,
@@ -297,16 +319,10 @@ pub(crate) fn finalize(
     // `NoSolution` is not warm, so it counts as cold.
     let whole = cluster.ids_by_memory_desc();
     let whole_shape = cluster.shape_of_slice(&whole);
+    let batch_view = CacheView::direct(cache, &batch_solver);
     let cold = jobs
         .iter()
-        .filter(|&&i| {
-            !cache.is_warm(
-                finished_fp[i],
-                whole_shape,
-                cfg.algorithm,
-                batch_config_hash,
-            )
-        })
+        .filter(|&&i| !batch_view.is_warm(finished_fp[i], whole_shape))
         .count();
     // A capacity-bounded cache runs the batch on one worker: exact
     // LRU eviction order (and so the eviction counters) is only
@@ -323,17 +339,11 @@ pub(crate) fn finalize(
         let j = next.fetch_add(1, AtomicOrdering::Relaxed);
         let Some(&i) = jobs.get(j) else { break };
         let g = &placements[i].submission.instance.graph;
+        // A view per worker: a view is not `Sync`, and making one
+        // neither hashes nor allocates.
         *results[j].lock() = Some(
-            CacheView::direct(cache)
-                .solve(
-                    g,
-                    finished_fp[i],
-                    &cluster,
-                    &whole,
-                    cfg.algorithm,
-                    &batch_solver,
-                    batch_config_hash,
-                )
+            CacheView::direct(cache, &batch_solver)
+                .solve(g, finished_fp[i], &cluster, &whole)
                 .map(|local| local.makespan),
         );
     };

@@ -9,6 +9,7 @@ use crate::policy::{AdmissionPolicy, LeaseSizing};
 use crate::report::WorkflowRecord;
 use crate::submission::stream;
 use crate::submission::Submission;
+use dhp_core::daghetpart::DagHetPartConfig;
 use dhp_core::mapping::validate;
 use dhp_core::partial::SolveCache;
 use dhp_platform::Cluster;
@@ -768,6 +769,38 @@ fn capped_cache_changes_only_solver_statistics() {
     // Determinism holds with the cap on (eviction order is recency
     // order, which is deterministic).
     assert_eq!(run(Some(1)).report.to_json(), capped.report.to_json());
+}
+
+#[test]
+fn the_baseline_batch_keys_its_solves_under_its_own_solver() {
+    // One single-task workflow on four processors: its lease is one
+    // processor, so the whole-cluster shape is solved by the baseline
+    // batch alone — under the one-worker settings' hash, never under
+    // the lease solver's.
+    let cluster = small_cluster();
+    let sub = crate::submission::single_task(0, 0.0, 10.0, 100.0, "alone");
+    let fp = sub.instance.graph.fingerprint();
+    let cfg = OnlineConfig::default();
+    let cache = SolveCache::new();
+    let out = serve_with_cache(&cluster, vec![sub], &cfg, &cache);
+    assert_eq!(out.report.fleet.completed, 1);
+    assert!(out.placements[0].lease.len() < cluster.len());
+    let whole = cluster.shape_of_slice(&cluster.ids_by_memory_desc());
+    let one_worker = DagHetPartConfig {
+        parallel: false,
+        ..cfg.solver.clone()
+    };
+    let warm = |settings: &DagHetPartConfig| {
+        cache.is_warm(fp, whole, cfg.algorithm, SolveCache::config_hash(settings))
+    };
+    assert!(
+        warm(&one_worker),
+        "the batch's whole-cluster solve is memoized"
+    );
+    assert!(
+        !warm(&cfg.solver),
+        "no lease probe solved the whole cluster"
+    );
 }
 
 #[test]

@@ -43,10 +43,11 @@
 //!    only destinations that could place it (see `rebalance.rs`).
 //! 4. **Growth**: elastic lease growth, in member-index order.
 //!
-//! Every probe goes to the shared [`SolveCache`] through a live view
-//! charged to the member that caused it, so a solve one member inserts
-//! is a hit for any identically shaped lease on any other member from
-//! the next probe on — within the same event too. The store is one
+//! Every probe goes to the shared [`SolveCache`] through one cache view
+//! bound to `cfg`'s solver at the top of the loop, charging the member
+//! that caused the probe, so a solve one member inserts is a hit for
+//! any identically shaped lease on any other member from the next
+//! probe on — within the same event too. The store is one
 //! mutex: only the baseline batch's cold solves still run on several
 //! threads at report time, and they rarely meet on the lock (README,
 //! "One event loop").
@@ -89,7 +90,7 @@ use crate::report::RejectedRecord;
 use crate::state::{ArrivalFacts, Pending};
 use crate::submission::Submission;
 use clock::NextEvent;
-use dhp_core::partial::SolveCache;
+use dhp_core::partial::{CacheView, SolveCache};
 use dhp_platform::Federation;
 use membership::apply_membership;
 use rebalance::spill;
@@ -215,10 +216,13 @@ pub(crate) fn serve_loop<T>(
     chaos: &[MembershipEvent],
     finish: impl FnOnce(Vec<MemberShard>, u64, Option<String>) -> T,
 ) -> T {
-    let config_hash = SolveCache::config_hash(&cfg.solver);
+    // The one solver every lease probe is keyed by, bound once: each
+    // member's probes go through this view, charging the member.
+    let solver = cfg.lease_solver();
+    let view = CacheView::direct(cache, &solver);
     // Durable warm start: restore the snapshot before the first event,
     // so every member sees the warm store from its first probe.
-    let recovery = load_snapshot(cfg, cache);
+    let recovery = load_snapshot(cfg, cache, &solver);
     // `--autosave N`: rewrite the snapshot every N synchronisation
     // points (clock steps), after the growth step — the end of the
     // event, when no probe is in flight.
@@ -274,15 +278,7 @@ pub(crate) fn serve_loop<T>(
                     // Built once: routing screens and probes with the
                     // same facts the home queue then keeps.
                     let p = Pending::new(Arc::new(s), &mut seen);
-                    match route(
-                        routing,
-                        &mut rr_next,
-                        &mut shards,
-                        &p,
-                        cfg,
-                        cache,
-                        config_hash,
-                    ) {
+                    match route(routing, &mut rr_next, &mut shards, &p, cfg, &view) {
                         Some(home) => shards[home].state.enqueue_arrival(p, clock),
                         // Every member failed or drained and no join is
                         // due: the arrival is deterministically rejected
@@ -300,16 +296,16 @@ pub(crate) fn serve_loop<T>(
 
         // -------------------- step: completions + admission + shrink
         for sh in shards.iter_mut().filter(|sh| sh.wants_step(clock)) {
-            sh.step_to(clock, cfg, cache, config_hash);
+            sh.step_to(clock, cfg, &view);
         }
 
         // -------------------------------------------------- spillover
-        spillovers += spill(&mut shards, &mut top_free, cfg, cache, config_hash, clock);
+        spillovers += spill(&mut shards, &mut top_free, cfg, &view, clock);
 
         // --------------------------------- growth: elastic lease growth
         let arrivals_pending = arrivals.peek().is_some_and(|s| s.arrival <= clock);
         for sh in shards.iter_mut().filter(|sh| sh.wants_growth()) {
-            sh.grow(clock, cfg, cache, config_hash, arrivals_pending);
+            sh.grow(clock, cfg, &view, arrivals_pending);
         }
 
         // ------------------------------------------------- autosave
@@ -317,13 +313,13 @@ pub(crate) fn serve_loop<T>(
             steps_since_save += 1;
             if steps_since_save >= every {
                 steps_since_save = 0;
-                save_snapshot(cfg, cache);
+                save_snapshot(cfg, cache, &solver);
             }
         }
     }
 
     let outcome = finish(shards, spillovers, recovery);
-    save_snapshot(cfg, cache);
+    save_snapshot(cfg, cache, &solver);
     outcome
 }
 

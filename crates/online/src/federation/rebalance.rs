@@ -11,8 +11,8 @@
 //! exceeds the destination's largest free memory. `find_placement`
 //! answers both before it reaches the cache, so the sweep asks them
 //! first ([`turned_away`], reading a destination's largest free memory
-//! at most once per sweep) and skips the probe — along with its live
-//! view and free-list rebuild. A source with nothing
+//! at most once per sweep) and skips the probe — along with its
+//! charging view and free-list rebuild. A source with nothing
 //! queued is passed over before its storage is touched. The screen repeats
 //! exactly those two answers, in the same expression (a NaN
 //! requirement still probes), and nothing else. In particular a pair
@@ -27,26 +27,14 @@ use crate::admission::{admission_passes, can_place, BACKFILL_DEPTH};
 use crate::engine::OnlineConfig;
 use crate::report::RejectedRecord;
 use crate::state::Pending;
-use dhp_core::partial::{CacheView, SolveCache};
+use dhp_core::partial::CacheView;
 
-/// Re-runs a member's admission passes with a live view over its own
+/// Re-runs a member's admission passes with `view` charging its own
 /// stats (the spillover sweep admits movers and re-admits drained
 /// sources mid-event).
-fn readmit(
-    shard: &mut MemberShard,
-    cfg: &OnlineConfig,
-    cache: &SolveCache,
-    config_hash: u64,
-    clock: f64,
-) {
+fn readmit(shard: &mut MemberShard, cfg: &OnlineConfig, view: &CacheView, clock: f64) {
     let MemberShard { state, stats, .. } = shard;
-    admission_passes(
-        state,
-        cfg,
-        &CacheView::live(cache, stats),
-        config_hash,
-        clock,
-    );
+    admission_passes(state, cfg, &view.charging(stats), clock);
 }
 
 /// Whether `can_place` is certain to refuse a candidate whose hottest
@@ -94,8 +82,7 @@ pub(crate) fn spill(
     shards: &mut [MemberShard],
     top_free: &mut Vec<Option<f64>>,
     cfg: &OnlineConfig,
-    cache: &SolveCache,
-    config_hash: u64,
+    view: &CacheView,
     clock: f64,
 ) -> u64 {
     let n = shards.len();
@@ -160,8 +147,7 @@ pub(crate) fn spill(
                     &shards[j].state.free,
                     &shards[i].state.queue[qi],
                     cfg,
-                    &CacheView::live(cache, &mut stats),
-                    config_hash,
+                    &view.charging(&mut stats),
                     &mut free,
                 );
                 shards[j].state.scratch.free_sorted = free;
@@ -181,7 +167,7 @@ pub(crate) fn spill(
                 // was placeable an instant ago, and admitting it before
                 // the next probe keeps every later `can_place` honest
                 // about what is actually still free.
-                readmit(&mut shards[j], cfg, cache, config_hash, clock);
+                readmit(&mut shards[j], cfg, view, clock);
                 top_free[j] = None;
             } else {
                 qi += 1;
@@ -194,7 +180,7 @@ pub(crate) fn spill(
     drained_sources.sort_unstable();
     drained_sources.dedup();
     for i in drained_sources {
-        readmit(&mut shards[i], cfg, cache, config_hash, clock);
+        readmit(&mut shards[i], cfg, view, clock);
     }
     moved
 }
@@ -311,7 +297,8 @@ mod tests {
             let global = cache.stats();
             let mut account = SolveCacheStats::default();
             let fits = {
-                let view = CacheView::live(&cache, &mut account);
+                let solver = cfg.lease_solver();
+                let view = CacheView::direct(&cache, &solver).charging(&mut account);
                 can_place(
                     &state.cluster,
                     &state.mem_order,
@@ -319,7 +306,6 @@ mod tests {
                     &cand,
                     &cfg,
                     &view,
-                    SolveCache::config_hash(&cfg.solver),
                     &mut FreeList::default(),
                 )
             };

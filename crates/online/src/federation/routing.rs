@@ -1,15 +1,15 @@
 //! Home-cluster assignment: the [`RoutingPolicy`] and `route`, which
 //! picks an arriving workflow's member.
 //!
-//! `best-fit`'s placement probes go through live cache views: the solve
-//! stays in the shared cache for the eventual admission to replay, and
-//! each probe's outcome is charged to the member it ran against.
+//! `best-fit`'s placement probes go through the serve loop's cache view,
+//! charging the member each probe ran against: the solve stays in the
+//! shared cache for the eventual admission to replay.
 
 use super::shard::{MemberShard, MemberStatus};
 use crate::admission::can_place;
 use crate::engine::OnlineConfig;
 use crate::state::Pending;
-use dhp_core::partial::{CacheView, SolveCache};
+use dhp_core::partial::CacheView;
 
 /// How an arriving workflow is assigned its home cluster.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,8 +102,7 @@ pub(crate) fn route(
     shards: &mut [MemberShard],
     p: &Pending,
     cfg: &OnlineConfig,
-    cache: &SolveCache,
-    config_hash: u64,
+    view: &CacheView,
 ) -> Option<usize> {
     // Memory screen first: a member whose largest processor cannot hold
     // the workflow's hottest task would *permanently reject* it on
@@ -152,7 +151,7 @@ pub(crate) fn route(
             let mut best: Option<(f64, usize)> = None;
             for &j in &pool {
                 let MemberShard { state, stats, .. } = &mut shards[j];
-                // A live view over the probed member's own stats: the
+                // A view charging the probed member's own stats: the
                 // probe's outcome is charged to it, exactly. The probe
                 // carves from the member's own free list, whose lease
                 // shapes are that member's cluster's.
@@ -162,8 +161,7 @@ pub(crate) fn route(
                     &state.free,
                     p,
                     cfg,
-                    &CacheView::live(cache, stats),
-                    config_hash,
+                    &view.charging(stats),
                     &mut state.scratch.free_sorted,
                 );
                 if !fits {

@@ -3,20 +3,22 @@
 //!
 //! [`MemberShard::step_to`] (completions, admission, shrink) and
 //! [`MemberShard::grow`] (elastic growth) touch nothing but the shard's
-//! own state, and probe the shared [`SolveCache`] through a
-//! [`CacheView::live`] over the shard's own `stats`. The driver calls
-//! them member after member on one thread, so a solve one member
-//! inserts is a hit for a sibling stepping later in the same event.
+//! own state, and probe the shared
+//! [`SolveCache`](dhp_core::partial::SolveCache) through the serve
+//! loop's view, [`CacheView::charging`] the shard's own `stats`. The
+//! driver calls them member after member on one thread, so a solve one
+//! member inserts is a hit for a sibling stepping later in the same
+//! event.
 //!
 //! `stats` is the **single owner** of the member's solver-stat
 //! attribution: every probe the member causes — its own admission and
 //! lease solves, and the driver's routing/spillover probes against it
-//! (live views over this same field) — lands here and nowhere else. No
+//! (views charging this same field) — lands here and nowhere else. No
 //! global-counter diffing happens anywhere in the federation.
 
 use crate::engine::OnlineConfig;
 use crate::state::ClusterState;
-use dhp_core::partial::{CacheView, SolveCache, SolveCacheStats};
+use dhp_core::partial::{CacheView, SolveCacheStats};
 use dhp_platform::Cluster;
 
 /// Lifecycle of a federation member under membership events. Without a
@@ -72,24 +74,18 @@ impl MemberShard {
 
     /// The shard's per-event serving step: pop due completions, then —
     /// if Active — run the admission passes and the elastic shrink
-    /// sweep, probing through a live view over the shard's own stats.
-    pub(crate) fn step_to(
-        &mut self,
-        clock: f64,
-        cfg: &OnlineConfig,
-        cache: &SolveCache,
-        config_hash: u64,
-    ) {
+    /// sweep, probing through `view` charging the shard's own stats.
+    pub(crate) fn step_to(&mut self, clock: f64, cfg: &OnlineConfig, view: &CacheView) {
         self.state.process_due_completions(clock);
         if self.status != MemberStatus::Active {
             return;
         }
         let MemberShard { state, stats, .. } = self;
-        let view = CacheView::live(cache, stats);
-        crate::admission::admission_passes(state, cfg, &view, config_hash, clock);
+        let view = view.charging(stats);
+        crate::admission::admission_passes(state, cfg, &view, clock);
         // Before the spillover sweep: processors reclaimed here are
         // visible to the migration probes of this very event.
-        crate::lease::run_shrink(state, cfg, &view, config_hash, clock);
+        crate::lease::run_shrink(state, cfg, &view, clock);
     }
 
     /// Whether [`MemberShard::grow`] would do anything: the member
@@ -107,15 +103,14 @@ impl MemberShard {
         &mut self,
         clock: f64,
         cfg: &OnlineConfig,
-        cache: &SolveCache,
-        config_hash: u64,
+        view: &CacheView,
         arrivals_pending: bool,
     ) {
         if self.status == MemberStatus::Failed {
             return;
         }
         let MemberShard { state, stats, .. } = self;
-        let view = CacheView::live(cache, stats);
-        crate::lease::run_growth(state, cfg, &view, config_hash, clock, arrivals_pending);
+        let view = view.charging(stats);
+        crate::lease::run_growth(state, cfg, &view, clock, arrivals_pending);
     }
 }

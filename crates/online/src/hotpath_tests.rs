@@ -79,8 +79,8 @@ fn warm_probes_are_allocation_free() {
     let cluster = dhp_platform::configs::small_cluster();
     let cfg = OnlineConfig::default();
     let cache = SolveCache::new();
-    let view = CacheView::direct(&cache);
-    let config_hash = SolveCache::config_hash(&cfg.solver);
+    let solver = cfg.lease_solver();
+    let view = CacheView::direct(&cache, &solver);
     let mut state = ClusterState::new(&cluster, None);
     state.enqueue_arrival(pending(0, 40.0, 2.0), 0.0);
     let hq = state.first_live();
@@ -94,13 +94,10 @@ fn warm_probes_are_allocation_free() {
             &state.queue[hq],
             &cfg,
             &view,
-            config_hash,
             &mut state.scratch.free_sorted,
         ));
     }
-    let fits = |state: &mut ClusterState| {
-        head_fits_at(state, hq, &[], &[], None, 0.0, &cfg, &view, config_hash)
-    };
+    let fits = |state: &mut ClusterState| head_fits_at(state, hq, &[], &[], None, 0.0, &cfg, &view);
     assert!(fits(&mut state));
 
     // The probe every lease search makes: a warm key answers with the
@@ -114,9 +111,6 @@ fn warm_probes_are_allocation_free() {
             cand.fingerprint,
             &cluster,
             lease,
-            cfg.algorithm,
-            &cfg.solver,
-            config_hash,
         )
     };
     assert!(solve().is_ok());
@@ -136,7 +130,6 @@ fn warm_probes_are_allocation_free() {
                 &state.queue[hq],
                 &cfg,
                 &view,
-                config_hash,
                 &mut state.scratch.free_sorted,
             ));
         }
@@ -160,8 +153,8 @@ fn the_slow_baseline_still_allocates() {
     let cluster = dhp_platform::configs::small_cluster();
     let cfg = OnlineConfig::default();
     let cache = SolveCache::new();
-    let view = CacheView::direct(&cache);
-    let config_hash = SolveCache::config_hash(&cfg.solver);
+    let solver = cfg.lease_solver();
+    let view = CacheView::direct(&cache, &solver);
     let mut state = ClusterState::new(&cluster, None);
     let cand = pending(1, 40.0, 2.0);
     let grant = |state: &mut ClusterState| {
@@ -172,7 +165,6 @@ fn the_slow_baseline_still_allocates() {
             &cand,
             &cfg,
             &view,
-            config_hash,
             0.0,
             1,
             None,
@@ -202,7 +194,6 @@ fn the_slow_baseline_still_allocates() {
                 &cand,
                 &cfg,
                 &view,
-                config_hash,
                 &mut state.scratch.free_sorted,
             ));
         }
@@ -221,8 +212,8 @@ fn a_warm_overshooting_backfill_probe_allocates_nothing() {
     let cluster = dhp_platform::configs::small_cluster();
     let cfg = OnlineConfig::default();
     let cache = SolveCache::new();
-    let view = CacheView::direct(&cache);
-    let config_hash = SolveCache::config_hash(&cfg.solver);
+    let solver = cfg.lease_solver();
+    let view = CacheView::direct(&cache, &solver);
     let mut state = ClusterState::new(&cluster, None);
     let cand = pending(2, 40.0, 2.0);
     let probe = |state: &mut ClusterState, cap: Option<f64>| {
@@ -233,7 +224,6 @@ fn a_warm_overshooting_backfill_probe_allocates_nothing() {
             &cand,
             &cfg,
             &view,
-            config_hash,
             0.0,
             1,
             None,
@@ -311,8 +301,8 @@ fn a_warm_waiting_probe_allocates_nothing() {
     );
     let cfg = OnlineConfig::default();
     let cache = SolveCache::new();
-    let view = CacheView::direct(&cache);
-    let config_hash = SolveCache::config_hash(&cfg.solver);
+    let solver = cfg.lease_solver();
+    let view = CacheView::direct(&cache, &solver);
     let mut state = ClusterState::new(&cluster, None);
     // Only m0 is free: the memory screen passes, the solver does not.
     for p in [1, 3] {
@@ -327,7 +317,6 @@ fn a_warm_waiting_probe_allocates_nothing() {
             &cand,
             &cfg,
             &view,
-            config_hash,
             0.0,
             1,
             None,
@@ -358,8 +347,8 @@ fn reservation_token_reuse_and_invalidation() {
     let cluster = dhp_platform::configs::small_cluster();
     let cfg = OnlineConfig::default();
     let cache = SolveCache::new();
-    let view = CacheView::direct(&cache);
-    let config_hash = SolveCache::config_hash(&cfg.solver);
+    let solver = cfg.lease_solver();
+    let view = CacheView::direct(&cache, &solver);
     let mut state = ClusterState::new(&cluster, None);
     state.enqueue_arrival(pending(7, 40.0, 2.0), 0.0);
     let hq = state.first_live();
@@ -367,7 +356,7 @@ fn reservation_token_reuse_and_invalidation() {
     let mut compute = |epoch: u64, resv_cache: Option<(u64, usize, f64)>| {
         state.epoch = epoch;
         state.resv_cache = resv_cache;
-        let r = head_reservation(&mut state, hq, &cfg, &view, config_hash);
+        let r = head_reservation(&mut state, hq, &cfg, &view);
         (r, state.resv_cache)
     };
 
@@ -401,12 +390,11 @@ fn reservation_token_reuse_and_invalidation() {
 fn a_warm_reservation_replay_allocates_nothing() {
     let mut window = BackfillWindow::new(16);
     window.pass();
-    let (state, cfg, cache, config_hash) = window.parts();
-    let view = CacheView::direct(cache);
+    let (state, cfg, view) = window.parts();
     let hq = state.first_live();
     let replay = |state: &mut ClusterState| {
         state.bump_epoch();
-        head_reservation(state, hq, cfg, &view, config_hash)
+        head_reservation(state, hq, cfg, &view)
     };
     // The head needs the big processor, which frees at t = 1000.
     assert_eq!(replay(state), 1000.0);
@@ -532,15 +520,15 @@ fn a_placement_shares_the_submission_it_was_queued_with() {
     let cluster = dhp_platform::configs::small_cluster();
     let cfg = OnlineConfig::default();
     let cache = SolveCache::new();
-    let view = CacheView::direct(&cache);
-    let config_hash = SolveCache::config_hash(&cfg.solver);
+    let solver = cfg.lease_solver();
+    let view = CacheView::direct(&cache, &solver);
     let mut state = ClusterState::new(&cluster, None);
     let queued = Arc::new(single_task(0, 0.0, 40.0, 2.0, "shared"));
     state.enqueue_arrival(
         Pending::new(Arc::clone(&queued), &mut ArrivalFacts::new()),
         0.0,
     );
-    admission_passes(&mut state, &cfg, &view, config_hash, 0.0);
+    admission_passes(&mut state, &cfg, &view, 0.0);
     assert!(state.queue_is_empty(), "the idle cluster admits it at once");
     let finish = state
         .next_completion_time()
@@ -637,15 +625,15 @@ fn a_warm_bisection_builds_no_graph() {
 fn an_admission_pass_that_cannot_decide_allocates_nothing() {
     let cluster = dhp_platform::configs::small_cluster();
     let cache = SolveCache::new();
-    let view = CacheView::direct(&cache);
+    let solver = OnlineConfig::default().lease_solver();
+    let view = CacheView::direct(&cache, &solver);
     for policy in [AdmissionPolicy::Fifo, AdmissionPolicy::FifoBackfill] {
         let cfg = OnlineConfig {
             policy,
             ..OnlineConfig::default()
         };
-        let config_hash = SolveCache::config_hash(&cfg.solver);
         let mut state = ClusterState::new(&cluster, None);
-        let empty = allocations_in(|| admission_passes(&mut state, &cfg, &view, config_hash, 0.0));
+        let empty = allocations_in(|| admission_passes(&mut state, &cfg, &view, 0.0));
         assert_eq!(
             empty,
             0,
@@ -656,7 +644,7 @@ fn an_admission_pass_that_cannot_decide_allocates_nothing() {
         state.enqueue_arrival(pending(3, 40.0, 2.0), 0.0);
         state.free.fill(false);
         state.free_count = 0;
-        let full = allocations_in(|| admission_passes(&mut state, &cfg, &view, config_hash, 0.0));
+        let full = allocations_in(|| admission_passes(&mut state, &cfg, &view, 0.0));
         assert_eq!(
             full,
             0,
@@ -674,7 +662,8 @@ fn an_admission_pass_that_cannot_decide_allocates_nothing() {
 fn a_least_loaded_route_allocates_nothing() {
     let cfg = OnlineConfig::default();
     let cache = SolveCache::new();
-    let config_hash = SolveCache::config_hash(&cfg.solver);
+    let solver = cfg.lease_solver();
+    let view = CacheView::direct(&cache, &solver);
     let mut shards: Vec<MemberShard> = (0..16)
         .map(|i| MemberShard::new(&member(), Some(i)))
         .collect();
@@ -693,8 +682,7 @@ fn a_least_loaded_route_allocates_nothing() {
                 &mut shards,
                 &arrival,
                 &cfg,
-                &cache,
-                config_hash,
+                &view,
             );
         }
     });
@@ -711,7 +699,8 @@ fn a_least_loaded_route_allocates_nothing() {
 fn a_fully_screened_spill_sweep_allocates_nothing() {
     let cfg = OnlineConfig::default();
     let cache = SolveCache::new();
-    let config_hash = SolveCache::config_hash(&cfg.solver);
+    let solver = cfg.lease_solver();
+    let view = CacheView::direct(&cache, &solver);
     let mut shards: Vec<MemberShard> = (0..16)
         .map(|i| MemberShard::new(&member(), Some(i)))
         .collect();
@@ -732,7 +721,7 @@ fn a_fully_screened_spill_sweep_allocates_nothing() {
     }
     let mut top_free = Vec::new();
     let sweep = |shards: &mut Vec<MemberShard>, top_free: &mut Vec<Option<f64>>| {
-        spill(shards, top_free, &cfg, &cache, config_hash, 0.0)
+        spill(shards, top_free, &cfg, &view, 0.0)
     };
     assert_eq!(sweep(&mut shards, &mut top_free), 0);
     let swept = allocations_in(|| {

@@ -223,7 +223,6 @@ pub(crate) fn run_growth(
     state: &mut ClusterState,
     cfg: &OnlineConfig,
     cache: &CacheView,
-    config_hash: u64,
     clock: f64,
     arrivals_pending: bool,
 ) {
@@ -232,7 +231,7 @@ pub(crate) fn run_growth(
             && !arrivals_pending
             && state.queue_len() < threshold
             && state.free_count > 0
-            && grow_lease(state, cfg, cache, config_hash, clock)
+            && grow_lease(state, cfg, cache, clock)
         {
             state.lease_grown += 1;
         }
@@ -251,13 +250,7 @@ pub(crate) fn run_growth(
 /// reservation is taken only if the head remains placeable at the
 /// reservation instant without the processors it claims. Returns
 /// whether a swap happened.
-fn grow_lease(
-    state: &mut ClusterState,
-    cfg: &OnlineConfig,
-    cache: &CacheView,
-    config_hash: u64,
-    clock: f64,
-) -> bool {
+fn grow_lease(state: &mut ClusterState, cfg: &OnlineConfig, cache: &CacheView, clock: f64) -> bool {
     let cands = resize_candidates(state, clock, 1);
     let free_ids: Vec<ProcId> = state
         .mem_order
@@ -265,7 +258,7 @@ fn grow_lease(
         .copied()
         .filter(|p| state.free[p.idx()])
         .collect();
-    let guard = head_guard(state, cfg, cache, config_hash);
+    let guard = head_guard(state, cfg, cache);
     for slot in cands {
         let Some(svc) = state.in_service[slot].as_ref() else {
             unreachable!("candidates are ranked over live slots")
@@ -276,15 +269,7 @@ fn grow_lease(
             .cluster
             .subcluster(&svc.placement.lease)
             .grown(&state.cluster, &free_ids);
-        let Ok(s) = dhp_core::partial::solve_suffix(
-            g,
-            &suffix,
-            &union,
-            cfg.algorithm,
-            &cfg.solver,
-            cache,
-            config_hash,
-        ) else {
+        let Ok(s) = dhp_core::partial::solve_suffix(g, &suffix, &union, cache) else {
             continue;
         };
         let sim = cache.sim_outcome_keyed(s.key, || {
@@ -319,17 +304,7 @@ fn grow_lease(
         // placeable there without the claimed processors.
         if let Some((hq, resv)) = guard {
             if new_finish > resv + 1e-9
-                && !head_fits_at(
-                    state,
-                    hq,
-                    &claim,
-                    &[],
-                    Some(slot),
-                    resv,
-                    cfg,
-                    cache,
-                    config_hash,
-                )
+                && !head_fits_at(state, hq, &claim, &[], Some(slot), resv, cfg, cache)
             {
                 continue;
             }
@@ -354,7 +329,6 @@ pub(crate) fn run_shrink(
     state: &mut ClusterState,
     cfg: &OnlineConfig,
     cache: &CacheView,
-    config_hash: u64,
     clock: f64,
 ) {
     let Some(threshold) = cfg.elastic_shrink else {
@@ -366,11 +340,9 @@ pub(crate) fn run_shrink(
     {
         return;
     }
-    while state.queue_len() >= threshold.max(1)
-        && shrink_lease(state, cfg, cache, config_hash, clock)
-    {
+    while state.queue_len() >= threshold.max(1) && shrink_lease(state, cfg, cache, clock) {
         state.lease_shrunk += 1;
-        admission_passes(state, cfg, cache, config_hash, clock);
+        admission_passes(state, cfg, cache, clock);
     }
 }
 
@@ -391,11 +363,10 @@ fn shrink_lease(
     state: &mut ClusterState,
     cfg: &OnlineConfig,
     cache: &CacheView,
-    config_hash: u64,
     clock: f64,
 ) -> bool {
     let cands = resize_candidates(state, clock, 2);
-    let guard = head_guard(state, cfg, cache, config_hash);
+    let guard = head_guard(state, cfg, cache);
     for slot in cands {
         let Some(svc) = state.in_service[slot].as_ref() else {
             unreachable!("candidates are ranked over live slots")
@@ -451,15 +422,7 @@ fn shrink_lease(
             .filter(|p| !released.contains(p))
             .collect();
         let sub = state.cluster.subcluster(&reduced);
-        let Ok(s) = dhp_core::partial::solve_suffix(
-            g,
-            &suffix,
-            &sub,
-            cfg.algorithm,
-            &cfg.solver,
-            cache,
-            config_hash,
-        ) else {
+        let Ok(s) = dhp_core::partial::solve_suffix(g, &suffix, &sub, cache) else {
             continue;
         };
         let sim = cache.sim_outcome_keyed(s.key, || {
@@ -470,17 +433,7 @@ fn shrink_lease(
         if let Some((hq, resv)) = guard {
             if old_finish <= resv + 1e-9
                 && new_finish > resv + 1e-9
-                && !head_fits_at(
-                    state,
-                    hq,
-                    &[],
-                    &released,
-                    Some(slot),
-                    resv,
-                    cfg,
-                    cache,
-                    config_hash,
-                )
+                && !head_fits_at(state, hq, &[], &released, Some(slot), resv, cfg, cache)
             {
                 continue;
             }
@@ -534,13 +487,12 @@ fn head_guard(
     state: &mut ClusterState,
     cfg: &OnlineConfig,
     cache: &CacheView,
-    config_hash: u64,
 ) -> Option<(usize, f64)> {
     let hq = state.first_live();
     if hq == state.queue.len() || !cfg.policy.backfills() {
         return None;
     }
-    let resv = head_reservation(state, hq, cfg, cache, config_hash);
+    let resv = head_reservation(state, hq, cfg, cache);
     resv.is_finite().then_some((hq, resv))
 }
 

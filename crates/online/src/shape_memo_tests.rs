@@ -97,8 +97,8 @@ fn a_pass_over_one_free_list_hashes_each_lease_size_once() {
         ..OnlineConfig::default()
     };
     let cache = SolveCache::new();
-    let view = CacheView::direct(&cache);
-    let config_hash = SolveCache::config_hash(&cfg.solver);
+    let solver = cfg.lease_solver();
+    let view = CacheView::direct(&cache, &solver);
     let mem_order = cluster.ids_by_memory_desc();
     let free_set = vec![true; cluster.len()];
     let cands: Vec<Pending> = [
@@ -126,7 +126,6 @@ fn a_pass_over_one_free_list_hashes_each_lease_size_once() {
                         cand,
                         &cfg,
                         &view,
-                        config_hash,
                         0.0,
                         1,
                         None,
@@ -146,18 +145,7 @@ fn a_pass_over_one_free_list_hashes_each_lease_size_once() {
     let mut other = free_set.clone();
     other[0] = false;
     let admit = try_admit(
-        &cluster,
-        &mem_order,
-        &other,
-        &cands[0],
-        &cfg,
-        &view,
-        config_hash,
-        0.0,
-        1,
-        None,
-        None,
-        &mut free,
+        &cluster, &mem_order, &other, &cands[0], &cfg, &view, 0.0, 1, None, None, &mut free,
     );
     assert!(matches!(admit, Admit::Granted(_)));
     assert_eq!(pass(&mut free), (sizes, probes - sizes, 0));

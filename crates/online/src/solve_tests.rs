@@ -6,8 +6,8 @@
 //! that same contract: on random probe sequences — warm hits, misses,
 //! memoized `NoSolution`s, LRU evictions, a disabled cache — it gives
 //! the reference's answer and moves the store's counters exactly as
-//! the reference moves a twin store, through direct and live views; a
-//! live view charges the same to its account.
+//! the reference moves a twin store, through direct and charging views;
+//! a charging view charges the same to its account.
 //!
 //! The admission probe is held the same way to the two-call probe it
 //! replaced (kept below as the reference, `two_call_admit`): per lease
@@ -15,8 +15,9 @@
 //! on the size that places. `try_admit` and `can_place` answer through
 //! [`CacheView::probe_warm`] on one hash and one lock, and read shapes
 //! back from the probe buffer; on random probe sequences they must
-//! decide the same, move every counter the same (globally and on a live
-//! account), and leave the same recency clock and per-entry stamps.
+//! decide the same, move every counter the same (globally and on a
+//! charged account), and leave the same recency clock and per-entry
+//! stamps.
 
 use crate::admission::{can_place, try_admit, Admit};
 use crate::engine::OnlineConfig;
@@ -24,7 +25,7 @@ use crate::lease::{escalation_sizes, simulate_outcome, Grant};
 use crate::state::{ArrivalFacts, FreeList, Pending};
 use crate::submission::Submission;
 use dhp_core::daghetpart::DagHetPartConfig;
-use dhp_core::partial::{Algorithm, CacheView, SolveCache, SolveCacheStats};
+use dhp_core::partial::{Algorithm, CacheView, SolveCache, SolveCacheStats, Solver};
 use dhp_dag::{builder, Dag};
 use dhp_platform::{Cluster, ProcId, Processor};
 use dhp_wfgen::{SizeClass, WorkflowInstance};
@@ -91,6 +92,25 @@ enum Mode {
     Live,
 }
 
+/// One solver per algorithm of [`ALGORITHMS`], under default settings.
+fn solvers() -> [Solver; 2] {
+    ALGORITHMS.map(|algorithm| Solver::new(algorithm, DagHetPartConfig::default()))
+}
+
+/// `cache` probed with `solver`, charging `account` in [`Mode::Live`].
+fn view<'a>(
+    mode: Mode,
+    cache: &'a SolveCache,
+    solver: &'a Solver,
+    account: &'a mut SolveCacheStats,
+) -> CacheView<'a> {
+    let view = CacheView::direct(cache, solver);
+    match mode {
+        Mode::Direct => view,
+        Mode::Live => view.charging(account),
+    }
+}
+
 fn delta(after: SolveCacheStats, before: SolveCacheStats) -> SolveCacheStats {
     SolveCacheStats {
         hits: after.hits - before.hits,
@@ -108,32 +128,28 @@ fn agree(mode: Mode, make: fn() -> SolveCache, probes: &[(usize, usize, usize)])
     let c = cluster();
     let cfg = DagHetPartConfig::default();
     let chash = SolveCache::config_hash(&cfg);
-    let (graphs, leases) = (graphs(), leases());
+    let (graphs, leases, solvers) = (graphs(), leases(), solvers());
     let reference = make();
     let subject = make();
     let mut account = SolveCacheStats::default();
-    {
-        let view = match mode {
-            Mode::Direct => CacheView::direct(&subject),
-            Mode::Live => CacheView::live(&subject, &mut account),
-        };
-        for &(gi, li, ai) in probes {
-            let (g, ids, algo) = (&graphs[gi], &leases[li], ALGORITHMS[ai]);
-            let fp = g.fingerprint();
-            let before = reference.stats();
-            let want = reference
-                .schedule(g, fp, &c.subcluster(ids), algo, &cfg, chash)
-                .is_ok();
-            let want_moved = delta(reference.stats(), before);
-            let before = subject.stats();
-            let got = view.solve(g, fp, &c, ids, algo, &cfg, chash).is_ok();
-            let moved = delta(subject.stats(), before);
-            assert_eq!(got, want, "{mode:?}: graph {gi}, lease {ids:?}, {algo:?}");
-            assert_eq!(
-                moved, want_moved,
-                "{mode:?}: graph {gi}, lease {ids:?}, {algo:?}"
-            );
-        }
+    for &(gi, li, ai) in probes {
+        let (g, ids, algo) = (&graphs[gi], &leases[li], ALGORITHMS[ai]);
+        let fp = g.fingerprint();
+        let before = reference.stats();
+        let want = reference
+            .schedule(g, fp, &c.subcluster(ids), algo, &cfg, chash)
+            .is_ok();
+        let want_moved = delta(reference.stats(), before);
+        let before = subject.stats();
+        let got = view(mode, &subject, &solvers[ai], &mut account)
+            .solve(g, fp, &c, ids)
+            .is_ok();
+        let moved = delta(subject.stats(), before);
+        assert_eq!(got, want, "{mode:?}: graph {gi}, lease {ids:?}, {algo:?}");
+        assert_eq!(
+            moved, want_moved,
+            "{mode:?}: graph {gi}, lease {ids:?}, {algo:?}"
+        );
     }
     match mode {
         Mode::Direct => assert_eq!(account, SolveCacheStats::default()),
@@ -197,21 +213,13 @@ fn solve_hits_misses_and_memoized_no_solution() {
         agree(mode, unbounded, &probes);
     }
     let cache = SolveCache::new();
-    let view = CacheView::direct(&cache);
-    let (c, cfg) = (cluster(), DagHetPartConfig::default());
-    let chash = SolveCache::config_hash(&cfg);
+    let [solver, _] = solvers();
+    let view = CacheView::direct(&cache, &solver);
+    let c = cluster();
     let long = &graphs()[gi_long];
     for _ in 0..2 {
         assert!(view
-            .solve(
-                long,
-                long.fingerprint(),
-                &c,
-                &leases()[tiny],
-                Algorithm::DagHetPart,
-                &cfg,
-                chash
-            )
+            .solve(long, long.fingerprint(), &c, &leases()[tiny])
             .is_err());
     }
     let s = cache.stats();
@@ -225,14 +233,12 @@ fn solve_hits_misses_and_memoized_no_solution() {
 /// free list filtered afresh, each size's shape hashed afresh,
 /// `solve_keyed` per size and `sim_outcome_keyed` on the size that
 /// places. `with_sim: false` is `can_place`'s half: placeability only.
-#[allow(clippy::too_many_arguments)]
 fn two_call_admit(
     c: &Cluster,
     free_set: &[bool],
     cand: &Pending,
     cfg: &OnlineConfig,
     view: &CacheView,
-    config_hash: u64,
     cap: Option<f64>,
     with_sim: bool,
 ) -> Admit {
@@ -263,13 +269,8 @@ fn two_call_admit(
     };
     for size in escalation_sizes(target, free.len()) {
         let lease = &free[..size];
-        let key = view.key(
-            cand.fingerprint,
-            c.shape_of_slice(lease),
-            cfg.algorithm,
-            config_hash,
-        );
-        let Ok(local) = view.solve_keyed(key, g, c, lease, &cfg.solver) else {
+        let key = view.key(cand.fingerprint, c.shape_of_slice(lease));
+        let Ok(local) = view.solve_keyed(key, g, c, lease) else {
             continue;
         };
         if !with_sim {
@@ -353,72 +354,38 @@ fn admit_agree(mode: Mode, make: fn() -> SolveCache, probes: &[AdmitProbe]) -> V
     let cands: Vec<Pending> = (0..graphs().len()).map(candidate).collect();
     let reference = make();
     let subject = make();
+    let solvers = solvers();
     let (mut want_account, mut got_account) = Default::default();
     let mut free = FreeList::default();
     let mut decisions = Vec::new();
-    {
-        let (want_view, got_view) = match mode {
-            Mode::Direct => (CacheView::direct(&reference), CacheView::direct(&subject)),
-            Mode::Live => (
-                CacheView::live(&reference, &mut want_account),
-                CacheView::live(&subject, &mut got_account),
-            ),
+    for (round, &(gi, mask, cap, ai, admit)) in probes.iter().enumerate() {
+        let cfg = OnlineConfig {
+            algorithm: ALGORITHMS[ai],
+            ..OnlineConfig::default()
         };
-        for (round, &(gi, mask, cap, ai, admit)) in probes.iter().enumerate() {
-            let cfg = OnlineConfig {
-                algorithm: ALGORITHMS[ai],
-                ..OnlineConfig::default()
-            };
-            let config_hash = SolveCache::config_hash(&cfg.solver);
-            let free_set: Vec<bool> = (0..c.len()).map(|i| mask >> i & 1 == 1).collect();
-            let cap = [None, Some(0.0), Some(12.0)][cap];
-            let cand = &cands[gi];
-            let want = decided(two_call_admit(
-                &c,
-                &free_set,
-                cand,
-                &cfg,
-                &want_view,
-                config_hash,
-                cap,
-                admit,
-            ));
-            let got = if admit {
-                decided(try_admit(
-                    &c,
-                    &mem_order,
-                    &free_set,
-                    cand,
-                    &cfg,
-                    &got_view,
-                    config_hash,
-                    0.0,
-                    1,
-                    None,
-                    cap,
-                    &mut free,
-                ))
-            } else {
-                let placed = can_place(
-                    &c,
-                    &mem_order,
-                    &free_set,
-                    cand,
-                    &cfg,
-                    &got_view,
-                    config_hash,
-                    &mut free,
-                );
-                let want_placed = want == Decided::Overshoot;
-                assert_eq!(placed, want_placed, "{mode:?} probe {round}: placeability");
-                want.clone()
-            };
-            let what = format!("{mode:?} probe {round}: {:?}", probes[round]);
-            assert_eq!(got, want, "{what}");
-            assert_eq!(subject.stats(), reference.stats(), "{what}");
-            assert_eq!(subject.recency(), reference.recency(), "{what}");
-            decisions.push(got);
-        }
+        let want_view = view(mode, &reference, &solvers[ai], &mut want_account);
+        let got_view = view(mode, &subject, &solvers[ai], &mut got_account);
+        let free_set: Vec<bool> = (0..c.len()).map(|i| mask >> i & 1 == 1).collect();
+        let cap = [None, Some(0.0), Some(12.0)][cap];
+        let cand = &cands[gi];
+        let want = decided(two_call_admit(
+            &c, &free_set, cand, &cfg, &want_view, cap, admit,
+        ));
+        let got = if admit {
+            decided(try_admit(
+                &c, &mem_order, &free_set, cand, &cfg, &got_view, 0.0, 1, None, cap, &mut free,
+            ))
+        } else {
+            let placed = can_place(&c, &mem_order, &free_set, cand, &cfg, &got_view, &mut free);
+            let want_placed = want == Decided::Overshoot;
+            assert_eq!(placed, want_placed, "{mode:?} probe {round}: placeability");
+            want.clone()
+        };
+        let what = format!("{mode:?} probe {round}: {:?}", probes[round]);
+        assert_eq!(got, want, "{what}");
+        assert_eq!(subject.stats(), reference.stats(), "{what}");
+        assert_eq!(subject.recency(), reference.recency(), "{what}");
+        decisions.push(got);
     }
     assert_eq!(got_account, want_account, "{mode:?}: live charges");
     decisions
@@ -483,7 +450,8 @@ fn the_one_lock_probe_on_each_outcome() {
     // The solver really ran out of leases on m0 (a miss, no sim), and
     // the warm repeat hit the memoized NoSolution.
     let cache = SolveCache::new();
-    let view = CacheView::direct(&cache);
+    let [solver, _] = solvers();
+    let view = CacheView::direct(&cache, &solver);
     let c = cluster();
     let cfg = OnlineConfig::default();
     let mut free = FreeList::default();
@@ -496,7 +464,6 @@ fn the_one_lock_probe_on_each_outcome() {
             &candidate(branches),
             &cfg,
             &view,
-            SolveCache::config_hash(&cfg.solver),
             0.0,
             1,
             None,
