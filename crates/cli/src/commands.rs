@@ -141,8 +141,8 @@ fn load_workflow(path: &str) -> Result<WorkflowInstance, String> {
 pub fn schedule(args: &Args) -> Result<String, String> {
     let inst = load_workflow(args.require("workflow")?)?;
     let mut cluster = resolve_cluster(args.get_or("cluster", "default"))?;
-    if let Some(beta) = args.get("bandwidth") {
-        let beta: f64 = beta.parse().map_err(|_| format!("--bandwidth: {beta:?}"))?;
+    if args.get("bandwidth").is_some() {
+        let beta = args.get_f64("bandwidth", 0.0)?;
         if beta <= 0.0 {
             return Err("--bandwidth must be positive".into());
         }
@@ -429,11 +429,27 @@ mod tests {
     fn schedule_rejects_a_non_finite_headroom() {
         let wf = tmp("headroom.json");
         cli(&format!("generate --family blast --tasks 50 --output {wf}")).unwrap();
-        for v in ["NaN", "inf", "-inf"] {
-            let err = cli(&format!("schedule --workflow {wf} --headroom {v}")).unwrap_err();
+        for flag in ["headroom", "bandwidth"] {
+            for v in ["NaN", "inf", "-inf"] {
+                let err = cli(&format!("schedule --workflow {wf} --{flag} {v}")).unwrap_err();
+                assert!(
+                    err.contains(&format!("--{flag}")) && err.contains("finite"),
+                    "--{flag} {v}: {err}"
+                );
+            }
+        }
+        // The vendored parser reads `1e999` as infinity; the cluster
+        // file is refused with the bandwidth or the processor named.
+        let beta = r#"{ "bandwidth": 1e999, "processors": [
+            { "name": "fat", "speed": 10, "memory": 500 } ] }"#;
+        let memory = r#"{ "processors": [ { "name": "fat", "speed": 10, "memory": 1e999 } ] }"#;
+        for (tag, text, named) in [("beta", beta, "bandwidth"), ("memory", memory, "\"fat\"")] {
+            let cf = tmp(&format!("infinite-{tag}.json"));
+            std::fs::write(&cf, text).unwrap();
+            let err = cli(&format!("schedule --workflow {wf} --cluster {cf}")).unwrap_err();
             assert!(
-                err.contains("--headroom") && err.contains("finite"),
-                "{v}: {err}"
+                err.contains(named) && err.contains("finite"),
+                "{tag}: {err}"
             );
         }
     }

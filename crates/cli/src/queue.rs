@@ -73,10 +73,7 @@ pub fn queue(args: &Args) -> Result<String, String> {
         return Err("--failure-mode requires --chaos (it defaults the plan's fail events)".into());
     }
     let bandwidth = match args.get("bandwidth") {
-        Some(beta) => {
-            let beta: f64 = beta.parse().map_err(|_| format!("--bandwidth: {beta:?}"))?;
-            Some(positive(beta, "--bandwidth")?)
-        }
+        Some(_) => Some(positive(args.get_f64("bandwidth", 0.0)?, "--bandwidth")?),
         None => None,
     };
 
@@ -406,10 +403,11 @@ mod tests {
     fn non_finite_numeric_flags_are_usage_errors() {
         // `NaN < 1.0` is false, so a NaN headroom used to pass the range
         // check and trip the fitting assertion; `inf` ran on infinite
-        // memories.
+        // memories, and an infinite bandwidth was accepted.
         for (flag, line) in [
             ("--headroom", "queue --workflows 2 --headroom NaN"),
             ("--headroom", "queue --workflows 2 --headroom inf"),
+            ("--bandwidth", "queue --workflows 2 --bandwidth inf"),
             ("--rate", "queue --workflows 2 --process poisson --rate NaN"),
             (
                 "--interval",

@@ -33,8 +33,9 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Which solver to run on a lease.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// Which solver to run on a lease. Ordered as declared: the order
+/// snapshots sort keys in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Algorithm {
     /// The four-step partitioning heuristic (paper §4.2).
     DagHetPart,
@@ -261,7 +262,7 @@ pub struct SimOutcome {
 ///   local-id mapping is remapped onto the probe's processors on a hit,
 /// * the algorithm,
 /// * a hash of the solver configuration ([`SolveCache::config_hash`]).
-type SolveKey = (u64, u64, Algorithm, u64);
+pub(crate) type SolveKey = (u64, u64, Algorithm, u64);
 
 /// One probe's cache key, made once by [`CacheView::key`] and answered
 /// by [`CacheView::probe_warm`] — or, when nothing is memoized under
@@ -313,7 +314,7 @@ fn share<T>(value: &Arc<T>) -> Arc<T> {
 /// simulation of its mapping once a probe has asked for it; the sim
 /// carries no LRU stamp of its own and leaves with its entry.
 #[derive(Clone, Debug)]
-enum CachedSolve {
+pub(crate) enum CachedSolve {
     Solved {
         local: Arc<MappingResult>,
         sim: Option<Arc<SimOutcome>>,
@@ -360,6 +361,16 @@ struct Store {
     /// The monotone recency clock: each lookup and insert draws a
     /// unique stamp, so the LRU victim is well-defined.
     tick: u64,
+}
+
+/// A [`Store`]'s contents by value, as a snapshot saves and restores
+/// them: the recency clock, the counters, and every entry with its LRU
+/// stamp.
+#[derive(Debug)]
+pub(crate) struct StoreImage {
+    pub(crate) tick: u64,
+    pub(crate) stats: SolveCacheStats,
+    pub(crate) entries: Vec<(SolveKey, CachedSolve, u64)>,
 }
 
 impl Store {
@@ -761,51 +772,24 @@ impl SolveCache {
 
     // ------------------------------------------------------ snapshots
     //
-    // The accessors `dhp_core::persist` serialises through. Snapshots
-    // are key-sorted so a saved file is a pure function of the cache
+    // What `dhp_core::persist` saves and restores. Snapshots are
+    // key-sorted so a saved file is a pure function of the cache
     // *contents*, never of `HashMap` iteration order.
 
-    /// Deterministic byte image of a key, for snapshot ordering.
-    fn key_sort_image(key: &SolveKey) -> (u64, u64, u8, u64) {
-        let (fp, shape, algorithm, chash) = *key;
-        let algo_byte = match algorithm {
-            Algorithm::DagHetPart => 0u8,
-            Algorithm::DagHetMem => 1u8,
-        };
-        (fp, shape, algo_byte, chash)
-    }
-
-    /// Every memoized solve as `(key, outcome, LRU stamp)`, key-sorted;
-    /// `None` is a memoized `NoSolution`.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn snapshot_solves(&self) -> Vec<(SolveKey, Option<Arc<MappingResult>>, u64)> {
-        let mut out: Vec<(SolveKey, Option<Arc<MappingResult>>, u64)> = self
-            .store
-            .lock()
+    /// The whole store, entries key-sorted.
+    pub(crate) fn snapshot(&self) -> StoreImage {
+        let store = self.lock();
+        let mut entries: Vec<_> = store
             .entries
             .iter()
-            .map(|(k, (v, stamp))| (*k, v.outcome().ok(), *stamp))
+            .map(|(key, (entry, stamp))| (*key, entry.clone(), *stamp))
             .collect();
-        out.sort_by_key(|(k, _, _)| SolveCache::key_sort_image(k));
-        out
-    }
-
-    /// Every memoized simulation outcome as `(key, sim)`, key-sorted.
-    pub(crate) fn snapshot_sims(&self) -> Vec<(SolveKey, Arc<SimOutcome>)> {
-        let mut out: Vec<(SolveKey, Arc<SimOutcome>)> = self
-            .store
-            .lock()
-            .entries
-            .iter()
-            .filter_map(|(k, (v, _))| Some((*k, share(v.sim()?))))
-            .collect();
-        out.sort_by_key(|(k, _)| SolveCache::key_sort_image(k));
-        out
-    }
-
-    /// Current value of the recency clock (the largest stamp drawn).
-    pub(crate) fn tick_value(&self) -> u64 {
-        self.lock().tick
+        entries.sort_by_key(|(key, _, _)| *key);
+        StoreImage {
+            tick: store.tick,
+            stats: store.stats,
+            entries,
+        }
     }
 
     /// The recency clock and every memoized key with its LRU stamp,
@@ -820,41 +804,23 @@ impl SolveCache {
             .iter()
             .map(|(key, (_, stamp))| (*key, *stamp))
             .collect();
-        stamps.sort_by_key(|(key, _)| SolveCache::key_sort_image(key));
+        stamps.sort_by_key(|(key, _)| *key);
         (store.tick, stamps)
     }
 
-    /// Restores a parsed snapshot: re-inserts every solve with its
-    /// saved LRU stamp (no tick draw — restored entries keep their
-    /// relative recency order; `None` is a memoized `NoSolution`),
-    /// attaches every sim to its solve (the caller has refused a sim
-    /// without one), advances the recency clock past every restored
-    /// stamp, carries the snapshot's cumulative statistics into this
-    /// cache's counters, and evicts down to this cache's LRU capacity
-    /// if the snapshot outgrows it.
-    pub(crate) fn restore(
-        &self,
-        tick: u64,
-        carried: SolveCacheStats,
-        solves: Vec<(SolveKey, Option<MappingResult>, u64)>,
-        sims: Vec<(SolveKey, SimOutcome)>,
-    ) {
+    /// Restores a parsed snapshot: re-inserts every entry, sim
+    /// included, with its saved LRU stamp (no tick draw — restored
+    /// entries keep their relative recency order), advances the
+    /// recency clock to the saved one, carries the snapshot's
+    /// cumulative statistics into this cache's counters, and evicts
+    /// down to this cache's LRU capacity if the snapshot outgrows it.
+    pub(crate) fn restore(&self, image: StoreImage) {
         let mut store = self.lock();
-        for (key, solved, stamp) in solves {
-            let value = match solved {
-                Some(local) => CachedSolve::Solved {
-                    local: Arc::new(local),
-                    sim: None,
-                },
-                None => CachedSolve::NoSolution,
-            };
-            store.entries.insert(key, (value, stamp));
+        for (key, entry, stamp) in image.entries {
+            store.entries.insert(key, (entry, stamp));
         }
-        for (key, sim) in sims {
-            store.attach_sim(&key, Arc::new(sim));
-        }
-        store.tick = store.tick.max(tick);
-        let stats = &mut store.stats;
+        store.tick = store.tick.max(image.tick);
+        let (stats, carried) = (&mut store.stats, image.stats);
         stats.hits += carried.hits;
         stats.misses += carried.misses;
         stats.evictions += carried.evictions;
@@ -1668,7 +1634,7 @@ mod tests {
         let solver = default_solver();
         let view = CacheView::direct(&cache, &solver);
         let key = solve_on_lease(&view, &builder::chain(4, 2.0, 4.0, 1.0));
-        let tick = cache.tick_value();
+        let tick = cache.recency().0;
         let mut computed = 0;
         let first = view.sim_outcome_keyed(key, || {
             computed += 1;
@@ -1688,7 +1654,7 @@ mod tests {
         // Sims and solves count separately: the one solve miss is the
         // solve's, and no sim probe draws a recency tick.
         assert_eq!((s.hits, s.misses), (0, 1));
-        assert_eq!(cache.tick_value(), tick);
+        assert_eq!(cache.recency().0, tick);
     }
 
     #[test]

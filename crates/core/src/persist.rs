@@ -18,63 +18,71 @@
 //!   leaves the cache exactly as it was (a cold start), never a
 //!   partial restore, and never a panic.
 //!
-//! # Snapshot format (version 4)
+//! # Snapshot format (version 5)
 //!
-//! A little-endian binary frame around length-prefixed JSON records
-//! (the workspace's vendored serde shims provide the JSON):
+//! Little-endian throughout, laid out like the store it saves. A
+//! 36-byte header:
 //!
 //! | field         | size | meaning                                       |
 //! |---------------|------|-----------------------------------------------|
 //! | magic         | 8    | `b"DHPCACHE"`                                 |
-//! | version       | 4    | format version, this module writes 4          |
+//! | version       | 4    | format version, this module writes 5          |
 //! | `config_hash` | 8    | [`SolveCache::config_hash`] of the solver     |
-//! | solves        | 8    | number of solve records in the body           |
-//! | sims          | 8    | number of sim records in the body             |
 //! | body length   | 8    | byte length of the body                       |
 //! | body checksum | 8    | FNV-1a over the body bytes                    |
-//! | body          | var  | records: meta, solves, then sims              |
+//!
+//! then the body, all of it under the checksum: the counters (hits,
+//! misses, evictions, sim hits, sim misses; 8 bytes each), the recency
+//! clock (8), the entry count (8), and one record per memoized key in
+//! ascending key order:
+//!
+//! | field      | size        | meaning                                          |
+//! |------------|-------------|--------------------------------------------------|
+//! | key        | 8 + 8 + 1 + 8 | fingerprint, lease shape, algorithm (0 DagHetPart, 1 DagHetMem), config hash |
+//! | stamp      | 8           | LRU recency stamp, at most the clock             |
+//! | kind       | 1           | 0 a memoized `NoSolution` (the record ends here), 1 a solve, 2 a solve with its sim |
+//! | makespan   | 8           | `f64` bits                                       |
+//! | `k'`       | 8           | block count of the winning configuration         |
+//! | blocks     | 8 + 4·n     | task count `n`, then each task's block, numbered densely in order of first appearance |
+//! | processors | 8 + 8·k     | one lease-local processor per block (`u64::MAX`: none) |
+//! | sim        | var         | kind 2 only: makespan (8), task starts and finishes (each `8 + 8·n`), lanes (`8 + 12·l`: processor `u32`, busy time `f64`) |
+//!
+//! A sim lives on the solve it simulates, so a sim without one cannot
+//! be written down. A solve's wall-clock `elapsed` is not saved: no
+//! reader of a memoized result uses it, and a restored entry has
+//! [`Duration::ZERO`], so the bytes are a pure function of the cache
+//! contents.
 //!
 //! Snapshots of any other version are refused as
 //! [`SnapshotError::WrongVersion`] and degrade to a classified cold
 //! start — the same recovery semantics as any other incompatibility.
 //! The version is checked before any later offset is read, so a
-//! version-3 file (one more 4-byte field after `config_hash`) is
-//! refused, not misread.
-//!
-//! The header sits outside the body checksum, so the two record counts
-//! are checked against the body before anything is sized by them: every
-//! record carries a 4-byte length prefix, so a count above
-//! `body length / 4` is [`SnapshotError::Malformed`].
-//!
-//! The cache memoizes a sim on the entry of the solve it simulates, so
-//! a sim record whose key has no solved record in the same snapshot (no
-//! record at all, or a memoized `NoSolution`) is
-//! [`SnapshotError::Malformed`] too.
-//!
-//! Every record is a `u32` byte length followed by that many bytes of
-//! UTF-8 JSON. All `u64` hashes, recency stamps, and `f64` bit
-//! patterns are hex-*strings* in the JSON: the vendored value tree
-//! stores numbers as `f64`, which cannot represent full-range 64-bit
-//! integers exactly, and a warm start must round-trip bit-exactly.
+//! version-4 file (two more 8-byte fields after `config_hash`) is
+//! refused, not misread. The reader checks every length prefix against
+//! the bytes left before it allocates anything, and refuses as
+//! [`SnapshotError::Malformed`] a record out of key order, a stamp past
+//! the clock, a block array that is not densely numbered and a
+//! processor table with other than one entry per block.
 
 // Digest-pinned output: no hash-ordered collection may reach it.
 #![deny(clippy::disallowed_types)]
 
+use crate::mapping::Mapping;
 use crate::metrics::MappingResult;
-use crate::partial::{Algorithm, SimOutcome, SolveCache, SolveCacheStats};
+use crate::partial::{Algorithm, CachedSolve, SimOutcome, SolveCache, SolveCacheStats, StoreImage};
 use dhp_dag::fingerprint::fnv1a_bytes;
-use dhp_dag::Partition;
+use dhp_dag::{NodeId, Partition};
 use dhp_platform::ProcId;
-use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Leading magic bytes of every snapshot.
 pub const MAGIC: [u8; 8] = *b"DHPCACHE";
 
 /// The snapshot format version this module reads and writes.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Why a snapshot failed to load. Every variant is a **cold start**,
 /// never a panic; [`SnapshotError::Missing`] is the expected first-run
@@ -102,7 +110,7 @@ pub enum SnapshotError {
         /// `config_hash` of the loading run's solver configuration.
         expected: u64,
     },
-    /// The frame is intact but a record inside it does not parse.
+    /// The frame is intact but the body inside it does not parse.
     Malformed(String),
 }
 
@@ -113,12 +121,10 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::Io(e) => write!(f, "cannot read snapshot: {e}"),
             SnapshotError::Truncated => write!(f, "snapshot is truncated"),
             SnapshotError::BadMagic => write!(f, "not a solve-cache snapshot (bad magic)"),
-            SnapshotError::WrongVersion(v) => {
-                write!(
-                    f,
-                    "snapshot format version {v} (this build reads {FORMAT_VERSION})"
-                )
-            }
+            SnapshotError::WrongVersion(v) => write!(
+                f,
+                "snapshot format version {v} (this build reads {FORMAT_VERSION})"
+            ),
             SnapshotError::ChecksumMismatch => write!(f, "snapshot body fails its checksum"),
             SnapshotError::ConfigMismatch { found, expected } => write!(
                 f,
@@ -140,198 +146,229 @@ pub struct LoadSummary {
     pub sims: usize,
 }
 
-// ------------------------------------------------------------ JSON DTOs
-//
-// All u64 values (FNV hashes, recency stamps, f64 bit patterns) travel
-// as 16-digit hex strings — see the module docs.
+// ------------------------------------------------------------- writing
 
-fn hex(v: u64) -> String {
-    format!("{v:016x}")
+/// The processor-table word of a block mapped to no processor.
+const NO_PROC: u64 = u64::MAX;
+
+/// Appends each word little-endian.
+fn put(body: &mut Vec<u8>, words: impl IntoIterator<Item = u64>) {
+    for w in words {
+        body.extend_from_slice(&w.to_le_bytes());
+    }
 }
 
-fn unhex(s: &str) -> Result<u64, SnapshotError> {
-    u64::from_str_radix(s, 16).map_err(|_| SnapshotError::Malformed(format!("bad hex u64: {s:?}")))
+/// Appends a length-prefixed array of `f64` bit patterns.
+fn put_f64s(body: &mut Vec<u8>, xs: &[f64]) {
+    put(body, [xs.len() as u64]);
+    put(body, xs.iter().map(|x| x.to_bits()));
 }
 
-fn hex_f64(x: f64) -> String {
-    hex(x.to_bits())
-}
-
-fn unhex_f64(s: &str) -> Result<f64, SnapshotError> {
-    unhex(s).map(f64::from_bits)
-}
-
-/// Aggregate counters and the recency clock.
-#[derive(Serialize, Deserialize)]
-struct MetaDto {
-    tick: String,
-    hits: String,
-    misses: String,
-    evictions: String,
-    sim_hits: String,
-    sim_misses: String,
-}
-
-/// A cache key: `(fingerprint, shape, algorithm, config_hash)`.
-#[derive(Serialize, Deserialize)]
-struct KeyDto {
-    fp: String,
-    shape: String,
-    algo: String,
-    chash: String,
-}
-
-impl KeyDto {
-    fn pack(fp: u64, shape: u64, algorithm: Algorithm, chash: u64) -> KeyDto {
-        KeyDto {
-            fp: hex(fp),
-            shape: hex(shape),
-            algo: algorithm.name().to_string(),
-            chash: hex(chash),
+/// The body of a snapshot of `image` (see the module docs).
+fn encode(image: &StoreImage) -> Vec<u8> {
+    let mut body = Vec::new();
+    let s = image.stats;
+    let counters = [s.hits, s.misses, s.evictions, s.sim_hits, s.sim_misses];
+    let entries = image.entries.len() as u64;
+    put(&mut body, counters.into_iter().chain([image.tick, entries]));
+    for (key, entry, stamp) in &image.entries {
+        let (fp, shape, algorithm, chash) = *key;
+        put(&mut body, [fp, shape]);
+        body.push(algorithm as u8);
+        put(&mut body, [chash, *stamp]);
+        let CachedSolve::Solved { local, sim } = entry else {
+            body.push(0);
+            continue;
+        };
+        body.push(1 + u8::from(sim.is_some()));
+        let (partition, procs) = (&local.mapping.partition, &local.mapping.proc_of_block);
+        let n = partition.len();
+        put(
+            &mut body,
+            [local.makespan.to_bits(), local.kprime as u64, n as u64],
+        );
+        for u in 0..n {
+            body.extend_from_slice(&partition.block_of(NodeId(u as u32)).0.to_le_bytes());
+        }
+        put(&mut body, [procs.len() as u64]);
+        put(
+            &mut body,
+            procs.iter().map(|p| p.map_or(NO_PROC, |p| u64::from(p.0))),
+        );
+        if let Some(sim) = sim {
+            put(&mut body, [sim.makespan.to_bits()]);
+            put_f64s(&mut body, &sim.task_start);
+            put_f64s(&mut body, &sim.task_finish);
+            put(&mut body, [sim.lanes.len() as u64]);
+            for &(p, busy) in &sim.lanes {
+                body.extend_from_slice(&p.to_le_bytes());
+                put(&mut body, [busy.to_bits()]);
+            }
         }
     }
+    body
+}
 
-    fn unpack(&self) -> Result<(u64, u64, Algorithm, u64), SnapshotError> {
-        let algorithm = Algorithm::parse(&self.algo).ok_or_else(|| {
-            SnapshotError::Malformed(format!("unknown algorithm {:?}", self.algo))
+// ------------------------------------------------------------- reading
+
+fn malformed(what: impl Into<String>) -> SnapshotError {
+    SnapshotError::Malformed(what.into())
+}
+
+/// A cursor over a snapshot body. Every read is bounds-checked, and
+/// every length prefix is checked against the bytes left before it
+/// sizes an allocation.
+struct Body<'a>(&'a [u8]);
+
+impl Body<'_> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        let Some((head, rest)) = self.0.split_first_chunk::<N>() else {
+            return Err(malformed("a record runs past the end of the body"));
+        };
+        self.0 = rest;
+        Ok(*head)
+    }
+
+    fn u8(&mut self) -> Result<u8, SnapshotError> {
+        self.take().map(u8::from_le_bytes)
+    }
+
+    fn u32(&mut self) -> Result<u32, SnapshotError> {
+        self.take().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, SnapshotError> {
+        self.take().map(u64::from_le_bytes)
+    }
+
+    fn f64(&mut self) -> Result<f64, SnapshotError> {
+        self.u64().map(f64::from_bits)
+    }
+
+    /// A length prefix, then that many items of at least `size` bytes
+    /// each, read by `item`.
+    fn vec<T>(
+        &mut self,
+        size: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, SnapshotError>,
+    ) -> Result<Vec<T>, SnapshotError> {
+        let n = self.u64()?;
+        let left = self.0.len();
+        if n > (left / size) as u64 {
+            return Err(malformed(format!(
+                "{n} items of {size} bytes claimed with {left} bytes left"
+            )));
+        }
+        let mut out = Vec::with_capacity(n as usize);
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+
+    /// A solve record's payload, after its kind byte.
+    fn solve(&mut self) -> Result<MappingResult, SnapshotError> {
+        let makespan = self.f64()?;
+        let kprime = usize::try_from(self.u64()?).map_err(|_| malformed("k' overflows usize"))?;
+        let partition = Partition::try_from_dense(self.vec(4, Body::u32)?)
+            .ok_or_else(|| malformed("block array is not densely numbered"))?;
+        let proc_of_block = self.vec(8, |b| match b.u64()? {
+            NO_PROC => Ok(None),
+            p => u32::try_from(p)
+                .map(|p| Some(ProcId(p)))
+                .map_err(|_| malformed(format!("processor {p} overflows u32"))),
         })?;
-        Ok((
-            unhex(&self.fp)?,
-            unhex(&self.shape)?,
-            algorithm,
-            unhex(&self.chash)?,
-        ))
-    }
-}
-
-/// A solved entry's payload: the lease-local [`MappingResult`].
-/// `elapsed` is nanoseconds as a plain number (solver wall-clock times
-/// are far below the 2^53 exactness bound).
-#[derive(Serialize, Deserialize)]
-struct SolvedDto {
-    partition: Partition,
-    proc_of_block: Vec<Option<ProcId>>,
-    makespan: String,
-    kprime: usize,
-    elapsed_nanos: u64,
-}
-
-/// One memoized solve: key, LRU stamp, and the outcome (`None` is a
-/// memoized `NoSolution`).
-#[derive(Serialize, Deserialize)]
-struct SolveDto {
-    key: KeyDto,
-    stamp: String,
-    solved: Option<SolvedDto>,
-}
-
-/// One memoized simulation outcome.
-#[derive(Serialize, Deserialize)]
-struct SimDto {
-    key: KeyDto,
-    makespan: String,
-    task_start: Vec<String>,
-    task_finish: Vec<String>,
-    lanes: Vec<(u32, String)>,
-}
-
-impl SimDto {
-    fn pack(sim: &SimOutcome) -> SimDto {
-        SimDto {
-            key: KeyDto {
-                fp: String::new(),
-                shape: String::new(),
-                algo: String::new(),
-                chash: String::new(),
-            },
-            makespan: hex_f64(sim.makespan),
-            task_start: sim.task_start.iter().copied().map(hex_f64).collect(),
-            task_finish: sim.task_finish.iter().copied().map(hex_f64).collect(),
-            lanes: sim.lanes.iter().map(|&(p, b)| (p, hex_f64(b))).collect(),
+        if proc_of_block.len() != partition.num_blocks() {
+            return Err(malformed(format!(
+                "{} processor entries for {} blocks",
+                proc_of_block.len(),
+                partition.num_blocks()
+            )));
         }
+        Ok(MappingResult {
+            mapping: Mapping {
+                partition,
+                proc_of_block,
+            },
+            makespan,
+            kprime,
+            elapsed: Duration::ZERO,
+        })
     }
 
-    fn unpack(&self) -> Result<SimOutcome, SnapshotError> {
+    fn sim(&mut self) -> Result<SimOutcome, SnapshotError> {
         Ok(SimOutcome {
-            makespan: unhex_f64(&self.makespan)?,
-            task_start: self
-                .task_start
-                .iter()
-                .map(|s| unhex_f64(s))
-                .collect::<Result<_, _>>()?,
-            task_finish: self
-                .task_finish
-                .iter()
-                .map(|s| unhex_f64(s))
-                .collect::<Result<_, _>>()?,
-            lanes: self
-                .lanes
-                .iter()
-                .map(|(p, b)| Ok((*p, unhex_f64(b)?)))
-                .collect::<Result<_, SnapshotError>>()?,
+            makespan: self.f64()?,
+            task_start: self.vec(8, Body::f64)?,
+            task_finish: self.vec(8, Body::f64)?,
+            lanes: self.vec(12, |b| Ok((b.u32()?, b.f64()?)))?,
         })
     }
 }
 
-// ------------------------------------------------------------- framing
-
-fn push_record<T: Serialize>(body: &mut Vec<u8>, dto: &T) -> std::io::Result<()> {
-    let json = serde_json::to_string(dto).map_err(std::io::Error::other)?;
-    let bytes = json.as_bytes();
-    body.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    body.extend_from_slice(bytes);
-    Ok(())
-}
-
-/// A cursor over the length-prefixed records of a snapshot body.
-struct Records<'a> {
-    body: &'a [u8],
-    pos: usize,
-}
-
-impl Records<'_> {
-    fn next<T: Deserialize>(&mut self) -> Result<T, SnapshotError> {
-        let len = read_u32(self.body, self.pos)? as usize;
-        let len_end = self.pos + 4;
-        let end = len_end + len;
-        if end > self.body.len() {
-            return Err(SnapshotError::Truncated);
+/// Parses a checksummed body back into the store it was saved from.
+fn decode(body: &[u8]) -> Result<StoreImage, SnapshotError> {
+    let mut b = Body(body);
+    let stats = SolveCacheStats {
+        hits: b.u64()?,
+        misses: b.u64()?,
+        evictions: b.u64()?,
+        sim_hits: b.u64()?,
+        sim_misses: b.u64()?,
+    };
+    let tick = b.u64()?;
+    let mut last = None;
+    // A record is at least its key, stamp and kind byte.
+    let entries = b.vec(8 + 8 + 1 + 8 + 8 + 1, |b| {
+        let (fp, shape) = (b.u64()?, b.u64()?);
+        let algorithm = match b.u8()? {
+            0 => Algorithm::DagHetPart,
+            1 => Algorithm::DagHetMem,
+            a => return Err(malformed(format!("unknown algorithm byte {a}"))),
+        };
+        let key = (fp, shape, algorithm, b.u64()?);
+        if last.is_some_and(|prev| prev >= key) {
+            return Err(malformed(format!("key {key:x?} is out of order")));
         }
-        let json = std::str::from_utf8(&self.body[len_end..end])
-            .map_err(|e| SnapshotError::Malformed(format!("record is not UTF-8: {e}")))?;
-        self.pos = end;
-        serde_json::from_str(json).map_err(|e| SnapshotError::Malformed(format!("{e:?}")))
+        last = Some(key);
+        let stamp = b.u64()?;
+        if stamp > tick {
+            return Err(malformed(format!("stamp {stamp} is past the clock {tick}")));
+        }
+        let entry = match b.u8()? {
+            0 => CachedSolve::NoSolution,
+            kind @ (1 | 2) => CachedSolve::Solved {
+                local: Arc::new(b.solve()?),
+                sim: if kind == 2 {
+                    Some(Arc::new(b.sim()?))
+                } else {
+                    None
+                },
+            },
+            kind => return Err(malformed(format!("unknown entry kind {kind}"))),
+        };
+        Ok((key, entry, stamp))
+    })?;
+    if !b.0.is_empty() {
+        return Err(malformed("trailing bytes after the last record"));
     }
+    Ok(StoreImage {
+        tick,
+        stats,
+        entries,
+    })
 }
 
-fn read_u32(bytes: &[u8], at: usize) -> Result<u32, SnapshotError> {
-    bytes
-        .get(at..)
-        .and_then(|b| b.first_chunk::<4>())
-        .map(|b| u32::from_le_bytes(*b))
-        .ok_or(SnapshotError::Truncated)
-}
-
-fn read_u64(bytes: &[u8], at: usize) -> Result<u64, SnapshotError> {
-    bytes
-        .get(at..)
-        .and_then(|b| b.first_chunk::<8>())
-        .map(|b| u64::from_le_bytes(*b))
-        .ok_or(SnapshotError::Truncated)
-}
-
-/// Byte offset of the body: magic + version + config_hash + solve
-/// count + sim count + body length + checksum.
-const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8 + 8;
+/// Byte offset of the body: magic + version + config_hash + body
+/// length + checksum.
+const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8;
 
 /// The header (see the module docs) followed by `body`.
-fn frame(config_hash: u64, solves: usize, sims: usize, body: &[u8]) -> Vec<u8> {
+fn frame(config_hash: u64, body: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(HEADER_LEN + body.len());
     frame.extend_from_slice(&MAGIC);
     frame.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     frame.extend_from_slice(&config_hash.to_le_bytes());
-    frame.extend_from_slice(&(solves as u64).to_le_bytes());
-    frame.extend_from_slice(&(sims as u64).to_le_bytes());
     frame.extend_from_slice(&(body.len() as u64).to_le_bytes());
     frame.extend_from_slice(&fnv1a_bytes(body.iter().copied()).to_le_bytes());
     frame.extend_from_slice(body);
@@ -350,47 +387,7 @@ impl SolveCache {
     /// configuration refuses the whole file rather than serving
     /// wrongly-keyed entries.
     pub fn save_to(&self, path: &Path, config_hash: u64) -> std::io::Result<()> {
-        let solves = self.snapshot_solves();
-        let sims = self.snapshot_sims();
-        let stats = self.stats();
-
-        let mut body = Vec::new();
-        push_record(
-            &mut body,
-            &MetaDto {
-                tick: hex(self.tick_value()),
-                hits: hex(stats.hits),
-                misses: hex(stats.misses),
-                evictions: hex(stats.evictions),
-                sim_hits: hex(stats.sim_hits),
-                sim_misses: hex(stats.sim_misses),
-            },
-        )?;
-        for (key, entry, stamp) in &solves {
-            let (fp, shape, algorithm, chash) = *key;
-            push_record(
-                &mut body,
-                &SolveDto {
-                    key: KeyDto::pack(fp, shape, algorithm, chash),
-                    stamp: hex(*stamp),
-                    solved: entry.as_ref().map(|local| SolvedDto {
-                        partition: local.mapping.partition.clone(),
-                        proc_of_block: local.mapping.proc_of_block.clone(),
-                        makespan: hex_f64(local.makespan),
-                        kprime: local.kprime,
-                        elapsed_nanos: local.elapsed.as_nanos() as u64,
-                    }),
-                },
-            )?;
-        }
-        for (key, sim) in &sims {
-            let (fp, shape, algorithm, chash) = *key;
-            let mut dto = SimDto::pack(sim);
-            dto.key = KeyDto::pack(fp, shape, algorithm, chash);
-            push_record(&mut body, &dto)?;
-        }
-
-        let frame = frame(config_hash, solves.len(), sims.len(), &body);
+        let frame = frame(config_hash, &encode(&self.snapshot()));
 
         // Temp file + fsync + atomic rename + directory fsync: the
         // rename is the commit point; everything before it is
@@ -413,10 +410,9 @@ impl SolveCache {
     }
 
     /// Restores a snapshot saved by [`SolveCache::save_to`] into this
-    /// cache: solve entries keep their relative LRU order (saved
-    /// recency stamps; the clock advances past them), sim outcomes are
-    /// re-attached, and the snapshot's cumulative statistics carry
-    /// over. If this cache is capacity-bounded and the snapshot
+    /// cache: entries come back with their sims and keep their relative
+    /// LRU order (saved recency stamps; the clock advances to the saved
+    /// one), and the snapshot's cumulative statistics carry over. If this cache is capacity-bounded and the snapshot
     /// exceeds the bound, least-recently-used entries are evicted down
     /// to capacity.
     ///
@@ -436,116 +432,51 @@ impl SolveCache {
             Err(e) => return Err(SnapshotError::Io(e.to_string())),
             Ok(b) => b,
         };
-        if bytes.len() < HEADER_LEN {
+        let Some((header, body)) = bytes.split_first_chunk::<HEADER_LEN>() else {
             // An empty or half-written header: if the magic does not
             // even match what is there, call it foreign, else torn.
             if !bytes.is_empty() && !MAGIC.starts_with(&bytes[..bytes.len().min(8)]) {
                 return Err(SnapshotError::BadMagic);
             }
             return Err(SnapshotError::Truncated);
-        }
-        if bytes[..8] != MAGIC {
+        };
+        let mut header = Body(header);
+        if header.take()? != MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        let version = read_u32(&bytes, 8)?;
+        let version = header.u32()?;
         if version != FORMAT_VERSION {
             return Err(SnapshotError::WrongVersion(version));
         }
-        let file_chash = read_u64(&bytes, 12)?;
-        if file_chash != expected_config_hash {
+        let found = header.u64()?;
+        if found != expected_config_hash {
             return Err(SnapshotError::ConfigMismatch {
-                found: file_chash,
+                found,
                 expected: expected_config_hash,
             });
         }
-        let body_len = read_u64(&bytes, 36)?;
-        let checksum = read_u64(&bytes, 44)?;
-        let body = &bytes[HEADER_LEN..];
-        if body.len() as u64 != body_len {
+        if header.u64()? != body.len() as u64 {
             return Err(SnapshotError::Truncated);
         }
-        // The counts sit outside the checksum: bound them by what the
-        // body can hold (a record is at least its 4-byte length prefix)
-        // before they size anything.
-        let count = |at: usize, what: &str| -> Result<usize, SnapshotError> {
-            let n = read_u64(&bytes, at)?;
-            if n > body_len / 4 {
-                return Err(SnapshotError::Malformed(format!(
-                    "header claims {n} {what} records in a {body_len}-byte body"
-                )));
-            }
-            Ok(n as usize)
-        };
-        let n_solves = count(20, "solve")?;
-        let n_sims = count(28, "sim")?;
+        let checksum = header.u64()?;
         if fnv1a_bytes(body.iter().copied()) != checksum {
             return Err(SnapshotError::ChecksumMismatch);
         }
-
-        // Parse everything into plain values first; the cache is only
-        // mutated once the whole body has deserialised cleanly.
-        let mut records = Records { body, pos: 0 };
-        let meta: MetaDto = records.next()?;
-        let tick = unhex(&meta.tick)?;
-        let carried = SolveCacheStats {
-            hits: unhex(&meta.hits)?,
-            misses: unhex(&meta.misses)?,
-            evictions: unhex(&meta.evictions)?,
-            sim_hits: unhex(&meta.sim_hits)?,
-            sim_misses: unhex(&meta.sim_misses)?,
-        };
-        let mut solves = Vec::with_capacity(n_solves);
-        for _ in 0..n_solves {
-            let dto: SolveDto = records.next()?;
-            let (fp, shape, algorithm, chash) = dto.key.unpack()?;
-            let stamp = unhex(&dto.stamp)?;
-            let solved = match dto.solved {
-                None => None,
-                Some(s) => Some(MappingResult {
-                    mapping: crate::mapping::Mapping {
-                        partition: s.partition,
-                        proc_of_block: s.proc_of_block,
-                    },
-                    makespan: unhex_f64(&s.makespan)?,
-                    kprime: s.kprime,
-                    elapsed: Duration::from_nanos(s.elapsed_nanos),
-                }),
-            };
-            solves.push(((fp, shape, algorithm, chash), solved, stamp));
-        }
-        // A sim is memoized on its solve: one whose key the snapshot
-        // does not leave solved (last record wins, as on restore) has
-        // nowhere to go.
-        #[expect(clippy::disallowed_types, reason = "membership only, never iterated")]
-        let solved: std::collections::HashMap<_, bool> = solves
-            .iter()
-            .map(|(key, local, _)| (*key, local.is_some()))
-            .collect();
-        let mut sims = Vec::with_capacity(n_sims);
-        for _ in 0..n_sims {
-            let dto: SimDto = records.next()?;
-            let key = dto.key.unpack()?;
-            if solved.get(&key) != Some(&true) {
-                return Err(SnapshotError::Malformed(format!(
-                    "sim record for key {key:x?} has no solved entry"
-                )));
-            }
-            sims.push((key, dto.unpack()?));
-        }
-        if records.pos != body.len() {
-            return Err(SnapshotError::Malformed(
-                "trailing bytes after the last record".to_string(),
-            ));
-        }
-
+        // Parse everything first; the cache is only touched once the
+        // whole body has decoded cleanly.
+        let image = decode(body)?;
         if !self.is_enabled() {
             return Ok(LoadSummary::default());
         }
         let summary = LoadSummary {
-            solves: solves.len(),
-            sims: sims.len(),
+            solves: image.entries.len(),
+            sims: image
+                .entries
+                .iter()
+                .filter(|(_, entry, _)| matches!(entry, CachedSolve::Solved { sim: Some(_), .. }))
+                .count(),
         };
-        self.restore(tick, carried, solves, sims);
+        self.restore(image);
         Ok(summary)
     }
 }
@@ -704,18 +635,22 @@ mod tests {
         let cfg = DagHetPartConfig::default();
         let chash = SolveCache::config_hash(&cfg);
         let cache = SolveCache::new();
-        let (graphs, shape) = populate(&cache);
+        populate(&cache);
         cache.save_to(&path, chash).unwrap();
         let good = std::fs::read(&path).unwrap();
 
-        let try_load = |bytes: &[u8]| -> SnapshotError {
+        let load = |bytes: &[u8]| -> (SolveCache, Result<LoadSummary, SnapshotError>) {
             let p = dir.join("mut.snap");
             std::fs::write(&p, bytes).unwrap();
             let fresh = SolveCache::new();
-            let err = fresh.load_from(&p, chash).unwrap_err();
+            let loaded = fresh.load_from(&p, chash);
+            (fresh, loaded)
+        };
+        let try_load = |bytes: &[u8]| -> SnapshotError {
+            let (fresh, loaded) = load(bytes);
             // The failed load never half-populates the cache.
             assert!(fresh.is_empty() && fresh.sim_len() == 0);
-            err
+            loaded.unwrap_err()
         };
 
         // Truncated: drop the tail of the body.
@@ -733,57 +668,105 @@ mod tests {
             SnapshotError::BadMagic
         );
         // Wrong format version — a later one, and the previous one
-        // (whose header is one field longer; it is never parsed).
-        for v in [99u32, 3] {
+        // (whose header is two fields longer; it is never parsed).
+        for v in [99u32, 4] {
             let mut wrong_ver = good.clone();
             wrong_ver[8..12].copy_from_slice(&v.to_le_bytes());
             assert_eq!(try_load(&wrong_ver), SnapshotError::WrongVersion(v));
         }
-        // The record counts sit outside the checksum. A count no body
-        // of this length can hold is refused before it sizes anything;
-        // one that is merely too large runs into the next section or
-        // off the end of the body.
-        for at in [20, 28] {
-            let mut huge = good.clone();
-            huge[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-            assert!(matches!(try_load(&huge), SnapshotError::Malformed(_)));
-            let mut one_more = good.clone();
-            let n = read_u64(&good, at).unwrap() + 1;
-            one_more[at..at + 8].copy_from_slice(&n.to_le_bytes());
-            let err = try_load(&one_more);
-            assert!(
-                matches!(err, SnapshotError::Truncated | SnapshotError::Malformed(_)),
-                "{err:?}"
-            );
+        // An entry count no body of this length can hold is refused
+        // before it sizes anything, checksum re-stamped; one that is
+        // merely one too many runs off the end of the body.
+        let body = &good[HEADER_LEN..];
+        let count_at = 6 * 8;
+        assert_eq!(body[count_at..count_at + 8], 3u64.to_le_bytes());
+        for claimed in [u64::MAX, 4] {
+            let mut more = body.to_vec();
+            more[count_at..count_at + 8].copy_from_slice(&claimed.to_le_bytes());
+            let err = try_load(&frame(chash, &more));
+            assert!(matches!(err, SnapshotError::Malformed(_)), "{err:?}");
         }
-        // A sim memoized on no solve: the saved frame with its one sim
-        // record re-keyed, every count, length and checksum valid.
-        let rekeyed = |key: KeyDto| -> Vec<u8> {
-            let mut records = Records {
-                body: &good[HEADER_LEN..],
-                pos: 0,
+        // One solved entry over two tasks in two blocks, the block
+        // array and the processor table made hostile by hand.
+        let one_solve = |proc_of_block: Vec<Option<ProcId>>| -> Vec<u8> {
+            let local = MappingResult {
+                mapping: Mapping {
+                    partition: Partition::from_dense(vec![0, 1]),
+                    proc_of_block,
+                },
+                makespan: 1.0,
+                kprime: 2,
+                elapsed: Duration::ZERO,
             };
-            let mut body = Vec::new();
-            push_record(&mut body, &records.next::<MetaDto>().unwrap()).unwrap();
-            for _ in 0..3 {
-                push_record(&mut body, &records.next::<SolveDto>().unwrap()).unwrap();
-            }
-            let mut sim: SimDto = records.next().unwrap();
-            sim.key = key;
-            push_record(&mut body, &sim).unwrap();
-            frame(chash, 3, 1, &body)
+            let image = StoreImage {
+                tick: 1,
+                stats: SolveCacheStats::default(),
+                entries: vec![(
+                    (1, 2, Algorithm::DagHetPart, chash),
+                    CachedSolve::Solved {
+                        local: Arc::new(local),
+                        sim: None,
+                    },
+                    1,
+                )],
+            };
+            encode(&image)
         };
-        let own = KeyDto::pack(graphs[0].fingerprint(), shape, Algorithm::DagHetPart, chash);
-        assert_eq!(rekeyed(own), good, "premise: the rebuild is faithful");
-        let big = builder::chain(40, 1.0, 30.0, 5.0);
-        let no_solution = cluster().shape_of_slice(&[dhp_platform::ProcId(2)]);
-        for key in [
-            // No solve record under the key at all.
-            KeyDto::pack(1, 2, Algorithm::DagHetPart, chash),
-            // The key of the memoized NoSolution.
-            KeyDto::pack(big.fingerprint(), no_solution, Algorithm::DagHetPart, chash),
+        let fine = one_solve(vec![Some(ProcId(0)), Some(ProcId(1))]);
+        assert_eq!(
+            load(&frame(chash, &fine)).1,
+            Ok(LoadSummary { solves: 1, sims: 0 }),
+            "premise: the hand-built entry loads"
+        );
+        // Blocks [0, 1] → [1, 0]: still two blocks, one processor
+        // each, but block 1 comes before block 0.
+        let blocks: Vec<u8> = [
+            2u64.to_le_bytes().as_slice(),
+            &0u32.to_le_bytes(),
+            &1u32.to_le_bytes(),
+        ]
+        .concat();
+        let at = fine
+            .windows(blocks.len())
+            .position(|w| w == blocks)
+            .unwrap();
+        let mut non_dense = fine.clone();
+        non_dense[at + 8..at + 12].copy_from_slice(&1u32.to_le_bytes());
+        non_dense[at + 12..at + 16].copy_from_slice(&0u32.to_le_bytes());
+        // A processor table one entry short of the block count.
+        let short = one_solve(vec![Some(ProcId(0))]);
+        // Records in descending and in repeated key order, a stamp past
+        // the clock (1), a byte after the last record and an unknown
+        // entry kind.
+        let no_solutions = |fps: [u64; 2], stamp: u64| -> Vec<u8> {
+            let key = |fp| (fp, 2, Algorithm::DagHetPart, chash);
+            let entries = fps.map(|fp| (key(fp), CachedSolve::NoSolution, stamp));
+            encode(&StoreImage {
+                tick: 1,
+                stats: SolveCacheStats::default(),
+                entries: entries.to_vec(),
+            })
+        };
+        assert_eq!(
+            load(&frame(chash, &no_solutions([1, 2], 1))).1,
+            Ok(LoadSummary { solves: 2, sims: 0 }),
+            "premise: ascending keys load"
+        );
+        let mut trailing = fine.clone();
+        trailing.push(0);
+        // The last byte is the last record's kind.
+        let mut unknown_kind = no_solutions([1, 2], 1);
+        *unknown_kind.last_mut().unwrap() = 3;
+        for body in [
+            non_dense,
+            short,
+            no_solutions([2, 1], 1),
+            no_solutions([1, 1], 1),
+            no_solutions([1, 2], 2),
+            trailing,
+            unknown_kind,
         ] {
-            let err = try_load(&rekeyed(key));
+            let err = try_load(&frame(chash, &body));
             assert!(matches!(err, SnapshotError::Malformed(_)), "{err:?}");
         }
         // Wrong solver config: the whole file is refused.
@@ -791,6 +774,66 @@ mod tests {
         let err = fresh.load_from(&path, chash ^ 1).unwrap_err();
         assert!(matches!(err, SnapshotError::ConfigMismatch { .. }));
         assert!(fresh.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every prefix of a saved file, and seeded single-byte mutations
+    /// of its body with the checksum re-stamped: each load returns `Ok`
+    /// or a classified error — never a panic — and an `Err` leaves the
+    /// cache empty.
+    #[test]
+    fn prefixes_and_mutated_bodies_never_panic() {
+        let dir = scratch("hostile-bytes");
+        let path = dir.join("cache.snap");
+        let chash = SolveCache::config_hash(&DagHetPartConfig::default());
+        let cache = SolveCache::new();
+        populate(&cache);
+        cache.save_to(&path, chash).unwrap();
+        let good = std::fs::read(&path).unwrap();
+
+        let load = |bytes: &[u8]| -> Result<LoadSummary, SnapshotError> {
+            std::fs::write(&path, bytes).unwrap();
+            let fresh = SolveCache::new();
+            let loaded = fresh.load_from(&path, chash);
+            if loaded.is_err() {
+                assert!(fresh.is_empty(), "a failed load restored entries");
+            }
+            loaded
+        };
+        for end in 0..good.len() {
+            let err = load(&good[..end]).unwrap_err();
+            assert!(
+                matches!(err, SnapshotError::Truncated | SnapshotError::BadMagic),
+                "{end}: {err:?}"
+            );
+        }
+
+        let body = &good[HEADER_LEN..];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            // xorshift64: a fixed seed, no dependency.
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (mut ok, mut malformed) = (0, 0);
+        for _ in 0..2_000 {
+            let mut mutated = body.to_vec();
+            let at = next() as usize % mutated.len();
+            mutated[at] ^= (next() % 255 + 1) as u8;
+            match load(&frame(chash, &mutated)) {
+                Ok(_) => ok += 1,
+                Err(SnapshotError::Malformed(_)) => malformed += 1,
+                Err(e) => panic!("a re-stamped body gave {e:?}"),
+            }
+        }
+        // Neither outcome is vacuous: flipped stamps, makespans and
+        // counters still load; flipped lengths, kinds and keys do not.
+        assert!(
+            ok > 0 && malformed > 0,
+            "{ok} loaded, {malformed} malformed"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

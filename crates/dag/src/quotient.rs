@@ -21,10 +21,9 @@
 //! held to, bit for bit.
 
 use crate::graph::{Dag, EdgeId, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a block within a partition (dense index).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct BlockId(pub u32);
 
 impl BlockId {
@@ -42,7 +41,7 @@ impl std::fmt::Display for BlockId {
 }
 
 /// A partitioning function `F : V -> blocks` with dense block numbering.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Partition {
     /// `assignment[u] = block of task u`.
     assignment: Vec<BlockId>,
@@ -101,15 +100,26 @@ impl Partition {
     /// # Panics
     /// Panics if the numbers are not dense in that order.
     pub fn from_dense(raw: Vec<u32>) -> Self {
+        let Some(partition) = Self::try_from_dense(raw) else {
+            panic!("block numbers are not dense in order of first appearance")
+        };
+        partition
+    }
+
+    /// [`Partition::from_dense`], or `None` if the numbers are not dense
+    /// in order of first appearance.
+    pub fn try_from_dense(raw: Vec<u32>) -> Option<Self> {
         let mut num_blocks = 0u32;
         for &b in &raw {
-            assert!(b <= num_blocks, "block {b} before block {num_blocks}");
+            if b > num_blocks {
+                return None;
+            }
             num_blocks += (b == num_blocks) as u32;
         }
-        Self {
+        Some(Self {
             assignment: raw.into_iter().map(BlockId).collect(),
             num_blocks: num_blocks as usize,
-        }
+        })
     }
 
     /// The trivial partition placing every task in one block.
@@ -1055,6 +1065,7 @@ mod tests {
             proptest::prop_assert_eq!(Partition::from_dense(dense.clone()), want);
             let taken = std::panic::catch_unwind(|| Partition::from_dense(raw.clone()));
             proptest::prop_assert_eq!(taken.is_ok(), raw == dense);
+            proptest::prop_assert_eq!(Partition::try_from_dense(raw.clone()).is_some(), raw == dense);
         }
     }
 

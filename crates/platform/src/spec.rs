@@ -60,10 +60,13 @@ impl ClusterSpec {
     /// Expands the spec into a [`Cluster`].
     pub fn build(&self) -> Result<Cluster, String> {
         let mut procs = Vec::new();
+        // `x > 0.0` is false for NaN; the vendored parser reads an
+        // out-of-range literal such as `1e999` as infinity.
+        let positive = |x: f64| x > 0.0 && x.is_finite();
         for p in &self.processors {
-            if p.speed <= 0.0 || p.memory <= 0.0 {
+            if !positive(p.speed) || !positive(p.memory) {
                 return Err(format!(
-                    "processor {:?}: speed and memory must be positive",
+                    "processor {:?}: speed and memory must be positive and finite",
                     p.name
                 ));
             }
@@ -74,8 +77,8 @@ impl ClusterSpec {
         if procs.is_empty() {
             return Err("cluster file defines no processors".to_string());
         }
-        if self.bandwidth <= 0.0 {
-            return Err("bandwidth must be positive".to_string());
+        if !positive(self.bandwidth) {
+            return Err("bandwidth must be positive and finite".to_string());
         }
         Ok(Cluster::new(procs, self.bandwidth))
     }
@@ -214,5 +217,27 @@ mod tests {
             processors: vec![],
         };
         assert!(unknown.build().is_err());
+        // Inline numbers go through `ClusterSpec::build`, which refuses
+        // a non-finite speed, memory or bandwidth with the culprit named.
+        let line = |speed: f64, memory: f64| ProcSpec {
+            name: "x".into(),
+            speed,
+            memory,
+            count: 1,
+        };
+        for (bandwidth, proc, named) in [
+            (1.0, line(f64::NAN, 1.0), "\"x\""),
+            (1.0, line(1.0, f64::INFINITY), "\"x\""),
+            (f64::INFINITY, line(1.0, 1.0), "bandwidth"),
+            (f64::NAN, line(1.0, 1.0), "bandwidth"),
+        ] {
+            let spec = MemberSpec {
+                name: None,
+                bandwidth,
+                processors: vec![proc],
+            };
+            let err = spec.build().unwrap_err();
+            assert!(err.contains(named) && err.contains("finite"), "{err}");
+        }
     }
 }

@@ -14,9 +14,10 @@
 //! * the federation tier warm-starts and autosaves through the same
 //!   snapshot path, and a single cluster's autosave leaves the report
 //!   and the final snapshot as a save at exit does;
-//! * the bytes a cold run's snapshot holds — lease sims and elastic
-//!   grow/shrink suffix sims included — are pinned, and save → load →
-//!   save reproduces them exactly.
+//! * the raw bytes a cold run's snapshot holds — lease sims and
+//!   elastic grow/shrink suffix sims included — are pinned, a second
+//!   cold run writes the same file, and save → load → save reproduces
+//!   it exactly.
 
 use dhp_core::partial::SolveCache;
 use dhp_core::persist::temp_sibling;
@@ -141,22 +142,26 @@ fn every_corrupt_snapshot_variant_degrades_to_a_cold_start() {
     assert!(good.len() > 64, "snapshot should have a header and a body");
 
     // Each variant: (tag, corrupted bytes, substring the recovery note
-    // must carry). Offsets follow the documented header layout: magic
-    // [0..8), version [8..12), config_hash [12..20), solve count
-    // [20..28) — the counts sit outside the body checksum.
+    // must carry). Offsets follow the documented layout: magic [0..8),
+    // version [8..12), config_hash [12..20), body length [20..28),
+    // body checksum [28..36), then the body — five counters and the
+    // recency clock, then the entry count at [84..92).
     let truncated = good[..good.len() / 2].to_vec();
     let mut bitflip = good.clone();
     let last = bitflip.len() - 1;
     bitflip[last] ^= 0x40; // body corruption → checksum mismatch
     let mut wrong_version = good.clone();
     wrong_version[8..12].copy_from_slice(&999u32.to_le_bytes());
-    // A genuine version-3 frame: the same header with its 4-byte lock
-    // count field back after config_hash.
+    // A genuine version-4 frame: the same header with its two 8-byte
+    // record counts back after config_hash.
     let mut previous_version = good.clone();
-    previous_version[8..12].copy_from_slice(&3u32.to_le_bytes());
-    previous_version.splice(20..20, 16u32.to_le_bytes());
+    previous_version[8..12].copy_from_slice(&4u32.to_le_bytes());
+    previous_version.splice(20..20, [0u8; 16]);
+    // An entry count past the end of the body, under a valid checksum.
     let mut header_count = good.clone();
-    header_count[20..28].copy_from_slice(&u64::MAX.to_le_bytes());
+    header_count[84..92].copy_from_slice(&u64::MAX.to_le_bytes());
+    let checksum = fnv1a_bytes(header_count[36..].iter().copied());
+    header_count[28..36].copy_from_slice(&checksum.to_le_bytes());
     let mut wrong_config = good.clone();
     for b in &mut wrong_config[12..20] {
         *b ^= 0xff;
@@ -166,7 +171,7 @@ fn every_corrupt_snapshot_variant_degrades_to_a_cold_start() {
         ("truncated", truncated, "truncated"),
         ("bit-flipped", bitflip, "checksum"),
         ("wrong-version", wrong_version, "version 999"),
-        ("previous-version", previous_version, "version 3"),
+        ("previous-version", previous_version, "version 4"),
         ("header-count", header_count, "malformed"),
         ("wrong-config", wrong_config, "solver config"),
         ("garbage", garbage, "bad magic"),
@@ -311,37 +316,6 @@ fn the_federation_warm_starts_and_autosaves_through_the_same_snapshot() {
     assert_eq!(strip(&plain.report), strip(&cold.report));
 }
 
-/// A snapshot with every solve's wall-clock `elapsed_nanos` zeroed:
-/// the one field of the file that is not a function of the trace. The
-/// header's body length and checksum cover those digits, so the image
-/// takes the header up to the record counts and then each normalised
-/// record.
-fn normalized_snapshot(bytes: &[u8]) -> Vec<u8> {
-    const HEADER_LEN: usize = 52;
-    const ELAPSED: &str = "\"elapsed_nanos\":";
-    let mut image = bytes[..36].to_vec();
-    let mut at = HEADER_LEN;
-    while at < bytes.len() {
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-        let mut json = std::str::from_utf8(&bytes[at + 4..at + 4 + len])
-            .unwrap()
-            .to_string();
-        if let Some(start) = json.find(ELAPSED).map(|i| i + ELAPSED.len()) {
-            let end = start + json[start..].find(|c: char| !c.is_ascii_digit()).unwrap();
-            json.replace_range(start..end, "0");
-        }
-        image.extend_from_slice(&(json.len() as u32).to_le_bytes());
-        image.extend_from_slice(json.as_bytes());
-        at += 4 + len;
-    }
-    image
-}
-
-/// FNV of [`normalized_snapshot`].
-fn snapshot_digest(bytes: &[u8]) -> u64 {
-    fnv1a_bytes(normalized_snapshot(bytes))
-}
-
 /// `tests/engine_equivalence.rs`'s cluster and stream, served with
 /// growth and shrinking so the cache holds suffix sims next to the
 /// lease sims, persisting to `snap`.
@@ -395,10 +369,17 @@ fn a_cold_elastic_runs_snapshot_bytes_are_pinned_and_reload_exactly() {
     );
     let saved = std::fs::read(&snap).unwrap();
     assert_eq!(
-        snapshot_digest(&saved),
-        0x9df0_e9f4_a0a0_b501,
+        fnv1a_bytes(saved.iter().copied()),
+        0xd7c2_a07b_a7f6_8ed6,
         "snapshot bytes moved"
     );
+
+    // A second cold run leaves the same bytes: no field of the file
+    // is a wall-clock reading.
+    let second = dir.join("second.bin");
+    let (cluster, subs, cfg) = cold_elastic_case(&second);
+    serve_capped(&cluster, subs, &cfg);
+    assert_eq!(std::fs::read(&second).unwrap(), saved);
 
     // Save → load → save reproduces the file byte for byte.
     let chash = SolveCache::config_hash(&cfg.solver);
@@ -429,8 +410,5 @@ fn single_cluster_autosave_changes_neither_the_report_nor_the_snapshot() {
     let (every_step, every_step_snap) = run(Some(1), "autosave.bin");
     let (at_exit, at_exit_snap) = run(None, "exit.bin");
     assert_eq!(every_step, at_exit);
-    assert_eq!(
-        normalized_snapshot(&every_step_snap),
-        normalized_snapshot(&at_exit_snap)
-    );
+    assert_eq!(every_step_snap, at_exit_snap);
 }
