@@ -80,10 +80,8 @@ impl ScheduleReport {
                     tasks: tasks
                         .iter()
                         .map(|&u: &NodeId| {
-                            g.node(u)
-                                .label
-                                .clone()
-                                .unwrap_or_else(|| format!("task{}", u.idx()))
+                            g.label(u)
+                                .map_or_else(|| format!("task{}", u.idx()), str::to_string)
                         })
                         .collect(),
                 }

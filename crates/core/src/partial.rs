@@ -349,6 +349,32 @@ impl CachedSolve {
             CachedSolve::NoSolution => None,
         }
     }
+
+    /// Whether this entry can answer for a graph of `tasks` tasks on a
+    /// lease of `procs` processors: one block per task, every block on
+    /// a lease-local processor below `procs`, and a sim (if any) with
+    /// one start and finish per task and its lanes on the lease. Every
+    /// entry a solver inserted fits its key's graph and lease; a
+    /// snapshot entry can pass the reader's own checks and still not
+    /// fit, because the reader sees neither. `O(blocks + lanes)`, no
+    /// allocation.
+    fn fits(&self, tasks: usize, procs: usize) -> bool {
+        let CachedSolve::Solved { local, sim } = self else {
+            return true;
+        };
+        let on_lease = |p: usize| p < procs;
+        local.mapping.partition.len() == tasks
+            && local
+                .mapping
+                .proc_of_block
+                .iter()
+                .all(|p| p.is_some_and(|p| on_lease(p.idx())))
+            && sim.as_ref().is_none_or(|sim| {
+                sim.task_start.len() == tasks
+                    && sim.task_finish.len() == tasks
+                    && sim.lanes.iter().all(|&(p, _)| on_lease(p as usize))
+            })
+    }
 }
 
 /// Everything a [`SolveCache`] holds, behind its one mutex.
@@ -379,11 +405,43 @@ impl Store {
         self.tick
     }
 
-    /// One probe of the solve memo: draws a recency tick, hit or miss,
-    /// refreshes a hit's stamp and counts the probe.
-    fn lookup(&mut self, key: &SolveKey) -> Option<Result<Arc<MappingResult>, SchedError>> {
+    /// Reads `key`'s entry with `read` if it [fits](CachedSolve::fits)
+    /// a graph of `tasks` tasks on `procs` processors. An entry that
+    /// does not is dropped and reads as absent, so its probe solves
+    /// again as a miss. One hash of the key, two when it drops one.
+    fn read_fitting<R>(
+        &mut self,
+        key: &SolveKey,
+        tasks: usize,
+        procs: usize,
+        read: impl FnOnce(&mut (CachedSolve, u64)) -> R,
+    ) -> Option<R> {
+        let mut misfit = false;
+        let found = match self.entries.get_mut(key) {
+            Some(entry) if entry.0.fits(tasks, procs) => Some(read(entry)),
+            found => {
+                misfit = found.is_some();
+                None
+            }
+        };
+        if misfit {
+            self.entries.remove(key);
+        }
+        found
+    }
+
+    /// One probe of the solve memo for a graph of `tasks` tasks on
+    /// `procs` processors: draws a recency tick, hit or miss, refreshes
+    /// a hit's stamp and counts the probe. An entry that does not fit
+    /// is dropped and counts as the miss it is.
+    fn lookup(
+        &mut self,
+        key: &SolveKey,
+        tasks: usize,
+        procs: usize,
+    ) -> Option<Result<Arc<MappingResult>, SchedError>> {
         let tick = self.next_tick();
-        let cached = self.entries.get_mut(key).map(|e| {
+        let cached = self.read_fitting(key, tasks, procs, |e| {
             e.1 = tick;
             e.0.outcome()
         });
@@ -630,12 +688,16 @@ impl SolveCache {
     /// answers `key` from the store — drawing a recency tick and
     /// refreshing the entry's LRU stamp — or runs `solve` (with the
     /// lock released) and memoizes its outcome, `NoSolution` included.
+    /// `(tasks, procs)` are the graph's task count and the lease's
+    /// processor count: an entry that does not fit them is dropped and
+    /// solved again.
     /// Also reports what the probe did to the store — a
     /// [`CacheView::charging`] view charges exactly this outcome to its
     /// account, with no global-counter diffing.
     fn lookup_or_solve(
         &self,
         key: ProbeKey,
+        (tasks, procs): (usize, usize),
         solve: impl FnOnce() -> Result<MappingResult, SchedError>,
     ) -> (Result<Arc<MappingResult>, SchedError>, CacheProbe) {
         if !self.enabled {
@@ -650,7 +712,7 @@ impl SolveCache {
         }
         // Cheap under the lock: an Arc refcount bump (or the unit
         // NoSolution marker) plus the LRU stamp refresh.
-        let cached = self.lock().lookup(&key.0);
+        let cached = self.lock().lookup(&key.0, tasks, procs);
         if let Some(outcome) = cached {
             return (
                 outcome,
@@ -690,8 +752,9 @@ impl SolveCache {
         config_hash: u64,
     ) -> Result<SubClusterSchedule, SchedError> {
         let key = ProbeKey((fingerprint, sub.shape_signature(), algorithm, config_hash));
+        let size = (g.node_count(), sub.cluster().len());
         let local = self
-            .lookup_or_solve(key, || solve_local(g, sub.cluster(), algorithm, cfg))
+            .lookup_or_solve(key, size, || solve_local(g, sub.cluster(), algorithm, cfg))
             .0?;
         Ok(SubClusterSchedule {
             global: remap_to_parent(sub.global_ids(), &local.mapping),
@@ -718,7 +781,7 @@ impl SolveCache {
             algorithm,
             config_hash,
         ));
-        self.lookup_or_solve(key, || {
+        self.lookup_or_solve(key, (g.node_count(), ids.len()), || {
             solve_local(g, cluster.subcluster(&ids).cluster(), algorithm, cfg)
         })
         .0
@@ -992,9 +1055,11 @@ impl<'a> CacheView<'a> {
             "a key of another lease or solver"
         );
         let Solver { algorithm, cfg, .. } = self.solver;
-        let (outcome, probe) = self.cache.lookup_or_solve(key, || {
-            solve_local(g, cluster.subcluster(ids).cluster(), *algorithm, cfg)
-        });
+        let (outcome, probe) = self
+            .cache
+            .lookup_or_solve(key, (g.node_count(), ids.len()), || {
+                solve_local(g, cluster.subcluster(ids).cluster(), *algorithm, cfg)
+            });
         self.charge(|acc| {
             if probe.hit {
                 acc.hits += 1;
@@ -1046,11 +1111,13 @@ impl<'a> CacheView<'a> {
     /// stands for this read too.
     ///
     /// The entry is gone only if another thread's insert evicted it in
-    /// between (the store lock is not held across the two calls). Then
-    /// this solves again through [`CacheView::solve_keyed`] — which
-    /// counts that probe — and returns no sim; the solvers are
-    /// deterministic, so the answer is the one the probe found. `key`,
-    /// `g`, `cluster` and `ids` are as for `solve_keyed`.
+    /// between (the store lock is not held across the two calls), or if
+    /// it does not fit `g` and `ids` (a restored snapshot entry, see
+    /// `CachedSolve::fits`), which drops it. Then this solves again
+    /// through [`CacheView::solve_keyed`] — which counts that probe —
+    /// and returns no sim; the solvers are deterministic, so the answer
+    /// is the one the probe found for an entry that fit. `key`, `g`,
+    /// `cluster` and `ids` are as for `solve_keyed`.
     #[allow(clippy::type_complexity)]
     pub fn memoized(
         &self,
@@ -1060,12 +1127,21 @@ impl<'a> CacheView<'a> {
         cluster: &Cluster,
         ids: &[ProcId],
     ) -> Result<(Arc<MappingResult>, Option<Arc<SimOutcome>>), SchedError> {
-        let found = match self.cache.lock().entries.get(&key.0) {
-            Some((CachedSolve::Solved { local, sim }, _)) => {
-                Some((share(local), sim.as_ref().filter(|_| with_sim).map(share)))
-            }
-            _ => None,
-        };
+        let found = self
+            .cache
+            .lock()
+            .read_fitting(
+                &key.0,
+                g.node_count(),
+                ids.len(),
+                |(entry, _)| match entry {
+                    CachedSolve::Solved { local, sim } => {
+                        Some((share(local), sim.as_ref().filter(|_| with_sim).map(share)))
+                    }
+                    CachedSolve::NoSolution => None,
+                },
+            )
+            .flatten();
         match found {
             Some(found) => Ok(found),
             None => Ok((self.solve_keyed(key, g, cluster, ids)?, None)),
@@ -1610,11 +1686,15 @@ mod tests {
 
     // ------------------------------------------------ sim-outcome cache
 
-    fn toy_sim(tag: f64) -> SimOutcome {
+    /// A sim tagged by its makespan, shaped for a graph of `tasks`
+    /// tasks on [`LEASE`]: a memoized sim must fit its entry's graph
+    /// and lease (`CachedSolve::fits`).
+    fn toy_sim(tag: f64, tasks: usize) -> SimOutcome {
+        let step = tag / tasks as f64;
         SimOutcome {
             makespan: tag,
-            task_start: vec![0.0, tag / 2.0],
-            task_finish: vec![tag / 2.0, tag],
+            task_start: (0..tasks).map(|i| i as f64 * step).collect(),
+            task_finish: (1..=tasks).map(|i| i as f64 * step).collect(),
             lanes: vec![(0, tag)],
         }
     }
@@ -1638,12 +1718,12 @@ mod tests {
         let mut computed = 0;
         let first = view.sim_outcome_keyed(key, || {
             computed += 1;
-            toy_sim(10.0)
+            toy_sim(10.0, 4)
         });
         let mut recomputed = false;
         let second = view.sim_outcome_keyed(key, || {
             recomputed = true;
-            toy_sim(99.0)
+            toy_sim(99.0, 4)
         });
         assert_eq!(computed, 1);
         assert!(!recomputed, "a sim hit must not re-simulate");
@@ -1675,7 +1755,7 @@ mod tests {
             for _ in 0..2 {
                 view.sim_outcome_keyed(key, || {
                     computed += 1;
-                    toy_sim(10.0)
+                    toy_sim(10.0, 4)
                 });
             }
         }
@@ -1695,7 +1775,7 @@ mod tests {
         for _ in 0..3 {
             view.sim_outcome_keyed(key, || {
                 computed += 1;
-                toy_sim(10.0)
+                toy_sim(10.0, 4)
             });
         }
         assert_eq!(computed, 3);
@@ -1712,8 +1792,8 @@ mod tests {
         {
             let view = CacheView::direct(&cache, &solver).charging(&mut account);
             let key = solve_on_lease(&view, &builder::chain(4, 2.0, 4.0, 1.0));
-            view.sim_outcome_keyed(key, || toy_sim(10.0));
-            view.sim_outcome_keyed(key, || toy_sim(10.0));
+            view.sim_outcome_keyed(key, || toy_sim(10.0, 4));
+            view.sim_outcome_keyed(key, || toy_sim(10.0, 4));
         }
         assert_eq!((account.sim_hits, account.sim_misses), (1, 1));
         // The solve that made the key is charged too.
@@ -1729,7 +1809,7 @@ mod tests {
     fn two_call_probe(view: &CacheView, key: ProbeKey, g: &Dag, ids: &[ProcId]) -> Option<f64> {
         let local = view.solve_keyed(key, g, &cluster(), ids).ok()?;
         Some(
-            view.sim_outcome_keyed(key, || toy_sim(local.makespan))
+            view.sim_outcome_keyed(key, || toy_sim(local.makespan, g.node_count()))
                 .makespan,
         )
     }
@@ -1749,7 +1829,7 @@ mod tests {
                 let (local, sim) = view.memoized(key, false, g, &c, ids).ok()?;
                 assert!(sim.is_none(), "a sim the probe did not count");
                 Some(
-                    view.sim_outcome_keyed(key, || toy_sim(local.makespan))
+                    view.sim_outcome_keyed(key, || toy_sim(local.makespan, g.node_count()))
                         .makespan,
                 )
             }
@@ -1786,7 +1866,7 @@ mod tests {
                 let got_view = CacheView::direct(&subject, &solver).charging(&mut got_account);
                 for view in [&want_view, &got_view] {
                     let k0 = solve_on_lease(view, &g0);
-                    view.sim_outcome_keyed(k0, || toy_sim(1.0));
+                    view.sim_outcome_keyed(k0, || toy_sim(1.0, 4));
                     solve_on_lease(view, &g1);
                 }
                 for (round, &(g, ids)) in probes.iter().cycle().take(10).enumerate() {
@@ -1809,7 +1889,7 @@ mod tests {
         let view = CacheView::direct(&cache, &solver);
         let g = builder::chain(4, 2.0, 4.0, 1.0);
         let key = solve_on_lease(&view, &g);
-        view.sim_outcome_keyed(key, || toy_sim(10.0));
+        view.sim_outcome_keyed(key, || toy_sim(10.0, 4));
         let cost = |probe: &dyn Fn()| {
             let before = tally::read();
             probe();
@@ -1864,6 +1944,70 @@ mod tests {
     }
 
     #[test]
+    fn entries_that_do_not_fit_their_graph_or_lease_are_solved_again() {
+        // What a snapshot can hold under a valid checksum: the reader
+        // sees neither the graph nor the lease a key names.
+        let (c, solver) = (cluster(), default_solver());
+        let g = builder::chain(4, 2.0, 4.0, 1.0);
+        let fitting = SolveCache::new();
+        let view = CacheView::direct(&fitting, &solver);
+        let key = solve_on_lease(&view, &g);
+        view.sim_outcome_keyed(key, || toy_sim(10.0, 4));
+        let want = view.solve_keyed(key, &g, &c, &LEASE).unwrap();
+        type Spoil = fn(&mut MappingResult, &mut SimOutcome);
+        let spoilers: [(&str, Spoil); 5] = [
+            ("a block array of another graph", |local, _| {
+                local.mapping.partition = dhp_dag::Partition::single_block(5);
+            }),
+            ("a processor past the lease", |local, _| {
+                local.mapping.proc_of_block[0] = Some(ProcId(LEASE.len() as u32));
+            }),
+            ("an unmapped block", |local, _| {
+                local.mapping.proc_of_block[0] = None;
+            }),
+            ("a sim of another graph", |_, sim| {
+                sim.task_finish.pop();
+            }),
+            ("a sim lane past the lease", |_, sim| {
+                sim.lanes[0].0 = LEASE.len() as u32;
+            }),
+        ];
+        for (what, spoil) in spoilers {
+            for via_memoized in [false, true] {
+                let mut image = fitting.snapshot();
+                let (_, CachedSolve::Solved { local, sim }, _) = &mut image.entries[0] else {
+                    unreachable!("the one entry is solved");
+                };
+                spoil(Arc::make_mut(local), Arc::make_mut(sim.as_mut().unwrap()));
+                let cache = SolveCache::new();
+                cache.restore(image);
+                let view = CacheView::direct(&cache, &solver);
+                let before = cache.stats();
+                let got = if via_memoized {
+                    let (got, sim) = view.memoized(key, true, &g, &c, &LEASE).unwrap();
+                    assert!(sim.is_none(), "{what}: the dropped entry's sim");
+                    got
+                } else {
+                    view.solve_keyed(key, &g, &c, &LEASE).unwrap()
+                };
+                assert_eq!(
+                    got.mapping.proc_of_block, want.mapping.proc_of_block,
+                    "{what}"
+                );
+                let after = cache.stats();
+                assert_eq!(
+                    (after.hits - before.hits, after.misses - before.misses),
+                    (0, 1),
+                    "{what}: dropped and solved again as a miss"
+                );
+                // The fresh solve fits, and hits from now on.
+                view.solve_keyed(key, &g, &c, &LEASE).unwrap();
+                assert_eq!(cache.stats().hits, after.hits + 1, "{what}");
+            }
+        }
+    }
+
+    #[test]
     fn memoized_solves_again_when_the_entry_is_gone() {
         // Capacity 1: a second insert evicts the entry a probe found,
         // as another thread's insert could between the probe and the
@@ -1873,7 +2017,7 @@ mod tests {
         let view = CacheView::direct(&cache, &solver);
         let g = builder::chain(4, 2.0, 4.0, 1.0);
         let key = solve_on_lease(&view, &g);
-        view.sim_outcome_keyed(key, || toy_sim(10.0));
+        view.sim_outcome_keyed(key, || toy_sim(10.0, 4));
         let first = view.memoized(key, true, &g, &cluster(), &LEASE);
         let (first, sim) = first.unwrap();
         assert!(sim.is_some());
@@ -1893,7 +2037,7 @@ mod tests {
         let solver = default_solver();
         let view = CacheView::direct(&cache, &solver);
         let k0 = solve_on_lease(&view, &builder::chain(4, 2.0, 4.0, 1.0));
-        view.sim_outcome_keyed(k0, || toy_sim(10.0));
+        view.sim_outcome_keyed(k0, || toy_sim(10.0, 4));
         assert_eq!((cache.len(), cache.sim_len()), (1, 1));
         // Inserting a second solve evicts g0 — and its sim with it.
         solve_on_lease(&view, &builder::chain(5, 2.0, 4.0, 1.0));
@@ -1901,7 +2045,7 @@ mod tests {
         let mut recomputed = false;
         view.sim_outcome_keyed(k0, || {
             recomputed = true;
-            toy_sim(11.0)
+            toy_sim(11.0, 4)
         });
         assert!(recomputed, "the evicted sim must be gone");
         assert_eq!(

@@ -62,7 +62,10 @@
 //! the bytes left before it allocates anything, and refuses as
 //! [`SnapshotError::Malformed`] a record out of key order, a stamp past
 //! the clock, a block array that is not densely numbered and a
-//! processor table with other than one entry per block.
+//! processor table with other than one entry per block. Whether an
+//! entry fits the graph and the lease its key names, which the reader
+//! cannot see, the store checks at each read for them: an entry that
+//! does not fit is dropped and solved again.
 
 // Digest-pinned output: no hash-ordered collection may reach it.
 #![deny(clippy::disallowed_types)]
@@ -541,8 +544,8 @@ mod tests {
         let key = view.key(graphs[0].fingerprint(), shape);
         view.sim_outcome_keyed(key, || SimOutcome {
             makespan: 12.5,
-            task_start: vec![0.0, 2.5],
-            task_finish: vec![2.5, 12.5],
+            task_start: vec![0.0, 2.5, 5.0, 7.5],
+            task_finish: vec![2.5, 5.0, 7.5, 12.5],
             lanes: vec![(0, 10.0), (1, 2.5)],
         });
         (graphs, shape)

@@ -6,7 +6,7 @@
 //! `work`/`memory` attributes and edge statements carrying `volume` (or
 //! `weight`/`size`, accepted as synonyms).
 
-use crate::graph::{Dag, NodeData, NodeId};
+use crate::graph::{Dag, NodeId};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -16,7 +16,7 @@ pub fn to_dot(g: &Dag, name: &str) -> String {
     let _ = writeln!(s, "digraph \"{name}\" {{");
     for u in g.node_ids() {
         let n = g.node(u);
-        let label = n.label.as_deref().unwrap_or("");
+        let label = g.label(u).unwrap_or("");
         let _ = writeln!(
             s,
             "  n{} [work={}, memory={}, label=\"{}\"];",
@@ -79,11 +79,8 @@ pub fn from_dot(input: &str) -> Result<Dag, DotError> {
         if let Some(&id) = ids.get(name) {
             return id;
         }
-        let id = g.add_node_data(NodeData {
-            work: 1.0,
-            memory: 1.0,
-            label: Some(name.to_string()),
-        });
+        let id = g.add_node(1.0, 1.0);
+        g.set_label(id, Some(name));
         ids.insert(name.to_string(), id);
         id
     };
@@ -140,7 +137,7 @@ pub fn from_dot(input: &str) -> Result<Dag, DotError> {
                 g.node_mut(id).memory = m;
             }
             if let Some(l) = attrs.get("label") {
-                g.node_mut(id).label = Some(l.clone());
+                g.set_label(id, Some(l));
             }
         }
     }
@@ -171,7 +168,7 @@ mod tests {
         let mut g = Dag::new();
         let a = g.add_node(2.0, 3.0);
         let b = g.add_node(4.0, 5.0);
-        g.node_mut(a).label = Some("prep".into());
+        g.set_label(a, Some("prep"));
         g.add_edge(a, b, 7.0);
         let dot = to_dot(&g, "wf");
         let h = from_dot(&dot).unwrap();
@@ -179,7 +176,7 @@ mod tests {
         assert_eq!(h.edge_count(), 1);
         assert_eq!(h.node(NodeId(0)).work, 2.0);
         assert_eq!(h.node(NodeId(0)).memory, 3.0);
-        assert_eq!(h.node(NodeId(0)).label.as_deref(), Some("prep"));
+        assert_eq!(h.label(NodeId(0)), Some("prep"));
         assert_eq!(h.edge(EdgeId(0)).volume, 7.0);
     }
 
@@ -188,14 +185,8 @@ mod tests {
         let g = from_dot("digraph g { a -> b -> c; b -> d [weight=3]; }").unwrap();
         assert_eq!(g.node_count(), 4);
         assert_eq!(g.edge_count(), 3);
-        let d = g
-            .node_ids()
-            .find(|&u| g.node(u).label.as_deref() == Some("d"))
-            .unwrap();
-        let b = g
-            .node_ids()
-            .find(|&u| g.node(u).label.as_deref() == Some("b"))
-            .unwrap();
+        let d = g.node_ids().find(|&u| g.label(u) == Some("d")).unwrap();
+        let b = g.node_ids().find(|&u| g.label(u) == Some("b")).unwrap();
         let e = g.edge_between(b, d).unwrap();
         assert_eq!(g.edge(e).volume, 3.0);
     }
@@ -214,10 +205,7 @@ mod tests {
         let g =
             from_dot("digraph g { rankdir=LR; node [shape=box]; a [work=5]; a -> b; }").unwrap();
         assert_eq!(g.node_count(), 2);
-        let a = g
-            .node_ids()
-            .find(|&u| g.node(u).label.as_deref() == Some("a"))
-            .unwrap();
+        let a = g.node_ids().find(|&u| g.label(u) == Some("a")).unwrap();
         assert_eq!(g.node(a).work, 5.0);
     }
 }

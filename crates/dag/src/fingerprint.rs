@@ -261,7 +261,7 @@ mod tests {
     fn labels_do_not_affect_the_fingerprint() {
         let mut a = builder::chain(4, 1.0, 2.0, 3.0);
         let base = a.fingerprint();
-        a.node_mut(NodeId(1)).label = Some("renamed-task".into());
+        a.set_label(NodeId(1), Some("renamed-task"));
         assert_eq!(a.fingerprint(), base);
     }
 
@@ -320,7 +320,7 @@ mod tests {
         let same = |g: &Dag| g.content_eq(&base) && base.content_eq(g);
 
         let mut labelled = base.clone();
-        labelled.node_mut(NodeId(3)).label = Some("renamed-task".into());
+        labelled.set_label(NodeId(3), Some("renamed-task"));
         assert!(same(&labelled));
         assert_eq!(labelled.content_prehash(), base.content_prehash());
 

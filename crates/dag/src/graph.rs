@@ -1,24 +1,50 @@
 //! Core weighted DAG data structure.
 //!
-//! [`Dag`] stores nodes and edges in flat vectors with per-node in/out
-//! adjacency lists of edge indices. Node weights model workflow tasks
-//! (`work` = number of operations, `memory` = working-set size); edge
-//! weights model the size of the file communicated between two tasks.
+//! [`Dag`] keeps a workflow graph in a handful of flat arrays. Node
+//! weights model workflow tasks (`work` = number of operations, `memory`
+//! = working-set size); edge weights model the size of the file
+//! communicated between two tasks.
+//!
+//! # Layout
+//!
+//! * `nodes: Vec<NodeData>` — `{ work, memory }`, 16 bytes a task;
+//! * `edges: Vec<EdgeData>` — `{ src, dst, volume }`, 16 bytes an edge;
+//! * the adjacency: per direction (out-edges, in-edges) one
+//!   `Vec<EdgeId>` pool, and per node one `(start, len, cap)` span into
+//!   each pool (24 bytes a task, both directions in one array). A
+//!   node's edge ids sit contiguously in insertion order, so
+//!   [`Dag::out_edges`] / [`Dag::in_edges`] are one bounds-checked
+//!   slice of the pool. [`Dag::add_edge`] writes into the node's span;
+//!   a full span grows in place when it ends the pool and otherwise
+//!   moves to the end of the pool at twice its size, leaving its old
+//!   slots unused;
+//! * the label arena, boxed, made when the first task is labelled: all
+//!   labels in one `String`, with a `(start, len)` range per task (8
+//!   bytes) — [`Dag::label`], [`Dag::set_label`].
+//!
+//! `Clone` writes a compacted copy: each pool holds exactly the graph's
+//! edge ids, node after node, and the arena exactly its live labels (an
+//! arena with none left is not copied). A clone is therefore at most
+//! eight heap blocks whatever its size — five unlabelled. Before, a
+//! task had its own `Vec` of out-edges, `Vec` of in-edges and
+//! `Option<String>` label, so a clone took up to three blocks a task
+//! (88 for a 29-task recipe), and a task cost 88 bytes of weights and
+//! headers before its heap blocks, against 48 bytes (40 unlabelled)
+//! now. Edge ids cost 4 bytes per edge and direction either way.
 //!
 //! The structure itself does *not* enforce acyclicity on every mutation
 //! (the partitioning algorithms temporarily build candidate graphs and
 //! check them); use [`crate::cycles::is_cyclic`] or
 //! [`Dag::check_acyclic`] to validate.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dense index of a node (task) inside a [`Dag`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 /// Dense index of a directed edge inside a [`Dag`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EdgeId(pub u32);
 
 impl NodeId {
@@ -55,21 +81,19 @@ impl fmt::Debug for EdgeId {
     }
 }
 
-/// Payload of a node: a workflow task.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+/// Payload of a node: a workflow task. Its label, if any, lives in the
+/// graph's label arena ([`Dag::label`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct NodeData {
     /// Number of operations `w_u`; execution time on processor `p_j` is
     /// `work / s_j`.
     pub work: f64,
     /// Task-private memory weight `m_u` (excludes input/output files).
     pub memory: f64,
-    /// Optional human-readable label (task name from a DOT file or the
-    /// generator).
-    pub label: Option<String>,
 }
 
 /// Payload of an edge: a produced/consumed file.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EdgeData {
     /// Source task (producer of the file).
     pub src: NodeId,
@@ -79,17 +103,214 @@ pub struct EdgeData {
     pub volume: f64,
 }
 
+/// Where one node's edge ids sit in one direction's pool: `len` ids
+/// from `start`, with room for `cap`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+/// A direction of the adjacency: the index of its pool and span.
+#[derive(Clone, Copy)]
+enum Dir {
+    Out = 0,
+    In = 1,
+}
+
+/// The adjacency store: per direction, every node's edge ids in one
+/// pool, node by node in insertion order; per node, its span in each
+/// pool (see the module docs).
+#[derive(Debug, Default)]
+struct Adjacency {
+    pools: [Vec<EdgeId>; 2],
+    spans: Vec<[Span; 2]>,
+}
+
+impl Adjacency {
+    fn with_capacity(nodes: usize, edges: usize) -> Self {
+        Self {
+            pools: [Vec::with_capacity(edges), Vec::with_capacity(edges)],
+            spans: Vec::with_capacity(nodes),
+        }
+    }
+
+    /// A node with no edges yet. Its empty spans point at the ends of
+    /// the pools, so its first edge lands there unless another node's
+    /// has taken that slot first.
+    fn push_node(&mut self) {
+        let empty = self.pools.each_ref().map(|pool| Span {
+            start: pool_index(pool.len()),
+            len: 0,
+            cap: 0,
+        });
+        self.spans.push(empty);
+    }
+
+    /// Appends `e` to node `u`'s edges in direction `dir`.
+    fn push_edge(&mut self, dir: Dir, u: NodeId, e: EdgeId) {
+        let pool = &mut self.pools[dir as usize];
+        let span = &mut self.spans[u.idx()][dir as usize];
+        if span.len == span.cap {
+            let (start, len) = (span.start as usize, span.len as usize);
+            if start + len == pool.len() {
+                // The span ends the pool: grow it in place.
+                pool.push(e);
+                span.len += 1;
+                span.cap += 1;
+                return;
+            }
+            // Move the span to the end of the pool at twice its size.
+            let moved = pool.len();
+            pool.extend_from_within(start..start + len);
+            let cap = (2 * len).max(1);
+            pool.resize(moved + cap, EdgeId(u32::MAX));
+            span.start = pool_index(moved);
+            span.cap = pool_index(cap);
+        }
+        pool[span.start as usize + span.len as usize] = e;
+        span.len += 1;
+    }
+
+    #[inline]
+    fn of(&self, dir: Dir, u: NodeId) -> &[EdgeId] {
+        let span = self.spans[u.idx()][dir as usize];
+        let start = span.start as usize;
+        &self.pools[dir as usize][start..start + span.len as usize]
+    }
+
+    #[inline]
+    fn len_of(&self, dir: Dir, u: NodeId) -> usize {
+        self.spans[u.idx()][dir as usize].len as usize
+    }
+}
+
+/// A compacted copy: in each pool, every node's edge ids back to back
+/// in node order, every span full, no unused slot.
+impl Clone for Adjacency {
+    fn clone(&self) -> Self {
+        let mut spans = self.spans.clone();
+        let pools = [0, 1].map(|dir| {
+            let mut pool = Vec::with_capacity(spans.iter().map(|s| s[dir].len as usize).sum());
+            for span in spans.iter_mut().map(|s| &mut s[dir]) {
+                let first = span.start as usize;
+                span.start = pool_index(pool.len());
+                span.cap = span.len;
+                pool.extend_from_slice(&self.pools[dir][first..first + span.len as usize]);
+            }
+            pool
+        });
+        Self { pools, spans }
+    }
+}
+
+/// `i` as a pool offset. Pools and the label arena are indexed by `u32`
+/// like the ids they hold.
+fn pool_index(i: usize) -> u32 {
+    assert!(i <= u32::MAX as usize, "graph storage exceeds u32 offsets");
+    i as u32
+}
+
+/// Where one node's label sits in the arena, or [`NO_LABEL`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct TextRange {
+    start: u32,
+    len: u32,
+}
+
+/// The range of a task without a label.
+const NO_LABEL: TextRange = TextRange {
+    start: u32::MAX,
+    len: 0,
+};
+
+/// Task labels: one text arena and one range per node.
+#[derive(Debug)]
+struct Labels {
+    text: String,
+    ranges: Vec<TextRange>,
+}
+
+impl Labels {
+    fn get(&self, u: NodeId) -> Option<&str> {
+        let r = self.ranges[u.idx()];
+        if r == NO_LABEL {
+            return None;
+        }
+        let start = r.start as usize;
+        self.text.get(start..start + r.len as usize)
+    }
+
+    /// Sets or clears `u`'s label. A label that ends the arena is
+    /// overwritten in place; any other old text stays unused until the
+    /// graph is cloned.
+    fn set(&mut self, u: NodeId, label: Option<&str>) {
+        let range = &mut self.ranges[u.idx()];
+        if *range != NO_LABEL && (range.start + range.len) as usize == self.text.len() {
+            self.text.truncate(range.start as usize);
+        }
+        *range = match label {
+            None => NO_LABEL,
+            Some(text) => {
+                let start = pool_index(self.text.len());
+                self.text.push_str(text);
+                let len = pool_index(self.text.len()) - start;
+                TextRange { start, len }
+            }
+        };
+    }
+
+    /// A compacted copy — the arena holds each live label once, in
+    /// node order — or `None` when no task has a label any more.
+    fn compacted(&self) -> Option<Box<Labels>> {
+        if self.ranges.iter().all(|&r| r == NO_LABEL) {
+            return None;
+        }
+        let live = self.ranges.iter().filter(|&&r| r != NO_LABEL);
+        let mut text = String::with_capacity(live.map(|r| r.len as usize).sum());
+        let ranges = (0..self.ranges.len() as u32)
+            .map(|u| match self.get(NodeId(u)) {
+                None => NO_LABEL,
+                Some(label) => {
+                    let start = pool_index(text.len());
+                    text.push_str(label);
+                    TextRange {
+                        start,
+                        len: pool_index(label.len()),
+                    }
+                }
+            })
+            .collect();
+        Some(Box::new(Labels { text, ranges }))
+    }
+}
+
 /// A weighted directed graph specialised for workflow DAGs.
 ///
 /// Nodes and edges are append-only; removal is handled at a higher level
 /// by rebuilding or by partition-level bookkeeping, which keeps all ids
-/// stable and dense.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// stable and dense. See the [module docs](self) for the layout; `clone`
+/// compacts it.
+#[derive(Debug, Default)]
 pub struct Dag {
     nodes: Vec<NodeData>,
     edges: Vec<EdgeData>,
-    out_adj: Vec<Vec<EdgeId>>,
-    in_adj: Vec<Vec<EdgeId>>,
+    adjacency: Adjacency,
+    /// The label arena, once some task has been labelled.
+    labels: Option<Box<Labels>>,
+}
+
+/// A compacted copy (see the module docs).
+impl Clone for Dag {
+    fn clone(&self) -> Self {
+        Self {
+            nodes: self.nodes.clone(),
+            edges: self.edges.clone(),
+            adjacency: self.adjacency.clone(),
+            labels: self.labels.as_deref().and_then(Labels::compacted),
+        }
+    }
 }
 
 impl Dag {
@@ -104,8 +325,8 @@ impl Dag {
         Self {
             nodes: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
-            out_adj: Vec::with_capacity(nodes),
-            in_adj: Vec::with_capacity(nodes),
+            adjacency: Adjacency::with_capacity(nodes, edges),
+            labels: None,
         }
     }
 
@@ -128,19 +349,18 @@ impl Dag {
 
     /// Adds a task with the given work and memory weights, returning its id.
     pub fn add_node(&mut self, work: f64, memory: f64) -> NodeId {
-        self.add_node_data(NodeData {
-            work,
-            memory,
-            label: None,
-        })
+        self.add_node_data(NodeData { work, memory })
     }
 
-    /// Adds a task with full payload, returning its id.
+    /// Adds a task with full payload, returning its id. It has no label
+    /// until [`Dag::set_label`] gives it one.
     pub fn add_node_data(&mut self, data: NodeData) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(data);
-        self.out_adj.push(Vec::new());
-        self.in_adj.push(Vec::new());
+        self.adjacency.push_node();
+        if let Some(labels) = &mut self.labels {
+            labels.ranges.push(NO_LABEL);
+        }
         id
     }
 
@@ -159,8 +379,8 @@ impl Dag {
         assert_ne!(src, dst, "self-loop rejected: {src:?}");
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push(EdgeData { src, dst, volume });
-        self.out_adj[src.idx()].push(id);
-        self.in_adj[dst.idx()].push(id);
+        self.adjacency.push_edge(Dir::Out, src, id);
+        self.adjacency.push_edge(Dir::In, dst, id);
         id
     }
 
@@ -174,6 +394,36 @@ impl Dag {
     #[inline]
     pub fn node_mut(&mut self, id: NodeId) -> &mut NodeData {
         &mut self.nodes[id.idx()]
+    }
+
+    /// The human-readable label of a task (its name in a DOT or
+    /// WfCommons file, or the generator's), if it has one.
+    ///
+    /// # Panics
+    /// Panics if `u` is out of bounds.
+    pub fn label(&self, u: NodeId) -> Option<&str> {
+        assert!(u.idx() < self.nodes.len(), "node out of bounds");
+        self.labels.as_deref()?.get(u)
+    }
+
+    /// Sets (`Some`) or clears (`None`) the label of a task.
+    ///
+    /// # Panics
+    /// Panics if `u` is out of bounds.
+    pub fn set_label(&mut self, u: NodeId, label: Option<&str>) {
+        assert!(u.idx() < self.nodes.len(), "node out of bounds");
+        if self.labels.is_none() && label.is_none() {
+            return;
+        }
+        let nodes = self.nodes.len();
+        self.labels
+            .get_or_insert_with(|| {
+                Box::new(Labels {
+                    text: String::new(),
+                    ranges: vec![NO_LABEL; nodes],
+                })
+            })
+            .set(u, label);
     }
 
     /// Immutable access to an edge payload.
@@ -201,39 +451,35 @@ impl Dag {
     /// Outgoing edges of `u`.
     #[inline]
     pub fn out_edges(&self, u: NodeId) -> &[EdgeId] {
-        &self.out_adj[u.idx()]
+        self.adjacency.of(Dir::Out, u)
     }
 
     /// Incoming edges of `u`.
     #[inline]
     pub fn in_edges(&self, u: NodeId) -> &[EdgeId] {
-        &self.in_adj[u.idx()]
+        self.adjacency.of(Dir::In, u)
     }
 
     /// Children `C_u` of a task (targets of its out-edges).
     pub fn children(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.out_adj[u.idx()]
-            .iter()
-            .map(|&e| self.edges[e.idx()].dst)
+        self.out_edges(u).iter().map(|&e| self.edges[e.idx()].dst)
     }
 
     /// Parents `Π_u` of a task (sources of its in-edges).
     pub fn parents(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.in_adj[u.idx()]
-            .iter()
-            .map(|&e| self.edges[e.idx()].src)
+        self.in_edges(u).iter().map(|&e| self.edges[e.idx()].src)
     }
 
     /// Out-degree of `u`.
     #[inline]
     pub fn out_degree(&self, u: NodeId) -> usize {
-        self.out_adj[u.idx()].len()
+        self.adjacency.len_of(Dir::Out, u)
     }
 
     /// In-degree of `u`.
     #[inline]
     pub fn in_degree(&self, u: NodeId) -> usize {
-        self.in_adj[u.idx()].len()
+        self.adjacency.len_of(Dir::In, u)
     }
 
     /// Source tasks (no parents).
@@ -248,7 +494,7 @@ impl Dag {
 
     /// First edge from `src` to `dst`, if any.
     pub fn edge_between(&self, src: NodeId, dst: NodeId) -> Option<EdgeId> {
-        self.out_adj[src.idx()]
+        self.out_edges(src)
             .iter()
             .copied()
             .find(|&e| self.edges[e.idx()].dst == dst)
@@ -278,12 +524,14 @@ impl Dag {
     }
 
     /// Returns a copy of the graph in which parallel edges between the
-    /// same ordered node pair are merged, summing their volumes.
+    /// same ordered node pair are merged, summing their volumes. Tasks
+    /// keep their weights and labels.
     pub fn coalesce_parallel_edges(&self) -> Dag {
         let mut out = Dag::with_capacity(self.node_count(), self.edge_count());
-        for n in &self.nodes {
-            out.add_node_data(n.clone());
+        for &n in &self.nodes {
+            out.add_node_data(n);
         }
+        out.labels = self.labels.as_deref().and_then(Labels::compacted);
         use std::collections::HashMap;
         let mut seen: HashMap<(NodeId, NodeId), EdgeId> = HashMap::new();
         for e in &self.edges {

@@ -15,7 +15,12 @@
 //! * [`Dag`] — a weighted directed graph tuned for workflow DAGs: each
 //!   node carries a `work` (computation) and `memory` weight, each edge a
 //!   communication `volume` (the size of the file written by the source
-//!   task and read by the target task).
+//!   task and read by the target task). It lives in a few flat arrays:
+//!   the weights, one edge-id pool per direction with a per-node span
+//!   into each, and one label arena; `Clone` compacts them, so a copy
+//!   is at most eight heap blocks at any size (it was up to three a
+//!   task), and a task costs 48 bytes plus its edge ids and label text
+//!   (88 bytes and three heap blocks before). See [`graph`].
 //! * Topological sorting and level computation ([`topo`]).
 //! * Cycle detection and extraction ([`cycles`]), needed when merging
 //!   blocks of a partition may create cyclic quotient graphs.

@@ -3,7 +3,7 @@
 use crate::builder;
 use crate::critical::bottom_weights;
 use crate::cycles::{find_cycle, is_cyclic};
-use crate::graph::{Dag, EdgeData, NodeId};
+use crate::graph::{Dag, EdgeData, EdgeId, NodeId};
 use crate::quotient::{is_acyclic_partition, Partition, QuotientGraph};
 use crate::topo::{is_topological_order, topo_levels, topo_sort};
 use proptest::prelude::*;
@@ -35,10 +35,8 @@ fn rebuilt_interleaved(g: &Dag) -> Dag {
     let grow_to = |copy: &mut Dag, n: usize| {
         while copy.node_count() < n {
             let u = NodeId(copy.node_count() as u32);
-            copy.add_node_data(crate::graph::NodeData {
-                label: Some(format!("t{u}")),
-                ..g.node(u).clone()
-            });
+            copy.add_node_data(*g.node(u));
+            copy.set_label(u, Some(&format!("t{u}")));
         }
     };
     for e in g.edge_ids().map(|e| g.edge(e)) {
@@ -47,6 +45,90 @@ fn rebuilt_interleaved(g: &Dag) -> Dag {
     }
     grow_to(&mut copy, g.node_count());
     copy
+}
+
+/// The storage `Dag` replaced, kept as the model its flat pools are
+/// held to: one `Vec` of edge ids per node and direction, one optional
+/// `String` per task.
+#[derive(Clone, Debug, Default)]
+struct Model {
+    out: Vec<Vec<EdgeId>>,
+    inn: Vec<Vec<EdgeId>>,
+    ends: Vec<(NodeId, NodeId)>,
+    labels: Vec<Option<String>>,
+}
+
+/// One step of a random build, drawn as `(kind, a, b)`: a node, an
+/// edge between two existing nodes picked by `a` and `b`, the last
+/// edge again (a parallel edge), or a label set or cleared.
+type Op = (u8, u32, u32);
+
+impl Model {
+    /// Applies `op` to both `g` and the model. `step` makes labels
+    /// unique per step.
+    fn apply(&mut self, g: &mut Dag, (kind, a, b): Op, step: usize) {
+        let n = self.out.len() as u32;
+        match kind {
+            _ if n < 2 || kind == 0 => {
+                let u = g.add_node(f64::from(a % 7), f64::from(b % 5));
+                assert_eq!(u, NodeId(n));
+                self.out.push(Vec::new());
+                self.inn.push(Vec::new());
+                self.labels.push(None);
+            }
+            1 | 2 => {
+                let src = NodeId(a % n);
+                let dst = NodeId((src.0 + 1 + b % (n - 1)) % n);
+                self.edge(g, src, dst);
+            }
+            3 => match self.ends.last() {
+                Some(&(src, dst)) => self.edge(g, src, dst),
+                None => self.edge(g, NodeId(0), NodeId(1)),
+            },
+            4 => {
+                let u = NodeId(a % n);
+                let label = format!("t{u}-{step}");
+                g.set_label(u, Some(&label));
+                self.labels[u.idx()] = Some(label);
+            }
+            _ => {
+                let u = NodeId(a % n);
+                g.set_label(u, None);
+                self.labels[u.idx()] = None;
+            }
+        }
+    }
+
+    fn edge(&mut self, g: &mut Dag, src: NodeId, dst: NodeId) {
+        let e = g.add_edge(src, dst, 1.0);
+        assert_eq!(e, EdgeId(self.ends.len() as u32));
+        self.out[src.idx()].push(e);
+        self.inn[dst.idx()].push(e);
+        self.ends.push((src, dst));
+    }
+
+    /// Whether `g` answers every adjacency and label question as the
+    /// model does, in order.
+    fn check(&self, g: &Dag) {
+        prop_assert_eq!(g.node_count(), self.out.len());
+        prop_assert_eq!(g.edge_count(), self.ends.len());
+        for u in g.node_ids() {
+            let (out, inn) = (&self.out[u.idx()], &self.inn[u.idx()]);
+            prop_assert_eq!(g.out_edges(u), out.as_slice());
+            prop_assert_eq!(g.in_edges(u), inn.as_slice());
+            prop_assert_eq!(g.out_degree(u), out.len());
+            prop_assert_eq!(g.in_degree(u), inn.len());
+            let children: Vec<NodeId> = out.iter().map(|e| self.ends[e.idx()].1).collect();
+            let parents: Vec<NodeId> = inn.iter().map(|e| self.ends[e.idx()].0).collect();
+            prop_assert_eq!(g.children(u).collect::<Vec<_>>(), children);
+            prop_assert_eq!(g.parents(u).collect::<Vec<_>>(), parents);
+            for v in g.node_ids() {
+                let first = out.iter().copied().find(|e| self.ends[e.idx()].1 == v);
+                prop_assert_eq!(g.edge_between(u, v), first);
+            }
+            prop_assert_eq!(g.label(u), self.labels[u.idx()].as_deref());
+        }
+    }
 }
 
 /// Strategy: a random DAG described by (n, p, seed).
@@ -221,9 +303,8 @@ proptest! {
         keyed.sort_by_key(|&(key, _)| key);
         let mut g = Dag::new();
         for u in base.node_ids() {
-            let mut named = base.node(u).clone();
-            named.label = Some(format!("task-{u}"));
-            g.add_node_data(named);
+            let named = g.add_node_data(*base.node(u));
+            g.set_label(named, Some(&format!("task-{u}")));
         }
         for (_, e) in &keyed {
             g.add_edge(e.src, e.dst, e.volume);
@@ -244,6 +325,48 @@ proptest! {
         }
         let edges = |d: &Dag| d.edge_ids().map(|e| d.edge(e).clone()).collect::<Vec<_>>();
         prop_assert_eq!(edges(&sub), edges(&want));
+    }
+
+    #[test]
+    fn flat_storage_matches_a_vec_of_vecs_model(
+        ops in proptest::collection::vec((0u8..6, any::<u32>(), any::<u32>()), 0..160),
+        later in proptest::collection::vec((0u8..6, any::<u32>(), any::<u32>()), 0..60),
+        clone_at in 0usize..160,
+    ) {
+        // Edges outnumber nodes about three to one, so spans fill, move
+        // to the end of the pool and grow in place, in every order.
+        let (mut g, mut model) = (Dag::new(), Model::default());
+        let mut taken = None;
+        for (step, &op) in ops.iter().enumerate() {
+            if step == clone_at {
+                taken = Some((g.clone(), model.clone()));
+            }
+            model.apply(&mut g, op, step);
+            model.check(&g);
+        }
+        let (mut copy, mut copy_model) = taken.unwrap_or_else(|| (g.clone(), model.clone()));
+        copy_model.check(&copy);
+
+        // The clone and its source are independent from here on.
+        for (step, &op) in later.iter().enumerate() {
+            copy_model.apply(&mut copy, op, ops.len() + step);
+            copy_model.check(&copy);
+        }
+        model.check(&g);
+        for (step, &op) in later.iter().rev().enumerate() {
+            model.apply(&mut g, op, ops.len() + later.len() + step);
+        }
+        model.check(&g);
+        copy_model.check(&copy);
+
+        // Labels survive the DOT round trip (an unlabelled task comes
+        // back with an empty one), and so does the adjacency.
+        let back = crate::dot::from_dot(&crate::dot::to_dot(&g, "model")).unwrap();
+        for u in g.node_ids() {
+            prop_assert_eq!(back.label(u), Some(g.label(u).unwrap_or("")));
+            prop_assert_eq!(back.out_edges(u), g.out_edges(u));
+            prop_assert_eq!(back.in_edges(u), g.in_edges(u));
+        }
     }
 
     #[test]

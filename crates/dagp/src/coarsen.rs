@@ -518,10 +518,10 @@ mod tests {
     #[test]
     fn the_finest_level_keeps_ids_and_weights_and_drops_labels() {
         let mut g = builder::gnp_dag_weighted(40, 0.1, 5);
-        g.node_mut(NodeId(3)).label = Some("named".into());
+        g.set_label(NodeId(3), Some("named"));
         let h = coarsen(&g, &vec![1.0; 40], 10, 0);
         let finest = h.finest().graph();
-        assert!(finest.node_ids().all(|u| finest.node(u).label.is_none()
+        assert!(finest.node_ids().all(|u| finest.label(u).is_none()
             && finest.node(u).work == g.node(u).work
             && finest.node(u).memory == g.node(u).memory));
         assert!(g

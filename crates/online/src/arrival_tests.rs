@@ -155,7 +155,7 @@ fn near_misses_are_told_apart_and_relabelled_copies_are_not() {
         let entries = seen.distinct();
         let mut relabelled = base();
         for u in relabelled.node_ids() {
-            relabelled.node_mut(u).label = Some(format!("task-{u}"));
+            relabelled.set_label(u, Some(&format!("task-{u}")));
         }
         let p = pending_checked(
             submission(200, "another-name", relabelled),

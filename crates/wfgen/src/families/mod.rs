@@ -15,7 +15,7 @@ mod seismology;
 mod soykb;
 
 use crate::weights::WeightModel;
-use dhp_dag::{Dag, NodeData, NodeId};
+use dhp_dag::{Dag, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -128,11 +128,9 @@ impl Ctx {
     pub fn task(&mut self, label: &str) -> NodeId {
         let work = self.model.draw_work(&mut self.rng);
         let memory = self.model.draw_memory(&mut self.rng);
-        self.g.add_node_data(NodeData {
-            work,
-            memory,
-            label: Some(label.to_string()),
-        })
+        let u = self.g.add_node(work, memory);
+        self.g.set_label(u, Some(label));
+        u
     }
 
     /// Adds an edge with a freshly drawn volume.

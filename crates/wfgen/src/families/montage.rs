@@ -65,12 +65,7 @@ mod tests {
             // diffs have two project parents
             let diffs = g
                 .node_ids()
-                .filter(|&u| {
-                    g.node(u)
-                        .label
-                        .as_deref()
-                        .is_some_and(|l| l.starts_with("mDiffFit"))
-                })
+                .filter(|&u| g.label(u).is_some_and(|l| l.starts_with("mDiffFit")))
                 .count();
             assert!(diffs > 0);
         }

@@ -46,7 +46,7 @@ proptest! {
         let a = WorkflowInstance::simulated(family, n, seed).graph;
         let mut b = WorkflowInstance::simulated(family, n, seed).graph;
         for u in b.node_ids() {
-            b.node_mut(u).label = None;
+            b.set_label(u, None);
         }
         prop_assert!(a.content_eq(&b) && b.content_eq(&a));
         prop_assert_eq!(a.content_prehash(), b.content_prehash());
@@ -85,6 +85,38 @@ proptest! {
         da.sort_unstable();
         db.sort_unstable();
         prop_assert_eq!(da, db);
+    }
+
+    #[test]
+    fn wfcommons_roundtrip_keeps_labels_set_overwritten_and_cleared(
+        family in any_family(),
+        n in 20usize..120,
+        seed in any::<u64>(),
+        edits in proptest::collection::vec((any::<u32>(), 0u8..3), 0..40),
+    ) {
+        // Generator labels, some overwritten (twice, when a task is hit
+        // again), some cleared: a cleared task is exported as
+        // `task<index>` and read back under that name.
+        let mut inst = WorkflowInstance::simulated(family, n, seed);
+        let g = &mut inst.graph;
+        for (step, &(pick, what)) in edits.iter().enumerate() {
+            let u = dhp_dag::NodeId(pick % g.node_count() as u32);
+            match what {
+                0 => g.set_label(u, None),
+                _ => g.set_label(u, Some(&format!("renamed-{u}-{step}"))),
+            }
+        }
+        let back = from_json(&to_json(&inst, GIB).unwrap(), &ImportConfig::default())
+            .expect("roundtrip import");
+        let g = &inst.graph;
+        prop_assert_eq!(back.graph.node_count(), g.node_count());
+        for u in g.node_ids() {
+            let want = g.label(u).map_or_else(|| format!("task{}", u.idx()), str::to_string);
+            prop_assert_eq!(back.graph.label(u), Some(want.as_str()));
+        }
+        // A clone keeps every label.
+        let copy = g.clone();
+        prop_assert!(g.node_ids().all(|u| copy.label(u) == g.label(u)));
     }
 
     #[test]

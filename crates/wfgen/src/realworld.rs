@@ -90,7 +90,7 @@ fn build(spec: &Spec, seed: u64) -> Dag {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = Dag::new();
     let src = g.add_node(1.0, 1.0);
-    g.node_mut(src).label = Some(format!("{}_input", spec.name));
+    g.set_label(src, Some(&format!("{}_input", spec.name)));
 
     let prefix_len = rng.random_range(1..=2usize).min(spec.tasks / 8 + 1);
     let tail_len = rng.random_range(1..=2usize);
@@ -105,20 +105,20 @@ fn build(spec: &Spec, seed: u64) -> Dag {
     let mut cur = src;
     for i in 0..prefix_len {
         let t = g.add_node(1.0, 1.0);
-        g.node_mut(t).label = Some(format!("{}_prep{}", spec.name, i));
+        g.set_label(t, Some(&format!("{}_prep{}", spec.name, i)));
         g.add_edge(cur, t, 1.0);
         cur = t;
     }
     // Parallel per-sample branches.
     let merge = g.add_node(1.0, 1.0);
-    g.node_mut(merge).label = Some(format!("{}_multiqc", spec.name));
+    g.set_label(merge, Some(&format!("{}_multiqc", spec.name)));
     for b in 0..width {
         let len = per_branch + usize::from(extra > 0);
         extra = extra.saturating_sub(1);
         let mut prev = cur;
         for i in 0..len {
             let t = g.add_node(1.0, 1.0);
-            g.node_mut(t).label = Some(format!("{}_b{}_{}", spec.name, b, i));
+            g.set_label(t, Some(&format!("{}_b{}_{}", spec.name, b, i)));
             g.add_edge(prev, t, 1.0);
             prev = t;
         }
@@ -128,7 +128,7 @@ fn build(spec: &Spec, seed: u64) -> Dag {
     let mut prev = merge;
     for i in 0..tail_len {
         let t = g.add_node(1.0, 1.0);
-        g.node_mut(t).label = Some(format!("{}_report{}", spec.name, i));
+        g.set_label(t, Some(&format!("{}_report{}", spec.name, i)));
         g.add_edge(prev, t, 1.0);
         prev = t;
     }

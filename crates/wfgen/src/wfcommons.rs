@@ -186,7 +186,7 @@ pub fn from_instance(doc: &WfInstance, cfg: &ImportConfig) -> Result<WorkflowIns
             t.runtime_in_seconds.unwrap_or(cfg.default_work).max(0.0),
             t.memory_in_bytes.unwrap_or(0.0).max(0.0) / cfg.bytes_per_unit,
         );
-        g.node_mut(u).label = Some(t.name.clone());
+        g.set_label(u, Some(&t.name));
         if index.insert(t.name.as_str(), u).is_some() {
             return Err(WfError::DuplicateTask(t.name.clone()));
         }
@@ -290,10 +290,8 @@ pub fn from_instance(doc: &WfInstance, cfg: &ImportConfig) -> Result<WorkflowIns
 pub fn to_instance(inst: &WorkflowInstance, bytes_per_unit: f64) -> WfInstance {
     let g = &inst.graph;
     let task_name = |u: NodeId| {
-        g.node(u)
-            .label
-            .clone()
-            .unwrap_or_else(|| format!("task{}", u.idx()))
+        g.label(u)
+            .map_or_else(|| format!("task{}", u.idx()), str::to_string)
     };
     let tasks = g
         .node_ids()

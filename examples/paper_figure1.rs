@@ -22,7 +22,7 @@ fn figure1_graph() -> Dag {
     let n: Vec<_> = (0..9)
         .map(|i| {
             let u = g.add_node(1.0, 1.0);
-            g.node_mut(u).label = Some(format!("{}", i + 1));
+            g.set_label(u, Some(&format!("{}", i + 1)));
             u
         })
         .collect();

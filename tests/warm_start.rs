@@ -14,6 +14,9 @@
 //! * the federation tier warm-starts and autosaves through the same
 //!   snapshot path, and a single cluster's autosave leaves the report
 //!   and the final snapshot as a save at exit does;
+//! * a snapshot entry whose processor ids lie past its lease loads,
+//!   is dropped at its first warm hit and solved again, never
+//!   indexing the lease with them;
 //! * the raw bytes a cold run's snapshot holds — lease sims and
 //!   elastic grow/shrink suffix sims included — are pinned, a second
 //!   cold run writes the same file, and save → load → save reproduces
@@ -205,6 +208,91 @@ fn every_corrupt_snapshot_variant_degrades_to_a_cold_start() {
     let healed = serve(&cluster, subs, &cfg);
     assert!(healed.report.recovery.is_none());
     assert_eq!(healed.report.fleet.solve_cache_misses, 0);
+}
+
+/// Offsets into a version-5 snapshot of every solved record's
+/// processor table (its first entry) and, for a record with its sim,
+/// of the sim's first lane processor. Layout as in `dhp_core::persist`:
+/// records start at 92; a record is its 25-byte key, its stamp and its
+/// kind byte, then for a solve the makespan, `k'`, the block array and
+/// the processor table, then for kind 2 the sim.
+fn solved_record_offsets(file: &[u8]) -> Vec<(usize, Option<usize>)> {
+    let word = |at: usize| u64::from_le_bytes(file[at..at + 8].try_into().unwrap()) as usize;
+    let mut found = Vec::new();
+    let mut at = 92;
+    for _ in 0..word(84) {
+        let kind = file[at + 33];
+        at += 34;
+        if kind == 0 {
+            continue;
+        }
+        at += 16;
+        let tasks = word(at);
+        at += 8 + 4 * tasks;
+        let procs = at + 8;
+        at += 8 + 8 * word(at);
+        let mut lanes = None;
+        if kind == 2 {
+            at += 8 + 2 * (8 + 8 * tasks);
+            lanes = (word(at) > 0).then_some(at + 8);
+            at += 8 + 12 * word(at);
+        }
+        found.push((procs, lanes));
+    }
+    assert_eq!(at, file.len(), "walked every record");
+    found
+}
+
+#[test]
+fn an_entry_that_does_not_fit_its_lease_is_solved_again() {
+    // The reader cannot see the graph or the lease a record's key
+    // names. A processor id past the lease, in a solve's table or in
+    // its sim's lanes, passes its checks under a re-stamped checksum;
+    // the first warm hit must drop the entry and solve again instead
+    // of indexing the lease with it.
+    let dir = scratch("misfit");
+    let snap = dir.join("cache.bin");
+    let subs = dhp_online::submission::repeating_stream(
+        3,
+        24,
+        &[Family::Blast, Family::Seismology],
+        (20, 40),
+        &ArrivalProcess::Burst { at: 0.0 },
+        7,
+    );
+    let cluster = roomy_cluster(&subs);
+    let cfg = persist_cfg(&snap);
+    let reference = serve(&cluster, subs.clone(), &cfg);
+    let good = std::fs::read(&snap).unwrap();
+    let records = solved_record_offsets(&good);
+    let (first_proc, _) = records[0];
+    let first_lane = records
+        .iter()
+        .find_map(|&(_, lane)| lane)
+        .expect("a record with a memoized sim");
+    for (tag, at, width) in [("processor", first_proc, 8), ("lane", first_lane, 4)] {
+        let mut bytes = good.clone();
+        bytes[at..at + width].copy_from_slice(&1000u64.to_le_bytes()[..width]);
+        let checksum = fnv1a_bytes(bytes[36..].iter().copied());
+        bytes[28..36].copy_from_slice(&checksum.to_le_bytes());
+        std::fs::write(&snap, &bytes).unwrap();
+
+        let out = serve(&cluster, subs.clone(), &cfg);
+        assert!(out.report.recovery.is_none(), "{tag}: the file loads");
+        assert!(
+            out.report.fleet.solve_cache_misses > 0,
+            "{tag}: the misfit entry was solved again"
+        );
+        for p in &out.placements {
+            dhp_core::mapping::validate(&p.submission.instance.graph, &cluster, &p.mapping)
+                .unwrap_or_else(|e| panic!("{tag}: invalid placement: {e:?}"));
+        }
+        assert_eq!(
+            normalized_json(&reference),
+            normalized_json(&out),
+            "{tag}: the re-solve changed the schedule"
+        );
+    }
 }
 
 #[test]
