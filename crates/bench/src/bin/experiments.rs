@@ -852,12 +852,12 @@ fn exact_gap(ctx: &Ctx) {
         let Some(exact) = solve(&g, &c, &ExactConfig::default()).expect("n=8 within limits") else {
             continue;
         };
-        let part = dag_het_part(&g, &c, &DagHetPartConfig::default())
-            .map(|r| r.makespan)
-            .ok();
-        let mem = dag_het_mem(&g, &c)
-            .map(|m| dhp_core::makespan::makespan_of_mapping(&g, &c, &m))
-            .ok();
+        let [part, mem] = [Algorithm::DagHetPart, Algorithm::DagHetMem].map(|algorithm| {
+            algorithm
+                .solve(&g, &c, &DagHetPartConfig::default())
+                .map(|r| r.makespan)
+                .ok()
+        });
         if let Some(p) = part {
             part_gaps.push(p / exact.makespan);
         }

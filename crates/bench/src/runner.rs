@@ -1,12 +1,11 @@
 //! Instance execution and aggregation shared by all experiments.
 
 use dhp_core::fitting::scale_cluster_with_headroom;
-use dhp_core::makespan::makespan_of_mapping;
 use dhp_core::prelude::*;
 use dhp_platform::Cluster;
 use dhp_wfgen::{SizeClass, WorkflowInstance};
 use parking_lot::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Memory headroom applied when normalising the platform to a workflow
 /// (see `dhp_core::fitting::scale_cluster_with_headroom`).
@@ -61,40 +60,25 @@ impl Outcome {
 }
 
 /// Runs both heuristics on `inst` against `cluster` (normalised to the
-/// instance with [`HEADROOM`]).
+/// instance with [`HEADROOM`]). Each run's time is the solver's own
+/// [`MappingResult::elapsed`].
 pub fn run_instance(inst: &WorkflowInstance, cluster: &Cluster) -> Outcome {
     let cluster = scale_cluster_with_headroom(&inst.graph, cluster, HEADROOM);
-
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the experiments report each heuristic's runtime"
-    )]
-    let t0 = Instant::now();
-    let part = dag_het_part(&inst.graph, &cluster, &DagHetPartConfig::default()).ok();
-    let part_time = t0.elapsed();
-    let part = part.map(|r| {
+    let run = |algorithm: Algorithm| {
+        algorithm
+            .solve(&inst.graph, &cluster, &DagHetPartConfig::default())
+            .ok()
+    };
+    let stats = |r: MappingResult| RunStats {
+        makespan: r.makespan,
+        time: r.elapsed,
+        blocks: r.mapping.num_blocks(),
+        procs_used: r.mapping.procs_used(),
+    };
+    let part = run(Algorithm::DagHetPart);
+    if let Some(r) = &part {
         debug_assert!(validate(&inst.graph, &cluster, &r.mapping).is_ok());
-        RunStats {
-            makespan: r.makespan,
-            time: part_time,
-            blocks: r.mapping.num_blocks(),
-            procs_used: r.mapping.procs_used(),
-        }
-    });
-
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the experiments report each heuristic's runtime"
-    )]
-    let t0 = Instant::now();
-    let mem = dag_het_mem(&inst.graph, &cluster).ok();
-    let mem_time = t0.elapsed();
-    let mem = mem.map(|m| RunStats {
-        makespan: makespan_of_mapping(&inst.graph, &cluster, &m),
-        time: mem_time,
-        blocks: m.num_blocks(),
-        procs_used: m.procs_used(),
-    });
+    }
 
     Outcome {
         name: inst.name.clone(),
@@ -104,8 +88,8 @@ pub fn run_instance(inst: &WorkflowInstance, cluster: &Cluster) -> Outcome {
             .unwrap_or_else(|| "real".into()),
         size_class: inst.size_class,
         tasks: inst.graph.node_count(),
-        part,
-        mem,
+        part: part.map(stats),
+        mem: run(Algorithm::DagHetMem).map(stats),
     }
 }
 

@@ -4,7 +4,6 @@ use crate::args::Args;
 use crate::report::ScheduleReport;
 use crate::spec::{resolve_cluster, ClusterSpec};
 use dhp_core::fitting::{every_task_fits, scale_cluster_with_headroom};
-use dhp_core::makespan::makespan_of_mapping;
 use dhp_core::prelude::*;
 use dhp_platform::configs;
 use dhp_wfgen::wfcommons::{self, ImportConfig};
@@ -160,31 +159,18 @@ pub fn schedule(args: &Args) -> Result<String, String> {
         );
     }
 
-    let algorithm = args.get_or("algorithm", "daghetpart");
-    let (mapping, makespan) = match algorithm {
-        "daghetpart" => {
-            let r = dag_het_part(&inst.graph, &cluster, &DagHetPartConfig::default())
-                .map_err(|e| e.to_string())?;
-            (r.mapping, r.makespan)
-        }
-        "daghetmem" => {
-            let m = dag_het_mem(&inst.graph, &cluster).map_err(|e| e.to_string())?;
-            let mk = makespan_of_mapping(&inst.graph, &cluster, &m);
-            (m, mk)
-        }
-        other => return Err(format!("unknown --algorithm {other:?}")),
-    };
+    let algorithm = parse_algorithm(args)?;
+    let MappingResult {
+        mapping, makespan, ..
+    } = algorithm
+        .solve(&inst.graph, &cluster, &DagHetPartConfig::default())
+        .map_err(|e| e.to_string())?;
     validate(&inst.graph, &cluster, &mapping)
         .map_err(|e| format!("internal error: produced mapping invalid: {e}"))?;
 
-    let mut report = ScheduleReport::new(
-        &inst.name,
-        algorithm,
-        &inst.graph,
-        &cluster,
-        &mapping,
-        makespan,
-    );
+    let name = algorithm.name();
+    let mut report =
+        ScheduleReport::new(&inst.name, name, &inst.graph, &cluster, &mapping, makespan);
     let mut gantt = String::new();
     if args.switch("simulate") || args.switch("gantt") {
         let sim = dhp_sim::simulate(&inst.graph, &cluster, &mapping);
@@ -284,6 +270,13 @@ pub fn cluster_template() -> Result<String, String> {
         .map_err(|e| format!("cannot serialise the cluster template: {e}"))
 }
 
+/// The `--algorithm` of `schedule` and `queue` (default DagHetPart).
+pub(crate) fn parse_algorithm(args: &Args) -> Result<Algorithm, String> {
+    let name = args.get_or("algorithm", "daghetpart");
+    Algorithm::parse(name)
+        .ok_or_else(|| format!("unknown --algorithm {name:?} (daghetpart|daghetmem)"))
+}
+
 fn parse_family(name: &str) -> Result<Family, String> {
     Family::ALL
         .into_iter()
@@ -298,20 +291,17 @@ fn parse_family(name: &str) -> Result<Family, String> {
 mod tests {
 
     use crate::run;
+    use crate::tests::Scratch;
+    use dhp_core::Algorithm;
 
     fn cli(line: &str) -> Result<String, String> {
         run(line.split_whitespace().map(str::to_string))
     }
 
-    fn tmp(name: &str) -> String {
-        let dir = std::env::temp_dir().join("dhp-cli-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name).to_string_lossy().into_owned()
-    }
-
     #[test]
     fn generate_then_schedule_wfcommons() {
-        let wf = tmp("gen.json");
+        let dir = Scratch::new("generate_then_schedule_wfcommons");
+        let wf = dir.file("gen.json");
         let msg = cli(&format!(
             "generate --family blast --tasks 200 --seed 7 --output {wf}"
         ))
@@ -326,7 +316,8 @@ mod tests {
 
     #[test]
     fn generate_then_schedule_dot_with_simulation() {
-        let wf = tmp("gen.dot");
+        let dir = Scratch::new("generate_then_schedule_dot_with_simulation");
+        let wf = dir.file("gen.dot");
         cli(&format!(
             "generate --family seismology --tasks 200 --format dot --output {wf}"
         ))
@@ -343,7 +334,8 @@ mod tests {
 
     #[test]
     fn schedule_with_baseline_algorithm() {
-        let wf = tmp("base.json");
+        let dir = Scratch::new("schedule_with_baseline_algorithm");
+        let wf = dir.file("base.json");
         cli(&format!(
             "generate --family montage --tasks 200 --output {wf}"
         ))
@@ -356,8 +348,38 @@ mod tests {
     }
 
     #[test]
+    fn schedule_and_queue_share_one_algorithm_vocabulary() {
+        let dir = Scratch::new("schedule_and_queue_share_one_algorithm_vocabulary");
+        let wf = dir.file("algorithm.json");
+        cli(&format!("generate --family bwa --tasks 50 --output {wf}")).unwrap();
+        let schedule = cli(&format!("schedule --workflow {wf} --algorithm heft")).unwrap_err();
+        let queue = cli("queue --workflows 2 --algorithm heft").unwrap_err();
+        assert_eq!(schedule, queue);
+        assert!(
+            schedule.contains("\"heft\"") && schedule.contains("daghetpart|daghetmem"),
+            "{schedule}"
+        );
+        // Every name `Algorithm::parse` accepts runs under both, and
+        // the reports name it back.
+        for algo in [Algorithm::DagHetPart, Algorithm::DagHetMem] {
+            let name = algo.name();
+            let out = cli(&format!("schedule --workflow {wf} --algorithm {name}")).unwrap();
+            let report: crate::report::ScheduleReport = serde_json::from_str(&out).unwrap();
+            assert_eq!(report.algorithm, name);
+            let out = cli(&format!(
+                "queue --workflows 2 --families blast --tasks 20-30 --process burst \
+                 --algorithm {name}"
+            ))
+            .unwrap();
+            let report: dhp_online::ServeReport = serde_json::from_str(&out).unwrap();
+            assert_eq!(report.algorithm, name);
+        }
+    }
+
+    #[test]
     fn inspect_reports_structure() {
-        let wf = tmp("inspect.json");
+        let dir = Scratch::new("inspect_reports_structure");
+        let wf = dir.file("inspect.json");
         cli(&format!("generate --family bwa --tasks 200 --output {wf}")).unwrap();
         let out = cli(&format!("inspect --workflow {wf}")).unwrap();
         assert!(out.contains("tasks"));
@@ -367,7 +389,8 @@ mod tests {
 
     #[test]
     fn gantt_switch_appends_chart() {
-        let wf = tmp("gantt.json");
+        let dir = Scratch::new("gantt_switch_appends_chart");
+        let wf = dir.file("gantt.json");
         cli(&format!(
             "generate --family genome --tasks 200 --output {wf}"
         ))
@@ -390,14 +413,15 @@ mod tests {
 
     #[test]
     fn custom_cluster_file_is_used() {
-        let cf = tmp("cluster.json");
+        let dir = Scratch::new("custom_cluster_file_is_used");
+        let cf = dir.file("cluster.json");
         std::fs::write(
             &cf,
             r#"{ "bandwidth": 1.0, "processors": [
                 { "name": "fat", "speed": 10, "memory": 500, "count": 2 } ] }"#,
         )
         .unwrap();
-        let wf = tmp("custom.json");
+        let wf = dir.file("custom.json");
         cli(&format!(
             "generate --family soykb --tasks 200 --output {wf}"
         ))
@@ -410,7 +434,8 @@ mod tests {
 
     #[test]
     fn bandwidth_override_changes_model() {
-        let wf = tmp("beta.json");
+        let dir = Scratch::new("bandwidth_override_changes_model");
+        let wf = dir.file("beta.json");
         cli(&format!(
             "generate --family blast --tasks 200 --output {wf}"
         ))
@@ -427,7 +452,8 @@ mod tests {
 
     #[test]
     fn schedule_rejects_a_non_finite_headroom() {
-        let wf = tmp("headroom.json");
+        let dir = Scratch::new("schedule_rejects_a_non_finite_headroom");
+        let wf = dir.file("headroom.json");
         cli(&format!("generate --family blast --tasks 50 --output {wf}")).unwrap();
         for flag in ["headroom", "bandwidth"] {
             for v in ["NaN", "inf", "-inf"] {
@@ -444,7 +470,7 @@ mod tests {
             { "name": "fat", "speed": 10, "memory": 500 } ] }"#;
         let memory = r#"{ "processors": [ { "name": "fat", "speed": 10, "memory": 1e999 } ] }"#;
         for (tag, text, named) in [("beta", beta, "bandwidth"), ("memory", memory, "\"fat\"")] {
-            let cf = tmp(&format!("infinite-{tag}.json"));
+            let cf = dir.file(&format!("infinite-{tag}.json"));
             std::fs::write(&cf, text).unwrap();
             let err = cli(&format!("schedule --workflow {wf} --cluster {cf}")).unwrap_err();
             assert!(
@@ -456,6 +482,7 @@ mod tests {
 
     #[test]
     fn helpful_errors() {
+        let dir = Scratch::new("helpful_errors");
         assert!(cli("schedule").unwrap_err().contains("--workflow"));
         assert!(cli("frobnicate")
             .unwrap_err()
@@ -466,7 +493,7 @@ mod tests {
         assert!(cli("help").unwrap().contains("USAGE"));
         let err = cli("queue --workflows 2 --slow-admission --summary").unwrap_err();
         assert!(err.starts_with("unknown flag --slow-admission") && err.contains("USAGE"));
-        let wf = tmp("err.json");
+        let wf = dir.file("err.json");
         cli(&format!("generate --family bwa --tasks 200 --output {wf}")).unwrap();
         assert!(cli(&format!("schedule --workflow {wf} --algorithm magic"))
             .unwrap_err()

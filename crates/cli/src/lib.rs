@@ -48,3 +48,34 @@ pub fn run<I: IntoIterator<Item = String>>(tokens: I) -> Result<String, String> 
         )),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use std::path::PathBuf;
+
+    /// A directory for one test's files, removed when the test ends. The
+    /// process id and the test's tag keep concurrent tests, and
+    /// overlapping runs of the suite, apart.
+    pub(crate) struct Scratch(PathBuf);
+
+    impl Scratch {
+        pub(crate) fn new(tag: &str) -> Scratch {
+            let dir =
+                std::env::temp_dir().join(format!("dhp-cli-tests-{}-{tag}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            Scratch(dir)
+        }
+
+        /// The path of `name` in this directory, as a command-line word.
+        pub(crate) fn file(&self, name: &str) -> String {
+            self.0.join(name).to_string_lossy().into_owned()
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}

@@ -3,8 +3,8 @@
 //! a federation of clusters.
 
 use crate::args::Args;
+use crate::commands::parse_algorithm;
 use crate::spec::resolve_cluster;
-use dhp_core::partial::Algorithm;
 use dhp_online::{
     fit_cluster, serve_federation_chaos_with_cache, serve_federation_with_cache, serve_with_cache,
     AdmissionPolicy, FailureMode, LeaseSizing, MembershipPlan, OnlineConfig, PersistSpec,
@@ -43,8 +43,7 @@ pub fn queue(args: &Args) -> Result<String, String> {
 
     let policy = AdmissionPolicy::parse(args.get_or("policy", "fifo"))
         .ok_or("unknown --policy (fifo|fifo-backfill|easy-backfill|shortest|memfit)")?;
-    let algorithm = Algorithm::parse(args.get_or("algorithm", "daghetpart"))
-        .ok_or("unknown --algorithm (daghetpart|daghetmem)")?;
+    let algorithm = parse_algorithm(args)?;
     let lease = LeaseSizing {
         tasks_per_proc: args.get_usize("lease-tasks", 25)?.max(1),
         min_procs: args.get_usize("min-procs", 1)?.max(1),
@@ -300,6 +299,7 @@ fn parse_task_range(spec: &str) -> Result<(usize, usize), String> {
 #[cfg(test)]
 mod tests {
     use crate::run;
+    use crate::tests::Scratch;
 
     fn cli(line: &str) -> Result<String, String> {
         run(line.split_whitespace().map(str::to_string))
@@ -443,9 +443,8 @@ mod tests {
 
     #[test]
     fn chaos_plan_and_failure_mode_flags_serve() {
-        let dir = std::env::temp_dir().join("dhp-cli-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let plan = dir.join("chaos.json");
+        let dir = Scratch::new("chaos");
+        let plan = dir.file("chaos.json");
         // A fail event with no mode: `--failure-mode` must supply it.
         std::fs::write(
             &plan,
@@ -455,8 +454,7 @@ mod tests {
         let base = format!(
             "queue --workflows 6 --families blast --tasks 20-30 \
              --process burst --seed 7 --clusters small,small \
-             --chaos {}",
-            plan.display()
+             --chaos {plan}"
         );
         // Without the flag the plan is invalid (fail needs a mode)...
         let err = cli(&base).unwrap_err();
@@ -482,9 +480,8 @@ mod tests {
 
     #[test]
     fn a_named_joiner_is_fitted_to_the_workload_and_serves() {
-        let dir = std::env::temp_dir().join("dhp-cli-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let plan = dir.join("chaos-join.json");
+        let dir = Scratch::new("chaos-join");
+        let plan = dir.file("chaos-join.json");
         // Member 1 fails at peak; a *named* joiner replaces it. The
         // joiner spec carries the raw paper memory profile — the CLI
         // must fit it to the workload like the initial members, or it
@@ -500,8 +497,7 @@ mod tests {
         let out = cli(&format!(
             "queue --workflows 24 --unique 4 --families blast,seismology \
              --tasks 20-40 --process burst --seed 7 --clusters small,small \
-             --chaos {}",
-            plan.display()
+             --chaos {plan}"
         ))
         .unwrap();
         let report: dhp_online::FederationReport = serde_json::from_str(&out).unwrap();
@@ -653,14 +649,11 @@ mod tests {
 
     #[test]
     fn cache_file_round_trips_and_warms_the_second_run() {
-        let dir = std::env::temp_dir().join("dhp-cli-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let snap = dir.join("queue-warm-roundtrip.bin");
-        let _ = std::fs::remove_file(&snap);
+        let dir = Scratch::new("warm");
+        let snap = dir.file("queue-warm-roundtrip.bin");
         let base = format!(
             "queue --workflows 6 --unique 2 --families blast --tasks 20-30 \
-             --process burst --cluster small --seed 7 --cache-file {}",
-            snap.display()
+             --process burst --cluster small --seed 7 --cache-file {snap}"
         );
         let cold: dhp_online::ServeReport = serde_json::from_str(&cli(&base).unwrap()).unwrap();
         let warm: dhp_online::ServeReport = serde_json::from_str(&cli(&base).unwrap()).unwrap();
@@ -676,7 +669,6 @@ mod tests {
         a.fleet.clear_solve_stats();
         b.fleet.clear_solve_stats();
         assert_eq!(a.to_json(), b.to_json());
-        let _ = std::fs::remove_file(&snap);
     }
 
     #[test]

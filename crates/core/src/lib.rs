@@ -29,7 +29,15 @@
 //!   processors.
 //!
 //! Both return a [`mapping::Mapping`] that can be validated with
-//! [`mapping::validate`] and scored with [`makespan`].
+//! [`mapping::validate`] and scored with [`makespan`]. [`Algorithm`]
+//! names the two, and [`Algorithm::solve`] is the one place that runs
+//! the one picked.
+//!
+//! This crate is exactly the paper: the two heuristics, their steps and
+//! the models they decide on (memory requirements, makespan, the §5.1.2
+//! platform fitting), the HEFT comparator of §2 and the validity check —
+//! 3,388 lines outside tests. Serving many workflows at once (leases,
+//! the solve cache and its snapshots) lives in `dhp-online`.
 //!
 //! ```
 //! use dhp_core::prelude::*;
@@ -40,6 +48,7 @@
 //! assert!(dhp_core::mapping::validate(&g, &cluster, &result.mapping).is_ok());
 //! ```
 
+mod algorithm;
 pub mod baseline;
 pub mod blockmem;
 pub mod blocks;
@@ -49,14 +58,13 @@ pub mod heft;
 pub mod makespan;
 pub mod mapping;
 pub mod metrics;
-pub mod partial;
-pub mod persist;
 pub mod steps;
 mod workspace;
 
 #[cfg(test)]
 mod alloc_tests;
 
+pub use algorithm::Algorithm;
 pub use baseline::dag_het_mem;
 pub use daghetpart::{dag_het_part, dag_het_part_traced, DagHetPartConfig, StepTrace};
 pub use mapping::{Mapping, MappingError};
@@ -95,6 +103,7 @@ pub fn host_cores() -> usize {
 
 /// Commonly used items.
 pub mod prelude {
+    pub use crate::algorithm::Algorithm;
     pub use crate::baseline::dag_het_mem;
     pub use crate::daghetpart::{dag_het_part, dag_het_part_traced, DagHetPartConfig, StepTrace};
     pub use crate::makespan::makespan_of_mapping;

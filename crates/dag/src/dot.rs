@@ -10,17 +10,20 @@ use crate::graph::{Dag, NodeId};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-/// Serialises the graph to DOT, preserving weights as attributes.
+/// Serialises the graph to DOT, preserving weights as attributes. Names
+/// and labels are written as quoted strings with `"` and `\` escaped; an
+/// unlabelled task is written `label=""`, which [`from_dot`] reads back
+/// as no label.
 pub fn to_dot(g: &Dag, name: &str) -> String {
     let mut s = String::new();
-    let _ = writeln!(s, "digraph \"{name}\" {{");
+    let _ = writeln!(s, "digraph \"{}\" {{", escape(name));
     for u in g.node_ids() {
         let n = g.node(u);
-        let label = g.label(u).unwrap_or("");
+        let label = escape(g.label(u).unwrap_or(""));
         let _ = writeln!(
             s,
-            "  n{} [work={}, memory={}, label=\"{}\"];",
-            u.0, n.work, n.memory, label
+            "  n{} [work={}, memory={}, label=\"{label}\"];",
+            u.0, n.work, n.memory
         );
     }
     for e in g.edge_ids() {
@@ -62,17 +65,20 @@ impl std::error::Error for DotError {}
 /// * Edge statements: `a -> b [volume=x];` — `volume` (aliases `weight`,
 ///   `size`) defaults to 1.0. Undeclared endpoint names are created with
 ///   default weights.
-/// * `label` attributes are preserved; other attributes are ignored.
+/// * `label` attributes are preserved (`label=""` clears a task's
+///   label); other attributes are ignored.
+/// * A quoted string may hold any character, `;`, `,`, `[` and `]`
+///   included; `\"` and `\\` inside one stand for `"` and `\`.
 pub fn from_dot(input: &str) -> Result<Dag, DotError> {
     let mut g = Dag::new();
     let mut ids: HashMap<String, NodeId> = HashMap::new();
 
-    let body_start = input.find('{').ok_or(DotError::NotADigraph)?;
+    let body_start = unquoted(input, '{').next().ok_or(DotError::NotADigraph)?;
     let header = &input[..body_start];
     if !header.contains("digraph") {
         return Err(DotError::NotADigraph);
     }
-    let body_end = input.rfind('}').ok_or(DotError::NotADigraph)?;
+    let body_end = unquoted(input, '}').last().ok_or(DotError::NotADigraph)?;
     let body = &input[body_start + 1..body_end];
 
     let mut intern = |g: &mut Dag, name: &str| -> NodeId {
@@ -85,30 +91,30 @@ pub fn from_dot(input: &str) -> Result<Dag, DotError> {
         id
     };
 
-    for raw in body.split(';') {
+    for raw in split_unquoted(body, ';') {
         let stmt = raw.trim();
         if stmt.is_empty() || stmt.starts_with("//") || stmt.starts_with('#') {
             continue;
         }
+        let open = unquoted(stmt, '[').next();
         // Skip graph-level attribute statements.
-        if let Some(eq) = stmt.find('=') {
-            if !stmt[..eq].contains("->") && !stmt.contains('[') {
+        if let (None, Some(eq)) = (open, unquoted(stmt, '=').next()) {
+            if !stmt[..eq].contains("->") {
                 continue;
             }
         }
-        let (head, attrs) = match stmt.find('[') {
+        let (head, attrs) = match open {
             Some(i) => {
-                let close = stmt
-                    .rfind(']')
+                let close = unquoted(stmt, ']')
+                    .last()
                     .ok_or_else(|| DotError::BadStatement(stmt.into()))?;
                 (stmt[..i].trim(), parse_attrs(&stmt[i + 1..close]))
             }
             None => (stmt, HashMap::new()),
         };
-        if let Some(arrow) = head.find("->") {
+        if head.contains("->") {
             // Possibly a chain a -> b -> c
             let names: Vec<&str> = head.split("->").map(str::trim).collect();
-            let _ = arrow;
             let volume = attrs
                 .get("volume")
                 .or_else(|| attrs.get("weight"))
@@ -137,20 +143,66 @@ pub fn from_dot(input: &str) -> Result<Dag, DotError> {
                 g.node_mut(id).memory = m;
             }
             if let Some(l) = attrs.get("label") {
-                g.set_label(id, Some(l));
+                g.set_label(id, Some(l.as_str()).filter(|l| !l.is_empty()));
             }
         }
     }
     Ok(g)
 }
 
+/// `s` as the body of a quoted DOT string: `"` and `\` escaped.
+fn escape(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
+/// Byte offsets of `c` in `s` outside quoted strings. Inside one, a
+/// backslash escapes the character after it, so `\"` does not close it.
+fn unquoted(s: &str, c: char) -> impl Iterator<Item = usize> + '_ {
+    let (mut quoted, mut escaped) = (false, false);
+    s.char_indices().filter_map(move |(i, ch)| {
+        if escaped {
+            escaped = false;
+        } else if quoted && ch == '\\' {
+            escaped = true;
+        } else if ch == '"' {
+            quoted = !quoted;
+        } else if !quoted && ch == c {
+            return Some(i);
+        }
+        None
+    })
+}
+
+/// `s` split at every `sep` outside quoted strings.
+fn split_unquoted(s: &str, sep: char) -> impl Iterator<Item = &str> + '_ {
+    let mut start = 0;
+    unquoted(s, sep).chain([s.len()]).map(move |end| {
+        let part = &s[start..end];
+        start = end + sep.len_utf8();
+        part
+    })
+}
+
+/// A name or attribute value: a quoted string's contents with its
+/// escapes undone (a backslash before anything but `"` or `\` is kept,
+/// as in DOT's `\n`), or the bare word trimmed.
 fn unquote(s: &str) -> String {
-    s.trim().trim_matches('"').to_string()
+    let s = s.trim();
+    let Some(inner) = s.strip_prefix('"').and_then(|s| s.strip_suffix('"')) else {
+        return s.trim_matches('"').to_string();
+    };
+    let mut out = String::with_capacity(inner.len());
+    let mut chars = inner.chars().peekable();
+    while let Some(ch) = chars.next() {
+        let escape = ch == '\\' && matches!(chars.peek(), Some('"' | '\\'));
+        out.extend(if escape { chars.next() } else { Some(ch) });
+    }
+    out
 }
 
 fn parse_attrs(s: &str) -> HashMap<String, String> {
     let mut out = HashMap::new();
-    for part in s.split(',') {
+    for part in split_unquoted(s, ',') {
         if let Some((k, v)) = part.split_once('=') {
             out.insert(k.trim().to_string(), unquote(v));
         }
@@ -178,6 +230,33 @@ mod tests {
         assert_eq!(h.node(NodeId(0)).memory, 3.0);
         assert_eq!(h.label(NodeId(0)), Some("prep"));
         assert_eq!(h.edge(EdgeId(0)).volume, 7.0);
+    }
+
+    #[test]
+    fn labels_with_dot_syntax_in_them_round_trip() {
+        let labels = [
+            Some("align; sort"),
+            Some(r#"say "hi""#),
+            Some(r"back\slash\"),
+            Some("a, b=c [x] {y}"),
+            Some(r"\n stays two characters"),
+            None,
+        ];
+        let mut g = Dag::new();
+        for (i, &label) in labels.iter().enumerate() {
+            let u = g.add_node(1.0 + i as f64, 2.0);
+            g.set_label(u, label);
+        }
+        g.add_edge(NodeId(0), NodeId(5), 3.0);
+        let h = from_dot(&to_dot(&g, r#"wf "quoted"; {name}"#)).unwrap();
+        assert_eq!(h.node_count(), labels.len());
+        for (i, &label) in labels.iter().enumerate() {
+            let u = NodeId(i as u32);
+            assert_eq!(h.label(u), label, "task {i}");
+            assert_eq!(h.node(u).work, 1.0 + i as f64);
+        }
+        assert_eq!(h.edge(EdgeId(0)).volume, 3.0);
+        assert_eq!(h.edge_between(NodeId(0), NodeId(5)), Some(EdgeId(0)));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! 2. a lease is sized and the highest-memory free processors are
 //!    carved off the front of the free set;
 //! 3. the offline solver maps the workflow onto the lease (memoized
-//!    through [`CacheView::solve`], whose view binds the run's solver,
+//!    through `CacheView::solve`, whose view binds the run's solver,
 //!    so a probe passes only the graph and the lease); on `NoSolution`
 //!    the lease size is doubled (up to all free processors), after
 //!    which the workflow either waits for more capacity or — if the
@@ -68,10 +68,10 @@
 //!   mapping and no `Grant` is built for a candidate the pass then
 //!   throws away.
 //! * *A warm probe is one lookup.* Each lease size of the escalation
-//!   ladder asks [`CacheView::probe_warm`]: one store lock and one hash
-//!   of the [`ProbeKey`] answer the solve and — on the size that places
+//!   ladder asks `CacheView::probe_warm`: one store lock and one hash
+//!   of the `ProbeKey` answer the solve and — on the size that places
 //!   — the sim's makespan, with no `Arc` cloned. Only a grant reads the
-//!   memoized solve and sim back ([`CacheView::memoized`], no counter
+//!   memoized solve and sim back (`CacheView::memoized`, no counter
 //!   moves). The key's lease shape is hashed once per free list and
 //!   size: the probe buffer (`state::FreeList`) keeps the shapes of
 //!   the last list it was filled with, and most probes of a pass see
@@ -92,6 +92,7 @@
 //! reservation's original completion replay, trading the conservative
 //! never-delay-the-head guarantee for throughput.
 
+use crate::cache::{CacheView, ProbeKey, SolveCache, Solver, WarmProbe};
 use crate::engine::OnlineConfig;
 use crate::lease::{commit_grant, escalation_sizes, simulate_outcome, Grant};
 use crate::policy::AdmissionPolicy;
@@ -99,7 +100,6 @@ use crate::report::RejectedRecord;
 use crate::state::{ArrivalFacts, ClusterState, FreeList, Pending, ProbeScratch};
 use crate::submission::single_task;
 use dhp_core::metrics::MappingResult;
-use dhp_core::partial::{CacheView, ProbeKey, SolveCache, Solver, WarmProbe};
 use dhp_core::SchedError;
 use dhp_platform::{Cluster, ProcId, Processor};
 use std::sync::Arc;

@@ -14,8 +14,8 @@
 //! the single cluster and for each federation member.
 //!
 //! Each admitted workflow is also solved once *alone on the whole idle
-//! cluster* ([`dhp_core::partial::dedicated_baseline`]); the resulting
-//! makespan is recorded in its
+//! cluster* (under the key [`SolveCache::dedicated_baseline`] uses);
+//! the resulting makespan is recorded in its
 //! [`WorkflowRecord`](crate::report::WorkflowRecord) and is the
 //! denominator of the reported `stretch`, next to the lease-relative
 //! `slowdown`. These whole-cluster solves are **deferred off the
@@ -29,10 +29,10 @@
 //! and the baseline batch — goes through a content-addressed
 //! [`SolveCache`] keyed by `(workflow fingerprint, lease shape
 //! signature, algorithm, solver-config hash)`. The last two come from a
-//! [`Solver`] bound once: the serve loop binds `cfg`'s algorithm and
+//! `Solver` bound once: the serve loop binds `cfg`'s algorithm and
 //! settings for every lease probe, and `finalize` binds the baseline
 //! batch's one-worker settings; each probes through a
-//! [`CacheView`] over that solver, so no layer below names the
+//! `CacheView` over that solver, so no layer below names the
 //! algorithm, the settings or their hash. Realistic traces repeat
 //! the same topologies on the same lease shapes over and over, so
 //! repeat traffic admits in near-O(1): the cached lease-local mapping
@@ -54,14 +54,14 @@
 //! front so its hit/miss counts are independent of thread
 //! interleaving.
 
+use crate::cache::{CacheView, SnapshotError, SolveCache, SolveCacheStats, Solver};
 use crate::federation::{serve_loop, shard::MemberShard, RoutingPolicy};
 use crate::policy::{AdmissionPolicy, LeaseSizing};
 use crate::report::{FleetMetrics, ServeReport};
 use crate::state::ClusterState;
 use crate::submission::{peak_overlap, Submission};
 use dhp_core::daghetpart::DagHetPartConfig;
-use dhp_core::partial::{Algorithm, CacheView, SolveCache, SolveCacheStats, Solver};
-use dhp_core::persist::SnapshotError;
+use dhp_core::Algorithm;
 use dhp_core::SchedError;
 use dhp_platform::Cluster;
 use std::collections::{HashMap, HashSet};

@@ -4,6 +4,7 @@
 //! and deliberately exercise the engine only through its public
 //! surface, so they double as regression cover for the re-exports.
 
+use crate::cache::SolveCache;
 use crate::engine::*;
 use crate::policy::{AdmissionPolicy, LeaseSizing};
 use crate::report::WorkflowRecord;
@@ -11,7 +12,6 @@ use crate::submission::stream;
 use crate::submission::Submission;
 use dhp_core::daghetpart::DagHetPartConfig;
 use dhp_core::mapping::validate;
-use dhp_core::partial::SolveCache;
 use dhp_platform::Cluster;
 use dhp_platform::Processor;
 use dhp_wfgen::arrivals::ArrivalProcess;
@@ -791,7 +791,7 @@ fn the_baseline_batch_keys_its_solves_under_its_own_solver() {
         ..cfg.solver.clone()
     };
     let warm = |settings: &DagHetPartConfig| {
-        cache.is_warm(fp, whole, cfg.algorithm, SolveCache::config_hash(settings))
+        cache.is_warm(&(fp, whole, cfg.algorithm, SolveCache::config_hash(settings)))
     };
     assert!(
         warm(&one_worker),

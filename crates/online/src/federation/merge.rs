@@ -6,10 +6,10 @@
 
 use super::routing::RoutingPolicy;
 use super::shard::MemberShard;
+use crate::cache::SolveCache;
 use crate::engine::{finalize, OnlineConfig, ServeOutcome};
 use crate::report::{FleetMetrics, ServeReport};
 use crate::submission::peak_overlap_of;
-use dhp_core::partial::SolveCache;
 use serde::{Deserialize, Serialize};
 #[cfg(debug_assertions)]
 use std::collections::BTreeSet;

@@ -84,13 +84,13 @@ pub(crate) mod shard;
 pub use merge::{FederationOutcome, FederationReport};
 pub use routing::RoutingPolicy;
 
+use crate::cache::{CacheView, SolveCache};
 use crate::chaos::{MembershipEvent, MembershipPlan};
 use crate::engine::{load_snapshot, save_snapshot, OnlineConfig};
 use crate::report::RejectedRecord;
 use crate::state::{ArrivalFacts, Pending};
 use crate::submission::Submission;
 use clock::NextEvent;
-use dhp_core::partial::{CacheView, SolveCache};
 use dhp_platform::Federation;
 use membership::apply_membership;
 use rebalance::spill;

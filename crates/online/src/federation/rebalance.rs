@@ -24,10 +24,10 @@
 use super::routing::least_loaded;
 use super::shard::{MemberShard, MemberStatus};
 use crate::admission::{admission_passes, can_place, BACKFILL_DEPTH};
+use crate::cache::CacheView;
 use crate::engine::OnlineConfig;
 use crate::report::RejectedRecord;
 use crate::state::Pending;
-use dhp_core::partial::CacheView;
 
 /// Re-runs a member's admission passes with `view` charging its own
 /// stats (the spillover sweep admits movers and re-admits drained
@@ -229,10 +229,10 @@ mod tests {
     use super::super::serve_federation;
     use super::turned_away;
     use crate::admission::can_place;
+    use crate::cache::{CacheView, SolveCache, SolveCacheStats};
     use crate::engine::OnlineConfig;
     use crate::state::{ArrivalFacts, ClusterState, FreeList, Pending};
     use crate::submission::single_task;
-    use dhp_core::partial::{CacheView, SolveCache, SolveCacheStats};
     use dhp_platform::{Cluster, Federation, Processor};
     use proptest::prelude::*;
     use std::sync::Arc;

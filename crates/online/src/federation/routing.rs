@@ -7,9 +7,9 @@
 
 use super::shard::{MemberShard, MemberStatus};
 use crate::admission::can_place;
+use crate::cache::CacheView;
 use crate::engine::OnlineConfig;
 use crate::state::Pending;
-use dhp_core::partial::CacheView;
 
 /// How an arriving workflow is assigned its home cluster.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -4,7 +4,7 @@
 //! [`MemberShard::step_to`] (completions, admission, shrink) and
 //! [`MemberShard::grow`] (elastic growth) touch nothing but the shard's
 //! own state, and probe the shared
-//! [`SolveCache`](dhp_core::partial::SolveCache) through the serve
+//! [`SolveCache`](crate::cache::SolveCache) through the serve
 //! loop's view, [`CacheView::charging`] the shard's own `stats`. The
 //! driver calls them member after member on one thread, so a solve one
 //! member inserts is a hit for a sibling stepping later in the same
@@ -16,9 +16,9 @@
 //! (views charging this same field) — lands here and nowhere else. No
 //! global-counter diffing happens anywhere in the federation.
 
+use crate::cache::{CacheView, SolveCacheStats};
 use crate::engine::OnlineConfig;
 use crate::state::ClusterState;
-use dhp_core::partial::{CacheView, SolveCacheStats};
 use dhp_platform::Cluster;
 
 /// Lifecycle of a federation member under membership events. Without a

@@ -12,6 +12,7 @@
 use crate::admission::{
     admission_passes, can_place, head_fits_at, head_reservation, try_admit, Admit, BackfillWindow,
 };
+use crate::cache::{CacheView, SolveCache};
 use crate::engine::{serve_with_cache, OnlineConfig};
 use crate::federation::rebalance::spill;
 use crate::federation::routing::{route, RoutingPolicy};
@@ -20,7 +21,6 @@ use crate::federation::testutil::member;
 use crate::policy::{AdmissionPolicy, LeaseSizing};
 use crate::state::{ArrivalFacts, ClusterState, Pending};
 use crate::submission::{single_task, Submission};
-use dhp_core::partial::{CacheView, SolveCache};
 use dhp_platform::{Cluster, Processor};
 use dhp_wfgen::{SizeClass, WorkflowInstance};
 use std::alloc::{GlobalAlloc, Layout, System};

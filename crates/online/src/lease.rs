@@ -14,12 +14,12 @@
 //! and when the head guard applies.
 
 use crate::admission::{admission_passes, head_fits_at, head_reservation, BACKFILL_DEPTH};
+use crate::cache::{remap_to_parent, solve_suffix, CacheView, SimOutcome, SuffixSolve};
 use crate::engine::OnlineConfig;
 use crate::report::WorkflowRecord;
 use crate::state::{ClusterState, InService, Pending, Placement, Regrow};
 use dhp_core::mapping::Mapping;
 use dhp_core::metrics::MappingResult;
-use dhp_core::partial::{remap_to_parent, CacheView, SimOutcome, SuffixSolve};
 use dhp_platform::{ProcId, SubCluster};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -269,7 +269,7 @@ fn grow_lease(state: &mut ClusterState, cfg: &OnlineConfig, cache: &CacheView, c
             .cluster
             .subcluster(&svc.placement.lease)
             .grown(&state.cluster, &free_ids);
-        let Ok(s) = dhp_core::partial::solve_suffix(g, &suffix, &union, cache) else {
+        let Ok(s) = solve_suffix(g, &suffix, &union, cache) else {
             continue;
         };
         let sim = cache.sim_outcome_keyed(s.key, || {
@@ -422,7 +422,7 @@ fn shrink_lease(
             .filter(|p| !released.contains(p))
             .collect();
         let sub = state.cluster.subcluster(&reduced);
-        let Ok(s) = dhp_core::partial::solve_suffix(g, &suffix, &sub, cache) else {
+        let Ok(s) = solve_suffix(g, &suffix, &sub, cache) else {
             continue;
         };
         let sim = cache.sim_outcome_keyed(s.key, || {

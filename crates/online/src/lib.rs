@@ -19,7 +19,7 @@
 //! solvers: it slices the shared [`Cluster`](dhp_platform::Cluster)
 //! into disjoint [`SubCluster`](dhp_platform::SubCluster) *leases*,
 //! runs `dag_het_part`/`dag_het_mem` per lease
-//! ([`dhp_core::partial::schedule_on_subcluster`]), executes each
+//! ([`dhp_core::Algorithm::solve`], memoized by the [`cache`]), executes each
 //! mapping with the `dhp-sim` discrete-event simulator to fix its
 //! completion instant, and advances a global virtual clock over
 //! arrival/completion events.
@@ -61,6 +61,7 @@
 pub mod admission;
 #[cfg(test)]
 mod arrival_tests;
+pub mod cache;
 pub mod chaos;
 pub mod engine;
 #[cfg(test)]
@@ -82,6 +83,22 @@ mod work_index;
 #[cfg(test)]
 mod work_index_tests;
 
+// The solve cache's and its snapshot's unit tests, under the module
+// paths their names have always carried (`partial::tests::*`,
+// `persist::tests::*`).
+#[cfg(test)]
+#[path = "cache"]
+mod partial {
+    #[path = "partial_tests.rs"]
+    mod tests;
+}
+#[cfg(test)]
+#[path = "cache"]
+mod persist {
+    #[path = "persist_tests.rs"]
+    mod tests;
+}
+
 pub use chaos::{FailureMode, MembershipEvent, MembershipEventSpec, MembershipPlan};
 pub use engine::{
     fit_cluster, serve, serve_with_cache, OnlineConfig, PersistSpec, Placement, Regrow,
@@ -96,10 +113,11 @@ pub use report::{FleetMetrics, LostRecord, RejectedRecord, ServeReport, Workflow
 pub use submission::{peak_overlap, Submission};
 // The content-addressed solve cache the engine memoizes with; exposed
 // so callers can share one cache across [`serve_with_cache`] runs.
-pub use dhp_core::partial::{SolveCache, SolveCacheStats};
+pub use cache::{SolveCache, SolveCacheStats};
 
 /// Commonly used items.
 pub mod prelude {
+    pub use crate::cache::SolveCache;
     pub use crate::chaos::{FailureMode, MembershipPlan};
     pub use crate::engine::{
         fit_cluster, serve, serve_with_cache, OnlineConfig, PersistSpec, Placement, Regrow,
@@ -112,6 +130,5 @@ pub mod prelude {
     pub use crate::policy::{AdmissionPolicy, LeaseSizing};
     pub use crate::report::ServeReport;
     pub use crate::submission::Submission;
-    pub use dhp_core::partial::SolveCache;
     pub use dhp_platform::Federation;
 }

@@ -55,8 +55,9 @@ pub struct WorkflowRecord {
     /// stretches comparable across policies and traffic levels.
     pub stretch: f64,
     /// Model makespan of this workflow scheduled alone on the whole
-    /// idle cluster ([`dhp_core::partial::dedicated_baseline`]) — the
-    /// denominator of `stretch`, solved off the admission critical
+    /// idle cluster
+    /// ([`SolveCache::dedicated_baseline`](crate::SolveCache::dedicated_baseline))
+    /// — the denominator of `stretch`, solved off the admission critical
     /// path by the engine's deferred report-time baseline batch (one
     /// solve per unique topology when the solve cache is on).
     pub baseline_makespan: f64,

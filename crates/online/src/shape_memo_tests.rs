@@ -5,6 +5,7 @@
 //! list hashes each lease size once.
 
 use crate::admission::{try_admit, Admit};
+use crate::cache::{CacheView, SolveCache};
 use crate::chaos::{FailureMode, MembershipPlan};
 use crate::engine::OnlineConfig;
 use crate::federation::routing::RoutingPolicy;
@@ -13,7 +14,6 @@ use crate::federation::testutil::{burst, member};
 use crate::policy::{AdmissionPolicy, LeaseSizing};
 use crate::state::{shape_tally, ArrivalFacts, FreeList, Pending};
 use crate::submission::Submission;
-use dhp_core::partial::{CacheView, SolveCache};
 use dhp_dag::builder;
 use dhp_platform::{Cluster, Federation, Processor};
 use dhp_wfgen::{SizeClass, WorkflowInstance};

@@ -20,12 +20,13 @@
 //! stamps.
 
 use crate::admission::{can_place, try_admit, Admit};
+use crate::cache::{CacheView, SolveCache, SolveCacheStats, Solver};
 use crate::engine::OnlineConfig;
 use crate::lease::{escalation_sizes, simulate_outcome, Grant};
 use crate::state::{ArrivalFacts, FreeList, Pending};
 use crate::submission::Submission;
 use dhp_core::daghetpart::DagHetPartConfig;
-use dhp_core::partial::{Algorithm, CacheView, SolveCache, SolveCacheStats, Solver};
+use dhp_core::Algorithm;
 use dhp_dag::{builder, Dag};
 use dhp_platform::{Cluster, ProcId, Processor};
 use dhp_wfgen::{SizeClass, WorkflowInstance};
@@ -161,8 +162,8 @@ fn agree(mode: Mode, make: fn() -> SolveCache, probes: &[(usize, usize, usize)])
             for algo in ALGORITHMS {
                 let key = (g.fingerprint(), c.shape_of_slice(ids), algo, chash);
                 assert_eq!(
-                    subject.is_warm(key.0, key.1, key.2, key.3),
-                    reference.is_warm(key.0, key.1, key.2, key.3),
+                    subject.is_warm(&key),
+                    reference.is_warm(&key),
                     "{mode:?}: store contents differ"
                 );
             }

@@ -22,25 +22,40 @@
 //!   cold run writes the same file, and save → load → save reproduces
 //!   it exactly.
 
-use dhp_core::partial::SolveCache;
-use dhp_core::persist::temp_sibling;
 use dhp_dag::fingerprint::fnv1a_bytes;
+use dhp_online::cache::temp_sibling;
 use dhp_online::{
     serve, serve_federation, serve_with_cache, AdmissionPolicy, OnlineConfig, PersistSpec,
-    RoutingPolicy, ServeOutcome, Submission,
+    RoutingPolicy, ServeOutcome, SolveCache, Submission,
 };
 use dhp_platform::{Cluster, Federation, Processor};
 use dhp_wfgen::arrivals::ArrivalProcess;
 use dhp_wfgen::Family;
 use std::path::{Path, PathBuf};
 
-/// A per-test scratch directory (tests run concurrently; each gets its
-/// own namespace so snapshot files never collide).
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("dhp-warm-start-tests").join(tag);
+/// A per-test scratch directory, removed when the test ends. Tests run
+/// concurrently, and so may two runs of the suite: the process id and
+/// the test's tag keep every snapshot file apart.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn join(&self, name: &str) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn scratch(tag: &str) -> Scratch {
+    let dir =
+        std::env::temp_dir().join(format!("dhp-warm-start-tests-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    Scratch(dir)
 }
 
 /// The repeat-heavy acceptance trace: 500 submissions cycling 10
@@ -212,10 +227,11 @@ fn every_corrupt_snapshot_variant_degrades_to_a_cold_start() {
 
 /// Offsets into a version-5 snapshot of every solved record's
 /// processor table (its first entry) and, for a record with its sim,
-/// of the sim's first lane processor. Layout as in `dhp_core::persist`:
-/// records start at 92; a record is its 25-byte key, its stamp and its
-/// kind byte, then for a solve the makespan, `k'`, the block array and
-/// the processor table, then for kind 2 the sim.
+/// of the sim's first lane processor. Layout as in the snapshot module
+/// of `dhp_online::cache`: records start at 92; a record is its 25-byte
+/// key, its stamp and its kind byte, then for a solve the makespan,
+/// `k'`, the block array and the processor table, then for kind 2 the
+/// sim.
 fn solved_record_offsets(file: &[u8]) -> Vec<(usize, Option<usize>)> {
     let word = |at: usize| u64::from_le_bytes(file[at..at + 8].try_into().unwrap()) as usize;
     let mut found = Vec::new();
