@@ -129,7 +129,7 @@ fn load_workflow(path: &str) -> Result<WorkflowInstance, String> {
                 SizeClass::of_size(n)
             },
             requested_size: n,
-            graph,
+            graph: graph.into(),
         })
     } else {
         wfcommons::from_json(&text, &ImportConfig::default()).map_err(|e| format!("{path}: {e}"))
@@ -447,6 +447,34 @@ mod tests {
         assert!(
             fast.makespan <= slow.makespan * 1.5,
             "β=5 should not be much worse"
+        );
+    }
+
+    #[test]
+    fn schedule_refuses_a_workflow_with_a_hostile_weight() {
+        let dir = Scratch::new("schedule_refuses_a_workflow_with_a_hostile_weight");
+        let dot = dir.file("nan.dot");
+        std::fs::write(
+            &dot,
+            "digraph g { a [work=NaN]; b [memory=inf]; a -> b [volume=-3]; }",
+        )
+        .unwrap();
+        let err = cli(&format!("schedule --workflow {dot}")).unwrap_err();
+        assert!(
+            err.contains(&dot) && err.contains(r#"task "a": work=NaN"#),
+            "{err}"
+        );
+        let json = dir.file("negative.json");
+        std::fs::write(
+            &json,
+            r#"{ "name": "neg", "workflow": { "tasks": [
+                { "name": "a", "memoryInBytes": -3 } ] } }"#,
+        )
+        .unwrap();
+        let err = cli(&format!("schedule --workflow {json}")).unwrap_err();
+        assert!(
+            err.contains(&json) && err.contains(r#"task "a": memory"#),
+            "{err}"
         );
     }
 

@@ -556,7 +556,9 @@ mod tests {
         seed: u64,
         base: &Cluster,
     ) -> (Dag, Cluster) {
-        let g = dhp_wfgen::WorkflowInstance::simulated(family, tasks, seed).graph;
+        let g = std::sync::Arc::unwrap_or_clone(
+            dhp_wfgen::WorkflowInstance::simulated(family, tasks, seed).graph,
+        );
         let cluster = crate::fitting::scale_cluster_with_headroom(&g, base, 1.05);
         (g, cluster)
     }

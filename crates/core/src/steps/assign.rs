@@ -431,7 +431,9 @@ mod tests {
             }
             _ => {
                 let family = dhp_wfgen::Family::ALL[seed as usize % dhp_wfgen::Family::ALL.len()];
-                dhp_wfgen::WorkflowInstance::simulated(family, n, seed).graph
+                std::sync::Arc::unwrap_or_clone(
+                    dhp_wfgen::WorkflowInstance::simulated(family, n, seed).graph,
+                )
             }
         }
     }

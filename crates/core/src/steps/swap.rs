@@ -632,7 +632,9 @@ mod tests {
     /// A simulated workflow on the default cluster fitted to it, with a
     /// bandwidth that is not 1 (so a volume is not its own cost).
     fn instance(family: dhp_wfgen::Family, tasks: usize, seed: u64) -> (Dag, Cluster) {
-        let g = dhp_wfgen::WorkflowInstance::simulated(family, tasks, seed).graph;
+        let g = std::sync::Arc::unwrap_or_clone(
+            dhp_wfgen::WorkflowInstance::simulated(family, tasks, seed).graph,
+        );
         let base = dhp_platform::configs::default_cluster().with_bandwidth(0.4);
         let cluster = crate::fitting::scale_cluster_with_headroom(&g, &base, 1.05);
         (g, cluster)

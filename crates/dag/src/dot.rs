@@ -45,6 +45,17 @@ pub enum DotError {
     NotADigraph,
     /// A statement could not be parsed; carries the offending line.
     BadStatement(String),
+    /// A `work`, `memory` or `volume` is NaN, infinite or negative;
+    /// carries the task or edge (`task "a"`, `edge "a" -> "b"`), the
+    /// attribute and its text.
+    BadWeight {
+        /// The task or edge the attribute belongs to.
+        owner: String,
+        /// The attribute as written (`work`, `mem`, `weight`, ...).
+        attr: String,
+        /// Its value as written.
+        value: String,
+    },
 }
 
 impl std::fmt::Display for DotError {
@@ -52,6 +63,9 @@ impl std::fmt::Display for DotError {
         match self {
             DotError::NotADigraph => write!(f, "input is not a digraph"),
             DotError::BadStatement(l) => write!(f, "cannot parse statement: {l}"),
+            DotError::BadWeight { owner, attr, value } => {
+                write!(f, "{owner}: {attr}={value} is not finite and non-negative")
+            }
         }
     }
 }
@@ -67,6 +81,9 @@ impl std::error::Error for DotError {}
 ///   default weights.
 /// * `label` attributes are preserved (`label=""` clears a task's
 ///   label); other attributes are ignored.
+/// * A weight that reads as NaN, infinite or negative is refused
+///   ([`DotError::BadWeight`]); one that does not read as a number at
+///   all is ignored, like an unknown attribute.
 /// * A quoted string may hold any character, `;`, `,`, `[` and `]`
 ///   included; `\"` and `\\` inside one stand for `"` and `\`.
 pub fn from_dot(input: &str) -> Result<Dag, DotError> {
@@ -115,12 +132,11 @@ pub fn from_dot(input: &str) -> Result<Dag, DotError> {
         if head.contains("->") {
             // Possibly a chain a -> b -> c
             let names: Vec<&str> = head.split("->").map(str::trim).collect();
-            let volume = attrs
-                .get("volume")
-                .or_else(|| attrs.get("weight"))
-                .or_else(|| attrs.get("size"))
-                .and_then(|v| v.parse::<f64>().ok())
-                .unwrap_or(1.0);
+            let owner = || {
+                let ends: Vec<String> = names.iter().map(|n| format!("{:?}", unquote(n))).collect();
+                format!("edge {}", ends.join(" -> "))
+            };
+            let volume = weight(&attrs, &["volume", "weight", "size"], owner)?.unwrap_or(1.0);
             for w in names.windows(2) {
                 let a = intern(&mut g, &unquote(w[0]));
                 let b = intern(&mut g, &unquote(w[1]));
@@ -132,14 +148,11 @@ pub fn from_dot(input: &str) -> Result<Dag, DotError> {
                 continue;
             }
             let id = intern(&mut g, &name);
-            if let Some(w) = attrs.get("work").and_then(|v| v.parse::<f64>().ok()) {
+            let owner = || format!("task {name:?}");
+            if let Some(w) = weight(&attrs, &["work"], owner)? {
                 g.node_mut(id).work = w;
             }
-            if let Some(m) = attrs
-                .get("memory")
-                .or_else(|| attrs.get("mem"))
-                .and_then(|v| v.parse::<f64>().ok())
-            {
+            if let Some(m) = weight(&attrs, &["memory", "mem"], owner)? {
                 g.node_mut(id).memory = m;
             }
             if let Some(l) = attrs.get("label") {
@@ -148,6 +161,27 @@ pub fn from_dot(input: &str) -> Result<Dag, DotError> {
         }
     }
     Ok(g)
+}
+
+/// The first of `keys` present in `attrs`, read as a weight: `None` if
+/// absent or not a number, an error naming `owner()` if NaN, infinite
+/// or negative.
+fn weight(
+    attrs: &HashMap<String, String>,
+    keys: &[&str],
+    owner: impl Fn() -> String,
+) -> Result<Option<f64>, DotError> {
+    let Some((attr, value)) = keys.iter().find_map(|&k| attrs.get_key_value(k)) else {
+        return Ok(None);
+    };
+    match value.parse::<f64>() {
+        Ok(x) if !x.is_finite() || x < 0.0 => Err(DotError::BadWeight {
+            owner: owner(),
+            attr: attr.clone(),
+            value: value.clone(),
+        }),
+        parsed => Ok(parsed.ok()),
+    }
 }
 
 /// `s` as the body of a quoted DOT string: `"` and `\` escaped.
@@ -277,6 +311,42 @@ mod tests {
             Some(DotError::NotADigraph)
         );
         assert_eq!(from_dot("nonsense").err(), Some(DotError::NotADigraph));
+    }
+
+    #[test]
+    fn refuses_a_non_finite_or_negative_weight_naming_its_owner() {
+        for bad in ["NaN", "inf", "-inf", "-3", "1e400"] {
+            let cases = [
+                (format!("a [work={bad}]; a -> b"), r#"task "a""#, "work"),
+                (format!("a [memory={bad}]; a -> b"), r#"task "a""#, "memory"),
+                (format!(r#""x y" [mem="{bad}"]"#), r#"task "x y""#, "mem"),
+                (
+                    format!("a -> b [volume={bad}]"),
+                    r#"edge "a" -> "b""#,
+                    "volume",
+                ),
+                (
+                    format!("a -> b -> c [weight={bad}]"),
+                    r#"edge "a" -> "b" -> "c""#,
+                    "weight",
+                ),
+            ];
+            for (body, owner, attr) in cases {
+                let err = from_dot(&format!("digraph g {{ {body}; }}")).unwrap_err();
+                let want = DotError::BadWeight {
+                    owner: owner.into(),
+                    attr: attr.into(),
+                    value: bad.into(),
+                };
+                assert_eq!(err, want, "{body}");
+                let text = err.to_string();
+                assert!(text.contains(owner) && text.contains(bad), "{text}");
+            }
+        }
+        // Zero, negative zero and a word that is no number still read.
+        let g = from_dot("digraph g { a [work=0, memory=-0]; a -> b [volume=abc]; }").unwrap();
+        assert_eq!(g.node(NodeId(0)).work, 0.0);
+        assert_eq!(g.edge(EdgeId(0)).volume, 1.0);
     }
 
     #[test]

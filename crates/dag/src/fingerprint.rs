@@ -229,18 +229,21 @@ impl Dag {
     /// volume)` edge by edge. Labels are ignored. True implies every
     /// derived quantity — [`Dag::fingerprint`] included — is bit-equal
     /// on the two (see the module docs); false only means "not a copy".
-    /// One linear pass, no allocation.
+    /// One linear pass, no allocation. No pass when both sides are the
+    /// same graph (a shared `Arc<Dag>` compared with itself): comparing
+    /// bits is reflexive, so the answer is `true` without looking.
     pub fn content_eq(&self, other: &Dag) -> bool {
-        self.node_count() == other.node_count()
-            && self.edge_count() == other.edge_count()
-            && self.node_ids().all(|u| {
-                let (a, b) = (self.node(u), other.node(u));
-                a.work.to_bits() == b.work.to_bits() && a.memory.to_bits() == b.memory.to_bits()
-            })
-            && self.edge_ids().all(|e| {
-                let (a, b) = (self.edge(e), other.edge(e));
-                a.src == b.src && a.dst == b.dst && a.volume.to_bits() == b.volume.to_bits()
-            })
+        std::ptr::eq(self, other)
+            || self.node_count() == other.node_count()
+                && self.edge_count() == other.edge_count()
+                && self.node_ids().all(|u| {
+                    let (a, b) = (self.node(u), other.node(u));
+                    a.work.to_bits() == b.work.to_bits() && a.memory.to_bits() == b.memory.to_bits()
+                })
+                && self.edge_ids().all(|e| {
+                    let (a, b) = (self.edge(e), other.edge(e));
+                    a.src == b.src && a.dst == b.dst && a.volume.to_bits() == b.volume.to_bits()
+                })
     }
 }
 
@@ -354,6 +357,26 @@ mod tests {
         minus_zero.node_mut(NodeId(1)).work = -0.0;
         assert!(!zero.content_eq(&minus_zero));
         assert_ne!(zero.fingerprint(), minus_zero.fingerprint());
+    }
+
+    #[test]
+    fn a_graph_with_nan_weights_is_content_equal_to_itself_and_its_clone() {
+        // Bits, not floats: NaN != NaN, yet a NaN-weighted graph is its
+        // own copy, whether the fast path (same address) or the walk
+        // (a clone) answers.
+        let mut g = builder::fork_join(4, 10.0, 4.0, 2.0);
+        g.node_mut(NodeId(1)).work = f64::NAN;
+        g.node_mut(NodeId(2)).memory = -f64::NAN;
+        let last = g.edge_ids().next_back().unwrap();
+        g.edge_mut(last).volume = f64::NAN;
+        let copy = g.clone();
+        assert!(g.content_eq(&g));
+        assert!(g.content_eq(&copy) && copy.content_eq(&g));
+        assert_eq!(g.content_prehash(), copy.content_prehash());
+        // A different NaN payload is different content.
+        let mut other = g.clone();
+        other.node_mut(NodeId(1)).work = f64::from_bits(f64::NAN.to_bits() ^ 1);
+        assert!(!g.content_eq(&other));
     }
 
     #[test]

@@ -287,7 +287,9 @@ proptest! {
 fn block_source(source: usize, n: usize, seed: u64) -> Dag {
     use dhp_wfgen::{Family, WorkflowInstance};
     match Family::ALL.get(source) {
-        Some(&family) => WorkflowInstance::simulated(family, n, seed).graph,
+        Some(&family) => {
+            std::sync::Arc::unwrap_or_clone(WorkflowInstance::simulated(family, n, seed).graph)
+        }
         None if source.is_multiple_of(2) => builder::gnp_dag_weighted(n, 4.0 / n as f64, seed),
         None => {
             let wide = (0.5, 9.0);

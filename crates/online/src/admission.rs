@@ -1044,7 +1044,7 @@ impl WarmProbes {
                     family: None,
                     size_class: dhp_wfgen::SizeClass::Real,
                     requested_size: graph.node_count(),
-                    graph,
+                    graph: graph.into(),
                 },
             };
             Pending::new(Arc::new(sub), &mut seen)

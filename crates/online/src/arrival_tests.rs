@@ -46,7 +46,7 @@ fn pending_checked(sub: Submission, seen: &mut ArrivalFacts, ctx: &str) -> Pendi
 
 fn submission(id: usize, name: &str, graph: Dag) -> Submission {
     let mut sub = single_task(id, id as f64, 1.0, 1.0, name);
-    sub.instance.graph = graph;
+    sub.instance.graph = graph.into();
     sub
 }
 

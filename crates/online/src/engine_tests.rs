@@ -125,7 +125,7 @@ fn hopeless_workflow_is_rejected_not_starved() {
             family: None,
             size_class: dhp_wfgen::SizeClass::Real,
             requested_size: 1,
-            graph: g,
+            graph: g.into(),
         },
     });
     let out = serve(&small_cluster(), subs, &OnlineConfig::default());
@@ -360,7 +360,7 @@ fn elastic_growth_reschedules_the_suffix_on_freed_processors() {
             family: None,
             size_class: dhp_wfgen::SizeClass::Real,
             requested_size: 4,
-            graph: g,
+            graph: g.into(),
         },
     };
     // The blocker holds the other processor until t=5; the fork is
@@ -455,7 +455,7 @@ fn elastic_shrink_releases_idle_lease_processors_to_the_queue() {
                 family: None,
                 size_class: dhp_wfgen::SizeClass::Real,
                 requested_size: 4,
-                graph: g,
+                graph: g.into(),
             },
         },
         // Arrives while the diamond holds every processor; 30 memory
@@ -555,7 +555,7 @@ fn elastic_growth_yields_to_same_instant_arrivals() {
                 family: None,
                 size_class: dhp_wfgen::SizeClass::Real,
                 requested_size: 4,
-                graph: g,
+                graph: g.into(),
             },
         },
         single_task(2, 5.0, 7.0, 1.0, "newcomer"),
@@ -627,7 +627,7 @@ fn elastic_growth_never_delays_a_blocked_backfill_head() {
             family: None,
             size_class: dhp_wfgen::SizeClass::Real,
             requested_size: graph.node_count(),
-            graph,
+            graph: graph.into(),
         },
     };
     let subs = vec![

@@ -294,7 +294,7 @@ fn a_warm_waiting_probe_allocates_nothing() {
                 family: None,
                 size_class: SizeClass::Real,
                 requested_size: 5,
-                graph: g,
+                graph: g.into(),
             },
         }),
         &mut ArrivalFacts::new(),
@@ -431,7 +431,7 @@ fn warm_backlog_allocations(tasks: usize) -> u64 {
                     family: None,
                     size_class: SizeClass::Real,
                     requested_size: tasks,
-                    graph: dhp_dag::builder::chain(tasks, 10.0, MEMORY[recipe], 2.0),
+                    graph: dhp_dag::builder::chain(tasks, 10.0, MEMORY[recipe], 2.0).into(),
                 },
             }
         })
@@ -495,7 +495,7 @@ fn a_repeat_arrival_allocates_nothing() {
     for tasks in [8usize, 48, 400] {
         let copy = |id: usize| {
             let mut sub = single_task(id, id as f64, 1.0, 1.0, &format!("fan-{tasks}-{id}"));
-            sub.instance.graph = two_node_fan((tasks - 2) / 2);
+            sub.instance.graph = two_node_fan((tasks - 2) / 2).into();
             Arc::new(sub)
         };
         let (first, repeat) = (copy(0), copy(1));

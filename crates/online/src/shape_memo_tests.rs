@@ -71,7 +71,7 @@ fn pending(id: usize, g: dhp_dag::Dag) -> Pending {
             family: None,
             size_class: SizeClass::Real,
             requested_size: g.node_count(),
-            graph: g,
+            graph: g.into(),
         },
     };
     Pending::new(Arc::new(sub), &mut ArrivalFacts::new())

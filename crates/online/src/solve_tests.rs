@@ -334,7 +334,7 @@ fn candidate(gi: usize) -> Pending {
             family: None,
             size_class: SizeClass::Real,
             requested_size: 1,
-            graph: graphs().swap_remove(gi),
+            graph: graphs().swap_remove(gi).into(),
         },
     };
     Pending::new(Arc::new(sub), &mut ArrivalFacts::new())

@@ -93,8 +93,11 @@ struct GraphFacts {
 /// would. [`Dag::content_prehash`] only chooses which witnesses to
 /// compare against; a collision costs one failed comparison and can
 /// never change an answer (the tests run the whole suite with every
-/// graph in one bucket). A repeat costs one pre-hash and one comparison,
-/// both linear in the graph and allocation-free.
+/// graph in one bucket). A repeat costs one pre-hash, linear in the
+/// graph, and one comparison. Clones of one
+/// [`dhp_wfgen::WorkflowInstance`] share its graph, so for them the
+/// comparison is an address check; a separately built copy is walked.
+/// Neither allocates.
 ///
 /// The table is a local of the serve loop: it is never shared between
 /// calls, has no capacity and no counters, and dies with the call. It

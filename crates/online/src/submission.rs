@@ -68,7 +68,7 @@ pub fn single_task(id: usize, arrival: f64, work: f64, memory: f64, name: &str) 
             family: None,
             size_class: dhp_wfgen::SizeClass::Real,
             requested_size: 1,
-            graph: g,
+            graph: g.into(),
         },
     }
 }
@@ -196,6 +196,23 @@ mod tests {
         assert_eq!(unique.len(), 3);
         for (i, fp) in fps.iter().enumerate() {
             assert_eq!(*fp, fps[i % 3]);
+        }
+    }
+
+    #[test]
+    fn repeats_of_a_recipe_share_one_graph() {
+        let p = ArrivalProcess::Poisson { rate: 0.5 };
+        let subs = repeating_stream(3, 10, &[Family::Blast], (20, 30), &p, 5);
+        let mut graphs: Vec<*const dhp_dag::Dag> = subs
+            .iter()
+            .map(|s| std::sync::Arc::as_ptr(&s.instance.graph))
+            .collect();
+        graphs.sort_unstable();
+        graphs.dedup();
+        assert_eq!(graphs.len(), 3);
+        for (i, s) in subs.iter().enumerate() {
+            let first = &subs[i % 3].instance.graph;
+            assert!(std::sync::Arc::ptr_eq(&s.instance.graph, first));
         }
     }
 

@@ -176,7 +176,12 @@ mod tests {
         );
         let r = dag_het_part(&inst.graph, &cluster, &DagHetPartConfig::default()).unwrap();
         let sim = simulate(&inst.graph, &cluster, &r.mapping);
-        (inst.graph, cluster, r.mapping, sim)
+        (
+            std::sync::Arc::unwrap_or_clone(inst.graph),
+            cluster,
+            r.mapping,
+            sim,
+        )
     }
 
     #[test]

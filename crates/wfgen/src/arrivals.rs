@@ -80,7 +80,7 @@ pub fn mixed_workload(
                 family: Some(family),
                 size_class: crate::SizeClass::of_size(size),
                 requested_size: size,
-                graph,
+                graph: graph.into(),
             }
         })
         .collect()

@@ -37,6 +37,8 @@ pub mod realworld;
 pub mod weights;
 pub mod wfcommons;
 
+use std::sync::Arc;
+
 use dhp_dag::Dag;
 use serde::{Deserialize, Serialize};
 
@@ -85,6 +87,12 @@ impl SizeClass {
 }
 
 /// A concrete workflow instance: the DAG plus provenance metadata.
+///
+/// The graph is shared: cloning an instance copies its name and bumps
+/// one reference count, so every submission of one recipe points at the
+/// same [`Dag`]. A mutation copies on write ([`Arc::make_mut`], as
+/// [`WorkflowInstance::scale_work`] does), leaving the other holders
+/// untouched.
 #[derive(Clone, Debug)]
 pub struct WorkflowInstance {
     /// Instance name, e.g. `"seismology-2000"` or `"methylseq"`.
@@ -96,8 +104,8 @@ pub struct WorkflowInstance {
     /// Requested task count (actual count may differ slightly because
     /// family topologies quantise widths; see [`Family::generate`]).
     pub requested_size: usize,
-    /// The workflow DAG.
-    pub graph: Dag,
+    /// The workflow DAG, shared between clones (copied on write).
+    pub graph: Arc<Dag>,
 }
 
 impl WorkflowInstance {
@@ -109,14 +117,15 @@ impl WorkflowInstance {
             family: Some(family),
             size_class: SizeClass::of_size(n),
             requested_size: n,
-            graph,
+            graph: graph.into(),
         }
     }
 
     /// Multiplies every task's work weight by `factor` (the paper's
-    /// "four times bigger w_u" experiment, §5.2.4).
+    /// "four times bigger w_u" experiment, §5.2.4). A graph shared with
+    /// other clones is copied first; they keep the unscaled weights.
     pub fn scale_work(&mut self, factor: f64) {
-        scale_work(&mut self.graph, factor);
+        scale_work(Arc::make_mut(&mut self.graph), factor);
     }
 }
 
@@ -171,6 +180,37 @@ mod tests {
         let before = inst.graph.total_work();
         inst.scale_work(4.0);
         assert!((inst.graph.total_work() - 4.0 * before).abs() < 1e-6);
+    }
+
+    #[test]
+    fn a_clone_shares_its_source_graph() {
+        let inst = WorkflowInstance::simulated(Family::Genome, 60, 3);
+        let copy = inst.clone();
+        assert!(Arc::ptr_eq(&copy.graph, &inst.graph));
+        assert_eq!(Arc::strong_count(&inst.graph), 2);
+    }
+
+    #[test]
+    fn scale_work_on_a_clone_leaves_the_source_and_its_siblings_alone() {
+        let source = WorkflowInstance::simulated(Family::Montage, 60, 5);
+        let before = Dag::clone(&source.graph);
+        let sibling = source.clone();
+        let mut scaled = source.clone();
+        scaled.scale_work(4.0);
+        // The scaled clone got a graph of its own; the other two still
+        // share theirs, and it holds the weights it had, bit for bit.
+        assert!(!Arc::ptr_eq(&scaled.graph, &source.graph));
+        assert!(Arc::ptr_eq(&sibling.graph, &source.graph));
+        assert!(source.graph.content_eq(&before));
+        for u in before.node_ids() {
+            assert_eq!(source.graph.label(u), before.label(u));
+            let want = before.node(u).work * 4.0;
+            assert_eq!(scaled.graph.node(u).work.to_bits(), want.to_bits());
+        }
+        // The last holder of a graph scales it in place.
+        let own = Arc::as_ptr(&scaled.graph);
+        scaled.scale_work(0.25);
+        assert_eq!(Arc::as_ptr(&scaled.graph), own);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 use crate::wfcommons::{from_json, to_json, ImportConfig, GIB};
 use crate::{Family, SizeClass, WorkflowInstance};
 use dhp_dag::cycles::is_cyclic;
+use dhp_dag::Dag;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn any_family() -> impl Strategy<Value = Family> {
     proptest::sample::select(Family::ALL.to_vec())
@@ -44,7 +46,7 @@ proptest! {
         // What repeat traffic looks like to the online engine: the same
         // recipe instantiated again, under another name.
         let a = WorkflowInstance::simulated(family, n, seed).graph;
-        let mut b = WorkflowInstance::simulated(family, n, seed).graph;
+        let mut b = Arc::unwrap_or_clone(WorkflowInstance::simulated(family, n, seed).graph);
         for u in b.node_ids() {
             b.set_label(u, None);
         }
@@ -98,7 +100,7 @@ proptest! {
         // again), some cleared: a cleared task is exported as
         // `task<index>` and read back under that name.
         let mut inst = WorkflowInstance::simulated(family, n, seed);
-        let g = &mut inst.graph;
+        let g = Arc::make_mut(&mut inst.graph);
         for (step, &(pick, what)) in edits.iter().enumerate() {
             let u = dhp_dag::NodeId(pick % g.node_count() as u32);
             match what {
@@ -115,7 +117,7 @@ proptest! {
             prop_assert_eq!(back.graph.label(u), Some(want.as_str()));
         }
         // A clone keeps every label.
-        let copy = g.clone();
+        let copy = Dag::clone(g);
         prop_assert!(g.node_ids().all(|u| copy.label(u) == g.label(u)));
     }
 

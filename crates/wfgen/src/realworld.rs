@@ -75,7 +75,7 @@ pub fn suite(seed: u64) -> Vec<WorkflowInstance> {
                 family: None,
                 size_class: SizeClass::Real,
                 requested_size: spec.tasks,
-                graph,
+                graph: graph.into(),
             }
         })
         .collect()

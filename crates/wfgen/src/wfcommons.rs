@@ -62,6 +62,16 @@ pub enum WfError {
     Cyclic,
     /// A task appears twice (by name and id).
     DuplicateTask(String),
+    /// A task's work or memory, or an edge's volume, is NaN, infinite
+    /// or negative in model units.
+    BadWeight {
+        /// The task or edge (`task "a"`, `edge "a" -> "b"`).
+        owner: String,
+        /// `"work"`, `"memory"` or `"volume"`.
+        quantity: &'static str,
+        /// The offending value.
+        value: f64,
+    },
 }
 
 impl std::fmt::Display for WfError {
@@ -71,6 +81,14 @@ impl std::fmt::Display for WfError {
             WfError::UnknownTask(t) => write!(f, "reference to unknown task {t:?}"),
             WfError::Cyclic => write!(f, "workflow precedence graph is cyclic"),
             WfError::DuplicateTask(t) => write!(f, "duplicate task {t:?}"),
+            WfError::BadWeight {
+                owner,
+                quantity,
+                value,
+            } => write!(
+                f,
+                "{owner}: {quantity} {value} is not finite and non-negative"
+            ),
         }
     }
 }
@@ -183,8 +201,8 @@ pub fn from_instance(doc: &WfInstance, cfg: &ImportConfig) -> Result<WorkflowIns
     let mut index: HashMap<&str, NodeId> = HashMap::new();
     for t in tasks {
         let u = g.add_node(
-            t.runtime_in_seconds.unwrap_or(cfg.default_work).max(0.0),
-            t.memory_in_bytes.unwrap_or(0.0).max(0.0) / cfg.bytes_per_unit,
+            t.runtime_in_seconds.unwrap_or(cfg.default_work),
+            t.memory_in_bytes.unwrap_or(0.0) / cfg.bytes_per_unit,
         );
         g.set_label(u, Some(&t.name));
         if index.insert(t.name.as_str(), u).is_some() {
@@ -265,6 +283,7 @@ pub fn from_instance(doc: &WfInstance, cfg: &ImportConfig) -> Result<WorkflowIns
         }
     }
 
+    check_weights(&g, tasks)?;
     if g.check_acyclic().is_err() {
         return Err(WfError::Cyclic);
     }
@@ -278,8 +297,38 @@ pub fn from_instance(doc: &WfInstance, cfg: &ImportConfig) -> Result<WorkflowIns
             SizeClass::of_size(n)
         },
         requested_size: n,
-        graph: g,
+        graph: g.into(),
     })
+}
+
+/// Refuses the first NaN, infinite or negative weight of `g`, whose
+/// nodes are `tasks` in order: a byte count past `f64::MAX` (`1e400`)
+/// reads as infinity, and negative sizes would make negative volumes.
+fn check_weights(g: &Dag, tasks: &[WfTask]) -> Result<(), WfError> {
+    let ok = |x: f64| x.is_finite() && x >= 0.0;
+    let name = |u: NodeId| format!("{:?}", tasks[u.idx()].name);
+    let refuse = |owner, quantity, value| {
+        Err(WfError::BadWeight {
+            owner,
+            quantity,
+            value,
+        })
+    };
+    for u in g.node_ids() {
+        let node = g.node(u);
+        for (quantity, value) in [("work", node.work), ("memory", node.memory)] {
+            if !ok(value) {
+                return refuse(format!("task {}", name(u)), quantity, value);
+            }
+        }
+    }
+    for e in g.edge_ids().map(|e| g.edge(e)) {
+        if !ok(e.volume) {
+            let owner = format!("edge {} -> {}", name(e.src), name(e.dst));
+            return refuse(owner, "volume", e.volume);
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------- export
@@ -418,6 +467,55 @@ mod tests {
         let vols: Vec<f64> = g.edge_ids().map(|e| g.edge(e).volume).collect();
         assert!(vols.contains(&3.0));
         assert!(vols.contains(&0.0)); // t2: precedence only
+    }
+
+    #[test]
+    fn a_non_finite_or_negative_weight_is_refused_with_its_owner_named() {
+        let doc = |runtime: &str, memory: &str, size: &str| {
+            format!(
+                r#"{{ "name": "hostile", "workflow": {{ "tasks": [
+                    {{ "name": "a", "runtimeInSeconds": {runtime}, "memoryInBytes": {memory},
+                       "files": [ {{ "link": "output", "name": "f", "sizeInBytes": {size} }} ] }},
+                    {{ "name": "b", "parents": ["a"],
+                       "files": [ {{ "link": "input", "name": "f", "sizeInBytes": {size} }} ] }}
+                ] }} }}"#
+            )
+        };
+        let cfg = ImportConfig::default();
+        for bad in ["-3", "1e400", "-1e400"] {
+            for (json, owner, quantity) in [
+                (doc(bad, "1", "1"), r#"task "a""#, "work"),
+                (doc("1", bad, "1"), r#"task "a""#, "memory"),
+                (doc("1", "1", bad), r#"edge "a" -> "b""#, "volume"),
+            ] {
+                let err = from_json(&json, &cfg).unwrap_err();
+                let text = err.to_string();
+                let WfError::BadWeight {
+                    owner: o,
+                    quantity: q,
+                    value,
+                } = err
+                else {
+                    panic!("{bad} {quantity}: {text}");
+                };
+                assert_eq!((o.as_str(), q), (owner, quantity));
+                assert!(!value.is_finite() || value < 0.0, "{value}");
+                assert!(text.contains(owner) && text.contains(quantity), "{text}");
+            }
+        }
+        // A zero bytes-per-unit makes a zero memory NaN.
+        let zero = ImportConfig {
+            bytes_per_unit: 0.0,
+            ..ImportConfig::default()
+        };
+        let err = from_json(&doc("1", "0", "1"), &zero).unwrap_err();
+        assert!(
+            matches!(err, WfError::BadWeight { quantity: "memory", value, .. } if value.is_nan()),
+            "{err}"
+        );
+        // Zero weights are weights.
+        let inst = from_json(&doc("0", "0", "0"), &cfg).unwrap();
+        assert_eq!(inst.graph.edge_count(), 1);
     }
 
     #[test]

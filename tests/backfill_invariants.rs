@@ -187,7 +187,7 @@ proptest! {
                     family: None,
                     size_class: dhp_wfgen::SizeClass::Real,
                     requested_size: g.node_count(),
-                    graph: g,
+                    graph: g.into(),
                 }
             })
             .collect();
@@ -289,7 +289,7 @@ proptest! {
                     family: None,
                     size_class: dhp_wfgen::SizeClass::Real,
                     requested_size: g.node_count(),
-                    graph: g,
+                    graph: g.into(),
                 }
             })
             .collect();
