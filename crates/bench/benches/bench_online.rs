@@ -283,9 +283,9 @@ fn bench_report(c: &mut Criterion) {
 /// three facts (total work, hottest task, fingerprint); a repeat is
 /// recognised by one content pre-hash and one content comparison
 /// against the stored witness, here a separately built copy (a repeat
-/// that shares the witness's graph stops at the address check). The
-/// table's own share (one `HashMap` probe on the pre-hash) is the same
-/// constant on both arms.
+/// that shares the witness's graph is recognised by its address
+/// before either runs). The table's own share (one `HashMap` probe)
+/// is the same constant on both arms.
 fn bench_arrival_facts(c: &mut Criterion) {
     let mut group = c.benchmark_group("arrival_facts");
     for family in [Family::Blast, Family::Seismology, Family::Genome] {

@@ -45,9 +45,9 @@ pub enum DotError {
     NotADigraph,
     /// A statement could not be parsed; carries the offending line.
     BadStatement(String),
-    /// A `work`, `memory` or `volume` is NaN, infinite or negative;
-    /// carries the task or edge (`task "a"`, `edge "a" -> "b"`), the
-    /// attribute and its text.
+    /// A `work`, `memory` or `volume` is not a number, or is NaN,
+    /// infinite or negative; carries the task or edge (`task "a"`,
+    /// `edge "a" -> "b"`), the attribute and its text.
     BadWeight {
         /// The task or edge the attribute belongs to.
         owner: String,
@@ -64,7 +64,10 @@ impl std::fmt::Display for DotError {
             DotError::NotADigraph => write!(f, "input is not a digraph"),
             DotError::BadStatement(l) => write!(f, "cannot parse statement: {l}"),
             DotError::BadWeight { owner, attr, value } => {
-                write!(f, "{owner}: {attr}={value} is not finite and non-negative")
+                write!(
+                    f,
+                    "{owner}: {attr}={value} is not a finite, non-negative number"
+                )
             }
         }
     }
@@ -81,9 +84,10 @@ impl std::error::Error for DotError {}
 ///   default weights.
 /// * `label` attributes are preserved (`label=""` clears a task's
 ///   label); other attributes are ignored.
-/// * A weight that reads as NaN, infinite or negative is refused
-///   ([`DotError::BadWeight`]); one that does not read as a number at
-///   all is ignored, like an unknown attribute.
+/// * A weight that is not a finite, non-negative number (`abc`, NaN,
+///   `inf`, `-3`, `1e400`) is refused with its task or edge named
+///   ([`DotError::BadWeight`]); only an absent weight takes the
+///   default.
 /// * A quoted string may hold any character, `;`, `,`, `[` and `]`
 ///   included; `\"` and `\\` inside one stand for `"` and `\`.
 pub fn from_dot(input: &str) -> Result<Dag, DotError> {
@@ -164,7 +168,7 @@ pub fn from_dot(input: &str) -> Result<Dag, DotError> {
 }
 
 /// The first of `keys` present in `attrs`, read as a weight: `None` if
-/// absent or not a number, an error naming `owner()` if NaN, infinite
+/// absent, an error naming `owner()` if not a number or NaN, infinite
 /// or negative.
 fn weight(
     attrs: &HashMap<String, String>,
@@ -175,12 +179,12 @@ fn weight(
         return Ok(None);
     };
     match value.parse::<f64>() {
-        Ok(x) if !x.is_finite() || x < 0.0 => Err(DotError::BadWeight {
+        Ok(x) if x.is_finite() && x >= 0.0 => Ok(Some(x)),
+        _ => Err(DotError::BadWeight {
             owner: owner(),
             attr: attr.clone(),
             value: value.clone(),
         }),
-        parsed => Ok(parsed.ok()),
     }
 }
 
@@ -315,7 +319,7 @@ mod tests {
 
     #[test]
     fn refuses_a_non_finite_or_negative_weight_naming_its_owner() {
-        for bad in ["NaN", "inf", "-inf", "-3", "1e400"] {
+        for bad in ["NaN", "inf", "-inf", "-3", "1e400", "abc", ""] {
             let cases = [
                 (format!("a [work={bad}]; a -> b"), r#"task "a""#, "work"),
                 (format!("a [memory={bad}]; a -> b"), r#"task "a""#, "memory"),
@@ -343,9 +347,11 @@ mod tests {
                 assert!(text.contains(owner) && text.contains(bad), "{text}");
             }
         }
-        // Zero, negative zero and a word that is no number still read.
-        let g = from_dot("digraph g { a [work=0, memory=-0]; a -> b [volume=abc]; }").unwrap();
+        // Zero and negative zero still read; only an absent weight
+        // takes the default.
+        let g = from_dot("digraph g { a [work=0, memory=-0]; a -> b; }").unwrap();
         assert_eq!(g.node(NodeId(0)).work, 0.0);
+        assert_eq!(g.node(NodeId(0)).memory.to_bits(), (-0.0f64).to_bits());
         assert_eq!(g.edge(EdgeId(0)).volume, 1.0);
     }
 

@@ -2,15 +2,17 @@
 //!
 //! Every check runs twice: on the table the serve loop builds, and on
 //! one whose pre-hash puts every graph in the same bucket — there
-//! `Dag::content_eq` is the only thing telling graphs apart, which is
-//! the claim the table's correctness rests on.
+//! `Dag::content_eq` is the only thing telling graphs at different
+//! addresses apart, which is the claim the table's correctness rests
+//! on. Graphs shared by address are checked both shared and copied.
 
 use crate::state::{ArrivalFacts, Pending};
 use crate::submission::{repeating_stream, single_task, Submission};
 use dhp_core::fitting::max_task_requirement;
 use dhp_dag::{Dag, NodeId};
-use dhp_wfgen::arrivals::ArrivalProcess;
+use dhp_wfgen::arrivals::{mixed_workload, ArrivalProcess};
 use dhp_wfgen::Family;
+use std::cell::Cell;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -55,28 +57,37 @@ fn repeat_heavy_streams_get_the_direct_facts() {
     for (table, fresh) in TABLES {
         for seed in 0..5u64 {
             for unique in [1usize, 3, 8] {
-                let mut seen = fresh();
-                // Every position of the stream holds its own deep copy
-                // of its recipe, as a caller's `Vec<Submission>` does.
-                let subs = repeating_stream(
-                    unique,
-                    5 * unique + 2,
-                    &Family::ALL,
-                    (8, 70),
-                    &ArrivalProcess::Poisson { rate: 0.5 },
-                    seed,
-                );
-                let mut fingerprints = HashSet::new();
-                for sub in subs {
-                    let ctx = format!("{table}, seed {seed}, {unique} recipes, id {}", sub.id);
-                    fingerprints.insert(pending_checked(sub, &mut seen, &ctx).fingerprint);
+                // The stream's repeats share their recipe's graph and
+                // are recognised by address; copied, each position
+                // holds a graph of its own and only content tells.
+                for copied in [false, true] {
+                    let mut seen = fresh();
+                    let subs = repeating_stream(
+                        unique,
+                        5 * unique + 2,
+                        &Family::ALL,
+                        (8, 70),
+                        &ArrivalProcess::Poisson { rate: 0.5 },
+                        seed,
+                    );
+                    let mut fingerprints = HashSet::new();
+                    for mut sub in subs {
+                        if copied {
+                            sub.instance.graph = Dag::clone(&sub.instance.graph).into();
+                        }
+                        let ctx = format!(
+                            "{table}, seed {seed}, {unique} recipes, copied {copied}, id {}",
+                            sub.id
+                        );
+                        fingerprints.insert(pending_checked(sub, &mut seen, &ctx).fingerprint);
+                    }
+                    assert_eq!(fingerprints.len(), unique, "the recipes are distinct");
+                    assert_eq!(
+                        seen.distinct(),
+                        unique,
+                        "{table}, copied {copied}: one entry per recipe, however often it came"
+                    );
                 }
-                assert_eq!(fingerprints.len(), unique, "the recipes are distinct");
-                assert_eq!(
-                    seen.distinct(),
-                    unique,
-                    "{table}: one entry per recipe, however often it came"
-                );
             }
         }
     }
@@ -202,4 +213,41 @@ fn a_requeued_submission_is_recognised_by_its_own_witness() {
         assert_eq!(again.max_task_req.to_bits(), first.max_task_req.to_bits());
         assert_eq!(again.fingerprint, first.fingerprint);
     }
+}
+
+thread_local! {
+    static PREHASHES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// [`Dag::content_prehash`], counted per thread.
+fn counting_prehash(g: &Dag) -> u64 {
+    PREHASHES.with(|n| n.set(n.get() + 1));
+    g.content_prehash()
+}
+
+#[test]
+fn a_warm_backlog_trace_prehashes_each_recipe_once() {
+    // The shape of one trace of the benchmark's `online_warm_backlog`:
+    // 5,600 submissions drawn from 60 recipes of 8 to 48 tasks, each a
+    // clone of its recipe and so sharing its graph. Only a first sight
+    // walks the graph; every repeat is recognised by address.
+    let recipes = mixed_workload(
+        60,
+        &[Family::Blast, Family::Seismology, Family::Genome],
+        (8, 48),
+        17,
+    );
+    let mut seen = ArrivalFacts::with_prehash(counting_prehash);
+    let before = PREHASHES.with(Cell::get);
+    for id in 0..5_600 {
+        let sub = Submission {
+            id,
+            arrival: id as f64 * 25.0,
+            instance: recipes[id * 37 % recipes.len()].clone(),
+        };
+        pending_checked(sub, &mut seen, "warm backlog");
+    }
+    let prehashes = PREHASHES.with(Cell::get) - before;
+    assert_eq!(seen.distinct(), 60, "one entry per recipe");
+    assert_eq!(prehashes, 60, "a shared repeat was pre-hashed");
 }

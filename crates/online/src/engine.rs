@@ -180,9 +180,12 @@ pub fn serve_with_cache(
     cache: &SolveCache,
 ) -> ServeOutcome {
     // One member: routing answers without weighing any load, and the
-    // spillover sweep has no destination.
+    // spillover sweep has no destination. It ends every submission, so
+    // its outputs are sized once for the whole trace.
+    let mut member = MemberShard::new(cluster, None);
+    member.state.reserve_outputs(submissions.len());
     serve_loop(
-        vec![MemberShard::new(cluster, None)],
+        vec![member],
         submissions,
         cfg,
         RoutingPolicy::LeastLoaded,

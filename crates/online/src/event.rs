@@ -22,7 +22,9 @@ pub(crate) struct Completion {
     /// Monotone sequence number; the live-event check compares it
     /// against the slot's `live_seq`.
     pub(crate) seq: u64,
-    /// Index into the engine's `in_service` bookkeeping.
+    /// The `in_service` slot of the workflow it completes. Slots are
+    /// reused and sequence numbers never are, so an entry whose `seq`
+    /// is not the slot's `live_seq` is stale whoever holds the slot now.
     pub(crate) slot: usize,
 }
 

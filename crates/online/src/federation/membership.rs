@@ -246,6 +246,83 @@ mod tests {
         assert_eq!(out.report.clusters[1].fleet.utilization, 0.0);
     }
 
+    /// Member 0 runs `b`, `c` and `d`, but `d` was granted last into
+    /// the slot `short` left, so slot order is `d, b, c`. Its failure
+    /// must record the lost workflows, and requeue them, in grant order
+    /// `b, c, d`.
+    #[test]
+    fn a_failure_tears_down_in_grant_order_after_slot_reuse() {
+        use super::super::shard::MemberShard;
+        use super::apply_membership;
+        use crate::cache::{CacheView, SolveCache};
+        use crate::chaos::MembershipEvent;
+        use crate::state::{ArrivalFacts, Pending};
+        use std::sync::Arc;
+
+        let procs = |n: usize| {
+            Cluster::new(
+                (0..n).map(|_| Processor::new("p", 1.0, 100.0)).collect(),
+                1.0,
+            )
+        };
+        let cfg = OnlineConfig::default();
+        let cache = SolveCache::new();
+        let solver = cfg.lease_solver();
+        let view = CacheView::direct(&cache, &solver);
+        for mode in [FailureMode::Lost, FailureMode::Requeue] {
+            let mut seen = ArrivalFacts::new();
+            let mut shards: Vec<MemberShard> = [procs(3), procs(1), procs(1)]
+                .iter()
+                .enumerate()
+                .map(|(i, c)| MemberShard::new(c, Some(i)))
+                .collect();
+            let mut arrive = |shards: &mut [MemberShard], id: usize, at: f64, work: f64| {
+                let sub = Arc::new(single_task(id, at, work, 50.0, "w"));
+                shards[0]
+                    .state
+                    .enqueue_arrival(Pending::new(sub, &mut seen), at);
+            };
+            // `short` takes slot 0, `b` slot 1 and `c` slot 2.
+            arrive(&mut shards, 0, 0.0, 10.0);
+            arrive(&mut shards, 1, 0.0, 1000.0);
+            arrive(&mut shards, 2, 0.0, 500.0);
+            shards[0].step_to(0.0, &cfg, &view);
+            // `short` completes, and `d` takes the slot it left.
+            let t = shards[0].state.next_completion_time().unwrap();
+            arrive(&mut shards, 3, t, 100.0);
+            shards[0].step_to(t, &cfg, &view);
+            let slots: Vec<usize> = shards[0]
+                .state
+                .in_service
+                .iter()
+                .map(|s| s.as_ref().unwrap().record.id)
+                .collect();
+            assert_eq!(slots, [3, 1, 2], "the last grant reuses the first slot");
+
+            let fail = MembershipEvent::Fail {
+                member: 0,
+                at: t + 1.0,
+                mode,
+            };
+            apply_membership(&fail, &mut shards, &mut seen, t + 1.0);
+            let queued = |sh: &MemberShard| sh.state.queue.iter().map(|p| p.id).collect::<Vec<_>>();
+            match mode {
+                FailureMode::Lost => {
+                    let lost: Vec<usize> = shards[0].state.lost.iter().map(|r| r.id).collect();
+                    assert_eq!(lost, [1, 2, 3], "lost records follow grant order");
+                }
+                // Each requeue goes to the survivor with less queued
+                // work (ties to the lower index), so the order decides
+                // the homes: b → 1, then c → 2, then d → 2. In slot
+                // order d → 1, b → 2 and c → 1 instead.
+                FailureMode::Requeue => {
+                    assert_eq!(queued(&shards[1]), [1], "requeues follow grant order");
+                    assert_eq!(queued(&shards[2]), [2, 3], "requeues follow grant order");
+                }
+            }
+        }
+    }
+
     #[test]
     fn join_adds_a_member_that_receives_blocked_work() {
         // One single-processor member: hog until t=100, q blocked

@@ -486,10 +486,11 @@ fn warm_serving_allocations_do_not_scale_with_task_count() {
     );
 }
 
-/// Recognising a graph the call has seen — one pre-hash, one
-/// comparison against the witness — never touches the heap, at any
-/// size; deriving the facts the first time does (the fingerprint's
-/// sort heap, position table and edge vector, plus the table's entry).
+/// Recognising a graph the call has seen — by address when the repeat
+/// shares the witness's graph, else one pre-hash and one comparison
+/// against the witness — never touches the heap, at any size; deriving
+/// the facts the first time does (the fingerprint's sort heap, position
+/// table and edge vector, plus the table's entries).
 #[test]
 fn a_repeat_arrival_allocates_nothing() {
     for tasks in [8usize, 48, 400] {
@@ -499,17 +500,25 @@ fn a_repeat_arrival_allocates_nothing() {
             Arc::new(sub)
         };
         let (first, repeat) = (copy(0), copy(1));
+        let shared = Arc::new(Submission {
+            id: 2,
+            arrival: 2.0,
+            instance: first.instance.clone(),
+        });
         assert_eq!(first.instance.graph.node_count(), tasks);
         let mut seen = ArrivalFacts::new();
-        let mut queued = Vec::with_capacity(2);
+        let mut queued = Vec::with_capacity(3);
         let deriving = allocations_in(|| queued.push(Pending::new(first, &mut seen)));
         assert!(
             deriving > 0,
             "{tasks} tasks: a first sight derives and stores"
         );
         let recognising = allocations_in(|| queued.push(Pending::new(repeat, &mut seen)));
-        assert_eq!(recognising, 0, "{tasks} tasks: a repeat arrival allocated");
+        assert_eq!(recognising, 0, "{tasks} tasks: a copied repeat allocated");
+        let recognising = allocations_in(|| queued.push(Pending::new(shared, &mut seen)));
+        assert_eq!(recognising, 0, "{tasks} tasks: a shared repeat allocated");
         assert_eq!(queued[0].fingerprint, queued[1].fingerprint);
+        assert_eq!(queued[0].fingerprint, queued[2].fingerprint);
     }
 }
 

@@ -179,18 +179,31 @@ pub(crate) fn commit_grant(grant: Grant, fingerprint: u64, state: &mut ClusterSt
     for (p, b) in &busy {
         state.busy_time[p.idx()] += *b;
     }
-    let slot = state.in_service.len();
+    // The first free slot, or a new one: the table never holds more
+    // slots than workflows ever ran at once.
+    let slot = match state.in_service.iter().position(Option::is_none) {
+        Some(slot) => slot,
+        None => {
+            state.in_service.push(None);
+            state.in_service.len() - 1
+        }
+    };
+    debug_assert!(
+        state.in_service.len() <= state.cluster.len(),
+        "leases are non-empty and disjoint, so at most one workflow runs per processor"
+    );
     let seq = state.events.push(placement.finish, slot);
-    state.in_service.push(Some(InService {
+    state.in_service[slot] = Some(InService {
         record,
         placement,
         fingerprint,
+        granted: seq,
         live_seq: seq,
         task_start,
         task_finish,
         task_proc,
         busy,
-    }));
+    });
     state.bump_epoch();
     lease_speed
 }

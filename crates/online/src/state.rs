@@ -12,7 +12,7 @@
 //! their graph comes from the serve call's [`ArrivalFacts`]: the three
 //! walks over an arriving graph (task sum, hottest task, fingerprint)
 //! happen once per distinct graph per call, and every later copy of it
-//! is recognised by content.
+//! is recognised by address or by content.
 
 use crate::event::EventQueue;
 use crate::report::{LostRecord, RejectedRecord, WorkflowRecord};
@@ -87,25 +87,30 @@ struct GraphFacts {
 /// facts derived from it — so a recipe submitted a thousand times is
 /// walked once and *recognised* 999 times.
 ///
-/// Recognition is [`Dag::content_eq`] against a witness — the first
+/// A graph the table already holds is recognised by address, before
+/// anything is walked: clones of one [`dhp_wfgen::WorkflowInstance`]
+/// share its graph, and the witness keeps that graph alive, so no other
+/// graph can take its address while the table lives. Any other graph is
+/// recognised by [`Dag::content_eq`] against a witness — the first
 /// submission that carried the graph, kept by `Arc` — and equal content
 /// implies bit-equal facts, so a hit returns exactly what deriving
 /// would. [`Dag::content_prehash`] only chooses which witnesses to
 /// compare against; a collision costs one failed comparison and can
 /// never change an answer (the tests run the whole suite with every
-/// graph in one bucket). A repeat costs one pre-hash, linear in the
-/// graph, and one comparison. Clones of one
-/// [`dhp_wfgen::WorkflowInstance`] share its graph, so for them the
-/// comparison is an address check; a separately built copy is walked.
-/// Neither allocates.
+/// graph in one bucket). A shared repeat costs one address lookup; a
+/// separately built copy costs one pre-hash and one comparison, both
+/// linear in the graph. Neither allocates: only a first sight adds
+/// entries.
 ///
 /// The table is a local of the serve loop: it is never shared between
 /// calls, has no capacity and no counters, and dies with the call. It
 /// holds one `Arc` per distinct graph, which the call's placements hold
-/// until the report anyway. Its keys are pre-hashes, so the map folds
-/// them ([`FoldState`]) rather than hashing them again.
+/// until the report anyway. Its keys are addresses and pre-hashes, so
+/// the maps fold them ([`FoldState`]) rather than hashing them again.
 #[derive(Debug)]
 pub(crate) struct ArrivalFacts {
+    /// The facts of every witness's graph, by the graph's address.
+    by_address: HashMap<usize, GraphFacts, FoldState>,
     by_prehash: HashMap<u64, Vec<(Arc<Submission>, GraphFacts)>, FoldState>,
     prehash: fn(&Dag) -> u64,
 }
@@ -113,23 +118,35 @@ pub(crate) struct ArrivalFacts {
 impl ArrivalFacts {
     pub(crate) fn new() -> ArrivalFacts {
         ArrivalFacts {
+            by_address: HashMap::default(),
             by_prehash: HashMap::default(),
             prehash: Dag::content_prehash,
         }
     }
 
+    /// A table that pre-hashes with `prehash` instead.
+    #[cfg(test)]
+    pub(crate) fn with_prehash(prehash: fn(&Dag) -> u64) -> ArrivalFacts {
+        ArrivalFacts {
+            prehash,
+            ..ArrivalFacts::new()
+        }
+    }
+
     /// A table whose pre-hash tells no two graphs apart: everything
-    /// lands in one bucket and `content_eq` alone decides.
+    /// lands in one bucket and `content_eq` alone decides between
+    /// graphs at different addresses.
     #[cfg(test)]
     pub(crate) fn with_one_bucket() -> ArrivalFacts {
-        ArrivalFacts {
-            by_prehash: HashMap::default(),
-            prehash: |_| 0,
-        }
+        ArrivalFacts::with_prehash(|_| 0)
     }
 
     fn facts_of(&mut self, submission: &Arc<Submission>) -> GraphFacts {
         let g = &submission.instance.graph;
+        let address = Arc::as_ptr(g).addr();
+        if let Some(facts) = self.by_address.get(&address) {
+            return *facts;
+        }
         let bucket = self.by_prehash.entry((self.prehash)(g)).or_default();
         if let Some((_, facts)) = bucket
             .iter()
@@ -146,6 +163,7 @@ impl ArrivalFacts {
             fingerprint: g.fingerprint(),
         };
         bucket.push((Arc::clone(submission), facts));
+        self.by_address.insert(address, facts);
         facts
     }
 
@@ -209,11 +227,19 @@ pub struct Regrow {
     pub mapping: Mapping,
 }
 
-/// Bookkeeping of one workflow currently holding a lease.
+/// Bookkeeping of one workflow currently holding a lease, in a slot of
+/// [`ClusterState::in_service`]. Slots are reused, so a slot's index
+/// says nothing about when its workflow was granted; `granted` does.
 pub(crate) struct InService {
     pub(crate) record: WorkflowRecord,
     pub(crate) placement: Placement,
     pub(crate) fingerprint: u64,
+    /// Grant ordinal: the sequence number of the completion event the
+    /// grant pushed. Events are numbered in push order, so this orders
+    /// the table's workflows by grant ([`ClusterState::fail_in_service`]
+    /// returns them in that order). Unlike `live_seq`, a resize leaves
+    /// it alone.
+    pub(crate) granted: u64,
     /// Sequence number of this workflow's *live* completion event.
     /// An elastic resize re-schedules the completion by pushing a fresh
     /// event and bumping this; heap entries whose seq no longer matches
@@ -364,6 +390,16 @@ pub(crate) struct ProbeScratch {
 /// cluster itself (plus its canonical memory-descending carve order),
 /// the free set, the admission queue, the completion-event heap, the
 /// in-service table, and the accumulating per-run results.
+///
+/// The in-service table grows with how many workflows run at once, not
+/// with how many were ever granted: a grant takes the first empty slot
+/// and appends only when there is none, and a completion or failure
+/// empties its slot. Leases are non-empty and disjoint, so the table
+/// never holds more than `cluster.len()` slots, and finding a free one
+/// is a scan of at most that many. Nothing reads slot order: completion
+/// events and replays order by `(time, seq)`, the resize ranking breaks
+/// ties on record id, and a failure returns its workflows in grant order
+/// ([`InService::granted`]).
 pub(crate) struct ClusterState {
     /// The shared cluster this state serves. Never changes after
     /// construction — `max_memory` and `total_speed` below rely on it.
@@ -405,6 +441,9 @@ pub(crate) struct ClusterState {
     /// slots.
     pub(crate) work_index: WorkIndex,
     pub(crate) events: EventQueue,
+    /// The workflows holding a lease, one per slot; `None` is a free
+    /// slot, which the next grant takes before the table grows. At most
+    /// `cluster.len()` slots (see the type docs).
     pub(crate) in_service: Vec<Option<InService>>,
     pub(crate) finished: Vec<WorkflowRecord>,
     /// Fingerprint of `finished[i]`'s workflow — the deferred baseline
@@ -481,6 +520,18 @@ impl ClusterState {
             scratch: ProbeScratch::default(),
             cluster: cluster.clone(),
         }
+    }
+
+    /// Sizes the completed-workflow outputs (`finished`, `finished_fp`,
+    /// `placements`) for `records` entries at once. The single-cluster
+    /// engine completes, rejects or loses every submission it is handed,
+    /// so it reserves the trace length and those vectors never regrow;
+    /// a federation member's share is not known in advance, and its
+    /// vectors double as they fill.
+    pub(crate) fn reserve_outputs(&mut self, records: usize) {
+        self.finished.reserve_exact(records);
+        self.finished_fp.reserve_exact(records);
+        self.placements.reserve_exact(records);
     }
 
     /// Invalidates the cached head reservation: any mutation of the
@@ -709,8 +760,9 @@ impl ClusterState {
     /// their leases and completion events, and un-credits the busy
     /// time already charged for them (utilisation counts *completed*
     /// work only — work a failure threw away was not useful capacity).
-    /// Returns the torn-down services in slot order so the federation
-    /// can requeue or record them lost per the failure mode.
+    /// Returns the torn-down services in grant order (slots are reused,
+    /// so slot order is not grant order) for the federation to requeue
+    /// or record lost per the failure mode.
     pub(crate) fn fail_in_service(&mut self) -> Vec<InService> {
         let mut torn = Vec::new();
         for slot in self.in_service.iter_mut() {
@@ -726,9 +778,11 @@ impl ClusterState {
                 torn.push(svc);
             }
         }
+        torn.sort_unstable_by_key(|svc| svc.granted);
         // Every pending completion event belonged to a torn-down
-        // workflow; a fresh heap also resets the staleness sequence,
-        // which is safe because no slot survives to compare against.
+        // workflow; a fresh heap also resets the staleness sequence
+        // (and with it the grant ordinals), which is safe because no
+        // slot survives to compare against.
         self.events = EventQueue::new();
         self.bump_epoch();
         torn
