@@ -6,7 +6,7 @@
 //! against `--no-solve-cache` (`bench_solve_cache`), and the two warm
 //! serving paths where the engine's own bookkeeping is the whole cost
 //! (`bench_warm_serving`), what one arrival's graph costs the engine the
-//! first time and every time after (`bench_arrival_facts`), and what
+//! first time the call sees it (`bench_arrival_facts`), and what
 //! one warm admission pass over a blocked backfill window costs at
 //! growing queue depth and behind a growing tombstoned prefix
 //! (`bench_backfill_window`), and what writing and parsing one deep
@@ -278,20 +278,15 @@ fn bench_report(c: &mut Criterion) {
     group.finish();
 }
 
-/// The two arms of the serve loop's arrival table, as the public
-/// kernels each consists of: the first sight of a graph derives its
-/// three facts (total work, hottest task, fingerprint); a repeat is
-/// recognised by one content pre-hash and one content comparison
-/// against the stored witness, here a separately built copy (a repeat
-/// that shares the witness's graph is recognised by its address
-/// before either runs). The table's own share (one `HashMap` probe)
-/// is the same constant on both arms.
+/// What the serve loop's arrival table pays the first time a call sees
+/// a graph: its three facts (total work, hottest task, fingerprint). A
+/// repeat shares its graph and is recognised by the graph's address,
+/// one `HashMap` probe that walks nothing.
 fn bench_arrival_facts(c: &mut Criterion) {
     let mut group = c.benchmark_group("arrival_facts");
     for family in [Family::Blast, Family::Seismology, Family::Genome] {
         for tasks in [8usize, 28, 48] {
             let g = WorkflowInstance::simulated(family, tasks, 17).graph;
-            let witness = dhp_dag::Dag::clone(&g);
             group.bench_with_input(
                 BenchmarkId::new(format!("first_sight/{}", family.name()), tasks),
                 &tasks,
@@ -303,16 +298,6 @@ fn bench_arrival_facts(c: &mut Criterion) {
                             dhp_core::fitting::max_task_requirement(g),
                             g.fingerprint(),
                         )
-                    })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("repeat/{}", family.name()), tasks),
-                &tasks,
-                |b, _| {
-                    b.iter(|| {
-                        let g = black_box(&g);
-                        (g.content_prehash(), black_box(&witness).content_eq(g))
                     })
                 },
             );

@@ -40,27 +40,11 @@ pub struct MemoryViolation {
     pub capacity: f64,
 }
 
-/// The rank phase of HEFT: the topological order, the mean-cost upward
-/// ranks, and the scheduling order they induce. All three are a pure
-/// function of the graph structure and the cluster's `(mean speed,
-/// bandwidth)` profile.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RankTable {
-    /// A topological order of the graph.
-    pub topo: Vec<NodeId>,
-    /// Upward rank of every task: mean execution cost plus the largest
-    /// mean-cost tail over its successors.
-    pub rank: Vec<f64>,
-    /// Task ids in HEFT scheduling order: decreasing rank, ties broken
-    /// by ascending id.
-    pub by_rank: Vec<NodeId>,
-}
-
-/// Computes the HEFT rank phase for `g` on `cluster`.
+/// Runs insertion-based HEFT.
 ///
 /// # Panics
 /// Panics on an empty graph or cluster, or cyclic input.
-pub fn rank_table(g: &Dag, cluster: &Cluster) -> RankTable {
+pub fn heft(g: &Dag, cluster: &Cluster) -> HeftSchedule {
     assert!(!g.is_empty() && !cluster.is_empty());
     let n = g.node_count();
     let beta = cluster.bandwidth;
@@ -68,7 +52,7 @@ pub fn rank_table(g: &Dag, cluster: &Cluster) -> RankTable {
 
     // Upward ranks with mean costs.
     let Some(topo) = dhp_dag::topo::topo_sort(g) else {
-        unreachable!("rank_table is only called on a DAG (see # Panics)")
+        unreachable!("heft is only called on a DAG (see # Panics)")
     };
     let mut rank = vec![0.0f64; n];
     for &u in topo.iter().rev() {
@@ -79,39 +63,9 @@ pub fn rank_table(g: &Dag, cluster: &Cluster) -> RankTable {
         }
         rank[u.idx()] = g.node(u).work / mean_speed + tail;
     }
+    // Scheduling order: decreasing rank, ties broken by ascending id.
     let mut by_rank: Vec<NodeId> = g.node_ids().collect();
     by_rank.sort_by(|&a, &b| rank[b.idx()].total_cmp(&rank[a.idx()]).then(a.cmp(&b)));
-    RankTable {
-        topo,
-        rank,
-        by_rank,
-    }
-}
-
-/// Runs insertion-based HEFT.
-///
-/// # Panics
-/// Panics on an empty graph or cluster, or cyclic input.
-pub fn heft(g: &Dag, cluster: &Cluster) -> HeftSchedule {
-    heft_with_ranks(g, cluster, &rank_table(g, cluster))
-}
-
-/// The EFT phase of HEFT against a precomputed [`RankTable`] —
-/// byte-identical to [`heft`] when `ranks` came from [`rank_table`] on
-/// the same `(g, cluster)` pair.
-///
-/// # Panics
-/// Panics on an empty graph or cluster, or a rank table whose length
-/// does not match the graph.
-pub fn heft_with_ranks(g: &Dag, cluster: &Cluster, ranks: &RankTable) -> HeftSchedule {
-    assert!(!g.is_empty() && !cluster.is_empty());
-    let n = g.node_count();
-    assert_eq!(
-        ranks.by_rank.len(),
-        n,
-        "rank table does not belong to this graph"
-    );
-    let beta = cluster.bandwidth;
 
     // Insertion-based EFT.
     let mut busy: Vec<Vec<(f64, f64)>> = vec![Vec::new(); cluster.len()]; // sorted intervals
@@ -119,7 +73,7 @@ pub fn heft_with_ranks(g: &Dag, cluster: &Cluster, ranks: &RankTable) -> HeftSch
     let mut start = vec![0.0f64; n];
     let mut finish = vec![0.0f64; n];
 
-    for &u in &ranks.by_rank {
+    for u in by_rank {
         let mut best: Option<(f64, f64, ProcId)> = None; // (eft, est, proc)
         for (p, proc) in cluster.iter() {
             // Ready time: all input files must have arrived on p.
@@ -378,24 +332,6 @@ mod tests {
                     f.max(t)
                 });
         assert_eq!(packed_until, 300.0);
-    }
-
-    /// The split rank phase must reproduce `heft` exactly.
-    #[test]
-    fn heft_with_ranks_matches_heft_bitwise() {
-        for seed in [1u64, 9, 42, 77] {
-            let g = builder::gnp_dag_weighted(35, 0.2, seed);
-            let cluster = dhp_platform::configs::small_cluster();
-            let fresh = heft(&g, &cluster);
-            let ranks = rank_table(&g, &cluster);
-            let memo = heft_with_ranks(&g, &cluster, &ranks);
-            assert_eq!(fresh.proc_of_task, memo.proc_of_task);
-            assert_eq!(fresh.start, memo.start);
-            assert_eq!(fresh.finish, memo.finish);
-            assert_eq!(fresh.makespan.to_bits(), memo.makespan.to_bits());
-            // And the table itself is deterministic.
-            assert_eq!(ranks, rank_table(&g, &cluster));
-        }
     }
 
     /// Pin the single-sort memory sweep against a per-processor

@@ -23,37 +23,12 @@
 //! genuinely different graphs is astronomically unlikely but not
 //! impossible (the cache trades that risk for O(1) admission).
 //!
-//! # Recognising a graph that was seen before
-//!
-//! The fingerprint is not cheap: a topological sort, a position table
-//! and an edge sort, all allocated per call. A caller that is handed
-//! the same recipes over and over (the online engine's arrival path)
-//! does not need to pay that per submission, because a *copy* of a
-//! graph can be recognised without any of it:
-//!
-//! * [`Dag::content_eq`] compares two graphs' **stored content** — node
-//!   count, edge count, every `work` / `memory` bit in node order, every
-//!   `(src, dst, volume)` bit in edge order — in one linear pass that
-//!   allocates nothing. A [`Dag`] is append-only and its adjacency lists
-//!   are filled by `add_edge` in edge order, so equal storage means
-//!   equal adjacency, and every quantity derived from the graph
-//!   (`fingerprint`, `total_work`, each `task_requirement`) is bit-equal
-//!   on the two. Labels are not compared: nothing derived here reads
-//!   them. The converse does not hold and is not needed — the same
-//!   edges inserted in another order are *different* content (and are
-//!   merely recomputed by whoever keys on this).
-//! * [`Dag::content_prehash`] folds the same words into a `u64` to pick
-//!   the candidates worth comparing. It is a bucket index and nothing
-//!   more: it is not FNV, it is not stable across versions, it is never
-//!   stored, and no decision may rest on two pre-hashes being equal —
-//!   `content_eq` decides.
-//!
 //! # Maps keyed by content hashes
 //!
-//! A map whose keys are already hashes — fingerprints, lease shapes,
-//! pre-hashes — gains nothing from hashing them again with SipHash.
-//! [`FoldState`] is the [`BuildHasher`] such maps use: the pre-hash's
-//! multiply-fold, applied once per written word.
+//! A map whose keys are already hashes — fingerprints, lease shapes —
+//! gains nothing from hashing them again with SipHash. [`FoldState`] is
+//! the [`BuildHasher`] such maps use: one multiply-fold per written
+//! word.
 
 use crate::graph::Dag;
 use crate::topo::topo_sort;
@@ -86,20 +61,23 @@ pub fn fnv1a_bytes(bytes: impl IntoIterator<Item = u8>) -> u64 {
     h
 }
 
-/// The word fold of [`Dag::content_prehash`] and [`FoldHasher`]: one
-/// rotate, one xor and one multiply per word.
+/// The word fold of [`FoldHasher`]: one rotate, one xor and one
+/// multiply per word.
 #[inline]
 fn fold(h: u64, word: u64) -> u64 {
     (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
-/// The [`BuildHasher`] of maps keyed only by content hashes: the solve
-/// cache's `(fingerprint, shape, algorithm, config hash)` store and the
-/// serve loop's arrival pre-hash table. Every word of such a key is
-/// already the output of a hash, so one multiply-fold per word
-/// ([`FoldHasher`]) spreads it over the buckets as well as SipHash
-/// does, at a fraction of the cost (a unit test checks the spread on
-/// the golden traces' store keys).
+/// The [`BuildHasher`] of maps keyed only by content hashes and
+/// addresses: the solve cache's `(fingerprint, shape, algorithm, config
+/// hash)` store and the serve loop's arrival table, keyed by each
+/// graph's address. Every word of a store key is already the output of
+/// a hash; the addresses of live allocations differ in their low bits
+/// once the allocator's alignment zeros are shifted out, which the
+/// arrival table does. So one multiply-fold per word ([`FoldHasher`])
+/// spreads either over the buckets as well as SipHash does, at a
+/// fraction of the cost (tests check the spread on the golden traces'
+/// store keys and on a 1,650-graph catalogue's addresses).
 ///
 /// It is deterministic and takes no random seed. A submitter who can
 /// choose graphs could in principle aim many fingerprints at one
@@ -108,12 +86,13 @@ fn fold(h: u64, word: u64) -> u64 {
 /// defending against it belongs with the other hostile inputs
 /// (ROADMAP G), not here.
 ///
-/// Keep it to keys that are hashes. A key whose low bits carry
-/// structure clusters under it: the fold's low output bits depend
-/// only on the low input bits, and a map picks buckets by the low
-/// bits. `ReqMemo`'s member-set masks in `dhp-core` are such keys —
-/// bit `i` is task `i`, and the blocks of one solve share their low
-/// tasks — so that memo keeps SipHash.
+/// Keep it to keys whose low bits vary like a hash's. A key whose low
+/// bits carry structure clusters under it: the fold's low output bits
+/// depend only on the low input bits, and a map picks buckets by the
+/// low bits. A raw address is such a key (its low four bits are
+/// alignment zeros), and so are `ReqMemo`'s member-set masks in
+/// `dhp-core` — bit `i` is task `i`, and the blocks of one solve share
+/// their low tasks — so that memo keeps SipHash.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FoldState;
 
@@ -126,9 +105,9 @@ impl BuildHasher for FoldState {
 }
 
 /// The [`Hasher`] of [`FoldState`]: folds every written word into the
-/// state with the multiply-fold of [`Dag::content_prehash`]. Integers
-/// are one word each; a byte slice is folded eight little-endian bytes
-/// at a time, the last word zero-padded.
+/// state with one multiply-fold. Integers are one word each; a byte
+/// slice is folded eight little-endian bytes at a time, the last word
+/// zero-padded.
 #[derive(Clone, Copy, Debug)]
 pub struct FoldHasher(u64);
 
@@ -202,48 +181,26 @@ impl Dag {
         h
     }
 
-    /// Cheap hash of the graph's stored content: the words
-    /// [`Dag::content_eq`] compares, folded one multiply per word on
-    /// independent lanes. Content-equal graphs pre-hash equal; the
-    /// reverse is only likely, so use it to *find* candidates and
-    /// `content_eq` to accept one (see the module docs). Allocates
-    /// nothing.
-    pub fn content_prehash(&self) -> u64 {
-        // One lane per stored field, so consecutive multiplies do not
-        // wait on each other.
-        let (mut work, mut memory) = (self.node_count() as u64, FNV_OFFSET);
-        for u in self.node_ids().map(|u| self.node(u)) {
-            work = fold(work, u.work.to_bits());
-            memory = fold(memory, u.memory.to_bits());
-        }
-        let (mut ends, mut volume) = (self.edge_count() as u64, FNV_PRIME);
-        for e in self.edge_ids().map(|e| self.edge(e)) {
-            ends = fold(ends, u64::from(e.src.0) << 32 | u64::from(e.dst.0));
-            volume = fold(volume, e.volume.to_bits());
-        }
-        fold(fold(fold(work, memory), ends), volume)
-    }
-
     /// Whether `other` stores the same graph: same node and edge counts,
     /// bit-equal `work` and `memory` node by node, bit-equal `(src, dst,
-    /// volume)` edge by edge. Labels are ignored. True implies every
-    /// derived quantity — [`Dag::fingerprint`] included — is bit-equal
-    /// on the two (see the module docs); false only means "not a copy".
-    /// One linear pass, no allocation. No pass when both sides are the
-    /// same graph (a shared `Arc<Dag>` compared with itself): comparing
-    /// bits is reflexive, so the answer is `true` without looking.
+    /// volume)` edge by edge. Labels are ignored. A [`Dag`] is
+    /// append-only and `add_edge` fills its adjacency in edge order, so
+    /// equal storage means equal adjacency, and true implies every
+    /// derived quantity — [`Dag::fingerprint`], `total_work`, each
+    /// `task_requirement` — is bit-equal on the two. False only means
+    /// "not a copy": the same edges inserted in another order are
+    /// different content. One linear pass, no allocation.
     pub fn content_eq(&self, other: &Dag) -> bool {
-        std::ptr::eq(self, other)
-            || self.node_count() == other.node_count()
-                && self.edge_count() == other.edge_count()
-                && self.node_ids().all(|u| {
-                    let (a, b) = (self.node(u), other.node(u));
-                    a.work.to_bits() == b.work.to_bits() && a.memory.to_bits() == b.memory.to_bits()
-                })
-                && self.edge_ids().all(|e| {
-                    let (a, b) = (self.edge(e), other.edge(e));
-                    a.src == b.src && a.dst == b.dst && a.volume.to_bits() == b.volume.to_bits()
-                })
+        self.node_count() == other.node_count()
+            && self.edge_count() == other.edge_count()
+            && self.node_ids().all(|u| {
+                let (a, b) = (self.node(u), other.node(u));
+                a.work.to_bits() == b.work.to_bits() && a.memory.to_bits() == b.memory.to_bits()
+            })
+            && self.edge_ids().all(|e| {
+                let (a, b) = (self.edge(e), other.edge(e));
+                a.src == b.src && a.dst == b.dst && a.volume.to_bits() == b.volume.to_bits()
+            })
     }
 }
 
@@ -314,7 +271,6 @@ mod tests {
     fn empty_graph_is_total() {
         assert_eq!(Dag::new().fingerprint(), Dag::new().fingerprint());
         assert!(Dag::new().content_eq(&Dag::new()));
-        assert_eq!(Dag::new().content_prehash(), Dag::new().content_prehash());
     }
 
     #[test]
@@ -325,7 +281,6 @@ mod tests {
         let mut labelled = base.clone();
         labelled.set_label(NodeId(3), Some("renamed-task"));
         assert!(same(&labelled));
-        assert_eq!(labelled.content_prehash(), base.content_prehash());
 
         let bump = |x: &mut f64| *x = f64::from_bits(x.to_bits() ^ 1);
         let mut work = base.clone();
@@ -347,7 +302,6 @@ mod tests {
             ("an extra node", &extra_node),
         ] {
             assert!(!g.content_eq(&base) && !base.content_eq(g), "{what}");
-            assert_ne!(g.content_prehash(), base.content_prehash(), "{what}");
         }
         // Signed zeros and NaN payloads are different content too: the
         // fingerprint hashes bits, so equality compares bits.
@@ -361,9 +315,8 @@ mod tests {
 
     #[test]
     fn a_graph_with_nan_weights_is_content_equal_to_itself_and_its_clone() {
-        // Bits, not floats: NaN != NaN, yet a NaN-weighted graph is its
-        // own copy, whether the fast path (same address) or the walk
-        // (a clone) answers.
+        // Bits, not floats: NaN != NaN, yet a NaN-weighted graph is
+        // content-equal to itself and to its clone.
         let mut g = builder::fork_join(4, 10.0, 4.0, 2.0);
         g.node_mut(NodeId(1)).work = f64::NAN;
         g.node_mut(NodeId(2)).memory = -f64::NAN;
@@ -372,7 +325,6 @@ mod tests {
         let copy = g.clone();
         assert!(g.content_eq(&g));
         assert!(g.content_eq(&copy) && copy.content_eq(&g));
-        assert_eq!(g.content_prehash(), copy.content_prehash());
         // A different NaN payload is different content.
         let mut other = g.clone();
         other.node_mut(NodeId(1)).work = f64::from_bits(f64::NAN.to_bits() ^ 1);
@@ -429,6 +381,5 @@ mod tests {
         let mut c = build(&[(0, 1), (0, 2)]);
         c.add_edge(NodeId(0), NodeId(2), 3.0);
         assert!(!a.content_eq(&c));
-        assert_ne!(a.content_prehash(), c.content_prehash());
     }
 }

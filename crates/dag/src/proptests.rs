@@ -155,7 +155,6 @@ proptest! {
         let g = builder::gnp_dag_weighted(n, p, seed);
         let copy = rebuilt_interleaved(&g);
         prop_assert!(g.content_eq(&copy) && copy.content_eq(&g));
-        prop_assert_eq!(g.content_prehash(), copy.content_prehash());
         // What the online engine keeps of an arrival...
         prop_assert_eq!(g.fingerprint(), copy.fingerprint());
         prop_assert_eq!(g.total_work().to_bits(), copy.total_work().to_bits());

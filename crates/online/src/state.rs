@@ -11,8 +11,8 @@
 //! The queue's entries are [`Pending`] values, and what they carry of
 //! their graph comes from the serve call's [`ArrivalFacts`]: the three
 //! walks over an arriving graph (task sum, hottest task, fingerprint)
-//! happen once per distinct graph per call, and every later copy of it
-//! is recognised by address or by content.
+//! happen once per graph per call, and every later clone of it is
+//! recognised by the address of the graph it shares.
 
 use crate::event::EventQueue;
 use crate::report::{LostRecord, RejectedRecord, WorkflowRecord};
@@ -30,9 +30,10 @@ use std::sync::Arc;
 ///
 /// The three graph facts (`total_work`, `max_task_req`, `fingerprint`)
 /// are what routing, the arrival screen, every admission pass and every
-/// cache probe read instead of the graph. They are derived from the
-/// graph at most once per *distinct* graph per serve call: the only
-/// constructor, [`Pending::new`], asks the call's [`ArrivalFacts`].
+/// cache probe read instead of the graph. They are derived at most
+/// once per graph per serve call, however many submissions share it:
+/// the only constructor, [`Pending::new`], asks the call's
+/// [`ArrivalFacts`].
 #[derive(Debug)]
 pub(crate) struct Pending {
     pub(crate) id: usize,
@@ -87,96 +88,76 @@ struct GraphFacts {
 /// facts derived from it — so a recipe submitted a thousand times is
 /// walked once and *recognised* 999 times.
 ///
-/// A graph the table already holds is recognised by address, before
-/// anything is walked: clones of one [`dhp_wfgen::WorkflowInstance`]
-/// share its graph, and the witness keeps that graph alive, so no other
-/// graph can take its address while the table lives. Any other graph is
-/// recognised by [`Dag::content_eq`] against a witness — the first
-/// submission that carried the graph, kept by `Arc` — and equal content
-/// implies bit-equal facts, so a hit returns exactly what deriving
-/// would. [`Dag::content_prehash`] only chooses which witnesses to
-/// compare against; a collision costs one failed comparison and can
-/// never change an answer (the tests run the whole suite with every
-/// graph in one bucket). A shared repeat costs one address lookup; a
-/// separately built copy costs one pre-hash and one comparison, both
-/// linear in the graph. Neither allocates: only a first sight adds
-/// entries.
+/// A graph is recognised by its address: clones of one
+/// [`dhp_wfgen::WorkflowInstance`] share its `Arc<Dag>`, and every
+/// repeat the serve loop sees (a clone of a catalogue entry, a
+/// requeued submission) is such a clone. Each entry keeps its graph's
+/// `Arc`, so no other graph can take that address while the table
+/// lives, and a hit returns exactly what deriving would. Any graph not
+/// in the table — a separately built copy included — is a first sight
+/// and is walked. A repeat costs one lookup and allocates nothing;
+/// only a first sight adds an entry.
 ///
 /// The table is a local of the serve loop: it is never shared between
 /// calls, has no capacity and no counters, and dies with the call. It
 /// holds one `Arc` per distinct graph, which the call's placements hold
-/// until the report anyway. Its keys are addresses and pre-hashes, so
-/// the maps fold them ([`FoldState`]) rather than hashing them again.
+/// until the report anyway. The map folds its keys ([`FoldState`])
+/// rather than running SipHash over them, and keys a graph by its
+/// address shifted past the allocator's 16-byte alignment
+/// ([`ArrivalFacts::key`]); a test holds their spread to SipHash's.
 #[derive(Debug)]
 pub(crate) struct ArrivalFacts {
-    /// The facts of every witness's graph, by the graph's address.
-    by_address: HashMap<usize, GraphFacts, FoldState>,
-    by_prehash: HashMap<u64, Vec<(Arc<Submission>, GraphFacts)>, FoldState>,
-    prehash: fn(&Dag) -> u64,
+    /// Every graph seen, by [`ArrivalFacts::key`], with the facts
+    /// derived from it.
+    by_address: HashMap<usize, (Arc<Dag>, GraphFacts), FoldState>,
 }
 
 impl ArrivalFacts {
     pub(crate) fn new() -> ArrivalFacts {
         ArrivalFacts {
             by_address: HashMap::default(),
-            by_prehash: HashMap::default(),
-            prehash: Dag::content_prehash,
         }
     }
 
-    /// A table that pre-hashes with `prehash` instead.
-    #[cfg(test)]
-    pub(crate) fn with_prehash(prehash: fn(&Dag) -> u64) -> ArrivalFacts {
-        ArrivalFacts {
-            prehash,
-            ..ArrivalFacts::new()
-        }
+    /// A graph's address without its low four bits. The fold's low
+    /// output bits depend only on its low input bits and a map picks
+    /// buckets by them, so those bits must vary from graph to graph; an
+    /// address's low four are alignment zeros. Two live graphs are more
+    /// at least 16 bytes apart, so the key still tells them apart.
+    fn key(g: &Arc<Dag>) -> usize {
+        const { assert!(std::mem::size_of::<Dag>() >= 16) };
+        Arc::as_ptr(g).addr() >> 4
     }
 
-    /// A table whose pre-hash tells no two graphs apart: everything
-    /// lands in one bucket and `content_eq` alone decides between
-    /// graphs at different addresses.
-    #[cfg(test)]
-    pub(crate) fn with_one_bucket() -> ArrivalFacts {
-        ArrivalFacts::with_prehash(|_| 0)
-    }
-
-    fn facts_of(&mut self, submission: &Arc<Submission>) -> GraphFacts {
+    fn facts_of(&mut self, submission: &Submission) -> GraphFacts {
         let g = &submission.instance.graph;
-        let address = Arc::as_ptr(g).addr();
-        if let Some(facts) = self.by_address.get(&address) {
-            return *facts;
-        }
-        let bucket = self.by_prehash.entry((self.prehash)(g)).or_default();
-        if let Some((_, facts)) = bucket
-            .iter()
-            .find(|(witness, _)| witness.instance.graph.content_eq(g))
-        {
-            return *facts;
-        }
-        // First sight: a sum over the tasks, a max over every task's
-        // in- and out-edges, and the fingerprint's topological sort,
-        // position table and edge sort.
-        let facts = GraphFacts {
-            total_work: g.total_work(),
-            max_task_req: max_task_requirement(g),
-            fingerprint: g.fingerprint(),
-        };
-        bucket.push((Arc::clone(submission), facts));
-        self.by_address.insert(address, facts);
-        facts
+        let (_, facts) = self
+            .by_address
+            .entry(ArrivalFacts::key(g))
+            .or_insert_with(|| {
+                // First sight: a sum over the tasks, a max over every
+                // task's in- and out-edges, and the fingerprint's
+                // topological sort, position table and edge sort.
+                let facts = GraphFacts {
+                    total_work: g.total_work(),
+                    max_task_req: max_task_requirement(g),
+                    fingerprint: g.fingerprint(),
+                };
+                (Arc::clone(g), facts)
+            });
+        *facts
     }
 
     /// How many distinct graphs the table holds.
     #[cfg(test)]
     pub(crate) fn distinct(&self) -> usize {
-        self.by_prehash.values().map(Vec::len).sum()
+        self.by_address.len()
     }
 
-    /// How many pre-hash values they fell under.
+    /// The keys of the graphs the table holds.
     #[cfg(test)]
-    pub(crate) fn buckets(&self) -> usize {
-        self.by_prehash.len()
+    pub(crate) fn keys(&self) -> impl Iterator<Item = usize> + '_ {
+        self.by_address.keys().copied()
     }
 }
 

@@ -51,7 +51,6 @@ proptest! {
             b.set_label(u, None);
         }
         prop_assert!(a.content_eq(&b) && b.content_eq(&a));
-        prop_assert_eq!(a.content_prehash(), b.content_prehash());
         prop_assert_eq!(a.fingerprint(), b.fingerprint());
         prop_assert_eq!(a.total_work().to_bits(), b.total_work().to_bits());
         for u in a.node_ids() {

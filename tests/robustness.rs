@@ -197,3 +197,60 @@ fn deep_chain_recursion_safety() {
     validate(&g, &cluster, &r.mapping).unwrap();
     assert!(r.makespan >= g.total_work() / 2.0 / 4.0);
 }
+
+/// Ten thousand single-task submissions arriving at the same instant,
+/// a fifth of them larger than any processor's memory: every one is
+/// completed or rejected, none is lost or duplicated, and a second run
+/// writes the same report — under plain and backfilling FIFO, on one
+/// cluster and on a two-member federation.
+#[test]
+fn ten_thousand_same_instant_arrivals_are_all_accounted_for() {
+    use dhp_online::submission::single_task;
+    use dhp_online::{serve, serve_federation, AdmissionPolicy, OnlineConfig, RoutingPolicy};
+    use dhp_platform::Federation;
+    const N: usize = 10_000;
+    let member = dhp_platform::configs::small_cluster();
+    let largest = member.iter().map(|(_, p)| p.memory).fold(0.0, f64::max);
+    let subs: Vec<_> = (0..N)
+        .map(|id| {
+            let memory = largest * [0.1, 0.3, 0.5, 0.9, 1.5][id % 5];
+            single_task(id, 0.0, 1.0 + (id % 7) as f64, memory, &format!("t{id}"))
+        })
+        .collect();
+    let fed = Federation::homogeneous(member.clone(), 2);
+    for policy in [AdmissionPolicy::Fifo, AdmissionPolicy::FifoBackfill] {
+        let cfg = OnlineConfig {
+            policy,
+            ..OnlineConfig::default()
+        };
+        let one = || serve(&member, subs.clone(), &cfg).report;
+        let (a, b) = (one(), one());
+        let f = &a.fleet;
+        assert_eq!(
+            f.completed + f.rejected + f.lost,
+            N,
+            "{policy:?}, one cluster"
+        );
+        assert_eq!(
+            f.rejected,
+            N / 5,
+            "{policy:?}: only the oversized are refused"
+        );
+        assert_eq!(a.to_json(), b.to_json(), "{policy:?}, one cluster");
+
+        let two = || serve_federation(&fed, subs.clone(), &cfg, RoutingPolicy::LeastLoaded).report;
+        let (a, b) = (two(), two());
+        let f = &a.fleet;
+        assert_eq!(
+            f.completed + f.rejected + f.lost,
+            N,
+            "{policy:?}, federation"
+        );
+        assert_eq!(
+            f.rejected,
+            N / 5,
+            "{policy:?}: only the oversized are refused"
+        );
+        assert_eq!(a.to_json(), b.to_json(), "{policy:?}, federation");
+    }
+}
