@@ -11,7 +11,8 @@ use crate::blockmem::ReqMemo;
 use crate::blocks::BlockSet;
 use crate::workspace::Workspace;
 use dhp_dag::Dag;
-use dhp_dagp::{BalanceWeight, PartitionConfig, PartitionScratch, SweepLevels};
+use dhp_dagp::coarsen::Hierarchy;
+use dhp_dagp::{BalanceWeight, PartitionConfig, PartitionScratch};
 
 /// Produces the Step-1 block set with (at most) `k'` blocks, every
 /// requirement exact.
@@ -23,18 +24,18 @@ pub fn initial_blocks(g: &Dag, k_prime: usize, cfg: &PartitionConfig) -> BlockSe
 }
 
 /// What Step 1 computes once for all the `k'` of a solve: the
-/// coarsening hierarchy of the workflow. The partitioner coarsens the
-/// same way whatever the block count and only stops earlier for a
-/// larger one, so the hierarchy for the smallest `k'` holds the levels
-/// of every other. A workflow already at the coarsening target of the
-/// smallest `k'` is not coarsened at all, and not copied either
-/// ([`SweepLevels`]).
+/// coarsening hierarchy of the workflow ([`dhp_dagp::coarsen_for`]).
+/// The partitioner coarsens the same way whatever the block count and
+/// only stops earlier for a larger one, so the hierarchy for the
+/// smallest `k'` holds the levels of every other. Its levels are views
+/// and weights, not graphs: a workflow already at the coarsening target
+/// of the smallest `k'` is one level, its view, and is not copied.
 #[derive(Debug)]
 pub(crate) struct Step1 {
     cfg: PartitionConfig,
     tasks: usize,
     /// `None` when no `k'` has two blocks or more: nothing to partition.
-    levels: Option<SweepLevels>,
+    levels: Option<Hierarchy>,
 }
 
 /// What Step 1 reuses from one attempt to the next.
@@ -61,7 +62,7 @@ impl Step1 {
         };
         let smallest = k_primes.into_iter().filter(|&k| k >= 2).min();
         Self {
-            levels: smallest.map(|k| SweepLevels::new(g, k, &cfg)),
+            levels: smallest.map(|k| dhp_dagp::coarsen_for(g, k, &cfg)),
             tasks: g.node_count(),
             cfg,
         }
@@ -90,7 +91,7 @@ impl Step1 {
             sizes,
         } = &mut ws.step1;
         let raw = match &self.levels {
-            Some(levels) => levels.partition_into(k_prime, &self.cfg, partition),
+            Some(levels) => dhp_dagp::partition_on_into(levels, k_prime, &self.cfg, partition),
             None => {
                 whole.clear();
                 whole.resize(self.tasks, 0);

@@ -90,6 +90,8 @@ impl std::error::Error for DotError {}
 ///   default.
 /// * A quoted string may hold any character, `;`, `,`, `[` and `]`
 ///   included; `\"` and `\\` inside one stand for `"` and `\`.
+///
+/// The graph comes back compact ([`Dag::shrink_to_fit`]).
 pub fn from_dot(input: &str) -> Result<Dag, DotError> {
     let mut g = Dag::new();
     let mut ids: HashMap<String, NodeId> = HashMap::new();
@@ -164,6 +166,7 @@ pub fn from_dot(input: &str) -> Result<Dag, DotError> {
             }
         }
     }
+    g.shrink_to_fit();
     Ok(g)
 }
 

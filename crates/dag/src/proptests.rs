@@ -359,6 +359,15 @@ proptest! {
         model.check(&g);
         copy_model.check(&copy);
 
+        // Compacting in place keeps every edge list and label, and the
+        // compacted graph grows like any other.
+        g.shrink_to_fit();
+        model.check(&g);
+        for (step, &op) in later.iter().enumerate() {
+            model.apply(&mut g, op, ops.len() + 2 * later.len() + step);
+            model.check(&g);
+        }
+
         // Labels survive the DOT round trip exactly (an unlabelled task
         // comes back unlabelled), and so does the adjacency.
         let back = crate::dot::from_dot(&crate::dot::to_dot(&g, "model")).unwrap();

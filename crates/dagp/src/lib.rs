@@ -42,10 +42,12 @@
 //! allocates only the partition it returns.
 //!
 //! A caller that partitions one graph for many part counts builds its
-//! [`SweepLevels`] once and partitions into a [`PartitionScratch`] it
-//! keeps ([`SweepLevels::partition_into`]): a warm partitioning
-//! allocates nothing, and a graph already at the coarsening target is
-//! not copied into a hierarchy.
+//! hierarchy once ([`coarsen_for`] for the smallest count) and
+//! partitions into a [`PartitionScratch`] it keeps
+//! ([`partition_on_into`]): a warm partitioning allocates nothing. A
+//! hierarchy level is only what partitioning reads — view, balance
+//! weights and coarse map ([`coarsen::Level`]) — so a graph already at
+//! the coarsening target costs its view and weights, and no copy of it.
 //!
 //! The partitioner is deterministic given [`PartitionConfig::seed`].
 //!
@@ -129,9 +131,9 @@ pub fn partition(g: &Dag, k: usize, cfg: &PartitionConfig) -> Partition {
 /// count from `k` up, so a caller that tries many part counts on one
 /// graph coarsens once, for the smallest.
 pub fn coarsen_for(g: &Dag, k: usize, cfg: &PartitionConfig) -> coarsen::Hierarchy {
-    coarsen::coarsen(
+    coarsen::coarsen_owned(
         g,
-        &balance_weights(g, cfg),
+        balance_weights(g, cfg),
         coarsening_target(g.node_count(), k, cfg),
         cfg.seed,
     )
@@ -165,7 +167,7 @@ pub fn partition_on(hierarchy: &coarsen::Hierarchy, k: usize, cfg: &PartitionCon
     ))
 }
 
-/// The buffers of one partitioning ([`SweepLevels::partition_into`]),
+/// The buffers of one partitioning ([`partition_on_into`]),
 /// kept by a caller that partitions again and again: a warm one
 /// allocates nothing.
 #[derive(Debug, Default)]
@@ -180,14 +182,15 @@ pub struct PartitionScratch {
 /// [`partition_on`] on `scratch`, before the blocks are renumbered: the
 /// part of every node, in `0..k`, with the parts numbered in
 /// topological order. [`Partition::from_raw`] of it is
-/// [`partition_on`]'s result.
-fn partition_on_into<'s>(
+/// [`partition_on`]'s result. The same rules hold for `hierarchy`, `k`
+/// and `cfg`.
+pub fn partition_on_into<'s>(
     hierarchy: &coarsen::Hierarchy,
     k: usize,
     cfg: &PartitionConfig,
     scratch: &'s mut PartitionScratch,
 ) -> &'s [u32] {
-    let n = hierarchy.finest().graph().node_count();
+    let n = hierarchy.finest().node_count();
     let k = k.min(n);
     if k <= 1 {
         return scratch.single_part(n);
@@ -204,8 +207,7 @@ fn partition_on_into<'s>(
         // Project: each fine node inherits its coarse representative's part.
         fine.clear();
         fine.extend(
-            (0..level.graph().node_count() as u32)
-                .map(|i| assignment[level.coarse_of(NodeId(i)).idx()]),
+            (0..level.node_count() as u32).map(|i| assignment[level.coarse_of(NodeId(i)).idx()]),
         );
         refine::refine_with(level.view(), level.weights(), fine, k, cfg, refine);
         std::mem::swap(assignment, fine);
@@ -238,67 +240,6 @@ impl PartitionScratch {
             cfg,
             &mut self.refine,
         );
-    }
-}
-
-/// What a sweep over part counts partitions one graph on, built once
-/// for the smallest count: [`coarsen_for`]'s hierarchy — or, for a
-/// graph already at the coarsening target of that count (and so of
-/// every larger one), where the hierarchy would be the finest level
-/// alone, just the graph's view and balance weights, without the copy
-/// of the graph that level holds.
-#[derive(Debug)]
-pub struct SweepLevels(Levels);
-
-#[derive(Debug)]
-enum Levels {
-    Flat {
-        view: coarsen::LevelView,
-        weights: Vec<f64>,
-    },
-    Coarsened(coarsen::Hierarchy),
-}
-
-impl SweepLevels {
-    /// The levels of `g` for the part counts from `k` up.
-    ///
-    /// # Panics
-    /// Panics if `g` is cyclic.
-    pub fn new(g: &Dag, k: usize, cfg: &PartitionConfig) -> Self {
-        let n = g.node_count();
-        Self(if n <= coarsening_target(n, k, cfg) {
-            Levels::Flat {
-                view: coarsen::LevelView::of(g),
-                weights: balance_weights(g, cfg),
-            }
-        } else {
-            Levels::Coarsened(coarsen_for(g, k, cfg))
-        })
-    }
-
-    /// [`partition`]`(g, k, cfg)` of the graph these levels were built
-    /// from, on `scratch` and before its blocks are renumbered: the
-    /// part of every node, in `0..k`, the parts numbered in topological
-    /// order ([`Partition::from_raw`] of it is the partition). `k` must
-    /// be at least the count the levels were built for, `cfg` the one
-    /// they were built with.
-    pub fn partition_into<'s>(
-        &self,
-        k: usize,
-        cfg: &PartitionConfig,
-        scratch: &'s mut PartitionScratch,
-    ) -> &'s [u32] {
-        let (view, weights) = match &self.0 {
-            Levels::Coarsened(hierarchy) => return partition_on_into(hierarchy, k, cfg, scratch),
-            Levels::Flat { view, weights } => (view, weights),
-        };
-        let n = view.order().len();
-        let k = k.min(n);
-        if k <= 1 {
-            return scratch.single_part(n);
-        }
-        scratch.chunk_and_refine(view, weights, k, cfg);
-        &scratch.assignment
     }
 }
 

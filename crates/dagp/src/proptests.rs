@@ -4,8 +4,8 @@ use crate::initial::topo_chunks;
 use crate::reference_tests;
 use crate::refine::{refine, Tally, TALLY};
 use crate::{
-    bisect, bisect_block, coarsen_for, partition, partition_on, BalanceWeight, PartitionConfig,
-    PartitionScratch, SweepLevels,
+    bisect, bisect_block, coarsen_for, partition, partition_on, partition_on_into, BalanceWeight,
+    PartitionConfig, PartitionScratch,
 };
 use dhp_dag::quotient::{is_acyclic_partition, Partition, QuotientGraph};
 use dhp_dag::{builder, Dag, NodeId};
@@ -33,7 +33,7 @@ fn shapes(n: usize, seed: u64) -> [(&'static str, Dag); 4] {
 #[derive(Debug, Default)]
 struct Seen {
     scratch: PartitionScratch,
-    /// Graphs partitioned on their own view ([`SweepLevels`]).
+    /// Graphs partitioned on their own view: one-level hierarchies.
     flat: usize,
     /// Part counts whose levels were fewer than the shared hierarchy's.
     shorter_prefix: usize,
@@ -43,19 +43,18 @@ struct Seen {
 }
 
 /// One hierarchy, coarsened for two parts, must give every part count
-/// `1..=min(n, 40)` the partition a fresh `partition` computes; so must
-/// the sweep's levels for two parts, partitioned on buffers the calls
-/// before left behind (other graphs, other counts).
+/// `1..=min(n, 40)` the partition a fresh `partition` computes, also
+/// when partitioned on buffers the calls before left behind (other
+/// graphs, other counts).
 fn shared_hierarchy_matches_fresh_partition(g: &Dag, cfg: &PartitionConfig, seen: &mut Seen) {
     let shared = coarsen_for(g, 2, cfg);
-    let coarsest = shared.coarsest().graph().node_count();
+    let coarsest = shared.coarsest().node_count();
     seen.stopped_early += (coarsest > 2 * cfg.coarsen_target) as usize;
-    let sweep = SweepLevels::new(g, 2, cfg);
     seen.flat += (shared.depth() == 1) as usize;
     for k in 1..=g.node_count().min(40) {
         let fresh = partition(g, k, cfg);
         assert_eq!(partition_on(&shared, k, cfg), fresh, "k={k}");
-        let raw = sweep.partition_into(k, cfg, &mut seen.scratch);
+        let raw = partition_on_into(&shared, k, cfg, &mut seen.scratch);
         assert_eq!(Partition::from_raw(raw), fresh, "k={k}");
         if k >= 2 {
             let fresh_depth = coarsen_for(g, k, cfg).depth();

@@ -63,13 +63,15 @@ const SPECS: [Spec; 5] = [
     },
 ];
 
-/// Generates the five real-world-like instances.
+/// Generates the five real-world-like instances, their graphs compact
+/// ([`Dag::shrink_to_fit`]).
 pub fn suite(seed: u64) -> Vec<WorkflowInstance> {
     SPECS
         .iter()
         .enumerate()
         .map(|(i, spec)| {
-            let graph = build(spec, seed.wrapping_add(i as u64 * 7919));
+            let mut graph = build(spec, seed.wrapping_add(i as u64 * 7919));
+            graph.shrink_to_fit();
             WorkflowInstance {
                 name: spec.name.to_string(),
                 family: None,

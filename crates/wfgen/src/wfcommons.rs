@@ -192,7 +192,8 @@ pub fn from_json(json: &str, cfg: &ImportConfig) -> Result<WorkflowInstance, WfE
     from_instance(&doc, cfg)
 }
 
-/// Converts an already-parsed document.
+/// Converts an already-parsed document. The graph comes back compact
+/// ([`Dag::shrink_to_fit`]).
 pub fn from_instance(doc: &WfInstance, cfg: &ImportConfig) -> Result<WorkflowInstance, WfError> {
     let tasks = &doc.workflow.tasks;
     let mut g = Dag::with_capacity(tasks.len(), tasks.len() * 2);
@@ -287,6 +288,7 @@ pub fn from_instance(doc: &WfInstance, cfg: &ImportConfig) -> Result<WorkflowIns
     if g.check_acyclic().is_err() {
         return Err(WfError::Cyclic);
     }
+    g.shrink_to_fit();
     let n = g.node_count();
     Ok(WorkflowInstance {
         name: doc.name.clone(),
