@@ -61,14 +61,15 @@ impl Outcome {
 
 /// Runs both heuristics on `inst` against `cluster` (normalised to the
 /// instance with [`HEADROOM`]). Each run's time is the solver's own
-/// [`MappingResult::elapsed`].
+/// [`MappingResult::elapsed`]. DagHetPart sweeps its k′ values on the
+/// calling thread: [`run_suite`] already runs one instance per core.
 pub fn run_instance(inst: &WorkflowInstance, cluster: &Cluster) -> Outcome {
     let cluster = scale_cluster_with_headroom(&inst.graph, cluster, HEADROOM);
-    let run = |algorithm: Algorithm| {
-        algorithm
-            .solve(&inst.graph, &cluster, &DagHetPartConfig::default())
-            .ok()
+    let cfg = DagHetPartConfig {
+        parallel: false,
+        ..DagHetPartConfig::default()
     };
+    let run = |algorithm: Algorithm| algorithm.solve(&inst.graph, &cluster, &cfg).ok();
     let stats = |r: MappingResult| RunStats {
         makespan: r.makespan,
         time: r.elapsed,
@@ -93,16 +94,13 @@ pub fn run_instance(inst: &WorkflowInstance, cluster: &Cluster) -> Outcome {
     }
 }
 
-/// Runs a set of instances in parallel (one scoped worker per core;
-/// DagHetPart's inner sweep is forced sequential to avoid nested
-/// oversubscription).
+/// Runs a set of instances in parallel (one scoped worker per core,
+/// [`dhp_core::host_cores`]; DagHetPart's inner sweep is forced
+/// sequential in [`run_instance`] to avoid nested oversubscription).
 pub fn run_suite(instances: &[WorkflowInstance], cluster: &Cluster) -> Vec<Outcome> {
     let results: Mutex<Vec<(usize, Outcome)>> = Mutex::new(Vec::new());
     let next: std::sync::atomic::AtomicUsize = 0.into();
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(instances.len().max(1));
+    let workers = dhp_core::host_cores().min(instances.len().max(1));
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {

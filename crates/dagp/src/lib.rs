@@ -73,8 +73,6 @@ use dhp_dag::{Dag, NodeId, Partition};
 pub enum BalanceWeight {
     /// Task work `w_u` — used when partitioning for makespan (Step 1).
     Work,
-    /// Task memory `m_u`.
-    Memory,
     /// The full task requirement `r_u = inputs + outputs + m_u` — used
     /// when splitting blocks to fit processor memories (`FitBlock`).
     TaskRequirement,
@@ -143,7 +141,6 @@ pub fn coarsen_for(g: &Dag, k: usize, cfg: &PartitionConfig) -> coarsen::Hierarc
 fn balance_weights(g: &Dag, cfg: &PartitionConfig) -> Vec<f64> {
     match cfg.balance {
         BalanceWeight::Work => g.node_ids().map(|u| g.node(u).work).collect(),
-        BalanceWeight::Memory => g.node_ids().map(|u| g.node(u).memory).collect(),
         BalanceWeight::TaskRequirement => g.node_ids().map(|u| g.task_requirement(u)).collect(),
     }
 }

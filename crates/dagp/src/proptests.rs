@@ -254,7 +254,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let g = builder::gnp_dag_weighted(n, 0.15, seed);
-        for balance in [BalanceWeight::Work, BalanceWeight::Memory, BalanceWeight::TaskRequirement] {
+        for balance in [BalanceWeight::Work, BalanceWeight::TaskRequirement] {
             let cfg = PartitionConfig { balance, ..Default::default() };
             let part = partition(&g, 3, &cfg);
             prop_assert!(is_acyclic_partition(&g, &part));

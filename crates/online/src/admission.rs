@@ -34,20 +34,17 @@
 //! [`BACKFILL_DEPTH`] candidates are *evaluated*; a pass pays for those
 //! and for little else:
 //!
-//! * *The walk starts at the first live slot.* Taken entries stay in
-//!   storage as tombstones until half of it is dead, and admission takes
-//!   mostly from the front, so storage usually opens with a run of them.
-//!   `ClusterState` keeps where that run ends, and the in-place scan
-//!   starts there (`first_live`) instead of at slot 0 — a pass no
-//!   longer steps over the dead prefix one flag at a time.
+//! * *The walk starts at the head.* The pass walks the queue's live
+//!   slots (`Queue::next_live`), which start past the run of entries
+//!   that earlier passes took and the queue has not yet swept out, so
+//!   no pass steps over that run (`crate::queue`).
 //! * *The work screen jumps.* A candidate whose work bound
 //!   (`clock + total_work / free_speed`) already overshoots the
 //!   reservation cannot finish inside the hole. The pass does not walk
-//!   past such candidates one by one: the queue's `WorkIndex` — a
-//!   min-tournament tree over queue storage keyed on `total_work` —
-//!   hands it the next storage slot whose work can pass, in O(log n).
-//!   The screen is monotone in `total_work`, so the jump lands exactly
-//!   where the walk would have. It is taken only from a skip, so the
+//!   past such candidates one by one: `Queue::next_passing` hands it
+//!   the next slot whose work can pass, in O(log n). The screen is
+//!   monotone in `total_work`, so the jump lands exactly where the
+//!   walk would have. It is taken only from a skip, so the
 //!   first candidate after
 //!   a grant is still reached by a single step and the post-admission
 //!   refresh fires where it always did; under EASY it waits until the
@@ -186,8 +183,8 @@ enum Solved {
 /// `resv`? Its makespan is at least `total_work / free_speed` even with
 /// zero communication. For a finite positive `free_speed` the answer is
 /// monotone in `total_work` (true on a value ⇒ true on every smaller
-/// one), which is what lets the pass jump with the queue's
-/// `WorkIndex`.
+/// one), which is what lets the pass jump with
+/// `Queue::next_passing`.
 pub(crate) fn fits_hole(total_work: f64, clock: f64, free_speed: f64, resv: f64) -> bool {
     !(free_speed <= 0.0 || clock + total_work / free_speed > resv + 1e-9)
 }
@@ -195,8 +192,8 @@ pub(crate) fn fits_hole(total_work: f64, clock: f64, free_speed: f64, resv: f64)
 /// Runs admission passes at the current event boundary until a full
 /// pass changes nothing. One pass may admit (and reject) several
 /// candidates: decisions are recorded against the pass's candidate
-/// order and the queue is compacted only at the end of the pass, so
-/// indices stay valid throughout. After every same-pass grant the
+/// order and the queue settles only at the end of the pass, so slots
+/// stay valid throughout. After every same-pass grant the
 /// pass's cached state is refreshed — `free_speed` drops by the granted
 /// lease's speeds, the largest free memory is re-read, and a
 /// conservative reservation is marked dirty and lazily re-derived
@@ -210,44 +207,30 @@ pub(crate) fn admission_passes(
     cache: &CacheView,
     clock: f64,
 ) {
-    debug_assert_eq!(
-        state.work_index.len(),
-        state.queue.len(),
-        "a queue-storage mutation bypassed the work index"
-    );
     // EASY's once-per-event head reservation, cached across the passes
     // of this event: (head id, reservation).
     let mut event_resv: Option<(usize, f64)> = None;
     loop {
-        debug_assert!(
-            state.queue_is_empty() || !state.dead[state.first_live()],
-            "a queue-storage mutation left the first live slot behind"
-        );
         // A pass that cannot decide anything returns before it is set
         // up: over an empty queue it yields no candidate, and with no
         // free processor it breaks on its first one before any probe.
-        // The only effect skipped is the end-of-pass compaction, which
+        // The only effect skipped is the end-of-pass `settle`, which
         // moves storage, not the live order.
-        if state.queue_is_empty() || state.free_count == 0 {
+        if state.queue.is_empty() || state.free_count == 0 {
             break;
         }
         let mut changed = false;
         // The backfilling policies' candidate order *is* the live
-        // queue order, so the pass walks the storage in place (skipping
-        // tombstones as it goes) instead of materialising an index
-        // vector — on deep queues that vector write was the hottest
-        // line of the whole engine. Plain FIFO and the ranked policies
+        // queue order, so the pass walks the queue's live slots in
+        // place instead of materialising an index vector — on deep
+        // queues that vector write was the hottest line of the whole
+        // engine. Plain FIFO and the ranked policies
         // materialise (they truncate or reorder), into a scratch buffer
         // reused across passes.
         let scan = cfg.policy.backfills();
         let mut order = std::mem::take(&mut state.scratch.order); // empty
         if !scan {
-            cfg.policy.candidate_order_into(
-                &state.queue,
-                &state.dead,
-                state.first_live(),
-                &mut order,
-            );
+            cfg.policy.candidate_order_into(&state.queue, &mut order);
         }
         // Backfilling: once the effective FIFO head fails to place,
         // its reservation caps every later candidate's simulated
@@ -273,24 +256,20 @@ pub(crate) fn admission_passes(
         // every safe grant has been made.
         let mut deferred: Vec<usize> = std::mem::take(&mut state.scratch.deferred);
         // Candidate walk: `cursor` advances through `order` (ranked)
-        // or raw queue storage (in-place scan, from the first live
-        // slot: the dead prefix yields nothing); `pos` counts yielded
-        // candidates either way, so — until the work screen's first
-        // jump, which only happens once a reservation exists — it
-        // means the same thing the enumerate position meant on a
-        // compacted queue. It is read only while there is none.
-        let mut cursor = if scan { state.first_live() } else { 0 };
+        // or the queue's storage positions (in-place scan, one live
+        // slot at a time); `pos` counts yielded candidates either way,
+        // so — until the work screen's first jump, which only happens
+        // once a reservation exists — it is the candidate's position in
+        // the live queue. It is read only while there is none.
+        let mut cursor = 0usize;
         let mut pos = 0usize;
         loop {
             let qi = if scan {
-                while cursor < state.queue.len() && state.dead[cursor] {
-                    cursor += 1;
-                }
-                if cursor >= state.queue.len() {
+                let Some(qi) = state.queue.next_live(cursor) else {
                     break;
-                }
-                cursor += 1;
-                cursor - 1
+                };
+                cursor = qi + 1;
+                qi
             } else {
                 if cursor >= order.len() {
                     break;
@@ -307,7 +286,7 @@ pub(crate) fn admission_passes(
             }
             // The *effective head*: every candidate ranked before
             // this one was taken this pass, so this is the head of
-            // the queue as it will stand after compaction — the
+            // the queue as it will stand after this pass — the
             // position whose blocking opens a backfill window.
             let effective_head = taken.len() == pos;
             if reservation.is_some() {
@@ -357,7 +336,7 @@ pub(crate) fn admission_passes(
                         // work can pass would do anything but skip:
                         // jump there (`free_speed = +∞` breaks the
                         // screen's monotonicity, so it steps instead).
-                        cursor = state.next_passing(cursor, fits);
+                        cursor = state.queue.next_passing(cursor, fits);
                     }
                     continue;
                 }
@@ -381,7 +360,7 @@ pub(crate) fn admission_passes(
                     cfg,
                     cache,
                     clock,
-                    state.queue_len() - taken.len(),
+                    state.queue.len() - taken.len(),
                     state.cluster_id,
                     reservation,
                     &mut state.scratch.free_sorted,
@@ -482,7 +461,7 @@ pub(crate) fn admission_passes(
                         cfg,
                         cache,
                         clock,
-                        state.queue_len() - taken.len(),
+                        state.queue.len() - taken.len(),
                         state.cluster_id,
                         None,
                         &mut state.scratch.free_sorted,
@@ -511,15 +490,12 @@ pub(crate) fn admission_passes(
                 }
             }
         }
-        // Remove the taken entries: tombstone them and sweep the
-        // storage only once half of it is dead — each queue entry moves
-        // O(1) times over its whole lifetime.
+        // Remove the taken entries; slots read this pass are void
+        // after `settle`.
         for &qi in &taken {
-            state.kill(qi);
+            state.queue.kill(qi);
         }
-        if state.dead_count * 2 > state.queue.len() {
-            state.compact_queue();
-        }
+        state.queue.settle();
         // Restore the pass buffers for the next pass (or event).
         taken.clear();
         deferred.clear();
@@ -867,10 +843,9 @@ pub(crate) fn head_fits_at(
 /// candidate has too much work for the hole. Nothing is ever admitted,
 /// so every pass decides the same window on the same warm caches.
 ///
-/// [`BackfillWindow::with_dead_prefix`] puts tombstones — entries
-/// already taken, not yet swept out of storage — ahead of the head, the
-/// way a deep queue looks between two compactions
-/// (`admission_pass/dead_prefix`).
+/// [`BackfillWindow::with_dead_prefix`] puts entries already taken, and
+/// not yet swept out of the queue's storage, ahead of the head, the way
+/// a deep queue looks between two sweeps (`admission_pass/dead_prefix`).
 pub struct BackfillWindow {
     state: ClusterState,
     cfg: OnlineConfig,
@@ -881,7 +856,7 @@ pub struct BackfillWindow {
 impl std::fmt::Debug for BackfillWindow {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BackfillWindow")
-            .field("queued", &self.state.queue_len())
+            .field("queued", &self.state.queue.len())
             .finish_non_exhaustive()
     }
 }
@@ -893,8 +868,8 @@ impl BackfillWindow {
         BackfillWindow::with_dead_prefix(0, depth)
     }
 
-    /// The same window behind `dead` tombstoned storage slots. A pass
-    /// sweeps the storage once more than half of it is dead, so the
+    /// The same window behind `dead` taken entries. A pass sweeps them
+    /// out once they are more than half of the queue's storage, so the
     /// prefix stays only while `dead ≤ depth`.
     ///
     /// # Panics
@@ -902,7 +877,7 @@ impl BackfillWindow {
     pub fn with_dead_prefix(dead: usize, depth: usize) -> BackfillWindow {
         assert!(
             dead <= depth,
-            "a pass would sweep a prefix of {dead} tombstones ahead of {depth} candidates"
+            "a pass would sweep a prefix of {dead} taken entries ahead of {depth} candidates"
         );
         let cluster = Cluster::new(
             vec![
@@ -928,10 +903,14 @@ impl BackfillWindow {
         // The running workflow holds the big processor until t = 1000.
         enqueue(&mut state, 0, 1000.0, 100.0);
         admission_passes(&mut state, &cfg, &CacheView::direct(&cache, &solver), 0.0);
-        // Entries taken earlier, still in storage.
+        // Entries taken earlier, still in storage: each is the only
+        // live entry when it is taken.
         for id in 1..=dead {
             enqueue(&mut state, id, 1.0, 1.0);
-            state.kill(state.queue.len() - 1);
+            let Some(slot) = state.queue.first_live() else {
+                unreachable!("the entry just queued is live");
+            };
+            state.queue.kill(slot);
         }
         // The head, then the window: 3 free speed, 10 free memory.
         enqueue(&mut state, dead + 1, 1.0, 100.0);
@@ -968,7 +947,7 @@ impl BackfillWindow {
         self.state.reservations.clear();
         let view = CacheView::direct(&self.cache, &self.solver);
         admission_passes(&mut self.state, &self.cfg, &view, 0.0);
-        self.state.queue_len()
+        self.state.queue.len()
     }
 }
 

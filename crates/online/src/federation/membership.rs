@@ -29,7 +29,7 @@ pub(super) fn apply_membership(
                 return; // draining a drained/failed member is a no-op
             }
             shards[m].status = MemberStatus::Draining;
-            let displaced = shards[m].state.take_queue();
+            let displaced = shards[m].state.queue.drain();
             for p in displaced {
                 migrate_pending(shards, m, p, clock);
             }
@@ -40,7 +40,7 @@ pub(super) fn apply_membership(
                 return;
             }
             shards[m].status = MemberStatus::Failed;
-            let displaced = shards[m].state.take_queue();
+            let displaced = shards[m].state.queue.drain();
             for p in displaced {
                 migrate_pending(shards, m, p, clock);
             }
@@ -305,7 +305,10 @@ mod tests {
                 mode,
             };
             apply_membership(&fail, &mut shards, &mut seen, t + 1.0);
-            let queued = |sh: &MemberShard| sh.state.queue.iter().map(|p| p.id).collect::<Vec<_>>();
+            let queued = |sh: &MemberShard| {
+                let queue = &sh.state.queue;
+                queue.live_slots().map(|i| queue[i].id).collect::<Vec<_>>()
+            };
             match mode {
                 FailureMode::Lost => {
                     let lost: Vec<usize> = shards[0].state.lost.iter().map(|r| r.id).collect();

@@ -249,7 +249,7 @@ pub(crate) fn serve_loop<T>(
             .iter()
             .filter_map(|sh| sh.state.next_completion_time())
             .min_by(|a, b| a.total_cmp(b));
-        let queues_empty = shards.iter().all(|sh| sh.state.queue_is_empty());
+        let queues_empty = shards.iter().all(|sh| sh.state.queue.is_empty());
         match clock::next_event(completion_time, membership_time, arrival_time, queues_empty) {
             NextEvent::Idle => break,
             // Some queue is non-empty with nothing in flight anywhere:

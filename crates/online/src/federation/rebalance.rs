@@ -13,7 +13,7 @@
 //! first ([`turned_away`], reading a destination's largest free memory
 //! at most once per sweep) and skips the probe — along with its
 //! charging view and free-list rebuild. A source with nothing
-//! queued is passed over before its storage is touched. The screen repeats
+//! queued is passed over. The screen repeats
 //! exactly those two answers, in the same expression (a NaN
 //! requirement still probes), and nothing else. In particular a pair
 //! that failed at an earlier event is probed again even if neither
@@ -104,18 +104,20 @@ pub(crate) fn spill(
     let mut moved_ids: Vec<usize> = Vec::new();
     let mut drained_sources: Vec<usize> = Vec::new();
     for i in 0..n {
-        if shards[i].state.queue_is_empty() {
+        if shards[i].state.queue.is_empty() {
             continue;
         }
-        // The sweep walks and splices raw queue storage, so fold any
-        // admission tombstones out of it first (no-op when none).
-        shards[i].state.compact_queue();
-        let mut qi = 0usize;
+        // `cursor` is a storage position of the source queue; a removal
+        // slides the next entry into the removed slot.
+        let mut cursor = 0usize;
         let mut probed = 0usize;
-        while qi < shards[i].state.queue.len() && probed < BACKFILL_DEPTH {
+        while probed < BACKFILL_DEPTH {
+            let Some(qi) = shards[i].state.queue.next_live(cursor) else {
+                break;
+            };
+            cursor = qi + 1;
             let cand = &shards[i].state.queue[qi];
             if moved_ids.contains(&cand.id) {
-                qi += 1;
                 continue;
             }
             let req = cand.max_task_req;
@@ -158,9 +160,10 @@ pub(crate) fn spill(
                 }
             }
             if let Some(j) = dest {
-                let p = shards[i].state.remove_queued(qi);
+                let p = shards[i].state.queue.remove(qi);
+                cursor = qi;
                 moved_ids.push(p.id);
-                shards[j].state.insert_pending(p);
+                shards[j].state.queue.insert(p);
                 moved += 1;
                 drained_sources.push(i);
                 // Consume the receiver's capacity right now: the mover
@@ -169,8 +172,6 @@ pub(crate) fn spill(
                 // about what is actually still free.
                 readmit(&mut shards[j], cfg, view, clock);
                 top_free[j] = None;
-            } else {
-                qi += 1;
             }
         }
     }
@@ -219,7 +220,7 @@ pub(super) fn migrate_pending(shards: &mut [MemberShard], src: usize, p: Pending
         // rejection through the destination's own arrival screen.
         shards[dest].state.enqueue_arrival(p, clock);
     } else {
-        shards[dest].state.insert_pending(p);
+        shards[dest].state.queue.insert(p);
     }
 }
 

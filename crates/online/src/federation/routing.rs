@@ -81,7 +81,7 @@ pub(super) fn least_loaded(
         .chain(pool)
         .map(|i| {
             let state = &shards[i].state;
-            (state.queued_work() / state.total_speed, i)
+            (state.queue.queued_work() / state.total_speed, i)
         })
         .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
         .map(|(_, i)| i)

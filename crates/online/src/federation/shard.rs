@@ -69,7 +69,7 @@ impl MemberShard {
         self.state
             .next_completion_time()
             .is_some_and(|t| t <= clock)
-            || (self.status == MemberStatus::Active && !self.state.queue_is_empty())
+            || (self.status == MemberStatus::Active && !self.state.queue.is_empty())
     }
 
     /// The shard's per-event serving step: pop due completions, then —

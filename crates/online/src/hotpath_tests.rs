@@ -83,7 +83,7 @@ fn warm_probes_are_allocation_free() {
     let view = CacheView::direct(&cache, &solver);
     let mut state = ClusterState::new(&cluster, None);
     state.enqueue_arrival(pending(0, 40.0, 2.0), 0.0);
-    let hq = state.first_live();
+    let hq = state.queue.first_live().unwrap();
 
     // Cold pass: solver runs, cache fills, scratch buffers grow.
     for _ in 0..2 {
@@ -257,7 +257,7 @@ fn a_warm_overshooting_backfill_probe_allocates_nothing() {
         });
         assert_eq!(
             passes, 0,
-            "a warm window pass at depth {depth} behind {dead} tombstones allocated"
+            "a warm window pass at depth {depth} behind {dead} taken entries allocated"
         );
     }
 }
@@ -351,7 +351,7 @@ fn reservation_token_reuse_and_invalidation() {
     let view = CacheView::direct(&cache, &solver);
     let mut state = ClusterState::new(&cluster, None);
     state.enqueue_arrival(pending(7, 40.0, 2.0), 0.0);
-    let hq = state.first_live();
+    let hq = state.queue.first_live().unwrap();
     let id = state.queue[hq].id;
     let mut compute = |epoch: u64, resv_cache: Option<(u64, usize, f64)>| {
         state.epoch = epoch;
@@ -391,7 +391,7 @@ fn a_warm_reservation_replay_allocates_nothing() {
     let mut window = BackfillWindow::new(16);
     window.pass();
     let (state, cfg, view) = window.parts();
-    let hq = state.first_live();
+    let hq = state.queue.first_live().unwrap();
     let replay = |state: &mut ClusterState| {
         state.bump_epoch();
         head_reservation(state, hq, cfg, &view)
@@ -531,7 +531,7 @@ fn a_placement_shares_the_submission_it_was_queued_with() {
         0.0,
     );
     admission_passes(&mut state, &cfg, &view, 0.0);
-    assert!(state.queue_is_empty(), "the idle cluster admits it at once");
+    assert!(state.queue.is_empty(), "the idle cluster admits it at once");
     let finish = state
         .next_completion_time()
         .expect("an admitted workflow has a completion pending");
@@ -653,7 +653,7 @@ fn an_admission_pass_that_cannot_decide_allocates_nothing() {
             "{}: a pass with nothing free allocated",
             policy.name()
         );
-        assert_eq!(state.queue_len(), 1);
+        assert_eq!(state.queue.len(), 1);
     }
 }
 
@@ -732,7 +732,7 @@ fn a_fully_screened_spill_sweep_allocates_nothing() {
         }
     });
     assert_eq!(swept, 0, "a fully screened spill sweep allocated");
-    assert_eq!(shards[0].state.queue_len(), 8);
+    assert_eq!(shards[0].state.queue.len(), 8);
     assert_eq!(cache.stats(), Default::default(), "a screened sweep probed");
 }
 

@@ -242,7 +242,7 @@ pub(crate) fn run_growth(
     if let Some(threshold) = cfg.elastic {
         while state.growth_pending
             && !arrivals_pending
-            && state.queue_len() < threshold
+            && state.queue.len() < threshold
             && state.free_count > 0
             && grow_lease(state, cfg, cache, clock)
         {
@@ -349,11 +349,11 @@ pub(crate) fn run_shrink(
     };
     if cfg
         .elastic
-        .is_some_and(|grow_at| state.queue_len() < grow_at)
+        .is_some_and(|grow_at| state.queue.len() < grow_at)
     {
         return;
     }
-    while state.queue_len() >= threshold.max(1) && shrink_lease(state, cfg, cache, clock) {
+    while state.queue.len() >= threshold.max(1) && shrink_lease(state, cfg, cache, clock) {
         state.lease_shrunk += 1;
         admission_passes(state, cfg, cache, clock);
     }
@@ -501,10 +501,10 @@ fn head_guard(
     cfg: &OnlineConfig,
     cache: &CacheView,
 ) -> Option<(usize, f64)> {
-    let hq = state.first_live();
-    if hq == state.queue.len() || !cfg.policy.backfills() {
+    if !cfg.policy.backfills() {
         return None;
     }
+    let hq = state.queue.first_live()?;
     let resv = head_reservation(state, hq, cfg, cache);
     resv.is_finite().then_some((hq, resv))
 }

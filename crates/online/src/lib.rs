@@ -72,6 +72,9 @@ pub mod federation;
 mod hotpath_tests;
 pub mod lease;
 pub mod policy;
+mod queue;
+#[cfg(test)]
+mod queue_tests;
 pub mod report;
 #[cfg(test)]
 mod shape_memo_tests;
@@ -79,9 +82,6 @@ mod shape_memo_tests;
 mod solve_tests;
 mod state;
 pub mod submission;
-mod work_index;
-#[cfg(test)]
-mod work_index_tests;
 
 // The solve cache's and its snapshot's unit tests, under the module
 // paths their names have always carried (`partial::tests::*`,

@@ -7,6 +7,8 @@
 //! the candidate lease?) stays in the engine, so every policy sees the
 //! identical admission machinery.
 
+use crate::queue::Queue;
+
 /// Which queued workflow to try next.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdmissionPolicy {
@@ -82,40 +84,24 @@ impl AdmissionPolicy {
         )
     }
 
-    /// Candidate order: storage indices into `queue` in the order this
-    /// policy wants them tried, into a caller-owned buffer (the
+    /// Candidate order: slots of `queue` in the order this policy wants
+    /// them tried, into a caller-owned buffer (the
     /// admission loop reuses one across passes so steady-state ordering
     /// is allocation-free). `Fifo` yields only the head (head-of-line
     /// blocking); the backfilling policies yield the whole queue in
     /// arrival order (the engine enforces the head's reservation); the
-    /// others rank the whole queue. `dead` is the queue's tombstone
-    /// mask, parallel to `queue`: tombstoned entries are omitted, so
-    /// the indices rank exactly like positions in a compacted queue
-    /// would. `first_live` is
-    /// [`ClusterState::first_live`](crate::state::ClusterState::first_live):
-    /// every slot before it is dead, and it is the head itself.
-    pub(crate) fn candidate_order_into(
-        self,
-        queue: &[crate::state::Pending],
-        dead: &[bool],
-        first_live: usize,
-        idx: &mut Vec<usize>,
-    ) {
+    /// others rank the whole queue.
+    pub(crate) fn candidate_order_into(self, queue: &Queue, idx: &mut Vec<usize>) {
         idx.clear();
-        let live_slots = (first_live..queue.len()).filter(|&i| !dead[i]);
         match self {
-            AdmissionPolicy::Fifo => {
-                if first_live < queue.len() {
-                    idx.push(first_live);
-                }
-            }
+            AdmissionPolicy::Fifo => idx.extend(queue.first_live()),
             // The queue is maintained in (arrival, id) order, so plain
-            // index order *is* arrival order.
+            // slot order *is* arrival order.
             AdmissionPolicy::FifoBackfill | AdmissionPolicy::EasyBackfill => {
-                idx.extend(live_slots);
+                idx.extend(queue.live_slots());
             }
             AdmissionPolicy::ShortestFirst => {
-                idx.extend(live_slots);
+                idx.extend(queue.live_slots());
                 idx.sort_by(|&a, &b| {
                     queue[a]
                         .total_work
@@ -124,7 +110,7 @@ impl AdmissionPolicy {
                 });
             }
             AdmissionPolicy::MemoryFitFirst => {
-                idx.extend(live_slots);
+                idx.extend(queue.live_slots());
                 idx.sort_by(|&a, &b| {
                     queue[b]
                         .max_task_req

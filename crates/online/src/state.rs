@@ -15,9 +15,9 @@
 //! recognised by the address of the graph it shares.
 
 use crate::event::EventQueue;
+use crate::queue::Queue;
 use crate::report::{LostRecord, RejectedRecord, WorkflowRecord};
 use crate::submission::Submission;
-use crate::work_index::WorkIndex;
 use dhp_core::fitting::max_task_requirement;
 use dhp_core::mapping::Mapping;
 use dhp_dag::fingerprint::FoldState;
@@ -397,30 +397,8 @@ pub(crate) struct ClusterState {
     pub(crate) mem_order: Vec<ProcId>,
     pub(crate) free: Vec<bool>,
     pub(crate) free_count: usize,
-    /// The admission queue, maintained in `(arrival, id)` order.
-    pub(crate) queue: Vec<Pending>,
-    /// Tombstones parallel to `queue`. An admission pass marks taken
-    /// entries dead and defers the storage sweep until half the entries
-    /// are tombstones ([`compact_queue`]), so each queue entry is moved
-    /// O(1) times over its lifetime instead of once per later
-    /// admission. Admission takes mostly from the front, so the dead
-    /// slots pile up there; `live_from` marks where they end.
-    ///
-    /// [`compact_queue`]: ClusterState::compact_queue
-    pub(crate) dead: Vec<bool>,
-    /// How many `queue` entries are tombstoned.
-    pub(crate) dead_count: usize,
-    /// The first live storage slot, or `queue.len()` when none is live:
-    /// every slot before it is a tombstone. Read through
-    /// [`ClusterState::first_live`]; every storage mutation below keeps
-    /// it exact.
-    live_from: usize,
-    /// The backfill window's jump table over `queue` (see
-    /// [`WorkIndex`]). Every storage mutation goes through a method of
-    /// this type so the index cannot miss one; the admission pass
-    /// asserts (debug builds) that it covers exactly `queue.len()`
-    /// slots.
-    pub(crate) work_index: WorkIndex,
+    /// The admission queue (see [`Queue`]).
+    pub(crate) queue: Queue,
     pub(crate) events: EventQueue,
     /// The workflows holding a lease, one per slot; `None` is a free
     /// slot, which the next grant takes before the table grows. At most
@@ -478,11 +456,7 @@ impl ClusterState {
             mem_order: cluster.ids_by_memory_desc(),
             free: vec![true; cluster.len()],
             free_count: cluster.len(),
-            queue: Vec::new(),
-            dead: Vec::new(),
-            dead_count: 0,
-            live_from: 0,
-            work_index: WorkIndex::default(),
+            queue: Queue::default(),
             events: EventQueue::new(),
             in_service: Vec::new(),
             finished: Vec::new(),
@@ -582,128 +556,7 @@ impl ClusterState {
                 .push(RejectedRecord::of(&p, clock, reason, self.cluster_id));
             return;
         }
-        // A push never moves `live_from`: on an all-dead storage it
-        // already points at the slot the entry takes.
-        self.work_index.push(WorkIndex::key(&p));
         self.queue.push(p);
-        self.dead.push(false);
-    }
-
-    /// Inserts an already-screened pending workflow at its `(arrival,
-    /// id)` position — cross-cluster spillover migrates queue entries
-    /// with this, preserving the arrival-order invariant the FIFO
-    /// policies rely on.
-    pub(crate) fn insert_pending(&mut self, p: Pending) {
-        // Tombstoned entries kept their `(arrival, id)` keys, so the
-        // storage stays sorted with them in place and the search is
-        // oblivious to them.
-        let pos = self
-            .queue
-            .partition_point(|q| (q.arrival, q.id) < (p.arrival, p.id));
-        self.queue.insert(pos, p);
-        self.dead.insert(pos, false);
-        self.live_from = self.live_from.min(pos);
-        self.work_index.reset(self.queue.len());
-    }
-
-    /// Splices the live entry at storage slot `qi` out of the queue —
-    /// cross-cluster spillover moves it to another member with
-    /// [`ClusterState::insert_pending`].
-    pub(crate) fn remove_queued(&mut self, qi: usize) -> Pending {
-        debug_assert!(!self.dead[qi], "only a live entry can move");
-        self.dead.remove(qi);
-        let p = self.queue.remove(qi);
-        if qi == self.live_from {
-            self.skip_dead_prefix();
-        }
-        self.work_index.reset(self.queue.len());
-        p
-    }
-
-    /// Tombstones the live entry at storage slot `qi` (admitted or
-    /// rejected by an admission pass).
-    pub(crate) fn kill(&mut self, qi: usize) {
-        debug_assert!(!self.dead[qi], "an entry is taken once");
-        self.dead[qi] = true;
-        self.dead_count += 1;
-        if qi == self.live_from {
-            self.skip_dead_prefix();
-        }
-        self.work_index.kill(qi);
-    }
-
-    /// Advances `live_from` past the tombstones it points at. A slot
-    /// stays dead until the next compaction, so each tombstone is
-    /// stepped over once, not once per pass (again only if a spillover
-    /// insert lands in front of it).
-    fn skip_dead_prefix(&mut self) {
-        while self.live_from < self.dead.len() && self.dead[self.live_from] {
-            self.live_from += 1;
-        }
-    }
-
-    /// The first live storage slot, or `queue.len()` when nothing is
-    /// queued: the one head lookup of the engine. The backfill scan
-    /// starts here, FIFO's candidate order is this slot alone, the
-    /// elastic grow and shrink guards protect the entry here, and
-    /// [`ClusterState::queued_work`] sums from here. O(1).
-    pub(crate) fn first_live(&self) -> usize {
-        self.live_from
-    }
-
-    /// The first storage slot at or after `from` whose `total_work`
-    /// passes the monotone screen `pass` (tombstones never pass one
-    /// that anything fails), or `queue.len()`; see [`WorkIndex`].
-    pub(crate) fn next_passing(&mut self, from: usize, pass: impl Fn(f64) -> bool) -> usize {
-        self.work_index
-            .next_from(from, &self.queue, &self.dead, pass)
-    }
-
-    /// How many workflows are actually queued (tombstones excluded).
-    pub(crate) fn queue_len(&self) -> usize {
-        self.queue.len() - self.dead_count
-    }
-
-    /// Whether no workflow is queued (tombstones excluded).
-    pub(crate) fn queue_is_empty(&self) -> bool {
-        self.queue_len() == 0
-    }
-
-    /// Sweeps the tombstones out of the queue storage. Called when
-    /// half the storage is dead (so each entry moves O(1) times over
-    /// its lifetime) and before handing the queue to consumers that
-    /// iterate it raw. Afterwards no slot is dead, so `live_from` is 0.
-    pub(crate) fn compact_queue(&mut self) {
-        if self.dead_count == 0 {
-            debug_assert_eq!(self.live_from, 0, "no tombstone, no dead prefix");
-            return;
-        }
-        let dead = std::mem::take(&mut self.dead);
-        let mut i = 0;
-        self.queue.retain(|_| {
-            let keep = !dead[i];
-            i += 1;
-            keep
-        });
-        self.dead = dead;
-        self.dead.clear();
-        self.dead.resize(self.queue.len(), false);
-        self.dead_count = 0;
-        self.live_from = 0;
-        self.work_index.reset(self.queue.len());
-    }
-
-    /// Total outstanding work queued on this cluster — the `least-loaded`
-    /// routing signal. The dead prefix adds nothing, so starting at the
-    /// first live slot makes the same additions in the same order.
-    pub(crate) fn queued_work(&self) -> f64 {
-        let from = self.first_live();
-        self.queue[from..]
-            .iter()
-            .zip(&self.dead[from..])
-            .filter(|(_, &d)| !d)
-            .map(|(p, _)| p.total_work)
-            .sum()
     }
 
     /// Memory of the largest free processor (`−∞` when none is free).
@@ -725,16 +578,6 @@ impl ClusterState {
             .filter(|p| self.free[p.idx()])
             .map(|p| self.cluster.speed(p))
             .sum()
-    }
-
-    /// Removes and returns every queued workflow — `Drain` and `Fail`
-    /// membership events migrate these onto surviving members via
-    /// [`ClusterState::insert_pending`].
-    pub(crate) fn take_queue(&mut self) -> Vec<Pending> {
-        self.compact_queue();
-        self.dead.clear();
-        self.work_index.reset(0);
-        std::mem::take(&mut self.queue)
     }
 
     /// Tears down every in-service workflow at a member failure: voids

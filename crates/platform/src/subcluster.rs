@@ -13,6 +13,7 @@
 //! [`SubCluster::global_ids`] translates back for fleet-level accounting.
 
 use crate::cluster::{Cluster, ProcId};
+use crate::processor::Processor;
 
 /// A view of a subset of a parent cluster's processors.
 ///
@@ -120,28 +121,39 @@ impl SubCluster {
     /// for engine leases view order *is* the canonical sorted shape and
     /// equal multisets hash equal.
     pub fn shape_signature(&self) -> u64 {
-        // Deliberately local FNV-1a rather than a dependency on
-        // `dhp-dag` (which exports the shared helper): `dhp-platform`
-        // is a leaf crate depending only on serde, and the signature
-        // is an independent key component — it never has to match
-        // another crate's hash bit-for-bit.
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut mix = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        mix(self.view.bandwidth.to_bits());
-        mix(self.view.len() as u64);
-        for (_, p) in self.view.iter() {
-            mix(p.speed.to_bits());
-            mix(p.memory.to_bits());
-        }
-        h
+        shape_hash(
+            self.view.bandwidth,
+            self.view.len(),
+            self.view.iter().map(|(_, p)| p),
+        )
     }
+}
+
+/// The one lease-shape hash behind [`SubCluster::shape_signature`] and
+/// [`Cluster::shape_of_slice`]: FNV-1a over the bandwidth, the
+/// processor count, then each processor's speed and memory in order.
+///
+/// Deliberately local FNV-1a rather than a dependency on `dhp-dag`
+/// (which exports the shared helper): `dhp-platform` is a leaf crate
+/// depending only on serde, and the signature is an independent key
+/// component — it never has to match another crate's hash bit-for-bit.
+fn shape_hash<'a>(bandwidth: f64, len: usize, procs: impl Iterator<Item = &'a Processor>) -> u64 {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = FNV_OFFSET;
+    let mut mix = |word: u64| {
+        for byte in word.to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+    };
+    mix(bandwidth.to_bits());
+    mix(len as u64);
+    for p in procs {
+        mix(p.speed.to_bits());
+        mix(p.memory.to_bits());
+    }
+    h
 }
 
 impl Cluster {
@@ -166,30 +178,17 @@ impl Cluster {
             !procs.is_empty(),
             "a sub-cluster needs at least one processor"
         );
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut mix = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        mix(self.bandwidth.to_bits());
-        mix(procs.len() as u64);
-        for &p in procs {
-            let proc = self.proc(p);
-            mix(proc.speed.to_bits());
-            mix(proc.memory.to_bits());
-        }
-        h
+        shape_hash(
+            self.bandwidth,
+            procs.len(),
+            procs.iter().map(|&p| self.proc(p)),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::processor::Processor;
 
     fn parent() -> Cluster {
         Cluster::new(
