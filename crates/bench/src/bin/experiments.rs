@@ -18,7 +18,7 @@ use dhp_core::prelude::*;
 use dhp_platform::{configs, Cluster, ClusterKind, ClusterSize, MachineKind};
 use dhp_wfgen::{Family, SizeClass, WorkflowInstance};
 
-#[derive(Clone)]
+#[derive(Clone, Debug, PartialEq)]
 struct Opts {
     full: bool,
     seed: u64,
@@ -43,35 +43,73 @@ impl Ctx {
     }
 }
 
+/// What the command line asks for.
+#[derive(Debug, PartialEq)]
+enum Invocation {
+    /// Print the usage text (`help`, or no experiment named).
+    Help,
+    /// Run these experiments, in order.
+    Run(Opts, Vec<&'static str>),
+}
+
+/// Parses the arguments after the program name. An unknown experiment
+/// or flag, and a `--seed` without a valid value, are usage errors.
+fn parse_args(args: &[String]) -> Result<Invocation, String> {
+    let mut opts = Opts {
+        full: false,
+        seed: 42,
+    };
+    let (mut seeded, mut help, mut all) = (false, false, false);
+    let mut cmds = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--full" => opts.full = true,
+            "--seed" if seeded => return Err("--seed given twice".into()),
+            "--seed" => {
+                let value = args.next().ok_or("--seed needs a value")?;
+                opts.seed = value
+                    .parse()
+                    .map_err(|_| format!("--seed {value}: not a non-negative integer"))?;
+                seeded = true;
+            }
+            "help" => help = true,
+            "all" => all = true,
+            name => match ALL_EXPERIMENTS.iter().find(|&&e| e == name) {
+                Some(&e) => cmds.push(e),
+                None if name.starts_with('-') => return Err(format!("unknown flag: {name}")),
+                None => return Err(format!("unknown experiment: {name}")),
+            },
+        }
+    }
+    if all {
+        cmds = ALL_EXPERIMENTS.to_vec();
+    }
+    Ok(if help || cmds.is_empty() {
+        Invocation::Help
+    } else {
+        Invocation::Run(opts, cmds)
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
-    let opts = Opts { full, seed };
+    let (opts, cmds) = match parse_args(&args) {
+        Ok(Invocation::Help) => {
+            print_help();
+            return;
+        }
+        Ok(Invocation::Run(opts, cmds)) => (opts, cmds),
+        Err(e) => {
+            eprintln!("experiments: {e} (try `help`)");
+            std::process::exit(2);
+        }
+    };
     let ctx = Ctx {
-        opts: opts.clone(),
+        opts,
         cache: Default::default(),
     };
-    let cmds: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--") && Some(a.as_str()) != prev_of(&args, "--seed"))
-        .map(String::as_str)
-        .collect();
-    if cmds.is_empty() || cmds.contains(&"help") {
-        print_help();
-        return;
-    }
-
-    for cmd in if cmds.contains(&"all") {
-        ALL_EXPERIMENTS.to_vec()
-    } else {
-        cmds
-    } {
+    for cmd in cmds {
         match cmd {
             "table2" => table2(),
             "table3" => table3(),
@@ -96,7 +134,7 @@ fn main() {
             "exact-gap" => exact_gap(&ctx),
             "step-trace" => step_trace(&ctx),
             "ablate-partitioner" => ablate_partitioner(&ctx),
-            other => eprintln!("unknown experiment: {other} (try `help`)"),
+            other => unreachable!("`parse_args` accepts no experiment named {other}"),
         }
     }
 }
@@ -126,13 +164,6 @@ const ALL_EXPERIMENTS: [&str; 23] = [
     "step-trace",
     "ablate-partitioner",
 ];
-
-fn prev_of<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
 
 fn print_help() {
     println!("experiments — regenerate the paper's tables and figures\n");
@@ -1001,4 +1032,47 @@ fn ablate_partitioner(ctx: &Ctx) {
         ],
         &rows,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Invocation, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn an_unknown_experiment_is_a_usage_error() {
+        let err = parse("table2 nosuch").unwrap_err();
+        assert!(err.contains("unknown experiment: nosuch"), "{err}");
+        assert!(parse("--fast table2").unwrap_err().contains("unknown flag"));
+    }
+
+    #[test]
+    fn a_seed_that_is_not_a_number_is_a_usage_error() {
+        let err = parse("--seed abc table2").unwrap_err();
+        assert!(err.contains("--seed abc"), "{err}");
+        assert!(parse("--seed -3 table2").is_err());
+        assert!(parse("--seed 1 --seed 2 table2").is_err());
+    }
+
+    #[test]
+    fn a_seed_without_a_value_is_a_usage_error() {
+        assert_eq!(parse("table2 --seed"), Err("--seed needs a value".into()));
+    }
+
+    #[test]
+    fn valid_lines_parse_as_before() {
+        let run = |full, seed, cmds: &[&'static str]| {
+            Ok(Invocation::Run(Opts { full, seed }, cmds.to_vec()))
+        };
+        assert_eq!(parse("table2 fig4"), run(false, 42, &["table2", "fig4"]));
+        assert_eq!(parse("--full --seed 7 table3"), run(true, 7, &["table3"]));
+        assert_eq!(parse("table2 all"), run(false, 42, &ALL_EXPERIMENTS));
+        assert_eq!(parse(""), Ok(Invocation::Help));
+        assert_eq!(parse("--full"), Ok(Invocation::Help));
+        assert_eq!(parse("table2 help"), Ok(Invocation::Help));
+    }
 }

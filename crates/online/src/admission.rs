@@ -53,11 +53,11 @@
 //!   pass's yielded-candidate count is exact only until the first
 //!   jump — it is read only while no reservation exists, and jumps
 //!   happen only once one does.
-//! * *Memory is screened once per pass.* The largest free memory (the
-//!   first free processor in the canonical memory order) is read at
-//!   pass entry and after each grant; a candidate whose hottest task
+//! * *Memory is screened without a probe.* The free set keeps its
+//!   largest free memory current; a candidate whose hottest task
 //!   exceeds it on a partly free cluster waits without probing
-//!   anything. It still counts against [`BACKFILL_DEPTH`].
+//!   anything (`FreeSet::turns_away`). It still counts against
+//!   [`BACKFILL_DEPTH`].
 //! * *The finish is known before the grant is built.* `try_admit`
 //!   takes the reservation as a cap. A placeable candidate's simulated
 //!   makespan comes from the memoized sim of its lease, and a finish
@@ -69,10 +69,10 @@
 //!   of the `ProbeKey` answer the solve and — on the size that places
 //!   — the sim's makespan, with no `Arc` cloned. Only a grant reads the
 //!   memoized solve and sim back (`CacheView::memoized`, no counter
-//!   moves). The key's lease shape is hashed once per free list and
-//!   size: the probe buffer (`state::FreeList`) keeps the shapes of
-//!   the last list it was filled with, and most probes of a pass see
-//!   the same free set. A warm overshooting or waiting probe allocates
+//!   moves). The key's lease shape is hashed once per carve list and
+//!   size: the free set (`free_set::FreeSet`) keeps the shapes of the
+//!   last list it carved, and most probes of a pass see the same free
+//!   set. A warm overshooting or waiting probe allocates
 //!   nothing. A key that nothing is memoized under takes the two-call
 //!   path (`solve_keyed`, then `sim_outcome_keyed`), which counts the
 //!   miss, solves and simulates.
@@ -91,10 +91,11 @@
 
 use crate::cache::{CacheView, ProbeKey, SolveCache, Solver, WarmProbe};
 use crate::engine::OnlineConfig;
+use crate::free_set::{FreeSet, Mask};
 use crate::lease::{commit_grant, escalation_sizes, simulate_outcome, Grant};
 use crate::policy::AdmissionPolicy;
 use crate::report::RejectedRecord;
-use crate::state::{ArrivalFacts, ClusterState, FreeList, Pending, ProbeScratch};
+use crate::state::{ArrivalFacts, ClusterState, Pending, ProbeScratch};
 use crate::submission::single_task;
 use dhp_core::metrics::MappingResult;
 use dhp_core::SchedError;
@@ -153,18 +154,18 @@ pub(crate) enum Admit {
 
 /// Outcome of one lease-search probe ([`find_placement`]).
 enum Probe {
-    /// A feasible lease — the first `size` processors of the probe's
-    /// free list — with the key that answered its solve, which the
-    /// lease's grant reads back under.
+    /// A feasible lease — the first `size` processors of the carve
+    /// list — with the key that answered its solve, which the lease's
+    /// grant reads back under.
     Placed {
         size: usize,
         key: ProbeKey,
         solve: Solved,
     },
-    /// The hottest task does not fit the largest free memory.
+    /// No free processor holds the hottest task (also covers an empty
+    /// free set, with `whole_cluster_free` false).
     MemoryBlocked { whole_cluster_free: bool },
-    /// No lease carved from the free set admits a valid mapping (also
-    /// covers an empty free set, with `whole_cluster_free` false).
+    /// No lease carved from the free set admits a valid mapping.
     Unplaceable { whole_cluster_free: bool },
 }
 
@@ -216,7 +217,7 @@ pub(crate) fn admission_passes(
         // free processor it breaks on its first one before any probe.
         // The only effect skipped is the end-of-pass `settle`, which
         // moves storage, not the live order.
-        if state.queue.is_empty() || state.free_count == 0 {
+        if state.queue.is_empty() || state.free.count() == 0 {
             break;
         }
         let mut changed = false;
@@ -243,11 +244,7 @@ pub(crate) fn admission_passes(
         // Aggregate speed of the free processors: the work screen's
         // divisor (see `fits_hole`). Kept fresh across same-pass
         // admissions.
-        let mut free_speed: f64 = state.free_speed();
-        // Largest free memory: every lease probe's first screen, read
-        // once here and again after each grant instead of re-filtering
-        // the free set per candidate.
-        let mut top_free = state.top_free_memory();
+        let mut free_speed: f64 = state.free.speed();
         let mut evaluated_backfills = 0usize;
         // Queue indices admitted or rejected this pass.
         let mut taken: Vec<usize> = std::mem::take(&mut state.scratch.taken);
@@ -281,7 +278,7 @@ pub(crate) fn admission_passes(
                 pos += 1;
                 pos - 1
             };
-            if state.free_count == 0 {
+            if state.free.count() == 0 {
                 break;
             }
             // The *effective head*: every candidate ranked before
@@ -321,14 +318,13 @@ pub(crate) fn admission_passes(
                     // but only screen in candidates whose hottest
                     // task fits the largest free memory, so the
                     // bounded deferral list is not wasted on
-                    // certainly unplaceable ones. (`top_free.max(0.0)`
-                    // is the fold of the free memories from 0: the
-                    // first free processor in `mem_order` holds their
-                    // maximum.)
+                    // certainly unplaceable ones. (`top.max(0.0)` is
+                    // the fold of the free memories from 0.)
                     if cfg.policy == AdmissionPolicy::EasyBackfill
                         && deferred.len() < BACKFILL_DEPTH
                     {
-                        if state.queue[qi].max_task_req <= top_free.max(0.0) * (1.0 + 1e-9) {
+                        let top = state.free.top_memory();
+                        if state.queue[qi].max_task_req <= top.max(0.0) * (1.0 + 1e-9) {
                             deferred.push(qi);
                         }
                     } else if scan && free_speed.is_finite() {
@@ -343,19 +339,15 @@ pub(crate) fn admission_passes(
                 evaluated_backfills += 1;
             }
             let cand = &state.queue[qi];
-            // `find_placement`'s first screen, answered from the pass's
-            // largest free memory: a hottest task no free processor can
-            // hold waits (on an idle cluster `try_admit` words the
-            // rejection instead).
-            let admit = if state.free_count < state.cluster.len()
-                && cand.max_task_req > top_free * (1.0 + 1e-9)
-            {
+            // `find_placement`'s first screen, answered without carving:
+            // a hottest task no free processor can hold waits (on an
+            // idle cluster `try_admit` words the rejection instead).
+            let admit = if !state.free.all_free() && state.free.turns_away(cand.max_task_req) {
                 Admit::Wait
             } else {
                 try_admit(
                     &state.cluster,
-                    &state.mem_order,
-                    &state.free,
+                    &mut state.free,
                     cand,
                     cfg,
                     cache,
@@ -363,14 +355,12 @@ pub(crate) fn admission_passes(
                     state.queue.len() - taken.len(),
                     state.cluster_id,
                     reservation,
-                    &mut state.scratch.free_sorted,
                 )
             };
             match admit {
                 Admit::Granted(grant) => {
                     let fingerprint = state.queue[qi].fingerprint;
                     free_speed -= commit_grant(*grant, fingerprint, state);
-                    top_free = state.top_free_memory();
                     // Only the conservative policy re-derives its
                     // bound after a grant; EASY's event reservation
                     // is stale across grants by contract.
@@ -450,13 +440,12 @@ pub(crate) fn admission_passes(
                 // and EASY's whole point is paying extra probes for
                 // the grants conservative cannot make.
                 for qi in deferred.drain(..).take(BACKFILL_DEPTH) {
-                    if state.free_count == 0 {
+                    if state.free.count() == 0 {
                         break;
                     }
                     let Admit::Granted(grant) = try_admit(
                         &state.cluster,
-                        &state.mem_order,
-                        &state.free,
+                        &mut state.free,
                         &state.queue[qi],
                         cfg,
                         cache,
@@ -464,7 +453,6 @@ pub(crate) fn admission_passes(
                         state.queue.len() - taken.len(),
                         state.cluster_id,
                         None,
-                        &mut state.scratch.free_sorted,
                     ) else {
                         continue;
                     };
@@ -510,8 +498,8 @@ pub(crate) fn admission_passes(
 }
 
 /// The single lease search shared by admission ([`try_admit`]) and the
-/// reservation feasibility scan ([`can_place`]): filter the free
-/// processors in canonical memory order, screen the hottest task, and
+/// reservation feasibility scan ([`can_place`]): carve the free
+/// processors of `from` in memory order, screen the hottest task, and
 /// walk the escalation ladder until a solve succeeds. Both callers
 /// going through one code path (and one [`CacheView`]) is what kills
 /// the historic double solve — a reservation probe that found a
@@ -526,41 +514,33 @@ pub(crate) fn admission_passes(
 /// Each size asks the memo first ([`CacheView::probe_warm`], with the
 /// sim when `with_sim`); only a key nothing is memoized under is
 /// solved ([`CacheView::solve_keyed`]). A warm probe allocates
-/// nothing: the lease is a prefix of `free`'s list, its shape is read
+/// nothing: the lease is a prefix of the carve list, its shape is read
 /// back from `free` while the list is unchanged, and the store hands
 /// back no `Arc`.
-#[allow(clippy::too_many_arguments)]
 fn find_placement(
     cluster: &Cluster,
-    mem_order: &[ProcId],
-    free_set: &[bool],
+    free: &mut FreeSet,
+    from: Mask,
     cand: &Pending,
     cache: &CacheView,
     target: usize,
     with_sim: bool,
-    free: &mut FreeList,
 ) -> Probe {
-    free.refill(mem_order, free_set);
-    let Some(&top) = free.procs().first() else {
-        return Probe::Unplaceable {
-            whole_cluster_free: false,
-        };
-    };
-    let whole_cluster_free = free.procs().len() == cluster.len();
-
+    let carved = free.carve(from);
+    let whole_cluster_free = carved == cluster.len();
     // The lease takes the biggest free memories first, so feasibility of
     // the hottest task is decided by the first free processor.
-    if cand.max_task_req > cluster.memory(top) * (1.0 + 1e-9) {
+    if free.carve_turns_away(cand.max_task_req) {
         return Probe::MemoryBlocked { whole_cluster_free };
     }
 
     let g = &cand.submission.instance.graph;
-    for size in escalation_sizes(target, free.procs().len()) {
+    for size in escalation_sizes(target, carved) {
         let key = cache.key(cand.fingerprint, free.shape(cluster, size));
         let solve = match cache.probe_warm(key, with_sim) {
             WarmProbe::NoSolution => continue,
             WarmProbe::Solved { sim } => Solved::Warm { sim },
-            WarmProbe::Cold => match cache.solve_keyed(key, g, cluster, &free.procs()[..size]) {
+            WarmProbe::Cold => match cache.solve_keyed(key, g, cluster, free.lease(size)) {
                 Err(SchedError::NoSolution) => continue,
                 Ok(local) => Solved::Cold(local),
             },
@@ -582,8 +562,7 @@ fn find_placement(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn try_admit(
     cluster: &Cluster,
-    mem_order: &[ProcId],
-    free_set: &[bool],
+    free: &mut FreeSet,
     cand: &Pending,
     cfg: &OnlineConfig,
     cache: &CacheView,
@@ -591,13 +570,11 @@ pub(crate) fn try_admit(
     queue_len: usize,
     cluster_id: Option<usize>,
     cap: Option<f64>,
-    free: &mut FreeList,
 ) -> Admit {
     let g = &cand.submission.instance.graph;
     let target = cfg.lease.target_under_load(g.node_count(), queue_len);
-    let (size, key, solve) = match find_placement(
-        cluster, mem_order, free_set, cand, cache, target, true, free,
-    ) {
+    let probe = find_placement(cluster, free, Mask::Real, cand, cache, target, true);
+    let (size, key, solve) = match probe {
         Probe::Placed { size, key, solve } => (size, key, solve),
         Probe::MemoryBlocked {
             whole_cluster_free: true,
@@ -620,7 +597,7 @@ pub(crate) fn try_admit(
         Probe::MemoryBlocked { .. } | Probe::Unplaceable { .. } => return Admit::Wait,
     };
     let overshoots = |makespan: f64| cap.is_some_and(|cap| clock + makespan > cap + 1e-9);
-    let lease = &free.procs()[..size];
+    let lease = free.lease(size);
     let (local, sim) = match solve {
         Solved::Warm {
             sim: Some(makespan),
@@ -652,26 +629,25 @@ pub(crate) fn try_admit(
     )))
 }
 
-/// Solver feasibility only — can `cand` be placed on the processors
-/// marked free in `free_set`? The same lease search as [`try_admit`]
+/// Solver feasibility only — can `cand` be placed on the free
+/// processors of `from`? The same lease search as [`try_admit`]
 /// (same keys, counters and cache inserts — the reservation scan only
 /// needs a yes/no, but the solve it pays for stays in the cache for the
 /// eventual admission to reuse), without a simulation. Also the probe
 /// behind federation's `best-fit` routing and cross-cluster spillover.
 pub(crate) fn can_place(
     cluster: &Cluster,
-    mem_order: &[ProcId],
-    free_set: &[bool],
+    free: &mut FreeSet,
+    from: Mask,
     cand: &Pending,
     cfg: &OnlineConfig,
     cache: &CacheView,
-    free: &mut FreeList,
 ) -> bool {
     let target = cfg
         .lease
         .target(cand.submission.instance.graph.node_count());
     matches!(
-        find_placement(cluster, mem_order, free_set, cand, cache, target, false, free),
+        find_placement(cluster, free, from, cand, cache, target, false),
         Probe::Placed { .. }
     )
 }
@@ -701,14 +677,13 @@ pub(crate) fn head_reservation(
 ) -> f64 {
     let ClusterState {
         cluster,
-        mem_order,
         free,
         queue,
         events,
         in_service,
         epoch,
         resv_cache,
-        scratch,
+        scratch: ProbeScratch { pending, .. },
         ..
     } = state;
     let head = &queue[hq];
@@ -717,12 +692,6 @@ pub(crate) fn head_reservation(
             return r;
         }
     }
-    let ProbeScratch {
-        free_sorted,
-        hyp,
-        pending,
-        ..
-    } = scratch;
     // Stale heap entries (superseded by an elastic resize) free
     // nothing; only live completions participate in the replay.
     pending.clear();
@@ -735,17 +704,16 @@ pub(crate) fn head_reservation(
     pending.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     // Placeable once completions[0..=i] have freed their leases?
     let mut feasible_after = |i: usize| -> bool {
-        hyp.clear();
-        hyp.extend_from_slice(free);
-        for &(_, _, slot) in &pending[..=i] {
-            let done = in_service[slot]
-                .as_ref()
-                .unwrap_or_else(|| unreachable!("a pending completion holds its slot"));
-            for &p in &done.placement.lease {
-                hyp[p.idx()] = true;
-            }
-        }
-        can_place(cluster, mem_order, hyp, head, cfg, cache, free_sorted)
+        free.hypothesise(
+            &[],
+            pending[..=i].iter().map(|&(_, _, slot)| {
+                let done = in_service[slot]
+                    .as_ref()
+                    .unwrap_or_else(|| unreachable!("a pending completion holds its slot"));
+                &done.placement.lease[..]
+            }),
+        );
+        can_place(cluster, free, Mask::Hypothetical, head, cfg, cache)
     };
     let r = if pending.is_empty() || !feasible_after(pending.len() - 1) {
         f64::INFINITY
@@ -795,38 +763,20 @@ pub(crate) fn head_fits_at(
 ) -> bool {
     let ClusterState {
         cluster,
-        mem_order,
         free,
         queue,
         events,
         in_service,
-        scratch,
         ..
     } = state;
-    let ProbeScratch {
-        free_sorted, hyp, ..
-    } = scratch;
-    hyp.clear();
-    hyp.extend_from_slice(free);
-    for &p in claim {
-        hyp[p.idx()] = false;
-    }
-    for &p in release {
-        hyp[p.idx()] = true;
-    }
-    for c in events.iter() {
-        if c.time > resv + 1e-9 || Some(c.slot) == skip_slot {
-            continue;
-        }
-        if let Some(svc) = in_service[c.slot].as_ref() {
-            if svc.live_seq == c.seq {
-                for &p in &svc.placement.lease {
-                    hyp[p.idx()] = true;
-                }
-            }
-        }
-    }
-    can_place(cluster, mem_order, hyp, &queue[hq], cfg, cache, free_sorted)
+    // The live completions due by the reservation, but `skip_slot`'s.
+    let done_by_resv = events
+        .iter()
+        .filter(|c| !(c.time > resv + 1e-9 || Some(c.slot) == skip_slot))
+        .filter_map(|c| in_service[c.slot].as_ref().filter(|s| s.live_seq == c.seq))
+        .map(|svc| &svc.placement.lease[..]);
+    free.hypothesise(claim, std::iter::once(release).chain(done_by_resv));
+    can_place(cluster, free, Mask::Hypothetical, &queue[hq], cfg, cache)
 }
 
 /// One blocked backfill window, held still so a benchmark can time a
@@ -1034,10 +984,7 @@ impl WarmProbes {
         let cache = SolveCache::new();
         let solver = cfg.lease_solver();
         let mut state = ClusterState::new(&cluster, None);
-        for p in [1, 3] {
-            state.free[p] = false;
-        }
-        state.free_count = 2;
+        state.free.take(&[ProcId(1), ProcId(3)]);
         let mut probes = WarmProbes {
             state,
             cfg,
@@ -1069,8 +1016,7 @@ impl WarmProbes {
         let state = &mut self.state;
         let admit = try_admit(
             &state.cluster,
-            &state.mem_order,
-            &state.free,
+            &mut state.free,
             cand,
             &self.cfg,
             &CacheView::direct(&self.cache, &self.solver),
@@ -1078,7 +1024,6 @@ impl WarmProbes {
             1,
             None,
             cap,
-            &mut state.scratch.free_sorted,
         );
         matches!(
             (case, admit),

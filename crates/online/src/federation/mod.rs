@@ -237,9 +237,6 @@ pub(crate) fn serve_loop<T>(
     let mut clock = 0.0f64;
     let mut rr_next = 0usize;
     let mut spillovers = 0u64;
-    // The spillover sweep's memo of each member's largest free memory,
-    // reset at every sweep; kept here so a sweep allocates nothing.
-    let mut top_free: Vec<Option<f64>> = Vec::new();
 
     loop {
         // ------------------------------------------------ next event(s)
@@ -300,7 +297,7 @@ pub(crate) fn serve_loop<T>(
         }
 
         // -------------------------------------------------- spillover
-        spillovers += spill(&mut shards, &mut top_free, cfg, &view, clock);
+        spillovers += spill(&mut shards, cfg, &view, clock);
 
         // --------------------------------- growth: elastic lease growth
         let arrivals_pending = arrivals.peek().is_some_and(|s| s.arrival <= clock);

@@ -10,22 +10,20 @@
 //! destination has no free processor, or the candidate's hottest task
 //! exceeds the destination's largest free memory. `find_placement`
 //! answers both before it reaches the cache, so the sweep asks them
-//! first ([`turned_away`], reading a destination's largest free memory
-//! at most once per sweep) and skips the probe — along with its
-//! charging view and free-list rebuild. A source with nothing
-//! queued is passed over. The screen repeats
-//! exactly those two answers, in the same expression (a NaN
-//! requirement still probes), and nothing else. In particular a pair
-//! that failed at an earlier event is probed again even if neither
-//! side changed since: such a probe reaches the cache, and its hit is
-//! charged to the source member's stats, which the report and its
-//! digest include.
+//! first (`FreeSet::turns_away`) and skips the probe — along with its
+//! charging view and carve. A source with nothing queued is passed
+//! over. The screen gives exactly those two answers (a NaN requirement
+//! still probes), and nothing else. In particular a pair that failed at
+//! an earlier event is probed again even if neither side changed since:
+//! such a probe reaches the cache, and its hit is charged to the source
+//! member's stats, which the report and its digest include.
 
 use super::routing::least_loaded;
 use super::shard::{MemberShard, MemberStatus};
 use crate::admission::{admission_passes, can_place, BACKFILL_DEPTH};
 use crate::cache::CacheView;
 use crate::engine::OnlineConfig;
+use crate::free_set::Mask;
 use crate::report::RejectedRecord;
 use crate::state::Pending;
 
@@ -35,29 +33,6 @@ use crate::state::Pending;
 fn readmit(shard: &mut MemberShard, cfg: &OnlineConfig, view: &CacheView, clock: f64) {
     let MemberShard { state, stats, .. } = shard;
     admission_passes(state, cfg, &view.charging(stats), clock);
-}
-
-/// Whether `can_place` is certain to refuse a candidate whose hottest
-/// task needs `max_task_req` on a member with `free_count` free
-/// processors, the largest of which holds `top_free()` — without
-/// reaching the cache. These are exactly `find_placement`'s two early
-/// answers: an empty free set, and a hottest task above the largest
-/// free memory (the same comparison, so a NaN requirement is not
-/// turned away and still probes). The memory is only read when some
-/// processor is free.
-pub(crate) fn turned_away(
-    free_count: usize,
-    top_free: impl FnOnce() -> f64,
-    max_task_req: f64,
-) -> bool {
-    free_count == 0 || max_task_req > top_free() * (1.0 + 1e-9)
-}
-
-/// Member `j`'s largest free memory, read at most once per sweep into
-/// `memo` (its free set only moves when it admits, which clears the
-/// entry).
-fn top_free_of(memo: &mut [Option<f64>], shards: &[MemberShard], j: usize) -> f64 {
-    *memo[j].get_or_insert_with(|| shards[j].state.top_free_memory())
 }
 
 /// The cross-cluster spillover sweep: every workflow still queued after
@@ -73,14 +48,10 @@ fn top_free_of(memo: &mut [Option<f64>], shards: &[MemberShard], j: usize) -> f6
 /// ping-pong). Returns the number of migrations.
 ///
 /// Screened before probed (see the module docs): a source with an
-/// empty queue is passed over, and a destination [`turned_away`] by
-/// its free count or its largest free memory is not probed. `top_free`
-/// memoizes each member's largest free memory for the sweep (the
-/// caller keeps the buffer across events, so a sweep allocates
-/// nothing); a member's entry is dropped when it admits.
+/// empty queue is passed over, and a destination whose free set turns
+/// the candidate away is not probed.
 pub(crate) fn spill(
     shards: &mut [MemberShard],
-    top_free: &mut Vec<Option<f64>>,
     cfg: &OnlineConfig,
     view: &CacheView,
     clock: f64,
@@ -93,12 +64,10 @@ pub(crate) fn spill(
     // destination is turned away, so the whole sweep is a no-op.
     if !shards
         .iter()
-        .any(|sh| sh.status == MemberStatus::Active && sh.state.free_count > 0)
+        .any(|sh| sh.status == MemberStatus::Active && sh.state.free.count() > 0)
     {
         return 0;
     }
-    top_free.clear();
-    top_free.resize(n, None);
     let mut moved = 0u64;
     // Ids that migrated at this event: at most one event's moves.
     let mut moved_ids: Vec<usize> = Vec::new();
@@ -128,33 +97,21 @@ pub(crate) fn spill(
                 // member is emptying out and a failed one is gone.
                 if j == i
                     || shards[j].status != MemberStatus::Active
-                    || turned_away(
-                        shards[j].state.free_count,
-                        || top_free_of(top_free, shards, j),
-                        req,
-                    )
+                    || shards[j].state.free.turns_away(req)
                 {
                     continue;
                 }
                 // The probe is charged to the *source*: spillover is
                 // the home queue's cost of finding a new home. It carves
-                // from the destination's own free list (its lease shapes
-                // are the destination cluster's), moved out for the
-                // probe because the candidate borrows the source shard.
-                let mut stats = shards[i].stats;
-                let mut free = std::mem::take(&mut shards[j].state.scratch.free_sorted);
-                let fits = can_place(
-                    &shards[j].state.cluster,
-                    &shards[j].state.mem_order,
-                    &shards[j].state.free,
-                    &shards[i].state.queue[qi],
-                    cfg,
-                    &view.charging(&mut stats),
-                    &mut free,
-                );
-                shards[j].state.scratch.free_sorted = free;
-                shards[i].stats = stats;
-                if fits {
+                // from the destination's own free set (its lease shapes
+                // are the destination cluster's).
+                let Ok([src, dst]) = shards.get_disjoint_mut([i, j]) else {
+                    unreachable!("the destination is another member")
+                };
+                let cand = &src.state.queue[qi];
+                let charged = view.charging(&mut src.stats);
+                let dst = &mut dst.state;
+                if can_place(&dst.cluster, &mut dst.free, Mask::Real, cand, cfg, &charged) {
                     dest = Some(j);
                     break;
                 }
@@ -171,7 +128,6 @@ pub(crate) fn spill(
                 // the next probe keeps every later `can_place` honest
                 // about what is actually still free.
                 readmit(&mut shards[j], cfg, view, clock);
-                top_free[j] = None;
             }
         }
     }
@@ -228,13 +184,13 @@ pub(super) fn migrate_pending(shards: &mut [MemberShard], src: usize, p: Pending
 mod tests {
     use super::super::routing::RoutingPolicy;
     use super::super::serve_federation;
-    use super::turned_away;
     use crate::admission::can_place;
     use crate::cache::{CacheView, SolveCache, SolveCacheStats};
     use crate::engine::OnlineConfig;
-    use crate::state::{ArrivalFacts, ClusterState, FreeList, Pending};
+    use crate::free_set::Mask;
+    use crate::state::{ArrivalFacts, ClusterState, Pending};
     use crate::submission::single_task;
-    use dhp_platform::{Cluster, Federation, Processor};
+    use dhp_platform::{Cluster, Federation, ProcId, Processor};
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -266,15 +222,16 @@ mod tests {
                 1.0,
             );
             let mut state = ClusterState::new(&cluster, Some(0));
-            for (i, free) in state.free.iter_mut().enumerate() {
-                *free = match free_mode {
-                    0 => mask[i],
-                    1 => false,
-                    _ => true,
-                };
-            }
-            state.free_count = state.free.iter().filter(|&&f| f).count();
-            let top = state.top_free_memory();
+            let busy: Vec<ProcId> = cluster
+                .proc_ids()
+                .filter(|p| match free_mode {
+                    0 => !mask[p.idx()],
+                    1 => true,
+                    _ => false,
+                })
+                .collect();
+            state.free.take(&busy);
+            let top = state.free.top_memory();
             let req = match req_kind {
                 0 => f64::NAN,
                 1 => 0.0,
@@ -300,17 +257,9 @@ mod tests {
             let fits = {
                 let solver = cfg.lease_solver();
                 let view = CacheView::direct(&cache, &solver).charging(&mut account);
-                can_place(
-                    &state.cluster,
-                    &state.mem_order,
-                    &state.free,
-                    &cand,
-                    &cfg,
-                    &view,
-                    &mut FreeList::default(),
-                )
+                can_place(&state.cluster, &mut state.free, Mask::Real, &cand, &cfg, &view)
             };
-            if turned_away(state.free_count, || state.top_free_memory(), req) {
+            if state.free.turns_away(req) {
                 prop_assert!(!fits, "a turned-away destination placed {req}");
                 prop_assert_eq!(account, SolveCacheStats::default());
                 prop_assert_eq!(cache.stats(), global);

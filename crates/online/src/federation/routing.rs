@@ -9,6 +9,7 @@ use super::shard::{MemberShard, MemberStatus};
 use crate::admission::can_place;
 use crate::cache::CacheView;
 use crate::engine::OnlineConfig;
+use crate::free_set::Mask;
 use crate::state::Pending;
 
 /// How an arriving workflow is assigned its home cluster.
@@ -153,21 +154,13 @@ pub(crate) fn route(
                 let MemberShard { state, stats, .. } = &mut shards[j];
                 // A view charging the probed member's own stats: the
                 // probe's outcome is charged to it, exactly. The probe
-                // carves from the member's own free list, whose lease
+                // carves from the member's own free set, whose lease
                 // shapes are that member's cluster's.
-                let fits = can_place(
-                    &state.cluster,
-                    &state.mem_order,
-                    &state.free,
-                    p,
-                    cfg,
-                    &view.charging(stats),
-                    &mut state.scratch.free_sorted,
-                );
-                if !fits {
+                let view = view.charging(stats);
+                if !can_place(&state.cluster, &mut state.free, Mask::Real, p, cfg, &view) {
                     continue;
                 }
-                let speed = state.free_speed();
+                let speed = state.free.speed();
                 if best.is_none_or(|(s0, _)| speed < s0) {
                     best = Some((speed, j));
                 }

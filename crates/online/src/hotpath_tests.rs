@@ -18,10 +18,11 @@ use crate::federation::rebalance::spill;
 use crate::federation::routing::{route, RoutingPolicy};
 use crate::federation::shard::MemberShard;
 use crate::federation::testutil::member;
+use crate::free_set::Mask;
 use crate::policy::{AdmissionPolicy, LeaseSizing};
 use crate::state::{ArrivalFacts, ClusterState, Pending};
 use crate::submission::{single_task, Submission};
-use dhp_platform::{Cluster, Processor};
+use dhp_platform::{Cluster, ProcId, Processor};
 use dhp_wfgen::{SizeClass, WorkflowInstance};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -89,12 +90,11 @@ fn warm_probes_are_allocation_free() {
     for _ in 0..2 {
         assert!(can_place(
             &cluster,
-            &state.mem_order,
-            &state.free,
+            &mut state.free,
+            Mask::Real,
             &state.queue[hq],
             &cfg,
             &view,
-            &mut state.scratch.free_sorted,
         ));
     }
     let fits = |state: &mut ClusterState| head_fits_at(state, hq, &[], &[], None, 0.0, &cfg, &view);
@@ -104,7 +104,7 @@ fn warm_probes_are_allocation_free() {
     // memoized solve behind its `Arc`, building no view and cloning no
     // mapping.
     let cand = &state.queue[hq];
-    let lease = &state.mem_order[..2];
+    let lease = &cluster.ids_by_memory_desc()[..2];
     let solve = || {
         view.solve(
             &cand.submission.instance.graph,
@@ -125,12 +125,11 @@ fn warm_probes_are_allocation_free() {
         for _ in 0..100 {
             assert!(can_place(
                 &cluster,
-                &state.mem_order,
-                &state.free,
+                &mut state.free,
+                Mask::Real,
                 &state.queue[hq],
                 &cfg,
                 &view,
-                &mut state.scratch.free_sorted,
             ));
         }
     });
@@ -160,8 +159,7 @@ fn the_slow_baseline_still_allocates() {
     let grant = |state: &mut ClusterState| {
         let admit = try_admit(
             &cluster,
-            &state.mem_order,
-            &state.free,
+            &mut state.free,
             &cand,
             &cfg,
             &view,
@@ -169,7 +167,6 @@ fn the_slow_baseline_still_allocates() {
             1,
             None,
             None,
-            &mut state.scratch.free_sorted,
         );
         assert!(matches!(admit, Admit::Granted(_)));
     };
@@ -189,12 +186,11 @@ fn the_slow_baseline_still_allocates() {
         for _ in 0..10 {
             assert!(can_place(
                 &cluster,
-                &state.mem_order,
-                &state.free,
+                &mut state.free,
+                Mask::Real,
                 &cand,
                 &cfg,
                 &view,
-                &mut state.scratch.free_sorted,
             ));
         }
     });
@@ -219,8 +215,7 @@ fn a_warm_overshooting_backfill_probe_allocates_nothing() {
     let probe = |state: &mut ClusterState, cap: Option<f64>| {
         try_admit(
             &cluster,
-            &state.mem_order,
-            &state.free,
+            &mut state.free,
             &cand,
             &cfg,
             &view,
@@ -228,7 +223,6 @@ fn a_warm_overshooting_backfill_probe_allocates_nothing() {
             1,
             None,
             cap,
-            &mut state.scratch.free_sorted,
         )
     };
     // Cold: the solve and the simulation fill the caches.
@@ -305,15 +299,11 @@ fn a_warm_waiting_probe_allocates_nothing() {
     let view = CacheView::direct(&cache, &solver);
     let mut state = ClusterState::new(&cluster, None);
     // Only m0 is free: the memory screen passes, the solver does not.
-    for p in [1, 3] {
-        state.free[p] = false;
-    }
-    state.free_count = 2;
+    state.free.take(&[ProcId(1), ProcId(3)]);
     let probe = |state: &mut ClusterState| {
         try_admit(
             &cluster,
-            &state.mem_order,
-            &state.free,
+            &mut state.free,
             &cand,
             &cfg,
             &view,
@@ -321,7 +311,6 @@ fn a_warm_waiting_probe_allocates_nothing() {
             1,
             None,
             None,
-            &mut state.scratch.free_sorted,
         )
     };
     // Cold, then once more to size both halves of the probe buffer.
@@ -644,8 +633,7 @@ fn an_admission_pass_that_cannot_decide_allocates_nothing() {
         );
 
         state.enqueue_arrival(pending(3, 40.0, 2.0), 0.0);
-        state.free.fill(false);
-        state.free_count = 0;
+        state.free.take(&cluster.ids_by_memory_desc());
         let full = allocations_in(|| admission_passes(&mut state, &cfg, &view, 0.0));
         assert_eq!(
             full,
@@ -716,19 +704,13 @@ fn a_fully_screened_spill_sweep_allocates_nothing() {
     }
     for (i, sh) in shards.iter_mut().enumerate() {
         let busy = if i % 2 == 0 { 3 } else { 1 };
-        for &p in &sh.state.mem_order[..busy] {
-            sh.state.free[p.idx()] = false;
-        }
-        sh.state.free_count = 3 - busy;
+        sh.state.free.take(&member().ids_by_memory_desc()[..busy]);
     }
-    let mut top_free = Vec::new();
-    let sweep = |shards: &mut Vec<MemberShard>, top_free: &mut Vec<Option<f64>>| {
-        spill(shards, top_free, &cfg, &view, 0.0)
-    };
-    assert_eq!(sweep(&mut shards, &mut top_free), 0);
+    let sweep = |shards: &mut Vec<MemberShard>| spill(shards, &cfg, &view, 0.0);
+    assert_eq!(sweep(&mut shards), 0);
     let swept = allocations_in(|| {
         for _ in 0..100 {
-            assert_eq!(sweep(&mut shards, &mut top_free), 0);
+            assert_eq!(sweep(&mut shards), 0);
         }
     });
     assert_eq!(swept, 0, "a fully screened spill sweep allocated");

@@ -169,13 +169,7 @@ pub(crate) fn commit_grant(grant: Grant, fingerprint: u64, state: &mut ClusterSt
     // The dedicated-cluster baseline (stretch denominator) is NOT
     // solved here: admission only notes the fingerprint, and the solves
     // drain as one deduplicated parallel batch at report time.
-    let mut lease_speed = 0.0;
-    for &p in &placement.lease {
-        debug_assert!(state.free[p.idx()]);
-        state.free[p.idx()] = false;
-        lease_speed += state.cluster.speed(p);
-    }
-    state.free_count -= placement.lease.len();
+    let lease_speed = state.free.take(&placement.lease);
     for (p, b) in &busy {
         state.busy_time[p.idx()] += *b;
     }
@@ -243,7 +237,7 @@ pub(crate) fn run_growth(
         while state.growth_pending
             && !arrivals_pending
             && state.queue.len() < threshold
-            && state.free_count > 0
+            && state.free.count() > 0
             && grow_lease(state, cfg, cache, clock)
         {
             state.lease_grown += 1;
@@ -265,12 +259,7 @@ pub(crate) fn run_growth(
 /// whether a swap happened.
 fn grow_lease(state: &mut ClusterState, cfg: &OnlineConfig, cache: &CacheView, clock: f64) -> bool {
     let cands = resize_candidates(state, clock, 1);
-    let free_ids: Vec<ProcId> = state
-        .mem_order
-        .iter()
-        .copied()
-        .filter(|p| state.free[p.idx()])
-        .collect();
+    let free_ids: Vec<ProcId> = state.free.in_memory_order().collect();
     let guard = head_guard(state, cfg, cache);
     for slot in cands {
         let Some(svc) = state.in_service[slot].as_ref() else {
@@ -584,15 +573,8 @@ fn commit_resize(
         state.busy_time[p.idx()] += *b;
     }
     svc.busy = busy;
-    for &p in claim {
-        debug_assert!(state.free[p.idx()]);
-        state.free[p.idx()] = false;
-    }
-    for &p in release {
-        debug_assert!(!state.free[p.idx()]);
-        state.free[p.idx()] = true;
-    }
-    state.free_count = state.free_count - claim.len() + release.len();
+    state.free.take(claim);
+    state.free.give_back(release);
     let new_finish = release_at + sim.makespan;
     svc.live_seq = state.events.push(new_finish, slot);
     let r = &mut svc.record;

@@ -68,6 +68,9 @@ pub mod engine;
 mod engine_tests;
 mod event;
 pub mod federation;
+mod free_set;
+#[cfg(test)]
+mod free_set_tests;
 #[cfg(test)]
 mod hotpath_tests;
 pub mod lease;

@@ -1,4 +1,4 @@
-//! The lease-shape memo of the probe buffer (`state::FreeList`) against
+//! The lease-shape memo of the carve list (`free_set::FreeSet`) against
 //! fresh hashes: every shape a probe reads back instead of hashing must
 //! equal `Cluster::shape_of_slice` of its lease, whatever the events
 //! between two probes did to the free set; and a pass over one free
@@ -11,11 +11,12 @@ use crate::engine::OnlineConfig;
 use crate::federation::routing::RoutingPolicy;
 use crate::federation::serve_federation_chaos;
 use crate::federation::testutil::{burst, member};
+use crate::free_set::{shape_tally, FreeSet};
 use crate::policy::{AdmissionPolicy, LeaseSizing};
-use crate::state::{shape_tally, ArrivalFacts, FreeList, Pending};
+use crate::state::{ArrivalFacts, Pending};
 use crate::submission::Submission;
 use dhp_dag::builder;
-use dhp_platform::{Cluster, Federation, Processor};
+use dhp_platform::{Cluster, Federation, ProcId, Processor};
 use dhp_wfgen::{SizeClass, WorkflowInstance};
 use std::sync::Arc;
 
@@ -99,8 +100,6 @@ fn a_pass_over_one_free_list_hashes_each_lease_size_once() {
     let cache = SolveCache::new();
     let solver = cfg.lease_solver();
     let view = CacheView::direct(&cache, &solver);
-    let mem_order = cluster.ids_by_memory_desc();
-    let free_set = vec![true; cluster.len()];
     let cands: Vec<Pending> = [
         builder::chain(1, 5.0, 1.0, 1.0),
         builder::chain(2, 5.0, 1.0, 1.0),
@@ -115,38 +114,27 @@ fn a_pass_over_one_free_list_hashes_each_lease_size_once() {
     let (sizes, probes) = (4, 3 * cands.len() as u64);
     // Every probe overshoots a reservation at time 0: nothing is
     // granted, so the free list stays what it was.
-    let pass = |free: &mut FreeList| {
+    let pass = |free: &mut FreeSet| {
         tallied(|| {
             for _ in 0..3 {
                 for cand in &cands {
-                    let admit = try_admit(
-                        &cluster,
-                        &mem_order,
-                        &free_set,
-                        cand,
-                        &cfg,
-                        &view,
-                        0.0,
-                        1,
-                        None,
-                        Some(0.0),
-                        free,
-                    );
+                    let admit =
+                        try_admit(&cluster, free, cand, &cfg, &view, 0.0, 1, None, Some(0.0));
                     assert!(matches!(admit, Admit::Overshoot));
                 }
             }
         })
     };
-    let mut free = FreeList::default();
+    let mut free = FreeSet::new(&cluster);
     assert_eq!(pass(&mut free), (sizes, probes - sizes, 0));
     // The next pass over the same list hashes nothing.
     assert_eq!(pass(&mut free), (0, probes, 0));
     // A list that changed drops the memo: the sizes are hashed anew.
-    let mut other = free_set.clone();
-    other[0] = false;
+    free.take(&[ProcId(0)]);
     let admit = try_admit(
-        &cluster, &mem_order, &other, &cands[0], &cfg, &view, 0.0, 1, None, None, &mut free,
+        &cluster, &mut free, &cands[0], &cfg, &view, 0.0, 1, None, None,
     );
     assert!(matches!(admit, Admit::Granted(_)));
+    free.give_back(&[ProcId(0)]);
     assert_eq!(pass(&mut free), (sizes, probes - sizes, 0));
 }

@@ -22,8 +22,9 @@
 use crate::admission::{can_place, try_admit, Admit};
 use crate::cache::{CacheView, SolveCache, SolveCacheStats, Solver};
 use crate::engine::OnlineConfig;
+use crate::free_set::{FreeSet, Mask};
 use crate::lease::{escalation_sizes, simulate_outcome, Grant};
-use crate::state::{ArrivalFacts, FreeList, Pending};
+use crate::state::{ArrivalFacts, Pending};
 use crate::submission::Submission;
 use dhp_core::daghetpart::DagHetPartConfig;
 use dhp_core::Algorithm;
@@ -351,13 +352,14 @@ type AdmitProbe = (usize, u8, usize, usize, bool);
 /// every counter move, the recency clock and every entry's stamp.
 fn admit_agree(mode: Mode, make: fn() -> SolveCache, probes: &[AdmitProbe]) -> Vec<Decided> {
     let c = cluster();
-    let mem_order = c.ids_by_memory_desc();
     let cands: Vec<Pending> = (0..graphs().len()).map(candidate).collect();
     let reference = make();
     let subject = make();
     let solvers = solvers();
     let (mut want_account, mut got_account) = Default::default();
-    let mut free = FreeList::default();
+    // The probes' free set, whose mask each probe moves to its own.
+    let mut free = FreeSet::new(&c);
+    let mut busy: Vec<ProcId> = Vec::new();
     let mut decisions = Vec::new();
     for (round, &(gi, mask, cap, ai, admit)) in probes.iter().enumerate() {
         let cfg = OnlineConfig {
@@ -367,6 +369,9 @@ fn admit_agree(mode: Mode, make: fn() -> SolveCache, probes: &[AdmitProbe]) -> V
         let want_view = view(mode, &reference, &solvers[ai], &mut want_account);
         let got_view = view(mode, &subject, &solvers[ai], &mut got_account);
         let free_set: Vec<bool> = (0..c.len()).map(|i| mask >> i & 1 == 1).collect();
+        free.give_back(&busy);
+        busy = c.proc_ids().filter(|p| !free_set[p.idx()]).collect();
+        free.take(&busy);
         let cap = [None, Some(0.0), Some(12.0)][cap];
         let cand = &cands[gi];
         let want = decided(two_call_admit(
@@ -374,10 +379,10 @@ fn admit_agree(mode: Mode, make: fn() -> SolveCache, probes: &[AdmitProbe]) -> V
         ));
         let got = if admit {
             decided(try_admit(
-                &c, &mem_order, &free_set, cand, &cfg, &got_view, 0.0, 1, None, cap, &mut free,
+                &c, &mut free, cand, &cfg, &got_view, 0.0, 1, None, cap,
             ))
         } else {
-            let placed = can_place(&c, &mem_order, &free_set, cand, &cfg, &got_view, &mut free);
+            let placed = can_place(&c, &mut free, Mask::Real, cand, &cfg, &got_view);
             let want_placed = want == Decided::Overshoot;
             assert_eq!(placed, want_placed, "{mode:?} probe {round}: placeability");
             want.clone()
@@ -455,13 +460,12 @@ fn the_one_lock_probe_on_each_outcome() {
     let view = CacheView::direct(&cache, &solver);
     let c = cluster();
     let cfg = OnlineConfig::default();
-    let mut free = FreeList::default();
-    let free_set = [true, false, false, false];
+    let mut free = FreeSet::new(&c);
+    free.take(&[ProcId(1), ProcId(2), ProcId(3)]);
     let mut probe = || {
         try_admit(
             &c,
-            &c.ids_by_memory_desc(),
-            &free_set,
+            &mut free,
             &candidate(branches),
             &cfg,
             &view,
@@ -469,7 +473,6 @@ fn the_one_lock_probe_on_each_outcome() {
             1,
             None,
             None,
-            &mut free,
         )
     };
     assert!(matches!(probe(), Admit::Wait));

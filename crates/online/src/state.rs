@@ -15,6 +15,7 @@
 //! recognised by the address of the graph it shares.
 
 use crate::event::EventQueue;
+use crate::free_set::FreeSet;
 use crate::queue::Queue;
 use crate::report::{LostRecord, RejectedRecord, WorkflowRecord};
 use crate::submission::Submission;
@@ -238,122 +239,15 @@ pub(crate) struct InService {
     pub(crate) busy: Vec<(ProcId, f64)>,
 }
 
-/// The free processors a lease probe carves from, in canonical
-/// memory-descending order, with the lease shapes of the list memoized
-/// by lease size.
-///
-/// A lease is a prefix of the list, and its shape
-/// ([`Cluster::shape_of_slice`], the cache key's lease half) is a pure
-/// function of that ordered prefix on a given cluster. So while the
-/// list stays what it was — between two events most probes see the same
-/// free set — every size's shape is hashed once and then read back.
-/// [`FreeList::refill`] filters the free set afresh and drops the
-/// memo only when the list changed. One `FreeList` serves one cluster:
-/// it is part of a [`ClusterState`]'s [`ProbeScratch`], and the debug
-/// build checks every shape it reads back against a fresh hash (test
-/// builds tally the checks, `shape_tally`).
-#[derive(Default)]
-pub(crate) struct FreeList {
-    /// The current list.
-    list: Vec<ProcId>,
-    /// Where `refill` filters into before comparing; swapped with
-    /// `list` when the two differ.
-    fresh: Vec<ProcId>,
-    /// `(size, shape of list[..size])` for each size asked since the
-    /// list last changed.
-    shapes: Vec<(usize, u64)>,
-}
-
-impl FreeList {
-    /// Fills the list with the processors of `mem_order` that `free`
-    /// marks free, keeping the memoized shapes if the list is the one
-    /// they were hashed on.
-    pub(crate) fn refill(&mut self, mem_order: &[ProcId], free: &[bool]) {
-        self.fresh.clear();
-        self.fresh
-            .extend(mem_order.iter().copied().filter(|p| free[p.idx()]));
-        if self.fresh != self.list {
-            std::mem::swap(&mut self.fresh, &mut self.list);
-            self.shapes.clear();
-        }
-    }
-
-    /// The free processors, in memory-descending order.
-    pub(crate) fn procs(&self) -> &[ProcId] {
-        &self.list
-    }
-
-    /// The shape of the lease `procs()[..size]` on `cluster`, the
-    /// cluster whose free set the list was filled from.
-    pub(crate) fn shape(&mut self, cluster: &Cluster, size: usize) -> u64 {
-        let lease = &self.list[..size];
-        if let Some(&(_, shape)) = self.shapes.iter().find(|&&(s, _)| s == size) {
-            debug_assert_eq!(
-                shape,
-                cluster.shape_of_slice(lease),
-                "a memoized lease shape of another list or cluster"
-            );
-            #[cfg(test)]
-            shape_tally::read_back(shape == cluster.shape_of_slice(lease));
-            return shape;
-        }
-        #[cfg(test)]
-        shape_tally::bump(&shape_tally::HASHED);
-        let shape = cluster.shape_of_slice(lease);
-        self.shapes.push((size, shape));
-        shape
-    }
-}
-
-/// Test-build tallies of the lease-shape memo, per thread: shapes
-/// hashed, shapes read back, and read-backs that differed from a fresh
-/// hash of their lease (always 0 unless the memo is wrong).
-#[cfg(test)]
-pub(crate) mod shape_tally {
-    use std::cell::Cell;
-    use std::thread::LocalKey;
-
-    thread_local! {
-        pub(super) static HASHED: Cell<u64> = const { Cell::new(0) };
-        static READ_BACK: Cell<u64> = const { Cell::new(0) };
-        static STALE: Cell<u64> = const { Cell::new(0) };
-    }
-
-    pub(super) fn bump(counter: &'static LocalKey<Cell<u64>>) {
-        counter.with(|c| c.set(c.get() + 1));
-    }
-
-    pub(super) fn read_back(fresh: bool) {
-        bump(&READ_BACK);
-        if !fresh {
-            bump(&STALE);
-        }
-    }
-
-    /// `(hashed, read back, stale)` so far on this thread.
-    pub(crate) fn read() -> (u64, u64, u64) {
-        let get = |counter: &'static LocalKey<Cell<u64>>| counter.with(Cell::get);
-        (get(&HASHED), get(&READ_BACK), get(&STALE))
-    }
-}
-
 /// Reusable buffers for the admission hot path, owned by the
-/// [`ClusterState`] so steady-state probes allocate nothing: every
-/// placement probe needs the free set filtered into memory order, and
-/// every reservation replay needs a hypothetical free set plus the
-/// live pending completions in time order. The buffers are cleared and
-/// refilled per use — after the first few events they have grown to
-/// the cluster's working-set size and stay there (pinned by the
+/// [`ClusterState`] so steady-state passes allocate nothing: every
+/// reservation replay needs the live pending completions in time order,
+/// and every pass its candidate order and decisions. The buffers are
+/// cleared and refilled per use — after the first few events they have
+/// grown to the cluster's working-set size and stay there (pinned by the
 /// allocation-counting tests in `hotpath_tests.rs`).
 #[derive(Default)]
 pub(crate) struct ProbeScratch {
-    /// Free processors in canonical memory-descending order, with their
-    /// lease shapes — the lease-carve prefix source of `find_placement`
-    /// / `can_place`.
-    pub(crate) free_sorted: FreeList,
-    /// Hypothetical free set for the reservation replays
-    /// (`head_reservation` / `head_fits_at`).
-    pub(crate) hyp: Vec<bool>,
     /// Live pending completions `(time, seq, slot)`, sorted for the
     /// reservation replay.
     pub(crate) pending: Vec<(f64, u64, usize)>,
@@ -368,8 +262,7 @@ pub(crate) struct ProbeScratch {
 }
 
 /// Everything one shared cluster's event loop owns and mutates: the
-/// cluster itself (plus its canonical memory-descending carve order),
-/// the free set, the admission queue, the completion-event heap, the
+/// cluster itself, its free set, the admission queue, the completion-event heap, the
 /// in-service table, and the accumulating per-run results.
 ///
 /// The in-service table grows with how many workflows run at once, not
@@ -391,12 +284,8 @@ pub(crate) struct ClusterState {
     /// [`Cluster::total_speed`] of `cluster`: the divisor of the
     /// `least-loaded` routing signal.
     pub(crate) total_speed: f64,
-    /// Free processors, scanned in the heuristics' canonical
-    /// memory-descending order so every lease grabs the biggest free
-    /// memories first (feasibility is monotone in that choice).
-    pub(crate) mem_order: Vec<ProcId>,
-    pub(crate) free: Vec<bool>,
-    pub(crate) free_count: usize,
+    /// The free processors (see [`FreeSet`]).
+    pub(crate) free: FreeSet,
     /// The admission queue (see [`Queue`]).
     pub(crate) queue: Queue,
     pub(crate) events: EventQueue,
@@ -453,9 +342,7 @@ impl ClusterState {
         ClusterState {
             max_memory: cluster.max_memory(),
             total_speed: cluster.total_speed(),
-            mem_order: cluster.ids_by_memory_desc(),
-            free: vec![true; cluster.len()],
-            free_count: cluster.len(),
+            free: FreeSet::new(cluster),
             queue: Queue::default(),
             events: EventQueue::new(),
             in_service: Vec::new(),
@@ -529,11 +416,7 @@ impl ClusterState {
             let done = self.in_service[c.slot]
                 .take()
                 .unwrap_or_else(|| unreachable!("a live completion holds its slot"));
-            for &p in &done.placement.lease {
-                debug_assert!(!self.free[p.idx()]);
-                self.free[p.idx()] = true;
-            }
-            self.free_count += done.placement.lease.len();
+            self.free.give_back(&done.placement.lease);
             self.finished.push(done.record);
             self.finished_fp.push(done.fingerprint);
             self.placements.push(done.placement);
@@ -559,27 +442,6 @@ impl ClusterState {
         self.queue.push(p);
     }
 
-    /// Memory of the largest free processor (`−∞` when none is free).
-    /// `mem_order` comes from [`Cluster::ids_by_memory_desc`], so the
-    /// first free processor in it holds the maximum — the memory every
-    /// lease probe screens the hottest task against.
-    pub(crate) fn top_free_memory(&self) -> f64 {
-        self.mem_order
-            .iter()
-            .find(|p| self.free[p.idx()])
-            .map_or(f64::NEG_INFINITY, |&p| self.cluster.memory(p))
-    }
-
-    /// Aggregate speed of the currently free processors — the
-    /// `best-fit` routing signal (larger = more immediate capacity).
-    pub(crate) fn free_speed(&self) -> f64 {
-        self.cluster
-            .proc_ids()
-            .filter(|p| self.free[p.idx()])
-            .map(|p| self.cluster.speed(p))
-            .sum()
-    }
-
     /// Tears down every in-service workflow at a member failure: voids
     /// their leases and completion events, and un-credits the busy
     /// time already charged for them (utilisation counts *completed*
@@ -591,11 +453,7 @@ impl ClusterState {
         let mut torn = Vec::new();
         for slot in self.in_service.iter_mut() {
             if let Some(svc) = slot.take() {
-                for &p in &svc.placement.lease {
-                    debug_assert!(!self.free[p.idx()]);
-                    self.free[p.idx()] = true;
-                }
-                self.free_count += svc.placement.lease.len();
+                self.free.give_back(&svc.placement.lease);
                 for &(p, t) in &svc.busy {
                     self.busy_time[p.idx()] -= t;
                 }
