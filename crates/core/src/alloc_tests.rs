@@ -194,3 +194,78 @@ fn a_coarsening_hierarchy_holds_views_not_graphs() {
         assert!(held <= bound, "{family:?}: {held} B > {bound} B");
     }
 }
+
+/// The fitted default cluster of `tasks` tasks of `family` (seed 17),
+/// as the offline benchmark fits it.
+fn fitted(family: dhp_wfgen::Family, tasks: usize) -> (Dag, dhp_platform::Cluster) {
+    let g = std::sync::Arc::unwrap_or_clone(
+        dhp_wfgen::WorkflowInstance::simulated(family, tasks, 17).graph,
+    );
+    let cluster =
+        crate::fitting::scale_cluster_with_headroom(&g, &configs::default_cluster(), 1.05);
+    (g, cluster)
+}
+
+/// A whole-workflow traversal answers on a workspace of its own and
+/// drops it: after a warm-up of block questions (one DagHetPart attempt
+/// at `k' = 36`), `dag_het_mem` on 10,000 blast tasks leaves on its
+/// thread exactly the bytes of the mapping it returns, and `min_peak`
+/// none at all. When both answered on the thread's own workspace, they
+/// left its tables at whole-workflow size: `dag_het_mem` held
+/// 3,348,180 B for a 40,008 B mapping, and `min_peak` 3,339,300 B. Each
+/// runs on a thread of its own, so no earlier test's questions decide
+/// what is warm.
+#[test]
+fn a_whole_workflow_traversal_leaves_nothing_on_its_thread() {
+    let (g, cluster) = fitted(dhp_wfgen::Family::Blast, 10_000);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let cfg = DagHetPartConfig {
+                parallel: false,
+                kprime: crate::daghetpart::KprimeMode::Fixed(36),
+                ..DagHetPartConfig::default()
+            };
+            dag_het_part(&g, &cluster, &cfg).unwrap();
+            let (mapping, held) = bytes_held_by(|| crate::baseline::dag_het_mem(&g, &cluster));
+            let mapping = mapping.unwrap();
+            let (_, mapping_bytes) = bytes_held_by(|| mapping.clone());
+            assert_eq!(held, mapping_bytes, "dag_het_mem holds {held} B");
+        });
+        s.spawn(|| {
+            let (peak, held) = bytes_held_by(|| dhp_memdag::min_peak(&g));
+            assert!(peak > 0.0);
+            assert_eq!(held, 0, "min_peak holds {held} B");
+        });
+    });
+}
+
+/// The requirement memo of a sequential 10,000-task sweep (`k'` from 1
+/// to 36 on the fitted default cluster) keys each member set by its
+/// runs of consecutive ids, and its keys hold at most what this
+/// records. Its keys are the sweep's distinct multi-task Step-1 blocks:
+/// all 666 (`1 + … + 36`) for blast and seismology, 611 for genome,
+/// whose sweep meets 55 block sets a second time; Step 2 bisects
+/// nothing, so the bisections map stays empty. Keyed by their id lists,
+/// the same keys held 360,000 ids (1,440,000 B) for blast and
+/// seismology and 336,556 (1,346,224 B) for genome: each workflow's ids
+/// about 36 times over. They are 9,251, 9,716 and 15,118 runs, two
+/// words each, so the bounds are exact.
+#[test]
+fn the_memo_keys_of_a_large_sweep_hold_runs_not_ids() {
+    let cfg = DagHetPartConfig {
+        parallel: false,
+        ..DagHetPartConfig::default()
+    };
+    for (family, distinct, bound) in [
+        (dhp_wfgen::Family::Blast, 666, 74_008),
+        (dhp_wfgen::Family::Seismology, 666, 77_728),
+        (dhp_wfgen::Family::Genome, 611, 120_944),
+    ] {
+        let (g, cluster) = fitted(family, 10_000);
+        let memo = crate::blockmem::ReqMemo::new(&g);
+        crate::daghetpart::sweep(&g, &cluster, &cfg, &memo, false).unwrap();
+        let [(keys, bytes), splits] = memo.run_keys();
+        assert_eq!((keys, splits), (distinct, (0, 0)), "{family:?}");
+        assert!(bytes <= bound, "{family:?}: {bytes} B > {bound} B");
+    }
+}

@@ -5,12 +5,17 @@
 //! crossing the block boundary are charged while the incident task
 //! executes (matching the paper's `r_u` for singleton blocks).
 //!
-//! It is a pure function of the member *set*, and one solve asks for
-//! the same sets again and again (Step 3 re-evaluates a merge candidate
-//! every time its block is requeued, and neighbouring `k'` attempts
-//! split and merge their way to the same blocks), so `dag_het_part`
-//! answers through a [`ReqMemo`] that lives exactly as long as the
-//! solve.
+//! It is a pure function of the member *set*, and a solve of a
+//! chain-shaped workflow asks for the same sets again and again: Step 3
+//! re-evaluates a merge candidate every time its block is requeued,
+//! and the `k'` attempts cut, split and merge their way to the same
+//! blocks. A sequential sweep of epigenomics-60 on the fitted default
+//! cluster asks 1,155 multi-task questions, and 805 of them hit. So
+//! `dag_het_part` answers through a [`ReqMemo`] that lives exactly as
+//! long as the solve. On wide workflows the memo mostly stores: the
+//! same sweep of blast-10000 asks 666 questions about 666 sets, one per
+//! Step-1 block, which is why a large set's key is kept short
+//! (`SetKey`: its runs of consecutive ids).
 //!
 //! **Bounds decide, the kernel confirms.** No step of a solve *reads*
 //! a requirement: Step 2 orders blocks by it and compares it with
@@ -54,31 +59,50 @@ pub fn block_requirement(g: &Dag, members: &[NodeId]) -> f64 {
 }
 
 /// A member set as a memo key: one bit per task while the workflow has
-/// at most 128 of them (16 bytes whatever the block), the ascending id
-/// list otherwise. Hashed with SipHash, not with the fold of
-/// `dhp_dag::fingerprint::FoldState`: a mask's low bits are the
-/// workflow's low task ids, which the blocks of one solve share, and
-/// the fold would pile such keys into few buckets. A lookup borrows the
-/// id list from a buffer of the calling thread; only an insertion
-/// copies it into the map.
+/// at most 128 of them (16 bytes whatever the block), the set's maximal
+/// runs of consecutive ids otherwise ([`push_runs`]). Hashed with
+/// SipHash, not with the fold of `dhp_dag::fingerprint::FoldState`: a
+/// mask's low bits are the workflow's low task ids, which the blocks of
+/// one solve share, and the fold would pile such keys into few buckets.
+/// A lookup borrows the runs from a buffer of the calling thread; only
+/// an insertion copies them into the map.
 #[derive(Clone, Copy, Debug)]
 enum SetKey<'k> {
     Mask(u128),
-    Ids(&'k [u32]),
+    Runs(&'k [u32]),
+}
+
+/// Appends to `buf`, which holds a set's ids ascending, the
+/// `(start, length)` of each maximal run of consecutive ids, and
+/// returns where they begin. Maximal runs are a function of the set, so
+/// equal sets get equal keys and different sets different ones: {4, 9}
+/// reads `[4, 1, 9, 1]` and {4..=12} `[4, 9]`. Step 1 cuts a workflow
+/// into long runs: the 36 Step-1 partitions of blast-10000 (10,000 ids
+/// each) have 9,251 runs in all, about 514 words a partition.
+fn push_runs(buf: &mut Vec<u32>) -> usize {
+    let len = buf.len();
+    let mut start = 0;
+    for i in 1..=len {
+        if i == len || buf[i] != buf[i - 1] + 1 {
+            buf.extend([buf[start], (i - start) as u32]);
+            start = i;
+        }
+    }
+    len
 }
 
 /// Entries per member set, under the two kinds of [`SetKey`].
 #[derive(Debug)]
 struct SetMap<V> {
     masks: HashMap<u128, V>,
-    ids: HashMap<Box<[u32]>, V>,
+    runs: HashMap<Box<[u32]>, V>,
 }
 
 impl<V> Default for SetMap<V> {
     fn default() -> Self {
         Self {
             masks: HashMap::new(),
-            ids: HashMap::new(),
+            runs: HashMap::new(),
         }
     }
 }
@@ -87,7 +111,7 @@ impl<V> SetMap<V> {
     fn get(&self, key: SetKey<'_>) -> Option<&V> {
         match key {
             SetKey::Mask(mask) => self.masks.get(&mask),
-            SetKey::Ids(ids) => self.ids.get(ids),
+            SetKey::Runs(runs) => self.runs.get(runs),
         }
     }
 
@@ -95,21 +119,29 @@ impl<V> SetMap<V> {
     fn get_or_insert(&mut self, key: SetKey<'_>, value: V) -> &mut V {
         match key {
             SetKey::Mask(mask) => self.masks.entry(mask).or_insert(value),
-            SetKey::Ids(ids) => self.ids.entry(ids.into()).or_insert(value),
+            SetKey::Runs(runs) => self.runs.entry(runs.into()).or_insert(value),
         }
     }
 
     fn insert(&mut self, key: SetKey<'_>, value: V) {
         match key {
             SetKey::Mask(mask) => self.masks.insert(mask, value),
-            SetKey::Ids(ids) => self.ids.insert(ids.into(), value),
+            SetKey::Runs(runs) => self.runs.insert(runs.into(), value),
         };
+    }
+
+    /// `(keys, bytes)`: how many run keys the map holds, and the heap
+    /// bytes their words take.
+    #[cfg(test)]
+    fn run_keys(&self) -> (usize, usize) {
+        let words: usize = self.runs.keys().map(|k| k.len()).sum();
+        (self.runs.len(), words * std::mem::size_of::<u32>())
     }
 }
 
 thread_local! {
-    /// The id list a [`SetKey::Ids`] lookup borrows.
-    static IDS: std::cell::Cell<Vec<u32>> = const { std::cell::Cell::new(Vec::new()) };
+    /// The ids and the runs a [`SetKey::Runs`] lookup borrows.
+    static KEY: std::cell::Cell<Vec<u32>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
 #[derive(Debug, Default)]
@@ -304,6 +336,14 @@ impl<'g> ReqMemo<'g> {
         (splits.hits, splits.misses)
     }
 
+    /// `(keys, bytes)` of the run keys the memo holds, in the
+    /// requirements map and in the bisections map.
+    #[cfg(test)]
+    pub(crate) fn run_keys(&self) -> [(usize, usize); 2] {
+        let known = self.store.lock().known.run_keys();
+        [known, self.splits.lock().known.run_keys()]
+    }
+
     /// `(bounded, resolved)`: bounds questions answered by bounds that
     /// were not exact, and how many of those were resolved later.
     #[cfg(test)]
@@ -329,16 +369,17 @@ impl<'g> ReqMemo<'g> {
         }
         // A question asked while another holds the buffer (none does)
         // would find it empty and grow one of its own.
-        let mut ids = IDS.take();
-        ids.clear();
-        ids.extend(members.iter().map(|u| u.0));
-        ids.sort_unstable();
+        let mut buf = KEY.take();
+        buf.clear();
+        buf.extend(members.iter().map(|u| u.0));
+        buf.sort_unstable();
         assert!(
-            ids.windows(2).all(|w| w[0] < w[1]),
+            buf.windows(2).all(|w| w[0] < w[1]),
             "duplicate member in block"
         );
-        let answer = question(SetKey::Ids(&ids));
-        IDS.set(ids);
+        let from = push_runs(&mut buf);
+        let answer = question(SetKey::Runs(&buf[from..]));
+        KEY.set(buf);
         answer
     }
 }
@@ -603,6 +644,128 @@ mod tests {
         // an exact entry or misses, then a bounds hit.
         assert_eq!(hits + misses, 24 * 3 + resolved);
         assert_eq!(memo.tally(), (resolved, resolved));
+    }
+
+    /// The key of `ids` (ascending) as `with_key` builds it.
+    fn key_of(ids: &[u32]) -> Vec<u32> {
+        let mut buf = ids.to_vec();
+        let from = push_runs(&mut buf);
+        buf.split_off(from)
+    }
+
+    /// A set is keyed by the `(start, length)` of its maximal runs, so
+    /// an isolated id is a run of one and {4, 9} and {4..=12}, whose
+    /// starts and ends agree, get different keys.
+    #[test]
+    fn a_key_lists_the_maximal_runs_of_the_ids() {
+        assert_eq!(key_of(&[4, 9]), [4, 1, 9, 1]);
+        assert_eq!(key_of(&(4..=12).collect::<Vec<_>>()), [4, 9]);
+        assert_eq!(key_of(&[1, 2, 5, 6]), [1, 2, 5, 2]);
+        assert_eq!(key_of(&[1, 2, 3, 5, 6]), [1, 3, 5, 2]);
+        assert_eq!(key_of(&[0, 1, 2, 7, 20, 21, 22]), [0, 3, 7, 1, 20, 3]);
+        assert_eq!(key_of(&[0, 2, 4, 6, 7]), [0, 1, 2, 1, 4, 1, 6, 2]);
+    }
+
+    /// Member sets of a workflow of `n` (129 or more) tasks, distinct
+    /// and ascending: long runs, the same runs one id longer or shorter
+    /// at a run's end, two runs and the id that joins them, isolated
+    /// ids, {4, 9} and {4..=12} (whose first and last ids agree), and a
+    /// few random mixtures of runs and isolated ids.
+    fn keyed_sets(n: u32, seed: u64) -> Vec<Vec<u32>> {
+        let runs = |ranges: &[std::ops::Range<u32>]| -> Vec<u32> {
+            ranges.iter().flat_map(|r| r.clone()).collect()
+        };
+        let (q, h, e) = (n / 4, n / 2, n / 8);
+        let mut sets = vec![
+            runs(&[0..q, h..h + e, n - 10..n]),
+            runs(&[0..q + 1, h..h + e, n - 10..n]),
+            runs(&[0..q - 1, h..h + e, n - 10..n]),
+            runs(&[0..q, q + 1..h]),
+            (0..h).collect(),
+            (0..n).step_by(3).collect(),
+            (1..2).chain((0..n).step_by(3)).collect(),
+            vec![4, 9],
+            (4..=12).collect(),
+            (4..=9).collect(),
+        ];
+        let mut state = seed | 1;
+        let mut next = move |bound: u32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % u64::from(bound)) as u32
+        };
+        for _ in 0..6 {
+            let mut set = Vec::new();
+            for _ in 0..1 + next(6) {
+                let start = next(n);
+                let len = 1 + next(40);
+                set.extend(start..(start + len).min(n));
+            }
+            set.sort_unstable();
+            set.dedup();
+            if set.len() >= 2 {
+                sets.push(set);
+            }
+        }
+        for set in &mut sets {
+            set.sort_unstable();
+        }
+        sets.sort();
+        sets.dedup();
+        sets
+    }
+
+    /// `ids` as members, in an order scrambled by `seed`.
+    fn shuffled(ids: &[u32], seed: u64) -> Vec<NodeId> {
+        let mut keyed: Vec<(u64, NodeId)> = ids
+            .iter()
+            .map(|&u| {
+                let h = (u64::from(u) ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                (h ^ (h >> 29), NodeId(u))
+            })
+            .collect();
+        keyed.sort_unstable();
+        keyed.into_iter().map(|(_, u)| u).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Above 128 tasks, where a key lists the runs of the sorted
+        /// ids: bounds, requirement and bisection through one memo
+        /// equal the unmemoized answers for every set, asked twice in
+        /// two scrambled orders, and every set gets a key of its own.
+        #[test]
+        fn run_keys_answer_like_the_kernel(
+            n in 129usize..=600,
+            seed in proptest::strategy::any::<u64>(),
+        ) {
+            let g = builder::gnp_dag_weighted(n, 4.0 / n as f64, seed);
+            let memo = ReqMemo::new(&g);
+            let mut pool = MemberPool::default();
+            let sets = keyed_sets(n as u32, seed);
+            for round in 0..2u64 {
+                for (i, set) in sets.iter().enumerate() {
+                    let members = shuffled(set, seed ^ (round << 32) ^ i as u64);
+                    let req = block_requirement(&g, &members);
+                    let fresh = match round {
+                        0 => dhp_memdag::block_bounds(&g, &members),
+                        _ => PeakBounds::exact(req),
+                    };
+                    proptest::prop_assert_eq!(memo.bounds(&members), fresh, "{:?}", set);
+                    proptest::prop_assert_eq!(memo.requirement(&members).to_bits(), req.to_bits());
+                    // A bisection that depends on every member.
+                    let halves: Vec<NodeId> = set.iter().map(|&u| NodeId(u)).collect();
+                    let mid = 1 + set.iter().sum::<u32>() as usize % (set.len() - 1);
+                    let parts = memo.split(&members, &mut pool, || (&halves, mid));
+                    proptest::prop_assert_eq!(&parts[0][..], &halves[..mid], "{:?}", set);
+                    proptest::prop_assert_eq!(&parts[1][..], &halves[mid..], "{:?}", set);
+                }
+            }
+            let [(keys, _), (split_keys, _)] = memo.run_keys();
+            proptest::prop_assert_eq!((keys, split_keys), (sets.len(), sets.len()));
+        }
     }
 
     #[test]

@@ -49,7 +49,14 @@
 //! once, its levels views, balance weights and coarse maps, with no copy
 //! of the workflow or of any contracted graph (`dhp_dagp::coarsen_for`;
 //! 2.0 MiB for 10,000 blast tasks). A workflow already at the
-//! coarsening target is one level: its view and weights.
+//! coarsening target is one level: its view and weights. The memo keeps
+//! one key per distinct multi-task block. Up to 128 tasks a key is a
+//! 16-byte mask. Above that it is the block's runs of consecutive ids:
+//! the keys of a sequential blast-10000 sweep hold 74,008 B, where id
+//! lists held 1,440,000 B.
+//! The requirement kernel's tables are the thread's `dhp_memdag`
+//! workspace, which grows to the largest block the thread has asked
+//! about (at `k' = 1`, the whole workflow).
 
 use crate::blockmem::ReqMemo;
 use crate::makespan::blockset_makespan;
@@ -161,7 +168,7 @@ pub fn dag_het_part_traced(
 
 /// The `k'` sweep behind both entry points. `memo` lives for this one
 /// solve: every worker reads and feeds it, the caller drops it.
-fn sweep(
+pub(crate) fn sweep(
     g: &Dag,
     cluster: &Cluster,
     cfg: &DagHetPartConfig,

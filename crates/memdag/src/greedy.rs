@@ -152,10 +152,9 @@ pub(crate) fn greedy_into(
 
 /// Computes the memory-greedy topological order.
 pub fn greedy_order(g: &Dag, ext: &[f64]) -> Vec<NodeId> {
-    crate::with_workspace(|ws| {
-        ws.load_graph(g, ext);
-        ws.greedy_order().iter().map(|&u| NodeId(u)).collect()
-    })
+    let ws = &mut crate::workspace::Workspace::default();
+    ws.load_graph(g, ext);
+    ws.greedy_order().iter().map(|&u| NodeId(u)).collect()
 }
 
 #[cfg(test)]

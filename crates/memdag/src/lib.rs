@@ -58,7 +58,7 @@
 //! input / output sums, boundary files folded into the external load),
 //! and the topological order, the greedy order, the decomposition, the
 //! merge and the three evaluations all read that one representation.
-//! The view and every piece of scratch live in a per-thread workspace:
+//! The view and every piece of scratch live in one workspace:
 //!
 //! * the view itself, with its parent-id table (the only table as long
 //!   as the workflow; wiped member by member after each fill);
@@ -74,10 +74,15 @@
 //!
 //! Tables are rewritten from their start by each question, heaps and
 //! stacks are drained by the routine that fills them, so nothing
-//! carries over — and a question no larger than an earlier one on the
-//! same thread allocates nothing. A `&Dag` is simply the view whose
-//! members are all its nodes: there is no second implementation for
-//! whole workflows.
+//! carries over. A block question ([`block_bounds`], [`block_peak`],
+//! [`block_traversal`]) runs on its thread's workspace, and one no
+//! larger than an earlier block on the same thread allocates nothing. A
+//! `&Dag` is simply the view whose members are all its nodes: there is
+//! no second implementation for whole workflows. A whole-graph question
+//! ([`best_traversal`], [`min_peak`] and the per-strategy entry points)
+//! runs on a workspace of its own and drops it with the answer, so no
+//! thread keeps tables sized for a whole workflow under the block
+//! questions that follow.
 //!
 //! ```
 //! // A fork where one branch produces a big intermediate file: the
@@ -110,7 +115,7 @@ mod workspace;
 pub use dpopt::dp_min_peak;
 
 use dhp_dag::{Dag, NodeId};
-use workspace::with_workspace;
+use workspace::{with_workspace, Workspace};
 
 #[cfg(test)]
 mod proptests;
@@ -134,6 +139,12 @@ pub struct Traversal {
 /// of files exchanged with tasks outside this DAG, charged while `u`
 /// executes. Pass zeroes for a standalone workflow.
 ///
+/// The call allocates its workspace and frees it before returning: the
+/// only heap it leaves behind is the order it returns. A whole workflow
+/// is asked about once (DagHetMem's traversal, a requirement for
+/// fitting), and tables sized for it would otherwise stay on the thread
+/// under every later block question.
+///
 /// # Panics
 /// Panics if `g` is cyclic or `ext.len() != g.node_count()`.
 pub fn best_traversal(g: &Dag, ext: &[f64]) -> Traversal {
@@ -144,22 +155,22 @@ pub fn best_traversal(g: &Dag, ext: &[f64]) -> Traversal {
             peak: 0.0,
         };
     }
-    with_workspace(|ws| {
-        ws.load_graph(g, ext);
-        ws.best_traversal()
-    })
+    let ws = &mut Workspace::default();
+    ws.load_graph(g, ext);
+    ws.best_traversal()
 }
 
 /// Convenience wrapper: the minimum peak memory found for `g` with no
-/// external load (`r` of the whole workflow on one processor).
+/// external load (`r` of the whole workflow on one processor). Like
+/// [`best_traversal`], it answers on a workspace of its own and leaves
+/// no heap behind, so whole-workflow tables do not stay on the thread.
 pub fn min_peak(g: &Dag) -> f64 {
     if g.is_empty() {
         return 0.0;
     }
-    with_workspace(|ws| {
-        ws.view.fill_graph(g);
-        ws.best().0
-    })
+    let ws = &mut Workspace::default();
+    ws.view.fill_graph(g);
+    ws.best().0
 }
 
 /// [`best_traversal`] of the block `members` of `g` (any order, no

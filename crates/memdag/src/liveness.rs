@@ -15,10 +15,9 @@ use dhp_dag::{BlockView, Dag, NodeId};
 pub fn traversal_peak(g: &Dag, ext: &[f64], order: &[NodeId]) -> f64 {
     debug_assert_eq!(order.len(), g.node_count());
     debug_assert!(dhp_dag::topo::is_topological_order(g, order));
-    crate::with_workspace(|ws| {
-        ws.load_graph(g, ext);
-        peak_of(&ws.view, order.iter().map(|u| u.0))
-    })
+    let ws = &mut crate::workspace::Workspace::default();
+    ws.load_graph(g, ext);
+    peak_of(&ws.view, order.iter().map(|u| u.0))
 }
 
 /// Peak of executing all of `view`'s tasks in `order` (local ids): the

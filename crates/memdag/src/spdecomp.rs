@@ -98,12 +98,11 @@ pub fn decompose(g: &Dag) -> SpTree {
     if g.is_empty() {
         return SpTree::Series(Vec::new());
     }
-    crate::with_workspace(|ws| {
-        ws.view.fill_graph(g);
-        ws.topo_order("decompose requires a DAG");
-        decompose_into(&ws.view, &ws.topo, &mut ws.decomp);
-        flatten(ws.decomp.to_tree(0, ws.view.members()))
-    })
+    let ws = &mut crate::workspace::Workspace::default();
+    ws.view.fill_graph(g);
+    ws.topo_order("decompose requires a DAG");
+    decompose_into(&ws.view, &ws.topo, &mut ws.decomp);
+    flatten(ws.decomp.to_tree(0, ws.view.members()))
 }
 
 /// What a node of the flat tree is; the [`SpTree`] variants.

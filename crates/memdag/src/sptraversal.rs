@@ -98,12 +98,11 @@ pub fn sp_order(g: &Dag, ext: &[f64]) -> Vec<NodeId> {
     if g.is_empty() {
         return Vec::new();
     }
-    crate::with_workspace(|ws| {
-        ws.load_graph(g, ext);
-        ws.topo_order("sp_order requires a DAG");
-        ws.sp_order();
-        ws.sp.iter().map(|&u| NodeId(u)).collect()
-    })
+    let ws = &mut crate::workspace::Workspace::default();
+    ws.load_graph(g, ext);
+    ws.topo_order("sp_order requires a DAG");
+    ws.sp_order();
+    ws.sp.iter().map(|&u| NodeId(u)).collect()
 }
 
 /// Decomposes `view` (topological order `topo`) and writes the order

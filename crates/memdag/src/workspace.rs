@@ -10,13 +10,16 @@
 //! start by the question that uses it, and every heap and stack is
 //! drained by the routine that fills it — so a question finds the
 //! workspace as good as new, and one that is no larger than an earlier
-//! one allocates nothing. Only the view's parent-id table scales with
-//! the workflow; it grows once, to the largest workflow the thread has
-//! seen, and is wiped member by member after each fill.
+//! one allocates nothing.
 //!
-//! Each thread owns one (`with_workspace`): the `k'` workers of a
-//! solve, the online engine's solver threads and a test's main thread
-//! all find theirs warm after the first question.
+//! Each thread owns one for block questions (`with_workspace`): the
+//! `k'` workers of a solve, the online engine's solver threads and a
+//! test's main thread all find theirs warm after the first question.
+//! A question about a whole graph makes a workspace of its own instead
+//! (`Workspace::default()`), dropped with the answer, so the thread's
+//! tables grow only to the largest block it has been asked about. Only
+//! the view's parent-id table scales with the workflow: four bytes a
+//! task, grown once and wiped member by member after each fill.
 
 use crate::greedy::{greedy_into, AllTasks, GreedyScratch};
 use crate::liveness::peak_of;
@@ -57,9 +60,9 @@ thread_local! {
     pub(crate) static TALLY: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Runs `question` on this thread's workspace. A question asked from
-/// inside another one (there is none in this crate) would get a fresh
-/// workspace rather than a panic.
+/// Runs a block question on this thread's workspace. A question asked
+/// from inside another one (there is none in this crate) would get a
+/// fresh workspace rather than a panic.
 pub(crate) fn with_workspace<R>(question: impl FnOnce(&mut Workspace) -> R) -> R {
     WORKSPACE.with(|ws| match ws.try_borrow_mut() {
         Ok(mut ws) => question(&mut ws),

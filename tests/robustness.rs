@@ -254,3 +254,129 @@ fn ten_thousand_same_instant_arrivals_are_all_accounted_for() {
         assert_eq!(a.to_json(), b.to_json(), "{policy:?}, federation");
     }
 }
+
+/// A directory for one test's files under the system temp dir, named by
+/// the process id so concurrent runs of the suite stay apart; removed
+/// when dropped.
+struct Scratch(std::path::PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("dhp-robustness-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        Scratch(dir)
+    }
+
+    /// Writes `text` to the file `name` and returns its path.
+    fn write(&self, name: &str, text: &str) -> String {
+        let path = self.0.join(name);
+        std::fs::write(&path, text).unwrap();
+        path.display().to_string()
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// `daghetpart` with `line`'s space-separated arguments.
+fn cli(line: &str) -> Result<String, String> {
+    dhp_cli::run(line.split_whitespace().map(String::from))
+}
+
+/// Workflow files whose tasks need no memory and carry no work or no
+/// files schedule under both algorithms, with and without headroom,
+/// and the simulator agrees with the model. The makespans are those of
+/// the default cluster, whose fastest processors run at speed 32: a
+/// task of the DOT default work 1.0 takes 1/32. DagHetPart runs the
+/// two children of `a` side by side (two levels), DagHetMem all three
+/// on one processor.
+#[test]
+fn zero_memory_workflows_schedule_under_both_algorithms() {
+    let dir = Scratch::new("zero_memory_workflows");
+    let files = [
+        (
+            "all-zero",
+            "digraph g { a [work=0, memory=0]; b [work=0, memory=0]; \
+             c [work=0, memory=0]; a -> b [volume=0]; a -> c [volume=0]; }",
+            [0.0, 0.0],
+        ),
+        (
+            "zero-work",
+            "digraph g { a [work=0, memory=0]; b [work=0, memory=0]; a -> b [volume=5]; }",
+            [0.0, 0.0],
+        ),
+        (
+            "zero-volume",
+            "digraph g { a [memory=0]; b [memory=0]; c [memory=0]; \
+             a -> b [volume=0]; a -> c [volume=0]; }",
+            [2.0 / 32.0, 3.0 / 32.0],
+        ),
+        ("one-task", "digraph g { a [memory=0]; }", [1.0 / 32.0; 2]),
+    ];
+    for (name, text, makespans) in files {
+        let wf = dir.write(&format!("{name}.dot"), text);
+        for (algorithm, want) in ["daghetpart", "daghetmem"].into_iter().zip(makespans) {
+            for headroom in ["1.05", "0"] {
+                let run = format!(
+                    "schedule --workflow {wf} --algorithm {algorithm} --headroom {headroom} --simulate"
+                );
+                let out = cli(&run).unwrap_or_else(|e| panic!("{run}: {e}"));
+                let report: dhp_cli::report::ScheduleReport = serde_json::from_str(&out).unwrap();
+                assert!(report.blocks >= 1, "{run}");
+                assert_eq!(report.makespan, want, "{run}");
+                assert_eq!(report.simulated_makespan, Some(want), "{run}");
+            }
+        }
+    }
+}
+
+/// Cluster files that describe no usable processor are refused with the
+/// cluster spec's classified messages (the binary prints them and exits
+/// 1): a processor of speed or memory 0, bandwidth 0, an empty
+/// processor list, and a processor line of `count: 0`.
+#[test]
+fn degenerate_cluster_files_are_refused_with_their_reason() {
+    let dir = Scratch::new("degenerate_cluster_files");
+    let wf = dir.write("one.dot", "digraph g { a [work=2, memory=1]; }");
+    let positive = "speed and memory must be positive and finite";
+    let files = [
+        (
+            "zero-speed",
+            r#"{ "processors": [ { "name": "slow", "speed": 0, "memory": 500 } ] }"#,
+            format!("processor \"slow\": {positive}"),
+        ),
+        (
+            "zero-memory",
+            r#"{ "processors": [ { "name": "tiny", "speed": 4, "memory": 0 } ] }"#,
+            format!("processor \"tiny\": {positive}"),
+        ),
+        (
+            "zero-bandwidth",
+            r#"{ "bandwidth": 0, "processors": [ { "name": "fat", "speed": 4, "memory": 500 } ] }"#,
+            "bandwidth must be positive and finite".to_string(),
+        ),
+        (
+            "no-processors",
+            r#"{ "processors": [] }"#,
+            "cluster file defines no processors".to_string(),
+        ),
+        (
+            "count-zero",
+            r#"{ "processors": [ { "name": "none", "speed": 4, "memory": 500, "count": 0 } ] }"#,
+            "cluster file defines no processors".to_string(),
+        ),
+    ];
+    for (name, text, reason) in files {
+        let cluster = dir.write(&format!("{name}.json"), text);
+        for algorithm in ["daghetpart", "daghetmem"] {
+            let run =
+                format!("schedule --workflow {wf} --cluster {cluster} --algorithm {algorithm}");
+            let err = cli(&run).unwrap_err();
+            assert!(err.contains(&reason), "{run}: {err}");
+        }
+    }
+}
